@@ -22,7 +22,10 @@
 //! `--smoke` runs one short 1 KiB scenario and exits non-zero if any
 //! node put a decision on the wire carrying payload bytes — the CI
 //! guard against the decision path regressing back to full-value
-//! shipping.
+//! shipping — or if any ring spent more than `majority - 1` decision
+//! messages per decided value: decisions go point-to-point from the
+//! majority point to the members upstream of it, and a higher count
+//! means they are circulating the ring again.
 //!
 //! `--stages` runs the 1 KiB scenario with tracing off and with stage
 //! tracing on (1-in-32 sampling), writes the per-node per-stage
@@ -941,6 +944,41 @@ fn main() {
                 eprintln!("  node {node}: {bytes} decision payload bytes");
             }
             eprintln!("smoke FAILED: decisions on the wire still carry payload bytes");
+            std::process::exit(1);
+        }
+        // And it must stay off the ring: the member whose vote completes
+        // the majority tells the `majority - 1` members upstream of it
+        // directly and nobody forwards, so a ring that spends more
+        // decision messages than that per decided value has gone back
+        // to circulating them. (Every generated ring has all members as
+        // acceptors and its first as coordinator.)
+        let text = generate_localhost_mrpstore(partitions, replicas, base_port, None);
+        let rings = DeploymentConfig::parse(&text).expect("generated").rings;
+        let mut lapped = false;
+        for o in &outcomes {
+            let totals = ring_totals(&o.nodes);
+            for ring in &rings {
+                let r = u32::from(ring.id.raw());
+                let sent = totals.get(&r).and_then(|m| m.get("decision_msgs"));
+                let sent = sent.copied().unwrap_or(0);
+                let decided = o
+                    .nodes
+                    .iter()
+                    .filter_map(|s| s.counter(&format!("ring{r}_instances_decided")))
+                    .max()
+                    .unwrap_or(0);
+                let upstream = (ring.acceptors.len() / 2) as u64;
+                eprintln!(
+                    "smoke: ring {r}: {sent} decision msgs for {decided} decided values \
+                     (at most {upstream} each)"
+                );
+                if decided == 0 || sent > upstream * decided {
+                    lapped = true;
+                }
+            }
+        }
+        if lapped {
+            eprintln!("smoke FAILED: a ring decided nothing, or its decisions are circulating");
             std::process::exit(1);
         }
         return;

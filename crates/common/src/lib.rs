@@ -56,3 +56,13 @@ pub use ids::{
 };
 pub use time::SimTime;
 pub use value::{Value, ValueId, ValueKind};
+
+/// Whether `MRP_DEBUG` was set when the process first asked: hosts, ring
+/// nodes and clients then print delivery, gap-heal and recovery traces
+/// to stderr. Read once — the call sites sit on the per-instance
+/// ordering path, where a fresh environment lookup each time is a lock
+/// acquisition and a scan.
+pub fn debug_enabled() -> bool {
+    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *ENABLED.get_or_init(|| std::env::var_os("MRP_DEBUG").is_some())
+}

@@ -10,9 +10,11 @@
 //!
 //! Ring Paxos messages travel along a unidirectional ring. A message created
 //! by some process carries a `ttl` initialized to *ring size − 1*; each hop
-//! decrements it and forwards while positive, so "values and decisions stop
-//! circulating when all processes have received them" (paper §4) without any
-//! process needing to know the originator's position.
+//! decrements it and forwards while positive, so values "stop circulating
+//! when all processes have received them" (paper §4) without any process
+//! needing to know the originator's position. Messages that carry no
+//! payload and have known addressees — id-only decisions, value pulls —
+//! do not circulate: they are sent point-to-point with `ttl` 0.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use std::cmp::Ordering;
@@ -137,7 +139,9 @@ pub enum RingMsg {
         /// Remaining hops.
         ttl: u16,
     },
-    /// A decision circulating so every process learns the outcome.
+    /// The outcome of an instance, sent point-to-point by the acceptor
+    /// whose vote completed the majority to each member the Phase 2
+    /// message had already passed (never forwarded; `ttl` is 0).
     ///
     /// Metadata only: the payload circulated the ring once inside
     /// [`RingMsg::Phase2`]; the decision names the winning value by id and

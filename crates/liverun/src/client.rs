@@ -954,7 +954,7 @@ pub fn fetch_stats(addr: SocketAddr, timeout: Duration) -> Result<common::obs::O
 
 fn spawn_reply_reader(mut stream: TcpStream, tx: Sender<ClientReply>) {
     std::thread::spawn(move || {
-        let dbg = std::env::var_os("MRP_DEBUG").is_some();
+        let dbg = common::debug_enabled();
         let mut buf = FrameBuf::new();
         let mut chunk = [0u8; 64 * 1024];
         loop {

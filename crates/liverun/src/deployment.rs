@@ -15,6 +15,7 @@ use std::time::{Duration, Instant};
 
 use common::error::{Error, Result};
 use common::ids::NodeId;
+use common::obs::Obs;
 use common::transport::WallClock;
 use coord::{CoordClientOptions, Registry};
 use multiring::{HostOptions, ServiceApp, SessionLimits, ShardPlan};
@@ -36,12 +37,15 @@ pub fn shard_wal_dir(wal_dir: &Path, node: NodeId, shard: usize) -> PathBuf {
 }
 
 /// Wraps one (sub-)shard's state in its own rotated, group-committed
-/// WAL when the deployment is durable.
+/// WAL when the deployment is durable. The WAL counts its appends and
+/// commit latency into the node's `obs` (the credit controller reads
+/// the latter).
 fn durable(
     config: &DeploymentConfig,
     node: NodeId,
     shard: usize,
     inner: Box<dyn ServiceApp>,
+    obs: &Obs,
 ) -> Result<Box<dyn ServiceApp>> {
     let Some(dir) = &config.wal_dir else {
         return Ok(inner);
@@ -54,7 +58,8 @@ fn durable(
     // Group commit (one fdatasync per delivered batch) makes the
     // paper's synchronous mode affordable on the delivery path;
     // rotation plus checkpoint-cadence pruning bounds the directory.
-    let wal = SegmentedWal::open(&seg_dir, SyncPolicy::EveryWrite, config.wal_roll_every)?;
+    let mut wal = SegmentedWal::open(&seg_dir, SyncPolicy::EveryWrite, config.wal_roll_every)?;
+    wal.instrument(obs);
     Ok(Box::new(DurableApp::with_log(inner, Box::new(wal), start)))
 }
 
@@ -62,7 +67,7 @@ fn durable(
 /// service states plus the plan routing commands between them, each
 /// sub-shard under its own WAL. With `executor_shards = 1` this
 /// collapses to the classic inline decorator chain.
-fn build_stack(config: &DeploymentConfig, node: NodeId) -> Result<AppStack> {
+fn build_stack(config: &DeploymentConfig, node: NodeId, obs: &Obs) -> Result<AppStack> {
     let spec = config
         .node(node)
         .ok_or_else(|| Error::Config(format!("node {node} not in configuration")))?;
@@ -115,14 +120,14 @@ fn build_stack(config: &DeploymentConfig, node: NodeId) -> Result<AppStack> {
         // WAL logs the full delivered stream outside it.
         let inner = inners.pop().expect("one sub-state");
         let sessions = Box::new(multiring::SessionApp::with_limits(inner, limits));
-        Ok(AppStack::Inline(durable(config, node, 0, sessions)?))
+        Ok(AppStack::Inline(durable(config, node, 0, sessions, obs)?))
     } else {
         // Sharded: the session table lives in the executor (admission on
         // the merge thread); each shard stages and fsyncs its own WAL.
         let shards = inners
             .into_iter()
             .enumerate()
-            .map(|(k, inner)| durable(config, node, k, inner))
+            .map(|(k, inner)| durable(config, node, k, inner, obs))
             .collect::<Result<Vec<_>>>()?;
         Ok(AppStack::Sharded {
             shards,
@@ -267,7 +272,7 @@ fn start_node_shaped(
     let member_of = config.member_of(node);
     // One registry per node, shared by every layer of its stack: the
     // same instance rides `host_opts.ring.obs` into the host and rings.
-    let obs = common::obs::Obs::for_node(node.raw());
+    let obs = Obs::for_node(node.raw());
     obs.set_trace_every(config.trace_sample);
     if let Some(nt) = netem {
         // The node's relayed links count their shaping into this
@@ -290,6 +295,7 @@ fn start_node_shaped(
     );
     let mut host_opts = host_options(config);
     host_opts.ring.obs = obs.clone();
+    let stack = build_stack(config, node, &obs)?;
     let setup = NodeSetup {
         me: node,
         member_of,
@@ -308,7 +314,7 @@ fn start_node_shaped(
         credit_backlog_high: config.credit_backlog_high,
         obs,
     };
-    spawn_node(setup, build_stack(config, node)?, restart)
+    spawn_node(setup, stack, restart)
 }
 
 /// A whole deployment running in this process over localhost TCP.

@@ -49,6 +49,17 @@ fn mrpstore_put_get_scan_over_tcp() {
     assert_eq!(entries[0].0, "key000");
     assert_eq!(entries[19].0, "key019");
 
+    // The delivered-command WAL reports into the node's stats plane (the
+    // credit controller reads its commit latency from there).
+    for n in &config.nodes {
+        let snap = liverun::fetch_stats(n.client_addr, Duration::from_secs(5)).expect("stats");
+        assert!(
+            snap.counter("wal_appends").unwrap_or(0) > 0,
+            "node {} logged no WAL appends",
+            snap.node
+        );
+    }
+
     deployment.shutdown();
 
     // Replicas of the same partition must have recorded identical

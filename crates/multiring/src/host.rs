@@ -20,7 +20,7 @@ use common::time::SimTime;
 use common::value::{Envelope, Payload, Value, ValueId};
 use common::wire::{get_varint, get_vec, put_varint, put_vec, Wire};
 use coord::Registry;
-use ringpaxos::node::{Output, RingNode};
+use ringpaxos::node::{Output, RingNode, MAX_IDLE_SKIP_STRIDE};
 use ringpaxos::options::RingOptions;
 use ringpaxos::timer::RingTimer;
 use simnet::{Ctx, Process, Timer};
@@ -355,10 +355,6 @@ pub struct MultiRingHost {
     /// Lazily created per-ring merge telemetry (the subscription set can
     /// change at runtime).
     ring_stats: BTreeMap<RingId, RingMergeStats>,
-    /// Last (ring, needed-instance) position the starvation nudge fired
-    /// at — one nudge per blocked position, or a slow skip round-trip
-    /// would trigger a nudge storm from every pump.
-    merge_nudge_mark: Option<(RingId, InstanceId)>,
 }
 
 /// Per-ring counters/gauges behind the `merge_skips`/`merge_lag`
@@ -369,6 +365,9 @@ struct RingMergeStats {
     skips: Counter,
     lag: Gauge,
     delivered: Counter,
+    /// Instances this node's learner decided on the ring — the
+    /// denominator of the decision-messages-per-instance guard.
+    decided: Counter,
 }
 
 impl RingMergeStats {
@@ -378,6 +377,7 @@ impl RingMergeStats {
             skips: obs.counter(&format!("ring{r}_merge_skips")),
             lag: obs.gauge(&format!("ring{r}_merge_lag")),
             delivered: obs.counter(&format!("ring{r}_delivered_cmds")),
+            decided: obs.counter(&format!("ring{r}_instances_decided")),
         }
     }
 }
@@ -502,7 +502,6 @@ impl MultiRingHost {
             out: Output::new(),
             hobs,
             ring_stats: BTreeMap::new(),
-            merge_nudge_mark: None,
         }
     }
 
@@ -635,7 +634,15 @@ impl MultiRingHost {
     /// the number of decided instances fed to the learner.
     fn drain_ring_outputs(&mut self, ring: RingId, ctx: &mut Ctx<'_>) -> usize {
         let decided: Vec<_> = self.out.decided.drain(..).collect();
-        self.hobs.instances_decided.add(decided.len() as u64);
+        if !decided.is_empty() {
+            self.hobs.instances_decided.add(decided.len() as u64);
+            let obs = &self.hobs.obs;
+            self.ring_stats
+                .entry(ring)
+                .or_insert_with(|| RingMergeStats::new(obs, ring))
+                .decided
+                .add(decided.len() as u64);
+        }
         let tracing = self.hobs.obs.tracing();
         if tracing {
             for (_, value) in &decided {
@@ -763,34 +770,59 @@ impl MultiRingHost {
 
     /// When the merge is parked waiting on a ring this node coordinates
     /// — typically an idle ring deep in the adaptive skip-stride backoff
-    /// while a neighbour ring just turned busy — propose that ring's
-    /// skip credit immediately instead of waiting out the stride. One
-    /// nudge per blocked (ring, instance) position. Returns the number
-    /// of decided instances the nudge fed back into the learner (only a
-    /// loopback/synchronous ring decides inline; a real deployment's
-    /// skip arrives later through the normal decision path).
+    /// while a neighbour ring just turned busy — top its skip credit up
+    /// at once instead of waiting out the stride. How far depends on
+    /// what the other rings have waiting behind it
+    /// ([`MergeLearner::backlog`]):
+    ///
+    /// * a deliverable value: everything that stands between that value
+    ///   and its delivery, in one skip;
+    /// * only skip credit, of a ring with as many members: all of it —
+    ///   peers stay level;
+    /// * only skip credit, of a narrower ring: all of it and one of the
+    ///   largest idle bursts (a full stride of credit) more; of a wider
+    ///   ring: what exceeds two such bursts. So **the wider ring runs one
+    ///   to two bursts ahead of the narrower**. A wider ring takes
+    ///   longer to decide — more hops, on a WAN more distance — and its
+    ///   credit reaches this node a stride at a time while it idles:
+    ///   level with it, every command on the narrower ring would wait
+    ///   for the wider ring's next burst. Behind it, they find its
+    ///   credit waiting, and the rare command on the wider ring costs
+    ///   one round of the narrower one (the first case) to let through.
+    ///
+    /// Returns the number of decided instances the nudge fed back into
+    /// the learner (only a loopback/synchronous ring decides inline; a
+    /// real deployment's skip arrives later through the normal decision
+    /// path).
     fn nudge_starved_ring(&mut self, ctx: &mut Ctx<'_>) -> usize {
-        let Some(learner) = &self.learner else {
+        let (Some(learner), Some(rl)) = (&self.learner, self.opts.ring.rate_leveling) else {
             return 0;
         };
         let Some(ring) = learner.starved_ring() else {
-            self.merge_nudge_mark = None;
             return 0;
         };
-        let needed = learner.next_needed(ring).unwrap_or(InstanceId::ZERO);
-        if self.merge_nudge_mark == Some((ring, needed)) {
-            return 0; // already nudged this position; the skip is in flight
-        }
-        let Some(node) = self.rings.get_mut(&ring) else {
-            return 0;
-        };
-        if !node.is_coordinator() {
+        let width = |r: &RingId| self.rings.get(r).map(|n| n.config().members().len());
+        let Some(own) = width(&ring).filter(|_| self.rings[&ring].is_coordinator()) else {
             return 0; // the ring's coordinator will level it on its own Δ
-        }
-        self.merge_nudge_mark = Some((ring, needed));
+        };
+        let burst = MAX_IDLE_SKIP_STRIDE * rl.expected_per_delta();
+        let credit = learner
+            .backlog()
+            .filter(|(other, _, _)| *other != ring)
+            .map(|(other, credit, work)| match width(&other) {
+                _ if work => credit,
+                Some(w) if w < own => credit + burst,
+                Some(w) if w == own => credit,
+                // Wider — or one this node is no member of, whose credit
+                // it cannot top up either.
+                _ => credit.saturating_sub(2 * burst),
+            })
+            .max()
+            .unwrap_or(0);
         let now = ctx.now();
         let mut out = Output::new();
-        node.rate_level_now(now, &mut out);
+        let node = self.rings.get_mut(&ring).expect("coordinated here");
+        node.rate_level_now(credit, now, &mut out);
         if out.is_empty() {
             return 0;
         }
@@ -1044,7 +1076,7 @@ impl MultiRingHost {
     // ------------------------------------------------------------------
 
     fn dbg(&self, ctx: &Ctx<'_>, what: &str) {
-        if std::env::var_os("MRP_DEBUG").is_some() {
+        if common::debug_enabled() {
             eprintln!("[{} {} ] {}", ctx.now(), self.me, what);
         }
     }

@@ -273,6 +273,31 @@ impl MergeLearner {
         Some(ring)
     }
 
+    /// What every ring has buffered ahead of the merge, as
+    /// `(ring, credit, work)`: the instances the merge can still consume
+    /// from the ring without a new decision (banked skip credit plus the
+    /// contiguous queued values) and whether one of them is deliverable.
+    /// With work waiting, `credit` stops at the first deliverable value:
+    /// that many turns of every other ring stand between it and its
+    /// delivery.
+    pub fn backlog(&self) -> impl Iterator<Item = (RingId, u64, bool)> + '_ {
+        self.streams.iter().map(|(ring, s)| {
+            let mut credit = s.consumed_this_turn;
+            let mut next = s.next;
+            for (inst, value) in &s.queue {
+                if *inst != next {
+                    break; // gap: nothing beyond it is consumable yet
+                }
+                next = inst.plus(value.instance_span());
+                credit += value.instance_span();
+                if value.is_deliverable() {
+                    return (*ring, credit, true);
+                }
+            }
+            (*ring, credit, false)
+        })
+    }
+
     /// The checkpoint tuple `k_p`: per ring, the next unconsumed instance.
     ///
     /// Within a partition, tuples taken along the delivery trajectory are
@@ -605,6 +630,35 @@ mod tests {
         m.push(r(0), i(2), app(0, 2));
         let lag = m.lag_by_ring();
         assert_eq!(lag, vec![(r(0), 1), (r(1), 0)]);
+    }
+
+    #[test]
+    fn backlog_is_what_each_ring_has_waiting_for_the_merge() {
+        let mut m = MergeLearner::new(&[r(0), r(1)], 1);
+        // Ring 1 runs ahead on skip credit alone, then holds a command.
+        m.push(r(1), i(0), skip(5, 0));
+        m.push(r(1), i(5), skip(3, 1));
+        assert!(m.pop().is_none());
+        assert_eq!(m.starved_ring(), Some(r(0)));
+        let all: Vec<_> = m.backlog().collect();
+        assert_eq!(all, vec![(r(0), 0, false), (r(1), 8, false)]);
+        m.push(r(1), i(8), app(1, 0));
+        m.push(r(1), i(9), skip(7, 2));
+        let all: Vec<_> = m.backlog().collect();
+        assert_eq!(
+            all,
+            vec![(r(0), 0, false), (r(1), 9, true)],
+            "credit stops at the first deliverable value"
+        );
+        // Exactly that many instances of ring 0 let it through.
+        m.push(r(0), i(0), skip(8, 3));
+        assert!(m.pop().is_none());
+        m.push(r(0), i(8), skip(1, 4));
+        assert_eq!(m.pop().unwrap().value, app(1, 0));
+        // Nothing beyond a gap is consumable.
+        m.push(r(0), i(20), skip(4, 5));
+        let ring0 = m.backlog().next().unwrap();
+        assert_eq!(ring0, (r(0), 0, false));
     }
 
     #[test]

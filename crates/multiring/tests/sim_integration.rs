@@ -240,3 +240,115 @@ fn replica_recovers_after_crash_with_trimming() {
     assert_eq!(m.borrow().counter("node.crashes"), 1);
     assert_eq!(m.borrow().counter("node.restarts"), 1);
 }
+
+/// The `geo_wan` layout in simulated time: one partition per region of
+/// the paper's three, partition ring *p* = nodes `[2p, 2p+1]`, one global
+/// ring over all six. A client in us-east drives its own partition only
+/// and now and then a command for all three. The global ring idles
+/// between those, so its skip credit reaches us-east an inter-region
+/// delay late and a whole stride at a time; local commands must find it
+/// waiting (the wider ring runs ahead of the narrower, see
+/// `MultiRingHost::nudge_starved_ring`), not wait for the next burst.
+#[test]
+fn region_local_commands_do_not_wait_for_an_idle_global_ring() {
+    use common::geo::{Region, WanProfile};
+
+    let registry = Registry::new();
+    let global = RingId::new(3);
+    let everyone: Vec<NodeId> = (0..6).map(NodeId::new).collect();
+    for p in 0..3u16 {
+        let replicas: Vec<NodeId> = everyone[usize::from(p) * 2..][..2].to_vec();
+        registry
+            .register_ring(
+                RingConfig::new(RingId::new(p), replicas.clone(), replicas.clone()).unwrap(),
+            )
+            .unwrap();
+        registry
+            .register_partition(
+                PartitionId::new(p),
+                PartitionInfo {
+                    rings: vec![RingId::new(p), global],
+                    replicas,
+                },
+            )
+            .unwrap();
+    }
+    registry
+        .register_ring(RingConfig::new(global, everyone.clone(), everyone.clone()).unwrap())
+        .unwrap();
+
+    let mut topo = Topology::from_profile(&WanProfile::ec2_2014());
+    topo.set_jitter_frac(0.01);
+    let mut sim = Sim::with_topology(7, topo);
+    let site = |p: usize| Topology::site_of_region(Region::PAPER_THREE[p]);
+    for m in &everyone {
+        let p = m.raw() as usize / 2;
+        let rings = [RingId::new(p as u16), global];
+        let mut opts = ring_opts();
+        opts.failure_timeout = Duration::ZERO; // nobody fails here
+        opts.rate_leveling = Some(RateLeveling {
+            delta: Duration::from_millis(1),
+            lambda: 9000,
+        });
+        let host = MultiRingHost::new(
+            *m,
+            registry.clone(),
+            &rings,
+            &rings,
+            Some(PartitionId::new(p as u16)),
+            Box::new(EchoApp::new()),
+            HostOptions {
+                ring: opts,
+                ..HostOptions::default()
+            },
+        );
+        sim.add_node_with_cpu(site(p), host, CpuModel::free());
+    }
+    let local = RingId::new(1);
+    let single = ClosedLoopClient::new(
+        ClientId::new(1),
+        registry.clone(),
+        HashMap::from([(local, NodeId::new(2))]),
+        move |_rng: &mut rand::rngs::StdRng| {
+            CommandSpec::simple(
+                local,
+                Bytes::from_static(b"local"),
+                vec![PartitionId::new(1)],
+            )
+        },
+        1,
+    )
+    .with_rate_cap(300.0);
+    let multi = ClosedLoopClient::new(
+        ClientId::new(2),
+        registry.clone(),
+        HashMap::from([(global, NodeId::new(0))]),
+        move |_rng: &mut rand::rngs::StdRng| {
+            let all = (0..3).map(PartitionId::new).collect();
+            CommandSpec::simple(global, Bytes::from_static(b"everywhere"), all)
+        },
+        1,
+    );
+    let (single_stats, multi_stats) = (single.stats(), multi.stats());
+    sim.add_node_with_cpu(site(1), single, CpuModel::free());
+    sim.add_node_with_cpu(site(1), multi, CpuModel::free());
+
+    sim.run_until(SimTime::from_secs(4));
+
+    let s = single_stats.borrow();
+    let (p50, p95) = (s.latency.quantile(0.5), s.latency.quantile(0.95));
+    assert!(s.completed > 1000, "{}", s.completed);
+    assert!(
+        p50 < 2_000_000 && p95 < 5_000_000,
+        "region-local latency p50 {p50} ns, p95 {p95} ns"
+    );
+    // And the commands for everyone pay four ocean crossings, not a lap
+    // more: client to coordinator, majority, outcome, reply.
+    let m = multi_stats.borrow();
+    assert!(m.completed > 10, "{}", m.completed);
+    let multi_p50 = m.latency.quantile(0.5);
+    assert!(
+        multi_p50 < 175_000_000,
+        "multi-partition p50 {multi_p50} ns"
+    );
+}

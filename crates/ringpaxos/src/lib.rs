@@ -3,11 +3,12 @@
 //! This crate implements the unicast variant of Ring Paxos described in §4
 //! of the paper (no IP multicast): proposers, acceptors and learners are
 //! arranged in one logical ring; an elected acceptor *coordinates*. Values
-//! circulate to the coordinator, which runs an optimized Paxos with
+//! are sent to the coordinator, which runs an optimized Paxos with
 //! pre-executed Phase 1 over windows of instances; combined Phase 2A/2B
-//! messages accumulate votes hop by hop, turn into decisions at the
-//! acceptor where a majority is reached, and decisions circulate until
-//! every member has seen them.
+//! messages accumulate votes hop by hop and turn into decisions at the
+//! acceptor where a majority is reached. Members after that point decide
+//! from the vote count of the Phase 2 message as it passes; the members
+//! before it are told directly, by an id-only decision from that acceptor.
 //!
 //! The core type is [`RingNode`]: a runtime-agnostic state machine holding
 //! all roles a process plays in one ring. It is driven through

@@ -7,18 +7,22 @@
 //!
 //! ## Protocol walk-through (paper §4, Figure 2b)
 //!
-//! 1. A proposed [`Value`] circulates the ring until it reaches the
-//!    coordinator ([`RingMsg::Proposal`]).
+//! 1. A proposer sends its [`Value`] straight to the coordinator
+//!    ([`RingMsg::Proposal`]); a receiver that does not coordinate (the
+//!    proposer's view was stale) passes it on around the ring until it
+//!    finds one.
 //! 2. The coordinator assigns the next consensus instance and emits a
 //!    combined Phase 2A/2B message carrying its own vote.
 //! 3. Each acceptor logs its vote to stable storage, *then* adds it and
 //!    forwards; non-acceptors forward unchanged. The Phase 2 message
 //!    keeps circulating the whole ring — it is the *only* time the value
 //!    payload travels; everyone caches the value by id.
-//! 4. The acceptor whose vote completes the majority additionally emits
+//! 4. The acceptor whose vote completes the majority additionally sends
 //!    an **id-only** [`RingMsg::Decision`] `(instance, ballot, value id)`
-//!    that circulates so the members upstream of the decision point (who
-//!    saw the value but not the majority) learn the outcome; members
+//!    point-to-point to each member *upstream* of it — those between the
+//!    Phase 2 origin and itself, who forwarded the value but never saw the
+//!    majority. It carries no payload, so nothing is gained by walking it
+//!    round the ring and a whole lap of link delays is lost. Members
 //!    downstream decide directly from the passing Phase 2 message, whose
 //!    vote count already proves the majority.
 //! 5. A member that observes an id-only decision for a value it never
@@ -61,6 +65,10 @@ use crate::timer::RingTimer;
 /// host's starvation nudge usually collapses it to one pump cycle).
 pub const MAX_IDLE_SKIP_STRIDE: u64 = 32;
 
+/// How many of its open instances a coordinator sends again at once when
+/// the oldest has stalled (the lowest ones: delivery is blocked on those).
+const PHASE2_RESEND_BUDGET: usize = 256;
+
 /// Effects emitted by a [`RingNode`] handler; the host runtime drains it
 /// after every call.
 #[derive(Debug, Default)]
@@ -100,15 +108,16 @@ enum PendingAction {
     /// Forward this message to the successor.
     Forward(RingMsg),
     /// Majority reached here: decide locally, keep the value circulating
-    /// (Phase 2 with the completed vote count and `fwd_ttl` hops left) and,
-    /// if `announce`, emit the id-only decision for the upstream members.
+    /// (Phase 2 with the completed vote count and `fwd_ttl` hops left) and
+    /// send the id-only decision to the `upstream` members the Phase 2
+    /// message passed on its way here.
     Decide {
         inst: InstanceId,
         ballot: Ballot,
         value: Value,
         votes: u16,
         fwd_ttl: u16,
-        announce: bool,
+        upstream: u16,
     },
 }
 
@@ -150,6 +159,10 @@ pub struct RingNode {
     /// Phase 1 finished for this ballot; proposals may flow.
     phase1_complete: bool,
     next_instance: InstanceId,
+    /// The oldest instance proposed here and not yet seen decided, and
+    /// since when it has been that one; drives the liveness-timer retry
+    /// for Phase 2 messages lost on the ring.
+    oldest_open: (InstanceId, SimTime),
     prop_queue: VecDeque<Value>,
     proposals_since_delta: u64,
     /// Consecutive fully-idle Δ intervals since the last real proposal
@@ -239,6 +252,7 @@ impl RingNode {
             ballot: Ballot::ZERO,
             phase1_complete: false,
             next_instance: InstanceId::ZERO,
+            oldest_open: (InstanceId::ZERO, SimTime::ZERO),
             prop_queue: VecDeque::new(),
             proposals_since_delta: 0,
             idle_deltas: 0,
@@ -491,8 +505,14 @@ impl RingNode {
                 ));
             }
         } else {
+            // Straight to the coordinator, one link delay however far
+            // round the ring it sits. The ttl still allows a full
+            // circulation: should our view be stale, whoever receives
+            // this forwards it along the ring until a coordinator takes
+            // it, and the retry timer re-sends it hop by hop.
             let ttl = self.cfg.initial_ttl();
-            self.send_ring(RingMsg::Proposal { value, ttl }, now, out);
+            out.sends
+                .push((self.cfg.coordinator(), RingMsg::Proposal { value, ttl }));
         }
     }
 
@@ -627,7 +647,7 @@ impl RingNode {
         while let Some(value) = self.prop_queue.pop_front() {
             let inst = self.next_instance;
             self.next_instance = inst.plus(value.instance_span());
-            if value.is_deliverable() && std::env::var_os("MRP_DEBUG").is_some() {
+            if value.is_deliverable() && common::debug_enabled() {
                 eprintln!(
                     "[{now} {} r{}] coord assigns {inst} to {}",
                     self.me,
@@ -656,7 +676,7 @@ impl RingNode {
                 value,
                 votes: 1,
                 fwd_ttl: self.cfg.initial_ttl(),
-                announce: false,
+                upstream: 0,
             }
         } else {
             PendingAction::Forward(RingMsg::Phase2 {
@@ -696,13 +716,12 @@ impl RingNode {
                 value,
                 votes,
                 fwd_ttl,
-                announce,
+                upstream,
             } => {
                 let id = value.id;
-                let is_skip = matches!(value.kind, ValueKind::Skip(_));
-                // Value first (Phase 2 keeps circulating so downstream
-                // members learn it), then the id-only decision for the
-                // upstream members — FIFO per link preserves that order.
+                // The value keeps circulating inside Phase 2 so the
+                // downstream members learn it and, from its vote count,
+                // the outcome.
                 if fwd_ttl > 0 {
                     self.send_ring(
                         RingMsg::Phase2 {
@@ -717,21 +736,19 @@ impl RingNode {
                     );
                 }
                 self.handle_decide(inst, value, now, out);
-                if announce {
-                    let ttl = self.cfg.initial_ttl();
-                    if ttl > 0 {
-                        self.send_ring_with(
-                            RingMsg::Decision {
-                                inst,
-                                ballot,
-                                id,
-                                ttl,
-                            },
-                            is_skip,
-                            now,
-                            out,
-                        );
-                    }
+                // The upstream members hold the value (they forwarded or
+                // voted it) but saw it below a majority: tell each of them
+                // directly. One link delay instead of the rest of the lap;
+                // un-batched, since their delivery cursors wait on it. A
+                // lost one heals like any lost decision (learner gap).
+                for to in self.upstream_members(upstream) {
+                    let decision = RingMsg::Decision {
+                        inst,
+                        ballot,
+                        id,
+                        ttl: 0,
+                    };
+                    out.sends.push((to, decision));
                 }
             }
         }
@@ -977,12 +994,7 @@ impl RingNode {
                 votes,
                 ttl,
             } => self.on_phase2(inst, ballot, value, votes, ttl, now, out),
-            RingMsg::Decision {
-                inst,
-                ballot,
-                id,
-                ttl,
-            } => self.on_decision(inst, ballot, id, ttl, now, out),
+            RingMsg::Decision { inst, id, .. } => self.on_decision(inst, id, now, out),
             RingMsg::ValueRequest { inst, id } => self.on_value_request(sender, inst, id, out),
             RingMsg::ValueResend { inst, value, .. } => self.on_value_resend(inst, value, now, out),
             RingMsg::Heartbeat { epoch } => {
@@ -1021,24 +1033,10 @@ impl RingNode {
         }
     }
 
-    /// An id-only decision from the ring: resolve the value locally, or
-    /// pull it; forward the (tiny) decision either way — downstream
-    /// members may be able to resolve it even when we cannot.
-    fn on_decision(
-        &mut self,
-        inst: InstanceId,
-        ballot: Ballot,
-        id: ValueId,
-        ttl: u16,
-        now: SimTime,
-        out: &mut Output,
-    ) {
-        let resolved = self.resolve_value(inst, id);
-        let is_skip = resolved
-            .as_ref()
-            .map(|v| matches!(v.kind, ValueKind::Skip(_)))
-            .unwrap_or(false);
-        match resolved {
+    /// An id-only decision, sent to us directly by the member whose vote
+    /// completed the majority: resolve the value locally, or pull it.
+    fn on_decision(&mut self, inst: InstanceId, id: ValueId, now: SimTime, out: &mut Output) {
+        match self.resolve_value(inst, id) {
             Some(value) => {
                 if value.is_deliverable() {
                     self.prefetch_hits.inc();
@@ -1062,19 +1060,6 @@ impl RingNode {
                     self.send_value_request(inst, id, out);
                 }
             }
-        }
-        if ttl > 0 {
-            self.send_ring_with(
-                RingMsg::Decision {
-                    inst,
-                    ballot,
-                    id,
-                    ttl: ttl - 1,
-                },
-                is_skip,
-                now,
-                out,
-            );
         }
     }
 
@@ -1124,14 +1109,16 @@ impl RingNode {
         let action = if votes >= self.cfg.majority() {
             // Our vote completes the majority: this is the decision
             // point. The value continues its single circulation inside
-            // Phase 2; the id-only decision covers the members upstream.
+            // Phase 2; the id-only decision covers the members upstream —
+            // as many as the hops this message has made, which its origin
+            // started at `initial_ttl`.
             PendingAction::Decide {
                 inst,
                 ballot,
                 value,
                 votes,
                 fwd_ttl: ttl.saturating_sub(1),
-                announce: true,
+                upstream: (self.cfg.initial_ttl() + 1).saturating_sub(ttl),
             }
         } else if ttl > 0 {
             PendingAction::Forward(RingMsg::Phase2 {
@@ -1199,7 +1186,7 @@ impl RingNode {
             let inst = self.next_delivery;
             self.next_delivery = inst.plus(value.instance_span());
             let value = self.dedup_delivery(inst, value);
-            if value.is_deliverable() && std::env::var_os("MRP_DEBUG").is_some() {
+            if value.is_deliverable() && common::debug_enabled() {
                 eprintln!(
                     "[{} r{}] learner delivers {inst} {}",
                     self.me,
@@ -1222,7 +1209,7 @@ impl RingNode {
             return value;
         }
         if !self.delivered_ids.insert(value.id) {
-            if std::env::var_os("MRP_DEBUG").is_some() {
+            if common::debug_enabled() {
                 eprintln!("[{} {}] dedup DEMOTES {}", self.me, self.ring, value.id);
             }
             return Value {
@@ -1312,22 +1299,33 @@ impl RingNode {
         self.propose_skip((expected * owed) as u32, now, out);
     }
 
-    /// Immediately proposes the skip credit of one Δ interval, outside
-    /// the timer cadence. The host calls this when its deterministic
-    /// merge is parked waiting on this ring (an idle ring deep in stride
-    /// backoff would otherwise make a newly active neighbour ring wait
-    /// out the stride); it also resets the backoff so the cadence stays
+    /// Tops up, outside the timer cadence, the skip credit this
+    /// coordinator has issued but not yet seen decided to `credit`
+    /// instances. The host calls this when its deterministic merge is
+    /// parked waiting on this ring (an idle ring deep in stride backoff
+    /// would otherwise make a newly active neighbour ring wait out the
+    /// stride), with what the other rings have waiting behind it; credit
+    /// already in flight counts, so asking again before it lands adds
+    /// nothing. A top-up also resets the backoff, so the cadence stays
     /// tight while someone is actually waiting.
-    pub fn rate_level_now(&mut self, now: SimTime, out: &mut Output) {
-        let Some(rl) = self.opts.rate_leveling else {
-            return;
-        };
-        if !self.coordinating || !self.phase1_complete || self.proposals_since_delta > 0 {
+    pub fn rate_level_now(&mut self, credit: u64, now: SimTime, out: &mut Output) {
+        if self.opts.rate_leveling.is_none()
+            || !self.coordinating
+            || !self.phase1_complete
+            || self.proposals_since_delta > 0
+        {
             return;
         }
-        self.idle_deltas = 0;
-        self.idle_stride = 1;
-        self.propose_skip(rl.expected_per_delta().max(1) as u32, now, out);
+        let in_flight = self
+            .next_instance
+            .raw()
+            .saturating_sub(self.next_delivery.raw());
+        if credit > in_flight {
+            self.idle_deltas = 0;
+            self.idle_stride = 1;
+            let owed = (credit - in_flight).min(u64::from(u32::MAX));
+            self.propose_skip(owed as u32, now, out);
+        }
     }
 
     fn propose_skip(&mut self, n: u32, now: SimTime, out: &mut Output) {
@@ -1368,6 +1366,29 @@ impl RingNode {
             && now.since(self.phase1_sent_at) > self.opts.heartbeat_interval * 4
         {
             self.begin_phase1(now, out);
+        }
+        // Nor has Phase 2: a hop that drops it (a member restarting in
+        // place inside the failure timeout, a connection reset) leaves
+        // the instance undecided everywhere with every later one queued
+        // behind it at the learners, and no reconfiguration comes to
+        // re-run Phase 1. When the oldest open instance has made no
+        // progress for a failure timeout, send the open ones again —
+        // same ballot, same values, votes counted afresh.
+        let open =
+            self.coordinating && self.phase1_complete && self.next_delivery < self.next_instance;
+        if !open || self.oldest_open.0 != self.next_delivery {
+            self.oldest_open = (self.next_delivery, now);
+        } else if now.since(self.oldest_open.1) > self.opts.failure_timeout {
+            self.oldest_open.1 = now;
+            let open = self
+                .log
+                .accepted_in_range(self.next_delivery, self.next_instance);
+            for e in open.into_iter().take(PHASE2_RESEND_BUDGET) {
+                if e.vballot == self.ballot {
+                    let ttl = self.cfg.initial_ttl();
+                    self.forward_phase2(e.inst, e.vballot, e.value, 1, ttl, now, out);
+                }
+            }
         }
         // Id-only decisions whose value pull went unanswered: re-request
         // from the next acceptor in the rotation (the previous target may
@@ -1453,12 +1474,19 @@ impl RingNode {
     }
 
     fn predecessor(&self) -> NodeId {
+        self.upstream_members(1).next().unwrap_or(self.me)
+    }
+
+    /// The `hops` members before this one in ring order, nearest first
+    /// (never this node itself, however large `hops`).
+    fn upstream_members(&self, hops: u16) -> impl Iterator<Item = NodeId> + '_ {
         let members = self.cfg.members();
+        let n = members.len();
         let pos = members
             .iter()
             .position(|m| *m == self.me)
             .expect("member of own ring");
-        members[(pos + members.len() - 1) % members.len()]
+        (1..=usize::from(hops).min(n - 1)).map(move |back| members[(pos + n - back) % n])
     }
 
     fn refresh_config(&mut self, now: SimTime, out: &mut Output) {
@@ -1494,26 +1522,18 @@ impl RingNode {
     // batching
     // ------------------------------------------------------------------
 
-    /// Sends (or batches) a ring message to the successor, deriving
-    /// batch-bypass criticality from the message itself (only possible
-    /// for value-carrying messages; id-only decisions use
-    /// [`RingNode::send_ring_with`] with the resolved value's kind).
-    fn send_ring(&mut self, msg: RingMsg, now: SimTime, out: &mut Output) {
+    /// Sends (or batches) a ring message to the successor.
+    ///
+    /// Skip tokens bypass the batch-delay timer: they are the merge's
+    /// clock (rate leveling exists so idle rings do not stall learners),
+    /// and parking them for `max_delay` on every hop would re-introduce
+    /// exactly the delivery lag they eliminate. The pending batch is
+    /// flushed first so per-link FIFO is preserved.
+    fn send_ring(&mut self, msg: RingMsg, _now: SimTime, out: &mut Output) {
         let critical = match &msg {
             RingMsg::Phase2 { value, .. } => matches!(value.kind, ValueKind::Skip(_)),
             _ => false,
         };
-        self.send_ring_with(msg, critical, now, out);
-    }
-
-    /// Sends (or batches) a ring message to the successor.
-    ///
-    /// Skip tokens bypass the batch-delay timer (`critical`): they are the
-    /// merge's clock (rate leveling exists so idle rings do not stall
-    /// learners), and parking them for `max_delay` on every hop would
-    /// re-introduce exactly the delivery lag they eliminate. The pending
-    /// batch is flushed first so per-link FIFO is preserved.
-    fn send_ring_with(&mut self, msg: RingMsg, critical: bool, _now: SimTime, out: &mut Output) {
         if !self.cfg.contains(self.me) {
             // Removed from the ring while effects were in flight (e.g.
             // failure detection during shutdown): there is no successor to
@@ -1575,6 +1595,10 @@ mod tests {
         /// Tally of every message relayed between nodes, as a live
         /// transport would account it.
         wire: common::msg::WireStats,
+        /// Every message relayed between nodes: `(from, to, message)`.
+        relayed: Vec<(NodeId, NodeId, RingMsg)>,
+        /// Relayed messages this returns true for are lost instead.
+        drop: fn(NodeId, &RingMsg) -> bool,
     }
 
     impl Harness {
@@ -1593,6 +1617,8 @@ mod tests {
                     now: SimTime::ZERO,
                     delivered: vec![Vec::new(); n],
                     wire: common::msg::WireStats::default(),
+                    relayed: Vec::new(),
+                    drop: |_, _| false,
                 },
                 registry,
             )
@@ -1655,7 +1681,10 @@ mod tests {
         ) {
             for (to, msg) in out.sends.drain(..) {
                 self.wire.tally(&msg);
-                queue.push_back((to.raw() as usize, from, msg));
+                self.relayed.push((from, to, msg.clone()));
+                if !(self.drop)(to, &msg) {
+                    queue.push_back((to.raw() as usize, from, msg));
+                }
             }
             for (inst, value) in out.decided.drain(..) {
                 self.delivered[origin].push((inst, value));
@@ -1663,6 +1692,11 @@ mod tests {
             for (_, t) in out.timers.drain(..) {
                 timers.push_back((origin, t));
             }
+        }
+
+        /// The relayed messages of one kind, as `(from, to, message)`.
+        fn relayed(&self, kind: fn(&RingMsg) -> bool) -> Vec<&(NodeId, NodeId, RingMsg)> {
+            self.relayed.iter().filter(|(_, _, m)| kind(m)).collect()
         }
 
         fn app_value(&mut self, node: usize, payload: &'static [u8]) -> Value {
@@ -1722,6 +1756,37 @@ mod tests {
         for n in 0..4 {
             assert_eq!(h.delivered[n].len(), 1, "node {n}");
             assert_eq!(h.delivered[n][0].1, v);
+        }
+        // One message, proposer to coordinator — not three hops round
+        // the ring — and still good for a full circulation should the
+        // receiver turn out not to coordinate.
+        let proposals = h.relayed(|m| matches!(m, RingMsg::Proposal { .. }));
+        assert_eq!(proposals.len(), 1, "{proposals:?}");
+        let (from, to, msg) = proposals[0];
+        assert_eq!((*from, *to), (NodeId::new(3), NodeId::new(0)));
+        assert_eq!(msg.ttl(), Some(3));
+    }
+
+    /// A proposer whose view of the coordinator is stale: the member it
+    /// sends to passes the proposal on round the ring until it finds the
+    /// coordinator.
+    #[test]
+    fn proposal_sent_to_a_former_coordinator_circulates_to_the_new_one() {
+        let (mut h, _) = Harness::new(4, opts());
+        h.start();
+        let v = h.app_value(3, b"stale view");
+        let ttl = h.nodes[3].config().initial_ttl();
+        let mut out = Output::new();
+        out.sends.push((
+            NodeId::new(2),
+            RingMsg::Proposal {
+                value: v.clone(),
+                ttl,
+            },
+        ));
+        h.relay(3, &mut out);
+        for n in 0..4 {
+            assert_eq!(h.delivered[n], vec![(InstanceId::ZERO, v.clone())]);
         }
     }
 
@@ -1938,6 +2003,53 @@ mod tests {
         assert_eq!(h.delivered[1], h.delivered[0]);
     }
 
+    /// The host's top-up when its merge is parked on this ring: one skip
+    /// for what is missing, credit in flight counted.
+    #[test]
+    fn rate_level_now_tops_up_to_the_credit_asked_for() {
+        let mut o = opts();
+        o.rate_leveling = Some(crate::options::RateLeveling {
+            delta: Duration::from_millis(5),
+            lambda: 1000,
+        });
+        let (mut h, _) = Harness::new(3, o);
+        h.start();
+        let skips = |out: &Output| -> Vec<u32> {
+            out.sends
+                .iter()
+                .filter_map(|(_, m)| match m {
+                    RingMsg::Phase2 { value, .. } => match value.kind {
+                        ValueKind::Skip(n) => Some(n),
+                        _ => None,
+                    },
+                    _ => None,
+                })
+                .collect()
+        };
+        let mut first = Output::new();
+        h.nodes[0].rate_level_now(20, h.now, &mut first);
+        assert_eq!(skips(&first), vec![20]);
+        // Asked again before it lands: the 20 in flight count.
+        let mut again = Output::new();
+        h.nodes[0].rate_level_now(20, h.now, &mut again);
+        assert!(again.is_empty());
+        h.nodes[0].rate_level_now(26, h.now, &mut again);
+        assert_eq!(skips(&again), vec![6]);
+        // Only the coordinator levels its ring.
+        let mut other = Output::new();
+        h.nodes[1].rate_level_now(20, h.now, &mut other);
+        assert!(other.is_empty());
+
+        h.relay(0, &mut first);
+        h.relay(0, &mut again);
+        assert_eq!(h.nodes[0].next_delivery(), InstanceId::new(26));
+        let mut landed = Output::new();
+        h.nodes[0].rate_level_now(0, h.now, &mut landed);
+        assert!(landed.is_empty());
+        h.nodes[0].rate_level_now(3, h.now, &mut landed);
+        assert_eq!(skips(&landed), vec![3]);
+    }
+
     #[test]
     fn unsubscribed_learner_does_not_deliver() {
         let (mut h, _) = Harness::new(3, opts());
@@ -1949,10 +2061,11 @@ mod tests {
         assert_eq!(h.delivered[2].len(), 0);
     }
 
-    /// The tentpole slow path: a node misses the Phase 2 value (dropped
-    /// frame), observes the id-only decision, pulls the value with
-    /// `ValueRequest`, and delivery proceeds — including later instances
-    /// that buffered behind the hole.
+    /// The slow path of id-only decisions: a node that never learned the
+    /// value (here: as if a reconfiguration had put it upstream of the
+    /// decision point after its Phase 2 frame was dropped) observes the
+    /// id-only decision, pulls the value with `ValueRequest`, and delivery
+    /// proceeds — including later instances that buffered behind the hole.
     #[test]
     fn missed_phase2_value_recovers_via_pull() {
         let (mut h, _) = Harness::new(3, opts());
@@ -1973,7 +2086,7 @@ mod tests {
         assert_eq!(p2_01.0, NodeId::new(1));
 
         // Node 1's vote completes the majority: it must keep the value
-        // circulating (Phase 2) AND announce the id-only decision.
+        // circulating (Phase 2) AND send the id-only decision upstream.
         let mut out1 = Output::new();
         h.nodes[1].on_msg(NodeId::new(0), p2_01.1, h.now, &mut out1);
         let p2_12 = out1
@@ -1991,14 +2104,15 @@ mod tests {
         let decision = out1
             .sends
             .iter()
-            .find_map(|(_, m)| match m {
+            .find_map(|(to, m)| match m {
                 RingMsg::Decision { id, .. } => {
+                    assert_eq!(*to, NodeId::new(0), "upstream of node 1: the origin");
                     assert_eq!(*id, v0.id, "decision names the value by id only");
                     Some(m.clone())
                 }
                 _ => None,
             })
-            .expect("majority point announces an id-only decision");
+            .expect("majority point sends an id-only decision");
 
         // DROP the Phase 2 to node 2 — it never learns the value — and
         // deliver only the id-only decision.
@@ -2130,11 +2244,11 @@ mod tests {
             h.propose(i % 3, v);
         }
         // Every message relayed for those proposals, as a transport
-        // would tally it: decisions circulated, but zero payload bytes
+        // would tally it: decisions were sent, but zero payload bytes
         // rode inside any of them.
         assert!(
             h.wire.decision_msgs > before.decision_msgs,
-            "proposals circulated decisions"
+            "proposals produced decisions"
         );
         assert_eq!(h.wire.decision_payload_bytes, 0);
         assert!(
@@ -2201,8 +2315,8 @@ mod tests {
         let unique: HashSet<_> = first.iter().collect();
         assert_eq!(unique.len(), first.len(), "no duplicate pulls");
 
-        // Re-observing the same decisions (circulation echoes, retries):
-        // zero additional pulls.
+        // Re-observing the same decisions (duplicated frames): zero
+        // additional pulls.
         let mut out = Output::new();
         for i in 0..misses {
             h.nodes[2].on_msg(NodeId::new(1), decision(i), h.now, &mut out);
@@ -2248,6 +2362,73 @@ mod tests {
         }
     }
 
+    /// Phase 2 has no acknowledgement: a frame dropped on its first hop
+    /// (a member restarting in place, a connection reset) leaves the
+    /// instance open everywhere. The coordinator sends its open instances
+    /// again once the oldest has stalled for a failure timeout.
+    #[test]
+    fn coordinator_resends_a_phase2_that_stalled() {
+        let opts = RingOptions {
+            storage: StorageMode::InMemory,
+            ..RingOptions::default()
+        };
+        let timeout = opts.failure_timeout;
+        let (mut h, _) = Harness::new(3, opts);
+        h.start();
+        let phase2s = |out: &Output| -> Vec<InstanceId> {
+            out.sends
+                .iter()
+                .filter_map(|(_, m)| match m {
+                    RingMsg::Phase2 { inst, votes: 1, .. } => Some(*inst),
+                    _ => None,
+                })
+                .collect()
+        };
+        let (v0, v1) = (h.app_value(0, b"lost"), h.app_value(0, b"lost too"));
+        let mut lost = Output::new();
+        h.nodes[0].propose(v0.clone(), h.now, &mut lost);
+        h.nodes[0].propose(v1.clone(), h.now, &mut lost);
+        assert_eq!(phase2s(&lost).len(), 2, "both proposed, neither relayed");
+
+        // The predecessor stays audible throughout.
+        let tick = |h: &mut Harness, at: SimTime| -> Output {
+            let mut out = Output::new();
+            h.nodes[0].on_msg(
+                NodeId::new(2),
+                RingMsg::Heartbeat { epoch: 1 },
+                at,
+                &mut out,
+            );
+            h.nodes[0].on_timer(RingTimer::Liveness, at, &mut out);
+            out
+        };
+        let proposed = h.now;
+        let soon = proposed + Duration::from_millis(1);
+        assert!(phase2s(&tick(&mut h, soon)).is_empty());
+        assert!(
+            phase2s(&tick(&mut h, proposed + timeout)).is_empty(),
+            "not yet a failure timeout"
+        );
+        let late = proposed + timeout + Duration::from_millis(1);
+        let mut again = tick(&mut h, late);
+        assert_eq!(
+            phase2s(&again),
+            vec![InstanceId::new(0), InstanceId::new(1)],
+            "every open instance goes out again, in order"
+        );
+        again.timers.clear();
+        h.now = late;
+        h.relay(0, &mut again);
+        for n in 0..3 {
+            let got: Vec<&Value> = h.delivered[n].iter().map(|(_, v)| v).collect();
+            assert_eq!(got, vec![&v0, &v1], "node {n}");
+        }
+        // Nothing open, nothing to send again.
+        let later = late + timeout * 2;
+        assert!(phase2s(&tick(&mut h, later)).is_empty());
+        assert!(phase2s(&tick(&mut h, later + timeout * 2)).is_empty());
+    }
+
     #[test]
     fn epoch_in_heartbeat_triggers_config_refresh() {
         let (mut h, registry) = Harness::new(3, opts());
@@ -2271,5 +2452,146 @@ mod tests {
         h.relay(1, &mut out);
         assert!(h.nodes[1].is_coordinator());
         assert_eq!(h.nodes[1].config().epoch(), new_epoch);
+    }
+
+    fn is_decision(m: &RingMsg) -> bool {
+        matches!(m, RingMsg::Decision { .. })
+    }
+
+    /// Decisions leave the ring: the acceptor whose vote completes the
+    /// majority tells each member upstream of it directly, nobody
+    /// forwards a decision, and the downstream members decide from the
+    /// passing Phase 2 alone.
+    #[test]
+    fn decision_point_sends_directly_to_upstream_members_only() {
+        let (mut h, _) = Harness::new(6, opts());
+        h.start();
+        let majority = usize::from(h.nodes[0].config().majority());
+        assert_eq!(majority, 4);
+        let rounds = 5;
+        for i in 0..rounds {
+            let v = h.app_value(i % 6, b"x");
+            h.propose(i % 6, v);
+        }
+        for n in 0..6 {
+            assert_eq!(h.delivered[n].len(), rounds, "node {n}");
+            assert_eq!(h.delivered[n], h.delivered[0]);
+        }
+        let decisions = h.relayed(is_decision);
+        assert_eq!(
+            decisions.len(),
+            rounds * (majority - 1),
+            "majority - 1 decision messages per instance"
+        );
+        for (from, to, msg) in decisions {
+            assert_eq!(*from, NodeId::new(3), "sent by the majority point");
+            assert!(to.raw() < 3, "sent upstream only: {to}");
+            assert_eq!(msg.ttl(), Some(0), "never forwarded");
+        }
+
+        // Hop by hop: each upstream member decides on the one message it
+        // receives after the majority point, in whatever order they land.
+        let v = h.app_value(0, b"by hand");
+        let mut out = Output::new();
+        h.nodes[0].propose(v.clone(), h.now, &mut out);
+        for hop in 1..=3usize {
+            let (to, msg) = out.sends.pop().expect("one Phase 2 per hop");
+            assert!(out.sends.is_empty() && out.decided.is_empty());
+            assert_eq!(to, NodeId::new(hop as u32));
+            h.nodes[hop].on_msg(NodeId::new(hop as u32 - 1), msg, h.now, &mut out);
+        }
+        assert_eq!(out.decided.len(), 1, "node 3 decides at the majority");
+        let inst = out.decided[0].0;
+        let (phase2, direct): (Vec<_>, Vec<_>) = out
+            .sends
+            .drain(..)
+            .partition(|(_, m)| matches!(m, RingMsg::Phase2 { .. }));
+        assert_eq!(phase2.len(), 1, "the value keeps circulating");
+        assert_eq!(phase2[0].0, NodeId::new(4));
+        let mut targets: Vec<u32> = direct.iter().map(|(to, _)| to.raw()).collect();
+        targets.sort_unstable();
+        assert_eq!(targets, vec![0, 1, 2]);
+        for (to, msg) in direct {
+            assert!(is_decision(&msg));
+            let mut o = Output::new();
+            h.nodes[to.raw() as usize].on_msg(NodeId::new(3), msg, h.now, &mut o);
+            assert_eq!(o.decided, vec![(inst, v.clone())], "node {to}");
+            assert!(o.sends.is_empty(), "node {to} forwards nothing");
+        }
+    }
+
+    /// A direct decision lost on its way to one member: the next
+    /// decision shows the member its gap, the hole is filled the way the
+    /// host fills any hole (retransmission from an acceptor's log), and
+    /// the late original adds nothing.
+    #[test]
+    fn lost_direct_decision_heals_through_the_learner_gap() {
+        let (mut h, _) = Harness::new(6, opts());
+        h.start();
+        h.drop = |to, m| {
+            to == NodeId::new(1)
+                && matches!(m, RingMsg::Decision { inst, .. } if *inst == InstanceId::ZERO)
+        };
+        let v0 = h.app_value(0, b"lost");
+        let v1 = h.app_value(0, b"next");
+        h.propose(0, v0.clone());
+        assert!(
+            h.delivered[1].is_empty(),
+            "node 1 never heard of instance 0"
+        );
+        assert_eq!(h.nodes[1].buffered_gap(), None);
+        h.propose(0, v1.clone());
+        assert!(
+            h.delivered[1].is_empty(),
+            "instance 1 waits behind the hole"
+        );
+        let (from, to) = h.nodes[1].buffered_gap().expect("gap is visible");
+        assert_eq!((from, to), (InstanceId::ZERO, InstanceId::new(1)));
+
+        let mut out = Output::new();
+        for e in h.nodes[3].log().decided_in_range(from, to) {
+            h.nodes[1].learn_decided(e.inst, e.value, h.now, &mut out);
+        }
+        let expect = vec![(InstanceId::ZERO, v0.clone()), (InstanceId::new(1), v1)];
+        assert_eq!(out.decided, expect);
+
+        // The dropped frame turns up after all.
+        let (_, _, late) = h
+            .relayed(is_decision)
+            .into_iter()
+            .find(|(_, to, m)| (h.drop)(*to, m))
+            .expect("the dropped decision was sent")
+            .clone();
+        let mut out = Output::new();
+        h.nodes[1].on_msg(NodeId::new(3), late, h.now, &mut out);
+        assert!(out.is_empty(), "no duplicate delivery: {out:?}");
+        for n in [0, 2, 3, 4, 5] {
+            assert_eq!(h.delivered[n], expect, "node {n}");
+        }
+    }
+
+    /// Predecessor liveness counts predecessor traffic only: a decision
+    /// arriving directly from further round the ring says nothing about
+    /// the predecessor.
+    #[test]
+    fn direct_decision_does_not_vouch_for_the_predecessor() {
+        let (mut h, _) = Harness::new(6, opts());
+        h.start();
+        let started = h.nodes[0].last_from_pred;
+        let decision = RingMsg::Decision {
+            inst: InstanceId::ZERO,
+            ballot: Ballot::new(1, NodeId::new(0)),
+            id: ValueId::new(NodeId::new(0), 99),
+            ttl: 0,
+        };
+        let later = h.now + Duration::from_millis(10);
+        let mut out = Output::new();
+        h.nodes[0].on_msg(NodeId::new(3), decision.clone(), later, &mut out);
+        assert_eq!(h.nodes[0].last_from_pred, started);
+        h.nodes[0].on_msg(NodeId::new(5), decision, later, &mut out);
+        assert_eq!(
+            h.nodes[0].last_from_pred, later,
+            "node 5 is the predecessor"
+        );
     }
 }
