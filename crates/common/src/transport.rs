@@ -2,10 +2,11 @@
 //!
 //! The sans-IO protocol state machines ([`crate::msg::Msg`] in, effects
 //! out) are driven by two very different runtimes: the discrete-event
-//! simulator and the live OS-thread runtimes (`ringpaxos::live` for bare
-//! rings, `liverun` for full multi-ring deployments). The live runtimes
-//! share three mechanical concerns, collected here so every event loop
-//! agrees on them:
+//! simulator and the live OS-thread event loops of `liverun` (`amcastd`'s
+//! node loop, `amcoordd`'s server loop). The live loops share a few
+//! mechanical concerns, collected here so every one of them — and the
+//! network clients on the other end — agrees on them (the sockets
+//! themselves are `liverun::net`'s business):
 //!
 //! * [`WallClock`] — maps wall-clock `Instant`s onto the virtual
 //!   [`SimTime`] axis the protocol code reasons in. All nodes of one

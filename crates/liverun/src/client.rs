@@ -25,14 +25,14 @@
 //! [`LiveClient::request_fanout`], [`LiveClient::request_from`]).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use common::error::{Error, Result};
 use common::ids::{ClientId, NodeId, PartitionId, RequestId, RingId};
-use common::transport::{encode_frame, FrameBuf};
+use common::transport::encode_frame;
 use common::value::SESSION_CTL;
 use common::wire::client::{ClientMsg, ClientReply, ErrorCode, FEAT_ALL};
 use common::wire::Wire;
@@ -919,75 +919,24 @@ impl LiveClient {
 ///
 /// Fails if the node is unreachable or does not answer within `timeout`.
 pub fn fetch_stats(addr: SocketAddr, timeout: Duration) -> Result<common::obs::ObsSnapshot> {
-    let deadline = Instant::now() + timeout;
-    let stream = TcpStream::connect_timeout(&addr, timeout.min(Duration::from_secs(2)))?;
-    let _ = stream.set_nodelay(true);
-    let mut stream = stream;
     let token = 0x57A75;
-    stream.write_all(&encode_frame(&ClientMsg::StatsRequest { token }))?;
-    stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-    let mut buf = FrameBuf::new();
-    let mut chunk = [0u8; 64 * 1024];
-    loop {
-        if Instant::now() >= deadline {
-            return Err(Error::Timeout("stats reply"));
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err(Error::Timeout("stats connection closed")),
-            Ok(n) => {
-                buf.extend(&chunk[..n]);
-                while let Some(reply) = buf.try_next::<ClientReply>()? {
-                    if let ClientReply::Stats { token: t, snapshot } = reply {
-                        if t == token {
-                            return Ok(snapshot);
-                        }
-                    }
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(e) => return Err(Error::Io(e)),
-        }
-    }
+    crate::net::call(
+        addr,
+        &ClientMsg::StatsRequest { token },
+        timeout,
+        |reply| match reply {
+            ClientReply::Stats { token: t, snapshot } if t == token => Some(snapshot),
+            _ => None,
+        },
+    )
 }
 
-fn spawn_reply_reader(mut stream: TcpStream, tx: Sender<ClientReply>) {
+fn spawn_reply_reader(stream: TcpStream, tx: Sender<ClientReply>) {
     std::thread::spawn(move || {
-        let dbg = common::debug_enabled();
-        let mut buf = FrameBuf::new();
-        let mut chunk = [0u8; 64 * 1024];
-        loop {
-            match stream.read(&mut chunk) {
-                Ok(0) | Err(_) => {
-                    if dbg {
-                        eprintln!("[client reader] eof/err from {:?}", stream.peer_addr());
-                    }
-                    return;
-                }
-                Ok(n) => {
-                    buf.extend(&chunk[..n]);
-                    loop {
-                        match buf.try_next::<ClientReply>() {
-                            Ok(Some(reply)) => {
-                                if tx.send(reply).is_err() {
-                                    return;
-                                }
-                            }
-                            Ok(None) => break,
-                            Err(e) => {
-                                if dbg {
-                                    eprintln!(
-                                        "[client reader] decode error {e:?} from {:?}",
-                                        stream.peer_addr()
-                                    );
-                                }
-                                return;
-                            }
-                        }
-                    }
-                }
-            }
+        let peer = stream.peer_addr();
+        let end = crate::net::read_frames(stream, |reply| tx.send(reply).is_ok());
+        if common::debug_enabled() {
+            eprintln!("[client reader] {peer:?} ended: {end:?}");
         }
     });
 }

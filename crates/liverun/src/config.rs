@@ -44,6 +44,8 @@ use common::transport::LinkPolicy;
 use coord::{PartitionInfo, Registry, RingConfig};
 use mrpstore::Partitioning;
 
+pub use crate::net::free_port_block;
+
 /// Which replicated service the deployment runs.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServiceKind {

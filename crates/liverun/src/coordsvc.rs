@@ -6,10 +6,16 @@
 //! coordinates also orders amcoord's own state changes. No new consensus
 //! code exists here; a replica is
 //!
-//! * one [`ringpaxos::live::spawn_tcp_member`] node (the log),
+//! * one [`ringpaxos::RingNode`] owned by the server loop (the log),
 //! * one [`coord::CoordState`] applied in decided order (the state),
 //! * a framed-TCP front end speaking [`common::wire::coord`] to clients
 //!   (liverun nodes, CLIs, fellow replicas).
+//!
+//! All three live on **one thread**: the server loop receives client
+//! frames and ring frames alike as events, feeds the ring node, group-
+//! commits what it decided, applies it and answers the waiting client in
+//! the same turn. Every socket is owned by a `net` reader or writer
+//! thread; the loop never blocks on one.
 //!
 //! Mutating operations are proposed to the ring tagged with the serving
 //! replica and a sequence number; when the decision comes back around,
@@ -43,11 +49,11 @@
 //! checkpoint cursor are deleted, so checkpoints bound replay **and**
 //! rotation bounds disk. Boot follows Zookeeper's snapshot + log-replay
 //! recipe: load the latest checkpoint, replay the
-//! WAL suffix at or beyond its cursor, spawn the ring member with the
-//! recovered delivery cursor, then — before serving clients — fetch a
-//! [`CoordOp::SnapshotRequest`] snapshot from a live peer and install it
-//! if it is ahead (the jump is checkpointed before the learner cursor
-//! moves, so a crash never leaves a hole between checkpoint and log). A
+//! WAL suffix at or beyond its cursor, then — before serving clients —
+//! fetch a [`CoordOp::SnapshotRequest`] snapshot from a live peer and
+//! install it if it is ahead (the jump is checkpointed before the cursor
+//! moves, so a crash never leaves a hole between checkpoint and log),
+//! and only then start the ring member at the resulting cursor. A
 //! sweep-time watchdog repeats the peer fetch if the learner ever blocks
 //! on a gap the ring will not re-circulate. One caveat remains: the
 //! acceptor's *vote* log is volatile, so safety across a restart leans on
@@ -55,11 +61,8 @@
 //! assumption), not on the restarted replica's own promises.
 
 use std::collections::{HashMap, HashSet};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -67,18 +70,21 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use common::error::{Error, Result};
 use common::ids::{InstanceId, NodeId, RingId, SessionId};
-use common::msg::AcceptedEntry;
-use common::transport::{encode_frame, FrameBuf};
+use common::msg::{AcceptedEntry, Msg, RingMsg};
+use common::obs::{Counter, Gauge, Obs, WireCounters};
+use common::transport::{PeerFrame, TimerHeap, WallClock};
 use common::value::Value;
-use common::wire::coord::{CoordCmd, CoordEvent, CoordMsg, CoordOk, CoordOp, CoordReply, OpKind};
+use common::wire::coord::{
+    CoordCmd, CoordEvent, CoordMsg, CoordOk, CoordOp, CoordReply, OpKind, RingConfigWire,
+};
 use common::wire::Wire;
+use common::Ballot;
 use coord::{CoordState, Registry, RingConfig};
-use ringpaxos::live::{spawn_tcp_member, Delivery, LiveNode};
-use ringpaxos::options::RingOptions;
+use ringpaxos::{Output, RingNode, RingOptions, RingTimer};
 use storage::checkpoint::CheckpointFile;
-use storage::wal::{SegmentedWal, SyncPolicy};
+use storage::wal::{DecidedLog, SegmentedWal, SyncPolicy};
 
-use crate::node::{spawn_listener, ListenerHandle};
+use crate::net::{self, FrameWriter, Listener, PeerLinks};
 
 /// The ring id the ensemble replicates its own log on (a private
 /// namespace — this ring never appears in any deployment's registry).
@@ -161,39 +167,12 @@ impl CoordServerConfig {
     }
 }
 
-/// Write half of one client connection (bounded, never blocks the loop).
-#[derive(Clone)]
-struct ConnWriter {
-    tx: Sender<CoordReply>,
-}
-
-impl ConnWriter {
-    fn new(stream: TcpStream) -> Self {
-        let (tx, rx) = crossbeam::channel::bounded::<CoordReply>(4096);
-        std::thread::spawn(move || {
-            let mut stream = stream;
-            while let Ok(reply) = rx.recv() {
-                if stream.write_all(&encode_frame(&reply)).is_err() {
-                    break;
-                }
-            }
-            // Close the *socket*, not just our fd: the reader thread
-            // holds a clone, and the client must observe EOF (and
-            // reconnect with a fresh watch + cache) when this half dies.
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        });
-        ConnWriter { tx }
-    }
-
-    /// Queues a frame; false when the connection's queue is full (stalled
-    /// client). Correlated replies may shed — the client times out and
-    /// retries — but a dropped *watch event* must kill the connection,
-    /// or the client's config cache would go silently stale forever.
-    #[must_use]
-    fn send(&self, reply: CoordReply) -> bool {
-        self.tx.try_send(reply).is_ok()
-    }
-}
+/// Write half of one client connection. A full queue (stalled client)
+/// makes `send` return `false`: correlated replies may shed — the client
+/// times out and retries — but a dropped *watch event* must kill the
+/// connection, or the client's config cache would go silently stale
+/// forever.
+type ConnWriter = FrameWriter<CoordReply>;
 
 struct ConnState {
     writer: ConnWriter,
@@ -207,10 +186,10 @@ enum SrvEvent {
     Msg(u64, CoordMsg),
     /// A connection closed.
     Gone(u64),
-    /// The replicated log decided a value at an instance.
-    Deliver(Delivery),
+    /// A consensus frame from a fellow replica (or this one to itself).
+    Peer(NodeId, RingMsg),
     /// Our own consensus ring reconfigured; gossip it to the peers.
-    Gossip(common::wire::coord::RingConfigWire),
+    Gossip(RingConfigWire),
     /// A gap-watchdog peer fetch finished (off-thread — the fetch can
     /// block seconds and must not stall serving), `None` if no peer
     /// answered.
@@ -224,11 +203,7 @@ enum SrvEvent {
 /// detected our death and reconfigured around us). Both steps are
 /// epoch-guarded local CASes whose RingChanged events the gossip feed
 /// relays to the peers.
-fn rejoin_ensemble_ring(
-    ring_registry: &Registry,
-    me: NodeId,
-    peer_ring: Option<common::wire::coord::RingConfigWire>,
-) {
+fn rejoin_ensemble_ring(ring_registry: &Registry, me: NodeId, peer_ring: Option<RingConfigWire>) {
     let Some(wire) = peer_ring else { return };
     let _ = ring_registry.install_config(wire);
     if let Ok(cur) = ring_registry.ring(COORD_RING) {
@@ -238,74 +213,81 @@ fn rejoin_ensemble_ring(
     }
 }
 
-/// Writes a checkpoint of the applied state if the cadence marked one
-/// due. Failures (full disk, torn rename target) leave `due` set so the
-/// next applied record retries; the WAL remains authoritative either
-/// way. On success the decided log is pruned: segments wholly below the
-/// durably checkpointed cursor can never be needed by a replay again.
-fn checkpoint_if_due(
-    durable: &mut ReplicaDurability,
-    live: &LiveNode,
-    since_ckpt: &mut u64,
-    due: &mut bool,
-) {
-    if !*due {
-        return;
-    }
-    let Some(slot) = &durable.ckpt else {
-        *since_ckpt = 0;
-        *due = false;
-        return;
-    };
-    if slot
-        .save(durable.applied.raw(), &durable.state.snapshot())
-        .is_ok()
-    {
-        *since_ckpt = 0;
-        *due = false;
-        live.prune_decided_log(durable.applied);
-    }
+/// The replica's durable half: the applied state and its log cursor,
+/// the decided log feeding it and the checkpoint slot bounding replay.
+struct ReplicaDurability {
+    state: CoordState,
+    applied: InstanceId,
+    wal: Option<SegmentedWal>,
+    ckpt: Option<CheckpointFile>,
+    checkpoint_every: u64,
+    /// Applied records since the last checkpoint.
+    since_ckpt: u64,
 }
 
-/// Installs a peer snapshot into `durable` if it is ahead. The jump is
-/// checkpointed durably *before* the state and learner cursor move:
-/// subsequent WAL appends continue from the new cursor, so a replay must
-/// never have to cross the hole between the old cursor and the snapshot.
-///
-/// Returns `Ok(true)` when our state is now at least as current as the
-/// peer's answer (installed, or we were already ahead). `Ok(false)`
-/// means the peer is ahead but its snapshot did not decode (version
-/// skew, corruption) — the caller must keep trying, **not** conclude it
-/// caught up.
-fn install_snapshot(
-    durable: &mut ReplicaDurability,
-    live: &LiveNode,
-    peer_applied: u64,
-    bytes: &bytes::Bytes,
-) -> Result<bool> {
-    if peer_applied <= durable.applied.raw() {
-        return Ok(true);
+impl ReplicaDurability {
+    /// Deletes rotated log segments wholly below the cursor — a durable
+    /// checkpoint covers them, no replay can need them again.
+    fn prune_log(&mut self) {
+        if let Some(wal) = &mut self.wal {
+            let _ = wal.prune_below(self.applied.raw());
+        }
     }
-    let Ok(state) = CoordState::decode_snapshot(&mut bytes.clone()) else {
-        return Ok(false);
-    };
-    if let Some(slot) = &durable.ckpt {
-        slot.save(peer_applied, bytes)?;
-        // The jump is durable: everything below it is checkpoint-covered,
-        // so rotated log segments below the new cursor can go.
-        live.prune_decided_log(InstanceId::new(peer_applied));
+
+    /// Writes a checkpoint of the applied state once `checkpoint_every`
+    /// records were applied since the last one: replay after a restart
+    /// is snapshot + WAL suffix, not the whole history. Failures (full
+    /// disk, torn rename target) leave it due so the next applied record
+    /// retries; the WAL remains authoritative either way. On success the
+    /// decided log is pruned.
+    fn checkpoint_if_due(&mut self) {
+        let Some(slot) = &self.ckpt else { return };
+        if self.checkpoint_every == 0 || self.since_ckpt < self.checkpoint_every {
+            return;
+        }
+        let snapshot = self.state.snapshot();
+        if slot.save(self.applied.raw(), &snapshot).is_ok() {
+            self.since_ckpt = 0;
+            self.prune_log();
+        }
     }
-    durable.state = state;
-    durable.applied = InstanceId::new(peer_applied);
-    live.set_delivery_cursor(durable.applied);
-    Ok(true)
+
+    /// Installs a peer snapshot if it is ahead. The jump is checkpointed
+    /// durably *before* the state moves (and the caller moves the
+    /// learner cursor after that): subsequent WAL appends continue from
+    /// the new cursor, so a replay must never have to cross the hole
+    /// between the old cursor and the snapshot.
+    ///
+    /// Returns `Ok(true)` when our state is now at least as current as
+    /// the peer's answer (installed, or we were already ahead).
+    /// `Ok(false)` means the peer is ahead but its snapshot did not
+    /// decode (version skew, corruption) — the caller must keep trying,
+    /// **not** conclude it caught up.
+    fn install_snapshot(&mut self, peer_applied: u64, bytes: &bytes::Bytes) -> Result<bool> {
+        if peer_applied <= self.applied.raw() {
+            return Ok(true);
+        }
+        let Ok(state) = CoordState::decode_snapshot(&mut bytes.clone()) else {
+            return Ok(false);
+        };
+        if let Some(slot) = &self.ckpt {
+            slot.save(peer_applied, bytes)?;
+        }
+        self.state = state;
+        self.applied = InstanceId::new(peer_applied);
+        // That was a checkpoint at the new cursor: restart the periodic
+        // cadence from it, and drop the log below it.
+        self.since_ckpt = 0;
+        self.prune_log();
+        Ok(true)
+    }
 }
 
 /// Handle to one running amcoordd replica.
 pub struct CoordServerHandle {
     tx: Sender<SrvEvent>,
     join: Option<JoinHandle<()>>,
-    listener: Option<ListenerHandle>,
+    listeners: Vec<Listener>,
     client_addr: SocketAddr,
 }
 
@@ -315,10 +297,11 @@ impl CoordServerHandle {
         self.client_addr
     }
 
-    /// Stops the replica: closes the listener, stops the loop (which
-    /// stops the ring member), joins the loop thread.
+    /// Stops the replica: closes both listeners (releasing their ports),
+    /// stops the loop and joins it — when this returns the replica's
+    /// WAL lock is released too.
     pub fn shutdown(mut self) {
-        if let Some(l) = self.listener.take() {
+        for l in self.listeners.drain(..) {
             l.stop();
         }
         let _ = self.tx.send(SrvEvent::Shutdown);
@@ -382,7 +365,7 @@ struct PeerSnapshot {
     /// The peer's applied log cursor.
     applied: u64,
     /// The peer's view of the ensemble's own consensus ring.
-    ensemble_ring: Option<common::wire::coord::RingConfigWire>,
+    ensemble_ring: Option<RingConfigWire>,
     /// The encoded `CoordState` at `applied`.
     state: bytes::Bytes,
 }
@@ -425,70 +408,38 @@ fn fetch_peer_snapshot(peers: &[SocketAddr], timeout: Duration) -> Option<PeerSn
 
 /// One peer's catch-up answer, or `None` if unreachable/unresponsive.
 fn fetch_one_snapshot(addr: SocketAddr, timeout: Duration) -> Option<PeerSnapshot> {
-    let Ok(mut stream) = TcpStream::connect_timeout(&addr, Duration::from_millis(250)) else {
-        return None;
-    };
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(timeout));
-    let frame = encode_frame(&CoordMsg {
+    let request = CoordMsg {
         req: 1,
         op: CoordOp::SnapshotRequest,
-    });
-    if stream.write_all(&frame).is_err() {
-        return None;
-    }
-    let mut buf = FrameBuf::new();
-    let mut chunk = [0u8; 64 * 1024];
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => return None,
-            Ok(n) => {
-                buf.extend(&chunk[..n]);
-                loop {
-                    match buf.try_next::<CoordReply>() {
-                        Ok(Some(CoordReply::Ok {
-                            req: 1,
-                            body:
-                                CoordOk::Snapshot {
-                                    applied,
-                                    ensemble_ring,
-                                    state,
-                                },
-                        })) => {
-                            return Some(PeerSnapshot {
-                                applied,
-                                ensemble_ring,
-                                state,
-                            })
-                        }
-                        Ok(Some(_)) => {}
-                        Ok(None) => break,
-                        Err(_) => return None,
-                    }
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Everything the server loop needs to drive durable state.
-struct ReplicaDurability {
-    state: CoordState,
-    applied: InstanceId,
-    ckpt: Option<CheckpointFile>,
-    checkpoint_every: u64,
+    };
+    net::call(addr, &request, timeout, |reply| match reply {
+        CoordReply::Ok {
+            req: 1,
+            body:
+                CoordOk::Snapshot {
+                    applied,
+                    ensemble_ring,
+                    state,
+                },
+        } => Some(PeerSnapshot {
+            applied,
+            ensemble_ring,
+            state,
+        }),
+        _ => None,
+    })
+    .ok()
 }
 
 /// Starts one amcoordd replica of `config`.
 ///
 /// With a `wal_dir`, boot is the recovery path: latest checkpoint + WAL
-/// suffix are replayed into the state machine, the ring member comes up
-/// at the recovered delivery cursor, and a live peer's snapshot is
-/// fetched (and installed if ahead) *before* the client listener binds —
-/// a restarted replica never serves reads older than what the ensemble
-/// committed while it was down, and never needs a fresh ensemble.
+/// suffix are replayed into the state machine, a live peer's snapshot is
+/// fetched (and installed if ahead), the ring member comes up at the
+/// resulting delivery cursor, and only then does the client listener
+/// bind — a restarted replica never serves reads older than what the
+/// ensemble committed while it was down, and never needs a fresh
+/// ensemble.
 ///
 /// # Errors
 ///
@@ -509,68 +460,88 @@ pub fn start_coord_server(config: CoordServerConfig) -> Result<CoordServerHandle
         members.clone(),
     )?)?;
 
-    let ring_addr_map: HashMap<NodeId, SocketAddr> = members
-        .iter()
-        .copied()
-        .zip(config.ring_addrs.iter().copied())
-        .collect();
-
     // Durable recovery: checkpoint, then the WAL suffix at/beyond its
     // cursor (Zookeeper's snapshot + log replay, §7.1 analogue).
     let mut durable = ReplicaDurability {
         state: CoordState::new(),
         applied: InstanceId::ZERO,
+        wal: None,
         ckpt: None,
         checkpoint_every: config.checkpoint_every,
+        since_ckpt: 0,
     };
-    let wal: Option<Box<dyn storage::wal::DecidedLog>> = match &config.wal_dir {
-        Some(dir) => {
-            std::fs::create_dir_all(dir)?;
-            let seg_dir = wal_seg_dir(dir, me);
-            // Open (taking the directory's writer lock) *before* reading
-            // anything: a previous owner still flushing its final group
-            // commit would otherwise race our replay to the log tail
-            // (open refuses a live holder and steals only dead-pid
-            // locks). Segments roll every `checkpoint_every` records so
-            // each periodic checkpoint retires roughly one segment.
-            let roll_every = if config.checkpoint_every > 0 {
-                config.checkpoint_every
-            } else {
-                4096
-            };
-            let wal = SegmentedWal::open(&seg_dir, SyncPolicy::EveryWrite, roll_every)?;
-            let slot = CheckpointFile::new(checkpoint_path(dir, me));
-            if let Some((cursor, bytes)) = slot.load() {
-                if let Ok(st) = CoordState::decode_snapshot(&mut bytes.clone()) {
-                    durable.state = st;
-                    durable.applied = InstanceId::new(cursor);
-                }
-                // A corrupt checkpoint falls back to whole-log replay.
+    if let Some(dir) = &config.wal_dir {
+        std::fs::create_dir_all(dir)?;
+        let seg_dir = wal_seg_dir(dir, me);
+        // Open (taking the directory's writer lock) *before* reading
+        // anything: a previous owner still flushing its final group
+        // commit would otherwise race our replay to the log tail (open
+        // refuses a live holder and steals only dead-pid locks).
+        // Segments roll every `checkpoint_every` records so each
+        // periodic checkpoint retires roughly one segment.
+        let roll_every = if config.checkpoint_every > 0 {
+            config.checkpoint_every
+        } else {
+            4096
+        };
+        let wal = SegmentedWal::open(&seg_dir, SyncPolicy::EveryWrite, roll_every)?;
+        let slot = CheckpointFile::new(checkpoint_path(dir, me));
+        if let Some((cursor, bytes)) = slot.load() {
+            if let Ok(st) = CoordState::decode_snapshot(&mut bytes.clone()) {
+                durable.state = st;
+                durable.applied = InstanceId::new(cursor);
             }
-            for (_, rec) in SegmentedWal::replay::<AcceptedEntry>(&seg_dir)? {
-                if !apply_log_entry(
-                    &mut durable.state,
-                    &mut durable.applied,
-                    rec.inst,
-                    &rec.value,
-                ) {
-                    break; // hole: stop at the consistent prefix
-                }
-            }
-            durable.ckpt = Some(slot);
-            Some(Box::new(wal))
+            // A corrupt checkpoint falls back to whole-log replay.
         }
-        None => None,
-    };
+        for (_, rec) in SegmentedWal::replay::<AcceptedEntry>(&seg_dir)? {
+            if !apply_log_entry(
+                &mut durable.state,
+                &mut durable.applied,
+                rec.inst,
+                &rec.value,
+            ) {
+                break; // hole: stop at the consistent prefix
+            }
+        }
+        durable.ckpt = Some(slot);
+        durable.wal = Some(wal);
+    }
 
     // Per-process metrics registry. Restart-in-place semantics: the
     // monotonic apply counter is re-seeded from the recovered delivery
     // cursor (it survives the restart the same way the state does),
     // while volatile gauges start from zero.
-    let obs = common::obs::Obs::for_node(me.raw());
+    let obs = Obs::for_node(me.raw());
     obs.reset_gauges();
     obs.counter("coord_applied").seed(durable.applied.raw());
+    if let Some(wal) = &mut durable.wal {
+        wal.instrument(&obs);
+    }
 
+    // Catch the tail up from a live peer before serving: everything the
+    // ensemble decided while this replica was down is in some peer's
+    // applied state, and the ring will not re-circulate old decisions.
+    let peers: Vec<NodeId> = members.iter().copied().filter(|m| *m != me).collect();
+    let peer_clients: Vec<SocketAddr> = peers
+        .iter()
+        .map(|p| config.client_addrs[p.raw() as usize])
+        .collect();
+    // If no peer answers (whole-ensemble restart, transient blip), the
+    // sweep keeps retrying the fetch until one does — without this, an
+    // idle ensemble would never trigger the gap watchdog (no new
+    // decisions → no buffered gap) and a behind replica could serve
+    // stale reads indefinitely.
+    let mut catchup_needed = !peers.is_empty();
+    let mut peer_ring = None;
+    if let Some(snap) = fetch_peer_snapshot(&peer_clients, Duration::from_secs(2)) {
+        // Caught up only if we are now at least as current as the
+        // answering peer — an undecodable snapshot from an ahead peer
+        // must keep the sweep retrying.
+        catchup_needed = !durable.install_snapshot(snap.applied, &snap.state)?;
+        peer_ring = snap.ensemble_ring;
+    }
+
+    // The ring member: built here, owned and driven by the server loop.
     let opts = RingOptions {
         heartbeat_interval: Duration::from_millis(25),
         failure_timeout: Duration::from_millis(400),
@@ -578,261 +549,258 @@ pub fn start_coord_server(config: CoordServerConfig) -> Result<CoordServerHandle
         obs: obs.clone(),
         ..RingOptions::default()
     };
-    let live = Arc::new(spawn_tcp_member(
-        me,
-        COORD_RING,
-        ring_registry.clone(),
-        &ring_addr_map,
-        opts,
-        wal,
-        durable.applied,
-    )?);
-
-    // Catch the tail up from a live peer before serving: everything the
-    // ensemble decided while this replica was down is in some peer's
-    // applied state, and the ring will not re-circulate old decisions.
-    let peer_clients: Vec<SocketAddr> = config
-        .client_addrs
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| *i as u32 != me.raw())
-        .map(|(_, a)| *a)
-        .collect();
-    // If no peer answers (whole-ensemble restart, transient blip), the
-    // sweep keeps retrying the fetch until one does — without this, an
-    // idle ensemble would never trigger the gap watchdog (no new
-    // decisions → no buffered gap) and a behind replica could serve
-    // stale reads indefinitely.
-    let mut catchup_needed = !peer_clients.is_empty();
-    let peer_ring = match fetch_peer_snapshot(&peer_clients, Duration::from_secs(2)) {
-        Some(snap) => {
-            match install_snapshot(&mut durable, &live, snap.applied, &snap.state) {
-                // Caught up only if we are now at least as current as
-                // the answering peer — an undecodable snapshot from an
-                // ahead peer must keep the sweep retrying.
-                Ok(current) => catchup_needed = !current,
-                Err(e) => {
-                    // The ring member is already running; leaving it up
-                    // would hold its port and WAL lock for the life of
-                    // the process even though this start failed.
-                    live.stop();
-                    return Err(e);
-                }
-            }
-            snap.ensemble_ring
-        }
-        None => None,
-    };
+    let mut node = RingNode::new(me, COORD_RING, ring_registry.clone(), opts)?;
+    node.set_next_delivery(durable.applied);
 
     let (tx, rx) = unbounded::<SrvEvent>();
-
-    // Delivery pump: decided log entries into the server loop.
-    let stop = Arc::new(AtomicBool::new(false));
-    {
-        let live = Arc::clone(&live);
-        let tx = tx.clone();
-        let stop = Arc::clone(&stop);
-        std::thread::Builder::new()
-            .name(format!("amcoord-pump-{}", me.raw()))
-            .spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    if let Ok(d) = live.recv_delivery(Duration::from_millis(200)) {
-                        if tx.send(SrvEvent::Deliver(d)).is_err() {
-                            return;
-                        }
-                    }
-                }
-            })
-            .map_err(Error::Io)?;
-    }
+    let me_raw = me.raw();
 
     // Gossip feed: watch our own registry for coord-ring epoch bumps.
-    {
-        let watch = ring_registry.watch();
-        let tx = tx.clone();
-        std::thread::Builder::new()
-            .name(format!("amcoord-gossip-{}", me.raw()))
-            .spawn(move || {
-                while let Ok(event) = watch.recv() {
-                    if let CoordEvent::RingChanged { cfg } = event {
-                        if cfg.ring == COORD_RING && tx.send(SrvEvent::Gossip(cfg)).is_err() {
-                            return;
-                        }
+    let watch = ring_registry.watch();
+    let tx_gossip = tx.clone();
+    std::thread::Builder::new()
+        .name(format!("amcoord-gossip-feed-{me_raw}"))
+        .spawn(move || {
+            while let Ok(event) = watch.recv() {
+                if let CoordEvent::RingChanged { cfg } = event {
+                    if cfg.ring == COORD_RING && tx_gossip.send(SrvEvent::Gossip(cfg)).is_err() {
+                        return;
                     }
                 }
-            })
-            .map_err(Error::Io)?;
-    }
+            }
+        })?;
 
     // Rejoin the ensemble's own consensus ring if the survivors
     // reconfigured this replica out while it was down: adopt their
     // (newer-epoch) view, then re-admit ourselves with the same
     // deterministic local CAS data rings use. The RingChanged events
-    // flow through the gossip feed just armed above, so the survivors
-    // install the rejoined config and their coordinator re-runs Phase 1
-    // around us.
+    // flow through the gossip feed just armed above (and wait in the
+    // queue until the loop starts), so the survivors install the
+    // rejoined config and their coordinator re-runs Phase 1 around us.
     rejoin_ensemble_ring(&ring_registry, me, peer_ring);
 
-    let client_addr = config.client_addrs[me.raw() as usize];
-    let (client_addr, listener) =
-        match TcpListener::bind(client_addr).and_then(|l| Ok((l.local_addr()?, l))) {
-            Ok(pair) => pair,
-            Err(e) => {
-                // See the install_snapshot error path above — and stop
-                // the pump *first*: with the node loop gone its delivery
-                // channel disconnects, recv_delivery returns instantly,
-                // and the `!stop` loop would hot-spin forever.
-                stop.store(true, Ordering::SeqCst);
-                live.stop();
-                return Err(Error::Io(e));
-            }
-        };
+    let tx_ring = tx.clone();
+    let ring_listener = Listener::bind(
+        config.ring_addrs[me_raw as usize],
+        format!("amcoord-ring-{me_raw}"),
+        move |stream| spawn_ring_reader(stream, tx_ring.clone()),
+    )?;
+
     let tx_conns = tx.clone();
-    let next_conn = Arc::new(std::sync::atomic::AtomicU64::new(0));
-    let listener = spawn_listener(
-        listener,
-        format!("amcoord-clients-{}", me.raw()),
+    let mut next_conn = 0u64;
+    let vectored = obs.counter("writer_vectored_frames");
+    let client_listener = match Listener::bind(
+        config.client_addrs[me_raw as usize],
+        format!("amcoord-clients-{me_raw}"),
         move |stream| {
-            let conn = next_conn.fetch_add(1, Ordering::SeqCst);
-            spawn_conn_reader(conn, stream, tx_conns.clone());
+            next_conn += 1;
+            spawn_conn_reader(next_conn, stream, vectored.clone(), tx_conns.clone());
         },
-    );
+    ) {
+        Ok(listener) => listener,
+        Err(e) => {
+            ring_listener.stop();
+            return Err(Error::Io(e));
+        }
+    };
+    let client_addr = client_listener.addr();
 
-    let session_check = config.session_check;
-    let loop_tx = tx.clone();
-    let join = std::thread::Builder::new()
-        .name(format!("amcoord-srv-{}", me.raw()))
-        .spawn(move || {
-            server_loop(
-                me,
-                live,
-                ring_registry,
-                rx,
-                loop_tx,
-                peer_clients,
-                session_check,
-                durable,
-                catchup_needed,
-                obs,
-            );
-            stop.store(true, Ordering::SeqCst);
-        })
-        .map_err(Error::Io)?;
+    let replica = Replica {
+        me,
+        node,
+        out: Output::new(),
+        timers: TimerHeap::new(),
+        clock: WallClock::start(),
+        ring_links: PeerLinks::new(
+            format!("amcoord-link-{me_raw}"),
+            members
+                .iter()
+                .copied()
+                .zip(config.ring_addrs.iter().copied())
+                .collect(),
+            obs.counter("writer_vectored_frames"),
+        ),
+        wire: WireCounters::new(&obs),
+        gossip_links: PeerLinks::new(
+            format!("amcoord-gossip-{me_raw}"),
+            peers
+                .iter()
+                .copied()
+                .zip(peer_clients.iter().copied())
+                .collect(),
+            obs.counter("writer_vectored_frames"),
+        ),
+        peers,
+        peer_clients,
+        // Sessions recovered from the checkpoint/WAL/peer snapshot get
+        // a fresh grace stamp: their owners may well be alive and
+        // keep-alive'ing — expiring them at boot because *we* never saw
+        // a keep-alive would churn every ephemeral in the system.
+        session_seen: durable
+            .state
+            .sessions()
+            .map(|(id, _)| (id, Instant::now()))
+            .collect(),
+        durable,
+        ring_registry,
+        conns: HashMap::new(),
+        pending: HashMap::new(),
+        // Command sequence numbers become ValueIds in the replicated
+        // log and the ring dedups by id, so they must never repeat
+        // across replica incarnations (a restarted replica re-proposing
+        // seq 1 would see its command silently swallowed). Wall-clock
+        // microseconds since the epoch are monotone across restarts for
+        // any realistic downtime.
+        next_cmd: std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map(|d| d.as_micros() as u64)
+            .unwrap_or(1),
+        expiring: HashSet::new(),
+        session_check: config.session_check,
+        next_sweep: Instant::now() + config.session_check,
+        catchup_needed,
+        gap_since: None,
+        catchup_inflight: false,
+        self_tx: tx.clone(),
+        coord_applied: obs.counter("coord_applied"),
+        session_count: obs.gauge("session_count"),
+        obs,
+    };
+    let listeners = vec![ring_listener, client_listener];
+    match std::thread::Builder::new()
+        .name(format!("amcoord-srv-{me_raw}"))
+        .spawn(move || replica.run(&rx))
+    {
+        Ok(join) => Ok(CoordServerHandle {
+            tx,
+            join: Some(join),
+            listeners,
+            client_addr,
+        }),
+        Err(e) => {
+            for l in listeners {
+                l.stop();
+            }
+            Err(Error::Io(e))
+        }
+    }
+}
 
-    Ok(CoordServerHandle {
-        tx,
-        join: Some(join),
-        listener: Some(listener),
-        client_addr,
-    })
+/// Reads consensus frames off one accepted ring connection.
+fn spawn_ring_reader(stream: std::net::TcpStream, tx: Sender<SrvEvent>) {
+    std::thread::spawn(move || {
+        // A corrupt stream just drops the connection.
+        let _ = net::read_frames(stream, |f: PeerFrame| match f.msg {
+            Msg::Ring(_, m) => tx.send(SrvEvent::Peer(f.from, m)).is_ok(),
+            _ => true,
+        });
+    });
 }
 
 /// Reads [`CoordMsg`] frames off one accepted client connection.
-fn spawn_conn_reader(conn: u64, mut stream: TcpStream, tx: Sender<SrvEvent>) {
+fn spawn_conn_reader(
+    conn: u64,
+    stream: std::net::TcpStream,
+    vectored: Counter,
+    tx: Sender<SrvEvent>,
+) {
     std::thread::spawn(move || {
         let _ = stream.set_nodelay(true);
         let writer = match stream.try_clone() {
-            Ok(w) => ConnWriter::new(w),
+            Ok(w) => ConnWriter::new(w, vectored),
             Err(_) => return,
         };
         if tx.send(SrvEvent::Conn(conn, writer)).is_err() {
             return;
         }
-        let mut buf = FrameBuf::new();
-        let mut chunk = [0u8; 64 * 1024];
-        loop {
-            match stream.read(&mut chunk) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => {
-                    buf.extend(&chunk[..n]);
-                    loop {
-                        match buf.try_next::<CoordMsg>() {
-                            Ok(Some(msg)) => {
-                                if tx.send(SrvEvent::Msg(conn, msg)).is_err() {
-                                    return;
-                                }
-                            }
-                            Ok(None) => break,
-                            Err(_) => return, // corrupt stream: drop it
-                        }
-                    }
-                }
-            }
-        }
+        // A corrupt stream just drops the connection.
+        let _ = net::read_frames(stream, |msg: CoordMsg| {
+            tx.send(SrvEvent::Msg(conn, msg)).is_ok()
+        });
         let _ = tx.send(SrvEvent::Gone(conn));
     });
 }
 
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-fn server_loop(
-    me: NodeId,
-    live: Arc<LiveNode>,
-    ring_registry: Registry,
-    rx: Receiver<SrvEvent>,
-    self_tx: Sender<SrvEvent>,
-    peer_clients: Vec<SocketAddr>,
-    session_check: Duration,
-    mut durable: ReplicaDurability,
-    mut catchup_needed: bool,
-    obs: common::obs::Obs,
-) {
-    let coord_applied = obs.counter("coord_applied");
-    let session_count = obs.gauge("session_count");
-    let mut conns: HashMap<u64, ConnState> = HashMap::new();
-    /// A replicated command this replica proposed for a waiting client.
-    struct Pending {
-        conn: u64,
-        req: u64,
-        at: Instant,
-    }
-    let mut pending: HashMap<u64, Pending> = HashMap::new();
-    // Command sequence numbers become ValueIds in the replicated log and
-    // the ring dedups by id, so they must never repeat across replica
-    // incarnations (a restarted replica re-proposing seq 1 would see its
-    // command silently swallowed). Wall-clock microseconds since the
-    // epoch are monotone across restarts for any realistic downtime.
-    let mut next_cmd: u64 = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_micros() as u64)
-        .unwrap_or(1);
-    // Wall-clock session liveness, driven by *applied* keep-alives.
-    // Sessions recovered from the checkpoint/WAL/peer snapshot get a
-    // fresh grace stamp: their owners may well be alive and
-    // keep-alive'ing — expiring them at boot because *we* never saw a
-    // keep-alive would churn every ephemeral in the system.
-    let mut session_seen: HashMap<SessionId, Instant> = durable
-        .state
-        .sessions()
-        .map(|(id, _)| (id, Instant::now()))
-        .collect();
-    // Sessions with an expiry proposal in flight (don't re-propose every
-    // sweep).
-    let mut expiring: HashSet<SessionId> = HashSet::new();
-    let mut gossip_conns: HashMap<SocketAddr, TcpStream> = HashMap::new();
-    let mut next_sweep = Instant::now() + session_check;
-    // Applied records since the last checkpoint, and whether the cadence
-    // says one is due (written right after the pending apply lands).
-    let mut since_ckpt: u64 = 0;
-    let mut next_ckpt_due = false;
-    // When the learner first reported being blocked on a delivery gap,
-    // and whether a watchdog fetch is already out.
-    let mut gap_since: Option<Instant> = None;
-    let mut catchup_inflight = false;
+/// A replicated command this replica proposed for a waiting client.
+struct Pending {
+    conn: u64,
+    req: u64,
+    at: Instant,
+}
 
-    loop {
-        let sleep = next_sweep
-            .saturating_duration_since(Instant::now())
-            .min(Duration::from_millis(200));
-        let event = match rx.recv_timeout(sleep) {
-            Ok(ev) => Some(ev),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
+/// One amcoordd replica: everything the server loop owns. The loop is
+/// the only thread that touches any of it.
+struct Replica {
+    me: NodeId,
+    /// The replica's member of the ensemble's consensus ring, with the
+    /// scratch buffer its handlers emit into and its timer heap.
+    node: RingNode,
+    out: Output,
+    timers: TimerHeap<RingTimer>,
+    clock: WallClock,
+    /// Outgoing consensus links to the fellow replicas' ring addresses.
+    ring_links: PeerLinks<PeerFrame>,
+    /// Wire accounting for everything this member sends on the ring.
+    wire: WireCounters,
+    /// Outgoing config-gossip links to the fellow replicas' client
+    /// addresses (fire-and-forget; the next gossip retries).
+    gossip_links: PeerLinks<CoordMsg>,
+    peers: Vec<NodeId>,
+    peer_clients: Vec<SocketAddr>,
+    durable: ReplicaDurability,
+    ring_registry: Registry,
+    conns: HashMap<u64, ConnState>,
+    pending: HashMap<u64, Pending>,
+    next_cmd: u64,
+    /// Wall-clock session liveness, driven by *applied* keep-alives.
+    session_seen: HashMap<SessionId, Instant>,
+    /// Sessions with an expiry proposal in flight (don't re-propose
+    /// every sweep).
+    expiring: HashSet<SessionId>,
+    session_check: Duration,
+    next_sweep: Instant,
+    /// A boot catch-up no peer has answered yet.
+    catchup_needed: bool,
+    /// When the learner first reported being blocked on a delivery gap,
+    /// and whether a watchdog fetch is already out.
+    gap_since: Option<Instant>,
+    catchup_inflight: bool,
+    self_tx: Sender<SrvEvent>,
+    obs: Obs,
+    coord_applied: Counter,
+    session_count: Gauge,
+}
+
+impl Replica {
+    fn run(mut self, rx: &Receiver<SrvEvent>) {
+        self.node.start(self.clock.now(), &mut self.out);
+        self.drain();
+        loop {
+            let sleep = self
+                .timers
+                .sleep_for(Duration::from_millis(200))
+                .min(self.next_sweep.saturating_duration_since(Instant::now()));
+            match rx.recv_timeout(sleep) {
+                Ok(SrvEvent::Shutdown) | Err(RecvTimeoutError::Disconnected) => return,
+                Ok(event) => self.on_event(event),
+                Err(RecvTimeoutError::Timeout) => {}
+            }
+            while let Some(t) = self.timers.pop_due(Instant::now()) {
+                self.node.on_timer(t, self.clock.now(), &mut self.out);
+            }
+            self.drain();
+            if Instant::now() >= self.next_sweep {
+                self.next_sweep = Instant::now() + self.session_check;
+                self.sweep();
+            }
+        }
+    }
+
+    fn on_event(&mut self, event: SrvEvent) {
         match event {
-            None => {}
-            Some(SrvEvent::Shutdown) => break,
-            Some(SrvEvent::Conn(conn, writer)) => {
-                conns.insert(
+            SrvEvent::Shutdown => {}
+            SrvEvent::Conn(conn, writer) => {
+                self.conns.insert(
                     conn,
                     ConnState {
                         writer,
@@ -840,315 +808,350 @@ fn server_loop(
                     },
                 );
             }
-            Some(SrvEvent::Gone(conn)) => {
-                conns.remove(&conn);
-                pending.retain(|_, p| p.conn != conn);
+            SrvEvent::Gone(conn) => self.drop_conns(&[conn]),
+            SrvEvent::Msg(conn, CoordMsg { req, op }) => self.on_client_msg(conn, req, op),
+            SrvEvent::Peer(from, msg) => {
+                self.node.on_msg(from, msg, self.clock.now(), &mut self.out);
             }
-            Some(SrvEvent::Msg(conn, CoordMsg { req, op })) => match op.kind() {
-                OpKind::Local => {
-                    if let CoordOp::InstallConfig { cfg } = &op {
-                        let _ = ring_registry.install_config(cfg.clone());
-                    }
-                    if let Some(c) = conns.get_mut(&conn) {
-                        if matches!(op, CoordOp::WatchAll) {
-                            c.watch_all = true;
-                        }
-                        let _ = c.writer.send(CoordReply::Ok {
-                            req,
-                            body: common::wire::coord::CoordOk::Unit,
-                        });
-                    }
-                }
-                OpKind::Read => {
-                    if matches!(op, CoordOp::SnapshotRequest) {
-                        // The catch-up RPC: served from applied state
-                        // with *this* replica's log position and its
-                        // view of the ensemble's own ring (the state
-                        // machine itself has neither).
-                        if let Some(c) = conns.get(&conn) {
-                            let _ = c.writer.send(CoordReply::Ok {
-                                req,
-                                body: CoordOk::Snapshot {
-                                    applied: durable.applied.raw(),
-                                    ensemble_ring: ring_registry
-                                        .ring(COORD_RING)
-                                        .ok()
-                                        .map(|c| c.to_wire()),
-                                    state: durable.state.snapshot(),
-                                },
-                            });
-                        }
-                        continue;
-                    }
-                    if matches!(op, CoordOp::Stats) {
-                        // Metrics live in the process, not the replicated
-                        // state machine: answer from the local registry.
-                        if let Some(c) = conns.get(&conn) {
-                            let _ = c.writer.send(CoordReply::Ok {
-                                req,
-                                body: CoordOk::Stats(obs.snapshot()),
-                            });
-                        }
-                        continue;
-                    }
-                    // Reads never mutate state or emit events.
-                    let (result, _) = durable.state.apply(&op);
-                    if let Some(c) = conns.get(&conn) {
-                        let _ = c.writer.send(reply_of(req, result));
-                    }
-                }
-                OpKind::Replicate => {
-                    next_cmd += 1;
-                    let seq = next_cmd;
-                    let cmd = CoordCmd {
-                        origin: me,
-                        seq,
-                        op,
-                    };
-                    pending.insert(
-                        seq,
-                        Pending {
-                            conn,
-                            req,
-                            at: Instant::now(),
+            SrvEvent::Gossip(cfg) => {
+                for peer in &self.peers {
+                    self.gossip_links.send(
+                        *peer,
+                        CoordMsg {
+                            req: 0,
+                            op: CoordOp::InstallConfig { cfg: cfg.clone() },
                         },
                     );
-                    if live.propose(Value::app(me, seq, cmd.to_bytes())).is_err() {
-                        pending.remove(&seq);
-                        if let Some(c) = conns.get(&conn) {
-                            let _ = c.writer.send(CoordReply::Err {
-                                req,
-                                reason: "replica shutting down".into(),
-                            });
-                        }
+                }
+            }
+            SrvEvent::CatchUp(snap) => self.on_catch_up(snap),
+        }
+    }
+
+    /// Forgets connections (closed, or cut off for falling behind) and
+    /// the proposals waiting to answer them.
+    fn drop_conns(&mut self, ids: &[u64]) {
+        for id in ids {
+            self.conns.remove(id);
+        }
+        self.pending.retain(|_, p| !ids.contains(&p.conn));
+    }
+
+    fn reply(&self, conn: u64, reply: CoordReply) {
+        if let Some(c) = self.conns.get(&conn) {
+            let _ = c.writer.send(reply);
+        }
+    }
+
+    /// Proposes `op` on the ensemble's ring; returns the command's seq.
+    fn propose(&mut self, op: CoordOp) -> u64 {
+        self.next_cmd += 1;
+        let seq = self.next_cmd;
+        let cmd = CoordCmd {
+            origin: self.me,
+            seq,
+            op,
+        };
+        self.node.propose(
+            Value::app(self.me, seq, cmd.to_bytes()),
+            self.clock.now(),
+            &mut self.out,
+        );
+        seq
+    }
+
+    fn on_client_msg(&mut self, conn: u64, req: u64, op: CoordOp) {
+        match op.kind() {
+            OpKind::Local => {
+                if let CoordOp::InstallConfig { cfg } = &op {
+                    let _ = self.ring_registry.install_config(cfg.clone());
+                }
+                if let Some(c) = self.conns.get_mut(&conn) {
+                    if matches!(op, CoordOp::WatchAll) {
+                        c.watch_all = true;
                     }
                 }
-            },
-            Some(SrvEvent::Deliver(d)) => {
-                if d.inst < durable.applied {
-                    // A straggler from before a snapshot install: the
-                    // installed state already covers it.
-                    continue;
-                }
-                if d.inst > durable.applied {
-                    // A hole: deliveries were lost between learner and
-                    // loop (bounded-channel overflow under extreme
-                    // load). Never cross it silently — skipped ops would
-                    // diverge this replica and then be *checkpointed*.
-                    // Park until a peer snapshot jumps the cursor.
-                    catchup_needed = true;
-                    continue;
-                }
-                durable.applied = d.inst.plus(d.value.instance_span());
-                coord_applied.inc();
-                since_ckpt += 1;
-                if durable.checkpoint_every > 0 && since_ckpt >= durable.checkpoint_every {
-                    // Periodic checkpoint (after the apply below, see the
-                    // end of this arm): replay after a restart is
-                    // snapshot + WAL suffix, not the whole history.
-                    next_ckpt_due = true;
-                }
-                let value = d.value;
-                let applied_op = value.payload().and_then(|bytes| {
-                    let mut raw = bytes.clone();
-                    CoordCmd::decode(&mut raw).ok() // foreign payloads are cursor-only
-                });
-                let Some(cmd) = applied_op else {
-                    checkpoint_if_due(&mut durable, &live, &mut since_ckpt, &mut next_ckpt_due);
-                    continue; // no-op / skip filler
-                };
-                let (result, events) = durable.state.apply(&cmd.op);
-                checkpoint_if_due(&mut durable, &live, &mut since_ckpt, &mut next_ckpt_due);
-                track_sessions(
-                    &cmd.op,
-                    &result,
-                    &durable.state,
-                    &mut session_seen,
-                    &mut expiring,
+                self.reply(
+                    conn,
+                    CoordReply::Ok {
+                        req,
+                        body: CoordOk::Unit,
+                    },
                 );
-                if cmd.origin == me {
-                    if let Some(p) = pending.remove(&cmd.seq) {
-                        if let Some(c) = conns.get(&p.conn) {
-                            let _ = c.writer.send(reply_of(p.req, result));
-                        }
-                    }
-                }
-                if !events.is_empty() {
-                    // A watcher whose queue overflows is disconnected on
-                    // the spot: its cache would otherwise miss this event
-                    // and serve stale configuration forever. Reconnecting
-                    // re-arms the watch and clears the client's cache.
-                    let mut stalled = Vec::new();
-                    for (id, c) in conns.iter().filter(|(_, c)| c.watch_all) {
-                        for e in &events {
-                            if !c.writer.send(CoordReply::Event(e.clone())) {
-                                stalled.push(*id);
-                                break;
-                            }
-                        }
-                    }
-                    for id in stalled {
-                        conns.remove(&id);
-                        pending.retain(|_, p| p.conn != id);
-                    }
-                }
             }
-            Some(SrvEvent::Gossip(cfg)) => {
-                for addr in &peer_clients {
-                    gossip_config(&mut gossip_conns, *addr, &cfg);
-                }
+            OpKind::Read => {
+                let body = match op {
+                    // The catch-up RPC: served from applied state with
+                    // *this* replica's log position and its view of the
+                    // ensemble's own ring (the state machine itself has
+                    // neither).
+                    CoordOp::SnapshotRequest => Ok(CoordOk::Snapshot {
+                        applied: self.durable.applied.raw(),
+                        ensemble_ring: self
+                            .ring_registry
+                            .ring(COORD_RING)
+                            .ok()
+                            .map(|c| c.to_wire()),
+                        state: self.durable.state.snapshot(),
+                    }),
+                    // Metrics live in the process, not the replicated
+                    // state machine: answer from the local registry.
+                    CoordOp::Stats => Ok(CoordOk::Stats(self.obs.snapshot())),
+                    // Reads never mutate state or emit events.
+                    _ => self.durable.state.apply(&op).0,
+                };
+                self.reply(conn, reply_of(req, body));
             }
-            Some(SrvEvent::CatchUp(snap)) => {
-                catchup_inflight = false;
-                let Some(snap) = snap else { continue };
-                let before = durable.applied;
-                let peer_applied = snap.applied;
-                let outcome = install_snapshot(&mut durable, &live, peer_applied, &snap.state);
-                if matches!(outcome, Ok(true)) {
-                    // At least as current as the answering peer: a
-                    // pending boot catch-up is satisfied. (Ok(false) —
-                    // an ahead peer whose snapshot did not decode —
-                    // keeps the sweep retrying.)
-                    catchup_needed = false;
-                }
-                if outcome.is_ok() && durable.applied > before {
-                    // install_snapshot wrote a checkpoint at the new
-                    // cursor; restart the periodic cadence from it.
-                    since_ckpt = 0;
-                    next_ckpt_due = false;
-                    for (id, _) in durable.state.sessions() {
-                        session_seen.entry(id).or_insert_with(Instant::now);
-                    }
-                    // The install jumped state without per-op events, so
-                    // connected watchers' caches are silently behind.
-                    // Disconnect them: reconnecting re-arms the watch and
-                    // clears the client cache (the same contract the
-                    // overflow path relies on).
-                    let watching: Vec<u64> = conns
-                        .iter()
-                        .filter(|(_, c)| c.watch_all)
-                        .map(|(id, _)| *id)
-                        .collect();
-                    for id in watching {
-                        conns.remove(&id);
-                        pending.retain(|_, p| p.conn != id);
-                    }
-                    // Proposals whose decisions the jump skipped will
-                    // never be answered by the Deliver arm (stragglers
-                    // below the cursor are dropped). Fail the waiting
-                    // clients now instead of letting them ride out the
-                    // 10 s stale sweep — every registry mutation is
-                    // idempotent or epoch/version-guarded, so a retry
-                    // against the caught-up state is safe.
-                    for (_, p) in pending.drain() {
-                        if let Some(c) = conns.get(&p.conn) {
-                            let _ = c.writer.send(CoordReply::Err {
-                                req: p.req,
-                                reason: "state jumped by snapshot catch-up; retry".into(),
-                            });
-                        }
-                    }
-                    // In-flight expiry markers are stale the same way: a
-                    // session whose CAS loss only the snapshot reflects
-                    // would otherwise stay marked forever and never be
-                    // re-proposed for expiry (an immortal session). The
-                    // sweep re-proposes under the CAS guard, so clearing
-                    // is always safe.
-                    expiring.clear();
-                }
-                // A long partition can also have cost us our ring
-                // membership; heal that the same way a restart does.
-                rejoin_ensemble_ring(&ring_registry, me, snap.ensemble_ring);
+            OpKind::Replicate => {
+                let seq = self.propose(op);
+                self.pending.insert(
+                    seq,
+                    Pending {
+                        conn,
+                        req,
+                        at: Instant::now(),
+                    },
+                );
             }
         }
+    }
 
-        if Instant::now() >= next_sweep {
-            next_sweep = Instant::now() + session_check;
-            let now = Instant::now();
-            session_count.set(durable.state.sessions().count() as i64);
-            // Gap watchdog: a learner blocked on decisions it fully
-            // missed (they circulated while this replica was down or
-            // partitioned) will never heal from the ring alone — old
-            // decisions are not re-sent. A persistent gap is resolved
-            // the same way boot catch-up is: install a live peer's
-            // snapshot and jump the cursor past the hole. The fetch runs
-            // on its own thread (connects + reply wait can block for
-            // seconds; stalling this loop would make the replica appear
-            // dead to its clients exactly while it tries to heal) and
-            // comes back as [`SrvEvent::CatchUp`]. An unanswered *boot*
-            // catch-up also retries here: on an idle ensemble no new
-            // decision would ever surface a buffered gap, yet the
-            // replica may still be behind.
-            if live.first_buffered().is_some() || catchup_needed {
-                let since = *gap_since.get_or_insert(now);
-                if !catchup_inflight
-                    && now.duration_since(since) >= session_check.max(Duration::from_millis(500))
-                {
-                    gap_since = Some(now);
-                    let peers = peer_clients.clone();
-                    let tx = self_tx.clone();
-                    // Armed only if the thread actually started: a
-                    // failed spawn sends no CatchUp, and a stuck
-                    // `catchup_inflight` would disarm healing forever.
-                    catchup_inflight = std::thread::Builder::new()
-                        .name(format!("amcoord-catchup-{}", me.raw()))
-                        .spawn(move || {
-                            let snap = fetch_peer_snapshot(&peers, Duration::from_secs(2));
-                            let _ = tx.send(SrvEvent::CatchUp(snap));
-                        })
-                        .is_ok();
-                }
-            } else {
-                gap_since = None;
+    /// Routes one round of effects the ring node emitted: sends onto the
+    /// peer links (or back into our own queue), decided entries
+    /// group-committed to the log and then applied, timers onto the heap.
+    fn drain(&mut self) {
+        for (to, msg) in self.out.sends.drain(..) {
+            if to == self.me {
+                let _ = self.self_tx.send(SrvEvent::Peer(to, msg));
+                continue;
             }
-            let overdue: Vec<(SessionId, u64)> = durable
+            self.wire.note(&msg);
+            self.ring_links.send(
+                to,
+                PeerFrame {
+                    from: self.me,
+                    msg: Msg::Ring(COORD_RING, msg),
+                },
+            );
+        }
+        for (after, t) in self.out.timers.drain(..) {
+            self.timers.push_after(after, t);
+        }
+        if self.out.decided.is_empty() {
+            return;
+        }
+        let decided = std::mem::take(&mut self.out.decided);
+        if let Some(wal) = &mut self.durable.wal {
+            // Group commit: stage every decision of this turn, hit the
+            // file (and the platter) once.
+            for (inst, value) in &decided {
+                wal.stage(inst.raw(), &mut |buf| {
+                    AcceptedEntry {
+                        inst: *inst,
+                        vballot: Ballot::ZERO,
+                        value: value.clone(),
+                    }
+                    .encode(buf)
+                });
+            }
+            let _ = wal.commit();
+        }
+        for (inst, value) in decided {
+            self.apply(inst, &value);
+        }
+    }
+
+    /// Applies one decided log entry to the replicated state, answers
+    /// the client that proposed it and fans its watch events out.
+    fn apply(&mut self, inst: InstanceId, value: &Value) {
+        if inst != self.durable.applied {
+            // The learner delivers in order from the cursor this loop
+            // gave it, so this cannot happen — and must never be crossed
+            // silently if it does: skipped ops would diverge this
+            // replica and then be *checkpointed*. Park until a peer
+            // snapshot re-aligns state and cursor.
+            self.catchup_needed = true;
+            return;
+        }
+        self.durable.applied = inst.plus(value.instance_span());
+        self.durable.since_ckpt += 1;
+        self.coord_applied.inc();
+        // Foreign payloads (no-ops, skip filler) only move the cursor.
+        let cmd = value
+            .payload()
+            .and_then(|bytes| CoordCmd::decode(&mut bytes.clone()).ok());
+        let outcome = cmd.as_ref().map(|cmd| self.durable.state.apply(&cmd.op));
+        self.durable.checkpoint_if_due();
+        let (Some(cmd), Some((result, events))) = (cmd, outcome) else {
+            return;
+        };
+        track_sessions(
+            &cmd.op,
+            &result,
+            &self.durable.state,
+            &mut self.session_seen,
+            &mut self.expiring,
+        );
+        if cmd.origin == self.me {
+            if let Some(p) = self.pending.remove(&cmd.seq) {
+                self.reply(p.conn, reply_of(p.req, result));
+            }
+        }
+        if !events.is_empty() {
+            // A watcher whose queue overflows is disconnected on the
+            // spot: its cache would otherwise miss this event and serve
+            // stale configuration forever. Reconnecting re-arms the
+            // watch and clears the client's cache.
+            let stalled: Vec<u64> = self
+                .conns
+                .iter()
+                .filter(|(_, c)| c.watch_all)
+                .filter(|(_, c)| {
+                    !events
+                        .iter()
+                        .all(|e| c.writer.send(CoordReply::Event(e.clone())))
+                })
+                .map(|(id, _)| *id)
+                .collect();
+            self.drop_conns(&stalled);
+        }
+    }
+
+    fn on_catch_up(&mut self, snap: Option<PeerSnapshot>) {
+        self.catchup_inflight = false;
+        let Some(snap) = snap else { return };
+        let before = self.durable.applied;
+        let outcome = self.durable.install_snapshot(snap.applied, &snap.state);
+        if matches!(outcome, Ok(true)) {
+            // At least as current as the answering peer: a pending boot
+            // catch-up is satisfied. (Ok(false) — an ahead peer whose
+            // snapshot did not decode — keeps the sweep retrying.)
+            self.catchup_needed = false;
+        }
+        if outcome.is_ok() && self.durable.applied > before {
+            // The jump is durable; move the learner past it. Decisions
+            // buffered below the new cursor die with the move.
+            self.node.set_next_delivery(self.durable.applied);
+            for (id, _) in self.durable.state.sessions() {
+                self.session_seen.entry(id).or_insert_with(Instant::now);
+            }
+            // The install jumped state without per-op events, so
+            // connected watchers' caches are silently behind.
+            // Disconnect them: reconnecting re-arms the watch and clears
+            // the client cache (the same contract the overflow path
+            // relies on).
+            let watching: Vec<u64> = self
+                .conns
+                .iter()
+                .filter(|(_, c)| c.watch_all)
+                .map(|(id, _)| *id)
+                .collect();
+            self.drop_conns(&watching);
+            // Proposals whose decisions the jump skipped will never be
+            // answered by `apply`. Fail the waiting clients now instead
+            // of letting them ride out the 10 s stale sweep — every
+            // registry mutation is idempotent or epoch/version-guarded,
+            // so a retry against the caught-up state is safe.
+            for (_, p) in std::mem::take(&mut self.pending) {
+                self.reply(
+                    p.conn,
+                    CoordReply::Err {
+                        req: p.req,
+                        reason: "state jumped by snapshot catch-up; retry".into(),
+                    },
+                );
+            }
+            // In-flight expiry markers are stale the same way: a
+            // session whose CAS loss only the snapshot reflects would
+            // otherwise stay marked forever and never be re-proposed for
+            // expiry (an immortal session). The sweep re-proposes under
+            // the CAS guard, so clearing is always safe.
+            self.expiring.clear();
+        }
+        // A long partition can also have cost us our ring membership;
+        // heal that the same way a restart does.
+        rejoin_ensemble_ring(&self.ring_registry, self.me, snap.ensemble_ring);
+    }
+
+    fn sweep(&mut self) {
+        let now = Instant::now();
+        self.session_count
+            .set(self.durable.state.sessions().count() as i64);
+        // Gap watchdog: a learner blocked on decisions it fully missed
+        // (they circulated while this replica was down or partitioned)
+        // will never heal from the ring alone — old decisions are not
+        // re-sent. A persistent gap is resolved the same way boot
+        // catch-up is: install a live peer's snapshot and jump the
+        // cursor past the hole. The fetch runs on its own thread
+        // (connects + reply wait can block for seconds; stalling this
+        // loop would make the replica appear dead to its clients and its
+        // ring exactly while it tries to heal) and comes back as
+        // [`SrvEvent::CatchUp`]. An unanswered *boot* catch-up also
+        // retries here: on an idle ensemble no new decision would ever
+        // surface a buffered gap, yet the replica may still be behind.
+        if self.node.buffered_gap().is_some() || self.catchup_needed {
+            let since = *self.gap_since.get_or_insert(now);
+            if !self.catchup_inflight
+                && now.duration_since(since) >= self.session_check.max(Duration::from_millis(500))
+            {
+                self.gap_since = Some(now);
+                let peers = self.peer_clients.clone();
+                let tx = self.self_tx.clone();
+                // Armed only if the thread actually started: a failed
+                // spawn sends no CatchUp, and a stuck `catchup_inflight`
+                // would disarm healing forever.
+                self.catchup_inflight = std::thread::Builder::new()
+                    .name(format!("amcoord-catchup-{}", self.me.raw()))
+                    .spawn(move || {
+                        let snap = fetch_peer_snapshot(&peers, Duration::from_secs(2));
+                        let _ = tx.send(SrvEvent::CatchUp(snap));
+                    })
+                    .is_ok();
+            }
+        } else {
+            self.gap_since = None;
+        }
+        let overdue: Vec<(SessionId, u64)> =
+            self.durable
                 .state
                 .sessions()
                 .filter(|(id, s)| {
-                    !expiring.contains(id)
-                        && session_seen.get(id).is_none_or(|at| {
+                    !self.expiring.contains(id)
+                        && self.session_seen.get(id).is_none_or(|at| {
                             now.duration_since(*at) > Duration::from_millis(s.ttl_ms)
                         })
                 })
                 .map(|(id, s)| (id, s.refresh_seq))
                 .collect();
-            for (session, seen_refresh) in overdue {
-                next_cmd += 1;
-                let cmd = CoordCmd {
-                    origin: me,
-                    seq: next_cmd,
-                    op: CoordOp::ExpireSession {
-                        session,
-                        seen_refresh,
+        for (session, seen_refresh) in overdue {
+            self.propose(CoordOp::ExpireSession {
+                session,
+                seen_refresh,
+            });
+            self.expiring.insert(session);
+        }
+        // Stale pendings (e.g. the ring lost quorum): fail the client so
+        // it can retry another replica rather than hang.
+        let stale: Vec<u64> = self
+            .pending
+            .iter()
+            .filter(|(_, p)| p.at.elapsed() > Duration::from_secs(10))
+            .map(|(seq, _)| *seq)
+            .collect();
+        for seq in stale {
+            if let Some(p) = self.pending.remove(&seq) {
+                self.reply(
+                    p.conn,
+                    CoordReply::Err {
+                        req: p.req,
+                        reason: "command not decided in time".into(),
                     },
-                };
-                if live
-                    .propose(Value::app(me, next_cmd, cmd.to_bytes()))
-                    .is_ok()
-                {
-                    expiring.insert(session);
-                }
-            }
-            // Stale pendings (e.g. the ring lost quorum): fail the client
-            // so it can retry another replica rather than hang.
-            let stale: Vec<u64> = pending
-                .iter()
-                .filter(|(_, p)| p.at.elapsed() > Duration::from_secs(10))
-                .map(|(seq, _)| *seq)
-                .collect();
-            for seq in stale {
-                if let Some(p) = pending.remove(&seq) {
-                    if let Some(c) = conns.get(&p.conn) {
-                        let _ = c.writer.send(CoordReply::Err {
-                            req: p.req,
-                            reason: "command not decided in time".into(),
-                        });
-                    }
-                }
+                );
             }
         }
+        // Expiry proposals made above leave with this turn.
+        self.drain();
     }
-    live.stop();
 }
 
 fn reply_of(req: u64, result: coord::state::ApplyResult) -> CoordReply {
@@ -1279,30 +1282,21 @@ impl CoordEnsemble {
             .ok_or_else(|| Error::Config(format!("amcoordd replica {id} is not running")))?;
         handle.shutdown();
         if let Some(dir) = &self.configs[i].wal_dir {
-            // Both the directory-level lock and the active segment's
-            // per-file lock must be gone before a restart-in-place may
-            // race the dying replica for the log.
-            let seg_dir = wal_seg_dir(dir, NodeId::new(id));
-            let locks_left = || -> Vec<PathBuf> {
-                let mut left: Vec<PathBuf> = std::fs::read_dir(&seg_dir)
-                    .into_iter()
-                    .flatten()
-                    .flatten()
-                    .map(|e| e.path())
-                    .filter(|p| p.extension().is_some_and(|e| e == "lock"))
-                    .collect();
-                left.sort();
-                left
-            };
-            let deadline = Instant::now() + Duration::from_secs(5);
-            while !locks_left().is_empty() {
-                if Instant::now() >= deadline {
-                    return Err(Error::Storage(format!(
-                        "amcoordd replica {id} wal locks {:?} survived shutdown",
-                        locks_left()
-                    )));
-                }
-                std::thread::sleep(Duration::from_millis(10));
+            // The server loop owned the log and has been joined, so both
+            // the directory-level lock and the active segment's per-file
+            // lock are gone; a survivor here would make the restart race
+            // a ghost for the log.
+            let locks_left: Vec<PathBuf> = std::fs::read_dir(wal_seg_dir(dir, NodeId::new(id)))
+                .into_iter()
+                .flatten()
+                .flatten()
+                .map(|e| e.path())
+                .filter(|p| p.extension().is_some_and(|e| e == "lock"))
+                .collect();
+            if !locks_left.is_empty() {
+                return Err(Error::Storage(format!(
+                    "amcoordd replica {id} wal locks {locks_left:?} survived shutdown"
+                )));
             }
         }
         Ok(())
@@ -1339,37 +1333,5 @@ impl CoordEnsemble {
         for h in self.replicas.into_iter().flatten() {
             h.shutdown();
         }
-    }
-}
-
-/// Sends an [`CoordOp::InstallConfig`] to a peer replica over a lazily
-/// maintained connection (fire-and-forget; the next gossip retries).
-fn gossip_config(
-    conns: &mut HashMap<SocketAddr, TcpStream>,
-    addr: SocketAddr,
-    cfg: &common::wire::coord::RingConfigWire,
-) {
-    let frame = encode_frame(&CoordMsg {
-        req: 0,
-        op: CoordOp::InstallConfig { cfg: cfg.clone() },
-    });
-    for _attempt in 0..2 {
-        if let std::collections::hash_map::Entry::Vacant(e) = conns.entry(addr) {
-            match TcpStream::connect_timeout(&addr, Duration::from_millis(250)) {
-                Ok(s) => {
-                    let _ = s.set_nodelay(true);
-                    e.insert(s);
-                }
-                Err(_) => return,
-            }
-        }
-        let ok = conns
-            .get_mut(&addr)
-            .map(|s| s.write_all(&frame).is_ok())
-            .unwrap_or(false);
-        if ok {
-            return;
-        }
-        conns.remove(&addr);
     }
 }

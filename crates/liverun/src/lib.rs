@@ -27,7 +27,11 @@
 //! * [`config`] — the deployment document `amcastd` reads; one file
 //!   describes the whole cluster.
 //! * [`node`] — the per-node event loop driving a [`multiring::MultiRingHost`]
-//!   through [`simnet::Ctx::external`], plus listeners and readers.
+//!   through [`simnet::Ctx::external`].
+//! * `net` (crate-private) — the one place a server-side socket is
+//!   opened: stoppable listeners, framed readers, bounded writers, lazy
+//!   peer links, one-shot calls. `amcastd`'s node loop and `amcoordd`'s
+//!   server loop both sit on it.
 //! * [`batch`] — proposer-side request batching: many client commands
 //!   share one consensus value ([`common::value::Payload::Batch`]).
 //! * [`deployment`] — launch/kill/restart whole localhost deployments
@@ -49,6 +53,7 @@ pub mod config;
 pub mod coordsvc;
 pub mod deployment;
 pub mod durable;
+pub(crate) mod net;
 pub mod netem;
 pub mod node;
 pub mod service;

@@ -30,7 +30,7 @@
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -45,7 +45,7 @@ use crossbeam::channel::Receiver;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::config::DeploymentConfig;
-use crate::node::{spawn_listener, ListenerHandle};
+use crate::net::Listener;
 
 /// Chunk granularity of the relays: also the quantum the bandwidth
 /// serialization clock advances by (16 KiB at 1 Gbps ≈ 128 µs).
@@ -217,7 +217,7 @@ pub struct Netem {
     peer_proxies: HashMap<(NodeId, NodeId), SocketAddr>,
     client_proxies: Mutex<HashMap<(String, NodeId), SocketAddr>>,
     client_targets: HashMap<NodeId, SocketAddr>,
-    listeners: Mutex<Vec<ListenerHandle>>,
+    listeners: Mutex<Vec<Listener>>,
 }
 
 impl Netem {
@@ -281,16 +281,11 @@ impl Netem {
 
     fn spawn_proxy(
         shared: &Arc<Shared>,
-        listeners: &mut Vec<ListenerHandle>,
+        listeners: &mut Vec<Listener>,
         src: LinkEnd,
         dst: NodeId,
         target: SocketAddr,
     ) -> Result<SocketAddr> {
-        let listener = TcpListener::bind("127.0.0.1:0")
-            .map_err(|e| Error::Config(format!("netem relay bind: {e}")))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| Error::Config(format!("netem relay addr: {e}")))?;
         let name = match &src {
             LinkEnd::Node(id) => format!("netem-{}-{}", id.raw(), dst.raw()),
             LinkEnd::Client(region) => format!("netem-client-{region}-{}", dst.raw()),
@@ -299,11 +294,12 @@ impl Netem {
         // ever worked the relay dials the real target with patient
         // retries (deployment still launching), after that a dead target
         // cuts the connection immediately — mirroring the sender's own
-        // hold-then-drop reconnect semantics in `peer_writer_loop`.
+        // hold-then-drop reconnect semantics in `net::PeerLinks`.
         let ever = Arc::new(AtomicBool::new(false));
         let src = Arc::new(src);
         let shared2 = Arc::clone(shared);
-        let handle = spawn_listener(listener, name, move |conn| {
+        let any_port = SocketAddr::from(([127, 0, 0, 1], 0));
+        let handle = Listener::bind(any_port, name, move |conn| {
             let shared = Arc::clone(&shared2);
             let ever = Arc::clone(&ever);
             let src = Arc::clone(&src);
@@ -311,7 +307,9 @@ impl Netem {
                 .name("netem-relay".into())
                 .spawn(move || relay(conn, target, shared, &src, dst, &ever))
                 .expect("spawn netem relay");
-        });
+        })
+        .map_err(|e| Error::Config(format!("netem relay bind: {e}")))?;
+        let addr = handle.addr();
         listeners.push(handle);
         Ok(addr)
     }
@@ -571,6 +569,7 @@ fn shape_pipe(
 mod tests {
     use super::*;
     use crate::config::{generate_localhost_mrpstore, with_geo};
+    use std::net::TcpListener;
 
     /// A two-node world with custom region names 40 ms apart; node 1's
     /// peer listener is played by the test itself.

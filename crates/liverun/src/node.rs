@@ -1,27 +1,30 @@
 //! The live node: one [`MultiRingHost`] driven by an OS-thread event loop
 //! over real TCP.
 //!
-//! Each node runs three kinds of threads:
+//! Each node runs three kinds of threads (every socket among them is
+//! opened and owned by the crate-private `net` module):
 //!
 //! * the **node loop** — owns the host state machine; waits on its event
 //!   queue with a deadline derived from the timer heap and the batcher,
 //!   feeds events into the host through [`Ctx::external`], then routes
-//!   the emitted sends to peer sockets / client connections and arms the
+//!   the emitted sends to peer links / client connections and arms the
 //!   emitted timers;
 //! * **peer reader** threads — one per accepted peer connection,
-//!   reassembling [`PeerFrame`]s into `Event::Peer`;
-//! * **client reader** threads — one per client connection, speaking the
-//!   [`common::wire::client`] protocol and feeding `Event::Client*`.
+//!   reassembling [`PeerFrame`]s into `Event::Peer` — and one **peer
+//!   writer** thread per peer this node sends to;
+//! * **client reader** and **client writer** threads — one pair per
+//!   client connection, speaking the [`common::wire::client`] protocol
+//!   (v2 only; a v1 frame is answered with one error and the connection
+//!   closed) and feeding `Event::Client*`.
 //!
 //! Replies route back by node id: replicas answer `Envelope::reply_to`,
 //! which for live clients is a synthetic node id above
 //! [`CLIENT_NODE_BASE`]; the loop maps it to the client's connection and
-//! writes a [`ClientReply::Response`] frame.
+//! queues a [`ClientReply::ResponseV2`] frame.
 
 use std::collections::HashMap;
-use std::io::{IoSlice, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -33,8 +36,8 @@ use bytes::Bytes;
 use common::error::{Error, Result};
 use common::ids::{ClientId, NodeId, RequestId, RingId};
 use common::msg::{ClientMsg as SimClientMsg, Msg};
-use common::obs::{Counter, Hist, Obs, WireCounters};
-use common::transport::{encode_frame, FrameBuf, PeerFrame, TimerHeap, WallClock};
+use common::obs::{Hist, Obs, WireCounters};
+use common::transport::{PeerFrame, TimerHeap, WallClock};
 use common::value::Envelope;
 use common::wire::client::{ClientMsg, ClientReply};
 use common::wire::Wire;
@@ -46,6 +49,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use simnet::{Ctx, Process, Timer};
 
 use crate::batch::{BatchOptions, Batcher};
+use crate::net::{read_frames, FrameWriter, Listener, PeerLinks};
 
 /// Client connections are addressed as synthetic nodes at and above this
 /// id; deployment nodes must stay below it.
@@ -65,21 +69,9 @@ pub fn client_of_node(node: NodeId) -> Option<ClientId> {
 pub(crate) enum Event {
     /// A protocol message from a peer (or from this node to itself).
     Peer(NodeId, Msg),
-    /// A client said hello on this node; `v2` marks a protocol-v2
-    /// handshake (replies go out as `ResponseV2`/`ErrorV2` frames).
-    ClientHello(ClientId, ClientWriter, bool),
-    /// A client submitted a v1 command.
-    ClientRequest {
-        /// The submitting client.
-        client: ClientId,
-        /// Client-chosen sequence number.
-        seq: RequestId,
-        /// Target multicast group.
-        group: RingId,
-        /// Service command bytes.
-        cmd: Bytes,
-    },
-    /// A client submitted a v2 (sessioned) command.
+    /// A client said hello on this node.
+    ClientHello(ClientId, ClientWriter),
+    /// A client submitted a (sessioned) command.
     ClientRequestV2 {
         /// The submitting client.
         client: ClientId,
@@ -100,130 +92,16 @@ pub(crate) enum Event {
     Shutdown,
 }
 
-/// One client's connection state at the node loop: its reply writer and
-/// which protocol version the hello negotiated.
-pub(crate) struct ClientConn {
-    writer: ClientWriter,
-    v2: bool,
-}
+/// Write half of one client connection. A full queue drops the reply,
+/// which v2 clients retry around (retries are deduplicated, so shedding
+/// stays safe).
+pub(crate) type ClientWriter = FrameWriter<ClientReply>;
 
-/// Write half of one client connection.
-///
-/// Like peer sends, client replies must never block the node loop: a
-/// client that stops reading fills its TCP window and a blocking write
-/// would stall the loop (and with it this node's heartbeats). Replies
-/// therefore go through a bounded queue to a dedicated writer thread;
-/// when the queue fills, replies are dropped — the same semantics as the
-/// paper's UDP responses, which clients already retry around (v2 retries
-/// are deduplicated, so shedding stays safe).
-#[derive(Clone)]
-pub(crate) struct ClientWriter {
-    tx: Sender<ClientReply>,
-    depth: Arc<AtomicUsize>,
-}
-
-impl ClientWriter {
-    fn new(stream: TcpStream, vectored: Counter) -> Self {
-        let (tx, rx) = crossbeam::channel::bounded::<ClientReply>(4096);
-        let depth = Arc::new(AtomicUsize::new(0));
-        let loop_depth = Arc::clone(&depth);
-        std::thread::spawn(move || client_writer_loop(stream, rx, loop_depth, vectored));
-        ClientWriter { tx, depth }
-    }
-
-    fn send(&self, reply: &ClientReply) {
-        if self.tx.try_send(reply.clone()).is_ok() {
-            self.depth.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Replies queued behind the writer thread — the per-connection
-    /// share of the `reply_queue_depth` gauge.
-    fn queued(&self) -> usize {
-        self.depth.load(Ordering::Relaxed)
-    }
-}
-
-/// Owns the write half of one client socket; exits when every handle to
-/// the queue is gone or the socket breaks.
-///
-/// Replies queued behind the first one coalesce into a single
-/// `write_vectored` syscall — under load (many shards finishing at
-/// once) the per-frame write cost amortizes across the burst.
-fn client_writer_loop(
-    mut stream: TcpStream,
-    rx: Receiver<ClientReply>,
-    depth: Arc<AtomicUsize>,
-    vectored: Counter,
-) {
-    let mut frames: Vec<Bytes> = Vec::new();
-    while let Ok(reply) = rx.recv() {
-        depth.fetch_sub(1, Ordering::Relaxed);
-        frames.clear();
-        frames.push(encode_frame(&reply));
-        while frames.len() < 64 {
-            match rx.try_recv() {
-                Ok(reply) => {
-                    depth.fetch_sub(1, Ordering::Relaxed);
-                    frames.push(encode_frame(&reply));
-                }
-                Err(_) => break,
-            }
-        }
-        if frames.len() > 1 {
-            vectored.add(frames.len() as u64);
-        }
-        if write_all_vectored(&mut stream, &frames).is_err() {
-            return;
-        }
-    }
-}
-
-/// Writes every frame fully with `write_vectored`, rebuilding the slice
-/// list from the unwritten remainder after short writes (std's
-/// `write_all_vectored` is unstable).
-fn write_all_vectored(stream: &mut TcpStream, frames: &[Bytes]) -> std::io::Result<()> {
-    let mut idx = 0;
-    let mut off = 0;
-    while idx < frames.len() {
-        let slices: Vec<IoSlice> = std::iter::once(IoSlice::new(&frames[idx][off..]))
-            .chain(frames[idx + 1..].iter().map(|f| IoSlice::new(f)))
-            .collect();
-        let mut n = match stream.write_vectored(&slices) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
-                    "failed to write frames",
-                ))
-            }
-            Ok(n) => n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        while idx < frames.len() && n >= frames[idx].len() - off {
-            n -= frames[idx].len() - off;
-            idx += 1;
-            off = 0;
-        }
-        off += n;
-    }
-    Ok(())
-}
-
-/// Outgoing peer connections.
-///
-/// Sends must never block the node loop: a stalled loop stops this
-/// node's own heartbeats, which its peers read as a failure (§5.1) — a
-/// dead neighbour would take us down with it. Each peer therefore gets a
-/// dedicated writer thread owning the socket, fed through a bounded
-/// queue; connect retries and back-off happen on the writer thread, and
-/// when the queue is full (peer down, backlog grown) messages are
-/// dropped — the protocol's TTL'd circulation, retries and failure
-/// detection absorb the loss.
+/// Outgoing peer traffic: the node's [`PeerLinks`] plus the wire
+/// accounting for everything that leaves through them.
 struct PeerTransport {
     me: NodeId,
-    addrs: HashMap<NodeId, SocketAddr>,
-    links: HashMap<NodeId, Sender<Msg>>,
+    links: PeerLinks<PeerFrame>,
     /// Per-node wire accounting for everything this node sends.
     wire: WireCounters,
     /// The same accounting broken down by ring (`ring{r}_*` counters) —
@@ -232,15 +110,10 @@ struct PeerTransport {
     wire_by_ring: HashMap<RingId, WireCounters>,
     /// Metrics registry the per-ring counter families register in.
     obs: Obs,
-    /// Frames that left in multi-frame `write_vectored` bursts.
-    vectored: Counter,
 }
 
 impl PeerTransport {
     fn send(&mut self, to: NodeId, msg: Msg) {
-        let Some(addr) = self.addrs.get(&to).copied() else {
-            return;
-        };
         if let Msg::Ring(ring, rm) = &msg {
             self.wire.note(rm);
             self.wire_by_ring
@@ -250,174 +123,37 @@ impl PeerTransport {
                 })
                 .note(rm);
         }
-        let me = self.me;
-        let vectored = self.vectored.clone();
-        let link = self.links.entry(to).or_insert_with(|| {
-            let (tx, rx) = crossbeam::channel::bounded::<Msg>(4096);
-            std::thread::Builder::new()
-                .name(format!("amcast-link-{}-{}", me.raw(), to.raw()))
-                .spawn(move || peer_writer_loop(me, addr, rx, vectored))
-                .expect("spawn peer writer");
-            tx
-        });
-        let _ = link.try_send(msg);
-    }
-}
-
-/// Owns the outgoing socket to one peer: connects (with back-off), writes
-/// queued frames, reconnects once on a failed write. Exits when the node
-/// loop drops its sender.
-fn peer_writer_loop(me: NodeId, addr: SocketAddr, rx: Receiver<Msg>, vectored: Counter) {
-    let mut conn: Option<TcpStream> = None;
-    let mut ever_connected = false;
-    let mut frames: Vec<Bytes> = Vec::new();
-    loop {
-        let Ok(msg) = rx.recv() else { return };
-        // Write coalescing: everything queued behind this message goes
-        // out in the same `write_vectored` syscall — no added latency,
-        // no copy into a staging buffer, and under load the per-frame
-        // write cost amortizes across the burst. The cap bounds how much
-        // a failed write can lose at once (a dropped burst is healed by
-        // TTL'd circulation, retries and the value-pull path, but
-        // smaller losses heal faster).
-        frames.clear();
-        let mut total = 0usize;
-        let first = encode_frame(&PeerFrame { from: me, msg });
-        total += first.len();
-        frames.push(first);
-        while total < 64 * 1024 {
-            match rx.try_recv() {
-                Ok(msg) => {
-                    let frame = encode_frame(&PeerFrame { from: me, msg });
-                    total += frame.len();
-                    frames.push(frame);
-                }
-                Err(_) => break,
-            }
-        }
-        if frames.len() > 1 {
-            vectored.add(frames.len() as u64);
-        }
-        // (Re)connect if needed, then write; a failed write drops the
-        // socket and retries once with a fresh connection.
-        let mut attempts_left = 2;
-        while attempts_left > 0 {
-            if conn.is_none() {
-                match TcpStream::connect_timeout(&addr, Duration::from_millis(250)) {
-                    Ok(s) => {
-                        let _ = s.set_nodelay(true);
-                        conn = Some(s);
-                        ever_connected = true;
-                    }
-                    Err(_) if !ever_connected => {
-                        // The peer has not come up yet (deployment still
-                        // launching): HOLD the message and keep trying —
-                        // dropping first-hop Phase 2 traffic here would
-                        // leave permanently undecided instances. The
-                        // bounded queue sheds load if this goes on.
-                        std::thread::sleep(Duration::from_millis(20));
-                        continue;
-                    }
-                    Err(_) => {
-                        // Peer was up and died: drop this message and
-                        // back off; failure detection and gap healing
-                        // take over (§5.1–5.2).
-                        std::thread::sleep(Duration::from_millis(50));
-                        break;
-                    }
-                }
-            }
-            if let Some(s) = conn.as_mut() {
-                if write_all_vectored(s, &frames).is_ok() {
-                    break;
-                }
-                conn = None;
-                attempts_left -= 1;
-            }
-        }
-    }
-}
-
-/// A listener whose accept loop can be stopped from outside.
-pub(crate) struct ListenerHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    join: Option<JoinHandle<()>>,
-}
-
-impl ListenerHandle {
-    pub(crate) fn stop(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Wake the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
-    }
-}
-
-pub(crate) fn spawn_listener(
-    listener: TcpListener,
-    name: String,
-    mut on_conn: impl FnMut(TcpStream) + Send + 'static,
-) -> ListenerHandle {
-    let addr = listener
-        .local_addr()
-        .expect("bound listener has an address");
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = Arc::clone(&stop);
-    let join = std::thread::Builder::new()
-        .name(name)
-        .spawn(move || {
-            for stream in listener.incoming() {
-                if stop2.load(Ordering::SeqCst) {
-                    return;
-                }
-                let Ok(stream) = stream else { break };
-                on_conn(stream);
-            }
-        })
-        .expect("spawn listener thread");
-    ListenerHandle {
-        addr,
-        stop,
-        join: Some(join),
+        self.links.send(to, PeerFrame { from: self.me, msg });
     }
 }
 
 /// Reads [`PeerFrame`]s off one accepted peer connection.
-fn spawn_peer_reader(mut stream: TcpStream, tx: Sender<Event>) {
+fn spawn_peer_reader(stream: TcpStream, tx: Sender<Event>) {
     std::thread::spawn(move || {
-        let mut buf = FrameBuf::new();
-        let mut chunk = [0u8; 64 * 1024];
-        loop {
-            match stream.read(&mut chunk) {
-                Ok(0) | Err(_) => return,
-                Ok(n) => {
-                    buf.extend(&chunk[..n]);
-                    loop {
-                        match buf.try_next::<PeerFrame>() {
-                            Ok(Some(f)) => {
-                                if tx.send(Event::Peer(f.from, f.msg)).is_err() {
-                                    return;
-                                }
-                            }
-                            Ok(None) => break,
-                            Err(_) => return, // corrupt stream: drop it
-                        }
-                    }
-                }
-            }
-        }
+        // A corrupt stream just drops the connection.
+        let _ = read_frames(stream, |f: PeerFrame| {
+            tx.send(Event::Peer(f.from, f.msg)).is_ok()
+        });
     });
 }
 
-/// Speaks the client protocol (v1 and v2) on one accepted client
-/// connection. `grant` is the node's *live* credit window: the node loop
-/// resizes it with backpressure, and a client connecting mid-overload is
-/// admitted at the clamped window, not the configured maximum.
+/// Protocol v1 is retired: say so once and hang up (returning `false`
+/// ends the reader; the writer closes the socket after flushing the
+/// error).
+fn v1_retired(writer: &ClientWriter, seq: RequestId) -> bool {
+    writer.send(ClientReply::Error {
+        seq,
+        reason: "protocol v1 retired".into(),
+    });
+    false
+}
+
+/// Speaks the client protocol on one accepted client connection.
+/// `grant` is the node's *live* credit window: the node loop resizes it
+/// with backpressure, and a client connecting mid-overload is admitted
+/// at the clamped window, not the configured maximum.
 fn spawn_client_reader(
-    mut stream: TcpStream,
+    stream: TcpStream,
     me: NodeId,
     grant: Arc<AtomicU32>,
     obs: Obs,
@@ -431,113 +167,67 @@ fn spawn_client_reader(
             Err(_) => return,
         };
         let mut session: Option<ClientId> = None;
-        let mut buf = FrameBuf::new();
-        let mut chunk = [0u8; 64 * 1024];
-        loop {
-            match stream.read(&mut chunk) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => {
-                    buf.extend(&chunk[..n]);
-                    loop {
-                        match buf.try_next::<ClientMsg>() {
-                            Ok(Some(ClientMsg::Hello { client })) => {
-                                session = Some(client);
-                                if tx
-                                    .send(Event::ClientHello(client, writer.clone(), false))
-                                    .is_err()
-                                {
-                                    return;
-                                }
-                                writer.send(&ClientReply::Welcome { node: me });
-                            }
-                            Ok(Some(ClientMsg::HelloV2 { client, features })) => {
-                                session = Some(client);
-                                if tx
-                                    .send(Event::ClientHello(client, writer.clone(), true))
-                                    .is_err()
-                                {
-                                    return;
-                                }
-                                let window = grant.load(Ordering::Relaxed).max(1);
-                                writer.send(&ClientReply::WelcomeV2 {
-                                    node: me,
-                                    features: features & FEAT_ALL,
-                                    window,
-                                });
-                                // Grants are decoupled from the hello: the
-                                // server may resize the window any time.
-                                // Exercise that path from day one so
-                                // clients must handle it.
-                                writer.send(&ClientReply::CreditGrant { window });
-                            }
-                            Ok(Some(ClientMsg::Request { seq, group, cmd })) => {
-                                let Some(client) = session else {
-                                    writer.send(&ClientReply::Error {
-                                        seq,
-                                        reason: "hello required before requests".into(),
-                                    });
-                                    continue;
-                                };
-                                if tx
-                                    .send(Event::ClientRequest {
-                                        client,
-                                        seq,
-                                        group,
-                                        cmd,
-                                    })
-                                    .is_err()
-                                {
-                                    return;
-                                }
-                            }
-                            Ok(Some(ClientMsg::RequestV2 {
-                                session: sid,
-                                seq,
-                                ack,
-                                group,
-                                cmd,
-                            })) => {
-                                let Some(client) = session else {
-                                    writer.send(&ClientReply::ErrorV2 {
-                                        seq,
-                                        code: ErrorCode::HelloRequired,
-                                        detail: "hello required before requests".into(),
-                                    });
-                                    continue;
-                                };
-                                if tx
-                                    .send(Event::ClientRequestV2 {
-                                        client,
-                                        session: sid,
-                                        seq,
-                                        ack,
-                                        group,
-                                        cmd,
-                                    })
-                                    .is_err()
-                                {
-                                    return;
-                                }
-                            }
-                            Ok(Some(ClientMsg::Ping { token })) => {
-                                writer.send(&ClientReply::Pong { token });
-                            }
-                            Ok(Some(ClientMsg::StatsRequest { token })) => {
-                                // Stats are a read-only plane: answer
-                                // straight off the registry, no hello and
-                                // no trip through the node loop needed.
-                                writer.send(&ClientReply::Stats {
-                                    token,
-                                    snapshot: obs.snapshot(),
-                                });
-                            }
-                            Ok(None) => break,
-                            Err(_) => return, // corrupt stream: drop it
-                        }
-                    }
+        // A corrupt stream just drops the connection.
+        let _ = read_frames(stream, |msg: ClientMsg| match msg {
+            ClientMsg::HelloV2 { client, features } => {
+                session = Some(client);
+                if tx.send(Event::ClientHello(client, writer.clone())).is_err() {
+                    return false;
                 }
+                let window = grant.load(Ordering::Relaxed).max(1);
+                writer.send(ClientReply::WelcomeV2 {
+                    node: me,
+                    features: features & FEAT_ALL,
+                    window,
+                });
+                // Grants are decoupled from the hello: the server may
+                // resize the window any time. Exercise that path from
+                // day one so clients must handle it.
+                writer.send(ClientReply::CreditGrant { window });
+                true
             }
-        }
+            ClientMsg::RequestV2 {
+                session: sid,
+                seq,
+                ack,
+                group,
+                cmd,
+            } => {
+                let Some(client) = session else {
+                    writer.send(ClientReply::ErrorV2 {
+                        seq,
+                        code: ErrorCode::HelloRequired,
+                        detail: "hello required before requests".into(),
+                    });
+                    return true;
+                };
+                tx.send(Event::ClientRequestV2 {
+                    client,
+                    session: sid,
+                    seq,
+                    ack,
+                    group,
+                    cmd,
+                })
+                .is_ok()
+            }
+            ClientMsg::Ping { token } => {
+                writer.send(ClientReply::Pong { token });
+                true
+            }
+            ClientMsg::StatsRequest { token } => {
+                // Stats are a read-only plane: answer straight off the
+                // registry, no hello and no trip through the node loop
+                // needed.
+                writer.send(ClientReply::Stats {
+                    token,
+                    snapshot: obs.snapshot(),
+                });
+                true
+            }
+            ClientMsg::Hello { .. } => v1_retired(&writer, RequestId::new(0)),
+            ClientMsg::Request { seq, .. } => v1_retired(&writer, seq),
+        });
         if let Some(client) = session {
             let _ = tx.send(Event::ClientGone(client));
         }
@@ -560,43 +250,54 @@ pub(crate) enum AppStack {
     },
 }
 
+/// The connected clients of one node, shared between the node loop and
+/// (when sharded) the executor-shard threads.
+type Clients = Mutex<HashMap<ClientId, ClientWriter>>;
+
+/// Queues a replica's reply on the owning client's connection. Client
+/// not connected here (or gone): the reply is dropped, exactly like the
+/// paper's UDP responses; the client retries (safely — retries are
+/// deduplicated).
+fn reply_to_client(
+    clients: &Clients,
+    client: ClientId,
+    session: u64,
+    seq: RequestId,
+    from_replica: NodeId,
+    payload: Bytes,
+) {
+    if let Some(writer) = clients.lock().get(&client) {
+        writer.send(ClientReply::ResponseV2 {
+            session,
+            seq,
+            from_replica,
+            payload,
+        });
+    }
+}
+
 /// Routes executed replies from executor-shard threads straight to the
 /// owning client connection's writer queue — response framing and the
 /// client lookup happen on the shard's thread, not the merge thread.
-/// Mirrors the client branch of [`route_effects`] exactly.
 struct NodeReplySink {
     me: NodeId,
-    clients: Arc<Mutex<HashMap<ClientId, ClientConn>>>,
+    clients: Arc<Clients>,
 }
 
 impl ReplySink for NodeReplySink {
     fn reply(&self, _ring: RingId, env: &Envelope, payload: Bytes) {
-        use common::value::NO_SESSION;
-        let Some(client) = client_of_node(env.reply_to) else {
-            // Not a live client (e.g. a sweep-proposed expiry replying
-            // to the node itself): dropped, same as route_effects.
-            return;
-        };
-        let clients = self.clients.lock();
-        let Some(conn) = clients.get(&client) else {
-            return;
-        };
-        if conn.v2 {
-            conn.writer.send(&ClientReply::ResponseV2 {
-                session: env.session,
-                seq: env.req,
-                from_replica: self.me,
+        // Not a live client (e.g. a sweep-proposed expiry replying to
+        // the node itself): dropped, same as route_effects.
+        if let Some(client) = client_of_node(env.reply_to) {
+            reply_to_client(
+                &self.clients,
+                client,
+                env.session,
+                env.req,
+                self.me,
                 payload,
-            });
-        } else if env.session == NO_SESSION {
-            conn.writer.send(&ClientReply::Response {
-                seq: env.req,
-                from_replica: self.me,
-                payload,
-            });
+            );
         }
-        // A sessioned reply to a v1 connection can only be a stale
-        // cross-incarnation straggler: drop it.
     }
 }
 
@@ -719,8 +420,8 @@ pub struct NodeHandle {
     id: NodeId,
     tx: Sender<Event>,
     join: Option<JoinHandle<()>>,
-    peer_listener: Option<ListenerHandle>,
-    client_listener: Option<ListenerHandle>,
+    peer_listener: Option<Listener>,
+    client_listener: Option<Listener>,
 }
 
 impl NodeHandle {
@@ -754,15 +455,13 @@ impl NodeHandle {
 pub(crate) fn spawn_node(setup: NodeSetup, stack: AppStack, restart: bool) -> Result<NodeHandle> {
     let (tx, rx) = unbounded::<Event>();
 
-    let peer_listener = TcpListener::bind(setup.peer_addr)?;
     let tx_peers = tx.clone();
-    let peer_listener = spawn_listener(
-        peer_listener,
+    let peer_listener = Listener::bind(
+        setup.peer_addr,
         format!("amcast-peers-{}", setup.me.raw()),
         move |stream| spawn_peer_reader(stream, tx_peers.clone()),
-    );
+    )?;
 
-    let client_listener = TcpListener::bind(setup.client_addr)?;
     let tx_clients = tx.clone();
     let me = setup.me;
     // Live credit grant, shared between the node loop (which adjusts it)
@@ -772,8 +471,8 @@ pub(crate) fn spawn_node(setup: NodeSetup, stack: AppStack, restart: bool) -> Re
     let grant = Arc::new(AtomicU32::new(setup.client_window.max(1)));
     let reader_grant = Arc::clone(&grant);
     let obs = setup.obs.clone();
-    let client_listener = spawn_listener(
-        client_listener,
+    let client_listener = match Listener::bind(
+        setup.client_addr,
         format!("amcast-clients-{}", setup.me.raw()),
         move |stream| {
             spawn_client_reader(
@@ -784,7 +483,13 @@ pub(crate) fn spawn_node(setup: NodeSetup, stack: AppStack, restart: bool) -> Re
                 tx_clients.clone(),
             )
         },
-    );
+    ) {
+        Ok(listener) => listener,
+        Err(e) => {
+            peer_listener.stop();
+            return Err(Error::Io(e));
+        }
+    };
 
     let loop_tx = tx.clone();
     let join = std::thread::Builder::new()
@@ -825,7 +530,7 @@ fn node_loop(
     // The client map is shared with executor-shard threads (when
     // sharded): shards frame and enqueue replies themselves, so a reply
     // never crosses back through the node loop.
-    let clients: Arc<Mutex<HashMap<ClientId, ClientConn>>> = Arc::new(Mutex::new(HashMap::new()));
+    let clients: Arc<Clients> = Arc::new(Mutex::new(HashMap::new()));
     let mut host = match stack {
         AppStack::Inline(app) => MultiRingHost::new(
             me,
@@ -859,12 +564,14 @@ fn node_loop(
     };
     let mut transport = PeerTransport {
         me,
-        addrs: setup.peer_addrs,
-        links: HashMap::new(),
+        links: PeerLinks::new(
+            format!("amcast-link-{}", me.raw()),
+            setup.peer_addrs,
+            obs.counter("writer_vectored_frames"),
+        ),
         wire: WireCounters::new(&obs),
         wire_by_ring: HashMap::new(),
         obs: obs.clone(),
-        vectored: obs.counter("writer_vectored_frames"),
     };
     let stage_seal = obs.hist("stage_seal_nanos");
     let batcher_depth = obs.gauge("batcher_depth");
@@ -947,36 +654,11 @@ fn node_loop(
                 Event::Peer(from, msg) => {
                     with_ctx!(|ctx| host.on_message(from, msg, &mut ctx));
                 }
-                Event::ClientHello(client, writer, v2) => {
-                    clients.lock().insert(client, ClientConn { writer, v2 });
+                Event::ClientHello(client, writer) => {
+                    clients.lock().insert(client, writer);
                 }
                 Event::ClientGone(client) => {
                     clients.lock().remove(&client);
-                }
-                Event::ClientRequest {
-                    client,
-                    seq,
-                    group,
-                    cmd,
-                } => {
-                    if !setup.member_of.contains(&group) {
-                        // Fail fast instead of silently dropping: the client
-                        // can re-route immediately rather than burn its
-                        // timeout (the wire protocol's documented Error path).
-                        if let Some(conn) = clients.lock().get(&client) {
-                            conn.writer.send(&common::wire::client::ClientReply::Error {
-                                seq,
-                                reason: format!("node {me} does not serve group {group}"),
-                            });
-                        }
-                    } else {
-                        let mut env = Envelope::v1(client, seq, client_node_id(client), cmd);
-                        env.trace = obs.trace_stamp();
-                        if let Some(batch) = batcher.push(group, env, Instant::now()) {
-                            note_seal(&stage_seal, &batch);
-                            with_ctx!(|ctx| host.propose_envelopes(group, batch, &mut ctx));
-                        }
-                    }
                 }
                 Event::ClientRequestV2 {
                     client,
@@ -990,30 +672,19 @@ fn node_loop(
                         // v2: point the client at a node that serves the
                         // group instead of making it guess (or silently
                         // proxying on its behalf).
-                        if let Some(conn) = clients.lock().get(&client) {
+                        if let Some(writer) = clients.lock().get(&client) {
                             let target =
                                 setup.registry.ring(group).ok().and_then(|cfg| {
                                     cfg.members().iter().copied().find(|m| *m != me)
                                 });
-                            match target {
-                                Some(to) => {
-                                    conn.writer.send(
-                                        &common::wire::client::ClientReply::Redirect {
-                                            seq,
-                                            group,
-                                            to,
-                                        },
-                                    );
-                                }
-                                None => {
-                                    conn.writer
-                                        .send(&common::wire::client::ClientReply::ErrorV2 {
-                                            seq,
-                                            code: common::wire::client::ErrorCode::UnknownGroup,
-                                            detail: format!("no node serves group {group}"),
-                                        });
-                                }
-                            }
+                            writer.send(match target {
+                                Some(to) => ClientReply::Redirect { seq, group, to },
+                                None => ClientReply::ErrorV2 {
+                                    seq,
+                                    code: common::wire::client::ErrorCode::UnknownGroup,
+                                    detail: format!("no node serves group {group}"),
+                                },
+                            });
                         }
                     } else {
                         let env = Envelope {
@@ -1080,13 +751,7 @@ fn node_loop(
             next_session_sweep = Instant::now() + Duration::from_secs(1);
             // Periodic gauges ride the sweep's once-a-second cadence.
             batcher_depth.set(batcher.pending_len() as i64);
-            reply_queue_depth.set(
-                clients
-                    .lock()
-                    .values()
-                    .map(|c| c.writer.queued() as i64)
-                    .sum(),
-            );
+            reply_queue_depth.set(clients.lock().values().map(|w| w.queued() as i64).sum());
             session_count.set(host.session_ids().len() as i64);
             session_cached_replies.set(host.cached_reply_count() as i64);
             shard_queue_depth.set(host.executor_queue_depth() as i64);
@@ -1140,20 +805,14 @@ fn node_loop(
             next_credit_tick = Instant::now() + CREDIT_TICK;
             let backlog = batcher.pending_len() as i64 + rx.len() as i64;
             batcher_depth.set(batcher.pending_len() as i64);
-            let reply_backlog: i64 = clients
-                .lock()
-                .values()
-                .map(|c| c.writer.queued() as i64)
-                .sum();
+            let reply_backlog: i64 = clients.lock().values().map(|w| w.queued() as i64).sum();
             reply_queue_depth.set(reply_backlog);
             let w = credit.tick(backlog, reply_backlog, &wal_commit.snapshot());
             if w != grant.load(Ordering::Relaxed) {
                 grant.store(w, Ordering::Relaxed);
                 credit_window.set(w as i64);
-                for conn in clients.lock().values() {
-                    if conn.v2 {
-                        conn.writer.send(&ClientReply::CreditGrant { window: w });
-                    }
+                for writer in clients.lock().values() {
+                    writer.send(ClientReply::CreditGrant { window: w });
                 }
             }
         }
@@ -1172,7 +831,7 @@ fn note_seal(seal: &Hist, batch: &[Envelope]) {
     }
 }
 
-/// Routes one round of host effects: sends onto sockets (peers), reply
+/// Routes one round of host effects: sends onto peer links, reply
 /// frames (clients) or back into our own queue (self-sends); timer
 /// requests onto the wall-clock heap.
 #[allow(clippy::too_many_arguments)]
@@ -1180,45 +839,23 @@ fn route_effects(
     outbox: &mut Vec<(NodeId, Msg)>,
     timer_reqs: &mut Vec<(common::SimTime, Timer)>,
     transport: &mut PeerTransport,
-    clients: &Mutex<HashMap<ClientId, ClientConn>>,
+    clients: &Clients,
     self_tx: &Sender<Event>,
     timers: &mut TimerHeap<Timer>,
     clock: &WallClock,
     me: NodeId,
 ) {
-    use common::value::NO_SESSION;
     for (to, msg) in outbox.drain(..) {
         if let Some(client) = client_of_node(to) {
-            let Msg::Client(SimClientMsg::Response {
+            if let Msg::Client(SimClientMsg::Response {
                 client_seq,
                 session,
                 from_replica,
                 payload,
                 ..
             }) = msg
-            else {
-                continue;
-            };
-            // Client not connected here (or gone): reply dropped, exactly
-            // like the paper's UDP responses; the client retries (safely,
-            // under v2 — retries are deduplicated).
-            if let Some(conn) = clients.lock().get(&client) {
-                if conn.v2 {
-                    conn.writer.send(&ClientReply::ResponseV2 {
-                        session,
-                        seq: client_seq,
-                        from_replica,
-                        payload,
-                    });
-                } else if session == NO_SESSION {
-                    conn.writer.send(&ClientReply::Response {
-                        seq: client_seq,
-                        from_replica,
-                        payload,
-                    });
-                }
-                // A sessioned reply to a v1 connection can only be a
-                // stale cross-incarnation straggler: drop it.
+            {
+                reply_to_client(clients, client, session, client_seq, from_replica, payload);
             }
         } else if to == me {
             let _ = self_tx.send(Event::Peer(me, msg));

@@ -11,13 +11,9 @@ use common::wire::coord::CoordEvent;
 use coord::{CoordClientOptions, Registry, RingConfig};
 use liverun::coordsvc::{start_coord_server, CoordEnsemble, CoordServerConfig, CoordServerHandle};
 
-/// Ports 6000..8300 — below the Linux ephemeral range (32768+) so an
-/// outgoing connection's source port can never steal a listener bind,
-/// and disjoint from every other test binary's range (multiproc holds
-/// 9000.., end_to_end 15200.., live_deployment 20000..). Each test in
-/// this file passes its own index; a 3-replica ensemble uses 6 ports.
-fn base_port(test: u16) -> u16 {
-    6000 + (std::process::id() % 70) as u16 * 32 + test * 8
+/// A 3-replica ensemble uses 6 ports (3 ring, then 3 client).
+fn base_port() -> u16 {
+    liverun::config::free_port_block(6).unwrap()
 }
 
 fn start_ensemble(n: u16, base: u16) -> (Vec<CoordServerHandle>, Vec<SocketAddr>) {
@@ -47,7 +43,7 @@ fn nodes(ids: &[u32]) -> Vec<NodeId> {
 
 #[test]
 fn ensemble_replicates_writes_and_pushes_watches() {
-    let (handles, addrs) = start_ensemble(3, base_port(0));
+    let (handles, addrs) = start_ensemble(3, base_port());
     // Two clients on *different* replicas.
     let a = Registry::connect(&addrs[..1], CoordClientOptions::default()).unwrap();
     let b = Registry::connect(&addrs[1..2], CoordClientOptions::default()).unwrap();
@@ -111,7 +107,7 @@ fn ensemble_replicates_writes_and_pushes_watches() {
 
 #[test]
 fn session_expiry_drops_ephemeral_entries() {
-    let (handles, addrs) = start_ensemble(3, base_port(1));
+    let (handles, addrs) = start_ensemble(3, base_port());
     let short = CoordClientOptions {
         session_ttl: Duration::from_millis(600),
         ..CoordClientOptions::default()
@@ -177,7 +173,7 @@ fn replica_restart_in_place_serves_ops_committed_while_down() {
     std::fs::create_dir_all(&dir).unwrap();
 
     let mut ensemble =
-        CoordEnsemble::localhost(3, base_port(3), Some(&dir)).expect("ensemble launches");
+        CoordEnsemble::localhost(3, base_port(), Some(&dir)).expect("ensemble launches");
     let addrs = ensemble.client_addrs();
 
     // A client pinned to the replicas that will survive.
@@ -259,7 +255,7 @@ fn restart_in_place_preserves_counters_and_resets_gauges() {
     std::fs::create_dir_all(&dir).unwrap();
 
     let mut ensemble =
-        CoordEnsemble::localhost(3, base_port(4), Some(&dir)).expect("ensemble launches");
+        CoordEnsemble::localhost(3, base_port(), Some(&dir)).expect("ensemble launches");
     let addrs = ensemble.client_addrs();
     let client = Registry::connect(&addrs[..2], CoordClientOptions::default()).unwrap();
     let pinned = Registry::connect(&addrs[2..], CoordClientOptions::default()).unwrap();
@@ -361,7 +357,7 @@ fn restart_in_place_preserves_counters_and_resets_gauges() {
 
 #[test]
 fn client_and_ensemble_survive_replica_failure() {
-    let (mut handles, addrs) = start_ensemble(3, base_port(2));
+    let (mut handles, addrs) = start_ensemble(3, base_port());
     // This client starts on replica 0's address.
     let client = Registry::connect(&addrs, CoordClientOptions::default()).unwrap();
     client
@@ -412,9 +408,10 @@ fn wal_rotation_prunes_segments_and_restart_recovers_over_rotated_dir() {
 
     // Tiny checkpoint cadence: segments roll every 8 records and every
     // checkpoint prunes, so a few dozen writes produce real rotation.
+    let base = base_port();
     let configs: Vec<CoordServerConfig> = (0..3)
         .map(|id| {
-            let mut c = CoordServerConfig::localhost(id, 3, base_port(5));
+            let mut c = CoordServerConfig::localhost(id, 3, base);
             c.wal_dir = Some(dir.clone());
             c.checkpoint_every = 8;
             c

@@ -17,17 +17,16 @@ fn client_opts() -> ClientOptions {
     }
 }
 
-/// Ports 20000..26000 — disjoint from tests/end_to_end.rs (28000..34000)
-/// so parallel test binaries never collide.
-fn base_port(offset: u16) -> u16 {
-    20000 + (std::process::id() % 150) as u16 * 40 + offset
+/// Room for the largest deployment here: 6 nodes, 2 ports each.
+fn base_port() -> u16 {
+    liverun::config::free_port_block(12).unwrap()
 }
 
 #[test]
 fn mrpstore_put_get_scan_over_tcp() {
     let wal_dir = std::env::temp_dir().join(format!("liverun-wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&wal_dir);
-    let text = generate_localhost_mrpstore(2, 2, base_port(0), wal_dir.to_str());
+    let text = generate_localhost_mrpstore(2, 2, base_port(), wal_dir.to_str());
     let config = DeploymentConfig::parse(&text).unwrap();
     let deployment = Deployment::launch(config.clone()).unwrap();
 
@@ -93,7 +92,7 @@ fn restart_in_place_over_rotated_wal_dir() {
 
     let wal_dir = std::env::temp_dir().join(format!("liverun-rotwal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&wal_dir);
-    let text = generate_localhost_mrpstore(1, 3, base_port(100), wal_dir.to_str()).replacen(
+    let text = generate_localhost_mrpstore(1, 3, base_port(), wal_dir.to_str()).replacen(
         "[deployment]\n",
         "[deployment]\nwal_roll_every = 8\n",
         1,
@@ -191,7 +190,7 @@ fn replica_restart_recovers_and_serves_fresh_reads() {
     use common::ids::{NodeId, RingId};
     use mrpstore::Partitioning;
 
-    let text = generate_localhost_mrpstore(2, 3, base_port(20), None);
+    let text = generate_localhost_mrpstore(2, 3, base_port(), None);
     let config = DeploymentConfig::parse(&text).unwrap();
     let mut deployment = Deployment::launch(config.clone()).unwrap();
     let mut client = StoreClient::connect(&config, ClientId::new(7), client_opts()).unwrap();
@@ -283,7 +282,7 @@ fn exactly_once_counter_across_coordinator_kill_and_restart() {
     use common::ids::{NodeId, RingId};
     use mrpstore::{KvCommand, KvResponse, Partitioning};
 
-    let text = generate_localhost_mrpstore(2, 3, base_port(40), None);
+    let text = generate_localhost_mrpstore(2, 3, base_port(), None);
     let config = DeploymentConfig::parse(&text).unwrap();
     let mut deployment = Deployment::launch(config.clone()).unwrap();
     let mut client = StoreClient::connect(
@@ -414,7 +413,7 @@ fn exactly_once_counter_across_coordinator_kill_and_restart() {
 fn stats_plane_reports_per_node_pipeline_counts() {
     use std::time::Instant;
 
-    let text = generate_localhost_mrpstore(1, 3, base_port(80), None);
+    let text = generate_localhost_mrpstore(1, 3, base_port(), None);
     let config = DeploymentConfig::parse(&text).unwrap();
     let deployment = Deployment::launch(config.clone()).unwrap();
     let mut client = StoreClient::connect(&config, ClientId::new(9), client_opts()).unwrap();
@@ -488,7 +487,7 @@ fn stats_plane_reports_per_node_pipeline_counts() {
 fn fanout_completes_despite_replica_kill_mid_fanout() {
     use common::ids::NodeId;
 
-    let text = generate_localhost_mrpstore(2, 2, base_port(60), None);
+    let text = generate_localhost_mrpstore(2, 2, base_port(), None);
     let config = DeploymentConfig::parse(&text).unwrap();
     let mut deployment = Deployment::launch(config.clone()).unwrap();
 
@@ -551,7 +550,7 @@ fn overload_shrinks_credit_window_and_drain_restores_it() {
 
     // Replace the generator's batching line outright: the hand-parsed
     // TOML lets a later duplicate key win, so prepending would be inert.
-    let text = generate_localhost_mrpstore(1, 3, base_port(160), None).replacen(
+    let text = generate_localhost_mrpstore(1, 3, base_port(), None).replacen(
         "batch_max = 64\nbatch_delay_ms = 2\n",
         "batch_max = 10000\nbatch_max_bytes = 1048576\nbatch_delay_ms = 150\n\
          client_window = 64\ncredit_min_window = 1\ncredit_backlog_high = 4\n",
@@ -655,7 +654,7 @@ fn sharded_executor_restart_in_place_is_exactly_once() {
     let wal_dir = std::env::temp_dir().join(format!("liverun-shardwal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&wal_dir);
     let text = with_executor_shards(
-        &generate_localhost_mrpstore(2, 3, base_port(120), wal_dir.to_str()),
+        &generate_localhost_mrpstore(2, 3, base_port(), wal_dir.to_str()),
         4,
     );
     let config = DeploymentConfig::parse(&text).unwrap();
@@ -759,7 +758,7 @@ fn live_range_migration_is_exactly_once_and_reroutes() {
     let text = liverun::config::with_range_partitioning(&generate_localhost_mrpstore(
         2,
         2,
-        base_port(200),
+        base_port(),
         None,
     ));
     let config = DeploymentConfig::parse(&text).unwrap();
@@ -837,5 +836,62 @@ fn live_range_migration_is_exactly_once_and_reroutes() {
     let entries = admin.scan("g", "h").unwrap();
     assert_eq!(entries.len(), 11, "10 seeded entries plus the counter");
 
+    deployment.shutdown();
+}
+
+/// Protocol v1 is retired: a v1 hello (or request) is answered with
+/// exactly one `Error` frame and the connection is closed — no welcome,
+/// no session, no hang.
+#[test]
+fn v1_hello_is_rejected_cleanly() {
+    use common::ids::{RequestId, RingId};
+    use common::transport::{encode_frame, FrameBuf};
+    use common::wire::client::{ClientMsg, ClientReply};
+    use std::io::{Read, Write};
+
+    let text = generate_localhost_mrpstore(1, 1, base_port(), None);
+    let config = DeploymentConfig::parse(&text).unwrap();
+    let deployment = Deployment::launch(config.clone()).unwrap();
+
+    let v1_frames = [
+        ClientMsg::Hello {
+            client: ClientId::new(77),
+        },
+        ClientMsg::Request {
+            seq: RequestId::new(9),
+            group: RingId::new(0),
+            cmd: Bytes::from_static(b"anything"),
+        },
+    ];
+    for frame in v1_frames {
+        let mut conn = std::net::TcpStream::connect(config.nodes[0].client_addr).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        conn.write_all(&encode_frame(&frame)).unwrap();
+        // Everything the server says before it hangs up.
+        let mut raw = Vec::new();
+        conn.read_to_end(&mut raw)
+            .expect("the server closes the connection");
+        let mut buf = FrameBuf::new();
+        buf.extend(&raw);
+        let mut replies = Vec::new();
+        while let Some(reply) = buf.try_next::<ClientReply>().unwrap() {
+            replies.push(reply);
+        }
+        assert!(
+            matches!(
+                replies.as_slice(),
+                [ClientReply::Error { reason, .. }] if reason == "protocol v1 retired"
+            ),
+            "{frame:?} answered {replies:?}"
+        );
+    }
+
+    // The node is none the worse for it: a v2 client still works.
+    let mut client = StoreClient::connect(&config, ClientId::new(78), client_opts()).unwrap();
+    assert_eq!(
+        client.insert("k", Bytes::from_static(b"v")).unwrap(),
+        KvResponse::Ok
+    );
     deployment.shutdown();
 }

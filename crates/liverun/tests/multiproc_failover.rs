@@ -94,10 +94,8 @@ fn coordinator_kill_and_restart_through_amcoordd() {
         std::process::abort();
     });
 
-    // Ports 9000..15000 — below the Linux ephemeral range (32768+) so an
-    // outgoing connection's source port can never steal a listener bind,
-    // and disjoint from every other test binary's range.
-    let base = 9000 + (std::process::id() % 300) as u16 * 20;
+    // 6 amcoordd ports (3 ring + 3 client), 2 spare, then 3 nodes × 2.
+    let base = liverun::config::free_port_block(14).unwrap();
     let coord_ring: Vec<SocketAddr> = (0..3)
         .map(|i| format!("127.0.0.1:{}", base + i).parse().unwrap())
         .collect();

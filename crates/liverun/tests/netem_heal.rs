@@ -22,10 +22,9 @@ use liverun::config::{generate_localhost_mrpstore, with_geo};
 use liverun::{fetch_stats, ClientOptions, Deployment, DeploymentConfig, StoreClient};
 use mrpstore::KvResponse;
 
-/// Ports 36000+ — disjoint from the other liverun test binaries
-/// (live_deployment at 20000.., end_to_end at 28000..).
+/// 3 nodes, 2 ports each.
 fn base_port() -> u16 {
-    36000 + (std::process::id() % 90) as u16 * 40
+    liverun::config::free_port_block(6).unwrap()
 }
 
 #[test]

@@ -13,12 +13,13 @@
 //! The core type is [`RingNode`]: a runtime-agnostic state machine holding
 //! all roles a process plays in one ring. It is driven through
 //! [`RingNode::on_msg`], [`RingNode::on_timer`] and [`RingNode::propose`],
-//! and emits effects into an [`Output`] scratch buffer. Two adapters drive
-//! it:
+//! and emits effects into an [`Output`] scratch buffer. It never touches
+//! a socket or a clock; its drivers do:
 //!
 //! * [`process::RingProcess`] — a [`simnet::Process`] for simulations;
-//! * [`live`] — a thread-per-node runtime over crossbeam channels or TCP
-//!   sockets for real deployments.
+//! * the `liverun` crate's event loops for real deployments — the
+//!   `amcoordd` server loop owns a bare `RingNode`, `amcastd`'s node loop
+//!   owns one per ring inside its `multiring::MultiRingHost`.
 //!
 //! Failure handling: members heartbeat their ring successor; silence
 //! triggers a compare-and-swap reconfiguration in the [`coord::Registry`]
@@ -26,7 +27,6 @@
 //! coordinator, which re-runs Phase 1 at a higher ballot and re-proposes
 //! in-doubt values (§5.1).
 
-pub mod live;
 pub mod node;
 pub mod options;
 pub mod process;

@@ -1,60 +1,56 @@
-//! Quickstart: atomic broadcast on a live in-process ring.
+//! Quickstart: the README's 60-second live deployment, as a library.
 //!
-//! Three nodes form one Ring Paxos ring (real threads, real channels —
-//! not the simulator). We propose a handful of values from different
-//! nodes and show that every node delivers the identical totally-ordered
-//! stream.
+//! Launches a localhost MRP-Store — 2 partitions × 2 replicas, one Ring
+//! Paxos ring per partition plus a global ring for scans — over real TCP
+//! in this process, then drives it as a network client would: a `put` is
+//! hash-routed to its partition's ring, a `scan` is atomically multicast
+//! on the global ring and answered by every partition (§6.1, §7.2).
+//! `amcastd generate` / `amcastd run --all` / `amcast-cli` do the same
+//! from the shell.
 //!
 //! Run: `cargo run --example quickstart`
 
-use std::time::Duration;
-
-use atomic_multicast::common::ids::NodeId;
-use atomic_multicast::common::value::{Value, ValueId, ValueKind};
-use atomic_multicast::ringpaxos::live::LiveRing;
-use atomic_multicast::ringpaxos::options::RingOptions;
+use atomic_multicast::common::ids::ClientId;
+use atomic_multicast::liverun::config::{free_port_block, generate_localhost_mrpstore};
+use atomic_multicast::liverun::{ClientOptions, Deployment, DeploymentConfig, StoreClient};
 use bytes::Bytes;
 
 fn main() {
-    // Start three nodes; every node is proposer + acceptor + learner, and
-    // the first acceptor coordinates (paper §8.3.1's smallest deployment).
-    let ring = LiveRing::in_process(3, RingOptions::crash_free()).expect("start ring");
+    // 1. Generate the deployment document: 4 nodes, 2 ports each.
+    let base_port = free_port_block(8).expect("free localhost ports");
+    let doc = generate_localhost_mrpstore(2, 2, base_port, None);
+    let config = DeploymentConfig::parse(&doc).expect("generated document parses");
 
-    // Propose ten values, alternating the proposing node.
-    for seq in 0..10u64 {
-        let node = (seq % 3) as usize;
-        let value = Value {
-            id: ValueId::new(NodeId::new(node as u32), seq),
-            kind: ValueKind::App(Bytes::from(format!("value-{seq} from node {node}"))),
-        };
-        ring.node(node).propose(value).expect("propose");
+    // 2. Serve it — every node in this process, each on its own sockets.
+    let deployment = Deployment::launch(config.clone()).expect("launch deployment");
+
+    // 3. Point a client at it.
+    let mut store = StoreClient::connect(&config, ClientId::new(1), ClientOptions::default())
+        .expect("connect client");
+    for (user, name) in [("user:1", "alice"), ("user:2", "bob"), ("user:3", "carol")] {
+        let reply = store.insert(user, Bytes::from(name)).expect("put");
+        println!("put {user} {name} -> {reply:?}");
     }
+    let alice = store.read("user:1").expect("get");
+    println!(
+        "get user:1 -> {:?}",
+        alice.as_deref().map(String::from_utf8_lossy)
+    );
+    assert_eq!(alice, Some(Bytes::from("alice")));
 
-    // Every node delivers the same stream, in the same order.
-    let mut streams = Vec::new();
-    for (i, node) in ring.nodes().iter().enumerate() {
-        let mut got = Vec::new();
-        while got.len() < 10 {
-            let d = node
-                .recv_delivery(Duration::from_secs(5))
-                .expect("delivery within 5s");
-            got.push(d);
-        }
-        println!("node {i} delivered {} values", got.len());
-        streams.push(got);
+    // One scan, both partitions, one consistent cut.
+    let all = store.scan("", "").expect("scan");
+    for (key, value) in &all {
+        println!("scan: {key} = {}", String::from_utf8_lossy(value));
     }
+    assert_eq!(all.len(), 3, "the scan merges every partition's answer");
 
-    assert_eq!(streams[0], streams[1]);
-    assert_eq!(streams[1], streams[2]);
-    println!("\ntotal order on every node:");
-    for d in &streams[0] {
-        let text = match &d.value.kind {
-            ValueKind::App(b) => String::from_utf8_lossy(b).into_owned(),
-            other => format!("{other:?}"),
-        };
-        println!("  instance {:>3} -> {text}", d.inst.raw());
-    }
+    // Exactly-once counter: retries can never double-apply.
+    assert_eq!(store.add("hits", 5).expect("add"), 5);
+    assert_eq!(store.add("hits", 1).expect("add"), 6);
+    println!("add hits 5, add hits 1 -> 6");
 
-    ring.shutdown();
-    println!("\nok: all three nodes delivered the identical sequence");
+    drop(store);
+    deployment.shutdown();
+    println!("\nok: 2 partitions x 2 replicas served puts, gets, a scan and a counter");
 }

@@ -12,7 +12,6 @@ use atomic_multicast::dlog::{DlogApp, LogCommand};
 use atomic_multicast::mrpstore::{KvApp, KvCommand, Partitioning};
 use atomic_multicast::multiring::client::{ClosedLoopClient, CommandSpec};
 use atomic_multicast::multiring::{HostOptions, MultiRingHost};
-use atomic_multicast::ringpaxos::live::LiveRing;
 use atomic_multicast::ringpaxos::options::{RateLeveling, RingOptions};
 use atomic_multicast::simnet::{CpuModel, Region, Sim, Topology};
 use atomic_multicast::storage::StorageMode;
@@ -222,28 +221,6 @@ fn dlog_multi_append_is_atomic() {
     assert!(stats.borrow().completed > 100);
 }
 
-/// The same protocol code runs over real sockets.
-#[test]
-fn live_tcp_ring_small_smoke() {
-    let base = 43100 + (std::process::id() % 500) as u16;
-    let addrs: Vec<std::net::SocketAddr> = (0..3)
-        .map(|i| format!("127.0.0.1:{}", base + i).parse().unwrap())
-        .collect();
-    let ring = LiveRing::tcp(&addrs, RingOptions::crash_free(), None).unwrap();
-    for seq in 0..3u64 {
-        ring.node(0)
-            .propose(atomic_multicast::common::value::Value::app(
-                NodeId::new(0),
-                seq,
-                Bytes::from_static(b"smoke"),
-            ))
-            .unwrap();
-    }
-    let d = ring.node(2).recv_delivery(Duration::from_secs(10)).unwrap();
-    assert_eq!(d.inst.raw(), 0);
-    ring.shutdown();
-}
-
 /// The live deployment runtime end-to-end: a 2-partition MRP-Store (one
 /// ring per partition plus the global scan ring) served over localhost
 /// TCP by `liverun`, driven by concurrent closed-loop network clients,
@@ -253,14 +230,12 @@ fn live_tcp_ring_small_smoke() {
 /// anything stale would violate linearizability.
 #[test]
 fn live_mrpstore_survives_replica_restart_with_closed_loop_clients() {
-    use atomic_multicast::liverun::config::generate_localhost_mrpstore;
+    use atomic_multicast::liverun::config::{free_port_block, generate_localhost_mrpstore};
     use atomic_multicast::liverun::{ClientOptions, Deployment, DeploymentConfig, StoreClient};
     use atomic_multicast::mrpstore::{KvCommand, KvResponse, Partitioning};
 
-    // Ports 28000..32400 — disjoint from crates/liverun's test range
-    // (20000..26000) and capped below the Linux ephemeral range (32768+)
-    // so parallel test binaries and outgoing source ports never collide.
-    let base = 28000 + (std::process::id() % 110) as u16 * 40;
+    // 6 nodes, 2 ports each.
+    let base = free_port_block(12).unwrap();
     let text = generate_localhost_mrpstore(2, 3, base, None);
     let config = DeploymentConfig::parse(&text).unwrap();
     let mut deployment = Deployment::launch(config.clone()).unwrap();
@@ -377,15 +352,15 @@ fn live_mrpstore_survives_replica_restart_with_closed_loop_clients() {
 #[test]
 fn live_mrpstore_reconfigures_through_amcoord_ensemble() {
     use atomic_multicast::coord::{CoordClientOptions, Registry};
-    use atomic_multicast::liverun::config::{generate_localhost_mrpstore, with_coord};
+    use atomic_multicast::liverun::config::{
+        free_port_block, generate_localhost_mrpstore, with_coord,
+    };
     use atomic_multicast::liverun::coordsvc::{start_coord_server, CoordServerConfig};
     use atomic_multicast::liverun::{ClientOptions, Deployment, DeploymentConfig, StoreClient};
     use atomic_multicast::mrpstore::{KvCommand, KvResponse};
 
-    // Ports 15200..20000 with stride 32 — below the Linux ephemeral range
-    // (32768+, where an outgoing connection's source port can steal a
-    // listener bind) and disjoint from the other live test ranges.
-    let base = 15200 + (std::process::id() % 150) as u16 * 32;
+    // 6 amcoordd ports (3 ring + 3 client), 2 spare, then 3 nodes × 2.
+    let base = free_port_block(14).unwrap();
     let mut coord_handles = Vec::new();
     for id in 0..3u32 {
         coord_handles.push(start_coord_server(CoordServerConfig::localhost(id, 3, base)).unwrap());
