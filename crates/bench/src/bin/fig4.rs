@@ -31,8 +31,8 @@ use simnet::{CpuModel, Ctx, Process, Sim, Timer, Topology};
 use storage::{DiskProfile, StorageMode};
 use workloads::{Op, Workload, WorkloadSpec};
 
-use baselines::eventual::{unwrap as ev_unwrap, wrap as ev_wrap, EvMsg, EventualReplica};
-use baselines::single_node::{unwrap as sn_unwrap, wrap as sn_wrap, SingleNodeStore, SnMsg};
+use bench::baselines::eventual::{unwrap as ev_unwrap, wrap as ev_wrap, EvMsg, EventualReplica};
+use bench::baselines::single_node::{unwrap as sn_unwrap, wrap as sn_wrap, SingleNodeStore, SnMsg};
 
 const RECORDS: u64 = 20_000;
 const VALUE_SIZE: usize = 100;

@@ -27,7 +27,9 @@ use ringpaxos::options::RingOptions;
 use simnet::{CpuModel, Ctx, Process, Sim, Timer, Topology};
 use storage::{DiskProfile, StorageMode};
 
-use baselines::ensemble_log::{unwrap as bk_unwrap, wrap as bk_wrap, BkMsg, Bookie, BookieConfig};
+use bench::baselines::ensemble_log::{
+    unwrap as bk_unwrap, wrap as bk_wrap, BkMsg, Bookie, BookieConfig,
+};
 
 const THREADS: [usize; 6] = [1, 25, 50, 100, 150, 200];
 const WARMUP: Duration = Duration::from_secs(1);

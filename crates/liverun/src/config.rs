@@ -217,9 +217,7 @@ pub struct DeploymentConfig {
     /// Executor shards per node (`executor_shards`): 1 executes
     /// delivered commands inline on the merge thread (the classic
     /// stack); >1 splits each node's service state across that many
-    /// worker threads behind the deterministic merge; 0 sizes the
-    /// split to the machine (one shard per available core) — resolve
-    /// through [`DeploymentConfig::resolved_executor_shards`].
+    /// worker threads behind the deterministic merge. Never 0.
     pub executor_shards: u32,
     /// MRP-Store key placement (`partitioning`): `"hash"` (default) or
     /// `"range"`, which seeds an evenly split key-range table — the
@@ -411,7 +409,10 @@ impl DeploymentConfig {
             coord_addrs,
             session_ttl: Duration::from_millis(deployment.int_or("session_ttl_ms", 3000)?),
             trace_sample: deployment.int_or("trace_sample", 0)?,
-            executor_shards: deployment.int_or("executor_shards", 1)? as u32,
+            executor_shards: match deployment.int_or("executor_shards", 1)? {
+                0 => return Err(Error::Config("executor_shards must be at least 1".into())),
+                n => n as u32,
+            },
             range_partitioned: match deployment.str_or("partitioning", "hash").as_str() {
                 "hash" => false,
                 "range" => true,
@@ -571,19 +572,6 @@ impl DeploymentConfig {
             .find(|p| p.id == partition)
             .map(|p| p.rings.clone())
             .unwrap_or_default()
-    }
-
-    /// The executor shard count nodes actually start with:
-    /// `executor_shards` as configured, or — when it is 0 — one shard
-    /// per core the machine offers this process.
-    pub fn resolved_executor_shards(&self) -> u32 {
-        if self.executor_shards != 0 {
-            self.executor_shards
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get() as u32)
-                .unwrap_or(1)
-        }
     }
 
     /// The partitioning scheme an MRP-Store deployment boots with
@@ -860,8 +848,8 @@ pub fn with_coord(doc: &str, addrs: &[SocketAddr], session_ttl: Duration) -> Str
 }
 
 /// Sets `executor_shards = n` in a deployment document's `[deployment]`
-/// section. Used by tests and the bench to run the same document with
-/// different executor layouts.
+/// section. Used by tests to run the same document with different
+/// executor layouts.
 pub fn with_executor_shards(doc: &str, n: u32) -> String {
     doc.replacen(
         "[deployment]\n",
@@ -1005,6 +993,8 @@ acceptors = [0]
 "#;
         assert!(DeploymentConfig::parse(unknown_member).is_err());
         assert!(DeploymentConfig::parse("junk line\n").is_err());
+        let no_shards = with_executor_shards(&generate_localhost_mrpstore(1, 1, 1, None), 0);
+        assert!(DeploymentConfig::parse(&no_shards).is_err(), "0 shards");
     }
 
     #[test]

@@ -71,7 +71,7 @@ fn build_stack(config: &DeploymentConfig, node: NodeId, obs: &Obs) -> Result<App
     let spec = config
         .node(node)
         .ok_or_else(|| Error::Config(format!("node {node} not in configuration")))?;
-    let shards = config.resolved_executor_shards() as usize;
+    let shards = config.executor_shards as usize;
     // The reply-cache cap tracks the credit window so a full window
     // always fits.
     let limits = SessionLimits {
@@ -280,19 +280,8 @@ fn start_node_shaped(
         // node loop spawns, so the first relayed chunk already counts.
         nt.attach_obs(node, obs.clone());
     }
-    // Surface the resolved executor layout: with `executor_shards = 0`
-    // the split is sized to the machine, so record what was picked.
-    let shards = config.resolved_executor_shards();
-    obs.gauge("executor_shards").set(i64::from(shards));
-    eprintln!(
-        "node {}: executor_shards = {shards}{}",
-        node.raw(),
-        if config.executor_shards == 0 {
-            " (auto: one per core)"
-        } else {
-            ""
-        }
-    );
+    obs.gauge("executor_shards")
+        .set(i64::from(config.executor_shards));
     let mut host_opts = host_options(config);
     host_opts.ring.obs = obs.clone();
     let stack = build_stack(config, node, &obs)?;

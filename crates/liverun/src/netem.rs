@@ -573,7 +573,8 @@ mod tests {
 
     /// A two-node world with custom region names 40 ms apart; node 1's
     /// peer listener is played by the test itself.
-    fn test_netem(base_port: u16) -> (Netem, DeploymentConfig) {
+    fn test_netem() -> (Netem, DeploymentConfig) {
+        let base_port = crate::config::free_port_block(4).unwrap();
         let base = generate_localhost_mrpstore(1, 2, base_port, None);
         let mut doc = with_geo(&base, &[("left", &[0]), ("right", &[1])], 100);
         doc.push_str("\n[[link]]\nfrom = \"left\"\nto = \"right\"\nrtt_ms = 40\n");
@@ -584,7 +585,7 @@ mod tests {
 
     #[test]
     fn relays_shape_and_count_delay() {
-        let (netem, config) = test_netem(7940);
+        let (netem, config) = test_netem();
         let obs = Obs::for_node(0);
         netem.attach_obs(NodeId::new(0), obs.clone());
         let target = TcpListener::bind(config.nodes[1].peer_addr).unwrap();
@@ -615,7 +616,7 @@ mod tests {
 
     #[test]
     fn partition_cuts_and_heal_restores() {
-        let (netem, config) = test_netem(7950);
+        let (netem, config) = test_netem();
         let obs = Obs::for_node(0);
         netem.attach_obs(NodeId::new(0), obs.clone());
         let target = TcpListener::bind(config.nodes[1].peer_addr).unwrap();
@@ -661,7 +662,7 @@ mod tests {
     /// (both sides accusing each other until one ends up sole member).
     #[test]
     fn partition_cuts_coordination_access() {
-        let (netem, config) = test_netem(7960);
+        let (netem, config) = test_netem();
         let control = netem.control();
         let registry = Registry::new();
         let members = vec![NodeId::new(0), NodeId::new(1)];

@@ -22,6 +22,20 @@ fn base_port() -> u16 {
     liverun::config::free_port_block(12).unwrap()
 }
 
+/// Every node's registry, scraped over the stats plane.
+fn scrape(config: &DeploymentConfig) -> Vec<common::obs::ObsSnapshot> {
+    config
+        .nodes
+        .iter()
+        .map(|n| liverun::fetch_stats(n.client_addr, Duration::from_secs(5)).expect("stats"))
+        .collect()
+}
+
+/// One counter summed over every node's snapshot.
+fn total(snaps: &[common::obs::ObsSnapshot], name: &str) -> u64 {
+    snaps.iter().filter_map(|s| s.counter(name)).sum()
+}
+
 #[test]
 fn mrpstore_put_get_scan_over_tcp() {
     let wal_dir = std::env::temp_dir().join(format!("liverun-wal-{}", std::process::id()));
@@ -408,21 +422,26 @@ fn exactly_once_counter_across_coordinator_kill_and_restart() {
 /// `StatsRequest` on every node, and the per-node pipeline counters
 /// reconcile with the submitted command count — each command is
 /// proposed by exactly one node and executed by all three, so per-node
-/// proposal counts *sum* to the (common) per-node executed count.
+/// proposal counts *sum* to the (common) per-node executed count. The
+/// same counters pin the decision path: decisions are id-only on every
+/// node and go point-to-point, never around the ring.
 #[test]
 fn stats_plane_reports_per_node_pipeline_counts() {
     use std::time::Instant;
 
     let text = generate_localhost_mrpstore(1, 3, base_port(), None);
-    let config = DeploymentConfig::parse(&text).unwrap();
+    let mut config = DeploymentConfig::parse(&text).unwrap();
+    config.trace_sample = 32;
     let deployment = Deployment::launch(config.clone()).unwrap();
     let mut client = StoreClient::connect(&config, ClientId::new(9), client_opts()).unwrap();
 
+    // 1 KiB values: a decision that carried its payload would blow far
+    // past the bytes-per-decision bound below.
     const N: u64 = 24;
     for i in 0..N {
         assert_eq!(
             client
-                .insert(&format!("obs{i:02}"), Bytes::from(vec![i as u8]))
+                .insert(&format!("obs{i:02}"), Bytes::from(vec![i as u8; 1024]))
                 .unwrap(),
             KvResponse::Ok
         );
@@ -434,11 +453,7 @@ fn stats_plane_reports_per_node_pipeline_counts() {
     // that answered the client runs a beat ahead of its peers.
     let deadline = Instant::now() + Duration::from_secs(10);
     let snaps = loop {
-        let snaps: Vec<common::obs::ObsSnapshot> = config
-            .nodes
-            .iter()
-            .map(|n| liverun::fetch_stats(n.client_addr, Duration::from_secs(5)).expect("stats"))
-            .collect();
+        let snaps = scrape(&config);
         let execs: Vec<u64> = snaps
             .iter()
             .map(|s| s.counter("executed_cmds").unwrap_or(0))
@@ -475,6 +490,149 @@ fn stats_plane_reports_per_node_pipeline_counts() {
             snap.node
         );
     }
+
+    // An id-only decision is ~10 bytes on the wire.
+    let msgs = total(&snaps, "decision_msgs");
+    let wire = total(&snaps, "decision_wire_bytes");
+    assert!(msgs > 0, "no decision was sent");
+    assert!(
+        wire <= 64 * msgs,
+        "{wire} B in {msgs} decisions: more than ids on the wire"
+    );
+    // The member whose vote completes the majority tells the
+    // `majority - 1` members upstream of it directly and nobody forwards,
+    // so a ring that spends more decision messages than that per decided
+    // value is circulating them again. Idle rings keep deciding skips:
+    // read the decided counts from a scrape taken after the sends.
+    let later = scrape(&config);
+    for ring in &config.rings {
+        let r = ring.id.raw();
+        let sent = total(&snaps, &format!("ring{r}_decision_msgs"));
+        let decided = later
+            .iter()
+            .filter_map(|s| s.counter(&format!("ring{r}_instances_decided")))
+            .max()
+            .unwrap_or(0);
+        let upstream = (ring.acceptors.len() / 2) as u64;
+        assert!(decided > 0, "ring {r} decided nothing");
+        assert!(
+            sent <= upstream * decided,
+            "ring {r}: {sent} decision msgs for {decided} decided values (at most {upstream} each)"
+        );
+    }
+    // Tracing is on (1 in 32): an always-off sampler would record nothing.
+    let sampled: u64 = snaps
+        .iter()
+        .filter_map(|s| s.hist("stage_propose_nanos").map(|h| h.count))
+        .sum();
+    assert!(sampled > 0, "tracing on but no stage samples recorded");
+
+    deployment.shutdown();
+}
+
+/// Genuineness (paper §2): a command is ordered only by the partitions
+/// it addresses. A pipelined burst whose every key lives in partition 0
+/// must leave every other ring — partition 1's and the global ring — on
+/// every node with no delivered command and no application payload byte.
+#[test]
+fn single_partition_load_leaves_other_rings_untouched() {
+    use liverun::service::KvRouter;
+    use mrpstore::KvCommand;
+    use multiring::route::Route;
+    use std::time::Instant;
+
+    let text = generate_localhost_mrpstore(2, 2, base_port(), None);
+    let config = DeploymentConfig::parse(&text).unwrap();
+    let deployment = Deployment::launch(config.clone()).unwrap();
+    let mut client = StoreClient::connect(&config, ClientId::new(12), client_opts()).unwrap();
+    // Route the way `StoreClient` does, but without waiting per command.
+    let router = KvRouter {
+        scheme: client.scheme().clone(),
+        global: config.global_ring(),
+    };
+
+    const N: u64 = 2000;
+    let value = Bytes::from(vec![0x5au8; 1024]);
+    let mut keys = (0u64..)
+        .map(|i| format!("pin{}", i % 4096))
+        .filter(|k| router.scheme.partition_of(k).raw() == 0);
+    let mut completed = 0u64;
+    for _ in 0..N {
+        let cmd = KvCommand::Insert {
+            key: keys.next().expect("endless"),
+            value: value.clone(),
+        }
+        .to_bytes();
+        let ring = router.route(&cmd).ring();
+        client.raw().submit(ring, cmd).expect("submit");
+        if client.raw().poll_reply(Duration::ZERO).is_some() {
+            completed += 1;
+        }
+    }
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while completed < N && Instant::now() < deadline {
+        if client
+            .raw()
+            .poll_reply(Duration::from_millis(250))
+            .is_some()
+        {
+            completed += 1;
+        }
+    }
+    assert_eq!(completed, N, "every pipelined update completes");
+
+    // Both partition-0 replicas deliver the whole burst; the one that
+    // did not answer the client may run a beat behind. The other rings
+    // must read zero on every scrape, so check them before waiting.
+    let snaps = loop {
+        let snaps = scrape(&config);
+        for snap in &snaps {
+            for ring in config.rings.iter().filter(|r| r.id.raw() != 0) {
+                for metric in [
+                    "delivered_cmds",
+                    "phase2_payload_bytes",
+                    "decision_payload_bytes",
+                ] {
+                    let name = format!("ring{}_{metric}", ring.id.raw());
+                    assert_eq!(
+                        snap.counter(&name).unwrap_or(0),
+                        0,
+                        "node {}: {name} on a ring the load never addressed",
+                        snap.node
+                    );
+                }
+            }
+        }
+        let delivered = |n: usize| snaps[n].counter("ring0_delivered_cmds").unwrap_or(0);
+        if delivered(0) >= N && delivered(1) >= N {
+            break snaps;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "partition 0 delivered {} and {} of {N}",
+            delivered(0),
+            delivered(1)
+        );
+        std::thread::sleep(Duration::from_millis(100));
+    };
+    let payload = total(&snaps, "ring0_phase2_payload_bytes");
+    assert!(
+        payload >= N * 1024,
+        "ring 0 carried {payload} payload bytes"
+    );
+    // Idle subscribed rings still circulate skip tokens (the merge needs
+    // their credit): metadata only, and little of it. Measured at
+    // 0.03-0.04 % of ring 0's ordering bytes at this load.
+    let ordering_bytes = |ring: u16| {
+        total(&snaps, &format!("ring{ring}_phase2_wire_bytes"))
+            + total(&snaps, &format!("ring{ring}_decision_wire_bytes"))
+    };
+    let idle = ordering_bytes(1) + ordering_bytes(2);
+    assert!(
+        idle < ordering_bytes(0) / 20,
+        "idle rings carried {idle} ordering bytes, ring 0 {}",
+        ordering_bytes(0)
+    );
 
     deployment.shutdown();
 }

@@ -10,8 +10,8 @@
 //! * `--only NAME` — run one scenario (`placement`, `bank`, `consumers`).
 //! * `--out PATH` — where to write the JSON report (default
 //!   `BENCH_scenarios.json`).
-//! * `--base-port N` — first port of the harness's port blocks
-//!   (default 17000; uses up to ~400 ports above it).
+//! * `--base-port N` — first port of the harness's port blocks (uses
+//!   up to ~300 ports above it; default: a probed free block).
 //! * `--scale PCT` — override the WAN delay scale.
 //!
 //! Exit status is non-zero if any scenario's invariants failed.
@@ -36,7 +36,7 @@ fn parse_args() -> Result<Args, String> {
         smoke: false,
         only: None,
         out: "BENCH_scenarios.json".into(),
-        base_port: 17000,
+        base_port: 0, // not given: probe for a free block below
         scale: None,
     };
     let mut it = std::env::args().skip(1);
@@ -60,6 +60,12 @@ fn parse_args() -> Result<Args, String> {
             }
             other => return Err(format!("unknown argument {other}")),
         }
+    }
+    if args.base_port == 0 {
+        // The last block (consumers) starts 300 above the base and
+        // holds three nodes' two ports each.
+        args.base_port = liverun::config::free_port_block(306)
+            .map_err(|e| format!("no free port block: {e}"))?;
     }
     Ok(args)
 }

@@ -4,7 +4,6 @@
 //! See [`multiring`] for the paper's primary contribution (Multi-Ring
 //! Paxos), [`mrpstore`] and [`dlog`] for the two services built on it.
 
-pub use baselines;
 pub use common;
 pub use coord;
 pub use dlog;
