@@ -3,9 +3,21 @@
 //! Every client command costs one consensus instance unless the proposer
 //! groups commands — the paper leans on exactly this ("different types of
 //! messages for several consensus instances are often grouped into bigger
-//! packets", §4). The [`Batcher`] holds incoming envelopes per ring and
-//! releases a batch when it reaches `max_envelopes`, `max_bytes` of
-//! command payload, or when the oldest envelope has waited `max_delay`.
+//! packets", §4). Batching is there for throughput, not to hold a command
+//! back on a quiet ring, so the [`Batcher`] holds incoming envelopes per
+//! ring and releases a batch on the first of four conditions:
+//!
+//! 1. **the ring is idle** — the node loop sees that this node has no
+//!    proposal of its own in flight on the ring and takes whatever is
+//!    pending ([`Batcher::take_idle`]). While a proposal *is* in flight,
+//!    its round trip is the batching window (group commit): commands
+//!    that arrive meanwhile ride the next value together, so batch size
+//!    follows load by itself;
+//! 2. it reaches `max_envelopes`;
+//! 3. it reaches `max_bytes` of command payload;
+//! 4. its oldest envelope has waited `max_delay` — the ceiling: a slow or
+//!    lost proposal never holds the commands behind it longer than this.
+//!
 //! One released batch becomes **one** proposed value
 //! ([`common::value::Payload::Batch`]).
 
@@ -22,7 +34,8 @@ pub struct BatchOptions {
     pub max_envelopes: usize,
     /// Flush once the batch holds this many payload bytes.
     pub max_bytes: usize,
-    /// Flush a non-empty batch after this long regardless of size.
+    /// Flush a non-empty batch after this long regardless of size or of
+    /// what is in flight (the ceiling; an idle ring seals at once).
     pub max_delay: Duration,
 }
 
@@ -106,15 +119,34 @@ impl Batcher {
 
     /// Removes and returns every batch whose age reached `max_delay`.
     pub fn take_due(&mut self, now: Instant) -> Vec<(RingId, Vec<Envelope>)> {
-        let due: Vec<RingId> = self
+        let max_delay = self.opts.max_delay;
+        self.take_if(|_, p| now.duration_since(p.opened_at) >= max_delay)
+    }
+
+    /// Removes and returns the pending batch of every ring `idle` says
+    /// yes to, whatever its age or size. The caller asks whoever owns the
+    /// ring state whether this node still has a proposal of its own in
+    /// flight there; the batcher itself knows nothing about rings beyond
+    /// their ids.
+    pub fn take_idle(
+        &mut self,
+        mut idle: impl FnMut(RingId) -> bool,
+    ) -> Vec<(RingId, Vec<Envelope>)> {
+        self.take_if(|ring, _| idle(ring))
+    }
+
+    fn take_if(
+        &mut self,
+        mut take: impl FnMut(RingId, &Pending) -> bool,
+    ) -> Vec<(RingId, Vec<Envelope>)> {
+        let taken: Vec<RingId> = self
             .pending
             .iter()
-            .filter(|(_, p)| {
-                !p.envelopes.is_empty() && now.duration_since(p.opened_at) >= self.opts.max_delay
-            })
+            .filter(|(r, p)| !p.envelopes.is_empty() && take(**r, p))
             .map(|(r, _)| *r)
             .collect();
-        due.into_iter()
+        taken
+            .into_iter()
             .map(|r| {
                 let p = self.pending.remove(&r).expect("listed");
                 (r, p.envelopes)
@@ -250,6 +282,86 @@ mod tests {
         assert!(b.next_deadline().is_some());
         assert_eq!(b.take_all().len(), 1);
         assert!(b.next_deadline().is_none());
+    }
+
+    /// Limits that only the idle pass or `max_delay` can seal under.
+    fn ceilings_out_of_reach(max_delay: Duration) -> Batcher {
+        Batcher::new(BatchOptions {
+            max_envelopes: 1000,
+            max_bytes: usize::MAX,
+            max_delay,
+        })
+    }
+
+    #[test]
+    fn lone_envelope_on_an_idle_ring_is_taken_at_once() {
+        let mut b = ceilings_out_of_reach(Duration::from_secs(10));
+        let r = RingId::new(0);
+        assert!(b.push(r, env(1, 1), Instant::now()).is_none());
+        let taken = b.take_idle(|_| true);
+        assert_eq!(taken.len(), 1);
+        assert_eq!(taken[0].0, r);
+        assert_eq!(taken[0].1.len(), 1);
+        assert_eq!(b.pending_len(), 0);
+        assert!(b.next_deadline().is_none());
+        assert!(b.take_idle(|_| true).is_empty(), "nothing left to take");
+    }
+
+    #[test]
+    fn busy_ring_waits_for_its_proposal_but_never_past_max_delay() {
+        let mut b = ceilings_out_of_reach(Duration::from_millis(5));
+        let t0 = Instant::now();
+        let r = RingId::new(0);
+        b.push(r, env(1, 1), t0);
+        b.push(r, env(2, 1), t0 + Duration::from_millis(1));
+        // A proposal is in flight: the idle pass leaves the batch to fill.
+        assert!(b.take_idle(|_| false).is_empty());
+        assert_eq!(b.pending_len(), 2);
+        assert!(b.take_due(t0 + Duration::from_millis(4)).is_empty());
+        // The proposal is stuck (or lost): the ceiling still releases the
+        // batch, measured from its first envelope.
+        let due = b.take_due(t0 + Duration::from_millis(5));
+        assert_eq!(due.len(), 1);
+        assert_eq!(due[0].1.len(), 2, "arrivals during the wait ride along");
+        assert_eq!(b.pending_len(), 0);
+    }
+
+    #[test]
+    fn idle_pass_judges_rings_independently() {
+        let mut b = ceilings_out_of_reach(Duration::from_secs(10));
+        let now = Instant::now();
+        let (busy, idle) = (RingId::new(0), RingId::new(1));
+        b.push(busy, env(1, 1), now);
+        b.push(idle, env(2, 1), now);
+        let mut asked = Vec::new();
+        let taken = b.take_idle(|r| {
+            asked.push(r);
+            r == idle
+        });
+        assert_eq!(asked, vec![busy, idle], "only rings with a batch are asked");
+        assert_eq!(taken.len(), 1);
+        assert_eq!(taken[0].0, idle);
+        assert_eq!(b.pending_len(), 1, "the busy ring keeps filling");
+        // Its decision arrives: next pass takes it.
+        assert_eq!(b.take_idle(|_| true)[0].0, busy);
+    }
+
+    #[test]
+    fn count_and_byte_seals_do_not_wait_for_the_idle_pass() {
+        let mut b = Batcher::new(BatchOptions {
+            max_envelopes: 2,
+            max_bytes: 100,
+            max_delay: Duration::from_secs(10),
+        });
+        let now = Instant::now();
+        let r = RingId::new(0);
+        // The ring is busy throughout (the idle pass is never offered a
+        // yes), yet a full batch seals on the push that fills it.
+        assert!(b.push(r, env(1, 1), now).is_none());
+        assert!(b.take_idle(|_| false).is_empty());
+        assert_eq!(b.push(r, env(2, 1), now).expect("count seal").len(), 2);
+        assert!(b.push(r, env(3, 60), now).is_none());
+        assert_eq!(b.push(r, env(4, 60), now).expect("byte seal").len(), 1);
     }
 
     #[test]

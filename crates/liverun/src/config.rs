@@ -183,7 +183,9 @@ pub struct DeploymentConfig {
     /// it past this size, so batch sizing adapts to payload size rather
     /// than count alone.
     pub batch_max_bytes: usize,
-    /// Maximum time a non-empty batch waits before proposing.
+    /// Maximum time a non-empty batch waits before proposing
+    /// (`batch_delay_ms`) — the ceiling; a batch on a ring with nothing
+    /// of this node's in flight proposes at once.
     pub batch_delay: Duration,
     /// Credit window granted to protocol-v2 clients at the handshake
     /// (`client_window`, requests in flight per client). Also the ceiling

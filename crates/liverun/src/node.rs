@@ -736,8 +736,7 @@ fn node_loop(
         while let Some(t) = timers.pop_due(Instant::now()) {
             with_ctx!(|ctx| host.on_timer(t, &mut ctx));
         }
-        // Flush batches that aged out.
-        for (ring, batch) in batcher.take_due(Instant::now()) {
+        for (ring, batch) in take_sealed(&mut batcher, &host, Instant::now()) {
             note_seal(&stage_seal, &batch);
             with_ctx!(|ctx| host.propose_envelopes(ring, batch, &mut ctx));
         }
@@ -820,6 +819,21 @@ fn node_loop(
     }
 }
 
+/// The batches to propose after an event-drain pass (the four seal
+/// conditions are in [`crate::batch`]): every ring this node has no
+/// proposal of its own in flight on gives up its pending batch now, and a
+/// batch still waiting behind a slow or lost proposal goes out once it
+/// has aged `batch_delay_ms`.
+fn take_sealed(
+    batcher: &mut Batcher,
+    host: &MultiRingHost,
+    now: Instant,
+) -> Vec<(RingId, Vec<Envelope>)> {
+    let mut sealed = batcher.take_idle(|ring| host.proposals_in_flight(ring) == 0);
+    sealed.extend(batcher.take_due(now));
+    sealed
+}
+
 /// Records the batch-seal stage for every sampled envelope in a batch
 /// about to be proposed: cumulative nanoseconds from the envelope's
 /// origin stamp to the moment its batch sealed.
@@ -871,6 +885,145 @@ fn route_effects(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use common::hist::Histogram;
+    use common::SimTime;
+
+    /// Node 0 of two two-member rings whose other member never answers:
+    /// whatever it proposes stays in flight.
+    fn lonely_host() -> (MultiRingHost, [RingId; 2]) {
+        let rings = [RingId::new(0), RingId::new(1)];
+        let members = vec![NodeId::new(0), NodeId::new(1)];
+        let registry = Registry::new();
+        for ring in rings {
+            let cfg = coord::RingConfig::new(ring, members.clone(), members.clone()).unwrap();
+            registry.register_ring(cfg).unwrap();
+        }
+        let host = MultiRingHost::new(
+            NodeId::new(0),
+            registry,
+            &rings,
+            &rings,
+            None,
+            Box::new(multiring::EchoApp::new()),
+            HostOptions::default(),
+        );
+        (host, rings)
+    }
+
+    fn env(req: u64) -> Envelope {
+        Envelope::v1(
+            ClientId::new(1),
+            RequestId::new(req),
+            client_node_id(ClientId::new(1)),
+            Bytes::from_static(b"cmd"),
+        )
+    }
+
+    #[test]
+    fn take_sealed_is_immediate_on_an_idle_ring_and_capped_behind_a_stuck_proposal() {
+        let (mut host, [r0, r1]) = lonely_host();
+        let mut batcher = Batcher::new(BatchOptions {
+            max_envelopes: 1000,
+            max_bytes: usize::MAX,
+            max_delay: Duration::from_millis(200),
+        });
+        let (mut outbox, mut timer_reqs) = (Vec::new(), Vec::new());
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut ctx = Ctx::external(
+            SimTime::ZERO,
+            NodeId::new(0),
+            &mut outbox,
+            &mut timer_reqs,
+            &mut rng,
+        );
+        host.on_start(&mut ctx);
+        let t0 = Instant::now();
+        assert_eq!(host.proposals_in_flight(r0), 0);
+        assert_eq!(host.proposals_in_flight(RingId::new(9)), 0, "not a member");
+
+        // Idle ring: the lone envelope leaves on the next pass, 200 ms
+        // ceiling or not.
+        batcher.push(r0, env(1), t0);
+        let sealed = take_sealed(&mut batcher, &host, t0);
+        assert_eq!(sealed.len(), 1);
+        let (ring, batch) = sealed.into_iter().next().unwrap();
+        assert_eq!((ring, batch.len()), (r0, 1));
+        host.propose_envelopes(ring, batch, &mut ctx);
+        assert_eq!(host.proposals_in_flight(r0), 1);
+        assert_eq!(host.proposals_in_flight(r1), 0);
+
+        // Ring 0 now has a proposal in flight (it will never be decided):
+        // its next envelopes wait. Ring 1 is judged on its own.
+        batcher.push(r0, env(2), t0);
+        batcher.push(r0, env(3), t0 + Duration::from_millis(50));
+        batcher.push(r1, env(4), t0 + Duration::from_millis(50));
+        let sealed = take_sealed(&mut batcher, &host, t0 + Duration::from_millis(50));
+        assert_eq!(sealed.len(), 1);
+        assert_eq!(sealed[0].0, r1);
+        assert_eq!(batcher.pending_len(), 2);
+        assert!(take_sealed(&mut batcher, &host, t0 + Duration::from_millis(199)).is_empty());
+        // The ceiling still holds with the proposal stuck.
+        let sealed = take_sealed(&mut batcher, &host, t0 + Duration::from_millis(200));
+        assert_eq!(sealed.len(), 1);
+        assert_eq!((sealed[0].0, sealed[0].1.len()), (r0, 2));
+    }
+
+    #[test]
+    fn credit_controller_halves_on_each_signal_and_climbs_only_when_all_clear() {
+        let calm = Histogram::new();
+        let backlog_high = 40;
+        let fresh = || CreditController::new(64, 4, backlog_high);
+
+        // Each of the three signals halves on its own.
+        assert_eq!(fresh().tick(backlog_high + 1, 0, &calm), 32);
+        assert_eq!(fresh().tick(0, CREDIT_REPLY_HIGH + 1, &calm), 32);
+        let mut slow_wal = Histogram::new();
+        slow_wal.record_duration(CREDIT_WAL_HIGH * 2);
+        assert_eq!(fresh().tick(0, 0, &slow_wal), 32);
+        // At the thresholds themselves nothing is overloaded yet.
+        assert_eq!(fresh().tick(backlog_high, CREDIT_REPLY_HIGH, &calm), 64);
+
+        // Sustained pressure floors at `credit_min_window`.
+        let mut c = fresh();
+        let windows: Vec<u32> = (0..6).map(|_| c.tick(1000, 0, &calm)).collect();
+        assert_eq!(windows, vec![32, 16, 8, 4, 4, 4]);
+
+        // Below the halving threshold but not yet clear on every signal:
+        // the window holds.
+        assert_eq!(c.tick(backlog_high / 4 + 1, 0, &calm), 4);
+        assert_eq!(c.tick(0, CREDIT_REPLY_HIGH / 4 + 1, &calm), 4);
+        // All clear: additive climb of max/8 per tick, capped at max.
+        let windows: Vec<u32> = (0..9)
+            .map(|_| c.tick(backlog_high / 4, CREDIT_REPLY_HIGH / 4, &calm))
+            .collect();
+        assert_eq!(windows, vec![12, 20, 28, 36, 44, 52, 60, 64, 64]);
+    }
+
+    #[test]
+    fn credit_controller_reacts_to_the_wal_delta_mean_not_the_lifetime_mean() {
+        let mut c = CreditController::new(64, 1, 40);
+        // A long calm history: 1000 commits at 1 ms.
+        let mut wal = Histogram::new();
+        for _ in 0..1000 {
+            wal.record_duration(Duration::from_millis(1));
+        }
+        assert_eq!(c.tick(0, 0, &wal), 64);
+        // Four slow commits since the last tick: the lifetime mean is
+        // still ~1.2 ms, the recent mean is 50 ms.
+        for _ in 0..4 {
+            wal.record_duration(CREDIT_WAL_HIGH * 2);
+        }
+        assert!(Duration::from_nanos(wal.mean() as u64) < CREDIT_WAL_HIGH);
+        assert_eq!(c.tick(0, 0, &wal), 32, "recent commits were slow");
+        // No commit at all since: nothing recent to be slow, and the slow
+        // ones are not counted twice.
+        assert_eq!(c.tick(0, 0, &wal), 40);
+        // Fast commits again while the lifetime mean is still elevated.
+        for _ in 0..4 {
+            wal.record_duration(Duration::from_millis(1));
+        }
+        assert_eq!(c.tick(0, 0, &wal), 48);
+    }
 
     #[test]
     fn client_node_ids_round_trip() {

@@ -31,6 +31,33 @@ fn scrape(config: &DeploymentConfig) -> Vec<common::obs::ObsSnapshot> {
         .collect()
 }
 
+/// Pipelines `cmds` through the client's credit window without waiting
+/// per command, then drains; returns how many completed within a minute.
+fn pipeline(
+    client: &mut StoreClient,
+    cmds: impl Iterator<Item = (common::ids::RingId, Bytes)>,
+) -> u64 {
+    let (mut submitted, mut completed) = (0u64, 0u64);
+    for (ring, cmd) in cmds {
+        client.raw().submit(ring, cmd).expect("submit");
+        submitted += 1;
+        if client.raw().poll_reply(Duration::ZERO).is_some() {
+            completed += 1;
+        }
+    }
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while completed < submitted && std::time::Instant::now() < deadline {
+        if client
+            .raw()
+            .poll_reply(Duration::from_millis(250))
+            .is_some()
+        {
+            completed += 1;
+        }
+    }
+    completed
+}
+
 /// One counter summed over every node's snapshot.
 fn total(snaps: &[common::obs::ObsSnapshot], name: &str) -> u64 {
     snaps.iter().filter_map(|s| s.counter(name)).sum()
@@ -556,30 +583,17 @@ fn single_partition_load_leaves_other_rings_untouched() {
     let mut keys = (0u64..)
         .map(|i| format!("pin{}", i % 4096))
         .filter(|k| router.scheme.partition_of(k).raw() == 0);
-    let mut completed = 0u64;
-    for _ in 0..N {
+    let burst = (0..N).map(|_| {
         let cmd = KvCommand::Insert {
             key: keys.next().expect("endless"),
             value: value.clone(),
         }
         .to_bytes();
-        let ring = router.route(&cmd).ring();
-        client.raw().submit(ring, cmd).expect("submit");
-        if client.raw().poll_reply(Duration::ZERO).is_some() {
-            completed += 1;
-        }
-    }
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while completed < N && Instant::now() < deadline {
-        if client
-            .raw()
-            .poll_reply(Duration::from_millis(250))
-            .is_some()
-        {
-            completed += 1;
-        }
-    }
+        (router.route(&cmd).ring(), cmd)
+    });
+    let completed = pipeline(&mut client, burst);
     assert_eq!(completed, N, "every pipelined update completes");
+    let deadline = Instant::now() + Duration::from_secs(60);
 
     // Both partition-0 replicas deliver the whole burst; the one that
     // did not answer the client may run a beat behind. The other rings
@@ -690,35 +704,132 @@ fn fanout_completes_despite_replica_kill_mid_fanout() {
     deployment.shutdown();
 }
 
+/// Seal on idle: the batcher holds a command back only while this node
+/// has a proposal of its own in flight on the ring, so `batch_delay_ms`
+/// is a ceiling, not a toll. With the ceiling at 200 ms a lone `put`
+/// still completes in loopback time (it took the full 200 ms when the
+/// seal ran on a clock), and a pipelined burst still shares instances —
+/// idle sealing must not degrade into one consensus instance per command
+/// under load, because the in-flight proposal's round trip is the
+/// batching window.
+#[test]
+fn idle_ring_seals_at_once_and_a_pipelined_burst_still_amortises() {
+    use common::ids::RingId;
+    use mrpstore::KvCommand;
+    use std::time::Instant;
+
+    let text = generate_localhost_mrpstore(1, 3, base_port(), None).replacen(
+        "batch_delay_ms = 2\n",
+        "batch_delay_ms = 200\n",
+        1,
+    );
+    let config = DeploymentConfig::parse(&text).unwrap();
+    assert_eq!(config.batch_delay, Duration::from_millis(200));
+    let deployment = Deployment::launch(config.clone()).unwrap();
+    let mut client = StoreClient::connect(&config, ClientId::new(41), client_opts()).unwrap();
+
+    // The first request also opens the session and waits out Phase 1.
+    let put = |client: &mut StoreClient, i: u32| {
+        let value = Bytes::from_static(b"v");
+        assert_eq!(
+            client.insert(&format!("lone{i}"), value).unwrap(),
+            KvResponse::Ok
+        );
+    };
+    put(&mut client, 0);
+    let mut lone: Vec<Duration> = (1..=5)
+        .map(|i| {
+            let start = Instant::now();
+            put(&mut client, i);
+            start.elapsed()
+        })
+        .collect();
+    lone.sort();
+    // The median rides out a scheduler hiccup on a busy CI box; on the
+    // clock every one of them paid the 200 ms.
+    assert!(
+        lone[2] < Duration::from_millis(100),
+        "a lone put on an idle ring waited for the batch clock: {lone:?}"
+    );
+
+    let before = scrape(&config);
+    const N: u64 = 2000;
+    let ring0 = RingId::new(0);
+    let add = KvCommand::Add {
+        key: "burst".into(),
+        delta: 1,
+    }
+    .to_bytes();
+    let completed = pipeline(&mut client, (0..N).map(|_| (ring0, add.clone())));
+    assert_eq!(completed, N, "every pipelined increment completes");
+
+    // Commands proposed per non-skip instance, the way the benchmark's
+    // `cmds_per_batch` row reads it: ring 0's decided instances on the
+    // coordinator minus the skips its merge consumed there.
+    let after = scrape(&config);
+    let proposed = total(&after, "proposed_cmds") - total(&before, "proposed_cmds");
+    let node0 =
+        |snaps: &[common::obs::ObsSnapshot], name: &str| snaps[0].counter(name).unwrap_or(0);
+    let instances = (node0(&after, "ring0_instances_decided")
+        - node0(&before, "ring0_instances_decided"))
+    .saturating_sub(node0(&after, "ring0_merge_skips") - node0(&before, "ring0_merge_skips"));
+    assert!(proposed >= N, "the burst was proposed ({proposed})");
+    assert!(
+        instances > 0 && proposed >= 4 * instances,
+        "{proposed} commands in {instances} app instances: the burst did not batch"
+    );
+
+    deployment.shutdown();
+}
+
 /// Credit-based backpressure end to end: a node driven into proposal
 /// backlog shrinks the session window via `CreditGrant` (overload
 /// degrades into queueing at the client), and the window re-expands once
 /// the backlog drains — with every pipelined request completing exactly
 /// once and no typed-error storm.
 ///
-/// The overload is made deterministic through the config: a long batch
-/// delay with count/byte seals out of reach keeps submitted envelopes
-/// sitting in the batcher, and `credit_backlog_high = 4` trips the
-/// controller as soon as a handful are pending.
+/// The overload comes from something a deployment really does: the ring
+/// spans three EC2 regions (delays doubled), so the coordinator's
+/// proposal takes 340 ms (eu-west-1 ⇄ us-west-1) to come back decided —
+/// three credit ticks. With one proposal in flight, everything pipelined
+/// behind it queues in the batcher for that round trip (count/byte
+/// seals and the `batch_delay_ms` ceiling are out of reach);
+/// `credit_backlog_high = 4` makes each of those ticks halve the window,
+/// and the next burst the replies release does it again, for the
+/// seconds the load lasts.
 #[test]
 fn overload_shrinks_credit_window_and_drain_restores_it() {
     use common::ids::RingId;
+    use liverun::config::with_geo;
     use mrpstore::KvCommand;
     use std::time::Instant;
 
     // Replace the generator's batching line outright: the hand-parsed
     // TOML lets a later duplicate key win, so prepending would be inert.
-    let text = generate_localhost_mrpstore(1, 3, base_port(), None).replacen(
+    let base = generate_localhost_mrpstore(1, 3, base_port(), None).replacen(
         "batch_max = 64\nbatch_delay_ms = 2\n",
-        "batch_max = 10000\nbatch_max_bytes = 1048576\nbatch_delay_ms = 150\n\
+        "batch_max = 10000\nbatch_max_bytes = 1048576\nbatch_delay_ms = 2000\n\
          client_window = 64\ncredit_min_window = 1\ncredit_backlog_high = 4\n",
         1,
     );
+    let text = with_geo(
+        &base,
+        &[
+            ("eu-west-1", &[0]),
+            ("us-west-1", &[1]),
+            ("us-west-2", &[2]),
+        ],
+        200,
+    );
     let config = DeploymentConfig::parse(&text).unwrap();
     assert_eq!(config.credit_backlog_high, 4);
-    assert_eq!(config.batch_delay, Duration::from_millis(150));
+    assert_eq!(config.batch_delay, Duration::from_secs(2));
     let deployment = Deployment::launch(config.clone()).unwrap();
-    let mut client = StoreClient::connect(&config, ClientId::new(31), client_opts()).unwrap();
+    // The client sits in the coordinator's region, so it hears of a
+    // decision when node 0 does and its next burst meets an idle ring.
+    let client_config = deployment.config_from("eu-west-1").unwrap();
+    let mut client =
+        StoreClient::connect(&client_config, ClientId::new(31), client_opts()).unwrap();
 
     let ring0 = RingId::new(0);
     let add = KvCommand::Add {
@@ -727,34 +838,55 @@ fn overload_shrinks_credit_window_and_drain_restores_it() {
     }
     .to_bytes();
 
-    // Pipeline hard: keep the window full so envelopes pile up in the
-    // batcher faster than the 150 ms seal cadence drains them.
+    // Open the session (and sit out Phase 1) before the load starts.
+    let read = KvCommand::Read {
+        key: "pressure".into(),
+    }
+    .to_bytes();
+    client.raw().request(ring0, read.clone()).unwrap();
+
+    // An idle ring seals whatever one pass of the node loop read off the
+    // socket, and a fast client can land its whole window in one pass —
+    // one batch, no backlog. So put one proposal in flight first and
+    // watch it leave node 0; the burst behind it then queues for the
+    // rest of its round trip.
+    let proposed = || {
+        liverun::fetch_stats(config.nodes[0].client_addr, Duration::from_secs(5))
+            .expect("stats")
+            .counter("proposed_cmds")
+            .unwrap_or(0)
+    };
     const TOTAL: u64 = 96;
-    let mut submitted = 0u64;
+    let idle = proposed();
+    client.raw().submit(ring0, add.clone()).expect("submit");
+    let mut submitted = 1u64;
+    let primed_by = Instant::now() + Duration::from_secs(5);
+    while proposed() == idle {
+        assert!(Instant::now() < primed_by, "node 0 never proposed");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    // Pipeline hard: keep the window full so envelopes pile up in the
+    // batcher behind each in-flight proposal. Submit only into a free
+    // slot and otherwise poll in 10 ms steps — a `submit` blocked on a
+    // full window would pump grants unseen, and the window is re-granted
+    // every 100 ms, so this loop observes every value it takes.
     let mut completed = 0u64;
     let mut min_window = usize::MAX;
-    while submitted < TOTAL {
-        client.raw().submit(ring0, add.clone()).expect("submit");
-        submitted += 1;
-        if client.raw().poll_reply(Duration::ZERO).is_some() {
-            completed += 1;
-        }
-        min_window = min_window.min(client.raw().current_window());
-    }
     let drain_end = Instant::now() + Duration::from_secs(60);
-    while completed < submitted && Instant::now() < drain_end {
-        if client
-            .raw()
-            .poll_reply(Duration::from_millis(250))
-            .is_some()
-        {
+    while completed < TOTAL && Instant::now() < drain_end {
+        let in_flight = client.raw().stats().1;
+        if submitted < TOTAL && in_flight < client.raw().current_window() {
+            client.raw().submit(ring0, add.clone()).expect("submit");
+            submitted += 1;
+        } else if client.raw().poll_reply(Duration::from_millis(10)).is_some() {
             completed += 1;
         }
         min_window = min_window.min(client.raw().current_window());
     }
     assert_eq!(
         completed,
-        submitted,
+        TOTAL,
         "every pipelined request completes despite the clamp (client state: {:?})",
         client.raw().stats()
     );
@@ -777,16 +909,7 @@ fn overload_shrinks_credit_window_and_drain_restores_it() {
 
     // Exactly-once under the clamp: the counter saw each increment once —
     // no retry was re-executed, none was lost.
-    let raw = client
-        .raw()
-        .request(
-            ring0,
-            KvCommand::Read {
-                key: "pressure".into(),
-            }
-            .to_bytes(),
-        )
-        .unwrap();
+    let raw = client.raw().request(ring0, read).unwrap();
     assert_eq!(
         KvResponse::decode(&mut raw.clone()).unwrap(),
         KvResponse::Value(Some(Bytes::copy_from_slice(&TOTAL.to_le_bytes()))),

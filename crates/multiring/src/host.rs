@@ -574,6 +574,15 @@ impl MultiRingHost {
         self.rings.get(&ring)
     }
 
+    /// This node's own proposals on `ring` that are still undecided
+    /// ([`RingNode::proposals_in_flight`]); 0 for a ring it is not a
+    /// member of.
+    pub fn proposals_in_flight(&self, ring: RingId) -> usize {
+        self.rings
+            .get(&ring)
+            .map_or(0, RingNode::proposals_in_flight)
+    }
+
     /// Proposes a set of client commands on `group` as **one** consensus
     /// value (proposer-side batching): the whole batch costs a single
     /// instance of the ring, and replicas execute its envelopes in order.

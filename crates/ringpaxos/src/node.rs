@@ -398,6 +398,15 @@ impl RingNode {
         self.proposals_since_delta
     }
 
+    /// Number of this node's own proposals whose decision it has not yet
+    /// observed. Skips and no-op fillers never count (they are not
+    /// retried). A live proposer seals its next batch the moment this
+    /// reads 0, and lets the round trip of what is in flight be the
+    /// batching window otherwise.
+    pub fn proposals_in_flight(&self) -> usize {
+        self.unacked.len()
+    }
+
     fn is_acceptor(&self) -> bool {
         self.cfg.is_acceptor(self.me)
     }
@@ -1898,6 +1907,50 @@ mod tests {
             InstanceId::new(10),
             "skip(10) consumed 10 instances"
         );
+    }
+
+    /// What a live proposer's seal-on-idle rule reads: own proposals
+    /// count from `propose` until their decision is observed, on the
+    /// coordinator and on any other member alike; skips never count.
+    #[test]
+    fn proposals_in_flight_counts_own_undecided_app_values_only() {
+        let mut o = opts();
+        o.rate_leveling = Some(crate::options::RateLeveling {
+            delta: Duration::from_millis(5),
+            lambda: 1000,
+        });
+        let (mut h, _) = Harness::new(3, o);
+        h.start();
+        for proposer in [0, 2] {
+            let a = h.app_value(proposer, b"a");
+            let b = h.app_value(proposer, b"b");
+            let mut out = Output::new();
+            h.nodes[proposer].propose(a, h.now, &mut out);
+            h.nodes[proposer].propose(b, h.now, &mut out);
+            assert_eq!(h.nodes[proposer].proposals_in_flight(), 2);
+            h.relay(proposer, &mut out);
+            assert_eq!(
+                h.nodes[proposer].proposals_in_flight(),
+                0,
+                "node {proposer} saw both decisions"
+            );
+        }
+        assert_eq!(h.delivered[1].len(), 4);
+        // Skips — proposed explicitly or emitted by rate leveling — are
+        // not retried, so they are never "in flight".
+        let id = h.nodes[0].next_value_id();
+        let skip = Value {
+            id,
+            kind: ValueKind::Skip(3),
+        };
+        let mut out = Output::new();
+        h.nodes[0].propose(skip, h.now, &mut out);
+        h.nodes[0].on_timer(RingTimer::RateLevel, h.now, &mut out);
+        assert!(!out.sends.is_empty(), "the skips did go out");
+        assert_eq!(h.nodes[0].proposals_in_flight(), 0);
+        h.relay(0, &mut out);
+        // Nobody else proposed, so nobody else ever counted anything.
+        assert_eq!(h.nodes[1].proposals_in_flight(), 0);
     }
 
     #[test]
