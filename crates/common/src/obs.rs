@@ -11,7 +11,7 @@
 //!
 //! Histograms reuse the log-bucketed [`Histogram`] layout behind sharded
 //! relaxed-atomic bucket arrays, so concurrent recorders (the node loop,
-//! peer writer threads, client readers) never contend on a lock.
+//! executor shards, the stats plane's readers) never contend on a lock.
 //!
 //! [`ObsSnapshot`] is the wire-encodable point-in-time copy the stats
 //! plane ships to `amcast-cli stats`; it renders to a Prometheus-style

@@ -194,8 +194,8 @@ pub struct DeploymentConfig {
     /// Floor the credit controller never shrinks a session window below
     /// (`credit_min_window`).
     pub credit_min_window: u32,
-    /// Proposal backlog (envelopes queued in the batcher plus the event
-    /// queue) above which credit halves (`credit_backlog_high`); 0 lets
+    /// Proposal backlog (envelopes queued in the batcher) above which
+    /// credit halves (`credit_backlog_high`); 0 lets
     /// the node derive a default from `batch_max`.
     pub credit_backlog_high: u32,
     /// Payload size at or above which a non-coordinating proposer eagerly

@@ -11,11 +11,14 @@
 //! * a framed-TCP front end speaking [`common::wire::coord`] to clients
 //!   (liverun nodes, CLIs, fellow replicas).
 //!
-//! All three live on **one thread**: the server loop receives client
-//! frames and ring frames alike as events, feeds the ring node, group-
+//! All three live on **one thread**: the server loop waits on its ring
+//! port, its client port and every connection they accepted in one
+//! `ppoll` (the crate-private `net` module's readiness loop), reads
+//! client frames and ring frames alike, feeds the ring node, group-
 //! commits what it decided, applies it and answers the waiting client in
-//! the same turn. Every socket is owned by a `net` reader or writer
-//! thread; the loop never blocks on one.
+//! the same turn. Every socket is non-blocking; the loop never blocks on
+//! one. Two helpers run beside it and post to its mailbox: the gossip
+//! feed (see below) and, when the gap watchdog fires, the catch-up fetch.
 //!
 //! Mutating operations are proposed to the ring tagged with the serving
 //! replica and a sequence number; when the decision comes back around,
@@ -66,8 +69,6 @@ use std::path::PathBuf;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-
 use common::error::{Error, Result};
 use common::ids::{InstanceId, NodeId, RingId, SessionId};
 use common::msg::{AcceptedEntry, Msg, RingMsg};
@@ -84,7 +85,7 @@ use ringpaxos::{Output, RingNode, RingOptions, RingTimer};
 use storage::checkpoint::CheckpointFile;
 use storage::wal::{DecidedLog, SegmentedWal, SyncPolicy};
 
-use crate::net::{self, FrameWriter, Listener, PeerLinks};
+use crate::net::{self, spawn_loop, ConnId, Event, Mailer, Net};
 
 /// The ring id the ensemble replicates its own log on (a private
 /// namespace — this ring never appears in any deployment's registry).
@@ -167,27 +168,16 @@ impl CoordServerConfig {
     }
 }
 
-/// Write half of one client connection. A full queue (stalled client)
-/// makes `send` return `false`: correlated replies may shed — the client
-/// times out and retries — but a dropped *watch event* must kill the
-/// connection, or the client's config cache would go silently stale
-/// forever.
-type ConnWriter = FrameWriter<CoordReply>;
-
-struct ConnState {
-    writer: ConnWriter,
-    watch_all: bool,
+/// What arrives on a replica's sockets.
+enum Inbound {
+    /// A consensus frame from a fellow replica.
+    Ring(PeerFrame),
+    /// A client request (or a fellow replica's config gossip).
+    Client(CoordMsg),
 }
 
-enum SrvEvent {
-    /// A client connection opened.
-    Conn(u64, ConnWriter),
-    /// A frame arrived on a connection.
-    Msg(u64, CoordMsg),
-    /// A connection closed.
-    Gone(u64),
-    /// A consensus frame from a fellow replica (or this one to itself).
-    Peer(NodeId, RingMsg),
+/// What reaches the server loop from other threads.
+enum Mail {
     /// Our own consensus ring reconfigured; gossip it to the peers.
     Gossip(RingConfigWire),
     /// A gap-watchdog peer fetch finished (off-thread — the fetch can
@@ -285,9 +275,8 @@ impl ReplicaDurability {
 
 /// Handle to one running amcoordd replica.
 pub struct CoordServerHandle {
-    tx: Sender<SrvEvent>,
+    mailer: Mailer<Mail>,
     join: Option<JoinHandle<()>>,
-    listeners: Vec<Listener>,
     client_addr: SocketAddr,
 }
 
@@ -297,14 +286,11 @@ impl CoordServerHandle {
         self.client_addr
     }
 
-    /// Stops the replica: closes both listeners (releasing their ports),
-    /// stops the loop and joins it — when this returns the replica's
-    /// WAL lock is released too.
+    /// Stops the replica: stops the loop and joins it. The loop owns
+    /// every socket and the WAL, so when this returns both ports and the
+    /// WAL lock are released.
     pub fn shutdown(mut self) {
-        for l in self.listeners.drain(..) {
-            l.stop();
-        }
-        let _ = self.tx.send(SrvEvent::Shutdown);
+        self.mailer.post(Mail::Shutdown);
         if let Some(j) = self.join.take() {
             let _ = j.join();
         }
@@ -552,18 +538,21 @@ pub fn start_coord_server(config: CoordServerConfig) -> Result<CoordServerHandle
     let mut node = RingNode::new(me, COORD_RING, ring_registry.clone(), opts)?;
     node.set_next_delivery(durable.applied);
 
-    let (tx, rx) = unbounded::<SrvEvent>();
     let me_raw = me.raw();
+    let mut net = Net::new(
+        format!("amcoord-dial-{me_raw}"),
+        obs.counter("writer_vectored_frames"),
+    )?;
 
     // Gossip feed: watch our own registry for coord-ring epoch bumps.
     let watch = ring_registry.watch();
-    let tx_gossip = tx.clone();
+    let feed = net.mailer();
     std::thread::Builder::new()
         .name(format!("amcoord-gossip-feed-{me_raw}"))
         .spawn(move || {
             while let Ok(event) = watch.recv() {
                 if let CoordEvent::RingChanged { cfg } = event {
-                    if cfg.ring == COORD_RING && tx_gossip.send(SrvEvent::Gossip(cfg)).is_err() {
+                    if cfg.ring == COORD_RING && !feed.post(Mail::Gossip(cfg)) {
                         return;
                     }
                 }
@@ -575,62 +564,32 @@ pub fn start_coord_server(config: CoordServerConfig) -> Result<CoordServerHandle
     // (newer-epoch) view, then re-admit ourselves with the same
     // deterministic local CAS data rings use. The RingChanged events
     // flow through the gossip feed just armed above (and wait in the
-    // queue until the loop starts), so the survivors install the
+    // mailbox until the loop starts), so the survivors install the
     // rejoined config and their coordinator re-runs Phase 1 around us.
     rejoin_ensemble_ring(&ring_registry, me, peer_ring);
 
-    let tx_ring = tx.clone();
-    let ring_listener = Listener::bind(
-        config.ring_addrs[me_raw as usize],
-        format!("amcoord-ring-{me_raw}"),
-        move |stream| spawn_ring_reader(stream, tx_ring.clone()),
-    )?;
-
-    let tx_conns = tx.clone();
-    let mut next_conn = 0u64;
-    let vectored = obs.counter("writer_vectored_frames");
-    let client_listener = match Listener::bind(
-        config.client_addrs[me_raw as usize],
-        format!("amcoord-clients-{me_raw}"),
-        move |stream| {
-            next_conn += 1;
-            spawn_conn_reader(next_conn, stream, vectored.clone(), tx_conns.clone());
-        },
-    ) {
-        Ok(listener) => listener,
-        Err(e) => {
-            ring_listener.stop();
-            return Err(Error::Io(e));
-        }
-    };
-    let client_addr = client_listener.addr();
+    net.listen(config.ring_addrs[me_raw as usize], |buf| {
+        Ok(buf.try_next()?.map(Inbound::Ring))
+    })?;
+    let client_addr = net.listen(config.client_addrs[me_raw as usize], |buf| {
+        Ok(buf.try_next()?.map(Inbound::Client))
+    })?;
+    let mailer = net.mailer();
 
     let replica = Replica {
         me,
+        net,
         node,
         out: Output::new(),
+        local: Vec::new(),
         timers: TimerHeap::new(),
         clock: WallClock::start(),
-        ring_links: PeerLinks::new(
-            format!("amcoord-link-{me_raw}"),
-            members
-                .iter()
-                .copied()
-                .zip(config.ring_addrs.iter().copied())
-                .collect(),
-            obs.counter("writer_vectored_frames"),
-        ),
+        ring_addrs: members
+            .iter()
+            .copied()
+            .zip(config.ring_addrs.iter().copied())
+            .collect(),
         wire: WireCounters::new(&obs),
-        gossip_links: PeerLinks::new(
-            format!("amcoord-gossip-{me_raw}"),
-            peers
-                .iter()
-                .copied()
-                .zip(peer_clients.iter().copied())
-                .collect(),
-            obs.counter("writer_vectored_frames"),
-        ),
-        peers,
         peer_clients,
         // Sessions recovered from the checkpoint/WAL/peer snapshot get
         // a fresh grace stamp: their owners may well be alive and
@@ -643,7 +602,7 @@ pub fn start_coord_server(config: CoordServerConfig) -> Result<CoordServerHandle
             .collect(),
         durable,
         ring_registry,
-        conns: HashMap::new(),
+        watchers: HashSet::new(),
         pending: HashMap::new(),
         // Command sequence numbers become ValueIds in the replicated
         // log and the ring dedups by id, so they must never repeat
@@ -661,69 +620,21 @@ pub fn start_coord_server(config: CoordServerConfig) -> Result<CoordServerHandle
         catchup_needed,
         gap_since: None,
         catchup_inflight: false,
-        self_tx: tx.clone(),
         coord_applied: obs.counter("coord_applied"),
         session_count: obs.gauge("session_count"),
         obs,
     };
-    let listeners = vec![ring_listener, client_listener];
-    match std::thread::Builder::new()
-        .name(format!("amcoord-srv-{me_raw}"))
-        .spawn(move || replica.run(&rx))
-    {
-        Ok(join) => Ok(CoordServerHandle {
-            tx,
-            join: Some(join),
-            listeners,
-            client_addr,
-        }),
-        Err(e) => {
-            for l in listeners {
-                l.stop();
-            }
-            Err(Error::Io(e))
-        }
-    }
-}
-
-/// Reads consensus frames off one accepted ring connection.
-fn spawn_ring_reader(stream: std::net::TcpStream, tx: Sender<SrvEvent>) {
-    std::thread::spawn(move || {
-        // A corrupt stream just drops the connection.
-        let _ = net::read_frames(stream, |f: PeerFrame| match f.msg {
-            Msg::Ring(_, m) => tx.send(SrvEvent::Peer(f.from, m)).is_ok(),
-            _ => true,
-        });
-    });
-}
-
-/// Reads [`CoordMsg`] frames off one accepted client connection.
-fn spawn_conn_reader(
-    conn: u64,
-    stream: std::net::TcpStream,
-    vectored: Counter,
-    tx: Sender<SrvEvent>,
-) {
-    std::thread::spawn(move || {
-        let _ = stream.set_nodelay(true);
-        let writer = match stream.try_clone() {
-            Ok(w) => ConnWriter::new(w, vectored),
-            Err(_) => return,
-        };
-        if tx.send(SrvEvent::Conn(conn, writer)).is_err() {
-            return;
-        }
-        // A corrupt stream just drops the connection.
-        let _ = net::read_frames(stream, |msg: CoordMsg| {
-            tx.send(SrvEvent::Msg(conn, msg)).is_ok()
-        });
-        let _ = tx.send(SrvEvent::Gone(conn));
-    });
+    let join = spawn_loop(format!("amcoord-srv-{me_raw}"), move || replica.run())?;
+    Ok(CoordServerHandle {
+        mailer,
+        join: Some(join),
+        client_addr,
+    })
 }
 
 /// A replicated command this replica proposed for a waiting client.
 struct Pending {
-    conn: u64,
+    conn: ConnId,
     req: u64,
     at: Instant,
 }
@@ -732,24 +643,30 @@ struct Pending {
 /// the only thread that touches any of it.
 struct Replica {
     me: NodeId,
+    /// Every socket of the replica.
+    net: Net<Inbound, Mail>,
     /// The replica's member of the ensemble's consensus ring, with the
-    /// scratch buffer its handlers emit into and its timer heap.
+    /// scratch buffer its handlers emit into, the messages it sent
+    /// itself (handled next turn) and its timer heap.
     node: RingNode,
     out: Output,
+    local: Vec<RingMsg>,
     timers: TimerHeap<RingTimer>,
     clock: WallClock,
-    /// Outgoing consensus links to the fellow replicas' ring addresses.
-    ring_links: PeerLinks<PeerFrame>,
+    /// The fellow replicas' ring addresses (consensus links).
+    ring_addrs: HashMap<NodeId, SocketAddr>,
     /// Wire accounting for everything this member sends on the ring.
     wire: WireCounters,
-    /// Outgoing config-gossip links to the fellow replicas' client
-    /// addresses (fire-and-forget; the next gossip retries).
-    gossip_links: PeerLinks<CoordMsg>,
-    peers: Vec<NodeId>,
+    /// The fellow replicas' client addresses: catch-up fetches and
+    /// config gossip (fire-and-forget; the next gossip retries).
     peer_clients: Vec<SocketAddr>,
     durable: ReplicaDurability,
     ring_registry: Registry,
-    conns: HashMap<u64, ConnState>,
+    /// Connections that sent [`CoordOp::WatchAll`]. A watcher whose
+    /// buffer is full is cut off: correlated replies may shed — the
+    /// client times out and retries — but a dropped *watch event* would
+    /// leave the client's config cache silently stale forever.
+    watchers: HashSet<ConnId>,
     pending: HashMap<u64, Pending>,
     next_cmd: u64,
     /// Wall-clock session liveness, driven by *applied* keep-alives.
@@ -765,25 +682,34 @@ struct Replica {
     /// and whether a watchdog fetch is already out.
     gap_since: Option<Instant>,
     catchup_inflight: bool,
-    self_tx: Sender<SrvEvent>,
     obs: Obs,
     coord_applied: Counter,
     session_count: Gauge,
 }
 
 impl Replica {
-    fn run(mut self, rx: &Receiver<SrvEvent>) {
+    fn run(mut self) {
         self.node.start(self.clock.now(), &mut self.out);
         self.drain();
+        let mut events = Vec::new();
         loop {
-            let sleep = self
-                .timers
-                .sleep_for(Duration::from_millis(200))
-                .min(self.next_sweep.saturating_duration_since(Instant::now()));
-            match rx.recv_timeout(sleep) {
-                Ok(SrvEvent::Shutdown) | Err(RecvTimeoutError::Disconnected) => return,
-                Ok(event) => self.on_event(event),
-                Err(RecvTimeoutError::Timeout) => {}
+            let sleep = if self.local.is_empty() {
+                self.timers
+                    .sleep_for(Duration::from_millis(200))
+                    .min(self.next_sweep.saturating_duration_since(Instant::now()))
+            } else {
+                Duration::ZERO
+            };
+            self.net.wait(sleep, &mut events);
+            for msg in std::mem::take(&mut self.local) {
+                self.node
+                    .on_msg(self.me, msg, self.clock.now(), &mut self.out);
+            }
+            for event in events.drain(..) {
+                match event {
+                    Event::Mail(Mail::Shutdown) => return,
+                    event => self.on_event(event),
+                }
             }
             while let Some(t) = self.timers.pop_due(Instant::now()) {
                 self.node.on_timer(t, self.clock.now(), &mut self.out);
@@ -796,51 +722,44 @@ impl Replica {
         }
     }
 
-    fn on_event(&mut self, event: SrvEvent) {
+    fn on_event(&mut self, event: Event<Inbound, Mail>) {
         match event {
-            SrvEvent::Shutdown => {}
-            SrvEvent::Conn(conn, writer) => {
-                self.conns.insert(
-                    conn,
-                    ConnState {
-                        writer,
-                        watch_all: false,
-                    },
-                );
+            Event::Mail(Mail::Shutdown) => {}
+            Event::Closed(conn) => self.drop_conns(&[conn]),
+            Event::Frame(conn, Inbound::Client(CoordMsg { req, op })) => {
+                self.on_client_msg(conn, req, op);
             }
-            SrvEvent::Gone(conn) => self.drop_conns(&[conn]),
-            SrvEvent::Msg(conn, CoordMsg { req, op }) => self.on_client_msg(conn, req, op),
-            SrvEvent::Peer(from, msg) => {
-                self.node.on_msg(from, msg, self.clock.now(), &mut self.out);
-            }
-            SrvEvent::Gossip(cfg) => {
-                for peer in &self.peers {
-                    self.gossip_links.send(
-                        *peer,
-                        CoordMsg {
-                            req: 0,
-                            op: CoordOp::InstallConfig { cfg: cfg.clone() },
-                        },
-                    );
+            Event::Frame(_, Inbound::Ring(frame)) => {
+                if let Msg::Ring(_, msg) = frame.msg {
+                    self.node
+                        .on_msg(frame.from, msg, self.clock.now(), &mut self.out);
                 }
             }
-            SrvEvent::CatchUp(snap) => self.on_catch_up(snap),
+            Event::Mail(Mail::Gossip(cfg)) => {
+                let gossip = CoordMsg {
+                    req: 0,
+                    op: CoordOp::InstallConfig { cfg },
+                };
+                for addr in &self.peer_clients {
+                    self.net.send_to(*addr, &gossip);
+                }
+            }
+            Event::Mail(Mail::CatchUp(snap)) => self.on_catch_up(snap),
         }
     }
 
-    /// Forgets connections (closed, or cut off for falling behind) and
-    /// the proposals waiting to answer them.
-    fn drop_conns(&mut self, ids: &[u64]) {
+    /// Closes connections (closed, or cut off for falling behind) and
+    /// forgets the proposals waiting to answer them.
+    fn drop_conns(&mut self, ids: &[ConnId]) {
         for id in ids {
-            self.conns.remove(id);
+            self.net.close(*id);
+            self.watchers.remove(id);
         }
         self.pending.retain(|_, p| !ids.contains(&p.conn));
     }
 
-    fn reply(&self, conn: u64, reply: CoordReply) {
-        if let Some(c) = self.conns.get(&conn) {
-            let _ = c.writer.send(reply);
-        }
+    fn reply(&mut self, conn: ConnId, reply: CoordReply) {
+        self.net.send(conn, &reply);
     }
 
     /// Proposes `op` on the ensemble's ring; returns the command's seq.
@@ -860,16 +779,14 @@ impl Replica {
         seq
     }
 
-    fn on_client_msg(&mut self, conn: u64, req: u64, op: CoordOp) {
+    fn on_client_msg(&mut self, conn: ConnId, req: u64, op: CoordOp) {
         match op.kind() {
             OpKind::Local => {
                 if let CoordOp::InstallConfig { cfg } = &op {
                     let _ = self.ring_registry.install_config(cfg.clone());
                 }
-                if let Some(c) = self.conns.get_mut(&conn) {
-                    if matches!(op, CoordOp::WatchAll) {
-                        c.watch_all = true;
-                    }
+                if matches!(op, CoordOp::WatchAll) {
+                    self.watchers.insert(conn);
                 }
                 self.reply(
                     conn,
@@ -917,22 +834,22 @@ impl Replica {
     }
 
     /// Routes one round of effects the ring node emitted: sends onto the
-    /// peer links (or back into our own queue), decided entries
-    /// group-committed to the log and then applied, timers onto the heap.
+    /// ring links (or into `local`), decided entries group-committed to
+    /// the log and then applied, timers onto the heap.
     fn drain(&mut self) {
         for (to, msg) in self.out.sends.drain(..) {
             if to == self.me {
-                let _ = self.self_tx.send(SrvEvent::Peer(to, msg));
+                self.local.push(msg);
                 continue;
             }
             self.wire.note(&msg);
-            self.ring_links.send(
-                to,
-                PeerFrame {
+            if let Some(addr) = self.ring_addrs.get(&to) {
+                let frame = PeerFrame {
                     from: self.me,
                     msg: Msg::Ring(COORD_RING, msg),
-                },
-            );
+                };
+                self.net.send_to(*addr, &frame);
+            }
         }
         for (after, t) in self.out.timers.drain(..) {
             self.timers.push_after(after, t);
@@ -1002,16 +919,15 @@ impl Replica {
             // spot: its cache would otherwise miss this event and serve
             // stale configuration forever. Reconnecting re-arms the
             // watch and clears the client's cache.
-            let stalled: Vec<u64> = self
-                .conns
+            let stalled: Vec<ConnId> = self
+                .watchers
                 .iter()
-                .filter(|(_, c)| c.watch_all)
-                .filter(|(_, c)| {
+                .copied()
+                .filter(|id| {
                     !events
                         .iter()
-                        .all(|e| c.writer.send(CoordReply::Event(e.clone())))
+                        .all(|e| self.net.send(*id, &CoordReply::Event(e.clone())))
                 })
-                .map(|(id, _)| *id)
                 .collect();
             self.drop_conns(&stalled);
         }
@@ -1040,12 +956,7 @@ impl Replica {
             // Disconnect them: reconnecting re-arms the watch and clears
             // the client cache (the same contract the overflow path
             // relies on).
-            let watching: Vec<u64> = self
-                .conns
-                .iter()
-                .filter(|(_, c)| c.watch_all)
-                .map(|(id, _)| *id)
-                .collect();
+            let watching: Vec<ConnId> = self.watchers.iter().copied().collect();
             self.drop_conns(&watching);
             // Proposals whose decisions the jump skipped will never be
             // answered by `apply`. Fail the waiting clients now instead
@@ -1086,7 +997,7 @@ impl Replica {
         // (connects + reply wait can block for seconds; stalling this
         // loop would make the replica appear dead to its clients and its
         // ring exactly while it tries to heal) and comes back as
-        // [`SrvEvent::CatchUp`]. An unanswered *boot* catch-up also
+        // [`Mail::CatchUp`]. An unanswered *boot* catch-up also
         // retries here: on an idle ensemble no new decision would ever
         // surface a buffered gap, yet the replica may still be behind.
         if self.node.buffered_gap().is_some() || self.catchup_needed {
@@ -1096,7 +1007,7 @@ impl Replica {
             {
                 self.gap_since = Some(now);
                 let peers = self.peer_clients.clone();
-                let tx = self.self_tx.clone();
+                let mailer = self.net.mailer();
                 // Armed only if the thread actually started: a failed
                 // spawn sends no CatchUp, and a stuck `catchup_inflight`
                 // would disarm healing forever.
@@ -1104,7 +1015,7 @@ impl Replica {
                     .name(format!("amcoord-catchup-{}", self.me.raw()))
                     .spawn(move || {
                         let snap = fetch_peer_snapshot(&peers, Duration::from_secs(2));
-                        let _ = tx.send(SrvEvent::CatchUp(snap));
+                        mailer.post(Mail::CatchUp(snap));
                     })
                     .is_ok();
             }

@@ -11,16 +11,17 @@
 //! across machines rather than as protocol traces.
 //!
 //! ```text
-//!  amcast-cli ──TCP──► [client listener]──┐
-//!                                         │ events
-//!  peer amcastd ─TCP─► [peer listener] ───┤
-//!                                         ▼
+//!  amcast-cli ──TCP──► [client port]──┐
+//!                                     │ ready sockets
+//!  peer amcastd ─TCP─► [peer port] ───┤
+//!                                     ▼
 //!                          ┌─────────────────────────────┐
 //!                          │ node loop (one OS thread)   │
+//!                          │  ppoll → read → decode      │
 //!                          │  Batcher → MultiRingHost    │
 //!                          │  TimerHeap   │  WAL / ckpt  │
 //!                          └──────┬───────┴──────────────┘
-//!                                 │ sends / replies
+//!                                 │ sends / replies (non-blocking writes)
 //!                 peers ◄─TCP─────┴────TCP─► clients
 //! ```
 //!
@@ -29,9 +30,10 @@
 //! * [`node`] — the per-node event loop driving a [`multiring::MultiRingHost`]
 //!   through [`simnet::Ctx::external`].
 //! * `net` (crate-private) — the one place a server-side socket is
-//!   opened: stoppable listeners, framed readers, bounded writers, lazy
-//!   peer links, one-shot calls. `amcastd`'s node loop and `amcoordd`'s
-//!   server loop both sit on it.
+//!   opened, and the readiness loop (`ppoll(2)`) that `amcastd`'s node
+//!   loop and `amcoordd`'s server loop wait in: non-blocking accepts,
+//!   reads and bounded writes on the loop thread itself, lazy peer
+//!   links, a mailbox for other threads, one-shot calls.
 //! * [`batch`] — proposer-side request batching: many client commands
 //!   share one consensus value ([`common::value::Payload::Batch`]).
 //! * [`deployment`] — launch/kill/restart whole localhost deployments

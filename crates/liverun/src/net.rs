@@ -1,47 +1,636 @@
-//! The one place `liverun` opens a server-side socket.
+//! The one place `liverun` opens a server-side socket, and the readiness
+//! loop every live event loop waits in.
 //!
 //! Every live event loop in this crate (`amcastd`'s node loop,
 //! `amcoordd`'s server loop) drives a sans-IO state machine and must obey
 //! one rule: **state machines never touch a socket, loops never block on
 //! one.** A loop that stalls in `connect` or `write` stops its own
 //! heartbeats, which its peers read as a failure (§5.1) — a dead
-//! neighbour would take the node down with it. The pieces here are what
-//! keeps that rule: every socket lives on a thread of its own and talks
-//! to the loop through a queue.
+//! neighbour would take the node down with it. [`Net`] keeps that rule by
+//! construction: every socket it owns is non-blocking, and the loop
+//! thread itself waits on all of them in one `ppoll(2)`, so a frame is
+//! read, handled and answered on one thread with no hand-off.
 //!
-//! * [`Listener`] — a bound port whose accept loop can be stopped (and
-//!   the port released) from outside.
-//! * [`read_frames`] — the body of a reader thread: socket reads →
-//!   [`FrameBuf`] → decoded frames handed to a callback.
-//! * [`FrameWriter`] — the write half of one accepted connection: a
-//!   bounded queue drained by a writer thread that coalesces bursts into
-//!   one `write_vectored`.
-//! * [`PeerLinks`] — lazily dialled outgoing links to named peers, one
-//!   writer thread each; connect retries and back-off happen there.
+//! * [`Net`] — the sockets of one loop: its listeners, the connections
+//!   they accepted (read until they would block, decoded into
+//!   [`Event::Frame`]s) and lazily dialled links to named peers. Every
+//!   connection has a bounded outbound buffer that sheds when full, and
+//!   write interest is registered only while it holds something; a
+//!   turn's frames leave in one `write_vectored` per connection.
+//! * [`Mailer`] — how another thread reaches a loop: a channel plus a
+//!   wake-up socket the loop polls beside its network sockets.
+//! * [`spawn_loop`] — starts a loop thread.
+//! * [`Listener`] — a bound port with an accept thread that can be
+//!   stopped (and the port released) from outside; `netem`'s relays.
+//! * [`read_frames`] — a blocking frame reader; `LiveClient`'s reply
+//!   thread.
 //! * [`call`] — a one-shot request/response exchange under a deadline,
 //!   for the few places that need an answer before they can go on (boot
 //!   catch-up, stats scrapes). Never called from a loop thread.
 //! * [`free_port_block`] — localhost port reservation for tests and
 //!   examples.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use common::error::{Error, Result, WireError};
-use common::ids::NodeId;
 use common::obs::Counter;
 use common::transport::{encode_frame, FrameBuf};
 use common::wire::Wire;
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 
-/// Frames a writer queue holds before it sheds.
+/// Frames a connection's outbound buffer (or a link's hold queue) keeps
+/// before it sheds.
 const QUEUE_FRAMES: usize = 4096;
+
+/// Frames one `write_vectored` call carries at most.
+const WRITE_BURST: usize = 64;
+
+/// Pause before re-dialling a peer that has never answered (the
+/// deployment is still launching)...
+const DIAL_RETRY: Duration = Duration::from_millis(20);
+
+/// ...and after a peer that was up has stopped answering.
+const DIAL_BACKOFF: Duration = Duration::from_millis(50);
+
+/// `ppoll(2)`, declared by hand: std has no readiness wait and neither
+/// `libc` nor `mio` is vendored. `ppoll` rather than `poll` because its
+/// timeout is a `timespec`: a timer due in 300 µs waits 300 µs, neither
+/// rounded up to a millisecond nor spun for.
+mod sys {
+    use std::os::raw::{c_int, c_long, c_short, c_ulong, c_void};
+
+    #[repr(C)]
+    pub struct PollFd {
+        pub fd: c_int,
+        pub events: c_short,
+        pub revents: c_short,
+    }
+
+    #[repr(C)]
+    pub struct Timespec {
+        pub tv_sec: c_long,
+        pub tv_nsec: c_long,
+    }
+
+    pub const POLLIN: c_short = 0x001;
+    pub const POLLOUT: c_short = 0x004;
+    pub const POLLERR: c_short = 0x008;
+    pub const POLLHUP: c_short = 0x010;
+
+    extern "C" {
+        pub fn ppoll(
+            fds: *mut PollFd,
+            nfds: c_ulong,
+            timeout: *const Timespec,
+            sigmask: *const c_void,
+        ) -> c_int;
+    }
+}
+
+/// Waits until one of `fds` is ready or `timeout` passes. An interrupted
+/// wait leaves every `revents` at zero: the caller's next turn retries.
+fn ppoll(fds: &mut [sys::PollFd], timeout: Duration) {
+    let ts = sys::Timespec {
+        tv_sec: timeout.as_secs().min(3600) as _,
+        tv_nsec: timeout.subsec_nanos() as _,
+    };
+    // SAFETY: `fds` is a live, exclusively borrowed array of `fds.len()`
+    // `pollfd`s, `ts` outlives the call, and a null mask leaves the
+    // thread's signal mask alone.
+    unsafe { sys::ppoll(fds.as_mut_ptr(), fds.len() as _, &ts, std::ptr::null()) };
+}
+
+/// A connection's handle within its [`Net`].
+pub(crate) type ConnId = u64;
+
+/// Splits one decoded frame off an accepted connection's buffer.
+pub(crate) type Decode<In> = fn(&mut FrameBuf) -> std::result::Result<Option<In>, WireError>;
+
+/// What one [`Net::wait`] turn produced, in arrival order per connection.
+pub(crate) enum Event<In, M> {
+    /// A frame decoded off an accepted connection.
+    Frame(ConnId, In),
+    /// An accepted connection is gone — the peer closed it, it broke, it
+    /// sent a corrupt frame (every frame before it was delivered), or it
+    /// finished [`Net::close_after_flush`]. Not reported for
+    /// [`Net::close`].
+    Closed(ConnId),
+    /// A message another thread [`Mailer::post`]ed.
+    Mail(M),
+}
+
+enum Mail<M> {
+    Post(M),
+    /// A dial helper's outcome.
+    Dialed(SocketAddr, std::io::Result<TcpStream>),
+}
+
+/// The loop's end of its wake-up socket pair, shared by every [`Mailer`].
+struct Wake {
+    tx: UnixStream,
+    /// A wake byte is in flight; the loop disarms before it drains.
+    armed: AtomicBool,
+}
+
+/// Another thread's way into a loop — shutdown, executor shards, helper
+/// threads. Cheap to clone.
+pub(crate) struct Mailer<M> {
+    tx: Sender<Mail<M>>,
+    wake: Arc<Wake>,
+}
+
+impl<M> Clone for Mailer<M> {
+    fn clone(&self) -> Self {
+        Mailer {
+            tx: self.tx.clone(),
+            wake: Arc::clone(&self.wake),
+        }
+    }
+}
+
+impl<M> Mailer<M> {
+    /// Queues `msg` for the loop and wakes it; `false` once the loop has
+    /// stopped.
+    pub(crate) fn post(&self, msg: M) -> bool {
+        self.deliver(Mail::Post(msg))
+    }
+
+    fn deliver(&self, mail: Mail<M>) -> bool {
+        if self.tx.send(mail).is_err() {
+            return false;
+        }
+        if !self.wake.armed.swap(true, Ordering::SeqCst) {
+            let _ = (&self.wake.tx).write(&[1]);
+        }
+        true
+    }
+}
+
+struct Conn<In> {
+    stream: TcpStream,
+    /// `None` on a dialled link: whatever the peer says is discarded.
+    decode: Option<Decode<In>>,
+    rbuf: FrameBuf,
+    out: VecDeque<Bytes>,
+    /// Bytes of `out.front()` already written.
+    sent: usize,
+    /// Close once `out` has drained.
+    closing: bool,
+    /// The link this connection was dialled for.
+    link: Option<SocketAddr>,
+}
+
+/// An outgoing link to one peer address.
+#[derive(Default)]
+struct Link {
+    conn: Option<ConnId>,
+    /// Frames waiting for a connection.
+    held: VecDeque<Bytes>,
+    /// The dial helper, while one is out.
+    dial: Option<JoinHandle<()>>,
+    /// The peer has answered at least once.
+    ever: bool,
+    /// No dial before this.
+    retry_at: Option<Instant>,
+}
+
+#[derive(Clone, Copy)]
+enum Token {
+    Wake,
+    Listener(usize),
+    Conn(ConnId),
+}
+
+/// The sockets of one loop, all non-blocking, all waited on by the loop
+/// thread itself in [`Net::wait`].
+pub(crate) struct Net<In, M> {
+    listeners: Vec<(TcpListener, Decode<In>)>,
+    conns: HashMap<ConnId, Conn<In>>,
+    links: HashMap<SocketAddr, Link>,
+    next_id: ConnId,
+    rx: Receiver<Mail<M>>,
+    mailer: Mailer<M>,
+    wake_rx: UnixStream,
+    /// Thread name of the dial helpers.
+    dialer: String,
+    /// Frames that left in a multi-frame write.
+    vectored: Counter,
+    fds: Vec<sys::PollFd>,
+    tokens: Vec<Token>,
+    chunk: Vec<u8>,
+}
+
+impl<In, M: Send + 'static> Net<In, M> {
+    /// An empty set of sockets. Dial helpers are called `dialer`;
+    /// `vectored` counts frames that left in multi-frame writes.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the wake-up socket pair cannot be made.
+    pub(crate) fn new(dialer: String, vectored: Counter) -> std::io::Result<Self> {
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        wake_tx.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
+        let (tx, rx) = unbounded();
+        let wake = Arc::new(Wake {
+            tx: wake_tx,
+            armed: AtomicBool::new(false),
+        });
+        Ok(Net {
+            listeners: Vec::new(),
+            conns: HashMap::new(),
+            links: HashMap::new(),
+            next_id: 0,
+            rx,
+            mailer: Mailer { tx, wake },
+            wake_rx,
+            dialer,
+            vectored,
+            fds: Vec::new(),
+            tokens: Vec::new(),
+            chunk: vec![0; 64 * 1024],
+        })
+    }
+
+    /// Binds `addr`; frames on the connections it accepts are split off
+    /// with `decode`. Returns the bound address (the real port when bound
+    /// to port 0). The port is released when the `Net` is dropped.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the address cannot bind.
+    pub(crate) fn listen(
+        &mut self,
+        addr: SocketAddr,
+        decode: Decode<In>,
+    ) -> std::io::Result<SocketAddr> {
+        let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
+        let addr = listener.local_addr()?;
+        self.listeners.push((listener, decode));
+        Ok(addr)
+    }
+
+    /// A handle other threads post to this loop through.
+    pub(crate) fn mailer(&self) -> Mailer<M> {
+        self.mailer.clone()
+    }
+
+    /// Queues `frame` on an accepted connection; `false` when the buffer
+    /// is full (a stalled remote end) or the connection is gone, and the
+    /// frame was dropped — the paper's UDP semantics, which clients
+    /// already retry around.
+    pub(crate) fn send<T: Wire>(&mut self, conn: ConnId, frame: &T) -> bool {
+        self.conns
+            .get_mut(&conn)
+            .is_some_and(|c| push(&mut c.out, frame))
+    }
+
+    /// Queues `frame` for the peer at `addr`, dialling on first use. Until
+    /// the peer's first connect frames are held (the deployment is still
+    /// launching — dropping first-hop Phase 2 traffic would leave
+    /// undecided instances); once a peer that was up has died they are
+    /// dropped, and failure detection, TTL'd circulation and gap healing
+    /// absorb the loss (§5.1–5.2). Either way the queue sheds when full.
+    pub(crate) fn send_to<T: Wire>(&mut self, addr: SocketAddr, frame: &T) {
+        let link = self.links.entry(addr).or_default();
+        let queue = match link.conn.and_then(|id| self.conns.get_mut(&id)) {
+            Some(c) => &mut c.out,
+            None => &mut link.held,
+        };
+        push(queue, frame);
+    }
+
+    /// Frames queued on `conn` that have not left yet.
+    pub(crate) fn queued(&self, conn: ConnId) -> usize {
+        self.conns.get(&conn).map_or(0, |c| c.out.len())
+    }
+
+    /// Closes `conn` now; what it had queued is dropped.
+    pub(crate) fn close(&mut self, conn: ConnId) {
+        self.remove(conn);
+    }
+
+    /// Closes `conn` once what it has queued has left.
+    pub(crate) fn close_after_flush(&mut self, conn: ConnId) {
+        if let Some(c) = self.conns.get_mut(&conn) {
+            c.closing = true;
+        }
+    }
+
+    /// One turn: writes what the last turn queued, waits until a socket
+    /// is ready, the mailbox has mail or `timeout` passes, then accepts,
+    /// reads every ready connection until it would block and appends what
+    /// arrived to `events`.
+    pub(crate) fn wait(&mut self, timeout: Duration, events: &mut Vec<Event<In, M>>) {
+        // Answers on accepted connections leave before traffic on links:
+        // a loopback write runs the receiver's stack inline, and the
+        // reply is the last hop of a command the turn has finished.
+        let mut pending: Vec<(bool, ConnId)> = self
+            .conns
+            .iter()
+            .filter(|(_, c)| !c.out.is_empty() || c.closing)
+            .map(|(id, c)| (c.link.is_some(), *id))
+            .collect();
+        pending.sort_unstable();
+        for (_, id) in pending {
+            self.flush(id, events);
+        }
+        let timeout = self.dial(timeout);
+
+        self.fds.clear();
+        self.tokens.clear();
+        let mut watch = |fd, events, token| {
+            self.fds.push(sys::PollFd {
+                fd,
+                events,
+                revents: 0,
+            });
+            self.tokens.push(token);
+        };
+        watch(self.wake_rx.as_raw_fd(), sys::POLLIN, Token::Wake);
+        for (i, (l, _)) in self.listeners.iter().enumerate() {
+            watch(l.as_raw_fd(), sys::POLLIN, Token::Listener(i));
+        }
+        for (id, c) in &self.conns {
+            let out = if c.out.is_empty() { 0 } else { sys::POLLOUT };
+            watch(c.stream.as_raw_fd(), sys::POLLIN | out, Token::Conn(*id));
+        }
+        ppoll(&mut self.fds, timeout);
+
+        for k in 0..self.fds.len() {
+            let ready = self.fds[k].revents;
+            if ready == 0 {
+                continue;
+            }
+            match self.tokens[k] {
+                Token::Wake => {
+                    // Armed posters write one byte between drains. The
+                    // disarm precedes the drain below, so mail posted
+                    // after the drain sees the flag down and wakes us.
+                    let _ = (&self.wake_rx).read(&mut self.chunk);
+                    self.mailer.wake.armed.store(false, Ordering::SeqCst);
+                }
+                Token::Listener(i) => self.accept(i),
+                Token::Conn(id) => {
+                    if ready & (sys::POLLIN | sys::POLLHUP | sys::POLLERR) != 0 {
+                        self.read(id, events);
+                    }
+                    if ready & sys::POLLOUT != 0 {
+                        self.flush(id, events);
+                    }
+                }
+            }
+        }
+        while let Ok(mail) = self.rx.try_recv() {
+            match mail {
+                Mail::Post(msg) => events.push(Event::Mail(msg)),
+                Mail::Dialed(addr, dialed) => self.dialed(addr, dialed),
+            }
+        }
+    }
+
+    /// Starts a dial helper for every link holding frames whose retry
+    /// time has come; returns `timeout` cut to the next retry time.
+    fn dial(&mut self, mut timeout: Duration) -> Duration {
+        let now = Instant::now();
+        for (addr, link) in &mut self.links {
+            if link.conn.is_some() || link.dial.is_some() || link.held.is_empty() {
+                continue;
+            }
+            if let Some(at) = link.retry_at.filter(|at| *at > now) {
+                timeout = timeout.min(at - now);
+                continue;
+            }
+            let (mailer, addr) = (self.mailer.clone(), *addr);
+            link.dial = std::thread::Builder::new()
+                .name(self.dialer.clone())
+                .spawn(move || {
+                    let dialed = TcpStream::connect_timeout(&addr, Duration::from_millis(250));
+                    mailer.deliver(Mail::Dialed(addr, dialed));
+                })
+                .ok();
+            if link.dial.is_none() {
+                link.retry_at = Some(now + DIAL_BACKOFF);
+            }
+        }
+        timeout
+    }
+
+    fn accept(&mut self, i: usize) {
+        loop {
+            let (listener, decode) = &self.listeners[i];
+            let decode = *decode;
+            let stream = match listener.accept() {
+                Ok((s, _)) => s,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => return,
+            };
+            if stream.set_nonblocking(true).is_ok() {
+                let _ = stream.set_nodelay(true);
+                self.add(stream, Some(decode), None, VecDeque::new());
+            }
+        }
+    }
+
+    fn add(
+        &mut self,
+        stream: TcpStream,
+        decode: Option<Decode<In>>,
+        link: Option<SocketAddr>,
+        out: VecDeque<Bytes>,
+    ) -> ConnId {
+        self.next_id += 1;
+        self.conns.insert(
+            self.next_id,
+            Conn {
+                stream,
+                decode,
+                rbuf: FrameBuf::new(),
+                out,
+                sent: 0,
+                closing: false,
+                link,
+            },
+        );
+        self.next_id
+    }
+
+    /// Reads `id` until it would block, then splits off every complete
+    /// frame. A short read means the socket is drained: no second read
+    /// just to hear `EAGAIN` (whatever lands meanwhile wakes the next
+    /// turn).
+    fn read(&mut self, id: ConnId, events: &mut Vec<Event<In, M>>) {
+        let Some(c) = self.conns.get_mut(&id) else {
+            return;
+        };
+        let mut open = loop {
+            match c.stream.read(&mut self.chunk) {
+                Ok(0) => break false,
+                Ok(n) => {
+                    if c.decode.is_some() {
+                        c.rbuf.extend(&self.chunk[..n]);
+                    }
+                    if n < self.chunk.len() {
+                        break true;
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => break e.kind() == std::io::ErrorKind::WouldBlock,
+            }
+        };
+        if let Some(decode) = c.decode {
+            loop {
+                match decode(&mut c.rbuf) {
+                    Ok(Some(frame)) => events.push(Event::Frame(id, frame)),
+                    Ok(None) => break,
+                    Err(_) => {
+                        open = false;
+                        break;
+                    }
+                }
+            }
+        }
+        if !open {
+            self.drop_conn(id, events);
+        }
+    }
+
+    /// Writes what `id` has queued until the socket would block.
+    fn flush(&mut self, id: ConnId, events: &mut Vec<Event<In, M>>) {
+        let Some(c) = self.conns.get_mut(&id) else {
+            return;
+        };
+        while !c.out.is_empty() {
+            let (written, burst) = {
+                let slices: Vec<IoSlice> = c
+                    .out
+                    .iter()
+                    .take(WRITE_BURST)
+                    .enumerate()
+                    .map(|(i, f)| IoSlice::new(if i == 0 { &f[c.sent..] } else { f }))
+                    .collect();
+                (c.stream.write_vectored(&slices), slices.len() > 1)
+            };
+            let mut n = match written {
+                Ok(n) if n > 0 => n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                _ => return self.drop_conn(id, events),
+            };
+            let mut done = 0;
+            while let Some(front) = c.out.front() {
+                let left = front.len() - c.sent;
+                if n < left {
+                    c.sent += n;
+                    break;
+                }
+                n -= left;
+                c.sent = 0;
+                c.out.pop_front();
+                done += 1;
+            }
+            if burst {
+                self.vectored.add(done);
+            }
+        }
+        if c.closing {
+            self.drop_conn(id, events);
+        }
+    }
+
+    /// Forgets a connection that ended on its own; accepted ones are
+    /// reported.
+    fn drop_conn(&mut self, id: ConnId, events: &mut Vec<Event<In, M>>) {
+        if self.remove(id) {
+            events.push(Event::Closed(id));
+        }
+    }
+
+    /// Closes `id`; `true` if it was an accepted connection. A link's
+    /// unsent frames go back to its hold queue: a peer that restarted
+    /// gets them on one fresh connection.
+    fn remove(&mut self, id: ConnId) -> bool {
+        let Some(c) = self.conns.remove(&id) else {
+            return false;
+        };
+        if let Some(link) = c.link.and_then(|addr| self.links.get_mut(&addr)) {
+            link.conn = None;
+            link.held.extend(c.out);
+        }
+        c.decode.is_some()
+    }
+
+    fn dialed(&mut self, addr: SocketAddr, dialed: std::io::Result<TcpStream>) {
+        let Some(link) = self.links.get_mut(&addr) else {
+            return;
+        };
+        // The helper has handed its result over and is exiting.
+        if let Some(helper) = link.dial.take() {
+            let _ = helper.join();
+        }
+        let Ok(stream) = dialed.and_then(|s| s.set_nonblocking(true).map(|()| s)) else {
+            let pause = if link.ever {
+                link.held.clear();
+                DIAL_BACKOFF
+            } else {
+                DIAL_RETRY
+            };
+            link.retry_at = Some(Instant::now() + pause);
+            return;
+        };
+        let _ = stream.set_nodelay(true);
+        link.ever = true;
+        let held = std::mem::take(&mut link.held);
+        let id = self.add(stream, None, Some(addr), held);
+        if let Some(link) = self.links.get_mut(&addr) {
+            link.conn = Some(id);
+        }
+    }
+}
+
+impl<In, M> Drop for Net<In, M> {
+    /// Waits out dial helpers still connecting (a connect gives up after
+    /// 250 ms), so a stopped loop leaves no thread behind.
+    fn drop(&mut self) {
+        for link in self.links.values_mut() {
+            if let Some(helper) = link.dial.take() {
+                let _ = helper.join();
+            }
+        }
+    }
+}
+
+/// Encodes `frame` onto `queue` unless it is full.
+fn push<T: Wire>(queue: &mut VecDeque<Bytes>, frame: &T) -> bool {
+    let room = queue.len() < QUEUE_FRAMES;
+    if room {
+        queue.push_back(encode_frame(frame));
+    }
+    room
+}
+
+/// Starts a loop thread called `name`. Every thread between the wire and
+/// a state machine is started in this module.
+///
+/// # Errors
+///
+/// Fails if the thread cannot spawn.
+pub(crate) fn spawn_loop(
+    name: String,
+    body: impl FnOnce() + Send + 'static,
+) -> std::io::Result<JoinHandle<()>> {
+    std::thread::Builder::new().name(name).spawn(body)
+}
 
 /// A listener whose accept loop can be stopped from outside.
 pub(crate) struct Listener {
@@ -99,8 +688,8 @@ impl Listener {
     }
 }
 
-/// Reads `T` frames off `stream` until it closes, breaks, or `on_frame`
-/// returns `false` — the body of a per-connection reader thread.
+/// Reads `T` frames off a blocking `stream` until it closes, breaks, or
+/// `on_frame` returns `false` — the body of a reader thread.
 ///
 /// # Errors
 ///
@@ -123,228 +712,6 @@ pub(crate) fn read_frames<T: Wire>(
                         return Ok(());
                     }
                 }
-            }
-        }
-    }
-}
-
-/// Encodes `first` and whatever is queued behind it into `frames`, up to
-/// `max_frames` frames or `max_bytes` bytes. Write coalescing: the burst
-/// leaves in one `write_vectored` syscall — no added latency, no copy
-/// into a staging buffer, and under load the per-frame write cost
-/// amortizes across the burst.
-fn gather<T: Wire>(
-    first: T,
-    rx: &Receiver<T>,
-    frames: &mut Vec<Bytes>,
-    max_frames: usize,
-    max_bytes: usize,
-) {
-    frames.clear();
-    frames.push(encode_frame(&first));
-    let mut total = frames[0].len();
-    while frames.len() < max_frames && total < max_bytes {
-        let Ok(next) = rx.try_recv() else { break };
-        let frame = encode_frame(&next);
-        total += frame.len();
-        frames.push(frame);
-    }
-}
-
-/// Writes every frame fully with `write_vectored`, rebuilding the slice
-/// list from the unwritten remainder after short writes (std's
-/// `write_all_vectored` is unstable).
-fn write_all_vectored(stream: &mut TcpStream, frames: &[Bytes]) -> std::io::Result<()> {
-    let mut idx = 0;
-    let mut off = 0;
-    while idx < frames.len() {
-        let slices: Vec<IoSlice> = std::iter::once(IoSlice::new(&frames[idx][off..]))
-            .chain(frames[idx + 1..].iter().map(|f| IoSlice::new(f)))
-            .collect();
-        let mut n = match stream.write_vectored(&slices) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
-                    "failed to write frames",
-                ))
-            }
-            Ok(n) => n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        while idx < frames.len() && n >= frames[idx].len() - off {
-            n -= frames[idx].len() - off;
-            idx += 1;
-            off = 0;
-        }
-        off += n;
-    }
-    Ok(())
-}
-
-/// Write half of one accepted connection.
-///
-/// Replies must never block the loop that produces them: a client that
-/// stops reading fills its TCP window and a blocking write would stall
-/// the loop (and with it the node's heartbeats). Frames therefore go
-/// through a bounded queue to a dedicated writer thread; when the queue
-/// fills, [`FrameWriter::send`] says so and the frame is dropped — the
-/// same semantics as the paper's UDP responses, which clients already
-/// retry around.
-pub(crate) struct FrameWriter<T> {
-    tx: Sender<T>,
-    depth: Arc<AtomicUsize>,
-}
-
-impl<T> Clone for FrameWriter<T> {
-    fn clone(&self) -> Self {
-        FrameWriter {
-            tx: self.tx.clone(),
-            depth: Arc::clone(&self.depth),
-        }
-    }
-}
-
-impl<T: Wire + Send + 'static> FrameWriter<T> {
-    /// Takes over the write half of `stream`. The writer thread exits
-    /// when every handle to the queue is gone or the socket breaks, and
-    /// closes the *socket*, not just its fd: the connection's reader
-    /// holds a clone, and the remote end must observe EOF when this half
-    /// dies. `vectored` counts frames that left in multi-frame bursts.
-    pub(crate) fn new(mut stream: TcpStream, vectored: Counter) -> Self {
-        let (tx, rx) = bounded::<T>(QUEUE_FRAMES);
-        let depth = Arc::new(AtomicUsize::new(0));
-        let loop_depth = Arc::clone(&depth);
-        std::thread::spawn(move || {
-            let mut frames: Vec<Bytes> = Vec::new();
-            while let Ok(first) = rx.recv() {
-                gather(first, &rx, &mut frames, 64, usize::MAX);
-                loop_depth.fetch_sub(frames.len(), Ordering::Relaxed);
-                if frames.len() > 1 {
-                    vectored.add(frames.len() as u64);
-                }
-                if write_all_vectored(&mut stream, &frames).is_err() {
-                    break;
-                }
-            }
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        });
-        FrameWriter { tx, depth }
-    }
-
-    /// Queues a frame; `false` when the queue is full (a stalled remote
-    /// end) or the writer is gone, and the frame was dropped.
-    pub(crate) fn send(&self, frame: T) -> bool {
-        let queued = self.tx.try_send(frame).is_ok();
-        if queued {
-            self.depth.fetch_add(1, Ordering::Relaxed);
-        }
-        queued
-    }
-
-    /// Frames queued behind the writer thread.
-    pub(crate) fn queued(&self) -> usize {
-        self.depth.load(Ordering::Relaxed)
-    }
-}
-
-/// Outgoing links to a fixed set of peers.
-///
-/// Each peer gets, on first use, a dedicated writer thread owning the
-/// socket, fed through a bounded queue; connect retries and back-off
-/// happen on the writer thread, and when the queue is full (peer down,
-/// backlog grown) frames are dropped — the protocols above absorb the
-/// loss with TTL'd circulation, retries and failure detection.
-pub(crate) struct PeerLinks<T> {
-    name: String,
-    addrs: HashMap<NodeId, SocketAddr>,
-    links: HashMap<NodeId, Sender<T>>,
-    vectored: Counter,
-}
-
-impl<T: Wire + Send + 'static> PeerLinks<T> {
-    /// Links to the peers in `addrs`; writer threads are called
-    /// `<name>-<peer>`. `vectored` counts frames that left in
-    /// multi-frame bursts.
-    pub(crate) fn new(name: String, addrs: HashMap<NodeId, SocketAddr>, vectored: Counter) -> Self {
-        PeerLinks {
-            name,
-            addrs,
-            links: HashMap::new(),
-            vectored,
-        }
-    }
-
-    /// Queues `frame` for `to` and returns at once. Frames to unknown
-    /// peers and frames that find the queue full are dropped.
-    pub(crate) fn send(&mut self, to: NodeId, frame: T) {
-        let Some(addr) = self.addrs.get(&to).copied() else {
-            return;
-        };
-        let link = self.links.entry(to).or_insert_with(|| {
-            let (tx, rx) = bounded::<T>(QUEUE_FRAMES);
-            let vectored = self.vectored.clone();
-            std::thread::Builder::new()
-                .name(format!("{}-{}", self.name, to.raw()))
-                .spawn(move || peer_writer_loop(addr, rx, vectored))
-                .expect("spawn peer writer");
-            tx
-        });
-        let _ = link.try_send(frame);
-    }
-}
-
-/// Owns the outgoing socket to one peer: connects (with back-off), writes
-/// queued frames, reconnects once on a failed write. Exits when the
-/// owning [`PeerLinks`] is dropped.
-fn peer_writer_loop<T: Wire>(addr: SocketAddr, rx: Receiver<T>, vectored: Counter) {
-    let mut conn: Option<TcpStream> = None;
-    let mut ever_connected = false;
-    let mut frames: Vec<Bytes> = Vec::new();
-    loop {
-        let Ok(first) = rx.recv() else { return };
-        // The byte cap bounds how much a failed write can lose at once
-        // (a dropped burst is healed by TTL'd circulation, retries and
-        // the value-pull path, but smaller losses heal faster).
-        gather(first, &rx, &mut frames, usize::MAX, 64 * 1024);
-        if frames.len() > 1 {
-            vectored.add(frames.len() as u64);
-        }
-        // (Re)connect if needed, then write; a failed write drops the
-        // socket and retries once with a fresh connection.
-        let mut attempts_left = 2;
-        while attempts_left > 0 {
-            if conn.is_none() {
-                match TcpStream::connect_timeout(&addr, Duration::from_millis(250)) {
-                    Ok(s) => {
-                        let _ = s.set_nodelay(true);
-                        conn = Some(s);
-                        ever_connected = true;
-                    }
-                    Err(_) if !ever_connected => {
-                        // The peer has not come up yet (deployment still
-                        // launching): HOLD the burst and keep trying —
-                        // dropping first-hop Phase 2 traffic here would
-                        // leave permanently undecided instances. The
-                        // bounded queue sheds load if this goes on.
-                        std::thread::sleep(Duration::from_millis(20));
-                        continue;
-                    }
-                    Err(_) => {
-                        // Peer was up and died: drop the burst and back
-                        // off; failure detection and gap healing take
-                        // over (§5.1–5.2).
-                        std::thread::sleep(Duration::from_millis(50));
-                        break;
-                    }
-                }
-            }
-            if let Some(s) = conn.as_mut() {
-                if write_all_vectored(s, &frames).is_ok() {
-                    break;
-                }
-                conn = None;
-                attempts_left -= 1;
             }
         }
     }
@@ -449,22 +816,42 @@ mod tests {
     use super::*;
     use common::obs::Obs;
 
-    fn counter() -> Counter {
-        Obs::for_node(0).counter("test_vectored")
+    /// A loop's sockets whose connections carry raw `Bytes` frames and
+    /// whose mail is a bare stop signal.
+    type TestNet = Net<Bytes, ()>;
+
+    fn test_net() -> TestNet {
+        Net::new(
+            "test-dial".into(),
+            Obs::for_node(0).counter("test_vectored"),
+        )
+        .unwrap()
+    }
+
+    fn bytes_frame(buf: &mut FrameBuf) -> std::result::Result<Option<Bytes>, WireError> {
+        buf.try_next()
     }
 
     fn localhost(port: u16) -> SocketAddr {
         SocketAddr::from(([127, 0, 0, 1], port))
     }
 
-    fn links_to(addr: SocketAddr) -> PeerLinks<Bytes> {
-        let addrs = HashMap::from([(NodeId::new(1), addr)]);
-        PeerLinks::new("test-link".into(), addrs, counter())
+    /// Runs `net`'s turns for `dur` (at least one), each waiting at most
+    /// 5 ms.
+    fn pump(net: &mut TestNet, dur: Duration) -> Vec<Event<Bytes, ()>> {
+        let mut events = Vec::new();
+        let end = Instant::now() + dur;
+        loop {
+            net.wait(Duration::from_millis(5), &mut events);
+            if Instant::now() >= end {
+                return events;
+            }
+        }
     }
 
     /// A listener that forwards every frame of every connection.
     fn frame_sink(addr: SocketAddr) -> (Listener, Receiver<Bytes>) {
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = unbounded();
         let listener = Listener::bind(addr, "test-sink".into(), move |stream| {
             let tx = tx.clone();
             std::thread::spawn(move || read_frames(stream, |f: Bytes| tx.send(f).is_ok()));
@@ -473,74 +860,101 @@ mod tests {
         (listener, rx)
     }
 
+    /// Pumps `net` until `rx` yields a frame (or five seconds pass).
+    fn pump_until_frame(net: &mut TestNet, rx: &Receiver<Bytes>) -> Option<Bytes> {
+        let end = Instant::now() + Duration::from_secs(5);
+        while Instant::now() < end {
+            pump(net, Duration::ZERO);
+            if let Ok(frame) = rx.try_recv() {
+                return Some(frame);
+            }
+        }
+        None
+    }
+
     #[test]
     fn send_to_a_peer_that_never_reads_does_not_block() {
         // The peer accepts and then sits on the connection: its receive
-        // buffer and our send buffer fill, the writer thread blocks in
-        // write, the queue fills — and `send` must keep returning.
-        let (held_tx, held_rx) = crossbeam::channel::unbounded();
+        // buffer and our send buffer fill, the link's outbound buffer
+        // fills and sheds — and neither `send_to` nor the loop's turns
+        // may stall on the socket.
+        let (held_tx, held_rx) = unbounded();
         let peer = Listener::bind(localhost(0), "test-mute".into(), move |stream| {
             let _ = held_tx.send(stream);
         })
         .unwrap();
-        let mut links = links_to(peer.addr());
+        let mut net = test_net();
         let frame = Bytes::from(vec![7u8; 1024]);
+        let mut events = Vec::new();
         let started = Instant::now();
-        for _ in 0..100_000 {
-            links.send(NodeId::new(1), frame.clone());
+        let mut slowest_turn = Duration::ZERO;
+        for i in 0..100_000 {
+            net.send_to(peer.addr(), &frame);
+            if i % 1000 == 999 {
+                // A timer 1 ms out: the turn must come back for it.
+                let turn = Instant::now();
+                net.wait(Duration::from_millis(1), &mut events);
+                slowest_turn = slowest_turn.max(turn.elapsed());
+            }
         }
         let took = started.elapsed();
         // 100 MB through a socket nobody reads would never finish; shed
-        // into a full queue it is a few tens of milliseconds.
+        // into a full buffer it is a fraction of a second.
         assert!(
             took < Duration::from_secs(5),
             "send blocked on the socket: {took:?}"
         );
         let conn = held_rx.recv_timeout(Duration::from_secs(5));
-        assert!(conn.is_ok(), "the writer thread did connect");
-        drop(links);
+        assert!(conn.is_ok(), "the link did connect");
+        for _ in 0..20 {
+            let turn = Instant::now();
+            net.wait(Duration::from_millis(5), &mut events);
+            slowest_turn = slowest_turn.max(turn.elapsed());
+        }
+        assert!(
+            slowest_turn < Duration::from_millis(500),
+            "a turn overran its timer while the peer was stalled: {slowest_turn:?}"
+        );
+        assert!(net.queued(1) > 0 && net.queued(1) <= QUEUE_FRAMES);
+        drop(net);
         drop(conn);
         peer.stop();
     }
 
     #[test]
     fn frames_are_held_until_the_first_connect_and_dropped_after_a_death() {
-        let port = free_port_block(1).unwrap();
-        let mut links = links_to(localhost(port));
-        // Nobody listens yet: the frame waits on the writer thread.
-        links.send(NodeId::new(1), Bytes::from_static(b"early"));
-        std::thread::sleep(Duration::from_millis(100));
-        let (sink, rx) = frame_sink(localhost(port));
+        let addr = localhost(free_port_block(1).unwrap());
+        let mut net = test_net();
+        // Nobody listens yet: the frame is held while dials fail.
+        net.send_to(addr, &Bytes::from_static(b"early"));
+        pump(&mut net, Duration::from_millis(100));
+        let (sink, rx) = frame_sink(addr);
         assert_eq!(
-            rx.recv_timeout(Duration::from_secs(5)).unwrap(),
-            Bytes::from_static(b"early"),
+            pump_until_frame(&mut net, &rx),
+            Some(Bytes::from_static(b"early")),
             "a frame sent before the peer bound is delivered once it binds"
         );
 
-        // The peer dies: listener gone, accepted socket closed (the sink's
-        // reader exits once its channel is dropped and a frame arrives,
-        // or on the RST the closed listener's backlog produces).
+        // The peer dies: listener gone, and its reader exits (closing the
+        // accepted socket) at the first frame that finds `rx` dropped.
         sink.stop();
         drop(rx);
-        // Sends now hit a dead peer. The first may still land in the old
-        // socket's buffer; keep sending until the writer has noticed and
-        // gone through its drop-and-back-off path.
         for _ in 0..20 {
-            links.send(NodeId::new(1), Bytes::from_static(b"lost"));
-            std::thread::sleep(Duration::from_millis(20));
+            net.send_to(addr, &Bytes::from_static(b"lost"));
+            pump(&mut net, Duration::from_millis(20));
         }
-        // Let the writer drain its queue against the dead address.
-        std::thread::sleep(Duration::from_millis(300));
+        // Let the link drain its hold queue against the dead address.
+        pump(&mut net, Duration::from_millis(300));
 
         // The peer comes back: only frames sent from now on arrive.
-        let (sink, rx) = frame_sink(localhost(port));
-        links.send(NodeId::new(1), Bytes::from_static(b"fresh"));
+        let (sink, rx) = frame_sink(addr);
+        net.send_to(addr, &Bytes::from_static(b"fresh"));
         assert_eq!(
-            rx.recv_timeout(Duration::from_secs(5)).unwrap(),
-            Bytes::from_static(b"fresh"),
+            pump_until_frame(&mut net, &rx),
+            Some(Bytes::from_static(b"fresh")),
             "frames to a peer that was up and died are dropped, not held"
         );
-        drop(links);
+        drop(net);
         sink.stop();
     }
 
@@ -556,36 +970,105 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_length_prefix_ends_the_reader_without_a_partial_frame() {
-        let (frames_tx, frames_rx) = crossbeam::channel::unbounded();
-        let (done_tx, done_rx) = crossbeam::channel::unbounded();
-        let listener = Listener::bind(localhost(0), "test-corrupt".into(), move |stream| {
-            let frames_tx = frames_tx.clone();
-            let done_tx = done_tx.clone();
-            std::thread::spawn(move || {
-                let end = read_frames(stream, |f: Bytes| frames_tx.send(f).is_ok());
-                let _ = done_tx.send(end);
-            });
-        })
-        .unwrap();
-        let mut conn = TcpStream::connect(listener.addr()).unwrap();
-        conn.write_all(&encode_frame(&Bytes::from_static(b"good")))
+    fn stopped_loop_releases_both_ports() {
+        let base = free_port_block(2).unwrap();
+        let (a, b) = (localhost(base), localhost(base + 1));
+        for round in 0..3 {
+            let mut net = test_net();
+            for addr in [a, b] {
+                let bound = net
+                    .listen(addr, bytes_frame)
+                    .unwrap_or_else(|e| panic!("round {round}: rebind failed: {e}"));
+                assert_eq!(bound, addr);
+            }
+            let mailer = net.mailer();
+            let (tx, rx) = unbounded();
+            let join = spawn_loop("test-loop".into(), move || {
+                let mut events = Vec::new();
+                loop {
+                    net.wait(Duration::from_secs(1), &mut events);
+                    for event in events.drain(..) {
+                        match event {
+                            Event::Mail(()) => return,
+                            Event::Frame(_, f) => tx.send(f).unwrap(),
+                            Event::Closed(_) => {}
+                        }
+                    }
+                }
+            })
             .unwrap();
+            // A live connection on each port, served by the loop.
+            let conns: Vec<TcpStream> = [a, b]
+                .iter()
+                .map(|addr| {
+                    let mut c = TcpStream::connect(addr).unwrap();
+                    c.write_all(&encode_frame(&Bytes::from_static(b"hi")))
+                        .unwrap();
+                    c
+                })
+                .collect();
+            for _ in 0..2 {
+                assert!(rx.recv_timeout(Duration::from_secs(5)).is_ok());
+            }
+            assert!(mailer.post(()));
+            join.join().unwrap();
+            assert!(!mailer.post(()), "a stopped loop takes no mail");
+            drop(conns);
+        }
+    }
+
+    #[test]
+    fn corrupt_length_prefix_ends_the_reader_without_a_partial_frame() {
+        let mut net = test_net();
+        let addr = net.listen(localhost(0), bytes_frame).unwrap();
+        let frame = |body: &'static [u8]| encode_frame(&Bytes::from_static(body));
+        let mut bad = TcpStream::connect(addr).unwrap();
+        let mut good = TcpStream::connect(addr).unwrap();
+        good.write_all(&frame(b"a")).unwrap();
+        bad.write_all(&frame(b"before")).unwrap();
         // A ten-byte varint announcing a frame far above the length
         // limit, followed by bytes that must never surface as a frame.
-        conn.write_all(&[0xff; 9]).unwrap();
-        conn.write_all(&[0x01]).unwrap();
-        conn.write_all(b"garbage that is not a frame").unwrap();
-        let end = done_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert!(end.is_err(), "the reader reports the corruption: {end:?}");
-        let got: Vec<Bytes> = frames_rx.try_iter().collect();
-        assert_eq!(got, vec![Bytes::from_static(b"good")]);
-        listener.stop();
+        bad.write_all(&[0xff; 9]).unwrap();
+        bad.write_all(&[0x01]).unwrap();
+        bad.write_all(b"garbage that is not a frame").unwrap();
+
+        let mut frames: HashMap<ConnId, Vec<Bytes>> = HashMap::new();
+        let mut closed = Vec::new();
+        let mut sent_after = false;
+        let end = Instant::now() + Duration::from_secs(5);
+        while Instant::now() < end && frames.values().map(Vec::len).sum::<usize>() < 3 {
+            for event in pump(&mut net, Duration::ZERO) {
+                match event {
+                    Event::Frame(id, f) => frames.entry(id).or_default().push(f),
+                    Event::Closed(id) => closed.push(id),
+                    Event::Mail(()) => {}
+                }
+            }
+            if !closed.is_empty() && !sent_after {
+                // The other connection keeps flowing after the close.
+                good.write_all(&frame(b"b")).unwrap();
+                sent_after = true;
+            }
+        }
+        let of = |body: &'static [u8]| {
+            *frames
+                .iter()
+                .find(|(_, fs)| fs[0] == Bytes::from_static(body))
+                .expect("connection delivered")
+                .0
+        };
+        let (bad_id, good_id) = (of(b"before"), of(b"a"));
+        assert_eq!(closed, vec![bad_id], "only the corrupt connection closes");
+        assert_eq!(frames[&bad_id], vec![Bytes::from_static(b"before")]);
+        assert_eq!(
+            frames[&good_id],
+            vec![Bytes::from_static(b"a"), Bytes::from_static(b"b")]
+        );
     }
 
     #[test]
     fn call_gives_up_at_its_deadline_against_a_silent_server() {
-        let (held_tx, held_rx) = crossbeam::channel::unbounded();
+        let (held_tx, held_rx) = unbounded();
         let server = Listener::bind(localhost(0), "test-silent".into(), move |stream| {
             let _ = held_tx.send(stream);
         })
@@ -610,10 +1093,13 @@ mod tests {
     #[test]
     fn call_returns_the_first_picked_reply() {
         let server = Listener::bind(localhost(0), "test-echo".into(), |stream| {
-            let writer = FrameWriter::new(stream.try_clone().unwrap(), counter());
+            let mut writer = stream.try_clone().unwrap();
             std::thread::spawn(move || {
                 read_frames(stream, |f: Bytes| {
-                    writer.send(Bytes::from_static(b"noise")) && writer.send(f)
+                    writer
+                        .write_all(&encode_frame(&Bytes::from_static(b"noise")))
+                        .is_ok()
+                        && writer.write_all(&encode_frame(&f)).is_ok()
                 })
             });
         })

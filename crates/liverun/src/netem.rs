@@ -17,7 +17,7 @@
 //! a writer thread sleeps until each chunk's release and forwards it.
 //! Release times are monotone per link, so TCP byte order survives
 //! shaping. Loss and partitions surface exactly the way a WAN surfaces
-//! them: the connection dies and the sender's writer loop reconnects —
+//! them: the connection dies and the sender's link re-dials —
 //! against a blocked link the reconnect is cut at accept time.
 //!
 //! Shaping is observable from the outside (and asserted on in tests):
@@ -294,7 +294,7 @@ impl Netem {
         // ever worked the relay dials the real target with patient
         // retries (deployment still launching), after that a dead target
         // cuts the connection immediately — mirroring the sender's own
-        // hold-then-drop reconnect semantics in `net::PeerLinks`.
+        // hold-then-drop reconnect semantics of `net::Net::send_to`.
         let ever = Arc::new(AtomicBool::new(false));
         let src = Arc::new(src);
         let shared2 = Arc::clone(shared);

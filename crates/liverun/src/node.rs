@@ -1,21 +1,19 @@
 //! The live node: one [`MultiRingHost`] driven by an OS-thread event loop
 //! over real TCP.
 //!
-//! Each node runs three kinds of threads (every socket among them is
-//! opened and owned by the crate-private `net` module):
-//!
-//! * the **node loop** — owns the host state machine; waits on its event
-//!   queue with a deadline derived from the timer heap and the batcher,
-//!   feeds events into the host through [`Ctx::external`], then routes
-//!   the emitted sends to peer links / client connections and arms the
-//!   emitted timers;
-//! * **peer reader** threads — one per accepted peer connection,
-//!   reassembling [`PeerFrame`]s into `Event::Peer` — and one **peer
-//!   writer** thread per peer this node sends to;
-//! * **client reader** and **client writer** threads — one pair per
-//!   client connection, speaking the [`common::wire::client`] protocol
-//!   (v2 only; a v1 frame is answered with one error and the connection
-//!   closed) and feeding `Event::Client*`.
+//! A node is **one thread**, the node loop. It owns the host state
+//! machine and every socket of the node through the crate-private `net`
+//! module's readiness loop: each turn it waits in `ppoll` with a deadline
+//! derived from the timer heap and the batcher, accepts, reads every
+//! ready connection — [`PeerFrame`]s from peers, the
+//! [`common::wire::client`] protocol from clients (v2 only; a v1 frame is
+//! answered with one error and the connection closed) — feeds what
+//! arrived into the host through [`Ctx::external`], fires due timers,
+//! seals batches, and routes the emitted sends onto peer links and client
+//! connections, which the next wait writes out. A frame is received,
+//! handled and answered without leaving the thread. Only executor shards
+//! (`executor_shards > 1`) and the short-lived dial helper run beside it;
+//! they reach the loop through its mailbox.
 //!
 //! Replies route back by node id: replicas answer `Envelope::reply_to`,
 //! which for live clients is a synthetic node id above
@@ -23,23 +21,19 @@
 //! queues a [`ClientReply::ResponseV2`] frame.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
-
 use bytes::Bytes;
-use common::error::{Error, Result};
+use common::error::Result;
 use common::ids::{ClientId, NodeId, RequestId, RingId};
 use common::msg::{ClientMsg as SimClientMsg, Msg};
 use common::obs::{Hist, Obs, WireCounters};
 use common::transport::{PeerFrame, TimerHeap, WallClock};
 use common::value::Envelope;
-use common::wire::client::{ClientMsg, ClientReply};
+use common::wire::client::{ClientMsg, ClientReply, ErrorCode, FEAT_ALL};
 use common::wire::Wire;
 use coord::Registry;
 use multiring::{
@@ -49,7 +43,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use simnet::{Ctx, Process, Timer};
 
 use crate::batch::{BatchOptions, Batcher};
-use crate::net::{read_frames, FrameWriter, Listener, PeerLinks};
+use crate::net::{spawn_loop, ConnId, Event, Mailer, Net};
 
 /// Client connections are addressed as synthetic nodes at and above this
 /// id; deployment nodes must stay below it.
@@ -65,43 +59,30 @@ pub fn client_of_node(node: NodeId) -> Option<ClientId> {
     node.raw().checked_sub(CLIENT_NODE_BASE).map(ClientId::new)
 }
 
-/// Events feeding one node loop.
-pub(crate) enum Event {
-    /// A protocol message from a peer (or from this node to itself).
-    Peer(NodeId, Msg),
-    /// A client said hello on this node.
-    ClientHello(ClientId, ClientWriter),
-    /// A client submitted a (sessioned) command.
-    ClientRequestV2 {
-        /// The submitting client.
-        client: ClientId,
-        /// The exactly-once session (or a `SESSION_CTL` control frame).
-        session: u64,
-        /// Per-session sequence number.
-        seq: RequestId,
-        /// The client's cumulative reply ack (cache pruning).
-        ack: u64,
-        /// Target multicast group.
-        group: RingId,
-        /// Service command bytes.
-        cmd: Bytes,
-    },
-    /// A client connection closed.
-    ClientGone(ClientId),
-    /// Stop the loop.
-    Shutdown,
+/// What arrives on a node's sockets.
+enum Inbound {
+    /// A protocol message from a peer.
+    Peer(PeerFrame),
+    /// A client-protocol frame.
+    Client(ClientMsg),
 }
 
-/// Write half of one client connection. A full queue drops the reply,
-/// which v2 clients retry around (retries are deduplicated, so shedding
-/// stays safe).
-pub(crate) type ClientWriter = FrameWriter<ClientReply>;
+/// What reaches a node loop from other threads.
+enum Mail {
+    /// Stop the loop.
+    Shutdown,
+    /// An executor shard's reply to a client.
+    Reply(ClientId, ClientReply),
+}
 
-/// Outgoing peer traffic: the node's [`PeerLinks`] plus the wire
-/// accounting for everything that leaves through them.
+/// The sockets of one node.
+type NodeNet = Net<Inbound, Mail>;
+
+/// Outgoing peer traffic: the peer address book plus the wire
+/// accounting for everything that leaves through it.
 struct PeerTransport {
     me: NodeId,
-    links: PeerLinks<PeerFrame>,
+    addrs: HashMap<NodeId, SocketAddr>,
     /// Per-node wire accounting for everything this node sends.
     wire: WireCounters,
     /// The same accounting broken down by ring (`ring{r}_*` counters) —
@@ -113,7 +94,7 @@ struct PeerTransport {
 }
 
 impl PeerTransport {
-    fn send(&mut self, to: NodeId, msg: Msg) {
+    fn send(&mut self, net: &mut NodeNet, to: NodeId, msg: Msg) {
         if let Msg::Ring(ring, rm) = &msg {
             self.wire.note(rm);
             self.wire_by_ring
@@ -123,115 +104,59 @@ impl PeerTransport {
                 })
                 .note(rm);
         }
-        self.links.send(to, PeerFrame { from: self.me, msg });
+        if let Some(addr) = self.addrs.get(&to) {
+            net.send_to(*addr, &PeerFrame { from: self.me, msg });
+        }
     }
 }
 
-/// Reads [`PeerFrame`]s off one accepted peer connection.
-fn spawn_peer_reader(stream: TcpStream, tx: Sender<Event>) {
-    std::thread::spawn(move || {
-        // A corrupt stream just drops the connection.
-        let _ = read_frames(stream, |f: PeerFrame| {
-            tx.send(Event::Peer(f.from, f.msg)).is_ok()
-        });
-    });
+/// The clients that said hello on this node, by id and by connection.
+#[derive(Default)]
+struct Clients {
+    conn_of: HashMap<ClientId, ConnId>,
+    client_on: HashMap<ConnId, ClientId>,
 }
 
-/// Protocol v1 is retired: say so once and hang up (returning `false`
-/// ends the reader; the writer closes the socket after flushing the
-/// error).
-fn v1_retired(writer: &ClientWriter, seq: RequestId) -> bool {
-    writer.send(ClientReply::Error {
-        seq,
-        reason: "protocol v1 retired".into(),
-    });
-    false
-}
+impl Clients {
+    fn hello(&mut self, client: ClientId, conn: ConnId) {
+        self.conn_of.insert(client, conn);
+        self.client_on.insert(conn, client);
+    }
 
-/// Speaks the client protocol on one accepted client connection.
-/// `grant` is the node's *live* credit window: the node loop resizes it
-/// with backpressure, and a client connecting mid-overload is admitted
-/// at the clamped window, not the configured maximum.
-fn spawn_client_reader(
-    stream: TcpStream,
-    me: NodeId,
-    grant: Arc<AtomicU32>,
-    obs: Obs,
-    tx: Sender<Event>,
-) {
-    use common::wire::client::{ErrorCode, FEAT_ALL};
-    std::thread::spawn(move || {
-        let _ = stream.set_nodelay(true);
-        let writer = match stream.try_clone() {
-            Ok(w) => ClientWriter::new(w, obs.counter("writer_vectored_frames")),
-            Err(_) => return,
-        };
-        let mut session: Option<ClientId> = None;
-        // A corrupt stream just drops the connection.
-        let _ = read_frames(stream, |msg: ClientMsg| match msg {
-            ClientMsg::HelloV2 { client, features } => {
-                session = Some(client);
-                if tx.send(Event::ClientHello(client, writer.clone())).is_err() {
-                    return false;
-                }
-                let window = grant.load(Ordering::Relaxed).max(1);
-                writer.send(ClientReply::WelcomeV2 {
-                    node: me,
-                    features: features & FEAT_ALL,
-                    window,
-                });
-                // Grants are decoupled from the hello: the server may
-                // resize the window any time. Exercise that path from
-                // day one so clients must handle it.
-                writer.send(ClientReply::CreditGrant { window });
-                true
+    /// `conn` closed; its client is gone unless it said hello again on a
+    /// newer connection.
+    fn gone(&mut self, conn: ConnId) {
+        if let Some(client) = self.client_on.remove(&conn) {
+            if self.conn_of.get(&client) == Some(&conn) {
+                self.conn_of.remove(&client);
             }
-            ClientMsg::RequestV2 {
-                session: sid,
-                seq,
-                ack,
-                group,
-                cmd,
-            } => {
-                let Some(client) = session else {
-                    writer.send(ClientReply::ErrorV2 {
-                        seq,
-                        code: ErrorCode::HelloRequired,
-                        detail: "hello required before requests".into(),
-                    });
-                    return true;
-                };
-                tx.send(Event::ClientRequestV2 {
-                    client,
-                    session: sid,
-                    seq,
-                    ack,
-                    group,
-                    cmd,
-                })
-                .is_ok()
-            }
-            ClientMsg::Ping { token } => {
-                writer.send(ClientReply::Pong { token });
-                true
-            }
-            ClientMsg::StatsRequest { token } => {
-                // Stats are a read-only plane: answer straight off the
-                // registry, no hello and no trip through the node loop
-                // needed.
-                writer.send(ClientReply::Stats {
-                    token,
-                    snapshot: obs.snapshot(),
-                });
-                true
-            }
-            ClientMsg::Hello { .. } => v1_retired(&writer, RequestId::new(0)),
-            ClientMsg::Request { seq, .. } => v1_retired(&writer, seq),
-        });
-        if let Some(client) = session {
-            let _ = tx.send(Event::ClientGone(client));
         }
-    });
+    }
+
+    /// Queues `reply` on the client's connection. Client not connected
+    /// here (or gone), or its buffer full: the reply is dropped, exactly
+    /// like the paper's UDP responses; the client retries (safely —
+    /// retries are deduplicated).
+    fn reply(&self, net: &mut NodeNet, client: ClientId, reply: &ClientReply) {
+        if let Some(conn) = self.conn_of.get(&client) {
+            net.send(*conn, reply);
+        }
+    }
+
+    /// Replies queued across every client connection.
+    fn backlog(&self, net: &NodeNet) -> i64 {
+        self.client_on
+            .keys()
+            .map(|conn| net.queued(*conn) as i64)
+            .sum()
+    }
+}
+
+/// Protocol v1 is retired: say so once and hang up.
+fn v1_retired(net: &mut NodeNet, conn: ConnId, seq: RequestId) {
+    let reason = "protocol v1 retired".into();
+    net.send(conn, &ClientReply::Error { seq, reason });
+    net.close_after_flush(conn);
 }
 
 /// The service stack one node runs: either the classic inline decorator
@@ -250,38 +175,11 @@ pub(crate) enum AppStack {
     },
 }
 
-/// The connected clients of one node, shared between the node loop and
-/// (when sharded) the executor-shard threads.
-type Clients = Mutex<HashMap<ClientId, ClientWriter>>;
-
-/// Queues a replica's reply on the owning client's connection. Client
-/// not connected here (or gone): the reply is dropped, exactly like the
-/// paper's UDP responses; the client retries (safely — retries are
-/// deduplicated).
-fn reply_to_client(
-    clients: &Clients,
-    client: ClientId,
-    session: u64,
-    seq: RequestId,
-    from_replica: NodeId,
-    payload: Bytes,
-) {
-    if let Some(writer) = clients.lock().get(&client) {
-        writer.send(ClientReply::ResponseV2 {
-            session,
-            seq,
-            from_replica,
-            payload,
-        });
-    }
-}
-
-/// Routes executed replies from executor-shard threads straight to the
-/// owning client connection's writer queue — response framing and the
-/// client lookup happen on the shard's thread, not the merge thread.
+/// Hands executed replies from executor-shard threads to the node loop,
+/// which owns the client connections.
 struct NodeReplySink {
     me: NodeId,
-    clients: Arc<Clients>,
+    mailer: Mailer<Mail>,
 }
 
 impl ReplySink for NodeReplySink {
@@ -289,14 +187,15 @@ impl ReplySink for NodeReplySink {
         // Not a live client (e.g. a sweep-proposed expiry replying to
         // the node itself): dropped, same as route_effects.
         if let Some(client) = client_of_node(env.reply_to) {
-            reply_to_client(
-                &self.clients,
+            self.mailer.post(Mail::Reply(
                 client,
-                env.session,
-                env.req,
-                self.me,
-                payload,
-            );
+                ClientReply::ResponseV2 {
+                    session: env.session,
+                    seq: env.req,
+                    from_replica: self.me,
+                    payload,
+                },
+            ));
         }
     }
 }
@@ -332,7 +231,7 @@ pub(crate) struct NodeSetup {
     pub client_window: u32,
     /// Floor the credit controller never shrinks the window below.
     pub credit_min_window: u32,
-    /// Proposal backlog (batcher + event queue, in envelopes) above which
+    /// Proposal backlog (batcher, in envelopes) above which
     /// credit halves; `0` derives a default from the batch size.
     pub credit_backlog_high: u32,
     /// This node's metrics registry. The same registry rides
@@ -360,7 +259,7 @@ const CREDIT_WAL_HIGH: Duration = Duration::from_millis(25);
 /// climb back additively once every signal clears).
 ///
 /// Inputs are the signals the stats plane already exports: the proposal
-/// backlog (`batcher_depth` plus the unprocessed event queue), the reply
+/// backlog (`batcher_depth`), the reply
 /// backlog (`reply_queue_depth`), and the `wal_commit_nanos` delta-mean
 /// since the previous tick. Overload therefore degrades into *queueing at
 /// the client* (shrunken pipelines) instead of dropped frames and
@@ -418,10 +317,8 @@ impl CreditController {
 /// Handle to one running live node.
 pub struct NodeHandle {
     id: NodeId,
-    tx: Sender<Event>,
+    mailer: Mailer<Mail>,
     join: Option<JoinHandle<()>>,
-    peer_listener: Option<Listener>,
-    client_listener: Option<Listener>,
 }
 
 impl NodeHandle {
@@ -430,90 +327,46 @@ impl NodeHandle {
         self.id
     }
 
-    /// Stops the node: closes listeners, stops the loop, joins threads.
-    /// Existing peer/client sockets die when their reader threads observe
-    /// the closed channel or socket.
+    /// Stops the node: stops the loop and joins it. The loop owns every
+    /// socket of the node, so when this returns both ports are released
+    /// and every peer and client connection is closed.
     pub fn shutdown(mut self) {
-        if let Some(l) = self.peer_listener.take() {
-            l.stop();
-        }
-        if let Some(l) = self.client_listener.take() {
-            l.stop();
-        }
-        let _ = self.tx.send(Event::Shutdown);
+        self.mailer.post(Mail::Shutdown);
         if let Some(j) = self.join.take() {
             let _ = j.join();
         }
     }
 }
 
-/// Starts one node: binds listeners, spawns the loop.
+/// Starts one node: binds its two ports, spawns the loop.
 ///
 /// With `restart: true` the host comes up through the crash/recovery path
 /// (rejoin rings, install the freshest checkpoint, catch up from the
 /// acceptors — paper §5.2) instead of the cold-start path.
 pub(crate) fn spawn_node(setup: NodeSetup, stack: AppStack, restart: bool) -> Result<NodeHandle> {
-    let (tx, rx) = unbounded::<Event>();
-
-    let tx_peers = tx.clone();
-    let peer_listener = Listener::bind(
-        setup.peer_addr,
-        format!("amcast-peers-{}", setup.me.raw()),
-        move |stream| spawn_peer_reader(stream, tx_peers.clone()),
-    )?;
-
-    let tx_clients = tx.clone();
     let me = setup.me;
-    // Live credit grant, shared between the node loop (which adjusts it)
-    // and client readers (which hand it to connecting sessions): a client
-    // arriving mid-overload is admitted at the clamped window, not the
-    // configured maximum.
-    let grant = Arc::new(AtomicU32::new(setup.client_window.max(1)));
-    let reader_grant = Arc::clone(&grant);
-    let obs = setup.obs.clone();
-    let client_listener = match Listener::bind(
-        setup.client_addr,
-        format!("amcast-clients-{}", setup.me.raw()),
-        move |stream| {
-            spawn_client_reader(
-                stream,
-                me,
-                Arc::clone(&reader_grant),
-                obs.clone(),
-                tx_clients.clone(),
-            )
-        },
-    ) {
-        Ok(listener) => listener,
-        Err(e) => {
-            peer_listener.stop();
-            return Err(Error::Io(e));
-        }
-    };
-
-    let loop_tx = tx.clone();
-    let join = std::thread::Builder::new()
-        .name(format!("amcast-node-{}", setup.me.raw()))
-        .spawn(move || node_loop(setup, stack, restart, rx, loop_tx, grant))
-        .map_err(Error::Io)?;
-
+    let mut net = Net::new(
+        format!("amcast-dial-{}", me.raw()),
+        setup.obs.counter("writer_vectored_frames"),
+    )?;
+    net.listen(setup.peer_addr, |buf| {
+        Ok(buf.try_next()?.map(Inbound::Peer))
+    })?;
+    net.listen(setup.client_addr, |buf| {
+        Ok(buf.try_next()?.map(Inbound::Client))
+    })?;
+    let mailer = net.mailer();
+    let join = spawn_loop(format!("amcast-node-{}", me.raw()), move || {
+        node_loop(net, setup, stack, restart)
+    })?;
     Ok(NodeHandle {
         id: me,
-        tx,
+        mailer,
         join: Some(join),
-        peer_listener: Some(peer_listener),
-        client_listener: Some(client_listener),
     })
 }
 
-fn node_loop(
-    setup: NodeSetup,
-    stack: AppStack,
-    restart: bool,
-    rx: Receiver<Event>,
-    self_tx: Sender<Event>,
-    grant: Arc<AtomicU32>,
-) {
+fn node_loop(mut net: NodeNet, setup: NodeSetup, stack: AppStack, restart: bool) {
     let me = setup.me;
     let clock = setup.clock;
     if restart {
@@ -527,10 +380,6 @@ fn node_loop(
         }
     }
     let obs = setup.obs.clone();
-    // The client map is shared with executor-shard threads (when
-    // sharded): shards frame and enqueue replies themselves, so a reply
-    // never crosses back through the node loop.
-    let clients: Arc<Clients> = Arc::new(Mutex::new(HashMap::new()));
     let mut host = match stack {
         AppStack::Inline(app) => MultiRingHost::new(
             me,
@@ -548,7 +397,7 @@ fn node_loop(
         } => {
             let sink = Arc::new(NodeReplySink {
                 me,
-                clients: Arc::clone(&clients),
+                mailer: net.mailer(),
             });
             let exec = ShardedExec::new(shards, plan, limits, sink, &obs, 1024);
             MultiRingHost::new_sharded(
@@ -564,15 +413,15 @@ fn node_loop(
     };
     let mut transport = PeerTransport {
         me,
-        links: PeerLinks::new(
-            format!("amcast-link-{}", me.raw()),
-            setup.peer_addrs,
-            obs.counter("writer_vectored_frames"),
-        ),
+        addrs: setup.peer_addrs,
         wire: WireCounters::new(&obs),
         wire_by_ring: HashMap::new(),
         obs: obs.clone(),
     };
+    let mut clients = Clients::default();
+    // Messages this node sends itself, handled at the next turn.
+    let mut local: Vec<Msg> = Vec::new();
+    let mut events = Vec::new();
     let stage_seal = obs.hist("stage_seal_nanos");
     let batcher_depth = obs.gauge("batcher_depth");
     let reply_queue_depth = obs.gauge("reply_queue_depth");
@@ -619,11 +468,11 @@ fn node_loop(
                 &mut outbox,
                 &mut timer_reqs,
                 &mut transport,
+                &mut net,
                 &clients,
-                &self_tx,
+                &mut local,
                 &mut timers,
                 &clock,
-                me,
             )
         };
     }
@@ -647,90 +496,129 @@ fn node_loop(
         Bytes::from(setup.peer_addr.to_string()),
     );
 
-    macro_rules! handle_event {
-        ($ev:expr) => {
-            match $ev {
-                Event::Shutdown => return,
-                Event::Peer(from, msg) => {
-                    with_ctx!(|ctx| host.on_message(from, msg, &mut ctx));
+    loop {
+        let mut sleep = if local.is_empty() {
+            timers.sleep_for(Duration::from_millis(50))
+        } else {
+            Duration::ZERO
+        };
+        if let Some(batch_deadline) = batcher.next_deadline() {
+            sleep = sleep.min(batch_deadline.saturating_duration_since(Instant::now()));
+        }
+        // Everything every ready socket holds, in one pass: effects
+        // coalesce (one routing pass, and proposer batches actually fill)
+        // instead of paying the full turn per message.
+        net.wait(sleep, &mut events);
+        for msg in local.drain(..) {
+            with_ctx!(|ctx| host.on_message(me, msg, &mut ctx));
+        }
+        for event in events.drain(..) {
+            let (conn, msg) = match event {
+                Event::Frame(conn, Inbound::Client(msg)) => (conn, msg),
+                Event::Frame(_, Inbound::Peer(f)) => {
+                    with_ctx!(|ctx| host.on_message(f.from, f.msg, &mut ctx));
+                    continue;
                 }
-                Event::ClientHello(client, writer) => {
-                    clients.lock().insert(client, writer);
+                Event::Closed(conn) => {
+                    clients.gone(conn);
+                    continue;
                 }
-                Event::ClientGone(client) => {
-                    clients.lock().remove(&client);
+                Event::Mail(Mail::Reply(client, reply)) => {
+                    clients.reply(&mut net, client, &reply);
+                    continue;
                 }
-                Event::ClientRequestV2 {
-                    client,
+                Event::Mail(Mail::Shutdown) => return,
+            };
+            match msg {
+                ClientMsg::HelloV2 { client, features } => {
+                    clients.hello(client, conn);
+                    // The live window: a client arriving mid-overload is
+                    // admitted at the clamped window, not the configured
+                    // maximum.
+                    let window = credit.window;
+                    net.send(
+                        conn,
+                        &ClientReply::WelcomeV2 {
+                            node: me,
+                            features: features & FEAT_ALL,
+                            window,
+                        },
+                    );
+                    // Grants are decoupled from the hello: the server may
+                    // resize the window any time. Exercise that path from
+                    // day one so clients must handle it.
+                    net.send(conn, &ClientReply::CreditGrant { window });
+                }
+                ClientMsg::RequestV2 {
                     session,
                     seq,
                     ack,
                     group,
                     cmd,
                 } => {
+                    let Some(&client) = clients.client_on.get(&conn) else {
+                        net.send(
+                            conn,
+                            &ClientReply::ErrorV2 {
+                                seq,
+                                code: ErrorCode::HelloRequired,
+                                detail: "hello required before requests".into(),
+                            },
+                        );
+                        continue;
+                    };
                     if !setup.member_of.contains(&group) {
                         // v2: point the client at a node that serves the
                         // group instead of making it guess (or silently
                         // proxying on its behalf).
-                        if let Some(writer) = clients.lock().get(&client) {
-                            let target =
-                                setup.registry.ring(group).ok().and_then(|cfg| {
-                                    cfg.members().iter().copied().find(|m| *m != me)
-                                });
-                            writer.send(match target {
+                        let target = setup
+                            .registry
+                            .ring(group)
+                            .ok()
+                            .and_then(|cfg| cfg.members().iter().copied().find(|m| *m != me));
+                        net.send(
+                            conn,
+                            &match target {
                                 Some(to) => ClientReply::Redirect { seq, group, to },
                                 None => ClientReply::ErrorV2 {
                                     seq,
-                                    code: common::wire::client::ErrorCode::UnknownGroup,
+                                    code: ErrorCode::UnknownGroup,
                                     detail: format!("no node serves group {group}"),
                                 },
-                            });
-                        }
-                    } else {
-                        let env = Envelope {
-                            client,
-                            req: seq,
-                            reply_to: client_node_id(client),
-                            session,
-                            ack,
-                            trace: obs.trace_stamp(),
-                            cmd,
-                        };
-                        if let Some(batch) = batcher.push(group, env, Instant::now()) {
-                            note_seal(&stage_seal, &batch);
-                            with_ctx!(|ctx| host.propose_envelopes(group, batch, &mut ctx));
-                        }
+                            },
+                        );
+                        continue;
+                    }
+                    let env = Envelope {
+                        client,
+                        req: seq,
+                        reply_to: client_node_id(client),
+                        session,
+                        ack,
+                        trace: obs.trace_stamp(),
+                        cmd,
+                    };
+                    if let Some(batch) = batcher.push(group, env, Instant::now()) {
+                        note_seal(&stage_seal, &batch);
+                        with_ctx!(|ctx| host.propose_envelopes(group, batch, &mut ctx));
                     }
                 }
-            }
-        };
-    }
-
-    loop {
-        let mut sleep = timers.sleep_for(Duration::from_millis(50));
-        if let Some(batch_deadline) = batcher.next_deadline() {
-            sleep = sleep.min(batch_deadline.saturating_duration_since(Instant::now()));
-        }
-        match rx.recv_timeout(sleep) {
-            Err(RecvTimeoutError::Disconnected) => return,
-            Ok(ev) => {
-                handle_event!(ev);
-                // Greedily drain whatever queued behind the first event
-                // before routing: effects coalesce (one routing pass, and
-                // proposer batches actually fill) instead of paying the
-                // full wake-route cycle per message.
-                let mut drained = 0;
-                while drained < 512 {
-                    match rx.try_recv() {
-                        Ok(ev) => {
-                            handle_event!(ev);
-                            drained += 1;
-                        }
-                        Err(_) => break,
-                    }
+                ClientMsg::Ping { token } => {
+                    net.send(conn, &ClientReply::Pong { token });
                 }
+                // Stats are a read-only plane: no hello needed.
+                ClientMsg::StatsRequest { token } => {
+                    net.send(
+                        conn,
+                        &ClientReply::Stats {
+                            token,
+                            snapshot: obs.snapshot(),
+                        },
+                    );
+                }
+                ClientMsg::Hello { .. } => v1_retired(&mut net, conn, RequestId::new(0)),
+                ClientMsg::Request { seq, .. } => v1_retired(&mut net, conn, seq),
             }
-            Err(RecvTimeoutError::Timeout) => {}
         }
         // Fire due protocol timers.
         while let Some(t) = timers.pop_due(Instant::now()) {
@@ -750,7 +638,7 @@ fn node_loop(
             next_session_sweep = Instant::now() + Duration::from_secs(1);
             // Periodic gauges ride the sweep's once-a-second cadence.
             batcher_depth.set(batcher.pending_len() as i64);
-            reply_queue_depth.set(clients.lock().values().map(|w| w.queued() as i64).sum());
+            reply_queue_depth.set(clients.backlog(&net));
             session_count.set(host.session_ids().len() as i64);
             session_cached_replies.set(host.cached_reply_count() as i64);
             shard_queue_depth.set(host.executor_queue_depth() as i64);
@@ -802,16 +690,16 @@ fn node_loop(
         // own backlog and broadcast the change to every v2 connection.
         if Instant::now() >= next_credit_tick {
             next_credit_tick = Instant::now() + CREDIT_TICK;
-            let backlog = batcher.pending_len() as i64 + rx.len() as i64;
-            batcher_depth.set(batcher.pending_len() as i64);
-            let reply_backlog: i64 = clients.lock().values().map(|w| w.queued() as i64).sum();
+            let backlog = batcher.pending_len() as i64;
+            batcher_depth.set(backlog);
+            let reply_backlog = clients.backlog(&net);
             reply_queue_depth.set(reply_backlog);
+            let before = credit.window;
             let w = credit.tick(backlog, reply_backlog, &wal_commit.snapshot());
-            if w != grant.load(Ordering::Relaxed) {
-                grant.store(w, Ordering::Relaxed);
+            if w != before {
                 credit_window.set(w as i64);
-                for writer in clients.lock().values() {
-                    writer.send(ClientReply::CreditGrant { window: w });
+                for conn in clients.client_on.keys() {
+                    net.send(*conn, &ClientReply::CreditGrant { window: w });
                 }
             }
         }
@@ -819,7 +707,7 @@ fn node_loop(
     }
 }
 
-/// The batches to propose after an event-drain pass (the four seal
+/// The batches to propose after a read pass (the four seal
 /// conditions are in [`crate::batch`]): every ring this node has no
 /// proposal of its own in flight on gives up its pending batch now, and a
 /// batch still waiting behind a slow or lost proposal goes out once it
@@ -846,18 +734,19 @@ fn note_seal(seal: &Hist, batch: &[Envelope]) {
 }
 
 /// Routes one round of host effects: sends onto peer links, reply
-/// frames (clients) or back into our own queue (self-sends); timer
-/// requests onto the wall-clock heap.
+/// frames (clients) or into `local` (self-sends); timer requests onto
+/// the wall-clock heap. Nothing is written here: the loop's next wait
+/// writes out what this queued.
 #[allow(clippy::too_many_arguments)]
 fn route_effects(
     outbox: &mut Vec<(NodeId, Msg)>,
     timer_reqs: &mut Vec<(common::SimTime, Timer)>,
     transport: &mut PeerTransport,
+    net: &mut NodeNet,
     clients: &Clients,
-    self_tx: &Sender<Event>,
+    local: &mut Vec<Msg>,
     timers: &mut TimerHeap<Timer>,
     clock: &WallClock,
-    me: NodeId,
 ) {
     for (to, msg) in outbox.drain(..) {
         if let Some(client) = client_of_node(to) {
@@ -869,12 +758,18 @@ fn route_effects(
                 ..
             }) = msg
             {
-                reply_to_client(clients, client, session, client_seq, from_replica, payload);
+                let reply = ClientReply::ResponseV2 {
+                    session,
+                    seq: client_seq,
+                    from_replica,
+                    payload,
+                };
+                clients.reply(net, client, &reply);
             }
-        } else if to == me {
-            let _ = self_tx.send(Event::Peer(me, msg));
+        } else if to == transport.me {
+            local.push(msg);
         } else {
-            transport.send(to, msg);
+            transport.send(net, to, msg);
         }
     }
     for (at, timer) in timer_reqs.drain(..) {

@@ -11,6 +11,9 @@ use common::wire::coord::CoordEvent;
 use coord::{CoordClientOptions, Registry, RingConfig};
 use liverun::coordsvc::{start_coord_server, CoordEnsemble, CoordServerConfig, CoordServerHandle};
 
+mod threads;
+use threads::{alone, thread_names};
+
 /// A 3-replica ensemble uses 6 ports (3 ring, then 3 client).
 fn base_port() -> u16 {
     liverun::config::free_port_block(6).unwrap()
@@ -39,6 +42,90 @@ fn wait_until(deadline: Duration, mut check: impl FnMut() -> bool) -> bool {
 
 fn nodes(ids: &[u32]) -> Vec<NodeId> {
     ids.iter().map(|i| NodeId::new(*i)).collect()
+}
+
+/// One loop thread per replica: a 3-replica ensemble that has replicated
+/// a write through each replica for a live client connection runs its
+/// server loops and gossip feeds and nothing per connection, and
+/// shutting it down leaves the process with the threads it had before.
+#[test]
+fn a_replica_is_one_loop_thread_and_shutdown_leaves_none_behind() {
+    use common::transport::{encode_frame, FrameBuf};
+    use common::wire::coord::{CoordMsg, CoordOp, CoordReply};
+    use std::io::{Read, Write};
+
+    if !alone("a_replica_is_one_loop_thread_and_shutdown_leaves_none_behind") {
+        return;
+    }
+    let before = thread_names().len();
+    let ensemble = CoordEnsemble::localhost(3, base_port(), None).expect("ensemble launches");
+    // Raw connections: the coordination client library runs threads of
+    // its own.
+    let conns: Vec<std::net::TcpStream> = ensemble
+        .client_addrs()
+        .iter()
+        .enumerate()
+        .map(|(i, addr)| {
+            let mut conn = std::net::TcpStream::connect(addr).unwrap();
+            conn.set_read_timeout(Some(Duration::from_secs(20)))
+                .unwrap();
+            let set = CoordMsg {
+                req: 1,
+                op: CoordOp::SetMeta {
+                    key: format!("thread-{i}"),
+                    value: Bytes::from_static(b"x"),
+                    expected_version: None,
+                },
+            };
+            conn.write_all(&encode_frame(&set)).unwrap();
+            let (mut buf, mut chunk) = (FrameBuf::new(), [0u8; 4096]);
+            let reply = loop {
+                let n = conn.read(&mut chunk).expect("reply");
+                assert!(n > 0, "replica {i} hung up");
+                buf.extend(&chunk[..n]);
+                if let Some(reply) = buf.try_next::<CoordReply>().unwrap() {
+                    break reply;
+                }
+            };
+            assert!(
+                matches!(reply, CoordReply::Ok { req: 1, .. }),
+                "write through replica {i}: {reply:?}"
+            );
+            conn
+        })
+        .collect();
+    // Dial helpers live only until their connect returns.
+    assert!(wait_until(Duration::from_secs(5), || !thread_names()
+        .iter()
+        .any(|n| n.starts_with("amcoord-dial"))));
+    let names = thread_names();
+    let mut ours: Vec<&str> = names
+        .iter()
+        .map(String::as_str)
+        .filter(|n| n.starts_with("amcoord-"))
+        .collect();
+    ours.sort_unstable();
+    assert_eq!(
+        ours,
+        [
+            "amcoord-gossip-", // `amcoord-gossip-feed-N`, cut to 15 bytes
+            "amcoord-gossip-",
+            "amcoord-gossip-",
+            "amcoord-srv-0",
+            "amcoord-srv-1",
+            "amcoord-srv-2",
+        ],
+        "one loop thread and one gossip feed per replica and nothing else"
+    );
+    assert_eq!(names.len(), before + 6, "threads while serving: {names:?}");
+
+    drop(conns);
+    ensemble.shutdown();
+    assert!(
+        wait_until(Duration::from_secs(1), || thread_names().len() <= before),
+        "threads left behind after shutdown: {:?}",
+        thread_names()
+    );
 }
 
 #[test]

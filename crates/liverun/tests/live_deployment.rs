@@ -9,6 +9,9 @@ use liverun::config::generate_localhost_mrpstore;
 use liverun::{ClientOptions, Deployment, DeploymentConfig, StoreClient};
 use mrpstore::KvResponse;
 
+mod threads;
+use threads::{alone, thread_names};
+
 fn client_opts() -> ClientOptions {
     ClientOptions {
         timeout: Duration::from_secs(20),
@@ -61,6 +64,144 @@ fn pipeline(
 /// One counter summed over every node's snapshot.
 fn total(snaps: &[common::obs::ObsSnapshot], name: &str) -> u64 {
     snaps.iter().filter_map(|s| s.counter(name)).sum()
+}
+
+/// One thread per node (benchmark finding 7, fixed by construction): a
+/// 2 × 3 deployment serving a client runs exactly one loop thread per
+/// node — no accept, reader or writer thread per connection — and
+/// `Deployment::shutdown` leaves the process with the threads it had
+/// before the launch.
+#[test]
+fn a_node_is_one_thread_and_shutdown_leaves_none_behind() {
+    use std::time::Instant;
+
+    if !alone("a_node_is_one_thread_and_shutdown_leaves_none_behind") {
+        return;
+    }
+    let before = thread_names().len();
+    let text = generate_localhost_mrpstore(2, 3, base_port(), None);
+    let config = DeploymentConfig::parse(&text).unwrap();
+    assert_eq!(config.executor_shards, 1);
+    let deployment = Deployment::launch(config.clone()).unwrap();
+    {
+        let mut client = StoreClient::connect(&config, ClientId::new(61), client_opts()).unwrap();
+        for i in 0..20 {
+            let key = format!("thread{i:02}");
+            assert_eq!(
+                client.insert(&key, Bytes::from_static(b"v")).unwrap(),
+                KvResponse::Ok
+            );
+        }
+        // The global ring too: every peer link of every node is up.
+        assert_eq!(client.scan("thread", "").unwrap().len(), 20);
+        scrape(&config);
+        // Dial helpers live only until their connect returns.
+        let settled = Instant::now() + Duration::from_secs(5);
+        let names = loop {
+            let names = thread_names();
+            if !names.iter().any(|n| n.starts_with("amcast-dial")) || Instant::now() > settled {
+                break names;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        let mut ours: Vec<&String> = names.iter().filter(|n| n.starts_with("amcast-")).collect();
+        ours.sort();
+        let loops: Vec<String> = config
+            .nodes
+            .iter()
+            .map(|n| format!("amcast-node-{}", n.id.raw()))
+            .collect();
+        assert_eq!(
+            ours,
+            loops.iter().collect::<Vec<_>>(),
+            "one loop thread per node and nothing else"
+        );
+        // Beside the loops only the client's reply readers (one per node
+        // it connected to) run: no unnamed per-connection thread either.
+        assert_eq!(
+            names.len(),
+            before + 2 * config.nodes.len(),
+            "threads while serving: {names:?}"
+        );
+    }
+    deployment.shutdown();
+    let settled = Instant::now() + Duration::from_secs(1);
+    while thread_names().len() > before && Instant::now() < settled {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let left = thread_names();
+    assert_eq!(
+        left.len(),
+        before,
+        "{} threads left behind after shutdown: {left:?}",
+        left.len().saturating_sub(before)
+    );
+}
+
+/// The stats plane needs no session and no hello: a fresh connection
+/// gets every node's snapshot while the loops are busy with a closed
+/// pipelined load (`kv_small`'s shape: two clients, 32 in flight each).
+#[test]
+fn stats_answer_a_fresh_connection_under_load() {
+    use common::ids::RingId;
+    use mrpstore::KvCommand;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    let text = generate_localhost_mrpstore(2, 3, base_port(), None);
+    let config = DeploymentConfig::parse(&text).unwrap();
+    let deployment = Deployment::launch(config.clone()).unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let load: Vec<_> = (0..2u32)
+        .map(|t| {
+            let (config, stop) = (config.clone(), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut client =
+                    StoreClient::connect(&config, ClientId::new(70 + t), client_opts()).unwrap();
+                let cmd = KvCommand::Add {
+                    key: format!("load{t}"),
+                    delta: 1,
+                }
+                .to_bytes();
+                let ring = RingId::new(0);
+                let (mut in_flight, mut done) = (0, 0u64);
+                while !stop.load(Ordering::Relaxed) || in_flight > 0 {
+                    if !stop.load(Ordering::Relaxed) && in_flight < 32 {
+                        client.raw().submit(ring, cmd.clone()).expect("submit");
+                        in_flight += 1;
+                    } else if client.raw().poll_reply(Duration::from_secs(10)).is_some() {
+                        in_flight -= 1;
+                        done += 1;
+                    } else {
+                        panic!("load stalled with {in_flight} in flight");
+                    }
+                }
+                done
+            })
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(200));
+    // `scrape` dials every node afresh and fails past a 5 s deadline.
+    let proposed: Vec<u64> = (0..10)
+        .map(|_| {
+            let snaps = scrape(&config);
+            for (snap, node) in snaps.iter().zip(&config.nodes) {
+                assert_eq!(snap.node, node.id.raw(), "answered by the node dialled");
+            }
+            total(&snaps, "proposed_cmds")
+        })
+        .collect();
+    assert!(
+        proposed.last() > proposed.first(),
+        "the scrapes ran under load: {proposed:?}"
+    );
+    stop.store(true, Ordering::Relaxed);
+    let done: u64 = load
+        .into_iter()
+        .map(|t| t.join().expect("load thread"))
+        .sum();
+    assert!(done > 0, "the load ran");
+    deployment.shutdown();
 }
 
 #[test]
@@ -782,11 +923,38 @@ fn idle_ring_seals_at_once_and_a_pipelined_burst_still_amortises() {
     deployment.shutdown();
 }
 
+/// The credit window a fresh connection to `addr` is welcomed with.
+fn hello_window(addr: std::net::SocketAddr) -> u32 {
+    use common::transport::{encode_frame, FrameBuf};
+    use common::wire::client::{ClientMsg, ClientReply};
+    use std::io::{Read, Write};
+
+    let mut conn = std::net::TcpStream::connect(addr).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let hello = ClientMsg::HelloV2 {
+        client: ClientId::new(99),
+        features: 0,
+    };
+    conn.write_all(&encode_frame(&hello)).unwrap();
+    let (mut buf, mut chunk) = (FrameBuf::new(), [0u8; 4096]);
+    loop {
+        let n = conn.read(&mut chunk).expect("welcome");
+        assert!(n > 0, "closed before the welcome");
+        buf.extend(&chunk[..n]);
+        while let Some(reply) = buf.try_next::<ClientReply>().unwrap() {
+            if let ClientReply::WelcomeV2 { window, .. } = reply {
+                return window;
+            }
+        }
+    }
+}
+
 /// Credit-based backpressure end to end: a node driven into proposal
 /// backlog shrinks the session window via `CreditGrant` (overload
 /// degrades into queueing at the client), and the window re-expands once
 /// the backlog drains — with every pipelined request completing exactly
-/// once and no typed-error storm.
+/// once and no typed-error storm. A client saying hello mid-overload is
+/// admitted at the clamped window, not the configured maximum.
 ///
 /// The overload comes from something a deployment really does: the ring
 /// spans three EC2 regions (delays doubled), so the coordinator's
@@ -873,6 +1041,7 @@ fn overload_shrinks_credit_window_and_drain_restores_it() {
     // every 100 ms, so this loop observes every value it takes.
     let mut completed = 0u64;
     let mut min_window = usize::MAX;
+    let mut admitted = None;
     let drain_end = Instant::now() + Duration::from_secs(60);
     while completed < TOTAL && Instant::now() < drain_end {
         let in_flight = client.raw().stats().1;
@@ -883,7 +1052,17 @@ fn overload_shrinks_credit_window_and_drain_restores_it() {
             completed += 1;
         }
         min_window = min_window.min(client.raw().current_window());
+        if admitted.is_none() && min_window <= 16 {
+            admitted = Some(hello_window(client_config.nodes[0].client_addr));
+        }
     }
+    // The grant climbs by an eighth of the maximum per 100 ms tick at
+    // most, so a hello answered within a tick or two of the clamp cannot
+    // see the configured 64.
+    assert!(
+        admitted.is_some_and(|w| w < 64),
+        "a client saying hello mid-overload is admitted at the clamped window ({admitted:?})"
+    );
     assert_eq!(
         completed,
         TOTAL,

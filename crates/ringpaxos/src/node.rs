@@ -470,6 +470,14 @@ impl RingNode {
     pub fn on_restart(&mut self, now: SimTime, out: &mut Output) -> Result<()> {
         self.cfg = self.registry.ring(self.ring)?;
         self.coordinating = self.cfg.coordinator() == self.me;
+        // A restarted process counts value ids from scratch, yet its
+        // previous incarnation's ids still sit in every member's dedup
+        // window and learned cache: a reused id is dropped as a
+        // duplicate elsewhere and, id-only decisions being resolved by
+        // id, can bind an old decided instance to the new value here.
+        // The rejoin bumped the epoch past every epoch an earlier
+        // incarnation proposed in, so ids above it are fresh.
+        self.value_seq = self.value_seq.max(self.cfg.epoch().raw() << 32);
         self.start(now, out);
         Ok(())
     }
@@ -1906,6 +1914,29 @@ mod tests {
             d[1].0,
             InstanceId::new(10),
             "skip(10) consumed 10 instances"
+        );
+    }
+
+    /// A restarted process builds its ring member from scratch while its
+    /// previous incarnation's value ids still sit in the survivors' dedup
+    /// windows: the new incarnation must hand out none of them again.
+    #[test]
+    fn a_restarted_member_never_reuses_a_value_id() {
+        let (mut h, registry) = Harness::new(3, opts());
+        h.start();
+        let (ring, me) = (RingId::new(0), NodeId::new(2));
+        let old: Vec<u64> = (0..5).map(|_| h.nodes[2].next_value_id().seq).collect();
+        // The process dies, failure detection removes it, and a fresh
+        // process rejoins and restarts in its place.
+        let epoch = registry.ring(ring).unwrap().epoch();
+        registry.report_failure(ring, me, epoch).unwrap();
+        registry.rejoin(ring, me, true).unwrap();
+        let mut reborn = RingNode::new(me, ring, registry.clone(), opts()).unwrap();
+        reborn.on_restart(h.now, &mut Output::new()).unwrap();
+        let fresh: Vec<u64> = (0..5).map(|_| reborn.next_value_id().seq).collect();
+        assert!(
+            fresh.iter().all(|id| !old.contains(id)),
+            "ids {fresh:?} repeat the previous incarnation's {old:?}"
         );
     }
 
