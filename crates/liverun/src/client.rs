@@ -23,24 +23,27 @@
 //! `SessionCore`; [`LiveClient`] wraps it with sockets, retries,
 //! keep-alives and blocking conveniences ([`LiveClient::request`],
 //! [`LiveClient::request_fanout`], [`LiveClient::request_from`]).
+//!
+//! A client starts no thread: its sockets live in a `net::Net` turned on
+//! the caller's thread, which feeds each reply it reads to the core.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
-use std::io::Write;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use common::error::{Error, Result};
 use common::ids::{ClientId, NodeId, PartitionId, RequestId, RingId};
-use common::transport::encode_frame;
+use common::obs::Counter;
 use common::value::SESSION_CTL;
 use common::wire::client::{ClientMsg, ClientReply, ErrorCode, FEAT_ALL};
 use common::wire::Wire;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use multiring::session::{
     parse_open_reply, parse_reply, SessionCtl, ST_OK, ST_STALE, ST_UNKNOWN_SESSION,
     ST_WINDOW_EXCEEDED,
 };
+
+use crate::net::{ConnId, Event, Net, Reader};
 
 /// How a client finds and talks to a deployment.
 #[derive(Clone, Debug)]
@@ -375,14 +378,17 @@ pub struct LiveClient {
     id: ClientId,
     opts: ClientOptions,
     addrs: HashMap<NodeId, SocketAddr>,
-    conns: HashMap<NodeId, TcpStream>,
+    /// Every socket of the client, turned by the caller's thread.
+    net: Net<ClientReply, ()>,
+    events: Vec<Event<ClientReply, ()>>,
+    /// Replies read off the sockets and not yet fed to the core.
+    inbox: VecDeque<ClientReply>,
+    conns: HashMap<NodeId, ConnId>,
     /// Per-node reconnect backoff: no dial attempts before the marked
     /// instant. Keeps the retry path fast while a node is down — a
     /// blocking dial loop here would throttle reply consumption below
     /// the retry rate and wedge the whole pipeline.
     down_until: HashMap<NodeId, Instant>,
-    replies_tx: Sender<ClientReply>,
-    replies_rx: Receiver<ClientReply>,
     /// Candidate proposers per multicast group, in preference order.
     route: HashMap<RingId, Vec<NodeId>>,
     /// Partition each server replica belongs to (fan-out completion).
@@ -415,16 +421,17 @@ impl LiveClient {
         replica_partitions: HashMap<NodeId, PartitionId>,
         opts: ClientOptions,
     ) -> Result<Self> {
-        let (replies_tx, replies_rx) = unbounded();
         let window = opts.window;
         let mut client = LiveClient {
             id,
             opts,
             addrs: servers.iter().copied().collect(),
+            // Not a node's writer: `writer_vectored_frames` counts those.
+            net: Net::new("amcast-client-dial".into(), Counter::default())?,
+            events: Vec::new(),
+            inbox: VecDeque::new(),
             conns: HashMap::new(),
             down_until: HashMap::new(),
-            replies_tx,
-            replies_rx,
             route,
             replica_partitions,
             core: SessionCore::new(window),
@@ -438,7 +445,7 @@ impl LiveClient {
             // Patient initial dial: the deployment may still be binding
             // its listeners.
             match client.open_conn(node, 10) {
-                Ok(()) => reached += 1,
+                Ok(_) => reached += 1,
                 Err(e) => last_err = Some(e),
             }
         }
@@ -485,7 +492,8 @@ impl LiveClient {
         )
     }
 
-    fn open_conn(&mut self, node: NodeId, attempts: u32) -> Result<()> {
+    /// Dials `node` up to `attempts` times and says hello.
+    fn open_conn(&mut self, node: NodeId, attempts: u32) -> Result<ConnId> {
         let addr = self
             .addrs
             .get(&node)
@@ -498,18 +506,18 @@ impl LiveClient {
         }
         let mut last_err: Option<std::io::Error> = None;
         for attempt in 0..attempts.max(1) {
-            match TcpStream::connect_timeout(&addr, Duration::from_millis(250)) {
-                Ok(mut stream) => {
-                    let _ = stream.set_nodelay(true);
-                    stream.write_all(&encode_frame(&ClientMsg::HelloV2 {
+            let replies = Reader::Frames(|buf| buf.try_next());
+            match self.net.connect(addr, replies, Duration::from_millis(250)) {
+                Ok(conn) => {
+                    let hello = ClientMsg::HelloV2 {
                         client: self.id,
                         features: FEAT_ALL,
-                    }))?;
-                    let reader = stream.try_clone()?;
-                    spawn_reply_reader(reader, self.replies_tx.clone());
-                    self.conns.insert(node, stream);
+                    };
+                    self.net.send(conn, &hello);
+                    self.conns.insert(node, conn);
                     self.down_until.remove(&node);
-                    return Ok(());
+                    self.turn(Duration::ZERO);
+                    return Ok(conn);
                 }
                 Err(e) => {
                     last_err = Some(e);
@@ -532,57 +540,53 @@ impl LiveClient {
     ///
     /// Fails if the server cannot be reached.
     pub fn reconnect(&mut self, node: NodeId) -> Result<()> {
-        self.conns.remove(&node);
+        if let Some(conn) = self.conns.remove(&node) {
+            self.net.close(conn);
+        }
         self.down_until.remove(&node);
-        self.open_conn(node, 10)
+        self.open_conn(node, 10).map(|_| ())
     }
 
+    /// One turn of the client's sockets, waiting at most `timeout`.
+    fn turn(&mut self, timeout: Duration) {
+        self.net.wait(timeout, &mut self.events);
+        for event in self.events.drain(..) {
+            match event {
+                Event::Frame(_, reply) => self.inbox.push_back(reply),
+                Event::Closed(conn) => self.conns.retain(|_, c| *c != conn),
+                Event::Accepted(..) | Event::Mail(()) => {}
+            }
+        }
+    }
+
+    /// Sends `msg` to `node`, dialling if need be; it has left when this
+    /// returns `Ok`. Two tries: the server may have restarted.
     fn send_to(&mut self, node: NodeId, msg: &ClientMsg) -> Result<()> {
-        if !self.conns.contains_key(&node) {
-            self.open_conn(node, 1)?;
+        for _ in 0..2 {
+            let known = self.conns.get(&node).copied();
+            let conn = known.map_or_else(|| self.open_conn(node, 1), Ok)?;
+            self.net.send(conn, msg);
+            self.turn(Duration::ZERO);
+            if self.conns.get(&node) == Some(&conn) {
+                return Ok(());
+            }
         }
-        let frame = encode_frame(msg);
-        let broken = self
-            .conns
-            .get_mut(&node)
-            .map(|s| s.write_all(&frame).is_err())
-            .unwrap_or(true);
-        if broken {
-            // One reconnect attempt: the server may have restarted.
-            self.conns.remove(&node);
-            self.open_conn(node, 1)?;
-            self.conns
-                .get_mut(&node)
-                .expect("just connected")
-                .write_all(&frame)?;
-        }
-        Ok(())
+        Err(Error::Timeout("connection closed on send"))
     }
 
     /// Sends `msg` to a proposer of `group`; `prefer` rotates through the
     /// candidate list so retries fail over. Returns the node that took it.
     fn send_routed(&mut self, group: RingId, prefer: usize, msg: &ClientMsg) -> Result<NodeId> {
-        let candidates = self
-            .route
-            .get(&group)
-            .cloned()
-            .ok_or_else(|| Error::Config(format!("no proposer routed for group {group}")))?;
-        if candidates.is_empty() {
-            return Err(Error::Config(format!(
-                "no proposer routed for group {group}"
-            )));
-        }
-        let n = candidates.len();
-        let mut last_err = None;
-        for i in 0..n {
-            let node = candidates[(prefer + i) % n];
+        let candidates = self.route.get(&group).cloned().unwrap_or_default();
+        let mut last_err = Error::Config(format!("no proposer routed for group {group}"));
+        for i in 0..candidates.len() {
+            let node = candidates[(prefer + i) % candidates.len()];
             match self.send_to(node, msg) {
                 Ok(()) => return Ok(node),
-                Err(e) => last_err = Some(e),
+                Err(e) => last_err = e,
             }
         }
-        Err(last_err
-            .unwrap_or_else(|| Error::Config(format!("no proposer routed for group {group}"))))
+        Err(last_err)
     }
 
     fn request_frame(&self, seq: u64, group: RingId, cmd: Bytes) -> ClientMsg {
@@ -629,42 +633,43 @@ impl LiveClient {
                 self.send_routed(group, prefer, &msg)?;
                 next_retry = now + self.opts.retry_every;
             }
-            let wait = deadline
-                .min(next_retry)
-                .saturating_duration_since(now)
-                .min(Duration::from_millis(50));
-            match self.replies_rx.recv_timeout(wait) {
-                Ok(ClientReply::ResponseV2 {
-                    session: SESSION_CTL,
-                    seq,
-                    payload,
-                    ..
-                }) if seq.raw() == token => {
-                    if let Some(id) = parse_open_reply(&payload) {
-                        self.core.adopt_session(group, id);
-                        self.last_keepalive = Instant::now();
-                        // Re-send this ring's surviving in-flight
-                        // requests under the new session (failover
-                        // re-open path).
-                        let seqs: Vec<u64> = self
-                            .core
-                            .inflight
-                            .iter()
-                            .filter(|(_, r)| r.group == group)
-                            .map(|(s, _)| *s)
-                            .collect();
-                        for seq in seqs {
-                            let _ = self.resend(seq);
+            if self.inbox.is_empty() {
+                let wait = deadline
+                    .min(next_retry)
+                    .saturating_duration_since(now)
+                    .min(Duration::from_millis(50));
+                self.turn(wait);
+            }
+            while let Some(reply) = self.inbox.pop_front() {
+                match reply {
+                    ClientReply::ResponseV2 {
+                        session: SESSION_CTL,
+                        seq,
+                        payload,
+                        ..
+                    } if seq.raw() == token => {
+                        if let Some(id) = parse_open_reply(&payload) {
+                            self.core.adopt_session(group, id);
+                            self.last_keepalive = Instant::now();
+                            // Re-send this ring's surviving in-flight
+                            // requests under the new session (failover
+                            // re-open path).
+                            let seqs: Vec<u64> = self
+                                .core
+                                .inflight
+                                .iter()
+                                .filter(|(_, r)| r.group == group)
+                                .map(|(s, _)| *s)
+                                .collect();
+                            for seq in seqs {
+                                let _ = self.resend(seq);
+                            }
+                            return Ok(());
                         }
-                        return Ok(());
                     }
-                }
-                Ok(other) => {
-                    let _ = self.core.on_reply(&other, &self.replica_partitions);
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(Error::Timeout("all client connections closed"));
+                    other => {
+                        let _ = self.core.on_reply(&other, &self.replica_partitions);
+                    }
                 }
             }
         }
@@ -703,32 +708,18 @@ impl LiveClient {
         }
     }
 
-    /// One pump step: waits up to `wait` for a frame, then greedily
-    /// drains everything queued behind it (replies arrive in redundant
-    /// bursts — one per replica per retry — and consumption must always
-    /// outpace production or the pipeline wedges behind a growing
-    /// backlog), feeds the core, performs the resulting actions, and
-    /// fires due retries and keep-alives.
+    /// One pump step: unless replies are already waiting, a turn of up
+    /// to `wait`; then greedily drains every reply read (replies arrive
+    /// in redundant bursts — one per replica per retry — and consumption
+    /// must always outpace production or the pipeline wedges behind a
+    /// growing backlog), feeds the core, performs the resulting actions,
+    /// and fires due retries and keep-alives.
     fn pump(&mut self, wait: Duration) -> Result<()> {
-        let mut first = true;
-        loop {
-            let reply = if first {
-                match self.replies_rx.recv_timeout(wait) {
-                    Ok(r) => r,
-                    Err(RecvTimeoutError::Timeout) => break,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        return Err(Error::Timeout("all client connections closed"));
-                    }
-                }
-            } else {
-                match self.replies_rx.try_recv() {
-                    Ok(r) => r,
-                    Err(_) => break,
-                }
-            };
-            first = false;
-            let action = self.core.on_reply(&reply, &self.replica_partitions);
-            match action {
+        if self.inbox.is_empty() {
+            self.turn(wait);
+        }
+        while let Some(reply) = self.inbox.pop_front() {
+            match self.core.on_reply(&reply, &self.replica_partitions) {
                 Action::Resend(seq, to) => self.resend_to(seq, to),
                 Action::SessionLost(group) => {
                     // That ring's session expired or was evicted: open a
@@ -929,16 +920,6 @@ pub fn fetch_stats(addr: SocketAddr, timeout: Duration) -> Result<common::obs::O
             _ => None,
         },
     )
-}
-
-fn spawn_reply_reader(stream: TcpStream, tx: Sender<ClientReply>) {
-    std::thread::spawn(move || {
-        let peer = stream.peer_addr();
-        let end = crate::net::read_frames(stream, |reply| tx.send(reply).is_ok());
-        if common::debug_enabled() {
-            eprintln!("[client reader] {peer:?} ended: {end:?}");
-        }
-    });
 }
 
 #[cfg(test)]

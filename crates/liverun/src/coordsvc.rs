@@ -85,7 +85,7 @@ use ringpaxos::{Output, RingNode, RingOptions, RingTimer};
 use storage::checkpoint::CheckpointFile;
 use storage::wal::{DecidedLog, SegmentedWal, SyncPolicy};
 
-use crate::net::{self, spawn_loop, ConnId, Event, Mailer, Net};
+use crate::net::{self, spawn_loop, ConnId, Event, Mailer, Net, Reader};
 
 /// The ring id the ensemble replicates its own log on (a private
 /// namespace — this ring never appears in any deployment's registry).
@@ -568,12 +568,14 @@ pub fn start_coord_server(config: CoordServerConfig) -> Result<CoordServerHandle
     // rejoined config and their coordinator re-runs Phase 1 around us.
     rejoin_ensemble_ring(&ring_registry, me, peer_ring);
 
-    net.listen(config.ring_addrs[me_raw as usize], |buf| {
-        Ok(buf.try_next()?.map(Inbound::Ring))
-    })?;
-    let client_addr = net.listen(config.client_addrs[me_raw as usize], |buf| {
-        Ok(buf.try_next()?.map(Inbound::Client))
-    })?;
+    net.listen(
+        config.ring_addrs[me_raw as usize],
+        Reader::Frames(|buf| Ok(buf.try_next()?.map(Inbound::Ring))),
+    )?;
+    let client_addr = net.listen(
+        config.client_addrs[me_raw as usize],
+        Reader::Frames(|buf| Ok(buf.try_next()?.map(Inbound::Client))),
+    )?;
     let mailer = net.mailer();
 
     let replica = Replica {
@@ -724,7 +726,7 @@ impl Replica {
 
     fn on_event(&mut self, event: Event<Inbound, Mail>) {
         match event {
-            Event::Mail(Mail::Shutdown) => {}
+            Event::Mail(Mail::Shutdown) | Event::Accepted(..) => {}
             Event::Closed(conn) => self.drop_conns(&[conn]),
             Event::Frame(conn, Inbound::Client(CoordMsg { req, op })) => {
                 self.on_client_msg(conn, req, op);

@@ -497,10 +497,7 @@ impl Deployment {
     pub fn config_from(&self, region: &str) -> Result<DeploymentConfig> {
         let mut config = self.config.clone();
         for spec in &mut config.nodes {
-            spec.client_addr = match &self.netem {
-                Some(nt) => nt.client_addr(region, spec.id)?,
-                None => spec.client_addr,
-            };
+            spec.client_addr = self.client_addr_from(region, spec.id)?;
         }
         Ok(config)
     }

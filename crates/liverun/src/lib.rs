@@ -29,11 +29,11 @@
 //!   describes the whole cluster.
 //! * [`node`] — the per-node event loop driving a [`multiring::MultiRingHost`]
 //!   through [`simnet::Ctx::external`].
-//! * `net` (crate-private) — the one place a server-side socket is
-//!   opened, and the readiness loop (`ppoll(2)`) that `amcastd`'s node
-//!   loop and `amcoordd`'s server loop wait in: non-blocking accepts,
-//!   reads and bounded writes on the loop thread itself, lazy peer
-//!   links, a mailbox for other threads, one-shot calls.
+//! * `net` (crate-private) — the one place a socket is opened, and the
+//!   readiness loop (`ppoll(2)`) that every loop and the network client
+//!   wait in: non-blocking accepts, reads and bounded writes on the
+//!   owning thread itself, lazy peer links, a mailbox for other threads,
+//!   one-shot calls.
 //! * [`batch`] — proposer-side request batching: many client commands
 //!   share one consensus value ([`common::value::Payload::Batch`]).
 //! * [`deployment`] — launch/kill/restart whole localhost deployments
@@ -46,8 +46,8 @@
 //! * [`durable`] — the WAL decorator recording every delivered command
 //!   through [`storage::wal::Wal`].
 //! * [`netem`] — userspace per-link WAN shaping for geo deployments:
-//!   delay/jitter/bandwidth/loss relays on every peer link, runtime
-//!   region partitions, driven by `[[region]]` config sections.
+//!   one loop relaying every peer link with delay/jitter/bandwidth/loss,
+//!   runtime region partitions, driven by `[[region]]` config sections.
 
 pub mod batch;
 pub mod client;

@@ -1,29 +1,27 @@
-//! The one place `liverun` opens a server-side socket, and the readiness
-//! loop every live event loop waits in.
+//! The one place `liverun` opens a socket, and the readiness loop every
+//! live event loop waits in.
 //!
 //! Every live event loop in this crate (`amcastd`'s node loop,
-//! `amcoordd`'s server loop) drives a sans-IO state machine and must obey
-//! one rule: **state machines never touch a socket, loops never block on
-//! one.** A loop that stalls in `connect` or `write` stops its own
-//! heartbeats, which its peers read as a failure (§5.1) — a dead
-//! neighbour would take the node down with it. [`Net`] keeps that rule by
-//! construction: every socket it owns is non-blocking, and the loop
-//! thread itself waits on all of them in one `ppoll(2)`, so a frame is
-//! read, handled and answered on one thread with no hand-off.
+//! `amcoordd`'s server loop, `netem`'s shaping loop) and the network
+//! client obey one rule: **state machines never touch a socket, and
+//! nothing sits on a socket in a thread of its own.** A loop that stalls
+//! in `connect` or `write` stops its own heartbeats, which its peers read
+//! as a failure (§5.1) — a dead neighbour would take the node down with
+//! it. [`Net`] keeps that rule by construction: every socket it owns is
+//! non-blocking, and the thread that owns the `Net` waits on all of them
+//! in one `ppoll(2)`, so a frame is read, handled and answered on one
+//! thread with no hand-off.
 //!
 //! * [`Net`] — the sockets of one loop: its listeners, the connections
-//!   they accepted (read until they would block, decoded into
-//!   [`Event::Frame`]s) and lazily dialled links to named peers. Every
+//!   they accepted or it dialled (read until they would block, then
+//!   split into [`Event::Frame`]s — or, for netem's byte pass-through,
+//!   handed on as read) and lazily dialled links to named peers. Every
 //!   connection has a bounded outbound buffer that sheds when full, and
 //!   write interest is registered only while it holds something; a
 //!   turn's frames leave in one `write_vectored` per connection.
 //! * [`Mailer`] — how another thread reaches a loop: a channel plus a
 //!   wake-up socket the loop polls beside its network sockets.
 //! * [`spawn_loop`] — starts a loop thread.
-//! * [`Listener`] — a bound port with an accept thread that can be
-//!   stopped (and the port released) from outside; `netem`'s relays.
-//! * [`read_frames`] — a blocking frame reader; `LiveClient`'s reply
-//!   thread.
 //! * [`call`] — a one-shot request/response exchange under a deadline,
 //!   for the few places that need an answer before they can go on (boot
 //!   catch-up, stats scrapes). Never called from a loop thread.
@@ -112,16 +110,34 @@ fn ppoll(fds: &mut [sys::PollFd], timeout: Duration) {
 /// A connection's handle within its [`Net`].
 pub(crate) type ConnId = u64;
 
-/// Splits one decoded frame off an accepted connection's buffer.
+/// Splits one decoded frame off a connection's buffer.
 pub(crate) type Decode<In> = fn(&mut FrameBuf) -> std::result::Result<Option<In>, WireError>;
+
+/// How a listened or dialled connection's bytes become [`Event::Frame`]s.
+pub(crate) enum Reader<In> {
+    /// Split into frames.
+    Frames(Decode<In>),
+    /// Handed on as read, one event per read: a byte pass-through.
+    Raw(fn(Bytes) -> In),
+}
+
+impl<In> Clone for Reader<In> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<In> Copy for Reader<In> {}
 
 /// What one [`Net::wait`] turn produced, in arrival order per connection.
 pub(crate) enum Event<In, M> {
-    /// A frame decoded off an accepted connection.
+    /// The listener bound at the address accepted a connection.
+    Accepted(ConnId, SocketAddr),
+    /// What a listened or dialled connection delivered.
     Frame(ConnId, In),
-    /// An accepted connection is gone — the peer closed it, it broke, it
-    /// sent a corrupt frame (every frame before it was delivered), or it
-    /// finished [`Net::close_after_flush`]. Not reported for
+    /// A connection with a reader is gone — the peer closed it, it broke,
+    /// it sent a corrupt frame (every frame before it was delivered), or
+    /// it finished [`Net::close_after_flush`]. Not reported for
     /// [`Net::close`].
     Closed(ConnId),
     /// A message another thread [`Mailer::post`]ed.
@@ -177,8 +193,10 @@ impl<M> Mailer<M> {
 
 struct Conn<In> {
     stream: TcpStream,
-    /// `None` on a dialled link: whatever the peer says is discarded.
-    decode: Option<Decode<In>>,
+    /// `None` on a link: whatever the peer says is discarded.
+    reader: Option<Reader<In>>,
+    /// Not read until resumed.
+    paused: bool,
     rbuf: FrameBuf,
     out: VecDeque<Bytes>,
     /// Bytes of `out.front()` already written.
@@ -213,7 +231,7 @@ enum Token {
 /// The sockets of one loop, all non-blocking, all waited on by the loop
 /// thread itself in [`Net::wait`].
 pub(crate) struct Net<In, M> {
-    listeners: Vec<(TcpListener, Decode<In>)>,
+    listeners: Vec<(TcpListener, SocketAddr, Reader<In>)>,
     conns: HashMap<ConnId, Conn<In>>,
     links: HashMap<SocketAddr, Link>,
     next_id: ConnId,
@@ -261,9 +279,9 @@ impl<In, M: Send + 'static> Net<In, M> {
         })
     }
 
-    /// Binds `addr`; frames on the connections it accepts are split off
-    /// with `decode`. Returns the bound address (the real port when bound
-    /// to port 0). The port is released when the `Net` is dropped.
+    /// Binds `addr` (also while the loop runs); accepted connections are
+    /// read with `reader`. Returns the bound address, which
+    /// [`Event::Accepted`] names; the `Net`'s drop releases the port.
     ///
     /// # Errors
     ///
@@ -271,13 +289,33 @@ impl<In, M: Send + 'static> Net<In, M> {
     pub(crate) fn listen(
         &mut self,
         addr: SocketAddr,
-        decode: Decode<In>,
+        reader: Reader<In>,
     ) -> std::io::Result<SocketAddr> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        self.listeners.push((listener, decode));
+        self.listeners.push((listener, addr, reader));
         Ok(addr)
+    }
+
+    /// Dials `addr` on the calling thread and adds the connection, read
+    /// with `reader`. For owners that may wait up to `timeout` on a dial
+    /// (the client; netem, whose targets are ports on this host); a node
+    /// loop uses [`Net::send_to`].
+    ///
+    /// # Errors
+    ///
+    /// Fails if nothing answers at `addr`.
+    pub(crate) fn connect(
+        &mut self,
+        addr: SocketAddr,
+        reader: Reader<In>,
+        timeout: Duration,
+    ) -> std::io::Result<ConnId> {
+        let stream = TcpStream::connect_timeout(&addr, timeout)?;
+        stream.set_nonblocking(true)?;
+        let _ = stream.set_nodelay(true);
+        Ok(self.add(stream, Some(reader), None, VecDeque::new()))
     }
 
     /// A handle other threads post to this loop through.
@@ -285,14 +323,28 @@ impl<In, M: Send + 'static> Net<In, M> {
         self.mailer.clone()
     }
 
-    /// Queues `frame` on an accepted connection; `false` when the buffer
-    /// is full (a stalled remote end) or the connection is gone, and the
-    /// frame was dropped — the paper's UDP semantics, which clients
-    /// already retry around.
+    /// Queues `frame` on a listened or dialled connection; `false` when
+    /// the buffer is full (a stalled remote end) or the connection is
+    /// gone, and the frame was dropped — the paper's UDP semantics, which
+    /// clients already retry around.
     pub(crate) fn send<T: Wire>(&mut self, conn: ConnId, frame: &T) -> bool {
         self.conns
             .get_mut(&conn)
-            .is_some_and(|c| push(&mut c.out, frame))
+            .is_some_and(|c| push(&mut c.out, || encode_frame(frame)))
+    }
+
+    /// Queues `bytes` as they are, unframed; `false` as for [`Net::send`].
+    pub(crate) fn send_bytes(&mut self, conn: ConnId, bytes: Bytes) -> bool {
+        self.conns
+            .get_mut(&conn)
+            .is_some_and(|c| push(&mut c.out, || bytes))
+    }
+
+    /// Stops reading `conn` (its peer backs up) until resumed.
+    pub(crate) fn pause(&mut self, conn: ConnId, paused: bool) {
+        if let Some(c) = self.conns.get_mut(&conn) {
+            c.paused = paused;
+        }
     }
 
     /// Queues `frame` for the peer at `addr`, dialling on first use. Until
@@ -307,7 +359,7 @@ impl<In, M: Send + 'static> Net<In, M> {
             Some(c) => &mut c.out,
             None => &mut link.held,
         };
-        push(queue, frame);
+        push(queue, || encode_frame(frame));
     }
 
     /// Frames queued on `conn` that have not left yet.
@@ -358,12 +410,13 @@ impl<In, M: Send + 'static> Net<In, M> {
             self.tokens.push(token);
         };
         watch(self.wake_rx.as_raw_fd(), sys::POLLIN, Token::Wake);
-        for (i, (l, _)) in self.listeners.iter().enumerate() {
+        for (i, (l, _, _)) in self.listeners.iter().enumerate() {
             watch(l.as_raw_fd(), sys::POLLIN, Token::Listener(i));
         }
         for (id, c) in &self.conns {
+            let read = if c.paused { 0 } else { sys::POLLIN };
             let out = if c.out.is_empty() { 0 } else { sys::POLLOUT };
-            watch(c.stream.as_raw_fd(), sys::POLLIN | out, Token::Conn(*id));
+            watch(c.stream.as_raw_fd(), read | out, Token::Conn(*id));
         }
         ppoll(&mut self.fds, timeout);
 
@@ -380,7 +433,7 @@ impl<In, M: Send + 'static> Net<In, M> {
                     let _ = (&self.wake_rx).read(&mut self.chunk);
                     self.mailer.wake.armed.store(false, Ordering::SeqCst);
                 }
-                Token::Listener(i) => self.accept(i),
+                Token::Listener(i) => self.accept(i, events),
                 Token::Conn(id) => {
                     if ready & (sys::POLLIN | sys::POLLHUP | sys::POLLERR) != 0 {
                         self.read(id, events);
@@ -426,10 +479,10 @@ impl<In, M: Send + 'static> Net<In, M> {
         timeout
     }
 
-    fn accept(&mut self, i: usize) {
+    fn accept(&mut self, i: usize, events: &mut Vec<Event<In, M>>) {
         loop {
-            let (listener, decode) = &self.listeners[i];
-            let decode = *decode;
+            let (listener, addr, reader) = &self.listeners[i];
+            let (addr, reader) = (*addr, *reader);
             let stream = match listener.accept() {
                 Ok((s, _)) => s,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -437,7 +490,8 @@ impl<In, M: Send + 'static> Net<In, M> {
             };
             if stream.set_nonblocking(true).is_ok() {
                 let _ = stream.set_nodelay(true);
-                self.add(stream, Some(decode), None, VecDeque::new());
+                let id = self.add(stream, Some(reader), None, VecDeque::new());
+                events.push(Event::Accepted(id, addr));
             }
         }
     }
@@ -445,7 +499,7 @@ impl<In, M: Send + 'static> Net<In, M> {
     fn add(
         &mut self,
         stream: TcpStream,
-        decode: Option<Decode<In>>,
+        reader: Option<Reader<In>>,
         link: Option<SocketAddr>,
         out: VecDeque<Bytes>,
     ) -> ConnId {
@@ -454,7 +508,8 @@ impl<In, M: Send + 'static> Net<In, M> {
             self.next_id,
             Conn {
                 stream,
-                decode,
+                reader,
+                paused: false,
                 rbuf: FrameBuf::new(),
                 out,
                 sent: 0,
@@ -477,8 +532,13 @@ impl<In, M: Send + 'static> Net<In, M> {
             match c.stream.read(&mut self.chunk) {
                 Ok(0) => break false,
                 Ok(n) => {
-                    if c.decode.is_some() {
-                        c.rbuf.extend(&self.chunk[..n]);
+                    let read = &self.chunk[..n];
+                    match c.reader {
+                        Some(Reader::Frames(_)) => c.rbuf.extend(read),
+                        Some(Reader::Raw(wrap)) => {
+                            events.push(Event::Frame(id, wrap(Bytes::copy_from_slice(read))));
+                        }
+                        None => {}
                     }
                     if n < self.chunk.len() {
                         break true;
@@ -488,7 +548,7 @@ impl<In, M: Send + 'static> Net<In, M> {
                 Err(e) => break e.kind() == std::io::ErrorKind::WouldBlock,
             }
         };
-        if let Some(decode) = c.decode {
+        if let Some(Reader::Frames(decode)) = c.reader {
             loop {
                 match decode(&mut c.rbuf) {
                     Ok(Some(frame)) => events.push(Event::Frame(id, frame)),
@@ -548,15 +608,15 @@ impl<In, M: Send + 'static> Net<In, M> {
         }
     }
 
-    /// Forgets a connection that ended on its own; accepted ones are
-    /// reported.
+    /// Forgets a connection that ended on its own; listened and dialled
+    /// ones are reported.
     fn drop_conn(&mut self, id: ConnId, events: &mut Vec<Event<In, M>>) {
         if self.remove(id) {
             events.push(Event::Closed(id));
         }
     }
 
-    /// Closes `id`; `true` if it was an accepted connection. A link's
+    /// Closes `id`; `true` if it had a reader. A link's
     /// unsent frames go back to its hold queue: a peer that restarted
     /// gets them on one fresh connection.
     fn remove(&mut self, id: ConnId) -> bool {
@@ -567,7 +627,7 @@ impl<In, M: Send + 'static> Net<In, M> {
             link.conn = None;
             link.held.extend(c.out);
         }
-        c.decode.is_some()
+        c.reader.is_some()
     }
 
     fn dialed(&mut self, addr: SocketAddr, dialed: std::io::Result<TcpStream>) {
@@ -610,11 +670,11 @@ impl<In, M> Drop for Net<In, M> {
     }
 }
 
-/// Encodes `frame` onto `queue` unless it is full.
-fn push<T: Wire>(queue: &mut VecDeque<Bytes>, frame: &T) -> bool {
+/// Queues what `bytes` makes onto `queue` unless it is full.
+fn push(queue: &mut VecDeque<Bytes>, bytes: impl FnOnce() -> Bytes) -> bool {
     let room = queue.len() < QUEUE_FRAMES;
     if room {
-        queue.push_back(encode_frame(frame));
+        queue.push_back(bytes());
     }
     room
 }
@@ -632,95 +692,10 @@ pub(crate) fn spawn_loop(
     std::thread::Builder::new().name(name).spawn(body)
 }
 
-/// A listener whose accept loop can be stopped from outside.
-pub(crate) struct Listener {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    join: Option<JoinHandle<()>>,
-}
-
-impl Listener {
-    /// Binds `addr` and hands every accepted connection to `on_conn` on
-    /// a thread called `name`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the address cannot bind or the thread cannot spawn.
-    pub(crate) fn bind(
-        addr: SocketAddr,
-        name: String,
-        mut on_conn: impl FnMut(TcpStream) + Send + 'static,
-    ) -> std::io::Result<Listener> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let join = std::thread::Builder::new().name(name).spawn(move || {
-            for stream in listener.incoming() {
-                if stop2.load(Ordering::SeqCst) {
-                    return;
-                }
-                let Ok(stream) = stream else { break };
-                on_conn(stream);
-            }
-        })?;
-        Ok(Listener {
-            addr,
-            stop,
-            join: Some(join),
-        })
-    }
-
-    /// The bound address (the real port when bound to port 0).
-    pub(crate) fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops accepting and releases the port: when this returns the same
-    /// address can be bound again, in this process or another.
-    pub(crate) fn stop(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Wake the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
-    }
-}
-
-/// Reads `T` frames off a blocking `stream` until it closes, breaks, or
-/// `on_frame` returns `false` — the body of a reader thread.
-///
-/// # Errors
-///
-/// Fails on a corrupt stream (oversized length prefix, undecodable
-/// body); every frame before the corruption was delivered, nothing of
-/// the corrupt one is. The connection should be dropped.
-pub(crate) fn read_frames<T: Wire>(
-    mut stream: TcpStream,
-    mut on_frame: impl FnMut(T) -> bool,
-) -> std::result::Result<(), WireError> {
-    let mut buf = FrameBuf::new();
-    let mut chunk = [0u8; 64 * 1024];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => return Ok(()),
-            Ok(n) => {
-                buf.extend(&chunk[..n]);
-                while let Some(frame) = buf.try_next::<T>()? {
-                    if !on_frame(frame) {
-                        return Ok(());
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// One request/response exchange: dials `addr`, sends `req`, and feeds
-/// every `Resp` frame that arrives to `pick` until it returns `Some` —
-/// all within `timeout`, connect included. Blocks its caller; loop
-/// threads hand it to a helper thread.
+/// One request/response exchange on a `Net` of its own: dials `addr`,
+/// sends `req`, and feeds every `Resp` frame that arrives to `pick` until
+/// it returns `Some` — all within `timeout`, connect included. Blocks its
+/// caller; loop threads hand it to a helper thread.
 ///
 /// # Errors
 ///
@@ -733,36 +708,27 @@ pub(crate) fn call<Req: Wire, Resp: Wire, R>(
     mut pick: impl FnMut(Resp) -> Option<R>,
 ) -> Result<R> {
     let deadline = Instant::now() + timeout;
-    let mut stream = TcpStream::connect_timeout(&addr, timeout.max(Duration::from_millis(1)))?;
-    let _ = stream.set_nodelay(true);
-    stream.set_write_timeout(Some(timeout.max(Duration::from_millis(1))))?;
-    stream.write_all(&encode_frame(req))?;
-    let mut buf = FrameBuf::new();
-    let mut chunk = [0u8; 64 * 1024];
+    let mut net = Net::<Resp, ()>::new(String::new(), Counter::default())?;
+    let replies = Reader::Frames(|buf| buf.try_next());
+    let conn = net.connect(addr, replies, timeout.max(Duration::from_millis(1)))?;
+    net.send(conn, req);
+    let mut events = Vec::new();
     loop {
         let left = deadline.saturating_duration_since(Instant::now());
         if left.is_zero() {
             return Err(Error::Timeout("call: no reply before the deadline"));
         }
-        stream.set_read_timeout(Some(left))?;
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err(Error::Timeout("call: connection closed")),
-            Ok(n) => {
-                buf.extend(&chunk[..n]);
-                while let Some(resp) = buf.try_next::<Resp>()? {
+        net.wait(left, &mut events);
+        for event in events.drain(..) {
+            match event {
+                Event::Frame(_, resp) => {
                     if let Some(picked) = pick(resp) {
                         return Ok(picked);
                     }
                 }
+                Event::Closed(_) => return Err(Error::Timeout("call: connection closed")),
+                Event::Accepted(..) | Event::Mail(()) => {}
             }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Err(Error::Io(e)),
         }
     }
 }
@@ -816,11 +782,10 @@ mod tests {
     use super::*;
     use common::obs::Obs;
 
-    /// A loop's sockets whose connections carry raw `Bytes` frames and
-    /// whose mail is a bare stop signal.
+    /// A loop's sockets whose connections carry raw `Bytes` frames.
     type TestNet = Net<Bytes, ()>;
 
-    fn test_net() -> TestNet {
+    fn test_net<M: Send + 'static>() -> Net<Bytes, M> {
         Net::new(
             "test-dial".into(),
             Obs::for_node(0).counter("test_vectored"),
@@ -849,15 +814,74 @@ mod tests {
         }
     }
 
-    /// A listener that forwards every frame of every connection.
-    fn frame_sink(addr: SocketAddr) -> (Listener, Receiver<Bytes>) {
-        let (tx, rx) = unbounded();
-        let listener = Listener::bind(addr, "test-sink".into(), move |stream| {
-            let tx = tx.clone();
-            std::thread::spawn(move || read_frames(stream, |f: Bytes| tx.send(f).is_ok()));
-        })
-        .unwrap();
-        (listener, rx)
+    /// Reads what `stream` has and splits off every complete frame;
+    /// `false` once it is closed.
+    fn read_some(stream: &mut TcpStream, buf: &mut FrameBuf, out: &mut Vec<Bytes>) -> bool {
+        let mut chunk = [0u8; 4096];
+        match stream.read(&mut chunk) {
+            Ok(0) => return false,
+            Ok(n) => buf.extend(&chunk[..n]),
+            Err(e) => return e.kind() == std::io::ErrorKind::WouldBlock,
+        }
+        while let Ok(Some(frame)) = buf.try_next() {
+            out.push(frame);
+        }
+        true
+    }
+
+    /// A peer on plain std sockets: forwards every frame of every
+    /// connection it accepts on `addr` until stopped, and stopping closes
+    /// the port and every connection.
+    struct Sink {
+        stop: Arc<AtomicBool>,
+        join: JoinHandle<()>,
+    }
+
+    impl Sink {
+        fn start(addr: SocketAddr) -> (Sink, Receiver<Bytes>) {
+            let listener = TcpListener::bind(addr).unwrap();
+            listener.set_nonblocking(true).unwrap();
+            let (tx, rx) = unbounded();
+            let stop = Arc::new(AtomicBool::new(false));
+            let stopped = Arc::clone(&stop);
+            let join = std::thread::spawn(move || {
+                let mut conns = Vec::new();
+                while !stopped.load(Ordering::SeqCst) {
+                    if let Ok((stream, _)) = listener.accept() {
+                        stream.set_nonblocking(true).unwrap();
+                        conns.push((stream, FrameBuf::new()));
+                    }
+                    let mut frames = Vec::new();
+                    for (stream, buf) in &mut conns {
+                        read_some(stream, buf, &mut frames);
+                    }
+                    for frame in frames {
+                        let _ = tx.send(frame);
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            });
+            (Sink { stop, join }, rx)
+        }
+
+        fn stop(self) {
+            self.stop.store(true, Ordering::SeqCst);
+            self.join.join().unwrap();
+        }
+    }
+
+    /// Accepts one connection on `listener`, waiting at most five
+    /// seconds.
+    fn accept_within(listener: &TcpListener) -> Option<TcpStream> {
+        listener.set_nonblocking(true).unwrap();
+        let end = Instant::now() + Duration::from_secs(5);
+        while Instant::now() < end {
+            if let Ok((stream, _)) = listener.accept() {
+                return Some(stream);
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        None
     }
 
     /// Pumps `net` until `rx` yields a frame (or five seconds pass).
@@ -878,18 +902,15 @@ mod tests {
         // buffer and our send buffer fill, the link's outbound buffer
         // fills and sheds — and neither `send_to` nor the loop's turns
         // may stall on the socket.
-        let (held_tx, held_rx) = unbounded();
-        let peer = Listener::bind(localhost(0), "test-mute".into(), move |stream| {
-            let _ = held_tx.send(stream);
-        })
-        .unwrap();
-        let mut net = test_net();
+        let peer = TcpListener::bind(localhost(0)).unwrap();
+        let peer_addr = peer.local_addr().unwrap();
+        let mut net: TestNet = test_net();
         let frame = Bytes::from(vec![7u8; 1024]);
         let mut events = Vec::new();
         let started = Instant::now();
         let mut slowest_turn = Duration::ZERO;
         for i in 0..100_000 {
-            net.send_to(peer.addr(), &frame);
+            net.send_to(peer_addr, &frame);
             if i % 1000 == 999 {
                 // A timer 1 ms out: the turn must come back for it.
                 let turn = Instant::now();
@@ -904,8 +925,8 @@ mod tests {
             took < Duration::from_secs(5),
             "send blocked on the socket: {took:?}"
         );
-        let conn = held_rx.recv_timeout(Duration::from_secs(5));
-        assert!(conn.is_ok(), "the link did connect");
+        let conn = accept_within(&peer);
+        assert!(conn.is_some(), "the link did connect");
         for _ in 0..20 {
             let turn = Instant::now();
             net.wait(Duration::from_millis(5), &mut events);
@@ -918,7 +939,6 @@ mod tests {
         assert!(net.queued(1) > 0 && net.queued(1) <= QUEUE_FRAMES);
         drop(net);
         drop(conn);
-        peer.stop();
     }
 
     #[test]
@@ -928,15 +948,14 @@ mod tests {
         // Nobody listens yet: the frame is held while dials fail.
         net.send_to(addr, &Bytes::from_static(b"early"));
         pump(&mut net, Duration::from_millis(100));
-        let (sink, rx) = frame_sink(addr);
+        let (sink, rx) = Sink::start(addr);
         assert_eq!(
             pump_until_frame(&mut net, &rx),
             Some(Bytes::from_static(b"early")),
             "a frame sent before the peer bound is delivered once it binds"
         );
 
-        // The peer dies: listener gone, and its reader exits (closing the
-        // accepted socket) at the first frame that finds `rx` dropped.
+        // The peer dies: its port and the accepted socket close.
         sink.stop();
         drop(rx);
         for _ in 0..20 {
@@ -947,7 +966,7 @@ mod tests {
         pump(&mut net, Duration::from_millis(300));
 
         // The peer comes back: only frames sent from now on arrive.
-        let (sink, rx) = frame_sink(addr);
+        let (sink, rx) = Sink::start(addr);
         net.send_to(addr, &Bytes::from_static(b"fresh"));
         assert_eq!(
             pump_until_frame(&mut net, &rx),
@@ -960,12 +979,45 @@ mod tests {
 
     #[test]
     fn stopped_listener_releases_its_port() {
+        // A listener added to a running loop — the way netem opens a
+        // client-side relay — accepts at once and lets go of its port
+        // when the loop stops.
         let addr = localhost(free_port_block(1).unwrap());
         for round in 0..3 {
-            let listener = Listener::bind(addr, "test-rebind".into(), |_| {})
-                .unwrap_or_else(|e| panic!("round {round}: rebind failed: {e}"));
-            assert_eq!(listener.addr(), addr);
-            listener.stop();
+            // Mail: `Some(addr)` listens there, `None` stops the loop.
+            let mut net = test_net::<Option<SocketAddr>>();
+            let mailer = net.mailer();
+            let (tx, rx) = unbounded();
+            let join = spawn_loop("test-listen".into(), move || {
+                let mut events = Vec::new();
+                loop {
+                    net.wait(Duration::from_secs(1), &mut events);
+                    for event in events.drain(..) {
+                        match event {
+                            Event::Mail(Some(addr)) => {
+                                let bound = net.listen(addr, Reader::Frames(bytes_frame));
+                                tx.send(bound.map_err(|e| e.to_string())).unwrap();
+                            }
+                            Event::Mail(None) => return,
+                            Event::Accepted(_, at) => tx.send(Ok(at)).unwrap(),
+                            Event::Frame(..) | Event::Closed(_) => {}
+                        }
+                    }
+                }
+            })
+            .unwrap();
+            assert!(mailer.post(Some(addr)));
+            let bound = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(
+                bound.unwrap_or_else(|e| panic!("round {round}: rebind failed: {e}")),
+                addr
+            );
+            let conn = TcpStream::connect(addr).unwrap();
+            let accepted = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(accepted.unwrap(), addr, "accepted on the added listener");
+            assert!(mailer.post(None));
+            join.join().unwrap();
+            drop(conn);
         }
     }
 
@@ -974,10 +1026,10 @@ mod tests {
         let base = free_port_block(2).unwrap();
         let (a, b) = (localhost(base), localhost(base + 1));
         for round in 0..3 {
-            let mut net = test_net();
+            let mut net: TestNet = test_net();
             for addr in [a, b] {
                 let bound = net
-                    .listen(addr, bytes_frame)
+                    .listen(addr, Reader::Frames(bytes_frame))
                     .unwrap_or_else(|e| panic!("round {round}: rebind failed: {e}"));
                 assert_eq!(bound, addr);
             }
@@ -991,7 +1043,7 @@ mod tests {
                         match event {
                             Event::Mail(()) => return,
                             Event::Frame(_, f) => tx.send(f).unwrap(),
-                            Event::Closed(_) => {}
+                            Event::Accepted(..) | Event::Closed(_) => {}
                         }
                     }
                 }
@@ -1020,7 +1072,9 @@ mod tests {
     #[test]
     fn corrupt_length_prefix_ends_the_reader_without_a_partial_frame() {
         let mut net = test_net();
-        let addr = net.listen(localhost(0), bytes_frame).unwrap();
+        let addr = net
+            .listen(localhost(0), Reader::Frames(bytes_frame))
+            .unwrap();
         let frame = |body: &'static [u8]| encode_frame(&Bytes::from_static(body));
         let mut bad = TcpStream::connect(addr).unwrap();
         let mut good = TcpStream::connect(addr).unwrap();
@@ -1041,7 +1095,7 @@ mod tests {
                 match event {
                     Event::Frame(id, f) => frames.entry(id).or_default().push(f),
                     Event::Closed(id) => closed.push(id),
-                    Event::Mail(()) => {}
+                    Event::Accepted(..) | Event::Mail(()) => {}
                 }
             }
             if !closed.is_empty() && !sent_after {
@@ -1068,14 +1122,11 @@ mod tests {
 
     #[test]
     fn call_gives_up_at_its_deadline_against_a_silent_server() {
-        let (held_tx, held_rx) = unbounded();
-        let server = Listener::bind(localhost(0), "test-silent".into(), move |stream| {
-            let _ = held_tx.send(stream);
-        })
-        .unwrap();
+        // The kernel completes the handshake; nobody ever answers.
+        let server = TcpListener::bind(localhost(0)).unwrap();
         let started = Instant::now();
         let answer: Result<Bytes> = call(
-            server.addr(),
+            server.local_addr().unwrap(),
             &Bytes::from_static(b"anyone?"),
             Duration::from_millis(300),
             Some,
@@ -1086,32 +1137,31 @@ mod tests {
             took >= Duration::from_millis(300) && took < Duration::from_secs(3),
             "deadline not honoured: {took:?}"
         );
-        drop(held_rx);
-        server.stop();
     }
 
     #[test]
     fn call_returns_the_first_picked_reply() {
-        let server = Listener::bind(localhost(0), "test-echo".into(), |stream| {
-            let mut writer = stream.try_clone().unwrap();
-            std::thread::spawn(move || {
-                read_frames(stream, |f: Bytes| {
-                    writer
-                        .write_all(&encode_frame(&Bytes::from_static(b"noise")))
-                        .is_ok()
-                        && writer.write_all(&encode_frame(&f)).is_ok()
-                })
-            });
-        })
-        .unwrap();
+        let server = TcpListener::bind(localhost(0)).unwrap();
+        let addr = server.local_addr().unwrap();
+        let echo = std::thread::spawn(move || {
+            let (mut stream, _) = server.accept().unwrap();
+            let mut buf = FrameBuf::new();
+            let mut frames = Vec::new();
+            while read_some(&mut stream, &mut buf, &mut frames) {
+                for f in frames.drain(..) {
+                    let _ = stream.write_all(&encode_frame(&Bytes::from_static(b"noise")));
+                    let _ = stream.write_all(&encode_frame(&f));
+                }
+            }
+        });
         let answer = call(
-            server.addr(),
+            addr,
             &Bytes::from_static(b"ping"),
             Duration::from_secs(5),
             |r: Bytes| (r == Bytes::from_static(b"ping")).then_some(r),
         );
         assert_eq!(answer.unwrap(), Bytes::from_static(b"ping"));
-        server.stop();
+        echo.join().unwrap();
     }
 
     #[test]

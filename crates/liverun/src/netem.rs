@@ -10,15 +10,17 @@
 //! the nodes themselves keep speaking plain TCP to what they believe
 //! are their peers.
 //!
-//! The mechanics per relayed connection: a reader thread pulls chunks
-//! off the inbound socket, consults the *current* link policy (policies
-//! are shared state, mutable at runtime through [`NetemControl`]), asks
-//! the sans-IO [`LinkShaper`] for a release time, and queues the chunk;
-//! a writer thread sleeps until each chunk's release and forwards it.
-//! Release times are monotone per link, so TCP byte order survives
-//! shaping. Loss and partitions surface exactly the way a WAN surfaces
-//! them: the connection dies and the sender's link re-dials —
-//! against a blocked link the reconnect is cut at accept time.
+//! The mechanics per relayed connection: one shaping loop (a `net::Net`
+//! on a thread of its own) owns every relay, and a connection accepted on
+//! one is paired with a connection the loop dials to the real target;
+//! bytes pass through undecoded. Each chunk read off either end consults
+//! the *current* link policy (shared state, mutable at runtime through
+//! [`NetemControl`]), asks the sans-IO [`LinkShaper`] for a release time
+//! and waits in the loop's timer heap until then. Release times are
+//! monotone per direction and the heap keeps push order among equals, so
+//! TCP byte order survives shaping. Loss and partitions surface exactly
+//! the way a WAN surfaces them: the connection dies and the sender's link
+//! re-dials — against a blocked link the reconnect is cut at accept time.
 //!
 //! Shaping is observable from the outside (and asserted on in tests):
 //! each relayed direction counts into the *sending* node's stats
@@ -29,27 +31,30 @@
 //! visible via `amcast-cli stats`.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use common::error::{Error, Result};
 use common::ids::{NodeId, SessionId};
 use common::obs::{Counter, Obs};
-use common::transport::{LinkPolicy, LinkShaper, ShapeDecision};
+use common::transport::{LinkPolicy, LinkShaper, ShapeDecision, TimerHeap};
 use common::wire::coord::{CoordEvent, CoordOk, CoordOp};
 use coord::{Coord, Registry};
-use crossbeam::channel::Receiver;
+use crossbeam::channel::{bounded, Receiver, Sender};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::config::DeploymentConfig;
-use crate::net::Listener;
+use crate::net::{spawn_loop, ConnId, Event, Mailer, Net, Reader};
 
-/// Chunk granularity of the relays: also the quantum the bandwidth
-/// serialization clock advances by (16 KiB at 1 Gbps ≈ 128 µs).
+/// Shaping granularity: also the quantum the bandwidth serialization
+/// clock advances by (16 KiB at 1 Gbps ≈ 128 µs).
 const CHUNK: usize = 16 * 1024;
+
+/// Pause before re-dialling a target that has never answered.
+const REDIAL: Duration = Duration::from_millis(20);
 
 /// Shared mutable world state: placements, live policies, stats sinks.
 struct Shared {
@@ -58,7 +63,6 @@ struct Shared {
     coord_region: String,
     policies: Mutex<HashMap<(String, String), LinkPolicy>>,
     obs: Mutex<HashMap<NodeId, Obs>>,
-    seed: AtomicU64,
 }
 
 impl Shared {
@@ -82,10 +86,6 @@ impl Shared {
             .get(&node)
             .cloned()
             .unwrap_or_else(|| Obs::for_node(node.raw()))
-    }
-
-    fn next_seed(&self) -> u64 {
-        self.seed.fetch_add(0x9e3779b97f4a7c15, Ordering::Relaxed)
     }
 }
 
@@ -203,32 +203,36 @@ impl Coord for ShapedCoord {
     }
 }
 
-/// Where a relayed connection originates: a deployment node, or a
-/// client observing the deployment from inside some region.
-enum LinkEnd {
-    Node(NodeId),
-    Client(String),
+/// What reaches the shaping loop from other threads.
+enum Mail {
+    /// Open a relay listener and answer with its address.
+    Open(Relay, Sender<Result<SocketAddr>>),
+    /// Stop the loop, closing every relay and relayed connection.
+    Stop,
 }
 
 /// The live shaping fabric of one deployment: one relay listener per
-/// directed peer link plus lazily created client-side relays.
+/// directed peer link plus lazily created client-side relays, all served
+/// by one shaping loop.
 pub struct Netem {
     shared: Arc<Shared>,
     peer_proxies: HashMap<(NodeId, NodeId), SocketAddr>,
     client_proxies: Mutex<HashMap<(String, NodeId), SocketAddr>>,
     client_targets: HashMap<NodeId, SocketAddr>,
-    listeners: Mutex<Vec<Listener>>,
+    mailer: Mailer<Mail>,
+    join: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Netem {
     /// Builds the fabric for `config` (which must carry a geography):
     /// binds one ephemeral relay listener per directed pair of placed
-    /// nodes. Nodes outside every region keep their direct links.
+    /// nodes and starts the shaping loop. Nodes outside every region
+    /// keep their direct links.
     ///
     /// # Errors
     ///
-    /// Fails when `config` has no `[[region]]` sections or a relay
-    /// listener cannot bind.
+    /// Fails when `config` has no `[[region]]` sections, a relay
+    /// listener cannot bind or the loop cannot start.
     pub fn start(config: &DeploymentConfig) -> Result<Netem> {
         let geo = config
             .geo
@@ -248,10 +252,16 @@ impl Netem {
             coord_region: geo.coord_region.clone(),
             policies: Mutex::new(policies),
             obs: Mutex::new(HashMap::new()),
-            seed: AtomicU64::new(0x5eed_ca57),
         });
+        let mut shaper = Shaper {
+            // Not a node's writer: `writer_vectored_frames` counts those.
+            net: Net::new("amcast-netem-dial".into(), Counter::default())?,
+            shared: Arc::clone(&shared),
+            relays: HashMap::new(),
+            ends: HashMap::new(),
+            timers: TimerHeap::new(),
+        };
         let mut peer_proxies = HashMap::new();
-        let mut listeners = Vec::new();
         for from in &config.nodes {
             for to in &config.nodes {
                 if from.id == to.id
@@ -260,58 +270,26 @@ impl Netem {
                 {
                     continue;
                 }
-                let addr = Self::spawn_proxy(
-                    &shared,
-                    &mut listeners,
-                    LinkEnd::Node(from.id),
-                    to.id,
-                    to.peer_addr,
-                )?;
+                let addr = shaper.open(Relay {
+                    src: Some(from.id),
+                    src_region: shared.region(from.id),
+                    dst: to.id,
+                    target: to.peer_addr,
+                    ever: false,
+                })?;
                 peer_proxies.insert((from.id, to.id), addr);
             }
         }
+        let mailer = shaper.net.mailer();
+        let join = spawn_loop("amcast-netem".into(), move || shaper.run())?;
         Ok(Netem {
             shared,
             peer_proxies,
             client_proxies: Mutex::new(HashMap::new()),
             client_targets: config.nodes.iter().map(|n| (n.id, n.client_addr)).collect(),
-            listeners: Mutex::new(listeners),
+            mailer,
+            join: Mutex::new(Some(join)),
         })
-    }
-
-    fn spawn_proxy(
-        shared: &Arc<Shared>,
-        listeners: &mut Vec<Listener>,
-        src: LinkEnd,
-        dst: NodeId,
-        target: SocketAddr,
-    ) -> Result<SocketAddr> {
-        let name = match &src {
-            LinkEnd::Node(id) => format!("netem-{}-{}", id.raw(), dst.raw()),
-            LinkEnd::Client(region) => format!("netem-client-{region}-{}", dst.raw()),
-        };
-        // The sender's first-ever connect is special: before the link has
-        // ever worked the relay dials the real target with patient
-        // retries (deployment still launching), after that a dead target
-        // cuts the connection immediately — mirroring the sender's own
-        // hold-then-drop reconnect semantics of `net::Net::send_to`.
-        let ever = Arc::new(AtomicBool::new(false));
-        let src = Arc::new(src);
-        let shared2 = Arc::clone(shared);
-        let any_port = SocketAddr::from(([127, 0, 0, 1], 0));
-        let handle = Listener::bind(any_port, name, move |conn| {
-            let shared = Arc::clone(&shared2);
-            let ever = Arc::clone(&ever);
-            let src = Arc::clone(&src);
-            std::thread::Builder::new()
-                .name("netem-relay".into())
-                .spawn(move || relay(conn, target, shared, &src, dst, &ever))
-                .expect("spawn netem relay");
-        })
-        .map_err(|e| Error::Config(format!("netem relay bind: {e}")))?;
-        let addr = handle.addr();
-        listeners.push(handle);
-        Ok(addr)
     }
 
     /// A runtime control handle for this fabric.
@@ -338,33 +316,37 @@ impl Netem {
     }
 
     /// The relay address a client *in* `from_region` should use to reach
-    /// `node`'s client listener; created on first use. Both directions
-    /// of the client link are shaped and counted against `node`.
+    /// `node`'s client listener; created on first use, by the running
+    /// shaping loop. Both directions of the client link are shaped and
+    /// counted against `node`.
     ///
     /// # Errors
     ///
-    /// Fails for unknown nodes or when the relay cannot bind.
+    /// Fails for unknown nodes, when the relay cannot bind, or once the
+    /// fabric has stopped.
     pub fn client_addr(&self, from_region: &str, node: NodeId) -> Result<SocketAddr> {
         let key = (from_region.to_string(), node);
-        if let Some(addr) = self.client_proxies.lock().expect("netem lock").get(&key) {
+        let mut proxies = self.client_proxies.lock().expect("netem lock");
+        if let Some(addr) = proxies.get(&key) {
             return Ok(*addr);
         }
         let target = *self
             .client_targets
             .get(&node)
             .ok_or_else(|| Error::Config(format!("netem: unknown node {node}")))?;
-        let mut listeners = self.listeners.lock().expect("netem lock");
-        let addr = Self::spawn_proxy(
-            &self.shared,
-            &mut listeners,
-            LinkEnd::Client(from_region.to_string()),
-            node,
+        let relay = Relay {
+            src: None,
+            src_region: from_region.to_string(),
+            dst: node,
             target,
-        )?;
-        self.client_proxies
-            .lock()
-            .expect("netem lock")
-            .insert(key, addr);
+            ever: false,
+        };
+        // A stopped loop drops the mail, and with it the answer's sender.
+        let (tx, rx) = bounded(1);
+        self.mailer.post(Mail::Open(relay, tx));
+        let stopped = Error::Config("netem: stopped".into());
+        let addr = rx.recv().map_err(|_| stopped)??;
+        proxies.insert(key, addr);
         Ok(addr)
     }
 
@@ -384,18 +366,18 @@ impl Netem {
         }))
     }
 
-    /// Stops every relay listener. In-flight relay threads die with
-    /// their connections.
+    /// Stops the shaping loop and joins it: every relay port is released
+    /// and every relayed connection closed when this returns.
     pub fn stop(&self) {
-        for handle in self.listeners.lock().expect("netem lock").drain(..) {
-            handle.stop();
+        self.mailer.post(Mail::Stop);
+        if let Some(join) = self.join.lock().expect("netem lock").take() {
+            let _ = join.join();
         }
     }
 }
 
 /// Per-direction stats sinks: the aggregate triple plus the
 /// per-destination-region variants, all in the sending side's registry.
-#[derive(Clone)]
 struct PipeCounters {
     delay_ms: Counter,
     dropped: Counter,
@@ -434,153 +416,227 @@ impl PipeCounters {
     }
 }
 
-/// Serves one accepted connection of the `src` → `dst` link: dials the
-/// real target, then shapes both directions until either side closes.
-fn relay(
-    inbound: TcpStream,
-    target: SocketAddr,
-    shared: Arc<Shared>,
-    src: &LinkEnd,
+/// A relay listener: the `src` → `dst` link it shapes, and its target.
+struct Relay {
+    /// The sending node; `None` for a client, which has no registry of
+    /// its own: both directions of its link count against `dst`.
+    src: Option<NodeId>,
+    src_region: String,
     dst: NodeId,
-    ever: &AtomicBool,
-) {
-    let dst_region = shared.region(dst);
-    let (src_region, fwd_obs) = match src {
-        LinkEnd::Node(id) => (shared.region(*id), shared.obs_of(*id)),
-        // Client links have no registry of their own; both directions
-        // count against the server node they shape.
-        LinkEnd::Client(region) => (region.clone(), shared.obs_of(dst)),
-    };
-    let fwd = PipeCounters::new(&fwd_obs, &dst_region);
-    let outbound = loop {
-        if shared.policy(&src_region, &dst_region).blocked {
-            // Partitioned: cut the reconnect attempt at the door.
-            fwd.drop_one();
-            let _ = inbound.shutdown(Shutdown::Both);
-            return;
-        }
-        match TcpStream::connect_timeout(&target, Duration::from_millis(250)) {
-            Ok(s) => break s,
-            Err(_) if !ever.load(Ordering::SeqCst) => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => {
-                // The link worked before, so the target is down (killed
-                // node): fail fast and let the sender back off.
-                let _ = inbound.shutdown(Shutdown::Both);
-                return;
-            }
-        }
-    };
-    ever.store(true, Ordering::SeqCst);
-    let _ = inbound.set_nodelay(true);
-    let _ = outbound.set_nodelay(true);
-    let rev = PipeCounters::new(&shared.obs_of(dst), &src_region);
-    let (Ok(in_rd), Ok(out_rd)) = (inbound.try_clone(), outbound.try_clone()) else {
-        return;
-    };
-    shape_pipe(
-        in_rd,
-        outbound,
-        Arc::clone(&shared),
-        src_region.clone(),
-        dst_region.clone(),
-        fwd,
-        shared.next_seed(),
-    );
-    shape_pipe(
-        out_rd,
-        inbound,
-        Arc::clone(&shared),
-        dst_region,
-        src_region,
-        rev,
-        shared.next_seed(),
-    );
+    target: SocketAddr,
+    /// The target has answered once: from now on a failed dial cuts the
+    /// connection at once instead of retrying patiently (the deployment
+    /// was launching) — the hold-then-drop of `net::Net::send_to`.
+    ever: bool,
 }
 
-/// Shapes one direction of a relayed connection: a reader thread stamps
-/// each chunk with its release time, a writer thread forwards it then.
-/// Loss and partition cuts close the sockets; the peer direction's
-/// threads notice through the resulting EOF/write failures.
-fn shape_pipe(
-    mut rd: TcpStream,
-    mut wr: TcpStream,
-    shared: Arc<Shared>,
+/// One end of a relayed connection — the sender's connection to the
+/// relay or the loop's to the target — and the shaping of what it sends.
+struct End {
+    /// The other end, once the target has answered.
+    peer: Option<ConnId>,
+    /// Regions whose link policy applies.
     from: String,
     to: String,
+    shaper: LinkShaper,
+    rng: StdRng,
     counters: PipeCounters,
-    seed: u64,
-) {
-    let (tx, rx) = crossbeam::channel::bounded::<(bytes::Bytes, Instant)>(1024);
-    std::thread::Builder::new()
-        .name("netem-shape-rd".into())
-        .spawn(move || {
-            let mut shaper = LinkShaper::new();
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut chunk = vec![0u8; CHUNK];
-            loop {
-                let n = match rd.read(&mut chunk) {
-                    Ok(0) | Err(_) => break,
-                    Ok(n) => n,
-                };
-                let policy = shared.policy(&from, &to);
-                if policy.blocked
-                    || (policy.loss_pct > 0 && rng.random_range(0u32..100) < policy.loss_pct)
-                {
-                    // Kill the connection the way a WAN would: the
-                    // sender sees a reset and reconnects (into a closed
-                    // door while the link stays blocked).
-                    counters.drop_one();
-                    break;
-                }
-                let d = shaper.shape(Instant::now(), n, &policy, rng.random::<f64>());
-                counters.note(&d, n);
-                if tx
-                    .send((bytes::Bytes::copy_from_slice(&chunk[..n]), d.release))
-                    .is_err()
-                {
-                    break;
+}
+
+impl End {
+    /// The end `conn`, whose loss and jitter draws it also seeds.
+    fn new(conn: ConnId, peer: Option<ConnId>, from: String, to: String, obs: &Obs) -> End {
+        End {
+            peer,
+            counters: PipeCounters::new(obs, &to),
+            from,
+            to,
+            shaper: LinkShaper::new(),
+            rng: StdRng::seed_from_u64(conn),
+        }
+    }
+}
+
+/// A deadline in the shaping loop's timer heap.
+enum Due {
+    /// A chunk leaves on the connection; an empty one is the close of
+    /// its sender, released behind everything that sender sent.
+    Chunk(ConnId, Bytes),
+    /// Dial again for a sender accepted on the relay.
+    Redial(ConnId, SocketAddr),
+}
+
+/// The shaping loop: every relay and relayed connection, on one thread.
+struct Shaper {
+    net: Net<Bytes, Mail>,
+    shared: Arc<Shared>,
+    /// Relays by listener address.
+    relays: HashMap<SocketAddr, Relay>,
+    ends: HashMap<ConnId, End>,
+    timers: TimerHeap<Due>,
+}
+
+impl Shaper {
+    fn run(mut self) {
+        let mut events = Vec::new();
+        loop {
+            let sleep = self.timers.sleep_for(Duration::from_secs(1));
+            self.net.wait(sleep, &mut events);
+            for event in events.drain(..) {
+                match event {
+                    Event::Accepted(conn, relay) => self.accepted(conn, relay),
+                    Event::Frame(conn, bytes) => self.read(conn, bytes),
+                    Event::Closed(conn) => self.ended(conn),
+                    Event::Mail(Mail::Open(relay, answer)) => {
+                        let _ = answer.send(self.open(relay));
+                    }
+                    Event::Mail(Mail::Stop) => return,
                 }
             }
-            let _ = rd.shutdown(Shutdown::Both);
-            // Dropping tx lets the writer drain what was already "on the
-            // wire", then close.
-        })
-        .expect("spawn netem reader");
-    std::thread::Builder::new()
-        .name("netem-shape-wr".into())
-        .spawn(move || {
-            while let Ok((buf, release)) = rx.recv() {
-                let now = Instant::now();
-                if release > now {
-                    std::thread::sleep(release - now);
-                }
-                if wr.write_all(&buf).is_err() {
-                    break;
+            while let Some(due) = self.timers.pop_due(Instant::now()) {
+                match due {
+                    Due::Chunk(to, bytes) => self.release(to, bytes),
+                    Due::Redial(conn, relay) => self.dial(conn, relay),
                 }
             }
-            let _ = wr.shutdown(Shutdown::Both);
-        })
-        .expect("spawn netem writer");
+        }
+    }
+
+    /// Binds a relay listener on an ephemeral localhost port.
+    fn open(&mut self, relay: Relay) -> Result<SocketAddr> {
+        let any_port = SocketAddr::from(([127, 0, 0, 1], 0));
+        let addr = self.net.listen(any_port, Reader::Raw(|bytes| bytes))?;
+        self.relays.insert(addr, relay);
+        Ok(addr)
+    }
+
+    fn accepted(&mut self, conn: ConnId, relay: SocketAddr) {
+        let r = &self.relays[&relay];
+        let obs = self.shared.obs_of(r.src.unwrap_or(r.dst));
+        let to = self.shared.region(r.dst);
+        let end = End::new(conn, None, r.src_region.clone(), to, &obs);
+        self.ends.insert(conn, end);
+        self.dial(conn, relay);
+    }
+
+    /// Dials the target for the sender `conn`, unless its link is
+    /// blocked.
+    fn dial(&mut self, conn: ConnId, relay: SocketAddr) {
+        let (Some(sender), Some(r)) = (self.ends.get(&conn), self.relays.get_mut(&relay)) else {
+            return;
+        };
+        if self.shared.policy(&sender.from, &sender.to).blocked {
+            // Partitioned: cut the reconnect attempt at the door.
+            sender.counters.drop_one();
+        } else {
+            let timeout = Duration::from_millis(250);
+            match self.net.connect(r.target, Reader::Raw(|b| b), timeout) {
+                Ok(target) => {
+                    r.ever = true;
+                    let (from, to) = (sender.to.clone(), sender.from.clone());
+                    let obs = self.shared.obs_of(r.dst);
+                    let end = End::new(target, Some(conn), from, to, &obs);
+                    self.ends.insert(target, end);
+                    self.ends.get_mut(&conn).expect("the sender").peer = Some(target);
+                    return self.net.pause(conn, false);
+                }
+                Err(_) if !r.ever => {
+                    // The sender's bytes wait in its socket meanwhile.
+                    self.net.pause(conn, true);
+                    return self.timers.push_after(REDIAL, Due::Redial(conn, relay));
+                }
+                // The link worked before, so the target is down (killed
+                // node): fail fast and let the sender back off.
+                Err(_) => {}
+            }
+        }
+        self.net.close(conn);
+        self.ends.remove(&conn);
+    }
+
+    /// Shapes what `conn` sent: each chunk waits in the timer heap until
+    /// its release time.
+    fn read(&mut self, conn: ConnId, mut bytes: Bytes) {
+        let Some(end) = self.ends.get_mut(&conn) else {
+            return;
+        };
+        let Some(to) = end.peer else {
+            return;
+        };
+        let policy = self.shared.policy(&end.from, &end.to);
+        let now = Instant::now();
+        while !bytes.is_empty() {
+            if policy.blocked
+                || (policy.loss_pct > 0 && end.rng.random_range(0u32..100) < policy.loss_pct)
+            {
+                // Kill the connection the way a WAN would: the sender
+                // sees a reset and reconnects (into a closed door while
+                // the link stays blocked).
+                end.counters.drop_one();
+                self.net.close(conn);
+                return self.ended(conn);
+            }
+            let chunk = bytes.split_to(bytes.len().min(CHUNK));
+            let d = end
+                .shaper
+                .shape(now, chunk.len(), &policy, end.rng.random::<f64>());
+            end.counters.note(&d, chunk.len());
+            self.timers.push_at(d.release, Due::Chunk(to, chunk));
+        }
+    }
+
+    /// `conn` is gone: its close reaches its peer behind what it sent.
+    fn ended(&mut self, conn: ConnId) {
+        let Some(mut end) = self.ends.remove(&conn) else {
+            return;
+        };
+        if let Some(peer) = end.peer {
+            let d = end
+                .shaper
+                .shape(Instant::now(), 0, &LinkPolicy::unshaped(), 0.0);
+            self.timers
+                .push_at(d.release, Due::Chunk(peer, Bytes::new()));
+        }
+    }
+
+    /// A chunk's release time has come: it leaves on `to`, if still there.
+    fn release(&mut self, to: ConnId, bytes: Bytes) {
+        if bytes.is_empty() {
+            if self.ends.remove(&to).is_some() {
+                self.net.close_after_flush(to);
+            }
+        } else if self.ends.contains_key(&to) && !self.net.send_bytes(to, bytes) {
+            // `to` stopped reading, and a byte stream cannot shed: the
+            // connection dies.
+            self.net.close(to);
+            self.ended(to);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{generate_localhost_mrpstore, with_geo};
-    use std::net::TcpListener;
+    use std::io::{Read, Write};
+    use std::net::{TcpListener, TcpStream};
 
     /// A two-node world with custom region names 40 ms apart; node 1's
-    /// peer listener is played by the test itself.
-    fn test_netem() -> (Netem, DeploymentConfig) {
+    /// peer listener is played by the test itself. `link` adds keys to
+    /// the left → right link.
+    fn netem_with(link: &str) -> (Netem, DeploymentConfig) {
         let base_port = crate::config::free_port_block(4).unwrap();
         let base = generate_localhost_mrpstore(1, 2, base_port, None);
         let mut doc = with_geo(&base, &[("left", &[0]), ("right", &[1])], 100);
         doc.push_str("\n[[link]]\nfrom = \"left\"\nto = \"right\"\nrtt_ms = 40\n");
+        doc.push_str(link);
         let config = DeploymentConfig::parse(&doc).unwrap();
         let netem = Netem::start(&config).unwrap();
         (netem, config)
+    }
+
+    fn test_netem() -> (Netem, DeploymentConfig) {
+        netem_with("")
     }
 
     #[test]
@@ -652,6 +708,59 @@ mod tests {
 
         let snap = obs.snapshot();
         assert!(snap.counter("netem_dropped").unwrap_or(0) >= 1);
+        netem.stop();
+    }
+
+    /// Shaping fidelity: a thousand small writes through a link of 20 ms
+    /// one way and 50 % jitter arrive in the order they were sent, and
+    /// none before its release time — at least the link's one-way delay
+    /// after it was sent.
+    #[test]
+    fn jittered_link_keeps_send_order_and_never_releases_early() {
+        const FRAMES: u32 = 1000;
+        let one_way = Duration::from_millis(20);
+        let (netem, config) = netem_with("jitter_pct = 50\n");
+        let target = TcpListener::bind(config.nodes[1].peer_addr).unwrap();
+        let proxy = netem.peer_addr(NodeId::new(0), NodeId::new(1)).unwrap();
+        let mut sender = TcpStream::connect(proxy).unwrap();
+        sender.set_nodelay(true).unwrap();
+        let epoch = Instant::now();
+        let writer = std::thread::spawn(move || {
+            for seq in 0..FRAMES {
+                let sent = epoch.elapsed().as_nanos() as u64;
+                let mut frame = [0u8; 12];
+                frame[..4].copy_from_slice(&seq.to_le_bytes());
+                frame[4..].copy_from_slice(&sent.to_le_bytes());
+                sender.write_all(&frame).unwrap();
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            sender
+        });
+        let (mut accepted, _) = target.accept().unwrap();
+        let mut after_delay = Vec::new();
+        for want in 0..FRAMES {
+            let mut frame = [0u8; 12];
+            accepted.read_exact(&mut frame).unwrap();
+            let arrived = epoch.elapsed();
+            let seq = u32::from_le_bytes(frame[..4].try_into().unwrap());
+            let sent = Duration::from_nanos(u64::from_le_bytes(frame[4..].try_into().unwrap()));
+            assert_eq!(seq, want, "frames arrive in send order");
+            assert!(
+                arrived >= sent + one_way,
+                "frame {seq} arrived {:?} after it was sent",
+                arrived - sent
+            );
+            after_delay.push(arrived - sent - one_way);
+        }
+        let _sender = writer.join().unwrap();
+        after_delay.sort_unstable();
+        let at = |q: usize| after_delay[(after_delay.len() - 1) * q / 100];
+        // Jitter (up to 10 ms here) plus the loop's own lateness.
+        eprintln!(
+            "arrival after send + one-way delay: p50 {:?}, p99 {:?}",
+            at(50),
+            at(99)
+        );
         netem.stop();
     }
 

@@ -43,7 +43,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use simnet::{Ctx, Process, Timer};
 
 use crate::batch::{BatchOptions, Batcher};
-use crate::net::{spawn_loop, ConnId, Event, Mailer, Net};
+use crate::net::{spawn_loop, ConnId, Event, Mailer, Net, Reader};
 
 /// Client connections are addressed as synthetic nodes at and above this
 /// id; deployment nodes must stay below it.
@@ -349,12 +349,14 @@ pub(crate) fn spawn_node(setup: NodeSetup, stack: AppStack, restart: bool) -> Re
         format!("amcast-dial-{}", me.raw()),
         setup.obs.counter("writer_vectored_frames"),
     )?;
-    net.listen(setup.peer_addr, |buf| {
-        Ok(buf.try_next()?.map(Inbound::Peer))
-    })?;
-    net.listen(setup.client_addr, |buf| {
-        Ok(buf.try_next()?.map(Inbound::Client))
-    })?;
+    net.listen(
+        setup.peer_addr,
+        Reader::Frames(|buf| Ok(buf.try_next()?.map(Inbound::Peer))),
+    )?;
+    net.listen(
+        setup.client_addr,
+        Reader::Frames(|buf| Ok(buf.try_next()?.map(Inbound::Client))),
+    )?;
     let mailer = net.mailer();
     let join = spawn_loop(format!("amcast-node-{}", me.raw()), move || {
         node_loop(net, setup, stack, restart)
@@ -523,6 +525,7 @@ fn node_loop(mut net: NodeNet, setup: NodeSetup, stack: AppStack, restart: bool)
                     clients.gone(conn);
                     continue;
                 }
+                Event::Accepted(..) => continue,
                 Event::Mail(Mail::Reply(client, reply)) => {
                     clients.reply(&mut net, client, &reply);
                     continue;

@@ -66,6 +66,38 @@ fn total(snaps: &[common::obs::ObsSnapshot], name: &str) -> u64 {
     snaps.iter().filter_map(|s| s.counter(name)).sum()
 }
 
+/// This process's threads once there are `expected` of them and none is
+/// a node's dial helper (each lives only until its connect returns; a
+/// thread just spawned still bears its parent's name), waiting at most
+/// five seconds.
+fn threads_once(expected: usize) -> Vec<String> {
+    let settled = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        let names = thread_names();
+        let dialing = names.iter().any(|n| n.starts_with("amcast-dial"));
+        if (names.len() == expected && !dialing) || std::time::Instant::now() > settled {
+            return names;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// Waits up to a second for this process to be back at `before`
+/// threads, and asserts it is.
+fn assert_back_to(before: usize, what: &str) {
+    let settled = std::time::Instant::now() + Duration::from_secs(1);
+    while thread_names().len() != before && std::time::Instant::now() < settled {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let left = thread_names();
+    assert_eq!(
+        left.len(),
+        before,
+        "{} threads left behind after {what}: {left:?}",
+        left.len() as i64 - before as i64
+    );
+}
+
 /// One thread per node (benchmark finding 7, fixed by construction): a
 /// 2 × 3 deployment serving a client runs exactly one loop thread per
 /// node — no accept, reader or writer thread per connection — and
@@ -73,8 +105,6 @@ fn total(snaps: &[common::obs::ObsSnapshot], name: &str) -> u64 {
 /// before the launch.
 #[test]
 fn a_node_is_one_thread_and_shutdown_leaves_none_behind() {
-    use std::time::Instant;
-
     if !alone("a_node_is_one_thread_and_shutdown_leaves_none_behind") {
         return;
     }
@@ -95,15 +125,7 @@ fn a_node_is_one_thread_and_shutdown_leaves_none_behind() {
         // The global ring too: every peer link of every node is up.
         assert_eq!(client.scan("thread", "").unwrap().len(), 20);
         scrape(&config);
-        // Dial helpers live only until their connect returns.
-        let settled = Instant::now() + Duration::from_secs(5);
-        let names = loop {
-            let names = thread_names();
-            if !names.iter().any(|n| n.starts_with("amcast-dial")) || Instant::now() > settled {
-                break names;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        };
+        let names = threads_once(before + config.nodes.len());
         let mut ours: Vec<&String> = names.iter().filter(|n| n.starts_with("amcast-")).collect();
         ours.sort();
         let loops: Vec<String> = config
@@ -116,26 +138,101 @@ fn a_node_is_one_thread_and_shutdown_leaves_none_behind() {
             loops.iter().collect::<Vec<_>>(),
             "one loop thread per node and nothing else"
         );
-        // Beside the loops only the client's reply readers (one per node
-        // it connected to) run: no unnamed per-connection thread either.
+        // The client starts no thread (it turns its sockets on the
+        // caller's), and no unnamed per-connection thread runs either.
         assert_eq!(
             names.len(),
-            before + 2 * config.nodes.len(),
+            before + config.nodes.len(),
             "threads while serving: {names:?}"
         );
     }
     deployment.shutdown();
-    let settled = Instant::now() + Duration::from_secs(1);
-    while thread_names().len() > before && Instant::now() < settled {
-        std::thread::sleep(Duration::from_millis(10));
+    assert_back_to(before, "shutdown");
+}
+
+/// A dropped client closes its sockets and leaves nothing behind. (Each
+/// of its reply-reader threads used to hold a clone of its socket, so a
+/// dropped client's connections stayed open and its readers blocked in
+/// `read` until the deployment shut down.)
+#[test]
+fn a_dropped_client_leaves_nothing_behind() {
+    if !alone("a_dropped_client_leaves_nothing_behind") {
+        return;
     }
-    let left = thread_names();
-    assert_eq!(
-        left.len(),
-        before,
-        "{} threads left behind after shutdown: {left:?}",
-        left.len().saturating_sub(before)
+    let text = generate_localhost_mrpstore(2, 3, base_port(), None);
+    let config = DeploymentConfig::parse(&text).unwrap();
+    let serving = thread_names().len() + config.nodes.len();
+    let deployment = Deployment::launch(config.clone()).unwrap();
+    {
+        let mut client = StoreClient::connect(&config, ClientId::new(62), client_opts()).unwrap();
+        for i in 0..10 {
+            let key = format!("dropped{i}");
+            assert_eq!(
+                client.insert(&key, Bytes::from_static(b"v")).unwrap(),
+                KvResponse::Ok
+            );
+        }
+        assert_eq!(client.scan("dropped", "").unwrap().len(), 10);
+    }
+    assert_back_to(serving, "the client was dropped");
+    deployment.shutdown();
+}
+
+/// A geo deployment is its node loops plus one netem loop — no relay
+/// thread per link, connection or direction — and `Deployment::shutdown`
+/// stops that loop too.
+#[test]
+fn a_geo_deployment_is_one_netem_thread_and_shutdown_leaves_none() {
+    use liverun::config::with_geo;
+
+    if !alone("a_geo_deployment_is_one_netem_thread_and_shutdown_leaves_none") {
+        return;
+    }
+    let before = thread_names().len();
+    let base = generate_localhost_mrpstore(1, 3, base_port(), None);
+    let text = with_geo(
+        &base,
+        &[
+            ("eu-west-1", &[0]),
+            ("us-east-1", &[1]),
+            ("us-west-2", &[2]),
+        ],
+        10,
     );
+    let config = DeploymentConfig::parse(&text).unwrap();
+    let deployment = Deployment::launch(config.clone()).unwrap();
+    {
+        // A client behind its region's relays, so client links are
+        // shaped too.
+        let client_config = deployment.config_from("eu-west-1").unwrap();
+        let mut client =
+            StoreClient::connect(&client_config, ClientId::new(63), client_opts()).unwrap();
+        for i in 0..10 {
+            let key = format!("geo{i}");
+            assert_eq!(
+                client.insert(&key, Bytes::from_static(b"v")).unwrap(),
+                KvResponse::Ok
+            );
+        }
+        let names = threads_once(before + config.nodes.len() + 1);
+        let mut ours: Vec<&String> = names.iter().filter(|n| n.starts_with("amcast-")).collect();
+        ours.sort();
+        let mut loops: Vec<String> = config
+            .nodes
+            .iter()
+            .map(|n| format!("amcast-node-{}", n.id.raw()))
+            .collect();
+        loops.push("amcast-netem".into());
+        loops.sort();
+        assert_eq!(ours, loops.iter().collect::<Vec<_>>());
+        assert_eq!(
+            names.len(),
+            before + config.nodes.len() + 1,
+            "threads while serving: {names:?}"
+        );
+    }
+    deployment.shutdown();
+    assert_back_to(before, "shutdown");
 }
 
 /// The stats plane needs no session and no hello: a fresh connection
