@@ -16,12 +16,10 @@
 # Every live loop waits on its sockets itself (`Net::wait`), and so does
 # the network client, on its caller's thread. It also fails if
 #
-#   crates/liverun/src/node.rs     starts any thread at all (the node
-#   crates/liverun/src/client.rs   loop and netem's shaping loop are
-#   crates/liverun/src/netem.rs    started by `net::spawn_loop`)
-#   crates/liverun/src/coordsvc.rs starts any thread but its two named
-#                                  helpers, `amcoord-catchup-N` and
-#                                  `amcoord-gossip-feed-N`
+#   crates/liverun/src/node.rs       starts any thread at all (the node
+#   crates/liverun/src/coord_node.rs loop, which amcoordd runs too, and
+#   crates/liverun/src/client.rs     netem's shaping loop are started
+#   crates/liverun/src/netem.rs      by `net::spawn_loop`)
 #
 # "Non-test" is everything above a file's top-level `#[cfg(test)]`
 # module; comment lines do not count.
@@ -46,13 +44,12 @@ while IFS= read -r file; do
     fi
 done < <(find crates -path 'crates/*/src/*' -name '*.rs' | sort)
 
-for file in crates/liverun/src/{node,client,netem,coordsvc}.rs; do
+for file in crates/liverun/src/{node,coord_node,client,netem}.rs; do
     if awk -v file="$file" '
         /^#\[cfg\(test\)\]/ { exit }
         /^[[:space:]]*\/\// { next }
         builder {
             builder = 0
-            if (file ~ /coordsvc/ && $0 ~ /\.name\(format!\("amcoord-(catchup|gossip-feed)-/) next
             print file ":" FNR - 1 ": thread not allowed here"
             found = 1
         }

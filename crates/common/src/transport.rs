@@ -2,8 +2,9 @@
 //!
 //! The sans-IO protocol state machines ([`crate::msg::Msg`] in, effects
 //! out) are driven by two very different runtimes: the discrete-event
-//! simulator and the live OS-thread event loops of `liverun` (`amcastd`'s
-//! node loop, `amcoordd`'s server loop). The live loops share a few
+//! simulator and the live OS-thread event loops of `liverun` (the node
+//! loop both `amcastd` and `amcoordd` run, netem's shaping loop). The
+//! live loops share a few
 //! mechanical concerns, collected here so every one of them — and the
 //! network clients on the other end — agrees on them (the sockets
 //! themselves are `liverun::net`'s business):

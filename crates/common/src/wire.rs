@@ -478,10 +478,10 @@ pub mod coord {
     //! carries one operation [`CoordOp`] tagged with a correlation id, the
     //! server answers with [`CoordReply::Ok`]/[`CoordReply::Err`] and may
     //! push unsolicited [`CoordReply::Event`] frames to sessions that sent
-    //! [`CoordOp::WatchAll`]. Mutating operations are replicated through
-    //! the amcoord ensemble's own Ring Paxos log as [`CoordCmd`] before
-    //! being applied and answered; reads are served from the replica's
-    //! applied state (the Zookeeper consistency model).
+    //! [`CoordOp::WatchAll`]. Every operation but `WatchAll`,
+    //! `InstallConfig` and `Stats` — reads included — is ordered through
+    //! the amcoord ensemble's own Ring Paxos log before being applied and
+    //! answered, so reads are linearizable.
     //!
     //! Configuration objects cross the wire in flattened form
     //! ([`RingConfigWire`], [`PartitionWire`]) so this protocol can live in
@@ -491,10 +491,10 @@ pub mod coord {
     //!
     //! Every frame follows the crate-wide conventions (see [`super`]):
     //! a single tag byte per enum, varint integers, length-prefixed
-    //! bytes/strings. [`CoordCmd`] frames are additionally **persisted**
-    //! in the amcoord ensemble's replicated log and replayed on restart,
-    //! so the encoding is part of the on-disk format, not just the RPC
-    //! format: tags are append-only and existing layouts never change.
+    //! bytes/strings. [`CoordOp`] frames are additionally **persisted**
+    //! in the amcoord replicas' WALs, so the encoding is part of the
+    //! on-disk format, not just the RPC format: tags are append-only and
+    //! existing layouts never change.
     //! The exact bytes of every frame shape are pinned by the golden
     //! corpus `ci/wire_vectors_coord.txt`
     //! (`crates/common/tests/wire_vectors_coord.rs`); regenerate with
@@ -555,12 +555,13 @@ pub mod coord {
         pub value: Bytes,
     }
 
-    /// How the serving replica must route an operation.
+    /// What an operation does to the replicated state — which tells a
+    /// client whether a retry after a lost reply is harmless.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub enum OpKind {
-        /// Served from the replica's applied state, no consensus.
+        /// Leaves the state unchanged (ordered like any other operation).
         Read,
-        /// Replicated through the ensemble's log before applying.
+        /// Changes the state.
         Replicate,
         /// Handled by the serving replica's connection layer directly.
         Local,
@@ -602,8 +603,8 @@ pub mod coord {
     /// | 24 | `SnapshotRequest` | — |
     /// | 25 | `Stats` | — |
     ///
-    /// Replicated variants ride inside [`CoordCmd`] through the amcoord
-    /// log, so this layout is also an on-disk format; bytes are pinned by
+    /// Ordered variants are written to the amcoord replicas' WALs, so
+    /// this layout is also an on-disk format; bytes are pinned by
     /// `ci/wire_vectors_coord.txt`.
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub enum CoordOp {
@@ -757,11 +758,11 @@ pub mod coord {
         },
         /// Subscribes this connection to all [`CoordEvent`] pushes.
         WatchAll,
-        /// Asks a replica for a full snapshot of its applied
-        /// [`CoordState`](../../../coord) — the catch-up RPC a restarting
-        /// `amcoordd` replica sends a live peer before serving (the
-        /// Zookeeper fuzzy-snapshot shape). Answered with
-        /// [`CoordOk::Snapshot`] from the replica's applied state.
+        /// Asked a replica for a full snapshot of its applied
+        /// [`CoordState`](../../../coord) — the catch-up RPC of a retired
+        /// replica runtime. The variant stays so the golden wire corpus
+        /// keeps its tag; `amcoordd` answers it with [`CoordReply::Err`]
+        /// (replicas recover from peer checkpoints instead).
         SnapshotRequest,
         /// Asks the serving replica for its metrics snapshot — the stats
         /// plane's request on the coordination protocol. Answered locally
@@ -851,6 +852,9 @@ pub mod coord {
         Version(u64),
         /// Matching ephemeral entries, ascending by key.
         Ephemerals(Vec<EphemeralEntry>),
+        /// The answer to the retired [`CoordOp::SnapshotRequest`], kept
+        /// for the golden wire corpus; `amcoordd` never sends it.
+        ///
         /// A full state snapshot: the replica's applied log position
         /// (the next instance it will apply) and the wire-encoded
         /// `CoordState` at that position. `ensemble_ring` is the serving
@@ -963,15 +967,13 @@ pub mod coord {
         Event(CoordEvent),
     }
 
-    /// One command in the amcoord ensemble's replicated log: the operation
-    /// plus the proposing replica and its sequence number (which replica
-    /// answers the waiting client, and dedup under retries).
+    /// One command of a retired amcoord replica runtime's log: the
+    /// operation plus the proposing replica and its sequence number.
+    /// Replicas now log plain [`CoordOp`] envelopes; the frame stays so the
+    /// golden corpus `ci/wire_vectors_coord.txt` keeps pinning its bytes.
     ///
     /// Wire layout: `origin ++ seq(varint) ++ op` ([`CoordOp`]), no tag
-    /// byte. This frame is what the ensemble **persists** in its Paxos
-    /// log and replays after restart — its bytes are an on-disk contract,
-    /// pinned like the rest of the protocol by
-    /// `ci/wire_vectors_coord.txt`.
+    /// byte.
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub struct CoordCmd {
         /// The amcoordd replica that proposed the command.

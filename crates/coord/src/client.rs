@@ -540,11 +540,6 @@ impl RemoteCoord {
             .map_err(Error::Io)?;
         Ok(Arc::new(RemoteCoord { shared }))
     }
-
-    /// The client's current session with the service.
-    pub fn session_id(&self) -> Option<SessionId> {
-        *self.shared.session.lock()
-    }
 }
 
 impl Coord for RemoteCoord {

@@ -16,7 +16,8 @@
 //!   simulations, tests and single-process deployments.
 //! * [`client`] — [`RemoteCoord`]: the framed-TCP client of a replicated
 //!   `amcoordd` ensemble (which lives in `liverun`, the crate that can
-//!   see Ring Paxos — the service self-hosts its log on a ring).
+//!   see Ring Paxos: an `amcoordd` replica is the data node's loop
+//!   hosting [`CoordState`] on a ring of its own).
 //!
 //! Like Zookeeper in the paper, the registry sits *off* the critical
 //! message path: processes consult it at configuration time and during

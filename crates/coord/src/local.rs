@@ -7,9 +7,6 @@
 //! synchronously into subscriber channels, giving the exact same
 //! observable semantics as the remote backend minus the network.
 
-use std::collections::HashMap;
-use std::time::{Duration, Instant};
-
 use common::error::{Error, Result};
 use common::ids::SessionId;
 use common::wire::coord::{CoordEvent, CoordOk, CoordOp};
@@ -24,8 +21,6 @@ use crate::state::CoordState;
 pub struct LocalCoord {
     state: Mutex<CoordState>,
     watchers: Mutex<Vec<Sender<CoordEvent>>>,
-    /// Wall-clock session liveness, fed by applied open/keep-alive ops.
-    last_alive: Mutex<HashMap<SessionId, Instant>>,
 }
 
 impl LocalCoord {
@@ -41,56 +36,11 @@ impl LocalCoord {
         let mut watchers = self.watchers.lock();
         watchers.retain(|tx| events.iter().all(|e| tx.send(e.clone()).is_ok()));
     }
-
-    /// Expires every session whose TTL lapsed without a keep-alive,
-    /// returning the expired ids. The live server drives the same sweep
-    /// from its event loop; local users (tests, single-process
-    /// deployments) call it explicitly when they want expiry semantics.
-    pub fn expire_stale(&self) -> Vec<SessionId> {
-        let now = Instant::now();
-        let overdue: Vec<(SessionId, u64)> = {
-            let state = self.state.lock();
-            let alive = self.last_alive.lock();
-            state
-                .sessions()
-                .filter(|(id, s)| {
-                    alive
-                        .get(id)
-                        .is_none_or(|at| now.duration_since(*at) > Duration::from_millis(s.ttl_ms))
-                })
-                .map(|(id, s)| (id, s.refresh_seq))
-                .collect()
-        };
-        let mut expired = Vec::new();
-        for (session, seen_refresh) in overdue {
-            let (_, events) = self.state.lock().apply(&CoordOp::ExpireSession {
-                session,
-                seen_refresh,
-            });
-            if !events.is_empty() {
-                expired.push(session);
-                self.last_alive.lock().remove(&session);
-                self.fire(events);
-            }
-        }
-        expired
-    }
 }
 
 impl Coord for LocalCoord {
     fn call(&self, op: CoordOp) -> Result<CoordOk> {
         let (result, events) = self.state.lock().apply(&op);
-        if let Ok(body) = &result {
-            match (&op, body) {
-                (CoordOp::OpenSession { .. }, CoordOk::Session(id)) => {
-                    self.last_alive.lock().insert(*id, Instant::now());
-                }
-                (CoordOp::KeepAlive { session }, _) => {
-                    self.last_alive.lock().insert(*session, Instant::now());
-                }
-                _ => {}
-            }
-        }
         self.fire(events);
         result.map_err(Error::Config)
     }

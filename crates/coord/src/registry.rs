@@ -376,17 +376,6 @@ impl Registry {
         }
     }
 
-    /// Refreshes a session's liveness.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the session is unknown (expired).
-    pub fn keep_alive(&self, session: SessionId) -> Result<()> {
-        self.backend
-            .call(CoordOp::KeepAlive { session })
-            .map(|_| ())
-    }
-
     /// Closes a session, dropping its ephemeral entries.
     ///
     /// # Errors

@@ -294,19 +294,8 @@ impl CoordState {
                     .collect(),
             )),
             CoordOp::WatchAll => Ok(CoordOk::Unit),
-            CoordOp::SnapshotRequest => {
-                // `applied` and `ensemble_ring` are properties of the
-                // *driver* (the replica's position in its replicated log
-                // and its own consensus ring), not of the state machine;
-                // replicated servers overwrite both before answering.
-                // The local backend has neither, so the defaults are
-                // exact there.
-                Ok(CoordOk::Snapshot {
-                    applied: 0,
-                    ensemble_ring: None,
-                    state: self.snapshot(),
-                })
-            }
+            // Retired: replicas recover from peer checkpoints.
+            CoordOp::SnapshotRequest => Err("snapshot catch-up is retired".into()),
             CoordOp::Stats => {
                 // Per-node metrics live with the driver (the server
                 // process), not in the replicated state machine; the

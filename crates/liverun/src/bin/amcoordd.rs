@@ -12,14 +12,15 @@
 //! Zookeeper server list) and the index of the slot it occupies. `--ring`
 //! addresses carry the ensemble's own Ring Paxos traffic; `--serve`
 //! addresses accept coordination clients (`amcastd` nodes, tools).
-//! `--wal-dir` persists the replica's decided log; `--session-check-ms`
-//! tunes the expiry sweep.
+//! `--wal-dir` keeps a WAL of applied commands, rolled to a new segment
+//! every `--checkpoint-every` records; `--session-check-ms` is the period
+//! of the session-expiry sweep.
 
 use std::process::ExitCode;
 use std::time::Duration;
 
 use common::ids::NodeId;
-use liverun::coordsvc::{start_coord_server, CoordServerConfig};
+use liverun::{start_coord_server, CoordServerConfig};
 
 fn usage() -> &'static str {
     "usage:

@@ -37,20 +37,21 @@ pub fn shard_wal_dir(wal_dir: &Path, node: NodeId, shard: usize) -> PathBuf {
 }
 
 /// Wraps one (sub-)shard's state in its own rotated, group-committed
-/// WAL when the deployment is durable. The WAL counts its appends and
-/// commit latency into the node's `obs` (the credit controller reads
-/// the latter).
-fn durable(
-    config: &DeploymentConfig,
+/// WAL under `wal_dir` (none: no WAL), rolling segments every
+/// `roll_every` records. The WAL counts its appends and commit latency
+/// into the node's `obs` (the credit controller reads the latter).
+pub(crate) fn durable(
+    wal_dir: Option<&Path>,
+    roll_every: u64,
     node: NodeId,
     shard: usize,
     inner: Box<dyn ServiceApp>,
     obs: &Obs,
 ) -> Result<Box<dyn ServiceApp>> {
-    let Some(dir) = &config.wal_dir else {
+    let Some(wal_dir) = wal_dir else {
         return Ok(inner);
     };
-    let seg_dir = shard_wal_dir(dir, node, shard);
+    let seg_dir = shard_wal_dir(wal_dir, node, shard);
     // Resume the position counter past everything ever written, so
     // pruning cutoffs and segment names stay monotone across a
     // restart-in-place.
@@ -58,9 +59,37 @@ fn durable(
     // Group commit (one fdatasync per delivered batch) makes the
     // paper's synchronous mode affordable on the delivery path;
     // rotation plus checkpoint-cadence pruning bounds the directory.
-    let mut wal = SegmentedWal::open(&seg_dir, SyncPolicy::EveryWrite, config.wal_roll_every)?;
+    let mut wal = SegmentedWal::open(&seg_dir, SyncPolicy::EveryWrite, roll_every)?;
     wal.instrument(obs);
     Ok(Box::new(DurableApp::with_log(inner, Box::new(wal), start)))
+}
+
+/// Waits until every shard WAL lock of `node` under `wal_dir` is gone,
+/// so a restart-in-place never races the stopped node (or its executor
+/// shard threads) for the log directories. A lock that outlives two
+/// seconds is an error: a bug this exists to surface.
+pub(crate) fn wait_wal_released(wal_dir: &Path, node: NodeId) -> Result<()> {
+    let node_dir = wal_dir.join(format!("node-{}", node.raw()));
+    let locks: Vec<PathBuf> = std::fs::read_dir(&node_dir)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter(|e| e.file_name().to_string_lossy().starts_with("shard-"))
+        .map(|e| SegmentedWal::dir_lock_path(e.path()))
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(2);
+    for lock in locks {
+        while lock.exists() {
+            if Instant::now() >= deadline {
+                return Err(Error::Storage(format!(
+                    "node {node} wal lock {} survived shutdown",
+                    lock.display()
+                )));
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+    Ok(())
 }
 
 /// Builds the service stack for one node of `config`: per-sub-shard
@@ -72,6 +101,7 @@ fn build_stack(config: &DeploymentConfig, node: NodeId, obs: &Obs) -> Result<App
         .node(node)
         .ok_or_else(|| Error::Config(format!("node {node} not in configuration")))?;
     let shards = config.executor_shards as usize;
+    let wal = config.wal_dir.as_deref();
     // The reply-cache cap tracks the credit window so a full window
     // always fits.
     let limits = SessionLimits {
@@ -120,14 +150,15 @@ fn build_stack(config: &DeploymentConfig, node: NodeId, obs: &Obs) -> Result<App
         // WAL logs the full delivered stream outside it.
         let inner = inners.pop().expect("one sub-state");
         let sessions = Box::new(multiring::SessionApp::with_limits(inner, limits));
-        Ok(AppStack::Inline(durable(config, node, 0, sessions, obs)?))
+        let app = durable(wal, config.wal_roll_every, node, 0, sessions, obs)?;
+        Ok(AppStack::Inline(app))
     } else {
         // Sharded: the session table lives in the executor (admission on
         // the merge thread); each shard stages and fsyncs its own WAL.
         let shards = inners
             .into_iter()
             .enumerate()
-            .map(|(k, inner)| durable(config, node, k, inner, obs))
+            .map(|(k, inner)| durable(wal, config.wal_roll_every, node, k, inner, obs))
             .collect::<Result<Vec<_>>>()?;
         Ok(AppStack::Sharded {
             shards,
@@ -302,6 +333,9 @@ fn start_node_shaped(
         credit_min_window: config.credit_min_window,
         credit_backlog_high: config.credit_backlog_high,
         obs,
+        session_sweep: Duration::from_secs(1),
+        kind: "amcast",
+        coord: None,
     };
     spawn_node(setup, stack, restart)
 }
@@ -390,11 +424,8 @@ impl Deployment {
 
     /// Kills `node`: its threads stop, its sockets close, its volatile
     /// state is gone. Peers detect the silence and reconfigure the rings
-    /// around it (paper §5.1).
-    ///
-    /// Every shard WAL lock of the node is verified released before
-    /// returning, so a restart-in-place never races the dying node (or
-    /// its executor shard threads) for the log directories.
+    /// around it (paper §5.1). Returns once every shard WAL lock of the
+    /// node is released.
     ///
     /// # Errors
     ///
@@ -406,29 +437,10 @@ impl Deployment {
             .take()
             .ok_or_else(|| Error::Config(format!("node {node} is not running")))?;
         handle.shutdown();
-        if let Some(dir) = &self.config.wal_dir {
-            let node_dir = dir.join(format!("node-{}", node.raw()));
-            let locks: Vec<PathBuf> = std::fs::read_dir(&node_dir)
-                .into_iter()
-                .flatten()
-                .flatten()
-                .filter(|e| e.file_name().to_string_lossy().starts_with("shard-"))
-                .map(|e| SegmentedWal::dir_lock_path(e.path()))
-                .collect();
-            let deadline = Instant::now() + Duration::from_secs(2);
-            for lock in locks {
-                while lock.exists() {
-                    if Instant::now() >= deadline {
-                        return Err(Error::Storage(format!(
-                            "node {node} wal lock {} survived shutdown",
-                            lock.display()
-                        )));
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-            }
+        match &self.config.wal_dir {
+            Some(dir) => wait_wal_released(dir, node),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Restarts a killed `node` through the recovery path: it rejoins its

@@ -169,6 +169,10 @@ impl ServiceApp for DurableApp {
         self.inner.session_ids()
     }
 
+    fn session_ring(&self, session: u64) -> Option<RingId> {
+        self.inner.session_ring(session)
+    }
+
     fn cached_reply_count(&self) -> usize {
         self.inner.cached_reply_count()
     }

@@ -52,7 +52,7 @@
 pub mod batch;
 pub mod client;
 pub mod config;
-pub mod coordsvc;
+pub mod coord_node;
 pub mod deployment;
 pub mod durable;
 pub(crate) mod net;
@@ -63,7 +63,7 @@ pub mod service;
 pub use batch::{BatchOptions, Batcher};
 pub use client::{fetch_stats, ClientOptions, Completion, LiveClient};
 pub use config::{DeploymentConfig, GeoSpec, ServiceKind};
-pub use coordsvc::{start_coord_server, CoordServerConfig, CoordServerHandle};
+pub use coord_node::{start_coord_server, CoordServerConfig, CoordServerHandle};
 pub use deployment::{connect_registry, shard_wal_dir, start_node, Deployment};
 pub use durable::{DurableApp, WalRecord};
 pub use netem::{Netem, NetemControl};

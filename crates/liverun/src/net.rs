@@ -1,8 +1,8 @@
 //! The one place `liverun` opens a socket, and the readiness loop every
 //! live event loop waits in.
 //!
-//! Every live event loop in this crate (`amcastd`'s node loop,
-//! `amcoordd`'s server loop, `netem`'s shaping loop) and the network
+//! Every live event loop in this crate (the node loop that `amcastd`
+//! and `amcoordd` both run, `netem`'s shaping loop) and the network
 //! client obey one rule: **state machines never touch a socket, and
 //! nothing sits on a socket in a thread of its own.** A loop that stalls
 //! in `connect` or `write` stops its own heartbeats, which its peers read
@@ -23,8 +23,8 @@
 //!   wake-up socket the loop polls beside its network sockets.
 //! * [`spawn_loop`] — starts a loop thread.
 //! * [`call`] — a one-shot request/response exchange under a deadline,
-//!   for the few places that need an answer before they can go on (boot
-//!   catch-up, stats scrapes). Never called from a loop thread.
+//!   for the few places that need an answer before they can go on
+//!   (stats scrapes). Never called from a loop thread.
 //! * [`free_port_block`] — localhost port reservation for tests and
 //!   examples.
 

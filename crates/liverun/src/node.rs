@@ -19,6 +19,10 @@
 //! which for live clients is a synthetic node id above
 //! [`CLIENT_NODE_BASE`]; the loop maps it to the client's connection and
 //! queues a [`ClientReply::ResponseV2`] frame.
+//!
+//! An `amcoordd` replica is the same loop over a one-ring host: its
+//! client listener speaks the coordination protocol instead, through a
+//! `CoordFront` (see [`crate::coord_node`]).
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -34,6 +38,7 @@ use common::obs::{Hist, Obs, WireCounters};
 use common::transport::{PeerFrame, TimerHeap, WallClock};
 use common::value::Envelope;
 use common::wire::client::{ClientMsg, ClientReply, ErrorCode, FEAT_ALL};
+use common::wire::coord::CoordMsg;
 use common::wire::Wire;
 use coord::Registry;
 use multiring::{
@@ -43,6 +48,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use simnet::{Ctx, Process, Timer};
 
 use crate::batch::{BatchOptions, Batcher};
+use crate::coord_node::{CoordFront, COORD_RING};
 use crate::net::{spawn_loop, ConnId, Event, Mailer, Net, Reader};
 
 /// Client connections are addressed as synthetic nodes at and above this
@@ -65,6 +71,8 @@ enum Inbound {
     Peer(PeerFrame),
     /// A client-protocol frame.
     Client(ClientMsg),
+    /// A coordination-protocol frame (coordination nodes only).
+    Coord(CoordMsg),
 }
 
 /// What reaches a node loop from other threads.
@@ -238,6 +246,14 @@ pub(crate) struct NodeSetup {
     /// `host_opts.ring.obs` into the host and rings, so every layer of
     /// this node reports into one place.
     pub obs: Obs,
+    /// How often the loop sweeps for lapsed sessions.
+    pub session_sweep: Duration,
+    /// Thread-name prefix: `amcast` for data nodes, `amcoord` for
+    /// coordination replicas.
+    pub kind: &'static str,
+    /// Set on a coordination replica: its client listener speaks the
+    /// coordination protocol through this front.
+    pub coord: Option<CoordFront>,
 }
 
 /// How often the node re-computes per-session credit from its backlog
@@ -344,21 +360,23 @@ impl NodeHandle {
 /// (rejoin rings, install the freshest checkpoint, catch up from the
 /// acceptors — paper §5.2) instead of the cold-start path.
 pub(crate) fn spawn_node(setup: NodeSetup, stack: AppStack, restart: bool) -> Result<NodeHandle> {
-    let me = setup.me;
+    let (me, kind) = (setup.me, setup.kind);
     let mut net = Net::new(
-        format!("amcast-dial-{}", me.raw()),
+        format!("{kind}-dial-{}", me.raw()),
         setup.obs.counter("writer_vectored_frames"),
     )?;
     net.listen(
         setup.peer_addr,
         Reader::Frames(|buf| Ok(buf.try_next()?.map(Inbound::Peer))),
     )?;
-    net.listen(
-        setup.client_addr,
-        Reader::Frames(|buf| Ok(buf.try_next()?.map(Inbound::Client))),
-    )?;
+    let front = if setup.coord.is_some() {
+        Reader::Frames(|buf| Ok(buf.try_next()?.map(Inbound::Coord)))
+    } else {
+        Reader::Frames(|buf| Ok(buf.try_next()?.map(Inbound::Client)))
+    };
+    net.listen(setup.client_addr, front)?;
     let mailer = net.mailer();
-    let join = spawn_loop(format!("amcast-node-{}", me.raw()), move || {
+    let join = spawn_loop(format!("{kind}-node-{}", me.raw()), move || {
         node_loop(net, setup, stack, restart)
     })?;
     Ok(NodeHandle {
@@ -368,9 +386,10 @@ pub(crate) fn spawn_node(setup: NodeSetup, stack: AppStack, restart: bool) -> Re
     })
 }
 
-fn node_loop(mut net: NodeNet, setup: NodeSetup, stack: AppStack, restart: bool) {
+fn node_loop(mut net: NodeNet, mut setup: NodeSetup, stack: AppStack, restart: bool) {
     let me = setup.me;
     let clock = setup.clock;
+    let mut coord_front = setup.coord.take();
     if restart {
         // Failure detection removed this node from its rings while it was
         // down; rejoin *before* constructing the host — ring state
@@ -448,10 +467,9 @@ fn node_loop(mut net: NodeNet, setup: NodeSetup, stack: AppStack, restart: bool)
     credit_window.set(credit.window as i64);
     let mut next_credit_tick = Instant::now() + CREDIT_TICK;
     // Session-expiry sweep state: last refresh reading per session and
-    // when it last moved (the amcoord TTL-session shape applied to the
-    // app-level client sessions).
+    // when it last moved.
     let mut session_seen: HashMap<u64, (u64, Instant)> = HashMap::new();
-    let mut next_session_sweep = Instant::now() + Duration::from_secs(1);
+    let mut next_session_sweep = Instant::now() + setup.session_sweep;
     let mut expire_seq: u64 = 0;
     let mut timers: TimerHeap<Timer> = TimerHeap::new();
     let mut rng = StdRng::seed_from_u64(u64::from(me.raw()) ^ 0xa3c59ac2f1f0b7d1);
@@ -465,7 +483,10 @@ fn node_loop(mut net: NodeNet, setup: NodeSetup, stack: AppStack, restart: bool)
         }};
     }
     macro_rules! route {
-        () => {
+        () => {{
+            if let Some(front) = &mut coord_front {
+                front.take_replies(&mut outbox, &mut net);
+            }
             route_effects(
                 &mut outbox,
                 &mut timer_reqs,
@@ -476,13 +497,19 @@ fn node_loop(mut net: NodeNet, setup: NodeSetup, stack: AppStack, restart: bool)
                 &mut timers,
                 &clock,
             )
-        };
+        }};
     }
 
     with_ctx!(|ctx| if restart {
         // A restarted process lost its volatile state; run the host's
         // crash path so it rebuilds from stable storage + partition peers.
         host.on_crash(clock.now());
+        // It cannot know which value ids its earlier incarnations
+        // proposed; wall-clock microseconds outrun every one of them.
+        let micros = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map_or(0, |d| d.as_micros() as u64);
+        host.reserve_value_ids(micros);
         host.on_restart(&mut ctx)
     } else {
         host.on_start(&mut ctx)
@@ -521,8 +548,23 @@ fn node_loop(mut net: NodeNet, setup: NodeSetup, stack: AppStack, restart: bool)
                     with_ctx!(|ctx| host.on_message(f.from, f.msg, &mut ctx));
                     continue;
                 }
+                Event::Frame(conn, Inbound::Coord(msg)) => {
+                    let Some(env) = coord_front
+                        .as_mut()
+                        .and_then(|f| f.on_msg(&mut net, conn, msg, &host))
+                    else {
+                        continue;
+                    };
+                    if let Some(batch) = batcher.push(COORD_RING, env, Instant::now()) {
+                        with_ctx!(|ctx| host.propose_envelopes(COORD_RING, batch, &mut ctx));
+                    }
+                    continue;
+                }
                 Event::Closed(conn) => {
                     clients.gone(conn);
+                    if let Some(front) = &mut coord_front {
+                        front.closed(conn);
+                    }
                     continue;
                 }
                 Event::Accepted(..) => continue,
@@ -636,10 +678,10 @@ fn node_loop(mut net: NodeNet, setup: NodeSetup, stack: AppStack, restart: bool)
         // replica reads the same values. A counter that has sat still
         // for its TTL gets an expiry proposed on the session ring; a
         // keep-alive racing through the log wins the CAS and the session
-        // survives (the amcoord TTL-session shape).
+        // survives. Coordination sessions expire the same way.
         if Instant::now() >= next_session_sweep {
-            next_session_sweep = Instant::now() + Duration::from_secs(1);
-            // Periodic gauges ride the sweep's once-a-second cadence.
+            next_session_sweep = Instant::now() + setup.session_sweep;
+            // Periodic gauges ride the sweep's cadence.
             batcher_depth.set(batcher.pending_len() as i64);
             reply_queue_depth.set(clients.backlog(&net));
             session_count.set(host.session_ids().len() as i64);
@@ -650,12 +692,14 @@ fn node_loop(mut net: NodeNet, setup: NodeSetup, stack: AppStack, restart: bool)
                 let ids = host.session_ids();
                 session_seen.retain(|id, _| ids.contains(id));
                 for id in ids {
-                    // Expiries ride the session's own home ring (encoded
-                    // in the id), proposed only by that ring's members —
-                    // a session on partition 0's ring never costs the
-                    // other rings an ordered message.
-                    let Some(ring) =
-                        multiring::session_home_ring(id).filter(|r| setup.member_of.contains(r))
+                    // Expiries ride the session's own ring (for data
+                    // sessions the home ring encoded in the id), proposed
+                    // only by that ring's members — a session on
+                    // partition 0's ring never costs the other rings an
+                    // ordered message.
+                    let Some(ring) = host
+                        .session_ring(id)
+                        .filter(|r| setup.member_of.contains(r))
                     else {
                         continue;
                     };
@@ -705,6 +749,9 @@ fn node_loop(mut net: NodeNet, setup: NodeSetup, stack: AppStack, restart: bool)
                     net.send(*conn, &ClientReply::CreditGrant { window: w });
                 }
             }
+        }
+        if let Some(front) = &mut coord_front {
+            front.tick(&mut net, host.is_recovering());
         }
         route!();
     }

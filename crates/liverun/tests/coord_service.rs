@@ -9,14 +9,16 @@ use bytes::Bytes;
 use common::ids::{NodeId, RingId};
 use common::wire::coord::CoordEvent;
 use coord::{CoordClientOptions, Registry, RingConfig};
-use liverun::coordsvc::{start_coord_server, CoordEnsemble, CoordServerConfig, CoordServerHandle};
+use liverun::coord_node::{
+    start_coord_server, CoordEnsemble, CoordServerConfig, CoordServerHandle,
+};
 
 mod threads;
 use threads::{alone, thread_names};
 
 /// A 3-replica ensemble uses 6 ports (3 ring, then 3 client).
 fn base_port() -> u16 {
-    liverun::config::free_port_block(6).unwrap()
+    threads::free_ports(6)
 }
 
 fn start_ensemble(n: u16, base: u16) -> (Vec<CoordServerHandle>, Vec<SocketAddr>) {
@@ -46,8 +48,9 @@ fn nodes(ids: &[u32]) -> Vec<NodeId> {
 
 /// One loop thread per replica: a 3-replica ensemble that has replicated
 /// a write through each replica for a live client connection runs its
-/// server loops and gossip feeds and nothing per connection, and
-/// shutting it down leaves the process with the threads it had before.
+/// three node loops and nothing else — no gossip feed, no helper, nothing
+/// per connection — and shutting it down leaves the process with the
+/// threads it had before.
 #[test]
 fn a_replica_is_one_loop_thread_and_shutdown_leaves_none_behind() {
     use common::transport::{encode_frame, FrameBuf};
@@ -107,17 +110,10 @@ fn a_replica_is_one_loop_thread_and_shutdown_leaves_none_behind() {
     ours.sort_unstable();
     assert_eq!(
         ours,
-        [
-            "amcoord-gossip-", // `amcoord-gossip-feed-N`, cut to 15 bytes
-            "amcoord-gossip-",
-            "amcoord-gossip-",
-            "amcoord-srv-0",
-            "amcoord-srv-1",
-            "amcoord-srv-2",
-        ],
-        "one loop thread and one gossip feed per replica and nothing else"
+        ["amcoord-node-0", "amcoord-node-1", "amcoord-node-2"],
+        "one loop thread per replica and nothing else"
     );
-    assert_eq!(names.len(), before + 6, "threads while serving: {names:?}");
+    assert_eq!(names.len(), before + 3, "threads while serving: {names:?}");
 
     drop(conns);
     ensemble.shutdown();
@@ -187,6 +183,31 @@ fn ensemble_replicates_writes_and_pushes_watches() {
 
     drop(a);
     drop(b);
+    for h in handles {
+        h.shutdown();
+    }
+}
+
+/// Reads are ordered on the ring like writes: a write acknowledged by
+/// replica 0 is visible to the very next read served by replica 2, with
+/// no waiting for replica 2 to apply it.
+#[test]
+fn reads_through_another_replica_see_every_acknowledged_write() {
+    let (handles, addrs) = start_ensemble(3, base_port());
+    let writer = Registry::connect(&addrs[..1], CoordClientOptions::default()).unwrap();
+    let reader = Registry::connect(&addrs[2..], CoordClientOptions::default()).unwrap();
+    for i in 0..50 {
+        let key = format!("lin-{i}");
+        let value = Bytes::from(format!("v{i}"));
+        writer.set_meta_cas(&key, value.clone(), 0).unwrap();
+        assert_eq!(
+            reader.meta(&key),
+            Some(value),
+            "read of {key} after its ack"
+        );
+    }
+    drop(writer);
+    drop(reader);
     for h in handles {
         h.shutdown();
     }
@@ -486,7 +507,7 @@ fn client_and_ensemble_survive_replica_failure() {
 /// checkpoint + surviving-suffix replay.
 #[test]
 fn wal_rotation_prunes_segments_and_restart_recovers_over_rotated_dir() {
-    use liverun::coordsvc::wal_seg_dir;
+    use liverun::shard_wal_dir;
     use storage::wal::SegmentedWal;
 
     let dir = std::env::temp_dir().join(format!("amcoord-rot-{}", std::process::id()));
@@ -515,7 +536,7 @@ fn wal_rotation_prunes_segments_and_restart_recovers_over_rotated_dir() {
             .set_meta_cas(format!("rot-{i}"), Bytes::from_static(b"x"), 0)
             .unwrap();
     }
-    let seg_dir = wal_seg_dir(&dir, NodeId::new(2));
+    let seg_dir = shard_wal_dir(&dir, NodeId::new(2), 0);
     assert!(
         wait_until(Duration::from_secs(20), || {
             let segs = SegmentedWal::segments(&seg_dir);

@@ -22,7 +22,7 @@ fn client_opts() -> ClientOptions {
 
 /// Room for the largest deployment here: 6 nodes, 2 ports each.
 fn base_port() -> u16 {
-    liverun::config::free_port_block(12).unwrap()
+    threads::free_ports(12)
 }
 
 /// Every node's registry, scraped over the stats plane.

@@ -1,6 +1,21 @@
 //! Thread inventory helpers shared by the integration tests that count
 //! a deployment's threads.
 
+use std::sync::{Mutex, PoisonError};
+
+/// Held while probing for free ports and while [`alone`] forks its
+/// child: a child forked while a probe's listener is open keeps a copy of
+/// it until it execs, and the test's own bind of that port then fails.
+static FORK: Mutex<()> = Mutex::new(());
+
+/// A block of `n` free localhost ports
+/// ([`liverun::config::free_port_block`]), never probed while a child is
+/// being forked.
+pub fn free_ports(n: u16) -> u16 {
+    let _fork = FORK.lock().unwrap_or_else(PoisonError::into_inner);
+    liverun::config::free_port_block(n).unwrap()
+}
+
 /// The names of this process's running threads (`comm`, at most 15
 /// bytes).
 pub fn thread_names() -> Vec<String> {
@@ -20,10 +35,17 @@ pub fn alone(test: &str) -> bool {
     if std::env::args().any(|arg| arg == "--exact") {
         return true;
     }
-    let out = std::process::Command::new(std::env::current_exe().unwrap())
-        .args([test, "--exact", "--test-threads=1", "--nocapture"])
-        .output()
-        .unwrap();
+    let child = {
+        // `spawn` returns once the child has exec'd.
+        let _fork = FORK.lock().unwrap_or_else(PoisonError::into_inner);
+        std::process::Command::new(std::env::current_exe().unwrap())
+            .args([test, "--exact", "--test-threads=1", "--nocapture"])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .unwrap()
+    };
+    let out = child.wait_with_output().unwrap();
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success() && stdout.contains("1 passed"),

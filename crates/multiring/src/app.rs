@@ -84,6 +84,12 @@ pub trait ServiceApp: Send + 'static {
         Vec::new()
     }
 
+    /// The ring a session's expiry is proposed on. Default: the home ring
+    /// its id carries ([`crate::session_home_ring`]).
+    fn session_ring(&self, session: u64) -> Option<RingId> {
+        crate::session::session_home_ring(session)
+    }
+
     /// Replies cached for retry deduplication across all sessions, if
     /// this app (or a decorator) keeps any — the `session_cached_replies`
     /// gauge. Default: none.

@@ -552,6 +552,22 @@ impl MultiRingHost {
         }
     }
 
+    /// The ring a session's expiry is ordered on
+    /// ([`ServiceApp::session_ring`]).
+    pub fn session_ring(&self, session: u64) -> Option<RingId> {
+        match &self.exec {
+            ExecEngine::Inline(app) => app.session_ring(session),
+            ExecEngine::Sharded(_) => crate::session::session_home_ring(session),
+        }
+    }
+
+    /// [`RingNode::reserve_value_ids`] on every ring of this node.
+    pub fn reserve_value_ids(&mut self, floor: u64) {
+        for node in self.rings.values_mut() {
+            node.reserve_value_ids(floor);
+        }
+    }
+
     /// Replies cached for retry deduplication across all sessions.
     pub fn cached_reply_count(&self) -> usize {
         match &self.exec {

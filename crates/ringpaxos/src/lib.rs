@@ -17,9 +17,9 @@
 //! a socket or a clock; its drivers do:
 //!
 //! * [`process::RingProcess`] — a [`simnet::Process`] for simulations;
-//! * the `liverun` crate's event loops for real deployments — the
-//!   `amcoordd` server loop owns a bare `RingNode`, `amcastd`'s node loop
-//!   owns one per ring inside its `multiring::MultiRingHost`.
+//! * the `liverun` crate's node loop for real deployments, which owns
+//!   one per ring inside its `multiring::MultiRingHost` — under `amcastd`
+//!   and under `amcoordd`, whose replicas host one ring.
 //!
 //! Failure handling: members heartbeat their ring successor; silence
 //! triggers a compare-and-swap reconfiguration in the [`coord::Registry`]

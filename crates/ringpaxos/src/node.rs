@@ -550,6 +550,13 @@ impl RingNode {
         ValueId::new(self.me, self.value_seq)
     }
 
+    /// Makes every value id allocated from now on exceed `floor`: a
+    /// restarted process that cannot know which ids its earlier
+    /// incarnations proposed starts above a floor none of them reached.
+    pub fn reserve_value_ids(&mut self, floor: u64) {
+        self.value_seq = self.value_seq.max(floor);
+    }
+
     fn enqueue_proposal(&mut self, value: Value, now: SimTime, out: &mut Output) {
         if !self.remember_seen(value.id) {
             return; // duplicate (proposer retry raced a decision)

@@ -6,90 +6,14 @@
 //! durable checkpoint, or installs a newer one fetched from a partition
 //! peer.
 //!
-//! Two implementations live here:
-//!
-//! * [`CheckpointStore`] — the simulator's model (virtual disk timing,
-//!   crash semantics);
-//! * [`CheckpointFile`] — a real single-slot checkpoint file for live
-//!   runtimes (`amcoordd` state snapshots): atomically replaced via
-//!   write-temp + `fdatasync` + rename, so a crash mid-save always
-//!   leaves either the old or the new checkpoint, never a torn one.
+//! [`CheckpointStore`] is the simulator's model (virtual disk timing,
+//! crash semantics).
 
-use bytes::{Bytes, BytesMut};
-use common::error::Result;
+use bytes::Bytes;
 use common::msg::CheckpointTuple;
 use common::time::SimTime;
-use common::wire::{get_bytes, get_varint, put_varint};
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
 
 use crate::profile::{DiskTimeline, StorageMode, WriteReceipt};
-
-/// A single-slot durable checkpoint on a real filesystem: `(cursor,
-/// state)` where `cursor` is the position in the replicated log the
-/// serialized `state` reflects (the next record it will apply). Replay
-/// after a restart is `state + log suffix from cursor` instead of the
-/// whole history.
-#[derive(Debug)]
-pub struct CheckpointFile {
-    path: PathBuf,
-}
-
-impl CheckpointFile {
-    /// A checkpoint slot at `path` (the file need not exist yet).
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        CheckpointFile { path: path.into() }
-    }
-
-    /// The slot's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Atomically replaces the slot with `(cursor, state)`: the bytes go
-    /// to `<path>.tmp`, are fsynced, and renamed over the slot. Durable
-    /// when this returns.
-    ///
-    /// # Errors
-    ///
-    /// Fails on I/O errors; the previous checkpoint (if any) is intact.
-    pub fn save(&self, cursor: u64, state: &[u8]) -> Result<()> {
-        let mut buf = BytesMut::with_capacity(state.len() + 16);
-        put_varint(&mut buf, cursor);
-        put_varint(&mut buf, state.len() as u64);
-        buf.extend_from_slice(state);
-        let tmp = {
-            let mut p = self.path.as_os_str().to_owned();
-            p.push(".tmp");
-            PathBuf::from(p)
-        };
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&buf)?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        // Make the rename itself durable (best effort — not every
-        // filesystem supports fsync on directories).
-        if let Some(dir) = self.path.parent() {
-            if let Ok(d) = std::fs::File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
-    }
-
-    /// Reads the slot. Returns `None` when the file is absent *or*
-    /// unreadable/corrupt — a recovering replica then falls back to
-    /// replaying its log from the beginning, which is slow but correct.
-    pub fn load(&self) -> Option<(u64, Bytes)> {
-        let raw = std::fs::read(&self.path).ok()?;
-        let mut buf = Bytes::from(raw);
-        let cursor = get_varint(&mut buf).ok()?;
-        let state = get_bytes(&mut buf).ok()?;
-        Some((cursor, state))
-    }
-}
 
 #[derive(Clone, Debug)]
 struct Entry {
@@ -228,30 +152,6 @@ mod tests {
         // Crash after: survives.
         s.crash(r.durable_at);
         assert_eq!(s.latest_durable(r.durable_at).unwrap().0, &tuple(1));
-    }
-
-    #[test]
-    fn checkpoint_file_saves_loads_and_replaces() {
-        let path = std::env::temp_dir().join(format!("ckpt-test-{}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let slot = CheckpointFile::new(&path);
-        assert!(slot.load().is_none(), "absent slot loads nothing");
-
-        slot.save(17, b"state-a").unwrap();
-        assert_eq!(slot.load().unwrap(), (17, Bytes::from_static(b"state-a")));
-
-        // Replacement is whole-slot: the newer checkpoint wins.
-        slot.save(40, b"state-b-longer").unwrap();
-        assert_eq!(
-            slot.load().unwrap(),
-            (40, Bytes::from_static(b"state-b-longer"))
-        );
-
-        // A corrupt slot (truncated payload) reads as absent, not as an
-        // error a recovery path would have to special-case.
-        std::fs::write(&path, [0x80]).unwrap();
-        assert!(slot.load().is_none());
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -22,6 +22,6 @@ pub mod log;
 pub mod profile;
 pub mod wal;
 
-pub use checkpoint::{CheckpointFile, CheckpointStore};
+pub use checkpoint::CheckpointStore;
 pub use log::AcceptorLog;
 pub use profile::{DiskProfile, DiskTimeline, StorageMode, WriteReceipt};

@@ -355,7 +355,7 @@ fn live_mrpstore_reconfigures_through_amcoord_ensemble() {
     use atomic_multicast::liverun::config::{
         free_port_block, generate_localhost_mrpstore, with_coord,
     };
-    use atomic_multicast::liverun::coordsvc::{start_coord_server, CoordServerConfig};
+    use atomic_multicast::liverun::{start_coord_server, CoordServerConfig};
     use atomic_multicast::liverun::{ClientOptions, Deployment, DeploymentConfig, StoreClient};
     use atomic_multicast::mrpstore::{KvCommand, KvResponse};
 
