@@ -14,12 +14,10 @@
 #                                  (`coord` cannot depend on `liverun`)
 #
 # Every live loop waits on its sockets itself (`Net::wait`), and so does
-# the network client, on its caller's thread. It also fails if
-#
-#   crates/liverun/src/node.rs       starts any thread at all (the node
-#   crates/liverun/src/coord_node.rs loop, which amcoordd runs too, and
-#   crates/liverun/src/client.rs     netem's shaping loop are started
-#   crates/liverun/src/netem.rs      by `net::spawn_loop`)
+# the network client, on its caller's thread. It also fails if any file
+# under crates/liverun/src except net.rs starts a thread at all: the node
+# loop (which amcoordd runs too) and netem's shaping loop are started by
+# `net::spawn_loop`, and delivered commands execute on the node loop.
 #
 # "Non-test" is everything above a file's top-level `#[cfg(test)]`
 # module; comment lines do not count.
@@ -44,7 +42,7 @@ while IFS= read -r file; do
     fi
 done < <(find crates -path 'crates/*/src/*' -name '*.rs' | sort)
 
-for file in crates/liverun/src/{node,coord_node,client,netem}.rs; do
+while IFS= read -r file; do
     if awk -v file="$file" '
         /^#\[cfg\(test\)\]/ { exit }
         /^[[:space:]]*\/\// { next }
@@ -59,7 +57,7 @@ for file in crates/liverun/src/{node,coord_node,client,netem}.rs; do
     ' "$file"; then :; else
         fail=1
     fi
-done
+done < <(find crates/liverun/src -name '*.rs' ! -path crates/liverun/src/net.rs | sort)
 
 if [ "$fail" -ne 0 ]; then
     echo "socket sites: FAILED — open sockets through liverun::net (crates/liverun/src/net.rs) and let the loop thread own them" >&2

@@ -3,8 +3,6 @@
 
 pub mod command;
 pub mod log_app;
-pub mod sharding;
 
 pub use command::{LogCommand, LogResponse};
 pub use log_app::DlogApp;
-pub use sharding::DlogShardPlan;

@@ -183,66 +183,6 @@ impl ServiceApp for DlogApp {
     }
 }
 
-/// The snapshot wire format of [`DlogApp`], shared with the shard plan
-/// so split/merge round-trips are byte-exact.
-pub(crate) mod snapshot_codec {
-    use super::*;
-
-    /// One serialized log: `(id, base, entries)`.
-    pub(crate) type LogImage = (LogId, u64, Vec<Bytes>);
-
-    /// Encodes logs **in the given order** exactly like
-    /// [`DlogApp::snapshot`] (which iterates in ascending id order).
-    pub(crate) fn encode(images: &[LogImage]) -> Bytes {
-        let mut buf = BytesMut::new();
-        put_varint(&mut buf, images.len() as u64);
-        for (id, base, entries) in images {
-            put_varint(&mut buf, u64::from(*id));
-            put_varint(&mut buf, *base);
-            put_varint(&mut buf, entries.len() as u64);
-            for e in entries {
-                put_bytes(&mut buf, e);
-            }
-        }
-        buf.freeze()
-    }
-
-    /// Decodes a snapshot into its log images (decodable prefix on
-    /// truncation, mirroring [`DlogApp::restore`] tolerance).
-    pub(crate) fn decode(state: &Bytes) -> Vec<LogImage> {
-        let mut raw = state.clone();
-        let Ok(n) = get_varint(&mut raw) else {
-            return Vec::new();
-        };
-        let mut images = Vec::new();
-        for _ in 0..n {
-            let Ok(id) = get_varint(&mut raw) else {
-                break;
-            };
-            let Ok(base) = get_varint(&mut raw) else {
-                break;
-            };
-            let Ok(count) = get_varint(&mut raw) else {
-                break;
-            };
-            let mut entries = Vec::new();
-            let mut complete = true;
-            for _ in 0..count {
-                let Ok(e) = get_bytes(&mut raw) else {
-                    complete = false;
-                    break;
-                };
-                entries.push(e);
-            }
-            images.push((id as LogId, base, entries));
-            if !complete {
-                break;
-            }
-        }
-        images
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -170,18 +170,26 @@ fn run(args: Vec<String>) -> Result<String, String> {
             let prom = rest.iter().any(|a| a == "--prometheus");
             let watch = rest.iter().any(|a| a == "--watch");
             loop {
+                let snaps: Vec<_> = (config.nodes.iter())
+                    .map(|node| {
+                        let addr = node.client_addr;
+                        let snap = liverun::fetch_stats(addr, Duration::from_secs(5));
+                        (
+                            node.id.raw(),
+                            snap.map_err(|e| format!("{addr} unreachable: {e}")),
+                        )
+                    })
+                    .collect();
                 let mut out = String::new();
-                for (i, node) in config.nodes.iter().enumerate() {
-                    match liverun::fetch_stats(node.client_addr, Duration::from_secs(5)) {
-                        Ok(snap) if json => {
-                            format_stats_json(&mut out, &snap, i + 1 == config.nodes.len())
+                if json {
+                    format_stats_json(&mut out, &snaps);
+                } else {
+                    for (node, snap) in &snaps {
+                        match snap {
+                            Ok(snap) if prom => snap.to_prometheus(&mut out),
+                            Ok(snap) => format_stats_text(&mut out, snap),
+                            Err(e) => out.push_str(&format!("node {node}: {e}\n")),
                         }
-                        Ok(snap) if prom => snap.to_prometheus(&mut out),
-                        Ok(snap) => format_stats_text(&mut out, &snap),
-                        Err(e) => out.push_str(&format!(
-                            "node {} ({}): unreachable: {e}\n",
-                            node.id, node.client_addr
-                        )),
                     }
                 }
                 if !watch {
@@ -308,7 +316,26 @@ fn format_stats_text(out: &mut String, snap: &ObsSnapshot) {
     }
 }
 
-fn format_stats_json(out: &mut String, snap: &ObsSnapshot, last: bool) {
+/// One JSON array over every node: its snapshot object, or
+/// `{"node": N, "error": "..."}` when it could not be reached.
+fn format_stats_json(out: &mut String, nodes: &[(u32, Result<ObsSnapshot, String>)]) {
+    use std::fmt::Write as _;
+    out.push('[');
+    for (i, (node, snap)) in nodes.iter().enumerate() {
+        out.push_str(if i == 0 { "" } else { ",\n" });
+        match snap {
+            Ok(snap) => format_snapshot_json(out, snap),
+            Err(e) => {
+                let e: String = e.chars().filter(|c| !c.is_control()).collect();
+                let e = e.replace('\\', "\\\\").replace('"', "\\\"");
+                let _ = write!(out, "{{\"node\": {node}, \"error\": \"{e}\"}}");
+            }
+        }
+    }
+    out.push(']');
+}
+
+fn format_snapshot_json(out: &mut String, snap: &ObsSnapshot) {
     use std::fmt::Write as _;
     let _ = write!(out, "{{\"node\": {}, \"counters\": {{", snap.node);
     for (i, (name, v)) in snap.counters.iter().enumerate() {
@@ -333,5 +360,68 @@ fn format_stats_json(out: &mut String, snap: &ObsSnapshot, last: bool) {
             h.count, h.min, h.max, h.p50, h.p95, h.p99
         );
     }
-    let _ = writeln!(out, "}}}}{}", if last { "" } else { "," });
+    out.push_str("}}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use common::obs::Obs;
+
+    #[test]
+    fn stats_json_is_one_array_with_an_object_per_node() {
+        let snap = |id| {
+            let obs = Obs::for_node(id);
+            obs.counter("executed_cmds").add(3);
+            obs.gauge("merge_lag").set(1);
+            obs.hist("stage_seal_nanos").record(5);
+            obs.snapshot()
+        };
+        // The unreachable node last: a trailing separator would show there.
+        let nodes = vec![
+            (0, Ok(snap(0))),
+            (1, Ok(snap(1))),
+            (2, Err("127.0.0.1:9 unreachable: \"refused\"".to_string())),
+        ];
+        let mut out = String::new();
+        format_stats_json(&mut out, &nodes);
+        assert!(out.starts_with('[') && out.ends_with(']'), "{out}");
+        // Walk the structure outside strings: count the array's objects
+        // and the separators between them, and reject a comma that
+        // closes a container.
+        let (mut depth, mut objects, mut commas) = (0, 0, 0);
+        let (mut in_str, mut escaped, mut prev) = (false, false, ' ');
+        for c in out.chars() {
+            if in_str {
+                match c {
+                    _ if escaped => escaped = false,
+                    '\\' => escaped = true,
+                    '"' => in_str = false,
+                    _ => {}
+                }
+                continue;
+            }
+            match c {
+                '"' => in_str = true,
+                '{' | '[' => {
+                    objects += usize::from(c == '{' && depth == 1);
+                    depth += 1;
+                }
+                '}' | ']' => {
+                    assert_ne!(prev, ',', "trailing comma in {out}");
+                    depth -= 1;
+                }
+                ',' if depth == 1 => commas += 1,
+                _ => {}
+            }
+            if !c.is_whitespace() {
+                prev = c;
+            }
+        }
+        assert_eq!((depth, objects, commas), (0, 3, 2), "{out}");
+        assert!(
+            out.contains(r#"{"node": 2, "error": "127.0.0.1:9 unreachable: \"refused\""}"#),
+            "{out}"
+        );
+    }
 }

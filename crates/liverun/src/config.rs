@@ -32,7 +32,8 @@
 //! replicas = [0, 1]
 //! ```
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -216,11 +217,6 @@ pub struct DeploymentConfig {
     /// submitted commands with an origin timestamp (`trace_sample`,
     /// 0 disables tracing entirely).
     pub trace_sample: u64,
-    /// Executor shards per node (`executor_shards`): 1 executes
-    /// delivered commands inline on the merge thread (the classic
-    /// stack); >1 splits each node's service state across that many
-    /// worker threads behind the deterministic merge. Never 0.
-    pub executor_shards: u32,
     /// MRP-Store key placement (`partitioning`): `"hash"` (default) or
     /// `"range"`, which seeds an evenly split key-range table — the
     /// scheme live range migration requires.
@@ -259,10 +255,7 @@ impl DeploymentConfig {
             "dlog" => ServiceKind::Dlog {
                 // `logs = N` is the documented key; fall back to
                 // `partitions` which older configs (mis)used.
-                logs: match deployment.values.get("logs") {
-                    Some(_) => deployment.int_or("logs", 1)? as u16,
-                    None => deployment.int_or("partitions", 1)? as u16,
-                },
+                logs: deployment.int_or("logs", deployment.int_or("partitions", 1)?)? as u16,
             },
             "echo" => ServiceKind::Echo,
             other => {
@@ -276,7 +269,7 @@ impl DeploymentConfig {
                 id: NodeId::new(t.int("id")? as u32),
                 peer_addr: t.addr("peer_addr")?,
                 client_addr: t.addr("client_addr")?,
-                partition: match t.values.get("partition") {
+                partition: match t.get("partition") {
                     Some(_) => Some(PartitionId::new(t.int("partition")? as u16)),
                     None => None,
                 },
@@ -376,7 +369,7 @@ impl DeploymentConfig {
             })
         };
 
-        let coord_addrs = match deployment.values.get("coord") {
+        let coord_addrs = match deployment.get("coord") {
             None => Vec::new(),
             Some(v) => {
                 let raw = v.as_str();
@@ -404,17 +397,10 @@ impl DeploymentConfig {
                 let ms = deployment.int_or("checkpoint_ms", 0)?;
                 (ms > 0).then(|| Duration::from_millis(ms))
             },
-            wal_dir: deployment
-                .values
-                .get("wal_dir")
-                .map(|v| PathBuf::from(v.as_str())),
+            wal_dir: deployment.get("wal_dir").map(|v| PathBuf::from(v.as_str())),
             coord_addrs,
             session_ttl: Duration::from_millis(deployment.int_or("session_ttl_ms", 3000)?),
             trace_sample: deployment.int_or("trace_sample", 0)?,
-            executor_shards: match deployment.int_or("executor_shards", 1)? {
-                0 => return Err(Error::Config("executor_shards must be at least 1".into())),
-                n => n as u32,
-            },
             range_partitioned: match deployment.str_or("partitioning", "hash").as_str() {
                 "hash" => false,
                 "range" => true,
@@ -428,6 +414,7 @@ impl DeploymentConfig {
             rings,
             partitions,
         };
+        doc.reject_unread()?;
         config.validate()?;
         Ok(config)
     }
@@ -438,6 +425,18 @@ impl DeploymentConfig {
         }
         if self.rings.is_empty() {
             return Err(Error::Config("no [[ring]] sections".into()));
+        }
+        // A duplicate id would silently partition the deployment: each
+        // node binds the first spec, peers dial the last, and a seeded
+        // ensemble adopts the first ring and drops the second.
+        let ids = (self.nodes.iter().map(|n| ("node", u64::from(n.id.raw()))))
+            .chain(self.rings.iter().map(|r| ("ring", u64::from(r.id.raw()))))
+            .chain((self.partitions.iter()).map(|p| ("partition", u64::from(p.id.raw()))));
+        let mut seen = BTreeSet::new();
+        for (kind, id) in ids {
+            if !seen.insert((kind, id)) {
+                return Err(Error::Config(format!("duplicate {kind} id {id}")));
+            }
         }
         let known = |n: &NodeId| self.nodes.iter().any(|s| s.id == *n);
         for r in &self.rings {
@@ -461,7 +460,7 @@ impl DeploymentConfig {
             }
         }
         if let Some(geo) = &self.geo {
-            let mut placed = std::collections::BTreeSet::new();
+            let mut placed = BTreeSet::new();
             for r in &geo.regions {
                 for n in &r.nodes {
                     if !known(n) {
@@ -619,12 +618,15 @@ impl DeploymentConfig {
 
 /// A parsed `key = value` table.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct Table {
-    pub(crate) values: BTreeMap<String, Value>,
+struct Table {
+    values: BTreeMap<String, Value>,
+    /// Every key a parser asked for, present or not: the rest are
+    /// unknown ([`Document::reject_unread`]).
+    read: RefCell<BTreeSet<String>>,
 }
 
 #[derive(Clone, Debug)]
-pub(crate) enum Value {
+enum Value {
     Str(String),
     Int(u64),
     List(Vec<u64>),
@@ -641,15 +643,20 @@ impl Value {
 }
 
 impl Table {
+    fn get(&self, key: &str) -> Option<&Value> {
+        self.read.borrow_mut().insert(key.to_string());
+        self.values.get(key)
+    }
+
     fn int(&self, key: &str) -> Result<u64> {
-        match self.values.get(key) {
+        match self.get(key) {
             Some(Value::Int(v)) => Ok(*v),
             _ => Err(Error::Config(format!("missing integer key {key:?}"))),
         }
     }
 
     fn int_or(&self, key: &str, default: u64) -> Result<u64> {
-        match self.values.get(key) {
+        match self.get(key) {
             None => Ok(default),
             Some(Value::Int(v)) => Ok(*v),
             Some(_) => Err(Error::Config(format!("key {key:?} must be an integer"))),
@@ -657,21 +664,21 @@ impl Table {
     }
 
     fn str_or(&self, key: &str, default: &str) -> String {
-        match self.values.get(key) {
+        match self.get(key) {
             Some(v) => v.as_str(),
             None => default.to_string(),
         }
     }
 
     fn str_req(&self, key: &str) -> Result<String> {
-        match self.values.get(key) {
+        match self.get(key) {
             Some(Value::Str(s)) => Ok(s.clone()),
             _ => Err(Error::Config(format!("missing string key {key:?}"))),
         }
     }
 
     fn addr(&self, key: &str) -> Result<SocketAddr> {
-        let raw = match self.values.get(key) {
+        let raw = match self.get(key) {
             Some(Value::Str(s)) => s.clone(),
             _ => return Err(Error::Config(format!("missing address key {key:?}"))),
         };
@@ -680,7 +687,7 @@ impl Table {
     }
 
     fn ints(&self, key: &str) -> Result<Vec<u64>> {
-        match self.values.get(key) {
+        match self.get(key) {
             Some(Value::List(v)) => Ok(v.clone()),
             _ => Err(Error::Config(format!("missing list key {key:?}"))),
         }
@@ -708,6 +715,21 @@ impl Document {
 
     fn list(&self, name: &str) -> impl Iterator<Item = &Table> {
         self.lists.get(name).into_iter().flatten()
+    }
+
+    /// Fails on the first key no parser read: a misspelt or retired key
+    /// must not leave the deployment on defaults without a word.
+    fn reject_unread(&self) -> Result<()> {
+        let singletons = self.singletons.iter().map(|(n, t)| (format!("[{n}]"), t));
+        let lists =
+            (self.lists.iter()).flat_map(|(n, ts)| ts.iter().map(move |t| (format!("[[{n}]]"), t)));
+        for (section, table) in singletons.chain(lists) {
+            let read = table.read.borrow();
+            if let Some(key) = table.values.keys().find(|k| !read.contains(*k)) {
+                return Err(Error::Config(format!("unknown key {key:?} in {section}")));
+            }
+        }
+        Ok(())
     }
 
     fn parse(text: &str) -> Result<Document> {
@@ -849,17 +871,6 @@ pub fn with_coord(doc: &str, addrs: &[SocketAddr], session_ttl: Duration) -> Str
     )
 }
 
-/// Sets `executor_shards = n` in a deployment document's `[deployment]`
-/// section. Used by tests to run the same document with different
-/// executor layouts.
-pub fn with_executor_shards(doc: &str, n: u32) -> String {
-    doc.replacen(
-        "[deployment]\n",
-        &format!("[deployment]\nexecutor_shards = {n}\n"),
-        1,
-    )
-}
-
 /// Switches a deployment document to range partitioning (`partitioning
 /// = "range"`) — the scheme live key-range migration requires.
 pub fn with_range_partitioning(doc: &str) -> String {
@@ -995,8 +1006,54 @@ acceptors = [0]
 "#;
         assert!(DeploymentConfig::parse(unknown_member).is_err());
         assert!(DeploymentConfig::parse("junk line\n").is_err());
-        let no_shards = with_executor_shards(&generate_localhost_mrpstore(1, 1, 1, None), 0);
-        assert!(DeploymentConfig::parse(&no_shards).is_err(), "0 shards");
+        // A duplicate id would silently partition the deployment.
+        let base = generate_localhost_mrpstore(2, 1, 7400, None);
+        for kind in ["node", "ring", "partition"] {
+            let [from, to] = [1, 0].map(|id| format!("[[{kind}]]\nid = {id}\n"));
+            let doc = base.replacen(&from, &to, 1);
+            assert_ne!(doc, base);
+            let err = DeploymentConfig::parse(&doc).unwrap_err().to_string();
+            assert!(err.contains(&format!("duplicate {kind} id 0")), "{err}");
+        }
+    }
+
+    #[test]
+    fn unknown_keys_are_errors_naming_key_and_section() {
+        let base = generate_localhost_mrpstore(1, 1, 7400, None);
+        // The retired executor-shard count and a misspelt
+        // `batch_delay_ms`: neither may run on defaults.
+        for key in [["executor", "shards"].join("_"), "batch_delay".into()] {
+            let doc = base.replacen("[deployment]\n", &format!("[deployment]\n{key} = 4\n"), 1);
+            let err = DeploymentConfig::parse(&doc).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("unknown key {key:?} in [deployment]")),
+                "{err}"
+            );
+        }
+        let doc = base.replacen("[[node]]\nid = 0\n", "[[node]]\nid = 0\nregion = 1\n", 1);
+        let err = DeploymentConfig::parse(&doc).unwrap_err().to_string();
+        assert!(err.contains("unknown key \"region\" in [[node]]"), "{err}");
+        // `[[link]]` means something only beside `[[region]]`s.
+        let doc = format!("{base}\n[[link]]\nfrom = \"a\"\nto = \"b\"\nrtt_ms = 10\n");
+        assert!(DeploymentConfig::parse(&doc).is_err());
+    }
+
+    #[test]
+    fn every_generated_document_parses() {
+        let addrs = ["127.0.0.1:7710".parse().unwrap()];
+        for base in [
+            generate_localhost_mrpstore(1, 1, 7400, None),
+            generate_localhost_mrpstore(3, 2, 7400, Some("/tmp/w")),
+        ] {
+            for doc in [
+                with_coord(&base, &addrs, Duration::from_millis(900)),
+                with_range_partitioning(&base),
+                with_geo(&base, &[("eu-west-1", &[0])], 10),
+                base,
+            ] {
+                DeploymentConfig::parse(&doc).unwrap_or_else(|e| panic!("{e}:\n{doc}"));
+            }
+        }
     }
 
     #[test]

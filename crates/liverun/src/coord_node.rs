@@ -57,7 +57,7 @@ use ringpaxos::options::RingOptions;
 use crate::batch::BatchOptions;
 use crate::deployment::{durable, wait_wal_released};
 use crate::net::{ConnId, Net};
-use crate::node::{spawn_node, AppStack, NodeHandle, NodeSetup};
+use crate::node::{spawn_node, NodeHandle, NodeSetup};
 
 /// The ring id the ensemble replicates its own log on (a private
 /// namespace — this ring never appears in any deployment's registry).
@@ -426,7 +426,7 @@ pub fn start_coord_server(config: CoordServerConfig) -> Result<CoordServerHandle
         .filter(|n| *n > 0)
         .unwrap_or(4096);
     let app = Box::<CoordApp>::default();
-    let app = durable(config.wal_dir.as_deref(), roll_every, me, 0, app, &obs)?;
+    let app = durable(config.wal_dir.as_deref(), roll_every, me, app, &obs)?;
     let host_opts = HostOptions {
         ring: RingOptions {
             heartbeat_interval: Duration::from_millis(25),
@@ -477,7 +477,7 @@ pub fn start_coord_server(config: CoordServerConfig) -> Result<CoordServerHandle
         kind: "amcoord",
         coord: Some(front),
     };
-    let node = spawn_node(setup, AppStack::Inline(app), true)?;
+    let node = spawn_node(setup, app, true)?;
     Ok(CoordServerHandle { node, client_addr })
 }
 

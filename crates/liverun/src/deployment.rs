@@ -3,14 +3,15 @@
 //! [`Deployment::launch`] brings up every node of a
 //! [`DeploymentConfig`] in this process — each with its own event-loop
 //! thread, peer listener and client listener, all talking real TCP — and
-//! supports killing and restarting individual nodes. Tests, examples and
+//! supports killing and restarting individual nodes. Each node executes
+//! one service stack, `DurableApp(SessionApp(KvApp | DlogApp |
+//! EchoApp))`, on its loop, with one WAL. Tests, examples and
 //! the loopback benchmark use it; `amcastd` uses [`start_node`] to run a
 //! single node of the same configuration in its own process.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use common::error::{Error, Result};
@@ -18,40 +19,39 @@ use common::ids::NodeId;
 use common::obs::Obs;
 use common::transport::WallClock;
 use coord::{CoordClientOptions, Registry};
-use multiring::{HostOptions, ServiceApp, SessionLimits, ShardPlan};
+use multiring::{HostOptions, ServiceApp, SessionApp, SessionLimits};
 use storage::wal::{SegmentedWal, SyncPolicy};
 
 use crate::batch::BatchOptions;
 use crate::config::{DeploymentConfig, ServiceKind};
 use crate::durable::DurableApp;
 use crate::netem::{Netem, NetemControl};
-use crate::node::{spawn_node, AppStack, NodeHandle, NodeSetup};
+use crate::node::{spawn_node, NodeHandle, NodeSetup};
 
-/// The segment directory holding executor shard `shard`'s
-/// delivered-command WAL for `node`: `<wal_dir>/node-<id>/shard-<k>/`.
-/// Shard 0 is the whole stream when `executor_shards = 1`.
+/// A segment directory of `node`'s delivered-command WAL:
+/// `<wal_dir>/node-<id>/shard-<k>/`. A node writes one WAL, in
+/// shard 0's directory.
 pub fn shard_wal_dir(wal_dir: &Path, node: NodeId, shard: usize) -> PathBuf {
     wal_dir
         .join(format!("node-{}", node.raw()))
         .join(format!("shard-{shard}"))
 }
 
-/// Wraps one (sub-)shard's state in its own rotated, group-committed
-/// WAL under `wal_dir` (none: no WAL), rolling segments every
-/// `roll_every` records. The WAL counts its appends and commit latency
-/// into the node's `obs` (the credit controller reads the latter).
+/// Wraps a node's service stack in its rotated, group-committed WAL
+/// under `wal_dir` (none: no WAL), rolling segments every `roll_every`
+/// records. The WAL counts its appends and commit latency into the
+/// node's `obs` (the credit controller reads the latter).
 pub(crate) fn durable(
     wal_dir: Option<&Path>,
     roll_every: u64,
     node: NodeId,
-    shard: usize,
     inner: Box<dyn ServiceApp>,
     obs: &Obs,
 ) -> Result<Box<dyn ServiceApp>> {
     let Some(wal_dir) = wal_dir else {
         return Ok(inner);
     };
-    let seg_dir = shard_wal_dir(wal_dir, node, shard);
+    let seg_dir = shard_wal_dir(wal_dir, node, 0);
     // Resume the position counter past everything ever written, so
     // pruning cutoffs and segment names stay monotone across a
     // restart-in-place.
@@ -64,108 +64,60 @@ pub(crate) fn durable(
     Ok(Box::new(DurableApp::with_log(inner, Box::new(wal), start)))
 }
 
-/// Waits until every shard WAL lock of `node` under `wal_dir` is gone,
-/// so a restart-in-place never races the stopped node (or its executor
-/// shard threads) for the log directories. A lock that outlives two
-/// seconds is an error: a bug this exists to surface.
+/// Waits until `node`'s WAL lock under `wal_dir` is gone, so a
+/// restart-in-place never races the stopped node for its log directory.
+/// A lock that outlives two seconds is an error: a bug this exists to
+/// surface.
 pub(crate) fn wait_wal_released(wal_dir: &Path, node: NodeId) -> Result<()> {
-    let node_dir = wal_dir.join(format!("node-{}", node.raw()));
-    let locks: Vec<PathBuf> = std::fs::read_dir(&node_dir)
-        .into_iter()
-        .flatten()
-        .flatten()
-        .filter(|e| e.file_name().to_string_lossy().starts_with("shard-"))
-        .map(|e| SegmentedWal::dir_lock_path(e.path()))
-        .collect();
+    let lock = SegmentedWal::dir_lock_path(shard_wal_dir(wal_dir, node, 0));
     let deadline = Instant::now() + Duration::from_secs(2);
-    for lock in locks {
-        while lock.exists() {
-            if Instant::now() >= deadline {
-                return Err(Error::Storage(format!(
-                    "node {node} wal lock {} survived shutdown",
-                    lock.display()
-                )));
-            }
-            std::thread::sleep(Duration::from_millis(10));
+    while lock.exists() {
+        if Instant::now() >= deadline {
+            return Err(Error::Storage(format!(
+                "node {node} wal lock {} survived shutdown",
+                lock.display()
+            )));
         }
+        std::thread::sleep(Duration::from_millis(10));
     }
     Ok(())
 }
 
-/// Builds the service stack for one node of `config`: per-sub-shard
-/// service states plus the plan routing commands between them, each
-/// sub-shard under its own WAL. With `executor_shards = 1` this
-/// collapses to the classic inline decorator chain.
-fn build_stack(config: &DeploymentConfig, node: NodeId, obs: &Obs) -> Result<AppStack> {
+/// Builds the service stack one node of `config` executes on its loop:
+/// `DurableApp(SessionApp(service))`. The session table decorates the
+/// service (protocol v2; v1 traffic passes through untouched), and the
+/// WAL logs the full delivered stream outside it.
+fn build_stack(config: &DeploymentConfig, node: NodeId, obs: &Obs) -> Result<Box<dyn ServiceApp>> {
     let spec = config
         .node(node)
         .ok_or_else(|| Error::Config(format!("node {node} not in configuration")))?;
-    let shards = config.executor_shards as usize;
-    let wal = config.wal_dir.as_deref();
+    let service: Box<dyn ServiceApp> = match &config.service {
+        ServiceKind::MrpStore { .. } => {
+            let partition = spec
+                .partition
+                .ok_or_else(|| Error::Config(format!("mrpstore node {node} needs a partition")))?;
+            let scheme = config.initial_scheme().expect("mrpstore deployment");
+            Box::new(mrpstore::KvApp::new(partition, scheme))
+        }
+        ServiceKind::Dlog { logs } => {
+            Box::new(dlog::DlogApp::new(&(0..*logs).collect::<Vec<u16>>()))
+        }
+        ServiceKind::Echo => Box::new(multiring::EchoApp::new()),
+    };
     // The reply-cache cap tracks the credit window so a full window
     // always fits.
     let limits = SessionLimits {
         max_cached: (config.client_window as usize * 2).max(256),
         ..SessionLimits::default()
     };
-    let (mut inners, plan): (Vec<Box<dyn ServiceApp>>, Arc<dyn ShardPlan>) = match &config.service {
-        ServiceKind::MrpStore { .. } => {
-            let partition = spec
-                .partition
-                .ok_or_else(|| Error::Config(format!("mrpstore node {node} needs a partition")))?;
-            let scheme = config.initial_scheme().expect("mrpstore deployment");
-            // Every sub-shard owns the partition's whole key *predicate*
-            // but only ever sees the keys the plan routes to it, so the
-            // sub-states stay disjoint. Each knows its own hash class:
-            // migration installs fan to every shard and each inserts
-            // only the shipped entries it owns.
-            let inners = (0..shards)
-                .map(|k| {
-                    Box::new(mrpstore::KvApp::new(partition, scheme.clone()).with_shard(k, shards))
-                        as Box<dyn ServiceApp>
-                })
-                .collect();
-            (inners, Arc::new(mrpstore::KvShardPlan::new(shards)))
-        }
-        ServiceKind::Dlog { logs } => {
-            let all: Vec<u16> = (0..*logs).collect();
-            let plan = dlog::DlogShardPlan::new(shards, &all);
-            let inners = (0..shards)
-                .map(|k| {
-                    Box::new(dlog::DlogApp::new(&plan.logs_of_shard(k))) as Box<dyn ServiceApp>
-                })
-                .collect();
-            (inners, Arc::new(plan))
-        }
-        ServiceKind::Echo => (
-            (0..shards)
-                .map(|_| Box::new(multiring::EchoApp::new()) as Box<dyn ServiceApp>)
-                .collect(),
-            Arc::new(multiring::EchoShardPlan::new(shards)),
-        ),
-    };
-    if shards == 1 {
-        // Inline: the session table decorates the service on the node
-        // loop (protocol v2; v1 traffic passes through untouched), the
-        // WAL logs the full delivered stream outside it.
-        let inner = inners.pop().expect("one sub-state");
-        let sessions = Box::new(multiring::SessionApp::with_limits(inner, limits));
-        let app = durable(wal, config.wal_roll_every, node, 0, sessions, obs)?;
-        Ok(AppStack::Inline(app))
-    } else {
-        // Sharded: the session table lives in the executor (admission on
-        // the merge thread); each shard stages and fsyncs its own WAL.
-        let shards = inners
-            .into_iter()
-            .enumerate()
-            .map(|(k, inner)| durable(wal, config.wal_roll_every, node, k, inner, obs))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(AppStack::Sharded {
-            shards,
-            plan,
-            limits,
-        })
-    }
+    let sessions = Box::new(SessionApp::with_limits(service, limits));
+    durable(
+        config.wal_dir.as_deref(),
+        config.wal_roll_every,
+        node,
+        sessions,
+        obs,
+    )
 }
 
 /// Host tuning for live deployments: failure detection on (a dead ring
@@ -311,11 +263,9 @@ fn start_node_shaped(
         // node loop spawns, so the first relayed chunk already counts.
         nt.attach_obs(node, obs.clone());
     }
-    obs.gauge("executor_shards")
-        .set(i64::from(config.executor_shards));
     let mut host_opts = host_options(config);
     host_opts.ring.obs = obs.clone();
-    let stack = build_stack(config, node, &obs)?;
+    let app = build_stack(config, node, &obs)?;
     let setup = NodeSetup {
         me: node,
         member_of,
@@ -337,7 +287,7 @@ fn start_node_shaped(
         kind: "amcast",
         coord: None,
     };
-    spawn_node(setup, stack, restart)
+    spawn_node(setup, app, restart)
 }
 
 /// A whole deployment running in this process over localhost TCP.
@@ -424,8 +374,8 @@ impl Deployment {
 
     /// Kills `node`: its threads stop, its sockets close, its volatile
     /// state is gone. Peers detect the silence and reconfigure the rings
-    /// around it (paper §5.1). Returns once every shard WAL lock of the
-    /// node is released.
+    /// around it (paper §5.1). Returns once the node's WAL lock is
+    /// released.
     ///
     /// # Errors
     ///

@@ -28,12 +28,9 @@
 //! time — closing the "single ever-growing file" caveat without ever
 //! touching a segment a restart might still replay.
 //!
-//! Under the sharded executor each shard owns one `DurableApp` over its
-//! own segment directory, so group commits fsync concurrently across
-//! shards. Cross-shard commands appear in *every* addressed shard's log
-//! (the barrier executes on each), which is correct for an audit log and
-//! deliberate: each shard's log is the full delivered stream of the
-//! state it owns.
+//! A live node wraps its whole service stack in one `DurableApp` over
+//! one segment directory (`node-<id>/shard-0/`), so its log is the full
+//! delivered stream of the node.
 
 use std::cell::Cell;
 

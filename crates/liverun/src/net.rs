@@ -157,8 +157,8 @@ struct Wake {
     armed: AtomicBool,
 }
 
-/// Another thread's way into a loop — shutdown, executor shards, helper
-/// threads. Cheap to clone.
+/// Another thread's way into a loop — a node's shutdown, netem's
+/// control calls, the dial helper's result. Cheap to clone.
 pub(crate) struct Mailer<M> {
     tx: Sender<Mail<M>>,
     wake: Arc<Wake>,

@@ -11,9 +11,10 @@
 //! arrived into the host through [`Ctx::external`], fires due timers,
 //! seals batches, and routes the emitted sends onto peer links and client
 //! connections, which the next wait writes out. A frame is received,
-//! handled and answered without leaving the thread. Only executor shards
-//! (`executor_shards > 1`) and the short-lived dial helper run beside it;
-//! they reach the loop through its mailbox.
+//! ordered, executed and answered without leaving the thread: delivered
+//! commands execute inline, in merge order, through the node's one
+//! [`ServiceApp`] stack. Only the short-lived dial helper runs beside
+//! the loop, and the loop's one mail is `Shutdown`.
 //!
 //! Replies route back by node id: replicas answer `Envelope::reply_to`,
 //! which for live clients is a synthetic node id above
@@ -26,7 +27,6 @@
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -41,9 +41,7 @@ use common::wire::client::{ClientMsg, ClientReply, ErrorCode, FEAT_ALL};
 use common::wire::coord::CoordMsg;
 use common::wire::Wire;
 use coord::Registry;
-use multiring::{
-    HostOptions, MultiRingHost, ReplySink, ServiceApp, SessionLimits, ShardPlan, ShardedExec,
-};
+use multiring::{HostOptions, MultiRingHost, ServiceApp};
 use rand::{rngs::StdRng, SeedableRng};
 use simnet::{Ctx, Process, Timer};
 
@@ -79,8 +77,6 @@ enum Inbound {
 enum Mail {
     /// Stop the loop.
     Shutdown,
-    /// An executor shard's reply to a client.
-    Reply(ClientId, ClientReply),
 }
 
 /// The sockets of one node.
@@ -165,47 +161,6 @@ fn v1_retired(net: &mut NodeNet, conn: ConnId, seq: RequestId) {
     let reason = "protocol v1 retired".into();
     net.send(conn, &ClientReply::Error { seq, reason });
     net.close_after_flush(conn);
-}
-
-/// The service stack one node runs: either the classic inline decorator
-/// chain (everything executes on the node loop) or the sharded runtime —
-/// per-shard sub-states plus the plan that routes commands between them.
-/// Built by the deployment layer from the `executor_shards` config key.
-pub(crate) enum AppStack {
-    /// `executor_shards = 1`: the single-threaded stack.
-    Inline(Box<dyn ServiceApp>),
-    /// `executor_shards > 1`: sub-state `i` (with its own durability
-    /// decorator) executes on executor shard `i`.
-    Sharded {
-        shards: Vec<Box<dyn ServiceApp>>,
-        plan: Arc<dyn ShardPlan>,
-        limits: SessionLimits,
-    },
-}
-
-/// Hands executed replies from executor-shard threads to the node loop,
-/// which owns the client connections.
-struct NodeReplySink {
-    me: NodeId,
-    mailer: Mailer<Mail>,
-}
-
-impl ReplySink for NodeReplySink {
-    fn reply(&self, _ring: RingId, env: &Envelope, payload: Bytes) {
-        // Not a live client (e.g. a sweep-proposed expiry replying to
-        // the node itself): dropped, same as route_effects.
-        if let Some(client) = client_of_node(env.reply_to) {
-            self.mailer.post(Mail::Reply(
-                client,
-                ClientReply::ResponseV2 {
-                    session: env.session,
-                    seq: env.req,
-                    from_replica: self.me,
-                    payload,
-                },
-            ));
-        }
-    }
 }
 
 /// Everything needed to (re)build one node's host.
@@ -359,7 +314,11 @@ impl NodeHandle {
 /// With `restart: true` the host comes up through the crash/recovery path
 /// (rejoin rings, install the freshest checkpoint, catch up from the
 /// acceptors — paper §5.2) instead of the cold-start path.
-pub(crate) fn spawn_node(setup: NodeSetup, stack: AppStack, restart: bool) -> Result<NodeHandle> {
+pub(crate) fn spawn_node(
+    setup: NodeSetup,
+    app: Box<dyn ServiceApp>,
+    restart: bool,
+) -> Result<NodeHandle> {
     let (me, kind) = (setup.me, setup.kind);
     let mut net = Net::new(
         format!("{kind}-dial-{}", me.raw()),
@@ -377,7 +336,7 @@ pub(crate) fn spawn_node(setup: NodeSetup, stack: AppStack, restart: bool) -> Re
     net.listen(setup.client_addr, front)?;
     let mailer = net.mailer();
     let join = spawn_loop(format!("{kind}-node-{}", me.raw()), move || {
-        node_loop(net, setup, stack, restart)
+        node_loop(net, setup, app, restart)
     })?;
     Ok(NodeHandle {
         id: me,
@@ -386,7 +345,7 @@ pub(crate) fn spawn_node(setup: NodeSetup, stack: AppStack, restart: bool) -> Re
     })
 }
 
-fn node_loop(mut net: NodeNet, mut setup: NodeSetup, stack: AppStack, restart: bool) {
+fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, restart: bool) {
     let me = setup.me;
     let clock = setup.clock;
     let mut coord_front = setup.coord.take();
@@ -401,37 +360,15 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, stack: AppStack, restart: b
         }
     }
     let obs = setup.obs.clone();
-    let mut host = match stack {
-        AppStack::Inline(app) => MultiRingHost::new(
-            me,
-            setup.registry.clone(),
-            &setup.member_of,
-            &setup.subscribe_to,
-            setup.partition,
-            app,
-            setup.host_opts,
-        ),
-        AppStack::Sharded {
-            shards,
-            plan,
-            limits,
-        } => {
-            let sink = Arc::new(NodeReplySink {
-                me,
-                mailer: net.mailer(),
-            });
-            let exec = ShardedExec::new(shards, plan, limits, sink, &obs, 1024);
-            MultiRingHost::new_sharded(
-                me,
-                setup.registry.clone(),
-                &setup.member_of,
-                &setup.subscribe_to,
-                setup.partition,
-                exec,
-                setup.host_opts,
-            )
-        }
-    };
+    let mut host = MultiRingHost::new(
+        me,
+        setup.registry.clone(),
+        &setup.member_of,
+        &setup.subscribe_to,
+        setup.partition,
+        app,
+        setup.host_opts,
+    );
     let mut transport = PeerTransport {
         me,
         addrs: setup.peer_addrs,
@@ -448,7 +385,6 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, stack: AppStack, restart: b
     let reply_queue_depth = obs.gauge("reply_queue_depth");
     let session_count = obs.gauge("session_count");
     let session_cached_replies = obs.gauge("session_cached_replies");
-    let shard_queue_depth = obs.gauge("shard_queue_depth");
     let mut batcher = Batcher::new(setup.batch_opts);
     // Credit controller: backlog threshold defaults to four full batches
     // of headroom when the config leaves it at 0.
@@ -568,10 +504,6 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, stack: AppStack, restart: b
                     continue;
                 }
                 Event::Accepted(..) => continue,
-                Event::Mail(Mail::Reply(client, reply)) => {
-                    clients.reply(&mut net, client, &reply);
-                    continue;
-                }
                 Event::Mail(Mail::Shutdown) => return,
             };
             match msg {
@@ -684,12 +616,11 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, stack: AppStack, restart: b
             // Periodic gauges ride the sweep's cadence.
             batcher_depth.set(batcher.pending_len() as i64);
             reply_queue_depth.set(clients.backlog(&net));
-            session_count.set(host.session_ids().len() as i64);
-            session_cached_replies.set(host.cached_reply_count() as i64);
-            shard_queue_depth.set(host.executor_queue_depth() as i64);
+            let ids = host.app().session_ids();
+            session_count.set(ids.len() as i64);
+            session_cached_replies.set(host.app().cached_reply_count() as i64);
             {
                 let now = Instant::now();
-                let ids = host.session_ids();
                 session_seen.retain(|id, _| ids.contains(id));
                 for id in ids {
                     // Expiries ride the session's own ring (for data
@@ -698,12 +629,13 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, stack: AppStack, restart: b
                     // partition 0's ring never costs the other rings an
                     // ordered message.
                     let Some(ring) = host
+                        .app()
                         .session_ring(id)
                         .filter(|r| setup.member_of.contains(r))
                     else {
                         continue;
                     };
-                    let Some((refresh, ttl_ms)) = host.session_probe(id) else {
+                    let Some((refresh, ttl_ms)) = host.app().session_probe(id) else {
                         continue;
                     };
                     let entry = session_seen.entry(id).or_insert((refresh, now));

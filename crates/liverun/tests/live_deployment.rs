@@ -111,7 +111,6 @@ fn a_node_is_one_thread_and_shutdown_leaves_none_behind() {
     let before = thread_names().len();
     let text = generate_localhost_mrpstore(2, 3, base_port(), None);
     let config = DeploymentConfig::parse(&text).unwrap();
-    assert_eq!(config.executor_shards, 1);
     let deployment = Deployment::launch(config.clone()).unwrap();
     {
         let mut client = StoreClient::connect(&config, ClientId::new(61), client_opts()).unwrap();
@@ -342,9 +341,8 @@ fn mrpstore_put_get_scan_over_tcp() {
 
     // Replicas of the same partition must have recorded identical
     // delivered sequences in their WALs (nodes 0,1 = partition 0; nodes
-    // 2,3 = partition 1 in the generated layout). With the default
-    // `executor_shards = 1` the whole stream lives in shard 0's
-    // segment directory.
+    // 2,3 = partition 1 in the generated layout). A node's whole stream
+    // lives in one segment directory, shard 0's.
     use common::ids::NodeId;
     for pair in [[0u32, 1u32], [2, 3]] {
         let replay = |n: u32| -> Vec<(u64, liverun::WalRecord)> {
@@ -1195,27 +1193,21 @@ fn overload_shrinks_credit_window_and_drain_restores_it() {
     deployment.shutdown();
 }
 
-/// The sharded runtime under the exactly-once acceptance: with
-/// `executor_shards = 4` a replica is killed mid-run and restarted in
-/// place. The recovered node must agree with its peers on the
-/// non-idempotent counter (session table and state ride the checkpoint —
-/// no lost and no double-executed increment), serve cross-shard scans,
-/// and resume each of its per-shard WAL cursors monotonically.
+/// Restart in place under the exactly-once acceptance: a replica is
+/// killed mid-run and restarted in place. The recovered node must agree
+/// with its peers on the non-idempotent counter (session table and state
+/// ride the checkpoint — no lost and no double-executed increment),
+/// serve scans, and resume its WAL cursor monotonically.
 #[test]
-fn sharded_executor_restart_in_place_is_exactly_once() {
+fn replica_restart_in_place_is_exactly_once() {
     use common::ids::{NodeId, RingId};
-    use liverun::config::with_executor_shards;
     use mrpstore::{KvCommand, Partitioning};
     use storage::wal::SegmentedWal;
 
-    let wal_dir = std::env::temp_dir().join(format!("liverun-shardwal-{}", std::process::id()));
+    let wal_dir = std::env::temp_dir().join(format!("liverun-restartwal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&wal_dir);
-    let text = with_executor_shards(
-        &generate_localhost_mrpstore(2, 3, base_port(), wal_dir.to_str()),
-        4,
-    );
+    let text = generate_localhost_mrpstore(2, 3, base_port(), wal_dir.to_str());
     let config = DeploymentConfig::parse(&text).unwrap();
-    assert_eq!(config.executor_shards, 4);
     let mut deployment = Deployment::launch(config.clone()).unwrap();
     let mut client = StoreClient::connect(&config, ClientId::new(21), client_opts()).unwrap();
 
@@ -1229,7 +1221,7 @@ fn sharded_executor_restart_in_place_is_exactly_once() {
     for _ in 0..8 {
         client.add(&key, 1).unwrap();
     }
-    // Spread writes across every executor shard of both partitions.
+    // Spread writes across both partitions.
     for i in 0..24 {
         assert_eq!(
             client
@@ -1240,9 +1232,8 @@ fn sharded_executor_restart_in_place_is_exactly_once() {
     }
 
     let victim = NodeId::new(2);
-    let pre_ends: Vec<u64> = (0..4)
-        .map(|k| SegmentedWal::end_pos(liverun::shard_wal_dir(&wal_dir, victim, k)).unwrap())
-        .collect();
+    let victim_dir = liverun::shard_wal_dir(&wal_dir, victim, 0);
+    let pre_end = SegmentedWal::end_pos(&victim_dir).unwrap();
     deployment.kill(victim).unwrap();
 
     // Increments and writes continue while the replica is down.
@@ -1257,17 +1248,16 @@ fn sharded_executor_restart_in_place_is_exactly_once() {
         client.add(&key, 1).unwrap();
     }
 
-    // Cross-shard barrier after recovery: the scan merges every shard of
-    // every partition (and, being Route::All, lands one post-restart
-    // record in every shard WAL of the recovered node).
+    // A scan after recovery merges every partition (and, riding the
+    // global ring, lands one post-restart record in the recovered
+    // node's WAL).
     let entries = client.scan("sh", "").unwrap();
-    assert_eq!(entries.len(), 24, "scan merged all executor shards");
+    assert_eq!(entries.len(), 24, "scan merged all partitions");
 
     // The *recovered* replica answers the counter total from its own
-    // sharded state. Ring delivery is totally ordered, so the victim
-    // answering this read (proposed after the scan) proves it has
-    // dispatched the scan to all four of its executor shards; shutdown
-    // then joins the shard threads, flushing their WALs.
+    // state. Ring delivery is totally ordered, so the victim answering
+    // this read (proposed after the scan) proves it executed the scan;
+    // shutdown then flushes its WAL.
     let total: u64 = 8 + 7 + 5;
     let read = KvCommand::Read { key: key.clone() }.to_bytes();
     let raw = client
@@ -1277,29 +1267,26 @@ fn sharded_executor_restart_in_place_is_exactly_once() {
     assert_eq!(
         KvResponse::decode(&mut raw.clone()).unwrap(),
         KvResponse::Value(Some(Bytes::copy_from_slice(&total.to_le_bytes()))),
-        "restarted sharded replica must recover the exactly-once counter"
+        "restarted replica must recover the exactly-once counter"
     );
 
     deployment.shutdown();
 
-    // Every shard WAL cursor resumed past its pre-kill end — positions
-    // stay strictly monotone per shard, never reused.
-    for (k, pre_end) in pre_ends.iter().enumerate() {
-        let dir = liverun::shard_wal_dir(&wal_dir, victim, k);
-        let positions: Vec<u64> = SegmentedWal::replay::<liverun::WalRecord>(&dir)
-            .unwrap()
-            .iter()
-            .map(|(p, _)| *p)
-            .collect();
-        assert!(
-            positions.windows(2).all(|w| w[0] < w[1]),
-            "shard {k} positions must stay strictly monotone across restart"
-        );
-        assert!(
-            positions.last().copied().unwrap_or(0) >= *pre_end,
-            "shard {k} cursor resumed below its pre-kill end"
-        );
-    }
+    // The WAL cursor resumed past its pre-kill end — positions stay
+    // strictly monotone, never reused.
+    let positions: Vec<u64> = SegmentedWal::replay::<liverun::WalRecord>(&victim_dir)
+        .unwrap()
+        .iter()
+        .map(|(p, _)| *p)
+        .collect();
+    assert!(
+        positions.windows(2).all(|w| w[0] < w[1]),
+        "positions must stay strictly monotone across restart"
+    );
+    assert!(
+        positions.last().copied().unwrap_or(0) >= pre_end,
+        "cursor resumed below its pre-kill end"
+    );
     let _ = std::fs::remove_dir_all(&wal_dir);
 }
 

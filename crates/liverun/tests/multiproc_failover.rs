@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use common::ids::{ClientId, NodeId, RingId};
 use coord::{CoordClientOptions, Registry};
-use liverun::config::{generate_localhost_mrpstore, with_coord, with_executor_shards};
+use liverun::config::{generate_localhost_mrpstore, with_coord};
 use liverun::{ClientOptions, DeploymentConfig, StoreClient};
 
 /// Kills its children on drop so a failing assertion never leaks
@@ -149,20 +149,10 @@ fn coordinator_kill_and_restart_through_amcoordd() {
 
     // One partition of three replicas: ring 0 (members 0,1,2) carries the
     // partition's commands, ring 1 is the global ring.
-    // CI runs this smoke as a matrix over EXECUTOR_SHARDS={1,4}: the
-    // cross-process failover semantics must hold for the inline runtime
-    // and for the sharded executor alike.
-    let shards: u32 = std::env::var("EXECUTOR_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let doc = with_executor_shards(
-        &with_coord(
-            &generate_localhost_mrpstore(1, 3, base + 8, wal_dir.to_str()),
-            &coord_serve,
-            Duration::from_millis(1200),
-        ),
-        shards,
+    let doc = with_coord(
+        &generate_localhost_mrpstore(1, 3, base + 8, wal_dir.to_str()),
+        &coord_serve,
+        Duration::from_millis(1200),
     );
     let config_path = dir.join("deployment.toml");
     let mut f = std::fs::File::create(&config_path).unwrap();

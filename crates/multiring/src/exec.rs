@@ -44,6 +44,12 @@
 //! happens only where semantics demand one: [`ShardedExec::snapshot`]
 //! drains every queue (FIFO order guarantees the cut includes exactly
 //! the commands dispatched before it), as do restore and reset.
+//!
+//! ## Status
+//!
+//! No live runtime runs this executor: the node loop executes delivered
+//! commands inline through [`crate::MultiRingHost`]. It stays for the
+//! determinism property test and the benchmark's layer replay.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -92,9 +98,8 @@ pub trait ShardPlan: Send + Sync + 'static {
     fn split_snapshot(&self, state: &Bytes) -> Vec<Bytes>;
 }
 
-/// Where executed replies go. The live node implements this to frame
-/// and enqueue client responses from the executing shard's thread,
-/// keeping encode work off the merge thread.
+/// Where executed replies go, called from the executing shard's thread
+/// so reply encoding stays off the merge thread.
 pub trait ReplySink: Send + Sync + 'static {
     /// Delivers the reply payload for one executed (or cache-answered)
     /// envelope.

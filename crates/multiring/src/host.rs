@@ -2,8 +2,10 @@
 //!
 //! One [`MultiRingHost`] per machine/process: it multiplexes this node's
 //! participation in any number of rings, merges their decision streams
-//! deterministically, executes a replicated [`ServiceApp`], answers
-//! clients over (simulated) UDP, takes periodic checkpoints, runs the
+//! deterministically, executes a replicated [`ServiceApp`] — inline, in
+//! merge order, on the thread that drives the host (the simulator, or
+//! the live node loop) — answers clients over (simulated) UDP, takes
+//! periodic checkpoints, runs the
 //! coordinator side of the log-trimming protocol for rings it
 //! coordinates, and recovers after crashes via partition-peer checkpoints
 //! plus acceptor retransmission (paper §5.2, §7).
@@ -26,64 +28,9 @@ use ringpaxos::timer::RingTimer;
 use simnet::{Ctx, Process, Timer};
 use storage::{CheckpointStore, StorageMode};
 
-use crate::app::{EagerCut, ServiceApp, SnapshotCut};
-use crate::exec::ShardedExec;
+use crate::app::{ServiceApp, SnapshotCut};
 use crate::merge::MergeLearner;
 use crate::recovery::{RecoveryPhase, TrimRound};
-
-/// The host's execution engine: either the classic inline service stack
-/// (execute on the merge thread) or the sharded executor (admission on
-/// the merge thread, execution on per-shard workers). Both produce
-/// byte-identical replicated state; see [`crate::exec`].
-pub enum ExecEngine {
-    /// Single-threaded: delivered commands execute inline.
-    Inline(Box<dyn ServiceApp>),
-    /// Sharded: delivered commands dispatch to executor shards.
-    Sharded(ShardedExec),
-}
-
-impl ExecEngine {
-    /// Takes an owned cut of the engine's state for incremental
-    /// checkpoint serialization (see [`SnapshotCut`]).
-    fn snapshot_cut(&mut self) -> Box<dyn SnapshotCut> {
-        match self {
-            ExecEngine::Inline(app) => app.snapshot_cut(),
-            // The sharded engine already serializes off the delivery
-            // thread: each shard encodes its part on its own worker
-            // during the rendezvous. The merged blob is drained out
-            // chunk by chunk like any other cut.
-            ExecEngine::Sharded(exec) => Box::new(EagerCut::new(exec.snapshot())),
-        }
-    }
-
-    fn restore(&mut self, state: &Bytes) {
-        match self {
-            ExecEngine::Inline(app) => app.restore(state),
-            ExecEngine::Sharded(exec) => exec.restore(state),
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            ExecEngine::Inline(app) => app.reset(),
-            ExecEngine::Sharded(exec) => exec.reset(),
-        }
-    }
-
-    fn checkpoint_durable(&mut self) {
-        match self {
-            ExecEngine::Inline(app) => app.checkpoint_durable(),
-            ExecEngine::Sharded(exec) => exec.checkpoint_durable(),
-        }
-    }
-
-    fn flush(&mut self) {
-        match self {
-            ExecEngine::Inline(app) => app.flush(),
-            ExecEngine::Sharded(exec) => exec.flush_batch(),
-        }
-    }
-}
 
 /// Timer kinds used by the host.
 const TIMER_RING: u32 = 1;
@@ -319,7 +266,7 @@ pub struct MultiRingHost {
     learner: Option<MergeLearner>,
     /// The replica's partition (for recovery quorums).
     partition: Option<PartitionId>,
-    exec: ExecEngine,
+    app: Box<dyn ServiceApp>,
     ckpt_store: CheckpointStore,
     /// The checkpoint advertised to the trim protocol (durably written).
     advertised: Option<CheckpointTuple>,
@@ -403,53 +350,6 @@ impl MultiRingHost {
         app: Box<dyn ServiceApp>,
         opts: HostOptions,
     ) -> Self {
-        Self::with_engine(
-            me,
-            registry,
-            member_of,
-            subscribe_to,
-            partition,
-            ExecEngine::Inline(app),
-            opts,
-        )
-    }
-
-    /// Like [`MultiRingHost::new`] but executing through the sharded
-    /// executor: delivery admission stays on the host's thread, command
-    /// execution runs on the executor's worker shards, and client
-    /// replies for executed commands leave through the executor's
-    /// [`crate::exec::ReplySink`] rather than the host's output. Live
-    /// deployments with `executor_shards > 1` use this; the simulator
-    /// keeps the inline engine.
-    pub fn new_sharded(
-        me: NodeId,
-        registry: Registry,
-        member_of: &[RingId],
-        subscribe_to: &[RingId],
-        partition: Option<PartitionId>,
-        exec: ShardedExec,
-        opts: HostOptions,
-    ) -> Self {
-        Self::with_engine(
-            me,
-            registry,
-            member_of,
-            subscribe_to,
-            partition,
-            ExecEngine::Sharded(exec),
-            opts,
-        )
-    }
-
-    fn with_engine(
-        me: NodeId,
-        registry: Registry,
-        member_of: &[RingId],
-        subscribe_to: &[RingId],
-        partition: Option<PartitionId>,
-        exec: ExecEngine,
-        opts: HostOptions,
-    ) -> Self {
         let mut rings = BTreeMap::new();
         let mut acceptor_of = Vec::new();
         for ring in member_of {
@@ -484,7 +384,7 @@ impl MultiRingHost {
             acceptor_of,
             learner,
             partition,
-            exec,
+            app,
             ckpt_store,
             advertised: None,
             pending_ckpt: None,
@@ -521,67 +421,14 @@ impl MultiRingHost {
     }
 
     /// Immutable access to the service state machine.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the sharded engine, where no single `ServiceApp`
-    /// holds the state — use the host's session accessors instead.
     pub fn app(&self) -> &dyn ServiceApp {
-        match &self.exec {
-            ExecEngine::Inline(app) => &**app,
-            ExecEngine::Sharded(_) => {
-                panic!("no inline app under the sharded executor")
-            }
-        }
-    }
-
-    /// The `(refresh, ttl_ms)` liveness reading of an exactly-once
-    /// session, whichever engine tracks it.
-    pub fn session_probe(&self, session: u64) -> Option<(u64, u64)> {
-        match &self.exec {
-            ExecEngine::Inline(app) => app.session_probe(session),
-            ExecEngine::Sharded(exec) => exec.session_probe(session),
-        }
-    }
-
-    /// Ids of every live exactly-once session.
-    pub fn session_ids(&self) -> Vec<u64> {
-        match &self.exec {
-            ExecEngine::Inline(app) => app.session_ids(),
-            ExecEngine::Sharded(exec) => exec.session_ids(),
-        }
-    }
-
-    /// The ring a session's expiry is ordered on
-    /// ([`ServiceApp::session_ring`]).
-    pub fn session_ring(&self, session: u64) -> Option<RingId> {
-        match &self.exec {
-            ExecEngine::Inline(app) => app.session_ring(session),
-            ExecEngine::Sharded(_) => crate::session::session_home_ring(session),
-        }
+        &*self.app
     }
 
     /// [`RingNode::reserve_value_ids`] on every ring of this node.
     pub fn reserve_value_ids(&mut self, floor: u64) {
         for node in self.rings.values_mut() {
             node.reserve_value_ids(floor);
-        }
-    }
-
-    /// Replies cached for retry deduplication across all sessions.
-    pub fn cached_reply_count(&self) -> usize {
-        match &self.exec {
-            ExecEngine::Inline(app) => app.cached_reply_count(),
-            ExecEngine::Sharded(exec) => exec.cached_reply_count(),
-        }
-    }
-
-    /// Commands queued on executor shard hand-off queues right now
-    /// (0 under the inline engine).
-    pub fn executor_queue_depth(&self) -> usize {
-        match &self.exec {
-            ExecEngine::Inline(_) => 0,
-            ExecEngine::Sharded(exec) => exec.queue_depth(),
         }
     }
 
@@ -734,20 +581,10 @@ impl MultiRingHost {
                     .or_insert_with(|| RingMergeStats::new(obs, delivery.ring))
                     .delivered
                     .inc();
-                let reply = match &mut self.exec {
-                    ExecEngine::Inline(app) => {
-                        let reply = app.execute(delivery.ring, &env);
-                        if env.trace != 0 {
-                            self.hobs.stage_execute.record_since(env.trace);
-                        }
-                        Some(reply)
-                    }
-                    // The sharded engine answers refusals and session
-                    // control here; executed replies leave through the
-                    // executor's sink from the owning shard's thread.
-                    ExecEngine::Sharded(exec) => exec.deliver(delivery.ring, &env),
-                };
-                let Some(reply) = reply else { continue };
+                let reply = self.app.execute(delivery.ring, &env);
+                if env.trace != 0 {
+                    self.hobs.stage_execute.record_since(env.trace);
+                }
                 ctx.send(
                     env.reply_to,
                     Msg::Client(ClientMsg::Response {
@@ -765,9 +602,8 @@ impl MultiRingHost {
         }
         if executed_any {
             // Group-commit boundary: everything this drain delivered is
-            // flushed (one write + one sync in a durable decorator; the
-            // sharded engine forwards flush tokens to the touched shards).
-            self.exec.flush();
+            // flushed (one write + one sync in a durable decorator).
+            self.app.flush();
         }
         if let Some(learner) = &self.learner {
             // The skip counter mirrors the merge's own monotonic tally
@@ -895,15 +731,10 @@ impl MultiRingHost {
         // service state as the trailing rest). Presized from the
         // previous checkpoint so a large store does not churn through
         // doubling reallocations on the delivery thread.
-        //
-        // Under the sharded engine the snapshot is the rendezvous the
-        // batch-boundary flush deliberately is not: every shard drains
-        // the ops dispatched before this instant, so the cut is exactly
-        // the merge's delivery cursor.
         let t0 = std::time::Instant::now();
         let mut buf = BytesMut::with_capacity(self.ckpt_capacity.max(1024));
         encode_snapshot_meta(&mut buf, &dedup, merge_turn, &merge_credits);
-        let cut = self.exec.snapshot_cut();
+        let cut = self.app.snapshot_cut();
         self.active_ckpt = Some(ActiveCkpt {
             tuple,
             buf,
@@ -979,7 +810,7 @@ impl MultiRingHost {
     fn install_snapshot(&mut self, tuple: &CheckpointTuple, state: &Bytes) {
         let snap = Snapshot::decode(&mut state.clone()).ok();
         if let Some(snap) = &snap {
-            self.exec.restore(&snap.app);
+            self.app.restore(&snap.app);
             for (ring, ids) in &snap.dedup {
                 if let Some(node) = self.rings.get_mut(ring) {
                     node.restore_dedup(ids.clone());
@@ -1518,7 +1349,7 @@ impl Process for MultiRingHost {
                         // The checkpoint is durable: durability
                         // decorators may prune their logs to the cut
                         // they marked when the snapshot was taken.
-                        self.exec.checkpoint_durable();
+                        self.app.checkpoint_durable();
                     } else {
                         self.pending_ckpt = Some((seq, tuple));
                     }
@@ -1590,7 +1421,7 @@ impl Process for MultiRingHost {
             node.on_crash(now);
         }
         self.ckpt_store.crash(now);
-        self.exec.reset();
+        self.app.reset();
         self.learner = self
             .learner
             .as_ref()

@@ -3,7 +3,7 @@
 //! seqs, v1 pass-through, mid-stream session opens, and cross-shard
 //! barrier commands — a [`multiring::ShardedExec`] over `N` sub-shards
 //! must leave **byte-identical** state behind compared to the inline
-//! [`multiring::SessionApp`] stack (`executor_shards = 1` semantics).
+//! [`multiring::SessionApp`] stack (what a live node executes).
 //! Snapshot bytes embed the full session table, so reply-cache contents
 //! are compared bit-for-bit, not just counted.
 
