@@ -237,8 +237,9 @@ fn format_stats_text(out: &mut String, snap: &ObsSnapshot) {
         }
     }
     // The per-ring breakdown: merge cost and wire traffic attributed to
-    // each ring this node touched. A genuinely-routed deployment shows
-    // zeros on rings the node's partition is not addressed by.
+    // each ring this node touched, and the size of its acceptor log there.
+    // A genuinely-routed deployment shows zeros on rings the node's
+    // partition is not addressed by.
     let mut rings: std::collections::BTreeMap<u16, std::collections::BTreeMap<&str, i64>> =
         std::collections::BTreeMap::new();
     for (name, v) in &snap.counters {
@@ -254,19 +255,28 @@ fn format_stats_text(out: &mut String, snap: &ObsSnapshot) {
     if !rings.is_empty() {
         let _ = writeln!(
             out,
-            "  per-ring:\n    {:<6} {:>12} {:>10} {:>10} {:>14} {:>16}",
-            "ring", "delivered", "skips", "lag", "decision_msgs", "decision_payload"
+            "  per-ring:\n    {:<6} {:>12} {:>10} {:>10} {:>14} {:>16} {:>12} {:>10}",
+            "ring",
+            "delivered",
+            "skips",
+            "lag",
+            "decision_msgs",
+            "decision_payload",
+            "trim_floor",
+            "log_slots"
         );
         for (ring, m) in &rings {
             let g = |k: &str| m.get(k).copied().unwrap_or(0);
             let _ = writeln!(
                 out,
-                "    {ring:<6} {:>12} {:>10} {:>10} {:>14} {:>16}",
+                "    {ring:<6} {:>12} {:>10} {:>10} {:>14} {:>16} {:>12} {:>10}",
                 g("delivered_cmds"),
                 g("merge_skips"),
                 g("merge_lag"),
                 g("decision_msgs"),
                 g("decision_payload_bytes"),
+                g("trim_floor"),
+                g("log_slots"),
             );
         }
     }
@@ -423,5 +433,39 @@ mod tests {
             out.contains(r#"{"node": 2, "error": "127.0.0.1:9 unreachable: \"refused\""}"#),
             "{out}"
         );
+    }
+
+    #[test]
+    fn stats_show_the_acceptor_log_and_trim_rounds() {
+        let obs = Obs::for_node(0);
+        obs.counter("trim_rounds").add(7);
+        obs.counter("ring3_delivered_cmds").add(5);
+        obs.gauge("ring3_trim_floor").set(4097);
+        obs.gauge("ring3_log_slots").set(311);
+        let snap = obs.snapshot();
+
+        let mut text = String::new();
+        format_stats_text(&mut text, &snap);
+        assert!(text.contains("trim_rounds"), "{text}");
+        let header = text.lines().find(|l| l.contains("trim_floor")).unwrap();
+        assert!(header.contains("log_slots"), "{text}");
+        let row: Vec<&str> = text
+            .lines()
+            .find(|l| l.trim_start().starts_with("3 "))
+            .unwrap()
+            .split_whitespace()
+            .collect();
+        assert_eq!(row.last(), Some(&"311"), "{text}");
+        assert_eq!(row[row.len() - 2], "4097", "{text}");
+
+        let mut json = String::new();
+        format_stats_json(&mut json, &[(0, Ok(snap))]);
+        for field in [
+            "\"trim_rounds\": 7",
+            "\"ring3_trim_floor\": 4097",
+            "\"ring3_log_slots\": 311",
+        ] {
+            assert!(json.contains(field), "{json}");
+        }
     }
 }

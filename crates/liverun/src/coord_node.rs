@@ -63,6 +63,9 @@ use crate::node::{spawn_node, NodeHandle, NodeSetup};
 /// namespace — this ring never appears in any deployment's registry).
 pub const COORD_RING: RingId = RingId::new(0);
 
+/// A replica's checkpoint cadence, which is also its trim cadence.
+const CHECKPOINT_EVERY: Duration = Duration::from_secs(1);
+
 /// Static description of one amcoordd ensemble, identical in every
 /// replica (like a Zookeeper server list).
 #[derive(Clone, Debug)]
@@ -435,8 +438,10 @@ pub fn start_coord_server(config: CoordServerConfig) -> Result<CoordServerHandle
             obs: obs.clone(),
             ..RingOptions::default()
         },
-        // What a restarting peer fetches, and what lets the WAL prune.
-        checkpoint_interval: Some(Duration::from_secs(1)),
+        // What a restarting peer fetches, what lets the WAL prune, and
+        // what the acceptors trim against (§5.2).
+        checkpoint_interval: Some(CHECKPOINT_EVERY),
+        trim_interval: Some(CHECKPOINT_EVERY),
         recovery_retry: Duration::from_millis(100),
         ..HostOptions::default()
     };

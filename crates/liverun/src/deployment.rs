@@ -123,7 +123,10 @@ fn build_stack(config: &DeploymentConfig, node: NodeId, obs: &Obs) -> Result<Box
 /// Host tuning for live deployments: failure detection on (a dead ring
 /// member must be cut out for circulation to resume), rate leveling on
 /// (the deterministic merge needs idle rings to emit skips, §4),
-/// checkpoints per the config, recovery retries snappy enough for tests.
+/// checkpoints per the config and §5.2 log trimming at the same cadence
+/// (a trim round has nothing new to cut until a checkpoint lands, so
+/// `checkpoint_ms = 0` turns both off), recovery retries snappy enough
+/// for tests.
 fn host_options(config: &DeploymentConfig) -> HostOptions {
     use std::time::Duration;
     let mut opts = HostOptions {
@@ -141,6 +144,7 @@ fn host_options(config: &DeploymentConfig) -> HostOptions {
             ..ringpaxos::options::RingOptions::default()
         },
         checkpoint_interval: config.checkpoint_interval,
+        trim_interval: config.checkpoint_interval,
         recovery_retry: Duration::from_millis(100),
         ..HostOptions::default()
     };

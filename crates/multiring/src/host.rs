@@ -75,8 +75,12 @@ pub struct HostOptions {
     pub m: u64,
     /// Replica checkpoint cadence; `None` disables checkpointing.
     pub checkpoint_interval: Option<Duration>,
-    /// Trim-protocol cadence on coordinated rings; `None` disables
-    /// trimming.
+    /// Trim-protocol cadence on coordinated rings (§5.2: ask the
+    /// subscribed replicas for their durable checkpoints, order the
+    /// acceptors to drop everything below `K_T`); `None` disables
+    /// trimming and lets every acceptor log grow without bound. A round
+    /// only finds something to trim after a new checkpoint, so live
+    /// deployments run it at the checkpoint cadence.
     pub trim_interval: Option<Duration>,
     /// Retry cadence for recovery steps.
     pub recovery_retry: Duration,
@@ -185,6 +189,10 @@ struct HostObs {
     merge_lag: Gauge,
     ckpt_bytes: Gauge,
     ckpt_window_us: Gauge,
+    /// Trim rounds this node completed as a ring coordinator.
+    trim_rounds: Counter,
+    /// Per acceptor ring: `ring{r}_trim_floor` and `ring{r}_log_slots`.
+    logs: Vec<(RingId, Gauge, Gauge)>,
     stage_propose: Hist,
     stage_p2send: Hist,
     stage_decide: Hist,
@@ -194,7 +202,15 @@ struct HostObs {
 }
 
 impl HostObs {
-    fn new(obs: &Obs) -> Self {
+    fn new(obs: &Obs, acceptor_of: &[RingId]) -> Self {
+        let logs = acceptor_of
+            .iter()
+            .map(|ring| {
+                let r = ring.raw();
+                let floor = obs.gauge(&format!("ring{r}_trim_floor"));
+                (*ring, floor, obs.gauge(&format!("ring{r}_log_slots")))
+            })
+            .collect();
         HostObs {
             obs: obs.clone(),
             proposed_cmds: obs.counter("proposed_cmds"),
@@ -206,6 +222,8 @@ impl HostObs {
             merge_lag: obs.gauge("merge_lag"),
             ckpt_bytes: obs.gauge("ckpt_bytes"),
             ckpt_window_us: obs.gauge("ckpt_window_us"),
+            trim_rounds: obs.counter("trim_rounds"),
+            logs,
             stage_propose: obs.hist("stage_propose_nanos"),
             stage_p2send: obs.hist("stage_p2send_nanos"),
             stage_decide: obs.hist("stage_decide_nanos"),
@@ -375,7 +393,7 @@ impl MultiRingHost {
             Some(MergeLearner::new(subscribe_to, opts.m))
         };
         let ckpt_store = CheckpointStore::new(opts.checkpoint_storage);
-        let hobs = HostObs::new(&opts.ring.obs);
+        let hobs = HostObs::new(&opts.ring.obs, &acceptor_of);
         MultiRingHost {
             me,
             registry,
@@ -843,20 +861,17 @@ impl MultiRingHost {
             return;
         }
         self.trim_seq += 1;
-        let round = TrimRound::new(ring, self.trim_seq);
-        let subscribers = self.registry.subscribers(ring);
-        for sub in &subscribers {
-            let msg = Msg::Recovery(RecoveryMsg::TrimQuery {
-                ring,
-                seq: self.trim_seq,
-            });
-            if *sub == self.me {
+        // The round exists before any query leaves: the coordinator
+        // answers its own query inline, and that reply must find it.
+        self.trims.insert(ring, TrimRound::new(ring, self.trim_seq));
+        for sub in self.registry.subscribers(ring) {
+            if sub == self.me {
                 self.on_trim_query(ring, self.trim_seq, ctx);
             } else {
-                ctx.send(*sub, msg);
+                let seq = self.trim_seq;
+                ctx.send(sub, Msg::Recovery(RecoveryMsg::TrimQuery { ring, seq }));
             }
         }
-        self.trims.insert(ring, round);
     }
 
     fn on_trim_query(&mut self, ring: RingId, seq: u64, ctx: &mut Ctx<'_>) {
@@ -916,14 +931,34 @@ impl MultiRingHost {
             };
             for acc in cfg.acceptors() {
                 if *acc == self.me {
-                    if let Some(node) = self.rings.get_mut(&ring) {
-                        node.trim_log(kt);
-                    }
+                    self.trim_log(ring, kt);
                 } else {
                     ctx.send(*acc, Msg::Recovery(RecoveryMsg::Trim { ring, upto: kt }));
                 }
             }
             self.trims.remove(&ring);
+            self.hobs.trim_rounds.inc();
+        }
+    }
+
+    /// Applies a `Trim` order to this node's acceptor log on `ring`.
+    fn trim_log(&mut self, ring: RingId, upto: InstanceId) {
+        if let Some(node) = self.rings.get_mut(&ring) {
+            node.trim_log(upto);
+            self.note_logs();
+        }
+    }
+
+    /// Refreshes the `ring{r}_trim_floor` / `ring{r}_log_slots` gauges of
+    /// every ring this node is an acceptor of. Called when a trim lands
+    /// and on the checkpoint timer, never per ordering message, so the
+    /// hot path pays nothing for them.
+    fn note_logs(&self) {
+        for (ring, floor, slots) in &self.hobs.logs {
+            if let Some(node) = self.rings.get(ring) {
+                floor.set(node.log().trim_floor().raw() as i64);
+                slots.set(node.log().len() as i64);
+            }
         }
     }
 
@@ -1246,11 +1281,7 @@ impl Process for MultiRingHost {
                     safe,
                     replica,
                 } => self.on_trim_reply(ring, seq, safe, replica, ctx),
-                RecoveryMsg::Trim { ring, upto } => {
-                    if let Some(node) = self.rings.get_mut(&ring) {
-                        node.trim_log(upto);
-                    }
-                }
+                RecoveryMsg::Trim { ring, upto } => self.trim_log(ring, upto),
                 RecoveryMsg::CheckpointQuery { partition, seq } => {
                     if self.partition == Some(partition) {
                         let tuple = self.advertised.clone().unwrap_or_default();
@@ -1329,6 +1360,7 @@ impl Process for MultiRingHost {
                 self.drain_ring(ring, ctx);
             }
             TIMER_CHECKPOINT => {
+                self.note_logs();
                 self.take_checkpoint(ctx);
                 if let Some(interval) = self.opts.checkpoint_interval {
                     // Duty-cycle bound: a checkpoint whose serialization

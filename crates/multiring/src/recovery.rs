@@ -158,6 +158,23 @@ mod tests {
     }
 
     #[test]
+    fn coordinator_reply_completes_a_two_replica_quorum() {
+        // A 2-replica partition's majority is both replicas, so the
+        // coordinator's own reply (recorded first, inline, when it
+        // answers its own query) is needed: the peer alone is not enough.
+        let parts = [vec![n(0), n(1)]];
+        let mut round = TrimRound::new(RingId::new(0), 1);
+        round.record(n(1), i(40));
+        assert_eq!(round.quorum_min(&parts), None);
+
+        let mut round = TrimRound::new(RingId::new(0), 2);
+        round.record(n(0), i(30));
+        assert_eq!(round.quorum_min(&parts), None);
+        round.record(n(1), i(40));
+        assert_eq!(round.quorum_min(&parts), Some(i(30)));
+    }
+
+    #[test]
     fn no_partitions_means_no_trim() {
         let mut round = TrimRound::new(RingId::new(0), 1);
         round.record(n(1), i(10));

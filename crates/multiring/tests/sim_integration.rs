@@ -1,17 +1,20 @@
 //! End-to-end simulations of Multi-Ring Paxos hosts: clients, multiple
 //! rings with rate leveling, checkpointing, trimming and crash recovery.
 
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use common::ids::{ClientId, NodeId, PartitionId, RingId};
+use common::msg::{Msg, RecoveryMsg};
 use common::SimTime;
 use coord::{PartitionInfo, Registry, RingConfig};
 use multiring::client::{ClosedLoopClient, CommandSpec};
 use multiring::{EchoApp, HostOptions, MultiRingHost};
 use ringpaxos::options::{RateLeveling, RingOptions};
-use simnet::{CpuModel, Sim, Topology};
+use simnet::{CpuModel, Ctx, Process, Sim, Timer, Topology};
 use storage::{DiskProfile, StorageMode};
 
 fn lan_sim(seed: u64) -> Sim {
@@ -239,6 +242,225 @@ fn replica_recovers_after_crash_with_trimming() {
     let m = sim.metrics();
     assert_eq!(m.borrow().counter("node.crashes"), 1);
     assert_eq!(m.borrow().counter("node.restarts"), 1);
+}
+
+/// A host the test can still read after handing it to the simulator.
+/// While `deaf` is set it drops every retransmission reply it is sent.
+struct Shared {
+    host: Rc<RefCell<MultiRingHost>>,
+    deaf: Rc<Cell<bool>>,
+}
+
+impl Process for Shared {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.host.borrow_mut().on_start(ctx);
+    }
+    fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Ctx<'_>) {
+        if self.deaf.get() && matches!(msg, Msg::Recovery(RecoveryMsg::RetransmitReply { .. })) {
+            return;
+        }
+        self.host.borrow_mut().on_message(from, msg, ctx);
+    }
+    fn on_timer(&mut self, timer: Timer, ctx: &mut Ctx<'_>) {
+        self.host.borrow_mut().on_timer(timer, ctx);
+    }
+    fn on_crash(&mut self, now: SimTime) {
+        self.host.borrow_mut().on_crash(now);
+    }
+    fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
+        self.host.borrow_mut().on_restart(ctx);
+    }
+}
+
+/// Adds a host to `sim` behind a [`Shared`] handle.
+fn add_shared(sim: &mut Sim, host: MultiRingHost) -> (Rc<RefCell<MultiRingHost>>, Rc<Cell<bool>>) {
+    let (host, deaf) = (Rc::new(RefCell::new(host)), Rc::new(Cell::new(false)));
+    let shared = Shared {
+        host: Rc::clone(&host),
+        deaf: Rc::clone(&deaf),
+    };
+    sim.add_node_with_cpu(0, shared, CpuModel::free());
+    (host, deaf)
+}
+
+/// Trimming completes on a 2-replica partition. Its majority is both
+/// replicas, so the trim coordinator's own reply — given inline, while
+/// it fans its query out — is part of every quorum; a round that is not
+/// yet registered when that reply arrives drops it and never completes.
+/// Both the partition ring and the global ring must trim on every
+/// acceptor within a few checkpoint intervals.
+#[test]
+fn two_replica_partition_trims_both_of_its_rings() {
+    let registry = Registry::new();
+    let (local, global) = (RingId::new(0), RingId::new(1));
+    let members: Vec<NodeId> = (0..2).map(NodeId::new).collect();
+    for r in [local, global] {
+        registry
+            .register_ring(RingConfig::new(r, members.clone(), members.clone()).unwrap())
+            .unwrap();
+    }
+    registry
+        .register_partition(
+            PartitionId::new(0),
+            PartitionInfo {
+                rings: vec![local, global],
+                replicas: members.clone(),
+            },
+        )
+        .unwrap();
+
+    let mut sim = lan_sim(4);
+    let mut opts = ring_opts();
+    // The global ring idles: skips keep the merge (and so the
+    // checkpoints' cut on it) moving.
+    opts.rate_leveling = Some(RateLeveling {
+        delta: Duration::from_millis(5),
+        lambda: 9000,
+    });
+    let hosts: Vec<_> = members
+        .iter()
+        .map(|m| {
+            let host = MultiRingHost::new(
+                *m,
+                registry.clone(),
+                &[local, global],
+                &[local, global],
+                Some(PartitionId::new(0)),
+                Box::new(EchoApp::new()),
+                HostOptions {
+                    ring: opts.clone(),
+                    checkpoint_interval: Some(Duration::from_millis(200)),
+                    trim_interval: Some(Duration::from_millis(200)),
+                    ..HostOptions::default()
+                },
+            );
+            add_shared(&mut sim, host).0
+        })
+        .collect();
+    let client = ClosedLoopClient::new(
+        ClientId::new(1),
+        registry.clone(),
+        HashMap::from([(local, NodeId::new(0))]),
+        move |_rng: &mut rand::rngs::StdRng| {
+            CommandSpec::simple(
+                local,
+                Bytes::from_static(b"trim"),
+                vec![PartitionId::new(0)],
+            )
+        },
+        2,
+    );
+    let stats = client.stats();
+    sim.add_node_with_cpu(0, client, CpuModel::free());
+
+    sim.run_until(SimTime::from_secs(2));
+
+    assert!(stats.borrow().completed > 100, "the load ran");
+    for (m, host) in members.iter().zip(&hosts) {
+        let host = host.borrow();
+        for ring in [local, global] {
+            let log = host.ring_node(ring).unwrap().log();
+            assert!(
+                log.trim_floor().raw() > 0,
+                "acceptor {m} never trimmed ring {ring} ({} slots retained)",
+                log.len()
+            );
+        }
+    }
+}
+
+/// A restarted replica whose catch-up a trim overtakes comes back
+/// through a newer peer checkpoint. The replica installs a peer's
+/// checkpoint, then hears no retransmission reply while its peers keep
+/// checkpointing and trimming; by the time it does, the acceptors have
+/// trimmed past the checkpoint it holds. The reply's `log_start` says
+/// so, and the replica must start recovery over — replaying what is
+/// left would leave it a hole below the trim floor for good.
+#[test]
+fn catch_up_overtaken_by_a_trim_restarts_from_a_newer_checkpoint() {
+    let registry = Registry::new();
+    let ring = RingId::new(0);
+    let members: Vec<NodeId> = (0..3).map(NodeId::new).collect();
+    registry
+        .register_ring(RingConfig::new(ring, members.clone(), members.clone()).unwrap())
+        .unwrap();
+    registry
+        .register_partition(
+            PartitionId::new(0),
+            PartitionInfo {
+                rings: vec![ring],
+                replicas: members.clone(),
+            },
+        )
+        .unwrap();
+
+    let mut sim = lan_sim(5);
+    let hosts: Vec<_> = members
+        .iter()
+        .map(|m| {
+            let host = MultiRingHost::new(
+                *m,
+                registry.clone(),
+                &[ring],
+                &[ring],
+                Some(PartitionId::new(0)),
+                Box::new(EchoApp::new()),
+                HostOptions {
+                    ring: ring_opts(),
+                    checkpoint_interval: Some(Duration::from_millis(100)),
+                    trim_interval: Some(Duration::from_millis(100)),
+                    ..HostOptions::default()
+                },
+            );
+            add_shared(&mut sim, host)
+        })
+        .collect();
+    let client = ClosedLoopClient::new(
+        ClientId::new(1),
+        registry.clone(),
+        HashMap::from([(ring, NodeId::new(0))]),
+        move |_rng: &mut rand::rngs::StdRng| {
+            CommandSpec::simple(
+                ring,
+                Bytes::from_static(b"ahead"),
+                vec![PartitionId::new(0)],
+            )
+        },
+        2,
+    );
+    sim.add_node_with_cpu(0, client, CpuModel::free());
+
+    let victim = NodeId::new(2);
+    let (host, deaf) = &hosts[2];
+    sim.schedule_crash(victim, SimTime::from_secs(1));
+    sim.schedule_restart(victim, SimTime::from_secs(2));
+    sim.run_until(SimTime::from_millis(1500));
+    deaf.set(true);
+    sim.run_until(SimTime::from_millis(2500));
+    // The replica sits at a peer's checkpoint, asking the acceptors for
+    // what follows it, and they trimmed past it meanwhile.
+    let held = host.borrow().checkpoint_tuple().unwrap().get(ring).unwrap();
+    let floor = hosts[0]
+        .0
+        .borrow()
+        .ring_node(ring)
+        .unwrap()
+        .log()
+        .trim_floor();
+    assert!(
+        floor > held,
+        "the acceptors trimmed past {held} (floor {floor})"
+    );
+
+    deaf.set(false);
+    sim.run_until(SimTime::from_secs(4));
+    let host = host.borrow();
+    assert!(
+        !host.is_recovering(),
+        "the replica never finished recovering (it holds {:?}, the floor is {floor})",
+        host.checkpoint_tuple()
+    );
+    assert!(host.checkpoint_tuple().unwrap().get(ring).unwrap() > floor);
 }
 
 /// The `geo_wan` layout in simulated time: one partition per region of
