@@ -7,57 +7,44 @@
 # `net` module (`Net::listen` and its non-blocking accepts, `Net::connect`,
 # the link dial helper, `call`). This script fails if
 # `TcpListener::bind`, `TcpStream::connect*` or `.incoming()` shows up in
-# non-test code under crates/*/src anywhere else, except:
+# non-test code under crates/*/src anywhere but crates/liverun/src/net.rs.
 #
-#   crates/liverun/src/net.rs      the one place
-#   crates/coord/src/client.rs     the coordination client's dialer
-#                                  (`coord` cannot depend on `liverun`)
-#
-# Every live loop waits on its sockets itself (`Net::wait`), and so does
-# the network client, on its caller's thread. It also fails if any file
-# under crates/liverun/src except net.rs starts a thread at all: the node
-# loop (which amcoordd runs too) and netem's shaping loop are started by
-# `net::spawn_loop`, and delivered commands execute on the node loop.
+# Every live loop waits on its sockets itself (`Net::wait`), and so do the
+# network client and the coordination client, on their caller's thread.
+# It also fails if any file under crates/liverun/src except net.rs starts
+# a thread at all: the node loop (which amcoordd runs too) and netem's
+# shaping loop are started by `net::spawn_loop`, and delivered commands
+# execute on the node loop. The coordination client (crates/coord/src) is
+# a sans-IO link: it names no socket type and no `thread::` at all.
 #
 # "Non-test" is everything above a file's top-level `#[cfg(test)]`
 # module; comment lines do not count.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-fail=0
-while IFS= read -r file; do
-    case "$file" in
-        crates/liverun/src/net.rs | crates/coord/src/client.rs) continue ;;
-    esac
-    if awk -v file="$file" '
-        /^#\[cfg\(test\)\]/ { exit }
-        /^[[:space:]]*\/\// { next }
-        /TcpListener::bind|TcpStream::connect|\.incoming\(\)/ {
-            print file ":" FNR ": " $0
-            found = 1
-        }
-        END { exit found }
-    ' "$file"; then :; else
-        fail=1
-    fi
-done < <(find crates -path 'crates/*/src/*' -name '*.rs' | sort)
+# Prints the non-test, non-comment lines of each file that match $1.
+scan() {
+    local pattern=$1
+    shift
+    local found=0
+    for file in "$@"; do
+        awk -v file="$file" -v pattern="$pattern" '
+            /^#\[cfg\(test\)\]/ { exit }
+            /^[[:space:]]*\/\// { next }
+            $0 ~ pattern { print file ":" FNR ": " $0; found = 1 }
+            END { exit found }
+        ' "$file" || found=1
+    done
+    return "$found"
+}
 
-while IFS= read -r file; do
-    if awk -v file="$file" '
-        /^#\[cfg\(test\)\]/ { exit }
-        /^[[:space:]]*\/\// { next }
-        builder {
-            builder = 0
-            print file ":" FNR - 1 ": thread not allowed here"
-            found = 1
-        }
-        /thread::spawn/ { print file ":" FNR ": " $0; found = 1 }
-        /thread::Builder/ { builder = 1 }
-        END { exit found }
-    ' "$file"; then :; else
-        fail=1
-    fi
-done < <(find crates/liverun/src -name '*.rs' ! -path crates/liverun/src/net.rs | sort)
+fail=0
+mapfile -t all < <(find crates -path 'crates/*/src/*' -name '*.rs' ! -path crates/liverun/src/net.rs | sort)
+scan 'TcpListener::bind|TcpStream::connect|\.incoming\(\)' "${all[@]}" || fail=1
+mapfile -t liverun < <(find crates/liverun/src -name '*.rs' ! -path crates/liverun/src/net.rs | sort)
+scan 'thread::(spawn|Builder)' "${liverun[@]}" || fail=1
+mapfile -t coord < <(find crates/coord/src -name '*.rs' | sort)
+scan 'TcpStream|TcpListener|thread::' "${coord[@]}" || fail=1
 
 if [ "$fail" -ne 0 ]; then
     echo "socket sites: FAILED — open sockets through liverun::net (crates/liverun/src/net.rs) and let the loop thread own them" >&2

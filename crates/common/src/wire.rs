@@ -600,8 +600,10 @@ pub mod coord {
     /// | 21 | `RegisterEphemeral` | `session ++ key(string) ++ value(bytes)` |
     /// | 22 | `Ephemerals` | `prefix(string)` |
     /// | 23 | `WatchAll` | — |
-    /// | 24 | `SnapshotRequest` | — |
     /// | 25 | `Stats` | — |
+    ///
+    /// Tag 24 is retired (a snapshot catch-up request) and decodes as an
+    /// error; tags are never reused.
     ///
     /// Ordered variants are written to the amcoord replicas' WALs, so
     /// this layout is also an on-disk format; bytes are pinned by
@@ -758,12 +760,6 @@ pub mod coord {
         },
         /// Subscribes this connection to all [`CoordEvent`] pushes.
         WatchAll,
-        /// Asked a replica for a full snapshot of its applied
-        /// [`CoordState`](../../../coord) — the catch-up RPC of a retired
-        /// replica runtime. The variant stays so the golden wire corpus
-        /// keeps its tag; `amcoordd` answers it with [`CoordReply::Err`]
-        /// (replicas recover from peer checkpoints instead).
-        SnapshotRequest,
         /// Asks the serving replica for its metrics snapshot — the stats
         /// plane's request on the coordination protocol. Answered locally
         /// (never replicated) with [`CoordOk::Stats`].
@@ -782,7 +778,6 @@ pub mod coord {
                 | CoordOp::Partitions
                 | CoordOp::GetMeta { .. }
                 | CoordOp::Ephemerals { .. }
-                | CoordOp::SnapshotRequest
                 | CoordOp::Stats => OpKind::Read,
                 CoordOp::WatchAll | CoordOp::InstallConfig { .. } => OpKind::Local,
                 _ => OpKind::Replicate,
@@ -822,8 +817,9 @@ pub mod coord {
     /// | 10 | `Meta` | presence byte, then `version(varint) ++ value(bytes)` |
     /// | 11 | `Version` | `version(varint)` |
     /// | 12 | `Ephemerals` | `vec(entry)` |
-    /// | 13 | `Snapshot` | `applied(varint) ++ option(ensemble_ring) ++ state(bytes)` |
     /// | 14 | `Stats` | `ObsSnapshot` |
+    ///
+    /// Tag 13 is retired (a snapshot answer) and decodes as an error.
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub enum CoordOk {
         /// Nothing to return.
@@ -852,25 +848,6 @@ pub mod coord {
         Version(u64),
         /// Matching ephemeral entries, ascending by key.
         Ephemerals(Vec<EphemeralEntry>),
-        /// The answer to the retired [`CoordOp::SnapshotRequest`], kept
-        /// for the golden wire corpus; `amcoordd` never sends it.
-        ///
-        /// A full state snapshot: the replica's applied log position
-        /// (the next instance it will apply) and the wire-encoded
-        /// `CoordState` at that position. `ensemble_ring` is the serving
-        /// replica's view of its own consensus ring — per-replica local
-        /// state (the one ring the service cannot store in itself), which
-        /// a restarting replica needs to rejoin after the survivors
-        /// reconfigured it out.
-        Snapshot {
-            /// Next log instance the snapshot's state will apply.
-            applied: u64,
-            /// The serving replica's own-consensus-ring configuration
-            /// (`None` from backends without one, e.g. the local one).
-            ensemble_ring: Option<RingConfigWire>,
-            /// The wire-encoded state (see `CoordState::encode_snapshot`).
-            state: Bytes,
-        },
         /// The serving replica's metrics ([`CoordOp::Stats`]).
         Stats(crate::obs::ObsSnapshot),
     }
@@ -965,23 +942,6 @@ pub mod coord {
         },
         /// A watch notification (no correlation id).
         Event(CoordEvent),
-    }
-
-    /// One command of a retired amcoord replica runtime's log: the
-    /// operation plus the proposing replica and its sequence number.
-    /// Replicas now log plain [`CoordOp`] envelopes; the frame stays so the
-    /// golden corpus `ci/wire_vectors_coord.txt` keeps pinning its bytes.
-    ///
-    /// Wire layout: `origin ++ seq(varint) ++ op` ([`CoordOp`]), no tag
-    /// byte.
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    pub struct CoordCmd {
-        /// The amcoordd replica that proposed the command.
-        pub origin: NodeId,
-        /// The origin's command sequence number.
-        pub seq: u64,
-        /// The replicated operation.
-        pub op: CoordOp,
     }
 
     impl Wire for RingConfigWire {
@@ -1161,7 +1121,6 @@ pub mod coord {
                     prefix.encode(buf);
                 }
                 CoordOp::WatchAll => buf.put_u8(23),
-                CoordOp::SnapshotRequest => buf.put_u8(24),
                 CoordOp::Stats => buf.put_u8(25),
             }
         }
@@ -1246,7 +1205,6 @@ pub mod coord {
                     prefix: String::decode(buf)?,
                 },
                 23 => CoordOp::WatchAll,
-                24 => CoordOp::SnapshotRequest,
                 25 => CoordOp::Stats,
                 tag => {
                     return Err(WireError::BadTag {
@@ -1345,16 +1303,6 @@ pub mod coord {
                     buf.put_u8(12);
                     es.encode(buf);
                 }
-                CoordOk::Snapshot {
-                    applied,
-                    ensemble_ring,
-                    state,
-                } => {
-                    buf.put_u8(13);
-                    put_varint(buf, *applied);
-                    ensemble_ring.encode(buf);
-                    state.encode(buf);
-                }
                 CoordOk::Stats(snap) => {
                     buf.put_u8(14);
                     snap.encode(buf);
@@ -1386,11 +1334,6 @@ pub mod coord {
                 }),
                 11 => CoordOk::Version(get_varint(buf)?),
                 12 => CoordOk::Ephemerals(Vec::decode(buf)?),
-                13 => CoordOk::Snapshot {
-                    applied: get_varint(buf)?,
-                    ensemble_ring: Option::decode(buf)?,
-                    state: Bytes::decode(buf)?,
-                },
                 14 => CoordOk::Stats(crate::obs::ObsSnapshot::decode(buf)?),
                 tag => {
                     return Err(WireError::BadTag {
@@ -1518,22 +1461,6 @@ pub mod coord {
         }
     }
 
-    impl Wire for CoordCmd {
-        fn encode(&self, buf: &mut BytesMut) {
-            self.origin.encode(buf);
-            put_varint(buf, self.seq);
-            self.op.encode(buf);
-        }
-
-        fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-            Ok(CoordCmd {
-                origin: NodeId::decode(buf)?,
-                seq: get_varint(buf)?,
-                op: CoordOp::decode(buf)?,
-            })
-        }
-    }
-
     #[cfg(test)]
     mod tests {
         use super::*;
@@ -1626,7 +1553,6 @@ pub mod coord {
                     prefix: "nodes/".into(),
                 },
                 CoordOp::WatchAll,
-                CoordOp::SnapshotRequest,
                 CoordOp::Stats,
             ] {
                 rt(op.clone());
@@ -1657,22 +1583,6 @@ pub mod coord {
                 }]),
             });
             rt(CoordReply::Ok {
-                req: 6,
-                body: CoordOk::Snapshot {
-                    applied: 4096,
-                    ensemble_ring: Some(cfg()),
-                    state: Bytes::from_static(b"encoded-coord-state"),
-                },
-            });
-            rt(CoordReply::Ok {
-                req: 7,
-                body: CoordOk::Snapshot {
-                    applied: 0,
-                    ensemble_ring: None,
-                    state: Bytes::new(),
-                },
-            });
-            rt(CoordReply::Ok {
                 req: 8,
                 body: CoordOk::Stats(crate::obs::ObsSnapshot {
                     node: 1,
@@ -1690,11 +1600,14 @@ pub mod coord {
                 key: "nodes/0".into(),
                 alive: false,
             }));
-            rt(CoordCmd {
-                origin: NodeId::new(0),
-                seq: 42,
-                op: CoordOp::RingIds,
-            });
+        }
+
+        #[test]
+        fn retired_tags_decode_as_bad_tags() {
+            let op = CoordOp::decode(&mut Bytes::from_static(&[24]));
+            assert!(matches!(op, Err(WireError::BadTag { tag: 24, .. })));
+            let ok = CoordOk::decode(&mut Bytes::from_static(&[13]));
+            assert!(matches!(ok, Err(WireError::BadTag { tag: 13, .. })));
         }
 
         #[test]
@@ -1707,7 +1620,6 @@ pub mod coord {
                 OpKind::Read
             );
             assert_eq!(CoordOp::WatchAll.kind(), OpKind::Local);
-            assert_eq!(CoordOp::SnapshotRequest.kind(), OpKind::Read);
             assert_eq!(CoordOp::Stats.kind(), OpKind::Read);
             assert_eq!(CoordOp::InstallConfig { cfg: cfg() }.kind(), OpKind::Local);
             assert_eq!(
@@ -1725,26 +1637,27 @@ pub mod coord {
 }
 
 pub mod client {
-    //! The live client protocol, versions 1 and 2.
+    //! The live client protocol.
     //!
     //! Clients of a live deployment speak length-framed TCP to any node
     //! (paper §7: clients submit to proposers and receive replica replies
-    //! over the network).
-    //!
-    //! ## Protocol v1 (tags 0–2 / 0–3)
-    //!
-    //! A connection opens with [`ClientMsg::Hello`] carrying the client's
-    //! id; afterwards requests and replies flow asynchronously — replies
-    //! may arrive out of request order (commands execute when the
+    //! over the network). Requests and replies flow asynchronously —
+    //! replies may arrive out of request order (commands execute when the
     //! deterministic merge delivers them) and are correlated by sequence
-    //! number. Duplicated replies are possible after retries, exactly like
-    //! the paper's UDP responses; clients must deduplicate by `seq` and
-    //! commands must be idempotent or tolerate re-execution.
+    //! number.
+    //!
+    //! ## Protocol v1, retired
+    //!
+    //! The first generation opened a connection with a bare hello and sent
+    //! at-least-once requests: a retry could execute twice. Its frames are
+    //! gone. Their tags — 0 and 1 of [`ClientMsg`], 0 to 2 of
+    //! [`ClientReply`] — decode as errors, so a server closes a connection
+    //! that sends one, and they are never reused. [`ClientMsg::Ping`] and
+    //! [`ClientReply::Pong`] date from v1 and keep their bytes.
     //!
     //! ## Protocol v2 (tags 3+ / 4+)
     //!
-    //! v2 keeps every v1 frame byte-identical (old clients keep working —
-    //! the golden vectors under `ci/` pin this) and adds **sessions**:
+    //! v2 is built on **sessions**:
     //!
     //! * [`ClientMsg::HelloV2`] is a versioned handshake with feature
     //!   negotiation; the server answers [`ClientReply::WelcomeV2`]
@@ -1777,8 +1690,7 @@ pub mod client {
     //! requests a [`FEAT_PIPELINE`]`|`[`FEAT_EXACTLY_ONCE`]`|`... bitset
     //! in [`ClientMsg::HelloV2`] and the server grants the intersection
     //! with its own support in [`ClientReply::WelcomeV2`]. A server never
-    //! sends a v2 reply on a connection that opened with a v1
-    //! [`ClientMsg::Hello`], and never sends a frame whose feature bit it
+    //! sends a frame whose feature bit it
     //! did not grant ([`ClientReply::Redirect`] needs [`FEAT_REDIRECT`],
     //! [`ClientReply::Stats`] needs [`FEAT_STATS`] — except for the
     //! hello-less [`ClientMsg::StatsRequest`] probe, which is answered
@@ -1788,11 +1700,11 @@ pub mod client {
     //!
     //! The exact bytes of every frame shape below are pinned by the
     //! golden corpus `ci/wire_vectors_client.txt`, checked by
-    //! `crates/common/tests/wire_vectors.rs`. v1 frames are byte-stable
-    //! forever; new frames may only append tags. Intentional changes
+    //! `crates/common/tests/wire_vectors.rs`. A frame's bytes never
+    //! change; new frames may only append tags. Intentional changes
     //! regenerate the corpus (`REGEN_WIRE_VECTORS=1 cargo test -p common
     //! --test wire_vectors`) and the diff is reviewed as an interface
-    //! change — a changed v1 line is a bug, not a refresh.
+    //! change — a changed line is a bug, not a refresh.
 
     use super::{get_bytes, get_tag, get_varint, put_bytes, put_varint, Wire};
     use crate::error::WireError;
@@ -1877,41 +1789,24 @@ pub mod client {
     ///
     /// | tag | variant | body | since |
     /// |----:|---------|------|-------|
-    /// | 0 | `Hello` | `client` | v1 |
-    /// | 1 | `Request` | `seq ++ group ++ cmd(bytes)` | v1 |
     /// | 2 | `Ping` | `token(varint)` | v1 |
     /// | 3 | `HelloV2` | `client ++ features(varint)` | v2 |
     /// | 4 | `RequestV2` | `session(varint) ++ seq ++ ack(varint) ++ group ++ cmd(bytes)` | v2, [`FEAT_EXACTLY_ONCE`] |
     /// | 5 | `StatsRequest` | `token(varint)` | v2, [`FEAT_STATS`] |
     ///
-    /// v1 tags (0–2) are byte-stable forever; the corpus
+    /// Tags 0–1 are retired v1 frames. The corpus
     /// `ci/wire_vectors_client.txt` pins every row.
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub enum ClientMsg {
-        /// Opens a v1 session: all replies for `client` flow back over the
-        /// connection that sent the hello.
-        Hello {
-            /// The connecting client's id (unique per deployment).
-            client: ClientId,
-        },
-        /// Submit `cmd` for atomic multicast to `group` (v1: at-least-once
-        /// under retries).
-        Request {
-            /// Client-chosen sequence number correlating the reply.
-            seq: RequestId,
-            /// The multicast group (ring) to order the command on.
-            group: RingId,
-            /// Service-specific command bytes.
-            cmd: Bytes,
-        },
         /// Connection-liveness probe; the server answers with
         /// [`ClientReply::Pong`].
         Ping {
             /// Echoed token.
             token: u64,
         },
-        /// The v2 handshake: like [`ClientMsg::Hello`] plus feature
-        /// negotiation. Answered with [`ClientReply::WelcomeV2`].
+        /// The handshake: names the client and negotiates features; all
+        /// replies for `client` flow back over the connection that sent
+        /// it. Answered with [`ClientReply::WelcomeV2`].
         HelloV2 {
             /// The connecting client's id (unique per deployment).
             client: ClientId,
@@ -1938,8 +1833,7 @@ pub mod client {
         /// Asks the serving node for its metrics snapshot (the stats
         /// plane). Answered immediately with [`ClientReply::Stats`]; no
         /// hello is required, so monitoring can probe any node with a
-        /// bare connection. v2-only ([`FEAT_STATS`]): v1 bytes are
-        /// untouched.
+        /// bare connection ([`FEAT_STATS`]).
         StatsRequest {
             /// Echoed token correlating the snapshot (watch loops).
             token: u64,
@@ -1954,9 +1848,6 @@ pub mod client {
     ///
     /// | tag | variant | body | since |
     /// |----:|---------|------|-------|
-    /// | 0 | `Welcome` | `node` | v1 |
-    /// | 1 | `Response` | `seq ++ from_replica ++ payload(bytes)` | v1 |
-    /// | 2 | `Error` | `seq ++ reason(string)` | v1 |
     /// | 3 | `Pong` | `token(varint)` | v1 |
     /// | 4 | `WelcomeV2` | `node ++ features(varint) ++ window(varint)` | v2 |
     /// | 5 | `ResponseV2` | `session(varint) ++ seq ++ from_replica ++ payload(bytes)` | v2, [`FEAT_EXACTLY_ONCE`] |
@@ -1965,38 +1856,16 @@ pub mod client {
     /// | 8 | `CreditGrant` | `window(varint)` | v2, [`FEAT_PIPELINE`] |
     /// | 9 | `Stats` | `token(varint) ++ snapshot` | v2, [`FEAT_STATS`] |
     ///
-    /// v1 tags (0–3) are byte-stable forever; the corpus
+    /// Tags 0–2 are retired v1 frames. The corpus
     /// `ci/wire_vectors_client.txt` pins every row.
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub enum ClientReply {
-        /// v1 session accepted; `node` identifies the serving node.
-        Welcome {
-            /// The serving node.
-            node: NodeId,
-        },
-        /// A replica executed the request (v1).
-        Response {
-            /// The request's sequence number.
-            seq: RequestId,
-            /// The replica that executed the command.
-            from_replica: NodeId,
-            /// Service-specific response bytes.
-            payload: Bytes,
-        },
-        /// The request could not be accepted (v1; unknown group,
-        /// shedding).
-        Error {
-            /// The request's sequence number.
-            seq: RequestId,
-            /// Human-readable reason.
-            reason: String,
-        },
         /// Answer to [`ClientMsg::Ping`].
         Pong {
             /// Echoed token.
             token: u64,
         },
-        /// v2 handshake accepted.
+        /// Handshake accepted.
         WelcomeV2 {
             /// The serving node.
             node: NodeId,
@@ -2055,16 +1924,6 @@ pub mod client {
     impl Wire for ClientMsg {
         fn encode(&self, buf: &mut BytesMut) {
             match self {
-                ClientMsg::Hello { client } => {
-                    buf.put_u8(0);
-                    client.encode(buf);
-                }
-                ClientMsg::Request { seq, group, cmd } => {
-                    buf.put_u8(1);
-                    seq.encode(buf);
-                    group.encode(buf);
-                    put_bytes(buf, cmd);
-                }
                 ClientMsg::Ping { token } => {
                     buf.put_u8(2);
                     super::put_varint(buf, *token);
@@ -2097,14 +1956,6 @@ pub mod client {
 
         fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
             match get_tag(buf, "client wire msg")? {
-                0 => Ok(ClientMsg::Hello {
-                    client: ClientId::decode(buf)?,
-                }),
-                1 => Ok(ClientMsg::Request {
-                    seq: RequestId::decode(buf)?,
-                    group: RingId::decode(buf)?,
-                    cmd: get_bytes(buf)?,
-                }),
                 2 => Ok(ClientMsg::Ping {
                     token: super::get_varint(buf)?,
                 }),
@@ -2133,25 +1984,6 @@ pub mod client {
     impl Wire for ClientReply {
         fn encode(&self, buf: &mut BytesMut) {
             match self {
-                ClientReply::Welcome { node } => {
-                    buf.put_u8(0);
-                    node.encode(buf);
-                }
-                ClientReply::Response {
-                    seq,
-                    from_replica,
-                    payload,
-                } => {
-                    buf.put_u8(1);
-                    seq.encode(buf);
-                    from_replica.encode(buf);
-                    put_bytes(buf, payload);
-                }
-                ClientReply::Error { seq, reason } => {
-                    buf.put_u8(2);
-                    seq.encode(buf);
-                    reason.encode(buf);
-                }
                 ClientReply::Pong { token } => {
                     buf.put_u8(3);
                     super::put_varint(buf, *token);
@@ -2204,18 +2036,6 @@ pub mod client {
 
         fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
             match get_tag(buf, "client wire reply")? {
-                0 => Ok(ClientReply::Welcome {
-                    node: NodeId::decode(buf)?,
-                }),
-                1 => Ok(ClientReply::Response {
-                    seq: RequestId::decode(buf)?,
-                    from_replica: NodeId::decode(buf)?,
-                    payload: get_bytes(buf)?,
-                }),
-                2 => Ok(ClientReply::Error {
-                    seq: RequestId::decode(buf)?,
-                    reason: String::decode(buf)?,
-                }),
                 3 => Ok(ClientReply::Pong {
                     token: super::get_varint(buf)?,
                 }),
@@ -2268,27 +2088,7 @@ pub mod client {
 
         #[test]
         fn client_protocol_round_trips() {
-            rt(ClientMsg::Hello {
-                client: ClientId::new(77),
-            });
-            rt(ClientMsg::Request {
-                seq: RequestId::new(9),
-                group: RingId::new(1),
-                cmd: Bytes::from_static(b"put k v"),
-            });
             rt(ClientMsg::Ping { token: u64::MAX });
-            rt(ClientReply::Welcome {
-                node: NodeId::new(3),
-            });
-            rt(ClientReply::Response {
-                seq: RequestId::new(9),
-                from_replica: NodeId::new(2),
-                payload: Bytes::from_static(b"=v"),
-            });
-            rt(ClientReply::Error {
-                seq: RequestId::new(10),
-                reason: "unknown group".to_string(),
-            });
             rt(ClientReply::Pong { token: 0 });
         }
 
@@ -2370,10 +2170,15 @@ pub mod client {
 
         #[test]
         fn bad_tags_are_rejected() {
-            let mut raw = Bytes::from_static(&[99]);
-            assert!(ClientMsg::decode(&mut raw).is_err());
-            let mut raw = Bytes::from_static(&[99]);
-            assert!(ClientReply::decode(&mut raw).is_err());
+            // 99 was never used; the others are retired v1 frames.
+            for tag in [0, 1, 99] {
+                let mut raw = Bytes::copy_from_slice(&[tag]);
+                assert!(ClientMsg::decode(&mut raw).is_err());
+            }
+            for tag in [0, 1, 2, 99] {
+                let mut raw = Bytes::copy_from_slice(&[tag]);
+                assert!(ClientReply::decode(&mut raw).is_err());
+            }
         }
     }
 }

@@ -236,19 +236,6 @@ fn arb_payload() -> impl Strategy<Value = Payload> {
 
 fn arb_client_wire_msg() -> impl Strategy<Value = wire::client::ClientMsg> {
     prop_oneof![
-        any::<u32>().prop_map(|c| wire::client::ClientMsg::Hello {
-            client: ClientId::new(c)
-        }),
-        (
-            any::<u64>(),
-            any::<u16>(),
-            proptest::collection::vec(any::<u8>(), 0..256)
-        )
-            .prop_map(|(seq, g, cmd)| wire::client::ClientMsg::Request {
-                seq: RequestId::new(seq),
-                group: RingId::new(g),
-                cmd: cmd.into(),
-            }),
         any::<u64>().prop_map(|token| wire::client::ClientMsg::Ping { token }),
         (any::<u32>(), any::<u64>()).prop_map(|(c, f)| wire::client::ClientMsg::HelloV2 {
             client: ClientId::new(c),
@@ -275,25 +262,6 @@ fn arb_client_wire_msg() -> impl Strategy<Value = wire::client::ClientMsg> {
 
 fn arb_client_wire_reply() -> impl Strategy<Value = wire::client::ClientReply> {
     prop_oneof![
-        any::<u32>().prop_map(|n| wire::client::ClientReply::Welcome {
-            node: NodeId::new(n)
-        }),
-        (
-            any::<u64>(),
-            any::<u32>(),
-            proptest::collection::vec(any::<u8>(), 0..256)
-        )
-            .prop_map(|(seq, n, payload)| wire::client::ClientReply::Response {
-                seq: RequestId::new(seq),
-                from_replica: NodeId::new(n),
-                payload: payload.into(),
-            }),
-        (any::<u64>(), proptest::collection::vec(any::<u8>(), 0..32)).prop_map(|(seq, r)| {
-            wire::client::ClientReply::Error {
-                seq: RequestId::new(seq),
-                reason: r.iter().map(|b| (b'a' + b % 26) as char).collect(),
-            }
-        }),
         any::<u64>().prop_map(|token| wire::client::ClientReply::Pong { token }),
         (any::<u32>(), any::<u64>(), any::<u32>()).prop_map(|(n, f, w)| {
             wire::client::ClientReply::WelcomeV2 {

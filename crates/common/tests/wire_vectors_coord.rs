@@ -1,10 +1,10 @@
 //! Golden wire vectors for the coordination-service protocol.
 //!
 //! `ci/wire_vectors_coord.txt` pins the exact byte encoding of every
-//! coord-protocol frame shape — [`CoordMsg`] requests, [`CoordReply`]
-//! responses/events, and the [`CoordCmd`] frames the amcoordd ensemble
-//! **persists in its replicated log** (so this corpus also guards an
-//! on-disk format: a changed byte breaks WAL replay across versions).
+//! coord-protocol frame shape — [`CoordMsg`] requests and [`CoordReply`]
+//! responses/events. The amcoordd ensemble **persists operations in its
+//! WAL**, so this corpus also guards an on-disk format: a changed byte
+//! breaks WAL replay across versions.
 //!
 //! Both directions are asserted, like the client corpus: encoding each
 //! frame must produce exactly the recorded bytes, and the recorded bytes
@@ -21,7 +21,7 @@
 use bytes::Bytes;
 use common::ids::{Epoch, NodeId, PartitionId, RingId, SessionId};
 use common::wire::coord::{
-    CoordCmd, CoordEvent, CoordMsg, CoordOk, CoordOp, CoordReply, ElectOutcome, EphemeralEntry,
+    CoordEvent, CoordMsg, CoordOk, CoordOp, CoordReply, ElectOutcome, EphemeralEntry,
     PartitionWire, RingConfigWire,
 };
 use common::wire::Wire;
@@ -34,7 +34,6 @@ const CORPUS: &str = concat!(
 enum Frame {
     Msg(CoordMsg),
     Reply(CoordReply),
-    Cmd(CoordCmd),
 }
 
 impl Frame {
@@ -42,7 +41,6 @@ impl Frame {
         match self {
             Frame::Msg(m) => m.to_bytes(),
             Frame::Reply(r) => r.to_bytes(),
-            Frame::Cmd(c) => c.to_bytes(),
         }
     }
 
@@ -50,7 +48,6 @@ impl Frame {
         match self {
             Frame::Msg(m) => CoordMsg::decode(&mut raw).as_ref() == Ok(m) && raw.is_empty(),
             Frame::Reply(r) => CoordReply::decode(&mut raw).as_ref() == Ok(r) && raw.is_empty(),
-            Frame::Cmd(c) => CoordCmd::decode(&mut raw).as_ref() == Ok(c) && raw.is_empty(),
         }
     }
 }
@@ -76,7 +73,7 @@ fn partition() -> PartitionWire {
 /// Every frame shape of the protocol. Names are stable keys in the
 /// corpus file; add new shapes at the end.
 fn vectors() -> Vec<(&'static str, Frame)> {
-    use Frame::{Cmd, Msg, Reply};
+    use Frame::{Msg, Reply};
     let msg = |req, op| Msg(CoordMsg { req, op });
     vec![
         // ---- requests: one per CoordOp tag, ascending ----
@@ -265,7 +262,6 @@ fn vectors() -> Vec<(&'static str, Frame)> {
             ),
         ),
         ("op_watch_all", msg(25, CoordOp::WatchAll)),
-        ("op_snapshot_request", msg(26, CoordOp::SnapshotRequest)),
         ("op_stats", msg(27, CoordOp::Stats)),
         // ---- replies: one per CoordOk tag, plus Err and events ----
         (
@@ -385,17 +381,6 @@ fn vectors() -> Vec<(&'static str, Frame)> {
             }),
         ),
         (
-            "ok_snapshot",
-            Reply(CoordReply::Ok {
-                req: 26,
-                body: CoordOk::Snapshot {
-                    applied: 130,
-                    ensemble_ring: Some(ring_cfg()),
-                    state: Bytes::from_static(b"\x01\x02\x03"),
-                },
-            }),
-        ),
-        (
             "err",
             Reply(CoordReply::Err {
                 req: 5,
@@ -439,19 +424,6 @@ fn vectors() -> Vec<(&'static str, Frame)> {
                 session: SessionId::new(9),
             })),
         ),
-        // ---- the persisted log frame (on-disk contract) ----
-        (
-            "cmd_replicated",
-            Cmd(CoordCmd {
-                origin: NodeId::new(2),
-                seq: 130,
-                op: CoordOp::ElectCoordinator {
-                    ring: RingId::new(2),
-                    candidate: NodeId::new(3),
-                    seen_epoch: Epoch::new(7),
-                },
-            }),
-        ),
     ]
 }
 
@@ -476,9 +448,7 @@ fn coord_frames_match_golden_vectors() {
         let mut out = String::from(
             "# Golden wire vectors: coordination-service frames, hex-encoded.\n\
              # Checked by crates/common/tests/wire_vectors_coord.rs; regenerate with\n\
-             #   REGEN_WIRE_VECTORS=1 cargo test -p common --test wire_vectors_coord\n\
-             # CoordCmd frames are persisted in the amcoord replicated log, so a\n\
-             # changed line here is an on-disk compatibility break, not a refresh.\n",
+             #   REGEN_WIRE_VECTORS=1 cargo test -p common --test wire_vectors_coord\n",
         );
         for (name, frame) in &vectors {
             out.push_str(&format!("{name} {}\n", hex(&frame.to_bytes())));

@@ -14,22 +14,23 @@
 //!   the [`Coord`] backend trait.
 //! * [`local`] — [`LocalCoord`]: the state machine behind a lock, for
 //!   simulations, tests and single-process deployments.
-//! * [`client`] — [`RemoteCoord`]: the framed-TCP client of a replicated
-//!   `amcoordd` ensemble (which lives in `liverun`, the crate that can
-//!   see Ring Paxos: an `amcoordd` replica is the data node's loop
-//!   hosting [`CoordState`] on a ring of its own).
+//! * [`link`] — [`CoordLink`]: the client of a replicated `amcoordd`
+//!   ensemble as a sans-IO state machine, and [`LinkCoord`], the backend
+//!   over it. The sockets that carry it, and the ensemble itself, live in
+//!   `liverun`, the crate that can see Ring Paxos: an `amcoordd` replica
+//!   is the data node's loop hosting [`CoordState`] on a ring of its own.
 //!
 //! Like Zookeeper in the paper, the registry sits *off* the critical
 //! message path: processes consult it at configuration time and during
 //! failover, never per-request.
 
-pub mod client;
+pub mod link;
 pub mod local;
 pub mod registry;
 pub mod ring_config;
 pub mod state;
 
-pub use client::{CoordClientOptions, RemoteCoord};
+pub use link::{CoordClientOptions, CoordLink, Driver, LinkCoord};
 pub use local::LocalCoord;
 pub use registry::{Coord, PartitionInfo, Registry};
 pub use ring_config::RingConfig;

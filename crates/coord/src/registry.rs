@@ -7,15 +7,17 @@
 //!
 //! * [`LocalCoord`](crate::local::LocalCoord) — the in-process state
 //!   machine (simulator, unit tests, single-process deployments);
-//! * [`RemoteCoord`](crate::client::RemoteCoord) — a framed-TCP client of
-//!   an `amcoordd` ensemble, with a watch-updated configuration cache so
-//!   the per-heartbeat reads every ring node performs stay local.
+//! * [`LinkCoord`] — a client of an `amcoordd` ensemble, with a
+//!   watch-updated configuration cache so the per-heartbeat reads every
+//!   ring node performs stay local. Driven by its caller's thread, or
+//!   polled from an event loop that owns it.
 //!
 //! Like Zookeeper in the paper (§7.1), the registry sits *off* the
 //! critical message path: processes consult it at configuration time and
 //! during failover, never per-request.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use bytes::Bytes;
 use common::error::{Error, Result};
@@ -23,8 +25,8 @@ use common::ids::{Epoch, NodeId, PartitionId, RingId, SessionId};
 use common::wire::coord::{
     CoordEvent, CoordOk, CoordOp, ElectOutcome, EphemeralEntry, PartitionWire, RingConfigWire,
 };
-use crossbeam::channel::Receiver;
 
+use crate::link::LinkCoord;
 use crate::ring_config::RingConfig;
 
 /// A coordination backend: somewhere [`CoordOp`]s can be applied and
@@ -35,11 +37,15 @@ pub trait Coord: Send + Sync + std::fmt::Debug {
     /// # Errors
     ///
     /// Fails if the operation is refused by the state machine or (for
-    /// remote backends) the service cannot be reached in time.
+    /// remote backends) the answer is not there yet: an event loop's
+    /// call never waits for the network (see [`crate::link`]).
     fn call(&self, op: CoordOp) -> Result<CoordOk>;
 
-    /// Subscribes to all state-change events from this backend.
-    fn watch(&self) -> Receiver<CoordEvent>;
+    /// The oldest state-change event not yet taken, waiting at most
+    /// `timeout` for one. Events are kept from the backend's start, the
+    /// last [`EVENT_BACKLOG`] of them; handles sharing a backend share
+    /// them.
+    fn next_event(&self, timeout: Duration) -> Option<CoordEvent>;
 
     /// The backend's own session with the service, if it maintains one
     /// (remote backends keep a TTL session alive; the local backend has
@@ -50,6 +56,10 @@ pub trait Coord: Send + Sync + std::fmt::Debug {
 /// The TTL used for sessions the registry opens on behalf of callers
 /// that do not manage one themselves (see [`Registry::announce`]).
 pub const DEFAULT_SESSION_TTL_MS: u64 = 3_000;
+
+/// Events a backend keeps for [`Coord::next_event`]; older ones are
+/// dropped.
+pub const EVENT_BACKLOG: usize = 1024;
 
 /// A service partition: the set of replicas that subscribe to the same set
 /// of multicast groups (paper §5.2).
@@ -92,6 +102,8 @@ impl PartitionInfo {
 #[derive(Clone, Debug)]
 pub struct Registry {
     backend: Arc<dyn Coord>,
+    /// The backend again, when it is a link an event loop can drive.
+    link: Option<Arc<LinkCoord>>,
 }
 
 impl Default for Registry {
@@ -103,16 +115,24 @@ impl Default for Registry {
 impl Registry {
     /// An empty in-process registry.
     pub fn new() -> Self {
-        Registry {
-            backend: Arc::new(crate::local::LocalCoord::new()),
-        }
+        Registry::from_backend(Arc::new(crate::local::LocalCoord::new()))
     }
 
     /// A registry over an explicit backend (a shared
-    /// [`LocalCoord`](crate::local::LocalCoord), a
-    /// [`RemoteCoord`](crate::client::RemoteCoord), a test double).
+    /// [`LocalCoord`](crate::local::LocalCoord), a test double).
     pub fn from_backend(backend: Arc<dyn Coord>) -> Self {
-        Registry { backend }
+        Registry {
+            backend,
+            link: None,
+        }
+    }
+
+    /// A registry over a link to an `amcoordd` ensemble.
+    pub fn from_link(link: Arc<LinkCoord>) -> Self {
+        Registry {
+            backend: link.clone(),
+            link: Some(link),
+        }
     }
 
     /// The underlying backend.
@@ -120,9 +140,15 @@ impl Registry {
         &self.backend
     }
 
-    /// Subscribes to all configuration-change events.
-    pub fn watch(&self) -> Receiver<CoordEvent> {
-        self.backend.watch()
+    /// The link behind this registry, if it talks to an ensemble.
+    pub fn link(&self) -> Option<&Arc<LinkCoord>> {
+        self.link.as_ref()
+    }
+
+    /// The oldest configuration-change event not yet taken, waiting at
+    /// most `timeout` (see [`Coord::next_event`]).
+    pub fn next_event(&self, timeout: Duration) -> Option<CoordEvent> {
+        self.backend.next_event(timeout)
     }
 
     /// Registers a ring configuration.
@@ -581,7 +607,8 @@ mod tests {
     fn watches_fire_exactly_once_per_epoch_bump() {
         let reg = Registry::new();
         reg.register_ring(ring0()).unwrap();
-        let rx = reg.watch();
+        let next = || reg.next_event(Duration::ZERO);
+        assert!(matches!(next(), Some(CoordEvent::RingChanged { .. })));
 
         let e0 = reg.ring(RingId::new(0)).unwrap().epoch();
         reg.elect_coordinator(RingId::new(0), NodeId::new(2), e0)
@@ -592,7 +619,7 @@ mod tests {
             .unwrap()
             .expect_err("stale epoch loses");
 
-        let event = rx.try_recv().expect("one event");
+        let event = next().expect("one event");
         match event {
             CoordEvent::RingChanged { cfg } => {
                 assert_eq!(cfg.coordinator, NodeId::new(2));
@@ -600,7 +627,7 @@ mod tests {
             }
             other => panic!("unexpected event {other:?}"),
         }
-        assert!(rx.try_recv().is_err(), "exactly one event per bump");
+        assert!(next().is_none(), "exactly one event per bump");
     }
 
     #[test]

@@ -294,8 +294,6 @@ impl CoordState {
                     .collect(),
             )),
             CoordOp::WatchAll => Ok(CoordOk::Unit),
-            // Retired: replicas recover from peer checkpoints.
-            CoordOp::SnapshotRequest => Err("snapshot catch-up is retired".into()),
             CoordOp::Stats => {
                 // Per-node metrics live with the driver (the server
                 // process), not in the replicated state machine; the

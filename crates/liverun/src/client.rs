@@ -554,7 +554,7 @@ impl LiveClient {
             match event {
                 Event::Frame(_, reply) => self.inbox.push_back(reply),
                 Event::Closed(conn) => self.conns.retain(|_, c| *c != conn),
-                Event::Accepted(..) | Event::Mail(()) => {}
+                Event::Accepted(..) | Event::LinkDown(_) | Event::Mail(()) => {}
             }
         }
     }

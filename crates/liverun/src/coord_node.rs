@@ -461,10 +461,10 @@ pub fn start_coord_server(config: CoordServerConfig) -> Result<CoordServerHandle
     let setup = NodeSetup {
         me,
         member_of: vec![COORD_RING],
-        acceptor_of: vec![COORD_RING],
         subscribe_to: vec![COORD_RING],
         partition: Some(partition),
         registry,
+        coord_link: None,
         host_opts,
         batch_opts: BatchOptions::default(),
         peer_addrs: members

@@ -12,18 +12,21 @@
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use common::error::{Error, Result};
 use common::ids::NodeId;
 use common::obs::Obs;
 use common::transport::WallClock;
-use coord::{CoordClientOptions, Registry};
+use coord::{CoordClientOptions, LinkCoord, Registry};
 use multiring::{HostOptions, ServiceApp, SessionApp, SessionLimits};
 use storage::wal::{SegmentedWal, SyncPolicy};
 
 use crate::batch::BatchOptions;
-use crate::config::{DeploymentConfig, ServiceKind};
+use crate::config::{DeploymentConfig, NodeSpec, ServiceKind};
+use crate::coord_client::connect_coord;
 use crate::durable::DurableApp;
 use crate::netem::{Netem, NetemControl};
 use crate::node::{spawn_node, NodeHandle, NodeSetup};
@@ -169,9 +172,9 @@ fn host_options(config: &DeploymentConfig) -> HostOptions {
 }
 
 /// Builds the registry a node of `config` should consult: a connection
-/// to the configured `amcoordd` ensemble (seeding it idempotently), or a
-/// freshly built in-process registry when the deployment names no
-/// coordination service.
+/// to the configured `amcoordd` ensemble (seeding it idempotently) with a
+/// session of its own, or a freshly built in-process registry when the
+/// deployment names no coordination service.
 ///
 /// # Errors
 ///
@@ -180,7 +183,7 @@ pub fn connect_registry(config: &DeploymentConfig) -> Result<Registry> {
     if config.coord_addrs.is_empty() {
         return config.build_registry();
     }
-    let registry = Registry::connect(
+    let registry = connect_coord(
         &config.coord_addrs,
         CoordClientOptions {
             session_ttl: config.session_ttl,
@@ -194,6 +197,8 @@ pub fn connect_registry(config: &DeploymentConfig) -> Result<Registry> {
 /// Starts one node of `config` against `registry` (cold start or
 /// recovery restart). `amcastd` calls this once per process; the
 /// in-process [`Deployment`] calls it per node with a shared registry.
+/// A registry connected to an ensemble belongs to the node from then on:
+/// its loop drives the connection.
 ///
 /// # Errors
 ///
@@ -241,6 +246,7 @@ fn start_node_shaped(
             (n.id, addr)
         })
         .collect();
+    let coord_link = boot_registry(config, spec, &registry, restart)?;
     // Coordination rides the same WAN: a node partitioned from the
     // coordination service's region must lose failure reporting and
     // config reads along with its peer links, or a minority replica
@@ -250,13 +256,6 @@ fn start_node_shaped(
         Some(nt) => nt.shaped_registry(node, &registry),
         None => registry,
     };
-    let acceptor_of = config
-        .rings
-        .iter()
-        .filter(|r| r.acceptors.contains(&node))
-        .map(|r| r.id)
-        .collect();
-    let member_of = config.member_of(node);
     // One registry per node, shared by every layer of its stack: the
     // same instance rides `host_opts.ring.obs` into the host and rings.
     let obs = Obs::for_node(node.raw());
@@ -272,11 +271,11 @@ fn start_node_shaped(
     let app = build_stack(config, node, &obs)?;
     let setup = NodeSetup {
         me: node,
-        member_of,
-        acceptor_of,
+        member_of: config.member_of(node),
         subscribe_to: config.subscribe_to(node),
         partition: spec.partition,
         registry,
+        coord_link,
         host_opts,
         batch_opts,
         peer_addrs,
@@ -292,6 +291,50 @@ fn start_node_shaped(
         coord: None,
     };
     spawn_node(setup, app, restart)
+}
+
+/// Readies `registry` for `spec`'s node loop, on the calling thread.
+/// After a restart it rejoins the node's rings first: failure detection
+/// removed the node while it was down, and ring state machines require
+/// membership. It advertises the node, and against an ensemble it fills
+/// the link's cache with everything the host reads as it starts, then
+/// hands the link over to the loop, which is the link it returns. From
+/// the loop a read that missed the cache would only poll.
+///
+/// # Errors
+///
+/// Fails if a ring of the node cannot be read.
+fn boot_registry(
+    config: &DeploymentConfig,
+    spec: &NodeSpec,
+    registry: &Registry,
+    restart: bool,
+) -> Result<Option<Arc<LinkCoord>>> {
+    let node = spec.id;
+    let rings = config.rings.iter().filter(|r| r.members.contains(&node));
+    if restart {
+        for r in rings.clone() {
+            let _ = registry.rejoin(r.id, node, r.acceptors.contains(&node));
+        }
+    }
+    // Advertise liveness: an ephemeral entry on the node's coordination
+    // session. Against amcoord the entry lives exactly as long as the
+    // session's TTL is kept alive — a killed process disappears from
+    // `nodes/` without anyone reporting it.
+    let addr = Bytes::from(spec.peer_addr.to_string());
+    let _ = registry.announce(format!("nodes/{}", node.raw()), addr);
+    let Some(link) = registry.link() else {
+        return Ok(None);
+    };
+    for r in rings {
+        registry.ring(r.id)?;
+    }
+    registry.partitions();
+    for ring in config.subscribe_to(node) {
+        registry.subscribers(ring);
+    }
+    link.hand_over();
+    Ok(Some(Arc::clone(link)))
 }
 
 /// A whole deployment running in this process over localhost TCP.

@@ -52,6 +52,7 @@
 pub mod batch;
 pub mod client;
 pub mod config;
+pub mod coord_client;
 pub mod coord_node;
 pub mod deployment;
 pub mod durable;
@@ -63,6 +64,7 @@ pub mod service;
 pub use batch::{BatchOptions, Batcher};
 pub use client::{fetch_stats, ClientOptions, Completion, LiveClient};
 pub use config::{DeploymentConfig, GeoSpec, ServiceKind};
+pub use coord_client::connect_coord;
 pub use coord_node::{start_coord_server, CoordServerConfig, CoordServerHandle};
 pub use deployment::{connect_registry, shard_wal_dir, start_node, Deployment};
 pub use durable::{DurableApp, WalRecord};

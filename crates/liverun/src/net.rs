@@ -15,7 +15,8 @@
 //! * [`Net`] — the sockets of one loop: its listeners, the connections
 //!   they accepted or it dialled (read until they would block, then
 //!   split into [`Event::Frame`]s — or, for netem's byte pass-through,
-//!   handed on as read) and lazily dialled links to named peers. Every
+//!   handed on as read) and lazily dialled links to named peers, which
+//!   are write-only unless given a reader (the coordination link). Every
 //!   connection has a bounded outbound buffer that sheds when full, and
 //!   write interest is registered only while it holds something; a
 //!   turn's frames leave in one `write_vectored` per connection.
@@ -140,6 +141,10 @@ pub(crate) enum Event<In, M> {
     /// it finished [`Net::close_after_flush`]. Not reported for
     /// [`Net::close`].
     Closed(ConnId),
+    /// A link given a reader ([`Net::read_link`]) lost its connection or
+    /// failed to dial; what it held is dropped. Not reported for
+    /// [`Net::hang_up`].
+    LinkDown(SocketAddr),
     /// A message another thread [`Mailer::post`]ed.
     Mail(M),
 }
@@ -234,6 +239,9 @@ pub(crate) struct Net<In, M> {
     listeners: Vec<(TcpListener, SocketAddr, Reader<In>)>,
     conns: HashMap<ConnId, Conn<In>>,
     links: HashMap<SocketAddr, Link>,
+    /// How the links given a reader are read; the rest discard what
+    /// their peer says.
+    link_readers: HashMap<SocketAddr, Reader<In>>,
     next_id: ConnId,
     rx: Receiver<Mail<M>>,
     mailer: Mailer<M>,
@@ -267,6 +275,7 @@ impl<In, M: Send + 'static> Net<In, M> {
             listeners: Vec::new(),
             conns: HashMap::new(),
             links: HashMap::new(),
+            link_readers: HashMap::new(),
             next_id: 0,
             rx,
             mailer: Mailer { tx, wake },
@@ -362,6 +371,24 @@ impl<In, M: Send + 'static> Net<In, M> {
         push(queue, || encode_frame(frame));
     }
 
+    /// Reads the link to `addr` with `reader` from its next connection
+    /// on, reporting [`Event::LinkDown`] when a connection ends or a dial
+    /// fails.
+    pub(crate) fn read_link(&mut self, addr: SocketAddr, reader: Reader<In>) {
+        self.link_readers.insert(addr, reader);
+    }
+
+    /// Closes the link to `addr`'s connection and drops what it holds.
+    /// A dial in flight may still connect it.
+    pub(crate) fn hang_up(&mut self, addr: SocketAddr) {
+        if let Some(link) = self.links.get_mut(&addr) {
+            link.held.clear();
+            if let Some(id) = link.conn.take() {
+                self.conns.remove(&id);
+            }
+        }
+    }
+
     /// Frames queued on `conn` that have not left yet.
     pub(crate) fn queued(&self, conn: ConnId) -> usize {
         self.conns.get(&conn).map_or(0, |c| c.out.len())
@@ -447,7 +474,7 @@ impl<In, M: Send + 'static> Net<In, M> {
         while let Ok(mail) = self.rx.try_recv() {
             match mail {
                 Mail::Post(msg) => events.push(Event::Mail(msg)),
-                Mail::Dialed(addr, dialed) => self.dialed(addr, dialed),
+                Mail::Dialed(addr, dialed) => self.dialed(addr, dialed, events),
             }
         }
     }
@@ -608,29 +635,37 @@ impl<In, M: Send + 'static> Net<In, M> {
         }
     }
 
-    /// Forgets a connection that ended on its own; listened and dialled
-    /// ones are reported.
+    /// Forgets a connection that ended on its own, reporting it if it
+    /// was read.
     fn drop_conn(&mut self, id: ConnId, events: &mut Vec<Event<In, M>>) {
-        if self.remove(id) {
-            events.push(Event::Closed(id));
-        }
+        events.extend(self.remove(id));
     }
 
-    /// Closes `id`; `true` if it had a reader. A link's
-    /// unsent frames go back to its hold queue: a peer that restarted
-    /// gets them on one fresh connection.
-    fn remove(&mut self, id: ConnId) -> bool {
-        let Some(c) = self.conns.remove(&id) else {
-            return false;
+    /// Closes `id`; what its end reports, if it was read. A write-only
+    /// link's unsent frames go back to its hold queue: a peer that
+    /// restarted gets them on one fresh connection. A read link's are
+    /// dropped, and it waits before dialling again.
+    fn remove(&mut self, id: ConnId) -> Option<Event<In, M>> {
+        let c = self.conns.remove(&id)?;
+        let Some(addr) = c.link else {
+            return c.reader.map(|_| Event::Closed(id));
         };
-        if let Some(link) = c.link.and_then(|addr| self.links.get_mut(&addr)) {
-            link.conn = None;
+        let link = self.links.get_mut(&addr)?;
+        link.conn = None;
+        if !self.link_readers.contains_key(&addr) {
             link.held.extend(c.out);
+            return None;
         }
-        c.reader.is_some()
+        link.retry_at = Some(Instant::now() + DIAL_BACKOFF);
+        Some(Event::LinkDown(addr))
     }
 
-    fn dialed(&mut self, addr: SocketAddr, dialed: std::io::Result<TcpStream>) {
+    fn dialed(
+        &mut self,
+        addr: SocketAddr,
+        dialed: std::io::Result<TcpStream>,
+        events: &mut Vec<Event<In, M>>,
+    ) {
         let Some(link) = self.links.get_mut(&addr) else {
             return;
         };
@@ -638,20 +673,22 @@ impl<In, M: Send + 'static> Net<In, M> {
         if let Some(helper) = link.dial.take() {
             let _ = helper.join();
         }
+        let reader = self.link_readers.get(&addr).copied();
         let Ok(stream) = dialed.and_then(|s| s.set_nonblocking(true).map(|()| s)) else {
-            let pause = if link.ever {
+            let pause = if link.ever || reader.is_some() {
                 link.held.clear();
                 DIAL_BACKOFF
             } else {
                 DIAL_RETRY
             };
             link.retry_at = Some(Instant::now() + pause);
+            events.extend(reader.map(|_| Event::LinkDown(addr)));
             return;
         };
         let _ = stream.set_nodelay(true);
         link.ever = true;
         let held = std::mem::take(&mut link.held);
-        let id = self.add(stream, None, Some(addr), held);
+        let id = self.add(stream, reader, Some(addr), held);
         if let Some(link) = self.links.get_mut(&addr) {
             link.conn = Some(id);
         }
@@ -727,7 +764,7 @@ pub(crate) fn call<Req: Wire, Resp: Wire, R>(
                     }
                 }
                 Event::Closed(_) => return Err(Error::Timeout("call: connection closed")),
-                Event::Accepted(..) | Event::Mail(()) => {}
+                Event::Accepted(..) | Event::LinkDown(_) | Event::Mail(()) => {}
             }
         }
     }
@@ -1000,7 +1037,7 @@ mod tests {
                             }
                             Event::Mail(None) => return,
                             Event::Accepted(_, at) => tx.send(Ok(at)).unwrap(),
-                            Event::Frame(..) | Event::Closed(_) => {}
+                            Event::Frame(..) | Event::Closed(_) | Event::LinkDown(_) => {}
                         }
                     }
                 }
@@ -1043,7 +1080,7 @@ mod tests {
                         match event {
                             Event::Mail(()) => return,
                             Event::Frame(_, f) => tx.send(f).unwrap(),
-                            Event::Accepted(..) | Event::Closed(_) => {}
+                            Event::Accepted(..) | Event::Closed(_) | Event::LinkDown(_) => {}
                         }
                     }
                 }
@@ -1095,7 +1132,7 @@ mod tests {
                 match event {
                     Event::Frame(id, f) => frames.entry(id).or_default().push(f),
                     Event::Closed(id) => closed.push(id),
-                    Event::Accepted(..) | Event::Mail(()) => {}
+                    Event::Accepted(..) | Event::LinkDown(_) | Event::Mail(()) => {}
                 }
             }
             if !closed.is_empty() && !sent_after {

@@ -43,7 +43,7 @@ use common::obs::{Counter, Obs};
 use common::transport::{LinkPolicy, LinkShaper, ShapeDecision, TimerHeap};
 use common::wire::coord::{CoordEvent, CoordOk, CoordOp};
 use coord::{Coord, Registry};
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Sender};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::config::DeploymentConfig;
@@ -194,8 +194,8 @@ impl Coord for ShapedCoord {
         self.inner.call(op)
     }
 
-    fn watch(&self) -> Receiver<CoordEvent> {
-        self.inner.watch()
+    fn next_event(&self, timeout: Duration) -> Option<CoordEvent> {
+        self.inner.next_event(timeout)
     }
 
     fn session(&self) -> Option<SessionId> {
@@ -487,6 +487,7 @@ impl Shaper {
                     Event::Accepted(conn, relay) => self.accepted(conn, relay),
                     Event::Frame(conn, bytes) => self.read(conn, bytes),
                     Event::Closed(conn) => self.ended(conn),
+                    Event::LinkDown(_) => {}
                     Event::Mail(Mail::Open(relay, answer)) => {
                         let _ = answer.send(self.open(relay));
                     }

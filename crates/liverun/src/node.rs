@@ -6,15 +6,21 @@
 //! module's readiness loop: each turn it waits in `ppoll` with a deadline
 //! derived from the timer heap and the batcher, accepts, reads every
 //! ready connection — [`PeerFrame`]s from peers, the
-//! [`common::wire::client`] protocol from clients (v2 only; a v1 frame is
-//! answered with one error and the connection closed) — feeds what
-//! arrived into the host through [`Ctx::external`], fires due timers,
-//! seals batches, and routes the emitted sends onto peer links and client
-//! connections, which the next wait writes out. A frame is received,
-//! ordered, executed and answered without leaving the thread: delivered
-//! commands execute inline, in merge order, through the node's one
-//! [`ServiceApp`] stack. Only the short-lived dial helper runs beside
-//! the loop, and the loop's one mail is `Shutdown`.
+//! [`common::wire::client`] protocol from clients, the coordination
+//! service's replies — feeds what arrived into the host through
+//! [`Ctx::external`], fires due timers, seals batches, and routes the
+//! emitted sends onto peer links and client connections, which the next
+//! wait writes out. A frame is received, ordered, executed and answered
+//! without leaving the thread: delivered commands execute inline, in
+//! merge order, through the node's one [`ServiceApp`] stack. Only the
+//! short-lived dial helper runs beside the loop, and the loop's one mail
+//! is `Shutdown`.
+//!
+//! Against an `amcoordd` ensemble the loop also owns the node's
+//! coordination session: it drives the node's [`coord::CoordLink`] on
+//! its own sockets (see [`crate::coord_client`]), so a registry call
+//! made by the host — a failure report, a config read — polls the link
+//! and never waits on the ensemble.
 //!
 //! Replies route back by node id: replicas answer `Envelope::reply_to`,
 //! which for live clients is a synthetic node id above
@@ -27,25 +33,26 @@
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
-use common::error::Result;
+use common::error::{Error, Result};
 use common::ids::{ClientId, NodeId, RequestId, RingId};
 use common::msg::{ClientMsg as SimClientMsg, Msg};
 use common::obs::{Hist, Obs, WireCounters};
 use common::transport::{PeerFrame, TimerHeap, WallClock};
 use common::value::Envelope;
 use common::wire::client::{ClientMsg, ClientReply, ErrorCode, FEAT_ALL};
-use common::wire::coord::CoordMsg;
+use common::wire::coord::{CoordMsg, CoordReply};
 use common::wire::Wire;
-use coord::Registry;
+use coord::{LinkCoord, Registry};
 use multiring::{HostOptions, MultiRingHost, ServiceApp};
 use rand::{rngs::StdRng, SeedableRng};
 use simnet::{Ctx, Process, Timer};
 
 use crate::batch::{BatchOptions, Batcher};
+use crate::coord_client::flush;
 use crate::coord_node::{CoordFront, COORD_RING};
 use crate::net::{spawn_loop, ConnId, Event, Mailer, Net, Reader};
 
@@ -71,6 +78,8 @@ enum Inbound {
     Client(ClientMsg),
     /// A coordination-protocol frame (coordination nodes only).
     Coord(CoordMsg),
+    /// The coordination service's answer on the node's own link.
+    CoordReply(CoordReply),
 }
 
 /// What reaches a node loop from other threads.
@@ -156,28 +165,21 @@ impl Clients {
     }
 }
 
-/// Protocol v1 is retired: say so once and hang up.
-fn v1_retired(net: &mut NodeNet, conn: ConnId, seq: RequestId) {
-    let reason = "protocol v1 retired".into();
-    net.send(conn, &ClientReply::Error { seq, reason });
-    net.close_after_flush(conn);
-}
-
 /// Everything needed to (re)build one node's host.
 pub(crate) struct NodeSetup {
     /// This node's id.
     pub me: NodeId,
     /// Rings the node participates in.
     pub member_of: Vec<RingId>,
-    /// The subset of `member_of` where the node is an acceptor (needed to
-    /// rejoin with the right role after a restart).
-    pub acceptor_of: Vec<RingId>,
     /// Rings the node's replica delivers from.
     pub subscribe_to: Vec<RingId>,
     /// The replica's partition.
     pub partition: Option<common::ids::PartitionId>,
     /// Shared configuration registry.
     pub registry: Registry,
+    /// The registry's link to an `amcoordd` ensemble, which the loop
+    /// drives; `None` for an in-process registry.
+    pub coord_link: Option<Arc<LinkCoord>>,
     /// Host tuning.
     pub host_opts: HostOptions,
     /// Batching limits for client proposals.
@@ -349,16 +351,8 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
     let me = setup.me;
     let clock = setup.clock;
     let mut coord_front = setup.coord.take();
-    if restart {
-        // Failure detection removed this node from its rings while it was
-        // down; rejoin *before* constructing the host — ring state
-        // machines require membership.
-        for ring in &setup.member_of {
-            let _ = setup
-                .registry
-                .rejoin(*ring, me, setup.acceptor_of.contains(ring));
-        }
-    }
+    let coord_link = setup.coord_link.take();
+    let coord_replies = Reader::Frames(|buf| Ok(buf.try_next()?.map(Inbound::CoordReply)));
     let obs = setup.obs.clone();
     let mut host = MultiRingHost::new(
         me,
@@ -452,15 +446,6 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
     });
     route!();
 
-    // Advertise liveness: an ephemeral entry on the node's coordination
-    // session. Against amcoord the entry lives exactly as long as the
-    // session's TTL is kept alive — a killed process disappears from
-    // `nodes/` without anyone reporting it.
-    let _ = setup.registry.announce(
-        format!("nodes/{}", me.raw()),
-        Bytes::from(setup.peer_addr.to_string()),
-    );
-
     loop {
         let mut sleep = if local.is_empty() {
             timers.sleep_for(Duration::from_millis(50))
@@ -482,6 +467,18 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
                 Event::Frame(conn, Inbound::Client(msg)) => (conn, msg),
                 Event::Frame(_, Inbound::Peer(f)) => {
                     with_ctx!(|ctx| host.on_message(f.from, f.msg, &mut ctx));
+                    continue;
+                }
+                Event::Frame(_, Inbound::CoordReply(reply)) => {
+                    if let Some(link) = &coord_link {
+                        link.with_link(|link| link.on_reply(reply, Instant::now()));
+                    }
+                    continue;
+                }
+                Event::LinkDown(replica) => {
+                    if let Some(link) = &coord_link {
+                        link.with_link(|link| link.on_closed(replica, Instant::now()));
+                    }
                     continue;
                 }
                 Event::Frame(conn, Inbound::Coord(msg)) => {
@@ -548,22 +545,19 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
                         // v2: point the client at a node that serves the
                         // group instead of making it guess (or silently
                         // proxying on its behalf).
-                        let target = setup
-                            .registry
-                            .ring(group)
-                            .ok()
-                            .and_then(|cfg| cfg.members().iter().copied().find(|m| *m != me));
-                        net.send(
-                            conn,
-                            &match target {
-                                Some(to) => ClientReply::Redirect { seq, group, to },
-                                None => ClientReply::ErrorV2 {
-                                    seq,
-                                    code: ErrorCode::UnknownGroup,
-                                    detail: format!("no node serves group {group}"),
-                                },
-                            },
-                        );
+                        let target = (setup.registry.ring(group))
+                            .map(|cfg| cfg.members().iter().copied().find(|m| *m != me));
+                        let (code, detail) = match target {
+                            Ok(Some(to)) => {
+                                net.send(conn, &ClientReply::Redirect { seq, group, to });
+                                continue;
+                            }
+                            // Its config is on its way from the ensemble.
+                            Err(Error::Timeout(_)) => (ErrorCode::NotServing, "retry"),
+                            _ => (ErrorCode::UnknownGroup, "no node serves"),
+                        };
+                        let detail = format!("{detail} group {group}");
+                        net.send(conn, &ClientReply::ErrorV2 { seq, code, detail });
                         continue;
                     }
                     let env = Envelope {
@@ -593,8 +587,6 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
                         },
                     );
                 }
-                ClientMsg::Hello { .. } => v1_retired(&mut net, conn, RequestId::new(0)),
-                ClientMsg::Request { seq, .. } => v1_retired(&mut net, conn, seq),
             }
         }
         // Fire due protocol timers.
@@ -685,6 +677,12 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
         if let Some(front) = &mut coord_front {
             front.tick(&mut net, host.is_recovering());
         }
+        if let Some(link) = &coord_link {
+            link.with_link(|link| {
+                link.tick(Instant::now());
+                flush(link, &mut net, coord_replies);
+            });
+        }
         route!();
     }
 }
@@ -762,6 +760,7 @@ fn route_effects(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use common::hist::Histogram;
     use common::SimTime;
 

@@ -1,6 +1,7 @@
 //! Integration tests for the replicated coordination service: a real
 //! 3-replica `amcoordd` ensemble (in this process, over localhost TCP)
-//! serving [`coord::Registry`] clients through the remote backend.
+//! serving [`coord::Registry`] clients connected by
+//! [`liverun::connect_coord`].
 
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -8,7 +9,8 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use common::ids::{NodeId, RingId};
 use common::wire::coord::CoordEvent;
-use coord::{CoordClientOptions, Registry, RingConfig};
+use coord::{CoordClientOptions, RingConfig};
+use liverun::connect_coord;
 use liverun::coord_node::{
     start_coord_server, CoordEnsemble, CoordServerConfig, CoordServerHandle,
 };
@@ -62,8 +64,7 @@ fn a_replica_is_one_loop_thread_and_shutdown_leaves_none_behind() {
     }
     let before = thread_names().len();
     let ensemble = CoordEnsemble::localhost(3, base_port(), None).expect("ensemble launches");
-    // Raw connections: the coordination client library runs threads of
-    // its own.
+    // Raw connections: nothing but the replicas runs in this process.
     let conns: Vec<std::net::TcpStream> = ensemble
         .client_addrs()
         .iter()
@@ -124,13 +125,70 @@ fn a_replica_is_one_loop_thread_and_shutdown_leaves_none_behind() {
     );
 }
 
+/// A data deployment on the ensemble adds its node loops and nothing
+/// else: every node drives its coordination session on its own loop, and
+/// the deployment's own registry turns its sockets on the caller's
+/// thread — no reader or keep-alive thread per connection.
+#[test]
+fn a_deployment_on_the_ensemble_runs_only_loop_threads() {
+    use common::ids::ClientId;
+    use liverun::config::{generate_localhost_mrpstore, with_coord};
+    use liverun::{ClientOptions, Deployment, DeploymentConfig, StoreClient};
+
+    if !alone("a_deployment_on_the_ensemble_runs_only_loop_threads") {
+        return;
+    }
+    let before = thread_names().len();
+    let ensemble = CoordEnsemble::localhost(3, base_port(), None).expect("ensemble launches");
+    let doc = with_coord(
+        &generate_localhost_mrpstore(2, 3, threads::free_ports(12), None),
+        &ensemble.client_addrs(),
+        Duration::from_millis(1500),
+    );
+    let config = DeploymentConfig::parse(&doc).unwrap();
+    let deployment = Deployment::launch(config.clone()).expect("deployment launches");
+    let mut store = StoreClient::connect(&config, ClientId::new(1), ClientOptions::default())
+        .expect("store client connects");
+    store.insert("k", Bytes::from_static(b"v")).expect("write");
+    // Dial helpers live only until their connect returns.
+    assert!(wait_until(Duration::from_secs(5), || !thread_names()
+        .iter()
+        .any(|n| n.contains("-dial"))));
+    let names = thread_names();
+    let mut ours: Vec<&str> = names
+        .iter()
+        .map(String::as_str)
+        .filter(|n| n.starts_with("amc"))
+        .collect();
+    ours.sort_unstable();
+    assert_eq!(
+        ours,
+        [
+            "amcast-node-0",
+            "amcast-node-1",
+            "amcast-node-2",
+            "amcast-node-3",
+            "amcast-node-4",
+            "amcast-node-5",
+            "amcoord-node-0",
+            "amcoord-node-1",
+            "amcoord-node-2",
+        ],
+        "one loop thread per node and replica and nothing else"
+    );
+    assert_eq!(names.len(), before + 9, "threads while serving: {names:?}");
+
+    drop(store);
+    deployment.shutdown();
+    ensemble.shutdown();
+}
+
 #[test]
 fn ensemble_replicates_writes_and_pushes_watches() {
     let (handles, addrs) = start_ensemble(3, base_port());
     // Two clients on *different* replicas.
-    let a = Registry::connect(&addrs[..1], CoordClientOptions::default()).unwrap();
-    let b = Registry::connect(&addrs[1..2], CoordClientOptions::default()).unwrap();
-    let watch_a = a.watch();
+    let a = connect_coord(&addrs[..1], CoordClientOptions::default()).unwrap();
+    let b = connect_coord(&addrs[1..2], CoordClientOptions::default()).unwrap();
 
     // A write through A becomes visible to B (replicated, then applied on
     // B's replica).
@@ -153,7 +211,7 @@ fn ensemble_replicates_writes_and_pushes_watches() {
     assert!(lost.is_err(), "stale-epoch writer must be rejected");
 
     let saw_epoch_bump = wait_until(Duration::from_secs(10), || {
-        watch_a.try_iter().any(|e| {
+        std::iter::from_fn(|| a.next_event(Duration::ZERO)).any(|e| {
             matches!(
                 &e,
                 CoordEvent::RingChanged { cfg }
@@ -194,8 +252,8 @@ fn ensemble_replicates_writes_and_pushes_watches() {
 #[test]
 fn reads_through_another_replica_see_every_acknowledged_write() {
     let (handles, addrs) = start_ensemble(3, base_port());
-    let writer = Registry::connect(&addrs[..1], CoordClientOptions::default()).unwrap();
-    let reader = Registry::connect(&addrs[2..], CoordClientOptions::default()).unwrap();
+    let writer = connect_coord(&addrs[..1], CoordClientOptions::default()).unwrap();
+    let reader = connect_coord(&addrs[2..], CoordClientOptions::default()).unwrap();
     for i in 0..50 {
         let key = format!("lin-{i}");
         let value = Bytes::from(format!("v{i}"));
@@ -220,9 +278,8 @@ fn session_expiry_drops_ephemeral_entries() {
         session_ttl: Duration::from_millis(600),
         ..CoordClientOptions::default()
     };
-    let transient = Registry::connect(&addrs[..1], short).unwrap();
-    let observer = Registry::connect(&addrs[2..], CoordClientOptions::default()).unwrap();
-    let events = observer.watch();
+    let transient = connect_coord(&addrs[..1], short).unwrap();
+    let observer = connect_coord(&addrs[2..], CoordClientOptions::default()).unwrap();
 
     transient
         .announce("nodes/9", Bytes::from_static(b"127.0.0.1:1"))
@@ -239,7 +296,10 @@ fn session_expiry_drops_ephemeral_entries() {
 
     // While the client lives, keep-alives hold the session open well past
     // its TTL.
-    std::thread::sleep(Duration::from_millis(1500));
+    let idle = Instant::now() + Duration::from_millis(1500);
+    while let Some(left) = idle.checked_duration_since(Instant::now()) {
+        transient.next_event(left);
+    }
     assert!(
         observer
             .ephemerals("nodes/")
@@ -258,7 +318,7 @@ fn session_expiry_drops_ephemeral_entries() {
             .is_empty()),
         "ephemeral must vanish after its session's TTL"
     );
-    let saw_down = events.try_iter().any(
+    let saw_down = std::iter::from_fn(|| observer.next_event(Duration::ZERO)).any(
         |e| matches!(&e, CoordEvent::EphemeralChanged { key, alive: false } if key == "nodes/9"),
     );
     assert!(saw_down, "watcher must see the ephemeral go down");
@@ -285,7 +345,7 @@ fn replica_restart_in_place_serves_ops_committed_while_down() {
     let addrs = ensemble.client_addrs();
 
     // A client pinned to the replicas that will survive.
-    let client = Registry::connect(&addrs[..2], CoordClientOptions::default()).unwrap();
+    let client = connect_coord(&addrs[..2], CoordClientOptions::default()).unwrap();
     client
         .register_ring(
             RingConfig::new(RingId::new(1), nodes(&[0, 1, 2]), nodes(&[0, 1, 2])).unwrap(),
@@ -316,7 +376,7 @@ fn replica_restart_in_place_serves_ops_committed_while_down() {
 
     // A client pinned to ONLY the restarted replica: everything above
     // must be visible there, including the CAS version history.
-    let pinned = Registry::connect(&addrs[2..], CoordClientOptions::default()).unwrap();
+    let pinned = connect_coord(&addrs[2..], CoordClientOptions::default()).unwrap();
     assert!(
         wait_until(Duration::from_secs(20), || {
             pinned.ring(RingId::new(1)).is_ok()
@@ -365,8 +425,8 @@ fn restart_in_place_preserves_counters_and_resets_gauges() {
     let mut ensemble =
         CoordEnsemble::localhost(3, base_port(), Some(&dir)).expect("ensemble launches");
     let addrs = ensemble.client_addrs();
-    let client = Registry::connect(&addrs[..2], CoordClientOptions::default()).unwrap();
-    let pinned = Registry::connect(&addrs[2..], CoordClientOptions::default()).unwrap();
+    let client = connect_coord(&addrs[..2], CoordClientOptions::default()).unwrap();
+    let pinned = connect_coord(&addrs[2..], CoordClientOptions::default()).unwrap();
 
     const WRITES: u64 = 12;
     for i in 0..WRITES {
@@ -412,7 +472,7 @@ fn restart_in_place_preserves_counters_and_resets_gauges() {
     }
     ensemble.restart(2).expect("replica 2 restarts in place");
 
-    let pinned = Registry::connect(&addrs[2..], CoordClientOptions::default())
+    let pinned = connect_coord(&addrs[2..], CoordClientOptions::default())
         .expect("restarted replica serves clients");
     // The monotonic counter survives the incarnation change: it is
     // seeded from the checkpoint + WAL-replay cursor, which covers at
@@ -467,7 +527,7 @@ fn restart_in_place_preserves_counters_and_resets_gauges() {
 fn client_and_ensemble_survive_replica_failure() {
     let (mut handles, addrs) = start_ensemble(3, base_port());
     // This client starts on replica 0's address.
-    let client = Registry::connect(&addrs, CoordClientOptions::default()).unwrap();
+    let client = connect_coord(&addrs, CoordClientOptions::default()).unwrap();
     client
         .register_ring(RingConfig::new(RingId::new(1), nodes(&[5, 6]), nodes(&[5, 6])).unwrap())
         .unwrap();
@@ -527,7 +587,7 @@ fn wal_rotation_prunes_segments_and_restart_recovers_over_rotated_dir() {
         .collect();
     let mut ensemble = CoordEnsemble::launch(configs).expect("ensemble launches");
     let addrs = ensemble.client_addrs();
-    let client = Registry::connect(&addrs[..2], CoordClientOptions::default()).unwrap();
+    let client = connect_coord(&addrs[..2], CoordClientOptions::default()).unwrap();
 
     // Enough replicated writes to roll through many segments (plus the
     // session/keep-alive traffic riding the same log).
@@ -560,7 +620,7 @@ fn wal_rotation_prunes_segments_and_restart_recovers_over_rotated_dir() {
         .restart(2)
         .expect("replica 2 restarts over rotation");
 
-    let pinned = Registry::connect(&addrs[2..], CoordClientOptions::default()).unwrap();
+    let pinned = connect_coord(&addrs[2..], CoordClientOptions::default()).unwrap();
     assert!(
         wait_until(Duration::from_secs(20), || {
             pinned.meta("rot-0") == Some(Bytes::from_static(b"x"))

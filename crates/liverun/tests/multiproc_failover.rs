@@ -18,19 +18,28 @@
 //!   rejoin its original ensemble serving coordination state committed
 //!   while it was down, with linearizable data-path reads throughout.
 //!
+//! A second test SIGSTOPs the whole `amcoordd` ensemble under load: a
+//! node never waits on the coordination service, so the data path does
+//! not notice.
+//!
 //! A watchdog aborts the whole test hard if anything wedges, so a hung
-//! cluster fails CI fast instead of stalling the runner.
+//! cluster fails CI fast instead of stalling the runner. The two tests
+//! take turns: each measures a cluster of its own.
 
 use std::io::Write as _;
 use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use common::ids::{ClientId, NodeId, RingId};
-use coord::{CoordClientOptions, Registry};
+use coord::CoordClientOptions;
 use liverun::config::{generate_localhost_mrpstore, with_coord};
-use liverun::{ClientOptions, DeploymentConfig, StoreClient};
+use liverun::{connect_coord, ClientOptions, Deployment, DeploymentConfig, StoreClient};
+
+/// Held by each test for its whole run.
+static ONE_CLUSTER: Mutex<()> = Mutex::new(());
 
 /// Kills its children on drop so a failing assertion never leaks
 /// processes into the CI runner.
@@ -63,6 +72,18 @@ impl Cluster {
         let _ = child.kill();
         let _ = child.wait();
     }
+
+    /// Sends `signal` to every child.
+    fn signal_all(&self, signal: i32) {
+        extern "C" {
+            fn kill(pid: i32, sig: i32) -> i32;
+        }
+        for (name, child) in &self.children {
+            // SAFETY: `kill(2)` takes two integers and touches no memory.
+            let sent = unsafe { kill(child.id() as i32, signal) };
+            assert_eq!(sent, 0, "signal {signal} to {name}");
+        }
+    }
 }
 
 impl Drop for Cluster {
@@ -85,8 +106,25 @@ fn wait_until(what: &str, deadline: Duration, mut check: impl FnMut() -> bool) {
     panic!("timed out waiting for {what}");
 }
 
+/// The `amcoordd` command line of replica `id` of the ensemble at
+/// `ring`/`serve` (comma-separated address lists).
+fn amcoordd_cmd(id: u32, ring: &str, serve: &str) -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_amcoordd"));
+    cmd.args(["--id", &id.to_string(), "--ring", ring, "--serve", serve]);
+    cmd
+}
+
+fn addr_list(addrs: &[SocketAddr]) -> String {
+    addrs
+        .iter()
+        .map(|a| a.to_string())
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
 #[test]
 fn coordinator_kill_and_restart_through_amcoordd() {
+    let _one = ONE_CLUSTER.lock().unwrap_or_else(|e| e.into_inner());
     // Hard watchdog: a wedged cluster must fail fast, not hang the runner.
     std::thread::spawn(|| {
         std::thread::sleep(Duration::from_secs(240));
@@ -162,7 +200,7 @@ fn coordinator_kill_and_restart_through_amcoordd() {
 
     // Observe the cluster through our own coordination client; its
     // session opening doubles as "the ensemble's ring has formed".
-    let registry = Registry::connect(&coord_serve, CoordClientOptions::default())
+    let registry = connect_coord(&coord_serve, CoordClientOptions::default())
         .expect("amcoordd ensemble reachable");
 
     for id in 0..3u32 {
@@ -375,7 +413,7 @@ fn coordinator_kill_and_restart_through_amcoordd() {
     // at all proves its ring rejoined (OpenSession replicates through
     // the log, so its applied cursor is advancing again), and the read
     // below proves catch-up surfaced state committed while it was down.
-    let pinned = Registry::connect(&coord_serve[1..2], CoordClientOptions::default())
+    let pinned = connect_coord(&coord_serve[1..2], CoordClientOptions::default())
         .expect("restarted amcoordd replica serves clients");
     wait_until(
         "restarted amcoordd to serve ops committed while it was down",
@@ -446,4 +484,113 @@ fn coordinator_kill_and_restart_through_amcoordd() {
     drop(registry);
     drop(cluster);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The whole coordination service stops — every `amcoordd` replica
+/// SIGSTOPped for longer than a keep-alive period plus a request timeout
+/// — while a single-partition deployment takes paced writes. No node loop
+/// waits on the ensemble, so the writes keep their latency and no ring
+/// reconfigures; once the ensemble resumes, every node is advertised
+/// again within seconds.
+#[test]
+fn a_stopped_coordination_service_does_not_stall_the_data_path() {
+    const SIGCONT: i32 = 18;
+    const SIGSTOP: i32 = 19;
+    const STOPPED: Duration = Duration::from_secs(6);
+    const AFTER: Duration = Duration::from_secs(2);
+    const PACE: Duration = Duration::from_millis(2);
+    // A stall on the ensemble costs seconds. Unoptimized, this cluster's
+    // p99 sits at 2–5 ms with the ensemble running, so the bound there
+    // leaves room for the build, not for a stall.
+    const P99: Duration = Duration::from_millis(if cfg!(debug_assertions) { 20 } else { 5 });
+    let _one = ONE_CLUSTER.lock().unwrap_or_else(|e| e.into_inner());
+
+    // 6 amcoordd ports (3 ring + 3 client), then 3 nodes × 2.
+    let base = liverun::config::free_port_block(12).unwrap();
+    let port = |i: u16| -> SocketAddr { ([127, 0, 0, 1], base + i).into() };
+    let ring: Vec<SocketAddr> = (0..3).map(port).collect();
+    let serve: Vec<SocketAddr> = (3..6).map(port).collect();
+    let mut ensemble = Cluster::new();
+    for id in 0..3u32 {
+        let cmd = amcoordd_cmd(id, &addr_list(&ring), &addr_list(&serve));
+        ensemble.spawn(&format!("amcoordd-{id}"), cmd);
+    }
+    let doc = with_coord(
+        &generate_localhost_mrpstore(1, 3, base + 6, None),
+        &serve,
+        Duration::from_millis(1200),
+    );
+    let config = DeploymentConfig::parse(&doc).unwrap();
+    let deployment = Deployment::launch(config.clone()).expect("deployment launches");
+    let epochs = || {
+        let fresh = connect_coord(&serve, CoordClientOptions::default()).expect("ensemble");
+        let rings = [RingId::new(0), RingId::new(1)];
+        let epochs = rings.map(|r| fresh.ring(r).expect("ring config").epoch());
+        (epochs, fresh)
+    };
+    let (before, _) = epochs();
+    let mut store = StoreClient::connect(&config, ClientId::new(1), ClientOptions::default())
+        .expect("store client connects");
+
+    // Paced writes; the ensemble stops a second in.
+    let start = Instant::now();
+    let stop_at = start + Duration::from_secs(1);
+    let cont_at = stop_at + STOPPED;
+    let mut stopped = false;
+    let mut resumed = None;
+    let mut window = Vec::new();
+    let mut next = start;
+    while next < cont_at + AFTER {
+        std::thread::sleep(next.saturating_duration_since(Instant::now()));
+        let now = Instant::now();
+        if !stopped && now >= stop_at {
+            ensemble.signal_all(SIGSTOP);
+            stopped = true;
+        }
+        if resumed.is_none() && now >= cont_at {
+            ensemble.signal_all(SIGCONT);
+            resumed = Some(now);
+        }
+        let key = format!("k{}", window.len() % 64);
+        store.insert(&key, Bytes::from_static(b"v")).expect("write");
+        if stopped {
+            // From when the write was due: a stall delays the writes
+            // queued behind it too.
+            window.push(next.elapsed());
+        }
+        next += PACE;
+    }
+    let resumed = resumed.expect("the ensemble resumed");
+    window.sort_unstable();
+    let p99 = window[window.len() * 99 / 100];
+    eprintln!(
+        "stopped ensemble: {} writes over {:?}, p50 {:?}, p99 {:?}, max {:?}",
+        window.len(),
+        STOPPED + AFTER,
+        window[window.len() / 2],
+        p99,
+        window[window.len() - 1]
+    );
+    assert!(
+        p99 < P99,
+        "single-partition p99 {p99:?} while the ensemble was stopped"
+    );
+
+    let (after, observer) = epochs();
+    assert_eq!(
+        before, after,
+        "a ring reconfigured while the ensemble was stopped"
+    );
+    wait_until(
+        "every node to be advertised again",
+        (resumed + Duration::from_secs(5)).saturating_duration_since(Instant::now()),
+        || {
+            let names: Vec<String> = (observer.ephemerals("nodes/").into_iter())
+                .map(|e| e.key)
+                .collect();
+            names == ["nodes/0", "nodes/1", "nodes/2"]
+        },
+    );
+    drop(store);
+    deployment.shutdown();
 }

@@ -979,11 +979,20 @@ impl MultiRingHost {
             self.step_catch_up(ctx);
             return;
         };
+        self.recovery_seq += 1;
         let Some(info) = self.registry.partition(partition) else {
-            self.recovery = RecoveryPhase::CatchUp;
+            // Not known here yet (a networked registry may still be
+            // fetching it): query nobody, and begin again on the retry
+            // timer rather than replay without the freshest checkpoint.
+            self.recovery = RecoveryPhase::QueryCheckpoints {
+                seq: self.recovery_seq,
+                replied: Vec::new(),
+                best: None,
+                need: usize::MAX,
+            };
+            ctx.schedule(self.opts.recovery_retry, Timer::of_kind(TIMER_RECOVERY));
             return;
         };
-        self.recovery_seq += 1;
         let need = info.quorum().saturating_sub(1); // self counts
         if need == 0 {
             self.recovery = RecoveryPhase::CatchUp;

@@ -4,13 +4,16 @@
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use common::ids::{ClientId, NodeId, PartitionId, RingId};
+use common::ids::{ClientId, NodeId, PartitionId, RingId, SessionId};
 use common::msg::{Msg, RecoveryMsg};
+use common::wire::coord::{CoordEvent, CoordOk, CoordOp};
 use common::SimTime;
-use coord::{PartitionInfo, Registry, RingConfig};
+use coord::{Coord, PartitionInfo, Registry, RingConfig};
 use multiring::client::{ClosedLoopClient, CommandSpec};
 use multiring::{EchoApp, HostOptions, MultiRingHost};
 use ringpaxos::options::{RateLeveling, RingOptions};
@@ -573,4 +576,106 @@ fn region_local_commands_do_not_wait_for_an_idle_global_ring() {
         multi_p50 < 175_000_000,
         "multi-partition p50 {multi_p50} ns"
     );
+}
+
+/// A registry whose partition table can be hidden, the way a networked
+/// registry answers a read it has not fetched yet.
+#[derive(Debug)]
+struct Hiding {
+    inner: Registry,
+    hide: Arc<AtomicBool>,
+}
+
+impl Coord for Hiding {
+    fn call(&self, op: CoordOp) -> common::error::Result<CoordOk> {
+        if self.hide.load(Ordering::SeqCst) && matches!(op, CoordOp::GetPartition { .. }) {
+            return Err(common::error::Error::Timeout("not fetched yet"));
+        }
+        self.inner.backend().call(op)
+    }
+
+    fn next_event(&self, timeout: Duration) -> Option<CoordEvent> {
+        self.inner.next_event(timeout)
+    }
+
+    fn session(&self) -> Option<SessionId> {
+        self.inner.backend().session()
+    }
+}
+
+/// A restarting replica that cannot read its partition yet does not
+/// skip the checkpoint query: it waits, asks again on the retry timer
+/// once the partition is readable, and finishes recovering.
+#[test]
+fn a_restart_waits_for_its_partition_to_be_readable() {
+    let registry = Registry::new();
+    let ring = RingId::new(0);
+    let members: Vec<NodeId> = (0..3).map(NodeId::new).collect();
+    registry
+        .register_ring(RingConfig::new(ring, members.clone(), members.clone()).unwrap())
+        .unwrap();
+    registry
+        .register_partition(
+            PartitionId::new(0),
+            PartitionInfo {
+                rings: vec![ring],
+                replicas: members.clone(),
+            },
+        )
+        .unwrap();
+    let hide = Arc::new(AtomicBool::new(false));
+    let victim_registry = Registry::from_backend(Arc::new(Hiding {
+        inner: registry.clone(),
+        hide: Arc::clone(&hide),
+    }));
+
+    let mut sim = lan_sim(6);
+    let hosts: Vec<_> = members
+        .iter()
+        .map(|m| {
+            let host = MultiRingHost::new(
+                *m,
+                if m.raw() == 2 {
+                    victim_registry.clone()
+                } else {
+                    registry.clone()
+                },
+                &[ring],
+                &[ring],
+                Some(PartitionId::new(0)),
+                Box::new(EchoApp::new()),
+                HostOptions {
+                    ring: ring_opts(),
+                    checkpoint_interval: Some(Duration::from_millis(100)),
+                    ..HostOptions::default()
+                },
+            );
+            add_shared(&mut sim, host).0
+        })
+        .collect();
+    let client = ClosedLoopClient::new(
+        ClientId::new(1),
+        registry.clone(),
+        HashMap::from([(ring, NodeId::new(0))]),
+        move |_rng: &mut rand::rngs::StdRng| {
+            CommandSpec::simple(ring, Bytes::from_static(b"w"), vec![PartitionId::new(0)])
+        },
+        2,
+    );
+    sim.add_node_with_cpu(0, client, CpuModel::free());
+
+    sim.schedule_crash(NodeId::new(2), SimTime::from_secs(1));
+    sim.schedule_restart(NodeId::new(2), SimTime::from_secs(2));
+    sim.run_until(SimTime::from_millis(1500));
+    hide.store(true, Ordering::SeqCst);
+    sim.run_until(SimTime::from_secs(3));
+    assert!(
+        hosts[2].borrow().is_recovering(),
+        "recovered without its partition"
+    );
+    hide.store(false, Ordering::SeqCst);
+    sim.run_until(SimTime::from_secs(4));
+    let host = hosts[2].borrow();
+    assert!(!host.is_recovering(), "the restart never asked again");
+    assert!(host.checkpoint_tuple().is_some_and(|t| !t.is_empty()));
 }

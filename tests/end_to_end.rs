@@ -351,11 +351,11 @@ fn live_mrpstore_survives_replica_restart_with_closed_loop_clients() {
 /// deterministically for the restart-in-place to succeed.
 #[test]
 fn live_mrpstore_reconfigures_through_amcoord_ensemble() {
-    use atomic_multicast::coord::{CoordClientOptions, Registry};
+    use atomic_multicast::coord::CoordClientOptions;
     use atomic_multicast::liverun::config::{
         free_port_block, generate_localhost_mrpstore, with_coord,
     };
-    use atomic_multicast::liverun::{start_coord_server, CoordServerConfig};
+    use atomic_multicast::liverun::{connect_coord, start_coord_server, CoordServerConfig};
     use atomic_multicast::liverun::{ClientOptions, Deployment, DeploymentConfig, StoreClient};
     use atomic_multicast::mrpstore::{KvCommand, KvResponse};
 
@@ -400,7 +400,7 @@ fn live_mrpstore_reconfigures_through_amcoord_ensemble() {
 
     // Kill the ring coordinator. The membership change must land in the
     // *coordination service* (not any process-local registry).
-    let observer = Registry::connect(&coord_serve, CoordClientOptions::default()).unwrap();
+    let observer = connect_coord(&coord_serve, CoordClientOptions::default()).unwrap();
     deployment.kill(NodeId::new(0)).unwrap();
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
     loop {
