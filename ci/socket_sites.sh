@@ -17,6 +17,9 @@
 # execute on the node loop. The coordination client (crates/coord/src) is
 # a sans-IO link: it names no socket type and no `thread::` at all.
 #
+# FFI stays in net.rs too: the readiness wait (epoll) is the one foreign
+# call, so `extern "C"` or `unsafe` anywhere else under crates/*/src fails.
+#
 # "Non-test" is everything above a file's top-level `#[cfg(test)]`
 # module; comment lines do not count.
 set -euo pipefail
@@ -41,13 +44,14 @@ scan() {
 fail=0
 mapfile -t all < <(find crates -path 'crates/*/src/*' -name '*.rs' ! -path crates/liverun/src/net.rs | sort)
 scan 'TcpListener::bind|TcpStream::connect|\.incoming\(\)' "${all[@]}" || fail=1
+scan 'extern "C"|(^|[^[:alnum:]_])unsafe([^[:alnum:]_]|$)' "${all[@]}" || fail=1
 mapfile -t liverun < <(find crates/liverun/src -name '*.rs' ! -path crates/liverun/src/net.rs | sort)
 scan 'thread::(spawn|Builder)' "${liverun[@]}" || fail=1
 mapfile -t coord < <(find crates/coord/src -name '*.rs' | sort)
 scan 'TcpStream|TcpListener|thread::' "${coord[@]}" || fail=1
 
 if [ "$fail" -ne 0 ]; then
-    echo "socket sites: FAILED — open sockets through liverun::net (crates/liverun/src/net.rs) and let the loop thread own them" >&2
+    echo "socket sites: FAILED — open sockets and call foreign code through liverun::net (crates/liverun/src/net.rs), and let the loop thread own them" >&2
     exit 1
 fi
-echo "socket sites: ok (every socket is opened in liverun::net; no thread sits on one)"
+echo "socket sites: ok (every socket is opened and every foreign call made in liverun::net; no thread sits on one)"

@@ -17,7 +17,7 @@
 //!                                     ▼
 //!                          ┌─────────────────────────────┐
 //!                          │ node loop (one OS thread)   │
-//!                          │  ppoll → read → decode      │
+//!                          │  epoll → read → decode      │
 //!                          │  Batcher → MultiRingHost    │
 //!                          │  TimerHeap   │  WAL / ckpt  │
 //!                          └──────┬───────┴──────────────┘
@@ -30,7 +30,8 @@
 //! * [`node`] — the per-node event loop driving a [`multiring::MultiRingHost`]
 //!   through [`simnet::Ctx::external`].
 //! * `net` (crate-private) — the one place a socket is opened, and the
-//!   readiness loop (`ppoll(2)`) that every loop and the network client
+//!   readiness loop (a persistent `epoll(7)` set, one `epoll_pwait2` per
+//!   turn) that every loop and the network client
 //!   wait in: non-blocking accepts, reads and bounded writes on the
 //!   owning thread itself, lazy peer links, a mailbox for other threads,
 //!   one-shot calls.

@@ -9,8 +9,11 @@
 //! as a failure (§5.1) — a dead neighbour would take the node down with
 //! it. [`Net`] keeps that rule by construction: every socket it owns is
 //! non-blocking, and the thread that owns the `Net` waits on all of them
-//! in one `ppoll(2)`, so a frame is read, handled and answered on one
-//! thread with no hand-off.
+//! in one `epoll_pwait2(2)`, so a frame is read, handled and answered on
+//! one thread with no hand-off. A turn's system calls cost what is ready,
+//! not what is open: each socket joins the `Net`'s epoll set once, and a
+//! turn reads or writes only the sockets that are ready or have frames
+//! queued.
 //!
 //! * [`Net`] — the sockets of one loop: its listeners, the connections
 //!   they accepted or it dialled (read until they would block, then
@@ -18,10 +21,10 @@
 //!   handed on as read) and lazily dialled links to named peers, which
 //!   are write-only unless given a reader (the coordination link). Every
 //!   connection has a bounded outbound buffer that sheds when full, and
-//!   write interest is registered only while it holds something; a
+//!   write interest is armed only while a flush has left bytes behind; a
 //!   turn's frames leave in one `write_vectored` per connection.
 //! * [`Mailer`] — how another thread reaches a loop: a channel plus a
-//!   wake-up socket the loop polls beside its network sockets.
+//!   wake-up socket in the loop's epoll set beside its network sockets.
 //! * [`spawn_loop`] — starts a loop thread.
 //! * [`call`] — a one-shot request/response exchange under a deadline,
 //!   for the few places that need an answer before they can go on
@@ -31,8 +34,9 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{IoSlice, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
+use std::os::raw::c_int;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -60,18 +64,24 @@ const DIAL_RETRY: Duration = Duration::from_millis(20);
 /// ...and after a peer that was up has stopped answering.
 const DIAL_BACKOFF: Duration = Duration::from_millis(50);
 
-/// `ppoll(2)`, declared by hand: std has no readiness wait and neither
-/// `libc` nor `mio` is vendored. `ppoll` rather than `poll` because its
-/// timeout is a `timespec`: a timer due in 300 µs waits 300 µs, neither
-/// rounded up to a millisecond nor spun for.
-mod sys {
-    use std::os::raw::{c_int, c_long, c_short, c_ulong, c_void};
+/// Ready sockets one wait reports at most; the rest stay ready for the
+/// next.
+const READY_MAX: usize = 256;
 
+/// `epoll(7)`, declared by hand: std has no readiness wait and neither
+/// `libc` nor `mio` is vendored. The wait is `epoll_pwait2` (Linux 5.11,
+/// glibc 2.35) because its timeout is a `timespec`: a timer due in
+/// 300 µs waits 300 µs, neither rounded up to a millisecond nor spun for.
+mod sys {
+    use std::os::raw::{c_int, c_long, c_void};
+
+    /// `struct epoll_event`, which the kernel packs on x86-64.
     #[repr(C)]
-    pub struct PollFd {
-        pub fd: c_int,
-        pub events: c_short,
-        pub revents: c_short,
+    #[cfg_attr(target_arch = "x86_64", repr(packed))]
+    #[derive(Clone, Copy)]
+    pub struct EpollEvent {
+        pub events: u32,
+        pub data: u64,
     }
 
     #[repr(C)]
@@ -80,36 +90,94 @@ mod sys {
         pub tv_nsec: c_long,
     }
 
-    pub const POLLIN: c_short = 0x001;
-    pub const POLLOUT: c_short = 0x004;
-    pub const POLLERR: c_short = 0x008;
-    pub const POLLHUP: c_short = 0x010;
+    pub const EPOLLIN: u32 = 0x001;
+    pub const EPOLLOUT: u32 = 0x004;
+    pub const EPOLLERR: u32 = 0x008;
+    pub const EPOLLHUP: u32 = 0x010;
+    pub const EPOLL_CLOEXEC: c_int = 0o2_000_000;
+    pub const EPOLL_CTL_ADD: c_int = 1;
+    pub const EPOLL_CTL_MOD: c_int = 3;
 
     extern "C" {
-        pub fn ppoll(
-            fds: *mut PollFd,
-            nfds: c_ulong,
+        pub fn epoll_create1(flags: c_int) -> c_int;
+        pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+        pub fn epoll_pwait2(
+            epfd: c_int,
+            events: *mut EpollEvent,
+            maxevents: c_int,
             timeout: *const Timespec,
             sigmask: *const c_void,
         ) -> c_int;
     }
 }
 
-/// Waits until one of `fds` is ready or `timeout` passes. An interrupted
-/// wait leaves every `revents` at zero: the caller's next turn retries.
-fn ppoll(fds: &mut [sys::PollFd], timeout: Duration) {
+/// A new, empty epoll set.
+fn epoll_create() -> std::io::Result<OwnedFd> {
+    // SAFETY: no pointers are passed.
+    let fd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
+    if fd < 0 {
+        return Err(std::io::Error::last_os_error());
+    }
+    // SAFETY: `fd` was just opened, and nothing else owns it.
+    Ok(unsafe { OwnedFd::from_raw_fd(fd) })
+}
+
+/// Adds `fd` to `epoll` (`EPOLL_CTL_ADD`), or changes what it waits for
+/// (`EPOLL_CTL_MOD`); its events carry `token`.
+fn epoll_ctl(
+    epoll: &OwnedFd,
+    op: c_int,
+    fd: RawFd,
+    interest: u32,
+    token: u64,
+) -> std::io::Result<()> {
+    let mut event = sys::EpollEvent {
+        events: interest,
+        data: token,
+    };
+    // SAFETY: `event` outlives the call, which only reads it.
+    if unsafe { sys::epoll_ctl(epoll.as_raw_fd(), op, fd, &mut event) } < 0 {
+        return Err(std::io::Error::last_os_error());
+    }
+    Ok(())
+}
+
+/// Waits until a socket in `epoll` is ready or `timeout` passes, and
+/// returns how many of `ready` it filled.
+fn epoll_wait(
+    epoll: &OwnedFd,
+    ready: &mut [sys::EpollEvent],
+    timeout: Duration,
+) -> std::io::Result<usize> {
     let ts = sys::Timespec {
         tv_sec: timeout.as_secs().min(3600) as _,
         tv_nsec: timeout.subsec_nanos() as _,
     };
-    // SAFETY: `fds` is a live, exclusively borrowed array of `fds.len()`
-    // `pollfd`s, `ts` outlives the call, and a null mask leaves the
-    // thread's signal mask alone.
-    unsafe { sys::ppoll(fds.as_mut_ptr(), fds.len() as _, &ts, std::ptr::null()) };
+    // SAFETY: `ready` is a live, exclusively borrowed array of
+    // `ready.len()` events, `ts` outlives the call, and a null mask
+    // leaves the thread's signal mask alone.
+    let n = unsafe {
+        sys::epoll_pwait2(
+            epoll.as_raw_fd(),
+            ready.as_mut_ptr(),
+            ready.len() as _,
+            &ts,
+            std::ptr::null(),
+        )
+    };
+    usize::try_from(n).map_err(|_| std::io::Error::last_os_error())
 }
 
-/// A connection's handle within its [`Net`].
+/// A connection's handle within its [`Net`], and its epoll token. Ids
+/// count up from 1 and are never reused, so they stay below the tokens
+/// reserved for the wake-up socket and the listeners.
 pub(crate) type ConnId = u64;
+
+/// The wake-up socket's token.
+const WAKE: u64 = u64::MAX;
+
+/// Listener `i`'s token is `LISTENER + i`.
+const LISTENER: u64 = 1 << 63;
 
 /// Splits one decoded frame off a connection's buffer.
 pub(crate) type Decode<In> = fn(&mut FrameBuf) -> std::result::Result<Option<In>, WireError>;
@@ -200,8 +268,9 @@ struct Conn<In> {
     stream: TcpStream,
     /// `None` on a link: whatever the peer says is discarded.
     reader: Option<Reader<In>>,
-    /// Not read until resumed.
-    paused: bool,
+    /// What the epoll set waits on it for: reads unless paused, writes
+    /// while a flush has left bytes behind.
+    interest: u32,
     rbuf: FrameBuf,
     out: VecDeque<Bytes>,
     /// Bytes of `out.front()` already written.
@@ -210,6 +279,27 @@ struct Conn<In> {
     closing: bool,
     /// The link this connection was dialled for.
     link: Option<SocketAddr>,
+}
+
+impl<In> Conn<In> {
+    /// Turns `bit` of its interest on or off, with an `epoll_ctl` only
+    /// when that changes it. A socket whose interest cannot change is
+    /// shut down: a hang-up is reported whatever the interest, so the
+    /// next turn reads its end and drops it, and the peer sees a close
+    /// rather than a stall.
+    fn watch(&mut self, epoll: &OwnedFd, id: ConnId, bit: u32, on: bool) {
+        let interest = (self.interest & !bit) | if on { bit } else { 0 };
+        if interest == self.interest {
+            return;
+        }
+        let fd = self.stream.as_raw_fd();
+        match epoll_ctl(epoll, sys::EPOLL_CTL_MOD, fd, interest, id) {
+            Ok(()) => self.interest = interest,
+            Err(_) => {
+                let _ = self.stream.shutdown(Shutdown::Both);
+            }
+        }
+    }
 }
 
 /// An outgoing link to one peer address.
@@ -226,13 +316,6 @@ struct Link {
     retry_at: Option<Instant>,
 }
 
-#[derive(Clone, Copy)]
-enum Token {
-    Wake,
-    Listener(usize),
-    Conn(ConnId),
-}
-
 /// The sockets of one loop, all non-blocking, all waited on by the loop
 /// thread itself in [`Net::wait`].
 pub(crate) struct Net<In, M> {
@@ -242,6 +325,11 @@ pub(crate) struct Net<In, M> {
     /// How the links given a reader are read; the rest discard what
     /// their peer says.
     link_readers: HashMap<SocketAddr, Reader<In>>,
+    /// Every socket above and the wake-up socket, each added once; a
+    /// closed socket leaves it by closing.
+    epoll: OwnedFd,
+    /// What one wait found ready.
+    ready: Vec<sys::EpollEvent>,
     next_id: ConnId,
     rx: Receiver<Mail<M>>,
     mailer: Mailer<M>,
@@ -250,8 +338,6 @@ pub(crate) struct Net<In, M> {
     dialer: String,
     /// Frames that left in a multi-frame write.
     vectored: Counter,
-    fds: Vec<sys::PollFd>,
-    tokens: Vec<Token>,
     chunk: Vec<u8>,
 }
 
@@ -261,11 +347,17 @@ impl<In, M: Send + 'static> Net<In, M> {
     ///
     /// # Errors
     ///
-    /// Fails if the wake-up socket pair cannot be made.
+    /// Fails if the wake-up socket pair or the epoll set cannot be made,
+    /// or the kernel cannot wait on it (`epoll_pwait2` is Linux ≥ 5.11).
     pub(crate) fn new(dialer: String, vectored: Counter) -> std::io::Result<Self> {
         let (wake_tx, wake_rx) = UnixStream::pair()?;
         wake_tx.set_nonblocking(true)?;
         wake_rx.set_nonblocking(true)?;
+        let epoll = epoll_create()?;
+        let wake_fd = wake_rx.as_raw_fd();
+        epoll_ctl(&epoll, sys::EPOLL_CTL_ADD, wake_fd, sys::EPOLLIN, WAKE)?;
+        let mut ready = vec![sys::EpollEvent { events: 0, data: 0 }; READY_MAX];
+        epoll_wait(&epoll, &mut ready, Duration::ZERO)?;
         let (tx, rx) = unbounded();
         let wake = Arc::new(Wake {
             tx: wake_tx,
@@ -276,14 +368,14 @@ impl<In, M: Send + 'static> Net<In, M> {
             conns: HashMap::new(),
             links: HashMap::new(),
             link_readers: HashMap::new(),
+            epoll,
+            ready,
             next_id: 0,
             rx,
             mailer: Mailer { tx, wake },
             wake_rx,
             dialer,
             vectored,
-            fds: Vec::new(),
-            tokens: Vec::new(),
             chunk: vec![0; 64 * 1024],
         })
     }
@@ -303,6 +395,9 @@ impl<In, M: Send + 'static> Net<In, M> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let token = LISTENER + self.listeners.len() as u64;
+        let fd = listener.as_raw_fd();
+        epoll_ctl(&self.epoll, sys::EPOLL_CTL_ADD, fd, sys::EPOLLIN, token)?;
         self.listeners.push((listener, addr, reader));
         Ok(addr)
     }
@@ -324,7 +419,7 @@ impl<In, M: Send + 'static> Net<In, M> {
         let stream = TcpStream::connect_timeout(&addr, timeout)?;
         stream.set_nonblocking(true)?;
         let _ = stream.set_nodelay(true);
-        Ok(self.add(stream, Some(reader), None, VecDeque::new()))
+        self.add(stream, Some(reader), None, VecDeque::new())
     }
 
     /// A handle other threads post to this loop through.
@@ -352,7 +447,7 @@ impl<In, M: Send + 'static> Net<In, M> {
     /// Stops reading `conn` (its peer backs up) until resumed.
     pub(crate) fn pause(&mut self, conn: ConnId, paused: bool) {
         if let Some(c) = self.conns.get_mut(&conn) {
-            c.paused = paused;
+            c.watch(&self.epoll, conn, sys::EPOLLIN, !paused);
         }
     }
 
@@ -426,46 +521,26 @@ impl<In, M: Send + 'static> Net<In, M> {
         }
         let timeout = self.dial(timeout);
 
-        self.fds.clear();
-        self.tokens.clear();
-        let mut watch = |fd, events, token| {
-            self.fds.push(sys::PollFd {
-                fd,
-                events,
-                revents: 0,
-            });
-            self.tokens.push(token);
-        };
-        watch(self.wake_rx.as_raw_fd(), sys::POLLIN, Token::Wake);
-        for (i, (l, _, _)) in self.listeners.iter().enumerate() {
-            watch(l.as_raw_fd(), sys::POLLIN, Token::Listener(i));
-        }
-        for (id, c) in &self.conns {
-            let read = if c.paused { 0 } else { sys::POLLIN };
-            let out = if c.out.is_empty() { 0 } else { sys::POLLOUT };
-            watch(c.stream.as_raw_fd(), read | out, Token::Conn(*id));
-        }
-        ppoll(&mut self.fds, timeout);
-
-        for k in 0..self.fds.len() {
-            let ready = self.fds[k].revents;
-            if ready == 0 {
-                continue;
-            }
-            match self.tokens[k] {
-                Token::Wake => {
+        // An interrupted wait reports nothing: the caller's next turn
+        // retries.
+        let ready = epoll_wait(&self.epoll, &mut self.ready, timeout).unwrap_or(0);
+        for k in 0..ready {
+            let (token, ready) = (self.ready[k].data, self.ready[k].events);
+            match token {
+                WAKE => {
                     // Armed posters write one byte between drains. The
                     // disarm precedes the drain below, so mail posted
                     // after the drain sees the flag down and wakes us.
                     let _ = (&self.wake_rx).read(&mut self.chunk);
                     self.mailer.wake.armed.store(false, Ordering::SeqCst);
                 }
-                Token::Listener(i) => self.accept(i, events),
-                Token::Conn(id) => {
-                    if ready & (sys::POLLIN | sys::POLLHUP | sys::POLLERR) != 0 {
+                LISTENER.. => self.accept((token - LISTENER) as usize, events),
+                // A connection closed earlier in this batch is not found.
+                id => {
+                    if ready & (sys::EPOLLIN | sys::EPOLLHUP | sys::EPOLLERR) != 0 {
                         self.read(id, events);
                     }
-                    if ready & sys::POLLOUT != 0 {
+                    if ready & sys::EPOLLOUT != 0 {
                         self.flush(id, events);
                     }
                 }
@@ -517,34 +592,38 @@ impl<In, M: Send + 'static> Net<In, M> {
             };
             if stream.set_nonblocking(true).is_ok() {
                 let _ = stream.set_nodelay(true);
-                let id = self.add(stream, Some(reader), None, VecDeque::new());
-                events.push(Event::Accepted(id, addr));
+                if let Ok(id) = self.add(stream, Some(reader), None, VecDeque::new()) {
+                    events.push(Event::Accepted(id, addr));
+                }
             }
         }
     }
 
+    /// Adds `stream` to the epoll set, waiting for reads; what `out`
+    /// holds leaves at the start of the next turn.
     fn add(
         &mut self,
         stream: TcpStream,
         reader: Option<Reader<In>>,
         link: Option<SocketAddr>,
         out: VecDeque<Bytes>,
-    ) -> ConnId {
-        self.next_id += 1;
-        self.conns.insert(
-            self.next_id,
-            Conn {
-                stream,
-                reader,
-                paused: false,
-                rbuf: FrameBuf::new(),
-                out,
-                sent: 0,
-                closing: false,
-                link,
-            },
-        );
-        self.next_id
+    ) -> std::io::Result<ConnId> {
+        let id = self.next_id + 1;
+        let fd = stream.as_raw_fd();
+        epoll_ctl(&self.epoll, sys::EPOLL_CTL_ADD, fd, sys::EPOLLIN, id)?;
+        self.next_id = id;
+        let conn = Conn {
+            stream,
+            reader,
+            interest: sys::EPOLLIN,
+            rbuf: FrameBuf::new(),
+            out,
+            sent: 0,
+            closing: false,
+            link,
+        };
+        self.conns.insert(id, conn);
+        Ok(id)
     }
 
     /// Reads `id` until it would block, then splits off every complete
@@ -592,7 +671,8 @@ impl<In, M: Send + 'static> Net<In, M> {
         }
     }
 
-    /// Writes what `id` has queued until the socket would block.
+    /// Writes what `id` has queued until the socket would block, and
+    /// waits for it to be writable only while bytes are left behind.
     fn flush(&mut self, id: ConnId, events: &mut Vec<Event<In, M>>) {
         let Some(c) = self.conns.get_mut(&id) else {
             return;
@@ -611,7 +691,9 @@ impl<In, M: Send + 'static> Net<In, M> {
             let mut n = match written {
                 Ok(n) if n > 0 => n,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    return c.watch(&self.epoll, id, sys::EPOLLOUT, true);
+                }
                 _ => return self.drop_conn(id, events),
             };
             let mut done = 0;
@@ -632,6 +714,8 @@ impl<In, M: Send + 'static> Net<In, M> {
         }
         if c.closing {
             self.drop_conn(id, events);
+        } else {
+            c.watch(&self.epoll, id, sys::EPOLLOUT, false);
         }
     }
 
@@ -688,9 +772,11 @@ impl<In, M: Send + 'static> Net<In, M> {
         let _ = stream.set_nodelay(true);
         link.ever = true;
         let held = std::mem::take(&mut link.held);
-        let id = self.add(stream, reader, Some(addr), held);
-        if let Some(link) = self.links.get_mut(&addr) {
-            link.conn = Some(id);
+        // An epoll set out of room drops the connection and what it held.
+        if let Ok(id) = self.add(stream, reader, Some(addr), held) {
+            if let Some(link) = self.links.get_mut(&addr) {
+                link.conn = Some(id);
+            }
         }
     }
 }
@@ -1199,6 +1285,192 @@ mod tests {
         );
         assert_eq!(answer.unwrap(), Bytes::from_static(b"ping"));
         echo.join().unwrap();
+    }
+
+    /// Connects `n` plain std peers to a listener on `net` and turns it
+    /// until it has accepted them all; the peers and the ids they got,
+    /// in accept order.
+    fn accepted(net: &mut TestNet, n: usize) -> (Vec<TcpStream>, Vec<ConnId>) {
+        let addr = net
+            .listen(localhost(0), Reader::Frames(bytes_frame))
+            .unwrap();
+        let (mut peers, mut ids) = (Vec::new(), Vec::new());
+        let end = Instant::now() + Duration::from_secs(20);
+        while peers.len() < n {
+            // No more at once than the listen backlog holds.
+            let batch = (n - peers.len()).min(64);
+            peers.extend((0..batch).map(|_| TcpStream::connect(addr).unwrap()));
+            while ids.len() < peers.len() {
+                assert!(Instant::now() < end, "accepted {} of {n}", ids.len());
+                for event in pump(net, Duration::ZERO) {
+                    if let Event::Accepted(id, _) = event {
+                        ids.push(id);
+                    }
+                }
+            }
+        }
+        (peers, ids)
+    }
+
+    /// How long one `wait(50 ms)` with nothing to report takes.
+    fn idle_wait(net: &mut TestNet) -> Duration {
+        let mut events = Vec::new();
+        let started = Instant::now();
+        net.wait(Duration::from_millis(50), &mut events);
+        let took = started.elapsed();
+        assert!(events.is_empty(), "an idle turn reported something");
+        took
+    }
+
+    #[test]
+    fn a_paused_connection_with_bytes_waiting_does_not_end_the_wait() {
+        let mut net: TestNet = test_net();
+        let (mut peers, ids) = accepted(&mut net, 1);
+        net.pause(ids[0], true);
+        peers[0]
+            .write_all(&encode_frame(&Bytes::from_static(b"later")))
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(10));
+        let took = idle_wait(&mut net);
+        assert!(took >= Duration::from_millis(40), "woke after {took:?}");
+
+        net.pause(ids[0], false);
+        let end = Instant::now() + Duration::from_secs(5);
+        let mut frames = Vec::new();
+        while frames.is_empty() && Instant::now() < end {
+            for event in pump(&mut net, Duration::ZERO) {
+                if let Event::Frame(id, frame) = event {
+                    frames.push((id, frame));
+                }
+            }
+        }
+        assert_eq!(frames, vec![(ids[0], Bytes::from_static(b"later"))]);
+    }
+
+    #[test]
+    fn write_interest_ends_when_a_backlog_drains() {
+        let mut net: TestNet = test_net();
+        let (mut peers, ids) = accepted(&mut net, 1);
+        let (peer, id) = (&mut peers[0], ids[0]);
+        // The peer does not read: the socket buffers fill, and frames
+        // back up behind them.
+        let frame = Bytes::from(vec![7u8; 64 * 1024]);
+        let end = Instant::now() + Duration::from_secs(10);
+        while net.queued(id) == 0 {
+            assert!(Instant::now() < end, "the socket never backed up");
+            net.send(id, &frame);
+            net.wait(Duration::ZERO, &mut Vec::new());
+        }
+        // Now it reads everything, until the backlog has left.
+        peer.set_nonblocking(true).unwrap();
+        let mut chunk = vec![0u8; 1 << 20];
+        let mut drain = |peer: &mut TcpStream| while peer.read(&mut chunk).is_ok_and(|n| n > 0) {};
+        while net.queued(id) > 0 {
+            assert!(Instant::now() < end, "the backlog never drained");
+            drain(peer);
+            net.wait(Duration::from_millis(5), &mut Vec::new());
+        }
+        drain(peer);
+        let took = idle_wait(&mut net);
+        assert!(took >= Duration::from_millis(40), "woke after {took:?}");
+    }
+
+    #[test]
+    fn a_peer_closing_a_paused_connection_is_reported_once_without_spinning() {
+        let mut net: TestNet = test_net();
+        let (mut peers, ids) = accepted(&mut net, 1);
+        net.pause(ids[0], true);
+        // A frame the peer never reads makes its close a reset.
+        net.send(ids[0], &Bytes::from_static(b"unread"));
+        net.wait(Duration::ZERO, &mut Vec::new());
+        drop(peers.pop());
+        let (mut closed, mut turns) = (Vec::new(), 0);
+        let started = Instant::now();
+        while started.elapsed() < Duration::from_millis(200) {
+            let mut events = Vec::new();
+            net.wait(Duration::from_millis(50), &mut events);
+            turns += 1;
+            closed.extend(events.into_iter().filter_map(|e| match e {
+                Event::Closed(id) => Some(id),
+                _ => None,
+            }));
+        }
+        assert_eq!(closed, vec![ids[0]]);
+        assert!(turns <= 8, "{turns} turns in 200 ms: the wait spun");
+    }
+
+    /// CPU time this thread has run for, as the scheduler counts it.
+    fn thread_cpu() -> Duration {
+        let stat = std::fs::read_to_string("/proc/thread-self/schedstat").unwrap();
+        let ns = stat.split_whitespace().next().unwrap().parse().unwrap();
+        Duration::from_nanos(ns)
+    }
+
+    /// The median CPU time of a `Net` turn woken by one peer's ping, with
+    /// `idle` more accepted connections that stay silent.
+    fn cpu_per_ping_turn(idle: usize) -> Duration {
+        const TURNS: usize = 300;
+        let mut net: TestNet = test_net();
+        let (mut peers, _) = accepted(&mut net, idle + 1);
+        let mut pinger = peers.pop().unwrap();
+        let pings = std::thread::spawn(move || {
+            let ping = encode_frame(&Bytes::from_static(b"ping"));
+            for _ in 0..TURNS {
+                pinger.write_all(&ping).unwrap();
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        // The scheduler adds a turn's time when the thread next sleeps,
+        // so each reading after a wake-up closes the turn before it.
+        let mut turns = Vec::new();
+        let mut last = thread_cpu();
+        while turns.len() < TURNS {
+            net.wait(Duration::from_millis(20), &mut Vec::new());
+            let now = thread_cpu();
+            turns.push(now - last);
+            last = now;
+        }
+        pings.join().unwrap();
+        turns.sort_unstable();
+        turns[TURNS / 2]
+    }
+
+    /// This process's soft limit on open descriptors.
+    fn open_file_limit() -> usize {
+        let limits = std::fs::read_to_string("/proc/self/limits").unwrap_or_default();
+        let soft = limits
+            .lines()
+            .find(|l| l.starts_with("Max open files"))
+            .and_then(|l| l.split_whitespace().nth(3));
+        match soft {
+            Some("unlimited") => usize::MAX,
+            soft => soft.and_then(|s| s.parse().ok()).unwrap_or(0),
+        }
+    }
+
+    #[test]
+    fn a_turn_costs_what_is_ready_not_what_is_open() {
+        // Both ends of every idle connection live in this process, beside
+        // the sockets of tests running alongside.
+        const IDLE: usize = 400;
+        let limit = open_file_limit();
+        if limit < 2 * IDLE + 200 {
+            eprintln!("skipped: {IDLE} idle connections need more than {limit} descriptors");
+            return;
+        }
+        // A sibling test can inflate one measurement; a turn that pays for
+        // every open socket fails every attempt.
+        let mut tries = Vec::new();
+        for _ in 0..3 {
+            let alone = cpu_per_ping_turn(0);
+            let beside_idle = cpu_per_ping_turn(IDLE);
+            eprintln!("ping turn: {alone:?} alone, {beside_idle:?} beside {IDLE} idle connections");
+            if beside_idle <= alone * 2 {
+                return;
+            }
+            tries.push((alone, beside_idle));
+        }
+        panic!("a ping turn (alone, beside {IDLE} idle connections) cost {tries:?}");
     }
 
     #[test]

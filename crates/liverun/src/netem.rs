@@ -56,27 +56,73 @@ const CHUNK: usize = 16 * 1024;
 /// Pause before re-dialling a target that has never answered.
 const REDIAL: Duration = Duration::from_millis(20);
 
+/// Region names interned to indices, and the live policy of each directed
+/// link between them: what the shaping loop looks up per chunk, without
+/// building or hashing a name.
+#[derive(Default)]
+struct Links {
+    names: Vec<String>,
+    /// `set[from][to]`: the link's policy, once one was set.
+    set: Vec<Vec<Option<LinkPolicy>>>,
+}
+
+impl Links {
+    fn find(&self, name: &str) -> Option<usize> {
+        self.names.iter().position(|n| n == name)
+    }
+
+    /// `name`'s index, interned on first use.
+    fn intern(&mut self, name: &str) -> usize {
+        if let Some(region) = self.find(name) {
+            return region;
+        }
+        self.names.push(name.to_string());
+        for row in &mut self.set {
+            row.push(None);
+        }
+        self.set.push(vec![None; self.names.len()]);
+        self.names.len() - 1
+    }
+
+    fn policy(&self, from: usize, to: usize) -> LinkPolicy {
+        self.set[from][to].unwrap_or_else(LinkPolicy::unshaped)
+    }
+
+    /// The policy of the link `from` → `to`, set unshaped if it was not.
+    fn entry(&mut self, from: &str, to: &str) -> &mut LinkPolicy {
+        let (from, to) = (self.intern(from), self.intern(to));
+        self.set[from][to].get_or_insert_with(LinkPolicy::unshaped)
+    }
+}
+
 /// Shared mutable world state: placements, live policies, stats sinks.
 struct Shared {
-    region_of: HashMap<NodeId, String>,
+    region_of: HashMap<NodeId, usize>,
     /// Where the coordination service lives (`coord_region`).
-    coord_region: String,
-    policies: Mutex<HashMap<(String, String), LinkPolicy>>,
+    coord_region: usize,
+    links: Mutex<Links>,
     obs: Mutex<HashMap<NodeId, Obs>>,
 }
 
 impl Shared {
-    fn policy(&self, from: &str, to: &str) -> LinkPolicy {
-        self.policies
-            .lock()
-            .expect("netem lock")
-            .get(&(from.to_string(), to.to_string()))
-            .copied()
-            .unwrap_or_else(LinkPolicy::unshaped)
+    fn links(&self) -> std::sync::MutexGuard<'_, Links> {
+        self.links.lock().expect("netem lock")
     }
 
-    fn region(&self, node: NodeId) -> String {
-        self.region_of.get(&node).cloned().unwrap_or_default()
+    fn policy(&self, from: usize, to: usize) -> LinkPolicy {
+        self.links().policy(from, to)
+    }
+
+    /// `node`'s region; "" (interned) when unplaced.
+    fn region(&self, node: NodeId) -> usize {
+        match self.region_of.get(&node) {
+            Some(region) => *region,
+            None => self.links().intern(""),
+        }
+    }
+
+    fn name(&self, region: usize) -> String {
+        self.links().names[region].clone()
     }
 
     fn obs_of(&self, node: NodeId) -> Obs {
@@ -100,27 +146,23 @@ pub struct NetemControl {
 impl NetemControl {
     /// The current policy of the directed link `from` → `to`.
     pub fn policy(&self, from: &str, to: &str) -> LinkPolicy {
-        self.shared.policy(from, to)
+        let links = self.shared.links();
+        match (links.find(from), links.find(to)) {
+            (Some(from), Some(to)) => links.policy(from, to),
+            _ => LinkPolicy::unshaped(),
+        }
     }
 
     /// Replaces the policy of the directed link `from` → `to`. Existing
     /// connections pick the change up on their next chunk.
     pub fn set_link(&self, from: &str, to: &str, policy: LinkPolicy) {
-        self.shared
-            .policies
-            .lock()
-            .expect("netem lock")
-            .insert((from.to_string(), to.to_string()), policy);
+        *self.shared.links().entry(from, to) = policy;
     }
 
     /// Blocks or unblocks the directed link `from` → `to` (asymmetric
     /// partitions: a region that can send but not hear, or vice versa).
     pub fn set_blocked(&self, from: &str, to: &str, blocked: bool) {
-        let mut map = self.shared.policies.lock().expect("netem lock");
-        let entry = map
-            .entry((from.to_string(), to.to_string()))
-            .or_insert_with(LinkPolicy::unshaped);
-        entry.blocked = blocked;
+        self.shared.links().entry(from, to).blocked = blocked;
     }
 
     /// Partitions `region` off: both directions of every link between it
@@ -136,17 +178,24 @@ impl NetemControl {
     }
 
     fn set_region_blocked(&self, region: &str, blocked: bool) {
-        let mut map = self.shared.policies.lock().expect("netem lock");
-        for ((from, to), policy) in map.iter_mut() {
-            if (from == region) != (to == region) {
-                policy.blocked = blocked;
+        let mut links = self.shared.links();
+        let Some(region) = links.find(region) else {
+            return;
+        };
+        for (from, row) in links.set.iter_mut().enumerate() {
+            for (to, policy) in row.iter_mut().enumerate() {
+                if (from == region) != (to == region) {
+                    if let Some(policy) = policy {
+                        policy.blocked = blocked;
+                    }
+                }
             }
         }
     }
 
     /// The region `node` was placed in ("" when unplaced).
     pub fn region_of(&self, node: NodeId) -> String {
-        self.shared.region(node)
+        self.shared.name(self.shared.region(node))
     }
 }
 
@@ -169,23 +218,23 @@ impl NetemControl {
 struct ShapedCoord {
     inner: Arc<dyn Coord>,
     shared: Arc<Shared>,
-    region: String,
+    region: usize,
 }
 
 impl std::fmt::Debug for ShapedCoord {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShapedCoord")
-            .field("region", &self.region)
-            .field("coord_region", &self.shared.coord_region)
+            .field("region", &self.shared.name(self.region))
+            .field("coord_region", &self.shared.name(self.shared.coord_region))
             .finish_non_exhaustive()
     }
 }
 
 impl Coord for ShapedCoord {
     fn call(&self, op: CoordOp) -> Result<CoordOk> {
-        let coord = &self.shared.coord_region;
-        if self.shared.policy(&self.region, coord).blocked
-            || self.shared.policy(coord, &self.region).blocked
+        let coord = self.shared.coord_region;
+        if self.shared.policy(self.region, coord).blocked
+            || self.shared.policy(coord, self.region).blocked
         {
             // What a real ensemble looks like across a cut WAN: the
             // request never completes.
@@ -238,19 +287,19 @@ impl Netem {
             .geo
             .as_ref()
             .ok_or_else(|| Error::Config("netem needs [[region]] sections".into()))?;
-        let region_of: HashMap<NodeId, String> = config
+        let mut links = Links::default();
+        for (from, to, policy) in geo.links() {
+            *links.entry(from, to) = policy;
+        }
+        let region_of = config
             .nodes
             .iter()
-            .filter_map(|n| geo.region_of(n.id).map(|r| (n.id, r.to_string())))
-            .collect();
-        let policies = geo
-            .links()
-            .map(|(a, b, p)| ((a.to_string(), b.to_string()), p))
+            .filter_map(|n| geo.region_of(n.id).map(|r| (n.id, links.intern(r))))
             .collect();
         let shared = Arc::new(Shared {
             region_of,
-            coord_region: geo.coord_region.clone(),
-            policies: Mutex::new(policies),
+            coord_region: links.intern(&geo.coord_region),
+            links: Mutex::new(links),
             obs: Mutex::new(HashMap::new()),
         });
         let mut shaper = Shaper {
@@ -273,6 +322,7 @@ impl Netem {
                 let addr = shaper.open(Relay {
                     src: Some(from.id),
                     src_region: shared.region(from.id),
+                    dst_region: shared.region(to.id),
                     dst: to.id,
                     target: to.peer_addr,
                     ever: false,
@@ -336,7 +386,8 @@ impl Netem {
             .ok_or_else(|| Error::Config(format!("netem: unknown node {node}")))?;
         let relay = Relay {
             src: None,
-            src_region: from_region.to_string(),
+            src_region: self.shared.links().intern(from_region),
+            dst_region: self.shared.region(node),
             dst: node,
             target,
             ever: false,
@@ -355,10 +406,9 @@ impl Netem {
     /// partitioned from `coord_region` (see `ShapedCoord`). Unplaced
     /// nodes keep the registry as-is.
     pub fn shaped_registry(&self, node: NodeId, registry: &Registry) -> Registry {
-        let region = self.shared.region(node);
-        if region.is_empty() {
+        let Some(&region) = self.shared.region_of.get(&node) else {
             return registry.clone();
-        }
+        };
         Registry::from_backend(Arc::new(ShapedCoord {
             inner: Arc::clone(registry.backend()),
             shared: Arc::clone(&self.shared),
@@ -421,7 +471,9 @@ struct Relay {
     /// The sending node; `None` for a client, which has no registry of
     /// its own: both directions of its link count against `dst`.
     src: Option<NodeId>,
-    src_region: String,
+    /// The regions at either end, interned.
+    src_region: usize,
+    dst_region: usize,
     dst: NodeId,
     target: SocketAddr,
     /// The target has answered once: from now on a failed dial cuts the
@@ -435,9 +487,9 @@ struct Relay {
 struct End {
     /// The other end, once the target has answered.
     peer: Option<ConnId>,
-    /// Regions whose link policy applies.
-    from: String,
-    to: String,
+    /// Regions whose link policy applies, interned.
+    from: usize,
+    to: usize,
     shaper: LinkShaper,
     rng: StdRng,
     counters: PipeCounters,
@@ -445,10 +497,16 @@ struct End {
 
 impl End {
     /// The end `conn`, whose loss and jitter draws it also seeds.
-    fn new(conn: ConnId, peer: Option<ConnId>, from: String, to: String, obs: &Obs) -> End {
+    fn new(
+        conn: ConnId,
+        peer: Option<ConnId>,
+        (from, to): (usize, usize),
+        shared: &Shared,
+        obs: &Obs,
+    ) -> End {
         End {
             peer,
-            counters: PipeCounters::new(obs, &to),
+            counters: PipeCounters::new(obs, &shared.name(to)),
             from,
             to,
             shaper: LinkShaper::new(),
@@ -514,8 +572,8 @@ impl Shaper {
     fn accepted(&mut self, conn: ConnId, relay: SocketAddr) {
         let r = &self.relays[&relay];
         let obs = self.shared.obs_of(r.src.unwrap_or(r.dst));
-        let to = self.shared.region(r.dst);
-        let end = End::new(conn, None, r.src_region.clone(), to, &obs);
+        let regions = (r.src_region, r.dst_region);
+        let end = End::new(conn, None, regions, &self.shared, &obs);
         self.ends.insert(conn, end);
         self.dial(conn, relay);
     }
@@ -526,7 +584,7 @@ impl Shaper {
         let (Some(sender), Some(r)) = (self.ends.get(&conn), self.relays.get_mut(&relay)) else {
             return;
         };
-        if self.shared.policy(&sender.from, &sender.to).blocked {
+        if self.shared.policy(sender.from, sender.to).blocked {
             // Partitioned: cut the reconnect attempt at the door.
             sender.counters.drop_one();
         } else {
@@ -534,9 +592,9 @@ impl Shaper {
             match self.net.connect(r.target, Reader::Raw(|b| b), timeout) {
                 Ok(target) => {
                     r.ever = true;
-                    let (from, to) = (sender.to.clone(), sender.from.clone());
+                    let regions = (sender.to, sender.from);
                     let obs = self.shared.obs_of(r.dst);
-                    let end = End::new(target, Some(conn), from, to, &obs);
+                    let end = End::new(target, Some(conn), regions, &self.shared, &obs);
                     self.ends.insert(target, end);
                     self.ends.get_mut(&conn).expect("the sender").peer = Some(target);
                     return self.net.pause(conn, false);
@@ -564,7 +622,7 @@ impl Shaper {
         let Some(to) = end.peer else {
             return;
         };
-        let policy = self.shared.policy(&end.from, &end.to);
+        let policy = self.shared.policy(end.from, end.to);
         let now = Instant::now();
         while !bytes.is_empty() {
             if policy.blocked

@@ -3,7 +3,7 @@
 //!
 //! A node is **one thread**, the node loop. It owns the host state
 //! machine and every socket of the node through the crate-private `net`
-//! module's readiness loop: each turn it waits in `ppoll` with a deadline
+//! module's readiness loop: each turn it waits in `epoll_pwait2` with a deadline
 //! derived from the timer heap and the batcher, accepts, reads every
 //! ready connection — [`PeerFrame`]s from peers, the
 //! [`common::wire::client`] protocol from clients, the coordination

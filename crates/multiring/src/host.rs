@@ -268,7 +268,7 @@ struct ActiveCkpt {
     cut: Box<dyn SnapshotCut>,
     /// When the cut was taken; final-chunk minus this is the window
     /// that feeds the [`CKPT_DUTY_FACTOR`] duty-cycle bound.
-    started: std::time::Instant,
+    started: SimTime,
 }
 
 /// The per-process host. See the module docs.
@@ -749,7 +749,7 @@ impl MultiRingHost {
         // service state as the trailing rest). Presized from the
         // previous checkpoint so a large store does not churn through
         // doubling reallocations on the delivery thread.
-        let t0 = std::time::Instant::now();
+        let t0 = ctx.now();
         let mut buf = BytesMut::with_capacity(self.ckpt_capacity.max(1024));
         encode_snapshot_meta(&mut buf, &dedup, merge_turn, &merge_credits);
         let cut = self.app.snapshot_cut();
@@ -782,10 +782,14 @@ impl MultiRingHost {
             return;
         }
         let state = active.buf.freeze();
-        // Real wall from cut to final chunk, deliberately: contention
-        // (other replicas' windows, client load) inflating the window is
-        // exactly the signal to back off and de-align.
-        self.ckpt_cost = active.started.elapsed();
+        // Cut to final chunk on the loop's clock, deliberately: live it
+        // is the wall read once per event, and contention (other
+        // replicas' windows, client load) inflating a chunked window is
+        // exactly the signal to back off and de-align; a checkpoint done
+        // in one event reads 0. Simulated it is virtual time — a process
+        // never reads the wall clock, or a loaded test host changes the
+        // run.
+        self.ckpt_cost = ctx.now().since(active.started);
         self.hobs.ckpt_bytes.set(state.len() as i64);
         self.hobs
             .ckpt_window_us
