@@ -255,7 +255,7 @@ fn format_stats_text(out: &mut String, snap: &ObsSnapshot) {
     if !rings.is_empty() {
         let _ = writeln!(
             out,
-            "  per-ring:\n    {:<6} {:>12} {:>10} {:>10} {:>14} {:>16} {:>12} {:>10}",
+            "  per-ring:\n    {:<6} {:>12} {:>10} {:>10} {:>14} {:>16} {:>12} {:>10} {:>12} {:>12}",
             "ring",
             "delivered",
             "skips",
@@ -263,13 +263,15 @@ fn format_stats_text(out: &mut String, snap: &ObsSnapshot) {
             "decision_msgs",
             "decision_payload",
             "trim_floor",
-            "log_slots"
+            "log_slots",
+            "log_bytes",
+            "cache_bytes"
         );
         for (ring, m) in &rings {
             let g = |k: &str| m.get(k).copied().unwrap_or(0);
             let _ = writeln!(
                 out,
-                "    {ring:<6} {:>12} {:>10} {:>10} {:>14} {:>16} {:>12} {:>10}",
+                "    {ring:<6} {:>12} {:>10} {:>10} {:>14} {:>16} {:>12} {:>10} {:>12} {:>12}",
                 g("delivered_cmds"),
                 g("merge_skips"),
                 g("merge_lag"),
@@ -277,6 +279,8 @@ fn format_stats_text(out: &mut String, snap: &ObsSnapshot) {
                 g("decision_payload_bytes"),
                 g("trim_floor"),
                 g("log_slots"),
+                g("log_bytes"),
+                g("cache_bytes"),
             );
         }
     }
@@ -447,16 +451,8 @@ mod tests {
         let mut text = String::new();
         format_stats_text(&mut text, &snap);
         assert!(text.contains("trim_rounds"), "{text}");
-        let header = text.lines().find(|l| l.contains("trim_floor")).unwrap();
-        assert!(header.contains("log_slots"), "{text}");
-        let row: Vec<&str> = text
-            .lines()
-            .find(|l| l.trim_start().starts_with("3 "))
-            .unwrap()
-            .split_whitespace()
-            .collect();
-        assert_eq!(row.last(), Some(&"311"), "{text}");
-        assert_eq!(row[row.len() - 2], "4097", "{text}");
+        assert_eq!(ring_column(&text, 3, "log_slots"), "311", "{text}");
+        assert_eq!(ring_column(&text, 3, "trim_floor"), "4097", "{text}");
 
         let mut json = String::new();
         format_stats_json(&mut json, &[(0, Ok(snap))]);
@@ -467,5 +463,31 @@ mod tests {
         ] {
             assert!(json.contains(field), "{json}");
         }
+    }
+
+    /// The cell of ring `ring`'s row under `column` in the per-ring table.
+    fn ring_column<'a>(text: &'a str, ring: u16, column: &str) -> &'a str {
+        let header = text.lines().find(|l| l.contains("trim_floor")).unwrap();
+        let at = header.split_whitespace().position(|c| c == column).unwrap();
+        let row = text
+            .lines()
+            .find(|l| l.trim_start().starts_with(&format!("{ring} ")))
+            .unwrap();
+        row.split_whitespace().nth(at).unwrap()
+    }
+
+    #[test]
+    fn stats_show_what_each_ring_retains_in_bytes() {
+        let obs = Obs::for_node(0);
+        obs.gauge("ring2_log_bytes").set(65536);
+        obs.gauge("ring2_cache_bytes").set(8192);
+        obs.gauge("mem_accounted_bytes").set(73728);
+        let snap = obs.snapshot();
+
+        let mut text = String::new();
+        format_stats_text(&mut text, &snap);
+        assert_eq!(ring_column(&text, 2, "log_bytes"), "65536", "{text}");
+        assert_eq!(ring_column(&text, 2, "cache_bytes"), "8192", "{text}");
+        assert!(text.contains("mem_accounted_bytes"), "{text}");
     }
 }

@@ -57,7 +57,7 @@ use ringpaxos::options::RingOptions;
 use crate::batch::BatchOptions;
 use crate::deployment::{durable, wait_wal_released};
 use crate::net::{ConnId, Net};
-use crate::node::{spawn_node, NodeHandle, NodeSetup};
+use crate::node::{refresh_stats, spawn_node, NodeHandle, NodeSetup};
 
 /// The ring id the ensemble replicates its own log on (a private
 /// namespace — this ring never appears in any deployment's registry).
@@ -262,6 +262,7 @@ impl CoordFront {
                 if let Some(cursor) = host.checkpoint_tuple().and_then(|t| t.get(COORD_RING)) {
                     self.applied.seed(cursor.raw());
                 }
+                refresh_stats(host, &self.obs);
                 Ok(CoordOk::Stats(self.obs.snapshot()))
             }
             // The synthetic client id is the connection's: `Net` never

@@ -579,6 +579,7 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
                 }
                 // Stats are a read-only plane: no hello needed.
                 ClientMsg::StatsRequest { token } => {
+                    refresh_stats(&host, &obs);
                     net.send(
                         conn,
                         &ClientReply::Stats {
@@ -700,6 +701,22 @@ fn take_sealed(
     let mut sealed = batcher.take_idle(|ring| host.proposals_in_flight(ring) == 0);
     sealed.extend(batcher.take_due(now));
     sealed
+}
+
+/// Brings the gauges a stats reply carries up to date: what the host
+/// retains ([`MultiRingHost::refresh_gauges`]) and the process's resident
+/// set, `vm_rss_bytes` — one figure shared by every node an in-process
+/// deployment hosts.
+pub(crate) fn refresh_stats(host: &MultiRingHost, obs: &Obs) {
+    host.refresh_gauges();
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let rss_kib = (status.lines())
+        .find_map(|l| l.strip_prefix("VmRSS:"))
+        .and_then(|v| v.trim().strip_suffix("kB"))
+        .and_then(|v| v.trim().parse::<i64>().ok());
+    if let Some(kib) = rss_kib {
+        obs.gauge("vm_rss_bytes").set(kib * 1024);
+    }
 }
 
 /// Records the batch-seal stage for every sampled envelope in a batch

@@ -1503,6 +1503,45 @@ fn acceptor_logs_trim_live_on_two_replica_partitions() {
     deployment.shutdown();
 }
 
+/// With checkpoints off nothing trims, and the stats plane shows the
+/// acceptor logs holding what was decided: the retained-state gauges are
+/// computed when stats are read, not on the (here absent) checkpoint
+/// timer.
+#[test]
+fn retained_state_gauges_read_live_with_checkpoints_off() {
+    let text = generate_localhost_mrpstore(1, 2, base_port(), None);
+    let mut config = DeploymentConfig::parse(&text).unwrap();
+    config.checkpoint_interval = None;
+    let deployment = Deployment::launch(config.clone()).unwrap();
+    let mut client = StoreClient::connect(&config, ClientId::new(83), client_opts()).unwrap();
+    let value = Bytes::from(vec![3u8; 512]);
+    for i in 0..50 {
+        let key = format!("untrimmed{i}");
+        assert_eq!(client.insert(&key, value.clone()).unwrap(), KvResponse::Ok);
+    }
+    let snaps = scrape(&config);
+    let slots = per_acceptor(&config, &snaps, "log_slots");
+    assert!(slots.iter().all(|(_, n)| *n > 0), "{slots:?}");
+    let log_bytes: i64 = (per_acceptor(&config, &snaps, "log_bytes").iter())
+        .map(|(_, n)| n)
+        .sum();
+    assert!(
+        log_bytes >= 2 * 50 * 512,
+        "{log_bytes} payload bytes logged"
+    );
+    for snap in &snaps {
+        let accounted = snap.gauge("mem_accounted_bytes").unwrap_or(0);
+        assert!(accounted > 0, "node {}: nothing accounted", snap.node);
+        let rss = snap.gauge("vm_rss_bytes").unwrap_or(0);
+        assert!(
+            rss > accounted,
+            "node {}: VmRSS {rss} < {accounted}",
+            snap.node
+        );
+    }
+    deployment.shutdown();
+}
+
 /// A replica the acceptors trimmed past comes back through a peer
 /// checkpoint (§5.2: `K_T ≤ K_R`): one replica of a 3-replica partition
 /// is killed, its peers checkpoint and trim past everything it had
@@ -1607,9 +1646,12 @@ fn replica_behind_the_trim_floor_recovers_from_a_peer_checkpoint() {
 /// Direction 4's memory clause, measured: a 2 × 3 deployment under a
 /// closed loop of 8 KiB writes (two clients, 32 in flight each) for a
 /// minute. With trimming the acceptor logs stop growing once the load is
-/// steady. Prints the process's `VmRSS` at 20, 40 and 60 s: resident
-/// memory still climbs while the bounded windows (`dedup_window`,
-/// `value_cache_window`) fill, so it is reported, not asserted.
+/// steady, and a learner caches a value only until it decides it, so the
+/// learned-value caches hold what is in flight and nothing more. Prints,
+/// at 20, 40 and 60 s, the process's `VmRSS` beside what the stats plane
+/// accounts for: `mem_accounted_bytes`, `ring<r>_cache_bytes` and
+/// `ring<r>_log_bytes`, each summed over every node. `VmRSS` itself is
+/// reported, not asserted.
 ///
 /// `cargo test --release -p liverun --test live_deployment -- --ignored
 /// --nocapture acceptor_logs_stay_bounded_under_a_minute_of_large_values`
@@ -1676,31 +1718,43 @@ fn acceptor_logs_stay_bounded_under_a_minute_of_large_values() {
             })
             .unwrap_or_else(|| "unknown".into())
     };
-    // What the logs retain swings with the checkpoint cycle: average it
-    // over the five seconds (about ten cycles) up to each mark.
-    let retained = || -> i64 {
-        per_acceptor(&config, &scrape(&config), "log_slots")
-            .into_iter()
-            .map(|(_, n)| n)
+    // A gauge summed over every node, ring gauges matched by suffix.
+    let total = |snaps: &[common::obs::ObsSnapshot], suffix: &str| -> i64 {
+        (snaps.iter().flat_map(|s| &s.gauges))
+            .filter(|(name, _)| name.ends_with(suffix))
+            .map(|(_, v)| v)
             .sum()
     };
+    const MIB: i64 = 1 << 20;
+    // What the logs retain swings with the checkpoint cycle: average it
+    // over the five seconds (about ten cycles) up to each mark. The byte
+    // gauges are the last scrape's.
     let start = Instant::now();
-    let mut slots = Vec::new();
+    let (mut slots, mut cached) = (Vec::new(), Vec::new());
     for at in [20u64, 40, 60] {
         let mark = Duration::from_secs(at);
         std::thread::sleep((mark - Duration::from_secs(5)).saturating_sub(start.elapsed()));
-        let mut samples = Vec::new();
+        let (mut samples, mut last) = (Vec::new(), Vec::new());
         while start.elapsed() < mark {
-            samples.push(retained());
+            last = scrape(&config);
+            let retained = per_acceptor(&config, &last, "log_slots").into_iter();
+            samples.push(retained.map(|(_, n)| n).sum::<i64>());
             std::thread::sleep(Duration::from_millis(100));
         }
         let mean = samples.iter().sum::<i64>() / samples.len().max(1) as i64;
         let peak = samples.iter().max().copied().unwrap_or(0);
+        let cache = total(&last, "_cache_bytes");
         println!(
-            "{at:>2} s: VmRSS {}, acceptor log slots {mean} (peak {peak})",
-            vm_rss()
+            "{at:>2} s: VmRSS {}, accounted {} MiB (cached values {} KiB, acceptor logs {} MiB \
+             in {mean} slots, peak {peak}), dedup ids {}",
+            vm_rss(),
+            total(&last, "mem_accounted_bytes") / MIB,
+            cache / 1024,
+            total(&last, "_log_bytes") / MIB,
+            total(&last, "_dedup_ids"),
         );
         slots.push(mean);
+        cached.push(cache);
     }
     stop.store(true, Ordering::Relaxed);
     let done: u64 = load
@@ -1714,6 +1768,14 @@ fn acceptor_logs_stay_bounded_under_a_minute_of_large_values() {
         "acceptor log slots grew from {} at 20 s to {} at 60 s",
         slots[0],
         slots[2]
+    );
+    // What is in flight bounds the caches: 64 writes of 8 KiB, held at
+    // most once per node. A cache that kept decided values would hold
+    // thousands of batches per ring node.
+    assert!(
+        cached[2] < 16 * MIB,
+        "the learned-value caches hold {} KiB at 60 s",
+        cached[2] / 1024
     );
     deployment.shutdown();
 }

@@ -191,8 +191,11 @@ struct HostObs {
     ckpt_window_us: Gauge,
     /// Trim rounds this node completed as a ring coordinator.
     trim_rounds: Counter,
-    /// Per acceptor ring: `ring{r}_trim_floor` and `ring{r}_log_slots`.
-    logs: Vec<(RingId, Gauge, Gauge)>,
+    /// What each ring retains, refreshed by [`MultiRingHost::refresh_gauges`].
+    retained: Vec<RetainedGauges>,
+    /// The sum of what `retained` counts, `ckpt_bytes` and the merge
+    /// queue's payload bytes.
+    mem_accounted: Gauge,
     stage_propose: Hist,
     stage_p2send: Hist,
     stage_decide: Hist,
@@ -201,14 +204,32 @@ struct HostObs {
     stage_reply: Hist,
 }
 
+/// One ring's retained-state gauges.
+struct RetainedGauges {
+    ring: RingId,
+    /// `ring{r}_trim_floor`, `ring{r}_log_slots` and `ring{r}_log_bytes`,
+    /// on rings this node is an acceptor of.
+    log: Option<[Gauge; 3]>,
+    /// `ring{r}_cache_values` and `ring{r}_cache_bytes`.
+    cache: [Gauge; 2],
+    /// `ring{r}_dedup_ids`.
+    dedup_ids: Gauge,
+}
+
 impl HostObs {
-    fn new(obs: &Obs, acceptor_of: &[RingId]) -> Self {
-        let logs = acceptor_of
-            .iter()
+    fn new(obs: &Obs, rings: &BTreeMap<RingId, RingNode>, acceptor_of: &[RingId]) -> Self {
+        let retained = rings
+            .keys()
             .map(|ring| {
-                let r = ring.raw();
-                let floor = obs.gauge(&format!("ring{r}_trim_floor"));
-                (*ring, floor, obs.gauge(&format!("ring{r}_log_slots")))
+                let gauge = |name: &str| obs.gauge(&format!("ring{}_{name}", ring.raw()));
+                RetainedGauges {
+                    ring: *ring,
+                    log: acceptor_of
+                        .contains(ring)
+                        .then(|| ["trim_floor", "log_slots", "log_bytes"].map(gauge)),
+                    cache: ["cache_values", "cache_bytes"].map(gauge),
+                    dedup_ids: gauge("dedup_ids"),
+                }
             })
             .collect();
         HostObs {
@@ -223,7 +244,8 @@ impl HostObs {
             ckpt_bytes: obs.gauge("ckpt_bytes"),
             ckpt_window_us: obs.gauge("ckpt_window_us"),
             trim_rounds: obs.counter("trim_rounds"),
-            logs,
+            retained,
+            mem_accounted: obs.gauge("mem_accounted_bytes"),
             stage_propose: obs.hist("stage_propose_nanos"),
             stage_p2send: obs.hist("stage_p2send_nanos"),
             stage_decide: obs.hist("stage_decide_nanos"),
@@ -393,7 +415,7 @@ impl MultiRingHost {
             Some(MergeLearner::new(subscribe_to, opts.m))
         };
         let ckpt_store = CheckpointStore::new(opts.checkpoint_storage);
-        let hobs = HostObs::new(&opts.ring.obs, &acceptor_of);
+        let hobs = HostObs::new(&opts.ring.obs, &rings, &acceptor_of);
         MultiRingHost {
             me,
             registry,
@@ -949,21 +971,41 @@ impl MultiRingHost {
     fn trim_log(&mut self, ring: RingId, upto: InstanceId) {
         if let Some(node) = self.rings.get_mut(&ring) {
             node.trim_log(upto);
-            self.note_logs();
         }
     }
 
-    /// Refreshes the `ring{r}_trim_floor` / `ring{r}_log_slots` gauges of
-    /// every ring this node is an acceptor of. Called when a trim lands
-    /// and on the checkpoint timer, never per ordering message, so the
-    /// hot path pays nothing for them.
-    fn note_logs(&self) {
-        for (ring, floor, slots) in &self.hobs.logs {
-            if let Some(node) = self.rings.get(ring) {
-                floor.set(node.log().trim_floor().raw() as i64);
-                slots.set(node.log().len() as i64);
+    /// Refreshes the gauges of what this node retains. Per ring: its
+    /// acceptor log (`trim_floor`, `log_slots`, `log_bytes`), its
+    /// learned-value cache (`cache_values`, `cache_bytes`) and its dedup
+    /// ids (`dedup_ids`). Per node, `mem_accounted_bytes`: the payload
+    /// bytes of the logs, caches and merge queue, the dedup ids at their
+    /// in-memory size, and the last checkpoint (`ckpt_bytes`). It walks
+    /// every retained value, so the stats plane calls it when it is read;
+    /// nothing on the ordering path does.
+    pub fn refresh_gauges(&self) {
+        let ckpt = usize::try_from(self.hobs.ckpt_bytes.get()).unwrap_or(0);
+        let merge = self.learner.as_ref().map_or(0, MergeLearner::queued_bytes);
+        let mut accounted = ckpt + merge;
+        for g in &self.hobs.retained {
+            let Some(node) = self.rings.get(&g.ring) else {
+                continue;
+            };
+            let ([cache_values, cache_bytes], (values, bytes)) = (&g.cache, node.value_cache());
+            let ids = node.dedup_ids();
+            cache_values.set(values as i64);
+            cache_bytes.set(bytes as i64);
+            g.dedup_ids.set(ids as i64);
+            accounted += bytes + ids * std::mem::size_of::<ValueId>();
+            if let Some([floor, slots, log_bytes]) = &g.log {
+                let log = node.log();
+                let payload = log.payload_bytes();
+                floor.set(log.trim_floor().raw() as i64);
+                slots.set(log.len() as i64);
+                log_bytes.set(payload as i64);
+                accounted += payload;
             }
         }
+        self.hobs.mem_accounted.set(accounted as i64);
     }
 
     // ------------------------------------------------------------------
@@ -1373,7 +1415,6 @@ impl Process for MultiRingHost {
                 self.drain_ring(ring, ctx);
             }
             TIMER_CHECKPOINT => {
-                self.note_logs();
                 self.take_checkpoint(ctx);
                 if let Some(interval) = self.opts.checkpoint_interval {
                     // Duty-cycle bound: a checkpoint whose serialization

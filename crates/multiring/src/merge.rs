@@ -241,6 +241,16 @@ impl MergeLearner {
         self.streams.values().map(|s| s.queue.len() as u64).sum()
     }
 
+    /// Payload bytes of the decided values buffered across all streams.
+    /// Walks every queued value, so it is for the stats plane.
+    pub fn queued_bytes(&self) -> usize {
+        let queued = self.streams.values().flat_map(|s| &s.queue);
+        queued
+            .filter_map(|(_, v)| v.payload())
+            .map(|b| b.len())
+            .sum()
+    }
+
     /// Per-ring buffered-decision depth (the per-ring `merge_lag`
     /// breakdown in the stats plane).
     pub fn lag_by_ring(&self) -> Vec<(RingId, u64)> {

@@ -16,7 +16,9 @@
 //! 3. Each acceptor logs its vote to stable storage, *then* adds it and
 //!    forwards; non-acceptors forward unchanged. The Phase 2 message
 //!    keeps circulating the whole ring — it is the *only* time the value
-//!    payload travels; everyone caches the value by id.
+//!    payload travels; everyone keeps the value by id until it is
+//!    decided here (an acceptor in its log, which serves any later pull;
+//!    anyone else in a cache of undecided values).
 //! 4. The acceptor whose vote completes the majority additionally sends
 //!    an **id-only** [`RingMsg::Decision`] `(instance, ballot, value id)`
 //!    point-to-point to each member *upstream* of it — those between the
@@ -188,11 +190,13 @@ pub struct RingNode {
     /// cut would make a restored replica demote those values to no-ops
     /// when catch-up re-delivers them (a lost write).
     delivered_order: VecDeque<(InstanceId, ValueId)>,
-    /// Values learned from circulating Phase 2 / proposals, keyed by id:
-    /// what id-only decisions resolve against. Bounded FIFO; payloads are
-    /// refcounted views of the incoming frames, not copies.
-    learned: HashMap<ValueId, Value>,
-    learned_order: VecDeque<ValueId>,
+    /// Values this node did not log (it does not vote) learned from a
+    /// passing Phase 2 or a push and not yet decided here, keyed by id,
+    /// with the instance each was last seen at and when it was learned:
+    /// what id-only decisions resolve against besides the acceptor log.
+    /// A decision removes its value; the proposal retry timer sweeps the
+    /// rest. Payloads are refcounted views of the incoming frames.
+    learned: HashMap<ValueId, (Value, Option<InstanceId>, SimTime)>,
     /// Decisions whose value this node missed, awaiting a [`RingMsg::ValueResend`].
     pending_values: BTreeMap<InstanceId, PendingValue>,
     /// Rotates which acceptor serves value pulls.
@@ -264,7 +268,6 @@ impl RingNode {
             delivered_ids: HashSet::new(),
             delivered_order: VecDeque::new(),
             learned: HashMap::new(),
-            learned_order: VecDeque::new(),
             pending_values: BTreeMap::new(),
             value_req_rr: 0,
             unacked: BTreeMap::new(),
@@ -407,6 +410,22 @@ impl RingNode {
         self.unacked.len()
     }
 
+    /// The learned-value cache: how many values this node learned and has
+    /// not decided, and their payload bytes.
+    pub fn value_cache(&self) -> (usize, usize) {
+        let bytes = self
+            .learned
+            .values()
+            .filter_map(|(value, ..)| value.payload());
+        (self.learned.len(), bytes.map(|b| b.len()).sum())
+    }
+
+    /// Value ids held for duplicate suppression: the coordinator's
+    /// proposal dedup set plus the learner's delivered-id window.
+    pub fn dedup_ids(&self) -> usize {
+        self.seen_ids.len() + self.delivered_ids.len()
+    }
+
     fn is_acceptor(&self) -> bool {
         self.cfg.is_acceptor(self.me)
     }
@@ -450,7 +469,6 @@ impl RingNode {
         self.delivered_ids.clear();
         self.delivered_order.clear();
         self.learned.clear();
-        self.learned_order.clear();
         self.pending_values.clear();
         self.unacked.clear();
         self.batch.clear();
@@ -491,7 +509,6 @@ impl RingNode {
     /// the ring reconfigures — proposals are retried until their decision
     /// is observed.
     pub fn propose(&mut self, value: Value, now: SimTime, out: &mut Output) {
-        self.remember_learned(&value);
         if value.is_deliverable() {
             self.unacked.insert(value.id, (value.clone(), now));
         }
@@ -579,19 +596,12 @@ impl RingNode {
         true
     }
 
-    /// Caches a value observed in circulation so a later id-only decision
-    /// resolves locally. Cheap: the payload is refcounted, not copied.
-    fn remember_learned(&mut self, value: &Value) {
-        if self.learned.contains_key(&value.id) {
-            return;
-        }
-        self.learned.insert(value.id, value.clone());
-        self.learned_order.push_back(value.id);
-        while self.learned_order.len() > self.opts.value_cache_window {
-            if let Some(old) = self.learned_order.pop_front() {
-                self.learned.remove(&old);
-            }
-        }
+    /// Caches a value seen in circulation, proposed for `inst` if known,
+    /// so a later id-only decision resolves locally. Cheap: the payload is
+    /// refcounted, not copied.
+    fn remember_learned(&mut self, value: &Value, inst: Option<InstanceId>, now: SimTime) {
+        let entry = (self.learned.entry(value.id)).or_insert_with(|| (value.clone(), inst, now));
+        entry.1 = inst.or(entry.1);
     }
 
     /// Resolves a decided value id against the acceptor log (authoritative
@@ -602,7 +612,7 @@ impl RingNode {
                 return Some(value.clone());
             }
         }
-        self.learned.get(&id).cloned()
+        self.learned.get(&id).map(|(value, ..)| value.clone())
     }
 
     /// How long after the `attempts`-th pull the next retry may go out:
@@ -653,10 +663,7 @@ impl RingNode {
 
     fn on_value_resend(&mut self, inst: InstanceId, value: Value, now: SimTime, out: &mut Output) {
         let Some(pending) = self.pending_values.get(&inst) else {
-            // Unsolicited (a retry raced the answer): keep the value for
-            // future resolution, nothing to decide.
-            self.remember_learned(&value);
-            return;
+            return; // unasked, or an earlier answer already decided it
         };
         if pending.id != value.id {
             return; // stale or mismatched resend
@@ -687,7 +694,6 @@ impl RingNode {
     /// decided, in a single-acceptor ring) once the vote hits the disk.
     fn phase2_self_vote(&mut self, inst: InstanceId, value: Value, now: SimTime, out: &mut Output) {
         debug_assert!(self.is_acceptor(), "coordinator must be an acceptor");
-        self.remember_learned(&value);
         let receipt = self.log.accept(inst, self.ballot, value.clone(), now);
         let action = if 1 >= self.cfg.majority() {
             // Sole acceptor: decided here. The Phase 2 message (already
@@ -987,7 +993,6 @@ impl RingNode {
     fn on_msg_inner(&mut self, sender: NodeId, msg: RingMsg, now: SimTime, out: &mut Output) {
         match msg {
             RingMsg::Proposal { value, ttl } => {
-                self.remember_learned(&value);
                 if self.coordinating {
                     self.enqueue_proposal(value, now, out);
                 } else if ttl > 0 {
@@ -1040,7 +1045,7 @@ impl RingNode {
     /// waiting on it, and — if this node coordinates — treat it as the
     /// proposal it replaces.
     fn on_value_push(&mut self, value: Value, now: SimTime, out: &mut Output) {
-        self.remember_learned(&value);
+        self.remember_learned(&value, None, now);
         // A decision may have raced ahead of the push (it travels the
         // batched ring path): resolve any instance blocked on this id.
         let ready: Vec<InstanceId> = self
@@ -1098,7 +1103,6 @@ impl RingNode {
         now: SimTime,
         out: &mut Output,
     ) {
-        self.remember_learned(&value);
         // A Phase 2 already carrying a majority is a decision travelling
         // with its value: learn it (no disk write — durability of the
         // *votes* is what safety needed, and those are on a majority's
@@ -1111,6 +1115,9 @@ impl RingNode {
             return;
         }
         if !self.is_acceptor() {
+            // No log holds the value here: keep it for the id-only
+            // decision to come (an acceptor resolves from its log).
+            self.remember_learned(&value, Some(inst), now);
             if ttl > 0 {
                 self.forward_phase2(inst, ballot, value, votes, ttl - 1, now, out);
             }
@@ -1186,14 +1193,16 @@ impl RingNode {
         self.unacked.remove(&value.id);
         // The value arrived by some path (Phase 2, resend, recovery):
         // any outstanding pull for this instance is satisfied, and the
-        // value joins the cache so we can serve pulls from peers.
+        // cache is done with it (acceptor logs serve any later pull).
         self.pending_values.remove(&inst);
-        self.remember_learned(&value);
+        self.learned.remove(&value.id);
         if self.is_acceptor() {
             self.log.mark_decided(inst, value.clone(), now);
         }
         if self.coordinating {
-            self.remember_seen(value.id);
+            if value.is_deliverable() {
+                self.remember_seen(value.id); // skips are never retried
+            }
             if inst >= self.next_instance {
                 self.next_instance = inst.plus(value.instance_span());
             }
@@ -1358,7 +1367,6 @@ impl RingNode {
             id,
             kind: ValueKind::Skip(n),
         };
-        self.remember_seen(id);
         self.prop_queue.push_back(skip);
         self.pump_proposals(now, out);
     }
@@ -1463,20 +1471,28 @@ impl RingNode {
     /// takes longer to batch, circulate and fsync than a small one; a
     /// fixed deadline re-injects the largest payloads exactly when the
     /// ring is busiest, turning a slow decision into a retry storm.
-    fn retry_deadline(&self, value: &Value) -> Duration {
+    fn retry_deadline(retry: Duration, value: &Value) -> Duration {
         const SIZE_UNIT: usize = 32 * 1024;
         let payload = value.payload().map(|b| b.len()).unwrap_or(0);
         let scale = (1 + payload / SIZE_UNIT).min(8) as u32;
-        self.opts.proposal_retry * scale
+        retry * scale
     }
 
     fn on_proposal_retry(&mut self, now: SimTime, out: &mut Output) {
-        out.timers
-            .push((self.opts.proposal_retry, RingTimer::ProposalRetry));
+        let retry = self.opts.proposal_retry;
+        out.timers.push((retry, RingTimer::ProposalRetry));
+        // Values learned here and never decided here: one seen at an
+        // instance the delivery cursor has passed went to another value
+        // there, and one seen at none has outlived its proposer's retry.
+        let cursor = self.next_delivery;
+        self.learned.retain(|_, (value, inst, at)| match inst {
+            Some(inst) => *inst >= cursor,
+            None => now.since(*at) < Self::retry_deadline(retry, value),
+        });
         let stale: Vec<Value> = self
             .unacked
             .iter()
-            .filter(|(_, (v, sent))| now.since(*sent) >= self.retry_deadline(v))
+            .filter(|(_, (v, sent))| now.since(*sent) >= Self::retry_deadline(retry, v))
             .map(|(_, (v, _))| v.clone())
             .collect();
         for value in stale {
@@ -1627,9 +1643,14 @@ mod tests {
 
     impl Harness {
         fn new(n: usize, opts: RingOptions) -> (Self, Registry) {
+            Self::with_acceptors(n, (0..n as u32).map(NodeId::new).collect(), opts)
+        }
+
+        /// A ring of `n` members of which only `acceptors` vote.
+        fn with_acceptors(n: usize, acceptors: Vec<NodeId>, opts: RingOptions) -> (Self, Registry) {
             let registry = Registry::new();
             let members: Vec<NodeId> = (0..n as u32).map(NodeId::new).collect();
-            let cfg = RingConfig::new(RingId::new(0), members.clone(), members.clone()).unwrap();
+            let cfg = RingConfig::new(RingId::new(0), members.clone(), acceptors).unwrap();
             registry.register_ring(cfg).unwrap();
             let nodes = members
                 .iter()
@@ -1888,6 +1909,89 @@ mod tests {
         );
         assert_eq!(out.decided.len(), 1);
         assert_eq!(out.decided[0].1, v);
+    }
+
+    /// Node 1 of this ring does not vote: it learns each value from the
+    /// Phase 2 passing it and decides it by the id-only decision from
+    /// node 2, the majority point.
+    fn ring_with_a_listener() -> (Harness, Registry) {
+        Harness::with_acceptors(3, vec![NodeId::new(0), NodeId::new(2)], opts())
+    }
+
+    /// A learner keeps a value only until it decides it; past that, a
+    /// pull is an acceptor's to serve from its log.
+    #[test]
+    fn decided_values_leave_the_learned_cache() {
+        let (mut h, _) = ring_with_a_listener();
+        h.start();
+        let n = 50;
+        for i in 0..n {
+            let v = h.app_value(i % 3, b"decided");
+            h.propose(i % 3, v);
+        }
+        for (i, node) in h.nodes.iter().enumerate() {
+            assert_eq!(h.delivered[i].len(), n, "node {i}");
+            assert_eq!(node.value_cache(), (0, 0), "node {i} caches decided values");
+        }
+    }
+
+    /// The cache still does its job: the id-only decision that follows a
+    /// Phase 2 finds the value resident and pulls nothing.
+    #[test]
+    fn a_decision_after_its_phase2_resolves_from_the_cache() {
+        let (mut h, _) = ring_with_a_listener();
+        let obs = h.nodes[1].opts.obs.clone();
+        h.start();
+        h.relayed.clear();
+        let v = h.app_value(0, b"resident");
+        h.propose(0, v.clone());
+        let to_listener: Vec<&RingMsg> = (h.relayed.iter())
+            .filter(|(_, to, _)| *to == NodeId::new(1))
+            .map(|(_, _, m)| m)
+            .collect();
+        assert!(
+            matches!(
+                to_listener[..],
+                [RingMsg::Phase2 { .. }, RingMsg::Decision { .. }]
+            ),
+            "{to_listener:?}"
+        );
+        assert_eq!(h.delivered[1], vec![(InstanceId::ZERO, v)]);
+        assert_eq!(h.wire.value_requests, 0);
+        assert_eq!(obs.counter("value_pull_misses").get(), 0);
+        assert_eq!(obs.counter("value_prefetch_hits").get(), 2, "nodes 0 and 1");
+    }
+
+    /// Values learned here and never decided here do not stay: one whose
+    /// instance was decided with another value leaves once the delivery
+    /// cursor has passed it, one never proposed at all once its proposer
+    /// would have sent it again.
+    #[test]
+    fn undecided_values_leave_the_learned_cache() {
+        let (mut h, _) = ring_with_a_listener();
+        h.start();
+        let retry = h.nodes[1].opts.proposal_retry;
+        let pushed = h.app_value(2, b"pushed by a proposer that died");
+        let (lost, won) = (h.app_value(0, b"lost"), h.app_value(0, b"won"));
+        let mut out = Output::new();
+        let push = RingMsg::ValuePush { value: pushed };
+        h.nodes[1].on_msg(NodeId::new(2), push, h.now, &mut out);
+        let superseded = RingMsg::Phase2 {
+            inst: InstanceId::ZERO,
+            ballot: Ballot::new(1, NodeId::new(0)),
+            value: lost,
+            votes: 1,
+            ttl: 1,
+        };
+        h.nodes[1].on_msg(NodeId::new(0), superseded, h.now, &mut out);
+        assert_eq!(h.nodes[1].value_cache().0, 2);
+        h.nodes[1].learn_decided(InstanceId::ZERO, won, h.now, &mut out);
+        assert_eq!(h.nodes[1].value_cache().0, 2, "neither value was decided");
+
+        h.nodes[1].on_timer(RingTimer::ProposalRetry, h.now + retry / 2, &mut out);
+        assert_eq!(h.nodes[1].value_cache().0, 1, "instance 0 went to another");
+        h.nodes[1].on_timer(RingTimer::ProposalRetry, h.now + retry, &mut out);
+        assert_eq!(h.nodes[1].value_cache(), (0, 0), "nobody proposed the push");
     }
 
     #[test]

@@ -83,11 +83,6 @@ pub struct RingOptions {
     /// Approximate number of recently decided value ids remembered for
     /// duplicate suppression.
     pub dedup_window: usize,
-    /// Number of recently learned values (id → value) kept for resolving
-    /// id-only decisions. Needs to cover the instances in flight between a
-    /// value's Phase 2 pass and its decision — roughly one ring round
-    /// trip; misses fall back to the `ValueRequest` pull path.
-    pub value_cache_window: usize,
     /// Maximum `ValueRequest` pulls (re-)issued per liveness tick. Large
     /// frames decide slowly; without a cap, every tick re-pulled *every*
     /// outstanding miss from a rotating acceptor while the previous
@@ -121,7 +116,6 @@ impl Default for RingOptions {
             failure_timeout: Duration::from_millis(500),
             proposal_retry: Duration::from_millis(1000),
             dedup_window: 64 * 1024,
-            value_cache_window: 8 * 1024,
             value_pull_budget: 8,
             value_push_bytes: 16 * 1024,
             obs: Obs::default(),

@@ -221,6 +221,13 @@ impl AcceptorLog {
         self.slots.len()
     }
 
+    /// Payload bytes of the retained entries' values: what the log keeps
+    /// alive in memory. Walks every entry, so it is for the stats plane.
+    pub fn payload_bytes(&self) -> usize {
+        let payloads = self.slots.values().filter_map(|s| s.value.payload());
+        payloads.map(|b| b.len()).sum()
+    }
+
     /// True when no entries are retained.
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
