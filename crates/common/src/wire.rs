@@ -23,7 +23,8 @@
 //! Derived from those: ids (`NodeId`, `RingId`, `SessionId`, ...) are
 //! varints of their raw value; `String` is **bytes** holding UTF-8;
 //! `bool` is one byte `0`/`1`; `Option<T>` is a presence byte `0`/`1`
-//! followed by `T` when present; tuples are the elements in order.
+//! followed by `T` when present; `Result<T, E>` is a byte `0` followed
+//! by `T` or `1` followed by `E`; tuples are the elements in order.
 //!
 //! Streams and on-disk logs frame messages as `varint(len) ++ body`
 //! ([`frame`]).
@@ -394,6 +395,32 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
+impl<T: Wire, E: Wire> Wire for Result<T, E> {
+    fn encode(&self, buf: &mut BytesMut) {
+        match self {
+            Ok(v) => {
+                buf.put_u8(0);
+                v.encode(buf);
+            }
+            Err(e) => {
+                buf.put_u8(1);
+                e.encode(buf);
+            }
+        }
+    }
+
+    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+        match get_tag(buf, "result")? {
+            0 => Ok(Ok(T::decode(buf)?)),
+            1 => Ok(Err(E::decode(buf)?)),
+            tag => Err(WireError::BadTag {
+                context: "result",
+                tag,
+            }),
+        }
+    }
+}
+
 /// Length-delimited framing for streams: `varint(len) ++ payload`.
 ///
 /// Used by the live TCP transport and the on-disk log format.
@@ -470,18 +497,19 @@ pub mod frame {
 }
 
 pub mod coord {
-    //! The coordination-service protocol (`amcoord`).
+    //! The coordination-service payloads (`amcoord`).
     //!
     //! The paper keeps configuration in Zookeeper (§7.1); `amcoord` is this
-    //! workspace's replicated equivalent. Clients (liverun nodes, CLIs)
-    //! speak length-framed TCP to any `amcoordd` replica: a [`CoordMsg`]
-    //! carries one operation [`CoordOp`] tagged with a correlation id, the
-    //! server answers with [`CoordReply::Ok`]/[`CoordReply::Err`] and may
-    //! push unsolicited [`CoordReply::Event`] frames to sessions that sent
-    //! [`CoordOp::WatchAll`]. Every operation but `WatchAll`,
-    //! `InstallConfig` and `Stats` — reads included — is ordered through
-    //! the amcoord ensemble's own Ring Paxos log before being applied and
-    //! answered, so reads are linearizable.
+    //! workspace's replicated equivalent. A coordination client is an
+    //! ordinary protocol-v2 session ([`super::client`]) on the ensemble's
+    //! ring: each [`CoordOp`] is the `cmd` of a `RequestV2`, and the
+    //! session-framed reply payload is the operation's [`CoordResult`]
+    //! followed by the [`CoordEvent`]s it produced ([`encode_reply`]).
+    //! Every operation but `WatchAll` and `InstallConfig` — reads
+    //! included — is ordered through the ensemble's own Ring Paxos log
+    //! before it is applied and answered, so reads are linearizable. The
+    //! serving replica answers a `WatchAll` itself, then sends the events
+    //! of every command it applies as further replies to that request.
     //!
     //! Configuration objects cross the wire in flattened form
     //! ([`RingConfigWire`], [`PartitionWire`]) so this protocol can live in
@@ -489,19 +517,20 @@ pub mod coord {
     //!
     //! ## Wire layout & stability
     //!
-    //! Every frame follows the crate-wide conventions (see [`super`]):
+    //! Every payload follows the crate-wide conventions (see [`super`]):
     //! a single tag byte per enum, varint integers, length-prefixed
-    //! bytes/strings. [`CoordOp`] frames are additionally **persisted**
-    //! in the amcoord replicas' WALs, so the encoding is part of the
-    //! on-disk format, not just the RPC format: tags are append-only and
-    //! existing layouts never change.
-    //! The exact bytes of every frame shape are pinned by the golden
+    //! bytes/strings. [`CoordOp`]s are additionally **persisted** in the
+    //! amcoord replicas' WALs, so the encoding is part of the on-disk
+    //! format, not just the RPC format: tags are append-only, retired
+    //! tags decode as errors and are never reused, and existing layouts
+    //! never change.
+    //! The exact bytes of every payload shape are pinned by the golden
     //! corpus `ci/wire_vectors_coord.txt`
     //! (`crates/common/tests/wire_vectors_coord.rs`); regenerate with
     //! `REGEN_WIRE_VECTORS=1 cargo test -p common --test
     //! wire_vectors_coord` and review the diff as an interface change.
 
-    use super::{get_tag, get_varint, put_varint, Wire};
+    use super::{get_tag, get_varint, get_vec, put_varint, put_vec, Wire};
     use crate::error::WireError;
     use crate::ids::{Epoch, NodeId, PartitionId, RingId, SessionId};
     use bytes::{BufMut, Bytes, BytesMut};
@@ -555,18 +584,6 @@ pub mod coord {
         pub value: Bytes,
     }
 
-    /// What an operation does to the replicated state — which tells a
-    /// client whether a retry after a lost reply is harmless.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub enum OpKind {
-        /// Leaves the state unchanged (ordered like any other operation).
-        Read,
-        /// Changes the state.
-        Replicate,
-        /// Handled by the serving replica's connection layer directly.
-        Local,
-    }
-
     /// One coordination operation.
     ///
     /// ## Wire layout
@@ -576,10 +593,6 @@ pub mod coord {
     ///
     /// | tag | variant | body |
     /// |----:|---------|------|
-    /// | 0 | `OpenSession` | `ttl_ms(varint)` |
-    /// | 1 | `KeepAlive` | `session` |
-    /// | 2 | `CloseSession` | `session` |
-    /// | 3 | `ExpireSession` | `session ++ seen_refresh(varint)` |
     /// | 4 | `RegisterRing` | `cfg` ([`RingConfigWire`]) |
     /// | 5 | `EnsureRing` | `cfg` |
     /// | 6 | `GetRing` | `ring` |
@@ -600,41 +613,17 @@ pub mod coord {
     /// | 21 | `RegisterEphemeral` | `session ++ key(string) ++ value(bytes)` |
     /// | 22 | `Ephemerals` | `prefix(string)` |
     /// | 23 | `WatchAll` | — |
-    /// | 25 | `Stats` | — |
     ///
-    /// Tag 24 is retired (a snapshot catch-up request) and decodes as an
-    /// error; tags are never reused.
+    /// Retired tags decode as errors and are never reused: 0–3 (the
+    /// service's own sessions, now protocol-v2 sessions), 24 (a snapshot
+    /// catch-up request) and 25 (a stats request, now the v2
+    /// `StatsRequest`).
     ///
     /// Ordered variants are written to the amcoord replicas' WALs, so
     /// this layout is also an on-disk format; bytes are pinned by
     /// `ci/wire_vectors_coord.txt`.
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub enum CoordOp {
-        /// Opens a session with the given TTL; ephemeral entries registered
-        /// under it vanish when the TTL lapses without a keep-alive.
-        OpenSession {
-            /// Session time-to-live in milliseconds.
-            ttl_ms: u64,
-        },
-        /// Refreshes a session's liveness.
-        KeepAlive {
-            /// The session.
-            session: SessionId,
-        },
-        /// Closes a session, dropping its ephemeral entries.
-        CloseSession {
-            /// The session.
-            session: SessionId,
-        },
-        /// Expires a session that missed its TTL (proposed by servers, not
-        /// clients). No-op if the session refreshed since `seen_refresh` —
-        /// the same stale-view CAS shape as coordinator election.
-        ExpireSession {
-            /// The session.
-            session: SessionId,
-            /// The refresh counter the proposing server observed.
-            seen_refresh: u64,
-        },
         /// Registers a new ring configuration (fails if the id is taken).
         RegisterRing {
             /// The configuration (epoch/coordinator fields are advisory;
@@ -744,7 +733,8 @@ pub mod coord {
             /// The key.
             key: String,
         },
-        /// Registers an ephemeral entry owned by `session`.
+        /// Registers an ephemeral entry owned by `session`, which must be
+        /// the session the request is sent under.
         RegisterEphemeral {
             /// The owning session.
             session: SessionId,
@@ -758,31 +748,10 @@ pub mod coord {
             /// The key prefix (empty for all).
             prefix: String,
         },
-        /// Subscribes this connection to all [`CoordEvent`] pushes.
+        /// Subscribes this connection to every [`CoordEvent`]: answered
+        /// by the serving replica, then answered again with the events of
+        /// each command it applies.
         WatchAll,
-        /// Asks the serving replica for its metrics snapshot — the stats
-        /// plane's request on the coordination protocol. Answered locally
-        /// (never replicated) with [`CoordOk::Stats`].
-        Stats,
-    }
-
-    impl CoordOp {
-        /// How a serving replica routes this operation.
-        pub fn kind(&self) -> OpKind {
-            match self {
-                CoordOp::GetRing { .. }
-                | CoordOp::RingIds
-                | CoordOp::Subscribers { .. }
-                | CoordOp::PartitionOf { .. }
-                | CoordOp::GetPartition { .. }
-                | CoordOp::Partitions
-                | CoordOp::GetMeta { .. }
-                | CoordOp::Ephemerals { .. }
-                | CoordOp::Stats => OpKind::Read,
-                CoordOp::WatchAll | CoordOp::InstallConfig { .. } => OpKind::Local,
-                _ => OpKind::Replicate,
-            }
-        }
     }
 
     /// Outcome of a compare-and-swap election.
@@ -805,7 +774,6 @@ pub mod coord {
     /// | tag | variant | body |
     /// |----:|---------|------|
     /// | 0 | `Unit` | — |
-    /// | 1 | `Session` | `session` |
     /// | 2 | `Ring` | `option(cfg)` |
     /// | 3 | `RingIds` | `vec(ring)` |
     /// | 4 | `Election` | [`ElectOutcome`] |
@@ -817,15 +785,13 @@ pub mod coord {
     /// | 10 | `Meta` | presence byte, then `version(varint) ++ value(bytes)` |
     /// | 11 | `Version` | `version(varint)` |
     /// | 12 | `Ephemerals` | `vec(entry)` |
-    /// | 14 | `Stats` | `ObsSnapshot` |
     ///
-    /// Tag 13 is retired (a snapshot answer) and decodes as an error.
+    /// Tags 1 (a session id), 13 (a snapshot answer) and 14 (a stats
+    /// answer) are retired and decode as errors.
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub enum CoordOk {
         /// Nothing to return.
         Unit,
-        /// A freshly opened session.
-        Session(SessionId),
         /// A ring's configuration, or `None` if never registered.
         Ring(Option<RingConfigWire>),
         /// All ring ids, ascending.
@@ -848,11 +814,13 @@ pub mod coord {
         Version(u64),
         /// Matching ephemeral entries, ascending by key.
         Ephemerals(Vec<EphemeralEntry>),
-        /// The serving replica's metrics ([`CoordOp::Stats`]).
-        Stats(crate::obs::ObsSnapshot),
     }
 
-    /// A state-change notification pushed to watching sessions.
+    /// What an operation answers: its result, or why it was refused.
+    /// Wire layout: `0 ++ ok` ([`CoordOk`]) or `1 ++ reason(string)`.
+    pub type CoordResult = Result<CoordOk, String>;
+
+    /// A state-change notification sent to watchers.
     ///
     /// ## Wire layout
     ///
@@ -864,8 +832,9 @@ pub mod coord {
     /// | 1 | `SubscribersChanged` | `ring ++ vec(node)` |
     /// | 2 | `PartitionsChanged` | — |
     /// | 3 | `MetaChanged` | `key(string) ++ version(varint)` |
-    /// | 4 | `EphemeralChanged` | `key(string) ++ alive(bool)` |
-    /// | 5 | `SessionExpired` | `session` |
+    ///
+    /// Tags 4 (an ephemeral's liveness) and 5 (a session's expiry) are
+    /// retired and decode as errors.
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub enum CoordEvent {
         /// A ring's configuration changed (new epoch).
@@ -889,59 +858,24 @@ pub mod coord {
             /// Its new version.
             version: u64,
         },
-        /// An ephemeral entry appeared (`alive`) or vanished.
-        EphemeralChanged {
-            /// The entry key.
-            key: String,
-            /// True when registered, false when removed.
-            alive: bool,
-        },
-        /// A session expired or was closed.
-        SessionExpired {
-            /// The session.
-            session: SessionId,
-        },
     }
 
-    /// A client request frame.
-    ///
-    /// Wire layout: `req(varint) ++ op` ([`CoordOp`]); no tag byte of its
-    /// own — it is the only frame a coord client sends.
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    pub struct CoordMsg {
-        /// Correlation id echoed in the reply.
-        pub req: u64,
-        /// The operation.
-        pub op: CoordOp,
+    /// Encodes a reply payload: the operation's result, then its events.
+    pub fn encode_reply(result: &CoordResult, events: &[CoordEvent]) -> Bytes {
+        let mut buf = BytesMut::new();
+        result.encode(&mut buf);
+        put_vec(&mut buf, events);
+        buf.freeze()
     }
 
-    /// A server frame: a correlated reply or an unsolicited event push.
+    /// Decodes a reply payload written by [`encode_reply`].
     ///
-    /// ## Wire layout
+    /// # Errors
     ///
-    /// | tag | variant | body |
-    /// |----:|---------|------|
-    /// | 0 | `Ok` | `req(varint) ++ body` ([`CoordOk`]) |
-    /// | 1 | `Err` | `req(varint) ++ reason(string)` |
-    /// | 2 | `Event` | [`CoordEvent`] |
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    pub enum CoordReply {
-        /// The operation succeeded.
-        Ok {
-            /// Correlation id of the request.
-            req: u64,
-            /// The result.
-            body: CoordOk,
-        },
-        /// The operation failed.
-        Err {
-            /// Correlation id of the request.
-            req: u64,
-            /// Human-readable reason.
-            reason: String,
-        },
-        /// A watch notification (no correlation id).
-        Event(CoordEvent),
+    /// Fails on a truncated or corrupt payload.
+    pub fn decode_reply(payload: &Bytes) -> Result<(CoordResult, Vec<CoordEvent>), WireError> {
+        let mut raw = payload.clone();
+        Ok((CoordResult::decode(&mut raw)?, get_vec(&mut raw)?))
     }
 
     impl Wire for RingConfigWire {
@@ -999,26 +933,6 @@ pub mod coord {
     impl Wire for CoordOp {
         fn encode(&self, buf: &mut BytesMut) {
             match self {
-                CoordOp::OpenSession { ttl_ms } => {
-                    buf.put_u8(0);
-                    put_varint(buf, *ttl_ms);
-                }
-                CoordOp::KeepAlive { session } => {
-                    buf.put_u8(1);
-                    session.encode(buf);
-                }
-                CoordOp::CloseSession { session } => {
-                    buf.put_u8(2);
-                    session.encode(buf);
-                }
-                CoordOp::ExpireSession {
-                    session,
-                    seen_refresh,
-                } => {
-                    buf.put_u8(3);
-                    session.encode(buf);
-                    put_varint(buf, *seen_refresh);
-                }
                 CoordOp::RegisterRing { cfg } => {
                     buf.put_u8(4);
                     cfg.encode(buf);
@@ -1121,25 +1035,11 @@ pub mod coord {
                     prefix.encode(buf);
                 }
                 CoordOp::WatchAll => buf.put_u8(23),
-                CoordOp::Stats => buf.put_u8(25),
             }
         }
 
         fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
             Ok(match get_tag(buf, "coord op")? {
-                0 => CoordOp::OpenSession {
-                    ttl_ms: get_varint(buf)?,
-                },
-                1 => CoordOp::KeepAlive {
-                    session: SessionId::decode(buf)?,
-                },
-                2 => CoordOp::CloseSession {
-                    session: SessionId::decode(buf)?,
-                },
-                3 => CoordOp::ExpireSession {
-                    session: SessionId::decode(buf)?,
-                    seen_refresh: get_varint(buf)?,
-                },
                 4 => CoordOp::RegisterRing {
                     cfg: RingConfigWire::decode(buf)?,
                 },
@@ -1205,7 +1105,6 @@ pub mod coord {
                     prefix: String::decode(buf)?,
                 },
                 23 => CoordOp::WatchAll,
-                25 => CoordOp::Stats,
                 tag => {
                     return Err(WireError::BadTag {
                         context: "coord op",
@@ -1248,10 +1147,6 @@ pub mod coord {
         fn encode(&self, buf: &mut BytesMut) {
             match self {
                 CoordOk::Unit => buf.put_u8(0),
-                CoordOk::Session(s) => {
-                    buf.put_u8(1);
-                    s.encode(buf);
-                }
                 CoordOk::Ring(cfg) => {
                     buf.put_u8(2);
                     cfg.encode(buf);
@@ -1303,17 +1198,12 @@ pub mod coord {
                     buf.put_u8(12);
                     es.encode(buf);
                 }
-                CoordOk::Stats(snap) => {
-                    buf.put_u8(14);
-                    snap.encode(buf);
-                }
             }
         }
 
         fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
             Ok(match get_tag(buf, "coord ok")? {
                 0 => CoordOk::Unit,
-                1 => CoordOk::Session(SessionId::decode(buf)?),
                 2 => CoordOk::Ring(Option::decode(buf)?),
                 3 => CoordOk::RingIds(Vec::decode(buf)?),
                 4 => CoordOk::Election(ElectOutcome::decode(buf)?),
@@ -1334,7 +1224,6 @@ pub mod coord {
                 }),
                 11 => CoordOk::Version(get_varint(buf)?),
                 12 => CoordOk::Ephemerals(Vec::decode(buf)?),
-                14 => CoordOk::Stats(crate::obs::ObsSnapshot::decode(buf)?),
                 tag => {
                     return Err(WireError::BadTag {
                         context: "coord ok",
@@ -1363,15 +1252,6 @@ pub mod coord {
                     key.encode(buf);
                     put_varint(buf, *version);
                 }
-                CoordEvent::EphemeralChanged { key, alive } => {
-                    buf.put_u8(4);
-                    key.encode(buf);
-                    alive.encode(buf);
-                }
-                CoordEvent::SessionExpired { session } => {
-                    buf.put_u8(5);
-                    session.encode(buf);
-                }
             }
         }
 
@@ -1389,71 +1269,9 @@ pub mod coord {
                     key: String::decode(buf)?,
                     version: get_varint(buf)?,
                 },
-                4 => CoordEvent::EphemeralChanged {
-                    key: String::decode(buf)?,
-                    alive: bool::decode(buf)?,
-                },
-                5 => CoordEvent::SessionExpired {
-                    session: SessionId::decode(buf)?,
-                },
                 tag => {
                     return Err(WireError::BadTag {
                         context: "coord event",
-                        tag,
-                    })
-                }
-            })
-        }
-    }
-
-    impl Wire for CoordMsg {
-        fn encode(&self, buf: &mut BytesMut) {
-            put_varint(buf, self.req);
-            self.op.encode(buf);
-        }
-
-        fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-            Ok(CoordMsg {
-                req: get_varint(buf)?,
-                op: CoordOp::decode(buf)?,
-            })
-        }
-    }
-
-    impl Wire for CoordReply {
-        fn encode(&self, buf: &mut BytesMut) {
-            match self {
-                CoordReply::Ok { req, body } => {
-                    buf.put_u8(0);
-                    put_varint(buf, *req);
-                    body.encode(buf);
-                }
-                CoordReply::Err { req, reason } => {
-                    buf.put_u8(1);
-                    put_varint(buf, *req);
-                    reason.encode(buf);
-                }
-                CoordReply::Event(e) => {
-                    buf.put_u8(2);
-                    e.encode(buf);
-                }
-            }
-        }
-
-        fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-            Ok(match get_tag(buf, "coord reply")? {
-                0 => CoordReply::Ok {
-                    req: get_varint(buf)?,
-                    body: CoordOk::decode(buf)?,
-                },
-                1 => CoordReply::Err {
-                    req: get_varint(buf)?,
-                    reason: String::decode(buf)?,
-                },
-                2 => CoordReply::Event(CoordEvent::decode(buf)?),
-                tag => {
-                    return Err(WireError::BadTag {
-                        context: "coord reply",
                         tag,
                     })
                 }
@@ -1485,17 +1303,6 @@ pub mod coord {
         #[test]
         fn coord_protocol_round_trips() {
             for op in [
-                CoordOp::OpenSession { ttl_ms: 3000 },
-                CoordOp::KeepAlive {
-                    session: SessionId::new(9),
-                },
-                CoordOp::CloseSession {
-                    session: SessionId::new(9),
-                },
-                CoordOp::ExpireSession {
-                    session: SessionId::new(9),
-                    seen_refresh: 17,
-                },
                 CoordOp::RegisterRing { cfg: cfg() },
                 CoordOp::EnsureRing { cfg: cfg() },
                 CoordOp::GetRing {
@@ -1553,85 +1360,52 @@ pub mod coord {
                     prefix: "nodes/".into(),
                 },
                 CoordOp::WatchAll,
-                CoordOp::Stats,
             ] {
-                rt(op.clone());
-                rt(CoordMsg { req: 77, op });
+                rt(op);
             }
-            rt(CoordReply::Ok {
-                req: 1,
-                body: CoordOk::Election(ElectOutcome::Won(Epoch::new(5))),
-            });
-            rt(CoordReply::Ok {
-                req: 2,
-                body: CoordOk::Election(ElectOutcome::Lost(cfg())),
-            });
-            rt(CoordReply::Ok {
-                req: 3,
-                body: CoordOk::Meta(Some((4, Bytes::from_static(b"x")))),
-            });
-            rt(CoordReply::Ok {
-                req: 4,
-                body: CoordOk::Meta(None),
-            });
-            rt(CoordReply::Ok {
-                req: 5,
-                body: CoordOk::Ephemerals(vec![EphemeralEntry {
+            for ok in [
+                CoordOk::Election(ElectOutcome::Won(Epoch::new(5))),
+                CoordOk::Election(ElectOutcome::Lost(cfg())),
+                CoordOk::Meta(Some((4, Bytes::from_static(b"x")))),
+                CoordOk::Meta(None),
+                CoordOk::Ephemerals(vec![EphemeralEntry {
                     key: "nodes/0".into(),
                     session: SessionId::new(1),
                     value: Bytes::from_static(b"addr"),
                 }]),
-            });
-            rt(CoordReply::Ok {
-                req: 8,
-                body: CoordOk::Stats(crate::obs::ObsSnapshot {
-                    node: 1,
-                    counters: vec![("coord_applied".into(), 512)],
-                    gauges: vec![("wal_segments".into(), 3)],
-                    hists: Vec::new(),
-                }),
-            });
-            rt(CoordReply::Err {
-                req: 6,
-                reason: "unknown ring".into(),
-            });
-            rt(CoordReply::Event(CoordEvent::RingChanged { cfg: cfg() }));
-            rt(CoordReply::Event(CoordEvent::EphemeralChanged {
-                key: "nodes/0".into(),
-                alive: false,
-            }));
+            ] {
+                rt(Ok::<_, String>(ok));
+            }
+            rt(Err::<CoordOk, _>("unknown ring".to_string()));
+            rt(CoordEvent::RingChanged { cfg: cfg() });
+            let events = vec![
+                CoordEvent::MetaChanged {
+                    key: "k".into(),
+                    version: 2,
+                },
+                CoordEvent::PartitionsChanged,
+            ];
+            let payload = encode_reply(&Ok(CoordOk::Version(2)), &events);
+            assert_eq!(
+                decode_reply(&payload).unwrap(),
+                (Ok(CoordOk::Version(2)), events)
+            );
         }
 
         #[test]
         fn retired_tags_decode_as_bad_tags() {
-            let op = CoordOp::decode(&mut Bytes::from_static(&[24]));
-            assert!(matches!(op, Err(WireError::BadTag { tag: 24, .. })));
-            let ok = CoordOk::decode(&mut Bytes::from_static(&[13]));
-            assert!(matches!(ok, Err(WireError::BadTag { tag: 13, .. })));
-        }
-
-        #[test]
-        fn op_kinds_route_correctly() {
-            assert_eq!(
-                CoordOp::GetRing {
-                    ring: RingId::new(0)
-                }
-                .kind(),
-                OpKind::Read
-            );
-            assert_eq!(CoordOp::WatchAll.kind(), OpKind::Local);
-            assert_eq!(CoordOp::Stats.kind(), OpKind::Read);
-            assert_eq!(CoordOp::InstallConfig { cfg: cfg() }.kind(), OpKind::Local);
-            assert_eq!(
-                CoordOp::ReportFailure {
-                    ring: RingId::new(0),
-                    failed: NodeId::new(1),
-                    seen_epoch: Epoch::new(1),
-                }
-                .kind(),
-                OpKind::Replicate
-            );
-            assert_eq!(CoordOp::OpenSession { ttl_ms: 1 }.kind(), OpKind::Replicate);
+            for tag in [0, 1, 2, 3, 24, 25] {
+                let op = CoordOp::decode(&mut Bytes::copy_from_slice(&[tag, 1, 1]));
+                assert!(matches!(op, Err(WireError::BadTag { tag: t, .. }) if t == tag));
+            }
+            for tag in [1, 13, 14] {
+                let ok = CoordOk::decode(&mut Bytes::copy_from_slice(&[tag, 1]));
+                assert!(matches!(ok, Err(WireError::BadTag { tag: t, .. }) if t == tag));
+            }
+            for tag in [4, 5] {
+                let event = CoordEvent::decode(&mut Bytes::copy_from_slice(&[tag, 1, 1]));
+                assert!(matches!(event, Err(WireError::BadTag { tag: t, .. }) if t == tag));
+            }
         }
     }
 }
@@ -1710,6 +1484,120 @@ pub mod client {
     use crate::error::WireError;
     use crate::ids::{ClientId, NodeId, RequestId, RingId};
     use bytes::{BufMut, Bytes, BytesMut};
+
+    /// First byte of every sessioned reply payload: the request executed and
+    /// the rest of the payload is the service's response.
+    pub const ST_OK: u8 = 0;
+    /// The session is unknown (expired, evicted, or never opened). The
+    /// command was **not** executed; the client must re-open.
+    pub const ST_UNKNOWN_SESSION: u8 = 1;
+    /// The seq is beyond `ack + window cap`; not executed. The client must
+    /// drain completions (advancing its ack) before retrying.
+    pub const ST_WINDOW_EXCEEDED: u8 = 2;
+    /// The seq is at or below the client's own ack — a duplicate of a
+    /// command whose reply the client already confirmed. Not executed.
+    pub const ST_STALE: u8 = 3;
+
+    /// Session-control commands, the `cmd` of a [`ClientMsg::RequestV2`]
+    /// whose `session` is `SESSION_CTL` (see `multiring::session`).
+    ///
+    /// Wire layout: tag `0` = `Open ++ token ++ ttl_ms`, `1` =
+    /// `KeepAlive ++ session`, `2` = `Expire ++ session ++ seen_refresh`,
+    /// all varints.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum SessionCtl {
+        /// Allocates a new session. Every delivered open allocates a *fresh*
+        /// id — deliberately not deduplicated by any client-chosen token,
+        /// because a token reused by a later client incarnation would alias
+        /// it to the dead incarnation's session (exactly the cross-invocation
+        /// confusion sessions exist to kill). A retried open whose original
+        /// got delivered leaks one idle session; TTL expiry collects it.
+        Open {
+            /// Client-chosen correlation token echoed as the reply's seq.
+            token: u64,
+            /// Session TTL in milliseconds: how long the refresh counter may
+            /// sit still before servers propose expiry.
+            ttl_ms: u64,
+        },
+        /// Bumps the session's replicated liveness counter.
+        KeepAlive {
+            /// The session.
+            session: u64,
+        },
+        /// Removes the session iff its refresh counter still reads
+        /// `seen_refresh` — proposed by serving nodes, raced (and beaten) by
+        /// in-flight keep-alives.
+        Expire {
+            /// The session.
+            session: u64,
+            /// The refresh count the proposing node observed.
+            seen_refresh: u64,
+        },
+    }
+
+    impl Wire for SessionCtl {
+        fn encode(&self, buf: &mut BytesMut) {
+            match self {
+                SessionCtl::Open { token, ttl_ms } => {
+                    buf.put_u8(0);
+                    put_varint(buf, *token);
+                    put_varint(buf, *ttl_ms);
+                }
+                SessionCtl::KeepAlive { session } => {
+                    buf.put_u8(1);
+                    put_varint(buf, *session);
+                }
+                SessionCtl::Expire {
+                    session,
+                    seen_refresh,
+                } => {
+                    buf.put_u8(2);
+                    put_varint(buf, *session);
+                    put_varint(buf, *seen_refresh);
+                }
+            }
+        }
+
+        fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+            Ok(match get_tag(buf, "session ctl")? {
+                0 => SessionCtl::Open {
+                    token: get_varint(buf)?,
+                    ttl_ms: get_varint(buf)?,
+                },
+                1 => SessionCtl::KeepAlive {
+                    session: get_varint(buf)?,
+                },
+                2 => SessionCtl::Expire {
+                    session: get_varint(buf)?,
+                    seen_refresh: get_varint(buf)?,
+                },
+                tag => {
+                    return Err(WireError::BadTag {
+                        context: "session ctl",
+                        tag,
+                    })
+                }
+            })
+        }
+    }
+
+    /// Splits a sessioned reply payload into its status byte and the service
+    /// payload. Returns `None` on an empty payload (malformed).
+    pub fn parse_reply(payload: &Bytes) -> Option<(u8, Bytes)> {
+        if payload.is_empty() {
+            return None;
+        }
+        Some((payload[0], payload.slice(1..)))
+    }
+
+    /// Parses the payload of a successful [`SessionCtl::Open`] reply.
+    pub fn parse_open_reply(payload: &Bytes) -> Option<u64> {
+        let (st, mut rest) = parse_reply(payload)?;
+        if st != ST_OK {
+            return None;
+        }
+        get_varint(&mut rest).ok()
+    }
 
     /// Feature bit: client pipelines many requests per connection.
     pub const FEAT_PIPELINE: u64 = 1;
@@ -1814,9 +1702,8 @@ pub mod client {
             features: u64,
         },
         /// Submit `cmd` under an exactly-once session. With
-        /// `session == SESSION_CTL` (see `multiring::session`) the command
-        /// is a session-control operation (open / keep-alive / expire)
-        /// rather than a service command.
+        /// `session == SESSION_CTL` the command is a [`SessionCtl`]
+        /// (open / keep-alive / expire) rather than a service command.
         RequestV2 {
             /// The replicated session the command executes under.
             session: u64,

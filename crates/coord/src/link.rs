@@ -2,21 +2,32 @@
 //!
 //! [`CoordLink`] is everything a client of an `amcoordd` ensemble keeps
 //! between frames, and nothing else: no socket, no thread, no lock. What
-//! goes in is reply and event frames ([`CoordLink::on_reply`]), "the
-//! connection to this replica closed" ([`CoordLink::on_closed`]) and the
-//! clock ([`CoordLink::tick`]); what comes out is the frames to send
+//! goes in is reply frames ([`CoordLink::on_reply`]), "the connection to
+//! this replica closed" ([`CoordLink::on_closed`]) and the clock
+//! ([`CoordLink::tick`]); what comes out is the frames to send
 //! ([`CoordLink::take_outbox`]) and the replica to send them to
 //! ([`CoordLink::replica`]), plus a replica to hang up on after a
-//! failover ([`CoordLink::take_hangup`]). Its state:
+//! failover ([`CoordLink::take_hangup`]).
+//!
+//! **The link is a protocol-v2 client** ([`common::wire::client`]), like
+//! any data client: it says `HelloV2` on every connection, opens an
+//! exactly-once session on [`COORD_RING`] with [`SessionCtl::Open`],
+//! keeps it alive every third of its TTL with [`SessionCtl::KeepAlive`],
+//! and sends every [`CoordOp`] as a `RequestV2` under that session, from
+//! one sequence space with a cumulative ack. The ensemble's session
+//! table answers a re-sent `(session, seq)` from its reply cache, so a
+//! write in flight at a failover is re-sent unchanged and applied once.
+//! Its state:
 //!
 //! * **the cache** — configuration reads (rings, subscribers, partitions,
 //!   metadata) are served from a local mirror fed by the replies that
-//!   carry them and by pushed [`CoordEvent`]s: the link sends
-//!   [`CoordOp::WatchAll`] on every connection;
-//! * **the pending table** — requests in flight by request id;
-//! * **the session** — a TTL session opened at start and kept alive
-//!   every third of its TTL, with the ephemerals registered under it
-//!   (re-registered if the session ever expires and is reopened);
+//!   carry them and by the watch: on every connection the link sends a
+//!   [`CoordOp::WatchAll`] outside any session, and the replica answers
+//!   it with the events of every command it applies;
+//! * **the pending table** — everything asked and not yet answered, by
+//!   sequence number;
+//! * **the session**, with the ephemerals registered under it
+//!   (re-registered if the session is ever lost and reopened);
 //! * **replica rotation** — a replica whose connection closes, or that
 //!   leaves a request unanswered for [`CoordClientOptions::timeout`], is
 //!   abandoned for the next one.
@@ -30,30 +41,61 @@
 //! never waits.
 //!
 //! **A disconnect keeps the cache.** Failing over re-arms the watch on
-//! the next replica and re-fetches every cached entry, so the cache is
-//! refreshed without waiting for some read to miss; until the answers
-//! land it keeps serving what it had (epochs fence a stale ring config).
+//! the next replica, re-sends what is pending and re-fetches every cached
+//! entry, so the cache is refreshed without waiting for some read to
+//! miss; until the answers land it keeps serving what it had (epochs
+//! fence a stale ring config).
 //!
 //! [`LinkCoord`] makes a link a [`Coord`] backend. It drives the link
 //! through a caller's-thread [`Driver`] until an event loop takes it over
 //! ([`LinkCoord::hand_over`]), after which calls only poll. The drivers
 //! live in `liverun`, next to the sockets.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::task::Poll;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime};
 
 use bytes::Bytes;
 use common::error::{Error, Result};
-use common::ids::{NodeId, RingId, SessionId};
-use common::wire::coord::{
-    CoordEvent, CoordMsg, CoordOk, CoordOp, CoordReply, ElectOutcome, OpKind, PartitionWire,
-    RingConfigWire,
+use common::ids::{ClientId, NodeId, RequestId, RingId, SessionId};
+use common::value::{NO_SESSION, SESSION_CTL};
+use common::wire::client::{
+    parse_open_reply, parse_reply, ClientMsg, ClientReply, SessionCtl, FEAT_ALL, ST_OK,
+    ST_UNKNOWN_SESSION,
 };
+use common::wire::coord::{
+    decode_reply, CoordEvent, CoordOk, CoordOp, ElectOutcome, PartitionWire, RingConfigWire,
+};
+use common::wire::Wire;
 use parking_lot::Mutex;
 
-use crate::registry::{Coord, EVENT_BACKLOG};
+use crate::registry::Coord;
+
+/// The ring an `amcoordd` ensemble orders its own log on, and the group
+/// every coordination request names.
+pub const COORD_RING: RingId = RingId::new(0);
+
+/// Client ids below this belong to the ensemble itself (its replicas
+/// gossip their own ring's configuration under them); links draw theirs
+/// above it.
+pub const LINK_CLIENT_BASE: u32 = 1 << 16;
+
+/// A client id for a new link: the ensemble routes replies by client id,
+/// so two links on one replica must not share one. Drawn from the pid,
+/// the clock and a process-wide counter over 2^30 values.
+fn fresh_client_id() -> ClientId {
+    static NEXT: AtomicU32 = AtomicU32::new(0);
+    let nanos =
+        (SystemTime::now().duration_since(SystemTime::UNIX_EPOCH)).map_or(0, |d| d.subsec_nanos());
+    let mix = std::process::id().wrapping_mul(0x9e37_79b9)
+        ^ nanos
+        ^ NEXT
+            .fetch_add(1, Ordering::Relaxed)
+            .wrapping_mul(0x85eb_ca6b);
+    ClientId::new(LINK_CLIENT_BASE + mix % ((1 << 30) - LINK_CLIENT_BASE))
+}
 
 /// How a client finds and talks to the ensemble.
 #[derive(Clone, Debug)]
@@ -129,13 +171,23 @@ impl Cache {
     }
 }
 
+/// What the link asked a replica.
+#[derive(Debug)]
+enum Ask {
+    /// Open the link's session.
+    Open,
+    /// Keep this session alive.
+    KeepAlive(u64),
+    /// A coordination operation, asked by a caller of
+    /// [`CoordLink::poll`], who collects the reply, or by the link's own
+    /// upkeep.
+    Op { op: CoordOp, caller: bool },
+}
+
 #[derive(Debug)]
 struct Pending {
-    op: CoordOp,
+    ask: Ask,
     sent: Instant,
-    /// Asked by a caller of [`CoordLink::poll`], who collects the reply;
-    /// otherwise the link's own upkeep.
-    caller: bool,
 }
 
 /// A client of an `amcoordd` ensemble as a state machine (see the module
@@ -146,14 +198,16 @@ pub struct CoordLink {
     opts: CoordClientOptions,
     /// Index of the replica frames go to.
     at: usize,
-    next_req: u64,
+    client: ClientId,
+    /// The link's one sequence space: session requests and control
+    /// tokens alike.
+    next_seq: u64,
     pending: BTreeMap<u64, Pending>,
     /// Replies to callers, each handed to the first identical poll.
     answered: Vec<(CoordOp, Result<CoordOk>, Instant)>,
-    outbox: Vec<CoordMsg>,
+    outbox: Vec<ClientMsg>,
     hangup: Option<SocketAddr>,
     cache: Cache,
-    events: VecDeque<CoordEvent>,
     session: Option<SessionId>,
     /// Ephemerals registered under our own session.
     mine: Vec<(String, Bytes)>,
@@ -162,7 +216,7 @@ pub struct CoordLink {
 
 impl CoordLink {
     /// A link to the ensemble at `addrs` (at least one), starting at the
-    /// first: it queues the watch and the session open.
+    /// first: it queues the hello, the watch and the session open.
     pub fn new(addrs: Vec<SocketAddr>, opts: CoordClientOptions, now: Instant) -> Self {
         assert!(!addrs.is_empty(), "a coordination link needs a replica");
         let mut link = CoordLink {
@@ -170,18 +224,18 @@ impl CoordLink {
             next_keepalive: now + keepalive_every(&opts),
             opts,
             at: 0,
-            next_req: 1,
+            client: fresh_client_id(),
+            next_seq: 1,
             pending: BTreeMap::new(),
             answered: Vec::new(),
             outbox: Vec::new(),
             hangup: None,
             cache: Cache::default(),
-            events: VecDeque::new(),
             session: None,
             mine: Vec::new(),
         };
-        link.send(CoordOp::WatchAll, false, now);
-        link.open_session(now);
+        link.send(Ask::Open, now);
+        link.reconnect(now);
         link
     }
 
@@ -203,7 +257,8 @@ impl CoordLink {
         if let Some(i) = self.answered.iter().position(|(o, _, _)| o == op) {
             return Poll::Ready(self.answered.swap_remove(i).1);
         }
-        if !self.pending.values().any(|p| p.caller && p.op == *op) {
+        let asked = |p: &Pending| matches!(&p.ask, Ask::Op { op: o, caller: true } if o == op);
+        if !self.pending.values().any(asked) {
             if let CoordOp::RegisterEphemeral {
                 session,
                 key,
@@ -215,46 +270,76 @@ impl CoordLink {
                     self.mine.push((key.clone(), value.clone()));
                 }
             }
-            self.send(op.clone(), true, now);
+            let op = op.clone();
+            self.send(Ask::Op { op, caller: true }, now);
         }
         Poll::Pending
     }
 
     /// Feeds one frame from the replica.
-    pub fn on_reply(&mut self, reply: CoordReply, now: Instant) {
-        let (req, result) = match reply {
-            CoordReply::Event(event) => return self.on_event(event, now),
-            CoordReply::Ok { req, body } => (req, Ok(body)),
-            CoordReply::Err { req, reason } => (req, Err(Error::Config(reason))),
-        };
-        let Some(p) = self.pending.remove(&req) else {
+    pub fn on_reply(&mut self, reply: ClientReply, now: Instant) {
+        let ClientReply::ResponseV2 {
+            session,
+            seq,
+            payload,
+            ..
+        } = reply
+        else {
             return;
         };
-        if let Ok(body) = &result {
-            self.update_cache(&p.op, body, now);
-        }
-        if p.caller {
-            self.answered.push((p.op, result, now));
-            return;
-        }
-        match (p.op, result) {
-            (CoordOp::OpenSession { .. }, Ok(CoordOk::Session(id))) => {
-                self.session = Some(id);
-                for (key, value) in self.mine.clone() {
-                    let op = CoordOp::RegisterEphemeral {
-                        session: id,
-                        key,
-                        value,
-                    };
-                    self.send(op, false, now);
+        let (status, body) = parse_reply(&payload).unwrap_or_default();
+        if session == NO_SESSION {
+            // The watch: the events of a command the replica applied.
+            if let Ok((_, events)) = decode_reply(&body) {
+                for event in events {
+                    self.on_event(event, now);
                 }
             }
-            (CoordOp::KeepAlive { session }, Err(Error::Config(reason)))
-                if reason.contains("unknown session") =>
-            {
-                self.session_lost(session, now);
+            return;
+        }
+        let seq = seq.raw();
+        let Some(p) = self.pending.remove(&seq) else {
+            return;
+        };
+        let (op, caller) = match p.ask {
+            // A refused open is tried again when a keep-alive falls due.
+            Ask::Open => {
+                if let Some(id) = parse_open_reply(&payload) {
+                    self.opened(SessionId::new(id), now);
+                }
+                return;
             }
-            _ => {}
+            Ask::KeepAlive(session) => {
+                if status == ST_UNKNOWN_SESSION {
+                    self.session_lost(session, now);
+                }
+                return;
+            }
+            Ask::Op { op, caller } => (op, caller),
+        };
+        if status == ST_UNKNOWN_SESSION {
+            // Not executed: it goes again under the next session.
+            self.pending.insert(
+                seq,
+                Pending {
+                    ask: Ask::Op { op, caller },
+                    sent: now,
+                },
+            );
+            return self.session_lost(session, now);
+        }
+        let result = match decode_reply(&body) {
+            _ if status != ST_OK => Err(Error::Config(format!(
+                "coordination request refused (status {status})"
+            ))),
+            Ok((result, _)) => result.map_err(Error::Config),
+            Err(e) => Err(Error::Wire(e)),
+        };
+        if let Ok(body) = &result {
+            self.update_cache(&op, body, now);
+        }
+        if caller {
+            self.answered.push((op, result, now));
         }
     }
 
@@ -279,14 +364,20 @@ impl CoordLink {
         if now >= self.next_keepalive {
             self.next_keepalive = now + keepalive_every(&self.opts);
             match self.session {
-                Some(session) => self.send_once(CoordOp::KeepAlive { session }, now),
+                Some(session) => {
+                    let alive =
+                        |p: &Pending| matches!(p.ask, Ask::KeepAlive(s) if s == session.raw());
+                    if !self.pending.values().any(alive) {
+                        self.send(Ask::KeepAlive(session.raw()), now);
+                    }
+                }
                 None => self.open_session(now),
             }
         }
     }
 
     /// The frames to send to [`CoordLink::replica`], oldest first.
-    pub fn take_outbox(&mut self) -> Vec<CoordMsg> {
+    pub fn take_outbox(&mut self) -> Vec<ClientMsg> {
         std::mem::take(&mut self.outbox)
     }
 
@@ -296,36 +387,30 @@ impl CoordLink {
         self.hangup.take()
     }
 
-    /// The oldest event not yet taken; the link keeps the last
-    /// [`EVENT_BACKLOG`].
-    pub fn next_event(&mut self) -> Option<CoordEvent> {
-        self.events.pop_front()
-    }
-
     /// The connection under the link was replaced (a failover, or an
-    /// event loop taking the link over): re-arm the watch, re-fetch the
-    /// cache, and re-send what was in flight. A caller's write that was
-    /// in flight may or may not have been applied; it is answered with a
-    /// timeout and the caller decides (every registry write is idempotent
-    /// or epoch-guarded).
+    /// event loop taking the link over): say hello, re-arm the watch,
+    /// re-send everything pending unchanged — the session's reply cache
+    /// answers a request that was already applied — and re-fetch the
+    /// cache.
     pub fn reconnect(&mut self, now: Instant) {
         self.outbox.clear();
-        let mut resend = vec![(CoordOp::WatchAll, false)];
-        for p in std::mem::take(&mut self.pending).into_values() {
-            if p.caller && p.op.kind() != OpKind::Read {
-                let lost = Err(Error::Timeout("coordination connection lost"));
-                self.answered.push((p.op, lost, now));
-            } else if p.op != CoordOp::WatchAll {
-                resend.push((p.op, p.caller));
-            }
+        self.outbox.push(ClientMsg::HelloV2 {
+            client: self.client,
+            features: FEAT_ALL,
+        });
+        self.outbox.push(ClientMsg::RequestV2 {
+            session: NO_SESSION,
+            seq: RequestId::new(0),
+            ack: 0,
+            group: COORD_RING,
+            cmd: CoordOp::WatchAll.to_bytes(),
+        });
+        for p in self.pending.values_mut() {
+            p.sent = now;
         }
+        self.resend(|_| true);
         for op in self.cache.refetches() {
-            if !resend.iter().any(|(o, _)| *o == op) {
-                resend.push((op, false));
-            }
-        }
-        for (op, caller) in resend {
-            self.send(op, caller, now);
+            self.upkeep(op, now);
         }
     }
 
@@ -334,66 +419,111 @@ impl CoordLink {
         self.reconnect(now);
     }
 
-    fn send(&mut self, op: CoordOp, caller: bool, now: Instant) {
-        let req = self.next_req;
-        self.next_req += 1;
-        self.outbox.push(CoordMsg {
-            req,
-            op: op.clone(),
-        });
-        self.pending.insert(
-            req,
-            Pending {
-                op,
-                sent: now,
-                caller,
-            },
-        );
+    /// Every sequence number below this one is answered (or abandoned).
+    fn ack(&self) -> u64 {
+        self.pending.keys().next().copied().unwrap_or(self.next_seq) - 1
     }
 
-    /// Sends one of the link's own requests unless it is in flight.
-    fn send_once(&mut self, op: CoordOp, now: Instant) {
-        if !self.pending.values().any(|p| !p.caller && p.op == op) {
-            self.send(op, false, now);
+    /// The request frame for `ask` under sequence number `seq`; none for
+    /// an operation while the link has no session.
+    fn frame(&self, seq: u64, ask: &Ask) -> Option<ClientMsg> {
+        let (session, cmd) = match ask {
+            Ask::Open => {
+                let ttl_ms = self.opts.session_ttl.as_millis() as u64;
+                let open = SessionCtl::Open { token: seq, ttl_ms };
+                (SESSION_CTL, open.to_bytes())
+            }
+            Ask::KeepAlive(session) => {
+                let keep = SessionCtl::KeepAlive { session: *session };
+                (SESSION_CTL, keep.to_bytes())
+            }
+            Ask::Op { op, .. } => (self.session?.raw(), op.to_bytes()),
+        };
+        Some(ClientMsg::RequestV2 {
+            session,
+            seq: RequestId::new(seq),
+            ack: self.ack(),
+            group: COORD_RING,
+            cmd,
+        })
+    }
+
+    /// Queues again the pending requests `which` picks, unchanged.
+    fn resend(&mut self, which: impl Fn(&Ask) -> bool) {
+        let frames: Vec<ClientMsg> = (self.pending.iter())
+            .filter(|(_, p)| which(&p.ask))
+            .filter_map(|(seq, p)| self.frame(*seq, &p.ask))
+            .collect();
+        self.outbox.extend(frames);
+    }
+
+    fn send(&mut self, ask: Ask, now: Instant) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.pending.insert(seq, Pending { ask, sent: now });
+        if let Some(frame) = self.frame(seq, &self.pending[&seq].ask) {
+            self.outbox.push(frame);
+        }
+    }
+
+    /// Sends one of the link's own operations unless an identical one is
+    /// in flight.
+    fn upkeep(&mut self, op: CoordOp, now: Instant) {
+        let asked = |p: &Pending| matches!(&p.ask, Ask::Op { op: o, .. } if *o == op);
+        if !self.pending.values().any(asked) {
+            self.send(Ask::Op { op, caller: false }, now);
         }
     }
 
     fn open_session(&mut self, now: Instant) {
-        let ttl_ms = self.opts.session_ttl.as_millis() as u64;
-        self.send_once(CoordOp::OpenSession { ttl_ms }, now);
+        if !self.pending.values().any(|p| matches!(p.ask, Ask::Open)) {
+            self.send(Ask::Open, now);
+        }
+    }
+
+    /// The session opened: send what waited for it, and register our
+    /// ephemerals under it.
+    fn opened(&mut self, session: SessionId, now: Instant) {
+        self.session = Some(session);
+        self.resend(|ask| matches!(ask, Ask::Op { .. }));
+        for (key, value) in self.mine.clone() {
+            let op = CoordOp::RegisterEphemeral {
+                session,
+                key,
+                value,
+            };
+            self.upkeep(op, now);
+        }
     }
 
     /// `session` is gone on the ensemble; if it was ours, open another.
-    fn session_lost(&mut self, session: SessionId, now: Instant) {
-        if self.session == Some(session) {
+    fn session_lost(&mut self, session: u64, now: Instant) {
+        if self.session.map(SessionId::raw) == Some(session) {
             self.session = None;
             self.open_session(now);
         }
     }
 
+    /// Folds one watched event into the cache. A retry answered from the
+    /// ensemble's reply cache carries its events again, so an event may
+    /// repeat or arrive stale: each is either fenced by its epoch or only
+    /// makes the link re-read the entry.
     fn on_event(&mut self, event: CoordEvent, now: Instant) {
-        match &event {
-            CoordEvent::RingChanged { cfg } => self.cache.install_ring(cfg),
-            CoordEvent::SubscribersChanged { ring, subscribers } => {
-                self.cache.subscribers.insert(*ring, subscribers.clone());
-            }
+        let refetch = match event {
+            CoordEvent::RingChanged { cfg } => return self.cache.install_ring(&cfg),
+            CoordEvent::SubscribersChanged { ring, .. } => (self.cache.subscribers)
+                .contains_key(&ring)
+                .then_some(CoordOp::Subscribers { ring }),
             CoordEvent::PartitionsChanged => {
-                if self.cache.partitions.take().is_some() {
-                    self.send(CoordOp::Partitions, false, now);
-                }
+                (self.cache.partitions.take()).map(|_| CoordOp::Partitions)
             }
             CoordEvent::MetaChanged { key, .. } => {
-                if self.cache.meta.remove(key).is_some() {
-                    self.send(CoordOp::GetMeta { key: key.clone() }, false, now);
-                }
+                (self.cache.meta.remove(&key)).map(|_| CoordOp::GetMeta { key })
             }
-            CoordEvent::SessionExpired { session } => self.session_lost(*session, now),
-            CoordEvent::EphemeralChanged { .. } => {}
+        };
+        if let Some(op) = refetch {
+            self.upkeep(op, now);
         }
-        if self.events.len() == EVENT_BACKLOG {
-            self.events.pop_front();
-        }
-        self.events.push_back(event);
     }
 
     /// Folds a reply into the cache.
@@ -422,10 +552,10 @@ impl CoordLink {
                 cache.partitions = None;
             }
             (CoordOp::Subscribe { ring, .. }, _) => {
-                self.send(CoordOp::Subscribers { ring: *ring }, false, now);
+                self.upkeep(CoordOp::Subscribers { ring: *ring }, now);
             }
             (CoordOp::ElectCoordinator { ring, .. }, CoordOk::Election(ElectOutcome::Won(_))) => {
-                self.send(CoordOp::GetRing { ring: *ring }, false, now);
+                self.upkeep(CoordOp::GetRing { ring: *ring }, now);
             }
             _ => {}
         }
@@ -524,22 +654,6 @@ impl Coord for LinkCoord {
         }
     }
 
-    fn next_event(&self, timeout: Duration) -> Option<CoordEvent> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.state.lock();
-        let (link, driver) = &mut *state;
-        loop {
-            if let Some(event) = link.next_event() {
-                return Some(event);
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            driver.as_mut()?.turn(link, left);
-            if left.is_zero() {
-                return link.next_event();
-            }
-        }
-    }
-
     fn session(&self) -> Option<SessionId> {
         self.state.lock().0.session()
     }
@@ -548,7 +662,12 @@ impl Coord for LinkCoord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
     use common::ids::Epoch;
+    use common::wire::coord::{encode_reply, CoordResult};
+    use common::wire::put_varint;
+
+    const SESSION: u64 = 4;
 
     fn addrs() -> Vec<SocketAddr> {
         vec![([127, 0, 0, 1], 1).into(), ([127, 0, 0, 1], 2).into()]
@@ -565,22 +684,58 @@ mod tests {
         }
     }
 
+    fn response(session: u64, seq: u64, status: &[u8], body: &[u8]) -> ClientReply {
+        let mut payload = BytesMut::from(status);
+        payload.extend_from_slice(body);
+        ClientReply::ResponseV2 {
+            session,
+            seq: RequestId::new(seq),
+            from_replica: NodeId::new(0),
+            payload: payload.freeze(),
+        }
+    }
+
+    /// The session-framed answer to an operation.
+    fn answer(session: u64, seq: u64, result: CoordResult) -> ClientReply {
+        response(session, seq, &[ST_OK], &encode_reply(&result, &[]))
+    }
+
+    fn opened(seq: u64, session: u64) -> ClientReply {
+        let mut id = BytesMut::new();
+        put_varint(&mut id, session);
+        response(SESSION_CTL, seq, &[ST_OK], &id)
+    }
+
+    /// `(session, seq, cmd)` of every request queued, hellos skipped.
+    fn requests(link: &mut CoordLink) -> Vec<(u64, u64, Bytes)> {
+        let msgs = link.take_outbox().into_iter();
+        msgs.filter_map(|msg| match msg {
+            ClientMsg::RequestV2 {
+                session, seq, cmd, ..
+            } => Some((session, seq.raw(), cmd)),
+            _ => None,
+        })
+        .collect()
+    }
+
+    /// The operations queued, watch included, session control skipped.
+    fn ops(link: &mut CoordLink) -> Vec<CoordOp> {
+        (requests(link).into_iter())
+            .filter(|(session, _, _)| *session != SESSION_CTL)
+            .map(|(_, _, mut cmd)| CoordOp::decode(&mut cmd).unwrap())
+            .collect()
+    }
+
     /// A link whose session is open and whose start-up frames are gone.
     fn open_link(now: Instant) -> CoordLink {
         let mut link = CoordLink::new(addrs(), CoordClientOptions::default(), now);
-        for msg in link.take_outbox() {
-            let body = match msg.op {
-                CoordOp::OpenSession { .. } => CoordOk::Session(SessionId::new(4)),
-                _ => CoordOk::Unit,
-            };
-            link.on_reply(CoordReply::Ok { req: msg.req, body }, now);
-        }
-        assert_eq!(link.session(), Some(SessionId::new(4)));
+        let ctl: Vec<_> = (requests(&mut link).into_iter())
+            .filter(|(session, _, _)| *session == SESSION_CTL)
+            .collect();
+        assert_eq!(ctl.len(), 1, "one session open");
+        link.on_reply(opened(ctl[0].1, SESSION), now);
+        assert_eq!(link.session(), Some(SessionId::new(SESSION)));
         link
-    }
-
-    fn ops(link: &mut CoordLink) -> Vec<CoordOp> {
-        link.take_outbox().into_iter().map(|m| m.op).collect()
     }
 
     #[test]
@@ -594,14 +749,11 @@ mod tests {
         };
         assert!(link.poll(&report, now).is_pending());
         assert!(link.poll(&report, now).is_pending(), "in flight");
-        let sent = link.take_outbox();
+        let sent = requests(&mut link);
         assert_eq!(sent.len(), 1, "one request for both calls");
-        let body = CoordOk::Config(ring_cfg(2));
+        assert_eq!(sent[0].0, SESSION, "sent under the link's session");
         link.on_reply(
-            CoordReply::Ok {
-                req: sent[0].req,
-                body,
-            },
+            answer(SESSION, sent[0].1, Ok(CoordOk::Config(ring_cfg(2)))),
             now,
         );
         assert!(matches!(
@@ -627,16 +779,64 @@ mod tests {
             ring: RingId::new(3),
         };
         assert!(link.poll(&get, now).is_pending());
-        let req = link.take_outbox()[0].req;
-        let body = CoordOk::Ring(Some(ring_cfg(1)));
-        link.on_reply(CoordReply::Ok { req, body }, now);
+        let seq = requests(&mut link)[0].1;
+        link.on_reply(
+            answer(SESSION, seq, Ok(CoordOk::Ring(Some(ring_cfg(1))))),
+            now,
+        );
         let first = link.replica();
         link.on_closed(addrs()[1], now); // not ours: ignored
         assert_eq!(link.replica(), first);
         link.on_closed(first, now);
         assert_ne!(link.replica(), first);
         assert!(link.poll(&get, now).is_ready(), "the cache survives");
+        assert!(matches!(
+            link.outbox.first(),
+            Some(ClientMsg::HelloV2 { .. })
+        ));
         assert_eq!(ops(&mut link), [CoordOp::WatchAll, get]);
+    }
+
+    /// Exactly-once across a failover: the write in flight is re-sent
+    /// with its `(session, seq)`, never answered "timed out", and the
+    /// answer reaches the caller once however often it arrives.
+    #[test]
+    fn a_write_in_flight_at_a_failover_is_resent_unchanged_and_answered_once() {
+        let now = Instant::now();
+        let mut link = open_link(now);
+        let set = CoordOp::SetMeta {
+            key: "k".into(),
+            value: Bytes::from_static(b"v"),
+            expected_version: None,
+        };
+        assert!(link.poll(&set, now).is_pending());
+        let Some(ClientMsg::RequestV2 { seq, ack, .. }) = link.outbox.first().cloned() else {
+            panic!("a request");
+        };
+        assert_eq!(ack, seq.raw() - 1, "everything before it is answered");
+        let sent = requests(&mut link);
+        assert_eq!(sent.len(), 1);
+        link.on_closed(link.replica(), now);
+        assert!(
+            link.poll(&set, now).is_pending(),
+            "not answered by the failover"
+        );
+        let resent = requests(&mut link);
+        assert!(
+            resent.contains(&sent[0]),
+            "re-sent unchanged: {resent:?} lacks {:?}",
+            sent[0]
+        );
+        let (session, seq, _) = sent[0];
+        // The new replica answers from the session's reply cache; the
+        // first replica's late answer to the original arrives too.
+        link.on_reply(answer(session, seq, Ok(CoordOk::Version(1))), now);
+        link.on_reply(answer(session, seq, Ok(CoordOk::Version(1))), now);
+        assert!(matches!(
+            link.poll(&set, now),
+            Poll::Ready(Ok(CoordOk::Version(1)))
+        ));
+        assert!(link.poll(&set, now).is_pending(), "answered once");
     }
 
     #[test]
@@ -645,43 +845,41 @@ mod tests {
         let mut link = open_link(now);
         let key = "nodes/1".to_string();
         let register = CoordOp::RegisterEphemeral {
-            session: SessionId::new(4),
+            session: SessionId::new(SESSION),
             key: key.clone(),
             value: Bytes::from_static(b"a"),
         };
         assert!(link.poll(&register, now).is_pending());
+        let sent = requests(&mut link);
         let first = link.replica();
         let later = now + CoordClientOptions::default().timeout;
         link.tick(later);
         assert_eq!(link.take_hangup(), Some(first));
-        let resent = ops(&mut link);
-        assert_eq!(resent[0], CoordOp::WatchAll);
-        assert!(matches!(
-            link.poll(&register, later),
-            Poll::Ready(Err(Error::Timeout(_)))
-        ));
-        // The ensemble expired the session: the link opens another and
-        // registers its ephemerals again.
-        let gone = CoordEvent::SessionExpired {
-            session: SessionId::new(4),
-        };
-        link.on_reply(CoordReply::Event(gone.clone()), later);
-        assert_eq!(link.next_event(), Some(gone));
-        let open = link.take_outbox().pop().expect("a session open");
-        assert!(matches!(open.op, CoordOp::OpenSession { .. }));
-        let body = CoordOk::Session(SessionId::new(5));
+        let resent = requests(&mut link);
+        assert_eq!(resent[0].2, CoordOp::WatchAll.to_bytes());
+        assert!(resent.contains(&sent[0]), "the write goes again, unchanged");
+        assert!(link.poll(&register, later).is_pending(), "never timed out");
+        // The ensemble expired the session: the write is refused unrun,
+        // the link opens another session and registers its ephemerals
+        // again.
         link.on_reply(
-            CoordReply::Ok {
-                req: open.req,
-                body,
-            },
+            response(SESSION, sent[0].1, &[ST_UNKNOWN_SESSION], &[]),
             later,
         );
+        assert_eq!(link.session(), None);
+        let open = requests(&mut link).pop().expect("a session open");
+        assert_eq!(open.0, SESSION_CTL);
+        link.on_reply(opened(open.1, SESSION + 1), later);
         let again = CoordOp::RegisterEphemeral {
-            session: SessionId::new(5),
+            session: SessionId::new(SESSION + 1),
             key,
             value: Bytes::from_static(b"a"),
         };
-        assert_eq!(ops(&mut link), [again]);
+        let sent_after = requests(&mut link);
+        assert!(sent_after.iter().all(|(s, _, _)| *s == SESSION + 1));
+        let after: Vec<CoordOp> = (sent_after.into_iter())
+            .map(|(_, _, mut cmd)| CoordOp::decode(&mut cmd).unwrap())
+            .collect();
+        assert_eq!(after, [register, again]);
     }
 }

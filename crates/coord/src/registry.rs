@@ -12,25 +12,26 @@
 //!   ring node performs stay local. Driven by its caller's thread, or
 //!   polled from an event loop that owns it.
 //!
+//! A registry only applies operations; it has no event feed of its own.
+//! A link's watch keeps its cache current, and callers read state.
+//!
 //! Like Zookeeper in the paper (§7.1), the registry sits *off* the
 //! critical message path: processes consult it at configuration time and
 //! during failover, never per-request.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use bytes::Bytes;
 use common::error::{Error, Result};
 use common::ids::{Epoch, NodeId, PartitionId, RingId, SessionId};
 use common::wire::coord::{
-    CoordEvent, CoordOk, CoordOp, ElectOutcome, EphemeralEntry, PartitionWire, RingConfigWire,
+    CoordOk, CoordOp, ElectOutcome, EphemeralEntry, PartitionWire, RingConfigWire,
 };
 
 use crate::link::LinkCoord;
 use crate::ring_config::RingConfig;
 
-/// A coordination backend: somewhere [`CoordOp`]s can be applied and
-/// state-change events observed.
+/// A coordination backend: somewhere [`CoordOp`]s can be applied.
 pub trait Coord: Send + Sync + std::fmt::Debug {
     /// Applies one operation and returns its result.
     ///
@@ -41,25 +42,11 @@ pub trait Coord: Send + Sync + std::fmt::Debug {
     /// call never waits for the network (see [`crate::link`]).
     fn call(&self, op: CoordOp) -> Result<CoordOk>;
 
-    /// The oldest state-change event not yet taken, waiting at most
-    /// `timeout` for one. Events are kept from the backend's start, the
-    /// last [`EVENT_BACKLOG`] of them; handles sharing a backend share
-    /// them.
-    fn next_event(&self, timeout: Duration) -> Option<CoordEvent>;
-
     /// The backend's own session with the service, if it maintains one
     /// (remote backends keep a TTL session alive; the local backend has
     /// no liveness to prove).
     fn session(&self) -> Option<SessionId>;
 }
-
-/// The TTL used for sessions the registry opens on behalf of callers
-/// that do not manage one themselves (see [`Registry::announce`]).
-pub const DEFAULT_SESSION_TTL_MS: u64 = 3_000;
-
-/// Events a backend keeps for [`Coord::next_event`]; older ones are
-/// dropped.
-pub const EVENT_BACKLOG: usize = 1024;
 
 /// A service partition: the set of replicas that subscribe to the same set
 /// of multicast groups (paper §5.2).
@@ -143,12 +130,6 @@ impl Registry {
     /// The link behind this registry, if it talks to an ensemble.
     pub fn link(&self) -> Option<&Arc<LinkCoord>> {
         self.link.as_ref()
-    }
-
-    /// The oldest configuration-change event not yet taken, waiting at
-    /// most `timeout` (see [`Coord::next_event`]).
-    pub fn next_event(&self, timeout: Duration) -> Option<CoordEvent> {
-        self.backend.next_event(timeout)
     }
 
     /// Registers a ring configuration.
@@ -390,34 +371,12 @@ impl Registry {
         }
     }
 
-    /// Opens a session with the given TTL.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the service is unreachable.
-    pub fn open_session(&self, ttl_ms: u64) -> Result<SessionId> {
-        match self.backend.call(CoordOp::OpenSession { ttl_ms })? {
-            CoordOk::Session(id) => Ok(id),
-            other => Err(unexpected("OpenSession", &other)),
-        }
-    }
-
-    /// Closes a session, dropping its ephemeral entries.
-    ///
-    /// # Errors
-    ///
-    /// Fails only if the service is unreachable.
-    pub fn close_session(&self, session: SessionId) -> Result<()> {
-        self.backend
-            .call(CoordOp::CloseSession { session })
-            .map(|_| ())
-    }
-
     /// Registers an ephemeral entry under `session`.
     ///
     /// # Errors
     ///
-    /// Fails if the session is unknown.
+    /// An `amcoordd` replica refuses an entry whose `session` is not the
+    /// session the request travels under.
     pub fn register_ephemeral(
         &self,
         session: SessionId,
@@ -435,17 +394,15 @@ impl Registry {
 
     /// Registers an ephemeral entry under the backend's own session (the
     /// "I am alive, here is how to reach me" advertisement every live node
-    /// publishes). Backends without a session of their own get a fresh one
-    /// with the default TTL. Returns the owning session.
+    /// publishes). A backend without a session of its own — the in-process
+    /// one — registers it under session 0, which never expires. Returns
+    /// the owning session.
     ///
     /// # Errors
     ///
     /// Fails if the service is unreachable.
     pub fn announce(&self, key: impl Into<String>, value: Bytes) -> Result<SessionId> {
-        let session = match self.backend.session() {
-            Some(s) => s,
-            None => self.open_session(DEFAULT_SESSION_TTL_MS)?,
-        };
+        let session = self.backend.session().unwrap_or(SessionId::new(0));
         self.register_ephemeral(session, key, value)?;
         Ok(session)
     }
@@ -459,21 +416,6 @@ impl Registry {
             _ => Vec::new(),
         }
     }
-
-    /// The metrics snapshot of the serving node (per-process, not
-    /// replicated — different replicas answer with different numbers).
-    /// A local backend has no process-wide registry and returns an
-    /// empty snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the service is unreachable.
-    pub fn node_stats(&self) -> Result<common::obs::ObsSnapshot> {
-        match self.backend.call(CoordOp::Stats)? {
-            CoordOk::Stats(snap) => Ok(snap),
-            other => Err(unexpected("Stats", &other)),
-        }
-    }
 }
 
 fn unexpected(op: &str, body: &CoordOk) -> Error {
@@ -483,7 +425,6 @@ fn unexpected(op: &str, body: &CoordOk) -> Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use common::wire::coord::CoordEvent;
 
     fn nodes(ids: &[u32]) -> Vec<NodeId> {
         ids.iter().map(|i| NodeId::new(*i)).collect()
@@ -604,44 +545,32 @@ mod tests {
     }
 
     #[test]
-    fn watches_fire_exactly_once_per_epoch_bump() {
+    fn elections_bump_the_epoch_exactly_once() {
         let reg = Registry::new();
         reg.register_ring(ring0()).unwrap();
-        let next = || reg.next_event(Duration::ZERO);
-        assert!(matches!(next(), Some(CoordEvent::RingChanged { .. })));
-
         let e0 = reg.ring(RingId::new(0)).unwrap().epoch();
         reg.elect_coordinator(RingId::new(0), NodeId::new(2), e0)
             .unwrap()
             .expect("wins");
-        // The losing CAS must not produce a second event.
+        // The losing CAS changes nothing.
         reg.elect_coordinator(RingId::new(0), NodeId::new(3), e0)
             .unwrap()
             .expect_err("stale epoch loses");
-
-        let event = next().expect("one event");
-        match event {
-            CoordEvent::RingChanged { cfg } => {
-                assert_eq!(cfg.coordinator, NodeId::new(2));
-                assert_eq!(cfg.epoch, Epoch::new(2));
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
-        assert!(next().is_none(), "exactly one event per bump");
+        let cfg = reg.ring(RingId::new(0)).unwrap();
+        assert_eq!(cfg.coordinator(), NodeId::new(2));
+        assert_eq!(cfg.epoch(), Epoch::new(2), "exactly one bump");
     }
 
     #[test]
-    fn announce_registers_ephemeral_under_fresh_session() {
+    fn announce_registers_an_ephemeral_owned_by_session_zero() {
         let reg = Registry::new();
         let session = reg
             .announce("nodes/7", Bytes::from_static(b"127.0.0.1:7400"))
             .unwrap();
+        assert_eq!(session, SessionId::new(0));
         let entries = reg.ephemerals("nodes/");
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].key, "nodes/7");
         assert_eq!(entries[0].session, session);
-
-        reg.close_session(session).unwrap();
-        assert!(reg.ephemerals("nodes/").is_empty());
     }
 }

@@ -1,17 +1,23 @@
 //! The deterministic coordination state machine.
 //!
 //! Every piece of configuration the service holds — rings, subscriptions,
-//! partitions, versioned metadata, sessions and their ephemeral entries —
-//! lives in one [`CoordState`] mutated exclusively through
-//! [`CoordState::apply`]. Determinism is the point: the in-process
+//! partitions, versioned metadata and ephemeral entries — lives in one
+//! [`CoordState`] mutated exclusively through [`CoordState::apply`]
+//! (and [`CoordState::drop_session`]). Determinism is the point: the in-process
 //! [`LocalCoord`](crate::local::LocalCoord) applies operations directly
 //! under a lock, while `amcoordd` replicas apply the *same* operations in
 //! the order their Ring Paxos log decides them — one state machine, two
 //! drivers, identical behavior.
 //!
 //! `apply` returns the operation's result plus the [`CoordEvent`]s it
-//! produced; the driver is responsible for delivering events to watchers
-//! (synchronously for the local backend, as pushed frames for the server).
+//! produced; the server sends the events to its watchers.
+//!
+//! **Sessions are not kept here.** An ephemeral entry names its owning
+//! session, and the entry lives until [`CoordState::drop_session`] is
+//! called for that session: an `amcoordd` replica's sessions are its
+//! protocol-v2 exactly-once sessions, whose table (`multiring`'s
+//! `SessionApp`) calls it when it expires or evicts one. The in-process
+//! backend registers ephemerals under owner 0, which nothing ever drops.
 
 use std::collections::BTreeMap;
 
@@ -19,26 +25,12 @@ use bytes::{Bytes, BytesMut};
 use common::error::{Error, Result};
 use common::ids::{NodeId, PartitionId, RingId, SessionId};
 use common::wire::coord::{
-    CoordEvent, CoordOk, CoordOp, ElectOutcome, EphemeralEntry, PartitionWire,
+    CoordEvent, CoordOk, CoordOp, CoordResult, ElectOutcome, EphemeralEntry, PartitionWire,
 };
 use common::wire::{get_tag, get_varint, get_vec, put_varint, put_vec, Wire};
 
 use crate::registry::PartitionInfo;
 use crate::ring_config::RingConfig;
-
-/// One live session.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Session {
-    /// The session's time-to-live in milliseconds; drivers expire the
-    /// session when this lapses without a keep-alive.
-    pub ttl_ms: u64,
-    /// Monotonic keep-alive counter; [`CoordOp::ExpireSession`] is a CAS
-    /// against it so a refreshed session survives a stale expiry proposal.
-    pub refresh_seq: u64,
-}
-
-/// Result of one operation: the reply body or a human-readable refusal.
-pub type ApplyResult = std::result::Result<CoordOk, String>;
 
 /// The replicated coordination state.
 #[derive(Debug, Default, PartialEq, Eq)]
@@ -49,10 +41,8 @@ pub struct CoordState {
     replica_partition: BTreeMap<NodeId, PartitionId>,
     /// Versioned metadata blobs (znodes): `key -> (version, value)`.
     meta: BTreeMap<String, (u64, Bytes)>,
-    sessions: BTreeMap<SessionId, Session>,
     /// Ephemeral entries: `key -> (owning session, value)`.
     ephemerals: BTreeMap<String, (SessionId, Bytes)>,
-    next_session: u64,
 }
 
 impl CoordState {
@@ -64,50 +54,14 @@ impl CoordState {
     /// Applies one operation, returning its result and the state-change
     /// events it produced. Read operations never produce events.
     /// [`CoordOp::WatchAll`] is connection-level and a no-op here.
-    pub fn apply(&mut self, op: &CoordOp) -> (ApplyResult, Vec<CoordEvent>) {
+    pub fn apply(&mut self, op: &CoordOp) -> (CoordResult, Vec<CoordEvent>) {
         let mut events = Vec::new();
         let result = self.apply_inner(op, &mut events);
         (result, events)
     }
 
-    fn apply_inner(&mut self, op: &CoordOp, events: &mut Vec<CoordEvent>) -> ApplyResult {
+    fn apply_inner(&mut self, op: &CoordOp, events: &mut Vec<CoordEvent>) -> CoordResult {
         match op {
-            CoordOp::OpenSession { ttl_ms } => {
-                let id = SessionId::new(self.next_session);
-                self.next_session += 1;
-                self.sessions.insert(
-                    id,
-                    Session {
-                        ttl_ms: *ttl_ms,
-                        refresh_seq: 0,
-                    },
-                );
-                Ok(CoordOk::Session(id))
-            }
-            CoordOp::KeepAlive { session } => match self.sessions.get_mut(session) {
-                Some(s) => {
-                    s.refresh_seq += 1;
-                    Ok(CoordOk::Unit)
-                }
-                None => Err(format!("unknown session {session}")),
-            },
-            CoordOp::CloseSession { session } => {
-                self.drop_session(*session, events);
-                Ok(CoordOk::Unit)
-            }
-            CoordOp::ExpireSession {
-                session,
-                seen_refresh,
-            } => {
-                // CAS shape: a keep-alive applied after the proposer's
-                // observation outruns the expiry.
-                if let Some(s) = self.sessions.get(session) {
-                    if s.refresh_seq <= *seen_refresh {
-                        self.drop_session(*session, events);
-                    }
-                }
-                Ok(CoordOk::Unit)
-            }
             CoordOp::RegisterRing { cfg } => {
                 if self.rings.contains_key(&cfg.ring) {
                     return Err(format!("ring {} already registered", cfg.ring));
@@ -271,15 +225,8 @@ impl CoordState {
                 key,
                 value,
             } => {
-                if !self.sessions.contains_key(session) {
-                    return Err(format!("unknown session {session}"));
-                }
                 self.ephemerals
                     .insert(key.clone(), (*session, value.clone()));
-                events.push(CoordEvent::EphemeralChanged {
-                    key: key.clone(),
-                    alive: true,
-                });
                 Ok(CoordOk::Unit)
             }
             CoordOp::Ephemerals { prefix } => Ok(CoordOk::Ephemerals(
@@ -294,25 +241,24 @@ impl CoordState {
                     .collect(),
             )),
             CoordOp::WatchAll => Ok(CoordOk::Unit),
-            CoordOp::Stats => {
-                // Per-node metrics live with the driver (the server
-                // process), not in the replicated state machine; the
-                // replicated server answers from its own registry before
-                // this default is seen. The local backend has no metrics
-                // of its own, so an empty snapshot is exact there.
-                Ok(CoordOk::Stats(Default::default()))
-            }
         }
     }
 
-    /// The current snapshot format version (first byte of the encoding).
-    const SNAPSHOT_VERSION: u8 = 1;
+    /// Drops the ephemeral entries `session` owns: its session is gone.
+    pub fn drop_session(&mut self, session: SessionId) {
+        self.ephemerals.retain(|_, (owner, _)| *owner != session);
+    }
 
-    /// Appends a deterministic, wire-encodable snapshot of the whole
-    /// state to `buf`. Two replicas holding equal state produce
-    /// byte-identical snapshots (all maps iterate in key order), so the
-    /// encoding doubles as a cheap state-divergence check.
-    pub fn encode_snapshot(&self, buf: &mut BytesMut) {
+    /// The current snapshot format version (first byte of the encoding).
+    const SNAPSHOT_VERSION: u8 = 2;
+
+    /// A deterministic, wire-encodable snapshot of the whole state. Two
+    /// replicas holding equal state produce byte-identical snapshots (all
+    /// maps iterate in key order), so the encoding doubles as a cheap
+    /// state-divergence check.
+    pub fn snapshot(&self) -> Bytes {
+        let mut out = BytesMut::new();
+        let buf = &mut out;
         buf.extend_from_slice(&[Self::SNAPSHOT_VERSION]);
         let rings: Vec<_> = self.rings.values().map(RingConfig::to_wire).collect();
         put_vec(buf, &rings);
@@ -337,12 +283,6 @@ impl CoordState {
             put_varint(buf, *version);
             value.encode(buf);
         }
-        put_varint(buf, self.sessions.len() as u64);
-        for (id, s) in &self.sessions {
-            id.encode(buf);
-            put_varint(buf, s.ttl_ms);
-            put_varint(buf, s.refresh_seq);
-        }
         let ephemerals: Vec<EphemeralEntry> = self
             .ephemerals
             .iter()
@@ -353,14 +293,7 @@ impl CoordState {
             })
             .collect();
         put_vec(buf, &ephemerals);
-        put_varint(buf, self.next_session);
-    }
-
-    /// The snapshot as a fresh buffer (see [`CoordState::encode_snapshot`]).
-    pub fn snapshot(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        self.encode_snapshot(&mut buf);
-        buf.freeze()
+        out.freeze()
     }
 
     /// Reconstructs a state from an encoded snapshot.
@@ -405,23 +338,9 @@ impl CoordState {
             let value = Bytes::decode(buf)?;
             state.meta.insert(key, (version, value));
         }
-        let n_sessions = get_varint(buf)?;
-        for _ in 0..n_sessions {
-            let id = SessionId::decode(buf)?;
-            let ttl_ms = get_varint(buf)?;
-            let refresh_seq = get_varint(buf)?;
-            state.sessions.insert(
-                id,
-                Session {
-                    ttl_ms,
-                    refresh_seq,
-                },
-            );
-        }
         for e in get_vec::<EphemeralEntry>(buf)? {
             state.ephemerals.insert(e.key, (e.session, e.value));
         }
-        state.next_session = get_varint(buf)?;
         Ok(state)
     }
 
@@ -429,7 +348,7 @@ impl CoordState {
         &mut self,
         part: &PartitionWire,
         events: &mut Vec<CoordEvent>,
-    ) -> ApplyResult {
+    ) -> CoordResult {
         for r in &part.replicas {
             if self.replica_partition.contains_key(r) {
                 return Err(format!("replica {r} already belongs to a partition"));
@@ -458,33 +377,6 @@ impl CoordState {
         events.push(CoordEvent::PartitionsChanged);
         Ok(CoordOk::Unit)
     }
-
-    fn drop_session(&mut self, session: SessionId, events: &mut Vec<CoordEvent>) {
-        if self.sessions.remove(&session).is_none() {
-            return;
-        }
-        let dead: Vec<String> = self
-            .ephemerals
-            .iter()
-            .filter(|(_, (owner, _))| *owner == session)
-            .map(|(k, _)| k.clone())
-            .collect();
-        for key in dead {
-            self.ephemerals.remove(&key);
-            events.push(CoordEvent::EphemeralChanged { key, alive: false });
-        }
-        events.push(CoordEvent::SessionExpired { session });
-    }
-
-    /// The live sessions, ascending by id.
-    pub fn sessions(&self) -> impl Iterator<Item = (SessionId, &Session)> {
-        self.sessions.iter().map(|(id, s)| (*id, s))
-    }
-
-    /// One session, if live.
-    pub fn session(&self, id: SessionId) -> Option<&Session> {
-        self.sessions.get(&id)
-    }
 }
 
 #[cfg(test)]
@@ -512,57 +404,37 @@ mod tests {
     #[test]
     fn session_expiry_removes_ephemerals() {
         let mut state = CoordState::new();
-        let (body, _) = ok(&mut state, CoordOp::OpenSession { ttl_ms: 100 });
-        let CoordOk::Session(session) = body else {
-            panic!("expected session")
-        };
-        ok(
-            &mut state,
-            CoordOp::RegisterEphemeral {
-                session,
-                key: "nodes/0".into(),
-                value: Bytes::from_static(b"addr"),
-            },
-        );
-
-        // A keep-alive applied after the observation defeats the expiry.
-        ok(&mut state, CoordOp::KeepAlive { session });
-        let (_, events) = ok(
-            &mut state,
-            CoordOp::ExpireSession {
-                session,
-                seen_refresh: 0,
-            },
-        );
-        assert!(events.is_empty(), "refreshed session must survive");
-        assert!(state.session(session).is_some());
-
-        // An expiry with the current refresh takes the session and its
-        // ephemerals down, emitting both events.
-        let (_, events) = ok(
-            &mut state,
-            CoordOp::ExpireSession {
-                session,
-                seen_refresh: 1,
-            },
-        );
-        assert_eq!(
-            events,
-            vec![
-                CoordEvent::EphemeralChanged {
-                    key: "nodes/0".into(),
-                    alive: false
+        let (a, b) = (SessionId::new(1), SessionId::new(2));
+        for (session, key) in [(a, "nodes/0"), (b, "nodes/1"), (a, "nodes/2")] {
+            let (_, events) = ok(
+                &mut state,
+                CoordOp::RegisterEphemeral {
+                    session,
+                    key: key.into(),
+                    value: Bytes::from_static(b"addr"),
                 },
-                CoordEvent::SessionExpired { session },
-            ]
-        );
+            );
+            assert!(events.is_empty());
+        }
+        // Dropping a session takes exactly the entries it owns.
+        state.drop_session(a);
         let (body, _) = ok(
             &mut state,
             CoordOp::Ephemerals {
                 prefix: String::new(),
             },
         );
-        assert_eq!(body, CoordOk::Ephemerals(vec![]));
+        let CoordOk::Ephemerals(left) = body else {
+            panic!("expected ephemerals")
+        };
+        let keys: Vec<&str> = left.iter().map(|e| e.key.as_str()).collect();
+        assert_eq!(keys, ["nodes/1"]);
+        assert_eq!(left[0].session, b);
+        let snap = state.snapshot();
+        assert_eq!(
+            CoordState::decode_snapshot(&mut snap.clone()).unwrap(),
+            state
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests for the coordination state machine's snapshot codec:
 //! a `CoordState` grown by an arbitrary operation sequence must round-trip
-//! through `encode_snapshot`/`decode_snapshot` bit-exactly — the invariant
+//! through `snapshot`/`decode_snapshot` bit-exactly — the invariant
 //! `amcoordd` restart-in-place recovery (checkpoints + peer catch-up)
 //! stands on.
 
@@ -14,18 +14,10 @@ use proptest::prelude::*;
 /// only mutators matter for growing interesting states).
 #[derive(Clone, Debug)]
 enum GenOp {
-    OpenSession {
-        ttl_ms: u64,
-    },
-    KeepAlive {
+    /// A session's removal (not a `CoordOp`: the session table above the
+    /// state calls `drop_session`).
+    DropSession {
         session: u64,
-    },
-    CloseSession {
-        session: u64,
-    },
-    ExpireSession {
-        session: u64,
-        seen_refresh: u64,
     },
     EnsureRing {
         ring: u16,
@@ -65,11 +57,7 @@ enum GenOp {
 fn arb_ops() -> impl Strategy<Value = Vec<GenOp>> {
     proptest::collection::vec(
         prop_oneof![
-            3 => (1u64..5000).prop_map(|ttl_ms| GenOp::OpenSession { ttl_ms }),
-            2 => (0u64..8).prop_map(|session| GenOp::KeepAlive { session }),
-            1 => (0u64..8).prop_map(|session| GenOp::CloseSession { session }),
-            1 => (0u64..8, 0u64..3)
-                .prop_map(|(session, seen_refresh)| GenOp::ExpireSession { session, seen_refresh }),
+            1 => (0u64..8).prop_map(|session| GenOp::DropSession { session }),
             3 => (0u16..4, 1u8..5).prop_map(|(ring, members)| GenOp::EnsureRing { ring, members }),
             2 => (0u16..4, 0u32..5, 1u64..4)
                 .prop_map(|(ring, candidate, epoch)| GenOp::ElectCoordinator { ring, candidate, epoch }),
@@ -102,22 +90,21 @@ fn ring_wire(ring: u16, members: u8) -> RingConfigWire {
     }
 }
 
+/// Applies `ops` to a fresh state (refusals included).
+fn grow(ops: &[GenOp]) -> CoordState {
+    let mut state = CoordState::new();
+    for op in ops {
+        match *op {
+            GenOp::DropSession { session } => state.drop_session(SessionId::new(session)),
+            _ => drop(state.apply(&to_op(op))),
+        }
+    }
+    state
+}
+
 fn to_op(op: &GenOp) -> CoordOp {
     match *op {
-        GenOp::OpenSession { ttl_ms } => CoordOp::OpenSession { ttl_ms },
-        GenOp::KeepAlive { session } => CoordOp::KeepAlive {
-            session: SessionId::new(session),
-        },
-        GenOp::CloseSession { session } => CoordOp::CloseSession {
-            session: SessionId::new(session),
-        },
-        GenOp::ExpireSession {
-            session,
-            seen_refresh,
-        } => CoordOp::ExpireSession {
-            session: SessionId::new(session),
-            seen_refresh,
-        },
+        GenOp::DropSession { .. } => unreachable!("not an operation"),
         GenOp::EnsureRing { ring, members } => CoordOp::EnsureRing {
             cfg: ring_wire(ring, members),
         },
@@ -184,10 +171,7 @@ proptest! {
     /// every replica).
     #[test]
     fn snapshot_round_trips(ops in arb_ops()) {
-        let mut state = CoordState::new();
-        for op in &ops {
-            let _ = state.apply(&to_op(op));
-        }
+        let state = grow(&ops);
         let encoded = state.snapshot();
         let restored = CoordState::decode_snapshot(&mut encoded.clone())
             .expect("snapshot decodes");
@@ -199,10 +183,7 @@ proptest! {
     /// partial state).
     #[test]
     fn truncated_snapshot_is_rejected(ops in arb_ops(), cut in 0.0f64..1.0) {
-        let mut state = CoordState::new();
-        for op in &ops {
-            let _ = state.apply(&to_op(op));
-        }
+        let state = grow(&ops);
         let encoded = state.snapshot();
         let keep = ((encoded.len() as f64) * cut) as usize;
         if keep < encoded.len() {

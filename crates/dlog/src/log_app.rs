@@ -126,12 +126,6 @@ impl ServiceApp for DlogApp {
     }
 
     fn snapshot(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        self.snapshot_into(&mut buf);
-        buf.freeze()
-    }
-
-    fn snapshot_into(&self, buf: &mut BytesMut) {
         // One-pass serialization: reserve the encoded size (10 bytes
         // covers any varint) before writing, so large logs do not churn
         // through doubling reallocations on the delivery thread.
@@ -142,16 +136,17 @@ impl ServiceApp for DlogApp {
                 size += e.len() + 10;
             }
         }
-        buf.reserve(size);
-        put_varint(buf, self.logs.len() as u64);
+        let mut buf = BytesMut::with_capacity(size);
+        put_varint(&mut buf, self.logs.len() as u64);
         for (id, state) in &self.logs {
-            put_varint(buf, u64::from(*id));
-            put_varint(buf, state.base);
-            put_varint(buf, state.entries.len() as u64);
+            put_varint(&mut buf, u64::from(*id));
+            put_varint(&mut buf, state.base);
+            put_varint(&mut buf, state.entries.len() as u64);
             for e in &state.entries {
-                put_bytes(buf, e);
+                put_bytes(&mut buf, e);
             }
         }
+        buf.freeze()
     }
 
     fn restore(&mut self, state: &Bytes) {

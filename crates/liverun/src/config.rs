@@ -493,25 +493,7 @@ impl DeploymentConfig {
     /// Fails if a ring or partition definition is rejected.
     pub fn build_registry(&self) -> Result<Registry> {
         let registry = Registry::new();
-        for r in &self.rings {
-            registry.register_ring(RingConfig::new(
-                r.id,
-                r.members.clone(),
-                r.acceptors.clone(),
-            )?)?;
-        }
-        for p in &self.partitions {
-            registry.register_partition(
-                p.id,
-                PartitionInfo {
-                    rings: p.rings.clone(),
-                    replicas: p.replicas.clone(),
-                },
-            )?;
-        }
-        if let Some(scheme) = self.initial_scheme() {
-            scheme.publish(&registry);
-        }
+        self.seed_registry(&registry)?;
         Ok(registry)
     }
 

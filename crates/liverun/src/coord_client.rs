@@ -1,12 +1,13 @@
 //! The coordination client's drivers.
 //!
 //! A [`CoordLink`] owns no socket and no thread; this module moves its
-//! frames over `Net`, two ways:
+//! protocol-v2 frames over `Net`, two ways:
 //!
 //! * **On the caller's thread** — tools, tests and a node's boot path.
 //!   [`connect_coord`] gives the link a private `Net` that every registry
-//!   call turns until its reply arrives; a watch is a pull,
-//!   [`Registry::next_event`].
+//!   call turns until its reply arrives. Between calls nothing turns it:
+//!   an idle client's session lapses after its TTL, and its next call
+//!   reopens one.
 //! * **On a node loop**, which takes the link over
 //!   ([`coord::LinkCoord::hand_over`]) before its first turn. The loop
 //!   dials the link's replica through its own `Net`, feeds the link what
@@ -19,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use common::error::{Error, Result};
 use common::obs::Counter;
-use common::wire::coord::CoordReply;
+use common::wire::client::ClientReply;
 use coord::{CoordClientOptions, CoordLink, Driver, LinkCoord, Registry};
 
 use crate::net::{Event, Net, Reader};
@@ -50,8 +51,8 @@ pub fn connect_coord(addrs: &[SocketAddr], opts: CoordClientOptions) -> Result<R
 
 /// A link's sockets on its caller's thread.
 struct CallerNet {
-    net: Net<CoordReply, ()>,
-    events: Vec<Event<CoordReply, ()>>,
+    net: Net<ClientReply, ()>,
+    events: Vec<Event<ClientReply, ()>>,
 }
 
 impl Driver for CallerNet {

@@ -2,32 +2,43 @@
 //!
 //! An `amcoordd` replica is the data node's loop ([`crate::node`]) over a
 //! one-ring host: ring [`COORD_RING`], every replica a member, acceptor and
-//! subscriber of one partition. Its service is `CoordApp`, a
-//! [`ServiceApp`] over [`coord::CoordState`], so a replica has exactly the
-//! data node's batching, gap healing, checkpoints, session sweep, WAL and
+//! subscriber of one partition. Its service stack is the data node's,
+//! `DurableApp(SessionApp(CoordApp))`: `CoordApp` is a [`ServiceApp`]
+//! over [`coord::CoordState`], so a replica has exactly the data node's
+//! batching, gap healing, checkpoints, session table and sweep, WAL and
 //! recovery (§5.2), and the consensus protocol amcoord coordinates also
 //! orders amcoord's own state changes.
 //!
-//! **The coordination wire** is served by a `CoordFront` on the loop
-//! thread. Every operation, reads included, is proposed on the ring under
-//! a synthetic client id per connection and answered once applied here,
-//! so reads are linearizable. `WatchAll`, `InstallConfig` and `Stats` are
-//! answered by the loop. Every replica fans the events of every applied
-//! command out to its own watchers, in apply order; a watcher whose
+//! **One client protocol.** The client listener speaks protocol v2 like
+//! any data node's: a coordination client says `HelloV2`, opens an
+//! exactly-once session on [`COORD_RING`] and sends each [`CoordOp`] as a
+//! `RequestV2`, which the loop proposes on the ring — reads included, so
+//! reads are linearizable — and answers once applied, routed by client
+//! id like any data reply. A retry of an applied `(session, seq)` is
+//! answered from the session table's reply cache. Stats are the loop's
+//! `StatsRequest`.
+//!
+//! **One session table.** A coordination session is a `SessionApp`
+//! session, kept alive by `SessionCtl::KeepAlive` and expired by the node
+//! loop's sweep. An ephemeral entry belongs to the session that
+//! registered it: when the table removes that session, `CoordApp` drops
+//! its entries in the same delivery, on every replica.
+//!
+//! **The watch is a reply stream.** A `CoordFront` on the loop thread
+//! answers what is not a replicated op. A [`CoordOp::WatchAll`] is
+//! answered at once, and from then on every applied command's events go
+//! to the watcher as further replies to that request; a watcher whose
 //! buffer is full is cut off, since a dropped event would leave its cache
 //! silently stale while a reconnect re-arms the watch.
-//!
-//! **Sessions** reach the node loop's sweep as `(refresh_seq, ttl_ms)`;
-//! its `SessionCtl::Expire` applies as the [`CoordOp::ExpireSession`] CAS,
-//! which a keep-alive racing through the log wins.
 //!
 //! **The bootstrap ring.** The one ring amcoord cannot coordinate through
 //! itself is its own. Each replica keeps it in a local registry seeded
 //! from the static replica list (Zookeeper's statically configured
 //! ensemble, §7.1), reconfigured by failure detection with deterministic
-//! local CASes. The loop gossips each epoch change of it to the peers as
-//! [`CoordOp::InstallConfig`], answers a peer's older view with its own,
-//! and re-admits itself when a newer view no longer contains it.
+//! local CASes. The front gossips each epoch change of it to the peers as
+//! a [`CoordOp::InstallConfig`] request under a client id reserved for
+//! this replica, answers a peer's older view with its own, and re-admits
+//! itself when a newer view no longer contains it.
 //!
 //! **Durability.** With a `wal_dir` every applied command is
 //! group-committed to a rotated WAL (`node-<id>/shard-0/`), pruned by host
@@ -35,33 +46,30 @@
 //! newest checkpoint from a peer quorum, acceptor retransmission — so
 //! writes survive any minority.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use common::error::{Error, Result};
 use common::ids::{ClientId, Epoch, NodeId, PartitionId, RequestId, RingId, SessionId};
-use common::msg::{ClientMsg, Msg};
+use common::msg::{ClientMsg as SimClientMsg, Msg};
 use common::obs::{Counter, Obs};
 use common::transport::WallClock;
 use common::value::{Envelope, NO_SESSION, SESSION_CTL};
-use common::wire::coord::{CoordEvent, CoordMsg, CoordOk, CoordOp, CoordReply, RingConfigWire};
-use common::wire::{get_vec, put_vec, Wire};
-use coord::state::ApplyResult;
-use coord::{CoordState, PartitionInfo, Registry, RingConfig};
-use multiring::{HostOptions, MultiRingHost, ServiceApp, SessionCtl};
+use common::wire::client::{parse_reply, ClientMsg, ClientReply, FEAT_ALL, ST_OK};
+use common::wire::coord::{decode_reply, encode_reply, CoordOk, CoordOp, RingConfigWire};
+use common::wire::Wire;
+use coord::{CoordState, PartitionInfo, Registry, RingConfig, COORD_RING};
+use multiring::session::frame_ok;
+use multiring::{HostOptions, MultiRingHost, ServiceApp, SessionApp, SessionLimits};
 use ringpaxos::options::RingOptions;
 
 use crate::batch::BatchOptions;
 use crate::deployment::{durable, wait_wal_released};
 use crate::net::{ConnId, Net};
-use crate::node::{refresh_stats, spawn_node, NodeHandle, NodeSetup};
-
-/// The ring id the ensemble replicates its own log on (a private
-/// namespace — this ring never appears in any deployment's registry).
-pub const COORD_RING: RingId = RingId::new(0);
+use crate::node::{spawn_node, NodeHandle, NodeSetup};
 
 /// A replica's checkpoint cadence, which is also its trim cadence.
 const CHECKPOINT_EVERY: Duration = Duration::from_secs(1);
@@ -138,9 +146,8 @@ impl CoordServerConfig {
 }
 
 /// The coordination state machine as a replicated service. A command is
-/// an encoded [`CoordOp`], or the node loop's session-expiry control; its
-/// reply is the [`CoordReply`] for the proposing client followed by the
-/// events the operation produced.
+/// an encoded [`CoordOp`]; its reply is the operation's result followed
+/// by the events it produced ([`encode_reply`]).
 #[derive(Default)]
 pub(crate) struct CoordApp {
     state: CoordState,
@@ -148,35 +155,23 @@ pub(crate) struct CoordApp {
 
 impl ServiceApp for CoordApp {
     fn execute(&mut self, _group: RingId, env: &Envelope) -> Bytes {
-        let op = match env.session {
-            SESSION_CTL => match SessionCtl::decode(&mut env.cmd.clone()) {
-                Ok(SessionCtl::Expire {
-                    session,
-                    seen_refresh,
-                }) => Some(CoordOp::ExpireSession {
-                    session: SessionId::new(session),
-                    seen_refresh,
-                }),
-                _ => None,
-            },
-            _ => CoordOp::decode(&mut env.cmd.clone()).ok(),
+        let (result, events) = match CoordOp::decode(&mut env.cmd.clone()) {
+            // An ephemeral belongs to the session that registers it, so
+            // the session's removal can take it.
+            Ok(CoordOp::RegisterEphemeral { session, .. })
+                if env.session == NO_SESSION || session.raw() != env.session =>
+            {
+                let refusal = format!("ephemeral owner {session} is not the requesting session");
+                (Err(refusal), Vec::new())
+            }
+            Ok(op) => self.state.apply(&op),
+            Err(_) => (Err("malformed coordination command".into()), Vec::new()),
         };
-        let (result, events) = match op {
-            Some(op) => self.state.apply(&op),
-            None => (Err("malformed coordination command".into()), Vec::new()),
-        };
-        let mut buf = BytesMut::new();
-        reply_of(env.req.raw(), result).encode(&mut buf);
-        put_vec(&mut buf, &events);
-        buf.freeze()
+        encode_reply(&result, &events)
     }
 
     fn snapshot(&self) -> Bytes {
         self.state.snapshot()
-    }
-
-    fn snapshot_into(&self, buf: &mut BytesMut) {
-        self.state.encode_snapshot(buf);
     }
 
     fn restore(&mut self, state: &Bytes) {
@@ -189,102 +184,63 @@ impl ServiceApp for CoordApp {
         self.state = CoordState::new();
     }
 
-    fn session_probe(&self, session: u64) -> Option<(u64, u64)> {
-        self.state
-            .session(SessionId::new(session))
-            .map(|s| (s.refresh_seq, s.ttl_ms))
-    }
-
-    fn session_ids(&self) -> Vec<u64> {
-        self.state.sessions().map(|(id, _)| id.raw()).collect()
-    }
-
-    /// Coordination session ids carry no home-ring tag: every session
-    /// lives on the one ring.
-    fn session_ring(&self, _session: u64) -> Option<RingId> {
-        Some(COORD_RING)
+    fn session_removed(&mut self, session: u64) {
+        self.state.drop_session(SessionId::new(session));
     }
 }
 
-fn reply_of(req: u64, result: ApplyResult) -> CoordReply {
-    match result {
-        Ok(body) => CoordReply::Ok { req, body },
-        Err(reason) => CoordReply::Err { req, reason },
-    }
-}
-
-/// Splits a [`CoordApp`] reply into the client's answer and the events.
-fn split_applied(payload: &Bytes) -> Option<(CoordReply, Vec<CoordEvent>)> {
-    let mut raw = payload.clone();
-    let reply = CoordReply::decode(&mut raw).ok()?;
-    Some((reply, get_vec(&mut raw).ok()?))
-}
-
-/// The coordination wire of one replica, driven by its node loop.
+/// What a replica answers itself rather than ordering on its ring: the
+/// watch, its own ring's gossip, and its re-admission to that ring.
 pub(crate) struct CoordFront {
     me: NodeId,
     /// This replica's view of its own ring.
     registry: Registry,
     /// The other replicas' client addresses, where views are gossiped.
     peers: Vec<SocketAddr>,
-    obs: Obs,
     applied: Counter,
     /// The epoch of the own-ring view last gossiped.
     gossiped: Option<Epoch>,
     /// The host was recovering at the last tick.
     recovering: bool,
-    /// Connections that sent [`CoordOp::WatchAll`].
-    watchers: HashSet<ConnId>,
+    /// Connections that sent a [`CoordOp::WatchAll`], with that request's
+    /// `(session, seq)`.
+    watchers: HashMap<ConnId, (u64, RequestId)>,
 }
 
 impl CoordFront {
-    /// Handles one request: answers it here, or returns the envelope to
-    /// propose on [`COORD_RING`].
-    pub(crate) fn on_msg<In, M: Send + 'static>(
+    /// Answers a request this replica handles itself — a watch, or a
+    /// peer's view of this ring — and says whether it did. Every other
+    /// request is ordered on the ring.
+    pub(crate) fn answer_local<In, M: Send + 'static>(
         &mut self,
         net: &mut Net<In, M>,
         conn: ConnId,
-        CoordMsg { req, op }: CoordMsg,
-        host: &MultiRingHost,
-    ) -> Option<Envelope> {
-        let body = match op {
-            CoordOp::WatchAll => {
-                self.watchers.insert(conn);
-                Ok(CoordOk::Unit)
+        session: u64,
+        seq: RequestId,
+        cmd: &Bytes,
+    ) -> bool {
+        if session == SESSION_CTL {
+            return false;
+        }
+        match CoordOp::decode(&mut cmd.clone()) {
+            Ok(CoordOp::WatchAll) => {
+                self.watchers.insert(conn, (session, seq));
             }
-            CoordOp::InstallConfig { cfg } => {
-                self.install(cfg);
-                Ok(CoordOk::Unit)
-            }
-            // Metrics live in the process, not in the replicated state;
-            // the apply counter is the ring's delivery cursor.
-            CoordOp::Stats => {
-                if let Some(cursor) = host.checkpoint_tuple().and_then(|t| t.get(COORD_RING)) {
-                    self.applied.seed(cursor.raw());
-                }
-                refresh_stats(host, &self.obs);
-                Ok(CoordOk::Stats(self.obs.snapshot()))
-            }
-            // The synthetic client id is the connection's: `Net` never
-            // reuses one and starts at 1, so a reply can only reach the
-            // connection that asked (client 0, the session sweep's, none).
-            op => match u32::try_from(conn) {
-                Ok(client) => {
-                    return Some(Envelope {
-                        client: ClientId::new(client),
-                        req: RequestId::new(req),
-                        reply_to: self.me,
-                        session: NO_SESSION,
-                        ack: 0,
-                        trace: 0,
-                        cmd: op.to_bytes(),
-                    })
-                }
-                Err(_) => Err("connection ids exhausted; restart this replica".into()),
-            },
-        };
-        net.send(conn, &reply_of(req, body));
-        None
+            Ok(CoordOp::InstallConfig { cfg }) => self.install(cfg),
+            _ => return false,
+        }
+        let payload = frame_ok(&encode_reply(&Ok(CoordOk::Unit), &[]));
+        net.send(conn, &self.response(session, seq, payload));
+        true
+    }
+
+    fn response(&self, session: u64, seq: RequestId, payload: Bytes) -> ClientReply {
+        ClientReply::ResponseV2 {
+            session,
+            seq,
+            from_replica: self.me,
+            payload,
+        }
     }
 
     /// Installs a peer's view of this ring. A peer gossiping an older
@@ -298,40 +254,49 @@ impl CoordFront {
         let _ = self.registry.install_config(cfg);
     }
 
-    /// Takes every applied command's reply out of `outbox`: answers the
-    /// ones proposed for this replica's connections and fans the events
-    /// of all of them out to the watchers.
-    pub(crate) fn take_replies<In, M: Send + 'static>(
+    /// Sends the events of every command applied in `outbox` to the
+    /// watchers, in apply order. The replies themselves stay in `outbox`
+    /// and reach their clients like any data reply.
+    pub(crate) fn fan_out<In, M: Send + 'static>(
         &mut self,
-        outbox: &mut Vec<(NodeId, Msg)>,
+        outbox: &[(NodeId, Msg)],
         net: &mut Net<In, M>,
     ) {
-        outbox.retain(|(to, msg)| {
-            let Msg::Client(ClientMsg::Response {
-                client, payload, ..
+        for (_, msg) in outbox {
+            let Msg::Client(SimClientMsg::Response {
+                session, payload, ..
             }) = msg
             else {
-                return true;
+                continue;
             };
-            let Some((reply, events)) = split_applied(payload) else {
-                return false;
+            let body = match *session {
+                SESSION_CTL => continue,
+                NO_SESSION => payload.clone(),
+                _ => match parse_reply(payload) {
+                    Some((ST_OK, body)) => body,
+                    _ => continue,
+                },
             };
-            if *to == self.me {
-                net.send(ConnId::from(client.raw()), &reply);
+            if !decode_reply(&body).is_ok_and(|(_, events)| !events.is_empty()) {
+                continue;
             }
-            let stalled: Vec<ConnId> = self
-                .watchers
-                .iter()
-                .copied()
-                .filter(|c| {
-                    !events
-                        .iter()
-                        .all(|e| net.send(*c, &CoordReply::Event(e.clone())))
+            let payload = frame_ok(&body);
+            let stalled: Vec<ConnId> = (self.watchers.iter())
+                .filter(|(conn, (session, seq))| {
+                    !net.send(**conn, &self.response(*session, *seq, payload.clone()))
                 })
+                .map(|(conn, _)| *conn)
                 .collect();
             self.cut_off(net, &stalled);
-            false
-        });
+        }
+    }
+
+    /// Seeds the apply counter from the ring's delivery cursor: metrics
+    /// live in the process, not in the replicated state.
+    pub(crate) fn seed_applied(&self, host: &MultiRingHost) {
+        if let Some(cursor) = host.checkpoint_tuple().and_then(|t| t.get(COORD_RING)) {
+            self.applied.seed(cursor.raw());
+        }
     }
 
     /// Once per loop turn: cuts off watchers that subscribed while the
@@ -341,7 +306,7 @@ impl CoordFront {
         if std::mem::replace(&mut self.recovering, recovering) && !recovering {
             // Recovery installed a checkpoint without per-operation
             // events, so their caches may be behind it.
-            let watching: Vec<ConnId> = self.watchers.iter().copied().collect();
+            let watching: Vec<ConnId> = self.watchers.keys().copied().collect();
             self.cut_off(net, &watching);
         }
         let Ok(mut cfg) = self.registry.ring(COORD_RING) else {
@@ -355,11 +320,20 @@ impl CoordFront {
         }
         if self.gossiped != Some(cfg.epoch()) {
             self.gossiped = Some(cfg.epoch());
-            let gossip = CoordMsg {
-                req: 0,
-                op: CoordOp::InstallConfig { cfg: cfg.to_wire() },
+            // Client ids below the links' are the replicas' own.
+            let hello = ClientMsg::HelloV2 {
+                client: ClientId::new(self.me.raw()),
+                features: FEAT_ALL,
+            };
+            let gossip = ClientMsg::RequestV2 {
+                session: NO_SESSION,
+                seq: RequestId::new(0),
+                ack: 0,
+                group: COORD_RING,
+                cmd: CoordOp::InstallConfig { cfg: cfg.to_wire() }.to_bytes(),
             };
             for peer in &self.peers {
+                net.send_to(*peer, &hello);
                 net.send_to(*peer, &gossip);
             }
         }
@@ -429,7 +403,7 @@ pub fn start_coord_server(config: CoordServerConfig) -> Result<CoordServerHandle
     let roll_every = Some(config.checkpoint_every)
         .filter(|n| *n > 0)
         .unwrap_or(4096);
-    let app = Box::<CoordApp>::default();
+    let app = Box::new(SessionApp::new(Box::<CoordApp>::default()));
     let app = durable(config.wal_dir.as_deref(), roll_every, me, app, &obs)?;
     let host_opts = HostOptions {
         ring: RingOptions {
@@ -454,10 +428,9 @@ pub fn start_coord_server(config: CoordServerConfig) -> Result<CoordServerHandle
             .map(|(_, addr)| *addr)
             .collect(),
         applied: obs.counter("coord_applied"),
-        obs: obs.clone(),
         gossiped: None,
         recovering: true,
-        watchers: HashSet::new(),
+        watchers: HashMap::new(),
     };
     let setup = NodeSetup {
         me,
@@ -475,8 +448,10 @@ pub fn start_coord_server(config: CoordServerConfig) -> Result<CoordServerHandle
         peer_addr: config.ring_addrs[me.raw() as usize],
         client_addr,
         clock: WallClock::start(),
-        client_window: 1,
-        credit_min_window: 1,
+        // The session table's reply cache bounds what a client keeps in
+        // flight; the window only tells it so.
+        client_window: SessionLimits::default().max_cached as u32,
+        credit_min_window: SessionLimits::default().max_cached as u32,
         credit_backlog_high: 0,
         obs,
         session_sweep: config.session_check,
@@ -611,194 +586,199 @@ impl CoordEnsemble {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use common::wire::coord::OpKind;
+    use common::wire::client::{parse_open_reply, SessionCtl, ST_UNKNOWN_SESSION};
+    use common::wire::coord::{CoordEvent, CoordResult};
 
-    fn env(req: u64, op: &CoordOp) -> Envelope {
+    fn env(session: u64, seq: u64, cmd: Bytes) -> Envelope {
         Envelope {
             client: ClientId::new(1),
-            req: RequestId::new(req),
+            req: RequestId::new(seq),
             reply_to: NodeId::new(0),
-            session: NO_SESSION,
+            session,
             ack: 0,
             trace: 0,
-            cmd: op.to_bytes(),
+            cmd,
         }
     }
 
-    /// What the node loop's sweep proposes for a lapsed session.
-    fn expire(session: SessionId, seen_refresh: u64) -> Envelope {
-        Envelope {
-            session: SESSION_CTL,
-            cmd: SessionCtl::Expire {
-                session: session.raw(),
-                seen_refresh,
-            }
-            .to_bytes(),
-            ..env(0, &CoordOp::WatchAll)
-        }
+    /// The replica's service stack, less the WAL.
+    fn stack() -> SessionApp {
+        SessionApp::new(Box::<CoordApp>::default())
     }
 
-    fn run(app: &mut CoordApp, req: u64, op: CoordOp) -> (CoordReply, Vec<CoordEvent>) {
-        split_applied(&app.execute(COORD_RING, &env(req, &op))).expect("a coord reply")
+    fn ctl(app: &mut SessionApp, ctl: SessionCtl) -> Bytes {
+        app.execute(COORD_RING, &env(SESSION_CTL, 0, ctl.to_bytes()))
     }
 
-    fn open(app: &mut CoordApp, ttl_ms: u64) -> SessionId {
-        match run(app, 1, CoordOp::OpenSession { ttl_ms }).0 {
-            CoordReply::Ok {
-                body: CoordOk::Session(id),
-                ..
-            } => id,
-            other => panic!("open: {other:?}"),
-        }
+    fn open(app: &mut SessionApp, ttl_ms: u64) -> u64 {
+        let reply = ctl(app, SessionCtl::Open { token: 1, ttl_ms });
+        parse_open_reply(&reply).expect("a session")
     }
 
-    fn ephemeral(app: &mut CoordApp, session: SessionId, key: &str) {
-        let op = CoordOp::RegisterEphemeral {
-            session,
+    /// Runs `op` under `session` through the session table (which frames
+    /// a sessioned reply with its status).
+    fn run(app: &mut SessionApp, session: u64, seq: u64, op: CoordOp) -> Answer {
+        let reply = app.execute(COORD_RING, &env(session, seq, op.to_bytes()));
+        let body = match session {
+            NO_SESSION => reply,
+            _ => match parse_reply(&reply) {
+                Some((ST_OK, body)) => body,
+                other => panic!("not executed: {other:?}"),
+            },
+        };
+        decode_reply(&body).expect("a coord reply")
+    }
+
+    /// Runs `op` under `session` on the bare service.
+    fn apply(app: &mut CoordApp, session: u64, op: CoordOp) -> Answer {
+        let reply = app.execute(COORD_RING, &env(session, 0, op.to_bytes()));
+        decode_reply(&reply).expect("a coord reply")
+    }
+
+    type Answer = (CoordResult, Vec<CoordEvent>);
+
+    fn ephemeral(session: u64, key: &str) -> CoordOp {
+        CoordOp::RegisterEphemeral {
+            session: SessionId::new(session),
             key: key.into(),
             value: Bytes::from_static(b"v"),
-        };
-        assert!(matches!(run(app, 2, op).0, CoordReply::Ok { req: 2, .. }));
+        }
+    }
+
+    fn all_ephemerals() -> CoordOp {
+        CoordOp::Ephemerals {
+            prefix: String::new(),
+        }
+    }
+
+    fn keys((result, _): Answer) -> Vec<String> {
+        match result {
+            Ok(CoordOk::Ephemerals(es)) => es.into_iter().map(|e| e.key).collect(),
+            other => panic!("ephemerals: {other:?}"),
+        }
     }
 
     /// The ops that build a small but complete state, applied both
-    /// through the app and straight to a `CoordState`.
+    /// through the app (under session 7) and straight to a `CoordState`.
     fn ops() -> Vec<CoordOp> {
         let cfg = RingConfig::new(RingId::new(4), vec![NodeId::new(1)], vec![NodeId::new(1)])
             .unwrap()
             .to_wire();
         vec![
-            CoordOp::OpenSession { ttl_ms: 900 },
             CoordOp::RegisterRing { cfg },
             CoordOp::SetMeta {
                 key: "scheme".into(),
                 value: Bytes::from_static(b"x"),
                 expected_version: Some(0),
             },
-            CoordOp::RegisterEphemeral {
-                session: SessionId::new(0),
-                key: "nodes/1".into(),
-                value: Bytes::from_static(b"a"),
-            },
+            ephemeral(7, "nodes/1"),
         ]
     }
 
     #[test]
     fn snapshot_is_the_state_encoding_and_survives_a_restore() {
         let (mut app, mut state) = (CoordApp::default(), CoordState::new());
-        for (i, op) in ops().into_iter().enumerate() {
-            run(&mut app, i as u64, op.clone());
+        for op in ops() {
+            assert!(apply(&mut app, 7, op.clone()).0.is_ok());
             assert!(state.apply(&op).0.is_ok());
         }
-        let mut direct = BytesMut::new();
-        state.encode_snapshot(&mut direct);
         let snap = app.snapshot();
-        assert_eq!(snap, direct.freeze(), "byte-identical to encode_snapshot");
-        let mut into = BytesMut::new();
-        app.snapshot_into(&mut into);
-        assert_eq!(into.freeze(), snap);
+        assert_eq!(snap, state.snapshot(), "byte-identical to the state's");
 
         let mut restored = CoordApp::default();
         restored.restore(&snap);
         assert_eq!(restored.snapshot(), snap);
-        assert_eq!(restored.session_ids(), vec![0]);
-        assert_eq!(restored.session_probe(0), Some((0, 900)));
         restored.reset();
         assert_eq!(restored.snapshot(), CoordApp::default().snapshot());
     }
 
     #[test]
     fn sweep_expiry_loses_to_a_racing_keep_alive_and_wins_after_the_ttl() {
-        let mut app = CoordApp::default();
+        let mut app = stack();
         let session = open(&mut app, 600);
-        ephemeral(&mut app, session, "nodes/9");
-        assert_eq!(app.session_ring(session.raw()), Some(COORD_RING));
+        assert_eq!(multiring::session_home_ring(session), Some(COORD_RING));
+        assert!(run(&mut app, session, 1, ephemeral(session, "nodes/9"))
+            .0
+            .is_ok());
         // The sweep read the counter at 0; a keep-alive is ordered before
         // its expiry.
-        let (seen, ttl) = app.session_probe(session.raw()).unwrap();
-        assert_eq!((seen, ttl), (0, 600));
-        run(&mut app, 3, CoordOp::KeepAlive { session });
-        let (reply, events) =
-            split_applied(&app.execute(COORD_RING, &expire(session, seen))).unwrap();
-        assert!(matches!(reply, CoordReply::Ok { .. }));
-        assert!(events.is_empty(), "the keep-alive won the CAS: {events:?}");
-        assert_eq!(app.session_probe(session.raw()), Some((1, 600)));
+        assert_eq!(app.session_probe(session), Some((0, 600)));
+        ctl(&mut app, SessionCtl::KeepAlive { session });
+        let expire = |seen_refresh| SessionCtl::Expire {
+            session,
+            seen_refresh,
+        };
+        ctl(&mut app, expire(0));
+        assert_eq!(app.session_probe(session), Some((1, 600)));
+        let left = keys(run(&mut app, session, 2, all_ephemerals()));
+        assert_eq!(left, ["nodes/9"], "the keep-alive won");
 
         // A TTL with no keep-alive later the sweep proposes the reading it
-        // saw, and wins.
-        let (seen, _) = app.session_probe(session.raw()).unwrap();
-        let (_, events) = split_applied(&app.execute(COORD_RING, &expire(session, seen))).unwrap();
-        assert_eq!(
-            events,
-            vec![
-                CoordEvent::EphemeralChanged {
-                    key: "nodes/9".into(),
-                    alive: false
-                },
-                CoordEvent::SessionExpired { session }
-            ]
-        );
-        assert_eq!(app.session_probe(session.raw()), None);
+        // saw, and wins: the session and its ephemeral go.
+        ctl(&mut app, expire(1));
+        assert_eq!(app.session_probe(session), None);
         assert!(app.session_ids().is_empty());
+        assert!(keys(run(&mut app, NO_SESSION, 3, all_ephemerals())).is_empty());
+        let late = app.execute(COORD_RING, &env(session, 4, CoordOp::RingIds.to_bytes()));
+        assert_eq!(
+            parse_reply(&late).map(|(st, _)| st),
+            Some(ST_UNKNOWN_SESSION)
+        );
+    }
+
+    #[test]
+    fn a_removed_session_drops_exactly_its_ephemerals() {
+        let mut app = CoordApp::default();
+        for (session, key) in [(3, "a"), (4, "b"), (3, "c")] {
+            assert!(apply(&mut app, session, ephemeral(session, key)).0.is_ok());
+        }
+        app.session_removed(3);
+        assert_eq!(keys(apply(&mut app, NO_SESSION, all_ephemerals())), ["b"]);
+        app.session_removed(3);
+        assert_eq!(keys(apply(&mut app, NO_SESSION, all_ephemerals())), ["b"]);
     }
 
     #[test]
     fn execute_returns_the_reply_and_events_in_apply_order() {
-        let mut app = CoordApp::default();
+        let mut app = stack();
         let session = open(&mut app, 1000);
-        ephemeral(&mut app, session, "a");
-        ephemeral(&mut app, session, "b");
         let set = CoordOp::SetMeta {
             key: "k".into(),
             value: Bytes::from_static(b"1"),
             expected_version: None,
         };
         assert_eq!(
-            run(&mut app, 7, set),
+            run(&mut app, session, 1, set),
             (
-                CoordReply::Ok {
-                    req: 7,
-                    body: CoordOk::Version(1)
-                },
+                Ok(CoordOk::Version(1)),
                 vec![CoordEvent::MetaChanged {
                     key: "k".into(),
                     version: 1
                 }]
             )
         );
-        let (reply, events) = run(&mut app, 8, CoordOp::CloseSession { session });
-        assert_eq!(
-            reply,
-            CoordReply::Ok {
-                req: 8,
-                body: CoordOk::Unit
-            }
-        );
-        assert_eq!(
-            events,
-            vec![
-                CoordEvent::EphemeralChanged {
-                    key: "a".into(),
-                    alive: false
-                },
-                CoordEvent::EphemeralChanged {
-                    key: "b".into(),
-                    alive: false
-                },
-                CoordEvent::SessionExpired { session },
-            ]
-        );
         // A refused operation answers with its reason and no events.
-        let (reply, events) = run(&mut app, 9, CoordOp::KeepAlive { session });
-        assert!(matches!(reply, CoordReply::Err { req: 9, .. }), "{reply:?}");
+        let stale = CoordOp::SetMeta {
+            key: "k".into(),
+            value: Bytes::from_static(b"2"),
+            expected_version: Some(0),
+        };
+        let (result, events) = run(&mut app, session, 2, stale);
+        assert!(result.is_err(), "{result:?}");
         assert!(events.is_empty());
+        // So does an ephemeral claimed for another session, or for none.
+        for (owner, under) in [(session + 1, session), (0, NO_SESSION)] {
+            let (result, _) = run(&mut app, under, 3, ephemeral(owner, "x"));
+            assert!(result.is_err(), "owner {owner} under {under}: {result:?}");
+        }
+        assert!(keys(run(&mut app, session, 4, all_ephemerals())).is_empty());
     }
 
     #[test]
     fn a_read_leaves_the_snapshot_unchanged() {
         let mut app = CoordApp::default();
-        for (i, op) in ops().into_iter().enumerate() {
-            run(&mut app, i as u64, op);
+        for op in ops() {
+            assert!(apply(&mut app, 7, op).0.is_ok());
         }
         let before = app.snapshot();
         let reads = [
@@ -814,25 +794,17 @@ mod tests {
                 prefix: "nodes/".into(),
             },
         ];
-        for (i, op) in reads.into_iter().enumerate() {
-            assert_eq!(op.kind(), OpKind::Read);
-            let (reply, events) = run(&mut app, 100 + i as u64, op);
-            assert!(matches!(reply, CoordReply::Ok { .. }), "{reply:?}");
+        for op in reads {
+            let (result, events) = apply(&mut app, 7, op);
+            assert!(result.is_ok(), "{result:?}");
             assert!(events.is_empty());
         }
-        let (reply, _) = run(
-            &mut app,
-            200,
-            CoordOp::GetMeta {
-                key: "scheme".into(),
-            },
-        );
+        let get = CoordOp::GetMeta {
+            key: "scheme".into(),
+        };
         assert_eq!(
-            reply,
-            CoordReply::Ok {
-                req: 200,
-                body: CoordOk::Meta(Some((1, Bytes::from_static(b"x"))))
-            }
+            apply(&mut app, 7, get).0,
+            Ok(CoordOk::Meta(Some((1, Bytes::from_static(b"x")))))
         );
         assert_eq!(app.snapshot(), before);
     }

@@ -131,12 +131,6 @@ impl ServiceApp for DurableApp {
         self.inner.snapshot()
     }
 
-    fn snapshot_into(&self, buf: &mut BytesMut) {
-        // Same cut-marking contract as `snapshot`.
-        self.ckpt_mark.set(self.pos);
-        self.inner.snapshot_into(buf);
-    }
-
     fn snapshot_cut(&self) -> Box<dyn SnapshotCut> {
         // Same cut-marking contract as `snapshot`: everything staged so
         // far is covered by the cut being taken now.
@@ -164,10 +158,6 @@ impl ServiceApp for DurableApp {
 
     fn session_ids(&self) -> Vec<u64> {
         self.inner.session_ids()
-    }
-
-    fn session_ring(&self, session: u64) -> Option<RingId> {
-        self.inner.session_ring(session)
     }
 
     fn cached_reply_count(&self) -> usize {

@@ -41,7 +41,7 @@ use common::error::{Error, Result};
 use common::ids::{NodeId, SessionId};
 use common::obs::{Counter, Obs};
 use common::transport::{LinkPolicy, LinkShaper, ShapeDecision, TimerHeap};
-use common::wire::coord::{CoordEvent, CoordOk, CoordOp};
+use common::wire::coord::{CoordOk, CoordOp};
 use coord::{Coord, Registry};
 use crossbeam::channel::{bounded, Sender};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -241,10 +241,6 @@ impl Coord for ShapedCoord {
             return Err(Error::Timeout("coordination service (region partitioned)"));
         }
         self.inner.call(op)
-    }
-
-    fn next_event(&self, timeout: Duration) -> Option<CoordEvent> {
-        self.inner.next_event(timeout)
     }
 
     fn session(&self) -> Option<SessionId> {

@@ -6,8 +6,9 @@
 //! module's readiness loop: each turn it waits in `epoll_pwait2` with a deadline
 //! derived from the timer heap and the batcher, accepts, reads every
 //! ready connection — [`PeerFrame`]s from peers, the
-//! [`common::wire::client`] protocol from clients, the coordination
-//! service's replies — feeds what arrived into the host through
+//! [`common::wire::client`] protocol from clients and, on the node's
+//! coordination link, from the coordination service — feeds what arrived
+//! into the host through
 //! [`Ctx::external`], fires due timers, seals batches, and routes the
 //! emitted sends onto peer links and client connections, which the next
 //! wait writes out. A frame is received, ordered, executed and answered
@@ -27,9 +28,10 @@
 //! [`CLIENT_NODE_BASE`]; the loop maps it to the client's connection and
 //! queues a [`ClientReply::ResponseV2`] frame.
 //!
-//! An `amcoordd` replica is the same loop over a one-ring host: its
-//! client listener speaks the coordination protocol instead, through a
-//! `CoordFront` (see [`crate::coord_node`]).
+//! An `amcoordd` replica is the same loop over a one-ring host, serving
+//! the same client protocol: coordination operations are ordinary v2
+//! requests, and a `CoordFront` (see [`crate::coord_node`]) answers the
+//! few that are not ordered — the watch and its own ring's gossip.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -44,7 +46,6 @@ use common::obs::{Hist, Obs, WireCounters};
 use common::transport::{PeerFrame, TimerHeap, WallClock};
 use common::value::Envelope;
 use common::wire::client::{ClientMsg, ClientReply, ErrorCode, FEAT_ALL};
-use common::wire::coord::{CoordMsg, CoordReply};
 use common::wire::Wire;
 use coord::{LinkCoord, Registry};
 use multiring::{HostOptions, MultiRingHost, ServiceApp};
@@ -53,7 +54,7 @@ use simnet::{Ctx, Process, Timer};
 
 use crate::batch::{BatchOptions, Batcher};
 use crate::coord_client::flush;
-use crate::coord_node::{CoordFront, COORD_RING};
+use crate::coord_node::CoordFront;
 use crate::net::{spawn_loop, ConnId, Event, Mailer, Net, Reader};
 
 /// Client connections are addressed as synthetic nodes at and above this
@@ -76,10 +77,8 @@ enum Inbound {
     Peer(PeerFrame),
     /// A client-protocol frame.
     Client(ClientMsg),
-    /// A coordination-protocol frame (coordination nodes only).
-    Coord(CoordMsg),
     /// The coordination service's answer on the node's own link.
-    CoordReply(CoordReply),
+    Reply(ClientReply),
 }
 
 /// What reaches a node loop from other threads.
@@ -208,8 +207,7 @@ pub(crate) struct NodeSetup {
     /// Thread-name prefix: `amcast` for data nodes, `amcoord` for
     /// coordination replicas.
     pub kind: &'static str,
-    /// Set on a coordination replica: its client listener speaks the
-    /// coordination protocol through this front.
+    /// Set on a coordination replica: what it answers without ordering.
     pub coord: Option<CoordFront>,
 }
 
@@ -330,12 +328,10 @@ pub(crate) fn spawn_node(
         setup.peer_addr,
         Reader::Frames(|buf| Ok(buf.try_next()?.map(Inbound::Peer))),
     )?;
-    let front = if setup.coord.is_some() {
-        Reader::Frames(|buf| Ok(buf.try_next()?.map(Inbound::Coord)))
-    } else {
-        Reader::Frames(|buf| Ok(buf.try_next()?.map(Inbound::Client)))
-    };
-    net.listen(setup.client_addr, front)?;
+    net.listen(
+        setup.client_addr,
+        Reader::Frames(|buf| Ok(buf.try_next()?.map(Inbound::Client))),
+    )?;
     let mailer = net.mailer();
     let join = spawn_loop(format!("{kind}-node-{}", me.raw()), move || {
         node_loop(net, setup, app, restart)
@@ -352,7 +348,7 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
     let clock = setup.clock;
     let mut coord_front = setup.coord.take();
     let coord_link = setup.coord_link.take();
-    let coord_replies = Reader::Frames(|buf| Ok(buf.try_next()?.map(Inbound::CoordReply)));
+    let coord_replies = Reader::Frames(|buf| Ok(buf.try_next()?.map(Inbound::Reply)));
     let obs = setup.obs.clone();
     let mut host = MultiRingHost::new(
         me,
@@ -415,7 +411,7 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
     macro_rules! route {
         () => {{
             if let Some(front) = &mut coord_front {
-                front.take_replies(&mut outbox, &mut net);
+                front.fan_out(&outbox, &mut net);
             }
             route_effects(
                 &mut outbox,
@@ -469,7 +465,7 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
                     with_ctx!(|ctx| host.on_message(f.from, f.msg, &mut ctx));
                     continue;
                 }
-                Event::Frame(_, Inbound::CoordReply(reply)) => {
+                Event::Frame(_, Inbound::Reply(reply)) => {
                     if let Some(link) = &coord_link {
                         link.with_link(|link| link.on_reply(reply, Instant::now()));
                     }
@@ -478,18 +474,6 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
                 Event::LinkDown(replica) => {
                     if let Some(link) = &coord_link {
                         link.with_link(|link| link.on_closed(replica, Instant::now()));
-                    }
-                    continue;
-                }
-                Event::Frame(conn, Inbound::Coord(msg)) => {
-                    let Some(env) = coord_front
-                        .as_mut()
-                        .and_then(|f| f.on_msg(&mut net, conn, msg, &host))
-                    else {
-                        continue;
-                    };
-                    if let Some(batch) = batcher.push(COORD_RING, env, Instant::now()) {
-                        with_ctx!(|ctx| host.propose_envelopes(COORD_RING, batch, &mut ctx));
                     }
                     continue;
                 }
@@ -560,6 +544,10 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
                         net.send(conn, &ClientReply::ErrorV2 { seq, code, detail });
                         continue;
                     }
+                    let front = coord_front.as_mut();
+                    if front.is_some_and(|f| f.answer_local(&mut net, conn, session, seq, &cmd)) {
+                        continue;
+                    }
                     let env = Envelope {
                         client,
                         req: seq,
@@ -579,6 +567,9 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
                 }
                 // Stats are a read-only plane: no hello needed.
                 ClientMsg::StatsRequest { token } => {
+                    if let Some(front) = &coord_front {
+                        front.seed_applied(&host);
+                    }
                     refresh_stats(&host, &obs);
                     net.send(
                         conn,
@@ -621,10 +612,8 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
                     // only by that ring's members — a session on
                     // partition 0's ring never costs the other rings an
                     // ordered message.
-                    let Some(ring) = host
-                        .app()
-                        .session_ring(id)
-                        .filter(|r| setup.member_of.contains(r))
+                    let Some(ring) =
+                        multiring::session_home_ring(id).filter(|r| setup.member_of.contains(r))
                     else {
                         continue;
                     };
@@ -645,7 +634,7 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
                             session: common::value::SESSION_CTL,
                             ack: 0,
                             trace: 0,
-                            cmd: multiring::session::SessionCtl::Expire {
+                            cmd: multiring::SessionCtl::Expire {
                                 session: id,
                                 seen_refresh: refresh,
                             }
@@ -707,7 +696,7 @@ fn take_sealed(
 /// retains ([`MultiRingHost::refresh_gauges`]) and the process's resident
 /// set, `vm_rss_bytes` — one figure shared by every node an in-process
 /// deployment hosts.
-pub(crate) fn refresh_stats(host: &MultiRingHost, obs: &Obs) {
+fn refresh_stats(host: &MultiRingHost, obs: &Obs) {
     host.refresh_gauges();
     let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
     let rss_kib = (status.lines())

@@ -8,12 +8,11 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use common::ids::{NodeId, RingId};
-use common::wire::coord::CoordEvent;
 use coord::{CoordClientOptions, RingConfig};
-use liverun::connect_coord;
 use liverun::coord_node::{
     start_coord_server, CoordEnsemble, CoordServerConfig, CoordServerHandle,
 };
+use liverun::{connect_coord, fetch_stats};
 
 mod threads;
 use threads::{alone, thread_names};
@@ -55,9 +54,51 @@ fn nodes(ids: &[u32]) -> Vec<NodeId> {
 /// threads it had before.
 #[test]
 fn a_replica_is_one_loop_thread_and_shutdown_leaves_none_behind() {
+    use common::ids::{ClientId, RequestId};
     use common::transport::{encode_frame, FrameBuf};
-    use common::wire::coord::{CoordMsg, CoordOp, CoordReply};
+    use common::value::SESSION_CTL;
+    use common::wire::client::{
+        parse_open_reply, parse_reply, ClientMsg, ClientReply, SessionCtl, FEAT_ALL,
+    };
+    use common::wire::coord::{decode_reply, CoordOp};
+    use common::wire::Wire;
+    use coord::COORD_RING;
     use std::io::{Read, Write};
+
+    /// Sends `cmd` under `session` as request `seq` and reads frames until
+    /// its answer.
+    fn ask(
+        conn: &mut std::net::TcpStream,
+        buf: &mut FrameBuf,
+        session: u64,
+        seq: u64,
+        cmd: Bytes,
+    ) -> Bytes {
+        let request = ClientMsg::RequestV2 {
+            session,
+            seq: RequestId::new(seq),
+            ack: 0,
+            group: COORD_RING,
+            cmd,
+        };
+        conn.write_all(&encode_frame(&request)).unwrap();
+        let mut chunk = [0u8; 4096];
+        loop {
+            while let Some(reply) = buf.try_next::<ClientReply>().unwrap() {
+                if let ClientReply::ResponseV2 {
+                    seq: s, payload, ..
+                } = reply
+                {
+                    if s.raw() == seq {
+                        return payload;
+                    }
+                }
+            }
+            let n = conn.read(&mut chunk).expect("reply");
+            assert!(n > 0, "the replica hung up");
+            buf.extend(&chunk[..n]);
+        }
+    }
 
     if !alone("a_replica_is_one_loop_thread_and_shutdown_leaves_none_behind") {
         return;
@@ -73,26 +114,27 @@ fn a_replica_is_one_loop_thread_and_shutdown_leaves_none_behind() {
             let mut conn = std::net::TcpStream::connect(addr).unwrap();
             conn.set_read_timeout(Some(Duration::from_secs(20)))
                 .unwrap();
-            let set = CoordMsg {
-                req: 1,
-                op: CoordOp::SetMeta {
-                    key: format!("thread-{i}"),
-                    value: Bytes::from_static(b"x"),
-                    expected_version: None,
-                },
+            let hello = ClientMsg::HelloV2 {
+                client: ClientId::new(1000 + i as u32),
+                features: FEAT_ALL,
             };
-            conn.write_all(&encode_frame(&set)).unwrap();
-            let (mut buf, mut chunk) = (FrameBuf::new(), [0u8; 4096]);
-            let reply = loop {
-                let n = conn.read(&mut chunk).expect("reply");
-                assert!(n > 0, "replica {i} hung up");
-                buf.extend(&chunk[..n]);
-                if let Some(reply) = buf.try_next::<CoordReply>().unwrap() {
-                    break reply;
-                }
+            conn.write_all(&encode_frame(&hello)).unwrap();
+            let mut buf = FrameBuf::new();
+            let open = SessionCtl::Open {
+                token: 1,
+                ttl_ms: 30_000,
             };
+            let opened = ask(&mut conn, &mut buf, SESSION_CTL, 1, open.to_bytes());
+            let session = parse_open_reply(&opened).expect("a session");
+            let set = CoordOp::SetMeta {
+                key: format!("thread-{i}"),
+                value: Bytes::from_static(b"x"),
+                expected_version: None,
+            };
+            let payload = ask(&mut conn, &mut buf, session, 2, set.to_bytes());
+            let reply = parse_reply(&payload).and_then(|(_, body)| decode_reply(&body).ok());
             assert!(
-                matches!(reply, CoordReply::Ok { req: 1, .. }),
+                matches!(reply, Some((Ok(_), _))),
                 "write through replica {i}: {reply:?}"
             );
             conn
@@ -210,16 +252,6 @@ fn ensemble_replicates_writes_and_pushes_watches() {
         .unwrap();
     assert!(lost.is_err(), "stale-epoch writer must be rejected");
 
-    let saw_epoch_bump = wait_until(Duration::from_secs(10), || {
-        std::iter::from_fn(|| a.next_event(Duration::ZERO)).any(|e| {
-            matches!(
-                &e,
-                CoordEvent::RingChanged { cfg }
-                    if cfg.ring == RingId::new(7) && cfg.coordinator == NodeId::new(1)
-            )
-        })
-    });
-    assert!(saw_epoch_bump, "watcher on replica 0 must see the election");
     assert!(
         wait_until(Duration::from_secs(10), || {
             a.ring(RingId::new(7))
@@ -295,10 +327,17 @@ fn session_expiry_drops_ephemeral_entries() {
     );
 
     // While the client lives, keep-alives hold the session open well past
-    // its TTL.
+    // its TTL. Its calls turn its link.
     let idle = Instant::now() + Duration::from_millis(1500);
-    while let Some(left) = idle.checked_duration_since(Instant::now()) {
-        transient.next_event(left);
+    while Instant::now() < idle {
+        assert!(
+            transient
+                .ephemerals("nodes/")
+                .iter()
+                .any(|e| e.key == "nodes/9"),
+            "kept-alive session must not expire"
+        );
+        std::thread::sleep(Duration::from_millis(50));
     }
     assert!(
         observer
@@ -309,8 +348,7 @@ fn session_expiry_drops_ephemeral_entries() {
     );
 
     // Kill the client (keep-alives stop): the TTL lapses, the ensemble
-    // expires the session, the ephemeral disappears everywhere and the
-    // watcher hears about it.
+    // expires the session and the ephemeral disappears everywhere.
     drop(transient);
     assert!(
         wait_until(Duration::from_secs(15), || observer
@@ -318,11 +356,6 @@ fn session_expiry_drops_ephemeral_entries() {
             .is_empty()),
         "ephemeral must vanish after its session's TTL"
     );
-    let saw_down = std::iter::from_fn(|| observer.next_event(Duration::ZERO)).any(
-        |e| matches!(&e, CoordEvent::EphemeralChanged { key, alive: false } if key == "nodes/9"),
-    );
-    assert!(saw_down, "watcher must see the ephemeral go down");
-
     drop(observer);
     for h in handles {
         h.shutdown();
@@ -439,8 +472,7 @@ fn restart_in_place_preserves_counters_and_resets_gauges() {
     // session gauge (both clients hold replicated sessions).
     assert!(
         wait_until(Duration::from_secs(20), || {
-            pinned
-                .node_stats()
+            fetch_stats(addrs[2], Duration::from_secs(5))
                 .map(|s| {
                     s.counter("coord_applied").unwrap_or(0) >= WRITES
                         && s.gauge("session_count").unwrap_or(0) > 0
@@ -449,7 +481,7 @@ fn restart_in_place_preserves_counters_and_resets_gauges() {
         }),
         "replica 2 must report applies and live sessions before the kill"
     );
-    let before = pinned.node_stats().expect("pre-kill stats");
+    let before = fetch_stats(addrs[2], Duration::from_secs(5)).expect("pre-kill stats");
     let applied_before = before.counter("coord_applied").unwrap();
 
     ensemble.kill(2).expect("replica 2 dies cleanly");
@@ -479,8 +511,7 @@ fn restart_in_place_preserves_counters_and_resets_gauges() {
     // least everything the dead process had reported applying.
     assert!(
         wait_until(Duration::from_secs(20), || {
-            pinned
-                .node_stats()
+            fetch_stats(addrs[2], Duration::from_secs(5))
                 .map(|s| s.counter("coord_applied").unwrap_or(0) >= applied_before)
                 .unwrap_or(false)
         }),
@@ -491,16 +522,14 @@ fn restart_in_place_preserves_counters_and_resets_gauges() {
     // session table of the new incarnation.
     assert!(
         wait_until(Duration::from_secs(20), || {
-            pinned
-                .node_stats()
+            fetch_stats(addrs[2], Duration::from_secs(5))
                 .map(|s| s.gauge("session_count").unwrap_or(0) > 0)
                 .unwrap_or(false)
         }),
         "restarted replica must re-publish the session gauge from recovered state"
     );
     // And the counter keeps counting: a post-restart write lands.
-    let after = pinned
-        .node_stats()
+    let after = fetch_stats(addrs[2], Duration::from_secs(5))
         .expect("post-restart stats")
         .counter("coord_applied")
         .unwrap();
@@ -509,8 +538,7 @@ fn restart_in_place_preserves_counters_and_resets_gauges() {
         .unwrap();
     assert!(
         wait_until(Duration::from_secs(20), || {
-            pinned
-                .node_stats()
+            fetch_stats(addrs[2], Duration::from_secs(5))
                 .map(|s| s.counter("coord_applied").unwrap_or(0) > after)
                 .unwrap_or(false)
         }),

@@ -410,7 +410,7 @@ fn coordinator_kill_and_restart_through_amcoordd() {
     cluster.spawn("amcoordd-1r", amcoordd(1));
 
     // A client pinned to ONLY the restarted replica: serving a session
-    // at all proves its ring rejoined (OpenSession replicates through
+    // at all proves its ring rejoined (a session open replicates through
     // the log, so its applied cursor is advancing again), and the read
     // below proves catch-up surfaced state committed while it was down.
     let pinned = connect_coord(&coord_serve[1..2], CoordClientOptions::default())
@@ -469,10 +469,9 @@ fn coordinator_kill_and_restart_through_amcoordd() {
         },
     );
     // The restarted amcoordd replica serves its own per-process registry
-    // through the replicated protocol: the apply counter was re-seeded
-    // from the recovered cursor, so it is nonzero immediately.
-    let coord_stats = pinned
-        .node_stats()
+    // through the stats plane: the apply counter was re-seeded from the
+    // recovered cursor, so it is nonzero immediately.
+    let coord_stats = liverun::fetch_stats(coord_serve[1], Duration::from_secs(5))
         .expect("restarted amcoordd serves stats");
     assert!(
         coord_stats.counter("coord_applied").unwrap_or(0) > 0,

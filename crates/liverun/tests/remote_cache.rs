@@ -10,9 +10,13 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use bytes::{BufMut, BytesMut};
 use common::ids::{Epoch, NodeId, RingId};
 use common::transport::{encode_frame, FrameBuf};
-use common::wire::coord::{CoordMsg, CoordOk, CoordOp, CoordReply, RingConfigWire};
+use common::value::SESSION_CTL;
+use common::wire::client::{ClientMsg, ClientReply, SessionCtl, ST_OK};
+use common::wire::coord::{encode_reply, CoordOk, CoordOp, RingConfigWire};
+use common::wire::{put_varint, Wire};
 use coord::{CoordClientOptions, LinkCoord};
 use liverun::connect_coord;
 
@@ -27,9 +31,10 @@ fn cfg(epoch: u64, coordinator: u32) -> RingConfigWire {
     }
 }
 
-/// A scripted amcoordd stand-in: answers the handful of ops the client
-/// sends (a watch is acknowledged, and nothing is ever pushed), and can
-/// kill its accepted connections to simulate a replica crash/failover.
+/// A scripted amcoordd stand-in speaking protocol v2: answers the handful
+/// of requests the client sends (a watch is acknowledged, and nothing is
+/// ever pushed), and can kill its accepted connections to simulate a
+/// replica crash/failover.
 struct FakeReplica {
     current: Arc<Mutex<RingConfigWire>>,
     conns: Arc<Mutex<Vec<TcpStream>>>,
@@ -77,20 +82,35 @@ fn serve_conn(mut stream: TcpStream, current: &Mutex<RingConfigWire>) {
             Ok(0) | Err(_) => return,
             Ok(n) => {
                 buf.extend(&chunk[..n]);
-                while let Ok(Some(CoordMsg { req, op })) = buf.try_next::<CoordMsg>() {
-                    let reply = match op {
-                        CoordOp::OpenSession { .. } => CoordReply::Ok {
-                            req,
-                            body: CoordOk::Session(common::ids::SessionId::new(1)),
-                        },
-                        CoordOp::GetRing { .. } => CoordReply::Ok {
-                            req,
-                            body: CoordOk::Ring(Some(current.lock().unwrap().clone())),
-                        },
-                        _ => CoordReply::Ok {
-                            req,
-                            body: CoordOk::Unit,
-                        },
+                while let Ok(Some(msg)) = buf.try_next::<ClientMsg>() {
+                    let ClientMsg::RequestV2 {
+                        session, seq, cmd, ..
+                    } = msg
+                    else {
+                        continue; // the hello
+                    };
+                    let mut payload = BytesMut::new();
+                    payload.put_u8(ST_OK);
+                    match SessionCtl::decode(&mut cmd.clone()) {
+                        Ok(SessionCtl::Open { .. }) if session == SESSION_CTL => {
+                            put_varint(&mut payload, 1)
+                        }
+                        _ if session == SESSION_CTL => {}
+                        _ => {
+                            let body = match CoordOp::decode(&mut cmd.clone()) {
+                                Ok(CoordOp::GetRing { .. }) => {
+                                    CoordOk::Ring(Some(current.lock().unwrap().clone()))
+                                }
+                                _ => CoordOk::Unit,
+                            };
+                            payload.extend_from_slice(&encode_reply(&Ok(body), &[]));
+                        }
+                    }
+                    let reply = ClientReply::ResponseV2 {
+                        session,
+                        seq,
+                        from_replica: NodeId::new(0),
+                        payload: payload.freeze(),
                     };
                     if stream.write_all(&encode_frame(&reply)).is_err() {
                         return;
@@ -144,7 +164,7 @@ impl TestLoop {
                 }
                 Some(Ok(n)) => {
                     self.buf.extend(&chunk[..n]);
-                    while let Ok(Some(reply)) = self.buf.try_next::<CoordReply>() {
+                    while let Ok(Some(reply)) = self.buf.try_next::<ClientReply>() {
                         link.on_reply(reply, Instant::now());
                     }
                 }

@@ -378,29 +378,16 @@ impl ServiceApp for KvApp {
     }
 
     fn snapshot(&self) -> Bytes {
+        // One encoder writes the store's bytes: the incremental cut,
+        // drained as one chunk reserved for the whole store (20 bytes
+        // per entry covers its two varint length prefixes).
+        let size: usize = (self.data.iter())
+            .map(|(k, v)| k.len() + v.len() + 20)
+            .sum();
         let mut buf = BytesMut::new();
-        self.snapshot_into(&mut buf);
+        let mut cut = self.snapshot_cut();
+        while cut.write_chunk(&mut buf, size) {}
         buf.freeze()
-    }
-
-    fn snapshot_into(&self, buf: &mut BytesMut) {
-        // Reserve the whole encoding up front (10 bytes covers any
-        // varint length prefix) so a multi-megabyte store serializes in
-        // one pass instead of through doubling reallocations.
-        let mut size = 10;
-        for (k, v) in &self.data {
-            size += k.len() + v.len() + 20;
-        }
-        buf.reserve(size);
-        put_varint(buf, self.data.len() as u64);
-        for (k, v) in &self.data {
-            k.encode(buf);
-            v.encode(buf);
-        }
-        // The map state rides behind the entries so a checkpoint cut
-        // mid-migration restores with the same scheme version and freeze
-        // the rest of the partition delivered against.
-        self.trailer().encode(buf);
     }
 
     fn snapshot_cut(&self) -> Box<dyn SnapshotCut> {
@@ -891,11 +878,18 @@ mod tests {
         );
         assert_eq!(other.get("a"), app.get("a"));
 
-        // The incremental cut emits the same bytes, trailer included.
-        let mut cut = app.snapshot_cut();
-        let mut buf = BytesMut::new();
-        while cut.write_chunk(&mut buf, 8) {}
-        assert_eq!(buf.freeze(), snap);
+        // Whatever the chunk budget, the cut restores the same store,
+        // trailer included.
+        for budget in [1, 8, 64, 1 << 20] {
+            let mut cut = app.snapshot_cut();
+            let mut buf = BytesMut::new();
+            while cut.write_chunk(&mut buf, budget) {}
+            let mut back = table_app(0);
+            back.restore(&buf.freeze());
+            assert_eq!(back.snapshot(), snap, "budget {budget}");
+            assert_eq!(back.scheme_version(), app.scheme_version());
+            assert_eq!(back.get("a"), app.get("a"));
+        }
 
         // A legacy snapshot (entries only, no trailer) keeps the
         // configured scheme on restore.

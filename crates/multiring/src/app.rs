@@ -31,17 +31,6 @@ pub trait ServiceApp: Send + 'static {
     /// Serializes the full service state for a checkpoint.
     fn snapshot(&self) -> Bytes;
 
-    /// Appends exactly the bytes [`ServiceApp::snapshot`] would return to
-    /// `buf`. Checkpoints of large services are dominated by state
-    /// serialization (it runs on the delivery thread), so the host
-    /// streams the whole checkpoint blob into one buffer; services with
-    /// non-trivial state should override this with a direct, presized
-    /// encode (reserve the encoded size up front, then write once). The
-    /// default funnels through `snapshot()` and pays one extra copy.
-    fn snapshot_into(&self, buf: &mut BytesMut) {
-        buf.extend_from_slice(&self.snapshot());
-    }
-
     /// Begins a checkpoint at the current state: returns an owned,
     /// immutable cut that serializes itself incrementally through
     /// [`SnapshotCut::write_chunk`], so the host can interleave delivery
@@ -84,11 +73,11 @@ pub trait ServiceApp: Send + 'static {
         Vec::new()
     }
 
-    /// The ring a session's expiry is proposed on. Default: the home ring
-    /// its id carries ([`crate::session_home_ring`]).
-    fn session_ring(&self, session: u64) -> Option<RingId> {
-        crate::session::session_home_ring(session)
-    }
+    /// The exactly-once session table removed `session` — its expiry
+    /// CAS held, or the table evicted it — at this point of the delivered
+    /// stream, identically on every replica. A service that keeps state
+    /// per session drops it here. Default: no-op.
+    fn session_removed(&mut self, _session: u64) {}
 
     /// Replies cached for retry deduplication across all sessions, if
     /// this app (or a decorator) keeps any — the `session_cached_replies`

@@ -396,7 +396,9 @@ impl ShardedExec {
                 self.dispatch(ring, env, None);
                 None
             }
-            SESSION_CTL => Some(self.table.control(ring, env)),
+            // Removed sessions need no word to the shards: no sharded
+            // service keeps state per session.
+            SESSION_CTL => Some(self.table.control(ring, env, |_| {})),
             session => match self.table.admit(session, env) {
                 Admission::Reply(payload) => Some(payload),
                 Admission::Cached(slot) => {
@@ -440,18 +442,11 @@ impl ShardedExec {
     /// after draining exactly the ops dispatched before this call (FIFO
     /// queues), then the parts merge into the bytes the single-threaded
     /// stack would produce. By the same FIFO argument, every reply slot
-    /// admitted before the cut is filled when this returns.
-    pub fn snapshot(&mut self) -> Bytes {
-        let mut buf = BytesMut::new();
-        self.snapshot_into(&mut buf);
-        buf.freeze()
-    }
-
-    /// [`ShardedExec::snapshot`], appended to an existing buffer. Layout
+    /// admitted before the cut is filled when this returns. Layout
     /// matches the unsharded [`crate::SessionApp`] byte for byte:
     /// session-table image, then the merged service state as the
     /// trailing rest of the buffer (no length prefix).
-    pub fn snapshot_into(&mut self, buf: &mut BytesMut) {
+    pub fn snapshot(&mut self) -> Bytes {
         let mut rxs = VecDeque::new();
         for i in 0..self.shards.len() {
             let (tx, rx) = mpsc::channel();
@@ -462,10 +457,11 @@ impl ShardedExec {
             .into_iter()
             .map(|rx| rx.recv().expect("executor shard alive"))
             .collect();
-        self.table.encode(buf);
         let merged = self.plan.merge_snapshots(parts);
-        buf.reserve(merged.len());
+        let mut buf = BytesMut::new();
+        self.table.encode(&mut buf);
         buf.extend_from_slice(&merged);
+        buf.freeze()
     }
 
     /// Rendezvous restore from a [`ShardedExec::snapshot`] (or an

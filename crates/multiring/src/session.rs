@@ -51,11 +51,15 @@
 //! ordered on its home ring ([`SessionCtl::KeepAlive`]), never by
 //! per-partition executions — so the counter is identical on every
 //! replica holding the session, and one
-//! [`SessionCtl::Expire`]`{session, seen_refresh}` CAS (the amcoord
-//! session shape) removes the session everywhere or nowhere. Serving
-//! nodes propose the expiry on the session's home ring when its refresh
-//! counter stops moving for its TTL; a keep-alive racing through the log
-//! wins the CAS and the session survives.
+//! [`SessionCtl::Expire`]`{session, seen_refresh}` CAS removes the
+//! session everywhere or nowhere. Serving nodes propose the expiry on
+//! the session's home ring when its refresh counter stops moving for its
+//! TTL; a keep-alive racing through the log wins the CAS and the session
+//! survives. Whenever the table removes a session — that CAS, or the
+//! eviction below — [`SessionApp`] tells the service through
+//! [`ServiceApp::session_removed`], in delivery order, so state a
+//! service keeps per session (the coordination service's ephemeral
+//! entries) goes on every replica at the same point of the stream.
 //!
 //! ## Bounded memory
 //!
@@ -71,22 +75,14 @@ use bytes::{BufMut, Bytes, BytesMut};
 use common::error::WireError;
 use common::ids::RingId;
 use common::value::{Envelope, NO_SESSION, SESSION_CTL};
-use common::wire::{get_bytes, get_tag, get_varint, put_bytes, put_varint, Wire};
+use common::wire::{get_bytes, get_varint, put_bytes, put_varint, Wire};
 
 use crate::app::{ChainCut, ServiceApp, SnapshotCut};
 
-/// First byte of every sessioned reply payload: the request executed and
-/// the rest of the payload is the service's response.
-pub const ST_OK: u8 = 0;
-/// The session is unknown (expired, evicted, or never opened). The
-/// command was **not** executed; the client must re-open.
-pub const ST_UNKNOWN_SESSION: u8 = 1;
-/// The seq is beyond `ack + window cap`; not executed. The client must
-/// drain completions (advancing its ack) before retrying.
-pub const ST_WINDOW_EXCEEDED: u8 = 2;
-/// The seq is at or below the client's own ack — a duplicate of a
-/// command whose reply the client already confirmed. Not executed.
-pub const ST_STALE: u8 = 3;
+pub use common::wire::client::{
+    parse_open_reply, parse_reply, SessionCtl, ST_OK, ST_STALE, ST_UNKNOWN_SESSION,
+    ST_WINDOW_EXCEEDED,
+};
 
 /// Bits below the home-ring tag in a session id.
 const RING_TAG_SHIFT: u32 = 48;
@@ -119,85 +115,6 @@ pub fn session_home_ring(session: u64) -> Option<RingId> {
     Some(RingId::new((tag - 1) as u16))
 }
 
-/// Session-control commands, carried in `Envelope::cmd` when
-/// `Envelope::session == SESSION_CTL`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SessionCtl {
-    /// Allocates a new session. Every delivered open allocates a *fresh*
-    /// id — deliberately not deduplicated by any client-chosen token,
-    /// because a token reused by a later client incarnation would alias
-    /// it to the dead incarnation's session (exactly the cross-invocation
-    /// confusion sessions exist to kill). A retried open whose original
-    /// got delivered leaks one idle session; TTL expiry collects it.
-    Open {
-        /// Client-chosen correlation token echoed as the reply's seq.
-        token: u64,
-        /// Session TTL in milliseconds: how long the refresh counter may
-        /// sit still before servers propose expiry.
-        ttl_ms: u64,
-    },
-    /// Bumps the session's replicated liveness counter.
-    KeepAlive {
-        /// The session.
-        session: u64,
-    },
-    /// Removes the session iff its refresh counter still reads
-    /// `seen_refresh` — proposed by serving nodes, raced (and beaten) by
-    /// in-flight keep-alives, exactly like amcoord's `ExpireSession`.
-    Expire {
-        /// The session.
-        session: u64,
-        /// The refresh count the proposing node observed.
-        seen_refresh: u64,
-    },
-}
-
-impl Wire for SessionCtl {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            SessionCtl::Open { token, ttl_ms } => {
-                buf.put_u8(0);
-                put_varint(buf, *token);
-                put_varint(buf, *ttl_ms);
-            }
-            SessionCtl::KeepAlive { session } => {
-                buf.put_u8(1);
-                put_varint(buf, *session);
-            }
-            SessionCtl::Expire {
-                session,
-                seen_refresh,
-            } => {
-                buf.put_u8(2);
-                put_varint(buf, *session);
-                put_varint(buf, *seen_refresh);
-            }
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(match get_tag(buf, "session ctl")? {
-            0 => SessionCtl::Open {
-                token: get_varint(buf)?,
-                ttl_ms: get_varint(buf)?,
-            },
-            1 => SessionCtl::KeepAlive {
-                session: get_varint(buf)?,
-            },
-            2 => SessionCtl::Expire {
-                session: get_varint(buf)?,
-                seen_refresh: get_varint(buf)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    context: "session ctl",
-                    tag,
-                })
-            }
-        })
-    }
-}
-
 /// Frames a service reply as a successful sessioned payload.
 pub fn frame_ok(inner: &Bytes) -> Bytes {
     let mut buf = BytesMut::with_capacity(1 + inner.len());
@@ -218,24 +135,6 @@ fn open_reply(session: u64) -> Bytes {
     buf.put_u8(ST_OK);
     put_varint(&mut buf, session);
     buf.freeze()
-}
-
-/// Splits a sessioned reply payload into its status byte and the service
-/// payload. Returns `None` on an empty payload (malformed).
-pub fn parse_reply(payload: &Bytes) -> Option<(u8, Bytes)> {
-    if payload.is_empty() {
-        return None;
-    }
-    Some((payload[0], payload.slice(1..)))
-}
-
-/// Parses the payload of a successful [`SessionCtl::Open`] reply.
-pub fn parse_open_reply(payload: &Bytes) -> Option<u64> {
-    let (st, mut rest) = parse_reply(payload)?;
-    if st != ST_OK {
-        return None;
-    }
-    get_varint(&mut rest).ok()
 }
 
 /// Size caps for the replicated session table.
@@ -388,7 +287,7 @@ impl SessionTable {
         self.sessions.len()
     }
 
-    fn evict_if_full(&mut self) {
+    fn evict_if_full(&mut self, removed: &mut impl FnMut(u64)) {
         while self.sessions.len() >= self.limits.max_sessions.max(1) {
             // Deterministic LRU: smallest (last_tick, id). Ticks advance
             // identically on every replica of the partition, so eviction
@@ -401,19 +300,27 @@ impl SessionTable {
             match victim {
                 Some(id) => {
                     self.sessions.remove(&id);
+                    removed(id);
                 }
                 None => return,
             }
         }
     }
 
-    pub(crate) fn control(&mut self, group: RingId, env: &Envelope) -> Bytes {
+    /// Applies one session-control command; `removed` hears every
+    /// session it removes.
+    pub(crate) fn control(
+        &mut self,
+        group: RingId,
+        env: &Envelope,
+        mut removed: impl FnMut(u64),
+    ) -> Bytes {
         let Ok(ctl) = SessionCtl::decode(&mut env.cmd.clone()) else {
             return status(ST_STALE); // foreign/corrupt control payload
         };
         match ctl {
             SessionCtl::Open { token: _, ttl_ms } => {
-                self.evict_if_full();
+                self.evict_if_full(&mut removed);
                 let counter = self.next_ids.entry(group).or_insert(1);
                 let id = compose_session_id(group, *counter);
                 *counter += 1;
@@ -449,6 +356,7 @@ impl SessionTable {
                     // The CAS held: no keep-alive slipped in between the
                     // proposer's observation and this delivery.
                     self.sessions.remove(&session);
+                    removed(session);
                 }
                 status(ST_OK)
             }
@@ -625,7 +533,11 @@ impl ServiceApp for SessionApp {
         self.table.tick();
         match env.session {
             NO_SESSION => self.inner.execute(group, env),
-            SESSION_CTL => self.table.control(group, env),
+            SESSION_CTL => {
+                let inner = &mut self.inner;
+                self.table
+                    .control(group, env, |session| inner.session_removed(session))
+            }
             session => match self.table.admit(session, env) {
                 Admission::Reply(payload) => payload,
                 Admission::Cached(slot) => {
@@ -645,19 +557,13 @@ impl ServiceApp for SessionApp {
     }
 
     fn snapshot(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        self.snapshot_into(&mut buf);
-        buf.freeze()
-    }
-
-    fn snapshot_into(&self, buf: &mut BytesMut) {
         // Layout: session-table image, then the inner service state as
-        // the trailing rest of the buffer — no length prefix, so the
-        // inner app streams straight into the caller's buffer instead of
-        // materializing an intermediate copy. ShardedExec mirrors this
-        // layout byte for byte.
-        self.table.encode(buf);
-        self.inner.snapshot_into(buf);
+        // the trailing rest of the buffer — no length prefix.
+        // ShardedExec mirrors this layout byte for byte.
+        let mut buf = BytesMut::new();
+        self.table.encode(&mut buf);
+        buf.extend_from_slice(&self.inner.snapshot());
+        buf.freeze()
     }
 
     fn snapshot_cut(&self) -> Box<dyn SnapshotCut> {
@@ -922,6 +828,59 @@ mod tests {
         assert!(app.session_probe(a).is_some());
         assert!(app.session_probe(b).is_none(), "LRU session evicted");
         assert!(app.session_probe(c).is_some());
+    }
+
+    /// Records every session the table reports removed.
+    struct Removals(Arc<Mutex<Vec<u64>>>);
+
+    impl ServiceApp for Removals {
+        fn execute(&mut self, _group: RingId, _env: &Envelope) -> Bytes {
+            Bytes::new()
+        }
+
+        fn snapshot(&self) -> Bytes {
+            Bytes::new()
+        }
+
+        fn restore(&mut self, _state: &Bytes) {}
+
+        fn reset(&mut self) {}
+
+        fn session_removed(&mut self, session: u64) {
+            self.0.lock().unwrap().push(session);
+        }
+    }
+
+    #[test]
+    fn expiry_and_eviction_tell_the_service_once_per_removed_session() {
+        let removed = Arc::new(Mutex::new(Vec::new()));
+        let mut app = SessionApp::with_limits(
+            Box::new(Removals(Arc::clone(&removed))),
+            SessionLimits {
+                max_sessions: 2,
+                max_cached: 4,
+            },
+        );
+        let a = open(&mut app, 1, 1);
+        let b = open(&mut app, 2, 1);
+        let g = RingId::new(9);
+        let expire = |session, seen_refresh| SessionCtl::Expire {
+            session,
+            seen_refresh,
+        };
+        // An expiry that loses its CAS removes nothing.
+        app.execute(g, &ctl(1, 1, SessionCtl::KeepAlive { session: a }));
+        app.execute(g, &ctl(0, 2, expire(a, 0)));
+        assert!(removed.lock().unwrap().is_empty());
+        // One that wins removes `a`, once; a repeat finds nothing.
+        app.execute(g, &ctl(0, 3, expire(a, 1)));
+        app.execute(g, &ctl(0, 4, expire(a, 1)));
+        assert_eq!(*removed.lock().unwrap(), [a]);
+        // A full table evicts its least recently used session, `b`.
+        open(&mut app, 3, 1);
+        open(&mut app, 4, 1);
+        assert_eq!(*removed.lock().unwrap(), [a, b]);
+        assert_eq!(app.session_count(), 2);
     }
 
     #[test]

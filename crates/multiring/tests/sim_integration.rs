@@ -11,7 +11,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use common::ids::{ClientId, NodeId, PartitionId, RingId, SessionId};
 use common::msg::{Msg, RecoveryMsg};
-use common::wire::coord::{CoordEvent, CoordOk, CoordOp};
+use common::wire::coord::{CoordOk, CoordOp};
 use common::SimTime;
 use coord::{Coord, PartitionInfo, Registry, RingConfig};
 use multiring::client::{ClosedLoopClient, CommandSpec};
@@ -592,10 +592,6 @@ impl Coord for Hiding {
             return Err(common::error::Error::Timeout("not fetched yet"));
         }
         self.inner.backend().call(op)
-    }
-
-    fn next_event(&self, timeout: Duration) -> Option<CoordEvent> {
-        self.inner.next_event(timeout)
     }
 
     fn session(&self) -> Option<SessionId> {
