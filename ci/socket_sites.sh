@@ -20,6 +20,14 @@
 # FFI stays in net.rs too: the readiness wait (epoll) is the one foreign
 # call, so `extern "C"` or `unsafe` anywhere else under crates/*/src fails.
 #
+# One client session machine: the v2 client's `SessionCore`
+# (crates/liverun/src/client.rs) opens and keeps alive every client
+# session, data and coordination alike. So `SessionCtl::Open` /
+# `SessionCtl::KeepAlive` appear nowhere else under crates/*/src, except
+# in their codec (crates/common/src/wire.rs) and the server's session
+# table (crates/multiring/src/session.rs); and crates/coord/src, which
+# holds no client at all, names no `wire::client` item.
+#
 # "Non-test" is everything above a file's top-level `#[cfg(test)]`
 # module; comment lines do not count.
 set -euo pipefail
@@ -49,9 +57,14 @@ mapfile -t liverun < <(find crates/liverun/src -name '*.rs' ! -path crates/liver
 scan 'thread::(spawn|Builder)' "${liverun[@]}" || fail=1
 mapfile -t coord < <(find crates/coord/src -name '*.rs' | sort)
 scan 'TcpStream|TcpListener|thread::' "${coord[@]}" || fail=1
+scan 'wire::client' "${coord[@]}" || fail=1
+mapfile -t sessions < <(find crates -path 'crates/*/src/*' -name '*.rs' \
+    ! -path crates/liverun/src/client.rs ! -path crates/common/src/wire.rs \
+    ! -path crates/multiring/src/session.rs | sort)
+scan 'SessionCtl::(Open|KeepAlive)' "${sessions[@]}" || fail=1
 
 if [ "$fail" -ne 0 ]; then
-    echo "socket sites: FAILED — open sockets and call foreign code through liverun::net (crates/liverun/src/net.rs), and let the loop thread own them" >&2
+    echo "socket sites: FAILED — open sockets and call foreign code through liverun::net (crates/liverun/src/net.rs), let the loop thread own them, and open client sessions only through liverun's SessionCore" >&2
     exit 1
 fi
-echo "socket sites: ok (every socket is opened and every foreign call made in liverun::net; no thread sits on one)"
+echo "socket sites: ok (every socket is opened and every foreign call made in liverun::net; no thread sits on one; one client session machine)"

@@ -4,8 +4,8 @@
 //! protocol: "automatic ring management and configuration management is
 //! handled by Zookeeper" (§7.1), and the MRP-Store partitioning schema is
 //! "stored in Zookeeper and accessible to all processes" (§7.2). This
-//! crate plays that role, split into client and server halves around one
-//! deterministic state machine:
+//! crate plays that role: one deterministic state machine, and the
+//! facade every process consults it through:
 //!
 //! * [`state`] — [`CoordState`], the replicated state: ring
 //!   configurations with epochs, ring subscriptions, service partitions,
@@ -14,26 +14,28 @@
 //!   the [`Coord`] backend trait.
 //! * [`local`] — [`LocalCoord`]: the state machine behind a lock, for
 //!   simulations, tests and single-process deployments.
-//! * [`link`] — [`CoordLink`]: the client of a replicated `amcoordd`
-//!   ensemble as a sans-IO state machine — a protocol-v2 exactly-once
-//!   session like any data client's — and [`LinkCoord`], the backend
-//!   over it. The sockets that carry it, and the ensemble itself, live in
-//!   `liverun`, the crate that can see Ring Paxos: an `amcoordd` replica
-//!   is the data node's loop hosting [`CoordState`] on a ring of its own,
-//!   under the same session table as every data node.
+//!
+//! The client of a replicated `amcoordd` ensemble lives in `liverun`,
+//! the crate that can see sockets and Ring Paxos: it is an ordinary
+//! protocol-v2 session, driven by the same session machine as every data
+//! client, and an `amcoordd` replica is the data node's loop hosting
+//! [`CoordState`] on a ring of its own ([`COORD_RING`]), under the same
+//! session table as every data node.
 //!
 //! Like Zookeeper in the paper, the registry sits *off* the critical
 //! message path: processes consult it at configuration time and during
 //! failover, never per-request.
 
-pub mod link;
 pub mod local;
 pub mod registry;
 pub mod ring_config;
 pub mod state;
 
-pub use link::{CoordClientOptions, CoordLink, Driver, LinkCoord, COORD_RING};
 pub use local::LocalCoord;
 pub use registry::{Coord, PartitionInfo, Registry};
 pub use ring_config::RingConfig;
 pub use state::CoordState;
+
+/// The ring an `amcoordd` ensemble orders its own log on, and the group
+/// every coordination request names.
+pub const COORD_RING: common::ids::RingId = common::ids::RingId::new(0);

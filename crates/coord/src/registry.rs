@@ -7,10 +7,10 @@
 //!
 //! * [`LocalCoord`](crate::local::LocalCoord) — the in-process state
 //!   machine (simulator, unit tests, single-process deployments);
-//! * [`LinkCoord`] — a client of an `amcoordd` ensemble, with a
-//!   watch-updated configuration cache so the per-heartbeat reads every
-//!   ring node performs stay local. Driven by its caller's thread, or
-//!   polled from an event loop that owns it.
+//! * `liverun`'s coordination link — a client of an `amcoordd` ensemble,
+//!   with a watch-updated configuration cache so the per-heartbeat reads
+//!   every ring node performs stay local. Driven by its caller's thread,
+//!   or polled from an event loop that owns it.
 //!
 //! A registry only applies operations; it has no event feed of its own.
 //! A link's watch keeps its cache current, and callers read state.
@@ -19,6 +19,7 @@
 //! critical message path: processes consult it at configuration time and
 //! during failover, never per-request.
 
+use std::any::Any;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -28,18 +29,18 @@ use common::wire::coord::{
     CoordOk, CoordOp, ElectOutcome, EphemeralEntry, PartitionWire, RingConfigWire,
 };
 
-use crate::link::LinkCoord;
 use crate::ring_config::RingConfig;
 
 /// A coordination backend: somewhere [`CoordOp`]s can be applied.
-pub trait Coord: Send + Sync + std::fmt::Debug {
+/// (`Any`, so a driver can find its own backend behind a [`Registry`].)
+pub trait Coord: Any + Send + Sync + std::fmt::Debug {
     /// Applies one operation and returns its result.
     ///
     /// # Errors
     ///
     /// Fails if the operation is refused by the state machine or (for
     /// remote backends) the answer is not there yet: an event loop's
-    /// call never waits for the network (see [`crate::link`]).
+    /// call never waits for the network.
     fn call(&self, op: CoordOp) -> Result<CoordOk>;
 
     /// The backend's own session with the service, if it maintains one
@@ -89,8 +90,6 @@ impl PartitionInfo {
 #[derive(Clone, Debug)]
 pub struct Registry {
     backend: Arc<dyn Coord>,
-    /// The backend again, when it is a link an event loop can drive.
-    link: Option<Arc<LinkCoord>>,
 }
 
 impl Default for Registry {
@@ -106,30 +105,15 @@ impl Registry {
     }
 
     /// A registry over an explicit backend (a shared
-    /// [`LocalCoord`](crate::local::LocalCoord), a test double).
+    /// [`LocalCoord`](crate::local::LocalCoord), a link to an `amcoordd`
+    /// ensemble, a test double).
     pub fn from_backend(backend: Arc<dyn Coord>) -> Self {
-        Registry {
-            backend,
-            link: None,
-        }
-    }
-
-    /// A registry over a link to an `amcoordd` ensemble.
-    pub fn from_link(link: Arc<LinkCoord>) -> Self {
-        Registry {
-            backend: link.clone(),
-            link: Some(link),
-        }
+        Registry { backend }
     }
 
     /// The underlying backend.
     pub fn backend(&self) -> &Arc<dyn Coord> {
         &self.backend
-    }
-
-    /// The link behind this registry, if it talks to an ensemble.
-    pub fn link(&self) -> Option<&Arc<LinkCoord>> {
-        self.link.as_ref()
     }
 
     /// Registers a ring configuration.

@@ -15,6 +15,8 @@
 //! hash scheme, and multicasts scans / multi-appends on the global ring,
 //! merging one answer per partition (paper §6.1, §7.2).
 
+use std::fmt;
+use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -31,8 +33,28 @@ commands (mrpstore):
 commands (dlog):
   append LOG VALUE | multi-append LOG,LOG,... VALUE | read LOG POS
 commands (any deployment):
-  stats [--watch] [--json | --prometheus]   # per-node metrics snapshot"
+  stats [--watch] [--json | --prometheus]   # per-node and per-coordination-replica metrics"
 }
+
+/// Whose metrics a `stats` entry shows: a data node, or a replica of the
+/// `[deployment] coord` ensemble (scraped at its serve address).
+#[derive(Clone, Copy, Debug)]
+enum Source {
+    Node(u32),
+    Coord(SocketAddr),
+}
+
+impl fmt::Display for Source {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Source::Node(id) => write!(f, "node {id}"),
+            Source::Coord(addr) => write!(f, "coordination replica {addr}"),
+        }
+    }
+}
+
+/// One `stats` entry: a snapshot, or why it could not be fetched.
+type Entry = (Source, Result<ObsSnapshot, String>);
 
 fn main() -> ExitCode {
     match run(std::env::args().skip(1).collect()) {
@@ -169,27 +191,23 @@ fn run(args: Vec<String>) -> Result<String, String> {
             let json = rest.iter().any(|a| a == "--json");
             let prom = rest.iter().any(|a| a == "--prometheus");
             let watch = rest.iter().any(|a| a == "--watch");
+            let fetch = |addr: SocketAddr| {
+                let snap = liverun::fetch_stats(addr, Duration::from_secs(5));
+                snap.map_err(|e| format!("{addr} unreachable: {e}"))
+            };
             loop {
-                let snaps: Vec<_> = (config.nodes.iter())
-                    .map(|node| {
-                        let addr = node.client_addr;
-                        let snap = liverun::fetch_stats(addr, Duration::from_secs(5));
-                        (
-                            node.id.raw(),
-                            snap.map_err(|e| format!("{addr} unreachable: {e}")),
-                        )
-                    })
+                let nodes =
+                    (config.nodes.iter()).map(|n| (Source::Node(n.id.raw()), n.client_addr));
+                let coords = (config.coord_addrs.iter()).map(|&addr| (Source::Coord(addr), addr));
+                let snaps: Vec<Entry> = (nodes.chain(coords))
+                    .map(|(source, addr)| (source, fetch(addr)))
                     .collect();
                 let mut out = String::new();
                 if json {
                     format_stats_json(&mut out, &snaps);
                 } else {
-                    for (node, snap) in &snaps {
-                        match snap {
-                            Ok(snap) if prom => snap.to_prometheus(&mut out),
-                            Ok(snap) => format_stats_text(&mut out, snap),
-                            Err(e) => out.push_str(&format!("node {node}: {e}\n")),
-                        }
+                    for entry in &snaps {
+                        format_entry(&mut out, entry, prom);
                     }
                 }
                 if !watch {
@@ -330,28 +348,60 @@ fn format_stats_text(out: &mut String, snap: &ObsSnapshot) {
     }
 }
 
-/// One JSON array over every node: its snapshot object, or
-/// `{"node": N, "error": "..."}` when it could not be reached.
-fn format_stats_json(out: &mut String, nodes: &[(u32, Result<ObsSnapshot, String>)]) {
+/// One text block (or Prometheus lines) for `entry`.
+fn format_entry(out: &mut String, (source, snap): &Entry, prom: bool) {
+    use std::fmt::Write as _;
+    match (source, snap) {
+        (Source::Node(_), Ok(snap)) if prom => snap.to_prometheus(out),
+        (Source::Coord(addr), Ok(snap)) if prom => {
+            // A replica's node id is its place in the ensemble, which
+            // data node ids reuse: its series are labelled by address.
+            let mut lines = String::new();
+            snap.to_prometheus(&mut lines);
+            let node = format!("node=\"{}\"", snap.node);
+            out.push_str(&lines.replace(&node, &format!("coord=\"{addr}\"")));
+        }
+        (Source::Node(_), Ok(snap)) => format_stats_text(out, snap),
+        (Source::Coord(_), Ok(snap)) => {
+            let _ = writeln!(out, "{source}");
+            format_stats_text(out, snap);
+        }
+        (_, Err(e)) => {
+            let _ = writeln!(out, "{source}: {e}");
+        }
+    }
+}
+
+/// One JSON array over every entry: a node's snapshot object, or
+/// `{"node": N, "error": "..."}` when it could not be reached; a
+/// coordination replica's the same with `"coord": "ADDR"` first.
+fn format_stats_json(out: &mut String, entries: &[Entry]) {
     use std::fmt::Write as _;
     out.push('[');
-    for (i, (node, snap)) in nodes.iter().enumerate() {
-        out.push_str(if i == 0 { "" } else { ",\n" });
-        match snap {
-            Ok(snap) => format_snapshot_json(out, snap),
-            Err(e) => {
+    for (i, (source, snap)) in entries.iter().enumerate() {
+        out.push_str(if i == 0 { "{" } else { ",\n{" });
+        if let Source::Coord(addr) = source {
+            let _ = write!(out, "\"coord\": \"{addr}\", ");
+        }
+        match (source, snap) {
+            (_, Ok(snap)) => format_snapshot_json(out, snap),
+            (_, Err(e)) => {
+                if let Source::Node(node) = source {
+                    let _ = write!(out, "\"node\": {node}, ");
+                }
                 let e: String = e.chars().filter(|c| !c.is_control()).collect();
                 let e = e.replace('\\', "\\\\").replace('"', "\\\"");
-                let _ = write!(out, "{{\"node\": {node}, \"error\": \"{e}\"}}");
+                let _ = write!(out, "\"error\": \"{e}\"}}");
             }
         }
     }
     out.push(']');
 }
 
+/// A snapshot's JSON object, past its opening brace.
 fn format_snapshot_json(out: &mut String, snap: &ObsSnapshot) {
     use std::fmt::Write as _;
-    let _ = write!(out, "{{\"node\": {}, \"counters\": {{", snap.node);
+    let _ = write!(out, "\"node\": {}, \"counters\": {{", snap.node);
     for (i, (name, v)) in snap.counters.iter().enumerate() {
         let sep = if i + 1 < snap.counters.len() {
             ", "
@@ -393,9 +443,12 @@ mod tests {
         };
         // The unreachable node last: a trailing separator would show there.
         let nodes = vec![
-            (0, Ok(snap(0))),
-            (1, Ok(snap(1))),
-            (2, Err("127.0.0.1:9 unreachable: \"refused\"".to_string())),
+            (Source::Node(0), Ok(snap(0))),
+            (Source::Node(1), Ok(snap(1))),
+            (
+                Source::Node(2),
+                Err("127.0.0.1:9 unreachable: \"refused\"".to_string()),
+            ),
         ];
         let mut out = String::new();
         format_stats_json(&mut out, &nodes);
@@ -455,7 +508,7 @@ mod tests {
         assert_eq!(ring_column(&text, 3, "trim_floor"), "4097", "{text}");
 
         let mut json = String::new();
-        format_stats_json(&mut json, &[(0, Ok(snap))]);
+        format_stats_json(&mut json, &[(Source::Node(0), Ok(snap))]);
         for field in [
             "\"trim_rounds\": 7",
             "\"ring3_trim_floor\": 4097",
@@ -489,5 +542,62 @@ mod tests {
         assert_eq!(ring_column(&text, 2, "log_bytes"), "65536", "{text}");
         assert_eq!(ring_column(&text, 2, "cache_bytes"), "8192", "{text}");
         assert!(text.contains("mem_accounted_bytes"), "{text}");
+    }
+
+    /// `[deployment] coord` replicas are scraped beside the nodes: a
+    /// reachable one shows its snapshot under its address, an unreachable
+    /// one the error, in text, JSON and Prometheus form.
+    #[test]
+    fn stats_show_coordination_replicas_reachable_or_not() {
+        let obs = Obs::for_node(0);
+        obs.counter("coord_applied").add(3);
+        let up: SocketAddr = ([127, 0, 0, 1], 7710).into();
+        let down: SocketAddr = ([127, 0, 0, 1], 7711).into();
+        let entries = vec![
+            (Source::Coord(up), Ok(obs.snapshot())),
+            (
+                Source::Coord(down),
+                Err(format!("{down} unreachable: refused")),
+            ),
+        ];
+        let mut text = String::new();
+        for entry in &entries {
+            format_entry(&mut text, entry, false);
+        }
+        assert!(
+            text.starts_with("coordination replica 127.0.0.1:7710\nnode 0\n"),
+            "{text}"
+        );
+        assert!(text.contains("coord_applied"), "{text}");
+        assert!(
+            text.ends_with(
+                "coordination replica 127.0.0.1:7711: 127.0.0.1:7711 unreachable: refused\n"
+            ),
+            "{text}"
+        );
+
+        let mut json = String::new();
+        format_stats_json(&mut json, &entries);
+        assert!(
+            json.starts_with(
+                r#"[{"coord": "127.0.0.1:7710", "node": 0, "counters": {"coord_applied": 3}"#
+            ),
+            "{json}"
+        );
+        assert!(
+            json.ends_with(
+                r#",
+{"coord": "127.0.0.1:7711", "error": "127.0.0.1:7711 unreachable: refused"}]"#
+            ),
+            "{json}"
+        );
+
+        let mut prom = String::new();
+        format_entry(&mut prom, &entries[0], true);
+        assert!(
+            prom.contains(r#"amcast_coord_applied_total{coord="127.0.0.1:7710"} 3"#),
+            "{prom}"
+        );
+        assert!(!prom.contains("node="), "{prom}");
     }
 }

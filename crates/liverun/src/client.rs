@@ -19,10 +19,12 @@
 //!   by the server at handshake, resizable via `CreditGrant`), and
 //!   completions surface out of submission order.
 //!
-//! The reply-matching and window logic lives in the sans-IO
-//! `SessionCore`; [`LiveClient`] wraps it with sockets, retries,
-//! keep-alives and blocking conveniences ([`LiveClient::request`],
-//! [`LiveClient::request_fanout`], [`LiveClient::request_from`]).
+//! The session machine — reply matching, the window, each ring's
+//! session open, keep-alive and re-open — is the sans-IO `SessionCore`,
+//! which the coordination link ([`crate::link`]) drives too;
+//! [`LiveClient`] wraps it with sockets, routing, retries and blocking
+//! conveniences ([`LiveClient::request`], [`LiveClient::request_fanout`],
+//! [`LiveClient::request_from`]).
 //!
 //! A client starts no thread: its sockets live in a `net::Net` turned on
 //! the caller's thread, which feeds each reply it reads to the core.
@@ -38,10 +40,7 @@ use common::obs::Counter;
 use common::value::SESSION_CTL;
 use common::wire::client::{ClientMsg, ClientReply, ErrorCode, FEAT_ALL};
 use common::wire::Wire;
-use multiring::session::{
-    parse_open_reply, parse_reply, SessionCtl, ST_OK, ST_STALE, ST_UNKNOWN_SESSION,
-    ST_WINDOW_EXCEEDED,
-};
+use multiring::session::{parse_open_reply, parse_reply, SessionCtl, ST_OK, ST_UNKNOWN_SESSION};
 
 use crate::net::{ConnId, Event, Net, Reader};
 
@@ -90,9 +89,13 @@ pub(crate) enum Action {
     /// A completion is ready to take.
     Completed(u64),
     /// The session homed on this ring is gone server-side
-    /// (expired/evicted); re-open it and re-submit its in-flight
-    /// requests. Sessions on other rings are unaffected.
+    /// (expired/evicted): the core has queued its re-open, and re-sends
+    /// the ring's in-flight requests once that is answered. Sessions on
+    /// other rings are unaffected.
     SessionLost(RingId),
+    /// The session homed on this ring opened; the ring's in-flight
+    /// requests are queued under it.
+    Opened(RingId),
     /// Re-send `seq` to `to` now (server redirect).
     Resend(u64, NodeId),
     /// The server rejected `seq` outright; fail it.
@@ -120,21 +123,42 @@ pub(crate) struct Inflight {
     pub replies: Vec<(NodeId, Bytes)>,
     /// Last (re-)send time.
     pub last_sent: Instant,
-    /// Rotates through the group's proposer candidates on re-sends.
+    /// Times the request was queued so far: drivers rotate through the
+    /// group's proposer candidates by it.
     pub route_pos: usize,
 }
 
-/// The sans-IO session state machine: seq allocation, window accounting,
-/// reply matching (with session echo filtering), out-of-order completion
-/// and cumulative-ack tracking. No sockets, no clocks beyond the
+/// One session-control request in flight ([`SessionCtl::Open`] or
+/// [`SessionCtl::KeepAlive`]), by its correlation token.
+#[derive(Debug)]
+struct Control {
+    group: RingId,
+    ctl: SessionCtl,
+    last_sent: Instant,
+    sends: usize,
+}
+
+/// The sans-IO v2 client session machine, one for every client of the
+/// protocol: a [`LiveClient`] and the coordination link
+/// ([`crate::link::CoordLink`]) each drive one, and it never asks which.
+/// It owns seq allocation, window accounting, reply matching (with
+/// session echo filtering), out-of-order completion, cumulative-ack
+/// tracking and each ring's session lifecycle: open by token, a
+/// keep-alive every TTL/3, and on [`ST_UNKNOWN_SESSION`] — answering a
+/// request or a keep-alive — a re-open followed by a re-send of that
+/// ring's in-flight requests unchanged. No sockets, no clocks beyond the
 /// instants the driver passes in — unit-testable in isolation.
+///
+/// Frames leave through [`SessionCore::outbox`]; where each goes, when
+/// an unanswered one goes again and when to fail over are the driver's.
 ///
 /// Sessions are **per home ring**: each multicast group the client talks
 /// to gets its own replica-assigned session id, opened through that
 /// ring's own ordered stream — so a single-partition command never drags
 /// the global ring into its session bookkeeping. One global seq space
 /// spans every ring (the cumulative ack only ever covers finished seqs,
-/// so it stays safe to report to any of them).
+/// so it stays safe to report to any of them); control tokens have a
+/// space of their own.
 pub(crate) struct SessionCore {
     /// Replica-assigned session ids by home ring; a ring is absent until
     /// its open completes.
@@ -143,6 +167,8 @@ pub(crate) struct SessionCore {
     pub window: usize,
     /// The client's wish (grants are clamped to it).
     wanted_window: usize,
+    /// TTL requested for every session.
+    ttl: Duration,
     /// Next per-session sequence number to allocate (starts at 1).
     next_seq: u64,
     /// Highest seq such that all seqs ≤ it completed (reported to
@@ -152,6 +178,14 @@ pub(crate) struct SessionCore {
     done_above_ack: BTreeSet<u64>,
     /// In-flight requests by seq.
     pub inflight: BTreeMap<u64, Inflight>,
+    /// Session-control requests in flight, by token.
+    control: BTreeMap<u64, Control>,
+    next_token: u64,
+    /// When the next keep-alive round falls due (set by the first tick).
+    next_keepalive: Option<Instant>,
+    /// Frames for the driver to route, each with how often it went
+    /// before (drivers rotate replicas by it).
+    pub outbox: Vec<(usize, ClientMsg)>,
     /// Finished requests not yet taken by the caller.
     ready: VecDeque<Completion>,
     /// Requests that failed with a server error, by seq.
@@ -159,15 +193,20 @@ pub(crate) struct SessionCore {
 }
 
 impl SessionCore {
-    pub(crate) fn new(wanted_window: usize) -> Self {
+    pub(crate) fn new(wanted_window: usize, ttl: Duration) -> Self {
         SessionCore {
             sessions: HashMap::new(),
             window: wanted_window.max(1),
             wanted_window: wanted_window.max(1),
+            ttl,
             next_seq: 1,
             acked: 0,
             done_above_ack: BTreeSet::new(),
             inflight: BTreeMap::new(),
+            control: BTreeMap::new(),
+            next_token: 1,
+            next_keepalive: None,
+            outbox: Vec::new(),
             ready: VecDeque::new(),
             failed: HashMap::new(),
         }
@@ -194,9 +233,11 @@ impl SessionCore {
         self.inflight.len() < self.window.max(1)
     }
 
-    /// Allocates a seq and registers the in-flight entry. The caller
-    /// checks [`SessionCore::has_capacity`] first (submitting beyond the
-    /// window is allowed but the server may refuse the overhang).
+    /// Allocates a seq, registers the in-flight entry and queues its
+    /// frame — or, while `group` has no session, opens one: the request
+    /// goes once the open is answered. The caller checks
+    /// [`SessionCore::has_capacity`] first (submitting beyond the window
+    /// is allowed but the server may refuse the overhang).
     pub(crate) fn begin(
         &mut self,
         group: RingId,
@@ -221,7 +262,171 @@ impl SessionCore {
                 route_pos: 0,
             },
         );
+        if self.sessions.contains_key(&group) {
+            self.resend(seq, now);
+        } else {
+            self.open(group, now);
+        }
         seq
+    }
+
+    /// The request frame for in-flight `seq`, under its ring's session;
+    /// none while that ring has no session.
+    pub(crate) fn request_frame(&self, seq: u64) -> Option<ClientMsg> {
+        let req = self.inflight.get(&seq)?;
+        Some(ClientMsg::RequestV2 {
+            session: *self.sessions.get(&req.group)?,
+            seq: RequestId::new(seq),
+            ack: self.acked,
+            group: req.group,
+            cmd: req.cmd.clone(),
+        })
+    }
+
+    /// Queues in-flight `seq` again, unchanged, if its ring has a
+    /// session.
+    fn resend(&mut self, seq: u64, now: Instant) {
+        let Some(frame) = self.request_frame(seq) else {
+            return;
+        };
+        let req = self.inflight.get_mut(&seq).expect("framed above");
+        self.outbox.push((req.route_pos, frame));
+        req.last_sent = now;
+        req.route_pos = req.route_pos.wrapping_add(1);
+    }
+
+    /// Queues again, unchanged, everything in flight on `group`: its
+    /// session control, and its requests if it has a session.
+    pub(crate) fn resend_ring(&mut self, group: RingId, now: Instant) {
+        self.resend_where(now, |g, _| g == group);
+    }
+
+    /// Queues again, unchanged, everything unanswered for `every`.
+    pub(crate) fn retry(&mut self, now: Instant, every: Duration) {
+        self.resend_where(now, |_, sent| now.duration_since(sent) >= every);
+    }
+
+    /// Queues again, unchanged, the control requests and requests `which`
+    /// picks by group and last send.
+    fn resend_where(&mut self, now: Instant, which: impl Fn(RingId, Instant) -> bool) {
+        let control = self
+            .control
+            .iter()
+            .filter(|(_, c)| which(c.group, c.last_sent));
+        for token in control.map(|(token, _)| *token).collect::<Vec<_>>() {
+            self.send_control(token, now);
+        }
+        let requests = self
+            .inflight
+            .iter()
+            .filter(|(_, r)| which(r.group, r.last_sent));
+        for seq in requests.map(|(seq, _)| *seq).collect::<Vec<_>>() {
+            self.resend(seq, now);
+        }
+    }
+
+    /// When the longest-unanswered request or control request went out.
+    pub(crate) fn oldest_unanswered(&self) -> Option<Instant> {
+        let requests = self.inflight.values().map(|r| r.last_sent);
+        requests
+            .chain(self.control.values().map(|c| c.last_sent))
+            .min()
+    }
+
+    /// Opens `group`'s session unless it is open or opening.
+    pub(crate) fn open(&mut self, group: RingId, now: Instant) {
+        let opening = |c: &Control| c.group == group && matches!(c.ctl, SessionCtl::Open { .. });
+        if !self.sessions.contains_key(&group) && !self.control.values().any(opening) {
+            let (token, ttl_ms) = (self.next_token, self.ttl.as_millis() as u64);
+            self.control_request(group, SessionCtl::Open { token, ttl_ms }, now);
+        }
+    }
+
+    /// Sends a keep-alive for every open session that has none in flight
+    /// once every TTL/3.
+    pub(crate) fn tick(&mut self, now: Instant) {
+        let every = (self.ttl / 3).max(Duration::from_millis(100));
+        let due = self.next_keepalive.get_or_insert(now + every);
+        if now < *due {
+            return;
+        }
+        *due = now + every;
+        let open: Vec<(RingId, u64)> = self.sessions.iter().map(|(g, s)| (*g, *s)).collect();
+        for (group, session) in open {
+            let alive = |c: &Control| c.ctl == SessionCtl::KeepAlive { session };
+            if !self.control.values().any(alive) {
+                self.control_request(group, SessionCtl::KeepAlive { session }, now);
+            }
+        }
+    }
+
+    fn control_request(&mut self, group: RingId, ctl: SessionCtl, now: Instant) {
+        let token = self.next_token;
+        self.next_token += 1;
+        let control = Control {
+            group,
+            ctl,
+            last_sent: now,
+            sends: 0,
+        };
+        self.control.insert(token, control);
+        self.send_control(token, now);
+    }
+
+    fn send_control(&mut self, token: u64, now: Instant) {
+        let c = self.control.get_mut(&token).expect("in flight");
+        let frame = ClientMsg::RequestV2 {
+            session: SESSION_CTL,
+            seq: RequestId::new(token),
+            ack: 0,
+            group: c.group,
+            cmd: c.ctl.to_bytes(),
+        };
+        self.outbox.push((c.sends, frame));
+        c.last_sent = now;
+        c.sends += 1;
+    }
+
+    /// `group`'s session `session` is gone server-side: unless it was
+    /// already replaced, open another.
+    fn session_lost(&mut self, group: RingId, session: u64, now: Instant) {
+        if self.sessions.get(&group) == Some(&session) {
+            self.sessions.remove(&group);
+            let ours = |c: &Control| c.ctl == SessionCtl::KeepAlive { session };
+            self.control.retain(|_, c| !ours(c));
+            self.open(group, now);
+        }
+    }
+
+    /// A session-control reply: an open answered adopts its session and
+    /// sends what waited for it; a keep-alive the server no longer knows
+    /// re-opens the session.
+    fn on_control(&mut self, token: u64, payload: &Bytes, now: Instant) -> Action {
+        let Some(c) = self.control.get(&token) else {
+            return Action::None;
+        };
+        let group = c.group;
+        match c.ctl {
+            SessionCtl::Open { .. } => {
+                // A refused open stays in flight; the driver retries it.
+                let Some(session) = parse_open_reply(payload) else {
+                    return Action::None;
+                };
+                self.control.remove(&token);
+                self.adopt_session(group, session);
+                self.resend_ring(group, now);
+                Action::Opened(group)
+            }
+            SessionCtl::KeepAlive { session } => {
+                self.control.remove(&token);
+                if parse_reply(payload).is_some_and(|(st, _)| st == ST_UNKNOWN_SESSION) {
+                    self.session_lost(group, session, now);
+                    return Action::SessionLost(group);
+                }
+                Action::None
+            }
+            SessionCtl::Expire { .. } => Action::None,
+        }
     }
 
     fn mark_done(&mut self, seq: u64) {
@@ -241,11 +446,13 @@ impl SessionCore {
         }
     }
 
-    /// Feeds one server frame; returns what the driver should do.
+    /// Feeds one server frame; returns what the driver should do. `now`
+    /// stamps whatever the reply makes the core send.
     pub(crate) fn on_reply(
         &mut self,
         reply: &ClientReply,
         replica_partitions: &HashMap<NodeId, PartitionId>,
+        now: Instant,
     ) -> Action {
         match reply {
             ClientReply::WelcomeV2 { window, .. } | ClientReply::CreditGrant { window } => {
@@ -261,9 +468,7 @@ impl SessionCore {
                 payload,
             } => {
                 if *session == SESSION_CTL {
-                    // Control replies are handled by the driver's open
-                    // path.
-                    return Action::None;
+                    return self.on_control(seq.raw(), payload, now);
                 }
                 let raw = seq.raw();
                 let Some(group) = self.inflight.get(&raw).map(|r| r.group) else {
@@ -280,9 +485,11 @@ impl SessionCore {
                 };
                 match status {
                     ST_OK => self.on_ok(raw, *from_replica, body, replica_partitions),
-                    ST_UNKNOWN_SESSION => Action::SessionLost(group),
-                    ST_WINDOW_EXCEEDED | ST_STALE => Action::None,
-                    _ => Action::None,
+                    ST_UNKNOWN_SESSION => {
+                        self.session_lost(group, *session, now);
+                        Action::SessionLost(group)
+                    }
+                    _ => Action::None, // window exceeded, stale: retried
                 }
             }
             ClientReply::Redirect { seq, to, .. } => {
@@ -362,15 +569,6 @@ impl SessionCore {
     pub(crate) fn take_failure(&mut self, seq: u64) -> Option<(ErrorCode, String)> {
         self.failed.remove(&seq)
     }
-
-    /// In-flight seqs due for a re-send.
-    pub(crate) fn due_for_retry(&self, now: Instant, every: Duration) -> Vec<u64> {
-        self.inflight
-            .iter()
-            .filter(|(_, r)| now.duration_since(r.last_sent) >= every)
-            .map(|(seq, _)| *seq)
-            .collect()
-    }
 }
 
 /// A connected v2 client.
@@ -394,9 +592,6 @@ pub struct LiveClient {
     /// Partition each server replica belongs to (fan-out completion).
     replica_partitions: HashMap<NodeId, PartitionId>,
     core: SessionCore,
-    /// Correlation tokens for session-control commands.
-    next_token: u64,
-    last_keepalive: Instant,
 }
 
 impl LiveClient {
@@ -421,7 +616,7 @@ impl LiveClient {
         replica_partitions: HashMap<NodeId, PartitionId>,
         opts: ClientOptions,
     ) -> Result<Self> {
-        let window = opts.window;
+        let core = SessionCore::new(opts.window, opts.session_ttl);
         let mut client = LiveClient {
             id,
             opts,
@@ -434,9 +629,7 @@ impl LiveClient {
             down_until: HashMap::new(),
             route,
             replica_partitions,
-            core: SessionCore::new(window),
-            next_token: 0,
-            last_keepalive: Instant::now(),
+            core,
         };
         let mut reached = 0usize;
         let mut last_err = None;
@@ -458,19 +651,6 @@ impl LiveClient {
     /// This client's id.
     pub fn id(&self) -> ClientId {
         self.id
-    }
-
-    /// The open session id for `group` (0 before the first request
-    /// targeting that group).
-    pub fn session(&self, group: RingId) -> u64 {
-        self.core.session_for(group)
-    }
-
-    /// Every `(home ring, session id)` pair currently open.
-    pub fn sessions(&self) -> Vec<(RingId, u64)> {
-        let mut v: Vec<(RingId, u64)> = self.core.sessions.iter().map(|(r, s)| (*r, *s)).collect();
-        v.sort_unstable_by_key(|(r, _)| *r);
-        v
     }
 
     /// The session's effective pipeline window right now: the server's
@@ -589,111 +769,28 @@ impl LiveClient {
         Err(last_err)
     }
 
-    fn request_frame(&self, seq: u64, group: RingId, cmd: Bytes) -> ClientMsg {
-        ClientMsg::RequestV2 {
-            session: self.core.session_for(group),
-            seq: RequestId::new(seq),
-            ack: self.core.acked,
-            group,
-            cmd,
-        }
-    }
-
-    /// Ensures the exactly-once session homed on `group` is open, opening
-    /// (or re-opening after an expiry) it through that ring's own ordered
-    /// stream if not. Other rings' sessions are untouched.
-    fn ensure_session(&mut self, group: RingId, deadline: Instant) -> Result<()> {
-        if self.core.session_for(group) != 0 {
-            return Ok(());
-        }
-        self.next_token += 1;
-        let token = self.next_token;
-        let open = SessionCtl::Open {
-            token,
-            ttl_ms: self.opts.session_ttl.as_millis() as u64,
-        }
-        .to_bytes();
-        let msg = ClientMsg::RequestV2 {
-            session: SESSION_CTL,
-            seq: RequestId::new(token),
-            ack: 0,
-            group,
-            cmd: open,
-        };
-        let mut prefer = 0usize;
-        self.send_routed(group, prefer, &msg)?;
-        let mut next_retry = Instant::now() + self.opts.retry_every;
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(Error::Timeout("session open"));
-            }
-            if now >= next_retry {
-                prefer += 1;
-                self.send_routed(group, prefer, &msg)?;
-                next_retry = now + self.opts.retry_every;
-            }
-            if self.inbox.is_empty() {
-                let wait = deadline
-                    .min(next_retry)
-                    .saturating_duration_since(now)
-                    .min(Duration::from_millis(50));
-                self.turn(wait);
-            }
-            while let Some(reply) = self.inbox.pop_front() {
-                match reply {
-                    ClientReply::ResponseV2 {
-                        session: SESSION_CTL,
-                        seq,
-                        payload,
-                        ..
-                    } if seq.raw() == token => {
-                        if let Some(id) = parse_open_reply(&payload) {
-                            self.core.adopt_session(group, id);
-                            self.last_keepalive = Instant::now();
-                            // Re-send this ring's surviving in-flight
-                            // requests under the new session (failover
-                            // re-open path).
-                            let seqs: Vec<u64> = self
-                                .core
-                                .inflight
-                                .iter()
-                                .filter(|(_, r)| r.group == group)
-                                .map(|(s, _)| *s)
-                                .collect();
-                            for seq in seqs {
-                                let _ = self.resend(seq);
-                            }
-                            return Ok(());
-                        }
-                    }
-                    other => {
-                        let _ = self.core.on_reply(&other, &self.replica_partitions);
-                    }
+    /// Routes what the core queued: each frame to a proposer of its
+    /// group, rotated by how often it went before. The last routing
+    /// failure is returned; the frames behind it still go.
+    fn flush(&mut self) -> Result<()> {
+        let mut frames = std::mem::take(&mut self.core.outbox);
+        let mut sent = Ok(());
+        for (tries, frame) in frames.drain(..) {
+            if let ClientMsg::RequestV2 { group, .. } = &frame {
+                if let Err(e) = self.send_routed(*group, tries, &frame) {
+                    sent = Err(e);
                 }
             }
         }
-    }
-
-    fn resend(&mut self, seq: u64) -> Result<()> {
-        let Some(req) = self.core.inflight.get(&seq) else {
-            return Ok(());
-        };
-        let (group, cmd, pos) = (req.group, req.cmd.clone(), req.route_pos);
-        let frame = self.request_frame(seq, group, cmd);
-        let taken = self.send_routed(group, pos, &frame);
-        if let Some(req) = self.core.inflight.get_mut(&seq) {
-            req.last_sent = Instant::now();
-            req.route_pos = pos.wrapping_add(1);
-        }
-        taken.map(|_| ())
+        self.core.outbox = frames;
+        sent
     }
 
     fn resend_to(&mut self, seq: u64, node: NodeId) {
-        let Some(req) = self.core.inflight.get(&seq) else {
+        let (Some(req), Some(frame)) = (self.core.inflight.get(&seq), self.core.request_frame(seq))
+        else {
             return;
         };
-        let frame = self.request_frame(seq, req.group, req.cmd.clone());
         // Prefer the redirect target for this group from now on.
         if let Some(candidates) = self.route.get_mut(&req.group) {
             if let Some(at) = candidates.iter().position(|n| *n == node) {
@@ -713,53 +810,24 @@ impl LiveClient {
     /// in redundant bursts — one per replica per retry — and consumption
     /// must always outpace production or the pipeline wedges behind a
     /// growing backlog), feeds the core, performs the resulting actions,
-    /// and fires due retries and keep-alives.
-    fn pump(&mut self, wait: Duration) -> Result<()> {
+    /// fires due retries and keep-alives, and routes what the core
+    /// queued — a request that waited for its session's open goes as
+    /// soon as the open's answer is read.
+    fn pump(&mut self, wait: Duration) {
         if self.inbox.is_empty() {
             self.turn(wait);
         }
-        while let Some(reply) = self.inbox.pop_front() {
-            match self.core.on_reply(&reply, &self.replica_partitions) {
-                Action::Resend(seq, to) => self.resend_to(seq, to),
-                Action::SessionLost(group) => {
-                    // That ring's session expired or was evicted: open a
-                    // new one; ensure_session re-sends the ring's
-                    // in-flight requests (same seqs) under it.
-                    self.core.sessions.remove(&group);
-                    let deadline = Instant::now() + self.opts.timeout;
-                    self.ensure_session(group, deadline)?;
-                }
-                Action::None | Action::Completed(_) | Action::Failed(..) => {}
-            }
-        }
         let now = Instant::now();
-        for seq in self.core.due_for_retry(now, self.opts.retry_every) {
-            let _ = self.resend(seq);
-        }
-        if !self.core.sessions.is_empty()
-            && now.duration_since(self.last_keepalive) >= self.opts.session_ttl / 3
-        {
-            self.last_keepalive = now;
-            let open: Vec<(RingId, u64)> = self
-                .core
-                .sessions
-                .iter()
-                .filter(|(_, s)| **s != 0)
-                .map(|(r, s)| (*r, *s))
-                .collect();
-            for (group, session) in open {
-                self.next_token += 1;
-                let msg = ClientMsg::RequestV2 {
-                    session: SESSION_CTL,
-                    seq: RequestId::new(self.next_token),
-                    ack: 0,
-                    group,
-                    cmd: SessionCtl::KeepAlive { session }.to_bytes(),
-                };
-                let _ = self.send_routed(group, 0, &msg);
+        while let Some(reply) = self.inbox.pop_front() {
+            if let Action::Resend(seq, to) =
+                self.core.on_reply(&reply, &self.replica_partitions, now)
+            {
+                self.resend_to(seq, to);
             }
         }
-        Ok(())
+        self.core.retry(now, self.opts.retry_every);
+        self.core.tick(now);
+        let _ = self.flush();
     }
 
     fn submit_with(
@@ -770,19 +838,18 @@ impl LiveClient {
         want_replica: Option<NodeId>,
     ) -> Result<u64> {
         let deadline = Instant::now() + self.opts.timeout;
-        self.ensure_session(group, deadline)?;
         // Respect the credit window: drain completions until a slot
         // frees (replies both free slots and advance the ack).
         while !self.core.has_capacity() {
             if Instant::now() >= deadline {
                 return Err(Error::Timeout("client window full"));
             }
-            self.pump(Duration::from_millis(10))?;
+            self.pump(Duration::from_millis(10));
         }
         let seq = self
             .core
             .begin(group, cmd, need, want_replica, Instant::now());
-        self.resend(seq)?;
+        self.flush()?;
         Ok(seq)
     }
 
@@ -815,10 +882,7 @@ impl LiveClient {
             if now >= deadline {
                 return None;
             }
-            let wait = (deadline - now).min(Duration::from_millis(50));
-            if self.pump(wait).is_err() {
-                return None;
-            }
+            self.pump((deadline - now).min(Duration::from_millis(50)));
         }
     }
 
@@ -842,8 +906,7 @@ impl LiveClient {
                 self.core.abandon(seq);
                 return Err(Error::Timeout(context));
             }
-            let wait = (deadline - now).min(Duration::from_millis(50));
-            self.pump(wait)?;
+            self.pump((deadline - now).min(Duration::from_millis(50)));
         }
     }
 
@@ -927,6 +990,8 @@ mod tests {
     use super::*;
     use multiring::session::frame_ok;
 
+    const TTL: Duration = Duration::from_secs(30);
+
     fn resp(session: u64, seq: u64, from: u32, body: &'static [u8]) -> ClientReply {
         ClientReply::ResponseV2 {
             session,
@@ -965,20 +1030,20 @@ mod tests {
     /// apart; under v2 the session echo makes the filter structural.
     #[test]
     fn straggler_reply_from_previous_session_is_ignored() {
-        let mut core = SessionCore::new(8);
+        let mut core = SessionCore::new(8, TTL);
         core.adopt_session(RingId::new(0), 7); // this invocation's session
         let seq = begin(&mut core, 0);
         assert_eq!(seq, 1, "fresh sessions start their seq space at 1");
 
         // A reply to the previous invocation's seq 1 (session 3) arrives
         // late — same client id, same seq number.
-        let action = core.on_reply(&resp(3, 1, 0, b"stale"), &parts());
+        let action = core.on_reply(&resp(3, 1, 0, b"stale"), &parts(), Instant::now());
         assert_eq!(action, Action::None);
         assert!(core.take_ready().is_none(), "straggler must not complete");
         assert!(core.inflight.contains_key(&1), "request still in flight");
 
         // The genuine reply (session echo matches) completes it.
-        let action = core.on_reply(&resp(7, 1, 0, b"real"), &parts());
+        let action = core.on_reply(&resp(7, 1, 0, b"real"), &parts(), Instant::now());
         assert_eq!(action, Action::Completed(1));
         let c = core.take_ready().expect("completed");
         assert_eq!(c.replies[0].1, Bytes::from_static(b"real"));
@@ -986,32 +1051,32 @@ mod tests {
 
     #[test]
     fn completions_surface_out_of_order_and_ack_is_cumulative() {
-        let mut core = SessionCore::new(8);
+        let mut core = SessionCore::new(8, TTL);
         core.adopt_session(RingId::new(0), 1);
         let s1 = begin(&mut core, 0);
         let s2 = begin(&mut core, 0);
         let s3 = begin(&mut core, 0);
-        core.on_reply(&resp(1, s3, 0, b"c"), &parts());
-        core.on_reply(&resp(1, s2, 0, b"b"), &parts());
+        core.on_reply(&resp(1, s3, 0, b"c"), &parts(), Instant::now());
+        core.on_reply(&resp(1, s2, 0, b"b"), &parts(), Instant::now());
         assert_eq!(core.take_ready().unwrap().seq, s3);
         assert_eq!(core.take_ready().unwrap().seq, s2);
         assert_eq!(core.acked, 0, "ack waits for the contiguous prefix");
-        core.on_reply(&resp(1, s1, 0, b"a"), &parts());
+        core.on_reply(&resp(1, s1, 0, b"a"), &parts(), Instant::now());
         assert_eq!(core.acked, 3, "ack jumps over the out-of-order window");
     }
 
     #[test]
     fn duplicate_replies_complete_once() {
-        let mut core = SessionCore::new(8);
+        let mut core = SessionCore::new(8, TTL);
         core.adopt_session(RingId::new(0), 1);
         let seq = begin(&mut core, 0);
         assert_eq!(
-            core.on_reply(&resp(1, seq, 0, b"x"), &parts()),
+            core.on_reply(&resp(1, seq, 0, b"x"), &parts(), Instant::now()),
             Action::Completed(seq)
         );
         // Redundant replica answers after completion: dropped.
         assert_eq!(
-            core.on_reply(&resp(1, seq, 1, b"x"), &parts()),
+            core.on_reply(&resp(1, seq, 1, b"x"), &parts(), Instant::now()),
             Action::None
         );
         assert!(core.take_ready().is_some());
@@ -1020,7 +1085,7 @@ mod tests {
 
     #[test]
     fn fanout_completes_when_every_partition_answered() {
-        let mut core = SessionCore::new(8);
+        let mut core = SessionCore::new(8, TTL);
         core.adopt_session(RingId::new(2), 1);
         let seq = core.begin(
             RingId::new(2),
@@ -1030,16 +1095,16 @@ mod tests {
             Instant::now(),
         );
         assert_eq!(
-            core.on_reply(&resp(1, seq, 0, b"p0"), &parts()),
+            core.on_reply(&resp(1, seq, 0, b"p0"), &parts(), Instant::now()),
             Action::None
         );
         // Second replica of the same partition does not finish the scan.
         assert_eq!(
-            core.on_reply(&resp(1, seq, 1, b"p0"), &parts()),
+            core.on_reply(&resp(1, seq, 1, b"p0"), &parts(), Instant::now()),
             Action::None
         );
         assert_eq!(
-            core.on_reply(&resp(1, seq, 2, b"p1"), &parts()),
+            core.on_reply(&resp(1, seq, 2, b"p1"), &parts(), Instant::now()),
             Action::Completed(seq)
         );
         let c = core.take_ready().unwrap();
@@ -1048,28 +1113,36 @@ mod tests {
 
     #[test]
     fn window_capacity_and_credit_grants() {
-        let mut core = SessionCore::new(4);
+        let mut core = SessionCore::new(4, TTL);
         core.adopt_session(RingId::new(0), 1);
         // The server narrows the window to 2.
-        core.on_reply(&ClientReply::CreditGrant { window: 2 }, &parts());
+        core.on_reply(
+            &ClientReply::CreditGrant { window: 2 },
+            &parts(),
+            Instant::now(),
+        );
         assert_eq!(core.window, 2);
         begin(&mut core, 0);
         begin(&mut core, 0);
         assert!(!core.has_capacity());
         // A grant beyond the client's wish is clamped.
-        core.on_reply(&ClientReply::CreditGrant { window: 1000 }, &parts());
+        core.on_reply(
+            &ClientReply::CreditGrant { window: 1000 },
+            &parts(),
+            Instant::now(),
+        );
         assert_eq!(core.window, 4);
     }
 
     #[test]
     fn unknown_session_reply_signals_reopen_and_resubmission() {
-        let mut core = SessionCore::new(8);
+        let mut core = SessionCore::new(8, TTL);
         core.adopt_session(RingId::new(0), 5);
         let s1 = begin(&mut core, 0);
         let s2 = begin(&mut core, 0);
         let s3 = begin(&mut core, 0);
         // s2 completes before the session is lost.
-        core.on_reply(&resp(5, s2, 0, b"done"), &parts());
+        core.on_reply(&resp(5, s2, 0, b"done"), &parts(), Instant::now());
         let lost = ClientReply::ResponseV2 {
             session: 5,
             seq: RequestId::new(s1),
@@ -1077,7 +1150,7 @@ mod tests {
             payload: Bytes::from_static(&[ST_UNKNOWN_SESSION]),
         };
         assert_eq!(
-            core.on_reply(&lost, &parts()),
+            core.on_reply(&lost, &parts(), Instant::now()),
             Action::SessionLost(RingId::new(0))
         );
         // Re-open: in-flight requests KEEP their seqs — callers hold
@@ -1086,12 +1159,12 @@ mod tests {
         assert_eq!(core.session_for(RingId::new(0)), 9);
         assert!(core.inflight.contains_key(&s1) && core.inflight.contains_key(&s3));
         assert_eq!(
-            core.on_reply(&resp(9, s1, 0, b"again"), &parts()),
+            core.on_reply(&resp(9, s1, 0, b"again"), &parts(), Instant::now()),
             Action::Completed(s1)
         );
         // The already-finished s2 does not wedge the cumulative ack.
         assert_eq!(
-            core.on_reply(&resp(9, s3, 0, b"tail"), &parts()),
+            core.on_reply(&resp(9, s3, 0, b"tail"), &parts(), Instant::now()),
             Action::Completed(s3)
         );
         assert_eq!(core.acked, s3);
@@ -1099,11 +1172,11 @@ mod tests {
 
     #[test]
     fn abandoned_requests_unblock_the_cumulative_ack() {
-        let mut core = SessionCore::new(8);
+        let mut core = SessionCore::new(8, TTL);
         core.adopt_session(RingId::new(0), 1);
         let s1 = begin(&mut core, 0);
         let s2 = begin(&mut core, 0);
-        core.on_reply(&resp(1, s2, 0, b"b"), &parts());
+        core.on_reply(&resp(1, s2, 0, b"b"), &parts(), Instant::now());
         assert_eq!(core.acked, 0);
         core.abandon(s1); // caller timed out on s1
         assert_eq!(core.acked, 2, "ack advances past the abandoned seq");
@@ -1111,7 +1184,7 @@ mod tests {
 
     #[test]
     fn redirect_targets_the_named_node() {
-        let mut core = SessionCore::new(8);
+        let mut core = SessionCore::new(8, TTL);
         core.adopt_session(RingId::new(3), 1);
         let seq = begin(&mut core, 3);
         let action = core.on_reply(
@@ -1121,7 +1194,92 @@ mod tests {
                 to: NodeId::new(2),
             },
             &parts(),
+            Instant::now(),
         );
         assert_eq!(action, Action::Resend(seq, NodeId::new(2)));
+    }
+
+    /// `(session, seq, cmd)` of every frame the core queued, drained.
+    fn sent(core: &mut SessionCore) -> Vec<(u64, u64, Bytes)> {
+        let frames = core.outbox.drain(..).map(|(_, frame)| frame);
+        frames
+            .map(|frame| match frame {
+                ClientMsg::RequestV2 {
+                    session, seq, cmd, ..
+                } => (session, seq.raw(), cmd),
+                other => panic!("not a request: {other:?}"),
+            })
+            .collect()
+    }
+
+    /// A session-control answer to `token` from replica 0.
+    fn control_reply(token: u64, payload: Bytes) -> ClientReply {
+        ClientReply::ResponseV2 {
+            session: SESSION_CTL,
+            seq: RequestId::new(token),
+            from_replica: NodeId::new(0),
+            payload,
+        }
+    }
+
+    fn opened(token: u64, session: u64) -> ClientReply {
+        let mut id = bytes::BytesMut::new();
+        common::wire::put_varint(&mut id, session);
+        control_reply(token, frame_ok(&id.freeze()))
+    }
+
+    /// The one session machine owns a ring's session lifecycle: a request
+    /// begun before its ring's session opens goes only once the open is
+    /// answered, under that session and with its original seq; and a
+    /// keep-alive the server no longer knows re-opens the session and
+    /// re-sends the ring's in-flight requests unchanged.
+    #[test]
+    fn the_core_opens_keeps_alive_and_reopens_a_rings_session() {
+        let (ring, t0) = (RingId::new(2), Instant::now());
+        let mut core = SessionCore::new(8, TTL);
+        let cmd = Bytes::from_static(b"cmd");
+        let seq = core.begin(ring, cmd.clone(), Vec::new(), None, t0);
+        let open = sent(&mut core);
+        assert_eq!(open.len(), 1, "only the open leaves: {open:?}");
+        let (session, token, mut ctl) = open[0].clone();
+        assert_eq!(session, SESSION_CTL);
+        assert!(matches!(
+            SessionCtl::decode(&mut ctl),
+            Ok(SessionCtl::Open { ttl_ms: 30_000, .. })
+        ));
+        assert_eq!(
+            core.on_reply(&opened(token, 7), &parts(), t0),
+            Action::Opened(ring)
+        );
+        assert_eq!(sent(&mut core), [(7, seq, cmd.clone())], "sent once opened");
+
+        // A keep-alive every TTL/3; the server answers it: it no longer
+        // knows the session.
+        core.tick(t0);
+        assert!(sent(&mut core).is_empty(), "not due yet");
+        let t1 = t0 + TTL / 3;
+        core.tick(t1);
+        let keep = sent(&mut core);
+        assert_eq!(keep.len(), 1);
+        let (_, token, mut ctl) = keep[0].clone();
+        assert_eq!(
+            SessionCtl::decode(&mut ctl),
+            Ok(SessionCtl::KeepAlive { session: 7 })
+        );
+        let lost = control_reply(token, Bytes::from_static(&[ST_UNKNOWN_SESSION]));
+        assert_eq!(
+            core.on_reply(&lost, &parts(), t1),
+            Action::SessionLost(ring)
+        );
+        assert_eq!(core.session_for(ring), 0);
+        let reopen = sent(&mut core);
+        assert_eq!(reopen.len(), 1, "only the re-open leaves: {reopen:?}");
+        assert_eq!(reopen[0].0, SESSION_CTL);
+        core.on_reply(&opened(reopen[0].1, 9), &parts(), t1);
+        assert_eq!(sent(&mut core), [(9, seq, cmd)], "re-sent unchanged");
+        assert_eq!(
+            core.on_reply(&resp(9, seq, 0, b"done"), &parts(), t1),
+            Action::Completed(seq)
+        );
     }
 }

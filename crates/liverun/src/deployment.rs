@@ -20,14 +20,14 @@ use common::error::{Error, Result};
 use common::ids::NodeId;
 use common::obs::Obs;
 use common::transport::WallClock;
-use coord::{CoordClientOptions, LinkCoord, Registry};
+use coord::Registry;
 use multiring::{HostOptions, ServiceApp, SessionApp, SessionLimits};
 use storage::wal::{SegmentedWal, SyncPolicy};
 
 use crate::batch::BatchOptions;
 use crate::config::{DeploymentConfig, NodeSpec, ServiceKind};
-use crate::coord_client::connect_coord;
 use crate::durable::DurableApp;
+use crate::link::{connect_coord, LinkCoord};
 use crate::netem::{Netem, NetemControl};
 use crate::node::{spawn_node, NodeHandle, NodeSetup};
 
@@ -183,13 +183,7 @@ pub fn connect_registry(config: &DeploymentConfig) -> Result<Registry> {
     if config.coord_addrs.is_empty() {
         return config.build_registry();
     }
-    let registry = connect_coord(
-        &config.coord_addrs,
-        CoordClientOptions {
-            session_ttl: config.session_ttl,
-            ..CoordClientOptions::default()
-        },
-    )?;
+    let registry = connect_coord(&config.coord_addrs, config.session_ttl)?;
     config.seed_registry(&registry)?;
     Ok(registry)
 }
@@ -323,7 +317,7 @@ fn boot_registry(
     // `nodes/` without anyone reporting it.
     let addr = Bytes::from(spec.peer_addr.to_string());
     let _ = registry.announce(format!("nodes/{}", node.raw()), addr);
-    let Some(link) = registry.link() else {
+    let Some(link) = LinkCoord::of(registry) else {
         return Ok(None);
     };
     for r in rings {
@@ -334,7 +328,7 @@ fn boot_registry(
         registry.subscribers(ring);
     }
     link.hand_over();
-    Ok(Some(Arc::clone(link)))
+    Ok(Some(link))
 }
 
 /// A whole deployment running in this process over localhost TCP.

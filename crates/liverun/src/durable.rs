@@ -20,8 +20,8 @@
 //!
 //! ## Rotation and pruning
 //!
-//! Through the [`DecidedLog`] trait the decorator also drives
-//! [`storage::wal::SegmentedWal`]: records carry a monotone delivery
+//! The decorator writes through the [`DecidedLog`] trait, which
+//! [`storage::wal::SegmentedWal`] implements: records carry a monotone delivery
 //! position, segments roll at a configured cadence, and once the host
 //! reports a checkpoint durable ([`ServiceApp::checkpoint_durable`]) the
 //! log prunes every segment wholly below the position marked at snapshot
@@ -40,7 +40,7 @@ use common::ids::RingId;
 use common::value::Envelope;
 use common::wire::Wire;
 use multiring::{ServiceApp, SnapshotCut};
-use storage::wal::{DecidedLog, Wal};
+use storage::wal::DecidedLog;
 
 /// One delivered command: the ring it arrived on plus the envelope.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -79,11 +79,6 @@ pub struct DurableApp {
 }
 
 impl DurableApp {
-    /// Decorates `inner` with a single-file `wal` (no rotation).
-    pub fn new(inner: Box<dyn ServiceApp>, wal: Wal) -> Self {
-        Self::with_log(inner, Box::new(wal), 0)
-    }
-
     /// Decorates `inner` with any [`DecidedLog`], resuming the position
     /// counter at `start_pos` (use [`storage::wal::SegmentedWal::end_pos`]
     /// when reopening a rotated directory).
@@ -185,23 +180,21 @@ mod tests {
     fn executed_envelopes_land_in_the_wal() {
         let dir = std::env::temp_dir().join(format!("durable-app-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("replica.wal");
-        let mut app = DurableApp::new(
-            Box::new(EchoApp::new()),
-            Wal::open(&path, SyncPolicy::OsDecides).unwrap(),
-        );
+        let wal = SegmentedWal::open(&dir, SyncPolicy::OsDecides, 1024).unwrap();
+        let mut app = DurableApp::with_log(Box::new(EchoApp::new()), Box::new(wal), 0);
         let env = env(7);
         app.execute(RingId::new(3), &env);
         app.execute(RingId::new(4), &env);
         // Group commit: nothing on disk until the batch boundary.
         assert_eq!(
-            Wal::replay::<WalRecord>(&path).unwrap().len(),
+            SegmentedWal::replay::<WalRecord>(&dir).unwrap().len(),
             0,
             "records staged, not written, before flush"
         );
         app.flush();
-        let records: Vec<WalRecord> = Wal::replay(&path).unwrap();
+        let records: Vec<WalRecord> = (SegmentedWal::replay(&dir).unwrap().into_iter())
+            .map(|(_, record)| record)
+            .collect();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].ring, RingId::new(3));
         assert_eq!(records[1].env, env);

@@ -44,8 +44,11 @@
 //!   (pipelined sliding window, replicated exactly-once sessions,
 //!   failover re-send that cannot re-execute) and the typed MRP-Store /
 //!   dLog facades on top.
+//! * [`link`] — the client of an `amcoordd` ensemble: the same session
+//!   machine as the network client, under a watch-fed configuration
+//!   cache, driven on its caller's thread or by a node loop.
 //! * [`durable`] — the WAL decorator recording every delivered command
-//!   through [`storage::wal::Wal`].
+//!   through a [`storage::wal::SegmentedWal`].
 //! * [`netem`] — userspace per-link WAN shaping for geo deployments:
 //!   one loop relaying every peer link with delay/jitter/bandwidth/loss,
 //!   runtime region partitions, driven by `[[region]]` config sections.
@@ -53,10 +56,10 @@
 pub mod batch;
 pub mod client;
 pub mod config;
-pub mod coord_client;
 pub mod coord_node;
 pub mod deployment;
 pub mod durable;
+pub mod link;
 pub(crate) mod net;
 pub mod netem;
 pub mod node;
@@ -65,10 +68,10 @@ pub mod service;
 pub use batch::{BatchOptions, Batcher};
 pub use client::{fetch_stats, ClientOptions, Completion, LiveClient};
 pub use config::{DeploymentConfig, GeoSpec, ServiceKind};
-pub use coord_client::connect_coord;
 pub use coord_node::{start_coord_server, CoordServerConfig, CoordServerHandle};
 pub use deployment::{connect_registry, shard_wal_dir, start_node, Deployment};
 pub use durable::{DurableApp, WalRecord};
+pub use link::{connect_coord, CoordLink, LinkCoord};
 pub use netem::{Netem, NetemControl};
 pub use node::{client_node_id, client_of_node, NodeHandle, CLIENT_NODE_BASE};
 pub use service::{LogClient, StoreClient};

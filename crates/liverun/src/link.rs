@@ -1,81 +1,77 @@
-//! The coordination client as a sans-IO link.
+//! The coordination link: a client of an `amcoordd` ensemble, and its
+//! two drivers.
 //!
-//! [`CoordLink`] is everything a client of an `amcoordd` ensemble keeps
-//! between frames, and nothing else: no socket, no thread, no lock. What
-//! goes in is reply frames ([`CoordLink::on_reply`]), "the connection to
-//! this replica closed" ([`CoordLink::on_closed`]) and the clock
-//! ([`CoordLink::tick`]); what comes out is the frames to send
-//! ([`CoordLink::take_outbox`]) and the replica to send them to
-//! ([`CoordLink::replica`]), plus a replica to hang up on after a
-//! failover ([`CoordLink::take_hangup`]).
+//! [`CoordLink`] owns no socket, thread or lock. In go reply frames
+//! ([`CoordLink::on_reply`]), "the connection to this replica closed"
+//! ([`CoordLink::on_closed`]) and the clock ([`CoordLink::tick`]); out
+//! come frames ([`CoordLink::take_outbox`]) for [`CoordLink::replica`],
+//! and a replica to hang up on after a failover
+//! ([`CoordLink::take_hangup`]).
 //!
-//! **The link is a protocol-v2 client** ([`common::wire::client`]), like
-//! any data client: it says `HelloV2` on every connection, opens an
-//! exactly-once session on [`COORD_RING`] with [`SessionCtl::Open`],
-//! keeps it alive every third of its TTL with [`SessionCtl::KeepAlive`],
-//! and sends every [`CoordOp`] as a `RequestV2` under that session, from
-//! one sequence space with a cumulative ack. The ensemble's session
-//! table answers a re-sent `(session, seq)` from its reply cache, so a
-//! write in flight at a failover is re-sent unchanged and applied once.
-//! Its state:
+//! **Its session is the data client's session machine**, [`SessionCore`]
+//! homed on [`COORD_RING`]: one sequence space with a cumulative ack, an
+//! open by token, a keep-alive every TTL/3, and on `ST_UNKNOWN_SESSION` a
+//! re-open and an unchanged re-send. The ensemble's session table answers
+//! a re-sent `(session, seq)` from its reply cache, so a write in flight
+//! at a failover is applied once. The link adds the `HelloV2` on every
+//! connection and what belongs to coordination alone:
 //!
-//! * **the cache** — configuration reads (rings, subscribers, partitions,
-//!   metadata) are served from a local mirror fed by the replies that
-//!   carry them and by the watch: on every connection the link sends a
-//!   [`CoordOp::WatchAll`] outside any session, and the replica answers
-//!   it with the events of every command it applies;
-//! * **the pending table** — everything asked and not yet answered, by
-//!   sequence number;
-//! * **the session**, with the ephemerals registered under it
-//!   (re-registered if the session is ever lost and reopened);
-//! * **replica rotation** — a replica whose connection closes, or that
-//!   leaves a request unanswered for [`CoordClientOptions::timeout`], is
-//!   abandoned for the next one.
+//! * **the cache** of configuration reads, fed by the replies that carry
+//!   them and by the watch — a [`CoordOp::WatchAll`] sent outside any
+//!   session on every connection, which the replica answers with the
+//!   events of every command it applies;
+//! * **poll by operation**: [`CoordLink::poll`] answers a cache hit at
+//!   once; otherwise the first call queues the operation and returns
+//!   [`Poll::Pending`], an identical call while it is in flight queues
+//!   nothing, and the first identical call after the reply lands gets it,
+//!   once — so an event loop can ask on every turn and never wait;
+//! * **the ephemerals** registered under its session, re-registered
+//!   whenever a session (re)opens;
+//! * **replica rotation**: a replica whose connection closes, or that
+//!   leaves anything unanswered for [`FAILOVER_TIMEOUT`], is abandoned
+//!   for the next one. The cache survives: the next replica re-arms the
+//!   watch and re-fills every entry, and meanwhile the cache serves what
+//!   it had (epochs fence a stale ring config).
 //!
-//! **A call is a poll.** [`CoordLink::poll`] answers a cache hit at once.
-//! Otherwise the first call queues the operation and returns
-//! [`Poll::Pending`]; an identical call while it is in flight queues
-//! nothing; the first identical call after the reply lands gets that reply,
-//! once. An event loop can therefore ask on every turn — a ring node
-//! re-reporting a failure on each liveness tick sends one request — and
-//! never waits.
-//!
-//! **A disconnect keeps the cache.** Failing over re-arms the watch on
-//! the next replica, re-sends what is pending and re-fetches every cached
-//! entry, so the cache is refreshed without waiting for some read to
-//! miss; until the answers land it keeps serving what it had (epochs
-//! fence a stale ring config).
-//!
-//! [`LinkCoord`] makes a link a [`Coord`] backend. It drives the link
-//! through a caller's-thread [`Driver`] until an event loop takes it over
-//! ([`LinkCoord::hand_over`]), after which calls only poll. The drivers
-//! live in `liverun`, next to the sockets.
+//! [`LinkCoord`] makes a link a [`Coord`] backend. [`connect_coord`]
+//! drives it on the caller's thread: every registry call turns a private
+//! `Net` until its reply arrives (tools, tests, a node's boot path). A
+//! node loop takes it over ([`LinkCoord::hand_over`]), dials its replica
+//! on the loop's own `Net`, feeds it what arrived and the turn clock, and
+//! sends what it queued with [`flush`]; a registry call there only polls.
 
-use std::collections::BTreeMap;
+use std::any::Any;
+use std::collections::{BTreeMap, HashMap};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::task::Poll;
 use std::time::{Duration, Instant, SystemTime};
 
 use bytes::Bytes;
 use common::error::{Error, Result};
 use common::ids::{ClientId, NodeId, RequestId, RingId, SessionId};
-use common::value::{NO_SESSION, SESSION_CTL};
-use common::wire::client::{
-    parse_open_reply, parse_reply, ClientMsg, ClientReply, SessionCtl, FEAT_ALL, ST_OK,
-    ST_UNKNOWN_SESSION,
-};
+use common::obs::Counter;
+use common::value::NO_SESSION;
+use common::wire::client::{parse_reply, ClientMsg, ClientReply, FEAT_ALL};
 use common::wire::coord::{
     decode_reply, CoordEvent, CoordOk, CoordOp, ElectOutcome, PartitionWire, RingConfigWire,
 };
 use common::wire::Wire;
-use parking_lot::Mutex;
+use coord::{Coord, Registry, COORD_RING};
 
-use crate::registry::Coord;
+use crate::client::{Action, SessionCore};
+use crate::net::{Event, Net, Reader};
 
-/// The ring an `amcoordd` ensemble orders its own log on, and the group
-/// every coordination request names.
-pub const COORD_RING: RingId = RingId::new(0);
+/// A replica that leaves a request unanswered this long is abandoned for
+/// the next one.
+pub const FAILOVER_TIMEOUT: Duration = Duration::from_secs(3);
+
+/// How long [`connect_coord`] waits for the session to open. Bootstrap is
+/// racy by design — nodes launch concurrently with the ensemble, which
+/// needs a moment to form its ring — so connecting is patient where calls
+/// are not.
+const CONNECT_DEADLINE: Duration = Duration::from_secs(20);
 
 /// Client ids below this belong to the ensemble itself (its replicas
 /// gossip their own ring's configuration under them); links draw theirs
@@ -95,31 +91,6 @@ fn fresh_client_id() -> ClientId {
             .fetch_add(1, Ordering::Relaxed)
             .wrapping_mul(0x85eb_ca6b);
     ClientId::new(LINK_CLIENT_BASE + mix % ((1 << 30) - LINK_CLIENT_BASE))
-}
-
-/// How a client finds and talks to the ensemble.
-#[derive(Clone, Debug)]
-pub struct CoordClientOptions {
-    /// A replica that leaves a request unanswered this long is abandoned
-    /// for the next one.
-    pub timeout: Duration,
-    /// TTL requested for the client's session.
-    pub session_ttl: Duration,
-    /// How long connecting waits for the session to open. Bootstrap is
-    /// racy by design — nodes launch concurrently with the ensemble,
-    /// which needs a moment to form its ring — so connecting is patient
-    /// where calls are not.
-    pub connect_deadline: Duration,
-}
-
-impl Default for CoordClientOptions {
-    fn default() -> Self {
-        CoordClientOptions {
-            timeout: Duration::from_secs(3),
-            session_ttl: Duration::from_secs(3),
-            connect_deadline: Duration::from_secs(20),
-        }
-    }
 }
 
 #[derive(Debug, Default)]
@@ -171,70 +142,46 @@ impl Cache {
     }
 }
 
-/// What the link asked a replica.
-#[derive(Debug)]
-enum Ask {
-    /// Open the link's session.
-    Open,
-    /// Keep this session alive.
-    KeepAlive(u64),
-    /// A coordination operation, asked by a caller of
-    /// [`CoordLink::poll`], who collects the reply, or by the link's own
-    /// upkeep.
-    Op { op: CoordOp, caller: bool },
-}
-
-#[derive(Debug)]
-struct Pending {
-    ask: Ask,
-    sent: Instant,
-}
-
 /// A client of an `amcoordd` ensemble as a state machine (see the module
 /// docs).
-#[derive(Debug)]
 pub struct CoordLink {
     addrs: Vec<SocketAddr>,
-    opts: CoordClientOptions,
     /// Index of the replica frames go to.
     at: usize,
     client: ClientId,
-    /// The link's one sequence space: session requests and control
-    /// tokens alike.
-    next_seq: u64,
-    pending: BTreeMap<u64, Pending>,
+    core: SessionCore,
+    /// What each request in flight asks, by sequence number, and whether
+    /// a caller of [`CoordLink::poll`] collects the reply (the link's own
+    /// upkeep does not).
+    asks: BTreeMap<u64, (CoordOp, bool)>,
     /// Replies to callers, each handed to the first identical poll.
     answered: Vec<(CoordOp, Result<CoordOk>, Instant)>,
     outbox: Vec<ClientMsg>,
     hangup: Option<SocketAddr>,
     cache: Cache,
-    session: Option<SessionId>,
     /// Ephemerals registered under our own session.
     mine: Vec<(String, Bytes)>,
-    next_keepalive: Instant,
 }
 
 impl CoordLink {
     /// A link to the ensemble at `addrs` (at least one), starting at the
     /// first: it queues the hello, the watch and the session open.
-    pub fn new(addrs: Vec<SocketAddr>, opts: CoordClientOptions, now: Instant) -> Self {
+    pub fn new(addrs: Vec<SocketAddr>, session_ttl: Duration, now: Instant) -> Self {
         assert!(!addrs.is_empty(), "a coordination link needs a replica");
         let mut link = CoordLink {
             addrs,
-            next_keepalive: now + keepalive_every(&opts),
-            opts,
             at: 0,
             client: fresh_client_id(),
-            next_seq: 1,
-            pending: BTreeMap::new(),
+            // The ensemble's window binds the link; it never waits on one.
+            core: SessionCore::new(usize::MAX, session_ttl),
+            asks: BTreeMap::new(),
             answered: Vec::new(),
             outbox: Vec::new(),
             hangup: None,
             cache: Cache::default(),
-            session: None,
             mine: Vec::new(),
         };
-        link.send(Ask::Open, now);
+        link.core.open(COORD_RING, now);
         link.reconnect(now);
         link
     }
@@ -246,7 +193,11 @@ impl CoordLink {
 
     /// The link's own session, once open.
     pub fn session(&self) -> Option<SessionId> {
-        self.session
+        self.core
+            .sessions
+            .get(&COORD_RING)
+            .copied()
+            .map(SessionId::new)
     }
 
     /// Applies `op`, or polls for its answer (see the module docs).
@@ -257,90 +208,68 @@ impl CoordLink {
         if let Some(i) = self.answered.iter().position(|(o, _, _)| o == op) {
             return Poll::Ready(self.answered.swap_remove(i).1);
         }
-        let asked = |p: &Pending| matches!(&p.ask, Ask::Op { op: o, caller: true } if o == op);
-        if !self.pending.values().any(asked) {
+        if !self.asks.values().any(|(o, caller)| *caller && o == op) {
             if let CoordOp::RegisterEphemeral {
                 session,
                 key,
                 value,
             } = op
             {
-                if Some(*session) == self.session {
+                if Some(*session) == self.session() {
                     self.mine.retain(|(k, _)| k != key);
                     self.mine.push((key.clone(), value.clone()));
                 }
             }
-            let op = op.clone();
-            self.send(Ask::Op { op, caller: true }, now);
+            self.ask(op.clone(), true, now);
         }
         Poll::Pending
     }
 
     /// Feeds one frame from the replica.
     pub fn on_reply(&mut self, reply: ClientReply, now: Instant) {
-        let ClientReply::ResponseV2 {
-            session,
-            seq,
+        if let ClientReply::ResponseV2 {
+            session: NO_SESSION,
             payload,
             ..
-        } = reply
-        else {
-            return;
-        };
-        let (status, body) = parse_reply(&payload).unwrap_or_default();
-        if session == NO_SESSION {
+        } = &reply
+        {
             // The watch: the events of a command the replica applied.
-            if let Ok((_, events)) = decode_reply(&body) {
-                for event in events {
-                    self.on_event(event, now);
-                }
+            let events = parse_reply(payload).and_then(|(_, body)| decode_reply(&body).ok());
+            for event in events.map_or_else(Vec::new, |(_, events)| events) {
+                self.on_event(event, now);
             }
             return;
         }
-        let seq = seq.raw();
-        let Some(p) = self.pending.remove(&seq) else {
-            return;
-        };
-        let (op, caller) = match p.ask {
-            // A refused open is tried again when a keep-alive falls due.
-            Ask::Open => {
-                if let Some(id) = parse_open_reply(&payload) {
-                    self.opened(SessionId::new(id), now);
-                }
-                return;
+        match self.core.on_reply(&reply, &HashMap::new(), now) {
+            Action::Completed(seq) => {
+                let done = self.core.take_seq(seq).expect("completed");
+                let result = match decode_reply(&done.replies[0].1) {
+                    Ok((result, _)) => result.map_err(Error::Config),
+                    Err(e) => Err(Error::Wire(e)),
+                };
+                self.answer(seq, result, now);
             }
-            Ask::KeepAlive(session) => {
-                if status == ST_UNKNOWN_SESSION {
-                    self.session_lost(session, now);
-                }
-                return;
+            Action::Failed(seq, code, detail) => {
+                self.core.take_failure(seq);
+                let refused = format!("coordination request refused ({code:?}): {detail}");
+                self.answer(seq, Err(Error::Config(refused)), now);
             }
-            Ask::Op { op, caller } => (op, caller),
-        };
-        if status == ST_UNKNOWN_SESSION {
-            // Not executed: it goes again under the next session.
-            self.pending.insert(
-                seq,
-                Pending {
-                    ask: Ask::Op { op, caller },
-                    sent: now,
-                },
-            );
-            return self.session_lost(session, now);
+            // Our ephemerals go again under the new session.
+            Action::Opened(_) => {
+                let session = self.session().expect("just opened");
+                for (key, value) in self.mine.clone() {
+                    let op = CoordOp::RegisterEphemeral {
+                        session,
+                        key,
+                        value,
+                    };
+                    self.upkeep(op, now);
+                }
+            }
+            Action::SessionLost(_) | Action::Resend(..) | Action::None => {}
         }
-        let result = match decode_reply(&body) {
-            _ if status != ST_OK => Err(Error::Config(format!(
-                "coordination request refused (status {status})"
-            ))),
-            Ok((result, _)) => result.map_err(Error::Config),
-            Err(e) => Err(Error::Wire(e)),
-        };
-        if let Ok(body) = &result {
-            self.update_cache(&op, body, now);
-        }
-        if caller {
-            self.answered.push((op, result, now));
-        }
+        self.outbox
+            .extend(self.core.outbox.drain(..).map(|(_, f)| f));
     }
 
     /// The connection to `replica` closed: fail over to the next one.
@@ -351,29 +280,19 @@ impl CoordLink {
     }
 
     /// Advances the clock: abandons a replica that sat on a request for
-    /// the timeout, forgets replies nobody collected, and keeps the
-    /// session alive.
+    /// [`FAILOVER_TIMEOUT`], forgets replies nobody collected, and keeps
+    /// the session alive.
     pub fn tick(&mut self, now: Instant) {
-        let timeout = self.opts.timeout;
-        if (self.pending.values()).any(|p| now.duration_since(p.sent) >= timeout) {
+        let oldest = self.core.oldest_unanswered();
+        if oldest.is_some_and(|sent| now.duration_since(sent) >= FAILOVER_TIMEOUT) {
             self.hangup = Some(self.replica());
             self.fail_over(now);
         }
         self.answered
-            .retain(|(_, _, at)| now.duration_since(*at) < timeout);
-        if now >= self.next_keepalive {
-            self.next_keepalive = now + keepalive_every(&self.opts);
-            match self.session {
-                Some(session) => {
-                    let alive =
-                        |p: &Pending| matches!(p.ask, Ask::KeepAlive(s) if s == session.raw());
-                    if !self.pending.values().any(alive) {
-                        self.send(Ask::KeepAlive(session.raw()), now);
-                    }
-                }
-                None => self.open_session(now),
-            }
-        }
+            .retain(|(_, _, at)| now.duration_since(*at) < FAILOVER_TIMEOUT);
+        self.core.tick(now);
+        self.outbox
+            .extend(self.core.outbox.drain(..).map(|(_, f)| f));
     }
 
     /// The frames to send to [`CoordLink::replica`], oldest first.
@@ -389,11 +308,12 @@ impl CoordLink {
 
     /// The connection under the link was replaced (a failover, or an
     /// event loop taking the link over): say hello, re-arm the watch,
-    /// re-send everything pending unchanged — the session's reply cache
+    /// re-send everything in flight unchanged — the session's reply cache
     /// answers a request that was already applied — and re-fetch the
     /// cache.
     pub fn reconnect(&mut self, now: Instant) {
         self.outbox.clear();
+        self.core.outbox.clear();
         self.outbox.push(ClientMsg::HelloV2 {
             client: self.client,
             features: FEAT_ALL,
@@ -405,13 +325,12 @@ impl CoordLink {
             group: COORD_RING,
             cmd: CoordOp::WatchAll.to_bytes(),
         });
-        for p in self.pending.values_mut() {
-            p.sent = now;
-        }
-        self.resend(|_| true);
+        self.core.resend_ring(COORD_RING, now);
         for op in self.cache.refetches() {
             self.upkeep(op, now);
         }
+        self.outbox
+            .extend(self.core.outbox.drain(..).map(|(_, f)| f));
     }
 
     fn fail_over(&mut self, now: Instant) {
@@ -419,88 +338,32 @@ impl CoordLink {
         self.reconnect(now);
     }
 
-    /// Every sequence number below this one is answered (or abandoned).
-    fn ack(&self) -> u64 {
-        self.pending.keys().next().copied().unwrap_or(self.next_seq) - 1
-    }
-
-    /// The request frame for `ask` under sequence number `seq`; none for
-    /// an operation while the link has no session.
-    fn frame(&self, seq: u64, ask: &Ask) -> Option<ClientMsg> {
-        let (session, cmd) = match ask {
-            Ask::Open => {
-                let ttl_ms = self.opts.session_ttl.as_millis() as u64;
-                let open = SessionCtl::Open { token: seq, ttl_ms };
-                (SESSION_CTL, open.to_bytes())
-            }
-            Ask::KeepAlive(session) => {
-                let keep = SessionCtl::KeepAlive { session: *session };
-                (SESSION_CTL, keep.to_bytes())
-            }
-            Ask::Op { op, .. } => (self.session?.raw(), op.to_bytes()),
-        };
-        Some(ClientMsg::RequestV2 {
-            session,
-            seq: RequestId::new(seq),
-            ack: self.ack(),
-            group: COORD_RING,
-            cmd,
-        })
-    }
-
-    /// Queues again the pending requests `which` picks, unchanged.
-    fn resend(&mut self, which: impl Fn(&Ask) -> bool) {
-        let frames: Vec<ClientMsg> = (self.pending.iter())
-            .filter(|(_, p)| which(&p.ask))
-            .filter_map(|(seq, p)| self.frame(*seq, &p.ask))
-            .collect();
-        self.outbox.extend(frames);
-    }
-
-    fn send(&mut self, ask: Ask, now: Instant) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.pending.insert(seq, Pending { ask, sent: now });
-        if let Some(frame) = self.frame(seq, &self.pending[&seq].ask) {
-            self.outbox.push(frame);
-        }
+    fn ask(&mut self, op: CoordOp, caller: bool, now: Instant) {
+        let seq = (self.core).begin(COORD_RING, op.to_bytes(), Vec::new(), None, now);
+        self.asks.insert(seq, (op, caller));
+        self.outbox
+            .extend(self.core.outbox.drain(..).map(|(_, f)| f));
     }
 
     /// Sends one of the link's own operations unless an identical one is
     /// in flight.
     fn upkeep(&mut self, op: CoordOp, now: Instant) {
-        let asked = |p: &Pending| matches!(&p.ask, Ask::Op { op: o, .. } if *o == op);
-        if !self.pending.values().any(asked) {
-            self.send(Ask::Op { op, caller: false }, now);
+        if !self.asks.values().any(|(o, _)| *o == op) {
+            self.ask(op, false, now);
         }
     }
 
-    fn open_session(&mut self, now: Instant) {
-        if !self.pending.values().any(|p| matches!(p.ask, Ask::Open)) {
-            self.send(Ask::Open, now);
+    /// Folds the answer to `seq` into the cache, and keeps it for the
+    /// caller who asked.
+    fn answer(&mut self, seq: u64, result: Result<CoordOk>, now: Instant) {
+        let Some((op, caller)) = self.asks.remove(&seq) else {
+            return;
+        };
+        if let Ok(body) = &result {
+            self.update_cache(&op, body, now);
         }
-    }
-
-    /// The session opened: send what waited for it, and register our
-    /// ephemerals under it.
-    fn opened(&mut self, session: SessionId, now: Instant) {
-        self.session = Some(session);
-        self.resend(|ask| matches!(ask, Ask::Op { .. }));
-        for (key, value) in self.mine.clone() {
-            let op = CoordOp::RegisterEphemeral {
-                session,
-                key,
-                value,
-            };
-            self.upkeep(op, now);
-        }
-    }
-
-    /// `session` is gone on the ensemble; if it was ours, open another.
-    fn session_lost(&mut self, session: u64, now: Instant) {
-        if self.session.map(SessionId::raw) == Some(session) {
-            self.session = None;
-            self.open_session(now);
+        if caller {
+            self.answered.push((op, result, now));
         }
     }
 
@@ -562,25 +425,14 @@ impl CoordLink {
     }
 }
 
-fn keepalive_every(opts: &CoordClientOptions) -> Duration {
-    (opts.session_ttl / 3).max(Duration::from_millis(100))
-}
-
-/// Moves a link's frames over a transport on the caller's thread.
-pub trait Driver: Send {
-    /// Sends what `link` has queued, waits at most `wait` for the replica
-    /// to answer, and feeds back what arrived and the clock.
-    fn turn(&mut self, link: &mut CoordLink, wait: Duration);
-}
-
 /// A [`CoordLink`] as a [`Coord`] backend.
 ///
-/// While it has a [`Driver`], a call turns the driver until its answer
-/// arrives (for up to twice the link's timeout: one failover); after
-/// [`LinkCoord::hand_over`] a call only polls, and an event loop moves
-/// the frames through [`LinkCoord::with_link`].
+/// While it has its caller's-thread `Net`, a call turns it until its
+/// answer arrives (for up to twice [`FAILOVER_TIMEOUT`]: one failover);
+/// after [`LinkCoord::hand_over`] a call only polls, and an event loop
+/// moves the frames through [`LinkCoord::with_link`].
 pub struct LinkCoord {
-    state: Mutex<(CoordLink, Option<Box<dyn Driver>>)>,
+    state: Mutex<(CoordLink, Option<CallerNet>)>,
 }
 
 impl std::fmt::Debug for LinkCoord {
@@ -590,49 +442,36 @@ impl std::fmt::Debug for LinkCoord {
 }
 
 impl LinkCoord {
-    /// `link`, driven on its callers' threads by `driver`.
-    pub fn new(link: CoordLink, driver: Box<dyn Driver>) -> Self {
-        LinkCoord {
-            state: Mutex::new((link, Some(driver))),
-        }
+    fn lock(&self) -> MutexGuard<'_, (CoordLink, Option<CallerNet>)> {
+        self.state.lock().expect("coordination link lock")
     }
 
-    /// Turns the driver until `done` holds or `wait` passes; `done`'s
-    /// last verdict.
-    pub fn drive_until(&self, wait: Duration, done: impl Fn(&CoordLink) -> bool) -> bool {
-        let deadline = Instant::now() + wait;
-        let mut state = self.state.lock();
-        let (link, driver) = &mut *state;
-        while !done(link) {
-            let left = deadline.saturating_duration_since(Instant::now());
-            let Some(driver) = driver.as_mut().filter(|_| !left.is_zero()) else {
-                return false;
-            };
-            driver.turn(link, left);
-        }
-        true
+    /// The link behind `registry`, if it talks to an ensemble.
+    pub fn of(registry: &Registry) -> Option<Arc<LinkCoord>> {
+        let backend: Arc<dyn Any + Send + Sync> = registry.backend().clone();
+        backend.downcast().ok()
     }
 
-    /// Hands the link to an event loop: the driver and its connection are
-    /// dropped, the link reconnects through whatever the loop dials, and
-    /// calls from now on only poll.
+    /// Hands the link to an event loop: the caller's-thread `Net` and its
+    /// connection are dropped, the link reconnects through whatever the
+    /// loop dials, and calls from now on only poll.
     pub fn hand_over(&self) {
-        let mut state = self.state.lock();
+        let mut state = self.lock();
         state.1 = None;
         state.0.reconnect(Instant::now());
     }
 
     /// Runs `f` on the link (for the event loop that drives it).
     pub fn with_link<R>(&self, f: impl FnOnce(&mut CoordLink) -> R) -> R {
-        f(&mut self.state.lock().0)
+        f(&mut self.lock().0)
     }
 }
 
 impl Coord for LinkCoord {
     fn call(&self, op: CoordOp) -> Result<CoordOk> {
-        let mut state = self.state.lock();
-        let (link, driver) = &mut *state;
-        let Some(driver) = driver else {
+        let mut state = self.lock();
+        let (link, net) = &mut *state;
+        let Some(net) = net else {
             return match link.poll(&op, Instant::now()) {
                 Poll::Ready(result) => result,
                 Poll::Pending => Err(Error::Timeout("coordination reply pending")),
@@ -640,8 +479,8 @@ impl Coord for LinkCoord {
         };
         // What arrived since the last call first: events keep the cache
         // current.
-        driver.turn(link, Duration::ZERO);
-        let deadline = Instant::now() + link.opts.timeout * 2;
+        net.turn(link, Duration::ZERO);
+        let deadline = Instant::now() + FAILOVER_TIMEOUT * 2;
         loop {
             let now = Instant::now();
             if let Poll::Ready(result) = link.poll(&op, now) {
@@ -650,12 +489,81 @@ impl Coord for LinkCoord {
             if now >= deadline {
                 return Err(Error::Timeout("coordination service unreachable"));
             }
-            driver.turn(link, deadline - now);
+            net.turn(link, deadline - now);
         }
     }
 
     fn session(&self) -> Option<SessionId> {
-        self.state.lock().0.session()
+        self.lock().0.session()
+    }
+}
+
+/// Connects a registry to the `amcoordd` ensemble at `addrs`, driven on
+/// its callers' threads, and waits for its session (of TTL
+/// `session_ttl`) to open.
+///
+/// # Errors
+///
+/// Fails when `addrs` is empty or no replica opens a session in time.
+pub fn connect_coord(addrs: &[SocketAddr], session_ttl: Duration) -> Result<Registry> {
+    if addrs.is_empty() {
+        return Err(Error::Config("no amcoordd addresses".into()));
+    }
+    let mut link = CoordLink::new(addrs.to_vec(), session_ttl, Instant::now());
+    let mut net = CallerNet {
+        net: Net::new("amcoord-dial".into(), Counter::default())?,
+        events: Vec::new(),
+    };
+    let deadline = Instant::now() + CONNECT_DEADLINE;
+    while link.session().is_none() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(Error::Timeout("no amcoordd replica opened a session"));
+        }
+        net.turn(&mut link, left);
+    }
+    let state = Mutex::new((link, Some(net)));
+    Ok(Registry::from_backend(Arc::new(LinkCoord { state })))
+}
+
+/// A link's sockets on its caller's thread.
+struct CallerNet {
+    net: Net<ClientReply, ()>,
+    events: Vec<Event<ClientReply, ()>>,
+}
+
+impl CallerNet {
+    /// Sends what `link` has queued, waits at most `wait` for the replica
+    /// to answer, and feeds back what arrived and the clock.
+    fn turn(&mut self, link: &mut CoordLink, wait: Duration) {
+        flush(link, &mut self.net, Reader::Frames(|buf| buf.try_next()));
+        self.net.wait(wait, &mut self.events);
+        let now = Instant::now();
+        for event in self.events.drain(..) {
+            match event {
+                Event::Frame(_, reply) => link.on_reply(reply, now),
+                Event::LinkDown(replica) => link.on_closed(replica, now),
+                Event::Accepted(..) | Event::Closed(_) | Event::Mail(()) => {}
+            }
+        }
+        link.tick(now);
+    }
+}
+
+/// Queues what `link` has to send on `net`, whose link to the replica is
+/// read with `reader`, and hangs up on a replica the link abandoned.
+pub(crate) fn flush<In, M: Send + 'static>(
+    link: &mut CoordLink,
+    net: &mut Net<In, M>,
+    reader: Reader<In>,
+) {
+    if let Some(abandoned) = link.take_hangup() {
+        net.hang_up(abandoned);
+    }
+    let replica = link.replica();
+    for frame in link.take_outbox() {
+        net.read_link(replica, reader);
+        net.send_to(replica, &frame);
     }
 }
 
@@ -664,6 +572,8 @@ mod tests {
     use super::*;
     use bytes::BytesMut;
     use common::ids::Epoch;
+    use common::value::SESSION_CTL;
+    use common::wire::client::{ST_OK, ST_UNKNOWN_SESSION};
     use common::wire::coord::{encode_reply, CoordResult};
     use common::wire::put_varint;
 
@@ -728,7 +638,7 @@ mod tests {
 
     /// A link whose session is open and whose start-up frames are gone.
     fn open_link(now: Instant) -> CoordLink {
-        let mut link = CoordLink::new(addrs(), CoordClientOptions::default(), now);
+        let mut link = CoordLink::new(addrs(), Duration::from_secs(3), now);
         let ctl: Vec<_> = (requests(&mut link).into_iter())
             .filter(|(session, _, _)| *session == SESSION_CTL)
             .collect();
@@ -852,7 +762,7 @@ mod tests {
         assert!(link.poll(&register, now).is_pending());
         let sent = requests(&mut link);
         let first = link.replica();
-        let later = now + CoordClientOptions::default().timeout;
+        let later = now + FAILOVER_TIMEOUT;
         link.tick(later);
         assert_eq!(link.take_hangup(), Some(first));
         let resent = requests(&mut link);

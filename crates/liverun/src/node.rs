@@ -18,8 +18,8 @@
 //! is `Shutdown`.
 //!
 //! Against an `amcoordd` ensemble the loop also owns the node's
-//! coordination session: it drives the node's [`coord::CoordLink`] on
-//! its own sockets (see [`crate::coord_client`]), so a registry call
+//! coordination session: it drives the node's [`crate::link::CoordLink`]
+//! on its own sockets, so a registry call
 //! made by the host — a failure report, a config read — polls the link
 //! and never waits on the ensemble.
 //!
@@ -47,14 +47,14 @@ use common::transport::{PeerFrame, TimerHeap, WallClock};
 use common::value::Envelope;
 use common::wire::client::{ClientMsg, ClientReply, ErrorCode, FEAT_ALL};
 use common::wire::Wire;
-use coord::{LinkCoord, Registry};
+use coord::Registry;
 use multiring::{HostOptions, MultiRingHost, ServiceApp};
 use rand::{rngs::StdRng, SeedableRng};
 use simnet::{Ctx, Process, Timer};
 
 use crate::batch::{BatchOptions, Batcher};
-use crate::coord_client::flush;
 use crate::coord_node::CoordFront;
+use crate::link::{flush, LinkCoord};
 use crate::net::{spawn_loop, ConnId, Event, Mailer, Net, Reader};
 
 /// Client connections are addressed as synthetic nodes at and above this

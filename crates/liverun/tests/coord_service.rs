@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use common::ids::{NodeId, RingId};
-use coord::{CoordClientOptions, RingConfig};
+use coord::RingConfig;
 use liverun::coord_node::{
     start_coord_server, CoordEnsemble, CoordServerConfig, CoordServerHandle,
 };
@@ -229,8 +229,8 @@ fn a_deployment_on_the_ensemble_runs_only_loop_threads() {
 fn ensemble_replicates_writes_and_pushes_watches() {
     let (handles, addrs) = start_ensemble(3, base_port());
     // Two clients on *different* replicas.
-    let a = connect_coord(&addrs[..1], CoordClientOptions::default()).unwrap();
-    let b = connect_coord(&addrs[1..2], CoordClientOptions::default()).unwrap();
+    let a = connect_coord(&addrs[..1], Duration::from_secs(3)).unwrap();
+    let b = connect_coord(&addrs[1..2], Duration::from_secs(3)).unwrap();
 
     // A write through A becomes visible to B (replicated, then applied on
     // B's replica).
@@ -284,8 +284,8 @@ fn ensemble_replicates_writes_and_pushes_watches() {
 #[test]
 fn reads_through_another_replica_see_every_acknowledged_write() {
     let (handles, addrs) = start_ensemble(3, base_port());
-    let writer = connect_coord(&addrs[..1], CoordClientOptions::default()).unwrap();
-    let reader = connect_coord(&addrs[2..], CoordClientOptions::default()).unwrap();
+    let writer = connect_coord(&addrs[..1], Duration::from_secs(3)).unwrap();
+    let reader = connect_coord(&addrs[2..], Duration::from_secs(3)).unwrap();
     for i in 0..50 {
         let key = format!("lin-{i}");
         let value = Bytes::from(format!("v{i}"));
@@ -306,12 +306,9 @@ fn reads_through_another_replica_see_every_acknowledged_write() {
 #[test]
 fn session_expiry_drops_ephemeral_entries() {
     let (handles, addrs) = start_ensemble(3, base_port());
-    let short = CoordClientOptions {
-        session_ttl: Duration::from_millis(600),
-        ..CoordClientOptions::default()
-    };
+    let short = Duration::from_millis(600);
     let transient = connect_coord(&addrs[..1], short).unwrap();
-    let observer = connect_coord(&addrs[2..], CoordClientOptions::default()).unwrap();
+    let observer = connect_coord(&addrs[2..], Duration::from_secs(3)).unwrap();
 
     transient
         .announce("nodes/9", Bytes::from_static(b"127.0.0.1:1"))
@@ -378,7 +375,7 @@ fn replica_restart_in_place_serves_ops_committed_while_down() {
     let addrs = ensemble.client_addrs();
 
     // A client pinned to the replicas that will survive.
-    let client = connect_coord(&addrs[..2], CoordClientOptions::default()).unwrap();
+    let client = connect_coord(&addrs[..2], Duration::from_secs(3)).unwrap();
     client
         .register_ring(
             RingConfig::new(RingId::new(1), nodes(&[0, 1, 2]), nodes(&[0, 1, 2])).unwrap(),
@@ -409,7 +406,7 @@ fn replica_restart_in_place_serves_ops_committed_while_down() {
 
     // A client pinned to ONLY the restarted replica: everything above
     // must be visible there, including the CAS version history.
-    let pinned = connect_coord(&addrs[2..], CoordClientOptions::default()).unwrap();
+    let pinned = connect_coord(&addrs[2..], Duration::from_secs(3)).unwrap();
     assert!(
         wait_until(Duration::from_secs(20), || {
             pinned.ring(RingId::new(1)).is_ok()
@@ -458,8 +455,8 @@ fn restart_in_place_preserves_counters_and_resets_gauges() {
     let mut ensemble =
         CoordEnsemble::localhost(3, base_port(), Some(&dir)).expect("ensemble launches");
     let addrs = ensemble.client_addrs();
-    let client = connect_coord(&addrs[..2], CoordClientOptions::default()).unwrap();
-    let pinned = connect_coord(&addrs[2..], CoordClientOptions::default()).unwrap();
+    let client = connect_coord(&addrs[..2], Duration::from_secs(3)).unwrap();
+    let pinned = connect_coord(&addrs[2..], Duration::from_secs(3)).unwrap();
 
     const WRITES: u64 = 12;
     for i in 0..WRITES {
@@ -504,7 +501,7 @@ fn restart_in_place_preserves_counters_and_resets_gauges() {
     }
     ensemble.restart(2).expect("replica 2 restarts in place");
 
-    let pinned = connect_coord(&addrs[2..], CoordClientOptions::default())
+    let pinned = connect_coord(&addrs[2..], Duration::from_secs(3))
         .expect("restarted replica serves clients");
     // The monotonic counter survives the incarnation change: it is
     // seeded from the checkpoint + WAL-replay cursor, which covers at
@@ -555,7 +552,7 @@ fn restart_in_place_preserves_counters_and_resets_gauges() {
 fn client_and_ensemble_survive_replica_failure() {
     let (mut handles, addrs) = start_ensemble(3, base_port());
     // This client starts on replica 0's address.
-    let client = connect_coord(&addrs, CoordClientOptions::default()).unwrap();
+    let client = connect_coord(&addrs, Duration::from_secs(3)).unwrap();
     client
         .register_ring(RingConfig::new(RingId::new(1), nodes(&[5, 6]), nodes(&[5, 6])).unwrap())
         .unwrap();
@@ -615,7 +612,7 @@ fn wal_rotation_prunes_segments_and_restart_recovers_over_rotated_dir() {
         .collect();
     let mut ensemble = CoordEnsemble::launch(configs).expect("ensemble launches");
     let addrs = ensemble.client_addrs();
-    let client = connect_coord(&addrs[..2], CoordClientOptions::default()).unwrap();
+    let client = connect_coord(&addrs[..2], Duration::from_secs(3)).unwrap();
 
     // Enough replicated writes to roll through many segments (plus the
     // session/keep-alive traffic riding the same log).
@@ -648,7 +645,7 @@ fn wal_rotation_prunes_segments_and_restart_recovers_over_rotated_dir() {
         .restart(2)
         .expect("replica 2 restarts over rotation");
 
-    let pinned = connect_coord(&addrs[2..], CoordClientOptions::default()).unwrap();
+    let pinned = connect_coord(&addrs[2..], Duration::from_secs(3)).unwrap();
     assert!(
         wait_until(Duration::from_secs(20), || {
             pinned.meta("rot-0") == Some(Bytes::from_static(b"x"))

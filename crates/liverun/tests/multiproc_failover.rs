@@ -34,7 +34,6 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use common::ids::{ClientId, NodeId, RingId};
-use coord::CoordClientOptions;
 use liverun::config::{generate_localhost_mrpstore, with_coord};
 use liverun::{connect_coord, ClientOptions, Deployment, DeploymentConfig, StoreClient};
 
@@ -200,8 +199,8 @@ fn coordinator_kill_and_restart_through_amcoordd() {
 
     // Observe the cluster through our own coordination client; its
     // session opening doubles as "the ensemble's ring has formed".
-    let registry = connect_coord(&coord_serve, CoordClientOptions::default())
-        .expect("amcoordd ensemble reachable");
+    let registry =
+        connect_coord(&coord_serve, Duration::from_secs(3)).expect("amcoordd ensemble reachable");
 
     for id in 0..3u32 {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_amcastd"));
@@ -413,7 +412,7 @@ fn coordinator_kill_and_restart_through_amcoordd() {
     // at all proves its ring rejoined (a session open replicates through
     // the log, so its applied cursor is advancing again), and the read
     // below proves catch-up surfaced state committed while it was down.
-    let pinned = connect_coord(&coord_serve[1..2], CoordClientOptions::default())
+    let pinned = connect_coord(&coord_serve[1..2], Duration::from_secs(3))
         .expect("restarted amcoordd replica serves clients");
     wait_until(
         "restarted amcoordd to serve ops committed while it was down",
@@ -522,7 +521,7 @@ fn a_stopped_coordination_service_does_not_stall_the_data_path() {
     let config = DeploymentConfig::parse(&doc).unwrap();
     let deployment = Deployment::launch(config.clone()).expect("deployment launches");
     let epochs = || {
-        let fresh = connect_coord(&serve, CoordClientOptions::default()).expect("ensemble");
+        let fresh = connect_coord(&serve, Duration::from_secs(3)).expect("ensemble");
         let rings = [RingId::new(0), RingId::new(1)];
         let epochs = rings.map(|r| fresh.ring(r).expect("ring config").epoch());
         (epochs, fresh)

@@ -17,8 +17,7 @@ use common::value::SESSION_CTL;
 use common::wire::client::{ClientMsg, ClientReply, SessionCtl, ST_OK};
 use common::wire::coord::{encode_reply, CoordOk, CoordOp, RingConfigWire};
 use common::wire::{put_varint, Wire};
-use coord::{CoordClientOptions, LinkCoord};
-use liverun::connect_coord;
+use liverun::{connect_coord, LinkCoord};
 
 fn cfg(epoch: u64, coordinator: u32) -> RingConfigWire {
     let members: Vec<NodeId> = (0..3).map(NodeId::new).collect();
@@ -185,21 +184,14 @@ fn a_disconnect_keeps_the_cache_and_refreshes_it() {
     // A long session TTL keeps keep-alives quiet for the whole test:
     // nothing else goes to the replica, so a fresh read below can only
     // come from the refresh that follows the disconnect.
-    let registry = connect_coord(
-        &[addr],
-        CoordClientOptions {
-            session_ttl: Duration::from_secs(120),
-            ..CoordClientOptions::default()
-        },
-    )
-    .expect("connect");
+    let registry = connect_coord(&[addr], Duration::from_secs(120)).expect("connect");
     // A first read, on the caller's thread, fills the cache.
     let ring = RingId::new(7);
     assert_eq!(registry.ring(ring).expect("read").epoch(), Epoch::new(5));
 
     // From here on this test is the event loop: a registry call only
     // polls the link, and the loop's turns move its frames.
-    let link = Arc::clone(registry.link().expect("a link"));
+    let link = LinkCoord::of(&registry).expect("a link");
     link.hand_over();
     let mut driver = TestLoop {
         conn: None,

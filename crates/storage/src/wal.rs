@@ -324,8 +324,8 @@ impl Wal {
 
 /// A sink for a node's *decided log*: records tagged with their log
 /// position, group-committed, and (where the backend supports it)
-/// prunable below a durable checkpoint cursor. [`Wal`] implements it as
-/// a single ever-growing file; [`SegmentedWal`] adds rotation.
+/// prunable below a durable checkpoint cursor. [`SegmentedWal`]
+/// implements it over rotated segment files.
 pub trait DecidedLog: Send + 'static {
     /// Stages one record at log position `pos` for group commit.
     fn stage(&mut self, pos: u64, encode: &mut dyn FnMut(&mut BytesMut));
@@ -350,20 +350,6 @@ pub trait DecidedLog: Send + 'static {
 
     /// Points the log's metrics at `obs`. Default: records nothing.
     fn instrument(&mut self, _obs: &Obs) {}
-}
-
-impl DecidedLog for Wal {
-    fn stage(&mut self, _pos: u64, encode: &mut dyn FnMut(&mut BytesMut)) {
-        self.append_buffered_with(|buf| encode(buf));
-    }
-
-    fn instrument(&mut self, obs: &Obs) {
-        Wal::instrument(self, obs);
-    }
-
-    fn commit(&mut self) -> Result<()> {
-        Wal::commit(self)
-    }
 }
 
 /// One record of a [`SegmentedWal`] segment: the log position followed
@@ -876,20 +862,6 @@ mod tests {
         drop(w);
         assert!(!SegmentedWal::dir_lock_path(&dir).exists());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn plain_wal_decided_log_ignores_prune() {
-        let path = tmp("plainlog");
-        let mut wal = Wal::open(&path, SyncPolicy::OsDecides).unwrap();
-        let e = entry(1);
-        DecidedLog::stage(&mut wal, 1, &mut |buf| e.encode(buf));
-        DecidedLog::commit(&mut wal).unwrap();
-        assert_eq!(wal.prune_below(100).unwrap(), 0);
-        let records: Vec<AcceptedEntry> = Wal::replay(&path).unwrap();
-        assert_eq!(records, vec![entry(1)]);
-        drop(wal);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -351,7 +351,6 @@ fn live_mrpstore_survives_replica_restart_with_closed_loop_clients() {
 /// deterministically for the restart-in-place to succeed.
 #[test]
 fn live_mrpstore_reconfigures_through_amcoord_ensemble() {
-    use atomic_multicast::coord::CoordClientOptions;
     use atomic_multicast::liverun::config::{
         free_port_block, generate_localhost_mrpstore, with_coord,
     };
@@ -400,7 +399,7 @@ fn live_mrpstore_reconfigures_through_amcoord_ensemble() {
 
     // Kill the ring coordinator. The membership change must land in the
     // *coordination service* (not any process-local registry).
-    let observer = connect_coord(&coord_serve, CoordClientOptions::default()).unwrap();
+    let observer = connect_coord(&coord_serve, Duration::from_secs(3)).unwrap();
     deployment.kill(NodeId::new(0)).unwrap();
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
     loop {
