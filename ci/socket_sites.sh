@@ -21,12 +21,20 @@
 # call, so `extern "C"` or `unsafe` anywhere else under crates/*/src fails.
 #
 # One client session machine: the v2 client's `SessionCore`
-# (crates/liverun/src/client.rs) opens and keeps alive every client
-# session, data and coordination alike. So `SessionCtl::Open` /
-# `SessionCtl::KeepAlive` appear nowhere else under crates/*/src, except
-# in their codec (crates/common/src/wire.rs) and the server's session
-# table (crates/multiring/src/session.rs); and crates/coord/src, which
-# holds no client at all, names no `wire::client` item.
+# (crates/multiring/src/client.rs) opens and keeps alive every client
+# session — live data, coordination and simulated alike. So
+# `SessionCtl::Open` / `SessionCtl::KeepAlive` appear nowhere else under
+# crates/*/src, except in their codec (crates/common/src/wire.rs) and the
+# server's session table (crates/multiring/src/session.rs); and
+# crates/coord/src, which holds no client at all, names no `wire::client`
+# item.
+#
+# One client protocol: simulated and live clients both speak protocol v2
+# (`wire::client`), so the peer message module (crates/common/src/msg.rs)
+# declares no client request or response type of its own, and non-test
+# code under crates/multiring/src and crates/liverun/src builds no
+# session-less `Envelope::v1`: every envelope comes out of the host's v2
+# admission (or is a session-control command).
 #
 # "Non-test" is everything above a file's top-level `#[cfg(test)]`
 # module; comment lines do not count.
@@ -59,12 +67,16 @@ mapfile -t coord < <(find crates/coord/src -name '*.rs' | sort)
 scan 'TcpStream|TcpListener|thread::' "${coord[@]}" || fail=1
 scan 'wire::client' "${coord[@]}" || fail=1
 mapfile -t sessions < <(find crates -path 'crates/*/src/*' -name '*.rs' \
-    ! -path crates/liverun/src/client.rs ! -path crates/common/src/wire.rs \
+    ! -path crates/multiring/src/client.rs ! -path crates/common/src/wire.rs \
     ! -path crates/multiring/src/session.rs | sort)
 scan 'SessionCtl::(Open|KeepAlive)' "${sessions[@]}" || fail=1
+scan '(enum|struct)[[:space:]]+(Client[[:alnum:]_]*|[[:alnum:]_]*(Request|Response|Reply))([^[:alnum:]_]|$)' \
+    crates/common/src/msg.rs || fail=1
+mapfile -t v2_only < <(find crates/multiring/src crates/liverun/src -name '*.rs' | sort)
+scan 'Envelope::v1' "${v2_only[@]}" || fail=1
 
 if [ "$fail" -ne 0 ]; then
-    echo "socket sites: FAILED — open sockets and call foreign code through liverun::net (crates/liverun/src/net.rs), let the loop thread own them, and open client sessions only through liverun's SessionCore" >&2
+    echo "socket sites: FAILED — open sockets and call foreign code through liverun::net (crates/liverun/src/net.rs), let the loop thread own them, open client sessions only through multiring's SessionCore, and speak only client protocol v2" >&2
     exit 1
 fi
-echo "socket sites: ok (every socket is opened and every foreign call made in liverun::net; no thread sits on one; one client session machine)"
+echo "socket sites: ok (every socket is opened and every foreign call made in liverun::net; no thread sits on one; one client session machine; one client protocol)"

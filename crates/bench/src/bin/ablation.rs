@@ -18,7 +18,7 @@ use common::ids::{NodeId, PartitionId, RingId};
 use common::SimTime;
 use coord::{PartitionInfo, Registry, RingConfig};
 use multiring::client::{ClosedLoopClient, CommandSpec};
-use multiring::{EchoApp, HostOptions, MultiRingHost};
+use multiring::{EchoApp, HostOptions, MultiRingHost, SessionApp};
 use ringpaxos::options::{RateLeveling, RingOptions};
 use simnet::{CpuModel, Sim, Topology};
 use storage::StorageMode;
@@ -63,7 +63,7 @@ fn run(m: u64, rate_leveling: Option<RateLeveling>) -> f64 {
             &rings,
             &rings,
             Some(PartitionId::new(0)),
-            Box::new(EchoApp::new()),
+            Box::new(SessionApp::new(Box::new(EchoApp::new()))),
             host_opts.clone(),
         );
         sim.add_node_with_cpu(0, host, CpuModel::server());

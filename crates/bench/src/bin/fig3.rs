@@ -16,7 +16,7 @@ use bench::scaffold::{client_id, deploy_service, payload, print_cdf, print_table
 use common::ids::PartitionId;
 use common::SimTime;
 use multiring::client::{ClosedLoopClient, CommandSpec};
-use multiring::{EchoApp, HostOptions};
+use multiring::{EchoApp, HostOptions, SessionApp};
 use ringpaxos::options::RingOptions;
 use simnet::{CpuModel, Sim, Topology};
 use storage::StorageMode;
@@ -53,7 +53,7 @@ fn run_one(mode: StorageMode, size: usize) -> Cell {
         false,
         &host_opts,
         CpuModel::server(),
-        |_| Box::new(EchoApp::new()),
+        |_| Box::new(SessionApp::new(Box::new(EchoApp::new()))),
     );
     let ring = dep.partition_rings[0];
     let proposers: HashMap<_, _> = dep.proposer_map();

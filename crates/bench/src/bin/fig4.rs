@@ -25,7 +25,7 @@ use common::wire::Wire;
 use common::SimTime;
 use mrpstore::{KvApp, KvCommand, Partitioning};
 use multiring::client::{ClosedLoopClient, CommandSpec, SharedClientStats};
-use multiring::HostOptions;
+use multiring::{HostOptions, SessionApp, SessionLimits};
 use ringpaxos::options::{BatchPolicy, RateLeveling, RingOptions};
 use simnet::{CpuModel, Ctx, Process, Sim, Timer, Topology};
 use storage::{DiskProfile, StorageMode};
@@ -157,7 +157,12 @@ fn run_mrp(spec: WorkloadSpec, global_ring: bool) -> (f64, SharedClientStats) {
             for i in 0..RECORDS {
                 app.preload(key_of(i), Bytes::from(vec![7u8; VALUE_SIZE]));
             }
-            Box::new(app)
+            // Room for the client's session window.
+            let limits = SessionLimits {
+                max_cached: 2 * THREADS * (PARTITIONS + 1),
+                ..SessionLimits::default()
+            };
+            Box::new(SessionApp::with_limits(Box::new(app), limits))
         },
     );
     scheme.publish(&dep.registry);

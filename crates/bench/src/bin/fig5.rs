@@ -22,7 +22,7 @@ use common::SimTime;
 use coord::{PartitionInfo, Registry, RingConfig};
 use dlog::{DlogApp, LogCommand};
 use multiring::client::{ClosedLoopClient, CommandSpec};
-use multiring::{HostOptions, MultiRingHost};
+use multiring::{HostOptions, MultiRingHost, SessionApp};
 use ringpaxos::options::RingOptions;
 use simnet::{CpuModel, Ctx, Process, Sim, Timer, Topology};
 use storage::{DiskProfile, StorageMode};
@@ -76,7 +76,7 @@ fn run_dlog(threads: usize) -> (f64, f64) {
             &rings,
             &rings,
             Some(PartitionId::new(0)),
-            Box::new(DlogApp::new(&[0, 1])),
+            Box::new(SessionApp::new(Box::new(DlogApp::new(&[0, 1])))),
             host_opts.clone(),
         );
         sim.add_node_with_cpu(0, host, CpuModel::server());

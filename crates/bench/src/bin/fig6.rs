@@ -22,7 +22,7 @@ use common::SimTime;
 use coord::{PartitionInfo, Registry, RingConfig};
 use dlog::{DlogApp, LogCommand};
 use multiring::client::{ClosedLoopClient, CommandSpec};
-use multiring::{HostOptions, MultiRingHost};
+use multiring::{HostOptions, MultiRingHost, SessionApp};
 use ringpaxos::options::{BatchPolicy, RateLeveling, RingOptions};
 use simnet::{CpuModel, Sim, Topology};
 use storage::{DiskProfile, StorageMode};
@@ -72,7 +72,7 @@ fn run(k: usize) -> (f64, common::Histogram) {
             &rings,
             &rings,
             Some(PartitionId::new(0)),
-            Box::new(DlogApp::new(&logs)),
+            Box::new(SessionApp::new(Box::new(DlogApp::new(&logs)))),
             host_opts.clone(),
         );
         sim.add_node_with_cpu(0, host, CpuModel::server());

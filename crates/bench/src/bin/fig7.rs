@@ -19,7 +19,7 @@ use common::wire::Wire;
 use common::SimTime;
 use mrpstore::{KvApp, KvCommand, Partitioning};
 use multiring::client::{ClosedLoopClient, CommandSpec};
-use multiring::HostOptions;
+use multiring::{HostOptions, SessionApp, SessionLimits};
 use ringpaxos::options::{BatchPolicy, RateLeveling, RingOptions};
 use simnet::{CpuModel, Region, Sim, Topology};
 use storage::{DiskProfile, StorageMode};
@@ -64,7 +64,15 @@ fn run(regions: usize) -> (f64, common::Histogram) {
         true, // replicas from all the rings are also part of a global ring
         &host_opts,
         CpuModel::server(),
-        |p| Box::new(KvApp::new(PartitionId::new(p as u16), scheme.clone())),
+        |p| {
+            // Room for a region client's session window.
+            let limits = SessionLimits {
+                max_cached: 2 * CLIENT_THREADS,
+                ..SessionLimits::default()
+            };
+            let kv = KvApp::new(PartitionId::new(p as u16), scheme.clone());
+            Box::new(SessionApp::with_limits(Box::new(kv), limits))
+        },
     );
     scheme.publish(&dep.registry);
 

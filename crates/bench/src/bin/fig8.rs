@@ -18,7 +18,7 @@ use bench::scaffold::{client_id, deploy_service, payload, Sampler};
 use common::ids::{NodeId, PartitionId};
 use common::SimTime;
 use multiring::client::{ClosedLoopClient, CommandSpec};
-use multiring::{EchoApp, HostOptions};
+use multiring::{EchoApp, HostOptions, SessionApp};
 use ringpaxos::options::RingOptions;
 use simnet::{CpuModel, Sim, Topology};
 use storage::{DiskProfile, StorageMode};
@@ -62,7 +62,7 @@ fn main() {
         false,
         &host_opts,
         CpuModel::server(),
-        |_| Box::new(EchoApp::new()),
+        |_| Box::new(SessionApp::new(Box::new(EchoApp::new()))),
     );
     let ring = dep.partition_rings[0];
     let body = payload(REQUEST_SIZE);

@@ -8,7 +8,7 @@ use common::ids::{NodeId, PartitionId, RingId};
 use common::SimTime;
 use coord::{PartitionInfo, Registry, RingConfig};
 use multiring::client::{ClosedLoopClient, CommandSpec};
-use multiring::{EchoApp, HostOptions, MultiRingHost};
+use multiring::{EchoApp, HostOptions, MultiRingHost, SessionApp};
 use ringpaxos::options::{RateLeveling, RingOptions};
 use simnet::{CpuModel, Region, Sim, Topology};
 use storage::StorageMode;
@@ -65,7 +65,7 @@ fn main() {
             &[ring],
             &[ring],
             Some(PartitionId::new(0)),
-            Box::new(EchoApp::new()),
+            Box::new(SessionApp::new(Box::new(EchoApp::new()))),
             host_opts.clone(),
         );
         hosts_execd.push(sim.add_node_with_cpu(sites[i], host, CpuModel::free()));

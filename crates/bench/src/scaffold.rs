@@ -314,7 +314,7 @@ pub fn print_cdf(title: &str, hist: &Histogram) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use multiring::EchoApp;
+    use multiring::{EchoApp, SessionApp};
     use ringpaxos::options::RingOptions;
     use storage::StorageMode;
 
@@ -336,7 +336,7 @@ mod tests {
             true,
             &host_opts,
             CpuModel::free(),
-            |_| Box::new(EchoApp::new()),
+            |_| Box::new(SessionApp::new(Box::new(EchoApp::new()))),
         );
         assert_eq!(dep.replicas.len(), 3);
         assert_eq!(dep.replicas[2][2], NodeId::new(8));

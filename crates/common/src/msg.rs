@@ -2,6 +2,9 @@
 //!
 //! Everything that travels between processes — Ring Paxos phases, client
 //! traffic, recovery/trimming and baseline-specific payloads — is a [`Msg`].
+//! Client traffic is the live client protocol's own frames
+//! ([`crate::wire::client`]), so a simulated client speaks protocol v2
+//! exactly as a live one does.
 //! Having a single concrete message type keeps the simulator and the live
 //! transport free of generics while still letting services define their own
 //! command encodings inside [`bytes::Bytes`] payloads.
@@ -21,8 +24,9 @@ use std::cmp::Ordering;
 use std::fmt;
 
 use crate::error::WireError;
-use crate::ids::{Ballot, ClientId, InstanceId, NodeId, PartitionId, RequestId, RingId};
+use crate::ids::{Ballot, InstanceId, NodeId, PartitionId, RingId};
 use crate::value::{Value, ValueId};
+use crate::wire::client::{ClientMsg, ClientReply};
 use crate::wire::{
     get_bytes, get_tag, get_varint, get_vec, put_bytes, put_varint, put_vec, varint_len, Wire,
 };
@@ -47,8 +51,10 @@ fn entry_len(e: &AcceptedEntry) -> usize {
 pub enum Msg {
     /// A Ring Paxos protocol message for one ring.
     Ring(RingId, RingMsg),
-    /// Client request/response traffic.
+    /// A client's protocol-v2 frame to a serving node.
     Client(ClientMsg),
+    /// A serving node's protocol-v2 frame to a client.
+    Reply(ClientReply),
     /// Recovery, checkpointing and log-trimming traffic.
     Recovery(RecoveryMsg),
     /// Free-form payload used by baseline systems and tests; the `u16` tags
@@ -58,12 +64,14 @@ pub enum Msg {
 
 impl Msg {
     /// On-wire size in bytes, used by the simulator's bandwidth and CPU
-    /// cost models. Computed without serializing; exact for ring traffic
-    /// (the hot path), approximate for client/recovery messages.
+    /// cost models. Computed without serializing for ring traffic (the hot
+    /// path); exact for ring and client traffic, approximate for
+    /// recovery messages.
     pub fn wire_size(&self) -> usize {
         match self {
             Msg::Ring(ring, m) => 1 + varint_len(u64::from(ring.raw())) + m.wire_size(),
-            Msg::Client(m) => 1 + m.wire_size(),
+            Msg::Client(m) => 1 + m.encoded_len(),
+            Msg::Reply(m) => 1 + m.encoded_len(),
             Msg::Recovery(m) => 1 + m.wire_size(),
             Msg::Custom(_, b) => 3 + b.len(),
         }
@@ -485,106 +493,6 @@ impl Wire for RingMsg {
     }
 }
 
-/// Client traffic. Requests go to a proposer of the target group; responses
-/// come back from replicas (over UDP in the paper — unordered and possibly
-/// duplicated, which clients must tolerate).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ClientMsg {
-    /// Submit `cmd` for atomic multicast to `group`.
-    Request {
-        /// Issuing client.
-        client: ClientId,
-        /// Client's request sequence number.
-        client_seq: RequestId,
-        /// Target multicast group.
-        group: RingId,
-        /// Service-specific command bytes.
-        cmd: Bytes,
-    },
-    /// A replica's reply to a request.
-    Response {
-        /// The client being answered.
-        client: ClientId,
-        /// Which request this answers.
-        client_seq: RequestId,
-        /// The session the command executed under, echoed from the
-        /// delivered envelope ([`crate::value::NO_SESSION`] for v1
-        /// traffic). The echo travels with the reply from the *executing*
-        /// replica, so a straggler answer from an earlier client
-        /// incarnation can never alias a new request's sequence number.
-        session: u64,
-        /// Replica that executed the command.
-        from_replica: NodeId,
-        /// Service-specific response bytes.
-        payload: Bytes,
-    },
-}
-
-impl ClientMsg {
-    /// Approximate on-wire size without serializing.
-    pub fn wire_size(&self) -> usize {
-        match self {
-            ClientMsg::Request { cmd, .. } => 12 + cmd.len(),
-            ClientMsg::Response { payload, .. } => 12 + payload.len(),
-        }
-    }
-}
-
-impl Wire for ClientMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            ClientMsg::Request {
-                client,
-                client_seq,
-                group,
-                cmd,
-            } => {
-                buf.put_u8(0);
-                client.encode(buf);
-                client_seq.encode(buf);
-                group.encode(buf);
-                put_bytes(buf, cmd);
-            }
-            ClientMsg::Response {
-                client,
-                client_seq,
-                session,
-                from_replica,
-                payload,
-            } => {
-                buf.put_u8(1);
-                client.encode(buf);
-                client_seq.encode(buf);
-                put_varint(buf, *session);
-                from_replica.encode(buf);
-                put_bytes(buf, payload);
-            }
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        match get_tag(buf, "client msg")? {
-            0 => Ok(ClientMsg::Request {
-                client: ClientId::decode(buf)?,
-                client_seq: RequestId::decode(buf)?,
-                group: RingId::decode(buf)?,
-                cmd: get_bytes(buf)?,
-            }),
-            1 => Ok(ClientMsg::Response {
-                client: ClientId::decode(buf)?,
-                client_seq: RequestId::decode(buf)?,
-                session: get_varint(buf)?,
-                from_replica: NodeId::decode(buf)?,
-                payload: get_bytes(buf)?,
-            }),
-            tag => Err(WireError::BadTag {
-                context: "client msg",
-                tag,
-            }),
-        }
-    }
-}
-
 /// A checkpoint identifier: one consensus instance per subscribed ring,
 /// ordered by ring id (paper §5.2, the tuple `k_p`).
 ///
@@ -927,6 +835,10 @@ impl Wire for Msg {
                 put_varint(buf, u64::from(*tag));
                 put_bytes(buf, payload);
             }
+            Msg::Reply(m) => {
+                buf.put_u8(4);
+                m.encode(buf);
+            }
         }
     }
 
@@ -936,6 +848,7 @@ impl Wire for Msg {
             1 => Ok(Msg::Client(ClientMsg::decode(buf)?)),
             2 => Ok(Msg::Recovery(RecoveryMsg::decode(buf)?)),
             3 => Ok(Msg::Custom(get_varint(buf)? as u16, get_bytes(buf)?)),
+            4 => Ok(Msg::Reply(ClientReply::decode(buf)?)),
             tag => Err(WireError::BadTag {
                 context: "msg",
                 tag,
@@ -947,7 +860,7 @@ impl Wire for Msg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::NodeId;
+    use crate::ids::{NodeId, RequestId};
     use bytes::Buf;
 
     fn rt(msg: Msg) {
@@ -1092,16 +1005,16 @@ mod tests {
 
     #[test]
     fn client_and_recovery_round_trip() {
-        rt(Msg::Client(ClientMsg::Request {
-            client: ClientId::new(5),
-            client_seq: RequestId::new(77),
+        rt(Msg::Client(ClientMsg::RequestV2 {
+            session: 3,
+            seq: RequestId::new(77),
+            ack: 76,
             group: RingId::new(2),
             cmd: Bytes::from_static(b"get k"),
         }));
-        rt(Msg::Client(ClientMsg::Response {
-            client: ClientId::new(5),
-            client_seq: RequestId::new(77),
+        rt(Msg::Reply(ClientReply::ResponseV2 {
             session: 3,
+            seq: RequestId::new(77),
             from_replica: NodeId::new(9),
             payload: Bytes::from_static(b"=v"),
         }));

@@ -59,7 +59,12 @@ impl WallClock {
 
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64)
+        self.at(Instant::now())
+    }
+
+    /// The virtual time of wall-clock `instant` (zero before the epoch).
+    pub fn at(&self, instant: Instant) -> SimTime {
+        SimTime::from_nanos(instant.saturating_duration_since(self.epoch).as_nanos() as u64)
     }
 
     /// The wall-clock instant corresponding to virtual time `t`.

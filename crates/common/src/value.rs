@@ -186,13 +186,13 @@ pub const SESSION_CTL: u64 = u64::MAX;
 /// The service-level request envelope carried inside [`ValueKind::App`].
 ///
 /// Replicas decode the envelope on delivery to know which client to answer
-/// and where to send the (simulated UDP) response.
+/// and where to send the response.
 ///
 /// The `session`/`ack` pair is the protocol-v2 exactly-once identity: it
 /// is replicated *inside* the ordered command stream, so every replica
 /// makes the same executed-before decision for a retried `(session, req)`
-/// and prunes its reply cache at the same point. v1 clients (and the
-/// simulator) leave both at zero.
+/// and prunes its reply cache at the same point. Session-less commands
+/// (a replica's own gossip, the coordination watch) leave both at zero.
 ///
 /// Adding these fields changed the envelope's *storage* encoding (it is
 /// embedded in acceptor logs and delivered-command WALs): logs written

@@ -2,8 +2,9 @@
 
 use bytes::{Buf, Bytes};
 use common::ids::{Ballot, ClientId, InstanceId, NodeId, PartitionId, RequestId, RingId};
-use common::msg::{AcceptedEntry, CheckpointTuple, ClientMsg, Msg, RecoveryMsg, RingMsg};
+use common::msg::{AcceptedEntry, CheckpointTuple, Msg, RecoveryMsg, RingMsg};
 use common::value::{Envelope, Payload, Value, ValueId, ValueKind};
+use common::wire::client::{ClientMsg, ClientReply};
 use common::wire::{self as wire, frame, get_varint, put_varint, varint_len, Wire};
 use proptest::prelude::*;
 
@@ -175,28 +176,28 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
     prop_oneof![
         (any::<u16>(), arb_ring_msg()).prop_map(|(r, m)| Msg::Ring(RingId::new(r), m)),
         (
-            any::<u32>(),
+            any::<u64>(),
+            any::<u64>(),
             any::<u64>(),
             any::<u16>(),
             proptest::collection::vec(any::<u8>(), 0..128)
         )
-            .prop_map(|(c, q, g, cmd)| Msg::Client(ClientMsg::Request {
-                client: ClientId::new(c),
-                client_seq: RequestId::new(q),
+            .prop_map(|(s, q, a, g, cmd)| Msg::Client(ClientMsg::RequestV2 {
+                session: s,
+                seq: RequestId::new(q),
+                ack: a,
                 group: RingId::new(g),
                 cmd: cmd.into(),
             })),
         (
-            any::<u32>(),
             any::<u64>(),
             any::<u64>(),
             any::<u32>(),
             proptest::collection::vec(any::<u8>(), 0..128)
         )
-            .prop_map(|(c, q, s, n, p)| Msg::Client(ClientMsg::Response {
-                client: ClientId::new(c),
-                client_seq: RequestId::new(q),
+            .prop_map(|(s, q, n, p)| Msg::Reply(ClientReply::ResponseV2 {
                 session: s,
+                seq: RequestId::new(q),
                 from_replica: NodeId::new(n),
                 payload: p.into(),
             })),

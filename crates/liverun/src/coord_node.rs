@@ -54,7 +54,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use common::error::{Error, Result};
 use common::ids::{ClientId, Epoch, NodeId, PartitionId, RequestId, RingId, SessionId};
-use common::msg::{ClientMsg as SimClientMsg, Msg};
+use common::msg::Msg;
 use common::obs::{Counter, Obs};
 use common::transport::WallClock;
 use common::value::{Envelope, NO_SESSION, SESSION_CTL};
@@ -215,14 +215,13 @@ impl CoordFront {
         &mut self,
         net: &mut Net<In, M>,
         conn: ConnId,
-        session: u64,
-        seq: RequestId,
-        cmd: &Bytes,
+        env: &Envelope,
     ) -> bool {
+        let (session, seq) = (env.session, env.req);
         if session == SESSION_CTL {
             return false;
         }
-        match CoordOp::decode(&mut cmd.clone()) {
+        match CoordOp::decode(&mut env.cmd.clone()) {
             Ok(CoordOp::WatchAll) => {
                 self.watchers.insert(conn, (session, seq));
             }
@@ -263,7 +262,7 @@ impl CoordFront {
         net: &mut Net<In, M>,
     ) {
         for (_, msg) in outbox {
-            let Msg::Client(SimClientMsg::Response {
+            let Msg::Reply(ClientReply::ResponseV2 {
                 session, payload, ..
             }) = msg
             else {
@@ -418,6 +417,7 @@ pub fn start_coord_server(config: CoordServerConfig) -> Result<CoordServerHandle
         checkpoint_interval: Some(CHECKPOINT_EVERY),
         trim_interval: Some(CHECKPOINT_EVERY),
         recovery_retry: Duration::from_millis(100),
+        session_sweep: config.session_check,
         ..HostOptions::default()
     };
     let front = CoordFront {
@@ -454,7 +454,6 @@ pub fn start_coord_server(config: CoordServerConfig) -> Result<CoordServerHandle
         credit_min_window: SessionLimits::default().max_cached as u32,
         credit_backlog_high: 0,
         obs,
-        session_sweep: config.session_check,
         kind: "amcoord",
         coord: Some(front),
     };

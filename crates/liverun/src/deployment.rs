@@ -280,7 +280,6 @@ fn start_node_shaped(
         credit_min_window: config.credit_min_window,
         credit_backlog_high: config.credit_backlog_high,
         obs,
-        session_sweep: Duration::from_secs(1),
         kind: "amcast",
         coord: None,
     };

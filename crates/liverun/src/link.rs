@@ -41,7 +41,7 @@
 //! sends what it queued with [`flush`]; a registry call there only polls.
 
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -52,6 +52,7 @@ use bytes::Bytes;
 use common::error::{Error, Result};
 use common::ids::{ClientId, NodeId, RequestId, RingId, SessionId};
 use common::obs::Counter;
+use common::transport::WallClock;
 use common::value::NO_SESSION;
 use common::wire::client::{parse_reply, ClientMsg, ClientReply, FEAT_ALL};
 use common::wire::coord::{
@@ -59,8 +60,8 @@ use common::wire::coord::{
 };
 use common::wire::Wire;
 use coord::{Coord, Registry, COORD_RING};
+use multiring::client::{Action, SessionCore};
 
-use crate::client::{Action, SessionCore};
 use crate::net::{Event, Net, Reader};
 
 /// A replica that leaves a request unanswered this long is abandoned for
@@ -149,6 +150,8 @@ pub struct CoordLink {
     /// Index of the replica frames go to.
     at: usize,
     client: ClientId,
+    /// Maps the driver's instants onto the core's time axis.
+    clock: WallClock,
     core: SessionCore,
     /// What each request in flight asks, by sequence number, and whether
     /// a caller of [`CoordLink::poll`] collects the reply (the link's own
@@ -172,6 +175,7 @@ impl CoordLink {
             addrs,
             at: 0,
             client: fresh_client_id(),
+            clock: WallClock::at_epoch(now),
             // The ensemble's window binds the link; it never waits on one.
             core: SessionCore::new(usize::MAX, session_ttl),
             asks: BTreeMap::new(),
@@ -181,7 +185,7 @@ impl CoordLink {
             cache: Cache::default(),
             mine: Vec::new(),
         };
-        link.core.open(COORD_RING, now);
+        link.core.open(COORD_RING, link.clock.at(now));
         link.reconnect(now);
         link
     }
@@ -240,7 +244,7 @@ impl CoordLink {
             }
             return;
         }
-        match self.core.on_reply(&reply, &HashMap::new(), now) {
+        match self.core.on_reply(&reply, self.clock.at(now)) {
             Action::Completed(seq) => {
                 let done = self.core.take_seq(seq).expect("completed");
                 let result = match decode_reply(&done.replies[0].1) {
@@ -283,14 +287,14 @@ impl CoordLink {
     /// [`FAILOVER_TIMEOUT`], forgets replies nobody collected, and keeps
     /// the session alive.
     pub fn tick(&mut self, now: Instant) {
-        let oldest = self.core.oldest_unanswered();
-        if oldest.is_some_and(|sent| now.duration_since(sent) >= FAILOVER_TIMEOUT) {
+        let (oldest, at) = (self.core.oldest_unanswered(), self.clock.at(now));
+        if oldest.is_some_and(|sent| at.since(sent) >= FAILOVER_TIMEOUT) {
             self.hangup = Some(self.replica());
             self.fail_over(now);
         }
         self.answered
             .retain(|(_, _, at)| now.duration_since(*at) < FAILOVER_TIMEOUT);
-        self.core.tick(now);
+        self.core.tick(at);
         self.outbox
             .extend(self.core.outbox.drain(..).map(|(_, f)| f));
     }
@@ -325,7 +329,7 @@ impl CoordLink {
             group: COORD_RING,
             cmd: CoordOp::WatchAll.to_bytes(),
         });
-        self.core.resend_ring(COORD_RING, now);
+        self.core.resend_ring(COORD_RING, self.clock.at(now));
         for op in self.cache.refetches() {
             self.upkeep(op, now);
         }
@@ -339,7 +343,8 @@ impl CoordLink {
     }
 
     fn ask(&mut self, op: CoordOp, caller: bool, now: Instant) {
-        let seq = (self.core).begin(COORD_RING, op.to_bytes(), Vec::new(), None, now);
+        let at = self.clock.at(now);
+        let seq = (self.core).begin(COORD_RING, op.to_bytes(), Vec::new(), None, at);
         self.asks.insert(seq, (op, caller));
         self.outbox
             .extend(self.core.outbox.drain(..).map(|(_, f)| f));

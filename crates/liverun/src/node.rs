@@ -23,10 +23,11 @@
 //! made by the host — a failure report, a config read — polls the link
 //! and never waits on the ensemble.
 //!
-//! Replies route back by node id: replicas answer `Envelope::reply_to`,
-//! which for live clients is a synthetic node id above
-//! [`CLIENT_NODE_BASE`]; the loop maps it to the client's connection and
-//! queues a [`ClientReply::ResponseV2`] frame.
+//! The loop keeps the hello, credit grants and the stats plane; requests
+//! go through the host's admission ([`MultiRingHost::admit`]) into the
+//! batcher. The host answers `Envelope::reply_to` — for live clients a
+//! synthetic node id above [`CLIENT_NODE_BASE`] — with [`ClientReply`]
+//! frames, which the loop queues on the client's connection.
 //!
 //! An `amcoordd` replica is the same loop over a one-ring host, serving
 //! the same client protocol: coordination operations are ordinary v2
@@ -39,14 +40,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use common::error::{Error, Result};
-use common::ids::{ClientId, NodeId, RequestId, RingId};
-use common::msg::{ClientMsg as SimClientMsg, Msg};
+use common::error::Result;
+use common::ids::{ClientId, NodeId, RingId};
+use common::msg::Msg;
 use common::obs::{Hist, Obs, WireCounters};
 use common::transport::{PeerFrame, TimerHeap, WallClock};
 use common::value::Envelope;
 use common::wire::client::{ClientMsg, ClientReply, ErrorCode, FEAT_ALL};
-use common::wire::Wire;
 use coord::Registry;
 use multiring::{HostOptions, MultiRingHost, ServiceApp};
 use rand::{rngs::StdRng, SeedableRng};
@@ -202,8 +202,6 @@ pub(crate) struct NodeSetup {
     /// `host_opts.ring.obs` into the host and rings, so every layer of
     /// this node reports into one place.
     pub obs: Obs,
-    /// How often the loop sweeps for lapsed sessions.
-    pub session_sweep: Duration,
     /// Thread-name prefix: `amcast` for data nodes, `amcoord` for
     /// coordination replicas.
     pub kind: &'static str,
@@ -373,8 +371,6 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
     let stage_seal = obs.hist("stage_seal_nanos");
     let batcher_depth = obs.gauge("batcher_depth");
     let reply_queue_depth = obs.gauge("reply_queue_depth");
-    let session_count = obs.gauge("session_count");
-    let session_cached_replies = obs.gauge("session_cached_replies");
     let mut batcher = Batcher::new(setup.batch_opts);
     // Credit controller: backlog threshold defaults to four full batches
     // of headroom when the config leaves it at 0.
@@ -392,11 +388,6 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
     );
     credit_window.set(credit.window as i64);
     let mut next_credit_tick = Instant::now() + CREDIT_TICK;
-    // Session-expiry sweep state: last refresh reading per session and
-    // when it last moved.
-    let mut session_seen: HashMap<u64, (u64, Instant)> = HashMap::new();
-    let mut next_session_sweep = Instant::now() + setup.session_sweep;
-    let mut expire_seq: u64 = 0;
     let mut timers: TimerHeap<Timer> = TimerHeap::new();
     let mut rng = StdRng::seed_from_u64(u64::from(me.raw()) ^ 0xa3c59ac2f1f0b7d1);
     let mut outbox: Vec<(NodeId, Msg)> = Vec::new();
@@ -507,56 +498,28 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
                     // day one so clients must handle it.
                     net.send(conn, &ClientReply::CreditGrant { window });
                 }
-                ClientMsg::RequestV2 {
-                    session,
-                    seq,
-                    ack,
-                    group,
-                    cmd,
-                } => {
-                    let Some(&client) = clients.client_on.get(&conn) else {
-                        net.send(
-                            conn,
-                            &ClientReply::ErrorV2 {
-                                seq,
-                                code: ErrorCode::HelloRequired,
-                                detail: "hello required before requests".into(),
-                            },
-                        );
+                ClientMsg::RequestV2 { seq, .. } if !clients.client_on.contains_key(&conn) => {
+                    net.send(
+                        conn,
+                        &ClientReply::ErrorV2 {
+                            seq,
+                            code: ErrorCode::HelloRequired,
+                            detail: "hello required before requests".into(),
+                        },
+                    );
+                }
+                request @ ClientMsg::RequestV2 { .. } => {
+                    let client = clients.client_on[&conn];
+                    let admitted;
+                    with_ctx!(|ctx| admitted =
+                        host.admit(client, client_node_id(client), request, &mut ctx));
+                    let Some((group, env)) = admitted else {
                         continue;
                     };
-                    if !setup.member_of.contains(&group) {
-                        // v2: point the client at a node that serves the
-                        // group instead of making it guess (or silently
-                        // proxying on its behalf).
-                        let target = (setup.registry.ring(group))
-                            .map(|cfg| cfg.members().iter().copied().find(|m| *m != me));
-                        let (code, detail) = match target {
-                            Ok(Some(to)) => {
-                                net.send(conn, &ClientReply::Redirect { seq, group, to });
-                                continue;
-                            }
-                            // Its config is on its way from the ensemble.
-                            Err(Error::Timeout(_)) => (ErrorCode::NotServing, "retry"),
-                            _ => (ErrorCode::UnknownGroup, "no node serves"),
-                        };
-                        let detail = format!("{detail} group {group}");
-                        net.send(conn, &ClientReply::ErrorV2 { seq, code, detail });
-                        continue;
-                    }
                     let front = coord_front.as_mut();
-                    if front.is_some_and(|f| f.answer_local(&mut net, conn, session, seq, &cmd)) {
+                    if front.is_some_and(|f| f.answer_local(&mut net, conn, &env)) {
                         continue;
                     }
-                    let env = Envelope {
-                        client,
-                        req: seq,
-                        reply_to: client_node_id(client),
-                        session,
-                        ack,
-                        trace: obs.trace_stamp(),
-                        cmd,
-                    };
                     if let Some(batch) = batcher.push(group, env, Instant::now()) {
                         note_seal(&stage_seal, &batch);
                         with_ctx!(|ctx| host.propose_envelopes(group, batch, &mut ctx));
@@ -588,64 +551,6 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
         for (ring, batch) in take_sealed(&mut batcher, &host, Instant::now()) {
             note_seal(&stage_seal, &batch);
             with_ctx!(|ctx| host.propose_envelopes(ring, batch, &mut ctx));
-        }
-        // Session-expiry sweep: the replicated session table's liveness
-        // counters advance only through ordered keep-alives, so every
-        // replica reads the same values. A counter that has sat still
-        // for its TTL gets an expiry proposed on the session ring; a
-        // keep-alive racing through the log wins the CAS and the session
-        // survives. Coordination sessions expire the same way.
-        if Instant::now() >= next_session_sweep {
-            next_session_sweep = Instant::now() + setup.session_sweep;
-            // Periodic gauges ride the sweep's cadence.
-            batcher_depth.set(batcher.pending_len() as i64);
-            reply_queue_depth.set(clients.backlog(&net));
-            let ids = host.app().session_ids();
-            session_count.set(ids.len() as i64);
-            session_cached_replies.set(host.app().cached_reply_count() as i64);
-            {
-                let now = Instant::now();
-                session_seen.retain(|id, _| ids.contains(id));
-                for id in ids {
-                    // Expiries ride the session's own ring (for data
-                    // sessions the home ring encoded in the id), proposed
-                    // only by that ring's members — a session on
-                    // partition 0's ring never costs the other rings an
-                    // ordered message.
-                    let Some(ring) =
-                        multiring::session_home_ring(id).filter(|r| setup.member_of.contains(r))
-                    else {
-                        continue;
-                    };
-                    let Some((refresh, ttl_ms)) = host.app().session_probe(id) else {
-                        continue;
-                    };
-                    let entry = session_seen.entry(id).or_insert((refresh, now));
-                    if entry.0 != refresh {
-                        *entry = (refresh, now);
-                    } else if now.duration_since(entry.1) > Duration::from_millis(ttl_ms.max(1)) {
-                        expire_seq += 1;
-                        let env = Envelope {
-                            client: ClientId::new(0),
-                            req: RequestId::new(expire_seq),
-                            // Replies route back to this node's own loop,
-                            // where client-less responses are dropped.
-                            reply_to: me,
-                            session: common::value::SESSION_CTL,
-                            ack: 0,
-                            trace: 0,
-                            cmd: multiring::SessionCtl::Expire {
-                                session: id,
-                                seen_refresh: refresh,
-                            }
-                            .to_bytes(),
-                        };
-                        with_ctx!(|ctx| host.propose_envelopes(ring, vec![env], &mut ctx));
-                        // Back off a full TTL before re-proposing.
-                        entry.1 = now;
-                    }
-                }
-            }
         }
         // Credit tick: re-derive the per-session window from this node's
         // own backlog and broadcast the change to every v2 connection.
@@ -720,7 +625,8 @@ fn note_seal(seal: &Hist, batch: &[Envelope]) {
 }
 
 /// Routes one round of host effects: sends onto peer links, reply
-/// frames (clients) or into `local` (self-sends); timer requests onto
+/// frames onto client connections as the host made them, or into
+/// `local` (self-sends); timer requests onto
 /// the wall-clock heap. Nothing is written here: the loop's next wait
 /// writes out what this queued.
 #[allow(clippy::too_many_arguments)]
@@ -736,20 +642,7 @@ fn route_effects(
 ) {
     for (to, msg) in outbox.drain(..) {
         if let Some(client) = client_of_node(to) {
-            if let Msg::Client(SimClientMsg::Response {
-                client_seq,
-                session,
-                from_replica,
-                payload,
-                ..
-            }) = msg
-            {
-                let reply = ClientReply::ResponseV2 {
-                    session,
-                    seq: client_seq,
-                    from_replica,
-                    payload,
-                };
+            if let Msg::Reply(reply) = msg {
                 clients.reply(net, client, &reply);
             }
         } else if to == transport.me {
@@ -768,6 +661,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use common::hist::Histogram;
+    use common::ids::RequestId;
     use common::SimTime;
 
     /// Node 0 of two two-member rings whose other member never answers:

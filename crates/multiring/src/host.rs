@@ -4,22 +4,25 @@
 //! participation in any number of rings, merges their decision streams
 //! deterministically, executes a replicated [`ServiceApp`] — inline, in
 //! merge order, on the thread that drives the host (the simulator, or
-//! the live node loop) — answers clients over (simulated) UDP, takes
+//! the live node loop) — admits clients' protocol-v2 requests and answers
+//! them ([`MultiRingHost::admit`]), expires idle client sessions, takes
 //! periodic checkpoints, runs the
 //! coordinator side of the log-trimming protocol for rings it
 //! coordinates, and recovers after crashes via partition-peer checkpoints
 //! plus acceptor retransmission (paper §5.2, §7).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
-use common::ids::{InstanceId, NodeId, PartitionId, RingId};
+use common::error::Error;
+use common::ids::{ClientId, InstanceId, NodeId, PartitionId, RequestId, RingId};
 use common::msg::CheckpointTuple;
-use common::msg::{ClientMsg, Msg, RecoveryMsg, RingMsg};
+use common::msg::{Msg, RecoveryMsg, RingMsg};
 use common::obs::{Counter, Gauge, Hist, Obs};
 use common::time::SimTime;
-use common::value::{Envelope, Payload, Value, ValueId};
+use common::value::{Envelope, Payload, Value, ValueId, SESSION_CTL};
+use common::wire::client::{ClientMsg, ClientReply, ErrorCode};
 use common::wire::{get_varint, get_vec, put_varint, put_vec, Wire};
 use coord::Registry;
 use ringpaxos::node::{Output, RingNode, MAX_IDLE_SKIP_STRIDE};
@@ -31,6 +34,7 @@ use storage::{CheckpointStore, StorageMode};
 use crate::app::{ServiceApp, SnapshotCut};
 use crate::merge::MergeLearner;
 use crate::recovery::{RecoveryPhase, TrimRound};
+use crate::session::{session_home_ring, SessionCtl};
 
 /// Timer kinds used by the host.
 const TIMER_RING: u32 = 1;
@@ -40,6 +44,7 @@ const TIMER_TRIM: u32 = 4;
 const TIMER_RECOVERY: u32 = 5;
 const TIMER_GAP: u32 = 6;
 const TIMER_CHECKPOINT_STEP: u32 = 7;
+const TIMER_SESSION_SWEEP: u32 = 8;
 
 /// Maximum decisions per retransmission reply.
 const RETRANSMIT_CHUNK: u64 = 4096;
@@ -87,6 +92,9 @@ pub struct HostOptions {
     /// Checkpoint storage mode (the paper writes checkpoints
     /// synchronously to disk, §7.2).
     pub checkpoint_storage: StorageMode,
+    /// How often a replica sweeps its session table for sessions idle
+    /// past their TTL ([`MultiRingHost`]'s session expiry).
+    pub session_sweep: Duration,
 }
 
 impl Default for HostOptions {
@@ -98,6 +106,7 @@ impl Default for HostOptions {
             trim_interval: None,
             recovery_retry: Duration::from_millis(200),
             checkpoint_storage: StorageMode::InMemory,
+            session_sweep: Duration::from_secs(1),
         }
     }
 }
@@ -189,6 +198,8 @@ struct HostObs {
     merge_lag: Gauge,
     ckpt_bytes: Gauge,
     ckpt_window_us: Gauge,
+    session_count: Gauge,
+    session_cached_replies: Gauge,
     /// Trim rounds this node completed as a ring coordinator.
     trim_rounds: Counter,
     /// What each ring retains, refreshed by [`MultiRingHost::refresh_gauges`].
@@ -243,6 +254,8 @@ impl HostObs {
             merge_lag: obs.gauge("merge_lag"),
             ckpt_bytes: obs.gauge("ckpt_bytes"),
             ckpt_window_us: obs.gauge("ckpt_window_us"),
+            session_count: obs.gauge("session_count"),
+            session_cached_replies: obs.gauge("session_cached_replies"),
             trim_rounds: obs.counter("trim_rounds"),
             retained,
             mem_accounted: obs.gauge("mem_accounted_bytes"),
@@ -342,6 +355,11 @@ pub struct MultiRingHost {
     /// Lazily created per-ring merge telemetry (the subscription set can
     /// change at runtime).
     ring_stats: BTreeMap<RingId, RingMergeStats>,
+    /// Session-expiry sweep: the last refresh count read per session and
+    /// when it last moved.
+    session_seen: HashMap<u64, (u64, SimTime)>,
+    /// Correlation numbers of this node's expiry proposals.
+    expire_seq: u64,
 }
 
 /// Per-ring counters/gauges behind the `merge_skips`/`merge_lag`
@@ -442,6 +460,8 @@ impl MultiRingHost {
             out: Output::new(),
             hobs,
             ring_stats: BTreeMap::new(),
+            session_seen: HashMap::new(),
+            expire_seq: 0,
         }
     }
 
@@ -458,11 +478,6 @@ impl MultiRingHost {
     /// The replica's current checkpoint tuple (for tests).
     pub fn checkpoint_tuple(&self) -> Option<CheckpointTuple> {
         self.learner.as_ref().map(|l| l.checkpoint_tuple())
-    }
-
-    /// Immutable access to the service state machine.
-    pub fn app(&self) -> &dyn ServiceApp {
-        &*self.app
     }
 
     /// [`RingNode::reserve_value_ids`] on every ring of this node.
@@ -486,14 +501,74 @@ impl MultiRingHost {
             .map_or(0, RingNode::proposals_in_flight)
     }
 
+    /// Admits one protocol-v2 frame from `client`, whose replies go to
+    /// `reply_to`: a [`ClientMsg::RequestV2`] on a group this node serves
+    /// becomes the [`Envelope`] to propose there; one for another group
+    /// is answered with a [`ClientReply::Redirect`] to a member, or an
+    /// [`ClientReply::ErrorV2`] while none is known. Other frames admit
+    /// nothing (the handshake and the stats plane are the transport's).
+    pub fn admit(
+        &self,
+        client: ClientId,
+        reply_to: NodeId,
+        frame: ClientMsg,
+        ctx: &mut Ctx<'_>,
+    ) -> Option<(RingId, Envelope)> {
+        let ClientMsg::RequestV2 {
+            session,
+            seq,
+            ack,
+            group,
+            cmd,
+        } = frame
+        else {
+            return None;
+        };
+        if self.rings.contains_key(&group) {
+            let trace = self.hobs.obs.trace_stamp();
+            return Some((
+                group,
+                Envelope {
+                    client,
+                    req: seq,
+                    reply_to,
+                    session,
+                    ack,
+                    trace,
+                    cmd,
+                },
+            ));
+        }
+        let target = (self.registry.ring(group))
+            .map(|cfg| cfg.members().iter().copied().find(|m| *m != self.me));
+        let (code, detail) = match target {
+            Ok(Some(to)) => {
+                ctx.send(
+                    reply_to,
+                    Msg::Reply(ClientReply::Redirect { seq, group, to }),
+                );
+                return None;
+            }
+            // Its config is on its way from coordination.
+            Err(Error::Timeout(_)) => (ErrorCode::NotServing, "retry"),
+            _ => (ErrorCode::UnknownGroup, "no node serves"),
+        };
+        let detail = format!("{detail} group {group}");
+        ctx.send(
+            reply_to,
+            Msg::Reply(ClientReply::ErrorV2 { seq, code, detail }),
+        );
+        None
+    }
+
     /// Proposes a set of client commands on `group` as **one** consensus
     /// value (proposer-side batching): the whole batch costs a single
     /// instance of the ring, and replicas execute its envelopes in order.
     ///
-    /// A singleton slice encodes as [`Payload::One`] — the same path the
-    /// per-request [`ClientMsg::Request`] handler takes — so batched and
-    /// unbatched proposers interoperate freely. Does nothing if this node
-    /// is not a member of `group` or `envs` is empty.
+    /// A singleton slice encodes as [`Payload::One`] — the same path an
+    /// unbatched simulated request takes — so batched and unbatched
+    /// proposers interoperate freely. Does nothing if this node is not a
+    /// member of `group` or `envs` is empty.
     pub fn propose_envelopes(&mut self, group: RingId, mut envs: Vec<Envelope>, ctx: &mut Ctx<'_>) {
         if envs.is_empty() {
             return;
@@ -625,16 +700,13 @@ impl MultiRingHost {
                 if env.trace != 0 {
                     self.hobs.stage_execute.record_since(env.trace);
                 }
-                ctx.send(
-                    env.reply_to,
-                    Msg::Client(ClientMsg::Response {
-                        client: env.client,
-                        client_seq: env.req,
-                        session: env.session,
-                        from_replica: self.me,
-                        payload: reply,
-                    }),
-                );
+                let reply = ClientReply::ResponseV2 {
+                    session: env.session,
+                    seq: env.req,
+                    from_replica: self.me,
+                    payload: reply,
+                };
+                ctx.send(env.reply_to, Msg::Reply(reply));
                 if env.trace != 0 {
                     self.hobs.stage_reply.record_since(env.trace);
                 }
@@ -1009,6 +1081,62 @@ impl MultiRingHost {
     }
 
     // ------------------------------------------------------------------
+    // client sessions
+    // ------------------------------------------------------------------
+
+    /// Session expiry: the replicated session table's refresh counters
+    /// advance only through ordered keep-alives, so every replica reads
+    /// the same values. A counter that sat still for its session's TTL
+    /// gets an expiry proposed on the session's home ring — by that
+    /// ring's members only, so a session on one partition's ring never
+    /// costs another ring an ordered message. A keep-alive racing through
+    /// the log wins the CAS and the session survives. The sweep also
+    /// refreshes the session gauges.
+    fn sweep_sessions(&mut self, ctx: &mut Ctx<'_>) {
+        let mut ids = self.app.session_ids();
+        ids.sort_unstable();
+        self.hobs.session_count.set(ids.len() as i64);
+        (self.hobs.session_cached_replies).set(self.app.cached_reply_count() as i64);
+        let now = ctx.now();
+        self.session_seen
+            .retain(|id, _| ids.binary_search(id).is_ok());
+        for id in ids {
+            let Some(ring) = session_home_ring(id).filter(|r| self.rings.contains_key(r)) else {
+                continue;
+            };
+            let Some((refresh, ttl_ms)) = self.app.session_probe(id) else {
+                continue;
+            };
+            let seen = self.session_seen.entry(id).or_insert((refresh, now));
+            if seen.0 != refresh {
+                *seen = (refresh, now);
+                continue;
+            }
+            if now.since(seen.1) <= Duration::from_millis(ttl_ms.max(1)) {
+                continue;
+            }
+            // Back off a full TTL before proposing again.
+            seen.1 = now;
+            self.expire_seq += 1;
+            let expire = SessionCtl::Expire {
+                session: id,
+                seen_refresh: refresh,
+            };
+            let env = Envelope {
+                client: ClientId::new(0),
+                req: RequestId::new(self.expire_seq),
+                // The answer comes back to this node, which drops it.
+                reply_to: self.me,
+                session: SESSION_CTL,
+                ack: 0,
+                trace: 0,
+                cmd: expire.to_bytes(),
+            };
+            self.propose_envelopes(ring, vec![env], ctx);
+        }
+    }
+
+    // ------------------------------------------------------------------
     // recovery (restarting replica side of §5.2)
     // ------------------------------------------------------------------
 
@@ -1302,6 +1430,7 @@ impl Process for MultiRingHost {
         }
         if self.learner.is_some() {
             ctx.schedule(self.opts.recovery_retry, Timer::of_kind(TIMER_GAP));
+            ctx.schedule(self.opts.session_sweep, Timer::of_kind(TIMER_SESSION_SWEEP));
         }
     }
 
@@ -1318,16 +1447,14 @@ impl Process for MultiRingHost {
                 self.out = out;
                 self.drain_ring(ring, ctx);
             }
-            Msg::Client(ClientMsg::Request {
-                client,
-                client_seq,
-                group,
-                cmd,
-            }) => {
-                let env = Envelope::v1(client, client_seq, from, cmd);
-                self.propose_envelopes(group, vec![env], ctx);
+            Msg::Client(frame) => {
+                // A simulated client is known by its node id.
+                let client = ClientId::new(from.raw());
+                if let Some((group, env)) = self.admit(client, from, frame, ctx) {
+                    self.propose_envelopes(group, vec![env], ctx);
+                }
             }
-            Msg::Client(_) => {}
+            Msg::Reply(_) => {}
             Msg::Recovery(r) => match r {
                 RecoveryMsg::TrimQuery { ring, seq } => self.on_trim_query(ring, seq, ctx),
                 RecoveryMsg::TrimReply {
@@ -1428,6 +1555,10 @@ impl Process for MultiRingHost {
             TIMER_CHECKPOINT_STEP => {
                 self.step_checkpoint(ctx);
             }
+            TIMER_SESSION_SWEEP => {
+                ctx.schedule(self.opts.session_sweep, Timer::of_kind(TIMER_SESSION_SWEEP));
+                self.sweep_sessions(ctx);
+            }
             TIMER_CHECKPOINT_DONE => {
                 if let Some((seq, tuple)) = self.pending_ckpt.take() {
                     if seq == timer.a {
@@ -1519,6 +1650,7 @@ impl Process for MultiRingHost {
         self.recovery = RecoveryPhase::Idle;
         self.restart_recovery = false;
         self.executed = 0;
+        self.session_seen.clear();
     }
 
     fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
@@ -1557,6 +1689,7 @@ impl Process for MultiRingHost {
         }
         if self.learner.is_some() {
             ctx.schedule(self.opts.recovery_retry, Timer::of_kind(TIMER_GAP));
+            ctx.schedule(self.opts.session_sweep, Timer::of_kind(TIMER_SESSION_SWEEP));
         }
     }
 }

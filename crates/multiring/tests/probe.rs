@@ -8,7 +8,7 @@ use common::ids::{ClientId, NodeId, PartitionId, RingId};
 use common::SimTime;
 use coord::{PartitionInfo, Registry, RingConfig};
 use multiring::client::{ClosedLoopClient, CommandSpec};
-use multiring::{EchoApp, HostOptions, MultiRingHost};
+use multiring::{EchoApp, HostOptions, MultiRingHost, SessionApp};
 use ringpaxos::options::RingOptions;
 use simnet::{CpuModel, Sim, Topology};
 use storage::{DiskProfile, StorageMode};
@@ -39,7 +39,7 @@ fn build(
             &[ring],
             &[ring],
             Some(PartitionId::new(0)),
-            Box::new(EchoApp::new()),
+            Box::new(SessionApp::new(Box::new(EchoApp::new()))),
             host_opts.clone(),
         );
         sim.add_node_with_cpu(0, host, CpuModel::free());

@@ -15,7 +15,7 @@ use common::wire::coord::{CoordOk, CoordOp};
 use common::SimTime;
 use coord::{Coord, PartitionInfo, Registry, RingConfig};
 use multiring::client::{ClosedLoopClient, CommandSpec};
-use multiring::{EchoApp, HostOptions, MultiRingHost};
+use multiring::{EchoApp, HostOptions, MultiRingHost, SessionApp};
 use ringpaxos::options::{RateLeveling, RingOptions};
 use simnet::{CpuModel, Ctx, Process, Sim, Timer, Topology};
 use storage::{DiskProfile, StorageMode};
@@ -64,7 +64,7 @@ fn single_ring_service_executes_and_replies() {
             &[ring],
             &[ring],
             Some(PartitionId::new(0)),
-            Box::new(EchoApp::new()),
+            Box::new(SessionApp::new(Box::new(EchoApp::new()))),
             HostOptions {
                 ring: ring_opts(),
                 ..HostOptions::default()
@@ -137,7 +137,7 @@ fn rate_leveling_unblocks_idle_ring() {
             &[r0, r1],
             &[r0, r1],
             Some(PartitionId::new(0)),
-            Box::new(EchoApp::new()),
+            Box::new(SessionApp::new(Box::new(EchoApp::new()))),
             HostOptions {
                 ring: opts,
                 ..HostOptions::default()
@@ -211,7 +211,7 @@ fn replica_recovers_after_crash_with_trimming() {
             &[ring],
             &[ring],
             Some(PartitionId::new(0)),
-            Box::new(EchoApp::new()),
+            Box::new(SessionApp::new(Box::new(EchoApp::new()))),
             host_opts.clone(),
         );
         sim.add_node_with_cpu(0, host, CpuModel::free());
@@ -329,7 +329,7 @@ fn two_replica_partition_trims_both_of_its_rings() {
                 &[local, global],
                 &[local, global],
                 Some(PartitionId::new(0)),
-                Box::new(EchoApp::new()),
+                Box::new(SessionApp::new(Box::new(EchoApp::new()))),
                 HostOptions {
                     ring: opts.clone(),
                     checkpoint_interval: Some(Duration::from_millis(200)),
@@ -407,7 +407,7 @@ fn catch_up_overtaken_by_a_trim_restarts_from_a_newer_checkpoint() {
                 &[ring],
                 &[ring],
                 Some(PartitionId::new(0)),
-                Box::new(EchoApp::new()),
+                Box::new(SessionApp::new(Box::new(EchoApp::new()))),
                 HostOptions {
                     ring: ring_opts(),
                     checkpoint_interval: Some(Duration::from_millis(100)),
@@ -521,7 +521,7 @@ fn region_local_commands_do_not_wait_for_an_idle_global_ring() {
             &rings,
             &rings,
             Some(PartitionId::new(p as u16)),
-            Box::new(EchoApp::new()),
+            Box::new(SessionApp::new(Box::new(EchoApp::new()))),
             HostOptions {
                 ring: opts,
                 ..HostOptions::default()
@@ -639,7 +639,7 @@ fn a_restart_waits_for_its_partition_to_be_readable() {
                 &[ring],
                 &[ring],
                 Some(PartitionId::new(0)),
-                Box::new(EchoApp::new()),
+                Box::new(SessionApp::new(Box::new(EchoApp::new()))),
                 HostOptions {
                     ring: ring_opts(),
                     checkpoint_interval: Some(Duration::from_millis(100)),

@@ -60,8 +60,8 @@ impl RingProcess {
     }
 
     /// Proposes `value` from inside the next handler turn. Intended for
-    /// harness processes driving load; client processes should send
-    /// [`common::msg::ClientMsg::Request`] messages instead.
+    /// harness processes driving load; client processes send protocol-v2
+    /// requests ([`common::msg::Msg::Client`]) to a replica's host instead.
     pub fn propose(&mut self, value: Value, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         self.node.propose(value, now, &mut self.out);

@@ -17,7 +17,7 @@ use atomic_multicast::common::SimTime;
 use atomic_multicast::coord::{PartitionInfo, Registry, RingConfig};
 use atomic_multicast::mrpstore::{KvApp, KvCommand, Partitioning};
 use atomic_multicast::multiring::client::{ClosedLoopClient, CommandSpec};
-use atomic_multicast::multiring::{HostOptions, MultiRingHost};
+use atomic_multicast::multiring::{HostOptions, MultiRingHost, SessionApp};
 use atomic_multicast::ringpaxos::options::{BatchPolicy, RateLeveling, RingOptions};
 use atomic_multicast::simnet::{CpuModel, Region, Sim, Topology};
 use atomic_multicast::storage::StorageMode;
@@ -84,7 +84,10 @@ fn main() {
                 &[rings[p], global],
                 &[rings[p], global],
                 Some(PartitionId::new(p as u16)),
-                Box::new(KvApp::new(PartitionId::new(p as u16), scheme.clone())),
+                Box::new(SessionApp::new(Box::new(KvApp::new(
+                    PartitionId::new(p as u16),
+                    scheme.clone(),
+                )))),
                 host_opts.clone(),
             );
             let id = sim.add_node_with_cpu(sites[p], host, CpuModel::server());

@@ -11,7 +11,7 @@ use atomic_multicast::common::ids::{ClientId, NodeId, PartitionId, RingId};
 use atomic_multicast::common::SimTime;
 use atomic_multicast::coord::{PartitionInfo, Registry, RingConfig};
 use atomic_multicast::multiring::client::{ClosedLoopClient, CommandSpec};
-use atomic_multicast::multiring::{EchoApp, HostOptions, MultiRingHost};
+use atomic_multicast::multiring::{EchoApp, HostOptions, MultiRingHost, SessionApp};
 use atomic_multicast::ringpaxos::options::RingOptions;
 use atomic_multicast::simnet::{CpuModel, Sim, Topology};
 use atomic_multicast::storage::{DiskProfile, StorageMode};
@@ -57,7 +57,7 @@ fn main() {
             &[ring],
             &[ring],
             Some(PartitionId::new(0)),
-            Box::new(EchoApp::new()),
+            Box::new(SessionApp::new(Box::new(EchoApp::new()))),
             host_opts.clone(),
         );
         sim.add_node_with_cpu(0, host, CpuModel::server());

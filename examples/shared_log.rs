@@ -16,7 +16,7 @@ use atomic_multicast::common::SimTime;
 use atomic_multicast::coord::{PartitionInfo, Registry, RingConfig};
 use atomic_multicast::dlog::{DlogApp, LogCommand};
 use atomic_multicast::multiring::client::{ClosedLoopClient, CommandSpec};
-use atomic_multicast::multiring::{HostOptions, MultiRingHost};
+use atomic_multicast::multiring::{HostOptions, MultiRingHost, SessionApp};
 use atomic_multicast::ringpaxos::options::{RateLeveling, RingOptions};
 use atomic_multicast::simnet::{CpuModel, Sim, Topology};
 use atomic_multicast::storage::StorageMode;
@@ -62,7 +62,7 @@ fn main() {
             &rings,
             &rings,
             Some(PartitionId::new(0)),
-            Box::new(DlogApp::new(&[0, 1])),
+            Box::new(SessionApp::new(Box::new(DlogApp::new(&[0, 1])))),
             host_opts.clone(),
         );
         sim.add_node_with_cpu(0, host, CpuModel::server());

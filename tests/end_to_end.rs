@@ -11,7 +11,7 @@ use atomic_multicast::coord::{PartitionInfo, Registry, RingConfig};
 use atomic_multicast::dlog::{DlogApp, LogCommand};
 use atomic_multicast::mrpstore::{KvApp, KvCommand, Partitioning};
 use atomic_multicast::multiring::client::{ClosedLoopClient, CommandSpec};
-use atomic_multicast::multiring::{HostOptions, MultiRingHost};
+use atomic_multicast::multiring::{HostOptions, MultiRingHost, SessionApp};
 use atomic_multicast::ringpaxos::options::{RateLeveling, RingOptions};
 use atomic_multicast::simnet::{CpuModel, Region, Sim, Topology};
 use atomic_multicast::storage::StorageMode;
@@ -73,7 +73,10 @@ fn kv_store_cross_partition_scan() {
                 &[rings[p], global],
                 &[rings[p], global],
                 Some(PartitionId::new(p as u16)),
-                Box::new(KvApp::new(PartitionId::new(p as u16), scheme.clone())),
+                Box::new(SessionApp::new(Box::new(KvApp::new(
+                    PartitionId::new(p as u16),
+                    scheme.clone(),
+                )))),
                 in_memory_opts(),
             );
             sim.add_node_with_cpu(0, host, CpuModel::free());
@@ -165,7 +168,7 @@ fn dlog_multi_append_is_atomic() {
             &rings,
             &rings,
             Some(PartitionId::new(0)),
-            Box::new(DlogApp::new(&[0, 1])),
+            Box::new(SessionApp::new(Box::new(DlogApp::new(&[0, 1])))),
             in_memory_opts(),
         );
         sim.add_node_with_cpu(0, host, CpuModel::free());
@@ -478,7 +481,9 @@ fn wan_latency_dominates_geo_commits() {
                 &[ring],
                 &[ring],
                 Some(PartitionId::new(0)),
-                Box::new(atomic_multicast::multiring::EchoApp::new()),
+                Box::new(SessionApp::new(Box::new(
+                    atomic_multicast::multiring::EchoApp::new(),
+                ))),
                 in_memory_opts(),
             );
             sim.add_node_with_cpu(sites[i], host, CpuModel::free());
