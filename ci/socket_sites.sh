@@ -36,6 +36,14 @@
 # session-less `Envelope::v1`: every envelope comes out of the host's v2
 # admission (or is a session-control command).
 #
+# Coordination is a message: the sans-IO core reads the registry only
+# while it is built, and asks coordination by message afterwards. So
+# non-test code in crates/ringpaxos/src/node.rs and
+# crates/multiring/src/host.rs calls no registry method outside a
+# `fn new`; and a coordination backend (`impl Coord for`) exists only in
+# crates/coord/src and the coordination link (crates/liverun/src/link.rs)
+# — no driver fakes coordination behind a registry.
+#
 # "Non-test" is everything above a file's top-level `#[cfg(test)]`
 # module; comment lines do not count.
 set -euo pipefail
@@ -74,9 +82,23 @@ scan '(enum|struct)[[:space:]]+(Client[[:alnum:]_]*|[[:alnum:]_]*(Request|Respon
     crates/common/src/msg.rs || fail=1
 mapfile -t v2_only < <(find crates/multiring/src crates/liverun/src -name '*.rs' | sort)
 scan 'Envelope::v1' "${v2_only[@]}" || fail=1
+for file in crates/ringpaxos/src/node.rs crates/multiring/src/host.rs; do
+    awk -v file="$file" '
+        /^#\[cfg\(test\)\]/ { exit }
+        /^[[:space:]]*\/\// { next }
+        /^[[:space:]]*(pub(\([a-z]+\))? )?fn / { in_new = ($0 ~ /fn new[(<]/) }
+        !in_new && /(^|[^[:alnum:]_])registry([[:space:]]*$|\.[[:alnum:]_]+\()/ {
+            print file ":" FNR ": " $0; found = 1
+        }
+        END { exit found }
+    ' "$file" || fail=1
+done
+mapfile -t backends < <(find crates -path 'crates/*/src/*' -name '*.rs' \
+    ! -path 'crates/coord/src/*' ! -path crates/liverun/src/link.rs | sort)
+scan 'impl[[:space:]]+Coord[[:space:]]+for' "${backends[@]}" || fail=1
 
 if [ "$fail" -ne 0 ]; then
-    echo "socket sites: FAILED — open sockets and call foreign code through liverun::net (crates/liverun/src/net.rs), let the loop thread own them, open client sessions only through multiring's SessionCore, and speak only client protocol v2" >&2
+    echo "socket sites: FAILED — open sockets and call foreign code through liverun::net (crates/liverun/src/net.rs), let the loop thread own them, open client sessions only through multiring's SessionCore, speak only client protocol v2, and ask coordination by message" >&2
     exit 1
 fi
-echo "socket sites: ok (every socket is opened and every foreign call made in liverun::net; no thread sits on one; one client session machine; one client protocol)"
+echo "socket sites: ok (every socket is opened and every foreign call made in liverun::net; no thread sits on one; one client session machine; one client protocol; coordination is a message)"

@@ -20,7 +20,7 @@ use coord::{PartitionInfo, Registry, RingConfig};
 use multiring::client::{ClosedLoopClient, CommandSpec};
 use multiring::{EchoApp, HostOptions, MultiRingHost, SessionApp};
 use ringpaxos::options::{RateLeveling, RingOptions};
-use simnet::{CpuModel, Sim, Topology};
+use simnet::{CoordProcess, CpuModel, Sim, Topology};
 use storage::StorageMode;
 
 const WARMUP: Duration = Duration::from_secs(1);
@@ -82,6 +82,7 @@ fn run(m: u64, rate_leveling: Option<RateLeveling>) -> f64 {
     .with_warmup(SimTime::ZERO + WARMUP);
     let stats = client.stats();
     sim.add_node_with_cpu(0, client, CpuModel::free());
+    CoordProcess::add_to(&mut sim, 0, &registry);
     sim.run_until(SimTime::ZERO + WARMUP + MEASURE);
     RunResult::collect(&[stats], MEASURE).ops_per_sec()
 }

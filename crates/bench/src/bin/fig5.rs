@@ -24,7 +24,7 @@ use dlog::{DlogApp, LogCommand};
 use multiring::client::{ClosedLoopClient, CommandSpec};
 use multiring::{HostOptions, MultiRingHost, SessionApp};
 use ringpaxos::options::RingOptions;
-use simnet::{CpuModel, Ctx, Process, Sim, Timer, Topology};
+use simnet::{CoordProcess, CpuModel, Ctx, Process, Sim, Timer, Topology};
 use storage::{DiskProfile, StorageMode};
 
 use bench::baselines::ensemble_log::{
@@ -106,6 +106,7 @@ fn run_dlog(threads: usize) -> (f64, f64) {
     .with_warmup(SimTime::ZERO + WARMUP);
     let stats = client.stats();
     sim.add_node_with_cpu(0, client, CpuModel::free());
+    CoordProcess::add_to(&mut sim, 0, &registry);
 
     sim.run_until(SimTime::ZERO + WARMUP + MEASURE);
     let r = RunResult::collect(&[stats], MEASURE);

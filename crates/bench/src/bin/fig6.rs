@@ -24,7 +24,7 @@ use dlog::{DlogApp, LogCommand};
 use multiring::client::{ClosedLoopClient, CommandSpec};
 use multiring::{HostOptions, MultiRingHost, SessionApp};
 use ringpaxos::options::{BatchPolicy, RateLeveling, RingOptions};
-use simnet::{CpuModel, Sim, Topology};
+use simnet::{CoordProcess, CpuModel, Sim, Topology};
 use storage::{DiskProfile, StorageMode};
 
 const WARMUP: Duration = Duration::from_secs(1);
@@ -110,6 +110,7 @@ fn run(k: usize) -> (f64, common::Histogram) {
             disk1_stats.push(stats);
         }
         sim.add_node_with_cpu(0, client, CpuModel::free());
+        CoordProcess::add_to(&mut sim, 0, &registry);
     }
 
     sim.run_until(SimTime::ZERO + WARMUP + MEASURE);

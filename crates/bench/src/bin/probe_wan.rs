@@ -10,7 +10,7 @@ use coord::{PartitionInfo, Registry, RingConfig};
 use multiring::client::{ClosedLoopClient, CommandSpec};
 use multiring::{EchoApp, HostOptions, MultiRingHost, SessionApp};
 use ringpaxos::options::{RateLeveling, RingOptions};
-use simnet::{CpuModel, Region, Sim, Topology};
+use simnet::{CoordProcess, CpuModel, Region, Sim, Topology};
 use storage::StorageMode;
 
 fn main() {
@@ -81,6 +81,7 @@ fn main() {
     );
     let stats = client.stats();
     sim.add_node_with_cpu(sites[0], client, CpuModel::free());
+    CoordProcess::add_to(&mut sim, sites[0], &registry);
 
     for sec in 1..=20u64 {
         sim.run_until(SimTime::from_secs(sec));

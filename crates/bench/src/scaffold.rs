@@ -14,7 +14,7 @@ use common::time::SimTime;
 use coord::{PartitionInfo, Registry, RingConfig};
 use multiring::client::SharedClientStats;
 use multiring::{HostOptions, MultiRingHost, ServiceApp};
-use simnet::{CpuModel, Ctx, Process, Sim, Timer};
+use simnet::{CoordProcess, CpuModel, Ctx, Process, Sim, Timer};
 
 /// A deployed service: partitions, their rings and replicas.
 pub struct Deployment {
@@ -125,6 +125,7 @@ pub fn deploy_service(
             assert_eq!(id, *node, "node id assignment must match plan");
         }
     }
+    CoordProcess::add_to(sim, site_of(0), &registry);
 
     Deployment {
         registry,

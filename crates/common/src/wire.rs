@@ -1581,6 +1581,15 @@ pub mod client {
         }
     }
 
+    /// Frames a service reply as a successful sessioned payload (the
+    /// inverse of [`parse_reply`] for [`ST_OK`]).
+    pub fn frame_ok(inner: &Bytes) -> Bytes {
+        let mut buf = BytesMut::with_capacity(1 + inner.len());
+        buf.put_u8(ST_OK);
+        buf.extend_from_slice(inner);
+        buf.freeze()
+    }
+
     /// Splits a sessioned reply payload into its status byte and the service
     /// payload. Returns `None` on an empty payload (malformed).
     pub fn parse_reply(payload: &Bytes) -> Option<(u8, Bytes)> {

@@ -1,21 +1,24 @@
 //! The shared configuration registry facade.
 //!
-//! [`Registry`] is the one handle the rest of the workspace holds: ring
-//! state machines read their membership through it, hosts consult
-//! partitions and subscriptions, services publish metadata. It delegates
-//! to a [`Coord`] backend:
+//! [`Registry`] is the handle that seeds and inspects coordination from
+//! outside the protocol's event loops: deployments register rings and
+//! partitions through it, ring nodes and hosts read their initial
+//! configuration from it when they are built, services publish metadata,
+//! tools and tests read state. It delegates to a [`Coord`] backend:
 //!
 //! * [`LocalCoord`](crate::local::LocalCoord) — the in-process state
 //!   machine (simulator, unit tests, single-process deployments);
 //! * `liverun`'s coordination link — a client of an `amcoordd` ensemble,
-//!   with a watch-updated configuration cache so the per-heartbeat reads
-//!   every ring node performs stay local. Driven by its caller's thread,
-//!   or polled from an event loop that owns it.
+//!   with a watch-updated configuration cache, driven by its caller's
+//!   thread.
 //!
-//! A registry only applies operations; it has no event feed of its own.
-//! A link's watch keeps its cache current, and callers read state.
+//! Once built, ring nodes and hosts no longer call it: they ask
+//! coordination by message (a failure report, a config read, a rejoin)
+//! and their driver routes the ask — the simulator to a coordination
+//! process, the live node loop to its registry or its link — and answers
+//! with [`Registry::call`]'s result.
 //!
-//! Like Zookeeper in the paper (§7.1), the registry sits *off* the
+//! Like Zookeeper in the paper (§7.1), coordination sits *off* the
 //! critical message path: processes consult it at configuration time and
 //! during failover, never per-request.
 
@@ -39,8 +42,7 @@ pub trait Coord: Any + Send + Sync + std::fmt::Debug {
     /// # Errors
     ///
     /// Fails if the operation is refused by the state machine or (for
-    /// remote backends) the answer is not there yet: an event loop's
-    /// call never waits for the network.
+    /// remote backends) the service does not answer in time.
     fn call(&self, op: CoordOp) -> Result<CoordOk>;
 
     /// The backend's own session with the service, if it maintains one
@@ -75,7 +77,8 @@ impl PartitionInfo {
         }
     }
 
-    fn from_wire(wire: &PartitionWire) -> Self {
+    /// A partition from its wire form.
+    pub fn from_wire(wire: &PartitionWire) -> Self {
         PartitionInfo {
             rings: wire.rings.clone(),
             replicas: wire.replicas.clone(),
@@ -114,6 +117,16 @@ impl Registry {
     /// The underlying backend.
     pub fn backend(&self) -> &Arc<dyn Coord> {
         &self.backend
+    }
+
+    /// Applies one operation: how a driver answers a coordination ask
+    /// that arrived as a message.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the backend refuses the operation.
+    pub fn call(&self, op: CoordOp) -> Result<CoordOk> {
+        self.backend.call(op)
     }
 
     /// Registers a ring configuration.
@@ -189,30 +202,6 @@ impl Registry {
             CoordOk::Election(ElectOutcome::Won(epoch)) => Ok(Ok(epoch)),
             CoordOk::Election(ElectOutcome::Lost(wire)) => Ok(Err(RingConfig::from_wire(&wire)?)),
             other => Err(unexpected("ElectCoordinator", &other)),
-        }
-    }
-
-    /// Reports `node` as failed in `ring`: removes it from the membership
-    /// if the caller's view (`seen_epoch`) is current. Returns the new
-    /// config on success, or the (newer) current config if the caller
-    /// raced — either way the caller should install the returned config.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the ring is unknown or removal would break the ring.
-    pub fn report_failure(
-        &self,
-        ring: RingId,
-        failed: NodeId,
-        seen_epoch: Epoch,
-    ) -> Result<RingConfig> {
-        match self.backend.call(CoordOp::ReportFailure {
-            ring,
-            failed,
-            seen_epoch,
-        })? {
-            CoordOk::Config(wire) => RingConfig::from_wire(&wire),
-            other => Err(unexpected("ReportFailure", &other)),
         }
     }
 
@@ -295,14 +284,6 @@ impl Registry {
         }
     }
 
-    /// The partition's info.
-    pub fn partition(&self, partition: PartitionId) -> Option<PartitionInfo> {
-        match self.backend.call(CoordOp::GetPartition { partition }) {
-            Ok(CoordOk::Partition(p)) => p.as_ref().map(PartitionInfo::from_wire),
-            _ => None,
-        }
-    }
-
     /// All partitions, ascending by id.
     pub fn partitions(&self) -> Vec<(PartitionId, PartitionInfo)> {
         match self.backend.call(CoordOp::Partitions) {
@@ -355,27 +336,6 @@ impl Registry {
         }
     }
 
-    /// Registers an ephemeral entry under `session`.
-    ///
-    /// # Errors
-    ///
-    /// An `amcoordd` replica refuses an entry whose `session` is not the
-    /// session the request travels under.
-    pub fn register_ephemeral(
-        &self,
-        session: SessionId,
-        key: impl Into<String>,
-        value: Bytes,
-    ) -> Result<()> {
-        self.backend
-            .call(CoordOp::RegisterEphemeral {
-                session,
-                key: key.into(),
-                value,
-            })
-            .map(|_| ())
-    }
-
     /// Registers an ephemeral entry under the backend's own session (the
     /// "I am alive, here is how to reach me" advertisement every live node
     /// publishes). A backend without a session of its own — the in-process
@@ -387,7 +347,11 @@ impl Registry {
     /// Fails if the service is unreachable.
     pub fn announce(&self, key: impl Into<String>, value: Bytes) -> Result<SessionId> {
         let session = self.backend.session().unwrap_or(SessionId::new(0));
-        self.register_ephemeral(session, key, value)?;
+        (self.backend).call(CoordOp::RegisterEphemeral {
+            session,
+            key: key.into(),
+            value,
+        })?;
         Ok(session)
     }
 
@@ -474,7 +438,7 @@ mod tests {
         reg.register_partition(PartitionId::new(0), info.clone())
             .unwrap();
         assert_eq!(reg.partition_of(NodeId::new(11)), Some(PartitionId::new(0)));
-        assert_eq!(reg.partition(PartitionId::new(0)).unwrap(), info);
+        assert_eq!(reg.partitions(), [(PartitionId::new(0), info.clone())]);
         assert_eq!(reg.subscribers(RingId::new(9)), nodes(&[10, 11, 12]));
         assert_eq!(info.quorum(), 2);
 

@@ -2,7 +2,7 @@
 
 use common::error::{Error, Result};
 use common::ids::{Epoch, NodeId, RingId};
-use common::wire::coord::RingConfigWire;
+use common::wire::coord::{CoordOk, RingConfigWire};
 
 /// Membership and roles of one ring.
 ///
@@ -77,6 +77,15 @@ impl RingConfig {
         cfg.coordinator = wire.coordinator;
         cfg.epoch = wire.epoch;
         Ok(cfg)
+    }
+
+    /// The configuration a coordination answer carries (a failure
+    /// report's, a rejoin's or a read's); `None` for any other answer.
+    pub fn from_answer(body: &CoordOk) -> Option<Self> {
+        match body {
+            CoordOk::Config(wire) | CoordOk::Ring(Some(wire)) => RingConfig::from_wire(wire).ok(),
+            _ => None,
+        }
     }
 
     /// This configuration's wire form.

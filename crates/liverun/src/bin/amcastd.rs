@@ -156,6 +156,7 @@ fn run(args: &Args) -> ExitCode {
             WallClock::start(),
             node,
             args.has("restart"),
+            None,
         ) {
             Ok(_handle) => {
                 let spec = config.node(node).expect("validated");

@@ -439,6 +439,7 @@ pub fn start_coord_server(config: CoordServerConfig) -> Result<CoordServerHandle
         partition: Some(partition),
         registry,
         coord_link: None,
+        netem: None,
         host_opts,
         batch_opts: BatchOptions::default(),
         peer_addrs: members

@@ -189,30 +189,18 @@ pub fn connect_registry(config: &DeploymentConfig) -> Result<Registry> {
 }
 
 /// Starts one node of `config` against `registry` (cold start or
-/// recovery restart). `amcastd` calls this once per process; the
-/// in-process [`Deployment`] calls it per node with a shared registry.
-/// A registry connected to an ensemble belongs to the node from then on:
-/// its loop drives the connection.
+/// recovery restart), its peer links routed through `netem`'s shaping
+/// fabric when given (the in-process geo-deployment path). `amcastd` calls
+/// this once per process, unshaped: netem relays live in the deployment's
+/// address space. The in-process [`Deployment`] calls it per node with a
+/// shared registry. A registry connected to an ensemble belongs to the
+/// node from then on: its loop drives the connection.
 ///
 /// # Errors
 ///
 /// Fails if the node is unknown, an address cannot bind, or the WAL
 /// cannot open.
 pub fn start_node(
-    config: &DeploymentConfig,
-    registry: Registry,
-    clock: WallClock,
-    node: NodeId,
-    restart: bool,
-) -> Result<NodeHandle> {
-    start_node_shaped(config, registry, clock, node, restart, None)
-}
-
-/// [`start_node`], optionally routing every peer link through a
-/// [`Netem`] shaping fabric — the in-process geo-deployment path.
-/// (`amcastd` processes always take the unshaped path: netem relays
-/// live in the deployment's address space.)
-fn start_node_shaped(
     config: &DeploymentConfig,
     registry: Registry,
     clock: WallClock,
@@ -240,16 +228,7 @@ fn start_node_shaped(
             (n.id, addr)
         })
         .collect();
-    let coord_link = boot_registry(config, spec, &registry, restart)?;
-    // Coordination rides the same WAN: a node partitioned from the
-    // coordination service's region must lose failure reporting and
-    // config reads along with its peer links, or a minority replica
-    // could keep evicting healthy members through an out-of-band
-    // registry (see `netem::ShapedCoord`).
-    let registry = match netem {
-        Some(nt) => nt.shaped_registry(node, &registry),
-        None => registry,
-    };
+    let coord_link = boot_registry(config, spec, &registry, restart);
     // One registry per node, shared by every layer of its stack: the
     // same instance rides `host_opts.ring.obs` into the host and rings.
     let obs = Obs::for_node(node.raw());
@@ -270,6 +249,9 @@ fn start_node_shaped(
         partition: spec.partition,
         registry,
         coord_link,
+        // Coordination rides the same WAN (see
+        // `NetemControl::reaches_coordination`).
+        netem: netem.map(Netem::control),
         host_opts,
         batch_opts,
         peer_addrs,
@@ -288,21 +270,16 @@ fn start_node_shaped(
 
 /// Readies `registry` for `spec`'s node loop, on the calling thread.
 /// After a restart it rejoins the node's rings first: failure detection
-/// removed the node while it was down, and ring state machines require
-/// membership. It advertises the node, and against an ensemble it fills
-/// the link's cache with everything the host reads as it starts, then
-/// hands the link over to the loop, which is the link it returns. From
-/// the loop a read that missed the cache would only poll.
-///
-/// # Errors
-///
-/// Fails if a ring of the node cannot be read.
+/// removed the node while it was down, and a ring node is built only for
+/// a member. It advertises the node, and returns the registry's link to
+/// an ensemble, if it has one, which the loop takes over once its host is
+/// built.
 fn boot_registry(
     config: &DeploymentConfig,
     spec: &NodeSpec,
     registry: &Registry,
     restart: bool,
-) -> Result<Option<Arc<LinkCoord>>> {
+) -> Option<Arc<LinkCoord>> {
     let node = spec.id;
     let rings = config.rings.iter().filter(|r| r.members.contains(&node));
     if restart {
@@ -316,18 +293,7 @@ fn boot_registry(
     // `nodes/` without anyone reporting it.
     let addr = Bytes::from(spec.peer_addr.to_string());
     let _ = registry.announce(format!("nodes/{}", node.raw()), addr);
-    let Some(link) = LinkCoord::of(registry) else {
-        return Ok(None);
-    };
-    for r in rings {
-        registry.ring(r.id)?;
-    }
-    registry.partitions();
-    for ring in config.subscribe_to(node) {
-        registry.subscribers(ring);
-    }
-    link.hand_over();
-    Ok(Some(link))
+    LinkCoord::of(registry)
 }
 
 /// A whole deployment running in this process over localhost TCP.
@@ -367,7 +333,7 @@ impl Deployment {
             } else {
                 connect_registry(&config)?
             };
-            nodes.push(Some(start_node_shaped(
+            nodes.push(Some(start_node(
                 &config,
                 node_registry,
                 clock,
@@ -452,7 +418,7 @@ impl Deployment {
         } else {
             connect_registry(&self.config)?
         };
-        self.nodes[i] = Some(start_node_shaped(
+        self.nodes[i] = Some(start_node(
             &self.config,
             registry,
             self.clock,

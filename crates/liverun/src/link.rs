@@ -20,11 +20,10 @@
 //!   them and by the watch — a [`CoordOp::WatchAll`] sent outside any
 //!   session on every connection, which the replica answers with the
 //!   events of every command it applies;
-//! * **poll by operation**: [`CoordLink::poll`] answers a cache hit at
-//!   once; otherwise the first call queues the operation and returns
-//!   [`Poll::Pending`], an identical call while it is in flight queues
-//!   nothing, and the first identical call after the reply lands gets it,
-//!   once — so an event loop can ask on every turn and never wait;
+//! * **asks by id**: [`CoordLink::ask`] takes an operation and the id
+//!   its asker correlates the answer by. A cache hit is answered at once;
+//!   anything else is sent under the session, and its reply answers it.
+//!   Answers are collected with [`CoordLink::take_answers`];
 //! * **the ephemerals** registered under its session, re-registered
 //!   whenever a session (re)opens;
 //! * **replica rotation**: a replica whose connection closes, or that
@@ -33,19 +32,19 @@
 //!   watch and re-fills every entry, and meanwhile the cache serves what
 //!   it had (epochs fence a stale ring config).
 //!
-//! [`LinkCoord`] makes a link a [`Coord`] backend. [`connect_coord`]
-//! drives it on the caller's thread: every registry call turns a private
-//! `Net` until its reply arrives (tools, tests, a node's boot path). A
-//! node loop takes it over ([`LinkCoord::hand_over`]), dials its replica
-//! on the loop's own `Net`, feeds it what arrived and the turn clock, and
-//! sends what it queued with [`flush`]; a registry call there only polls.
+//! [`LinkCoord`] makes a link a [`Coord`] backend for tools, tests and a
+//! node's boot path: [`connect_coord`] drives it on the caller's thread,
+//! and every registry call asks and turns a private `Net` until the
+//! answer to its own id arrives. A node loop takes the link itself
+//! ([`LinkCoord::hand_over`]): it routes its host's coordination asks to
+//! it, dials its replica on the loop's own `Net`, feeds it what arrived
+//! and the turn clock, and sends what it queued with [`flush`].
 
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::task::Poll;
 use std::time::{Duration, Instant, SystemTime};
 
 use bytes::Bytes;
@@ -119,15 +118,6 @@ impl Cache {
             CoordOp::GetRing { ring } => CoordOk::Ring(Some(self.rings.get(ring)?.clone())),
             CoordOp::Subscribers { ring } => CoordOk::Nodes(self.subscribers.get(ring)?.clone()),
             CoordOp::Partitions => CoordOk::Partitions(self.partitions.clone()?),
-            CoordOp::GetPartition { partition: id } => {
-                let ps = self.partitions.as_ref()?;
-                CoordOk::Partition(ps.iter().find(|p| p.partition == *id).cloned())
-            }
-            CoordOp::PartitionOf { replica } => {
-                let ps = self.partitions.as_ref()?;
-                let of = ps.iter().find(|p| p.replicas.contains(replica));
-                CoordOk::PartitionOf(of.map(|p| p.partition))
-            }
             CoordOp::GetMeta { key } => CoordOk::Meta(Some(self.meta.get(key)?.clone())),
             _ => return None,
         })
@@ -153,12 +143,11 @@ pub struct CoordLink {
     /// Maps the driver's instants onto the core's time axis.
     clock: WallClock,
     core: SessionCore,
-    /// What each request in flight asks, by sequence number, and whether
-    /// a caller of [`CoordLink::poll`] collects the reply (the link's own
-    /// upkeep does not).
-    asks: BTreeMap<u64, (CoordOp, bool)>,
-    /// Replies to callers, each handed to the first identical poll.
-    answered: Vec<(CoordOp, Result<CoordOk>, Instant)>,
+    /// What each request in flight asks, by sequence number, and the id
+    /// of the asker it answers (`None` for the link's own upkeep).
+    asks: BTreeMap<u64, (CoordOp, Option<u64>)>,
+    /// Answers not yet collected, by the asker's id.
+    answers: Vec<(u64, Result<CoordOk>)>,
     outbox: Vec<ClientMsg>,
     hangup: Option<SocketAddr>,
     cache: Cache,
@@ -179,7 +168,7 @@ impl CoordLink {
             // The ensemble's window binds the link; it never waits on one.
             core: SessionCore::new(usize::MAX, session_ttl),
             asks: BTreeMap::new(),
-            answered: Vec::new(),
+            answers: Vec::new(),
             outbox: Vec::new(),
             hangup: None,
             cache: Cache::default(),
@@ -204,29 +193,32 @@ impl CoordLink {
             .map(SessionId::new)
     }
 
-    /// Applies `op`, or polls for its answer (see the module docs).
-    pub fn poll(&mut self, op: &CoordOp, now: Instant) -> Poll<Result<CoordOk>> {
-        if let Some(hit) = self.cache.get(op) {
-            return Poll::Ready(Ok(hit));
+    /// Asks for `op` on behalf of the asker's `id`: a cache hit is
+    /// answered at once, anything else when its reply arrives (see the
+    /// module docs).
+    pub fn ask(&mut self, id: u64, op: CoordOp, now: Instant) {
+        if let Some(hit) = self.cache.get(&op) {
+            self.answers.push((id, Ok(hit)));
+            return;
         }
-        if let Some(i) = self.answered.iter().position(|(o, _, _)| o == op) {
-            return Poll::Ready(self.answered.swap_remove(i).1);
-        }
-        if !self.asks.values().any(|(o, caller)| *caller && o == op) {
-            if let CoordOp::RegisterEphemeral {
-                session,
-                key,
-                value,
-            } = op
-            {
-                if Some(*session) == self.session() {
-                    self.mine.retain(|(k, _)| k != key);
-                    self.mine.push((key.clone(), value.clone()));
-                }
+        if let CoordOp::RegisterEphemeral {
+            session,
+            key,
+            value,
+        } = &op
+        {
+            if Some(*session) == self.session() {
+                self.mine.retain(|(k, _)| k != key);
+                self.mine.push((key.clone(), value.clone()));
             }
-            self.ask(op.clone(), true, now);
         }
-        Poll::Pending
+        self.send(op, Some(id), now);
+    }
+
+    /// The answers that arrived since the last call, with their askers'
+    /// ids.
+    pub fn take_answers(&mut self) -> Vec<(u64, Result<CoordOk>)> {
+        std::mem::take(&mut self.answers)
     }
 
     /// Feeds one frame from the replica.
@@ -284,16 +276,13 @@ impl CoordLink {
     }
 
     /// Advances the clock: abandons a replica that sat on a request for
-    /// [`FAILOVER_TIMEOUT`], forgets replies nobody collected, and keeps
-    /// the session alive.
+    /// [`FAILOVER_TIMEOUT`], and keeps the session alive.
     pub fn tick(&mut self, now: Instant) {
         let (oldest, at) = (self.core.oldest_unanswered(), self.clock.at(now));
         if oldest.is_some_and(|sent| at.since(sent) >= FAILOVER_TIMEOUT) {
             self.hangup = Some(self.replica());
             self.fail_over(now);
         }
-        self.answered
-            .retain(|(_, _, at)| now.duration_since(*at) < FAILOVER_TIMEOUT);
         self.core.tick(at);
         self.outbox
             .extend(self.core.outbox.drain(..).map(|(_, f)| f));
@@ -342,10 +331,10 @@ impl CoordLink {
         self.reconnect(now);
     }
 
-    fn ask(&mut self, op: CoordOp, caller: bool, now: Instant) {
+    fn send(&mut self, op: CoordOp, asker: Option<u64>, now: Instant) {
         let at = self.clock.at(now);
         let seq = (self.core).begin(COORD_RING, op.to_bytes(), Vec::new(), None, at);
-        self.asks.insert(seq, (op, caller));
+        self.asks.insert(seq, (op, asker));
         self.outbox
             .extend(self.core.outbox.drain(..).map(|(_, f)| f));
     }
@@ -354,21 +343,21 @@ impl CoordLink {
     /// in flight.
     fn upkeep(&mut self, op: CoordOp, now: Instant) {
         if !self.asks.values().any(|(o, _)| *o == op) {
-            self.ask(op, false, now);
+            self.send(op, None, now);
         }
     }
 
     /// Folds the answer to `seq` into the cache, and keeps it for the
-    /// caller who asked.
+    /// asker.
     fn answer(&mut self, seq: u64, result: Result<CoordOk>, now: Instant) {
-        let Some((op, caller)) = self.asks.remove(&seq) else {
+        let Some((op, asker)) = self.asks.remove(&seq) else {
             return;
         };
         if let Ok(body) = &result {
             self.update_cache(&op, body, now);
         }
-        if caller {
-            self.answered.push((op, result, now));
+        if let Some(id) = asker {
+            self.answers.push((id, result));
         }
     }
 
@@ -430,14 +419,13 @@ impl CoordLink {
     }
 }
 
-/// A [`CoordLink`] as a [`Coord`] backend.
-///
-/// While it has its caller's-thread `Net`, a call turns it until its
-/// answer arrives (for up to twice [`FAILOVER_TIMEOUT`]: one failover);
-/// after [`LinkCoord::hand_over`] a call only polls, and an event loop
-/// moves the frames through [`LinkCoord::with_link`].
+/// A [`CoordLink`] as a [`Coord`] backend: a call asks under an id of its
+/// own and turns the caller's-thread `Net` until that id is answered (for
+/// up to twice [`FAILOVER_TIMEOUT`]: one failover).
 pub struct LinkCoord {
-    state: Mutex<(CoordLink, Option<CallerNet>)>,
+    /// The link, its caller's-thread `Net` and the last id asked; `None`
+    /// once a node loop took the link.
+    state: Mutex<Option<(CoordLink, CallerNet, u64)>>,
 }
 
 impl std::fmt::Debug for LinkCoord {
@@ -447,7 +435,7 @@ impl std::fmt::Debug for LinkCoord {
 }
 
 impl LinkCoord {
-    fn lock(&self) -> MutexGuard<'_, (CoordLink, Option<CallerNet>)> {
+    fn lock(&self) -> MutexGuard<'_, Option<(CoordLink, CallerNet, u64)>> {
         self.state.lock().expect("coordination link lock")
     }
 
@@ -458,39 +446,36 @@ impl LinkCoord {
     }
 
     /// Hands the link to an event loop: the caller's-thread `Net` and its
-    /// connection are dropped, the link reconnects through whatever the
-    /// loop dials, and calls from now on only poll.
-    pub fn hand_over(&self) {
-        let mut state = self.lock();
-        state.1 = None;
-        state.0.reconnect(Instant::now());
-    }
-
-    /// Runs `f` on the link (for the event loop that drives it).
-    pub fn with_link<R>(&self, f: impl FnOnce(&mut CoordLink) -> R) -> R {
-        f(&mut self.lock().0)
+    /// connection are dropped, and the link reconnects through whatever
+    /// the loop dials. Registry calls through this backend fail from
+    /// then on. `None` if a loop already took it.
+    pub fn hand_over(&self) -> Option<CoordLink> {
+        let (mut link, _, _) = self.lock().take()?;
+        link.reconnect(Instant::now());
+        Some(link)
     }
 }
 
 impl Coord for LinkCoord {
     fn call(&self, op: CoordOp) -> Result<CoordOk> {
         let mut state = self.lock();
-        let (link, net) = &mut *state;
-        let Some(net) = net else {
-            return match link.poll(&op, Instant::now()) {
-                Poll::Ready(result) => result,
-                Poll::Pending => Err(Error::Timeout("coordination reply pending")),
-            };
+        let Some((link, net, last)) = &mut *state else {
+            return Err(Error::Config(
+                "coordination link taken by a node loop".into(),
+            ));
         };
         // What arrived since the last call first: events keep the cache
         // current.
         net.turn(link, Duration::ZERO);
+        *last += 1;
+        let id = *last;
+        link.ask(id, op, Instant::now());
         let deadline = Instant::now() + FAILOVER_TIMEOUT * 2;
         loop {
-            let now = Instant::now();
-            if let Poll::Ready(result) = link.poll(&op, now) {
+            if let Some((_, result)) = link.take_answers().into_iter().find(|(of, _)| *of == id) {
                 return result;
             }
+            let now = Instant::now();
             if now >= deadline {
                 return Err(Error::Timeout("coordination service unreachable"));
             }
@@ -499,7 +484,7 @@ impl Coord for LinkCoord {
     }
 
     fn session(&self) -> Option<SessionId> {
-        self.lock().0.session()
+        self.lock().as_ref().and_then(|(link, _, _)| link.session())
     }
 }
 
@@ -527,7 +512,7 @@ pub fn connect_coord(addrs: &[SocketAddr], session_ttl: Duration) -> Result<Regi
         }
         net.turn(&mut link, left);
     }
-    let state = Mutex::new((link, Some(net)));
+    let state = Mutex::new(Some((link, net, 0)));
     Ok(Registry::from_backend(Arc::new(LinkCoord { state })))
 }
 
@@ -653,8 +638,13 @@ mod tests {
         link
     }
 
+    /// The ids of the answers collected, in order.
+    fn answered(link: &mut CoordLink) -> Vec<u64> {
+        link.take_answers().into_iter().map(|(id, _)| id).collect()
+    }
+
     #[test]
-    fn a_call_is_a_poll_answered_once() {
+    fn an_ask_is_answered_once_under_its_id() {
         let now = Instant::now();
         let mut link = open_link(now);
         let report = CoordOp::ReportFailure {
@@ -662,25 +652,24 @@ mod tests {
             failed: NodeId::new(1),
             seen_epoch: Epoch::new(1),
         };
-        assert!(link.poll(&report, now).is_pending());
-        assert!(link.poll(&report, now).is_pending(), "in flight");
+        link.ask(7, report, now);
+        assert!(link.take_answers().is_empty(), "in flight");
         let sent = requests(&mut link);
-        assert_eq!(sent.len(), 1, "one request for both calls");
+        assert_eq!(sent.len(), 1);
         assert_eq!(sent[0].0, SESSION, "sent under the link's session");
-        link.on_reply(
-            answer(SESSION, sent[0].1, Ok(CoordOk::Config(ring_cfg(2)))),
-            now,
-        );
-        assert!(matches!(
-            link.poll(&report, now),
-            Poll::Ready(Ok(CoordOk::Config(_)))
-        ));
-        assert!(link.poll(&report, now).is_pending(), "answered once");
+        let reply = answer(SESSION, sent[0].1, Ok(CoordOk::Config(ring_cfg(2))));
+        link.on_reply(reply.clone(), now);
+        let answers = link.take_answers();
+        assert!(matches!(answers[..], [(7, Ok(CoordOk::Config(_)))]));
+        link.on_reply(reply, now);
+        assert!(link.take_answers().is_empty(), "answered once");
         // The reply's config is cached: a read of the ring answers at once.
         let get = CoordOp::GetRing {
             ring: RingId::new(3),
         };
-        let Poll::Ready(Ok(CoordOk::Ring(Some(cfg)))) = link.poll(&get, now) else {
+        link.ask(8, get, now);
+        assert!(requests(&mut link).is_empty(), "nothing sent");
+        let Some((8, Ok(CoordOk::Ring(Some(cfg))))) = link.take_answers().pop() else {
             panic!("a cache hit");
         };
         assert_eq!(cfg.epoch, Epoch::new(2));
@@ -693,18 +682,20 @@ mod tests {
         let get = CoordOp::GetRing {
             ring: RingId::new(3),
         };
-        assert!(link.poll(&get, now).is_pending());
+        link.ask(1, get.clone(), now);
         let seq = requests(&mut link)[0].1;
         link.on_reply(
             answer(SESSION, seq, Ok(CoordOk::Ring(Some(ring_cfg(1))))),
             now,
         );
+        assert_eq!(answered(&mut link), [1]);
         let first = link.replica();
         link.on_closed(addrs()[1], now); // not ours: ignored
         assert_eq!(link.replica(), first);
         link.on_closed(first, now);
         assert_ne!(link.replica(), first);
-        assert!(link.poll(&get, now).is_ready(), "the cache survives");
+        link.ask(2, get.clone(), now);
+        assert_eq!(answered(&mut link), [2], "the cache survives");
         assert!(matches!(
             link.outbox.first(),
             Some(ClientMsg::HelloV2 { .. })
@@ -724,7 +715,7 @@ mod tests {
             value: Bytes::from_static(b"v"),
             expected_version: None,
         };
-        assert!(link.poll(&set, now).is_pending());
+        link.ask(1, set, now);
         let Some(ClientMsg::RequestV2 { seq, ack, .. }) = link.outbox.first().cloned() else {
             panic!("a request");
         };
@@ -733,7 +724,7 @@ mod tests {
         assert_eq!(sent.len(), 1);
         link.on_closed(link.replica(), now);
         assert!(
-            link.poll(&set, now).is_pending(),
+            answered(&mut link).is_empty(),
             "not answered by the failover"
         );
         let resent = requests(&mut link);
@@ -747,11 +738,11 @@ mod tests {
         // first replica's late answer to the original arrives too.
         link.on_reply(answer(session, seq, Ok(CoordOk::Version(1))), now);
         link.on_reply(answer(session, seq, Ok(CoordOk::Version(1))), now);
-        assert!(matches!(
-            link.poll(&set, now),
-            Poll::Ready(Ok(CoordOk::Version(1)))
-        ));
-        assert!(link.poll(&set, now).is_pending(), "answered once");
+        let answers = link.take_answers();
+        assert!(
+            matches!(answers[..], [(1, Ok(CoordOk::Version(1)))]),
+            "answered once: {answers:?}"
+        );
     }
 
     #[test]
@@ -764,7 +755,7 @@ mod tests {
             key: key.clone(),
             value: Bytes::from_static(b"a"),
         };
-        assert!(link.poll(&register, now).is_pending());
+        link.ask(1, register.clone(), now);
         let sent = requests(&mut link);
         let first = link.replica();
         let later = now + FAILOVER_TIMEOUT;
@@ -773,7 +764,7 @@ mod tests {
         let resent = requests(&mut link);
         assert_eq!(resent[0].2, CoordOp::WatchAll.to_bytes());
         assert!(resent.contains(&sent[0]), "the write goes again, unchanged");
-        assert!(link.poll(&register, later).is_pending(), "never timed out");
+        assert!(answered(&mut link).is_empty(), "never timed out");
         // The ensemble expired the session: the write is refused unrun,
         // the link opens another session and registers its ephemerals
         // again.

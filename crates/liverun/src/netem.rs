@@ -38,11 +38,9 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use common::error::{Error, Result};
-use common::ids::{NodeId, SessionId};
+use common::ids::NodeId;
 use common::obs::{Counter, Obs};
 use common::transport::{LinkPolicy, LinkShaper, ShapeDecision, TimerHeap};
-use common::wire::coord::{CoordOk, CoordOp};
-use coord::{Coord, Registry};
 use crossbeam::channel::{bounded, Sender};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -197,54 +195,18 @@ impl NetemControl {
     pub fn region_of(&self, node: NodeId) -> String {
         self.shared.name(self.shared.region(node))
     }
-}
 
-/// The coordination service as seen from one region of the shaped WAN.
-///
-/// The paper's deployments reach their ZooKeeper ensemble over the same
-/// wide-area network the rings use — a region cut off from the ensemble
-/// loses failure reporting, configuration reads and session keep-alives
-/// along with everything else. An in-process [`coord::Registry`] would
-/// quietly bypass the fabric, letting a minority-partitioned replica
-/// keep evicting healthy majority members via `report_failure` until the
-/// rings wedge (both sides of a partition accusing each other is exactly
-/// the split-brain the ensemble placement is meant to arbitrate). This
-/// wrapper closes that hole: every call checks the current link state
-/// between the caller's region and [`GeoSpec::coord_region`]
-/// (`crate::config::GeoSpec`) and fails while either direction is
-/// blocked. Watch events stay connected — they model the client library
-/// draining its backlog after the partition heals, and a stale config
-/// delivered late is harmless (epochs fence it).
-struct ShapedCoord {
-    inner: Arc<dyn Coord>,
-    shared: Arc<Shared>,
-    region: usize,
-}
-
-impl std::fmt::Debug for ShapedCoord {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShapedCoord")
-            .field("region", &self.shared.name(self.region))
-            .field("coord_region", &self.shared.name(self.shared.coord_region))
-            .finish_non_exhaustive()
-    }
-}
-
-impl Coord for ShapedCoord {
-    fn call(&self, op: CoordOp) -> Result<CoordOk> {
+    /// Whether `node` and the coordination service hear each other: no
+    /// direction between its region and `coord_region` is blocked. The
+    /// paper's Zookeeper is reached over the same WAN as the rings, so a
+    /// region cut off from it cannot keep evicting healthy members.
+    /// Unplaced nodes always reach it.
+    pub fn reaches_coordination(&self, node: NodeId) -> bool {
+        let Some(&region) = self.shared.region_of.get(&node) else {
+            return true;
+        };
         let coord = self.shared.coord_region;
-        if self.shared.policy(self.region, coord).blocked
-            || self.shared.policy(coord, self.region).blocked
-        {
-            // What a real ensemble looks like across a cut WAN: the
-            // request never completes.
-            return Err(Error::Timeout("coordination service (region partitioned)"));
-        }
-        self.inner.call(op)
-    }
-
-    fn session(&self) -> Option<SessionId> {
-        self.inner.session()
+        !self.shared.policy(region, coord).blocked && !self.shared.policy(coord, region).blocked
     }
 }
 
@@ -395,21 +357,6 @@ impl Netem {
         let addr = rx.recv().map_err(|_| stopped)??;
         proxies.insert(key, addr);
         Ok(addr)
-    }
-
-    /// Wraps `registry` so that `node` reaches the coordination service
-    /// through the shaped WAN: calls fail while the node's region is
-    /// partitioned from `coord_region` (see `ShapedCoord`). Unplaced
-    /// nodes keep the registry as-is.
-    pub fn shaped_registry(&self, node: NodeId, registry: &Registry) -> Registry {
-        let Some(&region) = self.shared.region_of.get(&node) else {
-            return registry.clone();
-        };
-        Registry::from_backend(Arc::new(ShapedCoord {
-            inner: Arc::clone(registry.backend()),
-            shared: Arc::clone(&self.shared),
-            region,
-        }))
     }
 
     /// Stops the shaping loop and joins it: every relay port is released
@@ -816,46 +763,6 @@ mod tests {
             at(50),
             at(99)
         );
-        netem.stop();
-    }
-
-    /// A partitioned region loses the coordination service along with
-    /// its peer links — otherwise a minority replica keeps evicting
-    /// healthy members via an out-of-band `report_failure` and the
-    /// mutual-accusation race can hand a ring to the partitioned side
-    /// (both sides accusing each other until one ends up sole member).
-    #[test]
-    fn partition_cuts_coordination_access() {
-        let (netem, config) = test_netem();
-        let control = netem.control();
-        let registry = Registry::new();
-        let members = vec![NodeId::new(0), NodeId::new(1)];
-        let cfg =
-            coord::RingConfig::new(common::ids::RingId::new(0), members.clone(), members).unwrap();
-        registry.register_ring(cfg).unwrap();
-
-        // coord_region defaults to the first declared region ("left").
-        assert_eq!(config.geo.as_ref().unwrap().coord_region, "left");
-        let left = netem.shaped_registry(NodeId::new(0), &registry);
-        let right = netem.shaped_registry(NodeId::new(1), &registry);
-        assert!(left.ring(common::ids::RingId::new(0)).is_ok());
-        assert!(right.ring(common::ids::RingId::new(0)).is_ok());
-
-        control.partition("right");
-        // The cut-off region can neither read config nor evict anyone;
-        // the coordination-side region keeps full access.
-        assert!(right.ring(common::ids::RingId::new(0)).is_err());
-        assert!(right
-            .report_failure(
-                common::ids::RingId::new(0),
-                NodeId::new(0),
-                common::ids::Epoch::new(1),
-            )
-            .is_err());
-        assert!(left.ring(common::ids::RingId::new(0)).is_ok());
-
-        control.heal("right");
-        assert!(right.ring(common::ids::RingId::new(0)).is_ok());
         netem.stop();
     }
 }

@@ -17,11 +17,11 @@
 //! short-lived dial helper runs beside the loop, and the loop's one mail
 //! is `Shutdown`.
 //!
-//! Against an `amcoordd` ensemble the loop also owns the node's
-//! coordination session: it drives the node's [`crate::link::CoordLink`]
-//! on its own sockets, so a registry call
-//! made by the host — a failure report, a config read — polls the link
-//! and never waits on the ensemble.
+//! The host asks coordination by message (a request to [`COORD_NODE`]),
+//! and the loop routes the ask like any other send: to the in-process
+//! registry, whose answer is the next turn's message, or to the node's
+//! [`crate::link::CoordLink`] to an `amcoordd` ensemble, driven on the
+//! loop's own sockets. Nothing on the loop waits for coordination.
 //!
 //! The loop keeps the hello, credit grants and the stats plane; requests
 //! go through the host's admission ([`MultiRingHost::admit`]) into the
@@ -50,12 +50,14 @@ use common::wire::client::{ClientMsg, ClientReply, ErrorCode, FEAT_ALL};
 use coord::Registry;
 use multiring::{HostOptions, MultiRingHost, ServiceApp};
 use rand::{rngs::StdRng, SeedableRng};
-use simnet::{Ctx, Process, Timer};
+use simnet::coordination::{answer, asked};
+use simnet::{Ctx, Process, Timer, COORD_NODE};
 
 use crate::batch::{BatchOptions, Batcher};
 use crate::coord_node::CoordFront;
-use crate::link::{flush, LinkCoord};
+use crate::link::{flush, CoordLink, LinkCoord};
 use crate::net::{spawn_loop, ConnId, Event, Mailer, Net, Reader};
+use crate::netem::NetemControl;
 
 /// Client connections are addressed as synthetic nodes at and above this
 /// id; deployment nodes must stay below it.
@@ -164,6 +166,40 @@ impl Clients {
     }
 }
 
+/// Where a node's coordination asks go: to its link to an `amcoordd`
+/// ensemble, or to the in-process registry.
+struct Coordination {
+    me: NodeId,
+    registry: Registry,
+    link: Option<CoordLink>,
+    netem: Option<NetemControl>,
+}
+
+impl Coordination {
+    /// Routes one of the host's asks (a message to [`COORD_NODE`]). The
+    /// registry answers on the host's next turn; across a cut WAN the ask
+    /// is lost like any other frame.
+    fn ask(&mut self, msg: &Msg, local: &mut Vec<Msg>) {
+        let Some((seq, op)) = asked(msg) else { return };
+        if (self.netem.as_ref()).is_some_and(|netem| !netem.reaches_coordination(self.me)) {
+            return;
+        }
+        match &mut self.link {
+            Some(link) => link.ask(seq, op, Instant::now()),
+            None => local.push(answer(seq, self.me, self.registry.call(op))),
+        }
+    }
+
+    /// Hands what the link answered to the host's next turn.
+    fn collect(&mut self, local: &mut Vec<Msg>) {
+        if let Some(link) = &mut self.link {
+            for (seq, result) in link.take_answers() {
+                local.push(answer(seq, self.me, result));
+            }
+        }
+    }
+}
+
 /// Everything needed to (re)build one node's host.
 pub(crate) struct NodeSetup {
     /// This node's id.
@@ -177,8 +213,12 @@ pub(crate) struct NodeSetup {
     /// Shared configuration registry.
     pub registry: Registry,
     /// The registry's link to an `amcoordd` ensemble, which the loop
-    /// drives; `None` for an in-process registry.
+    /// takes over once the host is built; `None` for an in-process
+    /// registry.
     pub coord_link: Option<Arc<LinkCoord>>,
+    /// The geo fabric: coordination answers only while it connects the
+    /// node's region to `coord_region`.
+    pub netem: Option<NetemControl>,
     /// Host tuning.
     pub host_opts: HostOptions,
     /// Batching limits for client proposals.
@@ -345,7 +385,6 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
     let me = setup.me;
     let clock = setup.clock;
     let mut coord_front = setup.coord.take();
-    let coord_link = setup.coord_link.take();
     let coord_replies = Reader::Frames(|buf| Ok(buf.try_next()?.map(Inbound::Reply)));
     let obs = setup.obs.clone();
     let mut host = MultiRingHost::new(
@@ -357,6 +396,13 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
         app,
         setup.host_opts,
     );
+    // Built: from here on the host only asks, and the loop routes.
+    let mut coord = Coordination {
+        me,
+        registry: setup.registry.clone(),
+        link: setup.coord_link.take().and_then(|link| link.hand_over()),
+        netem: setup.netem.take(),
+    };
     let mut transport = PeerTransport {
         me,
         addrs: setup.peer_addrs,
@@ -413,7 +459,11 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
                 &mut local,
                 &mut timers,
                 &clock,
-            )
+                &mut coord,
+            );
+            if let Some(link) = &mut coord.link {
+                flush(link, &mut net, coord_replies);
+            }
         }};
     }
 
@@ -457,14 +507,14 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
                     continue;
                 }
                 Event::Frame(_, Inbound::Reply(reply)) => {
-                    if let Some(link) = &coord_link {
-                        link.with_link(|link| link.on_reply(reply, Instant::now()));
+                    if let Some(link) = &mut coord.link {
+                        link.on_reply(reply, Instant::now());
                     }
                     continue;
                 }
                 Event::LinkDown(replica) => {
-                    if let Some(link) = &coord_link {
-                        link.with_link(|link| link.on_closed(replica, Instant::now()));
+                    if let Some(link) = &mut coord.link {
+                        link.on_closed(replica, Instant::now());
                     }
                     continue;
                 }
@@ -572,11 +622,8 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
         if let Some(front) = &mut coord_front {
             front.tick(&mut net, host.is_recovering());
         }
-        if let Some(link) = &coord_link {
-            link.with_link(|link| {
-                link.tick(Instant::now());
-                flush(link, &mut net, coord_replies);
-            });
+        if let Some(link) = &mut coord.link {
+            link.tick(Instant::now());
         }
         route!();
     }
@@ -625,10 +672,10 @@ fn note_seal(seal: &Hist, batch: &[Envelope]) {
 }
 
 /// Routes one round of host effects: sends onto peer links, reply
-/// frames onto client connections as the host made them, or into
-/// `local` (self-sends); timer requests onto
-/// the wall-clock heap. Nothing is written here: the loop's next wait
-/// writes out what this queued.
+/// frames onto client connections as the host made them, coordination
+/// asks to `coord`, or into `local` (self-sends and coordination's
+/// answers); timer requests onto the wall-clock heap. Nothing is written
+/// here: the loop's next wait writes out what this queued.
 #[allow(clippy::too_many_arguments)]
 fn route_effects(
     outbox: &mut Vec<(NodeId, Msg)>,
@@ -639,9 +686,12 @@ fn route_effects(
     local: &mut Vec<Msg>,
     timers: &mut TimerHeap<Timer>,
     clock: &WallClock,
+    coord: &mut Coordination,
 ) {
     for (to, msg) in outbox.drain(..) {
-        if let Some(client) = client_of_node(to) {
+        if to == COORD_NODE {
+            coord.ask(&msg, local);
+        } else if let Some(client) = client_of_node(to) {
             if let Msg::Reply(reply) = msg {
                 clients.reply(net, client, &reply);
             }
@@ -654,6 +704,7 @@ fn route_effects(
     for (at, timer) in timer_reqs.drain(..) {
         timers.push_at(clock.instant_of(at), timer);
     }
+    coord.collect(local);
 }
 
 #[cfg(test)]
@@ -799,6 +850,53 @@ mod tests {
             wal.record_duration(Duration::from_millis(1));
         }
         assert_eq!(c.tick(0, 0, &wal), 48);
+    }
+
+    /// Coordination rides the geo fabric: while a node's region is cut
+    /// off from `coord_region` its asks go unanswered, a node on the
+    /// coordination side keeps getting answers, and after the heal both
+    /// do.
+    #[test]
+    fn a_region_cut_from_coordination_asks_in_vain_until_the_heal() {
+        use crate::config::{free_port_block, generate_localhost_mrpstore, with_geo};
+        use crate::DeploymentConfig;
+        use common::wire::coord::CoordOp;
+        use simnet::coordination::{answered, ask};
+
+        let base = generate_localhost_mrpstore(1, 2, free_port_block(4).unwrap(), None);
+        let doc = with_geo(&base, &[("left", &[0]), ("right", &[1])], 100);
+        let config = DeploymentConfig::parse(&doc).unwrap();
+        // coord_region defaults to the first declared region ("left").
+        assert_eq!(config.geo.as_ref().unwrap().coord_region, "left");
+        let netem = crate::netem::Netem::start(&config).unwrap();
+        let control = netem.control();
+        let registry = config.build_registry().unwrap();
+        let coord = |node: u32| Coordination {
+            me: NodeId::new(node),
+            registry: registry.clone(),
+            link: None,
+            netem: Some(control.clone()),
+        };
+        let (mut left, mut right) = (coord(0), coord(1));
+        let answers = |coord: &mut Coordination| {
+            let mut local = Vec::new();
+            let op = CoordOp::GetRing {
+                ring: RingId::new(0),
+            };
+            coord.ask(&ask(1, &op), &mut local);
+            coord.collect(&mut local);
+            matches!(&local[..], [Msg::Reply(reply)]
+                if answered(reply).is_some_and(|(seq, result)| seq == 1 && result.is_ok()))
+        };
+        assert!(answers(&mut left) && answers(&mut right));
+
+        control.partition("right");
+        assert!(!answers(&mut right), "the cut-off region got an answer");
+        assert!(answers(&mut left), "the coordination side lost its answers");
+
+        control.heal("right");
+        assert!(answers(&mut left) && answers(&mut right));
+        netem.stop();
     }
 
     #[test]

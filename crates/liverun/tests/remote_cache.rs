@@ -17,7 +17,7 @@ use common::value::SESSION_CTL;
 use common::wire::client::{ClientMsg, ClientReply, SessionCtl, ST_OK};
 use common::wire::coord::{encode_reply, CoordOk, CoordOp, RingConfigWire};
 use common::wire::{put_varint, Wire};
-use liverun::{connect_coord, LinkCoord};
+use liverun::connect_coord;
 
 fn cfg(epoch: u64, coordinator: u32) -> RingConfigWire {
     let members: Vec<NodeId> = (0..3).map(NodeId::new).collect();
@@ -131,50 +131,6 @@ fn wait_until(deadline: Duration, mut check: impl FnMut() -> bool) -> bool {
     false
 }
 
-/// The test's stand-in for a node loop: moves a handed-over link's
-/// frames over one plain connection, a turn at a time.
-struct TestLoop {
-    conn: Option<TcpStream>,
-    buf: FrameBuf,
-}
-
-impl TestLoop {
-    fn turn(&mut self, link: &LinkCoord) {
-        use std::io::{Read, Write};
-        link.with_link(|link| {
-            if link.take_hangup().is_some() {
-                self.conn = None;
-            }
-            for frame in link.take_outbox() {
-                let conn = self.conn.get_or_insert_with(|| {
-                    let conn = TcpStream::connect(link.replica()).expect("dial the replica");
-                    conn.set_read_timeout(Some(Duration::from_millis(5)))
-                        .unwrap();
-                    conn
-                });
-                let _ = conn.write_all(&encode_frame(&frame));
-            }
-            let mut chunk = [0u8; 4096];
-            let read = self.conn.as_mut().map(|conn| conn.read(&mut chunk));
-            match read {
-                Some(Ok(0)) => {
-                    (self.conn, self.buf) = (None, FrameBuf::new());
-                    link.on_closed(link.replica(), Instant::now());
-                }
-                Some(Ok(n)) => {
-                    self.buf.extend(&chunk[..n]);
-                    while let Ok(Some(reply)) = self.buf.try_next::<ClientReply>() {
-                        link.on_reply(reply, Instant::now());
-                    }
-                }
-                // Nothing arrived within the read timeout.
-                Some(Err(_)) | None => {}
-            }
-            link.tick(Instant::now());
-        });
-    }
-}
-
 #[test]
 fn a_disconnect_keeps_the_cache_and_refreshes_it() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake replica");
@@ -188,19 +144,8 @@ fn a_disconnect_keeps_the_cache_and_refreshes_it() {
     // A first read, on the caller's thread, fills the cache.
     let ring = RingId::new(7);
     assert_eq!(registry.ring(ring).expect("read").epoch(), Epoch::new(5));
-
-    // From here on this test is the event loop: a registry call only
-    // polls the link, and the loop's turns move its frames.
-    let link = LinkCoord::of(&registry).expect("a link");
-    link.hand_over();
-    let mut driver = TestLoop {
-        conn: None,
-        buf: FrameBuf::new(),
-    };
-    let settle = Instant::now() + Duration::from_millis(300);
-    while Instant::now() < settle {
-        driver.turn(&link);
-    }
+    // From here on every read is a cache hit: each call turns the link's
+    // connection once and answers at once.
     assert_eq!(registry.ring(ring).expect("cached").epoch(), Epoch::new(5));
 
     // Failover: the configuration moves on *while the client's replica
@@ -211,14 +156,12 @@ fn a_disconnect_keeps_the_cache_and_refreshes_it() {
     replica.kill_conns();
 
     // The link must notice the dead watch, keep answering from the cache
-    // meanwhile — a read on an event loop that missed would only poll —
-    // and re-fetch what it caches over a fresh connection, reaching
-    // epoch 7 with no read of the caller's. (With a cache refreshed only
-    // by misses, reads stayed stale indefinitely and this wait timed
-    // out.)
+    // meanwhile, and re-fetch what it caches over a fresh connection,
+    // reaching epoch 7 with no read that missed the cache. (With a cache
+    // refreshed only by misses, reads stayed stale indefinitely and this
+    // wait timed out.)
     assert!(
         wait_until(Duration::from_secs(5), || {
-            driver.turn(&link);
             let cfg = registry.ring(ring);
             assert!(cfg.is_ok(), "a disconnect emptied the cache: {cfg:?}");
             cfg.is_ok_and(|c| c.epoch() == Epoch::new(7))

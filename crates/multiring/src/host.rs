@@ -10,12 +10,16 @@
 //! coordinator side of the log-trimming protocol for rings it
 //! coordinates, and recovers after crashes via partition-peer checkpoints
 //! plus acceptor retransmission (paper §5.2, §7).
+//!
+//! The host reads the [`Registry`] only at construction. Afterwards its
+//! ring nodes' coordination asks and its own (rejoins, the trim electorate)
+//! go to [`COORD_NODE`] as messages, and the answers that come back
+//! refresh the ring nodes' configs and the host's [`CoordView`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
-use common::error::Error;
 use common::ids::{ClientId, InstanceId, NodeId, PartitionId, RequestId, RingId};
 use common::msg::CheckpointTuple;
 use common::msg::{Msg, RecoveryMsg, RingMsg};
@@ -23,12 +27,14 @@ use common::obs::{Counter, Gauge, Hist, Obs};
 use common::time::SimTime;
 use common::value::{Envelope, Payload, Value, ValueId, SESSION_CTL};
 use common::wire::client::{ClientMsg, ClientReply, ErrorCode};
+use common::wire::coord::{CoordOk, CoordOp};
 use common::wire::{get_varint, get_vec, put_varint, put_vec, Wire};
-use coord::Registry;
+use coord::{PartitionInfo, Registry, RingConfig};
 use ringpaxos::node::{Output, RingNode, MAX_IDLE_SKIP_STRIDE};
 use ringpaxos::options::RingOptions;
 use ringpaxos::timer::RingTimer;
-use simnet::{Ctx, Process, Timer};
+use simnet::coordination::{answered, ask};
+use simnet::{Ctx, Process, Timer, COORD_NODE};
 use storage::{CheckpointStore, StorageMode};
 
 use crate::app::{ServiceApp, SnapshotCut};
@@ -45,6 +51,10 @@ const TIMER_RECOVERY: u32 = 5;
 const TIMER_GAP: u32 = 6;
 const TIMER_CHECKPOINT_STEP: u32 = 7;
 const TIMER_SESSION_SWEEP: u32 = 8;
+const TIMER_REJOIN: u32 = 9;
+
+/// Asks remembered for correlation (an older ask's answer is dropped).
+const ASKS_REMEMBERED: usize = 1024;
 
 /// Maximum decisions per retransmission reply.
 const RETRANSMIT_CHUNK: u64 = 4096;
@@ -306,10 +316,29 @@ struct ActiveCkpt {
     started: SimTime,
 }
 
+/// What a host knows of coordination beyond its own rings, whose configs
+/// its ring nodes hold: read from the registry at construction and
+/// refreshed by the answers to its asks.
+#[derive(Default)]
+struct CoordView {
+    /// Subscribers of this node's rings: the trim electorate.
+    subscribers: BTreeMap<RingId, Vec<NodeId>>,
+    /// Every partition: recovery and trim quorums.
+    partitions: BTreeMap<PartitionId, PartitionInfo>,
+    /// Rings this node is no member of: where `admit` redirects.
+    foreign: BTreeMap<RingId, RingConfig>,
+    /// Asks in flight, by sequence number.
+    asked: BTreeMap<u64, CoordOp>,
+    /// Sequence number of the last ask.
+    last_ask: u64,
+}
+
 /// The per-process host. See the module docs.
 pub struct MultiRingHost {
     me: NodeId,
-    registry: Registry,
+    view: CoordView,
+    /// Rings whose node waits, after a restart, for its rejoin's answer.
+    rejoining: BTreeSet<RingId>,
     opts: HostOptions,
     /// Rings this node participates in (any roles).
     rings: BTreeMap<RingId, RingNode>,
@@ -432,11 +461,24 @@ impl MultiRingHost {
             }
             Some(MergeLearner::new(subscribe_to, opts.m))
         };
+        let foreign = (registry.ring_ids().into_iter())
+            .filter(|ring| !rings.contains_key(ring))
+            .filter_map(|ring| Some((ring, registry.ring(ring).ok()?)))
+            .collect();
+        let view = CoordView {
+            subscribers: (rings.keys())
+                .map(|ring| (*ring, registry.subscribers(*ring)))
+                .collect(),
+            partitions: registry.partitions().into_iter().collect(),
+            foreign,
+            ..CoordView::default()
+        };
         let ckpt_store = CheckpointStore::new(opts.checkpoint_storage);
         let hobs = HostObs::new(&opts.ring.obs, &rings, &acceptor_of);
         MultiRingHost {
             me,
-            registry,
+            view,
+            rejoining: BTreeSet::new(),
             opts,
             rings,
             acceptor_of,
@@ -505,10 +547,11 @@ impl MultiRingHost {
     /// `reply_to`: a [`ClientMsg::RequestV2`] on a group this node serves
     /// becomes the [`Envelope`] to propose there; one for another group
     /// is answered with a [`ClientReply::Redirect`] to a member, or an
-    /// [`ClientReply::ErrorV2`] while none is known. Other frames admit
-    /// nothing (the handshake and the stats plane are the transport's).
+    /// [`ClientReply::ErrorV2`] while none is known — and refreshes what
+    /// this node knows of that group. Other frames admit nothing (the
+    /// handshake and the stats plane are the transport's).
     pub fn admit(
-        &self,
+        &mut self,
         client: ClientId,
         reply_to: NodeId,
         frame: ClientMsg,
@@ -539,26 +582,85 @@ impl MultiRingHost {
                 },
             ));
         }
-        let target = (self.registry.ring(group))
-            .map(|cfg| cfg.members().iter().copied().find(|m| *m != self.me));
-        let (code, detail) = match target {
-            Ok(Some(to)) => {
-                ctx.send(
-                    reply_to,
-                    Msg::Reply(ClientReply::Redirect { seq, group, to }),
-                );
-                return None;
-            }
-            // Its config is on its way from coordination.
-            Err(Error::Timeout(_)) => (ErrorCode::NotServing, "retry"),
-            _ => (ErrorCode::UnknownGroup, "no node serves"),
+        let target = (self.view.foreign.get(&group))
+            .and_then(|cfg| cfg.members().iter().copied().find(|m| *m != self.me));
+        self.ask(CoordOp::GetRing { ring: group }, ctx);
+        let reply = match target {
+            Some(to) => ClientReply::Redirect { seq, group, to },
+            None => ClientReply::ErrorV2 {
+                seq,
+                code: ErrorCode::UnknownGroup,
+                detail: format!("no node serves group {group}"),
+            },
         };
-        let detail = format!("{detail} group {group}");
-        ctx.send(
-            reply_to,
-            Msg::Reply(ClientReply::ErrorV2 { seq, code, detail }),
-        );
+        ctx.send(reply_to, Msg::Reply(reply));
         None
+    }
+
+    // ------------------------------------------------------------------
+    // coordination
+    // ------------------------------------------------------------------
+
+    /// Sends `op` to coordination; its answer comes back as a reply.
+    fn ask(&mut self, op: CoordOp, ctx: &mut Ctx<'_>) {
+        let view = &mut self.view;
+        view.last_ask += 1;
+        ctx.send(COORD_NODE, ask(view.last_ask, &op));
+        view.asked.insert(view.last_ask, op);
+        if view.asked.len() > ASKS_REMEMBERED {
+            view.asked.pop_first();
+        }
+    }
+
+    /// Asks to rejoin every ring a restart still waits for, and retries
+    /// until each is answered.
+    fn ask_rejoins(&mut self, ctx: &mut Ctx<'_>) {
+        for ring in self.rejoining.clone() {
+            let (node, as_acceptor) = (self.me, self.acceptor_of.contains(&ring));
+            let rejoin = CoordOp::Rejoin {
+                ring,
+                node,
+                as_acceptor,
+            };
+            self.ask(rejoin, ctx);
+        }
+        if !self.rejoining.is_empty() {
+            ctx.schedule(self.opts.recovery_retry, Timer::of_kind(TIMER_REJOIN));
+        }
+    }
+
+    /// Folds coordination's answer to one of this node's asks into the
+    /// ring nodes and the view.
+    fn on_answer(&mut self, reply: &ClientReply, ctx: &mut Ctx<'_>) {
+        let Some((seq, result)) = answered(reply) else {
+            return;
+        };
+        let (Some(op), Ok(body)) = (self.view.asked.remove(&seq), result) else {
+            return;
+        };
+        match (op, body) {
+            (CoordOp::Subscribers { ring }, CoordOk::Nodes(nodes)) => {
+                self.view.subscribers.insert(ring, nodes);
+            }
+            (CoordOp::Partitions, CoordOk::Partitions(parts)) => {
+                self.view.partitions = (parts.iter())
+                    .map(|p| (p.partition, PartitionInfo::from_wire(p)))
+                    .collect();
+            }
+            (op, body) => {
+                let Some(cfg) = RingConfig::from_answer(&body) else {
+                    return;
+                };
+                let ring = cfg.ring();
+                if !self.rings.contains_key(&ring) {
+                    self.view.foreign.insert(ring, cfg);
+                } else if matches!(op, CoordOp::Rejoin { .. }) && self.rejoining.remove(&ring) {
+                    self.drive(ring, ctx, |node, now, out| node.on_restart(cfg, now, out));
+                } else if !self.rejoining.contains(&ring) {
+                    self.drive(ring, ctx, |node, now, out| node.on_config(cfg, now, out));
+                }
+            }
+        }
     }
 
     /// Proposes a set of client commands on `group` as **one** consensus
@@ -573,15 +675,14 @@ impl MultiRingHost {
         if envs.is_empty() {
             return;
         }
-        let now = ctx.now();
         self.hobs.proposed_cmds.add(envs.len() as u64);
         for env in &envs {
             if env.trace != 0 {
                 self.hobs.stage_propose.record_since(env.trace);
             }
         }
-        let mut out = Output::new();
-        if let Some(node) = self.rings.get_mut(&group) {
+        // Does nothing if this node is not a proposer for the group.
+        self.drive(group, ctx, |node, now, out| {
             let payload = if envs.len() == 1 {
                 Payload::One(envs.pop().expect("len checked"))
             } else {
@@ -597,17 +698,28 @@ impl MultiRingHost {
                 id,
                 kind: common::value::ValueKind::App(payload.to_bytes()),
             };
-            node.propose(value, now, &mut out);
-        } else {
-            return; // not a proposer for this group
-        }
-        self.out = out;
-        self.drain_ring(group, ctx);
+            node.propose(value, now, out);
+        });
     }
 
     // ------------------------------------------------------------------
     // plumbing
     // ------------------------------------------------------------------
+
+    /// Runs `f` on `ring`'s node, if this node is a member, and drains
+    /// what it emitted.
+    fn drive(
+        &mut self,
+        ring: RingId,
+        ctx: &mut Ctx<'_>,
+        f: impl FnOnce(&mut RingNode, SimTime, &mut Output),
+    ) {
+        let Some(node) = self.rings.get_mut(&ring) else {
+            return;
+        };
+        f(node, ctx.now(), &mut self.out);
+        self.drain_ring(ring, ctx);
+    }
 
     fn drain_ring(&mut self, ring: RingId, ctx: &mut Ctx<'_>) {
         self.drain_ring_outputs(ring, ctx);
@@ -649,6 +761,9 @@ impl MultiRingHost {
             let (tag, payload) = t.to_words();
             let a = (u64::from(ring.raw()) << 8) | tag;
             ctx.schedule(after, Timer::with2(TIMER_RING, a, payload));
+        }
+        for op in std::mem::take(&mut self.out.asks) {
+            self.ask(op, ctx);
         }
         let mut fed = 0;
         if let Some(learner) = &mut self.learner {
@@ -803,10 +918,6 @@ impl MultiRingHost {
         self.drain_ring_outputs(ring, ctx)
     }
 
-    fn ring_mut(&mut self, ring: RingId) -> Option<&mut RingNode> {
-        self.rings.get_mut(&ring)
-    }
-
     // ------------------------------------------------------------------
     // checkpointing (replica side of §5.2)
     // ------------------------------------------------------------------
@@ -958,11 +1069,16 @@ impl MultiRingHost {
         if !node.is_coordinator() {
             return;
         }
+        // The electorate and the quorums as this node knows them; the
+        // next round uses what these asks bring back.
+        self.ask(CoordOp::Subscribers { ring }, ctx);
+        self.ask(CoordOp::Partitions, ctx);
         self.trim_seq += 1;
         // The round exists before any query leaves: the coordinator
         // answers its own query inline, and that reply must find it.
         self.trims.insert(ring, TrimRound::new(ring, self.trim_seq));
-        for sub in self.registry.subscribers(ring) {
+        let subscribers = self.view.subscribers.get(&ring).cloned();
+        for sub in subscribers.unwrap_or_default() {
             if sub == self.me {
                 self.on_trim_query(ring, self.trim_seq, ctx);
             } else {
@@ -981,9 +1097,8 @@ impl MultiRingHost {
             return; // nothing delivered yet: nothing safe to trim
         }
         let safe = InstanceId::new(next.raw() - 1);
-        let coordinator = match self.registry.ring(ring) {
-            Ok(cfg) => cfg.coordinator(),
-            Err(_) => return,
+        let Some(coordinator) = self.rings.get(&ring).map(|n| n.config().coordinator()) else {
+            return;
         };
         let reply = Msg::Recovery(RecoveryMsg::TrimReply {
             ring,
@@ -1015,23 +1130,18 @@ impl MultiRingHost {
         round.record(replica, safe);
         // Quorum rule: a majority of every partition subscribing to this
         // ring (guarantees Q_T ∩ Q_R ≠ ∅ for any partition's Q_R).
-        let partitions: Vec<Vec<NodeId>> = self
-            .registry
-            .partitions()
-            .into_iter()
+        let partitions: Vec<Vec<NodeId>> = (self.view.partitions.iter())
             .filter(|(_, info)| info.rings.contains(&ring))
-            .map(|(_, info)| info.replicas)
+            .map(|(_, info)| info.replicas.clone())
             .collect();
         if let Some(kt) = round.quorum_min(&partitions) {
-            let cfg = match self.registry.ring(ring) {
-                Ok(c) => c,
-                Err(_) => return,
-            };
-            for acc in cfg.acceptors() {
-                if *acc == self.me {
+            let acceptors =
+                (self.rings.get(&ring)).map_or_else(Vec::new, |n| n.config().acceptors().to_vec());
+            for acc in acceptors {
+                if acc == self.me {
                     self.trim_log(ring, kt);
                 } else {
-                    ctx.send(*acc, Msg::Recovery(RecoveryMsg::Trim { ring, upto: kt }));
+                    ctx.send(acc, Msg::Recovery(RecoveryMsg::Trim { ring, upto: kt }));
                 }
             }
             self.trims.remove(&ring);
@@ -1154,19 +1264,12 @@ impl MultiRingHost {
             return;
         };
         self.recovery_seq += 1;
-        let Some(info) = self.registry.partition(partition) else {
-            // Not known here yet (a networked registry may still be
-            // fetching it): query nobody, and begin again on the retry
-            // timer rather than replay without the freshest checkpoint.
-            self.recovery = RecoveryPhase::QueryCheckpoints {
-                seq: self.recovery_seq,
-                replied: Vec::new(),
-                best: None,
-                need: usize::MAX,
-            };
-            ctx.schedule(self.opts.recovery_retry, Timer::of_kind(TIMER_RECOVERY));
-            return;
-        };
+        let info = self
+            .view
+            .partitions
+            .get(&partition)
+            .cloned()
+            .unwrap_or_default();
         let need = info.quorum().saturating_sub(1); // self counts
         if need == 0 {
             self.recovery = RecoveryPhase::CatchUp;
@@ -1305,14 +1408,13 @@ impl MultiRingHost {
         to: InstanceId,
         ctx: &mut Ctx<'_>,
     ) {
-        let Ok(cfg) = self.registry.ring(ring) else {
+        let Some(node) = self.rings.get(&ring) else {
             return;
         };
         // Rotate over acceptors other than us: after a ring
         // reconfiguration some acceptors may themselves be missing
         // decisions for the requested range.
-        let others: Vec<NodeId> = cfg
-            .acceptors()
+        let others: Vec<NodeId> = (node.config().acceptors())
             .iter()
             .copied()
             .filter(|a| *a != self.me)
@@ -1389,16 +1491,12 @@ impl MultiRingHost {
             }
             return;
         }
-        let now = ctx.now();
         let progress = !decisions.is_empty();
-        let mut out = Output::new();
-        if let Some(node) = self.rings.get_mut(&ring) {
+        self.drive(ring, ctx, |node, now, out| {
             for d in decisions {
-                node.learn_decided(d.inst, d.value, now, &mut out);
+                node.learn_decided(d.inst, d.value, now, out);
             }
-        }
-        self.out = out;
-        self.drain_ring(ring, ctx);
+        });
         if matches!(self.recovery, RecoveryPhase::CatchUp) && progress {
             // Chain the next chunk. On empty replies we back off to the
             // TIMER_RECOVERY retry instead: the serving acceptor was
@@ -1410,15 +1508,9 @@ impl MultiRingHost {
 
 impl Process for MultiRingHost {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
         let rings: Vec<RingId> = self.rings.keys().copied().collect();
         for ring in rings {
-            let mut out = Output::new();
-            if let Some(node) = self.ring_mut(ring) {
-                node.start(now, &mut out);
-            }
-            self.out = out;
-            self.drain_ring(ring, ctx);
+            self.drive(ring, ctx, |node, now, out| node.start(now, out));
         }
         if let Some(interval) = self.opts.checkpoint_interval {
             ctx.schedule(self.ckpt_phase(interval), Timer::of_kind(TIMER_CHECKPOINT));
@@ -1437,15 +1529,10 @@ impl Process for MultiRingHost {
     fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Ctx<'_>) {
         match msg {
             Msg::Ring(ring, m) => {
-                let now = ctx.now();
-                let mut out = Output::new();
-                if let Some(node) = self.rings.get_mut(&ring) {
-                    node.on_msg(from, m, now, &mut out);
-                } else {
-                    return;
+                // A restarted node takes part once it rejoined.
+                if !self.rejoining.contains(&ring) {
+                    self.drive(ring, ctx, |node, now, out| node.on_msg(from, m, now, out));
                 }
-                self.out = out;
-                self.drain_ring(ring, ctx);
             }
             Msg::Client(frame) => {
                 // A simulated client is known by its node id.
@@ -1454,7 +1541,7 @@ impl Process for MultiRingHost {
                     self.propose_envelopes(group, vec![env], ctx);
                 }
             }
-            Msg::Reply(_) => {}
+            Msg::Reply(reply) => self.on_answer(&reply, ctx),
             Msg::Recovery(r) => match r {
                 RecoveryMsg::TrimQuery { ring, seq } => self.on_trim_query(ring, seq, ctx),
                 RecoveryMsg::TrimReply {
@@ -1531,15 +1618,7 @@ impl Process for MultiRingHost {
                 if matches!(t, RingTimer::Liveness) {
                     self.hobs.liveness_fires.inc();
                 }
-                let now = ctx.now();
-                let mut out = Output::new();
-                if let Some(node) = self.rings.get_mut(&ring) {
-                    node.on_timer(t, now, &mut out);
-                } else {
-                    return;
-                }
-                self.out = out;
-                self.drain_ring(ring, ctx);
+                self.drive(ring, ctx, |node, now, out| node.on_timer(t, now, out));
             }
             TIMER_CHECKPOINT => {
                 self.take_checkpoint(ctx);
@@ -1555,6 +1634,7 @@ impl Process for MultiRingHost {
             TIMER_CHECKPOINT_STEP => {
                 self.step_checkpoint(ctx);
             }
+            TIMER_REJOIN => self.ask_rejoins(ctx),
             TIMER_SESSION_SWEEP => {
                 ctx.schedule(self.opts.session_sweep, Timer::of_kind(TIMER_SESSION_SWEEP));
                 self.sweep_sessions(ctx);
@@ -1655,20 +1735,10 @@ impl Process for MultiRingHost {
 
     fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        // Rejoin every ring (as acceptor where we were one).
-        let rings: Vec<RingId> = self.rings.keys().copied().collect();
-        for ring in &rings {
-            let as_acceptor = self.acceptor_of.contains(ring);
-            let _ = self.registry.rejoin(*ring, self.me, as_acceptor);
-        }
-        for ring in rings {
-            let mut out = Output::new();
-            if let Some(node) = self.rings.get_mut(&ring) {
-                let _ = node.on_restart(now, &mut out);
-            }
-            self.out = out;
-            self.drain_ring(ring, ctx);
-        }
+        // Rejoin every ring (as acceptor where we were one): each ring
+        // node restarts with the config its rejoin's answer carries.
+        self.rejoining = self.rings.keys().copied().collect();
+        self.ask_rejoins(ctx);
         // Install our most recent durable checkpoint, then look for a
         // fresher one among partition peers.
         if let Some((tuple, state)) = self

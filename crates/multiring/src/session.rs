@@ -80,7 +80,7 @@ use common::wire::{get_bytes, get_varint, put_bytes, put_varint, Wire};
 use crate::app::{ChainCut, ServiceApp, SnapshotCut};
 
 pub use common::wire::client::{
-    parse_open_reply, parse_reply, SessionCtl, ST_OK, ST_STALE, ST_UNKNOWN_SESSION,
+    frame_ok, parse_open_reply, parse_reply, SessionCtl, ST_OK, ST_STALE, ST_UNKNOWN_SESSION,
     ST_WINDOW_EXCEEDED,
 };
 
@@ -113,14 +113,6 @@ pub fn session_home_ring(session: u64) -> Option<RingId> {
         return None;
     }
     Some(RingId::new((tag - 1) as u16))
-}
-
-/// Frames a service reply as a successful sessioned payload.
-pub fn frame_ok(inner: &Bytes) -> Bytes {
-    let mut buf = BytesMut::with_capacity(1 + inner.len());
-    buf.put_u8(ST_OK);
-    buf.extend_from_slice(inner);
-    buf.freeze()
 }
 
 /// A one-byte status payload.

@@ -18,7 +18,7 @@ use coord::{PartitionInfo, Registry, RingConfig};
 use multiring::client::{Action, ClosedLoopClient, CommandSpec, SessionCore};
 use multiring::{HostOptions, MultiRingHost, ServiceApp, SessionApp};
 use ringpaxos::options::RingOptions;
-use simnet::{CpuModel, Ctx, Process, Sim, Timer, Topology};
+use simnet::{CoordProcess, CpuModel, Ctx, Process, Sim, Timer, Topology};
 use storage::{DiskProfile, StorageMode};
 
 /// Executions per `(session, seq)`, as one replica's service saw them.
@@ -165,6 +165,7 @@ fn every_acknowledged_request_executes_exactly_once_on_every_replica() {
     .with_retry_after(Duration::from_micros(50));
     let stats = client.stats();
     let me = sim.add_node_with_cpu(0, client, CpuModel::free());
+    CoordProcess::add_to(&mut sim, 0, &registry);
     let [r0, r1, r2] = [0, 1, 2].map(NodeId::new);
 
     sim.schedule_crash(r2, SimTime::from_millis(1_000));
@@ -285,6 +286,7 @@ fn an_idle_session_expires_and_its_next_request_completes_once_under_a_new_one()
         completed: Arc::clone(&completed),
     };
     sim.add_node_with_cpu(0, client, CpuModel::free());
+    CoordProcess::add_to(&mut sim, 0, &registry);
     // Long enough to expire the first session, short of the second's TTL.
     sim.run_until(SimTime::from_millis(1_700));
 

@@ -10,7 +10,7 @@ use coord::{PartitionInfo, Registry, RingConfig};
 use multiring::client::{ClosedLoopClient, CommandSpec};
 use multiring::{EchoApp, HostOptions, MultiRingHost, SessionApp};
 use ringpaxos::options::RingOptions;
-use simnet::{CpuModel, Sim, Topology};
+use simnet::{CoordProcess, CpuModel, Sim, Topology};
 use storage::{DiskProfile, StorageMode};
 
 fn build(
@@ -55,6 +55,7 @@ fn build(
     );
     let stats = client.stats();
     sim.add_node_with_cpu(0, client, CpuModel::free());
+    CoordProcess::add_to(sim, 0, registry);
     stats
 }
 

@@ -4,20 +4,20 @@
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use bytes::Bytes;
-use common::ids::{ClientId, NodeId, PartitionId, RingId, SessionId};
+use common::ids::{ClientId, NodeId, PartitionId, RequestId, RingId};
 use common::msg::{Msg, RecoveryMsg};
-use common::wire::coord::{CoordOk, CoordOp};
+use common::obs::Obs;
+use common::value::Envelope;
 use common::SimTime;
-use coord::{Coord, PartitionInfo, Registry, RingConfig};
+use coord::{PartitionInfo, Registry, RingConfig};
 use multiring::client::{ClosedLoopClient, CommandSpec};
-use multiring::{EchoApp, HostOptions, MultiRingHost, SessionApp};
+use multiring::{EchoApp, HostOptions, MultiRingHost, ServiceApp, SessionApp};
 use ringpaxos::options::{RateLeveling, RingOptions};
-use simnet::{CpuModel, Ctx, Process, Sim, Timer, Topology};
+use simnet::{CoordProcess, CpuModel, Ctx, Process, Sim, Timer, Topology};
 use storage::{DiskProfile, StorageMode};
 
 fn lan_sim(seed: u64) -> Sim {
@@ -83,6 +83,7 @@ fn single_ring_service_executes_and_replies() {
     );
     let stats = client.stats();
     sim.add_node_with_cpu(0, client, CpuModel::free());
+    CoordProcess::add_to(&mut sim, 0, &registry);
 
     sim.run_until(SimTime::from_secs(2));
 
@@ -160,6 +161,7 @@ fn rate_leveling_unblocks_idle_ring() {
     );
     let stats = client.stats();
     sim.add_node_with_cpu(0, client, CpuModel::free());
+    CoordProcess::add_to(&mut sim, 0, &registry);
 
     sim.run_until(SimTime::from_secs(2));
     let done = stats.borrow().completed;
@@ -231,6 +233,7 @@ fn replica_recovers_after_crash_with_trimming() {
     );
     let stats = client.stats();
     sim.add_node_with_cpu(0, client, CpuModel::free());
+    CoordProcess::add_to(&mut sim, 0, &registry);
 
     // Crash replica 2 at t=2s, restart at t=5s, run until t=9s.
     sim.schedule_crash(NodeId::new(2), SimTime::from_secs(2));
@@ -355,6 +358,7 @@ fn two_replica_partition_trims_both_of_its_rings() {
     );
     let stats = client.stats();
     sim.add_node_with_cpu(0, client, CpuModel::free());
+    CoordProcess::add_to(&mut sim, 0, &registry);
 
     sim.run_until(SimTime::from_secs(2));
 
@@ -432,6 +436,7 @@ fn catch_up_overtaken_by_a_trim_restarts_from_a_newer_checkpoint() {
         2,
     );
     sim.add_node_with_cpu(0, client, CpuModel::free());
+    CoordProcess::add_to(&mut sim, 0, &registry);
 
     let victim = NodeId::new(2);
     let (host, deaf) = &hosts[2];
@@ -557,6 +562,7 @@ fn region_local_commands_do_not_wait_for_an_idle_global_ring() {
     let (single_stats, multi_stats) = (single.stats(), multi.stats());
     sim.add_node_with_cpu(site(1), single, CpuModel::free());
     sim.add_node_with_cpu(site(1), multi, CpuModel::free());
+    CoordProcess::add_to(&mut sim, site(0), &registry);
 
     sim.run_until(SimTime::from_secs(4));
 
@@ -578,32 +584,12 @@ fn region_local_commands_do_not_wait_for_an_idle_global_ring() {
     );
 }
 
-/// A registry whose partition table can be hidden, the way a networked
-/// registry answers a read it has not fetched yet.
-#[derive(Debug)]
-struct Hiding {
-    inner: Registry,
-    hide: Arc<AtomicBool>,
-}
-
-impl Coord for Hiding {
-    fn call(&self, op: CoordOp) -> common::error::Result<CoordOk> {
-        if self.hide.load(Ordering::SeqCst) && matches!(op, CoordOp::GetPartition { .. }) {
-            return Err(common::error::Error::Timeout("not fetched yet"));
-        }
-        self.inner.backend().call(op)
-    }
-
-    fn session(&self) -> Option<SessionId> {
-        self.inner.backend().session()
-    }
-}
-
-/// A restarting replica that cannot read its partition yet does not
-/// skip the checkpoint query: it waits, asks again on the retry timer
-/// once the partition is readable, and finishes recovering.
+/// A restarting replica takes part in its ring again only once
+/// coordination answers its rejoin: while the link between them is cut
+/// the ask goes unanswered and is asked again, and the answer that gets
+/// through restarts its ring node.
 #[test]
-fn a_restart_waits_for_its_partition_to_be_readable() {
+fn a_restart_rejoins_its_ring_once_coordination_answers() {
     let registry = Registry::new();
     let ring = RingId::new(0);
     let members: Vec<NodeId> = (0..3).map(NodeId::new).collect();
@@ -619,23 +605,12 @@ fn a_restart_waits_for_its_partition_to_be_readable() {
             },
         )
         .unwrap();
-    let hide = Arc::new(AtomicBool::new(false));
-    let victim_registry = Registry::from_backend(Arc::new(Hiding {
-        inner: registry.clone(),
-        hide: Arc::clone(&hide),
-    }));
-
     let mut sim = lan_sim(6);
-    let hosts: Vec<_> = members
-        .iter()
+    let hosts: Vec<_> = (members.iter())
         .map(|m| {
             let host = MultiRingHost::new(
                 *m,
-                if m.raw() == 2 {
-                    victim_registry.clone()
-                } else {
-                    registry.clone()
-                },
+                registry.clone(),
                 &[ring],
                 &[ring],
                 Some(PartitionId::new(0)),
@@ -659,19 +634,175 @@ fn a_restart_waits_for_its_partition_to_be_readable() {
         2,
     );
     sim.add_node_with_cpu(0, client, CpuModel::free());
+    let coord = CoordProcess::add_to(&mut sim, 0, &registry);
 
-    sim.schedule_crash(NodeId::new(2), SimTime::from_secs(1));
-    sim.schedule_restart(NodeId::new(2), SimTime::from_secs(2));
-    sim.run_until(SimTime::from_millis(1500));
-    hide.store(true, Ordering::SeqCst);
+    let victim = NodeId::new(2);
+    sim.schedule_crash(victim, SimTime::from_secs(1));
+    sim.schedule_restart(victim, SimTime::from_secs(2));
+    sim.run_until(SimTime::from_millis(1900));
+    assert!(
+        !registry.ring(ring).unwrap().contains(victim),
+        "the crashed member was reported"
+    );
+    sim.partition(&[victim], &[coord]);
     sim.run_until(SimTime::from_secs(3));
     assert!(
-        hosts[2].borrow().is_recovering(),
-        "recovered without its partition"
+        !registry.ring(ring).unwrap().contains(victim),
+        "a rejoin got through a cut link"
     );
-    hide.store(false, Ordering::SeqCst);
+    sim.heal_all();
     sim.run_until(SimTime::from_secs(4));
+    assert!(
+        registry.ring(ring).unwrap().contains(victim),
+        "never rejoined"
+    );
     let host = hosts[2].borrow();
-    assert!(!host.is_recovering(), "the restart never asked again");
-    assert!(host.checkpoint_tuple().is_some_and(|t| !t.is_empty()));
+    assert!(host.ring_node(ring).unwrap().config().contains(victim));
+    assert!(!host.is_recovering());
+    assert!(host.executed() > 0, "the rejoined replica delivers");
+}
+
+/// What each replica of the cascade test delivered, in order.
+type DeliveryLog = Arc<Mutex<Vec<(u64, RequestId)>>>;
+
+/// A service that records the commands it delivers.
+struct Logged(DeliveryLog);
+
+impl ServiceApp for Logged {
+    fn execute(&mut self, _: RingId, env: &Envelope) -> Bytes {
+        self.0.lock().unwrap().push((env.session, env.req));
+        Bytes::from_static(b"ok")
+    }
+
+    fn snapshot(&self) -> Bytes {
+        Bytes::new()
+    }
+
+    fn restore(&mut self, _: &Bytes) {}
+
+    fn reset(&mut self) {
+        self.0.lock().unwrap().clear();
+    }
+}
+
+/// The eviction cascade found live in a geo deployment, in simulation: a
+/// replica cut off from its peers *and* from coordination suspects its
+/// predecessor, but its failure reports never reach coordination, so it
+/// evicts nobody and learns nothing while cut off. The majority keeps
+/// ordering and evicts it; after the heal it learns that it was evicted
+/// (it stays out until it rejoins), and no replica's delivery diverges.
+#[test]
+fn a_replica_cut_off_from_its_peers_and_coordination_evicts_nobody() {
+    let registry = Registry::new();
+    let ring = RingId::new(0);
+    let members: Vec<NodeId> = (0..3).map(NodeId::new).collect();
+    registry
+        .register_ring(RingConfig::new(ring, members.clone(), members.clone()).unwrap())
+        .unwrap();
+    registry
+        .register_partition(
+            PartitionId::new(0),
+            PartitionInfo {
+                rings: vec![ring],
+                replicas: members.clone(),
+            },
+        )
+        .unwrap();
+    let mut sim = lan_sim(10);
+    let mut hosts = Vec::new();
+    let (mut logs, mut obs) = (Vec::new(), Vec::new());
+    for m in &members {
+        let log = DeliveryLog::default();
+        let node_obs = Obs::for_node(m.raw());
+        let host = MultiRingHost::new(
+            *m,
+            registry.clone(),
+            &[ring],
+            &[ring],
+            Some(PartitionId::new(0)),
+            Box::new(SessionApp::new(Box::new(Logged(Arc::clone(&log))))),
+            HostOptions {
+                ring: RingOptions {
+                    obs: node_obs.clone(),
+                    ..ring_opts()
+                },
+                ..HostOptions::default()
+            },
+        );
+        hosts.push(add_shared(&mut sim, host).0);
+        logs.push(log);
+        obs.push(node_obs);
+    }
+    let client = ClosedLoopClient::new(
+        ClientId::new(1),
+        registry.clone(),
+        HashMap::from([(ring, NodeId::new(0))]),
+        move |_rng: &mut rand::rngs::StdRng| {
+            CommandSpec::simple(ring, Bytes::from_static(b"w"), vec![PartitionId::new(0)])
+        },
+        2,
+    );
+    sim.add_node_with_cpu(0, client, CpuModel::free());
+    let coord = CoordProcess::add_to(&mut sim, 0, &registry);
+
+    // Every config any replica installs, as the epochs change.
+    let mut installed: Vec<(usize, RingConfig)> = Vec::new();
+    let run_until = |sim: &mut Sim, installed: &mut Vec<_>, until: SimTime| {
+        while sim.now() < until && sim.step().is_some() {
+            for (i, host) in hosts.iter().enumerate() {
+                let cfg = host.borrow().ring_node(ring).unwrap().config().clone();
+                let last = installed.iter().rev().find(|(at, _)| *at == i);
+                if last.is_none_or(|(_, seen): &(usize, RingConfig)| seen.epoch() != cfg.epoch()) {
+                    installed.push((i, cfg));
+                }
+            }
+        }
+    };
+    let (minority, majority) = (NodeId::new(2), [NodeId::new(0), NodeId::new(1)]);
+    let timeout = ring_opts().failure_timeout;
+    run_until(&mut sim, &mut installed, SimTime::from_secs(1));
+    let before_cut = logs[0].lock().unwrap().len();
+    let cut_at = installed.len();
+    sim.partition(&[minority], &[majority[0], majority[1], coord]);
+    run_until(
+        &mut sim,
+        &mut installed,
+        SimTime::from_secs(1) + timeout * 5,
+    );
+    assert!(
+        logs[0].lock().unwrap().len() > before_cut + 20,
+        "the majority stopped ordering"
+    );
+    assert!(
+        !installed[cut_at..].iter().any(|(i, _)| *i == 2),
+        "the cut-off replica installed a config"
+    );
+    sim.heal_all();
+    run_until(&mut sim, &mut installed, SimTime::from_secs(4));
+
+    for (i, cfg) in &installed {
+        assert!(
+            majority.iter().all(|m| cfg.contains(*m)),
+            "replica {i} installed {cfg:?}, which lacks a majority member"
+        );
+    }
+    let counter = |o: &Obs, name| o.snapshot().counter(name).unwrap_or(0);
+    let gauge = |o: &Obs, name| o.snapshot().gauge(name).unwrap_or(0);
+    assert!(
+        counter(&obs[2], "suspicions_raised") > 0,
+        "nobody suspected"
+    );
+    for o in &obs[..2] {
+        assert_eq!(gauge(o, "evicted_epoch"), 0, "a majority member evicted");
+    }
+    assert!(
+        gauge(&obs[2], "evicted_epoch") > 0,
+        "the eviction was silent"
+    );
+    let logs: Vec<Vec<_>> = logs.iter().map(|l| l.lock().unwrap().clone()).collect();
+    for log in &logs[1..] {
+        let n = log.len().min(logs[0].len());
+        assert_eq!(log[..n], logs[0][..n], "delivery diverged");
+    }
+    assert!(logs[1].len() > before_cut + 20, "the majority stalled");
 }

@@ -14,25 +14,22 @@
 //! all roles a process plays in one ring. It is driven through
 //! [`RingNode::on_msg`], [`RingNode::on_timer`] and [`RingNode::propose`],
 //! and emits effects into an [`Output`] scratch buffer. It never touches
-//! a socket or a clock; its drivers do:
-//!
-//! * [`process::RingProcess`] — a [`simnet::Process`] for simulations;
-//! * the `liverun` crate's node loop for real deployments, which owns
-//!   one per ring inside its `multiring::MultiRingHost` — under `amcastd`
-//!   and under `amcoordd`, whose replicas host one ring.
+//! a socket or a clock, and it reads the [`coord::Registry`] only when it
+//! is built. Its driver is `multiring::MultiRingHost`, which owns one per
+//! ring, in the simulator and in the `liverun` node loop alike — under
+//! `amcastd` and under `amcoordd`, whose replicas host one ring.
 //!
 //! Failure handling: members heartbeat their ring successor; silence
-//! triggers a compare-and-swap reconfiguration in the [`coord::Registry`]
-//! (the Zookeeper stand-in), removing the dead member and electing a new
-//! coordinator, which re-runs Phase 1 at a higher ballot and re-proposes
-//! in-doubt values (§5.1).
+//! makes a member ask coordination (the Zookeeper stand-in) by message
+//! for a compare-and-swap reconfiguration that removes the dead member
+//! and elects a new coordinator ([`Output::asks`]); the answer, handed to
+//! [`RingNode::on_config`], makes it re-run Phase 1 at a higher ballot
+//! and re-propose in-doubt values (§5.1).
 
 pub mod node;
 pub mod options;
-pub mod process;
 pub mod timer;
 
 pub use node::{Output, RingNode};
 pub use options::{BatchPolicy, RateLeveling, RingOptions};
-pub use process::RingProcess;
 pub use timer::RingTimer;

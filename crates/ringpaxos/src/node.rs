@@ -49,9 +49,10 @@ use std::time::Duration;
 use common::error::{Error, Result};
 use common::ids::{Ballot, InstanceId, NodeId, RingId};
 use common::msg::{AcceptedEntry, RingMsg};
-use common::obs::Counter;
+use common::obs::{Counter, Gauge};
 use common::time::SimTime;
 use common::value::{Value, ValueId, ValueKind};
+use common::wire::coord::CoordOp;
 use coord::Registry;
 use coord::RingConfig;
 use storage::AcceptorLog;
@@ -83,6 +84,9 @@ pub struct Output {
     pub decided: Vec<(InstanceId, Value)>,
     /// Timers to schedule.
     pub timers: Vec<(Duration, RingTimer)>,
+    /// Questions for coordination; the driver hands a configuration that
+    /// comes back to [`RingNode::on_config`].
+    pub asks: Vec<CoordOp>,
 }
 
 impl Output {
@@ -93,14 +97,10 @@ impl Output {
 
     /// True when no effects are pending.
     pub fn is_empty(&self) -> bool {
-        self.sends.is_empty() && self.decided.is_empty() && self.timers.is_empty()
-    }
-
-    /// Clears all effects (after the host drained them).
-    pub fn clear(&mut self) {
-        self.sends.clear();
-        self.decided.clear();
-        self.timers.clear();
+        self.sends.is_empty()
+            && self.decided.is_empty()
+            && self.timers.is_empty()
+            && self.asks.is_empty()
     }
 }
 
@@ -140,7 +140,6 @@ struct PendingValue {
 pub struct RingNode {
     me: NodeId,
     ring: RingId,
-    registry: Registry,
     cfg: RingConfig,
     opts: RingOptions,
     /// Whether this node's learner delivers values into [`Output::decided`].
@@ -217,6 +216,10 @@ pub struct RingNode {
     pull_misses: Counter,
     /// Eager `ValuePush` fan-outs sent by this proposer.
     value_pushes: Counter,
+    /// Failure reports this node asked coordination for.
+    suspicions: Counter,
+    /// The epoch of the last installed config that excluded this node.
+    evicted_epoch: Gauge,
 
     // ---- batching ----
     batch: Vec<RingMsg>,
@@ -226,7 +229,8 @@ pub struct RingNode {
 
 impl RingNode {
     /// Creates the state machine for `me`'s participation in `ring`,
-    /// reading the membership from `registry`.
+    /// reading the membership from `registry` — its only read of it: later
+    /// configs arrive through [`RingNode::on_config`].
     ///
     /// # Errors
     ///
@@ -240,10 +244,11 @@ impl RingNode {
         let prefetch_hits = opts.obs.counter("value_prefetch_hits");
         let pull_misses = opts.obs.counter("value_pull_misses");
         let value_pushes = opts.obs.counter("value_pushes_sent");
+        let suspicions = opts.obs.counter("suspicions_raised");
+        let evicted_epoch = opts.obs.gauge("evicted_epoch");
         Ok(RingNode {
             me,
             ring,
-            registry,
             cfg,
             log: AcceptorLog::new(opts.storage),
             opts,
@@ -276,6 +281,8 @@ impl RingNode {
             prefetch_hits,
             pull_misses,
             value_pushes,
+            suspicions,
+            evicted_epoch,
             batch: Vec::new(),
             batch_bytes: 0,
             batch_timer_armed: false,
@@ -481,12 +488,11 @@ impl RingNode {
         self.next_instance = InstanceId::ZERO;
     }
 
-    /// Rejoins the ring after a restart: installs the current registry
-    /// config and restarts timers. The host is responsible for calling
-    /// [`coord::Registry::rejoin`] first and for recovering learner state
-    /// via checkpoints.
-    pub fn on_restart(&mut self, now: SimTime, out: &mut Output) -> Result<()> {
-        self.cfg = self.registry.ring(self.ring)?;
+    /// Rejoins the ring after a restart: installs `cfg`, the answer to
+    /// the driver's [`CoordOp::Rejoin`], and restarts timers. The host is
+    /// responsible for recovering learner state via checkpoints.
+    pub fn on_restart(&mut self, cfg: RingConfig, now: SimTime, out: &mut Output) {
+        self.cfg = cfg;
         self.coordinating = self.cfg.coordinator() == self.me;
         // A restarted process counts value ids from scratch, yet its
         // previous incarnation's ids still sit in every member's dedup
@@ -497,7 +503,6 @@ impl RingNode {
         // incarnation proposed in, so ids above it are fresh.
         self.value_seq = self.value_seq.max(self.cfg.epoch().raw() << 32);
         self.start(now, out);
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -971,7 +976,6 @@ impl RingNode {
             // stale peers may still forward circulating frames here, but a
             // non-member has no predecessor/successor and must not take
             // part — drop the frame and wait for the host to rejoin us.
-            self.refresh_config(now, out);
             return;
         }
         // Only traffic from the ring predecessor counts as its liveness
@@ -1028,7 +1032,7 @@ impl RingNode {
             RingMsg::ValueResend { inst, value, .. } => self.on_value_resend(inst, value, now, out),
             RingMsg::Heartbeat { epoch } => {
                 if epoch > self.cfg.epoch().raw() {
-                    self.refresh_config(now, out);
+                    out.asks.push(CoordOp::GetRing { ring: self.ring });
                 }
             }
             RingMsg::Batch(msgs) => {
@@ -1378,7 +1382,7 @@ impl RingNode {
             // Removed from the ring (e.g. while partitioned away): stay
             // quiet until the host rejoins us; predecessor/successor are
             // undefined here.
-            self.refresh_config(now, out);
+            out.asks.push(CoordOp::GetRing { ring: self.ring });
             return;
         }
         // Heartbeats bypass batching: they are the liveness signal itself.
@@ -1447,22 +1451,22 @@ impl RingNode {
             self.send_value_request(inst, id, out);
         }
         if now.since(self.last_from_pred) > self.opts.failure_timeout {
-            let pred = self.predecessor();
-            // An `Err` here includes "the coordination service is on the
-            // other side of a partition" — the report simply retries on
-            // the next liveness tick, and a replica that cannot reach
+            // Report the silent predecessor. The answer is the config to
+            // install; a report the coordination service never sees (it
+            // is on the other side of a partition) goes again after
+            // another failure timeout, and a replica that cannot reach
             // the service cannot evict anyone (the arbitration that
             // keeps mutual accusations from wedging the ring).
-            if let Ok(cfg) = self
-                .registry
-                .report_failure(self.ring, pred, self.cfg.epoch())
-            {
-                self.install_config(cfg, now, out);
-                self.last_from_pred = now;
-            }
+            self.suspicions.inc();
+            self.last_from_pred = now;
+            out.asks.push(CoordOp::ReportFailure {
+                ring: self.ring,
+                failed: self.predecessor(),
+                seen_epoch: self.cfg.epoch(),
+            });
         } else {
             // Opportunistically pick up config changes made by others.
-            self.refresh_config(now, out);
+            out.asks.push(CoordOp::GetRing { ring: self.ring });
         }
     }
 
@@ -1529,11 +1533,12 @@ impl RingNode {
         (1..=usize::from(hops).min(n - 1)).map(move |back| members[(pos + n - back) % n])
     }
 
-    fn refresh_config(&mut self, now: SimTime, out: &mut Output) {
-        if let Ok(cfg) = self.registry.ring(self.ring) {
-            if cfg.epoch() > self.cfg.epoch() {
-                self.install_config(cfg, now, out);
-            }
+    /// A configuration of this ring from coordination (the answer to an
+    /// ask of this node's, or news from elsewhere): installs it if its
+    /// epoch is newer than the one installed.
+    pub fn on_config(&mut self, cfg: RingConfig, now: SimTime, out: &mut Output) {
+        if cfg.ring() == self.ring && cfg.epoch() > self.cfg.epoch() {
+            self.install_config(cfg, now, out);
         }
     }
 
@@ -1541,6 +1546,9 @@ impl RingNode {
         // The successor may change: flush buffered messages to the old one
         // first so nothing is silently retargeted.
         self.flush_batch(out);
+        if !cfg.contains(self.me) {
+            self.evicted_epoch.set(cfg.epoch().raw() as i64);
+        }
         self.cfg = cfg;
         self.coordinating = self.cfg.coordinator() == self.me && self.cfg.contains(self.me);
         self.last_from_pred = now;
@@ -1624,6 +1632,19 @@ mod tests {
 
     use storage::StorageMode;
 
+    /// Reports `failed` in `ring` straight to `registry`, as another
+    /// member's failure report would; returns the config coordination
+    /// answers with.
+    fn report_failure(registry: &Registry, ring: RingId, failed: NodeId) -> RingConfig {
+        let seen_epoch = registry.ring(ring).unwrap().epoch();
+        let op = CoordOp::ReportFailure {
+            ring,
+            failed,
+            seen_epoch,
+        };
+        RingConfig::from_answer(&registry.call(op).unwrap()).unwrap()
+    }
+
     /// Drives a set of RingNodes to quiescence by synchronously relaying
     /// their sends; timers with zero-ish delays are fired in order.
     /// Timing is collapsed (everything happens "now") — these tests check
@@ -1639,6 +1660,10 @@ mod tests {
         relayed: Vec<(NodeId, NodeId, RingMsg)>,
         /// Relayed messages this returns true for are lost instead.
         drop: fn(NodeId, &RingMsg) -> bool,
+        /// The coordination service: answers every ask at once.
+        registry: Registry,
+        /// Configurations answered to asks, not yet handed to their node.
+        answers: VecDeque<(usize, RingConfig)>,
     }
 
     impl Harness {
@@ -1664,6 +1689,8 @@ mod tests {
                     wire: common::msg::WireStats::default(),
                     relayed: Vec::new(),
                     drop: |_, _| false,
+                    registry: registry.clone(),
+                    answers: VecDeque::new(),
                 },
                 registry,
             )
@@ -1691,11 +1718,15 @@ mod tests {
             let me = self.nodes[origin].me();
             self.drain(origin, me, out, &mut queue, &mut timers);
             let mut steps = 0;
-            while !queue.is_empty() || !timers.is_empty() {
+            while !queue.is_empty() || !timers.is_empty() || !self.answers.is_empty() {
                 steps += 1;
                 assert!(steps < 100_000, "relay did not quiesce");
                 let mut o = Output::new();
-                if let Some((target, from, msg)) = queue.pop_front() {
+                if let Some((target, cfg)) = self.answers.pop_front() {
+                    self.nodes[target].on_config(cfg, self.now, &mut o);
+                    let from2 = self.nodes[target].me();
+                    self.drain(target, from2, &mut o, &mut queue, &mut timers);
+                } else if let Some((target, from, msg)) = queue.pop_front() {
                     self.nodes[target].on_msg(from, msg, self.now, &mut o);
                     let from2 = self.nodes[target].me();
                     self.drain(target, from2, &mut o, &mut queue, &mut timers);
@@ -1736,6 +1767,12 @@ mod tests {
             }
             for (_, t) in out.timers.drain(..) {
                 timers.push_back((origin, t));
+            }
+            for op in out.asks.drain(..) {
+                let body = self.registry.call(op).ok();
+                if let Some(cfg) = body.as_ref().and_then(RingConfig::from_answer) {
+                    self.answers.push_back((origin, cfg));
+                }
             }
         }
 
@@ -2039,11 +2076,10 @@ mod tests {
         let old: Vec<u64> = (0..5).map(|_| h.nodes[2].next_value_id().seq).collect();
         // The process dies, failure detection removes it, and a fresh
         // process rejoins and restarts in its place.
-        let epoch = registry.ring(ring).unwrap().epoch();
-        registry.report_failure(ring, me, epoch).unwrap();
-        registry.rejoin(ring, me, true).unwrap();
+        report_failure(&registry, ring, me);
+        let rejoined = registry.rejoin(ring, me, true).unwrap();
         let mut reborn = RingNode::new(me, ring, registry.clone(), opts()).unwrap();
-        reborn.on_restart(h.now, &mut Output::new()).unwrap();
+        reborn.on_restart(rejoined, h.now, &mut Output::new());
         let fresh: Vec<u64> = (0..5).map(|_| reborn.next_value_id().seq).collect();
         assert!(
             fresh.iter().all(|id| !old.contains(id)),
@@ -2122,10 +2158,7 @@ mod tests {
 
         // Coordinator (node 0) "fails": registry removes it; node 1 takes
         // over and re-runs Phase 1.
-        let epoch = registry.ring(RingId::new(0)).unwrap().epoch();
-        let cfg = registry
-            .report_failure(RingId::new(0), NodeId::new(0), epoch)
-            .unwrap();
+        let cfg = report_failure(&registry, RingId::new(0), NodeId::new(0));
         assert_eq!(cfg.coordinator(), NodeId::new(1));
 
         let mut out = Output::new();
@@ -2157,10 +2190,7 @@ mod tests {
         let before: Vec<_> = h.delivered[1].clone();
         assert_eq!(before.len(), 3);
 
-        let epoch = registry.ring(RingId::new(0)).unwrap().epoch();
-        let cfg = registry
-            .report_failure(RingId::new(0), NodeId::new(0), epoch)
-            .unwrap();
+        let cfg = report_failure(&registry, RingId::new(0), NodeId::new(0));
         for n in [1, 2] {
             let mut out = Output::new();
             h.nodes[n].install_config(cfg.clone(), h.now, &mut out);
@@ -2629,10 +2659,7 @@ mod tests {
         let (mut h, registry) = Harness::new(3, opts());
         h.start();
         // Externally bump the config (as if others reconfigured).
-        let epoch = registry.ring(RingId::new(0)).unwrap().epoch();
-        registry
-            .report_failure(RingId::new(0), NodeId::new(0), epoch)
-            .unwrap();
+        report_failure(&registry, RingId::new(0), NodeId::new(0));
         let new_epoch = registry.ring(RingId::new(0)).unwrap().epoch();
 
         let mut out = Output::new();

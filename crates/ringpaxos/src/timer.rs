@@ -1,4 +1,4 @@
-//! Ring-level timers and their packing into [`simnet::Timer`] payload
+//! Ring-level timers and their packing into `simnet::Timer` payload
 //! words, so hosts multiplexing many rings can dispatch without
 //! allocating.
 

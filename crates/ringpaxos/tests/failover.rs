@@ -1,7 +1,9 @@
 //! Timing-driven failover tests: ring members detect failures through
-//! heartbeat silence, reconfigure through the registry, and the new
+//! heartbeat silence, reconfigure through the coordination service, and the new
 //! coordinator re-proposes in-doubt values — all driven by the simulator
 //! clock rather than by manual test calls.
+
+mod ring_process;
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -13,9 +15,9 @@ use common::msg::Msg;
 use common::value::{Value, ValueKind};
 use common::SimTime;
 use coord::{Registry, RingConfig};
+use ring_process::{DeliveryLog, RingProcess};
 use ringpaxos::options::RingOptions;
-use ringpaxos::process::{DeliveryLog, RingProcess};
-use simnet::{CpuModel, Ctx, Process, Sim, Timer, Topology};
+use simnet::{CoordProcess, CpuModel, Ctx, Process, Sim, Timer, Topology};
 use storage::{DiskProfile, StorageMode};
 
 /// A load generator that proposes a value every interval through one of
@@ -97,6 +99,9 @@ fn build(seed: u64) -> (Sim, Registry, Vec<DeliveryLog>, Rc<RefCell<u64>>) {
         },
         CpuModel::free(),
     );
+    // Failure reports and config reads travel to the coordination
+    // service over the simulated network.
+    CoordProcess::add_to(&mut sim, 0, &registry);
     (sim, registry, logs, sent)
 }
 

@@ -2,6 +2,8 @@
 //! with the `geo_wan` ring layout, the coordinator must learn the outcome
 //! one link delay after the majority point, not a lap of the ring later.
 
+mod ring_process;
+
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -11,8 +13,8 @@ use common::msg::{Msg, RingMsg};
 use common::value::{Value, ValueId, ValueKind};
 use common::SimTime;
 use coord::{Registry, RingConfig};
+use ring_process::{DeliveryLog, RingProcess};
 use ringpaxos::options::RingOptions;
-use ringpaxos::process::{DeliveryLog, RingProcess};
 use simnet::{CpuModel, Ctx, Process, Sim, Timer, Topology};
 use storage::StorageMode;
 

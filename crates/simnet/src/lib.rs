@@ -12,6 +12,8 @@
 //! * a per-node CPU service-time model (the coordinator CPU bottleneck in
 //!   Figure 3 comes out of this),
 //! * fault injection: crash/restart, network partitions, message loss,
+//! * the coordination service as one more process ([`coordination`]):
+//!   protocol processes ask it over the simulated network,
 //! * shared [`metrics`] for throughput/latency/CPU accounting.
 //!
 //! Determinism: given the same seed and the same sequence of calls, a
@@ -49,12 +51,14 @@
 //! sim.run_until(SimTime::from_secs(1));
 //! ```
 
+pub mod coordination;
 pub mod event;
 pub mod metrics;
 pub mod process;
 pub mod sim;
 pub mod topology;
 
+pub use coordination::{CoordProcess, COORD_NODE};
 pub use metrics::{Metrics, SharedMetrics};
 pub use process::{Ctx, Process, Timer};
 pub use sim::{CpuModel, Sim};

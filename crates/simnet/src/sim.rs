@@ -81,6 +81,8 @@ pub struct Sim {
     rng: StdRng,
     metrics: SharedMetrics,
     blocked: HashSet<(NodeId, NodeId)>,
+    /// Ids that address another node (see [`Sim::alias`]).
+    aliases: HashMap<NodeId, NodeId>,
     link_last_arrival: HashMap<(NodeId, NodeId), SimTime>,
     started: bool,
     outbox: Vec<(NodeId, Msg)>,
@@ -103,6 +105,7 @@ impl Sim {
             rng: StdRng::seed_from_u64(seed),
             metrics: shared(),
             blocked: HashSet::new(),
+            aliases: HashMap::new(),
             link_last_arrival: HashMap::new(),
             started: false,
             outbox: Vec::new(),
@@ -173,6 +176,12 @@ impl Sim {
     /// Schedules a restart of `node` at virtual time `at`.
     pub fn schedule_restart(&mut self, node: NodeId, at: SimTime) {
         self.queue.push(at, EventKind::Restart(node));
+    }
+
+    /// Delivers what is sent to `alias` to `node` — how a reserved id
+    /// such as the coordination service's reaches a simulated process.
+    pub fn alias(&mut self, alias: NodeId, node: NodeId) {
+        self.aliases.insert(alias, node);
     }
 
     /// Blocks the directed link `from → to` (messages silently dropped).
@@ -374,6 +383,7 @@ impl Sim {
 
     /// Computes delivery time for a message and enqueues it.
     fn route(&mut self, from: NodeId, to: NodeId, msg: Msg, sent_at: SimTime) {
+        let to = self.aliases.get(&to).copied().unwrap_or(to);
         if to.raw() as usize >= self.nodes.len() {
             panic!("send to unknown node {to}");
         }

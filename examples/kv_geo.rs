@@ -19,7 +19,7 @@ use atomic_multicast::mrpstore::{KvApp, KvCommand, Partitioning};
 use atomic_multicast::multiring::client::{ClosedLoopClient, CommandSpec};
 use atomic_multicast::multiring::{HostOptions, MultiRingHost, SessionApp};
 use atomic_multicast::ringpaxos::options::{BatchPolicy, RateLeveling, RingOptions};
-use atomic_multicast::simnet::{CpuModel, Region, Sim, Topology};
+use atomic_multicast::simnet::{CoordProcess, CpuModel, Region, Sim, Topology};
 use atomic_multicast::storage::StorageMode;
 use bytes::Bytes;
 
@@ -144,6 +144,7 @@ fn main() {
         );
         stats.push(client.stats());
         sim.add_node_with_cpu(sites[p], client, CpuModel::free());
+        CoordProcess::add_to(&mut sim, sites[0], &registry);
     }
 
     sim.run_until(SimTime::from_secs(20));

@@ -13,7 +13,7 @@ use atomic_multicast::coord::{PartitionInfo, Registry, RingConfig};
 use atomic_multicast::multiring::client::{ClosedLoopClient, CommandSpec};
 use atomic_multicast::multiring::{EchoApp, HostOptions, MultiRingHost, SessionApp};
 use atomic_multicast::ringpaxos::options::RingOptions;
-use atomic_multicast::simnet::{CpuModel, Sim, Topology};
+use atomic_multicast::simnet::{CoordProcess, CpuModel, Sim, Topology};
 use atomic_multicast::storage::{DiskProfile, StorageMode};
 use bytes::Bytes;
 
@@ -73,6 +73,7 @@ fn main() {
     );
     let stats = client.stats();
     sim.add_node_with_cpu(0, client, CpuModel::free());
+    CoordProcess::add_to(&mut sim, 0, &registry);
 
     let victim = members[2];
     println!("t=2s : replica {victim} crashes (ring reconfigures around it)");

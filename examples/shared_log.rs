@@ -18,7 +18,7 @@ use atomic_multicast::dlog::{DlogApp, LogCommand};
 use atomic_multicast::multiring::client::{ClosedLoopClient, CommandSpec};
 use atomic_multicast::multiring::{HostOptions, MultiRingHost, SessionApp};
 use atomic_multicast::ringpaxos::options::{RateLeveling, RingOptions};
-use atomic_multicast::simnet::{CpuModel, Sim, Topology};
+use atomic_multicast::simnet::{CoordProcess, CpuModel, Sim, Topology};
 use atomic_multicast::storage::StorageMode;
 use bytes::Bytes;
 
@@ -118,6 +118,7 @@ fn main() {
     );
     let stats = client.stats();
     sim.add_node_with_cpu(0, client, CpuModel::free());
+    CoordProcess::add_to(&mut sim, 0, &registry);
 
     sim.run_until(SimTime::from_secs(5));
 

@@ -13,7 +13,7 @@ use atomic_multicast::mrpstore::{KvApp, KvCommand, Partitioning};
 use atomic_multicast::multiring::client::{ClosedLoopClient, CommandSpec};
 use atomic_multicast::multiring::{HostOptions, MultiRingHost, SessionApp};
 use atomic_multicast::ringpaxos::options::{RateLeveling, RingOptions};
-use atomic_multicast::simnet::{CpuModel, Region, Sim, Topology};
+use atomic_multicast::simnet::{CoordProcess, CpuModel, Region, Sim, Topology};
 use atomic_multicast::storage::StorageMode;
 use bytes::Bytes;
 
@@ -125,6 +125,7 @@ fn kv_store_cross_partition_scan() {
     );
     let stats = client.stats();
     sim.add_node_with_cpu(0, client, CpuModel::free());
+    CoordProcess::add_to(&mut sim, 0, &registry);
 
     sim.run_until(SimTime::from_secs(5));
     let s = stats.borrow();
@@ -219,6 +220,7 @@ fn dlog_multi_append_is_atomic() {
     );
     let stats = client.stats();
     sim.add_node_with_cpu(0, client, CpuModel::free());
+    CoordProcess::add_to(&mut sim, 0, &registry);
 
     sim.run_until(SimTime::from_secs(3));
     assert!(stats.borrow().completed > 100);
@@ -499,6 +501,7 @@ fn wan_latency_dominates_geo_commits() {
         );
         let stats = client.stats();
         sim.add_node_with_cpu(sites[0], client, CpuModel::free());
+        CoordProcess::add_to(&mut sim, sites[0], &registry);
         sim.run_until(SimTime::from_secs(20));
         let s = stats.borrow();
         assert!(s.completed > 10, "completed {}", s.completed);
