@@ -9,11 +9,11 @@
 //! them to a sync disk either when the batch is large or on a periodic
 //! timer, acknowledging only after the flush.
 
-use bytes::{BufMut, Bytes, BytesMut};
-use common::error::WireError;
+use bytes::Bytes;
 use common::ids::NodeId;
 use common::msg::Msg;
-use common::wire::{get_bytes, get_tag, get_varint, put_bytes, put_varint, Wire};
+use common::wire::Wire;
+use common::wire_frame;
 use simnet::{Ctx, Process, Timer};
 use std::time::Duration;
 use storage::{DiskProfile, DiskTimeline, StorageMode};
@@ -21,54 +21,23 @@ use storage::{DiskProfile, DiskTimeline, StorageMode};
 /// `Msg::Custom` tag for the ensemble-log protocol.
 pub const TAG_ENSEMBLE: u16 = 102;
 
-/// Ensemble-log messages.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BkMsg {
-    /// Client append to a bookie.
-    Append {
-        /// Entry id (client-scoped).
-        entry: u64,
-        /// Payload.
-        value: Bytes,
-    },
-    /// Bookie acknowledgement after its batch flushed.
-    Acked {
-        /// The entry id.
-        entry: u64,
-    },
-}
-
-impl Wire for BkMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            BkMsg::Append { entry, value } => {
-                buf.put_u8(0);
-                put_varint(buf, *entry);
-                put_bytes(buf, value);
-            }
-            BkMsg::Acked { entry } => {
-                buf.put_u8(1);
-                put_varint(buf, *entry);
-            }
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(match get_tag(buf, "ensemble msg")? {
-            0 => BkMsg::Append {
-                entry: get_varint(buf)?,
-                value: get_bytes(buf)?,
-            },
-            1 => BkMsg::Acked {
-                entry: get_varint(buf)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    context: "ensemble msg",
-                    tag,
-                })
-            }
-        })
+wire_frame! {
+    "ensemble msg";
+    /// Ensemble-log messages.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum BkMsg {
+        /// Client append to a bookie.
+        0 => Append {
+            /// Entry id (client-scoped).
+            entry: u64,
+            /// Payload.
+            value: Bytes,
+        },
+        /// Bookie acknowledgement after its batch flushed.
+        1 => Acked {
+            /// The entry id.
+            entry: u64,
+        },
     }
 }
 

@@ -11,12 +11,12 @@
 
 use std::collections::BTreeMap;
 
-use bytes::{BufMut, Bytes, BytesMut};
-use common::error::WireError;
+use bytes::Bytes;
 use common::ids::NodeId;
 use common::msg::Msg;
 use common::time::SimTime;
-use common::wire::{get_bytes, get_tag, get_varint, put_bytes, put_varint, Wire};
+use common::wire::Wire;
+use common::wire_frame;
 use simnet::{Ctx, Process, Timer};
 use std::time::Duration;
 use storage::{DiskTimeline, StorageMode};
@@ -24,128 +24,55 @@ use storage::{DiskTimeline, StorageMode};
 /// `Msg::Custom` tag for the eventual-store protocol.
 pub const TAG_EVENTUAL: u16 = 100;
 
-/// Client/replica messages of the eventual store.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum EvMsg {
-    /// Client write.
-    Put {
-        /// Request id for matching the ack.
-        req: u64,
-        /// Key.
-        key: String,
-        /// Value.
-        value: Bytes,
-        /// Timestamp for last-writer-wins.
-        ts: u64,
-    },
-    /// Client read.
-    Get {
-        /// Request id.
-        req: u64,
-        /// Key.
-        key: String,
-    },
-    /// Client range scan: `n` records from `key`. The reply's payload size
-    /// models the transferred data volume.
-    Scan {
-        /// Request id.
-        req: u64,
-        /// Start key.
-        key: String,
-        /// Records wanted.
-        n: u64,
-    },
-    /// Replica acknowledgement to the client.
-    Ack {
-        /// Echoed request id.
-        req: u64,
-        /// Value for reads.
-        value: Option<Bytes>,
-    },
-    /// Background replication of a write.
-    Gossip {
-        /// Key.
-        key: String,
-        /// Value.
-        value: Bytes,
-        /// Last-writer-wins timestamp.
-        ts: u64,
-    },
-}
-
-impl Wire for EvMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            EvMsg::Put {
-                req,
-                key,
-                value,
-                ts,
-            } => {
-                buf.put_u8(0);
-                put_varint(buf, *req);
-                key.encode(buf);
-                put_bytes(buf, value);
-                put_varint(buf, *ts);
-            }
-            EvMsg::Get { req, key } => {
-                buf.put_u8(1);
-                put_varint(buf, *req);
-                key.encode(buf);
-            }
-            EvMsg::Ack { req, value } => {
-                buf.put_u8(2);
-                put_varint(buf, *req);
-                value.encode(buf);
-            }
-            EvMsg::Gossip { key, value, ts } => {
-                buf.put_u8(3);
-                key.encode(buf);
-                put_bytes(buf, value);
-                put_varint(buf, *ts);
-            }
-            EvMsg::Scan { req, key, n } => {
-                buf.put_u8(4);
-                put_varint(buf, *req);
-                key.encode(buf);
-                put_varint(buf, *n);
-            }
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(match get_tag(buf, "eventual msg")? {
-            0 => EvMsg::Put {
-                req: get_varint(buf)?,
-                key: String::decode(buf)?,
-                value: get_bytes(buf)?,
-                ts: get_varint(buf)?,
-            },
-            1 => EvMsg::Get {
-                req: get_varint(buf)?,
-                key: String::decode(buf)?,
-            },
-            2 => EvMsg::Ack {
-                req: get_varint(buf)?,
-                value: Option::<Bytes>::decode(buf)?,
-            },
-            3 => EvMsg::Gossip {
-                key: String::decode(buf)?,
-                value: get_bytes(buf)?,
-                ts: get_varint(buf)?,
-            },
-            4 => EvMsg::Scan {
-                req: get_varint(buf)?,
-                key: String::decode(buf)?,
-                n: get_varint(buf)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    context: "eventual msg",
-                    tag,
-                })
-            }
-        })
+wire_frame! {
+    "eventual msg";
+    /// Client/replica messages of the eventual store.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum EvMsg {
+        /// Client write.
+        0 => Put {
+            /// Request id for matching the ack.
+            req: u64,
+            /// Key.
+            key: String,
+            /// Value.
+            value: Bytes,
+            /// Timestamp for last-writer-wins.
+            ts: u64,
+        },
+        /// Client read.
+        1 => Get {
+            /// Request id.
+            req: u64,
+            /// Key.
+            key: String,
+        },
+        /// Client range scan: `n` records from `key`. The reply's payload size
+        /// models the transferred data volume.
+        4 => Scan {
+            /// Request id.
+            req: u64,
+            /// Start key.
+            key: String,
+            /// Records wanted.
+            n: u64,
+        },
+        /// Replica acknowledgement to the client.
+        2 => Ack {
+            /// Echoed request id.
+            req: u64,
+            /// Value for reads.
+            value: Option<Bytes>,
+        },
+        /// Background replication of a write.
+        3 => Gossip {
+            /// Key.
+            key: String,
+            /// Value.
+            value: Bytes,
+            /// Last-writer-wins timestamp.
+            ts: u64,
+        },
     }
 }
 

@@ -7,109 +7,54 @@
 
 use std::collections::BTreeMap;
 
-use bytes::{BufMut, Bytes, BytesMut};
-use common::error::WireError;
+use bytes::Bytes;
 use common::ids::NodeId;
 use common::msg::Msg;
-use common::wire::{get_bytes, get_tag, get_varint, put_bytes, put_varint, Wire};
+use common::wire::Wire;
+use common::wire_frame;
 use simnet::{Ctx, Process, Timer};
 use storage::{DiskTimeline, StorageMode};
 
 /// `Msg::Custom` tag for the single-node protocol.
 pub const TAG_SINGLE: u16 = 101;
 
-/// Client/server messages of the single-node store.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SnMsg {
-    /// Write `key`.
-    Put {
-        /// Request id.
-        req: u64,
-        /// Key.
-        key: String,
-        /// Value.
-        value: Bytes,
-    },
-    /// Read `key`.
-    Get {
-        /// Request id.
-        req: u64,
-        /// Key.
-        key: String,
-    },
-    /// Scan `n` entries from `key`.
-    Scan {
-        /// Request id.
-        req: u64,
-        /// Start key.
-        key: String,
-        /// Max entries.
-        n: u64,
-    },
-    /// Server response.
-    Reply {
-        /// Echoed request id.
-        req: u64,
-        /// Payload (value or entry count marker).
-        value: Option<Bytes>,
-    },
-}
-
-impl Wire for SnMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            SnMsg::Put { req, key, value } => {
-                buf.put_u8(0);
-                put_varint(buf, *req);
-                key.encode(buf);
-                put_bytes(buf, value);
-            }
-            SnMsg::Get { req, key } => {
-                buf.put_u8(1);
-                put_varint(buf, *req);
-                key.encode(buf);
-            }
-            SnMsg::Scan { req, key, n } => {
-                buf.put_u8(2);
-                put_varint(buf, *req);
-                key.encode(buf);
-                put_varint(buf, *n);
-            }
-            SnMsg::Reply { req, value } => {
-                buf.put_u8(3);
-                put_varint(buf, *req);
-                value.encode(buf);
-            }
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(match get_tag(buf, "single-node msg")? {
-            0 => SnMsg::Put {
-                req: get_varint(buf)?,
-                key: String::decode(buf)?,
-                value: get_bytes(buf)?,
-            },
-            1 => SnMsg::Get {
-                req: get_varint(buf)?,
-                key: String::decode(buf)?,
-            },
-            2 => SnMsg::Scan {
-                req: get_varint(buf)?,
-                key: String::decode(buf)?,
-                n: get_varint(buf)?,
-            },
-            3 => SnMsg::Reply {
-                req: get_varint(buf)?,
-                value: Option::<Bytes>::decode(buf)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    context: "single-node msg",
-                    tag,
-                })
-            }
-        })
+wire_frame! {
+    "single-node msg";
+    /// Client/server messages of the single-node store.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum SnMsg {
+        /// Write `key`.
+        0 => Put {
+            /// Request id.
+            req: u64,
+            /// Key.
+            key: String,
+            /// Value.
+            value: Bytes,
+        },
+        /// Read `key`.
+        1 => Get {
+            /// Request id.
+            req: u64,
+            /// Key.
+            key: String,
+        },
+        /// Scan `n` entries from `key`.
+        2 => Scan {
+            /// Request id.
+            req: u64,
+            /// Start key.
+            key: String,
+            /// Max entries.
+            n: u64,
+        },
+        /// Server response.
+        3 => Reply {
+            /// Echoed request id.
+            req: u64,
+            /// Payload (value or entry count marker).
+            value: Option<Bytes>,
+        },
     }
 }
 

@@ -98,7 +98,8 @@ pub enum WireError {
         /// The offending tag.
         tag: u8,
     },
-    /// A varint ran past its maximum width.
+    /// A varint ran past 10 bytes, or past the width of the integer it
+    /// decodes into.
     VarintOverflow,
     /// A declared length exceeds the sanity limit.
     LengthTooLarge {
@@ -114,7 +115,7 @@ impl fmt::Display for WireError {
             WireError::BadTag { context, tag } => {
                 write!(f, "invalid tag {tag} decoding {context}")
             }
-            WireError::VarintOverflow => write!(f, "varint exceeds 10 bytes"),
+            WireError::VarintOverflow => write!(f, "varint exceeds its integer width"),
             WireError::LengthTooLarge { len } => write!(f, "declared length {len} too large"),
         }
     }

@@ -19,7 +19,7 @@
 //! payload and have known addressees — id-only decisions, value pulls —
 //! do not circulate: they are sent point-to-point with `ttl` 0.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -27,252 +27,162 @@ use crate::error::WireError;
 use crate::ids::{Ballot, InstanceId, NodeId, PartitionId, RingId};
 use crate::value::{Value, ValueId};
 use crate::wire::client::{ClientMsg, ClientReply};
-use crate::wire::{
-    get_bytes, get_tag, get_varint, get_vec, put_bytes, put_varint, put_vec, varint_len, Wire,
-};
+use crate::wire::{get_vec, put_vec, Wire};
+use crate::wire_frame;
 
-/// Exact encoded size of a [`Ballot`].
-fn ballot_len(b: &Ballot) -> usize {
-    varint_len(u64::from(b.round())) + varint_len(u64::from(b.node().raw()))
-}
-
-/// Exact encoded size of a [`ValueId`].
-fn value_id_len(id: &ValueId) -> usize {
-    varint_len(u64::from(id.node.raw())) + varint_len(id.seq)
-}
-
-/// Exact encoded size of an [`AcceptedEntry`].
-fn entry_len(e: &AcceptedEntry) -> usize {
-    varint_len(e.inst.raw()) + ballot_len(&e.vballot) + e.value.encoded_len()
-}
-
-/// Top-level message envelope.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Msg {
-    /// A Ring Paxos protocol message for one ring.
-    Ring(RingId, RingMsg),
-    /// A client's protocol-v2 frame to a serving node.
-    Client(ClientMsg),
-    /// A serving node's protocol-v2 frame to a client.
-    Reply(ClientReply),
-    /// Recovery, checkpointing and log-trimming traffic.
-    Recovery(RecoveryMsg),
-    /// Free-form payload used by baseline systems and tests; the `u16` tags
-    /// the sub-protocol.
-    Custom(u16, Bytes),
+wire_frame! {
+    "msg";
+    /// Top-level message envelope.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum Msg {
+        /// A Ring Paxos protocol message for one ring.
+        0 => Ring(RingId, RingMsg),
+        /// A client's protocol-v2 frame to a serving node.
+        1 => Client(ClientMsg),
+        /// A serving node's protocol-v2 frame to a client.
+        4 => Reply(ClientReply),
+        /// Recovery, checkpointing and log-trimming traffic.
+        2 => Recovery(RecoveryMsg),
+        /// Free-form payload used by baseline systems and tests; the `u16` tags
+        /// the sub-protocol.
+        3 => Custom(u16, Bytes),
+    }
 }
 
 impl Msg {
     /// On-wire size in bytes, used by the simulator's bandwidth and CPU
-    /// cost models. Computed without serializing for ring traffic (the hot
-    /// path); exact for ring and client traffic, approximate for
-    /// recovery messages.
+    /// cost models. Computed without serializing; exact for ring and
+    /// client traffic, the fixed estimates of [`RecoveryMsg::wire_size`]
+    /// for recovery messages, and a 3-byte header for custom payloads.
     pub fn wire_size(&self) -> usize {
         match self {
-            Msg::Ring(ring, m) => 1 + varint_len(u64::from(ring.raw())) + m.wire_size(),
-            Msg::Client(m) => 1 + m.encoded_len(),
-            Msg::Reply(m) => 1 + m.encoded_len(),
+            Msg::Ring(..) | Msg::Client(_) | Msg::Reply(_) => self.encoded_len(),
             Msg::Recovery(m) => 1 + m.wire_size(),
             Msg::Custom(_, b) => 3 + b.len(),
         }
     }
 }
 
-/// An accepted value reported in Phase 1: instance, the ballot it was
-/// accepted at, and the value itself.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AcceptedEntry {
-    /// The consensus instance.
-    pub inst: InstanceId,
-    /// Ballot at which `value` was accepted.
-    pub vballot: Ballot,
-    /// The accepted value.
-    pub value: Value,
-}
-
-impl Wire for AcceptedEntry {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.inst.encode(buf);
-        self.vballot.encode(buf);
-        self.value.encode(buf);
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(AcceptedEntry {
-            inst: InstanceId::decode(buf)?,
-            vballot: Ballot::decode(buf)?,
-            value: Value::decode(buf)?,
-        })
+wire_frame! {
+    /// An accepted value reported in Phase 1: instance, the ballot it was
+    /// accepted at, and the value itself.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct AcceptedEntry {
+        /// The consensus instance.
+        pub inst: InstanceId,
+        /// Ballot at which `value` was accepted.
+        pub vballot: Ballot,
+        /// The accepted value.
+        pub value: Value,
     }
 }
 
-/// Ring Paxos messages (paper §4, Figure 2).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RingMsg {
-    /// A proposed value circulating towards the coordinator.
-    Proposal {
-        /// The value to order.
-        value: Value,
-        /// Remaining hops.
-        ttl: u16,
-    },
-    /// Combined Phase 1A/1B circulating the ring: the coordinator opens a
-    /// window of instances at `ballot`; acceptors add their promise count
-    /// and report values they accepted in the window under lower ballots.
-    Phase1 {
-        /// The coordinator's ballot.
-        ballot: Ballot,
-        /// First instance of the window (inclusive).
-        from: InstanceId,
-        /// Last instance of the window (exclusive).
-        to: InstanceId,
-        /// Number of acceptors that promised so far.
-        promises: u16,
-        /// Previously accepted values that must be re-proposed.
-        accepted: Vec<AcceptedEntry>,
-        /// Remaining hops.
-        ttl: u16,
-    },
-    /// Combined Phase 2A/2B circulating the ring: proposal by the
-    /// coordinator plus the votes accumulated so far.
-    Phase2 {
-        /// The consensus instance being decided.
-        inst: InstanceId,
-        /// The coordinator's ballot.
-        ballot: Ballot,
-        /// The proposed value.
-        value: Value,
-        /// Number of acceptor votes accumulated.
-        votes: u16,
-        /// Remaining hops.
-        ttl: u16,
-    },
-    /// The outcome of an instance, sent point-to-point by the acceptor
-    /// whose vote completed the majority to each member the Phase 2
-    /// message had already passed (never forwarded; `ttl` is 0).
-    ///
-    /// Metadata only: the payload circulated the ring once inside
-    /// [`RingMsg::Phase2`]; the decision names the winning value by id and
-    /// receivers resolve it against what they learned in Phase 2 (or pull
-    /// it with [`RingMsg::ValueRequest`] if they missed it).
-    Decision {
-        /// The decided instance.
-        inst: InstanceId,
-        /// The ballot the value was decided at.
-        ballot: Ballot,
-        /// The decided value's id.
-        id: ValueId,
-        /// Remaining hops.
-        ttl: u16,
-    },
-    /// Slow-path pull: the sender observed an id-only decision for a value
-    /// it never learned (dropped frame, late join, post-reconfiguration
-    /// hole) and asks an acceptor to resend it. Point-to-point, never
-    /// forwarded.
-    ValueRequest {
-        /// The decided instance whose value is missing.
-        inst: InstanceId,
-        /// The decided value's id.
-        id: ValueId,
-    },
-    /// Answer to [`RingMsg::ValueRequest`]: the full value. Point-to-point.
-    ValueResend {
-        /// The decided instance.
-        inst: InstanceId,
-        /// The ballot the value was accepted at by the resender.
-        ballot: Ballot,
-        /// The decided value.
-        value: Value,
-    },
-    /// Several ring messages packed into one network packet (paper §4:
-    /// "different types of messages for several consensus instances are
-    /// often grouped into bigger packets").
-    Batch(Vec<RingMsg>),
-    /// A liveness beacon sent point-to-point to the successor; consumed by
-    /// the receiver (never forwarded). Silence from the predecessor is how
-    /// ring members detect failures and trigger reconfiguration.
-    Heartbeat {
-        /// The sender's view of the configuration epoch.
-        epoch: u64,
-    },
-    /// Eager dissemination of a large value, sent point-to-point by the
-    /// proposer to every other ring member *concurrently with* ordering
-    /// (never forwarded). By the time the id-only [`RingMsg::Decision`]
-    /// arrives, the value is usually already resident in the receiver's
-    /// learned cache, so [`RingMsg::ValueRequest`] stays the slow path.
-    /// Purely an optimization: dropping every `ValuePush` only costs the
-    /// pull round-trip, never correctness.
-    ValuePush {
-        /// The value being disseminated ahead of its decision.
-        value: Value,
-    },
+wire_frame! {
+    "ring msg";
+    /// Ring Paxos messages (paper §4, Figure 2).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum RingMsg {
+        /// A proposed value circulating towards the coordinator.
+        0 => Proposal {
+            /// The value to order.
+            value: Value,
+            /// Remaining hops.
+            ttl: u16,
+        },
+        /// Combined Phase 1A/1B circulating the ring: the coordinator opens a
+        /// window of instances at `ballot`; acceptors add their promise count
+        /// and report values they accepted in the window under lower ballots.
+        1 => Phase1 {
+            /// The coordinator's ballot.
+            ballot: Ballot,
+            /// First instance of the window (inclusive).
+            from: InstanceId,
+            /// Last instance of the window (exclusive).
+            to: InstanceId,
+            /// Number of acceptors that promised so far.
+            promises: u16,
+            /// Previously accepted values that must be re-proposed.
+            accepted: Vec<AcceptedEntry>,
+            /// Remaining hops.
+            ttl: u16,
+        },
+        /// Combined Phase 2A/2B circulating the ring: proposal by the
+        /// coordinator plus the votes accumulated so far.
+        2 => Phase2 {
+            /// The consensus instance being decided.
+            inst: InstanceId,
+            /// The coordinator's ballot.
+            ballot: Ballot,
+            /// The proposed value.
+            value: Value,
+            /// Number of acceptor votes accumulated.
+            votes: u16,
+            /// Remaining hops.
+            ttl: u16,
+        },
+        /// The outcome of an instance, sent point-to-point by the acceptor
+        /// whose vote completed the majority to each member the Phase 2
+        /// message had already passed (never forwarded; `ttl` is 0).
+        ///
+        /// Metadata only: the payload circulated the ring once inside
+        /// [`RingMsg::Phase2`]; the decision names the winning value by id and
+        /// receivers resolve it against what they learned in Phase 2 (or pull
+        /// it with [`RingMsg::ValueRequest`] if they missed it).
+        3 => Decision {
+            /// The decided instance.
+            inst: InstanceId,
+            /// The ballot the value was decided at.
+            ballot: Ballot,
+            /// The decided value's id.
+            id: ValueId,
+            /// Remaining hops.
+            ttl: u16,
+        },
+        /// Slow-path pull: the sender observed an id-only decision for a value
+        /// it never learned (dropped frame, late join, post-reconfiguration
+        /// hole) and asks an acceptor to resend it. Point-to-point, never
+        /// forwarded.
+        6 => ValueRequest {
+            /// The decided instance whose value is missing.
+            inst: InstanceId,
+            /// The decided value's id.
+            id: ValueId,
+        },
+        /// Answer to [`RingMsg::ValueRequest`]: the full value. Point-to-point.
+        7 => ValueResend {
+            /// The decided instance.
+            inst: InstanceId,
+            /// The ballot the value was accepted at by the resender.
+            ballot: Ballot,
+            /// The decided value.
+            value: Value,
+        },
+        /// Several ring messages packed into one network packet (paper §4:
+        /// "different types of messages for several consensus instances are
+        /// often grouped into bigger packets").
+        4 => Batch(Vec<RingMsg>),
+        /// A liveness beacon sent point-to-point to the successor; consumed by
+        /// the receiver (never forwarded). Silence from the predecessor is how
+        /// ring members detect failures and trigger reconfiguration.
+        5 => Heartbeat {
+            /// The sender's view of the configuration epoch.
+            epoch: u64,
+        },
+        /// Eager dissemination of a large value, sent point-to-point by the
+        /// proposer to every other ring member *concurrently with* ordering
+        /// (never forwarded). By the time the id-only [`RingMsg::Decision`]
+        /// arrives, the value is usually already resident in the receiver's
+        /// learned cache, so [`RingMsg::ValueRequest`] stays the slow path.
+        /// Purely an optimization: dropping every `ValuePush` only costs the
+        /// pull round-trip, never correctness.
+        8 => ValuePush {
+            /// The value being disseminated ahead of its decision.
+            value: Value,
+        },
+    }
 }
 
 impl RingMsg {
-    /// Exact on-wire size, computed without serializing. Keeping this in
-    /// lock-step with [`Wire::encode`] keeps the simulator's bandwidth and
-    /// CPU models honest; a test asserts equality with `encoded_len()`
-    /// for every variant.
-    pub fn wire_size(&self) -> usize {
-        match self {
-            RingMsg::Proposal { value, ttl } => {
-                1 + value.encoded_len() + varint_len(u64::from(*ttl))
-            }
-            RingMsg::Phase1 {
-                ballot,
-                from,
-                to,
-                promises,
-                accepted,
-                ttl,
-            } => {
-                1 + ballot_len(ballot)
-                    + varint_len(from.raw())
-                    + varint_len(to.raw())
-                    + varint_len(u64::from(*promises))
-                    + varint_len(accepted.len() as u64)
-                    + accepted.iter().map(entry_len).sum::<usize>()
-                    + varint_len(u64::from(*ttl))
-            }
-            RingMsg::Phase2 {
-                inst,
-                ballot,
-                value,
-                votes,
-                ttl,
-            } => {
-                1 + varint_len(inst.raw())
-                    + ballot_len(ballot)
-                    + value.encoded_len()
-                    + varint_len(u64::from(*votes))
-                    + varint_len(u64::from(*ttl))
-            }
-            RingMsg::Decision {
-                inst,
-                ballot,
-                id,
-                ttl,
-            } => {
-                1 + varint_len(inst.raw())
-                    + ballot_len(ballot)
-                    + value_id_len(id)
-                    + varint_len(u64::from(*ttl))
-            }
-            RingMsg::ValueRequest { inst, id } => 1 + varint_len(inst.raw()) + value_id_len(id),
-            RingMsg::ValueResend {
-                inst,
-                ballot,
-                value,
-            } => 1 + varint_len(inst.raw()) + ballot_len(ballot) + value.encoded_len(),
-            RingMsg::Batch(msgs) => {
-                1 + varint_len(msgs.len() as u64)
-                    + msgs.iter().map(RingMsg::wire_size).sum::<usize>()
-            }
-            RingMsg::Heartbeat { epoch } => 1 + varint_len(*epoch),
-            RingMsg::ValuePush { value } => 1 + value.encoded_len(),
-        }
-    }
-
     /// The remaining hop count, if this message circulates.
     pub fn ttl(&self) -> Option<u16> {
         match self {
@@ -292,17 +202,17 @@ impl RingMsg {
     /// recursing into [`RingMsg::Batch`] packets. Called by the live
     /// transports at their encode points, where the sending *node* is
     /// known — the per-node replacement for the old process-global wire
-    /// counters. Sizes come from [`RingMsg::wire_size`], which is exact.
+    /// counters. Sizes come from [`Wire::encoded_len`], which is exact.
     pub fn tally_wire(&self, stats: &mut WireStats) {
         match self {
             RingMsg::Phase2 { value, .. } => {
                 stats.phase2_msgs += 1;
-                stats.phase2_wire_bytes += self.wire_size() as u64;
+                stats.phase2_wire_bytes += self.encoded_len() as u64;
                 stats.phase2_payload_bytes += value.payload().map(|b| b.len()).unwrap_or(0) as u64;
             }
             RingMsg::Decision { .. } => {
                 stats.decision_msgs += 1;
-                stats.decision_wire_bytes += self.wire_size() as u64;
+                stats.decision_wire_bytes += self.encoded_len() as u64;
                 // Id-only by construction: a decision cannot carry payload
                 // bytes; the (always-zero) counter records that fact.
             }
@@ -359,137 +269,6 @@ impl WireStats {
     /// Tallies one outgoing message.
     pub fn tally(&mut self, msg: &RingMsg) {
         msg.tally_wire(self);
-    }
-}
-
-impl Wire for RingMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            RingMsg::Proposal { value, ttl } => {
-                buf.put_u8(0);
-                value.encode(buf);
-                put_varint(buf, u64::from(*ttl));
-            }
-            RingMsg::Phase1 {
-                ballot,
-                from,
-                to,
-                promises,
-                accepted,
-                ttl,
-            } => {
-                buf.put_u8(1);
-                ballot.encode(buf);
-                from.encode(buf);
-                to.encode(buf);
-                put_varint(buf, u64::from(*promises));
-                put_vec(buf, accepted);
-                put_varint(buf, u64::from(*ttl));
-            }
-            RingMsg::Phase2 {
-                inst,
-                ballot,
-                value,
-                votes,
-                ttl,
-            } => {
-                buf.put_u8(2);
-                inst.encode(buf);
-                ballot.encode(buf);
-                value.encode(buf);
-                put_varint(buf, u64::from(*votes));
-                put_varint(buf, u64::from(*ttl));
-            }
-            RingMsg::Decision {
-                inst,
-                ballot,
-                id,
-                ttl,
-            } => {
-                buf.put_u8(3);
-                inst.encode(buf);
-                ballot.encode(buf);
-                id.encode(buf);
-                put_varint(buf, u64::from(*ttl));
-            }
-            RingMsg::Batch(msgs) => {
-                buf.put_u8(4);
-                put_vec(buf, msgs);
-            }
-            RingMsg::Heartbeat { epoch } => {
-                buf.put_u8(5);
-                put_varint(buf, *epoch);
-            }
-            RingMsg::ValueRequest { inst, id } => {
-                buf.put_u8(6);
-                inst.encode(buf);
-                id.encode(buf);
-            }
-            RingMsg::ValueResend {
-                inst,
-                ballot,
-                value,
-            } => {
-                buf.put_u8(7);
-                inst.encode(buf);
-                ballot.encode(buf);
-                value.encode(buf);
-            }
-            RingMsg::ValuePush { value } => {
-                buf.put_u8(8);
-                value.encode(buf);
-            }
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        match get_tag(buf, "ring msg")? {
-            0 => Ok(RingMsg::Proposal {
-                value: Value::decode(buf)?,
-                ttl: get_varint(buf)? as u16,
-            }),
-            1 => Ok(RingMsg::Phase1 {
-                ballot: Ballot::decode(buf)?,
-                from: InstanceId::decode(buf)?,
-                to: InstanceId::decode(buf)?,
-                promises: get_varint(buf)? as u16,
-                accepted: get_vec(buf)?,
-                ttl: get_varint(buf)? as u16,
-            }),
-            2 => Ok(RingMsg::Phase2 {
-                inst: InstanceId::decode(buf)?,
-                ballot: Ballot::decode(buf)?,
-                value: Value::decode(buf)?,
-                votes: get_varint(buf)? as u16,
-                ttl: get_varint(buf)? as u16,
-            }),
-            3 => Ok(RingMsg::Decision {
-                inst: InstanceId::decode(buf)?,
-                ballot: Ballot::decode(buf)?,
-                id: ValueId::decode(buf)?,
-                ttl: get_varint(buf)? as u16,
-            }),
-            4 => Ok(RingMsg::Batch(get_vec(buf)?)),
-            5 => Ok(RingMsg::Heartbeat {
-                epoch: get_varint(buf)?,
-            }),
-            6 => Ok(RingMsg::ValueRequest {
-                inst: InstanceId::decode(buf)?,
-                id: ValueId::decode(buf)?,
-            }),
-            7 => Ok(RingMsg::ValueResend {
-                inst: InstanceId::decode(buf)?,
-                ballot: Ballot::decode(buf)?,
-                value: Value::decode(buf)?,
-            }),
-            8 => Ok(RingMsg::ValuePush {
-                value: Value::decode(buf)?,
-            }),
-            tag => Err(WireError::BadTag {
-                context: "ring msg",
-                tag,
-            }),
-        }
     }
 }
 
@@ -595,83 +374,86 @@ impl Wire for CheckpointTuple {
     }
 }
 
-/// Recovery, checkpoint-coordination and log-trimming messages (paper §5).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RecoveryMsg {
-    /// Coordinator of `ring` asks replicas for their highest safe instance.
-    TrimQuery {
-        /// The ring whose log may be trimmed.
-        ring: RingId,
-        /// Correlates replies with queries.
-        seq: u64,
-    },
-    /// A replica's answer: it has checkpointed state covering instances up
-    /// to `safe` on `ring`.
-    TrimReply {
-        /// The ring in question.
-        ring: RingId,
-        /// Echoed query sequence number.
-        seq: u64,
-        /// Highest instance included in the replica's checkpoint.
-        safe: InstanceId,
-        /// The answering replica.
-        replica: NodeId,
-    },
-    /// Coordinator's order to acceptors: trim everything `<= upto`.
-    Trim {
-        /// The ring whose acceptors should trim.
-        ring: RingId,
-        /// Last trimmed instance (the paper's `K[x]_T`).
-        upto: InstanceId,
-    },
-    /// A recovering replica asks partition peers for checkpoint metadata.
-    CheckpointQuery {
-        /// The recovering replica's partition.
-        partition: PartitionId,
-        /// Correlates replies.
-        seq: u64,
-    },
-    /// A peer advertises its most recent checkpoint.
-    CheckpointInfo {
-        /// Echoed query sequence number.
-        seq: u64,
-        /// The advertising replica.
-        replica: NodeId,
-        /// Identifier of its latest durable checkpoint.
-        tuple: CheckpointTuple,
-    },
-    /// Ask `replica` for the full state of checkpoint `tuple`.
-    CheckpointFetch {
-        /// Which checkpoint to ship.
-        tuple: CheckpointTuple,
-    },
-    /// The checkpoint state transfer.
-    CheckpointData {
-        /// Which checkpoint this is.
-        tuple: CheckpointTuple,
-        /// Serialized service state.
-        state: Bytes,
-    },
-    /// Ask an acceptor to retransmit decisions in `[from, to)` of `ring`.
-    Retransmit {
-        /// The ring to replay.
-        ring: RingId,
-        /// First wanted instance.
-        from: InstanceId,
-        /// One past the last wanted instance.
-        to: InstanceId,
-    },
-    /// Retransmitted decisions. `log_start` tells the requester which
-    /// prefix is gone forever (it must then fetch a newer checkpoint).
-    RetransmitReply {
-        /// The ring replayed.
-        ring: RingId,
-        /// Decisions, in instance order.
-        decisions: Vec<AcceptedEntry>,
-        /// The acceptor's first retained instance; instances strictly
-        /// below were trimmed and cannot be replayed.
-        log_start: InstanceId,
-    },
+wire_frame! {
+    "recovery msg";
+    /// Recovery, checkpoint-coordination and log-trimming messages (paper §5).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum RecoveryMsg {
+        /// Coordinator of `ring` asks replicas for their highest safe instance.
+        0 => TrimQuery {
+            /// The ring whose log may be trimmed.
+            ring: RingId,
+            /// Correlates replies with queries.
+            seq: u64,
+        },
+        /// A replica's answer: it has checkpointed state covering instances up
+        /// to `safe` on `ring`.
+        1 => TrimReply {
+            /// The ring in question.
+            ring: RingId,
+            /// Echoed query sequence number.
+            seq: u64,
+            /// Highest instance included in the replica's checkpoint.
+            safe: InstanceId,
+            /// The answering replica.
+            replica: NodeId,
+        },
+        /// Coordinator's order to acceptors: trim everything `<= upto`.
+        2 => Trim {
+            /// The ring whose acceptors should trim.
+            ring: RingId,
+            /// Last trimmed instance (the paper's `K[x]_T`).
+            upto: InstanceId,
+        },
+        /// A recovering replica asks partition peers for checkpoint metadata.
+        3 => CheckpointQuery {
+            /// The recovering replica's partition.
+            partition: PartitionId,
+            /// Correlates replies.
+            seq: u64,
+        },
+        /// A peer advertises its most recent checkpoint.
+        4 => CheckpointInfo {
+            /// Echoed query sequence number.
+            seq: u64,
+            /// The advertising replica.
+            replica: NodeId,
+            /// Identifier of its latest durable checkpoint.
+            tuple: CheckpointTuple,
+        },
+        /// Ask `replica` for the full state of checkpoint `tuple`.
+        5 => CheckpointFetch {
+            /// Which checkpoint to ship.
+            tuple: CheckpointTuple,
+        },
+        /// The checkpoint state transfer.
+        6 => CheckpointData {
+            /// Which checkpoint this is.
+            tuple: CheckpointTuple,
+            /// Serialized service state.
+            state: Bytes,
+        },
+        /// Ask an acceptor to retransmit decisions in `[from, to)` of `ring`.
+        7 => Retransmit {
+            /// The ring to replay.
+            ring: RingId,
+            /// First wanted instance.
+            from: InstanceId,
+            /// One past the last wanted instance.
+            to: InstanceId,
+        },
+        /// Retransmitted decisions. `log_start` tells the requester which
+        /// prefix is gone forever (it must then fetch a newer checkpoint).
+        8 => RetransmitReply {
+            /// The ring replayed.
+            ring: RingId,
+            /// Decisions, in instance order.
+            decisions: Vec<AcceptedEntry>,
+            /// The acceptor's first retained instance; instances strictly
+            /// below were trimmed and cannot be replayed.
+            log_start: InstanceId,
+        },
+    }
 }
 
 impl RecoveryMsg {
@@ -696,171 +478,11 @@ impl RecoveryMsg {
     }
 }
 
-impl Wire for RecoveryMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            RecoveryMsg::TrimQuery { ring, seq } => {
-                buf.put_u8(0);
-                ring.encode(buf);
-                put_varint(buf, *seq);
-            }
-            RecoveryMsg::TrimReply {
-                ring,
-                seq,
-                safe,
-                replica,
-            } => {
-                buf.put_u8(1);
-                ring.encode(buf);
-                put_varint(buf, *seq);
-                safe.encode(buf);
-                replica.encode(buf);
-            }
-            RecoveryMsg::Trim { ring, upto } => {
-                buf.put_u8(2);
-                ring.encode(buf);
-                upto.encode(buf);
-            }
-            RecoveryMsg::CheckpointQuery { partition, seq } => {
-                buf.put_u8(3);
-                partition.encode(buf);
-                put_varint(buf, *seq);
-            }
-            RecoveryMsg::CheckpointInfo {
-                seq,
-                replica,
-                tuple,
-            } => {
-                buf.put_u8(4);
-                put_varint(buf, *seq);
-                replica.encode(buf);
-                tuple.encode(buf);
-            }
-            RecoveryMsg::CheckpointFetch { tuple } => {
-                buf.put_u8(5);
-                tuple.encode(buf);
-            }
-            RecoveryMsg::CheckpointData { tuple, state } => {
-                buf.put_u8(6);
-                tuple.encode(buf);
-                put_bytes(buf, state);
-            }
-            RecoveryMsg::Retransmit { ring, from, to } => {
-                buf.put_u8(7);
-                ring.encode(buf);
-                from.encode(buf);
-                to.encode(buf);
-            }
-            RecoveryMsg::RetransmitReply {
-                ring,
-                decisions,
-                log_start,
-            } => {
-                buf.put_u8(8);
-                ring.encode(buf);
-                put_vec(buf, decisions);
-                log_start.encode(buf);
-            }
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        match get_tag(buf, "recovery msg")? {
-            0 => Ok(RecoveryMsg::TrimQuery {
-                ring: RingId::decode(buf)?,
-                seq: get_varint(buf)?,
-            }),
-            1 => Ok(RecoveryMsg::TrimReply {
-                ring: RingId::decode(buf)?,
-                seq: get_varint(buf)?,
-                safe: InstanceId::decode(buf)?,
-                replica: NodeId::decode(buf)?,
-            }),
-            2 => Ok(RecoveryMsg::Trim {
-                ring: RingId::decode(buf)?,
-                upto: InstanceId::decode(buf)?,
-            }),
-            3 => Ok(RecoveryMsg::CheckpointQuery {
-                partition: PartitionId::decode(buf)?,
-                seq: get_varint(buf)?,
-            }),
-            4 => Ok(RecoveryMsg::CheckpointInfo {
-                seq: get_varint(buf)?,
-                replica: NodeId::decode(buf)?,
-                tuple: CheckpointTuple::decode(buf)?,
-            }),
-            5 => Ok(RecoveryMsg::CheckpointFetch {
-                tuple: CheckpointTuple::decode(buf)?,
-            }),
-            6 => Ok(RecoveryMsg::CheckpointData {
-                tuple: CheckpointTuple::decode(buf)?,
-                state: get_bytes(buf)?,
-            }),
-            7 => Ok(RecoveryMsg::Retransmit {
-                ring: RingId::decode(buf)?,
-                from: InstanceId::decode(buf)?,
-                to: InstanceId::decode(buf)?,
-            }),
-            8 => Ok(RecoveryMsg::RetransmitReply {
-                ring: RingId::decode(buf)?,
-                decisions: get_vec(buf)?,
-                log_start: InstanceId::decode(buf)?,
-            }),
-            tag => Err(WireError::BadTag {
-                context: "recovery msg",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Wire for Msg {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            Msg::Ring(ring, m) => {
-                buf.put_u8(0);
-                ring.encode(buf);
-                m.encode(buf);
-            }
-            Msg::Client(m) => {
-                buf.put_u8(1);
-                m.encode(buf);
-            }
-            Msg::Recovery(m) => {
-                buf.put_u8(2);
-                m.encode(buf);
-            }
-            Msg::Custom(tag, payload) => {
-                buf.put_u8(3);
-                put_varint(buf, u64::from(*tag));
-                put_bytes(buf, payload);
-            }
-            Msg::Reply(m) => {
-                buf.put_u8(4);
-                m.encode(buf);
-            }
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        match get_tag(buf, "msg")? {
-            0 => Ok(Msg::Ring(RingId::decode(buf)?, RingMsg::decode(buf)?)),
-            1 => Ok(Msg::Client(ClientMsg::decode(buf)?)),
-            2 => Ok(Msg::Recovery(RecoveryMsg::decode(buf)?)),
-            3 => Ok(Msg::Custom(get_varint(buf)? as u16, get_bytes(buf)?)),
-            4 => Ok(Msg::Reply(ClientReply::decode(buf)?)),
-            tag => Err(WireError::BadTag {
-                context: "msg",
-                tag,
-            }),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::{NodeId, RequestId};
+    use crate::wire::put_varint;
     use bytes::Buf;
 
     fn rt(msg: Msg) {
@@ -996,10 +618,10 @@ mod tests {
         ];
         let batch = RingMsg::Batch(variants.clone());
         for m in variants.into_iter().chain([batch]) {
-            assert_eq!(m.wire_size(), m.encoded_len(), "variant {m:?}");
+            assert_eq!(m.encoded_len(), m.to_bytes().len(), "variant {m:?}");
             // And through the Msg envelope.
             let msg = Msg::Ring(RingId::new(9), m);
-            assert_eq!(msg.wire_size(), msg.encoded_len(), "msg {msg:?}");
+            assert_eq!(msg.wire_size(), msg.to_bytes().len(), "msg {msg:?}");
         }
     }
 
@@ -1041,6 +663,34 @@ mod tests {
             log_start: InstanceId::new(0),
         }));
         rt(Msg::Custom(42, Bytes::from_static(b"baseline")));
+    }
+
+    /// A ring id or a ttl of 65 536 is out of range for its `u16`: it
+    /// decodes to an error, not to ring 0 (`COORD_RING`) or ttl 0.
+    #[test]
+    fn narrow_fields_reject_wide_varints() {
+        let mut ring = BytesMut::from(&[0u8][..]);
+        put_varint(&mut ring, 65_536);
+        RingMsg::Heartbeat { epoch: 1 }.encode(&mut ring);
+        assert_eq!(
+            Msg::decode(&mut ring.freeze()),
+            Err(WireError::VarintOverflow)
+        );
+
+        let proposal = |ttl: u64| {
+            let mut buf = BytesMut::from(&[0u8][..]);
+            Value::noop(NodeId::new(1), 1).encode(&mut buf);
+            put_varint(&mut buf, ttl);
+            RingMsg::decode(&mut buf.freeze())
+        };
+        assert_eq!(proposal(65_536), Err(WireError::VarintOverflow));
+        assert_eq!(
+            proposal(65_535),
+            Ok(RingMsg::Proposal {
+                value: Value::noop(NodeId::new(1), 1),
+                ttl: u16::MAX,
+            })
+        );
     }
 
     #[test]

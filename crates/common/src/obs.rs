@@ -39,7 +39,8 @@ use bytes::{Bytes, BytesMut};
 
 use crate::error::WireError;
 use crate::hist::Histogram;
-use crate::wire::{get_varint, put_varint, Wire};
+use crate::wire::{get_varint, get_varint_as, put_varint, Wire};
+use crate::wire_frame;
 
 /// Wall-clock nanoseconds since the UNIX epoch.
 ///
@@ -335,23 +336,25 @@ impl fmt::Debug for Obs {
     }
 }
 
-/// Quantile summary of one histogram, as shipped by the stats plane.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HistSummary {
-    /// Number of samples.
-    pub count: u64,
-    /// Sum of samples (saturating).
-    pub sum: u64,
-    /// Smallest sample (0 when empty).
-    pub min: u64,
-    /// Largest sample.
-    pub max: u64,
-    /// Median.
-    pub p50: u64,
-    /// 95th percentile.
-    pub p95: u64,
-    /// 99th percentile.
-    pub p99: u64,
+wire_frame! {
+    /// Quantile summary of one histogram, as shipped by the stats plane.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct HistSummary {
+        /// Number of samples.
+        pub count: u64,
+        /// Sum of samples (saturating).
+        pub sum: u64,
+        /// Smallest sample (0 when empty).
+        pub min: u64,
+        /// Largest sample.
+        pub max: u64,
+        /// Median.
+        pub p50: u64,
+        /// 95th percentile.
+        pub p95: u64,
+        /// 99th percentile.
+        pub p99: u64,
+    }
 }
 
 impl HistSummary {
@@ -375,28 +378,6 @@ impl HistSummary {
         } else {
             self.sum as f64 / self.count as f64
         }
-    }
-}
-
-impl Wire for HistSummary {
-    fn encode(&self, buf: &mut BytesMut) {
-        for v in [
-            self.count, self.sum, self.min, self.max, self.p50, self.p95, self.p99,
-        ] {
-            put_varint(buf, v);
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(HistSummary {
-            count: get_varint(buf)?,
-            sum: get_varint(buf)?,
-            min: get_varint(buf)?,
-            max: get_varint(buf)?,
-            p50: get_varint(buf)?,
-            p95: get_varint(buf)?,
-            p99: get_varint(buf)?,
-        })
     }
 }
 
@@ -483,7 +464,7 @@ impl Wire for ObsSnapshot {
     }
 
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        let node = get_varint(buf)? as u32;
+        let node = get_varint_as(buf)?;
         let check = |n: u64| {
             if n > crate::wire::MAX_LEN {
                 Err(WireError::LengthTooLarge { len: n })

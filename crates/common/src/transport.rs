@@ -30,6 +30,7 @@ use crate::ids::NodeId;
 use crate::msg::Msg;
 use crate::time::SimTime;
 use crate::wire::{frame, Wire};
+use crate::wire_frame;
 
 /// Maps between wall-clock instants and the virtual [`SimTime`] axis.
 ///
@@ -176,26 +177,14 @@ impl<T> TimerHeap<T> {
     }
 }
 
-/// One frame on a peer-to-peer live TCP connection: sender plus message.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PeerFrame {
-    /// The sending node.
-    pub from: NodeId,
-    /// The message.
-    pub msg: Msg,
-}
-
-impl Wire for PeerFrame {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.from.encode(buf);
-        self.msg.encode(buf);
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(PeerFrame {
-            from: NodeId::decode(buf)?,
-            msg: Msg::decode(buf)?,
-        })
+wire_frame! {
+    /// One frame on a peer-to-peer live TCP connection: sender plus message.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct PeerFrame {
+        /// The sending node.
+        pub from: NodeId,
+        /// The message.
+        pub msg: Msg,
     }
 }
 

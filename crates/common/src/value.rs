@@ -9,21 +9,24 @@
 //!   decision that stands for `n` skipped instances, letting slow rings keep
 //!   up with the deterministic merge without shipping `n` empty messages.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use std::fmt;
 
 use crate::error::WireError;
 use crate::ids::{ClientId, NodeId, RequestId};
-use crate::wire::{get_bytes, get_tag, get_varint, put_bytes, put_varint, varint_len, Wire};
+use crate::wire::{get_tag, get_varint, Wire};
+use crate::wire_frame;
 
-/// Globally unique value identifier: proposing node plus a per-node sequence
-/// number.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ValueId {
-    /// The node that created the value.
-    pub node: NodeId,
-    /// The creating node's sequence number.
-    pub seq: u64,
+wire_frame! {
+    /// Globally unique value identifier: proposing node plus a per-node sequence
+    /// number.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub struct ValueId {
+        /// The node that created the value.
+        pub node: NodeId,
+        /// The creating node's sequence number.
+        pub seq: u64,
+    }
 }
 
 impl ValueId {
@@ -39,41 +42,32 @@ impl fmt::Display for ValueId {
     }
 }
 
-impl Wire for ValueId {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.node.encode(buf);
-        put_varint(buf, self.seq);
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(ValueId {
-            node: NodeId::decode(buf)?,
-            seq: get_varint(buf)?,
-        })
+wire_frame! {
+    "value kind";
+    /// What a consensus instance carries.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum ValueKind {
+        /// An application payload (an encoded [`Envelope`] for the services in
+        /// this workspace, but rings are payload-agnostic).
+        0 => App(Bytes),
+        /// A gap filler proposed during coordinator failover; delivered to no
+        /// one.
+        1 => Noop,
+        /// Stands for `n` skipped instances (rate leveling). The deterministic
+        /// merge counts it as `n` instances of its ring and delivers nothing.
+        2 => Skip(u32),
     }
 }
 
-/// What a consensus instance carries.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ValueKind {
-    /// An application payload (an encoded [`Envelope`] for the services in
-    /// this workspace, but rings are payload-agnostic).
-    App(Bytes),
-    /// A gap filler proposed during coordinator failover; delivered to no
-    /// one.
-    Noop,
-    /// Stands for `n` skipped instances (rate leveling). The deterministic
-    /// merge counts it as `n` instances of its ring and delivers nothing.
-    Skip(u32),
-}
-
-/// A value proposed to (and eventually decided by) a ring.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Value {
-    /// Unique id used for duplicate suppression and re-proposal tracking.
-    pub id: ValueId,
-    /// Payload or protocol-internal marker.
-    pub kind: ValueKind,
+wire_frame! {
+    /// A value proposed to (and eventually decided by) a ring.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct Value {
+        /// Unique id used for duplicate suppression and re-proposal tracking.
+        pub id: ValueId,
+        /// Payload or protocol-internal marker.
+        pub kind: ValueKind,
+    }
 }
 
 impl Value {
@@ -122,56 +116,6 @@ impl Value {
     pub fn is_deliverable(&self) -> bool {
         matches!(self.kind, ValueKind::App(_))
     }
-
-    /// Approximate bytes this value occupies on the wire; used by the
-    /// simulator's bandwidth and CPU models.
-    pub fn wire_size(&self) -> usize {
-        self.encoded_len()
-    }
-}
-
-impl Wire for Value {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.id.encode(buf);
-        match &self.kind {
-            ValueKind::App(b) => {
-                buf.put_u8(0);
-                put_bytes(buf, b);
-            }
-            ValueKind::Noop => buf.put_u8(1),
-            ValueKind::Skip(n) => {
-                buf.put_u8(2);
-                put_varint(buf, u64::from(*n));
-            }
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        let id = ValueId::decode(buf)?;
-        let kind = match get_tag(buf, "value kind")? {
-            0 => ValueKind::App(get_bytes(buf)?),
-            1 => ValueKind::Noop,
-            2 => ValueKind::Skip(get_varint(buf)? as u32),
-            tag => {
-                return Err(WireError::BadTag {
-                    context: "value kind",
-                    tag,
-                })
-            }
-        };
-        Ok(Value { id, kind })
-    }
-
-    fn encoded_len(&self) -> usize {
-        let id_len = varint_len(u64::from(self.id.node.raw())) + varint_len(self.id.seq);
-        id_len
-            + 1
-            + match &self.kind {
-                ValueKind::App(b) => varint_len(b.len() as u64) + b.len(),
-                ValueKind::Noop => 0,
-                ValueKind::Skip(n) => varint_len(u64::from(*n)),
-            }
-    }
 }
 
 /// `Envelope::session` value meaning "no session": the v1 at-least-once
@@ -183,50 +127,52 @@ pub const NO_SESSION: u64 = 0;
 /// `multiring::session`.
 pub const SESSION_CTL: u64 = u64::MAX;
 
-/// The service-level request envelope carried inside [`ValueKind::App`].
-///
-/// Replicas decode the envelope on delivery to know which client to answer
-/// and where to send the response.
-///
-/// The `session`/`ack` pair is the protocol-v2 exactly-once identity: it
-/// is replicated *inside* the ordered command stream, so every replica
-/// makes the same executed-before decision for a retried `(session, req)`
-/// and prunes its reply cache at the same point. Session-less commands
-/// (a replica's own gossip, the coordination watch) leave both at zero.
-///
-/// Adding these fields changed the envelope's *storage* encoding (it is
-/// embedded in acceptor logs and delivered-command WALs): logs written
-/// by pre-v2 builds do not replay on this one. Deployments recover
-/// state from partition peers, so a rolling upgrade recovers rather
-/// than replays; the external client protocol is unaffected (v1 frames
-/// are pinned byte-stable by `ci/wire_vectors_client.txt`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Envelope {
-    /// The client issuing the command.
-    pub client: ClientId,
-    /// The client's request sequence number (per-session under v2).
-    pub req: RequestId,
-    /// The node the response should be sent to.
-    pub reply_to: NodeId,
-    /// The exactly-once session this command executes under
-    /// ([`NO_SESSION`] for v1 traffic, [`SESSION_CTL`] for session
-    /// control commands).
-    pub session: u64,
-    /// Highest per-session seq the client has acknowledged receiving
-    /// replies for (contiguously); replicas prune cached replies up to
-    /// here.
-    pub ack: u64,
-    /// Stage-trace origin stamp: wall-clock nanoseconds at which the
-    /// serving node admitted the command, or 0 for the (vast) unsampled
-    /// majority. Carried through ordering so every process touching the
-    /// command records its stage latency against the same origin — the
-    /// deterministic sample bit that lines spans up across nodes. Like
-    /// `session`/`ack` above, adding this field changed the envelope's
-    /// storage encoding; pre-change logs recover from peers rather than
-    /// replay.
-    pub trace: u64,
-    /// The service-specific command encoding.
-    pub cmd: Bytes,
+wire_frame! {
+    /// The service-level request envelope carried inside [`ValueKind::App`].
+    ///
+    /// Replicas decode the envelope on delivery to know which client to answer
+    /// and where to send the response.
+    ///
+    /// The `session`/`ack` pair is the protocol-v2 exactly-once identity: it
+    /// is replicated *inside* the ordered command stream, so every replica
+    /// makes the same executed-before decision for a retried `(session, req)`
+    /// and prunes its reply cache at the same point. Session-less commands
+    /// (a replica's own gossip, the coordination watch) leave both at zero.
+    ///
+    /// Adding these fields changed the envelope's *storage* encoding (it is
+    /// embedded in acceptor logs and delivered-command WALs): logs written
+    /// by pre-v2 builds do not replay on this one. Deployments recover
+    /// state from partition peers, so a rolling upgrade recovers rather
+    /// than replays; the external client protocol is unaffected (v1 frames
+    /// are pinned byte-stable by `ci/wire_vectors_client.txt`).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct Envelope {
+        /// The client issuing the command.
+        pub client: ClientId,
+        /// The client's request sequence number (per-session under v2).
+        pub req: RequestId,
+        /// The node the response should be sent to.
+        pub reply_to: NodeId,
+        /// The exactly-once session this command executes under
+        /// ([`NO_SESSION`] for v1 traffic, [`SESSION_CTL`] for session
+        /// control commands).
+        pub session: u64,
+        /// Highest per-session seq the client has acknowledged receiving
+        /// replies for (contiguously); replicas prune cached replies up to
+        /// here.
+        pub ack: u64,
+        /// Stage-trace origin stamp: wall-clock nanoseconds at which the
+        /// serving node admitted the command, or 0 for the (vast) unsampled
+        /// majority. Carried through ordering so every process touching the
+        /// command records its stage latency against the same origin — the
+        /// deterministic sample bit that lines spans up across nodes. Like
+        /// `session`/`ack` above, adding this field changed the envelope's
+        /// storage encoding; pre-change logs recover from peers rather than
+        /// replay.
+        pub trace: u64,
+        /// The service-specific command encoding.
+        pub cmd: Bytes,
+    }
 }
 
 impl Envelope {
@@ -245,43 +191,22 @@ impl Envelope {
     }
 }
 
-impl Wire for Envelope {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.client.encode(buf);
-        self.req.encode(buf);
-        self.reply_to.encode(buf);
-        put_varint(buf, self.session);
-        put_varint(buf, self.ack);
-        put_varint(buf, self.trace);
-        put_bytes(buf, &self.cmd);
+wire_frame! {
+    "payload";
+    /// What an [`ValueKind::App`] payload decodes to: one client command, or a
+    /// proposer-side batch of commands sharing a single consensus instance.
+    ///
+    /// Batching many client requests into one proposal is how the live
+    /// runtime keeps per-command consensus overhead low (the paper groups
+    /// messages into 32 KB packets for the same reason); replicas execute the
+    /// envelopes of a batch in order, so determinism is preserved.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum Payload {
+        /// A single client command.
+        0 => One(Envelope),
+        /// Several client commands ordered as one value.
+        1 => Batch(Vec<Envelope>),
     }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(Envelope {
-            client: ClientId::decode(buf)?,
-            req: RequestId::decode(buf)?,
-            reply_to: NodeId::decode(buf)?,
-            session: get_varint(buf)?,
-            ack: get_varint(buf)?,
-            trace: get_varint(buf)?,
-            cmd: get_bytes(buf)?,
-        })
-    }
-}
-
-/// What an [`ValueKind::App`] payload decodes to: one client command, or a
-/// proposer-side batch of commands sharing a single consensus instance.
-///
-/// Batching many client requests into one proposal is how the live
-/// runtime keeps per-command consensus overhead low (the paper groups
-/// messages into 32 KB packets for the same reason); replicas execute the
-/// envelopes of a batch in order, so determinism is preserved.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Payload {
-    /// A single client command.
-    One(Envelope),
-    /// Several client commands ordered as one value.
-    Batch(Vec<Envelope>),
 }
 
 impl Payload {
@@ -334,45 +259,6 @@ impl Payload {
         }
         let mut buf = encoded.clone();
         inner(&mut buf).unwrap_or(0)
-    }
-}
-
-impl Wire for Payload {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            Payload::One(env) => {
-                buf.put_u8(0);
-                env.encode(buf);
-            }
-            Payload::Batch(envs) => {
-                buf.put_u8(1);
-                put_varint(buf, envs.len() as u64);
-                for env in envs {
-                    env.encode(buf);
-                }
-            }
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        match get_tag(buf, "payload")? {
-            0 => Ok(Payload::One(Envelope::decode(buf)?)),
-            1 => {
-                let n = get_varint(buf)?;
-                if n > crate::wire::MAX_LEN {
-                    return Err(WireError::LengthTooLarge { len: n });
-                }
-                let mut envs = Vec::with_capacity(n.min(1024) as usize);
-                for _ in 0..n {
-                    envs.push(Envelope::decode(buf)?);
-                }
-                Ok(Payload::Batch(envs))
-            }
-            tag => Err(WireError::BadTag {
-                context: "payload",
-                tag,
-            }),
-        }
     }
 }
 

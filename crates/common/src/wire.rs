@@ -11,9 +11,10 @@
 //!   ([`put_varint`]/[`get_varint`]); used for all integers (instances,
 //!   lengths, counts, tokens). At most 10 bytes; overlong encodings are
 //!   rejected.
-//! * **tag** — a single leading byte selecting an enum variant. Tags are
-//!   assigned in declaration order starting at 0 and are **append-only**:
-//!   a new variant takes the next free tag, existing tags never renumber.
+//! * **tag** — a single leading byte selecting an enum variant. Each
+//!   variant's tag is written on the variant where the frame is declared,
+//!   and tags are **append-only**: a new variant takes a free tag,
+//!   existing tags never renumber, and a retired tag is never reused.
 //! * **bytes** — `varint(len) ++ payload` ([`put_bytes`]/[`get_bytes`]),
 //!   zero-copy on decode (the payload is a refcounted view into the
 //!   receive buffer via [`Bytes::split_to`]). Lengths above [`MAX_LEN`]
@@ -24,10 +25,53 @@
 //! varints of their raw value; `String` is **bytes** holding UTF-8;
 //! `bool` is one byte `0`/`1`; `Option<T>` is a presence byte `0`/`1`
 //! followed by `T` when present; `Result<T, E>` is a byte `0` followed
-//! by `T` or `1` followed by `E`; tuples are the elements in order.
+//! by `T` or `1` followed by `E`; tuples are the elements in order. An
+//! integer narrower than `u64` (`u16`, `u32`, the ids over them) decodes
+//! only if the varint fits it; a wider one is
+//! [`WireError::VarintOverflow`], never truncated ([`get_varint_as`]).
 //!
 //! Streams and on-disk logs frame messages as `varint(len) ++ body`
 //! ([`frame`]).
+//!
+//! ## Declaring a frame
+//!
+//! A frame whose layout is a tag and then fields is declared once,
+//! through [`wire_frame!`](crate::wire_frame). The macro emits the type
+//! exactly as written — docs, derives, visibility — and derives its
+//! [`Wire`] impl from the declaration:
+//!
+//! ```
+//! common::wire_frame! {
+//!     "example";
+//!     /// Docs and derives as on any enum. Tag 1 is retired.
+//!     #[derive(Clone, Debug, PartialEq, Eq)]
+//!     pub enum Example {
+//!         /// The tag is written on its variant.
+//!         0 => Ping { token: u64 },
+//!         2 => Pair(u16, bytes::Bytes),
+//!         3 => Empty,
+//!     }
+//! }
+//! ```
+//!
+//! `encode` writes the tag byte, then each field's own encoding in
+//! declaration order; `decode` reads them back in the same order, and a
+//! tag with no variant (unknown or retired) decodes to
+//! [`WireError::BadTag`] carrying the context string (`"example"`);
+//! `encoded_len` is the sum of the fields' lengths plus one, exact by
+//! construction. A struct is declared the same way without the context
+//! string and has no tag: its fields follow one another. Retired tags
+//! are noted on the type that retired them; a tag written on two
+//! variants makes the second decode arm unreachable, which the compiler
+//! reports.
+//!
+//! Hand-written impls remain only where the layout is not tag-then-fields:
+//! the primitives and containers in this module; the ids and [`Ballot`],
+//! whose round 0 decodes to [`Ballot::ZERO`]; `CheckpointTuple`, which
+//! sorts its entries on decode; `ObsSnapshot`, whose gauges are zigzag
+//! varints; and frames whose body trails unprefixed to the end of the
+//! buffer (the storage crate's segment records and the host's checkpoint
+//! snapshot).
 //!
 //! ## Byte-stability contract
 //!
@@ -38,18 +82,25 @@
 //! different builds, so an encoding change is a compatibility break.
 //! Golden-vector corpora under `ci/` pin the exact bytes of every public
 //! frame shape: `ci/wire_vectors_client.txt` for the [`client`] protocol
-//! (checked by `crates/common/tests/wire_vectors.rs`) and
-//! `ci/wire_vectors_coord.txt` for the [`coord`] protocol (checked by
-//! `crates/common/tests/wire_vectors_coord.rs`). Intentional changes must
-//! regenerate the corpus (`REGEN_WIRE_VECTORS=1`) and review the diff as
-//! an interface change; frames an already-released client or replica can
-//! emit must never change bytes.
+//! (checked by `crates/common/tests/wire_vectors.rs`),
+//! `ci/wire_vectors_coord.txt` for the [`coord`] protocol
+//! (`crates/common/tests/wire_vectors_coord.rs`),
+//! `ci/wire_vectors_peer.txt` for peer frames and logged values
+//! (`crates/common/tests/wire_vectors_peer.rs`) and
+//! `ci/wire_vectors_service.txt` for WAL records and service commands
+//! (`crates/liverun/tests/wire_vectors_service.rs`). Intentional changes
+//! must regenerate the corpus (`REGEN_WIRE_VECTORS=1`) and review the
+//! diff as an interface change; frames an already-released client or
+//! replica can emit must never change bytes.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::error::WireError;
 use crate::ids::{Ballot, ClientId, Epoch, InstanceId, NodeId, PartitionId, RequestId, RingId};
 use crate::time::SimTime;
+
+#[doc(hidden)]
+pub use bytes as __bytes;
 
 /// Upper bound accepted for any length prefix (64 MiB). Protects log replay
 /// and socket readers from corrupt frames.
@@ -104,6 +155,7 @@ pub fn put_varint(buf: &mut BytesMut, mut v: u64) {
 /// # Errors
 ///
 /// Fails on truncated input or a varint longer than 10 bytes.
+#[inline]
 pub fn get_varint(buf: &mut Bytes) -> Result<u64, WireError> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
@@ -124,6 +176,17 @@ pub fn get_varint(buf: &mut Bytes) -> Result<u64, WireError> {
             return Err(WireError::VarintOverflow);
         }
     }
+}
+
+/// Reads a varint into an integer type that may be narrower than `u64`:
+/// the one checked narrowing of the codec.
+///
+/// # Errors
+///
+/// Fails like [`get_varint`], and with [`WireError::VarintOverflow`]
+/// when the value does not fit `T`.
+pub fn get_varint_as<T: TryFrom<u64>>(buf: &mut Bytes) -> Result<T, WireError> {
+    T::try_from(get_varint(buf)?).map_err(|_| WireError::VarintOverflow)
 }
 
 /// Parses a LEB128 varint from the front of a plain slice without
@@ -220,16 +283,134 @@ pub fn get_vec<T: Wire>(buf: &mut Bytes) -> Result<Vec<T>, WireError> {
     Ok(out)
 }
 
+/// Declares a frame once and derives its [`Wire`] impl from the
+/// declaration (see the [module docs](crate::wire#declaring-a-frame)).
+///
+/// An enum is preceded by its decode-context string and writes each
+/// variant's tag on the variant (`4 => Batch(Vec<RingMsg>)`); variants
+/// may be unit, struct-like, or tuples of one or two fields. A struct is
+/// written as usual, with named fields.
+#[macro_export]
+macro_rules! wire_frame {
+    // Each variant, normalised to `(tag Variant { member : binding : Type, .. })`.
+    (@variants $name:ident $ctx:literal $buf:ident [$($done:tt)*]
+        $tag:literal $variant:ident ; $($rest:tt)*) => {
+        $crate::wire_frame!(@variants $name $ctx $buf [$($done)* ($tag $variant {})] $($rest)*);
+    };
+    (@variants $name:ident $ctx:literal $buf:ident [$($done:tt)*]
+        $tag:literal $variant:ident { $($(#[$fmeta:meta])* $field:ident : $ty:ty),* $(,)? } ;
+        $($rest:tt)*) => {
+        $crate::wire_frame!(@variants $name $ctx $buf
+            [$($done)* ($tag $variant { $($field : $field : $ty),* })] $($rest)*);
+    };
+    (@variants $name:ident $ctx:literal $buf:ident [$($done:tt)*]
+        $tag:literal $variant:ident ($a:ty $(,)?) ; $($rest:tt)*) => {
+        $crate::wire_frame!(@variants $name $ctx $buf
+            [$($done)* ($tag $variant { 0 : f0 : $a })] $($rest)*);
+    };
+    (@variants $name:ident $ctx:literal $buf:ident [$($done:tt)*]
+        $tag:literal $variant:ident ($a:ty, $b:ty $(,)?) ; $($rest:tt)*) => {
+        $crate::wire_frame!(@variants $name $ctx $buf
+            [$($done)* ($tag $variant { 0 : f0 : $a, 1 : f1 : $b })] $($rest)*);
+    };
+    (@variants $name:ident $ctx:literal $buf:ident
+        [$(($tag:literal $variant:ident { $($member:tt : $bind:ident : $ty:ty),* }))*]) => {
+        impl $crate::wire::Wire for $name {
+            fn encode(&self, $buf: &mut $crate::wire::__bytes::BytesMut) {
+                match self {
+                    $(Self::$variant { $($member: $bind),* } => {
+                        $crate::wire::__bytes::BufMut::put_u8($buf, $tag);
+                        $($crate::wire::Wire::encode($bind, $buf);)*
+                    })*
+                }
+            }
+
+            fn decode(
+                $buf: &mut $crate::wire::__bytes::Bytes,
+            ) -> ::core::result::Result<Self, $crate::error::WireError> {
+                ::core::result::Result::Ok(match $crate::wire::get_tag($buf, $ctx)? {
+                    $($tag => Self::$variant {
+                        $($member: <$ty as $crate::wire::Wire>::decode($buf)?),*
+                    },)*
+                    tag => {
+                        return ::core::result::Result::Err(
+                            $crate::error::WireError::BadTag { context: $ctx, tag },
+                        )
+                    }
+                })
+            }
+
+            fn encoded_len(&self) -> usize {
+                match self {
+                    $(Self::$variant { $($member: $bind),* } => {
+                        1 $(+ $crate::wire::Wire::encoded_len($bind))*
+                    })*
+                }
+            }
+        }
+    };
+    (
+        $ctx:literal;
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:literal => $variant:ident $({ $($sfield:tt)* })? $(( $($tfield:tt)* ))?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant $({ $($sfield)* })? $(( $($tfield)* ))?,
+            )*
+        }
+
+        $crate::wire_frame!(@variants $name $ctx buf []
+            $($tag $variant $({ $($sfield)* })? $(( $($tfield)* ))? ;)*);
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fmeta:meta])* $fvis:vis $field:ident : $ty:ty),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$fmeta])* $fvis $field: $ty,)*
+        }
+
+        impl $crate::wire::Wire for $name {
+            fn encode(&self, buf: &mut $crate::wire::__bytes::BytesMut) {
+                $($crate::wire::Wire::encode(&self.$field, buf);)*
+            }
+
+            fn decode(
+                buf: &mut $crate::wire::__bytes::Bytes,
+            ) -> ::core::result::Result<Self, $crate::error::WireError> {
+                ::core::result::Result::Ok($name {
+                    $($field: <$ty as $crate::wire::Wire>::decode(buf)?,)*
+                })
+            }
+
+            fn encoded_len(&self) -> usize {
+                0 $(+ $crate::wire::Wire::encoded_len(&self.$field))*
+            }
+        }
+    };
+}
+
 macro_rules! wire_varint_id {
-    ($ty:ty, $raw:ty) => {
+    ($ty:ty) => {
         impl Wire for $ty {
             fn encode(&self, buf: &mut BytesMut) {
                 put_varint(buf, u64::from(self.raw()));
             }
 
+            #[inline]
             fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-                let raw = get_varint(buf)?;
-                Ok(Self::new(raw as $raw))
+                Ok(Self::new(get_varint_as(buf)?))
             }
 
             fn encoded_len(&self) -> usize {
@@ -239,31 +420,14 @@ macro_rules! wire_varint_id {
     };
 }
 
-wire_varint_id!(NodeId, u32);
-wire_varint_id!(RingId, u16);
-wire_varint_id!(InstanceId, u64);
-wire_varint_id!(ClientId, u32);
-wire_varint_id!(RequestId, u64);
-wire_varint_id!(PartitionId, u16);
-wire_varint_id!(Epoch, u64);
-wire_varint_id!(crate::ids::SessionId, u64);
-
-impl Wire for Ballot {
-    fn encode(&self, buf: &mut BytesMut) {
-        put_varint(buf, u64::from(self.round()));
-        self.node().encode(buf);
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        let round = get_varint(buf)? as u32;
-        let node = NodeId::decode(buf)?;
-        if round == 0 {
-            Ok(Ballot::ZERO)
-        } else {
-            Ok(Ballot::new(round, node))
-        }
-    }
-}
+wire_varint_id!(NodeId);
+wire_varint_id!(RingId);
+wire_varint_id!(InstanceId);
+wire_varint_id!(ClientId);
+wire_varint_id!(RequestId);
+wire_varint_id!(PartitionId);
+wire_varint_id!(Epoch);
+wire_varint_id!(crate::ids::SessionId);
 
 impl Wire for SimTime {
     fn encode(&self, buf: &mut BytesMut) {
@@ -273,37 +437,60 @@ impl Wire for SimTime {
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
         Ok(SimTime::from_nanos(get_varint(buf)?))
     }
+
+    fn encoded_len(&self) -> usize {
+        varint_len(self.as_nanos())
+    }
 }
 
-impl Wire for u64 {
+impl Wire for Ballot {
     fn encode(&self, buf: &mut BytesMut) {
-        put_varint(buf, *self);
+        put_varint(buf, u64::from(self.round()));
+        self.node().encode(buf);
     }
 
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        get_varint(buf)
+        let round = get_varint_as(buf)?;
+        let node = NodeId::decode(buf)?;
+        if round == 0 {
+            Ok(Ballot::ZERO)
+        } else {
+            Ok(Ballot::new(round, node))
+        }
     }
 
     fn encoded_len(&self) -> usize {
-        varint_len(*self)
+        varint_len(u64::from(self.round())) + self.node().encoded_len()
     }
 }
 
-impl Wire for u32 {
-    fn encode(&self, buf: &mut BytesMut) {
-        put_varint(buf, u64::from(*self));
-    }
+macro_rules! wire_varint_int {
+    ($($ty:ty),*) => {$(
+        impl Wire for $ty {
+            fn encode(&self, buf: &mut BytesMut) {
+                put_varint(buf, u64::from(*self));
+            }
 
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(get_varint(buf)? as u32)
-    }
+            #[inline]
+            fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+                get_varint_as(buf)
+            }
+
+            fn encoded_len(&self) -> usize {
+                varint_len(u64::from(*self))
+            }
+        }
+    )*};
 }
+
+wire_varint_int!(u64, u32, u16);
 
 impl Wire for Bytes {
     fn encode(&self, buf: &mut BytesMut) {
         put_bytes(buf, self);
     }
 
+    #[inline]
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
         get_bytes(buf)
     }
@@ -327,6 +514,10 @@ impl Wire for String {
         std::str::from_utf8(&raw)
             .map(str::to_owned)
             .map_err(|_| WireError::Truncated { context: "utf-8" })
+    }
+
+    fn encoded_len(&self) -> usize {
+        varint_len(self.len() as u64) + self.len()
     }
 }
 
@@ -360,6 +551,10 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
         Ok((A::decode(buf)?, B::decode(buf)?))
     }
+
+    fn encoded_len(&self) -> usize {
+        self.0.encoded_len() + self.1.encoded_len()
+    }
 }
 
 impl<T: Wire> Wire for Vec<T> {
@@ -369,6 +564,10 @@ impl<T: Wire> Wire for Vec<T> {
 
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
         get_vec(buf)
+    }
+
+    fn encoded_len(&self) -> usize {
+        varint_len(self.len() as u64) + self.iter().map(Wire::encoded_len).sum::<usize>()
     }
 }
 
@@ -392,6 +591,10 @@ impl<T: Wire> Wire for Option<T> {
                 tag,
             }),
         }
+    }
+
+    fn encoded_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, Wire::encoded_len)
     }
 }
 
@@ -417,6 +620,13 @@ impl<T: Wire, E: Wire> Wire for Result<T, E> {
                 context: "result",
                 tag,
             }),
+        }
+    }
+
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            Ok(v) => v.encoded_len(),
+            Err(e) => e.encoded_len(),
         }
     }
 }
@@ -530,334 +740,352 @@ pub mod coord {
     //! `REGEN_WIRE_VECTORS=1 cargo test -p common --test
     //! wire_vectors_coord` and review the diff as an interface change.
 
-    use super::{get_tag, get_varint, get_vec, put_varint, put_vec, Wire};
+    use super::{get_vec, put_vec, Wire};
     use crate::error::WireError;
     use crate::ids::{Epoch, NodeId, PartitionId, RingId, SessionId};
-    use bytes::{BufMut, Bytes, BytesMut};
+    use bytes::{Bytes, BytesMut};
 
-    /// Flattened [`coord::RingConfig`](../../../coord) — membership, roles
-    /// and epoch of one ring.
-    ///
-    /// Wire layout: `ring ++ members(vec) ++ acceptors(vec) ++
-    /// coordinator ++ epoch`, all varint-based (no tag byte — this is a
-    /// struct, embedded in the frames that carry it).
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    pub struct RingConfigWire {
-        /// The ring id.
-        pub ring: RingId,
-        /// Members in ring order.
-        pub members: Vec<NodeId>,
-        /// The voting acceptors.
-        pub acceptors: Vec<NodeId>,
-        /// The elected coordinator.
-        pub coordinator: NodeId,
-        /// The configuration epoch.
-        pub epoch: Epoch,
+    wire_frame! {
+        /// Flattened [`coord::RingConfig`](../../../coord) — membership, roles
+        /// and epoch of one ring.
+        ///
+        /// Wire layout: `ring ++ members(vec) ++ acceptors(vec) ++
+        /// coordinator ++ epoch`, all varint-based (no tag byte — this is a
+        /// struct, embedded in the frames that carry it).
+        #[derive(Clone, Debug, PartialEq, Eq)]
+        pub struct RingConfigWire {
+            /// The ring id.
+            pub ring: RingId,
+            /// Members in ring order.
+            pub members: Vec<NodeId>,
+            /// The voting acceptors.
+            pub acceptors: Vec<NodeId>,
+            /// The elected coordinator.
+            pub coordinator: NodeId,
+            /// The configuration epoch.
+            pub epoch: Epoch,
+        }
     }
 
-    /// Flattened partition description: the rings its replicas subscribe
-    /// to and the replica set.
-    ///
-    /// Wire layout: `partition ++ rings(vec) ++ replicas(vec)` (no tag
-    /// byte).
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    pub struct PartitionWire {
-        /// The partition id.
-        pub partition: PartitionId,
-        /// Rings every replica subscribes to.
-        pub rings: Vec<RingId>,
-        /// The replicas.
-        pub replicas: Vec<NodeId>,
+    wire_frame! {
+        /// Flattened partition description: the rings its replicas subscribe
+        /// to and the replica set.
+        ///
+        /// Wire layout: `partition ++ rings(vec) ++ replicas(vec)` (no tag
+        /// byte).
+        #[derive(Clone, Debug, PartialEq, Eq)]
+        pub struct PartitionWire {
+            /// The partition id.
+            pub partition: PartitionId,
+            /// Rings every replica subscribes to.
+            pub rings: Vec<RingId>,
+            /// The replicas.
+            pub replicas: Vec<NodeId>,
+        }
     }
 
-    /// One ephemeral registry entry (alive only while its session is).
-    ///
-    /// Wire layout: `key(string) ++ session ++ value(bytes)` (no tag
-    /// byte).
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    pub struct EphemeralEntry {
-        /// The entry's key (e.g. `nodes/3`).
-        pub key: String,
-        /// The owning session.
-        pub session: SessionId,
-        /// The entry's value (e.g. the node's advertised addresses).
-        pub value: Bytes,
-    }
-
-    /// One coordination operation.
-    ///
-    /// ## Wire layout
-    ///
-    /// One tag byte (declaration order, append-only), then the variant's
-    /// fields encoded in declaration order:
-    ///
-    /// | tag | variant | body |
-    /// |----:|---------|------|
-    /// | 4 | `RegisterRing` | `cfg` ([`RingConfigWire`]) |
-    /// | 5 | `EnsureRing` | `cfg` |
-    /// | 6 | `GetRing` | `ring` |
-    /// | 7 | `RingIds` | — |
-    /// | 8 | `ElectCoordinator` | `ring ++ candidate ++ seen_epoch` |
-    /// | 9 | `ReportFailure` | `ring ++ failed ++ seen_epoch` |
-    /// | 10 | `Rejoin` | `ring ++ node ++ as_acceptor(bool)` |
-    /// | 11 | `InstallConfig` | `cfg` |
-    /// | 12 | `Subscribe` | `ring ++ node` |
-    /// | 13 | `Subscribers` | `ring` |
-    /// | 14 | `RegisterPartition` | `part` ([`PartitionWire`]) |
-    /// | 15 | `EnsurePartition` | `part` |
-    /// | 16 | `PartitionOf` | `replica` |
-    /// | 17 | `GetPartition` | `partition` |
-    /// | 18 | `Partitions` | — |
-    /// | 19 | `SetMeta` | `key(string) ++ value(bytes) ++ expected_version(option varint)` |
-    /// | 20 | `GetMeta` | `key(string)` |
-    /// | 21 | `RegisterEphemeral` | `session ++ key(string) ++ value(bytes)` |
-    /// | 22 | `Ephemerals` | `prefix(string)` |
-    /// | 23 | `WatchAll` | — |
-    ///
-    /// Retired tags decode as errors and are never reused: 0–3 (the
-    /// service's own sessions, now protocol-v2 sessions), 24 (a snapshot
-    /// catch-up request) and 25 (a stats request, now the v2
-    /// `StatsRequest`).
-    ///
-    /// Ordered variants are written to the amcoord replicas' WALs, so
-    /// this layout is also an on-disk format; bytes are pinned by
-    /// `ci/wire_vectors_coord.txt`.
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    pub enum CoordOp {
-        /// Registers a new ring configuration (fails if the id is taken).
-        RegisterRing {
-            /// The configuration (epoch/coordinator fields are advisory;
-            /// registration always starts at epoch 1, first acceptor).
-            cfg: RingConfigWire,
-        },
-        /// Idempotent ring bootstrap: registers the ring, or — when the
-        /// id is already registered (concurrent seeding by every node of
-        /// a deployment, possibly reconfigured since) — returns whatever
-        /// configuration the service holds, which the caller adopts. No
-        /// compatibility check is made; the service is the authority.
-        EnsureRing {
-            /// The configuration to register if absent.
-            cfg: RingConfigWire,
-        },
-        /// Reads one ring's current configuration.
-        GetRing {
-            /// The ring.
-            ring: RingId,
-        },
-        /// Lists all registered ring ids.
-        RingIds,
-        /// Compare-and-swap coordinator election.
-        ElectCoordinator {
-            /// The ring.
-            ring: RingId,
-            /// The proposed coordinator.
-            candidate: NodeId,
-            /// The epoch the caller's view is based on.
-            seen_epoch: Epoch,
-        },
-        /// Reports a member failed, removing it if the caller's view is
-        /// current.
-        ReportFailure {
-            /// The ring.
-            ring: RingId,
-            /// The failed member.
-            failed: NodeId,
-            /// The epoch the caller's view is based on.
-            seen_epoch: Epoch,
-        },
-        /// Re-admits a recovered member (idempotent).
-        Rejoin {
-            /// The ring.
-            ring: RingId,
-            /// The recovering node.
-            node: NodeId,
-            /// Whether the node returns as an acceptor.
-            as_acceptor: bool,
-        },
-        /// Installs a configuration if it is newer than the stored one —
-        /// the amcoordd ensemble gossips its *own* ring's reconfigurations
-        /// this way (the one ring that cannot be coordinated through
-        /// itself).
-        InstallConfig {
-            /// The candidate configuration.
-            cfg: RingConfigWire,
-        },
-        /// Records that `node` delivers from `ring`.
-        Subscribe {
-            /// The ring.
-            ring: RingId,
-            /// The subscribing learner.
-            node: NodeId,
-        },
-        /// Lists the learners subscribed to `ring`.
-        Subscribers {
-            /// The ring.
-            ring: RingId,
-        },
-        /// Registers a service partition (fails if taken).
-        RegisterPartition {
-            /// The partition description.
-            part: PartitionWire,
-        },
-        /// Idempotent partition bootstrap (see [`CoordOp::EnsureRing`]).
-        EnsurePartition {
-            /// The partition description.
-            part: PartitionWire,
-        },
-        /// The partition a replica belongs to.
-        PartitionOf {
-            /// The replica.
-            replica: NodeId,
-        },
-        /// Reads one partition's description.
-        GetPartition {
-            /// The partition.
-            partition: PartitionId,
-        },
-        /// Lists all partitions.
-        Partitions,
-        /// Writes a versioned metadata blob (a znode). With
-        /// `expected_version` the write is a compare-and-swap on the key's
-        /// version; stale writers are rejected.
-        SetMeta {
-            /// The key.
-            key: String,
-            /// The value.
-            value: Bytes,
-            /// CAS guard: the version the writer read, or `None` for an
-            /// unconditional write.
-            expected_version: Option<u64>,
-        },
-        /// Reads a metadata blob and its version.
-        GetMeta {
-            /// The key.
-            key: String,
-        },
-        /// Registers an ephemeral entry owned by `session`, which must be
-        /// the session the request is sent under.
-        RegisterEphemeral {
+    wire_frame! {
+        /// One ephemeral registry entry (alive only while its session is).
+        ///
+        /// Wire layout: `key(string) ++ session ++ value(bytes)` (no tag
+        /// byte).
+        #[derive(Clone, Debug, PartialEq, Eq)]
+        pub struct EphemeralEntry {
+            /// The entry's key (e.g. `nodes/3`).
+            pub key: String,
             /// The owning session.
-            session: SessionId,
-            /// The entry key.
-            key: String,
-            /// The entry value.
-            value: Bytes,
-        },
-        /// Lists ephemeral entries whose key starts with `prefix`.
-        Ephemerals {
-            /// The key prefix (empty for all).
-            prefix: String,
-        },
-        /// Subscribes this connection to every [`CoordEvent`]: answered
-        /// by the serving replica, then answered again with the events of
-        /// each command it applies.
-        WatchAll,
+            pub session: SessionId,
+            /// The entry's value (e.g. the node's advertised addresses).
+            pub value: Bytes,
+        }
     }
 
-    /// Outcome of a compare-and-swap election.
-    ///
-    /// Wire layout: tag `0` = `Won ++ epoch`, tag `1` = `Lost ++ cfg`.
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    pub enum ElectOutcome {
-        /// The candidate won; the ring is now at this epoch.
-        Won(Epoch),
-        /// The caller's view was stale; here is the current configuration.
-        Lost(RingConfigWire),
+    wire_frame! {
+        "coord op";
+        /// One coordination operation.
+        ///
+        /// ## Wire layout
+        ///
+        /// One tag byte (append-only), then the variant's fields encoded in
+        /// declaration order:
+        ///
+        /// | tag | variant | body |
+        /// |----:|---------|------|
+        /// | 4 | `RegisterRing` | `cfg` ([`RingConfigWire`]) |
+        /// | 5 | `EnsureRing` | `cfg` |
+        /// | 6 | `GetRing` | `ring` |
+        /// | 7 | `RingIds` | — |
+        /// | 8 | `ElectCoordinator` | `ring ++ candidate ++ seen_epoch` |
+        /// | 9 | `ReportFailure` | `ring ++ failed ++ seen_epoch` |
+        /// | 10 | `Rejoin` | `ring ++ node ++ as_acceptor(bool)` |
+        /// | 11 | `InstallConfig` | `cfg` |
+        /// | 12 | `Subscribe` | `ring ++ node` |
+        /// | 13 | `Subscribers` | `ring` |
+        /// | 14 | `RegisterPartition` | `part` ([`PartitionWire`]) |
+        /// | 15 | `EnsurePartition` | `part` |
+        /// | 16 | `PartitionOf` | `replica` |
+        /// | 17 | `GetPartition` | `partition` |
+        /// | 18 | `Partitions` | — |
+        /// | 19 | `SetMeta` | `key(string) ++ value(bytes) ++ expected_version(option varint)` |
+        /// | 20 | `GetMeta` | `key(string)` |
+        /// | 21 | `RegisterEphemeral` | `session ++ key(string) ++ value(bytes)` |
+        /// | 22 | `Ephemerals` | `prefix(string)` |
+        /// | 23 | `WatchAll` | — |
+        ///
+        /// Retired tags decode as errors and are never reused: 0–3 (the
+        /// service's own sessions, now protocol-v2 sessions), 24 (a snapshot
+        /// catch-up request) and 25 (a stats request, now the v2
+        /// `StatsRequest`).
+        ///
+        /// Ordered variants are written to the amcoord replicas' WALs, so
+        /// this layout is also an on-disk format; bytes are pinned by
+        /// `ci/wire_vectors_coord.txt`.
+        #[derive(Clone, Debug, PartialEq, Eq)]
+        pub enum CoordOp {
+            /// Registers a new ring configuration (fails if the id is taken).
+            4 => RegisterRing {
+                /// The configuration (epoch/coordinator fields are advisory;
+                /// registration always starts at epoch 1, first acceptor).
+                cfg: RingConfigWire,
+            },
+            /// Idempotent ring bootstrap: registers the ring, or — when the
+            /// id is already registered (concurrent seeding by every node of
+            /// a deployment, possibly reconfigured since) — returns whatever
+            /// configuration the service holds, which the caller adopts. No
+            /// compatibility check is made; the service is the authority.
+            5 => EnsureRing {
+                /// The configuration to register if absent.
+                cfg: RingConfigWire,
+            },
+            /// Reads one ring's current configuration.
+            6 => GetRing {
+                /// The ring.
+                ring: RingId,
+            },
+            /// Lists all registered ring ids.
+            7 => RingIds,
+            /// Compare-and-swap coordinator election.
+            8 => ElectCoordinator {
+                /// The ring.
+                ring: RingId,
+                /// The proposed coordinator.
+                candidate: NodeId,
+                /// The epoch the caller's view is based on.
+                seen_epoch: Epoch,
+            },
+            /// Reports a member failed, removing it if the caller's view is
+            /// current.
+            9 => ReportFailure {
+                /// The ring.
+                ring: RingId,
+                /// The failed member.
+                failed: NodeId,
+                /// The epoch the caller's view is based on.
+                seen_epoch: Epoch,
+            },
+            /// Re-admits a recovered member (idempotent).
+            10 => Rejoin {
+                /// The ring.
+                ring: RingId,
+                /// The recovering node.
+                node: NodeId,
+                /// Whether the node returns as an acceptor.
+                as_acceptor: bool,
+            },
+            /// Installs a configuration if it is newer than the stored one —
+            /// the amcoordd ensemble gossips its *own* ring's reconfigurations
+            /// this way (the one ring that cannot be coordinated through
+            /// itself).
+            11 => InstallConfig {
+                /// The candidate configuration.
+                cfg: RingConfigWire,
+            },
+            /// Records that `node` delivers from `ring`.
+            12 => Subscribe {
+                /// The ring.
+                ring: RingId,
+                /// The subscribing learner.
+                node: NodeId,
+            },
+            /// Lists the learners subscribed to `ring`.
+            13 => Subscribers {
+                /// The ring.
+                ring: RingId,
+            },
+            /// Registers a service partition (fails if taken).
+            14 => RegisterPartition {
+                /// The partition description.
+                part: PartitionWire,
+            },
+            /// Idempotent partition bootstrap (see [`CoordOp::EnsureRing`]).
+            15 => EnsurePartition {
+                /// The partition description.
+                part: PartitionWire,
+            },
+            /// The partition a replica belongs to.
+            16 => PartitionOf {
+                /// The replica.
+                replica: NodeId,
+            },
+            /// Reads one partition's description.
+            17 => GetPartition {
+                /// The partition.
+                partition: PartitionId,
+            },
+            /// Lists all partitions.
+            18 => Partitions,
+            /// Writes a versioned metadata blob (a znode). With
+            /// `expected_version` the write is a compare-and-swap on the key's
+            /// version; stale writers are rejected.
+            19 => SetMeta {
+                /// The key.
+                key: String,
+                /// The value.
+                value: Bytes,
+                /// CAS guard: the version the writer read, or `None` for an
+                /// unconditional write.
+                expected_version: Option<u64>,
+            },
+            /// Reads a metadata blob and its version.
+            20 => GetMeta {
+                /// The key.
+                key: String,
+            },
+            /// Registers an ephemeral entry owned by `session`, which must be
+            /// the session the request is sent under.
+            21 => RegisterEphemeral {
+                /// The owning session.
+                session: SessionId,
+                /// The entry key.
+                key: String,
+                /// The entry value.
+                value: Bytes,
+            },
+            /// Lists ephemeral entries whose key starts with `prefix`.
+            22 => Ephemerals {
+                /// The key prefix (empty for all).
+                prefix: String,
+            },
+            /// Subscribes this connection to every [`CoordEvent`]: answered
+            /// by the serving replica, then answered again with the events of
+            /// each command it applies.
+            23 => WatchAll,
+        }
     }
 
-    /// Successful reply bodies, one variant per result shape.
-    ///
-    /// ## Wire layout
-    ///
-    /// One tag byte, then the payload:
-    ///
-    /// | tag | variant | body |
-    /// |----:|---------|------|
-    /// | 0 | `Unit` | — |
-    /// | 2 | `Ring` | `option(cfg)` |
-    /// | 3 | `RingIds` | `vec(ring)` |
-    /// | 4 | `Election` | [`ElectOutcome`] |
-    /// | 5 | `Config` | `cfg` |
-    /// | 6 | `Nodes` | `vec(node)` |
-    /// | 7 | `PartitionOf` | `option(partition)` |
-    /// | 8 | `Partition` | `option(part)` |
-    /// | 9 | `Partitions` | `vec(part)` |
-    /// | 10 | `Meta` | presence byte, then `version(varint) ++ value(bytes)` |
-    /// | 11 | `Version` | `version(varint)` |
-    /// | 12 | `Ephemerals` | `vec(entry)` |
-    ///
-    /// Tags 1 (a session id), 13 (a snapshot answer) and 14 (a stats
-    /// answer) are retired and decode as errors.
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    pub enum CoordOk {
-        /// Nothing to return.
-        Unit,
-        /// A ring's configuration, or `None` if never registered.
-        Ring(Option<RingConfigWire>),
-        /// All ring ids, ascending.
-        RingIds(Vec<RingId>),
-        /// Election outcome.
-        Election(ElectOutcome),
-        /// The resulting configuration (failure report / rejoin).
-        Config(RingConfigWire),
-        /// A list of nodes (subscribers).
-        Nodes(Vec<NodeId>),
-        /// The partition a replica belongs to, if any.
-        PartitionOf(Option<PartitionId>),
-        /// One partition, if registered.
-        Partition(Option<PartitionWire>),
-        /// All partitions, ascending by id.
-        Partitions(Vec<PartitionWire>),
-        /// A metadata blob `(version, value)`, or `None` if absent.
-        Meta(Option<(u64, Bytes)>),
-        /// The version a metadata write produced.
-        Version(u64),
-        /// Matching ephemeral entries, ascending by key.
-        Ephemerals(Vec<EphemeralEntry>),
+    wire_frame! {
+        "elect outcome";
+        /// Outcome of a compare-and-swap election.
+        ///
+        /// Wire layout: tag `0` = `Won ++ epoch`, tag `1` = `Lost ++ cfg`.
+        #[derive(Clone, Debug, PartialEq, Eq)]
+        pub enum ElectOutcome {
+            /// The candidate won; the ring is now at this epoch.
+            0 => Won(Epoch),
+            /// The caller's view was stale; here is the current configuration.
+            1 => Lost(RingConfigWire),
+        }
+    }
+
+    wire_frame! {
+        "coord ok";
+        /// Successful reply bodies, one variant per result shape.
+        ///
+        /// ## Wire layout
+        ///
+        /// One tag byte, then the payload:
+        ///
+        /// | tag | variant | body |
+        /// |----:|---------|------|
+        /// | 0 | `Unit` | — |
+        /// | 2 | `Ring` | `option(cfg)` |
+        /// | 3 | `RingIds` | `vec(ring)` |
+        /// | 4 | `Election` | [`ElectOutcome`] |
+        /// | 5 | `Config` | `cfg` |
+        /// | 6 | `Nodes` | `vec(node)` |
+        /// | 7 | `PartitionOf` | `option(partition)` |
+        /// | 8 | `Partition` | `option(part)` |
+        /// | 9 | `Partitions` | `vec(part)` |
+        /// | 10 | `Meta` | `option(version(varint) ++ value(bytes))` |
+        /// | 11 | `Version` | `version(varint)` |
+        /// | 12 | `Ephemerals` | `vec(entry)` |
+        ///
+        /// Tags 1 (a session id), 13 (a snapshot answer) and 14 (a stats
+        /// answer) are retired and decode as errors.
+        #[derive(Clone, Debug, PartialEq, Eq)]
+        pub enum CoordOk {
+            /// Nothing to return.
+            0 => Unit,
+            /// A ring's configuration, or `None` if never registered.
+            2 => Ring(Option<RingConfigWire>),
+            /// All ring ids, ascending.
+            3 => RingIds(Vec<RingId>),
+            /// Election outcome.
+            4 => Election(ElectOutcome),
+            /// The resulting configuration (failure report / rejoin).
+            5 => Config(RingConfigWire),
+            /// A list of nodes (subscribers).
+            6 => Nodes(Vec<NodeId>),
+            /// The partition a replica belongs to, if any.
+            7 => PartitionOf(Option<PartitionId>),
+            /// One partition, if registered.
+            8 => Partition(Option<PartitionWire>),
+            /// All partitions, ascending by id.
+            9 => Partitions(Vec<PartitionWire>),
+            /// A metadata blob `(version, value)`, or `None` if absent.
+            10 => Meta(Option<(u64, Bytes)>),
+            /// The version a metadata write produced.
+            11 => Version(u64),
+            /// Matching ephemeral entries, ascending by key.
+            12 => Ephemerals(Vec<EphemeralEntry>),
+        }
     }
 
     /// What an operation answers: its result, or why it was refused.
     /// Wire layout: `0 ++ ok` ([`CoordOk`]) or `1 ++ reason(string)`.
     pub type CoordResult = Result<CoordOk, String>;
 
-    /// A state-change notification sent to watchers.
-    ///
-    /// ## Wire layout
-    ///
-    /// One tag byte, then the fields in declaration order:
-    ///
-    /// | tag | variant | body |
-    /// |----:|---------|------|
-    /// | 0 | `RingChanged` | `cfg` |
-    /// | 1 | `SubscribersChanged` | `ring ++ vec(node)` |
-    /// | 2 | `PartitionsChanged` | — |
-    /// | 3 | `MetaChanged` | `key(string) ++ version(varint)` |
-    ///
-    /// Tags 4 (an ephemeral's liveness) and 5 (a session's expiry) are
-    /// retired and decode as errors.
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    pub enum CoordEvent {
-        /// A ring's configuration changed (new epoch).
-        RingChanged {
-            /// The new configuration.
-            cfg: RingConfigWire,
-        },
-        /// A ring's subscriber set changed.
-        SubscribersChanged {
-            /// The ring.
-            ring: RingId,
-            /// The new subscriber list.
-            subscribers: Vec<NodeId>,
-        },
-        /// The partition table changed.
-        PartitionsChanged,
-        /// A metadata key changed.
-        MetaChanged {
-            /// The key.
-            key: String,
-            /// Its new version.
-            version: u64,
-        },
+    wire_frame! {
+        "coord event";
+        /// A state-change notification sent to watchers.
+        ///
+        /// ## Wire layout
+        ///
+        /// One tag byte, then the fields in declaration order:
+        ///
+        /// | tag | variant | body |
+        /// |----:|---------|------|
+        /// | 0 | `RingChanged` | `cfg` |
+        /// | 1 | `SubscribersChanged` | `ring ++ vec(node)` |
+        /// | 2 | `PartitionsChanged` | — |
+        /// | 3 | `MetaChanged` | `key(string) ++ version(varint)` |
+        ///
+        /// Tags 4 (an ephemeral's liveness) and 5 (a session's expiry) are
+        /// retired and decode as errors.
+        #[derive(Clone, Debug, PartialEq, Eq)]
+        pub enum CoordEvent {
+            /// A ring's configuration changed (new epoch).
+            0 => RingChanged {
+                /// The new configuration.
+                cfg: RingConfigWire,
+            },
+            /// A ring's subscriber set changed.
+            1 => SubscribersChanged {
+                /// The ring.
+                ring: RingId,
+                /// The new subscriber list.
+                subscribers: Vec<NodeId>,
+            },
+            /// The partition table changed.
+            2 => PartitionsChanged,
+            /// A metadata key changed.
+            3 => MetaChanged {
+                /// The key.
+                key: String,
+                /// Its new version.
+                version: u64,
+            },
+        }
     }
 
     /// Encodes a reply payload: the operation's result, then its events.
@@ -876,407 +1104,6 @@ pub mod coord {
     pub fn decode_reply(payload: &Bytes) -> Result<(CoordResult, Vec<CoordEvent>), WireError> {
         let mut raw = payload.clone();
         Ok((CoordResult::decode(&mut raw)?, get_vec(&mut raw)?))
-    }
-
-    impl Wire for RingConfigWire {
-        fn encode(&self, buf: &mut BytesMut) {
-            self.ring.encode(buf);
-            self.members.encode(buf);
-            self.acceptors.encode(buf);
-            self.coordinator.encode(buf);
-            self.epoch.encode(buf);
-        }
-
-        fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-            Ok(RingConfigWire {
-                ring: RingId::decode(buf)?,
-                members: Vec::decode(buf)?,
-                acceptors: Vec::decode(buf)?,
-                coordinator: NodeId::decode(buf)?,
-                epoch: Epoch::decode(buf)?,
-            })
-        }
-    }
-
-    impl Wire for PartitionWire {
-        fn encode(&self, buf: &mut BytesMut) {
-            self.partition.encode(buf);
-            self.rings.encode(buf);
-            self.replicas.encode(buf);
-        }
-
-        fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-            Ok(PartitionWire {
-                partition: PartitionId::decode(buf)?,
-                rings: Vec::decode(buf)?,
-                replicas: Vec::decode(buf)?,
-            })
-        }
-    }
-
-    impl Wire for EphemeralEntry {
-        fn encode(&self, buf: &mut BytesMut) {
-            self.key.encode(buf);
-            self.session.encode(buf);
-            self.value.encode(buf);
-        }
-
-        fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-            Ok(EphemeralEntry {
-                key: String::decode(buf)?,
-                session: SessionId::decode(buf)?,
-                value: Bytes::decode(buf)?,
-            })
-        }
-    }
-
-    impl Wire for CoordOp {
-        fn encode(&self, buf: &mut BytesMut) {
-            match self {
-                CoordOp::RegisterRing { cfg } => {
-                    buf.put_u8(4);
-                    cfg.encode(buf);
-                }
-                CoordOp::EnsureRing { cfg } => {
-                    buf.put_u8(5);
-                    cfg.encode(buf);
-                }
-                CoordOp::GetRing { ring } => {
-                    buf.put_u8(6);
-                    ring.encode(buf);
-                }
-                CoordOp::RingIds => buf.put_u8(7),
-                CoordOp::ElectCoordinator {
-                    ring,
-                    candidate,
-                    seen_epoch,
-                } => {
-                    buf.put_u8(8);
-                    ring.encode(buf);
-                    candidate.encode(buf);
-                    seen_epoch.encode(buf);
-                }
-                CoordOp::ReportFailure {
-                    ring,
-                    failed,
-                    seen_epoch,
-                } => {
-                    buf.put_u8(9);
-                    ring.encode(buf);
-                    failed.encode(buf);
-                    seen_epoch.encode(buf);
-                }
-                CoordOp::Rejoin {
-                    ring,
-                    node,
-                    as_acceptor,
-                } => {
-                    buf.put_u8(10);
-                    ring.encode(buf);
-                    node.encode(buf);
-                    as_acceptor.encode(buf);
-                }
-                CoordOp::InstallConfig { cfg } => {
-                    buf.put_u8(11);
-                    cfg.encode(buf);
-                }
-                CoordOp::Subscribe { ring, node } => {
-                    buf.put_u8(12);
-                    ring.encode(buf);
-                    node.encode(buf);
-                }
-                CoordOp::Subscribers { ring } => {
-                    buf.put_u8(13);
-                    ring.encode(buf);
-                }
-                CoordOp::RegisterPartition { part } => {
-                    buf.put_u8(14);
-                    part.encode(buf);
-                }
-                CoordOp::EnsurePartition { part } => {
-                    buf.put_u8(15);
-                    part.encode(buf);
-                }
-                CoordOp::PartitionOf { replica } => {
-                    buf.put_u8(16);
-                    replica.encode(buf);
-                }
-                CoordOp::GetPartition { partition } => {
-                    buf.put_u8(17);
-                    partition.encode(buf);
-                }
-                CoordOp::Partitions => buf.put_u8(18),
-                CoordOp::SetMeta {
-                    key,
-                    value,
-                    expected_version,
-                } => {
-                    buf.put_u8(19);
-                    key.encode(buf);
-                    value.encode(buf);
-                    expected_version.encode(buf);
-                }
-                CoordOp::GetMeta { key } => {
-                    buf.put_u8(20);
-                    key.encode(buf);
-                }
-                CoordOp::RegisterEphemeral {
-                    session,
-                    key,
-                    value,
-                } => {
-                    buf.put_u8(21);
-                    session.encode(buf);
-                    key.encode(buf);
-                    value.encode(buf);
-                }
-                CoordOp::Ephemerals { prefix } => {
-                    buf.put_u8(22);
-                    prefix.encode(buf);
-                }
-                CoordOp::WatchAll => buf.put_u8(23),
-            }
-        }
-
-        fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-            Ok(match get_tag(buf, "coord op")? {
-                4 => CoordOp::RegisterRing {
-                    cfg: RingConfigWire::decode(buf)?,
-                },
-                5 => CoordOp::EnsureRing {
-                    cfg: RingConfigWire::decode(buf)?,
-                },
-                6 => CoordOp::GetRing {
-                    ring: RingId::decode(buf)?,
-                },
-                7 => CoordOp::RingIds,
-                8 => CoordOp::ElectCoordinator {
-                    ring: RingId::decode(buf)?,
-                    candidate: NodeId::decode(buf)?,
-                    seen_epoch: Epoch::decode(buf)?,
-                },
-                9 => CoordOp::ReportFailure {
-                    ring: RingId::decode(buf)?,
-                    failed: NodeId::decode(buf)?,
-                    seen_epoch: Epoch::decode(buf)?,
-                },
-                10 => CoordOp::Rejoin {
-                    ring: RingId::decode(buf)?,
-                    node: NodeId::decode(buf)?,
-                    as_acceptor: bool::decode(buf)?,
-                },
-                11 => CoordOp::InstallConfig {
-                    cfg: RingConfigWire::decode(buf)?,
-                },
-                12 => CoordOp::Subscribe {
-                    ring: RingId::decode(buf)?,
-                    node: NodeId::decode(buf)?,
-                },
-                13 => CoordOp::Subscribers {
-                    ring: RingId::decode(buf)?,
-                },
-                14 => CoordOp::RegisterPartition {
-                    part: PartitionWire::decode(buf)?,
-                },
-                15 => CoordOp::EnsurePartition {
-                    part: PartitionWire::decode(buf)?,
-                },
-                16 => CoordOp::PartitionOf {
-                    replica: NodeId::decode(buf)?,
-                },
-                17 => CoordOp::GetPartition {
-                    partition: PartitionId::decode(buf)?,
-                },
-                18 => CoordOp::Partitions,
-                19 => CoordOp::SetMeta {
-                    key: String::decode(buf)?,
-                    value: Bytes::decode(buf)?,
-                    expected_version: Option::decode(buf)?,
-                },
-                20 => CoordOp::GetMeta {
-                    key: String::decode(buf)?,
-                },
-                21 => CoordOp::RegisterEphemeral {
-                    session: SessionId::decode(buf)?,
-                    key: String::decode(buf)?,
-                    value: Bytes::decode(buf)?,
-                },
-                22 => CoordOp::Ephemerals {
-                    prefix: String::decode(buf)?,
-                },
-                23 => CoordOp::WatchAll,
-                tag => {
-                    return Err(WireError::BadTag {
-                        context: "coord op",
-                        tag,
-                    })
-                }
-            })
-        }
-    }
-
-    impl Wire for ElectOutcome {
-        fn encode(&self, buf: &mut BytesMut) {
-            match self {
-                ElectOutcome::Won(epoch) => {
-                    buf.put_u8(0);
-                    epoch.encode(buf);
-                }
-                ElectOutcome::Lost(cfg) => {
-                    buf.put_u8(1);
-                    cfg.encode(buf);
-                }
-            }
-        }
-
-        fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-            Ok(match get_tag(buf, "elect outcome")? {
-                0 => ElectOutcome::Won(Epoch::decode(buf)?),
-                1 => ElectOutcome::Lost(RingConfigWire::decode(buf)?),
-                tag => {
-                    return Err(WireError::BadTag {
-                        context: "elect outcome",
-                        tag,
-                    })
-                }
-            })
-        }
-    }
-
-    impl Wire for CoordOk {
-        fn encode(&self, buf: &mut BytesMut) {
-            match self {
-                CoordOk::Unit => buf.put_u8(0),
-                CoordOk::Ring(cfg) => {
-                    buf.put_u8(2);
-                    cfg.encode(buf);
-                }
-                CoordOk::RingIds(ids) => {
-                    buf.put_u8(3);
-                    ids.encode(buf);
-                }
-                CoordOk::Election(outcome) => {
-                    buf.put_u8(4);
-                    outcome.encode(buf);
-                }
-                CoordOk::Config(cfg) => {
-                    buf.put_u8(5);
-                    cfg.encode(buf);
-                }
-                CoordOk::Nodes(nodes) => {
-                    buf.put_u8(6);
-                    nodes.encode(buf);
-                }
-                CoordOk::PartitionOf(p) => {
-                    buf.put_u8(7);
-                    p.encode(buf);
-                }
-                CoordOk::Partition(p) => {
-                    buf.put_u8(8);
-                    p.encode(buf);
-                }
-                CoordOk::Partitions(ps) => {
-                    buf.put_u8(9);
-                    ps.encode(buf);
-                }
-                CoordOk::Meta(m) => {
-                    buf.put_u8(10);
-                    match m {
-                        None => buf.put_u8(0),
-                        Some((version, value)) => {
-                            buf.put_u8(1);
-                            put_varint(buf, *version);
-                            value.encode(buf);
-                        }
-                    }
-                }
-                CoordOk::Version(v) => {
-                    buf.put_u8(11);
-                    put_varint(buf, *v);
-                }
-                CoordOk::Ephemerals(es) => {
-                    buf.put_u8(12);
-                    es.encode(buf);
-                }
-            }
-        }
-
-        fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-            Ok(match get_tag(buf, "coord ok")? {
-                0 => CoordOk::Unit,
-                2 => CoordOk::Ring(Option::decode(buf)?),
-                3 => CoordOk::RingIds(Vec::decode(buf)?),
-                4 => CoordOk::Election(ElectOutcome::decode(buf)?),
-                5 => CoordOk::Config(RingConfigWire::decode(buf)?),
-                6 => CoordOk::Nodes(Vec::decode(buf)?),
-                7 => CoordOk::PartitionOf(Option::decode(buf)?),
-                8 => CoordOk::Partition(Option::decode(buf)?),
-                9 => CoordOk::Partitions(Vec::decode(buf)?),
-                10 => CoordOk::Meta(match get_tag(buf, "coord meta")? {
-                    0 => None,
-                    1 => Some((get_varint(buf)?, Bytes::decode(buf)?)),
-                    tag => {
-                        return Err(WireError::BadTag {
-                            context: "coord meta",
-                            tag,
-                        })
-                    }
-                }),
-                11 => CoordOk::Version(get_varint(buf)?),
-                12 => CoordOk::Ephemerals(Vec::decode(buf)?),
-                tag => {
-                    return Err(WireError::BadTag {
-                        context: "coord ok",
-                        tag,
-                    })
-                }
-            })
-        }
-    }
-
-    impl Wire for CoordEvent {
-        fn encode(&self, buf: &mut BytesMut) {
-            match self {
-                CoordEvent::RingChanged { cfg } => {
-                    buf.put_u8(0);
-                    cfg.encode(buf);
-                }
-                CoordEvent::SubscribersChanged { ring, subscribers } => {
-                    buf.put_u8(1);
-                    ring.encode(buf);
-                    subscribers.encode(buf);
-                }
-                CoordEvent::PartitionsChanged => buf.put_u8(2),
-                CoordEvent::MetaChanged { key, version } => {
-                    buf.put_u8(3);
-                    key.encode(buf);
-                    put_varint(buf, *version);
-                }
-            }
-        }
-
-        fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-            Ok(match get_tag(buf, "coord event")? {
-                0 => CoordEvent::RingChanged {
-                    cfg: RingConfigWire::decode(buf)?,
-                },
-                1 => CoordEvent::SubscribersChanged {
-                    ring: RingId::decode(buf)?,
-                    subscribers: Vec::decode(buf)?,
-                },
-                2 => CoordEvent::PartitionsChanged,
-                3 => CoordEvent::MetaChanged {
-                    key: String::decode(buf)?,
-                    version: get_varint(buf)?,
-                },
-                tag => {
-                    return Err(WireError::BadTag {
-                        context: "coord event",
-                        tag,
-                    })
-                }
-            })
-        }
     }
 
     #[cfg(test)]
@@ -1480,8 +1307,7 @@ pub mod client {
     //! --test wire_vectors`) and the diff is reviewed as an interface
     //! change — a changed line is a bug, not a refresh.
 
-    use super::{get_bytes, get_tag, get_varint, put_bytes, put_varint, Wire};
-    use crate::error::WireError;
+    use super::get_varint;
     use crate::ids::{ClientId, NodeId, RequestId, RingId};
     use bytes::{BufMut, Bytes, BytesMut};
 
@@ -1498,86 +1324,43 @@ pub mod client {
     /// command whose reply the client already confirmed. Not executed.
     pub const ST_STALE: u8 = 3;
 
-    /// Session-control commands, the `cmd` of a [`ClientMsg::RequestV2`]
-    /// whose `session` is `SESSION_CTL` (see `multiring::session`).
-    ///
-    /// Wire layout: tag `0` = `Open ++ token ++ ttl_ms`, `1` =
-    /// `KeepAlive ++ session`, `2` = `Expire ++ session ++ seen_refresh`,
-    /// all varints.
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    pub enum SessionCtl {
-        /// Allocates a new session. Every delivered open allocates a *fresh*
-        /// id — deliberately not deduplicated by any client-chosen token,
-        /// because a token reused by a later client incarnation would alias
-        /// it to the dead incarnation's session (exactly the cross-invocation
-        /// confusion sessions exist to kill). A retried open whose original
-        /// got delivered leaks one idle session; TTL expiry collects it.
-        Open {
-            /// Client-chosen correlation token echoed as the reply's seq.
-            token: u64,
-            /// Session TTL in milliseconds: how long the refresh counter may
-            /// sit still before servers propose expiry.
-            ttl_ms: u64,
-        },
-        /// Bumps the session's replicated liveness counter.
-        KeepAlive {
-            /// The session.
-            session: u64,
-        },
-        /// Removes the session iff its refresh counter still reads
-        /// `seen_refresh` — proposed by serving nodes, raced (and beaten) by
-        /// in-flight keep-alives.
-        Expire {
-            /// The session.
-            session: u64,
-            /// The refresh count the proposing node observed.
-            seen_refresh: u64,
-        },
-    }
-
-    impl Wire for SessionCtl {
-        fn encode(&self, buf: &mut BytesMut) {
-            match self {
-                SessionCtl::Open { token, ttl_ms } => {
-                    buf.put_u8(0);
-                    put_varint(buf, *token);
-                    put_varint(buf, *ttl_ms);
-                }
-                SessionCtl::KeepAlive { session } => {
-                    buf.put_u8(1);
-                    put_varint(buf, *session);
-                }
-                SessionCtl::Expire {
-                    session,
-                    seen_refresh,
-                } => {
-                    buf.put_u8(2);
-                    put_varint(buf, *session);
-                    put_varint(buf, *seen_refresh);
-                }
-            }
-        }
-
-        fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-            Ok(match get_tag(buf, "session ctl")? {
-                0 => SessionCtl::Open {
-                    token: get_varint(buf)?,
-                    ttl_ms: get_varint(buf)?,
-                },
-                1 => SessionCtl::KeepAlive {
-                    session: get_varint(buf)?,
-                },
-                2 => SessionCtl::Expire {
-                    session: get_varint(buf)?,
-                    seen_refresh: get_varint(buf)?,
-                },
-                tag => {
-                    return Err(WireError::BadTag {
-                        context: "session ctl",
-                        tag,
-                    })
-                }
-            })
+    wire_frame! {
+        "session ctl";
+        /// Session-control commands, the `cmd` of a [`ClientMsg::RequestV2`]
+        /// whose `session` is `SESSION_CTL` (see `multiring::session`).
+        ///
+        /// Wire layout: tag `0` = `Open ++ token ++ ttl_ms`, `1` =
+        /// `KeepAlive ++ session`, `2` = `Expire ++ session ++ seen_refresh`,
+        /// all varints.
+        #[derive(Clone, Debug, PartialEq, Eq)]
+        pub enum SessionCtl {
+            /// Allocates a new session. Every delivered open allocates a *fresh*
+            /// id — deliberately not deduplicated by any client-chosen token,
+            /// because a token reused by a later client incarnation would alias
+            /// it to the dead incarnation's session (exactly the cross-invocation
+            /// confusion sessions exist to kill). A retried open whose original
+            /// got delivered leaks one idle session; TTL expiry collects it.
+            0 => Open {
+                /// Client-chosen correlation token echoed as the reply's seq.
+                token: u64,
+                /// Session TTL in milliseconds: how long the refresh counter may
+                /// sit still before servers propose expiry.
+                ttl_ms: u64,
+            },
+            /// Bumps the session's replicated liveness counter.
+            1 => KeepAlive {
+                /// The session.
+                session: u64,
+            },
+            /// Removes the session iff its refresh counter still reads
+            /// `seen_refresh` — proposed by serving nodes, raced (and beaten) by
+            /// in-flight keep-alives.
+            2 => Expire {
+                /// The session.
+                session: u64,
+                /// The refresh count the proposing node observed.
+                seen_refresh: u64,
+            },
         }
     }
 
@@ -1620,360 +1403,178 @@ pub mod client {
     /// Every feature this build knows about.
     pub const FEAT_ALL: u64 = FEAT_PIPELINE | FEAT_EXACTLY_ONCE | FEAT_REDIRECT | FEAT_STATS;
 
-    /// Typed reasons a server rejects a request (v2).
-    ///
-    /// Wire layout: one byte — `HelloRequired` = 0, `UnknownGroup` = 1,
-    /// `NotServing` = 2, `Shedding` = 3, `Internal` = 4. Append-only.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub enum ErrorCode {
-        /// A request arrived before any hello on the connection.
-        HelloRequired,
-        /// The named multicast group exists nowhere in the deployment.
-        UnknownGroup,
-        /// This node does not serve the group (and no redirect target is
-        /// known).
-        NotServing,
-        /// The server shed the request under load; retry later.
-        Shedding,
-        /// Anything else; see the detail string.
-        Internal,
-    }
-
-    impl ErrorCode {
-        fn to_u8(self) -> u8 {
-            match self {
-                ErrorCode::HelloRequired => 0,
-                ErrorCode::UnknownGroup => 1,
-                ErrorCode::NotServing => 2,
-                ErrorCode::Shedding => 3,
-                ErrorCode::Internal => 4,
-            }
-        }
-
-        fn from_u8(raw: u8) -> Result<Self, WireError> {
-            Ok(match raw {
-                0 => ErrorCode::HelloRequired,
-                1 => ErrorCode::UnknownGroup,
-                2 => ErrorCode::NotServing,
-                3 => ErrorCode::Shedding,
-                4 => ErrorCode::Internal,
-                tag => {
-                    return Err(WireError::BadTag {
-                        context: "error code",
-                        tag,
-                    })
-                }
-            })
+    wire_frame! {
+        "error code";
+        /// Typed reasons a server rejects a request (v2).
+        ///
+        /// Wire layout: one byte — `HelloRequired` = 0, `UnknownGroup` = 1,
+        /// `NotServing` = 2, `Shedding` = 3, `Internal` = 4. Append-only.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum ErrorCode {
+            /// A request arrived before any hello on the connection.
+            0 => HelloRequired,
+            /// The named multicast group exists nowhere in the deployment.
+            1 => UnknownGroup,
+            /// This node does not serve the group (and no redirect target is
+            /// known).
+            2 => NotServing,
+            /// The server shed the request under load; retry later.
+            3 => Shedding,
+            /// Anything else; see the detail string.
+            4 => Internal,
         }
     }
 
-    impl Wire for ErrorCode {
-        fn encode(&self, buf: &mut BytesMut) {
-            buf.put_u8(self.to_u8());
-        }
-
-        fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-            ErrorCode::from_u8(get_tag(buf, "error code")?)
-        }
-    }
-
-    /// A frame sent by a client to a serving node.
-    ///
-    /// ## Wire layout
-    ///
-    /// One tag byte, then the fields in declaration order (ids and
-    /// integers are varints, `cmd` is length-prefixed bytes):
-    ///
-    /// | tag | variant | body | since |
-    /// |----:|---------|------|-------|
-    /// | 2 | `Ping` | `token(varint)` | v1 |
-    /// | 3 | `HelloV2` | `client ++ features(varint)` | v2 |
-    /// | 4 | `RequestV2` | `session(varint) ++ seq ++ ack(varint) ++ group ++ cmd(bytes)` | v2, [`FEAT_EXACTLY_ONCE`] |
-    /// | 5 | `StatsRequest` | `token(varint)` | v2, [`FEAT_STATS`] |
-    ///
-    /// Tags 0–1 are retired v1 frames. The corpus
-    /// `ci/wire_vectors_client.txt` pins every row.
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    pub enum ClientMsg {
-        /// Connection-liveness probe; the server answers with
-        /// [`ClientReply::Pong`].
-        Ping {
-            /// Echoed token.
-            token: u64,
-        },
-        /// The handshake: names the client and negotiates features; all
-        /// replies for `client` flow back over the connection that sent
-        /// it. Answered with [`ClientReply::WelcomeV2`].
-        HelloV2 {
-            /// The connecting client's id (unique per deployment).
-            client: ClientId,
-            /// Features the client wants ([`FEAT_PIPELINE`], ...).
-            features: u64,
-        },
-        /// Submit `cmd` under an exactly-once session. With
-        /// `session == SESSION_CTL` the command is a [`SessionCtl`]
-        /// (open / keep-alive / expire) rather than a service command.
-        RequestV2 {
-            /// The replicated session the command executes under.
-            session: u64,
-            /// Per-session sequence number (1, 2, ... within the session).
-            seq: RequestId,
-            /// Highest seq whose replies the client has received without
-            /// gaps — replicas prune their reply caches up to here.
-            ack: u64,
-            /// The multicast group (ring) to order the command on.
-            group: RingId,
-            /// Service-specific command bytes.
-            cmd: Bytes,
-        },
-        /// Asks the serving node for its metrics snapshot (the stats
-        /// plane). Answered immediately with [`ClientReply::Stats`]; no
-        /// hello is required, so monitoring can probe any node with a
-        /// bare connection ([`FEAT_STATS`]).
-        StatsRequest {
-            /// Echoed token correlating the snapshot (watch loops).
-            token: u64,
-        },
-    }
-
-    /// A frame sent by a serving node to a client.
-    ///
-    /// ## Wire layout
-    ///
-    /// One tag byte, then the fields in declaration order:
-    ///
-    /// | tag | variant | body | since |
-    /// |----:|---------|------|-------|
-    /// | 3 | `Pong` | `token(varint)` | v1 |
-    /// | 4 | `WelcomeV2` | `node ++ features(varint) ++ window(varint)` | v2 |
-    /// | 5 | `ResponseV2` | `session(varint) ++ seq ++ from_replica ++ payload(bytes)` | v2, [`FEAT_EXACTLY_ONCE`] |
-    /// | 6 | `ErrorV2` | `seq ++ code` ([`ErrorCode`]) ` ++ detail(string)` | v2 |
-    /// | 7 | `Redirect` | `seq ++ group ++ to` | v2, [`FEAT_REDIRECT`] |
-    /// | 8 | `CreditGrant` | `window(varint)` | v2, [`FEAT_PIPELINE`] |
-    /// | 9 | `Stats` | `token(varint) ++ snapshot` | v2, [`FEAT_STATS`] |
-    ///
-    /// Tags 0–2 are retired v1 frames. The corpus
-    /// `ci/wire_vectors_client.txt` pins every row.
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    pub enum ClientReply {
-        /// Answer to [`ClientMsg::Ping`].
-        Pong {
-            /// Echoed token.
-            token: u64,
-        },
-        /// Handshake accepted.
-        WelcomeV2 {
-            /// The serving node.
-            node: NodeId,
-            /// Features granted (requested ∩ supported).
-            features: u64,
-            /// Initial credit window: requests the client may keep in
-            /// flight on this connection.
-            window: u32,
-        },
-        /// A replica executed a v2 request. The session echo is what
-        /// makes reply matching safe across client incarnations.
-        ResponseV2 {
-            /// The session the command executed under (as replicated).
-            session: u64,
-            /// The request's per-session sequence number.
-            seq: RequestId,
-            /// The replica that executed the command.
-            from_replica: NodeId,
-            /// Session-framed response bytes (status byte + service
-            /// payload; see `multiring::session`).
-            payload: Bytes,
-        },
-        /// The serving node rejected a v2 request.
-        ErrorV2 {
-            /// The request's sequence number.
-            seq: RequestId,
-            /// Machine-readable reason.
-            code: ErrorCode,
-            /// Human-readable detail.
-            detail: String,
-        },
-        /// This node does not serve `group`; retry the request at `to`.
-        Redirect {
-            /// The rejected request's sequence number.
-            seq: RequestId,
-            /// The group the request named.
-            group: RingId,
-            /// A node that serves the group.
-            to: NodeId,
-        },
-        /// Resizes the client's credit window mid-session.
-        CreditGrant {
-            /// The new window (requests in flight allowed).
-            window: u32,
-        },
-        /// The serving node's metrics snapshot — the `StatsResponse`
-        /// answering [`ClientMsg::StatsRequest`].
-        Stats {
-            /// The request's token, echoed.
-            token: u64,
-            /// The node's metrics at the moment of the request.
-            snapshot: crate::obs::ObsSnapshot,
-        },
-    }
-
-    impl Wire for ClientMsg {
-        fn encode(&self, buf: &mut BytesMut) {
-            match self {
-                ClientMsg::Ping { token } => {
-                    buf.put_u8(2);
-                    super::put_varint(buf, *token);
-                }
-                ClientMsg::HelloV2 { client, features } => {
-                    buf.put_u8(3);
-                    client.encode(buf);
-                    put_varint(buf, *features);
-                }
-                ClientMsg::RequestV2 {
-                    session,
-                    seq,
-                    ack,
-                    group,
-                    cmd,
-                } => {
-                    buf.put_u8(4);
-                    put_varint(buf, *session);
-                    seq.encode(buf);
-                    put_varint(buf, *ack);
-                    group.encode(buf);
-                    put_bytes(buf, cmd);
-                }
-                ClientMsg::StatsRequest { token } => {
-                    buf.put_u8(5);
-                    put_varint(buf, *token);
-                }
-            }
-        }
-
-        fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-            match get_tag(buf, "client wire msg")? {
-                2 => Ok(ClientMsg::Ping {
-                    token: super::get_varint(buf)?,
-                }),
-                3 => Ok(ClientMsg::HelloV2 {
-                    client: ClientId::decode(buf)?,
-                    features: get_varint(buf)?,
-                }),
-                4 => Ok(ClientMsg::RequestV2 {
-                    session: get_varint(buf)?,
-                    seq: RequestId::decode(buf)?,
-                    ack: get_varint(buf)?,
-                    group: RingId::decode(buf)?,
-                    cmd: get_bytes(buf)?,
-                }),
-                5 => Ok(ClientMsg::StatsRequest {
-                    token: get_varint(buf)?,
-                }),
-                tag => Err(WireError::BadTag {
-                    context: "client wire msg",
-                    tag,
-                }),
-            }
+    wire_frame! {
+        "client wire msg";
+        /// A frame sent by a client to a serving node.
+        ///
+        /// ## Wire layout
+        ///
+        /// One tag byte, then the fields in declaration order (ids and
+        /// integers are varints, `cmd` is length-prefixed bytes):
+        ///
+        /// | tag | variant | body | since |
+        /// |----:|---------|------|-------|
+        /// | 2 | `Ping` | `token(varint)` | v1 |
+        /// | 3 | `HelloV2` | `client ++ features(varint)` | v2 |
+        /// | 4 | `RequestV2` | `session(varint) ++ seq ++ ack(varint) ++ group ++ cmd(bytes)` | v2, [`FEAT_EXACTLY_ONCE`] |
+        /// | 5 | `StatsRequest` | `token(varint)` | v2, [`FEAT_STATS`] |
+        ///
+        /// Tags 0–1 are retired v1 frames. The corpus
+        /// `ci/wire_vectors_client.txt` pins every row.
+        #[derive(Clone, Debug, PartialEq, Eq)]
+        pub enum ClientMsg {
+            /// Connection-liveness probe; the server answers with
+            /// [`ClientReply::Pong`].
+            2 => Ping {
+                /// Echoed token.
+                token: u64,
+            },
+            /// The handshake: names the client and negotiates features; all
+            /// replies for `client` flow back over the connection that sent
+            /// it. Answered with [`ClientReply::WelcomeV2`].
+            3 => HelloV2 {
+                /// The connecting client's id (unique per deployment).
+                client: ClientId,
+                /// Features the client wants ([`FEAT_PIPELINE`], ...).
+                features: u64,
+            },
+            /// Submit `cmd` under an exactly-once session. With
+            /// `session == SESSION_CTL` the command is a [`SessionCtl`]
+            /// (open / keep-alive / expire) rather than a service command.
+            4 => RequestV2 {
+                /// The replicated session the command executes under.
+                session: u64,
+                /// Per-session sequence number (1, 2, ... within the session).
+                seq: RequestId,
+                /// Highest seq whose replies the client has received without
+                /// gaps — replicas prune their reply caches up to here.
+                ack: u64,
+                /// The multicast group (ring) to order the command on.
+                group: RingId,
+                /// Service-specific command bytes.
+                cmd: Bytes,
+            },
+            /// Asks the serving node for its metrics snapshot (the stats
+            /// plane). Answered immediately with [`ClientReply::Stats`]; no
+            /// hello is required, so monitoring can probe any node with a
+            /// bare connection ([`FEAT_STATS`]).
+            5 => StatsRequest {
+                /// Echoed token correlating the snapshot (watch loops).
+                token: u64,
+            },
         }
     }
 
-    impl Wire for ClientReply {
-        fn encode(&self, buf: &mut BytesMut) {
-            match self {
-                ClientReply::Pong { token } => {
-                    buf.put_u8(3);
-                    super::put_varint(buf, *token);
-                }
-                ClientReply::WelcomeV2 {
-                    node,
-                    features,
-                    window,
-                } => {
-                    buf.put_u8(4);
-                    node.encode(buf);
-                    put_varint(buf, *features);
-                    put_varint(buf, u64::from(*window));
-                }
-                ClientReply::ResponseV2 {
-                    session,
-                    seq,
-                    from_replica,
-                    payload,
-                } => {
-                    buf.put_u8(5);
-                    put_varint(buf, *session);
-                    seq.encode(buf);
-                    from_replica.encode(buf);
-                    put_bytes(buf, payload);
-                }
-                ClientReply::ErrorV2 { seq, code, detail } => {
-                    buf.put_u8(6);
-                    seq.encode(buf);
-                    code.encode(buf);
-                    detail.encode(buf);
-                }
-                ClientReply::Redirect { seq, group, to } => {
-                    buf.put_u8(7);
-                    seq.encode(buf);
-                    group.encode(buf);
-                    to.encode(buf);
-                }
-                ClientReply::CreditGrant { window } => {
-                    buf.put_u8(8);
-                    put_varint(buf, u64::from(*window));
-                }
-                ClientReply::Stats { token, snapshot } => {
-                    buf.put_u8(9);
-                    put_varint(buf, *token);
-                    snapshot.encode(buf);
-                }
-            }
-        }
-
-        fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-            match get_tag(buf, "client wire reply")? {
-                3 => Ok(ClientReply::Pong {
-                    token: super::get_varint(buf)?,
-                }),
-                4 => Ok(ClientReply::WelcomeV2 {
-                    node: NodeId::decode(buf)?,
-                    features: get_varint(buf)?,
-                    window: get_varint(buf)? as u32,
-                }),
-                5 => Ok(ClientReply::ResponseV2 {
-                    session: get_varint(buf)?,
-                    seq: RequestId::decode(buf)?,
-                    from_replica: NodeId::decode(buf)?,
-                    payload: get_bytes(buf)?,
-                }),
-                6 => Ok(ClientReply::ErrorV2 {
-                    seq: RequestId::decode(buf)?,
-                    code: ErrorCode::decode(buf)?,
-                    detail: String::decode(buf)?,
-                }),
-                7 => Ok(ClientReply::Redirect {
-                    seq: RequestId::decode(buf)?,
-                    group: RingId::decode(buf)?,
-                    to: NodeId::decode(buf)?,
-                }),
-                8 => Ok(ClientReply::CreditGrant {
-                    window: get_varint(buf)? as u32,
-                }),
-                9 => Ok(ClientReply::Stats {
-                    token: get_varint(buf)?,
-                    snapshot: crate::obs::ObsSnapshot::decode(buf)?,
-                }),
-                tag => Err(WireError::BadTag {
-                    context: "client wire reply",
-                    tag,
-                }),
-            }
+    wire_frame! {
+        "client wire reply";
+        /// A frame sent by a serving node to a client.
+        ///
+        /// ## Wire layout
+        ///
+        /// One tag byte, then the fields in declaration order:
+        ///
+        /// | tag | variant | body | since |
+        /// |----:|---------|------|-------|
+        /// | 3 | `Pong` | `token(varint)` | v1 |
+        /// | 4 | `WelcomeV2` | `node ++ features(varint) ++ window(varint)` | v2 |
+        /// | 5 | `ResponseV2` | `session(varint) ++ seq ++ from_replica ++ payload(bytes)` | v2, [`FEAT_EXACTLY_ONCE`] |
+        /// | 6 | `ErrorV2` | `seq ++ code` ([`ErrorCode`]) ` ++ detail(string)` | v2 |
+        /// | 7 | `Redirect` | `seq ++ group ++ to` | v2, [`FEAT_REDIRECT`] |
+        /// | 8 | `CreditGrant` | `window(varint)` | v2, [`FEAT_PIPELINE`] |
+        /// | 9 | `Stats` | `token(varint) ++ snapshot` | v2, [`FEAT_STATS`] |
+        ///
+        /// Tags 0–2 are retired v1 frames. The corpus
+        /// `ci/wire_vectors_client.txt` pins every row.
+        #[derive(Clone, Debug, PartialEq, Eq)]
+        pub enum ClientReply {
+            /// Answer to [`ClientMsg::Ping`].
+            3 => Pong {
+                /// Echoed token.
+                token: u64,
+            },
+            /// Handshake accepted.
+            4 => WelcomeV2 {
+                /// The serving node.
+                node: NodeId,
+                /// Features granted (requested ∩ supported).
+                features: u64,
+                /// Initial credit window: requests the client may keep in
+                /// flight on this connection.
+                window: u32,
+            },
+            /// A replica executed a v2 request. The session echo is what
+            /// makes reply matching safe across client incarnations.
+            5 => ResponseV2 {
+                /// The session the command executed under (as replicated).
+                session: u64,
+                /// The request's per-session sequence number.
+                seq: RequestId,
+                /// The replica that executed the command.
+                from_replica: NodeId,
+                /// Session-framed response bytes (status byte + service
+                /// payload; see `multiring::session`).
+                payload: Bytes,
+            },
+            /// The serving node rejected a v2 request.
+            6 => ErrorV2 {
+                /// The request's sequence number.
+                seq: RequestId,
+                /// Machine-readable reason.
+                code: ErrorCode,
+                /// Human-readable detail.
+                detail: String,
+            },
+            /// This node does not serve `group`; retry the request at `to`.
+            7 => Redirect {
+                /// The rejected request's sequence number.
+                seq: RequestId,
+                /// The group the request named.
+                group: RingId,
+                /// A node that serves the group.
+                to: NodeId,
+            },
+            /// Resizes the client's credit window mid-session.
+            8 => CreditGrant {
+                /// The new window (requests in flight allowed).
+                window: u32,
+            },
+            /// The serving node's metrics snapshot — the `StatsResponse`
+            /// answering [`ClientMsg::StatsRequest`].
+            9 => Stats {
+                /// The request's token, echoed.
+                token: u64,
+                /// The node's metrics at the moment of the request.
+                snapshot: crate::obs::ObsSnapshot,
+            },
         }
     }
 
     #[cfg(test)]
     mod tests {
         use super::*;
+        use crate::wire::Wire;
         use bytes::Buf;
 
         fn rt<T: Wire + PartialEq + std::fmt::Debug>(v: T) {
@@ -2129,6 +1730,32 @@ mod tests {
             get_varint(&mut bytes),
             Err(WireError::Truncated { .. })
         ));
+    }
+
+    #[test]
+    fn narrow_integers_reject_wide_varints() {
+        let varint = |v: u64| {
+            let mut buf = BytesMut::new();
+            put_varint(&mut buf, v);
+            buf.freeze()
+        };
+        let overflow = Some(WireError::VarintOverflow);
+        assert_eq!(RingId::decode(&mut varint(1 << 16)).err(), overflow);
+        assert_eq!(PartitionId::decode(&mut varint(1 << 16)).err(), overflow);
+        assert_eq!(u16::decode(&mut varint(1 << 16)).err(), overflow);
+        assert_eq!(NodeId::decode(&mut varint(1 << 32)).err(), overflow);
+        assert_eq!(ClientId::decode(&mut varint(1 << 32)).err(), overflow);
+        assert_eq!(u32::decode(&mut varint(1 << 32)).err(), overflow);
+        let mut ballot = BytesMut::new();
+        put_varint(&mut ballot, 1 << 32);
+        put_varint(&mut ballot, 1);
+        assert_eq!(Ballot::decode(&mut ballot.freeze()).err(), overflow);
+        // The widest values that fit still decode.
+        assert_eq!(
+            RingId::decode(&mut varint(65_535)),
+            Ok(RingId::new(u16::MAX))
+        );
+        assert_eq!(u32::decode(&mut varint(u64::from(u32::MAX))), Ok(u32::MAX));
     }
 
     #[test]

@@ -5,8 +5,14 @@ use common::ids::{Ballot, ClientId, InstanceId, NodeId, PartitionId, RequestId, 
 use common::msg::{AcceptedEntry, CheckpointTuple, Msg, RecoveryMsg, RingMsg};
 use common::value::{Envelope, Payload, Value, ValueId, ValueKind};
 use common::wire::client::{ClientMsg, ClientReply};
+use common::wire::coord::{decode_reply, CoordOp};
 use common::wire::{self as wire, frame, get_varint, put_varint, varint_len, Wire};
 use proptest::prelude::*;
+
+/// Whether `encoded_len` agrees with the bytes `encode` writes.
+fn len_exact<T: Wire>(v: &T) -> bool {
+    v.encoded_len() == v.to_bytes().len()
+}
 
 fn arb_value() -> impl Strategy<Value = Value> {
     (
@@ -321,9 +327,31 @@ proptest! {
     }
 
     #[test]
-    fn ring_wire_size_exact(m in arb_ring_msg()) {
-        // The simulator's bandwidth model must agree with the encoder.
-        prop_assert_eq!(m.wire_size(), m.encoded_len());
+    fn ring_wire_size_exact(
+        m in arb_ring_msg(),
+        msg in arb_msg(),
+        ballot in arb_ballot(),
+        entry in arb_accepted(),
+        tuple in arb_tuple(),
+        recovery in arb_recovery(),
+        payload in arb_payload(),
+        client in arb_client_wire_msg(),
+        reply in arb_client_wire_reply(),
+    ) {
+        // Every length computation (the simulator's bandwidth model, the
+        // transports' wire tallies) must agree with the encoder.
+        prop_assert!(len_exact(&m));
+        prop_assert!(len_exact(&msg));
+        prop_assert!(len_exact(&ballot));
+        prop_assert!(len_exact(&entry));
+        prop_assert!(len_exact(&tuple));
+        prop_assert!(len_exact(&recovery));
+        prop_assert!(len_exact(&payload));
+        prop_assert!(len_exact(&client));
+        prop_assert!(len_exact(&reply));
+        if matches!(msg, Msg::Ring(..) | Msg::Client(_) | Msg::Reply(_)) {
+            prop_assert_eq!(msg.wire_size(), msg.encoded_len());
+        }
     }
 
     #[test]
@@ -348,8 +376,10 @@ proptest! {
     #[test]
     fn decoder_never_panics_on_garbage(garbage in proptest::collection::vec(any::<u8>(), 0..512)) {
         // Decoding arbitrary bytes must fail gracefully, never panic.
-        let mut bytes = Bytes::from(garbage);
-        let _ = Msg::decode(&mut bytes);
+        let garbage = Bytes::from(garbage);
+        let _ = Msg::decode(&mut garbage.clone());
+        let _ = CoordOp::decode(&mut garbage.clone());
+        let _ = decode_reply(&garbage);
     }
 
     #[test]

@@ -4,166 +4,67 @@
 //! group (ring), and `multi-append` commands go to the shared group every
 //! log's replicas subscribe to.
 
-use bytes::{BufMut, Bytes, BytesMut};
-use common::error::WireError;
-use common::wire::{get_bytes, get_tag, get_varint, put_bytes, put_varint, Wire};
+use bytes::Bytes;
+use common::wire_frame;
 
 /// A log identifier (one log per multicast group).
 pub type LogId = u16;
 
-/// A distributed-log operation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LogCommand {
-    /// `append(l, v)`: append `v` to log `l`; returns the position.
-    Append {
-        /// Target log.
-        log: LogId,
-        /// The payload.
-        value: Bytes,
-    },
-    /// `multi-append(L, v)`: atomically append `v` to every log in `L`.
-    MultiAppend {
-        /// Target logs.
-        logs: Vec<LogId>,
-        /// The payload.
-        value: Bytes,
-    },
-    /// `read(l, p)`: the value at position `p` of log `l`.
-    Read {
-        /// Target log.
-        log: LogId,
-        /// Position to read.
-        pos: u64,
-    },
-    /// `trim(l, p)`: drop log `l` up to position `p`.
-    Trim {
-        /// Target log.
-        log: LogId,
-        /// Trim point (exclusive).
-        pos: u64,
-    },
-}
-
-impl Wire for LogCommand {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            LogCommand::Append { log, value } => {
-                buf.put_u8(0);
-                put_varint(buf, u64::from(*log));
-                put_bytes(buf, value);
-            }
-            LogCommand::MultiAppend { logs, value } => {
-                buf.put_u8(1);
-                put_varint(buf, logs.len() as u64);
-                for l in logs {
-                    put_varint(buf, u64::from(*l));
-                }
-                put_bytes(buf, value);
-            }
-            LogCommand::Read { log, pos } => {
-                buf.put_u8(2);
-                put_varint(buf, u64::from(*log));
-                put_varint(buf, *pos);
-            }
-            LogCommand::Trim { log, pos } => {
-                buf.put_u8(3);
-                put_varint(buf, u64::from(*log));
-                put_varint(buf, *pos);
-            }
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(match get_tag(buf, "log command")? {
-            0 => LogCommand::Append {
-                log: get_varint(buf)? as LogId,
-                value: get_bytes(buf)?,
-            },
-            1 => {
-                let n = get_varint(buf)?;
-                let mut logs = Vec::new();
-                for _ in 0..n {
-                    logs.push(get_varint(buf)? as LogId);
-                }
-                LogCommand::MultiAppend {
-                    logs,
-                    value: get_bytes(buf)?,
-                }
-            }
-            2 => LogCommand::Read {
-                log: get_varint(buf)? as LogId,
-                pos: get_varint(buf)?,
-            },
-            3 => LogCommand::Trim {
-                log: get_varint(buf)? as LogId,
-                pos: get_varint(buf)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    context: "log command",
-                    tag,
-                })
-            }
-        })
+wire_frame! {
+    "log command";
+    /// A distributed-log operation.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum LogCommand {
+        /// `append(l, v)`: append `v` to log `l`; returns the position.
+        0 => Append {
+            /// Target log.
+            log: LogId,
+            /// The payload.
+            value: Bytes,
+        },
+        /// `multi-append(L, v)`: atomically append `v` to every log in `L`.
+        1 => MultiAppend {
+            /// Target logs.
+            logs: Vec<LogId>,
+            /// The payload.
+            value: Bytes,
+        },
+        /// `read(l, p)`: the value at position `p` of log `l`.
+        2 => Read {
+            /// Target log.
+            log: LogId,
+            /// Position to read.
+            pos: u64,
+        },
+        /// `trim(l, p)`: drop log `l` up to position `p`.
+        3 => Trim {
+            /// Target log.
+            log: LogId,
+            /// Trim point (exclusive).
+            pos: u64,
+        },
     }
 }
 
-/// A replica's answer to a [`LogCommand`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LogResponse {
-    /// Positions assigned by an append/multi-append: `(log, position)` for
-    /// each log this replica hosts.
-    Appended(Vec<(LogId, u64)>),
-    /// The value read (`None` if trimmed or out of range).
-    Value(Option<Bytes>),
-    /// Trim applied.
-    Ok,
-}
-
-impl Wire for LogResponse {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            LogResponse::Appended(pos) => {
-                buf.put_u8(0);
-                put_varint(buf, pos.len() as u64);
-                for (log, p) in pos {
-                    put_varint(buf, u64::from(*log));
-                    put_varint(buf, *p);
-                }
-            }
-            LogResponse::Value(v) => {
-                buf.put_u8(1);
-                v.encode(buf);
-            }
-            LogResponse::Ok => buf.put_u8(2),
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(match get_tag(buf, "log response")? {
-            0 => {
-                let n = get_varint(buf)?;
-                let mut pos = Vec::new();
-                for _ in 0..n {
-                    pos.push((get_varint(buf)? as LogId, get_varint(buf)?));
-                }
-                LogResponse::Appended(pos)
-            }
-            1 => LogResponse::Value(Option::<Bytes>::decode(buf)?),
-            2 => LogResponse::Ok,
-            tag => {
-                return Err(WireError::BadTag {
-                    context: "log response",
-                    tag,
-                })
-            }
-        })
+wire_frame! {
+    "log response";
+    /// A replica's answer to a [`LogCommand`].
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum LogResponse {
+        /// Positions assigned by an append/multi-append: `(log, position)` for
+        /// each log this replica hosts.
+        0 => Appended(Vec<(LogId, u64)>),
+        /// The value read (`None` if trimmed or out of range).
+        1 => Value(Option<Bytes>),
+        /// Trim applied.
+        2 => Ok,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use common::wire::Wire;
 
     #[test]
     fn commands_round_trip() {

@@ -34,34 +34,22 @@
 
 use std::cell::Cell;
 
-use bytes::{Bytes, BytesMut};
-use common::error::WireError;
+use bytes::Bytes;
 use common::ids::RingId;
 use common::value::Envelope;
 use common::wire::Wire;
+use common::wire_frame;
 use multiring::{ServiceApp, SnapshotCut};
 use storage::wal::DecidedLog;
 
-/// One delivered command: the ring it arrived on plus the envelope.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WalRecord {
-    /// The multicast group the command was delivered from.
-    pub ring: RingId,
-    /// The client command envelope.
-    pub env: Envelope,
-}
-
-impl Wire for WalRecord {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.ring.encode(buf);
-        self.env.encode(buf);
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(WalRecord {
-            ring: RingId::decode(buf)?,
-            env: Envelope::decode(buf)?,
-        })
+wire_frame! {
+    /// One delivered command: the ring it arrived on plus the envelope.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct WalRecord {
+        /// The multicast group the command was delivered from.
+        pub ring: RingId,
+        /// The client command envelope.
+        pub env: Envelope,
     }
 }
 

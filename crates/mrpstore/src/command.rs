@@ -1,96 +1,98 @@
 //! The MRP-Store command set (paper Table 1) and its wire encoding.
 
-use bytes::{BufMut, Bytes, BytesMut};
-use common::error::WireError;
-use common::wire::{get_bytes, get_tag, get_varint, get_vec, put_bytes, put_varint, put_vec, Wire};
+use bytes::Bytes;
+use common::wire_frame;
 
-/// A key-value store operation.
-///
-/// Keys are strings, values are byte arrays of arbitrary size (paper
-/// §6.1).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum KvCommand {
-    /// `read(k)`: the value of entry `k`, if existent.
-    Read {
-        /// The key.
-        key: String,
-    },
-    /// `scan(k, k')`: all entries within range `k..k'`.
-    Scan {
-        /// Range start (inclusive).
-        from: String,
-        /// Range end (exclusive).
-        to: String,
-    },
-    /// `update(k, v)`: update entry `k` with value `v`, if existent.
-    Update {
-        /// The key.
-        key: String,
-        /// The new value.
-        value: Bytes,
-    },
-    /// `insert(k, v)`: insert tuple `(k, v)` in the database.
-    Insert {
-        /// The key.
-        key: String,
-        /// The value.
-        value: Bytes,
-    },
-    /// `delete(k)`: delete entry `k` from the database.
-    Delete {
-        /// The key.
-        key: String,
-    },
-    /// `add(k, d)`: increment the counter at `k` by `d`, creating it at
-    /// zero if absent; returns the new value. Deliberately
-    /// **non-idempotent** — the protocol-v2 exactly-once sessions are
-    /// what make it safe to expose over a retrying client.
-    Add {
-        /// The key.
-        key: String,
-        /// The increment.
-        delta: u64,
-    },
-    /// Migration step 1: freeze writes to `from..to` everywhere and
-    /// stamp the migration version. While a range is frozen, writes to
-    /// it answer [`KvResponse::Busy`] (reads are still served); the
-    /// snapshot the orchestrator ships is therefore stable. Fanned out
-    /// to every partition so source, target, and bystanders all learn
-    /// the in-flight migration at a delivered cut.
-    Freeze {
-        /// Range start (inclusive).
-        from: String,
-        /// Range end (exclusive; empty = +∞).
-        to: String,
-        /// The partition the range is moving to.
-        target: u16,
-        /// The partition-map version this migration produces.
-        version: u64,
-    },
-    /// Migration steps 2–3: install a chunk of the frozen range at the
-    /// target. The final chunk (`last`) is the **cutover**: every
-    /// partition atomically adopts the new key-range table (source drops
-    /// the range, target takes ownership, clients re-route on
-    /// [`KvResponse::Moved`]). Chunked so a large range streams through
-    /// ordinary commands instead of one giant value.
-    Install {
-        /// Range start (must match the frozen range).
-        from: String,
-        /// Range end (must match the frozen range).
-        to: String,
-        /// The partition taking ownership.
-        target: u16,
-        /// The partition-map version this migration produces.
-        version: u64,
-        /// Entries of this chunk.
-        entries: Vec<(String, Bytes)>,
-        /// True on the final chunk: adopt the new map and unfreeze.
-        last: bool,
-    },
-    /// Reads the replica's current partition map (scheme + version) —
-    /// how a client that received [`KvResponse::Moved`] refreshes its
-    /// routing without a coordination-service round trip.
-    GetMap,
+wire_frame! {
+    "kv command";
+    /// A key-value store operation.
+    ///
+    /// Keys are strings, values are byte arrays of arbitrary size (paper
+    /// §6.1).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum KvCommand {
+        /// `read(k)`: the value of entry `k`, if existent.
+        0 => Read {
+            /// The key.
+            key: String,
+        },
+        /// `scan(k, k')`: all entries within range `k..k'`.
+        1 => Scan {
+            /// Range start (inclusive).
+            from: String,
+            /// Range end (exclusive).
+            to: String,
+        },
+        /// `update(k, v)`: update entry `k` with value `v`, if existent.
+        2 => Update {
+            /// The key.
+            key: String,
+            /// The new value.
+            value: Bytes,
+        },
+        /// `insert(k, v)`: insert tuple `(k, v)` in the database.
+        3 => Insert {
+            /// The key.
+            key: String,
+            /// The value.
+            value: Bytes,
+        },
+        /// `delete(k)`: delete entry `k` from the database.
+        4 => Delete {
+            /// The key.
+            key: String,
+        },
+        /// `add(k, d)`: increment the counter at `k` by `d`, creating it at
+        /// zero if absent; returns the new value. Deliberately
+        /// **non-idempotent** — the protocol-v2 exactly-once sessions are
+        /// what make it safe to expose over a retrying client.
+        5 => Add {
+            /// The key.
+            key: String,
+            /// The increment.
+            delta: u64,
+        },
+        /// Migration step 1: freeze writes to `from..to` everywhere and
+        /// stamp the migration version. While a range is frozen, writes to
+        /// it answer [`KvResponse::Busy`] (reads are still served); the
+        /// snapshot the orchestrator ships is therefore stable. Fanned out
+        /// to every partition so source, target, and bystanders all learn
+        /// the in-flight migration at a delivered cut.
+        6 => Freeze {
+            /// Range start (inclusive).
+            from: String,
+            /// Range end (exclusive; empty = +∞).
+            to: String,
+            /// The partition the range is moving to.
+            target: u16,
+            /// The partition-map version this migration produces.
+            version: u64,
+        },
+        /// Migration steps 2–3: install a chunk of the frozen range at the
+        /// target. The final chunk (`last`) is the **cutover**: every
+        /// partition atomically adopts the new key-range table (source drops
+        /// the range, target takes ownership, clients re-route on
+        /// [`KvResponse::Moved`]). Chunked so a large range streams through
+        /// ordinary commands instead of one giant value.
+        7 => Install {
+            /// Range start (must match the frozen range).
+            from: String,
+            /// Range end (must match the frozen range).
+            to: String,
+            /// The partition taking ownership.
+            target: u16,
+            /// The partition-map version this migration produces.
+            version: u64,
+            /// Entries of this chunk.
+            entries: Vec<(String, Bytes)>,
+            /// True on the final chunk: adopt the new map and unfreeze.
+            last: bool,
+        },
+        /// Reads the replica's current partition map (scheme + version) —
+        /// how a client that received [`KvResponse::Moved`] refreshes its
+        /// routing without a coordination-service round trip.
+        8 => GetMap,
+    }
 }
 
 impl KvCommand {
@@ -121,217 +123,71 @@ impl KvCommand {
     }
 }
 
-impl Wire for KvCommand {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            KvCommand::Read { key } => {
-                buf.put_u8(0);
-                key.encode(buf);
-            }
-            KvCommand::Scan { from, to } => {
-                buf.put_u8(1);
-                from.encode(buf);
-                to.encode(buf);
-            }
-            KvCommand::Update { key, value } => {
-                buf.put_u8(2);
-                key.encode(buf);
-                put_bytes(buf, value);
-            }
-            KvCommand::Insert { key, value } => {
-                buf.put_u8(3);
-                key.encode(buf);
-                put_bytes(buf, value);
-            }
-            KvCommand::Delete { key } => {
-                buf.put_u8(4);
-                key.encode(buf);
-            }
-            KvCommand::Add { key, delta } => {
-                buf.put_u8(5);
-                key.encode(buf);
-                put_varint(buf, *delta);
-            }
-            KvCommand::Freeze {
-                from,
-                to,
-                target,
-                version,
-            } => {
-                buf.put_u8(6);
-                from.encode(buf);
-                to.encode(buf);
-                put_varint(buf, u64::from(*target));
-                put_varint(buf, *version);
-            }
-            KvCommand::Install {
-                from,
-                to,
-                target,
-                version,
-                entries,
-                last,
-            } => {
-                buf.put_u8(7);
-                from.encode(buf);
-                to.encode(buf);
-                put_varint(buf, u64::from(*target));
-                put_varint(buf, *version);
-                put_vec(buf, entries);
-                buf.put_u8(u8::from(*last));
-            }
-            KvCommand::GetMap => buf.put_u8(8),
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(match get_tag(buf, "kv command")? {
-            0 => KvCommand::Read {
-                key: String::decode(buf)?,
-            },
-            1 => KvCommand::Scan {
-                from: String::decode(buf)?,
-                to: String::decode(buf)?,
-            },
-            2 => KvCommand::Update {
-                key: String::decode(buf)?,
-                value: get_bytes(buf)?,
-            },
-            3 => KvCommand::Insert {
-                key: String::decode(buf)?,
-                value: get_bytes(buf)?,
-            },
-            4 => KvCommand::Delete {
-                key: String::decode(buf)?,
-            },
-            5 => KvCommand::Add {
-                key: String::decode(buf)?,
-                delta: get_varint(buf)?,
-            },
-            6 => KvCommand::Freeze {
-                from: String::decode(buf)?,
-                to: String::decode(buf)?,
-                target: get_varint(buf)? as u16,
-                version: get_varint(buf)?,
-            },
-            7 => KvCommand::Install {
-                from: String::decode(buf)?,
-                to: String::decode(buf)?,
-                target: get_varint(buf)? as u16,
-                version: get_varint(buf)?,
-                entries: get_vec(buf)?,
-                last: get_tag(buf, "install last")? != 0,
-            },
-            8 => KvCommand::GetMap,
-            tag => {
-                return Err(WireError::BadTag {
-                    context: "kv command",
-                    tag,
-                })
-            }
-        })
-    }
-}
-
-/// A replica's answer to a [`KvCommand`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum KvResponse {
-    /// The value for a read (`None` if absent).
-    Value(Option<Bytes>),
-    /// Matching entries for a scan (only keys owned by the answering
-    /// partition; the client merges across partitions).
-    Entries(Vec<(String, Bytes)>),
-    /// Write applied.
-    Ok,
-    /// Update/delete on a missing key.
-    NotFound,
-    /// The counter's new value after an [`KvCommand::Add`].
-    Counter(u64),
-    /// The key is owned by another partition under the replica's current
-    /// (version-stamped) map. Not executed; the client refreshes its map
-    /// (at least to `version`) and re-routes. Replaces silent misses
-    /// after a range migration moved the key.
-    Moved {
-        /// The partition that owns the key now.
-        partition: u16,
-        /// The replica's partition-map version.
-        version: u64,
-    },
-    /// The replica's partition map ([`KvCommand::GetMap`]).
-    Map {
-        /// Monotone map version (bumped by each migration cutover).
-        version: u64,
-        /// The partitioning scheme, wire-encoded
-        /// ([`crate::Partitioning`]).
-        scheme: Bytes,
-    },
-    /// The key's range is frozen by an in-flight migration; the write
-    /// was not executed. The client retries after a short backoff (with
-    /// a fresh sequence number — `Busy` is a deterministic refusal, so
-    /// the retry is still exactly-once).
-    Busy,
-}
-
-impl Wire for KvResponse {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            KvResponse::Value(v) => {
-                buf.put_u8(0);
-                v.encode(buf);
-            }
-            KvResponse::Entries(entries) => {
-                buf.put_u8(1);
-                put_vec(buf, entries);
-            }
-            KvResponse::Ok => buf.put_u8(2),
-            KvResponse::NotFound => buf.put_u8(3),
-            KvResponse::Counter(v) => {
-                buf.put_u8(4);
-                put_varint(buf, *v);
-            }
-            KvResponse::Moved { partition, version } => {
-                buf.put_u8(5);
-                put_varint(buf, u64::from(*partition));
-                put_varint(buf, *version);
-            }
-            KvResponse::Map { version, scheme } => {
-                buf.put_u8(6);
-                put_varint(buf, *version);
-                put_bytes(buf, scheme);
-            }
-            KvResponse::Busy => buf.put_u8(7),
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(match get_tag(buf, "kv response")? {
-            0 => KvResponse::Value(Option::<Bytes>::decode(buf)?),
-            1 => KvResponse::Entries(get_vec(buf)?),
-            2 => KvResponse::Ok,
-            3 => KvResponse::NotFound,
-            4 => KvResponse::Counter(get_varint(buf)?),
-            5 => KvResponse::Moved {
-                partition: get_varint(buf)? as u16,
-                version: get_varint(buf)?,
-            },
-            6 => KvResponse::Map {
-                version: get_varint(buf)?,
-                scheme: get_bytes(buf)?,
-            },
-            7 => KvResponse::Busy,
-            tag => {
-                return Err(WireError::BadTag {
-                    context: "kv response",
-                    tag,
-                })
-            }
-        })
+wire_frame! {
+    "kv response";
+    /// A replica's answer to a [`KvCommand`].
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum KvResponse {
+        /// The value for a read (`None` if absent).
+        0 => Value(Option<Bytes>),
+        /// Matching entries for a scan (only keys owned by the answering
+        /// partition; the client merges across partitions).
+        1 => Entries(Vec<(String, Bytes)>),
+        /// Write applied.
+        2 => Ok,
+        /// Update/delete on a missing key.
+        3 => NotFound,
+        /// The counter's new value after an [`KvCommand::Add`].
+        4 => Counter(u64),
+        /// The key is owned by another partition under the replica's current
+        /// (version-stamped) map. Not executed; the client refreshes its map
+        /// (at least to `version`) and re-routes. Replaces silent misses
+        /// after a range migration moved the key.
+        5 => Moved {
+            /// The partition that owns the key now.
+            partition: u16,
+            /// The replica's partition-map version.
+            version: u64,
+        },
+        /// The replica's partition map ([`KvCommand::GetMap`]).
+        6 => Map {
+            /// Monotone map version (bumped by each migration cutover).
+            version: u64,
+            /// The partitioning scheme, wire-encoded
+            /// ([`crate::Partitioning`]).
+            scheme: Bytes,
+        },
+        /// The key's range is frozen by an in-flight migration; the write
+        /// was not executed. The client retries after a short backoff (with
+        /// a fresh sequence number — `Busy` is a deterministic refusal, so
+        /// the retry is still exactly-once).
+        7 => Busy,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use common::wire::Wire;
+
+    #[test]
+    fn install_last_is_a_strict_bool() {
+        let install = |last| KvCommand::Install {
+            from: "a".into(),
+            to: "b".into(),
+            target: 1,
+            version: 2,
+            entries: Vec::new(),
+            last,
+        };
+        let mut raw = install(true).to_bytes().to_vec();
+        *raw.last_mut().unwrap() = 2;
+        assert!(matches!(
+            KvCommand::decode(&mut Bytes::from(raw)),
+            Err(common::error::WireError::BadTag { tag: 2, .. })
+        ));
+        rt(install(false));
+    }
 
     fn rt(cmd: KvCommand) {
         let mut b = cmd.to_bytes();

@@ -5,38 +5,40 @@
 //! the coordination service ([`coord::Registry::set_meta`]) so every client
 //! and replica routes identically.
 
-use bytes::{BufMut, Bytes, BytesMut};
-use common::error::WireError;
 use common::ids::PartitionId;
-use common::wire::{get_tag, get_varint, put_varint, Wire};
+use common::wire::Wire;
+use common::wire_frame;
 
 use crate::command::KvCommand;
 
-/// How keys map to partitions.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Partitioning {
-    /// `partition = hash(key) mod n`.
-    Hash {
-        /// Number of partitions.
-        partitions: u16,
-    },
-    /// Ordered ranges: partition `i` owns keys in
-    /// `bounds[i-1] .. bounds[i]` (with open ends). `bounds` has
-    /// `partitions − 1` entries, sorted ascending.
-    Range {
-        /// Upper (exclusive) bounds of each partition except the last.
-        bounds: Vec<String>,
-    },
-    /// A general key-range table: entry `(start, partition)` owns keys in
-    /// `start ..` up to the next entry's start. Entries are sorted by
-    /// `start` ascending and the first entry's start is the empty string
-    /// (−∞). Unlike [`Partitioning::Range`], partitions may own multiple
-    /// non-contiguous ranges — the shape live range migration produces
-    /// when a slice of a hot partition moves elsewhere.
-    Table {
-        /// `(range start, owning partition)`, sorted by start.
-        entries: Vec<(String, u16)>,
-    },
+wire_frame! {
+    "partitioning";
+    /// How keys map to partitions.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum Partitioning {
+        /// `partition = hash(key) mod n`.
+        0 => Hash {
+            /// Number of partitions.
+            partitions: u16,
+        },
+        /// Ordered ranges: partition `i` owns keys in
+        /// `bounds[i-1] .. bounds[i]` (with open ends). `bounds` has
+        /// `partitions − 1` entries, sorted ascending.
+        1 => Range {
+            /// Upper (exclusive) bounds of each partition except the last.
+            bounds: Vec<String>,
+        },
+        /// A general key-range table: entry `(start, partition)` owns keys in
+        /// `start ..` up to the next entry's start. Entries are sorted by
+        /// `start` ascending and the first entry's start is the empty string
+        /// (−∞). Unlike [`Partitioning::Range`], partitions may own multiple
+        /// non-contiguous ranges — the shape live range migration produces
+        /// when a slice of a hot partition moves elsewhere.
+        2 => Table {
+            /// `(range start, owning partition)`, sorted by start.
+            entries: Vec<(String, u16)>,
+        },
+    }
 }
 
 impl Partitioning {
@@ -191,63 +193,6 @@ pub(crate) fn fnv1a_str(s: &str) -> u64 {
         hash = hash.wrapping_mul(PRIME);
     }
     hash
-}
-
-impl Wire for Partitioning {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            Partitioning::Hash { partitions } => {
-                buf.put_u8(0);
-                put_varint(buf, u64::from(*partitions));
-            }
-            Partitioning::Range { bounds } => {
-                buf.put_u8(1);
-                put_varint(buf, bounds.len() as u64);
-                for b in bounds {
-                    b.encode(buf);
-                }
-            }
-            Partitioning::Table { entries } => {
-                buf.put_u8(2);
-                put_varint(buf, entries.len() as u64);
-                for (start, owner) in entries {
-                    start.encode(buf);
-                    put_varint(buf, u64::from(*owner));
-                }
-            }
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(match get_tag(buf, "partitioning")? {
-            0 => Partitioning::Hash {
-                partitions: get_varint(buf)? as u16,
-            },
-            1 => {
-                let n = get_varint(buf)?;
-                let mut bounds = Vec::new();
-                for _ in 0..n {
-                    bounds.push(String::decode(buf)?);
-                }
-                Partitioning::Range { bounds }
-            }
-            2 => {
-                let n = get_varint(buf)?;
-                let mut entries = Vec::new();
-                for _ in 0..n {
-                    let start = String::decode(buf)?;
-                    entries.push((start, get_varint(buf)? as u16));
-                }
-                Partitioning::Table { entries }
-            }
-            tag => {
-                return Err(WireError::BadTag {
-                    context: "partitioning",
-                    tag,
-                })
-            }
-        })
-    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use bytes::{Bytes, BytesMut};
 use common::ids::{PartitionId, RingId};
 use common::value::Envelope;
-use common::wire::{get_varint, put_varint, Wire};
+use common::wire::{get_varint, get_varint_as, put_varint, Wire};
 use multiring::{ServiceApp, SnapshotCut};
 
 use crate::command::{KvCommand, KvResponse};
@@ -346,7 +346,7 @@ impl SchemeTrailer {
             _ => Some(FrozenRange {
                 from: String::decode(raw).ok()?,
                 to: String::decode(raw).ok()?,
-                target: get_varint(raw).ok()? as u16,
+                target: get_varint_as(raw).ok()?,
                 version: get_varint(raw).ok()?,
             }),
         };

@@ -427,7 +427,7 @@ impl SessionTable {
         let rings = get_varint(raw)?;
         let mut next_ids = BTreeMap::new();
         for _ in 0..rings {
-            let ring = RingId::new(get_varint(raw)? as u16);
+            let ring = RingId::decode(raw)?;
             next_ids.insert(ring, get_varint(raw)?);
         }
         let tick = get_varint(raw)?;

@@ -53,6 +53,7 @@ use common::obs::{Counter, Gauge};
 use common::time::SimTime;
 use common::value::{Value, ValueId, ValueKind};
 use common::wire::coord::CoordOp;
+use common::wire::Wire;
 use coord::Registry;
 use coord::RingConfig;
 use storage::AcceptorLog;
@@ -1597,7 +1598,7 @@ impl RingNode {
             out.sends.push((self.successor(), msg));
             return;
         }
-        self.batch_bytes += msg.wire_size();
+        self.batch_bytes += msg.encoded_len();
         self.batch.push(msg);
         if self.batch_bytes >= policy.max_bytes {
             self.flush_batch(out);
@@ -2482,7 +2483,6 @@ mod tests {
         );
 
         // And structurally: an id-only decision encodes tiny.
-        use common::wire::Wire;
         let d = RingMsg::Decision {
             inst: InstanceId::new(3),
             ballot: Ballot::new(1, NodeId::new(0)),

@@ -11,6 +11,7 @@ use common::ids::{Ballot, InstanceId};
 use common::msg::AcceptedEntry;
 use common::time::SimTime;
 use common::value::Value;
+use common::wire::Wire;
 use std::collections::BTreeMap;
 
 use crate::profile::{DiskTimeline, StorageMode, WriteReceipt};
@@ -82,7 +83,7 @@ impl AcceptorLog {
         now: SimTime,
     ) -> WriteReceipt {
         debug_assert!(ballot >= self.promised, "accept below promise");
-        let receipt = self.disk.write(16 + value.wire_size(), now);
+        let receipt = self.disk.write(16 + value.encoded_len(), now);
         // Re-accepting an instance (higher ballot after failover) appends
         // to the on-disk log; the slot stays durable from its *first*
         // durable write — a crash between the two flushes must not erase
