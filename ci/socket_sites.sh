@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Socket-site guard: "one place a socket is opened", enforced — and "one
-# thread per loop", enforced.
+# Socket-site and layering guard: "one place a socket is opened",
+# enforced — and "one thread per loop", and the layering rules below.
 #
 # The protocol state machines are sans-IO and nothing may sit on a socket
 # in a thread of its own, so every bind/accept/connect lives in liverun's
@@ -43,6 +43,15 @@
 # `fn new`; and a coordination backend (`impl Coord for`) exists only in
 # crates/coord/src and the coordination link (crates/liverun/src/link.rs)
 # — no driver fakes coordination behind a registry.
+#
+# One sans-IO contract, two drivers: `Process`/`Ctx`/`Timer` and the
+# coordination ask live in `common` (`common::process`,
+# `common::wire::coord`), and the simulator is one driver of them, the
+# live node loop the other. So non-test code under the src of common,
+# coord, storage, ringpaxos, multiring, liverun, mrpstore and dlog names
+# no `simnet`; crates/liverun/Cargo.toml does not list it at all, and
+# crates/multiring/Cargo.toml lists it only under `[dev-dependencies]`
+# (its simulation tests).
 #
 # "Non-test" is everything above a file's top-level `#[cfg(test)]`
 # module; comment lines do not count.
@@ -96,9 +105,18 @@ done
 mapfile -t backends < <(find crates -path 'crates/*/src/*' -name '*.rs' \
     ! -path 'crates/coord/src/*' ! -path crates/liverun/src/link.rs | sort)
 scan 'impl[[:space:]]+Coord[[:space:]]+for' "${backends[@]}" || fail=1
+mapfile -t drivers_of < <(find crates/{common,coord,storage,ringpaxos,multiring,liverun,mrpstore,dlog}/src \
+    -name '*.rs' | sort)
+scan '(^|[^[:alnum:]_])simnet([^[:alnum:]_]|$)' "${drivers_of[@]}" || fail=1
+grep -Hn 'simnet' crates/liverun/Cargo.toml && fail=1
+awk '
+    /^\[/ { dev = ($0 == "[dev-dependencies]") }
+    /simnet/ && !dev { print FILENAME ":" FNR ": " $0; found = 1 }
+    END { exit found }
+' crates/multiring/Cargo.toml || fail=1
 
 if [ "$fail" -ne 0 ]; then
-    echo "socket sites: FAILED — open sockets and call foreign code through liverun::net (crates/liverun/src/net.rs), let the loop thread own them, open client sessions only through multiring's SessionCore, speak only client protocol v2, and ask coordination by message" >&2
+    echo "socket sites: FAILED — open sockets and call foreign code through liverun::net (crates/liverun/src/net.rs), let the loop thread own them, open client sessions only through multiring's SessionCore, speak only client protocol v2, ask coordination by message, and drive protocol code through common::process, not simnet" >&2
     exit 1
 fi
-echo "socket sites: ok (every socket is opened and every foreign call made in liverun::net; no thread sits on one; one client session machine; one client protocol; coordination is a message)"
+echo "socket sites: ok (every socket is opened and every foreign call made in liverun::net; no thread sits on one; one client session machine; one client protocol; coordination is a message; the sans-IO contract is not the simulator's)"

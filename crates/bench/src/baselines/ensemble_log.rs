@@ -12,9 +12,9 @@
 use bytes::Bytes;
 use common::ids::NodeId;
 use common::msg::Msg;
+use common::process::{Ctx, Process, Timer};
 use common::wire::Wire;
 use common::wire_frame;
-use simnet::{Ctx, Process, Timer};
 use std::time::Duration;
 use storage::{DiskProfile, DiskTimeline, StorageMode};
 

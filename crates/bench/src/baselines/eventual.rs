@@ -14,10 +14,10 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 use common::ids::NodeId;
 use common::msg::Msg;
+use common::process::{Ctx, Process, Timer};
 use common::time::SimTime;
 use common::wire::Wire;
 use common::wire_frame;
-use simnet::{Ctx, Process, Timer};
 use std::time::Duration;
 use storage::{DiskTimeline, StorageMode};
 

@@ -10,9 +10,9 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 use common::ids::NodeId;
 use common::msg::Msg;
+use common::process::{Ctx, Process, Timer};
 use common::wire::Wire;
 use common::wire_frame;
-use simnet::{Ctx, Process, Timer};
 use storage::{DiskTimeline, StorageMode};
 
 /// `Msg::Custom` tag for the single-node protocol.

@@ -21,13 +21,14 @@ use bytes::Bytes;
 use common::hist::Histogram;
 use common::ids::{NodeId, PartitionId, RingId};
 use common::msg::Msg;
+use common::process::{Ctx, Process, Timer};
 use common::wire::Wire;
 use common::SimTime;
 use mrpstore::{KvApp, KvCommand, Partitioning};
 use multiring::client::{ClosedLoopClient, CommandSpec, SharedClientStats};
 use multiring::{HostOptions, SessionApp, SessionLimits};
 use ringpaxos::options::{BatchPolicy, RateLeveling, RingOptions};
-use simnet::{CpuModel, Ctx, Process, Sim, Timer, Topology};
+use simnet::{CpuModel, Sim, Topology};
 use storage::{DiskProfile, StorageMode};
 use workloads::{Op, Workload, WorkloadSpec};
 

@@ -17,6 +17,7 @@ use bytes::Bytes;
 use common::hist::Histogram;
 use common::ids::{NodeId, PartitionId, RingId};
 use common::msg::Msg;
+use common::process::{Ctx, Process, Timer};
 use common::wire::Wire;
 use common::SimTime;
 use coord::{PartitionInfo, Registry, RingConfig};
@@ -24,7 +25,7 @@ use dlog::{DlogApp, LogCommand};
 use multiring::client::{ClosedLoopClient, CommandSpec};
 use multiring::{HostOptions, MultiRingHost, SessionApp};
 use ringpaxos::options::RingOptions;
-use simnet::{CoordProcess, CpuModel, Ctx, Process, Sim, Timer, Topology};
+use simnet::{CoordProcess, CpuModel, Sim, Topology};
 use storage::{DiskProfile, StorageMode};
 
 use bench::baselines::ensemble_log::{

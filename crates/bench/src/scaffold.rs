@@ -10,11 +10,12 @@ use bytes::Bytes;
 use common::hist::Histogram;
 use common::ids::{ClientId, NodeId, PartitionId, RingId};
 use common::msg::Msg;
+use common::process::{Ctx, Process, Timer};
 use common::time::SimTime;
 use coord::{PartitionInfo, Registry, RingConfig};
 use multiring::client::SharedClientStats;
 use multiring::{HostOptions, MultiRingHost, ServiceApp};
-use simnet::{CoordProcess, CpuModel, Ctx, Process, Sim, Timer};
+use simnet::{CoordProcess, CpuModel, Sim};
 
 /// A deployed service: partitions, their rings and replicas.
 pub struct Deployment {

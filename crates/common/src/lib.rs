@@ -13,9 +13,13 @@
 //!   Paxos phases, client traffic, recovery and trimming.
 //! * [`wire`] — a compact, hand-rolled binary codec ([`wire::Wire`]) with
 //!   varint framing, used for on-disk logs and TCP transport.
+//! * [`process`] — the sans-IO contract: the [`process::Process`] trait
+//!   every protocol state machine implements, the [`process::Ctx`] it
+//!   acts through, and the effects buffer and timer heap its two drivers
+//!   (the `simnet` simulator and the `liverun` node loop) share.
 //! * [`transport`] — live-runtime building blocks shared by every real
-//!   (non-simulated) event loop: wall-clock↔[`SimTime`] mapping, timer
-//!   heaps, peer-frame reassembly and sans-IO link shaping.
+//!   (non-simulated) event loop: wall-clock↔[`SimTime`] mapping,
+//!   peer-frame reassembly and sans-IO link shaping.
 //! * [`geo`] — the shared WAN world: EC2 regions, the 2014 RTT matrix
 //!   and named profiles both `simnet` and `liverun::netem` build from.
 //! * [`hist`] — a log-bucketed latency histogram shared by the simulator
@@ -44,6 +48,7 @@ pub mod hist;
 pub mod ids;
 pub mod msg;
 pub mod obs;
+pub mod process;
 pub mod time;
 pub mod transport;
 pub mod value;

@@ -1,10 +1,9 @@
 //! Shared live-transport building blocks.
 //!
-//! The sans-IO protocol state machines ([`crate::msg::Msg`] in, effects
-//! out) are driven by two very different runtimes: the discrete-event
-//! simulator and the live OS-thread event loops of `liverun` (the node
-//! loop both `amcastd` and `amcoordd` run, netem's shaping loop). The
-//! live loops share a few
+//! The sans-IO protocol state machines ([`crate::process`]) are driven by
+//! two very different runtimes: the discrete-event simulator and the live
+//! OS-thread event loops of `liverun` (the node loop both `amcastd` and
+//! `amcoordd` run, netem's shaping loop). The live loops share a few
 //! mechanical concerns, collected here so every one of them — and the
 //! network clients on the other end — agrees on them (the sockets
 //! themselves are `liverun::net`'s business):
@@ -12,15 +11,11 @@
 //! * [`WallClock`] — maps wall-clock `Instant`s onto the virtual
 //!   [`SimTime`] axis the protocol code reasons in. All nodes of one
 //!   deployment share an epoch so their `SimTime`s are comparable.
-//! * [`TimerHeap`] — a monotonic min-heap of `(deadline, payload)` pairs
-//!   driving `recv_timeout`-style event loops.
 //! * [`PeerFrame`] — the length-delimited frame exchanged between peer
 //!   nodes on TCP connections: sender id plus a [`Msg`].
 //! * [`FrameBuf`] — reassembles length-delimited frames from the byte
 //!   chunks a socket read loop produces.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
 use bytes::{Buf, Bytes, BytesMut};
@@ -71,109 +66,6 @@ impl WallClock {
     /// The wall-clock instant corresponding to virtual time `t`.
     pub fn instant_of(&self, t: SimTime) -> Instant {
         self.epoch + Duration::from_nanos(t.as_nanos())
-    }
-}
-
-struct HeapEntry<T> {
-    at: Instant,
-    /// Tie-breaker preserving insertion order among equal deadlines.
-    seq: u64,
-    payload: T,
-}
-
-impl<T> PartialEq for HeapEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<T> Eq for HeapEntry<T> {}
-impl<T> PartialOrd for HeapEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for HeapEntry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// A min-heap of timers for live event loops.
-pub struct TimerHeap<T> {
-    heap: BinaryHeap<HeapEntry<T>>,
-    seq: u64,
-}
-
-impl<T> Default for TimerHeap<T> {
-    fn default() -> Self {
-        TimerHeap {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-}
-
-impl<T> TimerHeap<T> {
-    /// An empty heap.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `payload` to fire at `at`.
-    pub fn push_at(&mut self, at: Instant, payload: T) {
-        self.seq += 1;
-        self.heap.push(HeapEntry {
-            at,
-            seq: self.seq,
-            payload,
-        });
-    }
-
-    /// Schedules `payload` to fire `after` from now.
-    pub fn push_after(&mut self, after: Duration, payload: T) {
-        self.push_at(Instant::now() + after, payload);
-    }
-
-    /// The earliest deadline, if any timer is pending.
-    pub fn next_deadline(&self) -> Option<Instant> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// How long an event loop may sleep before the next timer is due;
-    /// `default` when no timer is pending.
-    pub fn sleep_for(&self, default: Duration) -> Duration {
-        match self.next_deadline() {
-            Some(at) => at.saturating_duration_since(Instant::now()),
-            None => default,
-        }
-    }
-
-    /// Pops the next timer if its deadline has passed.
-    pub fn pop_due(&mut self, now: Instant) -> Option<T> {
-        if self.heap.peek().map(|e| e.at <= now).unwrap_or(false) {
-            Some(self.heap.pop().expect("peeked").payload)
-        } else {
-            None
-        }
-    }
-
-    /// Number of pending timers.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no timers are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drops all pending timers.
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -459,36 +351,6 @@ mod tests {
         let t = SimTime::from_millis(5);
         let i = clock.instant_of(t);
         assert!(i >= clock.epoch());
-    }
-
-    #[test]
-    fn timer_heap_pops_in_deadline_order() {
-        let mut heap = TimerHeap::new();
-        let now = Instant::now();
-        heap.push_at(now + Duration::from_millis(30), 3u32);
-        heap.push_at(now + Duration::from_millis(10), 1u32);
-        heap.push_at(now + Duration::from_millis(20), 2u32);
-        assert_eq!(heap.len(), 3);
-
-        let later = now + Duration::from_millis(25);
-        assert_eq!(heap.pop_due(later), Some(1));
-        assert_eq!(heap.pop_due(later), Some(2));
-        assert_eq!(heap.pop_due(later), None, "30ms timer not yet due");
-        assert_eq!(heap.next_deadline(), Some(now + Duration::from_millis(30)));
-    }
-
-    #[test]
-    fn timer_heap_preserves_insertion_order_on_ties() {
-        let mut heap = TimerHeap::new();
-        let at = Instant::now();
-        for i in 0..10u32 {
-            heap.push_at(at, i);
-        }
-        let mut got = Vec::new();
-        while let Some(v) = heap.pop_due(at) {
-            got.push(v);
-        }
-        assert_eq!(got, (0..10).collect::<Vec<_>>());
     }
 
     #[test]

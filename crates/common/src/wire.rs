@@ -721,6 +721,11 @@ pub mod coord {
     //! serving replica answers a `WatchAll` itself, then sends the events
     //! of every command it applies as further replies to that request.
     //!
+    //! A protocol state machine asks coordination the same way, by
+    //! message: [`ask`] is a session-less request addressed to
+    //! [`COORD_NODE`], its driver routes it like any other send, and
+    //! [`answered`] reads the [`answer`] that comes back.
+    //!
     //! Configuration objects cross the wire in flattened form
     //! ([`RingConfigWire`], [`PartitionWire`]) so this protocol can live in
     //! `common` below the `coord` crate that owns the rich types.
@@ -740,9 +745,12 @@ pub mod coord {
     //! `REGEN_WIRE_VECTORS=1 cargo test -p common --test
     //! wire_vectors_coord` and review the diff as an interface change.
 
+    use super::client::{frame_ok, parse_reply, ClientMsg, ClientReply, ST_OK};
     use super::{get_vec, put_vec, Wire};
     use crate::error::WireError;
-    use crate::ids::{Epoch, NodeId, PartitionId, RingId, SessionId};
+    use crate::ids::{Epoch, NodeId, PartitionId, RequestId, RingId, SessionId};
+    use crate::msg::Msg;
+    use crate::value::NO_SESSION;
     use bytes::{Bytes, BytesMut};
 
     wire_frame! {
@@ -1104,6 +1112,73 @@ pub mod coord {
     pub fn decode_reply(payload: &Bytes) -> Result<(CoordResult, Vec<CoordEvent>), WireError> {
         let mut raw = payload.clone();
         Ok((CoordResult::decode(&mut raw)?, get_vec(&mut raw)?))
+    }
+
+    /// The ring an `amcoordd` ensemble orders its own log on, and the
+    /// group every coordination request names.
+    pub const COORD_RING: RingId = RingId::new(0);
+
+    /// The node id every coordination ask is addressed to. Drivers map it
+    /// onto wherever coordination lives: the simulator to a simulated
+    /// coordination process, the live node loop to its registry or its
+    /// link to an `amcoordd` ensemble.
+    pub const COORD_NODE: NodeId = NodeId::new(u32::MAX);
+
+    /// Coordination as a message: the session-less protocol-v2 request on
+    /// [`COORD_RING`] asking for `op`, correlated by `seq` — the frame an
+    /// `amcoordd` replica reads.
+    pub fn ask(seq: u64, op: &CoordOp) -> Msg {
+        Msg::Client(ClientMsg::RequestV2 {
+            session: NO_SESSION,
+            seq: RequestId::new(seq),
+            ack: 0,
+            group: COORD_RING,
+            cmd: op.to_bytes(),
+        })
+    }
+
+    /// The sequence number and operation of an [`ask`]; `None` for any
+    /// other message.
+    pub fn asked(msg: &Msg) -> Option<(u64, CoordOp)> {
+        match msg {
+            Msg::Client(ClientMsg::RequestV2 {
+                session: NO_SESSION,
+                seq,
+                group: COORD_RING,
+                cmd,
+                ..
+            }) => Some((seq.raw(), CoordOp::decode(&mut cmd.clone()).ok()?)),
+            _ => None,
+        }
+    }
+
+    /// The response answering ask `seq` with `result`, framed as an
+    /// `amcoordd` replica frames its session-less replies.
+    pub fn answer(seq: u64, from: NodeId, result: crate::Result<CoordOk>) -> Msg {
+        let result: CoordResult = result.map_err(|e| e.to_string());
+        Msg::Reply(ClientReply::ResponseV2 {
+            session: NO_SESSION,
+            seq: RequestId::new(seq),
+            from_replica: from,
+            payload: frame_ok(&encode_reply(&result, &[])),
+        })
+    }
+
+    /// The sequence number and result of an [`answer`]; `None` for any
+    /// other reply.
+    pub fn answered(reply: &ClientReply) -> Option<(u64, CoordResult)> {
+        match reply {
+            ClientReply::ResponseV2 {
+                session: NO_SESSION,
+                seq,
+                payload,
+                ..
+            } => match parse_reply(payload)? {
+                (ST_OK, body) => Some((seq.raw(), decode_reply(&body).ok()?.0)),
+                _ => None,
+            },
+            _ => None,
+        }
     }
 
     #[cfg(test)]

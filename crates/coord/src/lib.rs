@@ -19,7 +19,8 @@
 //! the crate that can see sockets and Ring Paxos: it is an ordinary
 //! protocol-v2 session, driven by the same session machine as every data
 //! client, and an `amcoordd` replica is the data node's loop hosting
-//! [`CoordState`] on a ring of its own ([`COORD_RING`]), under the same
+//! [`CoordState`] on a ring of its own
+//! ([`COORD_RING`](common::wire::coord::COORD_RING)), under the same
 //! session table as every data node.
 //!
 //! Like Zookeeper in the paper, the registry sits *off* the critical
@@ -35,7 +36,3 @@ pub use local::LocalCoord;
 pub use registry::{Coord, PartitionInfo, Registry};
 pub use ring_config::RingConfig;
 pub use state::CoordState;
-
-/// The ring an `amcoordd` ensemble orders its own log on, and the group
-/// every coordination request names.
-pub const COORD_RING: common::ids::RingId = common::ids::RingId::new(0);

@@ -15,8 +15,8 @@
 //! Once built, ring nodes and hosts no longer call it: they ask
 //! coordination by message (a failure report, a config read, a rejoin)
 //! and their driver routes the ask — the simulator to a coordination
-//! process, the live node loop to its registry or its link — and answers
-//! with [`Registry::call`]'s result.
+//! process, the live node loop to its registry or its link — and the
+//! registry answers it with [`Registry::answer`].
 //!
 //! Like Zookeeper in the paper (§7.1), coordination sits *off* the
 //! critical message path: processes consult it at configuration time and
@@ -28,8 +28,9 @@ use std::sync::Arc;
 use bytes::Bytes;
 use common::error::{Error, Result};
 use common::ids::{Epoch, NodeId, PartitionId, RingId, SessionId};
+use common::msg::Msg;
 use common::wire::coord::{
-    CoordOk, CoordOp, ElectOutcome, EphemeralEntry, PartitionWire, RingConfigWire,
+    answer, asked, CoordOk, CoordOp, ElectOutcome, EphemeralEntry, PartitionWire, RingConfigWire,
 };
 
 use crate::ring_config::RingConfig;
@@ -119,14 +120,22 @@ impl Registry {
         &self.backend
     }
 
-    /// Applies one operation: how a driver answers a coordination ask
-    /// that arrived as a message.
+    /// Applies one operation.
     ///
     /// # Errors
     ///
     /// Fails if the backend refuses the operation.
     pub fn call(&self, op: CoordOp) -> Result<CoordOk> {
         self.backend.call(op)
+    }
+
+    /// Answers a coordination ask that arrived as a message
+    /// ([`common::wire::coord::ask`]) from node `me`: how every driver
+    /// that holds the registry itself applies an ask. `None` for any
+    /// other message.
+    pub fn answer(&self, msg: &Msg, me: NodeId) -> Option<Msg> {
+        let (seq, op) = asked(msg)?;
+        Some(answer(seq, me, self.call(op)))
     }
 
     /// Registers a ring configuration.

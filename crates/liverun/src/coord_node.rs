@@ -59,9 +59,11 @@ use common::obs::{Counter, Obs};
 use common::transport::WallClock;
 use common::value::{Envelope, NO_SESSION, SESSION_CTL};
 use common::wire::client::{parse_reply, ClientMsg, ClientReply, FEAT_ALL, ST_OK};
-use common::wire::coord::{decode_reply, encode_reply, CoordOk, CoordOp, RingConfigWire};
+use common::wire::coord::{
+    decode_reply, encode_reply, CoordOk, CoordOp, RingConfigWire, COORD_RING,
+};
 use common::wire::Wire;
-use coord::{CoordState, PartitionInfo, Registry, RingConfig, COORD_RING};
+use coord::{CoordState, PartitionInfo, Registry, RingConfig};
 use multiring::session::frame_ok;
 use multiring::{HostOptions, MultiRingHost, ServiceApp, SessionApp, SessionLimits};
 use ringpaxos::options::RingOptions;

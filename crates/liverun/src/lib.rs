@@ -28,7 +28,10 @@
 //! * [`config`] — the deployment document `amcastd` reads; one file
 //!   describes the whole cluster.
 //! * [`node`] — the per-node event loop driving a [`multiring::MultiRingHost`]
-//!   through [`simnet::Ctx::external`].
+//!   through the sans-IO contract of [`common::process`]: a
+//!   [`Ctx`](common::process::Ctx) lent out of the loop's one
+//!   [`Effects`](common::process::Effects) buffer, the same contract the
+//!   simulator drives.
 //! * `net` (crate-private) — the one place a socket is opened, and the
 //!   readiness loop (a persistent `epoll(7)` set, one `epoll_pwait2` per
 //!   turn) that every loop and the network client

@@ -38,7 +38,8 @@
 //! answer to its own id arrives. A node loop takes the link itself
 //! ([`LinkCoord::hand_over`]): it routes its host's coordination asks to
 //! it, dials its replica on the loop's own `Net`, feeds it what arrived
-//! and the turn clock, and sends what it queued with [`flush`].
+//! and the turn clock, and sends what it queued with the crate-private
+//! `flush`.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -56,9 +57,10 @@ use common::value::NO_SESSION;
 use common::wire::client::{parse_reply, ClientMsg, ClientReply, FEAT_ALL};
 use common::wire::coord::{
     decode_reply, CoordEvent, CoordOk, CoordOp, ElectOutcome, PartitionWire, RingConfigWire,
+    COORD_RING,
 };
 use common::wire::Wire;
-use coord::{Coord, Registry, COORD_RING};
+use coord::{Coord, Registry};
 use multiring::client::{Action, SessionCore};
 
 use crate::net::{Event, Net, Reader};

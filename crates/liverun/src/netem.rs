@@ -40,7 +40,8 @@ use bytes::Bytes;
 use common::error::{Error, Result};
 use common::ids::NodeId;
 use common::obs::{Counter, Obs};
-use common::transport::{LinkPolicy, LinkShaper, ShapeDecision, TimerHeap};
+use common::process::TimerHeap;
+use common::transport::{LinkPolicy, LinkShaper, ShapeDecision};
 use crossbeam::channel::{bounded, Sender};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -474,7 +475,7 @@ struct Shaper {
     /// Relays by listener address.
     relays: HashMap<SocketAddr, Relay>,
     ends: HashMap<ConnId, End>,
-    timers: TimerHeap<Due>,
+    timers: TimerHeap<Instant, Due>,
 }
 
 impl Shaper {

@@ -8,11 +8,11 @@
 //! ready connection — [`PeerFrame`]s from peers, the
 //! [`common::wire::client`] protocol from clients and, on the node's
 //! coordination link, from the coordination service — feeds what arrived
-//! into the host through
-//! [`Ctx::external`], fires due timers, seals batches, and routes the
-//! emitted sends onto peer links and client connections, which the next
-//! wait writes out. A frame is received, ordered, executed and answered
-//! without leaving the thread: delivered commands execute inline, in
+//! into the host through a [`Ctx`](common::process::Ctx) lent out of the
+//! loop's one [`Effects`] buffer, fires due timers, seals batches, and
+//! routes the emitted sends onto peer links and client connections, which
+//! the next wait writes out. A frame is received, ordered, executed and
+//! answered without leaving the thread: delivered commands execute inline, in
 //! merge order, through the node's one [`ServiceApp`] stack. Only the
 //! short-lived dial helper runs beside the loop, and the loop's one mail
 //! is `Shutdown`.
@@ -44,14 +44,13 @@ use common::error::Result;
 use common::ids::{ClientId, NodeId, RingId};
 use common::msg::Msg;
 use common::obs::{Hist, Obs, WireCounters};
-use common::transport::{PeerFrame, TimerHeap, WallClock};
+use common::process::{Effects, Process, Timer, TimerHeap};
+use common::transport::{PeerFrame, WallClock};
 use common::value::Envelope;
 use common::wire::client::{ClientMsg, ClientReply, ErrorCode, FEAT_ALL};
+use common::wire::coord::{answer, asked, COORD_NODE};
 use coord::Registry;
 use multiring::{HostOptions, MultiRingHost, ServiceApp};
-use rand::{rngs::StdRng, SeedableRng};
-use simnet::coordination::{answer, asked};
-use simnet::{Ctx, Process, Timer, COORD_NODE};
 
 use crate::batch::{BatchOptions, Batcher};
 use crate::coord_node::CoordFront;
@@ -180,13 +179,16 @@ impl Coordination {
     /// registry answers on the host's next turn; across a cut WAN the ask
     /// is lost like any other frame.
     fn ask(&mut self, msg: &Msg, local: &mut Vec<Msg>) {
-        let Some((seq, op)) = asked(msg) else { return };
         if (self.netem.as_ref()).is_some_and(|netem| !netem.reaches_coordination(self.me)) {
             return;
         }
         match &mut self.link {
-            Some(link) => link.ask(seq, op, Instant::now()),
-            None => local.push(answer(seq, self.me, self.registry.call(op))),
+            Some(link) => {
+                if let Some((seq, op)) = asked(msg) {
+                    link.ask(seq, op, Instant::now());
+                }
+            }
+            None => local.extend(self.registry.answer(msg, self.me)),
         }
     }
 
@@ -434,25 +436,16 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
     );
     credit_window.set(credit.window as i64);
     let mut next_credit_tick = Instant::now() + CREDIT_TICK;
-    let mut timers: TimerHeap<Timer> = TimerHeap::new();
-    let mut rng = StdRng::seed_from_u64(u64::from(me.raw()) ^ 0xa3c59ac2f1f0b7d1);
-    let mut outbox: Vec<(NodeId, Msg)> = Vec::new();
-    let mut timer_reqs: Vec<(common::SimTime, Timer)> = Vec::new();
+    let mut timers: TimerHeap<Instant, Timer> = TimerHeap::new();
+    let mut fx = Effects::new(u64::from(me.raw()) ^ 0xa3c59ac2f1f0b7d1);
 
-    macro_rules! with_ctx {
-        (|$ctx:ident| $body:expr) => {{
-            let mut $ctx = Ctx::external(clock.now(), me, &mut outbox, &mut timer_reqs, &mut rng);
-            $body;
-        }};
-    }
     macro_rules! route {
         () => {{
             if let Some(front) = &mut coord_front {
-                front.fan_out(&outbox, &mut net);
+                front.fan_out(fx.sends(), &mut net);
             }
             route_effects(
-                &mut outbox,
-                &mut timer_reqs,
+                &mut fx,
                 &mut transport,
                 &mut net,
                 &clients,
@@ -467,7 +460,7 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
         }};
     }
 
-    with_ctx!(|ctx| if restart {
+    if restart {
         // A restarted process lost its volatile state; run the host's
         // crash path so it rebuilds from stable storage + partition peers.
         host.on_crash(clock.now());
@@ -477,10 +470,10 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
             .duration_since(std::time::UNIX_EPOCH)
             .map_or(0, |d| d.as_micros() as u64);
         host.reserve_value_ids(micros);
-        host.on_restart(&mut ctx)
+        host.on_restart(&mut fx.ctx(clock.now(), me));
     } else {
-        host.on_start(&mut ctx)
-    });
+        host.on_start(&mut fx.ctx(clock.now(), me));
+    }
     route!();
 
     loop {
@@ -497,13 +490,13 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
         // instead of paying the full turn per message.
         net.wait(sleep, &mut events);
         for msg in local.drain(..) {
-            with_ctx!(|ctx| host.on_message(me, msg, &mut ctx));
+            host.on_message(me, msg, &mut fx.ctx(clock.now(), me));
         }
         for event in events.drain(..) {
             let (conn, msg) = match event {
                 Event::Frame(conn, Inbound::Client(msg)) => (conn, msg),
                 Event::Frame(_, Inbound::Peer(f)) => {
-                    with_ctx!(|ctx| host.on_message(f.from, f.msg, &mut ctx));
+                    host.on_message(f.from, f.msg, &mut fx.ctx(clock.now(), me));
                     continue;
                 }
                 Event::Frame(_, Inbound::Reply(reply)) => {
@@ -560,10 +553,9 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
                 }
                 request @ ClientMsg::RequestV2 { .. } => {
                     let client = clients.client_on[&conn];
-                    let admitted;
-                    with_ctx!(|ctx| admitted =
-                        host.admit(client, client_node_id(client), request, &mut ctx));
-                    let Some((group, env)) = admitted else {
+                    let node = client_node_id(client);
+                    let ctx = &mut fx.ctx(clock.now(), me);
+                    let Some((group, env)) = host.admit(client, node, request, ctx) else {
                         continue;
                     };
                     let front = coord_front.as_mut();
@@ -572,7 +564,7 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
                     }
                     if let Some(batch) = batcher.push(group, env, Instant::now()) {
                         note_seal(&stage_seal, &batch);
-                        with_ctx!(|ctx| host.propose_envelopes(group, batch, &mut ctx));
+                        host.propose_envelopes(group, batch, &mut fx.ctx(clock.now(), me));
                     }
                 }
                 ClientMsg::Ping { token } => {
@@ -596,11 +588,11 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
         }
         // Fire due protocol timers.
         while let Some(t) = timers.pop_due(Instant::now()) {
-            with_ctx!(|ctx| host.on_timer(t, &mut ctx));
+            host.on_timer(t, &mut fx.ctx(clock.now(), me));
         }
         for (ring, batch) in take_sealed(&mut batcher, &host, Instant::now()) {
             note_seal(&stage_seal, &batch);
-            with_ctx!(|ctx| host.propose_envelopes(ring, batch, &mut ctx));
+            host.propose_envelopes(ring, batch, &mut fx.ctx(clock.now(), me));
         }
         // Credit tick: re-derive the per-session window from this node's
         // own backlog and broadcast the change to every v2 connection.
@@ -671,24 +663,23 @@ fn note_seal(seal: &Hist, batch: &[Envelope]) {
     }
 }
 
-/// Routes one round of host effects: sends onto peer links, reply
+/// Drains one round of host effects: sends onto peer links, reply
 /// frames onto client connections as the host made them, coordination
 /// asks to `coord`, or into `local` (self-sends and coordination's
 /// answers); timer requests onto the wall-clock heap. Nothing is written
 /// here: the loop's next wait writes out what this queued.
 #[allow(clippy::too_many_arguments)]
 fn route_effects(
-    outbox: &mut Vec<(NodeId, Msg)>,
-    timer_reqs: &mut Vec<(common::SimTime, Timer)>,
+    fx: &mut Effects,
     transport: &mut PeerTransport,
     net: &mut NodeNet,
     clients: &Clients,
     local: &mut Vec<Msg>,
-    timers: &mut TimerHeap<Timer>,
+    timers: &mut TimerHeap<Instant, Timer>,
     clock: &WallClock,
     coord: &mut Coordination,
 ) {
-    for (to, msg) in outbox.drain(..) {
+    for (to, msg) in fx.drain_sends() {
         if to == COORD_NODE {
             coord.ask(&msg, local);
         } else if let Some(client) = client_of_node(to) {
@@ -701,7 +692,7 @@ fn route_effects(
             transport.send(net, to, msg);
         }
     }
-    for (at, timer) in timer_reqs.drain(..) {
+    for (at, timer) in fx.drain_timers() {
         timers.push_at(clock.instant_of(at), timer);
     }
     coord.collect(local);
@@ -754,15 +745,8 @@ mod tests {
             max_bytes: usize::MAX,
             max_delay: Duration::from_millis(200),
         });
-        let (mut outbox, mut timer_reqs) = (Vec::new(), Vec::new());
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut ctx = Ctx::external(
-            SimTime::ZERO,
-            NodeId::new(0),
-            &mut outbox,
-            &mut timer_reqs,
-            &mut rng,
-        );
+        let mut fx = Effects::new(1);
+        let mut ctx = fx.ctx(SimTime::ZERO, NodeId::new(0));
         host.on_start(&mut ctx);
         let t0 = Instant::now();
         assert_eq!(host.proposals_in_flight(r0), 0);
@@ -860,8 +844,7 @@ mod tests {
     fn a_region_cut_from_coordination_asks_in_vain_until_the_heal() {
         use crate::config::{free_port_block, generate_localhost_mrpstore, with_geo};
         use crate::DeploymentConfig;
-        use common::wire::coord::CoordOp;
-        use simnet::coordination::{answered, ask};
+        use common::wire::coord::{answered, ask, CoordOp};
 
         let base = generate_localhost_mrpstore(1, 2, free_port_block(4).unwrap(), None);
         let doc = with_geo(&base, &[("left", &[0]), ("right", &[1])], 100);

@@ -60,9 +60,8 @@ fn a_replica_is_one_loop_thread_and_shutdown_leaves_none_behind() {
     use common::wire::client::{
         parse_open_reply, parse_reply, ClientMsg, ClientReply, SessionCtl, FEAT_ALL,
     };
-    use common::wire::coord::{decode_reply, CoordOp};
+    use common::wire::coord::{decode_reply, CoordOp, COORD_RING};
     use common::wire::Wire;
-    use coord::COORD_RING;
     use std::io::{Read, Write};
 
     /// Sends `cmd` under `session` as request `seq` and reads frames until

@@ -18,6 +18,7 @@ use bytes::Bytes;
 use common::hist::Histogram;
 use common::ids::{ClientId, NodeId, PartitionId, RequestId, RingId};
 use common::msg::Msg;
+use common::process::{Ctx, Process, Timer};
 use common::time::SimTime;
 use common::value::SESSION_CTL;
 use common::wire::client::{
@@ -27,7 +28,6 @@ use common::wire::client::{
 use common::wire::Wire;
 use coord::Registry;
 use rand::rngs::StdRng;
-use simnet::{Ctx, Process, Timer};
 
 use crate::session::SessionLimits;
 
@@ -122,8 +122,9 @@ struct Control {
 /// space of their own.
 pub struct SessionCore {
     /// Replica-assigned session ids by home ring; a ring is absent until
-    /// its open completes.
-    pub sessions: HashMap<RingId, u64>,
+    /// its open completes. Ordered, so keep-alives go out in ring order
+    /// and a simulation replays.
+    pub sessions: BTreeMap<RingId, u64>,
     /// The partition of each replica, for the fan-out completion rule.
     pub replica_partitions: HashMap<NodeId, PartitionId>,
     /// Effective window (server grant, capped by the client's wish).
@@ -160,7 +161,7 @@ impl SessionCore {
     /// sessions with `ttl`.
     pub fn new(wanted_window: usize, ttl: Duration) -> Self {
         SessionCore {
-            sessions: HashMap::new(),
+            sessions: BTreeMap::new(),
             replica_partitions: HashMap::new(),
             window: wanted_window.max(1),
             wanted_window: wanted_window.max(1),
@@ -201,7 +202,8 @@ impl SessionCore {
 
     /// True when `n` more requests keep every seq within the window of
     /// the cumulative ack: a server refuses a seq further out
-    /// ([`ST_WINDOW_EXCEEDED`]) however few requests are in flight.
+    /// ([`ST_WINDOW_EXCEEDED`](common::wire::client::ST_WINDOW_EXCEEDED))
+    /// however few requests are in flight.
     pub fn fits(&self, n: usize) -> bool {
         self.next_seq + n as u64 <= self.acked + 1 + self.window.max(1) as u64
     }
@@ -602,7 +604,7 @@ pub struct ClientStats {
     /// Bytes of command payload completed.
     pub payload_bytes: u64,
     /// Latency broken down by operation label (Figure 4 bottom).
-    pub latency_by: std::collections::HashMap<&'static str, Histogram>,
+    pub latency_by: BTreeMap<&'static str, Histogram>,
 }
 
 /// Shared handle to [`ClientStats`].

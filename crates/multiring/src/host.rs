@@ -14,7 +14,8 @@
 //! The host reads the [`Registry`] only at construction. Afterwards its
 //! ring nodes' coordination asks and its own (rejoins, the trim electorate)
 //! go to [`COORD_NODE`] as messages, and the answers that come back
-//! refresh the ring nodes' configs and the host's [`CoordView`].
+//! refresh the ring nodes' configs and the host's view of coordination
+//! (subscribers, partitions, foreign rings).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Duration;
@@ -24,17 +25,16 @@ use common::ids::{ClientId, InstanceId, NodeId, PartitionId, RequestId, RingId};
 use common::msg::CheckpointTuple;
 use common::msg::{Msg, RecoveryMsg, RingMsg};
 use common::obs::{Counter, Gauge, Hist, Obs};
+use common::process::{Ctx, Process, Timer};
 use common::time::SimTime;
 use common::value::{Envelope, Payload, Value, ValueId, SESSION_CTL};
 use common::wire::client::{ClientMsg, ClientReply, ErrorCode};
-use common::wire::coord::{CoordOk, CoordOp};
+use common::wire::coord::{answered, ask, CoordOk, CoordOp, COORD_NODE};
 use common::wire::{get_varint, get_vec, put_varint, put_vec, Wire};
 use coord::{PartitionInfo, Registry, RingConfig};
 use ringpaxos::node::{Output, RingNode, MAX_IDLE_SKIP_STRIDE};
 use ringpaxos::options::RingOptions;
 use ringpaxos::timer::RingTimer;
-use simnet::coordination::{answered, ask};
-use simnet::{Ctx, Process, Timer, COORD_NODE};
 use storage::{CheckpointStore, StorageMode};
 
 use crate::app::{ServiceApp, SnapshotCut};

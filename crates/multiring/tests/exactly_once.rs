@@ -11,6 +11,7 @@ use std::time::Duration;
 use bytes::{Bytes, BytesMut};
 use common::ids::{ClientId, NodeId, PartitionId, RingId};
 use common::msg::Msg;
+use common::process::{Ctx, Process, Timer};
 use common::value::Envelope;
 use common::wire::{get_varint, put_varint};
 use common::SimTime;
@@ -18,7 +19,7 @@ use coord::{PartitionInfo, Registry, RingConfig};
 use multiring::client::{Action, ClosedLoopClient, CommandSpec, SessionCore};
 use multiring::{HostOptions, MultiRingHost, ServiceApp, SessionApp};
 use ringpaxos::options::RingOptions;
-use simnet::{CoordProcess, CpuModel, Ctx, Process, Sim, Timer, Topology};
+use simnet::{CoordProcess, CpuModel, Sim, Topology};
 use storage::{DiskProfile, StorageMode};
 
 /// Executions per `(session, seq)`, as one replica's service saw them.

@@ -11,13 +11,14 @@ use bytes::Bytes;
 use common::ids::{ClientId, NodeId, PartitionId, RequestId, RingId};
 use common::msg::{Msg, RecoveryMsg};
 use common::obs::Obs;
+use common::process::{Ctx, Process, Timer};
 use common::value::Envelope;
 use common::SimTime;
 use coord::{PartitionInfo, Registry, RingConfig};
 use multiring::client::{ClosedLoopClient, CommandSpec};
 use multiring::{EchoApp, HostOptions, MultiRingHost, ServiceApp, SessionApp};
 use ringpaxos::options::{RateLeveling, RingOptions};
-use simnet::{CoordProcess, CpuModel, Ctx, Process, Sim, Timer, Topology};
+use simnet::{CoordProcess, CpuModel, Sim, Topology};
 use storage::{DiskProfile, StorageMode};
 
 fn lan_sim(seed: u64) -> Sim {

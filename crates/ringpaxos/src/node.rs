@@ -796,10 +796,18 @@ impl RingNode {
 
     /// Starts pre-executed Phase 1 for all instances at a ballot derived
     /// from the registry epoch (strictly increasing across coordinator
-    /// changes).
+    /// changes), or just above a rival's ballot this node's acceptor has
+    /// already promised: a promise never goes down. (Replicas whose
+    /// registries diverge can each name themselves coordinator at one
+    /// epoch, and the lower-id one then learns of the other's Phase 1
+    /// first.)
     fn begin_phase1(&mut self, now: SimTime, out: &mut Output) {
         let round = u32::try_from(self.cfg.epoch().raw()).unwrap_or(u32::MAX);
-        self.ballot = Ballot::new(round.max(1), self.me);
+        let at_epoch = Ballot::new(round.max(1), self.me);
+        self.ballot = match self.log.promised() {
+            rival if rival > at_epoch && rival.node() != self.me => rival.succ(self.me),
+            promised => at_epoch.max(promised),
+        };
         self.phase1_complete = false;
         self.phase1_generation += 1;
         self.phase1_sent_at = now;
@@ -1796,6 +1804,50 @@ mod tests {
             storage: StorageMode::InMemory,
             ..RingOptions::crash_free()
         }
+    }
+
+    /// Two replicas whose registries diverge each name themselves
+    /// coordinator at one epoch. Node 1 promises node 2's Phase 1 ballot
+    /// of that epoch first, then installs its own config: its Phase 1
+    /// must outbid the promise, never lower it.
+    #[test]
+    fn a_new_coordinator_never_lowers_its_own_acceptors_promise() {
+        let registry = Registry::new();
+        let members: Vec<NodeId> = (0..3).map(NodeId::new).collect();
+        let mut cfg = RingConfig::new(RingId::new(0), members.clone(), members).unwrap();
+        registry.register_ring(cfg.clone()).unwrap();
+        let me = NodeId::new(1);
+        let mut node = RingNode::new(me, RingId::new(0), registry, opts()).unwrap();
+        node.start(SimTime::ZERO, &mut Output::new());
+
+        let epoch = cfg.set_coordinator(me).unwrap();
+        let rival = Ballot::new(epoch.raw() as u32, NodeId::new(2));
+        let phase1 = RingMsg::Phase1 {
+            ballot: rival,
+            from: InstanceId::ZERO,
+            to: InstanceId::new(u64::MAX),
+            promises: 1,
+            accepted: Vec::new(),
+            ttl: 2,
+        };
+        node.on_msg(NodeId::new(0), phase1, SimTime::ZERO, &mut Output::new());
+        assert_eq!(node.log.promised(), rival);
+
+        let mut out = Output::new();
+        node.on_config(cfg, SimTime::ZERO, &mut out);
+        assert!(node.is_coordinator());
+        assert!(node.log.promised() >= rival, "the promise went down");
+        let sent: Vec<Ballot> = (out.sends.iter())
+            .filter_map(|(_, msg)| match msg {
+                RingMsg::Phase1 { ballot, .. } => Some(*ballot),
+                _ => None,
+            })
+            .collect();
+        assert!(!sent.is_empty(), "no Phase 1 left the node");
+        assert!(
+            sent.iter().all(|b| *b > rival),
+            "a Phase 1 below the promise: {sent:?}"
+        );
     }
 
     #[test]

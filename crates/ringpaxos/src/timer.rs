@@ -1,6 +1,6 @@
-//! Ring-level timers and their packing into `simnet::Timer` payload
-//! words, so hosts multiplexing many rings can dispatch without
-//! allocating.
+//! Ring-level timers and their packing into the payload words of a
+//! [`common::process::Timer`], so hosts multiplexing many rings can
+//! dispatch without allocating.
 
 use common::ids::InstanceId;
 

@@ -12,12 +12,13 @@ use std::time::Duration;
 use bytes::Bytes;
 use common::ids::{InstanceId, NodeId, RingId};
 use common::msg::Msg;
+use common::process::{Ctx, Process, Timer};
 use common::value::{Value, ValueKind};
 use common::SimTime;
 use coord::{Registry, RingConfig};
 use ring_process::{DeliveryLog, RingProcess};
 use ringpaxos::options::RingOptions;
-use simnet::{CoordProcess, CpuModel, Ctx, Process, Sim, Timer, Topology};
+use simnet::{CoordProcess, CpuModel, Sim, Topology};
 use storage::{DiskProfile, StorageMode};
 
 /// A load generator that proposes a value every interval through one of

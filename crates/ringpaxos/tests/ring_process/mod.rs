@@ -1,6 +1,6 @@
-//! A [`simnet::Process`] hosting one [`RingNode`] for the protocol tests.
+//! A [`Process`] hosting one [`RingNode`] for the protocol tests.
 //! It bridges ring messages, timers, deliveries and coordination asks
-//! (sent to [`simnet::COORD_NODE`]; each test adds a
+//! (sent to [`COORD_NODE`]; each test adds a
 //! [`simnet::CoordProcess`]). Deployments drive ring nodes through
 //! `multiring::MultiRingHost`.
 
@@ -9,12 +9,13 @@ use std::rc::Rc;
 
 use common::ids::{InstanceId, NodeId, RingId};
 use common::msg::Msg;
+use common::process::{Ctx, Process, Timer};
 use common::time::SimTime;
 use common::value::Value;
+use common::wire::coord::COORD_NODE;
+use common::wire::coord::{answered, ask};
 use coord::{Registry, RingConfig};
 use ringpaxos::{Output, RingNode, RingOptions, RingTimer};
-use simnet::coordination::{answered, ask};
-use simnet::{Ctx, Process, Timer, COORD_NODE};
 
 /// Deliveries observed by one node's learner, shared with the test.
 pub type DeliveryLog = Rc<RefCell<Vec<(InstanceId, Value, SimTime)>>>;

@@ -10,12 +10,13 @@ use bytes::Bytes;
 use common::geo::{Region, WanProfile};
 use common::ids::{NodeId, RingId};
 use common::msg::{Msg, RingMsg};
+use common::process::{Ctx, Process, Timer};
 use common::value::{Value, ValueId, ValueKind};
 use common::SimTime;
 use coord::{Registry, RingConfig};
 use ring_process::{DeliveryLog, RingProcess};
 use ringpaxos::options::RingOptions;
-use simnet::{CpuModel, Ctx, Process, Sim, Timer, Topology};
+use simnet::{CpuModel, Sim, Topology};
 use storage::StorageMode;
 
 const RING: RingId = RingId::new(0);

@@ -1,84 +1,20 @@
-//! Coordination as a message: ring and configuration management live in
-//! the coordination service (the paper's Zookeeper, §7.1), reached over
-//! the same network as the rings. A process asks it with a session-less
-//! protocol-v2 request on [`COORD_RING`] to the reserved node
-//! [`COORD_NODE`] ([`ask`]) and learns the answer from the response
-//! ([`answered`]) — the frames an `amcoordd` replica reads and writes. A
-//! driver routes an ask like any other send: the live node loop to its
-//! registry or its link, the simulator to a [`CoordProcess`], which sees
-//! latency, blocked links, partitions and crashes like any process.
+//! The coordination service as one more simulated process.
+//!
+//! Ring and configuration management live in the coordination service
+//! (the paper's Zookeeper, §7.1), reached over the same network as the
+//! rings: a process asks it by message ([`common::wire::coord::ask`],
+//! addressed to [`COORD_NODE`]), and the simulator routes the ask to a
+//! [`CoordProcess`], which sees latency, blocked links, partitions and
+//! crashes like any process and answers with [`Registry::answer`].
 
-use common::error::Result;
-use common::ids::{NodeId, RequestId};
+use common::ids::NodeId;
 use common::msg::Msg;
-use common::value::NO_SESSION;
-use common::wire::client::{frame_ok, parse_reply, ClientMsg, ClientReply, ST_OK};
-use common::wire::coord::{decode_reply, encode_reply, CoordOk, CoordOp, CoordResult};
-use common::wire::Wire;
-use coord::{Registry, COORD_RING};
+use common::process::{Ctx, Process, Timer};
+use common::wire::coord::COORD_NODE;
+use coord::Registry;
 
-use crate::process::{Ctx, Process, Timer};
 use crate::sim::Sim;
 use crate::topology::SiteId;
-
-/// The node id every coordination ask is addressed to. Drivers map it
-/// onto wherever coordination lives.
-pub const COORD_NODE: NodeId = NodeId::new(u32::MAX);
-
-/// The request asking coordination for `op`, correlated by `seq`.
-pub fn ask(seq: u64, op: &CoordOp) -> Msg {
-    Msg::Client(ClientMsg::RequestV2 {
-        session: NO_SESSION,
-        seq: RequestId::new(seq),
-        ack: 0,
-        group: COORD_RING,
-        cmd: op.to_bytes(),
-    })
-}
-
-/// The sequence number and operation of an ask; `None` for any other
-/// message.
-pub fn asked(msg: &Msg) -> Option<(u64, CoordOp)> {
-    match msg {
-        Msg::Client(ClientMsg::RequestV2 {
-            session: NO_SESSION,
-            seq,
-            group: COORD_RING,
-            cmd,
-            ..
-        }) => Some((seq.raw(), CoordOp::decode(&mut cmd.clone()).ok()?)),
-        _ => None,
-    }
-}
-
-/// The response answering ask `seq` with `result`, framed as an
-/// `amcoordd` replica frames its session-less replies.
-pub fn answer(seq: u64, from: NodeId, result: Result<CoordOk>) -> Msg {
-    let result: CoordResult = result.map_err(|e| e.to_string());
-    Msg::Reply(ClientReply::ResponseV2 {
-        session: NO_SESSION,
-        seq: RequestId::new(seq),
-        from_replica: from,
-        payload: frame_ok(&encode_reply(&result, &[])),
-    })
-}
-
-/// The sequence number and result of an answer to an ask; `None` for
-/// any other reply.
-pub fn answered(reply: &ClientReply) -> Option<(u64, CoordResult)> {
-    match reply {
-        ClientReply::ResponseV2 {
-            session: NO_SESSION,
-            seq,
-            payload,
-            ..
-        } => match parse_reply(payload)? {
-            (ST_OK, body) => Some((seq.raw(), decode_reply(&body).ok()?.0)),
-            _ => None,
-        },
-        _ => None,
-    }
-}
 
 /// The coordination service as one simulated process: it applies every
 /// ask it receives to `registry` and answers the asker.
@@ -100,9 +36,8 @@ impl CoordProcess {
 
 impl Process for CoordProcess {
     fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Ctx<'_>) {
-        if let Some((seq, op)) = asked(&msg) {
-            let me = ctx.me();
-            ctx.send(from, answer(seq, me, self.registry.call(op)));
+        if let Some(reply) = self.registry.answer(&msg, ctx.me()) {
+            ctx.send(from, reply);
         }
     }
 
@@ -113,6 +48,7 @@ impl Process for CoordProcess {
 mod tests {
     use super::*;
     use common::ids::RingId;
+    use common::wire::coord::{answered, ask, CoordOk, CoordOp, CoordResult};
     use common::SimTime;
     use coord::RingConfig;
     use std::cell::RefCell;

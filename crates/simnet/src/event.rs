@@ -1,12 +1,13 @@
-//! The simulator's event queue.
+//! What the simulator's event queue holds: one [`TimerHeap`] over virtual
+//! time, whose insertion-order tie-break makes the event order, and with
+//! it a whole run, replay under one seed.
+//!
+//! [`TimerHeap`]: common::process::TimerHeap
 
 use common::ids::NodeId;
 use common::msg::Msg;
+use common::process::Timer;
 use common::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-use crate::process::Timer;
 
 /// What happens when an event fires.
 #[derive(Debug)]
@@ -37,103 +38,30 @@ pub enum EventKind {
     Restart(NodeId),
 }
 
-/// An event plus its firing time and a tie-breaking sequence number.
-#[derive(Debug)]
-pub struct Event {
-    /// When the event fires.
-    pub at: SimTime,
-    /// Monotonic sequence number; makes ordering total and deterministic.
-    pub seq: u64,
-    /// The action.
-    pub kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event pops first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// A deterministic min-queue of events.
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Event>,
-    next_seq: u64,
-}
-
-impl EventQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Pushes an event at time `at`.
-    pub fn push(&mut self, at: SimTime, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Event { at, seq, kind });
-    }
-
-    /// Pops the earliest event.
-    pub fn pop(&mut self) -> Option<Event> {
-        self.heap.pop()
-    }
-
-    /// The firing time of the earliest event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn pops_in_time_then_seq_order() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_millis(5), EventKind::Crash(NodeId::new(1)));
-        q.push(SimTime::from_millis(1), EventKind::Crash(NodeId::new(2)));
-        q.push(SimTime::from_millis(5), EventKind::Crash(NodeId::new(3)));
+        let mut q = common::process::TimerHeap::new();
+        q.push_at(SimTime::from_millis(5), EventKind::Crash(NodeId::new(1)));
+        q.push_at(SimTime::from_millis(1), EventKind::Crash(NodeId::new(2)));
+        q.push_at(SimTime::from_millis(5), EventKind::Crash(NodeId::new(3)));
 
-        let a = q.pop().unwrap();
-        assert_eq!(a.at, SimTime::from_millis(1));
-        let b = q.pop().unwrap();
-        let c = q.pop().unwrap();
-        assert_eq!(b.at, SimTime::from_millis(5));
-        assert!(b.seq < c.seq, "same-time events pop in insertion order");
-        match (b.kind, c.kind) {
-            (EventKind::Crash(x), EventKind::Crash(y)) => {
-                assert_eq!(x, NodeId::new(1));
-                assert_eq!(y, NodeId::new(3));
-            }
-            _ => panic!("unexpected kinds"),
-        }
-        assert!(q.pop().is_none());
+        let crashed = |(at, kind)| match kind {
+            EventKind::Crash(node) => (at, node),
+            _ => panic!("unexpected kind"),
+        };
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(crashed).collect();
+        assert_eq!(
+            order,
+            [
+                (SimTime::from_millis(1), NodeId::new(2)),
+                (SimTime::from_millis(5), NodeId::new(1)),
+                (SimTime::from_millis(5), NodeId::new(3)),
+            ],
+            "same-time events pop in insertion order"
+        );
     }
 }

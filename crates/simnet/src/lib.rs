@@ -1,19 +1,19 @@
-//! Discrete-event network simulator.
+//! Discrete-event network simulator: the simulated world the protocol
+//! state machines run in to reproduce the paper's figures.
 //!
-//! The protocol crates in this workspace are written *sans-IO*: every
-//! participant is a deterministic state machine implementing [`Process`],
-//! reacting to messages and timers and emitting sends and timer requests
-//! through a [`Ctx`]. This crate provides the simulated world those state
-//! machines run in:
+//! The state machines are written *sans-IO* against the contract in
+//! [`common::process`] ([`Process`](common::process::Process),
+//! [`Ctx`](common::process::Ctx), [`Timer`](common::process::Timer)),
+//! which the live node loop drives too. [`Sim`] is the other driver:
 //!
-//! * a virtual clock and event queue ([`Sim`]),
+//! * a virtual clock and one event queue over it ([`Sim`]),
 //! * a [`Topology`] with per-site latency/bandwidth (LAN and 2014-era
 //!   EC2 WAN profiles used by the paper's evaluation),
 //! * a per-node CPU service-time model (the coordinator CPU bottleneck in
 //!   Figure 3 comes out of this),
 //! * fault injection: crash/restart, network partitions, message loss,
-//! * the coordination service as one more process ([`coordination`]):
-//!   protocol processes ask it over the simulated network,
+//! * the coordination service as one more process ([`CoordProcess`]),
+//!   which protocol processes ask over the simulated network,
 //! * shared [`metrics`] for throughput/latency/CPU accounting.
 //!
 //! Determinism: given the same seed and the same sequence of calls, a
@@ -23,7 +23,8 @@
 //! # Example
 //!
 //! ```
-//! use simnet::{Sim, Process, Ctx, Timer};
+//! use simnet::Sim;
+//! use common::process::{Ctx, Process, Timer};
 //! use common::{msg::Msg, ids::NodeId, SimTime};
 //!
 //! struct Echo;
@@ -54,12 +55,10 @@
 pub mod coordination;
 pub mod event;
 pub mod metrics;
-pub mod process;
 pub mod sim;
 pub mod topology;
 
-pub use coordination::{CoordProcess, COORD_NODE};
+pub use coordination::CoordProcess;
 pub use metrics::{Metrics, SharedMetrics};
-pub use process::{Ctx, Process, Timer};
 pub use sim::{CpuModel, Sim};
 pub use topology::{Region, SiteId, Topology};

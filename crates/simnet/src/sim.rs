@@ -3,15 +3,14 @@
 
 use common::ids::NodeId;
 use common::msg::Msg;
+use common::process::{Effects, Process, Timer, TimerHeap};
 use common::time::SimTime;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::RngExt;
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
-use crate::event::{EventKind, EventQueue};
+use crate::event::EventKind;
 use crate::metrics::{shared, SharedMetrics};
-use crate::process::{Ctx, Process, Timer};
 use crate::topology::{SiteId, Topology};
 
 /// Per-node CPU service-time model: handling a message costs
@@ -76,17 +75,16 @@ struct NodeSlot {
 pub struct Sim {
     nodes: Vec<NodeSlot>,
     topology: Topology,
-    queue: EventQueue,
+    queue: TimerHeap<SimTime, EventKind>,
     now: SimTime,
-    rng: StdRng,
+    /// Every callback's effects, and the one seeded RNG of the run.
+    fx: Effects,
     metrics: SharedMetrics,
     blocked: HashSet<(NodeId, NodeId)>,
     /// Ids that address another node (see [`Sim::alias`]).
     aliases: HashMap<NodeId, NodeId>,
     link_last_arrival: HashMap<(NodeId, NodeId), SimTime>,
     started: bool,
-    outbox: Vec<(NodeId, Msg)>,
-    timers: Vec<(SimTime, Timer)>,
 }
 
 impl Sim {
@@ -100,16 +98,14 @@ impl Sim {
         Sim {
             nodes: Vec::new(),
             topology,
-            queue: EventQueue::new(),
+            queue: TimerHeap::new(),
             now: SimTime::ZERO,
-            rng: StdRng::seed_from_u64(seed),
+            fx: Effects::new(seed),
             metrics: shared(),
             blocked: HashSet::new(),
             aliases: HashMap::new(),
             link_last_arrival: HashMap::new(),
             started: false,
-            outbox: Vec::new(),
-            timers: Vec::new(),
         }
     }
 
@@ -170,12 +166,12 @@ impl Sim {
 
     /// Schedules a crash of `node` at virtual time `at`.
     pub fn schedule_crash(&mut self, node: NodeId, at: SimTime) {
-        self.queue.push(at, EventKind::Crash(node));
+        self.queue.push_at(at, EventKind::Crash(node));
     }
 
     /// Schedules a restart of `node` at virtual time `at`.
     pub fn schedule_restart(&mut self, node: NodeId, at: SimTime) {
-        self.queue.push(at, EventKind::Restart(node));
+        self.queue.push_at(at, EventKind::Restart(node));
     }
 
     /// Delivers what is sent to `alias` to `node` — how a reserved id
@@ -228,7 +224,7 @@ impl Sim {
     /// Runs until virtual time `deadline`; afterwards `now() == deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
         self.start_if_needed();
-        while let Some(at) = self.queue.peek_time() {
+        while let Some(at) = self.queue.next_deadline() {
             if at > deadline {
                 break;
             }
@@ -241,7 +237,7 @@ impl Sim {
     /// the queue drained.
     pub fn run_until_idle(&mut self, deadline: SimTime) -> bool {
         self.start_if_needed();
-        while let Some(at) = self.queue.peek_time() {
+        while let Some(at) = self.queue.next_deadline() {
             if at > deadline {
                 self.now = deadline;
                 return false;
@@ -262,10 +258,12 @@ impl Sim {
     }
 
     fn step_one(&mut self) {
-        let Some(ev) = self.queue.pop() else { return };
-        debug_assert!(ev.at >= self.now, "time went backwards");
-        self.now = ev.at;
-        match ev.kind {
+        let Some((at, kind)) = self.queue.pop() else {
+            return;
+        };
+        debug_assert!(at >= self.now, "time went backwards");
+        self.now = at;
+        match kind {
             EventKind::Deliver {
                 from,
                 to,
@@ -277,11 +275,10 @@ impl Sim {
                     self.metrics.borrow_mut().incr("net.dropped_crashed");
                     return;
                 }
-                if slot.busy_until > ev.at {
+                if slot.busy_until > at {
                     // CPU busy: retry when the core frees up.
-                    let at = slot.busy_until;
-                    self.queue.push(
-                        at,
+                    self.queue.push_at(
+                        slot.busy_until,
                         EventKind::Deliver {
                             from,
                             to,
@@ -292,12 +289,12 @@ impl Sim {
                     return;
                 }
                 let cost = slot.cpu.cost(msg.wire_size());
-                let done = ev.at + cost;
+                let done = at + cost;
                 self.nodes[to.raw() as usize].busy_until = done;
                 self.metrics.borrow_mut().add_cpu_busy(to, cost);
                 // The handler conceptually runs during [ev.at, done]: its
                 // outputs are stamped with the local completion time `done`,
-                // but the global clock stays at `ev.at` so events at other
+                // but the global clock stays at `at` so events at other
                 // nodes are not skipped.
                 self.invoke_at(to, Invoke::Message { from, msg }, done);
             }
@@ -310,10 +307,9 @@ impl Sim {
                 if slot.crashed || slot.generation != generation {
                     return;
                 }
-                if slot.busy_until > ev.at {
-                    let at = slot.busy_until;
-                    self.queue.push(
-                        at,
+                if slot.busy_until > at {
+                    self.queue.push_at(
+                        slot.busy_until,
                         EventKind::Timer {
                             node,
                             timer,
@@ -322,7 +318,7 @@ impl Sim {
                     );
                     return;
                 }
-                self.invoke_at(node, Invoke::Timer(timer), ev.at);
+                self.invoke_at(node, Invoke::Timer(timer), at);
             }
             EventKind::Crash(node) => {
                 let slot = &mut self.nodes[node.raw() as usize];
@@ -348,15 +344,9 @@ impl Sim {
     }
 
     fn invoke_at(&mut self, node: NodeId, what: Invoke, local_now: SimTime) {
-        debug_assert!(self.outbox.is_empty() && self.timers.is_empty());
+        debug_assert!(self.fx.sends().is_empty());
         let slot = &mut self.nodes[node.raw() as usize];
-        let mut ctx = Ctx {
-            now: local_now,
-            me: node,
-            outbox: &mut self.outbox,
-            timers: &mut self.timers,
-            rng: &mut self.rng,
-        };
+        let mut ctx = self.fx.ctx(local_now, node);
         match what {
             Invoke::Start => slot.process.on_start(&mut ctx),
             Invoke::Message { from, msg } => slot.process.on_message(from, msg, &mut ctx),
@@ -364,13 +354,12 @@ impl Sim {
             Invoke::Restart => slot.process.on_restart(&mut ctx),
         }
         let generation = slot.generation;
-        let sends: Vec<_> = self.outbox.drain(..).collect();
-        let timers: Vec<_> = self.timers.drain(..).collect();
+        let sends: Vec<_> = self.fx.drain_sends().collect();
         for (to, msg) in sends {
             self.route(node, to, msg, local_now);
         }
-        for (at, timer) in timers {
-            self.queue.push(
+        for (at, timer) in self.fx.drain_timers() {
+            self.queue.push_at(
                 at,
                 EventKind::Timer {
                     node,
@@ -392,7 +381,7 @@ impl Sim {
             return;
         }
         let loss = self.topology.loss_prob();
-        if loss > 0.0 && self.rng.random::<f64>() < loss {
+        if loss > 0.0 && self.fx.rng().random::<f64>() < loss {
             self.metrics.borrow_mut().incr("net.dropped_loss");
             return;
         }
@@ -410,7 +399,7 @@ impl Sim {
 
         let jitter_frac = self.topology.jitter_frac();
         let jitter = if jitter_frac > 0.0 {
-            prop.mul_f64(jitter_frac * self.rng.random::<f64>())
+            prop.mul_f64(jitter_frac * self.fx.rng().random::<f64>())
         } else {
             Duration::ZERO
         };
@@ -429,7 +418,7 @@ impl Sim {
             m.incr("net.msgs");
             m.add("net.bytes", size as u64);
         }
-        self.queue.push(
+        self.queue.push_at(
             arrival,
             EventKind::Deliver {
                 from,
@@ -452,6 +441,7 @@ enum Invoke {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use common::process::Ctx;
     use std::cell::RefCell;
     use std::rc::Rc;
 

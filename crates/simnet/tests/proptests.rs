@@ -8,9 +8,10 @@ use std::time::Duration;
 use bytes::Bytes;
 use common::ids::NodeId;
 use common::msg::Msg;
+use common::process::{Ctx, Process, Timer};
 use common::SimTime;
 use proptest::prelude::*;
-use simnet::{CpuModel, Ctx, Process, Sim, Timer, Topology};
+use simnet::{CpuModel, Sim, Topology};
 
 /// Sends a scripted schedule of (delay, target, tag) messages.
 struct Scripted {

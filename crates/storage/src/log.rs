@@ -59,10 +59,12 @@ impl AcceptorLog {
     }
 
     /// Records a promise not to accept ballots below `ballot`. Returns the
-    /// receipt for the stable-storage write.
+    /// receipt for the stable-storage write. A promise never goes down: a
+    /// lower `ballot` (a caller bug, asserted in debug builds) leaves the
+    /// higher promise in place.
     pub fn promise(&mut self, ballot: Ballot, now: SimTime) -> WriteReceipt {
-        debug_assert!(ballot >= self.promised);
-        self.promised = ballot;
+        debug_assert!(ballot >= self.promised, "promise below promise");
+        self.promised = self.promised.max(ballot);
         let receipt = self.disk.write(16, now);
         self.promised_durable_at = receipt.durable_at;
         receipt
