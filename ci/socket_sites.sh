@@ -12,10 +12,14 @@
 # Every live loop waits on its sockets itself (`Net::wait`), and so do the
 # network client and the coordination client, on their caller's thread.
 # It also fails if any file under crates/liverun/src except net.rs starts
-# a thread at all: the node loop (which amcoordd runs too) and netem's
-# shaping loop are started by `net::spawn_loop`, and delivered commands
-# execute on the node loop. The coordination client (crates/coord/src) is
-# a sans-IO link: it names no socket type and no `thread::` at all.
+# a thread at all: the node loop (which amcoordd runs too) is started by
+# `net::spawn_loop`, and delivered commands execute on the node loop. And
+# it fails if non-test code anywhere but crates/liverun/src/node.rs calls
+# `spawn_loop`: the node loop is the only loop, so a geo deployment shapes
+# its links on the node loops that send over them, and no relay or
+# shaping loop of its own can come back. The coordination client
+# (crates/coord/src) is a sans-IO link: it names no socket type and no
+# `thread::` at all.
 #
 # FFI stays in net.rs too: the readiness wait (epoll) is the one foreign
 # call, so `extern "C"` or `unsafe` anywhere else under crates/*/src fails.
@@ -80,6 +84,18 @@ scan 'TcpListener::bind|TcpStream::connect|\.incoming\(\)' "${all[@]}" || fail=1
 scan 'extern "C"|(^|[^[:alnum:]_])unsafe([^[:alnum:]_]|$)' "${all[@]}" || fail=1
 mapfile -t liverun < <(find crates/liverun/src -name '*.rs' ! -path crates/liverun/src/net.rs | sort)
 scan 'thread::(spawn|Builder)' "${liverun[@]}" || fail=1
+mapfile -t loops < <(find crates -path 'crates/*/src/*' -name '*.rs' \
+    ! -path crates/liverun/src/node.rs | sort)
+for file in "${loops[@]}"; do
+    awk -v file="$file" '
+        /^#\[cfg\(test\)\]/ { exit }
+        /^[[:space:]]*\/\// { next }
+        /(^|[^[:alnum:]_])spawn_loop[[:space:]]*\(/ && !/fn[[:space:]]+spawn_loop/ {
+            print file ":" FNR ": " $0; found = 1
+        }
+        END { exit found }
+    ' "$file" || fail=1
+done
 mapfile -t coord < <(find crates/coord/src -name '*.rs' | sort)
 scan 'TcpStream|TcpListener|thread::' "${coord[@]}" || fail=1
 scan 'wire::client' "${coord[@]}" || fail=1
@@ -116,7 +132,7 @@ awk '
 ' crates/multiring/Cargo.toml || fail=1
 
 if [ "$fail" -ne 0 ]; then
-    echo "socket sites: FAILED — open sockets and call foreign code through liverun::net (crates/liverun/src/net.rs), let the loop thread own them, open client sessions only through multiring's SessionCore, speak only client protocol v2, ask coordination by message, and drive protocol code through common::process, not simnet" >&2
+    echo "socket sites: FAILED — open sockets and call foreign code through liverun::net (crates/liverun/src/net.rs), let the loop thread own them, start no loop but the node loop, open client sessions only through multiring's SessionCore, speak only client protocol v2, ask coordination by message, and drive protocol code through common::process, not simnet" >&2
     exit 1
 fi
 echo "socket sites: ok (every socket is opened and every foreign call made in liverun::net; no thread sits on one; one client session machine; one client protocol; coordination is a message; the sans-IO contract is not the simulator's)"

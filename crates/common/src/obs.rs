@@ -233,12 +233,6 @@ impl Obs {
         self.inner.node.load(Relaxed) as u32
     }
 
-    /// (Re-)attributes the registry, for registries created before the
-    /// node id is known (e.g. inside option defaults).
-    pub fn set_node(&self, node: u32) {
-        self.inner.node.store(u64::from(node), Relaxed);
-    }
-
     /// The counter named `name`, creating it at zero on first use.
     pub fn counter(&self, name: &str) -> Counter {
         let mut map = self.inner.counters.lock().expect("obs lock");

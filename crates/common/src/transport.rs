@@ -3,7 +3,7 @@
 //! The sans-IO protocol state machines ([`crate::process`]) are driven by
 //! two very different runtimes: the discrete-event simulator and the live
 //! OS-thread event loops of `liverun` (the node loop both `amcastd` and
-//! `amcoordd` run, netem's shaping loop). The live loops share a few
+//! `amcoordd` run). The live loops share a few
 //! mechanical concerns, collected here so every one of them — and the
 //! network clients on the other end — agrees on them (the sockets
 //! themselves are `liverun::net`'s business):
@@ -220,8 +220,8 @@ pub fn encode_frame<T: Wire>(msg: &T) -> Bytes {
 ///
 /// The same policy type drives both worlds: the discrete-event simulator
 /// derives its per-hop timing from it (via `simnet::Topology`) and the
-/// live netem relays (`liverun::netem`) apply it to real TCP byte
-/// streams. Delay is one-way; a symmetric RTT splits evenly across the
+/// live node loops (`liverun::netem`) apply it to the frames they send
+/// and the client bytes they receive. Delay is one-way; a symmetric RTT splits evenly across the
 /// two directed links.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LinkPolicy {

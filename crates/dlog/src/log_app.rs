@@ -64,11 +64,6 @@ impl DlogApp {
         }
     }
 
-    /// The logs hosted here.
-    pub fn log_ids(&self) -> Vec<LogId> {
-        self.logs.keys().copied().collect()
-    }
-
     /// Next position of `log` (diagnostics).
     pub fn next_pos(&self, log: LogId) -> Option<u64> {
         self.logs.get(&log).map(LogState::next_pos)

@@ -188,7 +188,7 @@ impl LiveClient {
         }
         let mut last_err: Option<std::io::Error> = None;
         for attempt in 0..attempts.max(1) {
-            let replies = Reader::Frames(|buf| buf.try_next());
+            let replies: Reader<ClientReply> = |buf| buf.try_next();
             match self.net.connect(addr, replies, Duration::from_millis(250)) {
                 Ok(conn) => {
                     let hello = ClientMsg::HelloV2 {

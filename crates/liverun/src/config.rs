@@ -577,12 +577,6 @@ impl DeploymentConfig {
         })
     }
 
-    /// For MRP-Store layouts: the ring carrying single-key commands of
-    /// `partition` (convention: ring id == partition id).
-    pub fn partition_ring(&self, partition: PartitionId) -> RingId {
-        RingId::new(partition.raw())
-    }
-
     /// For MRP-Store layouts: the global ring scans are multicast to
     /// (convention: the highest ring id).
     pub fn global_ring(&self) -> RingId {

@@ -28,7 +28,7 @@ use crate::batch::BatchOptions;
 use crate::config::{DeploymentConfig, NodeSpec, ServiceKind};
 use crate::durable::DurableApp;
 use crate::link::{connect_coord, LinkCoord};
-use crate::netem::{Netem, NetemControl};
+use crate::netem::NetemControl;
 use crate::node::{spawn_node, NodeHandle, NodeSetup};
 
 /// A segment directory of `node`'s delivered-command WAL:
@@ -189,12 +189,12 @@ pub fn connect_registry(config: &DeploymentConfig) -> Result<Registry> {
 }
 
 /// Starts one node of `config` against `registry` (cold start or
-/// recovery restart), its peer links routed through `netem`'s shaping
-/// fabric when given (the in-process geo-deployment path). `amcastd` calls
-/// this once per process, unshaped: netem relays live in the deployment's
-/// address space. The in-process [`Deployment`] calls it per node with a
-/// shared registry. A registry connected to an ensemble belongs to the
-/// node from then on: its loop drives the connection.
+/// recovery restart), shaping its peer links and per-region client
+/// listeners through `netem`'s policy table when given (the in-process
+/// geo-deployment path). `amcastd` calls this once per process, unshaped.
+/// The in-process [`Deployment`] calls it per node with a shared registry.
+/// A registry connected to an ensemble belongs to the node from then on:
+/// its loop drives the connection.
 ///
 /// # Errors
 ///
@@ -206,7 +206,7 @@ pub fn start_node(
     clock: WallClock,
     node: NodeId,
     restart: bool,
-    netem: Option<&Netem>,
+    netem: Option<&NetemControl>,
 ) -> Result<NodeHandle> {
     let spec = config
         .node(node)
@@ -216,29 +216,13 @@ pub fn start_node(
         max_bytes: config.batch_max_bytes.max(1),
         max_delay: config.batch_delay,
     };
-    // Under netem a node dials its peers through the per-link relays;
-    // pairs the fabric does not shape (and the self entry) stay direct.
-    let peer_addrs: HashMap<NodeId, SocketAddr> = config
-        .nodes
-        .iter()
-        .map(|n| {
-            let addr = netem
-                .and_then(|nt| nt.peer_addr(node, n.id))
-                .unwrap_or(n.peer_addr);
-            (n.id, addr)
-        })
-        .collect();
+    let peer_addrs: HashMap<NodeId, SocketAddr> =
+        config.nodes.iter().map(|n| (n.id, n.peer_addr)).collect();
     let coord_link = boot_registry(config, spec, &registry, restart);
     // One registry per node, shared by every layer of its stack: the
     // same instance rides `host_opts.ring.obs` into the host and rings.
     let obs = Obs::for_node(node.raw());
     obs.set_trace_every(config.trace_sample);
-    if let Some(nt) = netem {
-        // The node's relayed links count their shaping into this
-        // registry (visible via `amcast-cli stats`). Attached before the
-        // node loop spawns, so the first relayed chunk already counts.
-        nt.attach_obs(node, obs.clone());
-    }
     let mut host_opts = host_options(config);
     host_opts.ring.obs = obs.clone();
     let app = build_stack(config, node, &obs)?;
@@ -251,7 +235,7 @@ pub fn start_node(
         coord_link,
         // Coordination rides the same WAN (see
         // `NetemControl::reaches_coordination`).
-        netem: netem.map(Netem::control),
+        netem: netem.cloned(),
         host_opts,
         batch_opts,
         peer_addrs,
@@ -302,8 +286,8 @@ pub struct Deployment {
     registry: Registry,
     clock: WallClock,
     nodes: Vec<Option<NodeHandle>>,
-    /// The shaping fabric, when the configuration carries a geography.
-    netem: Option<Netem>,
+    /// The link policy table, when the configuration carries a geography.
+    netem: Option<NetemControl>,
 }
 
 impl Deployment {
@@ -323,7 +307,7 @@ impl Deployment {
         let registry = connect_registry(&config)?;
         let clock = WallClock::start();
         let netem = match &config.geo {
-            Some(_) => Some(Netem::start(&config)?),
+            Some(_) => Some(NetemControl::new(&config)?),
             None => None,
         };
         let mut nodes = Vec::new();
@@ -433,35 +417,38 @@ impl Deployment {
     /// geography: scenarios partition, degrade and heal regions mid-run
     /// through this handle.
     pub fn netem(&self) -> Option<NetemControl> {
-        self.netem.as_ref().map(Netem::control)
+        self.netem.clone()
     }
 
-    /// The address a client *in* `region` should use to reach `node` —
-    /// a shaped relay when the deployment has a geography, the direct
-    /// client address otherwise.
+    /// The address a client *in* `region` should use to reach `node`:
+    /// the node's listener for that region when the deployment has a
+    /// geography and declares `region`, the plain client address
+    /// (unshaped) otherwise.
     ///
     /// # Errors
     ///
-    /// Fails for unknown nodes or when the relay cannot bind.
+    /// Fails for unknown nodes.
     pub fn client_addr_from(&self, region: &str, node: NodeId) -> Result<SocketAddr> {
         let spec = self
             .config
             .node(node)
             .ok_or_else(|| Error::Config(format!("node {node} not in configuration")))?;
-        match &self.netem {
-            Some(nt) => nt.client_addr(region, node),
-            None => Ok(spec.client_addr),
-        }
+        let shaped = self
+            .netem
+            .as_ref()
+            .and_then(|nt| nt.client_addr(region, node));
+        Ok(shaped.unwrap_or(spec.client_addr))
     }
 
     /// A copy of the configuration as seen by a client *in* `region`:
-    /// every client address rewritten to a shaped relay. Hand it to
+    /// every client address rewritten to the node's listener for that
+    /// region, whose connections the node shapes both ways. Hand it to
     /// [`crate::LiveClient::connect`] (or the service facades) to put
     /// the client behind the region's WAN links.
     ///
     /// # Errors
     ///
-    /// Fails when a relay cannot bind.
+    /// Fails for a node missing from the configuration.
     pub fn config_from(&self, region: &str) -> Result<DeploymentConfig> {
         let mut config = self.config.clone();
         for spec in &mut config.nodes {
@@ -477,13 +464,10 @@ impl Deployment {
             .unwrap_or(false)
     }
 
-    /// Stops every running node (and the shaping fabric, if any).
+    /// Stops every running node.
     pub fn shutdown(mut self) {
         for handle in self.nodes.iter_mut().filter_map(Option::take) {
             handle.shutdown();
-        }
-        if let Some(netem) = self.netem.take() {
-            netem.stop();
         }
     }
 }

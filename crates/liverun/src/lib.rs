@@ -53,8 +53,10 @@
 //! * [`durable`] — the WAL decorator recording every delivered command
 //!   through a [`storage::wal::SegmentedWal`].
 //! * [`netem`] — userspace per-link WAN shaping for geo deployments:
-//!   one loop relaying every peer link with delay/jitter/bandwidth/loss,
-//!   runtime region partitions, driven by `[[region]]` config sections.
+//!   each node loop delays what it sends (and what its per-region client
+//!   listeners receive) by the live link policy — delay, jitter,
+//!   bandwidth, loss, runtime region partitions — driven by `[[region]]`
+//!   config sections.
 
 pub mod batch;
 pub mod client;
@@ -75,6 +77,6 @@ pub use coord_node::{start_coord_server, CoordServerConfig, CoordServerHandle};
 pub use deployment::{connect_registry, shard_wal_dir, start_node, Deployment};
 pub use durable::{DurableApp, WalRecord};
 pub use link::{connect_coord, CoordLink, LinkCoord};
-pub use netem::{Netem, NetemControl};
+pub use netem::NetemControl;
 pub use node::{client_node_id, client_of_node, NodeHandle, CLIENT_NODE_BASE};
 pub use service::{LogClient, StoreClient};

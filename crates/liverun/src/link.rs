@@ -528,7 +528,7 @@ impl CallerNet {
     /// Sends what `link` has queued, waits at most `wait` for the replica
     /// to answer, and feeds back what arrived and the clock.
     fn turn(&mut self, link: &mut CoordLink, wait: Duration) {
-        flush(link, &mut self.net, Reader::Frames(|buf| buf.try_next()));
+        flush(link, &mut self.net, |buf| buf.try_next());
         self.net.wait(wait, &mut self.events);
         let now = Instant::now();
         for event in self.events.drain(..) {

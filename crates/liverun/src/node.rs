@@ -218,8 +218,9 @@ pub(crate) struct NodeSetup {
     /// takes over once the host is built; `None` for an in-process
     /// registry.
     pub coord_link: Option<Arc<LinkCoord>>,
-    /// The geo fabric: coordination answers only while it connects the
-    /// node's region to `coord_region`.
+    /// The geo policy table: the node shapes its peer links and its
+    /// per-region client listeners through it, and coordination answers
+    /// only while it connects the node's region to `coord_region`.
     pub netem: Option<NetemControl>,
     /// Host tuning.
     pub host_opts: HostOptions,
@@ -349,7 +350,8 @@ impl NodeHandle {
     }
 }
 
-/// Starts one node: binds its two ports, spawns the loop.
+/// Starts one node: binds its two ports (and on a geo deployment one
+/// client port per region), spawns the loop.
 ///
 /// With `restart: true` the host comes up through the crash/recovery path
 /// (rejoin rings, install the freshest checkpoint, catch up from the
@@ -364,17 +366,27 @@ pub(crate) fn spawn_node(
         format!("{kind}-dial-{}", me.raw()),
         setup.obs.counter("writer_vectored_frames"),
     )?;
-    net.listen(
-        setup.peer_addr,
-        Reader::Frames(|buf| Ok(buf.try_next()?.map(Inbound::Peer))),
-    )?;
-    net.listen(
-        setup.client_addr,
-        Reader::Frames(|buf| Ok(buf.try_next()?.map(Inbound::Client))),
-    )?;
+    let clients: Reader<Inbound> = |buf| Ok(buf.try_next()?.map(Inbound::Client));
+    net.listen(setup.peer_addr, |buf| {
+        Ok(buf.try_next()?.map(Inbound::Peer))
+    })?;
+    net.listen(setup.client_addr, clients)?;
+    // On a geo deployment the node shapes what it sends to each peer, and
+    // listens for clients once per region: those connections it shapes
+    // both ways.
+    let mut client_regions = HashMap::new();
+    if let Some(netem) = &setup.netem {
+        for (&peer, &addr) in setup.peer_addrs.iter().filter(|(peer, _)| **peer != me) {
+            if let Some(pipe) = netem.peer_pipe(me, peer, &setup.obs) {
+                net.shape_link(addr, pipe);
+            }
+        }
+        let ip = setup.client_addr.ip();
+        client_regions = netem.bind_client_listeners(me, ip, |addr| net.listen(addr, clients))?;
+    }
     let mailer = net.mailer();
     let join = spawn_loop(format!("{kind}-node-{}", me.raw()), move || {
-        node_loop(net, setup, app, restart)
+        node_loop(net, setup, app, restart, client_regions)
     })?;
     Ok(NodeHandle {
         id: me,
@@ -383,11 +395,19 @@ pub(crate) fn spawn_node(
     })
 }
 
-fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, restart: bool) {
+/// The node loop. `client_regions` names the region each per-region
+/// client listener serves.
+fn node_loop(
+    mut net: NodeNet,
+    mut setup: NodeSetup,
+    app: Box<dyn ServiceApp>,
+    restart: bool,
+    client_regions: HashMap<SocketAddr, usize>,
+) {
     let me = setup.me;
     let clock = setup.clock;
     let mut coord_front = setup.coord.take();
-    let coord_replies = Reader::Frames(|buf| Ok(buf.try_next()?.map(Inbound::Reply)));
+    let coord_replies: Reader<Inbound> = |buf| Ok(buf.try_next()?.map(Inbound::Reply));
     let obs = setup.obs.clone();
     let mut host = MultiRingHost::new(
         me,
@@ -518,7 +538,15 @@ fn node_loop(mut net: NodeNet, mut setup: NodeSetup, app: Box<dyn ServiceApp>, r
                     }
                     continue;
                 }
-                Event::Accepted(..) => continue,
+                Event::Accepted(conn, at) => {
+                    let region = client_regions.get(&at);
+                    let pipes = (region.zip(coord.netem.as_ref()))
+                        .and_then(|(&region, netem)| netem.client_pipes(region, me, &obs, conn));
+                    if let Some((requests, replies)) = pipes {
+                        net.shape(conn, requests, replies);
+                    }
+                    continue;
+                }
                 Event::Mail(Mail::Shutdown) => return,
             };
             match msg {
@@ -851,8 +879,7 @@ mod tests {
         let config = DeploymentConfig::parse(&doc).unwrap();
         // coord_region defaults to the first declared region ("left").
         assert_eq!(config.geo.as_ref().unwrap().coord_region, "left");
-        let netem = crate::netem::Netem::start(&config).unwrap();
-        let control = netem.control();
+        let control = NetemControl::new(&config).unwrap();
         let registry = config.build_registry().unwrap();
         let coord = |node: u32| Coordination {
             me: NodeId::new(node),
@@ -879,7 +906,6 @@ mod tests {
 
         control.heal("right");
         assert!(answers(&mut left) && answers(&mut right));
-        netem.stop();
     }
 
     #[test]

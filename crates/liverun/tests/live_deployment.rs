@@ -197,14 +197,14 @@ fn a_dropped_client_leaves_nothing_behind() {
     deployment.shutdown();
 }
 
-/// A geo deployment is its node loops plus one netem loop — no relay
-/// thread per link, connection or direction — and `Deployment::shutdown`
-/// stops that loop too.
+/// A geo deployment is its node loops: each shapes its own links, so no
+/// thread relays a link, a connection or a direction, and
+/// `Deployment::shutdown` leaves none behind.
 #[test]
-fn a_geo_deployment_is_one_netem_thread_and_shutdown_leaves_none() {
+fn a_geo_deployment_is_its_node_loops_and_shutdown_leaves_none() {
     use liverun::config::with_geo;
 
-    if !alone("a_geo_deployment_is_one_netem_thread_and_shutdown_leaves_none") {
+    if !alone("a_geo_deployment_is_its_node_loops_and_shutdown_leaves_none") {
         return;
     }
     let before = thread_names().len();
@@ -221,7 +221,7 @@ fn a_geo_deployment_is_one_netem_thread_and_shutdown_leaves_none() {
     let config = DeploymentConfig::parse(&text).unwrap();
     let deployment = Deployment::launch(config.clone()).unwrap();
     {
-        // A client behind its region's relays, so client links are
+        // A client behind its region's listeners, so client links are
         // shaped too.
         let client_config = deployment.config_from("eu-west-1").unwrap();
         let mut client =
@@ -233,7 +233,7 @@ fn a_geo_deployment_is_one_netem_thread_and_shutdown_leaves_none() {
                 KvResponse::Ok
             );
         }
-        let names = threads_once(before + config.nodes.len() + 1);
+        let names = threads_once(before + config.nodes.len());
         let mut ours: Vec<&String> = names.iter().filter(|n| n.starts_with("amcast-")).collect();
         ours.sort();
         let mut loops: Vec<String> = config
@@ -241,12 +241,11 @@ fn a_geo_deployment_is_one_netem_thread_and_shutdown_leaves_none() {
             .iter()
             .map(|n| format!("amcast-node-{}", n.id.raw()))
             .collect();
-        loops.push("amcast-netem".into());
         loops.sort();
         assert_eq!(ours, loops.iter().collect::<Vec<_>>());
         assert_eq!(
             names.len(),
-            before + config.nodes.len() + 1,
+            before + config.nodes.len(),
             "threads while serving: {names:?}"
         );
     }

@@ -531,14 +531,6 @@ impl ShardedExec {
         self.table.session_count()
     }
 
-    /// Ops queued across all shard hand-off queues right now.
-    pub fn queue_depth(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.depth.load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// Number of executor shards.
     pub fn shards(&self) -> usize {
         self.shards.len()

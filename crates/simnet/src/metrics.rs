@@ -52,11 +52,6 @@ impl Metrics {
         self.hists.entry(name).or_default().record_duration(d);
     }
 
-    /// Records a raw value into histogram `name`.
-    pub fn record_value(&mut self, name: &'static str, v: u64) {
-        self.hists.entry(name).or_default().record(v);
-    }
-
     /// The histogram `name`, if any samples were recorded.
     pub fn hist(&self, name: &'static str) -> Option<&Histogram> {
         self.hists.get(name)

@@ -154,16 +154,6 @@ impl Sim {
         self.now
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether `node` is currently crashed.
-    pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.nodes[node.raw() as usize].crashed
-    }
-
     /// Schedules a crash of `node` at virtual time `at`.
     pub fn schedule_crash(&mut self, node: NodeId, at: SimTime) {
         self.queue.push_at(at, EventKind::Crash(node));
@@ -203,11 +193,6 @@ impl Sim {
     /// Removes all link blocks.
     pub fn heal_all(&mut self) {
         self.blocked.clear();
-    }
-
-    /// Mutable access to the topology (to tweak loss/jitter mid-run).
-    pub fn topology_mut(&mut self) -> &mut Topology {
-        &mut self.topology
     }
 
     fn start_if_needed(&mut self) {

@@ -159,11 +159,6 @@ impl Topology {
     pub fn loss_prob(&self) -> f64 {
         self.loss_prob
     }
-
-    /// Sets the message loss probability (for fault-injection tests).
-    pub fn set_loss_prob(&mut self, p: f64) {
-        self.loss_prob = p.clamp(0.0, 1.0);
-    }
 }
 
 impl Default for Topology {

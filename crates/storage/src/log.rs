@@ -197,11 +197,6 @@ impl AcceptorLog {
             .collect()
     }
 
-    /// The highest instance with any entry (accepted or decided).
-    pub fn highest_instance(&self) -> Option<InstanceId> {
-        self.slots.keys().next_back().copied()
-    }
-
     /// First instance still retained. Requests below this must recover
     /// from a checkpoint instead (the paper's `Trimmed` condition).
     pub fn trim_floor(&self) -> InstanceId {

@@ -66,14 +66,6 @@ impl Op {
             | Op::ReadModifyWrite { key } => *key,
         }
     }
-
-    /// True for operations that modify state.
-    pub fn is_write(&self) -> bool {
-        matches!(
-            self,
-            Op::Update { .. } | Op::Insert { .. } | Op::ReadModifyWrite { .. }
-        )
-    }
 }
 
 /// Which of the six workloads to generate.

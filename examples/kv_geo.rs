@@ -144,8 +144,8 @@ fn main() {
         );
         stats.push(client.stats());
         sim.add_node_with_cpu(sites[p], client, CpuModel::free());
-        CoordProcess::add_to(&mut sim, sites[0], &registry);
     }
+    CoordProcess::add_to(&mut sim, sites[0], &registry);
 
     sim.run_until(SimTime::from_secs(20));
 
