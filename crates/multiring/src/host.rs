@@ -32,7 +32,7 @@ use common::wire::client::{ClientMsg, ClientReply, ErrorCode};
 use common::wire::coord::{answered, ask, CoordOk, CoordOp, COORD_NODE};
 use common::wire::{get_varint, get_vec, put_varint, put_vec, Wire};
 use coord::{PartitionInfo, Registry, RingConfig};
-use ringpaxos::node::{Output, RingNode, MAX_IDLE_SKIP_STRIDE};
+use ringpaxos::node::{CreditRole, Output, RingNode, MAX_IDLE_SKIP_STRIDE};
 use ringpaxos::options::RingOptions;
 use ringpaxos::timer::RingTimer;
 use storage::{CheckpointStore, StorageMode};
@@ -402,6 +402,9 @@ struct RingMergeStats {
     /// Instances this node's learner decided on the ring — the
     /// denominator of the decision-messages-per-instance guard.
     decided: Counter,
+    /// How long each deliverable value waited in the merge, from its
+    /// decision here to its delivery.
+    merge_wait: Hist,
 }
 
 impl RingMergeStats {
@@ -412,6 +415,7 @@ impl RingMergeStats {
             lag: obs.gauge(&format!("ring{r}_merge_lag")),
             delivered: obs.counter(&format!("ring{r}_delivered_cmds")),
             decided: obs.counter(&format!("ring{r}_instances_decided")),
+            merge_wait: obs.hist(&format!("ring{r}_merge_wait_nanos")),
         }
     }
 }
@@ -768,7 +772,7 @@ impl MultiRingHost {
         let mut fed = 0;
         if let Some(learner) = &mut self.learner {
             for (inst, value) in decided {
-                learner.push(ring, inst, value);
+                learner.push_at(ring, inst, value, ctx.now());
                 fed += 1;
             }
         }
@@ -791,6 +795,12 @@ impl MultiRingHost {
     fn pump_merge_once(&mut self, ctx: &mut Ctx<'_>) {
         let mut executed_any = false;
         while let Some(delivery) = self.learner.as_mut().and_then(|l| l.pop()) {
+            let obs = &self.hobs.obs;
+            let stats = (self.ring_stats)
+                .entry(delivery.ring)
+                .or_insert_with(|| RingMergeStats::new(obs, delivery.ring));
+            let waited = ctx.now().since(delivery.decided);
+            stats.merge_wait.record(waited.as_nanos() as u64);
             let Ok(payload) =
                 Payload::decode(&mut delivery.value.payload().expect("app value").clone())
             else {
@@ -856,12 +866,13 @@ impl MultiRingHost {
         }
     }
 
-    /// When the merge is parked waiting on a ring this node coordinates
-    /// — typically an idle ring deep in the adaptive skip-stride backoff
-    /// while a neighbour ring just turned busy — top its skip credit up
-    /// at once instead of waiting out the stride. How far depends on
-    /// what the other rings have waiting behind it
-    /// ([`MergeLearner::backlog`]):
+    /// When the merge is parked waiting on a ring this node coordinates,
+    /// top it up at once ([`RingNode::rate_level_now`]). This is the
+    /// only thing besides real commands that advances a following ring
+    /// ([`MultiRingHost::credit_role`]); on a leading ring it spares a
+    /// neighbour that just turned busy the wait for the end of an idle
+    /// stride. How far depends on what the other rings have waiting
+    /// behind it ([`MergeLearner::backlog`]):
     ///
     /// * a deliverable value: everything that stands between that value
     ///   and its delivery, in one skip;
@@ -875,8 +886,14 @@ impl MultiRingHost {
     ///   credit reaches this node a stride at a time while it idles:
     ///   level with it, every command on the narrower ring would wait
     ///   for the wider ring's next burst. Behind it, they find its
-    ///   credit waiting, and the rare command on the wider ring costs
-    ///   one round of the narrower one (the first case) to let through.
+    ///   credit waiting, and a command on the wider ring costs one round
+    ///   of the narrower one (the first case) to let through.
+    ///
+    /// A narrow ring on its own clock would not stay behind: λ·Δ per Δ
+    /// keeps it level with the wider ring at their coordinators, so once
+    /// the wider ring carries traffic its credit reaches the merge later
+    /// than the narrow ring's commands. That is why a partition ring
+    /// beside a wider one follows: then only this arithmetic moves it.
     ///
     /// Returns the number of decided instances the nudge fed back into
     /// the learner (only a loopback/synchronous ring decides inline; a
@@ -889,7 +906,7 @@ impl MultiRingHost {
         let Some(ring) = learner.starved_ring() else {
             return 0;
         };
-        let width = |r: &RingId| self.rings.get(r).map(|n| n.config().members().len());
+        let width = |r: &RingId| self.ring_width(r);
         let Some(own) = width(&ring).filter(|_| self.rings[&ring].is_coordinator()) else {
             return 0; // the ring's coordinator will level it on its own Δ
         };
@@ -916,6 +933,36 @@ impl MultiRingHost {
         }
         self.out = out;
         self.drain_ring_outputs(ring, ctx)
+    }
+
+    /// How `ring` levels its instance rate while this node coordinates
+    /// it, from the partition table: it *follows* — no clock skips, only
+    /// real commands and [`MultiRingHost::nudge_starved_ring`]'s top-ups —
+    /// when only this node's own partition reads it, that partition's
+    /// merge also reads a wider ring, and this host is not recovering.
+    /// The merge then parks on it rather than on the wider ring, and the
+    /// nudge keeps it behind: exactly up to a parked deliverable value,
+    /// one to two idle bursts while the wider ring idles. A recovering
+    /// host's merge is not where its peers' are, so its top-ups would
+    /// not follow theirs: its rings lead, like every other ring.
+    fn credit_role(&self, ring: RingId) -> CreditRole {
+        let mut readers = (self.view.partitions.iter()).filter(|(_, p)| p.rings.contains(&ring));
+        let own = match (readers.next(), readers.next()) {
+            (Some((p, info)), None) if Some(*p) == self.partition => info,
+            _ => return CreditRole::Leads,
+        };
+        let wider = (own.rings.iter()).any(|r| self.ring_width(r) > self.ring_width(&ring));
+        if wider && !self.recovery.is_recovering() {
+            CreditRole::Follows
+        } else {
+            CreditRole::Leads
+        }
+    }
+
+    /// How many members `ring` has, if this node is one of them (a
+    /// replica is a member of every ring its partition reads).
+    fn ring_width(&self, ring: &RingId) -> Option<usize> {
+        self.rings.get(ring).map(|n| n.config().members().len())
     }
 
     // ------------------------------------------------------------------
@@ -1615,8 +1662,15 @@ impl Process for MultiRingHost {
                 let Some(t) = RingTimer::from_words(tag, timer.b) else {
                     return;
                 };
-                if matches!(t, RingTimer::Liveness) {
-                    self.hobs.liveness_fires.inc();
+                match t {
+                    RingTimer::Liveness => self.hobs.liveness_fires.inc(),
+                    RingTimer::RateLevel => {
+                        let role = self.credit_role(ring);
+                        if let Some(node) = self.rings.get_mut(&ring) {
+                            node.set_credit_role(role);
+                        }
+                    }
+                    _ => {}
                 }
                 self.drive(ring, ctx, |node, now, out| node.on_timer(t, now, out));
             }
@@ -1761,5 +1815,70 @@ impl Process for MultiRingHost {
             ctx.schedule(self.opts.recovery_retry, Timer::of_kind(TIMER_GAP));
             ctx.schedule(self.opts.session_sweep, Timer::of_kind(TIMER_SESSION_SWEEP));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::EchoApp;
+    use common::process::Effects;
+    use ringpaxos::options::RateLeveling;
+
+    /// Fires `ring`'s Δ clock on `host`, which assigns the ring node its
+    /// credit role first, and reads the role back.
+    fn role_at_tick(host: &mut MultiRingHost, ring: RingId, fx: &mut Effects) -> CreditRole {
+        let (tag, payload) = RingTimer::RateLevel.to_words();
+        let timer = Timer::with2(TIMER_RING, (u64::from(ring.raw()) << 8) | tag, payload);
+        host.on_timer(timer, &mut fx.ctx(SimTime::ZERO, host.me));
+        host.ring_node(ring).expect("member").credit_role()
+    }
+
+    /// Two partitions on two-member rings beside a global ring over all
+    /// four nodes, seen from node 0: its partition ring follows, the
+    /// global ring (read by both partitions) leads — and while the host
+    /// recovers, its partition ring falls back to the clock.
+    #[test]
+    fn a_follower_whose_host_is_recovering_falls_back_to_the_clock() {
+        let registry = Registry::new();
+        let global = RingId::new(2);
+        let nodes: Vec<NodeId> = (0..4).map(NodeId::new).collect();
+        for p in 0..2u16 {
+            let replicas = nodes[usize::from(p) * 2..][..2].to_vec();
+            let ring = RingId::new(p);
+            let cfg = RingConfig::new(ring, replicas.clone(), replicas.clone()).unwrap();
+            registry.register_ring(cfg).unwrap();
+            let rings = vec![ring, global];
+            let info = PartitionInfo { rings, replicas };
+            registry
+                .register_partition(PartitionId::new(p), info)
+                .unwrap();
+        }
+        let cfg = RingConfig::new(global, nodes.clone(), nodes.clone()).unwrap();
+        registry.register_ring(cfg).unwrap();
+        let mut opts = HostOptions::default();
+        opts.ring.rate_leveling = Some(RateLeveling {
+            delta: Duration::from_millis(1),
+            lambda: 9000,
+        });
+        let own = RingId::new(0);
+        let mut host = MultiRingHost::new(
+            nodes[0],
+            registry,
+            &[own, global],
+            &[own, global],
+            Some(PartitionId::new(0)),
+            Box::new(EchoApp::new()),
+            opts,
+        );
+        let mut fx = Effects::new(1);
+        host.on_start(&mut fx.ctx(SimTime::ZERO, nodes[0]));
+        assert_eq!(role_at_tick(&mut host, own, &mut fx), CreditRole::Follows);
+        assert_eq!(role_at_tick(&mut host, global, &mut fx), CreditRole::Leads);
+
+        host.on_crash(SimTime::ZERO);
+        host.on_restart(&mut fx.ctx(SimTime::ZERO, nodes[0]));
+        assert!(host.is_recovering());
+        assert_eq!(role_at_tick(&mut host, own, &mut fx), CreditRole::Leads);
     }
 }

@@ -11,6 +11,7 @@
 
 use common::ids::{InstanceId, RingId};
 use common::msg::CheckpointTuple;
+use common::time::SimTime;
 use common::value::Value;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -23,14 +24,19 @@ pub struct MulticastDelivery {
     pub inst: InstanceId,
     /// The application value.
     pub value: Value,
+    /// When the ring learner decided it here, as offered to
+    /// [`MergeLearner::push_at`]: delivery time minus this is how long it
+    /// waited in the merge.
+    pub decided: SimTime,
 }
 
 #[derive(Debug)]
 struct RingStream {
     /// Next instance to account for (everything below is consumed).
     next: InstanceId,
-    /// In-order decided values from the ring learner (instance, value).
-    queue: VecDeque<(InstanceId, Value)>,
+    /// In-order decided values from the ring learner (instance, value,
+    /// decide time).
+    queue: VecDeque<(InstanceId, Value, SimTime)>,
     /// Instances consumed in the current round-robin turn.
     consumed_this_turn: u64,
 }
@@ -164,24 +170,30 @@ impl MergeLearner {
         self.m
     }
 
-    /// Offers a decided value from `ring`. Values must arrive in instance
-    /// order per ring (the ring learner guarantees this); stale instances
-    /// (below the stream position) are ignored, which makes retransmitted
-    /// replays idempotent.
+    /// [`MergeLearner::push_at`] for a caller that does not time the
+    /// merge: the delivery reports [`SimTime::ZERO`] as its decide time.
     pub fn push(&mut self, ring: RingId, inst: InstanceId, value: Value) {
+        self.push_at(ring, inst, value, SimTime::ZERO);
+    }
+
+    /// Offers a value `ring` decided at `decided`. Values must arrive in
+    /// instance order per ring (the ring learner guarantees this); stale
+    /// instances (below the stream position) are ignored, which makes
+    /// retransmitted replays idempotent.
+    pub fn push_at(&mut self, ring: RingId, inst: InstanceId, value: Value, decided: SimTime) {
         let Some(s) = self.streams.get_mut(&ring) else {
             return; // not subscribed
         };
         if inst < s.next {
             return; // duplicate/stale
         }
-        if let Some(&(last, ref v)) = s.queue.back() {
+        if let Some(&(last, ref v, _)) = s.queue.back() {
             debug_assert!(
                 inst >= last.plus(v.instance_span()),
                 "per-ring pushes must be in order"
             );
         }
-        s.queue.push_back((inst, value));
+        s.queue.push_back((inst, value, decided));
     }
 
     /// Delivers the next message in the global deterministic-merge order,
@@ -203,18 +215,23 @@ impl MergeLearner {
                 self.turn = (self.turn + 1) % n;
                 continue;
             }
-            let Some(&(inst, _)) = s.queue.front() else {
+            let Some(&(inst, ..)) = s.queue.front() else {
                 return None; // blocked on this ring (the slowest group paces delivery)
             };
             if inst != s.next {
                 return None; // gap: waiting for a decision (or retransmission)
             }
-            let (_, value) = s.queue.pop_front().expect("front exists");
+            let (_, value, decided) = s.queue.pop_front().expect("front exists");
             let span = value.instance_span();
             s.next = inst.plus(span);
             s.consumed_this_turn += span;
             if value.is_deliverable() {
-                return Some(MulticastDelivery { ring, inst, value });
+                return Some(MulticastDelivery {
+                    ring,
+                    inst,
+                    value,
+                    decided,
+                });
             }
             self.skips_consumed += 1;
             *self.skips_by_ring.entry(ring).or_insert(0) += 1;
@@ -246,7 +263,7 @@ impl MergeLearner {
     pub fn queued_bytes(&self) -> usize {
         let queued = self.streams.values().flat_map(|s| &s.queue);
         queued
-            .filter_map(|(_, v)| v.payload())
+            .filter_map(|(_, v, _)| v.payload())
             .map(|b| b.len())
             .sum()
     }
@@ -273,7 +290,7 @@ impl MergeLearner {
         if s.consumed_this_turn >= self.m {
             return None; // turn already satisfied; merge isn't parked here
         }
-        let ready = s.queue.front().map(|&(i, _)| i == s.next).unwrap_or(false);
+        let ready = s.queue.front().is_some_and(|&(i, ..)| i == s.next);
         if ready {
             return None;
         }
@@ -294,7 +311,7 @@ impl MergeLearner {
         self.streams.iter().map(|(ring, s)| {
             let mut credit = s.consumed_this_turn;
             let mut next = s.next;
-            for (inst, value) in &s.queue {
+            for (inst, value, _) in &s.queue {
                 if *inst != next {
                     break; // gap: nothing beyond it is consumable yet
                 }
@@ -355,7 +372,7 @@ impl MergeLearner {
         for (ring, s) in self.streams.iter_mut() {
             if let Some(inst) = tuple.get(*ring) {
                 s.next = inst;
-                while let Some(&(i, ref v)) = s.queue.front() {
+                while let Some(&(i, ref v, _)) = s.queue.front() {
                     if i.plus(v.instance_span()) <= inst {
                         s.queue.pop_front();
                     } else {
@@ -379,7 +396,7 @@ impl MergeLearner {
     pub fn has_gap(&self, ring: RingId) -> bool {
         self.streams
             .get(&ring)
-            .and_then(|s| s.queue.front().map(|&(i, _)| i > s.next))
+            .and_then(|s| s.queue.front().map(|&(i, ..)| i > s.next))
             .unwrap_or(false)
     }
 }
@@ -549,6 +566,7 @@ mod tests {
                 ring: r(0),
                 inst: i(1),
                 value: app(0, 1),
+                decided: SimTime::ZERO,
             }
         );
     }

@@ -585,6 +585,134 @@ fn region_local_commands_do_not_wait_for_an_idle_global_ring() {
     );
 }
 
+/// Two partitions on two-member rings, both reading a global ring over
+/// all four nodes that carries back-to-back commands beside paced local
+/// ones. The partition rings follow the global ring
+/// (`MultiRingHost::credit_role`): they propose no clock skips, only the
+/// top-ups their merge asks for, so every global command still reaches
+/// both partitions, and a local command finds the global ring's credit
+/// waiting in the merge instead of waiting there for it.
+#[test]
+fn partition_rings_follow_the_global_ring() {
+    let registry = Registry::new();
+    let global = RingId::new(2);
+    let everyone: Vec<NodeId> = (0..4).map(NodeId::new).collect();
+    for p in 0..2u16 {
+        let replicas: Vec<NodeId> = everyone[usize::from(p) * 2..][..2].to_vec();
+        let ring = RingConfig::new(RingId::new(p), replicas.clone(), replicas.clone()).unwrap();
+        registry.register_ring(ring).unwrap();
+        let rings = vec![RingId::new(p), global];
+        let info = PartitionInfo { rings, replicas };
+        registry
+            .register_partition(PartitionId::new(p), info)
+            .unwrap();
+    }
+    registry
+        .register_ring(RingConfig::new(global, everyone.clone(), everyone.clone()).unwrap())
+        .unwrap();
+
+    let mut sim = lan_sim(11);
+    let mut observed = Vec::new();
+    for m in &everyone {
+        let p = m.raw() as u16 / 2;
+        let rings = [RingId::new(p), global];
+        let mut opts = ring_opts();
+        opts.rate_leveling = Some(RateLeveling {
+            delta: Duration::from_millis(1),
+            lambda: 9000,
+        });
+        opts.obs = Obs::default();
+        observed.push(opts.obs.clone());
+        let host = MultiRingHost::new(
+            *m,
+            registry.clone(),
+            &rings,
+            &rings,
+            Some(PartitionId::new(p)),
+            Box::new(SessionApp::new(Box::new(EchoApp::new()))),
+            HostOptions {
+                ring: opts,
+                ..HostOptions::default()
+            },
+        );
+        sim.add_node_with_cpu(0, host, CpuModel::free());
+    }
+    for p in 0..2u16 {
+        let local = RingId::new(p);
+        let client = ClosedLoopClient::new(
+            ClientId::new(u32::from(p) + 1),
+            registry.clone(),
+            HashMap::from([(local, NodeId::new(u32::from(p) * 2))]),
+            move |_rng: &mut rand::rngs::StdRng| {
+                CommandSpec::simple(
+                    local,
+                    Bytes::from_static(b"local"),
+                    vec![PartitionId::new(p)],
+                )
+            },
+            1,
+        )
+        .with_rate_cap(300.0);
+        sim.add_node_with_cpu(0, client, CpuModel::free());
+    }
+    let multi = ClosedLoopClient::new(
+        ClientId::new(3),
+        registry.clone(),
+        HashMap::from([(global, NodeId::new(0))]),
+        move |_rng: &mut rand::rngs::StdRng| {
+            let both = vec![PartitionId::new(0), PartitionId::new(1)];
+            CommandSpec::simple(global, Bytes::from_static(b"both"), both)
+        },
+        1,
+    );
+    let multi_stats = multi.stats();
+    sim.add_node_with_cpu(0, multi, CpuModel::free());
+    CoordProcess::add_to(&mut sim, 0, &registry);
+
+    let wait = |obs: &Obs, ring: u16| {
+        let snap = obs.snapshot();
+        let h = snap.hist(&format!("ring{ring}_merge_wait_nanos")).copied();
+        h.map_or((0, 0), |h| (h.count, h.sum))
+    };
+    sim.run_until(SimTime::from_secs(1));
+    let warm: Vec<_> = (observed.iter().enumerate())
+        .map(|(i, obs)| wait(obs, i as u16 / 2))
+        .collect();
+    sim.run_until(SimTime::from_secs(3));
+
+    let completed = multi_stats.borrow().completed;
+    assert!(completed > 500, "global commands completed: {completed}");
+    for (i, obs) in observed.iter().enumerate() {
+        let own = i as u16 / 2;
+        let snap = obs.snapshot();
+        let counter = |name: String| snap.counter(&name).unwrap_or(0);
+        let delivered = counter(format!("ring{}_delivered_cmds", global.raw()));
+        assert!(
+            delivered >= completed,
+            "node {i} delivered {delivered} of {completed} global commands"
+        );
+        assert_eq!(counter(format!("ring{own}_clock_skips")), 0, "node {i}");
+        let (count, sum) = wait(obs, own);
+        assert!(
+            count > warm[i].0 + 300,
+            "node {i}: {count} local deliveries"
+        );
+        assert_eq!(
+            sum,
+            warm[i].1,
+            "node {i}: local commands waited {} ns in the merge after the warm-up",
+            sum - warm[i].1
+        );
+    }
+    // The global ring leads: its coordinator keeps the Δ clock.
+    let lead = observed[0].snapshot();
+    assert!(
+        lead.counter(&format!("ring{}_clock_skips", global.raw()))
+            .unwrap_or(0)
+            > 0
+    );
+}
+
 /// A restarting replica takes part in its ring again only once
 /// coordination answers its rejoin: while the link between them is cut
 /// the ask goes unanswered and is asked again, and the answer that gets

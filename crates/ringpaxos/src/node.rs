@@ -39,9 +39,16 @@
 //! *all* retained accepted entries; the coordinator re-proposes the
 //! highest-ballot value per instance and fills gaps with no-ops (§5.1).
 //!
-//! Rate leveling (§4) runs on the coordinator: every Δ it compares the
-//! number of proposals in the interval against λ·Δ and proposes a single
-//! [`ValueKind::Skip`] token standing for the difference.
+//! Rate leveling (§4) runs on the coordinator, in one of two
+//! [`CreditRole`]s its host assigns. A *leading* ring keeps the paper's
+//! clock: every Δ it compares the number of proposals in the interval
+//! against λ·Δ and proposes a single [`ValueKind::Skip`] token standing
+//! for the difference. A *following* ring — a partition's own ring, read
+//! by one merge beside a wider ring that leads — proposes no clock skips:
+//! it advances by its real commands and by the top-ups its host asks for
+//! ([`RingNode::rate_level_now`]) when that merge is parked on it, so the
+//! wider ring's credit is always already there when the narrow ring's
+//! commands reach the merge.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::time::Duration;
@@ -68,6 +75,18 @@ use crate::timer::RingTimer;
 /// latency a merge waits for an idle ring's credit (stride × Δ; the
 /// host's starvation nudge usually collapses it to one pump cycle).
 pub const MAX_IDLE_SKIP_STRIDE: u64 = 32;
+
+/// How a coordinator levels its ring's instance rate (paper §4).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum CreditRole {
+    /// Skip on the Δ clock: at least λ·Δ instances every Δ, or one skip
+    /// per idle stride.
+    #[default]
+    Leads,
+    /// No clock skips: only real commands and host top-ups
+    /// ([`RingNode::rate_level_now`]) advance the ring.
+    Follows,
+}
 
 /// How many of its open instances a coordinator sends again at once when
 /// the oldest has stalled (the lowest ones: delivery is blocked on those).
@@ -176,6 +195,10 @@ pub struct RingNode {
     /// ~1/stride of the naive one-skip-per-Δ consensus traffic while
     /// banking exactly the same merge credit.
     idle_stride: u64,
+    /// Whether the Δ clock proposes skips; the host assigns it.
+    credit_role: CreditRole,
+    /// `ring{r}_clock_skips`: skip tokens the Δ clock proposed.
+    clock_skips: Counter,
     seen_ids: HashSet<ValueId>,
     seen_order: VecDeque<ValueId>,
 
@@ -247,6 +270,7 @@ impl RingNode {
         let value_pushes = opts.obs.counter("value_pushes_sent");
         let suspicions = opts.obs.counter("suspicions_raised");
         let evicted_epoch = opts.obs.gauge("evicted_epoch");
+        let clock_skips = opts.obs.counter(&format!("ring{}_clock_skips", ring.raw()));
         Ok(RingNode {
             me,
             ring,
@@ -267,6 +291,8 @@ impl RingNode {
             proposals_since_delta: 0,
             idle_deltas: 0,
             idle_stride: 1,
+            credit_role: CreditRole::Leads,
+            clock_skips,
             seen_ids: HashSet::new(),
             seen_order: VecDeque::new(),
             next_delivery: InstanceId::ZERO,
@@ -309,6 +335,17 @@ impl RingNode {
         self.coordinating
     }
 
+    /// How this node levels the ring while it coordinates it.
+    pub fn credit_role(&self) -> CreditRole {
+        self.credit_role
+    }
+
+    /// Sets how this node levels the ring while it coordinates it; takes
+    /// effect at the next Δ.
+    pub fn set_credit_role(&mut self, role: CreditRole) {
+        self.credit_role = role;
+    }
+
     /// The current ring configuration (this node's view).
     pub fn config(&self) -> &RingConfig {
         &self.cfg
@@ -317,11 +354,6 @@ impl RingNode {
     /// The next instance the learner will deliver.
     pub fn next_delivery(&self) -> InstanceId {
         self.next_delivery
-    }
-
-    /// Whether this node's learner emits deliveries.
-    pub fn subscribed(&self) -> bool {
-        self.subscribed
     }
 
     /// Enables or disables delivery from this ring (a Multi-Ring Paxos
@@ -401,12 +433,6 @@ impl RingNode {
     /// order, paper §5.2).
     pub fn trim_log(&mut self, upto: InstanceId) {
         self.log.trim(upto);
-    }
-
-    /// Number of proposals forwarded to this coordinator in the current
-    /// Δ interval (rate-leveling input; test/diagnostic hook).
-    pub fn proposals_since_delta(&self) -> u64 {
-        self.proposals_since_delta
     }
 
     /// Number of this node's own proposals whose decision it has not yet
@@ -1304,7 +1330,9 @@ impl RingNode {
     }
 
     /// Rate leveling (§4): propose one skip token covering the shortfall
-    /// between the proposals seen this Δ and the expected λ·Δ.
+    /// between the proposals seen this Δ and the expected λ·Δ — on a
+    /// [`CreditRole::Leads`] ring; a following ring's clock only keeps
+    /// ticking.
     ///
     /// The cadence is adaptive: a Δ with real proposals resets the
     /// backoff and skips only the shortfall, while consecutive fully
@@ -1320,7 +1348,7 @@ impl RingNode {
             return;
         };
         out.timers.push((rl.delta, RingTimer::RateLevel));
-        if !self.coordinating || !self.phase1_complete {
+        if !self.coordinating || !self.phase1_complete || self.credit_role == CreditRole::Follows {
             self.proposals_since_delta = 0;
             return;
         }
@@ -1331,6 +1359,7 @@ impl RingNode {
             self.idle_deltas = 0;
             self.idle_stride = 1;
             if got < expected {
+                self.clock_skips.inc();
                 self.propose_skip((expected - got) as u32, now, out);
             }
             return;
@@ -1342,24 +1371,24 @@ impl RingNode {
         let owed = self.idle_deltas;
         self.idle_deltas = 0;
         self.idle_stride = (self.idle_stride * 2).min(MAX_IDLE_SKIP_STRIDE);
+        self.clock_skips.inc();
         self.propose_skip((expected * owed) as u32, now, out);
     }
 
-    /// Tops up, outside the timer cadence, the skip credit this
-    /// coordinator has issued but not yet seen decided to `credit`
-    /// instances. The host calls this when its deterministic merge is
-    /// parked waiting on this ring (an idle ring deep in stride backoff
-    /// would otherwise make a newly active neighbour ring wait out the
-    /// stride), with what the other rings have waiting behind it; credit
-    /// already in flight counts, so asking again before it lands adds
-    /// nothing. A top-up also resets the backoff, so the cadence stays
-    /// tight while someone is actually waiting.
+    /// Tops up, outside the timer cadence, the instances this coordinator
+    /// has proposed but not yet seen decided to `credit`. The host calls
+    /// this when its deterministic merge is parked waiting on this ring,
+    /// with what the other rings have waiting behind it: a leading ring
+    /// deep in stride backoff then does not make a newly active
+    /// neighbour wait out the stride, and a following ring — which has
+    /// no clock — advances exactly when, and as far as, the merge needs
+    /// it. A proposal earlier in the same Δ does not refuse a top-up
+    /// (the merge waits now, not at the next tick); instances in flight
+    /// count, commands and skips alike, so asking again before they land
+    /// adds nothing. A top-up also resets the backoff, so the cadence
+    /// stays tight while someone is actually waiting.
     pub fn rate_level_now(&mut self, credit: u64, now: SimTime, out: &mut Output) {
-        if self.opts.rate_leveling.is_none()
-            || !self.coordinating
-            || !self.phase1_complete
-            || self.proposals_since_delta > 0
-        {
+        if self.opts.rate_leveling.is_none() || !self.coordinating || !self.phase1_complete {
             return;
         }
         let in_flight = self
@@ -1473,9 +1502,6 @@ impl RingNode {
                 failed: self.predecessor(),
                 seen_epoch: self.cfg.epoch(),
             });
-        } else {
-            // Opportunistically pick up config changes made by others.
-            out.asks.push(CoordOp::GetRing { ring: self.ring });
         }
     }
 
@@ -2326,6 +2352,52 @@ mod tests {
         assert!(landed.is_empty());
         h.nodes[0].rate_level_now(3, h.now, &mut landed);
         assert_eq!(skips(&landed), vec![3]);
+    }
+
+    /// A proposal earlier in the same Δ does not refuse a top-up: the
+    /// merge is parked now. The proposal in flight counts as credit.
+    #[test]
+    fn rate_level_now_tops_up_a_ring_that_saw_a_proposal_this_delta() {
+        let mut o = opts();
+        o.rate_leveling = Some(crate::options::RateLeveling {
+            delta: Duration::from_millis(5),
+            lambda: 1000,
+        });
+        let (mut h, _) = Harness::new(3, o);
+        h.start();
+        let mut out = Output::new();
+        let v = h.app_value(0, b"cmd");
+        h.nodes[0].propose(v, h.now, &mut out);
+        let mut topped = Output::new();
+        h.nodes[0].rate_level_now(5, h.now, &mut topped);
+        let skips: Vec<_> = (topped.sends.iter())
+            .filter_map(|(_, m)| match m {
+                RingMsg::Phase2 { value, .. } => Some(value.kind.clone()),
+                _ => None,
+            })
+            .collect();
+        assert!(matches!(skips[..], [ValueKind::Skip(4)]), "{skips:?}");
+    }
+
+    /// A following coordinator's Δ clock keeps ticking but proposes
+    /// nothing; only [`RingNode::rate_level_now`] advances its ring.
+    #[test]
+    fn a_following_ring_proposes_no_clock_skips() {
+        let mut o = opts();
+        o.rate_leveling = Some(crate::options::RateLeveling {
+            delta: Duration::from_millis(5),
+            lambda: 1000,
+        });
+        let (mut h, _) = Harness::new(3, o);
+        h.start();
+        h.nodes[0].set_credit_role(CreditRole::Follows);
+        let mut out = Output::new();
+        h.nodes[0].on_timer(RingTimer::RateLevel, h.now, &mut out);
+        assert!(out.sends.is_empty());
+        assert_eq!(out.timers.len(), 1, "the clock re-arms");
+        h.nodes[0].rate_level_now(2, h.now, &mut out);
+        h.relay(0, &mut out);
+        assert_eq!(h.nodes[0].next_delivery(), InstanceId::new(2));
     }
 
     #[test]
