@@ -15,7 +15,7 @@ use liverun::coord_node::{
 use liverun::{connect_coord, fetch_stats};
 
 mod threads;
-use threads::{alone, thread_names};
+use threads::{alone, settled_threads, thread_names};
 
 /// A 3-replica ensemble uses 6 ports (3 ring, then 3 client).
 fn base_port() -> u16 {
@@ -143,7 +143,7 @@ fn a_replica_is_one_loop_thread_and_shutdown_leaves_none_behind() {
     assert!(wait_until(Duration::from_secs(5), || !thread_names()
         .iter()
         .any(|n| n.starts_with("amcoord-dial"))));
-    let names = thread_names();
+    let names = settled_threads(before + 3);
     let mut ours: Vec<&str> = names
         .iter()
         .map(String::as_str)
@@ -195,7 +195,7 @@ fn a_deployment_on_the_ensemble_runs_only_loop_threads() {
     assert!(wait_until(Duration::from_secs(5), || !thread_names()
         .iter()
         .any(|n| n.contains("-dial"))));
-    let names = thread_names();
+    let names = settled_threads(before + 9);
     let mut ours: Vec<&str> = names
         .iter()
         .map(String::as_str)

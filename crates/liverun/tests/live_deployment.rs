@@ -10,7 +10,7 @@ use liverun::{ClientOptions, Deployment, DeploymentConfig, StoreClient};
 use mrpstore::KvResponse;
 
 mod threads;
-use threads::{alone, thread_names};
+use threads::{alone, settled_threads, thread_names};
 
 fn client_opts() -> ClientOptions {
     ClientOptions {
@@ -86,22 +86,6 @@ fn per_acceptor(
     out
 }
 
-/// This process's threads once there are `expected` of them and none is
-/// a node's dial helper (each lives only until its connect returns; a
-/// thread just spawned still bears its parent's name), waiting at most
-/// five seconds.
-fn threads_once(expected: usize) -> Vec<String> {
-    let settled = std::time::Instant::now() + Duration::from_secs(5);
-    loop {
-        let names = thread_names();
-        let dialing = names.iter().any(|n| n.starts_with("amcast-dial"));
-        if (names.len() == expected && !dialing) || std::time::Instant::now() > settled {
-            return names;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
 /// Waits up to a second for this process to be back at `before`
 /// threads, and asserts it is.
 fn assert_back_to(before: usize, what: &str) {
@@ -144,7 +128,7 @@ fn a_node_is_one_thread_and_shutdown_leaves_none_behind() {
         // The global ring too: every peer link of every node is up.
         assert_eq!(client.scan("thread", "").unwrap().len(), 20);
         scrape(&config);
-        let names = threads_once(before + config.nodes.len());
+        let names = settled_threads(before + config.nodes.len());
         let mut ours: Vec<&String> = names.iter().filter(|n| n.starts_with("amcast-")).collect();
         ours.sort();
         let loops: Vec<String> = config
@@ -233,7 +217,7 @@ fn a_geo_deployment_is_its_node_loops_and_shutdown_leaves_none() {
                 KvResponse::Ok
             );
         }
-        let names = threads_once(before + config.nodes.len());
+        let names = settled_threads(before + config.nodes.len());
         let mut ours: Vec<&String> = names.iter().filter(|n| n.starts_with("amcast-")).collect();
         ours.sort();
         let mut loops: Vec<String> = config

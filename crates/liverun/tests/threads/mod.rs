@@ -27,6 +27,23 @@ pub fn thread_names() -> Vec<String> {
         .collect()
 }
 
+/// This process's threads once there are `expected` of them and none is
+/// a dial helper, waiting at most five seconds. A dial helper lives only
+/// until its connect returns, and a thread just spawned still bears its
+/// parent's name until it names itself, so one snapshot can catch a
+/// helper that a loop starts at that moment under its loop's name.
+pub fn settled_threads(expected: usize) -> Vec<String> {
+    let settled = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    loop {
+        let names = thread_names();
+        let dialing = names.iter().any(|n| n.contains("-dial"));
+        if (names.len() == expected && !dialing) || std::time::Instant::now() > settled {
+            return names;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+}
+
 /// `true` when `test` runs alone in this process. Otherwise runs it
 /// alone — `--exact`, in a child process of this test binary, where no
 /// other test's threads share `/proc/self/task` — asserts that it
