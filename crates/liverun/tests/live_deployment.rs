@@ -1,5 +1,6 @@
 //! Integration tests: whole deployments over localhost TCP.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -235,6 +236,72 @@ fn a_geo_deployment_is_its_node_loops_and_shutdown_leaves_none() {
     }
     deployment.shutdown();
     assert_back_to(before, "shutdown");
+}
+
+/// Each `amcast-node-N` loop thread's `(runs, cpu_nanos)` by `N`: the
+/// third and first fields of its `/proc/self/task/<tid>/schedstat`. A
+/// thread a loop has just started bears the loop's name until it names
+/// itself; the loop is the one that has run more.
+fn loop_schedstats() -> BTreeMap<u32, (u64, u64)> {
+    let mut loops = BTreeMap::new();
+    for task in std::fs::read_dir("/proc/self/task").unwrap().flatten() {
+        let Ok(comm) = std::fs::read_to_string(task.path().join("comm")) else {
+            continue;
+        };
+        let Some(node) = comm.trim_end().strip_prefix("amcast-node-") else {
+            continue;
+        };
+        let stat = std::fs::read_to_string(task.path().join("schedstat")).unwrap_or_default();
+        let fields: Vec<u64> = stat.split_whitespace().flat_map(str::parse).collect();
+        if let (Ok(node), &[cpu, _, runs, ..]) = (node.parse(), &fields[..]) {
+            let seen = loops.entry(node).or_insert((runs, cpu));
+            if runs > seen.0 {
+                *seen = (runs, cpu);
+            }
+        }
+    }
+    loops
+}
+
+/// An idle 2 × 3 deployment keeps one Δ clock: only the global ring's
+/// coordinator levels a ring (both partition rings follow the wider
+/// global ring), so only its loop wakes every 1 ms Δ. Every other node
+/// loop wakes for heartbeats, liveness and checkpoints alone — far fewer
+/// than 300 times a second.
+#[test]
+fn only_the_node_that_levels_a_ring_wakes_every_delta() {
+    if !alone("only_the_node_that_levels_a_ring_wakes_every_delta") {
+        return;
+    }
+    let text = generate_localhost_mrpstore(2, 3, base_port(), None);
+    let config = DeploymentConfig::parse(&text).unwrap();
+    let deployment = Deployment::launch(config.clone()).unwrap();
+    std::thread::sleep(Duration::from_secs(1));
+    let window = Duration::from_secs(3);
+    let before = loop_schedstats();
+    std::thread::sleep(window);
+    let after = loop_schedstats();
+    let global = config.global_ring();
+    let clock = deployment.registry().ring(global).unwrap().coordinator();
+    deployment.shutdown();
+
+    assert_eq!(after.len(), config.nodes.len(), "{after:?}");
+    let secs = window.as_secs_f64();
+    let mut cpu = 0.0;
+    for (node, (runs1, ns1)) in &after {
+        let (runs0, ns0) = before[node];
+        let runs = (runs1 - runs0) as f64 / secs;
+        let ms = (ns1 - ns0) as f64 / secs / 1e6;
+        cpu += ms;
+        println!("amcast-node-{node}: {runs:.0} runs/s, {ms:.1} ms CPU/s");
+        if *node != clock.raw() {
+            assert!(runs < 300.0, "node {node} woke {runs:.0} times/s idle");
+        }
+    }
+    println!(
+        "idle loops: {cpu:.1} ms CPU/s ({:.1} % of one core)",
+        cpu / 10.0
+    );
 }
 
 /// The stats plane needs no session and no hello: a fresh connection

@@ -32,7 +32,7 @@ use common::wire::client::{ClientMsg, ClientReply, ErrorCode};
 use common::wire::coord::{answered, ask, CoordOk, CoordOp, COORD_NODE};
 use common::wire::{get_varint, get_vec, put_varint, put_vec, Wire};
 use coord::{PartitionInfo, Registry, RingConfig};
-use ringpaxos::node::{CreditRole, Output, RingNode, MAX_IDLE_SKIP_STRIDE};
+use ringpaxos::node::{Output, RingNode, MAX_IDLE_SKIP_STRIDE};
 use ringpaxos::options::RingOptions;
 use ringpaxos::timer::RingTimer;
 use storage::{CheckpointStore, StorageMode};
@@ -52,6 +52,9 @@ const TIMER_GAP: u32 = 6;
 const TIMER_CHECKPOINT_STEP: u32 = 7;
 const TIMER_SESSION_SWEEP: u32 = 8;
 const TIMER_REJOIN: u32 = 9;
+/// The Δ clock of rate leveling (§4), armed only while this node levels
+/// a ring ([`MultiRingHost::levels`]).
+const TIMER_CLOCK: u32 = 10;
 
 /// Asks remembered for correlation (an older ask's answer is dropped).
 const ASKS_REMEMBERED: usize = 1024;
@@ -389,6 +392,8 @@ pub struct MultiRingHost {
     session_seen: HashMap<u64, (u64, SimTime)>,
     /// Correlation numbers of this node's expiry proposals.
     expire_seq: u64,
+    /// Whether a [`TIMER_CLOCK`] is pending.
+    clock_armed: bool,
 }
 
 /// Per-ring counters/gauges behind the `merge_skips`/`merge_lag`
@@ -508,6 +513,7 @@ impl MultiRingHost {
             ring_stats: BTreeMap::new(),
             session_seen: HashMap::new(),
             expire_seq: 0,
+            clock_armed: false,
         }
     }
 
@@ -869,10 +875,10 @@ impl MultiRingHost {
     /// When the merge is parked waiting on a ring this node coordinates,
     /// top it up at once ([`RingNode::rate_level_now`]). This is the
     /// only thing besides real commands that advances a following ring
-    /// ([`MultiRingHost::credit_role`]); on a leading ring it spares a
-    /// neighbour that just turned busy the wait for the end of an idle
-    /// stride. How far depends on what the other rings have waiting
-    /// behind it ([`MergeLearner::backlog`]):
+    /// ([`MultiRingHost::leads`]), which the host's Δ clock never steps;
+    /// on a leading ring it spares a neighbour that just turned busy the
+    /// wait for the end of an idle stride. How far depends on what the
+    /// other rings have waiting behind it ([`MergeLearner::backlog`]):
     ///
     /// * a deliverable value: everything that stands between that value
     ///   and its delivery, in one skip;
@@ -908,7 +914,7 @@ impl MultiRingHost {
         };
         let width = |r: &RingId| self.ring_width(r);
         let Some(own) = width(&ring).filter(|_| self.rings[&ring].is_coordinator()) else {
-            return 0; // the ring's coordinator will level it on its own Δ
+            return 0; // the ring's coordinator levels it
         };
         let burst = MAX_IDLE_SKIP_STRIDE * rl.expected_per_delta();
         let credit = learner
@@ -935,27 +941,55 @@ impl MultiRingHost {
         self.drain_ring_outputs(ring, ctx)
     }
 
-    /// How `ring` levels its instance rate while this node coordinates
-    /// it, from the partition table: it *follows* — no clock skips, only
-    /// real commands and [`MultiRingHost::nudge_starved_ring`]'s top-ups —
-    /// when only this node's own partition reads it, that partition's
-    /// merge also reads a wider ring, and this host is not recovering.
-    /// The merge then parks on it rather than on the wider ring, and the
-    /// nudge keeps it behind: exactly up to a parked deliverable value,
-    /// one to two idle bursts while the wider ring idles. A recovering
-    /// host's merge is not where its peers' are, so its top-ups would
-    /// not follow theirs: its rings lead, like every other ring.
-    fn credit_role(&self, ring: RingId) -> CreditRole {
+    /// Whether `ring` leads — keeps the paper's Δ clock while this node
+    /// coordinates it — from the partition table. It *follows* instead —
+    /// no clock skips, only real commands and
+    /// [`MultiRingHost::nudge_starved_ring`]'s top-ups — when only this
+    /// node's own partition reads it, that partition's merge also reads a
+    /// wider ring, and this host is not recovering. The merge then parks
+    /// on it rather than on the wider ring, and the nudge keeps it behind:
+    /// exactly up to a parked deliverable value, one to two idle bursts
+    /// while the wider ring idles. A recovering host's merge is not where
+    /// its peers' are, so its top-ups would not follow theirs: its rings
+    /// lead, like every other ring.
+    fn leads(&self, ring: RingId) -> bool {
         let mut readers = (self.view.partitions.iter()).filter(|(_, p)| p.rings.contains(&ring));
         let own = match (readers.next(), readers.next()) {
             (Some((p, info)), None) if Some(*p) == self.partition => info,
-            _ => return CreditRole::Leads,
+            _ => return true,
         };
         let wider = (own.rings.iter()).any(|r| self.ring_width(r) > self.ring_width(&ring));
-        if wider && !self.recovery.is_recovering() {
-            CreditRole::Follows
-        } else {
-            CreditRole::Leads
+        !wider || self.recovery.is_recovering()
+    }
+
+    /// Whether this node levels `ring` on the Δ clock (when rate leveling
+    /// is on): it coordinates the ring, and the ring leads.
+    fn levels(&self, ring: RingId) -> bool {
+        self.rings.get(&ring).is_some_and(RingNode::is_coordinator) && self.leads(ring)
+    }
+
+    /// Arms the Δ clock unless it is pending or this node levels no ring.
+    /// Coordinatorship, partitions and recovery change only inside
+    /// [`Process`] callbacks, so each one ends here.
+    fn arm_clock(&mut self, ctx: &mut Ctx<'_>) {
+        let Some(rl) = self.opts.ring.rate_leveling else {
+            return;
+        };
+        if !self.clock_armed && self.rings.keys().any(|r| self.levels(*r)) {
+            self.clock_armed = true;
+            ctx.schedule(rl.delta, Timer::of_kind(TIMER_CLOCK));
+        }
+    }
+
+    /// One Δ of the clock: [`RingNode::on_delta`] on every ring this node
+    /// levels, in ring order.
+    fn on_clock(&mut self, ctx: &mut Ctx<'_>) {
+        self.clock_armed = false;
+        let levelled: Vec<RingId> = (self.rings.keys().copied())
+            .filter(|r| self.levels(*r))
+            .collect();
+        for ring in levelled {
+            self.drive(ring, ctx, |node, now, out| node.on_delta(now, out));
         }
     }
 
@@ -1551,29 +1585,9 @@ impl MultiRingHost {
             self.step_catch_up(ctx);
         }
     }
-}
 
-impl Process for MultiRingHost {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let rings: Vec<RingId> = self.rings.keys().copied().collect();
-        for ring in rings {
-            self.drive(ring, ctx, |node, now, out| node.start(now, out));
-        }
-        if let Some(interval) = self.opts.checkpoint_interval {
-            ctx.schedule(self.ckpt_phase(interval), Timer::of_kind(TIMER_CHECKPOINT));
-        }
-        if let Some(interval) = self.opts.trim_interval {
-            for ring in self.rings.keys() {
-                ctx.schedule(interval, Timer::with(TIMER_TRIM, u64::from(ring.raw())));
-            }
-        }
-        if self.learner.is_some() {
-            ctx.schedule(self.opts.recovery_retry, Timer::of_kind(TIMER_GAP));
-            ctx.schedule(self.opts.session_sweep, Timer::of_kind(TIMER_SESSION_SWEEP));
-        }
-    }
-
-    fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Ctx<'_>) {
+    /// [`Process::on_message`] up to the clock check.
+    fn handle_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Ctx<'_>) {
         match msg {
             Msg::Ring(ring, m) => {
                 // A restarted node takes part once it rejoined.
@@ -1654,7 +1668,8 @@ impl Process for MultiRingHost {
         }
     }
 
-    fn on_timer(&mut self, timer: Timer, ctx: &mut Ctx<'_>) {
+    /// [`Process::on_timer`] up to the clock check.
+    fn handle_timer(&mut self, timer: Timer, ctx: &mut Ctx<'_>) {
         match timer.kind {
             TIMER_RING => {
                 let ring = RingId::new((timer.a >> 8) as u16);
@@ -1662,18 +1677,12 @@ impl Process for MultiRingHost {
                 let Some(t) = RingTimer::from_words(tag, timer.b) else {
                     return;
                 };
-                match t {
-                    RingTimer::Liveness => self.hobs.liveness_fires.inc(),
-                    RingTimer::RateLevel => {
-                        let role = self.credit_role(ring);
-                        if let Some(node) = self.rings.get_mut(&ring) {
-                            node.set_credit_role(role);
-                        }
-                    }
-                    _ => {}
+                if t == RingTimer::Liveness {
+                    self.hobs.liveness_fires.inc();
                 }
                 self.drive(ring, ctx, |node, now, out| node.on_timer(t, now, out));
             }
+            TIMER_CLOCK => self.on_clock(ctx),
             TIMER_CHECKPOINT => {
                 self.take_checkpoint(ctx);
                 if let Some(interval) = self.opts.checkpoint_interval {
@@ -1766,6 +1775,38 @@ impl Process for MultiRingHost {
             _ => {}
         }
     }
+}
+
+impl Process for MultiRingHost {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        let rings: Vec<RingId> = self.rings.keys().copied().collect();
+        for ring in rings {
+            self.drive(ring, ctx, |node, now, out| node.start(now, out));
+        }
+        if let Some(interval) = self.opts.checkpoint_interval {
+            ctx.schedule(self.ckpt_phase(interval), Timer::of_kind(TIMER_CHECKPOINT));
+        }
+        if let Some(interval) = self.opts.trim_interval {
+            for ring in self.rings.keys() {
+                ctx.schedule(interval, Timer::with(TIMER_TRIM, u64::from(ring.raw())));
+            }
+        }
+        if self.learner.is_some() {
+            ctx.schedule(self.opts.recovery_retry, Timer::of_kind(TIMER_GAP));
+            ctx.schedule(self.opts.session_sweep, Timer::of_kind(TIMER_SESSION_SWEEP));
+        }
+        self.arm_clock(ctx);
+    }
+
+    fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Ctx<'_>) {
+        self.handle_message(from, msg, ctx);
+        self.arm_clock(ctx);
+    }
+
+    fn on_timer(&mut self, timer: Timer, ctx: &mut Ctx<'_>) {
+        self.handle_timer(timer, ctx);
+        self.arm_clock(ctx);
+    }
 
     fn on_crash(&mut self, now: SimTime) {
         for node in self.rings.values_mut() {
@@ -1785,6 +1826,7 @@ impl Process for MultiRingHost {
         self.restart_recovery = false;
         self.executed = 0;
         self.session_seen.clear();
+        self.clock_armed = false;
     }
 
     fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
@@ -1815,6 +1857,7 @@ impl Process for MultiRingHost {
             ctx.schedule(self.opts.recovery_retry, Timer::of_kind(TIMER_GAP));
             ctx.schedule(self.opts.session_sweep, Timer::of_kind(TIMER_SESSION_SWEEP));
         }
+        self.arm_clock(ctx);
     }
 }
 
@@ -1825,60 +1868,188 @@ mod tests {
     use common::process::Effects;
     use ringpaxos::options::RateLeveling;
 
-    /// Fires `ring`'s Δ clock on `host`, which assigns the ring node its
-    /// credit role first, and reads the role back.
-    fn role_at_tick(host: &mut MultiRingHost, ring: RingId, fx: &mut Effects) -> CreditRole {
-        let (tag, payload) = RingTimer::RateLevel.to_words();
-        let timer = Timer::with2(TIMER_RING, (u64::from(ring.raw()) << 8) | tag, payload);
-        host.on_timer(timer, &mut fx.ctx(SimTime::ZERO, host.me));
-        host.ring_node(ring).expect("member").credit_role()
-    }
-
-    /// Two partitions on two-member rings beside a global ring over all
-    /// four nodes, seen from node 0: its partition ring follows, the
-    /// global ring (read by both partitions) leads — and while the host
-    /// recovers, its partition ring falls back to the clock.
-    #[test]
-    fn a_follower_whose_host_is_recovering_falls_back_to_the_clock() {
+    /// `partitions` partitions of `replicas` nodes, partition `p` on ring
+    /// `p` over its replicas, and a global ring (id `partitions`) over
+    /// every node that both partitions read — the layout of a generated
+    /// localhost deployment. Ring coordinators are their first members.
+    fn layout(partitions: u16, replicas: u16) -> Registry {
         let registry = Registry::new();
-        let global = RingId::new(2);
-        let nodes: Vec<NodeId> = (0..4).map(NodeId::new).collect();
-        for p in 0..2u16 {
-            let replicas = nodes[usize::from(p) * 2..][..2].to_vec();
+        let nodes: Vec<NodeId> = (0..u32::from(partitions * replicas))
+            .map(NodeId::new)
+            .collect();
+        let global = RingId::new(partitions);
+        for p in 0..partitions {
+            let members = nodes[usize::from(p * replicas)..][..usize::from(replicas)].to_vec();
             let ring = RingId::new(p);
-            let cfg = RingConfig::new(ring, replicas.clone(), replicas.clone()).unwrap();
+            let cfg = RingConfig::new(ring, members.clone(), members.clone()).unwrap();
             registry.register_ring(cfg).unwrap();
             let rings = vec![ring, global];
-            let info = PartitionInfo { rings, replicas };
+            let info = PartitionInfo {
+                rings,
+                replicas: members,
+            };
             registry
                 .register_partition(PartitionId::new(p), info)
                 .unwrap();
         }
-        let cfg = RingConfig::new(global, nodes.clone(), nodes.clone()).unwrap();
+        let cfg = RingConfig::new(global, nodes.clone(), nodes).unwrap();
         registry.register_ring(cfg).unwrap();
+        registry
+    }
+
+    /// Node `me`'s host in [`layout`], started at time zero.
+    fn started(registry: &Registry, me: u32, replicas: u16, fx: &mut Effects) -> MultiRingHost {
+        let partition = (me / u32::from(replicas)) as u16;
+        let global = RingId::new(registry.partitions().len() as u16);
+        let rings = [RingId::new(partition), global];
         let mut opts = HostOptions::default();
         opts.ring.rate_leveling = Some(RateLeveling {
             delta: Duration::from_millis(1),
             lambda: 9000,
         });
-        let own = RingId::new(0);
         let mut host = MultiRingHost::new(
-            nodes[0],
-            registry,
-            &[own, global],
-            &[own, global],
-            Some(PartitionId::new(0)),
+            NodeId::new(me),
+            registry.clone(),
+            &rings,
+            &rings,
+            Some(PartitionId::new(partition)),
             Box::new(EchoApp::new()),
             opts,
         );
+        host.on_start(&mut fx.ctx(SimTime::ZERO, host.me));
+        host
+    }
+
+    /// How many Δ clocks the callbacks since the last call armed; drops
+    /// everything else they left.
+    fn clocks_armed(fx: &mut Effects) -> usize {
+        fx.drain_sends().for_each(drop);
+        (fx.drain_timers())
+            .filter(|(_, t)| t.kind == TIMER_CLOCK)
+            .count()
+    }
+
+    /// Fires `ring`'s `timer` on `host` at `at`.
+    fn fire(
+        host: &mut MultiRingHost,
+        ring: RingId,
+        timer: RingTimer,
+        at: SimTime,
+        fx: &mut Effects,
+    ) {
+        let (tag, payload) = timer.to_words();
+        let timer = Timer::with2(TIMER_RING, (u64::from(ring.raw()) << 8) | tag, payload);
+        host.on_timer(timer, &mut fx.ctx(at, host.me));
+    }
+
+    /// Answers, through `registry`, every coordination ask the last
+    /// callbacks left in `fx`; returns the clocks armed while the host
+    /// took the answers in.
+    fn answer_asks(host: &mut MultiRingHost, registry: &Registry, fx: &mut Effects) -> usize {
+        let asks: Vec<Msg> = (fx.drain_sends())
+            .filter(|(to, _)| *to == COORD_NODE)
+            .map(|(_, msg)| msg)
+            .collect();
+        fx.drain_timers().for_each(drop);
+        let mut armed = 0;
+        for ask in asks {
+            let reply = registry.answer(&ask, COORD_NODE).expect("an ask");
+            host.on_message(COORD_NODE, reply, &mut fx.ctx(SimTime::ZERO, host.me));
+            armed += clocks_armed(fx);
+        }
+        armed
+    }
+
+    /// In a 2 × 2 layout only node 0 coordinates the global ring, which
+    /// leads. Node 2 coordinates partition 1's ring, which follows the
+    /// wider global ring; nodes 1 and 3 coordinate nothing. None of
+    /// those three arms a Δ clock, whatever fires.
+    #[test]
+    fn a_node_that_levels_no_ring_arms_no_clock() {
+        let registry = layout(2, 2);
+        for me in 1..4 {
+            let mut fx = Effects::new(1);
+            let mut host = started(&registry, me, 2, &mut fx);
+            assert_eq!(clocks_armed(&mut fx), 0, "node {me} started");
+            let own = RingId::new((me / 2) as u16);
+            for ring in [own, RingId::new(2)] {
+                for timer in [RingTimer::Liveness, RingTimer::ProposalRetry] {
+                    fire(&mut host, ring, timer, SimTime::from_millis(10), &mut fx);
+                }
+            }
+            assert_eq!(clocks_armed(&mut fx), 0, "node {me} after its ring timers");
+        }
+    }
+
+    /// A coordinator of leading rings arms one clock per tick however
+    /// many of them it levels: two in the 1 × 3 layout (both rings are
+    /// as wide, so both lead), one beside a follower in the 2 × 2.
+    #[test]
+    fn a_coordinator_of_leading_rings_arms_one_clock_per_tick() {
+        for (partitions, replicas, levelled) in [(1, 3, 2), (2, 2, 1)] {
+            let registry = layout(partitions, replicas);
+            let mut fx = Effects::new(1);
+            let mut host = started(&registry, 0, replicas, &mut fx);
+            let rings: Vec<RingId> = host.rings.keys().copied().collect();
+            let levels = rings.iter().filter(|r| host.levels(**r)).count();
+            assert_eq!(levels, levelled, "{partitions} × {replicas}");
+            assert_eq!(
+                clocks_armed(&mut fx),
+                1,
+                "{partitions} × {replicas} started"
+            );
+            for tick in 1..=3 {
+                let at = SimTime::from_millis(tick);
+                host.on_timer(Timer::of_kind(TIMER_CLOCK), &mut fx.ctx(at, host.me));
+                assert_eq!(
+                    clocks_armed(&mut fx),
+                    1,
+                    "{partitions} × {replicas} tick {tick}"
+                );
+            }
+        }
+    }
+
+    /// Node 2 of a 2 × 2 layout coordinates partition 1's ring, which
+    /// follows the global ring — until a crash: while the restarted
+    /// host recovers, its ring leads and the host clocks it from the
+    /// callback that takes its rejoin in.
+    #[test]
+    fn a_follower_whose_host_is_recovering_falls_back_to_the_clock() {
+        let registry = layout(2, 2);
         let mut fx = Effects::new(1);
-        host.on_start(&mut fx.ctx(SimTime::ZERO, nodes[0]));
-        assert_eq!(role_at_tick(&mut host, own, &mut fx), CreditRole::Follows);
-        assert_eq!(role_at_tick(&mut host, global, &mut fx), CreditRole::Leads);
+        let mut host = started(&registry, 2, 2, &mut fx);
+        let own = RingId::new(1);
+        assert!(host.ring_node(own).unwrap().is_coordinator());
+        assert_eq!(clocks_armed(&mut fx), 0);
 
         host.on_crash(SimTime::ZERO);
-        host.on_restart(&mut fx.ctx(SimTime::ZERO, nodes[0]));
+        host.on_restart(&mut fx.ctx(SimTime::ZERO, host.me));
         assert!(host.is_recovering());
-        assert_eq!(role_at_tick(&mut host, own, &mut fx), CreditRole::Leads);
+        assert_eq!(answer_asks(&mut host, &registry, &mut fx), 1);
+        assert!(host.ring_node(own).unwrap().is_coordinator());
+        assert!(host.is_recovering() && host.levels(own));
+    }
+
+    /// Node 1 of a 2 × 2 layout reports the global ring's coordinator,
+    /// node 0, as failed; the answer makes node 1 coordinate the global
+    /// ring, and the callback that installs it arms the clock.
+    #[test]
+    fn failover_to_a_leading_ring_starts_the_clock_in_the_same_callback() {
+        let registry = layout(2, 2);
+        let mut fx = Effects::new(1);
+        let mut host = started(&registry, 1, 2, &mut fx);
+        let global = RingId::new(2);
+        assert_eq!(clocks_armed(&mut fx), 0);
+        fire(
+            &mut host,
+            global,
+            RingTimer::Liveness,
+            SimTime::from_secs(1),
+            &mut fx,
+        );
+        assert!(!host.ring_node(global).unwrap().is_coordinator());
+        assert_eq!(answer_asks(&mut host, &registry, &mut fx), 1);
+        assert!(host.ring_node(global).unwrap().is_coordinator());
     }
 }

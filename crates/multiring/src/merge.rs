@@ -390,15 +390,6 @@ impl MergeLearner {
     pub fn next_needed(&self, ring: RingId) -> Option<InstanceId> {
         self.streams.get(&ring).map(|s| s.next)
     }
-
-    /// True when `ring`'s stream has undelivered decisions buffered
-    /// beyond a gap (a hint that retransmission is needed).
-    pub fn has_gap(&self, ring: RingId) -> bool {
-        self.streams
-            .get(&ring)
-            .and_then(|s| s.queue.front().map(|&(i, ..)| i > s.next))
-            .unwrap_or(false)
-    }
 }
 
 #[cfg(test)]
@@ -514,17 +505,15 @@ mod tests {
     #[test]
     fn gap_blocks_until_filled() {
         // A learner recovering from a checkpoint at instance 0 sees new
-        // decisions starting at 1: the merge must stall (and flag the gap)
-        // until instance 0 is retransmitted through the ring learner.
+        // decisions starting at 1: the merge must stall until instance 0
+        // is retransmitted through the ring learner.
         let mut m = MergeLearner::new(&[r(0)], 1);
         m.push(r(0), i(1), app(0, 1)); // instance 0 missing
         assert!(m.pop().is_none());
-        assert!(m.has_gap(r(0)));
         // The retransmission feeds the ring learner, which re-delivers in
         // order; the merge is repositioned via restore.
         let t = CheckpointTuple::new(vec![(r(0), i(1))]);
         m.restore(&t);
-        assert!(!m.has_gap(r(0)));
         assert_eq!(m.pop().unwrap().inst, i(1));
     }
 

@@ -587,11 +587,12 @@ fn region_local_commands_do_not_wait_for_an_idle_global_ring() {
 
 /// Two partitions on two-member rings, both reading a global ring over
 /// all four nodes that carries back-to-back commands beside paced local
-/// ones. The partition rings follow the global ring
-/// (`MultiRingHost::credit_role`): they propose no clock skips, only the
-/// top-ups their merge asks for, so every global command still reaches
-/// both partitions, and a local command finds the global ring's credit
-/// waiting in the merge instead of waiting there for it.
+/// ones. The partition rings follow the global ring: their coordinators'
+/// hosts keep no Δ clock for them (`MultiRingHost::leads`), so they
+/// propose no clock skips, only the top-ups their merge asks for. Every
+/// global command still reaches both partitions, and a local command
+/// finds the global ring's credit waiting in the merge instead of
+/// waiting there for it.
 #[test]
 fn partition_rings_follow_the_global_ring() {
     let registry = Registry::new();
@@ -710,6 +711,141 @@ fn partition_rings_follow_the_global_ring() {
         lead.counter(&format!("ring{}_clock_skips", global.raw()))
             .unwrap_or(0)
             > 0
+    );
+}
+
+/// Two partitions on three-member rings beside an idle global ring over
+/// all six nodes, coordinated by node 1. The partition rings follow, so
+/// only node 1's host keeps the Δ clock, and partition 1 — none of whose
+/// replicas coordinates the global ring — needs that clock's skips for
+/// every local command (partition 0's slower commands would top the
+/// global ring up only at their own pace). Node 1 crashes; once the
+/// global ring reconfigures, its new coordinator's host keeps the clock,
+/// and both partitions' merges keep delivering local commands (and the
+/// rare global one).
+#[test]
+fn a_new_global_coordinator_keeps_the_partitions_delivering() {
+    let registry = Registry::new();
+    let global = RingId::new(2);
+    let everyone: Vec<NodeId> = (0..6).map(NodeId::new).collect();
+    for p in 0..2u16 {
+        let replicas: Vec<NodeId> = everyone[usize::from(p) * 3..][..3].to_vec();
+        let ring = RingConfig::new(RingId::new(p), replicas.clone(), replicas.clone()).unwrap();
+        registry.register_ring(ring).unwrap();
+        let rings = vec![RingId::new(p), global];
+        let info = PartitionInfo { rings, replicas };
+        registry
+            .register_partition(PartitionId::new(p), info)
+            .unwrap();
+    }
+    let mut acceptors = everyone.clone();
+    acceptors.swap(0, 1);
+    let cfg = RingConfig::new(global, everyone.clone(), acceptors).unwrap();
+    assert_eq!(cfg.coordinator(), NodeId::new(1));
+    registry.register_ring(cfg).unwrap();
+
+    let mut sim = lan_sim(13);
+    let mut observed = Vec::new();
+    for m in &everyone {
+        let p = m.raw() as u16 / 3;
+        let rings = [RingId::new(p), global];
+        let mut opts = ring_opts();
+        opts.rate_leveling = Some(RateLeveling {
+            delta: Duration::from_millis(1),
+            lambda: 9000,
+        });
+        opts.obs = Obs::default();
+        observed.push(opts.obs.clone());
+        let host = MultiRingHost::new(
+            *m,
+            registry.clone(),
+            &rings,
+            &rings,
+            Some(PartitionId::new(p)),
+            Box::new(SessionApp::new(Box::new(EchoApp::new()))),
+            HostOptions {
+                ring: opts,
+                ..HostOptions::default()
+            },
+        );
+        sim.add_node_with_cpu(0, host, CpuModel::free());
+    }
+    let rates = [50.0, 300.0];
+    for p in 0..2u16 {
+        let local = RingId::new(p);
+        let client = ClosedLoopClient::new(
+            ClientId::new(u32::from(p) + 1),
+            registry.clone(),
+            HashMap::from([(local, NodeId::new(u32::from(p) * 3))]),
+            move |_rng: &mut rand::rngs::StdRng| {
+                CommandSpec::simple(
+                    local,
+                    Bytes::from_static(b"local"),
+                    vec![PartitionId::new(p)],
+                )
+            },
+            1,
+        )
+        .with_rate_cap(rates[usize::from(p)]);
+        sim.add_node_with_cpu(0, client, CpuModel::free());
+    }
+    let multi = ClosedLoopClient::new(
+        ClientId::new(3),
+        registry.clone(),
+        HashMap::from([(global, NodeId::new(0))]),
+        move |_rng: &mut rand::rngs::StdRng| {
+            let both = vec![PartitionId::new(0), PartitionId::new(1)];
+            CommandSpec::simple(global, Bytes::from_static(b"both"), both)
+        },
+        1,
+    )
+    .with_rate_cap(20.0);
+    sim.add_node_with_cpu(0, multi, CpuModel::free());
+    CoordProcess::add_to(&mut sim, 0, &registry);
+
+    let victim = NodeId::new(1);
+    sim.schedule_crash(victim, SimTime::from_secs(1));
+    sim.run_until(SimTime::from_secs(2));
+    let after = registry.ring(global).unwrap();
+    assert!(
+        !after.contains(victim),
+        "the crashed coordinator was reported"
+    );
+    let lead = after.coordinator();
+    let delivered = |obs: &Obs, ring: u16| {
+        let name = format!("ring{ring}_delivered_cmds");
+        obs.snapshot().counter(&name).unwrap_or(0)
+    };
+    let skips = |obs: &Obs| {
+        let name = format!("ring{}_clock_skips", global.raw());
+        obs.snapshot().counter(&name).unwrap_or(0)
+    };
+    let at_two: Vec<_> = (observed.iter().enumerate())
+        .map(|(i, obs)| (delivered(obs, i as u16 / 3), delivered(obs, global.raw())))
+        .collect();
+    let lead_skips = skips(&observed[lead.raw() as usize]);
+    sim.run_until(SimTime::from_secs(4));
+
+    for (i, obs) in observed.iter().enumerate() {
+        if i == victim.raw() as usize {
+            continue;
+        }
+        let own = delivered(obs, i as u16 / 3) - at_two[i].0;
+        let both = delivered(obs, global.raw()) - at_two[i].1;
+        let paced = rates[i / 3] as u64; // two seconds, at least half the pace
+        assert!(
+            own > paced,
+            "node {i} delivered {own} local commands in 2 s"
+        );
+        assert!(
+            both > 10,
+            "node {i} delivered {both} global commands in 2 s"
+        );
+    }
+    let lead_obs = &observed[lead.raw() as usize];
+    assert!(
+        skips(lead_obs) > lead_skips,
+        "the new coordinator {lead} keeps the clock"
     );
 }
 

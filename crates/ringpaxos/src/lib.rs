@@ -12,8 +12,9 @@
 //!
 //! The core type is [`RingNode`]: a runtime-agnostic state machine holding
 //! all roles a process plays in one ring. It is driven through
-//! [`RingNode::on_msg`], [`RingNode::on_timer`] and [`RingNode::propose`],
-//! and emits effects into an [`Output`] scratch buffer. It never touches
+//! [`RingNode::on_msg`], [`RingNode::on_timer`] and [`RingNode::propose`]
+//! (and every Δ, on a ring its host levels, [`RingNode::on_delta`]), and
+//! emits effects into an [`Output`] scratch buffer. It never touches
 //! a socket or a clock, and it reads the [`coord::Registry`] only when it
 //! is built. Its driver is `multiring::MultiRingHost`, which owns one per
 //! ring, in the simulator and in the `liverun` node loop alike — under

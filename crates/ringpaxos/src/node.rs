@@ -39,16 +39,19 @@
 //! *all* retained accepted entries; the coordinator re-proposes the
 //! highest-ballot value per instance and fills gaps with no-ops (§5.1).
 //!
-//! Rate leveling (§4) runs on the coordinator, in one of two
-//! [`CreditRole`]s its host assigns. A *leading* ring keeps the paper's
-//! clock: every Δ it compares the number of proposals in the interval
-//! against λ·Δ and proposes a single [`ValueKind::Skip`] token standing
-//! for the difference. A *following* ring — a partition's own ring, read
-//! by one merge beside a wider ring that leads — proposes no clock skips:
-//! it advances by its real commands and by the top-ups its host asks for
-//! ([`RingNode::rate_level_now`]) when that merge is parked on it, so the
-//! wider ring's credit is always already there when the narrow ring's
-//! commands reach the merge.
+//! Rate leveling (§4) is split between this node and its host. The
+//! mechanism is here: the Δ clock step ([`RingNode::on_delta`]) compares
+//! the number of proposals in the interval against λ·Δ and proposes a
+//! single [`ValueKind::Skip`] token standing for the difference, and
+//! [`RingNode::rate_level_now`] tops the ring up outside that cadence.
+//! The policy is the host's: it keeps the one Δ clock, steps only the
+//! rings this node coordinates that *lead*, and asks for top-ups when
+//! its merge is parked on a ring. A *following* ring — a partition's own
+//! ring, read by one merge beside a wider ring that leads — is never
+//! stepped: it advances by its real commands and by those top-ups, so
+//! the wider ring's credit is always already there when the narrow
+//! ring's commands reach the merge. A ring node arms no Δ timer of its
+//! own.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::time::Duration;
@@ -75,18 +78,6 @@ use crate::timer::RingTimer;
 /// latency a merge waits for an idle ring's credit (stride × Δ; the
 /// host's starvation nudge usually collapses it to one pump cycle).
 pub const MAX_IDLE_SKIP_STRIDE: u64 = 32;
-
-/// How a coordinator levels its ring's instance rate (paper §4).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CreditRole {
-    /// Skip on the Δ clock: at least λ·Δ instances every Δ, or one skip
-    /// per idle stride.
-    #[default]
-    Leads,
-    /// No clock skips: only real commands and host top-ups
-    /// ([`RingNode::rate_level_now`]) advance the ring.
-    Follows,
-}
 
 /// How many of its open instances a coordinator sends again at once when
 /// the oldest has stalled (the lowest ones: delivery is blocked on those).
@@ -162,8 +153,6 @@ pub struct RingNode {
     ring: RingId,
     cfg: RingConfig,
     opts: RingOptions,
-    /// Whether this node's learner delivers values into [`Output::decided`].
-    subscribed: bool,
 
     // ---- acceptor state ----
     log: AcceptorLog,
@@ -185,6 +174,7 @@ pub struct RingNode {
     /// for Phase 2 messages lost on the ring.
     oldest_open: (InstanceId, SimTime),
     prop_queue: VecDeque<Value>,
+    /// Proposals enqueued since the last Δ step ([`RingNode::on_delta`]).
     proposals_since_delta: u64,
     /// Consecutive fully-idle Δ intervals since the last real proposal
     /// (adaptive skip cadence input).
@@ -195,8 +185,6 @@ pub struct RingNode {
     /// ~1/stride of the naive one-skip-per-Δ consensus traffic while
     /// banking exactly the same merge credit.
     idle_stride: u64,
-    /// Whether the Δ clock proposes skips; the host assigns it.
-    credit_role: CreditRole,
     /// `ring{r}_clock_skips`: skip tokens the Δ clock proposed.
     clock_skips: Counter,
     seen_ids: HashSet<ValueId>,
@@ -277,7 +265,6 @@ impl RingNode {
             cfg,
             log: AcceptorLog::new(opts.storage),
             opts,
-            subscribed: true,
             pending: BTreeMap::new(),
             pending_phase1: None,
             phase1_generation: 0,
@@ -291,7 +278,6 @@ impl RingNode {
             proposals_since_delta: 0,
             idle_deltas: 0,
             idle_stride: 1,
-            credit_role: CreditRole::Leads,
             clock_skips,
             seen_ids: HashSet::new(),
             seen_order: VecDeque::new(),
@@ -335,17 +321,6 @@ impl RingNode {
         self.coordinating
     }
 
-    /// How this node levels the ring while it coordinates it.
-    pub fn credit_role(&self) -> CreditRole {
-        self.credit_role
-    }
-
-    /// Sets how this node levels the ring while it coordinates it; takes
-    /// effect at the next Δ.
-    pub fn set_credit_role(&mut self, role: CreditRole) {
-        self.credit_role = role;
-    }
-
     /// The current ring configuration (this node's view).
     pub fn config(&self) -> &RingConfig {
         &self.cfg
@@ -354,13 +329,6 @@ impl RingNode {
     /// The next instance the learner will deliver.
     pub fn next_delivery(&self) -> InstanceId {
         self.next_delivery
-    }
-
-    /// Enables or disables delivery from this ring (a Multi-Ring Paxos
-    /// learner "chooses from which multicast groups it wishes to deliver
-    /// messages", §2).
-    pub fn set_subscribed(&mut self, subscribed: bool) {
-        self.subscribed = subscribed;
     }
 
     /// Positions the learner to deliver starting at `inst` — used when
@@ -478,9 +446,6 @@ impl RingNode {
         self.last_from_pred = now;
         if self.coordinating {
             self.begin_phase1(now, out);
-        }
-        if let Some(rl) = self.opts.rate_leveling {
-            out.timers.push((rl.delta, RingTimer::RateLevel));
         }
         if !self.opts.failure_timeout.is_zero() {
             out.timers
@@ -1266,9 +1231,7 @@ impl RingNode {
                     value.id
                 );
             }
-            if self.subscribed {
-                out.decided.push((inst, value));
-            }
+            out.decided.push((inst, value));
         }
     }
 
@@ -1323,16 +1286,17 @@ impl RingNode {
                 self.batch_timer_armed = false;
                 self.flush_batch(out);
             }
-            RingTimer::RateLevel => self.on_rate_level(now, out),
             RingTimer::Liveness => self.on_liveness(now, out),
             RingTimer::ProposalRetry => self.on_proposal_retry(now, out),
         }
     }
 
-    /// Rate leveling (§4): propose one skip token covering the shortfall
-    /// between the proposals seen this Δ and the expected λ·Δ — on a
-    /// [`CreditRole::Leads`] ring; a following ring's clock only keeps
-    /// ticking.
+    /// Rate leveling's clock step (§4): proposes one skip token covering
+    /// the shortfall between the proposals seen since the last step and
+    /// the expected λ·Δ. The host calls it every Δ on the rings this node
+    /// coordinates that lead. Until Phase 1 completes (it never does on a
+    /// node that does not coordinate) a step only forgets the interval's
+    /// proposals: they wait for Phase 1, not for credit.
     ///
     /// The cadence is adaptive: a Δ with real proposals resets the
     /// backoff and skips only the shortfall, while consecutive fully
@@ -1343,12 +1307,11 @@ impl RingNode {
     /// The host collapses the added idle-transition latency with
     /// [`RingNode::rate_level_now`] when its merge is starved on this
     /// ring.
-    fn on_rate_level(&mut self, now: SimTime, out: &mut Output) {
+    pub fn on_delta(&mut self, now: SimTime, out: &mut Output) {
         let Some(rl) = self.opts.rate_leveling else {
             return;
         };
-        out.timers.push((rl.delta, RingTimer::RateLevel));
-        if !self.coordinating || !self.phase1_complete || self.credit_role == CreditRole::Follows {
+        if !self.phase1_complete {
             self.proposals_since_delta = 0;
             return;
         }
@@ -1375,15 +1338,16 @@ impl RingNode {
         self.propose_skip((expected * owed) as u32, now, out);
     }
 
-    /// Tops up, outside the timer cadence, the instances this coordinator
+    /// Tops up, outside the Δ cadence, the instances this coordinator
     /// has proposed but not yet seen decided to `credit`. The host calls
     /// this when its deterministic merge is parked waiting on this ring,
     /// with what the other rings have waiting behind it: a leading ring
     /// deep in stride backoff then does not make a newly active
-    /// neighbour wait out the stride, and a following ring — which has
-    /// no clock — advances exactly when, and as far as, the merge needs
-    /// it. A proposal earlier in the same Δ does not refuse a top-up
-    /// (the merge waits now, not at the next tick); instances in flight
+    /// neighbour wait out the stride, and a following ring — which the
+    /// host never steps on its Δ clock ([`RingNode::on_delta`]) —
+    /// advances exactly when, and as far as, the merge needs it. A
+    /// proposal earlier in the same Δ does not refuse a top-up (the
+    /// merge waits now, not at the next step); instances in flight
     /// count, commands and skips alike, so asking again before they land
     /// adds nothing. A top-up also resets the backoff, so the cadence
     /// stays tight while someone is actually waiting.
@@ -2202,7 +2166,7 @@ mod tests {
         };
         let mut out = Output::new();
         h.nodes[0].propose(skip, h.now, &mut out);
-        h.nodes[0].on_timer(RingTimer::RateLevel, h.now, &mut out);
+        h.nodes[0].on_delta(h.now, &mut out);
         assert!(!out.sends.is_empty(), "the skips did go out");
         assert_eq!(h.nodes[0].proposals_in_flight(), 0);
         h.relay(0, &mut out);
@@ -2292,10 +2256,9 @@ mod tests {
         });
         let (mut h, _) = Harness::new(3, o);
         h.start();
-        // Fire the coordinator's RateLevel timer manually (harness skips
-        // periodic timers).
+        // Step the coordinator's Δ clock by hand, as its host would.
         let mut out = Output::new();
-        h.nodes[0].on_timer(RingTimer::RateLevel, h.now, &mut out);
+        h.nodes[0].on_delta(h.now, &mut out);
         h.relay(0, &mut out);
         assert_eq!(h.delivered[0].len(), 1);
         let (_, v) = &h.delivered[0][0];
@@ -2377,38 +2340,6 @@ mod tests {
             })
             .collect();
         assert!(matches!(skips[..], [ValueKind::Skip(4)]), "{skips:?}");
-    }
-
-    /// A following coordinator's Δ clock keeps ticking but proposes
-    /// nothing; only [`RingNode::rate_level_now`] advances its ring.
-    #[test]
-    fn a_following_ring_proposes_no_clock_skips() {
-        let mut o = opts();
-        o.rate_leveling = Some(crate::options::RateLeveling {
-            delta: Duration::from_millis(5),
-            lambda: 1000,
-        });
-        let (mut h, _) = Harness::new(3, o);
-        h.start();
-        h.nodes[0].set_credit_role(CreditRole::Follows);
-        let mut out = Output::new();
-        h.nodes[0].on_timer(RingTimer::RateLevel, h.now, &mut out);
-        assert!(out.sends.is_empty());
-        assert_eq!(out.timers.len(), 1, "the clock re-arms");
-        h.nodes[0].rate_level_now(2, h.now, &mut out);
-        h.relay(0, &mut out);
-        assert_eq!(h.nodes[0].next_delivery(), InstanceId::new(2));
-    }
-
-    #[test]
-    fn unsubscribed_learner_does_not_deliver() {
-        let (mut h, _) = Harness::new(3, opts());
-        h.nodes[2].set_subscribed(false);
-        h.start();
-        let v = h.app_value(0, b"x");
-        h.propose(0, v);
-        assert_eq!(h.delivered[0].len(), 1);
-        assert_eq!(h.delivered[2].len(), 0);
     }
 
     /// The slow path of id-only decisions: a node that never learned the

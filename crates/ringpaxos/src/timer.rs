@@ -15,9 +15,6 @@ pub enum RingTimer {
     PromiseDone(u32),
     /// Flush the outgoing packet batch.
     BatchFlush,
-    /// Rate-leveling interval Δ elapsed: compare proposal count with λΔ
-    /// and propose a skip.
-    RateLevel,
     /// Send a heartbeat to the successor and check the predecessor.
     Liveness,
     /// Re-send proposals that have not been decided in time.
@@ -27,7 +24,6 @@ pub enum RingTimer {
 const TAG_WRITE_DONE: u64 = 1;
 const TAG_PROMISE_DONE: u64 = 2;
 const TAG_BATCH_FLUSH: u64 = 3;
-const TAG_RATE_LEVEL: u64 = 4;
 const TAG_LIVENESS: u64 = 5;
 const TAG_PROPOSAL_RETRY: u64 = 6;
 
@@ -38,7 +34,6 @@ impl RingTimer {
             RingTimer::WriteDone(inst) => (TAG_WRITE_DONE, inst.raw()),
             RingTimer::PromiseDone(generation) => (TAG_PROMISE_DONE, u64::from(generation)),
             RingTimer::BatchFlush => (TAG_BATCH_FLUSH, 0),
-            RingTimer::RateLevel => (TAG_RATE_LEVEL, 0),
             RingTimer::Liveness => (TAG_LIVENESS, 0),
             RingTimer::ProposalRetry => (TAG_PROPOSAL_RETRY, 0),
         }
@@ -50,7 +45,6 @@ impl RingTimer {
             TAG_WRITE_DONE => Some(RingTimer::WriteDone(InstanceId::new(payload))),
             TAG_PROMISE_DONE => Some(RingTimer::PromiseDone(payload as u32)),
             TAG_BATCH_FLUSH => Some(RingTimer::BatchFlush),
-            TAG_RATE_LEVEL => Some(RingTimer::RateLevel),
             TAG_LIVENESS => Some(RingTimer::Liveness),
             TAG_PROPOSAL_RETRY => Some(RingTimer::ProposalRetry),
             _ => None,
@@ -68,7 +62,6 @@ mod tests {
             RingTimer::WriteDone(InstanceId::new(12345)),
             RingTimer::PromiseDone(7),
             RingTimer::BatchFlush,
-            RingTimer::RateLevel,
             RingTimer::Liveness,
             RingTimer::ProposalRetry,
         ] {
