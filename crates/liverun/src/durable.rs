@@ -106,17 +106,10 @@ impl ServiceApp for DurableApp {
         self.inner.flush();
     }
 
-    fn snapshot(&self) -> Bytes {
-        // Everything staged so far is covered by the snapshot being cut;
-        // remember the position so a later durable checkpoint can prune
-        // up to (but never past) it.
-        self.ckpt_mark.set(self.pos);
-        self.inner.snapshot()
-    }
-
     fn snapshot_cut(&self) -> Box<dyn SnapshotCut> {
-        // Same cut-marking contract as `snapshot`: everything staged so
-        // far is covered by the cut being taken now.
+        // Everything staged so far is covered by the cut being taken
+        // now; remember the position so a later durable checkpoint can
+        // prune up to (but never past) it.
         self.ckpt_mark.set(self.pos);
         self.inner.snapshot_cut()
     }
@@ -225,6 +218,68 @@ mod tests {
         app.flush();
         let records = SegmentedWal::replay::<WalRecord>(&dir).unwrap();
         assert_eq!(records.last().map(|(p, _)| *p), Some(5));
+        drop(app);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A cut of the whole live stack, `DurableApp(SessionApp(KvApp))`,
+    /// keeps the store as it was: inserts, overwrites and deletes after
+    /// the cut leave its bytes (and their length) those `snapshot()`
+    /// returned at the cut.
+    #[test]
+    fn a_cut_keeps_the_state_as_it_was_at_the_cut() {
+        use common::ids::PartitionId;
+        use mrpstore::{KvApp, KvCommand, Partitioning};
+        use multiring::SessionApp;
+
+        fn run(app: &mut DurableApp, seq: u64, cmd: KvCommand) {
+            let (client, node) = (ClientId::new(1), NodeId::new(2));
+            let env = Envelope::v1(client, RequestId::new(seq), node, cmd.to_bytes());
+            app.execute(RingId::new(0), &env);
+        }
+        let dir = std::env::temp_dir().join(format!("durable-cut-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let wal = SegmentedWal::open(&dir, SyncPolicy::OsDecides, 1024).unwrap();
+        let kv = KvApp::new(PartitionId::new(0), Partitioning::Hash { partitions: 1 });
+        let stack = SessionApp::new(Box::new(kv));
+        let mut app = DurableApp::with_log(Box::new(stack), Box::new(wal), 0);
+        for (seq, key) in ["a", "b", "c"].into_iter().enumerate() {
+            let value = Bytes::from(key.repeat(seq + 1));
+            run(
+                &mut app,
+                seq as u64,
+                KvCommand::Insert {
+                    key: key.into(),
+                    value,
+                },
+            );
+        }
+        let at_cut = app.snapshot();
+        let cut = app.snapshot_cut();
+        let value = Bytes::from_static(b"dddd");
+        run(
+            &mut app,
+            3,
+            KvCommand::Insert {
+                key: "d".into(),
+                value,
+            },
+        );
+        let value = Bytes::from(vec![9; 300]);
+        run(
+            &mut app,
+            4,
+            KvCommand::Update {
+                key: "a".into(),
+                value,
+            },
+        );
+        run(&mut app, 5, KvCommand::Delete { key: "b".into() });
+        assert_ne!(app.snapshot(), at_cut, "the store moved on");
+        let mut buf = bytes::BytesMut::new();
+        cut.encode(&mut buf);
+        assert_eq!(buf.freeze(), at_cut);
+        assert_eq!(cut.encoded_len(), at_cut.len());
         drop(app);
         let _ = std::fs::remove_dir_all(&dir);
     }

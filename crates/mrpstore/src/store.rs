@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use bytes::{Bytes, BytesMut};
 use common::ids::{PartitionId, RingId};
 use common::value::Envelope;
-use common::wire::{get_varint, get_varint_as, put_varint, Wire};
+use common::wire::{get_varint, get_varint_as, put_varint, varint_len, Wire};
 use multiring::{ServiceApp, SnapshotCut};
 
 use crate::command::{KvCommand, KvResponse};
@@ -377,30 +377,14 @@ impl ServiceApp for KvApp {
         }
     }
 
-    fn snapshot(&self) -> Bytes {
-        // One encoder writes the store's bytes: the incremental cut,
-        // drained as one chunk reserved for the whole store (20 bytes
-        // per entry covers its two varint length prefixes).
-        let size: usize = (self.data.iter())
-            .map(|(k, v)| k.len() + v.len() + 20)
-            .sum();
-        let mut buf = BytesMut::new();
-        let mut cut = self.snapshot_cut();
-        while cut.write_chunk(&mut buf, size) {}
-        buf.freeze()
-    }
-
     fn snapshot_cut(&self) -> Box<dyn SnapshotCut> {
         // O(entries), not O(bytes): keys are small strings and values are
-        // refcounted, so cloning the tree is cheap. Serialization — the
-        // expensive part for a multi-megabyte store — happens chunk by
-        // chunk in `KvCut::write_chunk`, off the critical delivery burst.
+        // refcounted, so cloning the tree is cheap. The bytes are written
+        // only when the checkpoint is fetched or installed.
         let mut trailer = BytesMut::new();
         self.trailer().encode(&mut trailer);
         Box::new(KvCut {
-            count: self.data.len(),
-            header_written: false,
-            iter: self.data.clone().into_iter(),
+            data: self.data.clone(),
             trailer: trailer.freeze(),
         })
     }
@@ -433,38 +417,29 @@ impl ServiceApp for KvApp {
     }
 }
 
-/// An incremental [`SnapshotCut`] over a cloned entry tree: emits the
-/// same bytes as [`KvApp::snapshot`] (count prefix, then sorted
-/// `key ++ value` pairs), a budget's worth of entries per chunk.
+/// A [`SnapshotCut`] over a cloned entry tree: the count prefix, the
+/// sorted `key ++ value` pairs, then the scheme trailer.
 struct KvCut {
-    count: usize,
-    header_written: bool,
-    iter: std::collections::btree_map::IntoIter<String, Bytes>,
+    data: BTreeMap<String, Bytes>,
     /// Scheme trailer emitted after the last entry (captured at the cut).
     trailer: Bytes,
 }
 
 impl SnapshotCut for KvCut {
-    fn write_chunk(&mut self, buf: &mut BytesMut, budget: usize) -> bool {
-        buf.reserve(budget + 1024);
-        let start = buf.len();
-        if !self.header_written {
-            put_varint(buf, self.count as u64);
-            self.header_written = true;
+    fn encoded_len(&self) -> usize {
+        let entries: usize = (self.data.iter())
+            .map(|(k, v)| k.encoded_len() + v.encoded_len())
+            .sum();
+        varint_len(self.data.len() as u64) + entries + self.trailer.len()
+    }
+
+    fn encode(&self, buf: &mut BytesMut) {
+        put_varint(buf, self.data.len() as u64);
+        for (k, v) in &self.data {
+            k.encode(buf);
+            v.encode(buf);
         }
-        while buf.len() - start < budget {
-            match self.iter.next() {
-                Some((k, v)) => {
-                    k.encode(buf);
-                    v.encode(buf);
-                }
-                None => {
-                    buf.extend_from_slice(&self.trailer);
-                    return false;
-                }
-            }
-        }
-        true
+        buf.extend_from_slice(&self.trailer);
     }
 }
 
@@ -878,18 +853,15 @@ mod tests {
         );
         assert_eq!(other.get("a"), app.get("a"));
 
-        // Whatever the chunk budget, the cut restores the same store,
-        // trailer included.
-        for budget in [1, 8, 64, 1 << 20] {
-            let mut cut = app.snapshot_cut();
-            let mut buf = BytesMut::new();
-            while cut.write_chunk(&mut buf, budget) {}
-            let mut back = table_app(0);
-            back.restore(&buf.freeze());
-            assert_eq!(back.snapshot(), snap, "budget {budget}");
-            assert_eq!(back.scheme_version(), app.scheme_version());
-            assert_eq!(back.get("a"), app.get("a"));
-        }
+        // The cut restores the same store, trailer included.
+        let cut = app.snapshot_cut();
+        let mut buf = BytesMut::new();
+        cut.encode(&mut buf);
+        let mut back = table_app(0);
+        back.restore(&buf.freeze());
+        assert_eq!(back.snapshot(), snap);
+        assert_eq!(back.scheme_version(), app.scheme_version());
+        assert_eq!(back.get("a"), app.get("a"));
 
         // A legacy snapshot (entries only, no trailer) keeps the
         // configured scheme on restore.
@@ -901,5 +873,44 @@ mod tests {
         fresh.restore(&legacy.freeze());
         assert_eq!(fresh.scheme_version(), 0);
         assert_eq!(fresh.len(), 1);
+    }
+
+    /// Takes a cut of `app`, then inserts, overwrites and deletes: the
+    /// cut still encodes to exactly the bytes `snapshot()` returned at
+    /// the cut, and `encoded_len()` is their length.
+    fn assert_cut_is_frozen(app: &mut dyn ServiceApp) {
+        let mut run = |cmd: KvCommand| app.execute(RingId::new(0), &env(&cmd));
+        for (key, value) in [("a", "1"), ("b", "22"), ("c", "333")] {
+            run(KvCommand::Insert {
+                key: key.into(),
+                value: Bytes::from(value),
+            });
+        }
+        let at_cut = app.snapshot();
+        let cut = app.snapshot_cut();
+        let mut run = |cmd: KvCommand| app.execute(RingId::new(0), &env(&cmd));
+        run(KvCommand::Insert {
+            key: "d".into(),
+            value: Bytes::from_static(b"4444"),
+        });
+        run(KvCommand::Update {
+            key: "a".into(),
+            value: Bytes::from(vec![7; 300]),
+        });
+        run(KvCommand::Delete { key: "b".into() });
+        assert_ne!(app.snapshot(), at_cut, "the store moved on");
+        for _ in 0..2 {
+            let mut buf = BytesMut::new();
+            cut.encode(&mut buf);
+            assert_eq!(buf.freeze(), at_cut);
+            assert_eq!(cut.encoded_len(), at_cut.len());
+        }
+    }
+
+    #[test]
+    fn a_cut_keeps_the_store_as_it_was_at_the_cut() {
+        assert_cut_is_frozen(&mut table_app(0));
+        let mut session = multiring::SessionApp::new(Box::new(table_app(0)));
+        assert_cut_is_frozen(&mut session);
     }
 }

@@ -28,21 +28,25 @@ pub trait ServiceApp: Send + 'static {
     /// delivered batch instead of per command. Default: no-op.
     fn flush(&mut self) {}
 
-    /// Serializes the full service state for a checkpoint.
-    fn snapshot(&self) -> Bytes;
+    /// Serializes the full service state for a checkpoint. The default
+    /// encodes [`ServiceApp::snapshot_cut`], so a service that overrides
+    /// the cut writes its layout once. Implement at least one of the two.
+    fn snapshot(&self) -> Bytes {
+        let cut = self.snapshot_cut();
+        let mut buf = BytesMut::with_capacity(cut.encoded_len());
+        cut.encode(&mut buf);
+        buf.freeze()
+    }
 
-    /// Begins a checkpoint at the current state: returns an owned,
-    /// immutable cut that serializes itself incrementally through
-    /// [`SnapshotCut::write_chunk`], so the host can interleave delivery
-    /// with checkpoint serialization instead of stalling on one big
-    /// encode. Concatenating every chunk must yield exactly the bytes
-    /// [`ServiceApp::snapshot`] would have returned at this instant.
+    /// Takes a checkpoint at the current state: an owned, immutable cut
+    /// that encodes to exactly the bytes [`ServiceApp::snapshot`] returns
+    /// at this instant, however the state changes afterwards. The host
+    /// keeps the cut and encodes it only when the bytes are needed (a
+    /// peer fetches the checkpoint, or a restart installs it).
     ///
-    /// The default serializes eagerly (the full cost lands here, fine
-    /// for small states). Services with large state should override with
-    /// a cheap structural clone — refcounted values make cloning a map
-    /// O(entries), not O(bytes) — and serialize entry by entry per
-    /// chunk.
+    /// The default encodes eagerly (fine for small states). Services
+    /// with large state override it with a structural clone: refcounted
+    /// values make cloning a map O(entries), not O(bytes).
     fn snapshot_cut(&self) -> Box<dyn SnapshotCut> {
         Box::new(EagerCut::new(self.snapshot()))
     }
@@ -87,73 +91,62 @@ pub trait ServiceApp: Send + 'static {
     }
 }
 
-/// An owned, immutable cut of a service's state, serialized
-/// incrementally: the host calls [`SnapshotCut::write_chunk`] across
-/// separate events (bounded work per call) so a multi-megabyte
-/// checkpoint does not stall delivery for its full serialization time.
+/// An owned, immutable cut of a service's state. It can be encoded any
+/// number of times, always to the same bytes: the serialized state at
+/// the cut.
 pub trait SnapshotCut: Send {
-    /// Appends roughly `budget` more bytes of the serialized state to
-    /// `buf`; returns `true` while more remains (a chunk may overshoot
-    /// the budget by up to one entry). Chunk boundaries are invisible in
-    /// the output: the concatenation of all chunks is the complete
-    /// serialized state at the cut.
-    fn write_chunk(&mut self, buf: &mut BytesMut, budget: usize) -> bool;
+    /// The length of what [`SnapshotCut::encode`] appends, computed
+    /// without encoding.
+    fn encoded_len(&self) -> usize;
+
+    /// Appends the serialized state at the cut to `buf`.
+    fn encode(&self, buf: &mut BytesMut);
 }
 
-/// A [`SnapshotCut`] over state serialized eagerly at creation — the
-/// default for services with small state. The full encode cost was paid
-/// when the cut was taken; chunks are plain copies out of the finished
-/// blob.
-pub struct EagerCut {
-    state: Bytes,
-    off: usize,
-}
+/// A [`SnapshotCut`] over state already serialized: the default for
+/// services with small state, and a checkpoint fetched from a peer.
+pub struct EagerCut(Bytes);
 
 impl EagerCut {
     /// A cut over an already-serialized state.
     pub fn new(state: Bytes) -> Self {
-        EagerCut { state, off: 0 }
+        EagerCut(state)
     }
 }
 
 impl SnapshotCut for EagerCut {
-    fn write_chunk(&mut self, buf: &mut BytesMut, budget: usize) -> bool {
-        let end = (self.off + budget.max(1)).min(self.state.len());
-        buf.extend_from_slice(&self.state[self.off..end]);
-        self.off = end;
-        self.off < self.state.len()
+    fn encoded_len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn encode(&self, buf: &mut BytesMut) {
+        buf.extend_from_slice(&self.0);
     }
 }
 
 /// A [`SnapshotCut`] that prefixes an inner cut with an eagerly
 /// serialized header. Decorators ([`crate::SessionApp`], WAL wrappers)
-/// own small state of their own; the bulk is the wrapped service, which
-/// keeps chunking through its own cut.
+/// own small state of their own; the bulk is the wrapped service's cut.
 pub struct ChainCut {
     head: Bytes,
-    head_written: bool,
     inner: Box<dyn SnapshotCut>,
 }
 
 impl ChainCut {
-    /// `head` first, then every chunk of `inner`.
+    /// `head` first, then `inner`.
     pub fn new(head: Bytes, inner: Box<dyn SnapshotCut>) -> Self {
-        ChainCut {
-            head,
-            head_written: false,
-            inner,
-        }
+        ChainCut { head, inner }
     }
 }
 
 impl SnapshotCut for ChainCut {
-    fn write_chunk(&mut self, buf: &mut BytesMut, budget: usize) -> bool {
-        if !self.head_written {
-            buf.extend_from_slice(&self.head);
-            self.head_written = true;
-            return true;
-        }
-        self.inner.write_chunk(buf, budget)
+    fn encoded_len(&self) -> usize {
+        self.head.len() + self.inner.encoded_len()
+    }
+
+    fn encode(&self, buf: &mut BytesMut) {
+        buf.extend_from_slice(&self.head);
+        self.inner.encode(buf);
     }
 }
 
@@ -224,5 +217,29 @@ mod tests {
 
         app.reset();
         assert_eq!(app.executed(), 0);
+    }
+
+    #[test]
+    fn the_default_eager_cut_keeps_the_state_at_the_cut() {
+        let env = Envelope::v1(
+            ClientId::new(1),
+            RequestId::new(1),
+            NodeId::new(0),
+            Bytes::from_static(b"anything"),
+        );
+        let mut app = EchoApp::new();
+        app.execute(RingId::new(0), &env);
+        let at_cut = app.snapshot();
+        let cut = app.snapshot_cut();
+        app.execute(RingId::new(0), &env);
+        app.reset();
+        app.execute(RingId::new(0), &env);
+        app.execute(RingId::new(0), &env);
+        for _ in 0..2 {
+            let mut buf = BytesMut::new();
+            cut.encode(&mut buf);
+            assert_eq!(buf.freeze(), at_cut);
+            assert_eq!(cut.encoded_len(), at_cut.len());
+        }
     }
 }

@@ -37,7 +37,7 @@ use ringpaxos::options::RingOptions;
 use ringpaxos::timer::RingTimer;
 use storage::{CheckpointStore, StorageMode};
 
-use crate::app::{ServiceApp, SnapshotCut};
+use crate::app::{EagerCut, ServiceApp, SnapshotCut};
 use crate::merge::MergeLearner;
 use crate::recovery::{RecoveryPhase, TrimRound};
 use crate::session::{session_home_ring, SessionCtl};
@@ -49,7 +49,6 @@ const TIMER_CHECKPOINT_DONE: u32 = 3;
 const TIMER_TRIM: u32 = 4;
 const TIMER_RECOVERY: u32 = 5;
 const TIMER_GAP: u32 = 6;
-const TIMER_CHECKPOINT_STEP: u32 = 7;
 const TIMER_SESSION_SWEEP: u32 = 8;
 const TIMER_REJOIN: u32 = 9;
 /// The Δ clock of rate leveling (§4), armed only while this node levels
@@ -61,28 +60,6 @@ const ASKS_REMEMBERED: usize = 1024;
 
 /// Maximum decisions per retransmission reply.
 const RETRANSMIT_CHUNK: u64 = 4096;
-
-/// Bytes serialized per checkpoint step. Each step runs as its own
-/// timer event, so deliveries interleave between chunks instead of
-/// stalling behind one monolithic serialization of a large state. A
-/// chunk is well under a millisecond of memcpy; the dominant per-step
-/// cost is the event-loop round trip, so chunks are sized large enough
-/// that a multi-megabyte snapshot finishes in tens of steps.
-const CKPT_CHUNK_BYTES: usize = 1024 * 1024;
-
-/// Gap between checkpoint serialization steps — long enough to drain
-/// queued deliveries, short enough that a multi-megabyte snapshot still
-/// completes within a fraction of the checkpoint cadence.
-const CKPT_STEP_DELAY: Duration = Duration::from_micros(200);
-
-/// Checkpoint duty-cycle bound: the next checkpoint is scheduled no
-/// sooner than this many multiples of the last checkpoint's measured
-/// wall window — cut to final chunk, step delays included — so at most
-/// ~2.5% of a node's time sits inside a serialization window. Large
-/// service states stretch the cadence automatically instead of
-/// overlapping their windows across replicas back to back; small states
-/// never notice (the configured interval dominates).
-const CKPT_DUTY_FACTOR: u32 = 40;
 
 /// Host configuration.
 #[derive(Clone, Debug)]
@@ -128,11 +105,8 @@ impl Default for HostOptions {
 /// scheduler state (turn + per-ring skip credit, so a replica restored
 /// from a mid-round cut resumes the round-robin exactly where its peers
 /// are) first, then the service snapshot as the **trailing rest** of the
-/// blob. The service state goes last and unprefixed so
-/// [`MultiRingHost::take_checkpoint`] can stream it straight into the
-/// checkpoint buffer (via [`SnapshotCut`]) without materializing it
-/// separately — checkpoint cost is dominated by serializing that state
-/// on the delivery thread.
+/// blob. The service state goes last and unprefixed so a [`Retained`]
+/// checkpoint is its meta bytes followed by its service cut's encoding.
 struct Snapshot {
     app: Bytes,
     dedup: Vec<(RingId, Vec<ValueId>)>,
@@ -140,9 +114,8 @@ struct Snapshot {
     merge_credits: Vec<(RingId, u64)>,
 }
 
-/// Encodes everything *except* the trailing service state — shared by
-/// [`Snapshot::encode`] and the streaming path in
-/// [`MultiRingHost::take_checkpoint`] so the two cannot drift.
+/// Encodes everything *except* the trailing service state: a
+/// checkpoint's meta, taken at its cut.
 fn encode_snapshot_meta(
     buf: &mut BytesMut,
     dedup: &[(RingId, Vec<ValueId>)],
@@ -162,12 +135,7 @@ fn encode_snapshot_meta(
     }
 }
 
-impl Wire for Snapshot {
-    fn encode(&self, buf: &mut BytesMut) {
-        encode_snapshot_meta(buf, &self.dedup, self.merge_turn, &self.merge_credits);
-        buf.extend_from_slice(&self.app);
-    }
-
+impl Snapshot {
     fn decode(buf: &mut Bytes) -> Result<Self, common::error::WireError> {
         let n = get_varint(buf)?;
         let mut dedup = Vec::new();
@@ -193,6 +161,40 @@ impl Wire for Snapshot {
     }
 }
 
+/// A checkpoint as the host retains it: the meta ([`Snapshot`] up to the
+/// service state), encoded at the cut, and the service's cut. Its bytes
+/// are written only when they are needed — a peer fetches the
+/// checkpoint, or a restart installs it — and not kept afterwards.
+struct Retained {
+    meta: Bytes,
+    cut: Box<dyn SnapshotCut>,
+}
+
+impl Retained {
+    /// A checkpoint fetched from a peer: its meta, and an [`EagerCut`]
+    /// over the service state the received bytes carry.
+    fn fetched(state: Bytes) -> Self {
+        let app = Snapshot::decode(&mut state.clone()).map_or_else(|_| state.clone(), |s| s.app);
+        Retained {
+            meta: state.slice(..state.len() - app.len()),
+            cut: Box::new(EagerCut::new(app)),
+        }
+    }
+
+    /// The length of [`Retained::encode`]'s bytes, without encoding.
+    fn encoded_len(&self) -> usize {
+        self.meta.len() + self.cut.encoded_len()
+    }
+
+    /// The checkpoint's bytes, laid out per [`Snapshot`].
+    fn encode(&self) -> Bytes {
+        let mut buf = BytesMut::with_capacity(self.encoded_len());
+        buf.extend_from_slice(&self.meta);
+        self.cut.encode(&mut buf);
+        buf.freeze()
+    }
+}
+
 /// Cached handles into the node's observability registry for the
 /// ordering hot path: one registry lookup at construction, relaxed
 /// atomics per event after that.
@@ -210,15 +212,14 @@ struct HostObs {
     merge_skips: Counter,
     merge_lag: Gauge,
     ckpt_bytes: Gauge,
-    ckpt_window_us: Gauge,
     session_count: Gauge,
     session_cached_replies: Gauge,
     /// Trim rounds this node completed as a ring coordinator.
     trim_rounds: Counter,
     /// What each ring retains, refreshed by [`MultiRingHost::refresh_gauges`].
     retained: Vec<RetainedGauges>,
-    /// The sum of what `retained` counts, `ckpt_bytes` and the merge
-    /// queue's payload bytes.
+    /// The sum of what `retained` counts, the retained checkpoints' meta
+    /// bytes and the merge queue's payload bytes.
     mem_accounted: Gauge,
     stage_propose: Hist,
     stage_p2send: Hist,
@@ -266,7 +267,6 @@ impl HostObs {
             merge_skips: obs.counter("merge_skips"),
             merge_lag: obs.gauge("merge_lag"),
             ckpt_bytes: obs.gauge("ckpt_bytes"),
-            ckpt_window_us: obs.gauge("ckpt_window_us"),
             session_count: obs.gauge("session_count"),
             session_cached_replies: obs.gauge("session_cached_replies"),
             trim_rounds: obs.counter("trim_rounds"),
@@ -304,21 +304,6 @@ fn note_ring_send(hobs: &HostObs, tracing: bool, msg: &RingMsg) {
     }
 }
 
-/// An in-flight incremental checkpoint. The *cut* is taken
-/// synchronously at the delivery cursor (so it is a consistent point in
-/// the merge), but serialization proceeds in [`CKPT_CHUNK_BYTES`]
-/// chunks across [`TIMER_CHECKPOINT_STEP`] events, letting deliveries
-/// interleave with a multi-megabyte snapshot instead of stalling behind
-/// one monolithic encode.
-struct ActiveCkpt {
-    tuple: CheckpointTuple,
-    buf: BytesMut,
-    cut: Box<dyn SnapshotCut>,
-    /// When the cut was taken; final-chunk minus this is the window
-    /// that feeds the [`CKPT_DUTY_FACTOR`] duty-cycle bound.
-    started: SimTime,
-}
-
 /// What a host knows of coordination beyond its own rings, whose configs
 /// its ring nodes hold: read from the registry at construction and
 /// refreshed by the answers to its asks.
@@ -352,24 +337,12 @@ pub struct MultiRingHost {
     /// The replica's partition (for recovery quorums).
     partition: Option<PartitionId>,
     app: Box<dyn ServiceApp>,
-    ckpt_store: CheckpointStore,
+    ckpt_store: CheckpointStore<Retained>,
     /// The checkpoint advertised to the trim protocol (durably written).
     advertised: Option<CheckpointTuple>,
     /// A checkpoint whose synchronous write is still in flight.
     pending_ckpt: Option<(u64, CheckpointTuple)>,
-    /// A checkpoint cut whose serialization is still being chunked
-    /// across [`TIMER_CHECKPOINT_STEP`] events.
-    active_ckpt: Option<ActiveCkpt>,
     ckpt_seq: u64,
-    /// Presize hint for the next checkpoint buffer (last blob + 12.5%).
-    ckpt_capacity: usize,
-    /// Measured wall window of the last checkpoint (cut to final
-    /// chunk). Bounds the checkpoint duty cycle: the next checkpoint is
-    /// scheduled at least [`CKPT_DUTY_FACTOR`] × this far out, so a
-    /// large service state cannot keep the node inside a serialization
-    /// window — and replicas whose windows would otherwise align drift
-    /// apart instead of stalling every ring at once.
-    ckpt_cost: Duration,
     /// Trim rounds for rings this node coordinates.
     trims: BTreeMap<RingId, TrimRound>,
     trim_seq: u64,
@@ -497,10 +470,7 @@ impl MultiRingHost {
             ckpt_store,
             advertised: None,
             pending_ckpt: None,
-            active_ckpt: None,
             ckpt_seq: 0,
-            ckpt_capacity: 0,
-            ckpt_cost: Duration::ZERO,
             trims: BTreeMap::new(),
             trim_seq: 0,
             recovery: RecoveryPhase::Idle,
@@ -1005,10 +975,7 @@ impl MultiRingHost {
 
     fn take_checkpoint(&mut self, ctx: &mut Ctx<'_>) {
         let Some(learner) = &self.learner else { return };
-        if self.pending_ckpt.is_some()
-            || self.active_ckpt.is_some()
-            || self.recovery.is_recovering()
-        {
+        if self.pending_ckpt.is_some() || self.recovery.is_recovering() {
             return; // one at a time; never checkpoint mid-recovery
         }
         let tuple = learner.checkpoint_tuple();
@@ -1029,62 +996,21 @@ impl MultiRingHost {
                 (*r, n.dedup_snapshot(cut))
             })
             .collect();
-        // Take the cut *now* — a cheap structural capture at the merge's
-        // delivery cursor — then serialize it chunk by chunk across
-        // timer events (layout per [`Snapshot`]: meta first, then the
-        // service state as the trailing rest). Presized from the
-        // previous checkpoint so a large store does not churn through
-        // doubling reallocations on the delivery thread.
-        let t0 = ctx.now();
-        let mut buf = BytesMut::with_capacity(self.ckpt_capacity.max(1024));
-        encode_snapshot_meta(&mut buf, &dedup, merge_turn, &merge_credits);
-        let cut = self.app.snapshot_cut();
-        self.active_ckpt = Some(ActiveCkpt {
-            tuple,
-            buf,
-            cut,
-            started: t0,
-        });
-        // First chunk runs synchronously: small states (and the
-        // deterministic simulator) complete the whole checkpoint inside
-        // this event; only large states spill onto step timers.
-        self.step_checkpoint(ctx);
-    }
-
-    /// Serializes one [`CKPT_CHUNK_BYTES`] chunk of the active
-    /// checkpoint cut; reschedules itself until the cut is drained, then
-    /// hands the finished blob to the checkpoint store.
-    fn step_checkpoint(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(mut active) = self.active_ckpt.take() else {
-            return;
+        // A checkpoint is a cut, not a copy: the meta is encoded now and
+        // the service keeps a structural cut at the merge's delivery
+        // cursor. The disk is charged, and `ckpt_bytes` set, with the
+        // length the checkpoint would have in bytes.
+        let mut meta = BytesMut::new();
+        encode_snapshot_meta(&mut meta, &dedup, merge_turn, &merge_credits);
+        let retained = Retained {
+            meta: meta.freeze(),
+            cut: self.app.snapshot_cut(),
         };
-        if self.recovery.is_recovering() {
-            return; // recovery reset the merge; abandon the stale cut
-        }
-        let more = active.cut.write_chunk(&mut active.buf, CKPT_CHUNK_BYTES);
-        if more {
-            self.active_ckpt = Some(active);
-            ctx.schedule(CKPT_STEP_DELAY, Timer::of_kind(TIMER_CHECKPOINT_STEP));
-            return;
-        }
-        let state = active.buf.freeze();
-        // Cut to final chunk on the loop's clock, deliberately: live it
-        // is the wall read once per event, and contention (other
-        // replicas' windows, client load) inflating a chunked window is
-        // exactly the signal to back off and de-align; a checkpoint done
-        // in one event reads 0. Simulated it is virtual time — a process
-        // never reads the wall clock, or a loaded test host changes the
-        // run.
-        self.ckpt_cost = ctx.now().since(active.started);
-        self.hobs.ckpt_bytes.set(state.len() as i64);
-        self.hobs
-            .ckpt_window_us
-            .set(self.ckpt_cost.as_micros() as i64);
-        self.ckpt_capacity = state.len() + state.len() / 8;
-        let now = ctx.now();
-        let receipt = self.ckpt_store.save(active.tuple.clone(), state, now);
+        let len = retained.encoded_len();
+        self.hobs.ckpt_bytes.set(len as i64);
+        let receipt = (self.ckpt_store).save(tuple.clone(), retained, len, ctx.now());
         self.ckpt_seq += 1;
-        self.pending_ckpt = Some((self.ckpt_seq, active.tuple));
+        self.pending_ckpt = Some((self.ckpt_seq, tuple));
         // Synchronous write: the checkpoint is advertised (and counted by
         // the trim protocol) only once the write completes.
         ctx.schedule_at(
@@ -1096,9 +1022,9 @@ impl MultiRingHost {
     /// First-checkpoint delay: the configured interval plus a
     /// deterministic per-node phase offset (0–75% of the interval).
     /// Replicas of a partition start together and share a cadence;
-    /// without the offset they all serialize their state at the same
-    /// instant, stalling every ring at once. The offset only shifts the
-    /// *phase* — steady-state cadence is unchanged.
+    /// without the offset they all take their cuts at the same instant.
+    /// The offset only shifts the *phase* — steady-state cadence is
+    /// unchanged.
     fn ckpt_phase(&self, interval: Duration) -> Duration {
         interval + interval * (self.me.raw() % 4) / 4
     }
@@ -1106,10 +1032,10 @@ impl MultiRingHost {
     /// Steady-state cadence spread: pushes the next checkpoint out by a
     /// deterministic 0–87.5% of `base`, keyed on node id *and*
     /// checkpoint sequence. The initial phase offsets de-align the first
-    /// round, but identical configured cadences would let the windows
+    /// round, but identical configured cadences would let the cuts
     /// re-converge a few rounds later; varying the slot each round keeps
-    /// replicas' serialization windows drifting apart instead. Purely
-    /// arithmetic, so the deterministic simulator stays deterministic.
+    /// replicas' cuts drifting apart instead. Purely arithmetic, so the
+    /// deterministic simulator stays deterministic.
     fn ckpt_spread(&self, base: Duration) -> Duration {
         let slot = (u64::from(self.me.raw()) * 5 + self.ckpt_seq * 3) % 8;
         base + base * (slot as u32) / 8
@@ -1157,7 +1083,11 @@ impl MultiRingHost {
         self.trim_seq += 1;
         // The round exists before any query leaves: the coordinator
         // answers its own query inline, and that reply must find it.
-        self.trims.insert(ring, TrimRound::new(ring, self.trim_seq));
+        let round = match self.trims.get(&ring) {
+            Some(last) => last.next(self.trim_seq),
+            None => TrimRound::new(ring, self.trim_seq),
+        };
+        self.trims.insert(ring, round);
         let subscribers = self.view.subscribers.get(&ring).cloned();
         for sub in subscribers.unwrap_or_default() {
             if sub == self.me {
@@ -1194,6 +1124,19 @@ impl MultiRingHost {
         }
     }
 
+    /// Counts a replica's trim reply in the ring's open round, if it
+    /// answers that round or the ring's previous one ([`TrimRound::accepts`]);
+    /// older replies are dropped. A reply one round late still counts
+    /// because it is safe to: its `safe` bounds the replica's durable
+    /// checkpoint when it answered, a replica advertises only durable
+    /// checkpoints and a newer one never covers less, so `safe` is still
+    /// a lower bound on what that replica can restore from. The minimum
+    /// over the quorum therefore stays at or below every quorum member's
+    /// checkpoint (Predicate 2), as it does for replies to the open
+    /// round; of a late and a current answer the higher is the tighter
+    /// bound. A round opened every trim interval would otherwise drop
+    /// every reply that takes longer than one interval, and a ring whose
+    /// replicas all answer late would never trim.
     fn on_trim_reply(
         &mut self,
         ring: RingId,
@@ -1202,12 +1145,9 @@ impl MultiRingHost {
         replica: NodeId,
         ctx: &mut Ctx<'_>,
     ) {
-        let Some(round) = self.trims.get_mut(&ring) else {
+        let Some(round) = (self.trims.get_mut(&ring)).filter(|r| r.accepts(seq)) else {
             return;
         };
-        if round.seq() != seq {
-            return; // stale round
-        }
         round.record(replica, safe);
         // Quorum rule: a majority of every partition subscribing to this
         // ring (guarantees Q_T ∩ Q_R ≠ ∅ for any partition's Q_R).
@@ -1216,6 +1156,7 @@ impl MultiRingHost {
             .map(|(_, info)| info.replicas.clone())
             .collect();
         if let Some(kt) = round.quorum_min(&partitions) {
+            round.close();
             let acceptors =
                 (self.rings.get(&ring)).map_or_else(Vec::new, |n| n.config().acceptors().to_vec());
             for acc in acceptors {
@@ -1225,7 +1166,6 @@ impl MultiRingHost {
                     ctx.send(acc, Msg::Recovery(RecoveryMsg::Trim { ring, upto: kt }));
                 }
             }
-            self.trims.remove(&ring);
             self.hobs.trim_rounds.inc();
         }
     }
@@ -1242,13 +1182,16 @@ impl MultiRingHost {
     /// learned-value cache (`cache_values`, `cache_bytes`) and its dedup
     /// ids (`dedup_ids`). Per node, `mem_accounted_bytes`: the payload
     /// bytes of the logs, caches and merge queue, the dedup ids at their
-    /// in-memory size, and the last checkpoint (`ckpt_bytes`). It walks
-    /// every retained value, so the stats plane calls it when it is read;
-    /// nothing on the ordering path does.
+    /// in-memory size, and the meta bytes of the retained checkpoints
+    /// (their dedup windows and merge state). A retained checkpoint's
+    /// service cut shares its values with the store, so the values it
+    /// alone pins (those overwritten or deleted since the cut) are not
+    /// counted. It walks every retained value, so the stats plane calls
+    /// it when it is read; nothing on the ordering path does.
     pub fn refresh_gauges(&self) {
-        let ckpt = usize::try_from(self.hobs.ckpt_bytes.get()).unwrap_or(0);
+        let meta: usize = (self.ckpt_store.iter()).map(|(_, r)| r.meta.len()).sum();
         let merge = self.learner.as_ref().map_or(0, MergeLearner::queued_bytes);
-        let mut accounted = ckpt + merge;
+        let mut accounted = meta + merge;
         for g in &self.hobs.retained {
             let Some(node) = self.rings.get(&g.ring) else {
                 continue;
@@ -1434,8 +1377,8 @@ impl MultiRingHost {
                 return;
             }
             self.install_snapshot(&tuple, &state);
-            let now = ctx.now();
-            self.ckpt_store.save(tuple, state, now);
+            let (len, now) = (state.len(), ctx.now());
+            (self.ckpt_store).save(tuple, Retained::fetched(state), len, now);
             self.recovery = RecoveryPhase::CatchUp;
             self.step_catch_up(ctx);
         }
@@ -1631,24 +1574,15 @@ impl MultiRingHost {
                     tuple,
                 } => self.on_checkpoint_info(seq, replica, tuple, ctx),
                 RecoveryMsg::CheckpointFetch { tuple } => {
-                    let state = self
-                        .ckpt_store
-                        .get(&tuple)
-                        .cloned()
-                        .or_else(|| self.ckpt_store.latest().map(|(_, s)| s.clone()));
-                    if let Some(state) = state {
-                        let actual = self
-                            .ckpt_store
-                            .get(&tuple)
-                            .map(|_| tuple.clone())
-                            .or_else(|| self.ckpt_store.latest().map(|(t, _)| t.clone()))
-                            .unwrap_or(tuple);
+                    // The asked checkpoint, or the newest if it is gone,
+                    // encoded for this one reply.
+                    let found = (self.ckpt_store.get(&tuple).map(|r| (tuple.clone(), r)))
+                        .or_else(|| self.ckpt_store.latest().map(|(t, r)| (t.clone(), r)));
+                    if let Some((tuple, retained)) = found {
+                        let state = retained.encode();
                         ctx.send(
                             from,
-                            Msg::Recovery(RecoveryMsg::CheckpointData {
-                                tuple: actual,
-                                state,
-                            }),
+                            Msg::Recovery(RecoveryMsg::CheckpointData { tuple, state }),
                         );
                     }
                 }
@@ -1684,18 +1618,14 @@ impl MultiRingHost {
             }
             TIMER_CLOCK => self.on_clock(ctx),
             TIMER_CHECKPOINT => {
+                // The spread's slot reads the sequence number before this
+                // checkpoint counts, so it does not depend on whether one
+                // is taken.
+                let next = (self.opts.checkpoint_interval).map(|i| self.ckpt_spread(i));
                 self.take_checkpoint(ctx);
-                if let Some(interval) = self.opts.checkpoint_interval {
-                    // Duty-cycle bound: a checkpoint whose serialization
-                    // window ran long pushes the next one proportionally
-                    // out, and the per-round spread keeps the replicas'
-                    // windows from re-aligning.
-                    let delay = interval.max(self.ckpt_cost * CKPT_DUTY_FACTOR);
-                    ctx.schedule(self.ckpt_spread(delay), Timer::of_kind(TIMER_CHECKPOINT));
+                if let Some(next) = next {
+                    ctx.schedule(next, Timer::of_kind(TIMER_CHECKPOINT));
                 }
-            }
-            TIMER_CHECKPOINT_STEP => {
-                self.step_checkpoint(ctx);
             }
             TIMER_REJOIN => self.ask_rejoins(ctx),
             TIMER_SESSION_SWEEP => {
@@ -1820,7 +1750,6 @@ impl Process for MultiRingHost {
             .map(|l| MergeLearner::new(&l.rings(), l.m()));
         self.advertised = None;
         self.pending_ckpt = None;
-        self.active_ckpt = None;
         self.trims.clear();
         self.recovery = RecoveryPhase::Idle;
         self.restart_recovery = false;
@@ -1837,10 +1766,8 @@ impl Process for MultiRingHost {
         self.ask_rejoins(ctx);
         // Install our most recent durable checkpoint, then look for a
         // fresher one among partition peers.
-        if let Some((tuple, state)) = self
-            .ckpt_store
-            .latest_durable(now)
-            .map(|(t, s)| (t.clone(), s.clone()))
+        if let Some((tuple, state)) = (self.ckpt_store.latest_durable(now))
+            .map(|(t, retained)| (t.clone(), retained.encode()))
         {
             self.install_snapshot(&tuple, &state);
         }
@@ -1867,6 +1794,8 @@ mod tests {
     use crate::EchoApp;
     use common::process::Effects;
     use ringpaxos::options::RateLeveling;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     /// `partitions` partitions of `replicas` nodes, partition `p` on ring
     /// `p` over its replicas, and a global ring (id `partitions`) over
@@ -1899,6 +1828,17 @@ mod tests {
 
     /// Node `me`'s host in [`layout`], started at time zero.
     fn started(registry: &Registry, me: u32, replicas: u16, fx: &mut Effects) -> MultiRingHost {
+        started_with(registry, me, replicas, Box::new(EchoApp::new()), fx)
+    }
+
+    /// [`started`] over `app`.
+    fn started_with(
+        registry: &Registry,
+        me: u32,
+        replicas: u16,
+        app: Box<dyn ServiceApp>,
+        fx: &mut Effects,
+    ) -> MultiRingHost {
         let partition = (me / u32::from(replicas)) as u16;
         let global = RingId::new(registry.partitions().len() as u16);
         let rings = [RingId::new(partition), global];
@@ -1913,7 +1853,7 @@ mod tests {
             &rings,
             &rings,
             Some(PartitionId::new(partition)),
-            Box::new(EchoApp::new()),
+            app,
             opts,
         );
         host.on_start(&mut fx.ctx(SimTime::ZERO, host.me));
@@ -2051,5 +1991,151 @@ mod tests {
         assert!(!host.ring_node(global).unwrap().is_coordinator());
         assert_eq!(answer_asks(&mut host, &registry, &mut fx), 1);
         assert!(host.ring_node(global).unwrap().is_coordinator());
+    }
+
+    /// A service whose cuts count how often they are encoded.
+    struct CountingApp(Arc<AtomicUsize>);
+
+    struct CountingCut(Arc<AtomicUsize>);
+
+    const CUT_STATE: &[u8] = b"the state at the cut";
+
+    impl SnapshotCut for CountingCut {
+        fn encoded_len(&self) -> usize {
+            CUT_STATE.len()
+        }
+
+        fn encode(&self, buf: &mut BytesMut) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            buf.extend_from_slice(CUT_STATE);
+        }
+    }
+
+    impl ServiceApp for CountingApp {
+        fn execute(&mut self, _group: RingId, _env: &Envelope) -> Bytes {
+            Bytes::new()
+        }
+
+        fn snapshot_cut(&self) -> Box<dyn SnapshotCut> {
+            Box::new(CountingCut(Arc::clone(&self.0)))
+        }
+
+        fn restore(&mut self, _state: &Bytes) {}
+
+        fn reset(&mut self) {}
+    }
+
+    /// Taking a checkpoint encodes nothing; a peer's `CheckpointFetch`
+    /// encodes the cut once, and the bytes it gets back are `ckpt_bytes`
+    /// long: the meta, then the cut's bytes.
+    #[test]
+    fn a_checkpoint_is_encoded_only_for_the_peer_that_fetches_it() {
+        let registry = layout(1, 2);
+        let encodes = Arc::new(AtomicUsize::new(0));
+        let mut fx = Effects::new(1);
+        let app = Box::new(CountingApp(Arc::clone(&encodes)));
+        let mut host = started_with(&registry, 0, 2, app, &mut fx);
+        fx.drain_sends().for_each(drop);
+        let at = SimTime::from_millis(1);
+        host.on_timer(Timer::of_kind(TIMER_CHECKPOINT), &mut fx.ctx(at, host.me));
+        assert_eq!(host.ckpt_store.len(), 1, "a checkpoint was taken");
+        assert_eq!(
+            encodes.load(Ordering::Relaxed),
+            0,
+            "taking it encodes nothing"
+        );
+
+        let tuple = host.checkpoint_tuple().unwrap();
+        let peer = NodeId::new(1);
+        let fetch = Msg::Recovery(RecoveryMsg::CheckpointFetch { tuple });
+        host.on_message(peer, fetch, &mut fx.ctx(at, host.me));
+        let state = (fx.drain_sends())
+            .find_map(|(to, msg)| match msg {
+                Msg::Recovery(RecoveryMsg::CheckpointData { state, .. }) if to == peer => {
+                    Some(state)
+                }
+                _ => None,
+            })
+            .expect("the checkpoint is sent to the peer");
+        assert_eq!(encodes.load(Ordering::Relaxed), 1, "one fetch, one encode");
+        assert_eq!(Snapshot::decode(&mut state.clone()).unwrap().app, CUT_STATE);
+        assert_eq!(host.hobs.ckpt_bytes.get(), state.len() as i64);
+    }
+
+    /// The `TrimQuery` sequence numbers the last callbacks sent to `to`.
+    fn trim_queries(fx: &mut Effects, to: NodeId) -> Vec<u64> {
+        fx.drain_timers().for_each(drop);
+        (fx.drain_sends())
+            .filter_map(|(dest, msg)| match msg {
+                Msg::Recovery(RecoveryMsg::TrimQuery { seq, .. }) if dest == to => Some(seq),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// In a 1 × 2 layout node 0 coordinates partition 0's ring, whose
+    /// trim quorum is both replicas. Node 1's reply to round n arrives
+    /// after round n + 1 opened; it completes round n + 1's quorum with
+    /// node 0's own reply, and the acceptors trim to the lower answer.
+    /// A reply two rounds late is dropped.
+    #[test]
+    fn a_trim_reply_one_round_late_completes_the_open_round() {
+        let registry = layout(1, 2);
+        let mut fx = Effects::new(1);
+        // Node 1 subscribes first, so node 0 reads both subscribers.
+        let _peer_host = started(&registry, 1, 2, &mut fx);
+        let mut host = started(&registry, 0, 2, &mut fx);
+        let (ring, peer) = (RingId::new(0), NodeId::new(1));
+        let global = RingId::new(1);
+        host.advertised = Some(CheckpointTuple::new(vec![
+            (ring, InstanceId::new(11)),
+            (global, InstanceId::new(3)),
+        ]));
+        fx.drain_sends().for_each(drop);
+        let round = |host: &mut MultiRingHost, fx: &mut Effects| {
+            let trim = Timer::with(TIMER_TRIM, u64::from(ring.raw()));
+            host.on_timer(trim, &mut fx.ctx(SimTime::from_secs(1), host.me));
+            let seqs = trim_queries(fx, peer);
+            assert_eq!(seqs.len(), 1);
+            seqs[0]
+        };
+        let reply = |seq: u64, safe: u64| {
+            Msg::Recovery(RecoveryMsg::TrimReply {
+                ring,
+                seq,
+                safe: InstanceId::new(safe),
+                replica: peer,
+            })
+        };
+        let trims = |fx: &mut Effects| -> Vec<(NodeId, InstanceId)> {
+            (fx.drain_sends())
+                .filter_map(|(to, msg)| match msg {
+                    Msg::Recovery(RecoveryMsg::Trim { upto, .. }) => Some((to, upto)),
+                    _ => None,
+                })
+                .collect()
+        };
+
+        let n = round(&mut host, &mut fx);
+        let later = round(&mut host, &mut fx);
+        assert_ne!(n, later);
+        host.on_message(
+            peer,
+            reply(n, 8),
+            &mut fx.ctx(SimTime::from_secs(1), host.me),
+        );
+        assert_eq!(trims(&mut fx), vec![(peer, InstanceId::new(8))]);
+        assert_eq!(host.hobs.trim_rounds.get(), 1);
+
+        let third = round(&mut host, &mut fx);
+        let fourth = round(&mut host, &mut fx);
+        assert!(third < fourth);
+        host.on_message(
+            peer,
+            reply(later, 9),
+            &mut fx.ctx(SimTime::from_secs(2), host.me),
+        );
+        assert_eq!(trims(&mut fx), vec![], "two rounds late: dropped");
+        assert_eq!(host.hobs.trim_rounds.get(), 1);
     }
 }

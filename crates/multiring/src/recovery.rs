@@ -23,7 +23,11 @@ use std::collections::HashMap;
 pub struct TrimRound {
     ring: RingId,
     seq: u64,
+    /// The ring's previous round, whose late replies this one counts.
+    prev: Option<u64>,
     replies: HashMap<NodeId, InstanceId>,
+    /// Set once the round ordered its trim: it counts no more replies.
+    closed: bool,
 }
 
 impl TrimRound {
@@ -32,24 +36,38 @@ impl TrimRound {
         TrimRound {
             ring,
             seq,
+            prev: None,
             replies: HashMap::new(),
+            closed: false,
         }
     }
 
-    /// The round's sequence number.
-    pub fn seq(&self) -> u64 {
-        self.seq
+    /// Starts round `seq` of the same ring after this one; it also counts
+    /// the replies to this round that arrive late.
+    pub fn next(&self, seq: u64) -> Self {
+        TrimRound {
+            prev: Some(self.seq),
+            ..TrimRound::new(self.ring, seq)
+        }
     }
 
-    /// The ring being trimmed.
-    pub fn ring(&self) -> RingId {
-        self.ring
+    /// Whether a reply to round `seq` counts here: one to this round or
+    /// to the ring's previous round, until this round has trimmed.
+    pub fn accepts(&self, seq: u64) -> bool {
+        !self.closed && (seq == self.seq || Some(seq) == self.prev)
     }
 
     /// Records a reply. `safe` is the highest instance (inclusive) covered
-    /// by the replica's durable checkpoint.
+    /// by the replica's durable checkpoint; of two replies from one
+    /// replica (a late one and a current one) the higher is kept.
     pub fn record(&mut self, replica: NodeId, safe: InstanceId) {
-        self.replies.insert(replica, safe);
+        let kept = self.replies.entry(replica).or_insert(safe);
+        *kept = (*kept).max(safe);
+    }
+
+    /// Marks the round as done: it has ordered its trim.
+    pub fn close(&mut self) {
+        self.closed = true;
     }
 
     /// Checks whether a majority of every subscribing partition answered;

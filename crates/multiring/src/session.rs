@@ -548,20 +548,12 @@ impl ServiceApp for SessionApp {
         self.inner.flush();
     }
 
-    fn snapshot(&self) -> Bytes {
+    fn snapshot_cut(&self) -> Box<dyn SnapshotCut> {
         // Layout: session-table image, then the inner service state as
         // the trailing rest of the buffer — no length prefix.
-        // ShardedExec mirrors this layout byte for byte.
-        let mut buf = BytesMut::new();
-        self.table.encode(&mut buf);
-        buf.extend_from_slice(&self.inner.snapshot());
-        buf.freeze()
-    }
-
-    fn snapshot_cut(&self) -> Box<dyn SnapshotCut> {
-        // The table image is small and serialized eagerly at the cut;
-        // the bulk (the inner service) keeps chunking through its own
-        // cut.
+        // ShardedExec mirrors this layout byte for byte. The table image
+        // is small and serialized at the cut; the bulk is the inner
+        // service's own cut.
         let mut head = BytesMut::new();
         self.table.encode(&mut head);
         Box::new(ChainCut::new(head.freeze(), self.inner.snapshot_cut()))

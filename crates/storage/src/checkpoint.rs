@@ -1,24 +1,25 @@
 //! Replica checkpoint storage.
 //!
-//! Replicas periodically serialize their service state and write it
+//! Replicas periodically checkpoint their service state and write it
 //! synchronously to disk, identified by the checkpoint tuple `k_p`
 //! (paper §5.2, Predicate 1). A recovering replica reads its latest
 //! durable checkpoint, or installs a newer one fetched from a partition
 //! peer.
 //!
 //! [`CheckpointStore`] is the simulator's model (virtual disk timing,
-//! crash semantics).
+//! crash semantics). It is generic over what it retains, so a host can
+//! keep a checkpoint in whatever form is cheapest to hold and charge the
+//! disk with the length it would have in bytes.
 
-use bytes::Bytes;
 use common::msg::CheckpointTuple;
 use common::time::SimTime;
 
 use crate::profile::{DiskTimeline, StorageMode, WriteReceipt};
 
 #[derive(Clone, Debug)]
-struct Entry {
+struct Entry<S> {
     tuple: CheckpointTuple,
-    state: Bytes,
+    state: S,
     durable_at: SimTime,
 }
 
@@ -27,13 +28,13 @@ struct Entry {
 /// Keeps the most recent `retain` checkpoints (older ones are garbage
 /// collected like the paper's log files).
 #[derive(Debug)]
-pub struct CheckpointStore {
+pub struct CheckpointStore<S> {
     disk: DiskTimeline,
-    entries: Vec<Entry>,
+    entries: Vec<Entry<S>>,
     retain: usize,
 }
 
-impl CheckpointStore {
+impl<S> CheckpointStore<S> {
     /// An empty store writing with `mode`, retaining the last two
     /// checkpoints.
     pub fn new(mode: StorageMode) -> Self {
@@ -44,13 +45,20 @@ impl CheckpointStore {
         }
     }
 
-    /// Saves checkpoint `tuple` with serialized `state` at `now`.
+    /// Saves checkpoint `tuple` with `state`, `len` bytes serialized, at
+    /// `now`.
     ///
     /// Returns the write receipt; the checkpoint only counts as taken (for
     /// trim votes) once `receipt.ack_at` passes — checkpoints are written
     /// synchronously in the paper's services.
-    pub fn save(&mut self, tuple: CheckpointTuple, state: Bytes, now: SimTime) -> WriteReceipt {
-        let receipt = self.disk.write(state.len() + 32, now);
+    pub fn save(
+        &mut self,
+        tuple: CheckpointTuple,
+        state: S,
+        len: usize,
+        now: SimTime,
+    ) -> WriteReceipt {
+        let receipt = self.disk.write(len + 32, now);
         self.entries.push(Entry {
             tuple,
             state,
@@ -65,12 +73,12 @@ impl CheckpointStore {
 
     /// The most recent checkpoint (regardless of durability) — what a
     /// *running* replica advertises to peers.
-    pub fn latest(&self) -> Option<(&CheckpointTuple, &Bytes)> {
+    pub fn latest(&self) -> Option<(&CheckpointTuple, &S)> {
         self.entries.last().map(|e| (&e.tuple, &e.state))
     }
 
     /// The most recent checkpoint durable at `now` — what survives a crash.
-    pub fn latest_durable(&self, now: SimTime) -> Option<(&CheckpointTuple, &Bytes)> {
+    pub fn latest_durable(&self, now: SimTime) -> Option<(&CheckpointTuple, &S)> {
         self.entries
             .iter()
             .rev()
@@ -79,7 +87,7 @@ impl CheckpointStore {
     }
 
     /// The state stored for exactly `tuple`, if still retained.
-    pub fn get(&self, tuple: &CheckpointTuple) -> Option<&Bytes> {
+    pub fn get(&self, tuple: &CheckpointTuple) -> Option<&S> {
         self.entries
             .iter()
             .rev()
@@ -97,6 +105,11 @@ impl CheckpointStore {
         self.entries.retain(|e| e.durable_at <= now);
     }
 
+    /// Every retained checkpoint, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = (&CheckpointTuple, &S)> {
+        self.entries.iter().map(|e| (&e.tuple, &e.state))
+    }
+
     /// Number of retained checkpoints.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -112,6 +125,7 @@ impl CheckpointStore {
 mod tests {
     use super::*;
     use crate::profile::DiskProfile;
+    use bytes::Bytes;
     use common::ids::{InstanceId, RingId};
 
     fn tuple(i: u64) -> CheckpointTuple {
@@ -121,8 +135,8 @@ mod tests {
     #[test]
     fn save_and_fetch_latest() {
         let mut s = CheckpointStore::new(StorageMode::InMemory);
-        s.save(tuple(5), Bytes::from_static(b"five"), SimTime::ZERO);
-        s.save(tuple(9), Bytes::from_static(b"nine"), SimTime::ZERO);
+        s.save(tuple(5), Bytes::from_static(b"five"), 4, SimTime::ZERO);
+        s.save(tuple(9), Bytes::from_static(b"nine"), 4, SimTime::ZERO);
         let (t, state) = s.latest().unwrap();
         assert_eq!(t, &tuple(9));
         assert_eq!(state, &Bytes::from_static(b"nine"));
@@ -133,7 +147,7 @@ mod tests {
     fn retains_bounded_history() {
         let mut s = CheckpointStore::new(StorageMode::InMemory);
         for i in 0..5 {
-            s.save(tuple(i), Bytes::new(), SimTime::ZERO);
+            s.save(tuple(i), Bytes::new(), 0, SimTime::ZERO);
         }
         assert_eq!(s.len(), 2);
         assert!(s.get(&tuple(0)).is_none());
@@ -143,10 +157,10 @@ mod tests {
     #[test]
     fn durable_checkpoint_survives_crash() {
         let mut s = CheckpointStore::new(StorageMode::Sync(DiskProfile::ssd()));
-        let r = s.save(tuple(1), Bytes::from_static(b"one"), SimTime::ZERO);
+        let r = s.save(tuple(1), Bytes::from_static(b"one"), 3, SimTime::ZERO);
         // Crash before the write completes: gone.
         let mut early = CheckpointStore::new(StorageMode::Sync(DiskProfile::ssd()));
-        early.save(tuple(1), Bytes::from_static(b"one"), SimTime::ZERO);
+        early.save(tuple(1), Bytes::from_static(b"one"), 3, SimTime::ZERO);
         early.crash(SimTime::ZERO);
         assert!(early.is_empty());
         // Crash after: survives.
@@ -157,8 +171,8 @@ mod tests {
     #[test]
     fn latest_durable_skips_in_flight_writes() {
         let mut s = CheckpointStore::new(StorageMode::Sync(DiskProfile::hdd()));
-        let r1 = s.save(tuple(1), Bytes::from_static(b"a"), SimTime::ZERO);
-        let r2 = s.save(tuple(2), Bytes::from_static(b"b"), r1.ack_at);
+        let r1 = s.save(tuple(1), Bytes::from_static(b"a"), 1, SimTime::ZERO);
+        let r2 = s.save(tuple(2), Bytes::from_static(b"b"), 1, r1.ack_at);
         // Between the two flushes, only the first is durable.
         let mid = r1.durable_at;
         assert_eq!(s.latest_durable(mid).unwrap().0, &tuple(1));
