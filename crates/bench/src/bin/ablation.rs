@@ -28,7 +28,7 @@ const MEASURE: Duration = Duration::from_secs(5);
 
 fn run(m: u64, rate_leveling: Option<RateLeveling>) -> f64 {
     let mut topo = Topology::lan();
-    topo.set_jitter_frac(0.01);
+    topo.set_jitter_pct(1);
     let mut sim = Sim::with_topology(99, topo);
     let registry = Registry::new();
     let members: Vec<NodeId> = (0..3).map(NodeId::new).collect();

@@ -34,7 +34,7 @@ struct Cell {
 
 fn run_one(mode: StorageMode, size: usize) -> Cell {
     let mut topo = Topology::lan();
-    topo.set_jitter_frac(0.02);
+    topo.set_jitter_pct(2);
     let mut sim = Sim::with_topology(42, topo);
 
     let host_opts = HostOptions {
@@ -74,9 +74,9 @@ fn run_one(mode: StorageMode, size: usize) -> Cell {
     // Warm up, then measure coordinator CPU over the measurement window.
     sim.run_until(SimTime::ZERO + WARMUP);
     let coordinator = dep.replicas[0][0];
-    let busy_before = sim.metrics().borrow().cpu_busy(coordinator);
+    let busy_before = sim.cpu_busy(coordinator);
     sim.run_until(SimTime::ZERO + WARMUP + MEASURE);
-    let busy_after = sim.metrics().borrow().cpu_busy(coordinator);
+    let busy_after = sim.cpu_busy(coordinator);
 
     let result = RunResult::collect(&[stats], MEASURE);
     Cell {

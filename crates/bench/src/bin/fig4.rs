@@ -48,7 +48,7 @@ fn key_of(idx: u64) -> String {
 
 fn lan_sim(seed: u64) -> Sim {
     let mut topo = Topology::lan();
-    topo.set_jitter_frac(0.02);
+    topo.set_jitter_pct(2);
     Sim::with_topology(seed, topo)
 }
 

@@ -39,7 +39,7 @@ const APPEND_SIZE: usize = 1024;
 
 fn run_dlog(threads: usize) -> (f64, f64) {
     let mut topo = Topology::lan();
-    topo.set_jitter_frac(0.02);
+    topo.set_jitter_pct(2);
     let mut sim = Sim::with_topology(5, topo);
     let registry = Registry::new();
 
@@ -185,7 +185,7 @@ impl Process for BkClient {
 
 fn run_bookkeeper(threads: usize) -> (f64, f64) {
     let mut topo = Topology::lan();
-    topo.set_jitter_frac(0.02);
+    topo.set_jitter_pct(2);
     let mut sim = Sim::with_topology(6, topo);
     let bookies: Vec<NodeId> = (0..3)
         .map(|_| {

@@ -34,7 +34,7 @@ const CLIENT_THREADS: usize = 60;
 
 fn run(k: usize) -> (f64, common::Histogram) {
     let mut topo = Topology::lan();
-    topo.set_jitter_frac(0.02);
+    topo.set_jitter_pct(2);
     let mut sim = Sim::with_topology(60 + k as u64, topo);
     let registry = Registry::new();
 

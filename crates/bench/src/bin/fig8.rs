@@ -37,7 +37,7 @@ fn main() {
     println!("markers: 1=replica terminated 2=checkpoints 3=log trimming 4=replica recovery");
 
     let mut topo = Topology::lan();
-    topo.set_jitter_frac(0.02);
+    topo.set_jitter_pct(2);
     let mut sim = Sim::with_topology(8, topo);
 
     let host_opts = HostOptions {
@@ -119,11 +119,11 @@ fn main() {
         );
     }
 
-    let m = sim.metrics();
+    let obs = sim.obs();
     println!(
         "\ncrashes={} restarts={} net_msgs={}",
-        m.borrow().counter("node.crashes"),
-        m.borrow().counter("node.restarts"),
-        m.borrow().counter("net.msgs"),
+        obs.counter("node_crashes").get(),
+        obs.counter("node_restarts").get(),
+        obs.counter("net_msgs").get(),
     );
 }

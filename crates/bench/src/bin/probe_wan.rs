@@ -90,7 +90,7 @@ fn main() {
             "t={sec:>2}s completed={:>6} sent={:>6} msgs={:>8}",
             s.completed,
             s.sent,
-            sim.metrics().borrow().counter("net.msgs")
+            sim.obs().counter("net_msgs").get()
         );
     }
 }

@@ -1,12 +1,13 @@
 //! The shared definition of "the world": EC2 regions and WAN profiles.
 //!
 //! Both runtimes build their geography from this one module so the
-//! numbers cannot drift: the discrete-event simulator
-//! (`simnet::Topology::ec2`) derives its latency/bandwidth matrices from
-//! [`WanProfile::ec2_2014`], and the live netem layer (`liverun::netem`)
-//! turns the same profile into per-link [`LinkPolicy`] values applied to
-//! real TCP streams. A geo `[deployment]` config names these regions and
-//! resolves its inter-region links through [`WanProfile::policy`].
+//! numbers cannot drift: [`WanProfile::policy`] turns a profile into the
+//! [`LinkPolicy`] of each directed region pair. The discrete-event
+//! simulator (`simnet::Topology::ec2`) keeps one per site pair of
+//! [`WanProfile::ec2_2014`], and a live geo `[deployment]` config names
+//! these regions and resolves its inter-region links through the same
+//! function, which the netem layer (`liverun::netem`) applies to real TCP
+//! streams.
 
 use std::time::Duration;
 

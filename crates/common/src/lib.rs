@@ -18,14 +18,16 @@
 //!   acts through, and the effects buffer and timer heap its two drivers
 //!   (the `simnet` simulator and the `liverun` node loop) share.
 //! * [`transport`] — live-runtime building blocks shared by every real
-//!   (non-simulated) event loop: wall-clock↔[`SimTime`] mapping,
-//!   peer-frame reassembly and sans-IO link shaping.
+//!   (non-simulated) event loop: wall-clock↔[`SimTime`] mapping and
+//!   peer-frame reassembly; and the sans-IO link shaping both runtimes
+//!   time their hops with.
 //! * [`geo`] — the shared WAN world: EC2 regions, the 2014 RTT matrix
 //!   and named profiles both `simnet` and `liverun::netem` build from.
-//! * [`hist`] — a log-bucketed latency histogram shared by the simulator
-//!   metrics and the benchmark harnesses.
-//! * [`obs`] — the per-node observability registry (counters, gauges,
-//!   sharded histograms) and the snapshot type the stats plane ships.
+//! * [`hist`] — a log-bucketed latency histogram shared by the stats
+//!   registry and the benchmark harnesses.
+//! * [`obs`] — the observability registry (counters, gauges, sharded
+//!   histograms) of a live node or a simulated run, and the snapshot type
+//!   the stats plane ships.
 //!
 //! # Example
 //!

@@ -84,8 +84,9 @@ impl Counter {
     }
 }
 
-/// An instantaneous level (queue depth, window occupancy). Volatile:
-/// reset to zero on restart-in-place, unlike [`Counter`]s.
+/// An instantaneous level (queue depth, window occupancy). A restart
+/// starts from zero: a restarted node builds a fresh registry
+/// ([`Obs::for_node`]), so no level recorded before the crash survives.
 #[derive(Clone, Debug, Default)]
 pub struct Gauge(Arc<AtomicI64>);
 
@@ -276,16 +277,6 @@ impl Obs {
             now_nanos()
         } else {
             0
-        }
-    }
-
-    /// Zeroes every gauge. Called on restart-in-place: gauges describe
-    /// *this process incarnation's* queues and windows, and must not
-    /// leak levels recorded before the crash, while counters keep (or
-    /// are re-seeded to) their recovered totals.
-    pub fn reset_gauges(&self) {
-        for g in self.inner.gauges.lock().expect("obs lock").values() {
-            g.set(0);
         }
     }
 
@@ -606,16 +597,6 @@ mod tests {
         assert!(obs.tracing());
         let stamped = (0..100).filter(|_| obs.trace_stamp() != 0).count();
         assert_eq!(stamped, 25);
-    }
-
-    #[test]
-    fn gauge_reset_spares_counters() {
-        let obs = Obs::for_node(1);
-        obs.counter("instances_decided").add(10);
-        obs.gauge("reply_queue_depth").set(7);
-        obs.reset_gauges();
-        assert_eq!(obs.gauge("reply_queue_depth").get(), 0);
-        assert_eq!(obs.counter("instances_decided").get(), 10);
     }
 
     #[test]

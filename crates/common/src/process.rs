@@ -265,11 +265,6 @@ impl<K: Ord + Copy, T> TimerHeap<K, T> {
 }
 
 impl<T> TimerHeap<Instant, T> {
-    /// Schedules `payload` to fire `after` from now.
-    pub fn push_after(&mut self, after: Duration, payload: T) {
-        self.push_at(Instant::now() + after, payload);
-    }
-
     /// How long an event loop may sleep before the next timer is due;
     /// `default` when no timer is pending.
     pub fn sleep_for(&self, default: Duration) -> Duration {

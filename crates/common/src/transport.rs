@@ -15,7 +15,12 @@
 //!   nodes on TCP connections: sender id plus a [`Msg`].
 //! * [`FrameBuf`] — reassembles length-delimited frames from the byte
 //!   chunks a socket read loop produces.
+//! * [`LinkPolicy`] and [`LinkShaper`] — the one link model: what a
+//!   directed link does to the bytes sent over it. Both runtimes time
+//!   their hops with it, the simulator on [`SimTime`] and the live
+//!   netem pipes on `Instant`.
 
+use std::ops::{Add, Sub};
 use std::time::{Duration, Instant};
 
 use bytes::{Buf, Bytes, BytesMut};
@@ -219,10 +224,11 @@ pub fn encode_frame<T: Wire>(msg: &T) -> Bytes {
 /// Shaping policy for one *directed* network link.
 ///
 /// The same policy type drives both worlds: the discrete-event simulator
-/// derives its per-hop timing from it (via `simnet::Topology`) and the
-/// live node loops (`liverun::netem`) apply it to the frames they send
-/// and the client bytes they receive. Delay is one-way; a symmetric RTT splits evenly across the
-/// two directed links.
+/// times every hop with it (`simnet::Topology` holds one per site pair)
+/// and the live node loops (`liverun::netem`) apply it to the frames they
+/// send and the client bytes they receive, each through a [`LinkShaper`].
+/// Delay is one-way; a symmetric RTT splits evenly across the two
+/// directed links.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LinkPolicy {
     /// One-way propagation delay added to every chunk.
@@ -268,11 +274,12 @@ impl Default for LinkPolicy {
     }
 }
 
-/// What the shaper decided for one chunk of bytes.
+/// What the shaper decided for one chunk of bytes, on the clock `T` the
+/// shaper runs on.
 #[derive(Clone, Copy, Debug)]
-pub struct ShapeDecision {
+pub struct ShapeDecision<T = Instant> {
     /// Earliest instant the chunk may be written to the far side.
-    pub release: Instant,
+    pub release: T,
     /// Delay injected beyond `now` (propagation + jitter + queueing).
     pub delay: Duration,
     /// True when the bandwidth cap made this chunk queue behind earlier
@@ -288,15 +295,30 @@ pub struct ShapeDecision {
 /// one even when its jitter draw is smaller — so TCP byte order is
 /// preserved. The caller supplies the jitter sample (`unit` in `[0, 1)`)
 /// so this stays deterministic and testable.
-#[derive(Debug, Default)]
-pub struct LinkShaper {
+///
+/// `T` is the clock: `Instant` for a live pipe, [`SimTime`] for a
+/// simulated hop.
+#[derive(Debug)]
+pub struct LinkShaper<T = Instant> {
     /// When the serialization clock frees up.
-    busy_until: Option<Instant>,
+    busy_until: Option<T>,
     /// Release time handed out for the previous chunk (FIFO floor).
-    prev_release: Option<Instant>,
+    prev_release: Option<T>,
 }
 
-impl LinkShaper {
+impl<T> Default for LinkShaper<T> {
+    fn default() -> Self {
+        LinkShaper {
+            busy_until: None,
+            prev_release: None,
+        }
+    }
+}
+
+impl<T> LinkShaper<T>
+where
+    T: Copy + Ord + Add<Duration, Output = T> + Sub<Output = Duration>,
+{
     /// A shaper with an idle wire.
     pub fn new() -> Self {
         Self::default()
@@ -306,33 +328,33 @@ impl LinkShaper {
     /// under `policy`, with `unit` in `[0, 1)` driving the jitter draw.
     pub fn shape(
         &mut self,
-        now: Instant,
+        now: T,
         bytes: usize,
         policy: &LinkPolicy,
         unit: f64,
-    ) -> ShapeDecision {
+    ) -> ShapeDecision<T> {
         let start = match self.busy_until {
             Some(busy) if busy > now => busy,
             _ => now,
         };
         let throttled = start > now;
-        let serialize = (bytes as u64)
-            .saturating_mul(1_000_000_000)
-            .checked_div(policy.bytes_per_sec)
-            .map(Duration::from_nanos)
-            .unwrap_or(Duration::ZERO);
+        let serialize = match policy.bytes_per_sec {
+            0 => Duration::ZERO,
+            rate => Duration::from_secs_f64(bytes as f64 / rate as f64),
+        };
         let wire_free = start + serialize;
         self.busy_until = Some(wire_free);
-        let jitter_ns = (policy.delay.as_nanos() as f64 * policy.jitter_pct as f64 / 100.0
-            * unit.clamp(0.0, 1.0)) as u64;
-        let mut release = wire_free + policy.delay + Duration::from_nanos(jitter_ns);
+        let jitter = policy
+            .delay
+            .mul_f64(policy.jitter_pct as f64 / 100.0 * unit.clamp(0.0, 1.0));
+        let mut release = wire_free + policy.delay + jitter;
         if let Some(prev) = self.prev_release {
             release = release.max(prev);
         }
         self.prev_release = Some(release);
         ShapeDecision {
             release,
-            delay: release.saturating_duration_since(now),
+            delay: release - now,
             throttled,
         }
     }

@@ -114,7 +114,7 @@ fn deploy(
 
 fn lan_sim(seed: u64) -> Sim {
     let mut topo = Topology::lan();
-    topo.set_jitter_frac(0.2);
+    topo.set_jitter_pct(20);
     Sim::with_topology(seed, topo)
 }
 
@@ -192,7 +192,7 @@ fn every_acknowledged_request_executes_exactly_once_on_every_replica() {
         sent > 2 * completed,
         "re-sends: {sent} frames for {completed}"
     );
-    assert_eq!(sim.metrics().borrow().counter("node.restarts"), 1);
+    assert_eq!(sim.obs().counter("node_restarts").get(), 1);
     let executed: Vec<BTreeMap<(u64, u64), u32>> = (replicas.iter())
         .map(|(executions, _)| executions.lock().unwrap().clone())
         .collect();

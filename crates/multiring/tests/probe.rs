@@ -63,7 +63,7 @@ fn build(
 fn probe_recovery_scenario() {
     let registry = Registry::new();
     let mut topo = Topology::lan();
-    topo.set_jitter_frac(0.0);
+    topo.set_jitter_pct(0);
     let mut sim = Sim::with_topology(3, topo);
     let host_opts = HostOptions {
         ring: RingOptions {
@@ -94,7 +94,7 @@ fn probe_recovery_scenario() {
         if steps.is_multiple_of(500_000) {
             eprintln!(
                 "steps={steps} t={t} msgs={} completed={}",
-                sim.metrics().borrow().counter("net.msgs"),
+                sim.obs().counter("net_msgs").get(),
                 stats.borrow().completed
             );
         }

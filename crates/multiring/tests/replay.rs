@@ -235,7 +235,7 @@ fn run(seed: u64) -> (Vec<Deliveries>, Vec<String>) {
     let before_restart = delivered[crashed.raw() as usize].borrow().len();
     sim.run_until(SimTime::from_millis(21_000));
 
-    assert_eq!(sim.metrics().borrow().counter("node.restarts"), 1);
+    assert_eq!(sim.obs().counter("node_restarts").get(), 1);
     for s in &stats {
         let s = s.borrow();
         assert!(s.completed > 100, "the service stayed available: {s:?}");

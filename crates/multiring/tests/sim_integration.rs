@@ -23,7 +23,7 @@ use storage::{DiskProfile, StorageMode};
 
 fn lan_sim(seed: u64) -> Sim {
     let mut topo = Topology::lan();
-    topo.set_jitter_frac(0.01);
+    topo.set_jitter_pct(1);
     Sim::with_topology(seed, topo)
 }
 
@@ -246,9 +246,8 @@ fn replica_recovers_after_crash_with_trimming() {
     assert!(done > 200, "service must stay available, got {done}");
 
     // The metrics show the crash/restart happened.
-    let m = sim.metrics();
-    assert_eq!(m.borrow().counter("node.crashes"), 1);
-    assert_eq!(m.borrow().counter("node.restarts"), 1);
+    assert_eq!(sim.obs().counter("node_crashes").get(), 1);
+    assert_eq!(sim.obs().counter("node_restarts").get(), 1);
 }
 
 /// A host the test can still read after handing it to the simulator.
@@ -509,7 +508,7 @@ fn region_local_commands_do_not_wait_for_an_idle_global_ring() {
         .unwrap();
 
     let mut topo = Topology::from_profile(&WanProfile::ec2_2014());
-    topo.set_jitter_frac(0.01);
+    topo.set_jitter_pct(1);
     let mut sim = Sim::with_topology(7, topo);
     let site = |p: usize| Topology::site_of_region(Region::PAPER_THREE[p]);
     for m in &everyone {

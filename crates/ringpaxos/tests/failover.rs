@@ -67,7 +67,7 @@ impl Process for Load {
 
 fn build(seed: u64) -> (Sim, Registry, Vec<DeliveryLog>, Rc<RefCell<u64>>) {
     let mut topo = Topology::lan();
-    topo.set_jitter_frac(0.01);
+    topo.set_jitter_pct(1);
     let mut sim = Sim::with_topology(seed, topo);
     let registry = Registry::new();
     let members: Vec<NodeId> = (0..3).map(NodeId::new).collect();

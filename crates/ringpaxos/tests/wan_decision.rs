@@ -48,7 +48,7 @@ fn coordinator_decides_one_link_delay_after_the_majority_point() {
     // coordinating, everyone an acceptor: the fourth vote is node 3's.
     let profile = WanProfile::ec2_2014();
     let mut topo = Topology::from_profile(&profile);
-    topo.set_jitter_frac(0.0);
+    topo.set_jitter_pct(0);
     let mut sim = Sim::with_topology(1, topo);
     let registry = Registry::new();
     let members: Vec<NodeId> = (0..6).map(NodeId::new).collect();

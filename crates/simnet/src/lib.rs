@@ -7,14 +7,15 @@
 //! which the live node loop drives too. [`Sim`] is the other driver:
 //!
 //! * a virtual clock and one event queue over it ([`Sim`]),
-//! * a [`Topology`] with per-site latency/bandwidth (LAN and 2014-era
-//!   EC2 WAN profiles used by the paper's evaluation),
+//! * a [`Topology`]: a `LinkPolicy` per site pair (LAN and 2014-era EC2
+//!   WAN profiles used by the paper's evaluation), each hop timed by the
+//!   live netem layer's `LinkShaper` ([`common::transport`]),
 //! * a per-node CPU service-time model (the coordinator CPU bottleneck in
-//!   Figure 3 comes out of this),
-//! * fault injection: crash/restart, network partitions, message loss,
+//!   Figure 3 comes out of this), read back through [`Sim::cpu_busy`],
+//! * fault injection: crash/restart and network partitions,
 //! * the coordination service as one more process ([`CoordProcess`]),
 //!   which protocol processes ask over the simulated network,
-//! * shared [`metrics`] for throughput/latency/CPU accounting.
+//! * the run's counters in a live-node stats registry ([`Sim::obs`]).
 //!
 //! Determinism: given the same seed and the same sequence of calls, a
 //! simulation replays identically. All randomness flows from one seeded
@@ -54,11 +55,9 @@
 
 pub mod coordination;
 pub mod event;
-pub mod metrics;
 pub mod sim;
 pub mod topology;
 
 pub use coordination::CoordProcess;
-pub use metrics::{Metrics, SharedMetrics};
 pub use sim::{CpuModel, Sim};
 pub use topology::{Region, SiteId, Topology};

@@ -3,14 +3,15 @@
 
 use common::ids::NodeId;
 use common::msg::Msg;
+use common::obs::{Counter, Obs};
 use common::process::{Effects, Process, Timer, TimerHeap};
 use common::time::SimTime;
+use common::transport::LinkShaper;
 use rand::RngExt;
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
 use crate::event::EventKind;
-use crate::metrics::{shared, SharedMetrics};
 use crate::topology::{SiteId, Topology};
 
 /// Per-node CPU service-time model: handling a message costs
@@ -64,8 +65,8 @@ struct NodeSlot {
     generation: u32,
     /// The node's single simulated core is busy until this instant.
     busy_until: SimTime,
-    /// The node's NIC is transmitting until this instant.
-    nic_busy_until: SimTime,
+    /// Cumulative time the core spent handling messages.
+    cpu_busy: Duration,
     cpu: CpuModel,
 }
 
@@ -79,11 +80,16 @@ pub struct Sim {
     now: SimTime,
     /// Every callback's effects, and the one seeded RNG of the run.
     fx: Effects,
-    metrics: SharedMetrics,
+    obs: Obs,
+    /// `net_msgs` and `net_bytes`, counted on every hop.
+    net_msgs: Counter,
+    net_bytes: Counter,
     blocked: HashSet<(NodeId, NodeId)>,
     /// Ids that address another node (see [`Sim::alias`]).
     aliases: HashMap<NodeId, NodeId>,
-    link_last_arrival: HashMap<(NodeId, NodeId), SimTime>,
+    /// One shaper per directed node pair that has carried a message: each
+    /// link serializes on its own, as each live TCP connection does.
+    links: HashMap<(NodeId, NodeId), LinkShaper<SimTime>>,
     started: bool,
 }
 
@@ -95,16 +101,19 @@ impl Sim {
 
     /// A simulation over `topology`.
     pub fn with_topology(seed: u64, topology: Topology) -> Self {
+        let obs = Obs::default();
         Sim {
             nodes: Vec::new(),
             topology,
             queue: TimerHeap::new(),
             now: SimTime::ZERO,
             fx: Effects::new(seed),
-            metrics: shared(),
+            net_msgs: obs.counter("net_msgs"),
+            net_bytes: obs.counter("net_bytes"),
+            obs,
             blocked: HashSet::new(),
             aliases: HashMap::new(),
-            link_last_arrival: HashMap::new(),
+            links: HashMap::new(),
             started: false,
         }
     }
@@ -138,15 +147,22 @@ impl Sim {
             crashed: false,
             generation: 0,
             busy_until: SimTime::ZERO,
-            nic_busy_until: SimTime::ZERO,
+            cpu_busy: Duration::ZERO,
             cpu,
         });
         id
     }
 
-    /// The shared metrics sink.
-    pub fn metrics(&self) -> SharedMetrics {
-        self.metrics.clone()
+    /// The run's stats registry: `net_msgs` and `net_bytes` routed,
+    /// `net_dropped_partition` and `net_dropped_crashed`, `node_crashes`
+    /// and `node_restarts`.
+    pub fn obs(&self) -> &Obs {
+        &self.obs
+    }
+
+    /// Cumulative CPU time `node` spent handling messages.
+    pub fn cpu_busy(&self, node: NodeId) -> Duration {
+        self.nodes[node.raw() as usize].cpu_busy
     }
 
     /// Current virtual time.
@@ -257,7 +273,7 @@ impl Sim {
             } => {
                 let slot = &self.nodes[to.raw() as usize];
                 if slot.crashed {
-                    self.metrics.borrow_mut().incr("net.dropped_crashed");
+                    self.obs.counter("net_dropped_crashed").inc();
                     return;
                 }
                 if slot.busy_until > at {
@@ -275,8 +291,9 @@ impl Sim {
                 }
                 let cost = slot.cpu.cost(msg.wire_size());
                 let done = at + cost;
-                self.nodes[to.raw() as usize].busy_until = done;
-                self.metrics.borrow_mut().add_cpu_busy(to, cost);
+                let slot = &mut self.nodes[to.raw() as usize];
+                slot.busy_until = done;
+                slot.cpu_busy += cost;
                 // The handler conceptually runs during [ev.at, done]: its
                 // outputs are stamped with the local completion time `done`,
                 // but the global clock stays at `at` so events at other
@@ -311,7 +328,7 @@ impl Sim {
                     slot.crashed = true;
                     slot.generation += 1;
                     slot.process.on_crash(self.now);
-                    self.metrics.borrow_mut().incr("node.crashes");
+                    self.obs.counter("node_crashes").inc();
                 }
             }
             EventKind::Restart(node) => {
@@ -319,8 +336,7 @@ impl Sim {
                 if slot.crashed {
                     slot.crashed = false;
                     slot.busy_until = self.now;
-                    slot.nic_busy_until = self.now;
-                    self.metrics.borrow_mut().incr("node.restarts");
+                    self.obs.counter("node_restarts").inc();
                     let at = self.now;
                     self.invoke_at(node, Invoke::Restart, at);
                 }
@@ -355,54 +371,35 @@ impl Sim {
         }
     }
 
-    /// Computes delivery time for a message and enqueues it.
+    /// Times a message over its link and enqueues its delivery.
+    ///
+    /// A restart leaves the node's outgoing links as they are: what it
+    /// sent before the crash keeps its place on the wire, so nothing sent
+    /// after the restart overtakes it.
     fn route(&mut self, from: NodeId, to: NodeId, msg: Msg, sent_at: SimTime) {
         let to = self.aliases.get(&to).copied().unwrap_or(to);
         if to.raw() as usize >= self.nodes.len() {
             panic!("send to unknown node {to}");
         }
         if self.blocked.contains(&(from, to)) {
-            self.metrics.borrow_mut().incr("net.dropped_partition");
-            return;
-        }
-        let loss = self.topology.loss_prob();
-        if loss > 0.0 && self.fx.rng().random::<f64>() < loss {
-            self.metrics.borrow_mut().incr("net.dropped_loss");
+            self.obs.counter("net_dropped_partition").inc();
             return;
         }
         let size = msg.wire_size();
-        let prop = self.topology.propagation(from, to);
-        let bw = self.topology.bandwidth(from, to);
-        let tx = Duration::from_secs_f64(size as f64 / bw);
-
-        // The sender NIC serializes transmissions: this produces bandwidth
-        // ceilings under load.
-        let sender = &mut self.nodes[from.raw() as usize];
-        let tx_start = sender.nic_busy_until.max(sent_at);
-        let tx_end = tx_start + tx;
-        sender.nic_busy_until = tx_end;
-
-        let jitter_frac = self.topology.jitter_frac();
-        let jitter = if jitter_frac > 0.0 {
-            prop.mul_f64(jitter_frac * self.fx.rng().random::<f64>())
+        let policy = self.topology.policy(from, to);
+        let unit = if policy.jitter_pct > 0 {
+            self.fx.rng().random::<f64>()
         } else {
-            Duration::ZERO
+            0.0
         };
-        let mut arrival = tx_end + prop + jitter;
-
-        // FIFO clamp: links are TCP connections, no reordering.
-        let last = self
-            .link_last_arrival
+        let arrival = self
+            .links
             .entry((from, to))
-            .or_insert(SimTime::ZERO);
-        arrival = arrival.max(*last);
-        *last = arrival;
-
-        {
-            let mut m = self.metrics.borrow_mut();
-            m.incr("net.msgs");
-            m.add("net.bytes", size as u64);
-        }
+            .or_default()
+            .shape(sent_at, size, policy, unit)
+            .release;
+        self.net_msgs.inc();
+        self.net_bytes.add(size as u64);
         self.queue.push_at(
             arrival,
             EventKind::Deliver {
@@ -427,6 +424,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use common::process::Ctx;
+    use common::transport::LinkPolicy;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -477,7 +475,7 @@ mod tests {
 
     fn free_cpu_sim(seed: u64) -> Sim {
         let mut topo = Topology::lan();
-        topo.set_jitter_frac(0.0);
+        topo.set_jitter_pct(0);
         Sim::with_topology(seed, topo)
     }
 
@@ -510,7 +508,7 @@ mod tests {
     fn identical_seeds_replay_identically() {
         let run = |seed: u64| -> Vec<Duration> {
             let mut topo = Topology::lan();
-            topo.set_jitter_frac(0.1);
+            topo.set_jitter_pct(10);
             let mut sim = Sim::with_topology(seed, topo);
             let state = Rc::new(RefCell::new(PingState::default()));
             let echo = NodeId::new(0);
@@ -574,8 +572,7 @@ mod tests {
         let received = *seen.borrow();
         // ~30 messages total; ~10 dropped while crashed.
         assert!((15..=25).contains(&received), "received {received}");
-        let m = sim.metrics();
-        let dropped = m.borrow().counter("net.dropped_crashed");
+        let dropped = sim.obs().counter("net_dropped_crashed").get();
         assert!(dropped >= 5, "dropped {dropped}");
     }
 
@@ -596,7 +593,7 @@ mod tests {
         sim.partition(&[echo], &[pinger]);
         sim.run_until(SimTime::from_millis(10));
         assert!(state.borrow().rtts.is_empty());
-        assert!(sim.metrics().borrow().counter("net.dropped_partition") > 0);
+        assert!(sim.obs().counter("net_dropped_partition").get() > 0);
         sim.heal_all();
         // The ping was lost; nothing in flight, so nothing more happens,
         // but new sims with no partition work (covered by other tests).
@@ -624,7 +621,7 @@ mod tests {
             fn on_timer(&mut self, _: Timer, _: &mut Ctx<'_>) {}
         }
         let mut topo = Topology::lan();
-        topo.set_jitter_frac(0.0);
+        topo.set_jitter_pct(0);
         let mut sim = Sim::with_topology(5, topo);
         let sink = NodeId::new(0);
         sim.add_node_with_cpu(
@@ -637,7 +634,7 @@ mod tests {
         );
         sim.add_node_with_cpu(0, Burst { peer: sink }, CpuModel::free());
         sim.run_until_idle(SimTime::from_secs(1));
-        let busy = sim.metrics().borrow().cpu_busy(sink);
+        let busy = sim.cpu_busy(sink);
         assert_eq!(busy, Duration::from_millis(10));
     }
 
@@ -667,7 +664,7 @@ mod tests {
             fn on_timer(&mut self, _: Timer, _: &mut Ctx<'_>) {}
         }
         let mut topo = Topology::lan();
-        topo.set_jitter_frac(0.5); // heavy jitter
+        topo.set_jitter_pct(50); // heavy jitter
         let mut sim = Sim::with_topology(6, topo);
         let got = Rc::new(RefCell::new(Vec::new()));
         let collector = NodeId::new(0);
@@ -677,6 +674,69 @@ mod tests {
         let got = got.borrow();
         assert_eq!(got.len(), 100);
         assert!(got.windows(2).all(|w| w[0] < w[1]), "messages reordered");
+    }
+
+    #[test]
+    fn a_saturated_link_does_not_delay_the_senders_other_links() {
+        /// Records when each frame arrives.
+        struct Arrivals {
+            at: Rc<RefCell<Vec<SimTime>>>,
+        }
+        impl Process for Arrivals {
+            fn on_message(&mut self, _: NodeId, _: Msg, ctx: &mut Ctx<'_>) {
+                self.at.borrow_mut().push(ctx.now());
+            }
+            fn on_timer(&mut self, _: Timer, _: &mut Ctx<'_>) {}
+        }
+        /// Ten 1 MB frames to `far` (80 ms of wire time at 1 Gbps), then
+        /// one small frame to `near`.
+        struct Sender {
+            far: NodeId,
+            near: NodeId,
+        }
+        impl Process for Sender {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                for _ in 0..10 {
+                    ctx.send(self.far, big());
+                }
+                ctx.send(self.near, Msg::Custom(0, Bytes::new()));
+            }
+            fn on_message(&mut self, _: NodeId, _: Msg, _: &mut Ctx<'_>) {}
+            fn on_timer(&mut self, _: Timer, _: &mut Ctx<'_>) {}
+        }
+        fn big() -> Msg {
+            Msg::Custom(1, Bytes::from(vec![0u8; 1 << 20]))
+        }
+
+        let mut topo = Topology::ec2();
+        topo.set_jitter_pct(0);
+        let mut sim = Sim::with_topology(9, topo.clone());
+        let (eu, us) = (
+            Topology::site_of_region(crate::Region::EuWest1),
+            Topology::site_of_region(crate::Region::UsEast1),
+        );
+        let (far_at, near_at) = (Rc::default(), Rc::default());
+        let at = Rc::clone;
+        let far = sim.add_node_with_cpu(us, Arrivals { at: at(&far_at) }, CpuModel::free());
+        let near = sim.add_node_with_cpu(eu, Arrivals { at: at(&near_at) }, CpuModel::free());
+        sim.add_node_with_cpu(eu, Sender { far, near }, CpuModel::free());
+        sim.run_until_idle(SimTime::from_secs(1));
+
+        let wire_time = |msg: Msg, link: &LinkPolicy| {
+            Duration::from_nanos(msg.wire_size() as u64 * 1_000_000_000 / link.bytes_per_sec)
+        };
+        // The near frame leaves at once: it arrives after its own link's
+        // delay, not behind the 80 ms the far link is busy.
+        let near_link = topo.link(eu, eu);
+        let small = wire_time(Msg::Custom(0, Bytes::new()), near_link);
+        assert_eq!(*near_at.borrow(), [SimTime::ZERO + small + near_link.delay]);
+        // The far link serializes at its own bandwidth.
+        let far_link = topo.link(eu, us);
+        let wire = wire_time(big(), far_link);
+        let expected: Vec<SimTime> = (1..=10)
+            .map(|k| SimTime::ZERO + wire * k + far_link.delay)
+            .collect();
+        assert_eq!(*far_at.borrow(), expected);
     }
 
     #[test]

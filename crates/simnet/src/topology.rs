@@ -1,8 +1,10 @@
-//! Network topologies: sites, latency matrices and bandwidth.
+//! Network topologies: sites, and the link policy between each pair.
 //!
-//! A [`Topology`] places nodes at *sites* (datacenters). Message timing is
-//! `propagation(site_a, site_b) + size / bandwidth + jitter`, with the
-//! sender's NIC serializing transmissions (modelled in [`crate::Sim`]).
+//! A [`Topology`] places nodes at *sites* (datacenters) and keeps one
+//! [`LinkPolicy`] per ordered site pair — the same policy type the live
+//! netem layer shapes real sockets with. [`crate::Sim`] times every hop
+//! through a [`common::transport::LinkShaper`] per directed node pair:
+//! `serialization at the link's bandwidth + delay + jitter`, FIFO.
 //!
 //! Two ready-made profiles mirror the paper's testbeds:
 //!
@@ -11,6 +13,7 @@
 //!   round-trip times.
 
 use common::ids::NodeId;
+use common::transport::LinkPolicy;
 use std::time::Duration;
 
 /// The shared world definition, re-exported so existing `simnet`
@@ -21,34 +24,29 @@ pub use common::geo::{Region, WanProfile, EC2_RTT_MS};
 /// Index of a site (datacenter) in a topology.
 pub type SiteId = usize;
 
-/// Placement and link characteristics for a set of nodes.
+/// Placement and link policies for a set of nodes.
+///
+/// Simulated links are reliable: a policy's `loss_pct` and `blocked` are
+/// not applied (partitions are [`crate::Sim::partition`]'s business).
 #[derive(Clone, Debug)]
 pub struct Topology {
     site_of: Vec<SiteId>,
-    /// One-way propagation delay between sites, nanoseconds.
-    latency_ns: Vec<Vec<u64>>,
-    /// Link bandwidth between sites, bytes per second.
-    bandwidth: Vec<Vec<f64>>,
-    /// Proportional jitter applied to propagation (0.02 = ±2%).
-    jitter_frac: f64,
-    /// Loopback latency for self-sends.
-    loopback: Duration,
-    /// Probability a message is silently dropped (default 0; TCP links).
-    loss_prob: f64,
+    /// `links[a][b]`: the directed link from site `a` to site `b`.
+    links: Vec<Vec<LinkPolicy>>,
+    /// A node's sends to itself: 5 µs at memcpy speed.
+    loopback: LinkPolicy,
 }
 
 impl Topology {
     /// A single-site topology for `sites` = 1: `rtt` round-trip between any
-    /// two distinct nodes, `gbps` link bandwidth.
+    /// two distinct nodes, `gbps` link bandwidth, 2% jitter.
     pub fn single_site(rtt: Duration, gbps: f64) -> Self {
-        Topology {
-            site_of: Vec::new(),
-            latency_ns: vec![vec![(rtt.as_nanos() / 2) as u64]],
-            bandwidth: vec![vec![gbps * 1e9 / 8.0]],
-            jitter_frac: 0.02,
-            loopback: Duration::from_micros(5),
-            loss_prob: 0.0,
-        }
+        let link = LinkPolicy {
+            delay: rtt / 2,
+            bytes_per_sec: (gbps * 1e9 / 8.0) as u64,
+            ..LinkPolicy::unshaped()
+        };
+        Self::with_links(vec![vec![link]], 2)
     }
 
     /// The paper's local cluster: 0.1 ms RTT, 10 Gbps, one site.
@@ -65,36 +63,35 @@ impl Topology {
     }
 
     /// Builds a topology with one site per [`Region`] from a shared
-    /// [`WanProfile`] (one-way latency = RTT/2, the profile's bandwidth
-    /// classes and proportional jitter).
+    /// [`WanProfile`]: the link between two sites is
+    /// [`WanProfile::policy`], as a live geo deployment's is.
     pub fn from_profile(profile: &WanProfile) -> Self {
-        let n = Region::ALL.len();
-        let mut latency_ns = vec![vec![0u64; n]; n];
-        let mut bandwidth = vec![vec![0f64; n]; n];
+        let mut links = vec![vec![LinkPolicy::unshaped(); Region::ALL.len()]; Region::ALL.len()];
         for a in Region::ALL {
             for b in Region::ALL {
-                let (i, j) = (a.index(), b.index());
-                latency_ns[i][j] = (profile.rtt(a, b).as_nanos() / 2) as u64;
-                bandwidth[i][j] = if i == j {
-                    profile.intra_bytes_per_sec as f64
-                } else {
-                    profile.inter_bytes_per_sec as f64
-                };
+                links[a.index()][b.index()] = profile.policy(a, b);
             }
         }
-        Topology {
+        Self::with_links(links, profile.jitter_pct)
+    }
+
+    fn with_links(links: Vec<Vec<LinkPolicy>>, jitter_pct: u32) -> Self {
+        let mut topology = Topology {
             site_of: Vec::new(),
-            latency_ns,
-            bandwidth,
-            jitter_frac: profile.jitter_pct as f64 / 100.0,
-            loopback: Duration::from_micros(5),
-            loss_prob: 0.0,
-        }
+            links,
+            loopback: LinkPolicy {
+                delay: Duration::from_micros(5),
+                bytes_per_sec: 40_000_000_000 / 8,
+                ..LinkPolicy::unshaped()
+            },
+        };
+        topology.set_jitter_pct(jitter_pct);
+        topology
     }
 
     /// Number of sites in this topology.
     pub fn sites(&self) -> usize {
-        self.latency_ns.len()
+        self.links.len()
     }
 
     /// The site index for `region` in the [`Topology::ec2`] profile.
@@ -127,37 +124,27 @@ impl Topology {
         self.site_of[node.raw() as usize]
     }
 
-    /// One-way propagation delay between two nodes (loopback for self).
-    pub fn propagation(&self, from: NodeId, to: NodeId) -> Duration {
+    /// The policy of the directed link from site `a` to site `b`.
+    pub fn link(&self, a: SiteId, b: SiteId) -> &LinkPolicy {
+        &self.links[a][b]
+    }
+
+    /// The policy a hop from `from` to `to` travels under: the link
+    /// between their sites, or loopback for a self-send.
+    pub fn policy(&self, from: NodeId, to: NodeId) -> &LinkPolicy {
         if from == to {
-            return self.loopback;
+            return &self.loopback;
         }
-        let (a, b) = (self.site(from), self.site(to));
-        Duration::from_nanos(self.latency_ns[a][b])
+        self.link(self.site(from), self.site(to))
     }
 
-    /// Link bandwidth between two nodes in bytes/second.
-    pub fn bandwidth(&self, from: NodeId, to: NodeId) -> f64 {
-        if from == to {
-            return 40e9 / 8.0; // loopback: effectively memcpy speed
+    /// Sets the proportional jitter of every link, in percent of its
+    /// delay.
+    pub fn set_jitter_pct(&mut self, pct: u32) {
+        for link in self.links.iter_mut().flatten() {
+            link.jitter_pct = pct;
         }
-        let (a, b) = (self.site(from), self.site(to));
-        self.bandwidth[a][b]
-    }
-
-    /// Proportional jitter (fraction of propagation delay).
-    pub fn jitter_frac(&self) -> f64 {
-        self.jitter_frac
-    }
-
-    /// Sets the proportional jitter.
-    pub fn set_jitter_frac(&mut self, f: f64) {
-        self.jitter_frac = f.max(0.0);
-    }
-
-    /// Message loss probability (0 for reliable TCP-like links).
-    pub fn loss_prob(&self) -> f64 {
-        self.loss_prob
+        self.loopback.jitter_pct = pct;
     }
 }
 
@@ -177,7 +164,7 @@ mod tests {
         let mut t = Topology::lan();
         t.place(NodeId::new(0), 0);
         t.place(NodeId::new(1), 0);
-        let one_way = t.propagation(NodeId::new(0), NodeId::new(1));
+        let one_way = t.policy(NodeId::new(0), NodeId::new(1)).delay;
         assert_eq!(one_way, Duration::from_micros(50));
     }
 
@@ -198,19 +185,33 @@ mod tests {
         let mut t = Topology::ec2();
         t.place(NodeId::new(0), Topology::site_of_region(Region::EuWest1));
         t.place(NodeId::new(1), Topology::site_of_region(Region::UsEast1));
-        let one_way = t.propagation(NodeId::new(0), NodeId::new(1));
+        let one_way = t.policy(NodeId::new(0), NodeId::new(1)).delay;
         assert_eq!(one_way, Duration::from_millis(40)); // 80 ms RTT
         assert!(
-            t.bandwidth(NodeId::new(0), NodeId::new(1))
-                < t.bandwidth(NodeId::new(0), NodeId::new(0))
+            t.policy(NodeId::new(0), NodeId::new(1)).bytes_per_sec
+                < t.policy(NodeId::new(0), NodeId::new(0)).bytes_per_sec
         );
+        // One spec for both drivers: every simulated link is the policy a
+        // live geo deployment gives the same region pair.
+        let profile = WanProfile::ec2_2014();
+        for a in Region::ALL {
+            for b in Region::ALL {
+                assert_eq!(
+                    *t.link(Topology::site_of_region(a), Topology::site_of_region(b)),
+                    profile.policy(a, b),
+                    "{} -> {}",
+                    a.name(),
+                    b.name()
+                );
+            }
+        }
     }
 
     #[test]
     fn loopback_is_fast() {
         let mut t = Topology::lan();
         t.place(NodeId::new(0), 0);
-        assert!(t.propagation(NodeId::new(0), NodeId::new(0)) < Duration::from_micros(10));
+        assert!(t.policy(NodeId::new(0), NodeId::new(0)).delay < Duration::from_micros(10));
     }
 
     #[test]

@@ -58,9 +58,9 @@ impl Process for Recorder {
     fn on_timer(&mut self, _: Timer, _: &mut Ctx<'_>) {}
 }
 
-fn run(seed: u64, jitter: f64, script: &[(u64, u32, u16)]) -> Vec<(NodeId, u16, SimTime)> {
+fn run(seed: u64, jitter: u32, script: &[(u64, u32, u16)]) -> Vec<(NodeId, u16, SimTime)> {
     let mut topo = Topology::lan();
-    topo.set_jitter_frac(jitter);
+    topo.set_jitter_pct(jitter);
     let mut sim = Sim::with_topology(seed, topo);
     let seen = Rc::new(RefCell::new(Vec::new()));
     // Node 0: recorder. Nodes 1-2: senders splitting the script.
@@ -92,7 +92,7 @@ proptest! {
     #[test]
     fn simulation_is_deterministic(
         seed in any::<u64>(),
-        jitter in 0.0f64..0.5,
+        jitter in 0u32..50,
         script in proptest::collection::vec((1u64..1000, Just(0u32), any::<u16>()), 1..50),
     ) {
         let a = run(seed, jitter, &script);
@@ -105,7 +105,7 @@ proptest! {
     #[test]
     fn links_are_fifo_under_jitter(
         seed in any::<u64>(),
-        jitter in 0.0f64..0.5,
+        jitter in 0u32..50,
         script in proptest::collection::vec((1u64..200, Just(0u32), any::<u16>()), 2..80),
     ) {
         let seen = run(seed, jitter, &script);
@@ -134,7 +134,7 @@ proptest! {
         seed in any::<u64>(),
         script in proptest::collection::vec((1u64..200, Just(0u32), any::<u16>()), 1..50),
     ) {
-        let seen = run(seed, 0.3, &script);
+        let seen = run(seed, 30, &script);
         for sender in [NodeId::new(1), NodeId::new(2)] {
             let times: Vec<SimTime> = seen
                 .iter()

@@ -19,7 +19,7 @@ use bytes::Bytes;
 
 fn main() {
     let mut topo = Topology::lan();
-    topo.set_jitter_frac(0.01);
+    topo.set_jitter_pct(1);
     let mut sim = Sim::with_topology(11, topo);
     let registry = Registry::new();
 
@@ -89,11 +89,11 @@ fn main() {
         last = c;
     }
 
-    let m = sim.metrics();
+    let obs = sim.obs();
     println!(
         "\ncrashes={} restarts={} (service stayed available on the 2-node majority)",
-        m.borrow().counter("node.crashes"),
-        m.borrow().counter("node.restarts")
+        obs.counter("node_crashes").get(),
+        obs.counter("node_restarts").get()
     );
-    assert_eq!(m.borrow().counter("node.restarts"), 1);
+    assert_eq!(obs.counter("node_restarts").get(), 1);
 }

@@ -24,7 +24,7 @@ use bytes::Bytes;
 
 fn main() {
     let mut topo = Topology::lan();
-    topo.set_jitter_frac(0.01);
+    topo.set_jitter_pct(1);
     let mut sim = Sim::with_topology(3, topo);
     let registry = Registry::new();
 

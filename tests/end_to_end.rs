@@ -33,7 +33,7 @@ fn in_memory_opts() -> HostOptions {
 #[test]
 fn kv_store_cross_partition_scan() {
     let mut topo = Topology::lan();
-    topo.set_jitter_frac(0.0);
+    topo.set_jitter_pct(0);
     let mut sim = Sim::with_topology(21, topo);
     let registry = Registry::new();
     let scheme = Partitioning::Hash { partitions: 2 };
@@ -143,7 +143,7 @@ fn kv_store_cross_partition_scan() {
 #[test]
 fn dlog_multi_append_is_atomic() {
     let mut topo = Topology::lan();
-    topo.set_jitter_frac(0.0);
+    topo.set_jitter_pct(0);
     let mut sim = Sim::with_topology(22, topo);
     let registry = Registry::new();
     let members: Vec<NodeId> = (0..3).map(NodeId::new).collect();
