@@ -10,6 +10,7 @@ use liverun::config::generate_localhost_mrpstore;
 use liverun::{ClientOptions, Deployment, DeploymentConfig, StoreClient};
 use mrpstore::KvResponse;
 
+mod steal;
 mod threads;
 use threads::{alone, settled_threads, thread_names};
 
@@ -1497,6 +1498,7 @@ fn acceptor_logs_trim_live_on_two_replica_partitions() {
     let text = generate_localhost_mrpstore(4, 2, base_port(), None);
     let mut config = DeploymentConfig::parse(&text).unwrap();
     config.checkpoint_interval = Some(CHECKPOINT);
+    let steal = steal::Steal::now();
     let deployment = Deployment::launch(config.clone()).unwrap();
     let mut client = StoreClient::connect(&config, ClientId::new(81), client_opts()).unwrap();
 
@@ -1524,7 +1526,8 @@ fn acceptor_logs_trim_live_on_two_replica_partitions() {
         .collect();
     assert!(
         untrimmed.is_empty(),
-        "(node, ring) acceptors that never trimmed: {untrimmed:?}"
+        "(node, ring) acceptors that never trimmed: {untrimmed:?} ({})",
+        steal.since()
     );
     // Slots and decided instances both count values, skips included.
     let window = 4.0 * CHECKPOINT.as_secs_f64() / (t1 - t0).as_secs_f64();
@@ -1547,7 +1550,8 @@ fn acceptor_logs_trim_live_on_two_replica_partitions() {
         assert!(
             (slots as f64) < recent,
             "ring {r}: its acceptors retain {slots} slots, more than the {recent:.0} \
-             instances they decide in four checkpoint intervals"
+             instances they decide in four checkpoint intervals ({})",
+            steal.since()
         );
     }
     deployment.shutdown();
@@ -1796,12 +1800,12 @@ fn acceptor_logs_stay_bounded_under_a_minute_of_large_values() {
         let cache = total(&last, "_cache_bytes");
         println!(
             "{at:>2} s: VmRSS {}, accounted {} MiB (cached values {} KiB, acceptor logs {} MiB \
-             in {mean} slots, peak {peak}), dedup ids {}",
+             in {mean} slots, peak {peak}), dedup ranges {}",
             vm_rss(),
             total(&last, "mem_accounted_bytes") / MIB,
             cache / 1024,
             total(&last, "_log_bytes") / MIB,
-            total(&last, "_dedup_ids"),
+            total(&last, "_dedup_ranges"),
         );
         slots.push(mean);
         cached.push(cache);

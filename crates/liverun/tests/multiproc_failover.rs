@@ -37,6 +37,8 @@ use common::ids::{ClientId, NodeId, RingId};
 use liverun::config::{generate_localhost_mrpstore, with_coord};
 use liverun::{connect_coord, ClientOptions, Deployment, DeploymentConfig, StoreClient};
 
+mod steal;
+
 /// Held by each test for its whole run.
 static ONE_CLUSTER: Mutex<()> = Mutex::new(());
 
@@ -531,7 +533,7 @@ fn a_stopped_coordination_service_does_not_stall_the_data_path() {
         .expect("store client connects");
 
     // Paced writes; the ensemble stops a second in.
-    let start = Instant::now();
+    let (start, steal) = (Instant::now(), steal::Steal::now());
     let stop_at = start + Duration::from_secs(1);
     let cont_at = stop_at + STOPPED;
     let mut stopped = false;
@@ -571,7 +573,8 @@ fn a_stopped_coordination_service_does_not_stall_the_data_path() {
     );
     assert!(
         p99 < P99,
-        "single-partition p99 {p99:?} while the ensemble was stopped"
+        "single-partition p99 {p99:?} while the ensemble was stopped ({})",
+        steal.since()
     );
 
     let (after, observer) = epochs();

@@ -27,14 +27,15 @@ use common::msg::{Msg, RecoveryMsg, RingMsg};
 use common::obs::{Counter, Gauge, Hist, Obs};
 use common::process::{Ctx, Process, Timer};
 use common::time::SimTime;
-use common::value::{Envelope, Payload, Value, ValueId, SESSION_CTL};
+use common::value::{Envelope, Payload, Value, SESSION_CTL};
 use common::wire::client::{ClientMsg, ClientReply, ErrorCode};
 use common::wire::coord::{answered, ask, CoordOk, CoordOp, COORD_NODE};
-use common::wire::{get_varint, get_vec, put_varint, put_vec, Wire};
+use common::wire::Wire;
 use coord::{PartitionInfo, Registry, RingConfig};
 use ringpaxos::node::{Output, RingNode, MAX_IDLE_SKIP_STRIDE};
 use ringpaxos::options::RingOptions;
 use ringpaxos::timer::RingTimer;
+use ringpaxos::DeliveredIds;
 use storage::{CheckpointStore, StorageMode};
 
 use crate::app::{EagerCut, ServiceApp, SnapshotCut};
@@ -101,63 +102,33 @@ impl Default for HostOptions {
     }
 }
 
-/// Checkpoint blob layout: per-ring dedup windows and the merge
-/// scheduler state (turn + per-ring skip credit, so a replica restored
-/// from a mid-round cut resumes the round-robin exactly where its peers
-/// are) first, then the service snapshot as the **trailing rest** of the
-/// blob. The service state goes last and unprefixed so a [`Retained`]
-/// checkpoint is its meta bytes followed by its service cut's encoding.
-struct Snapshot {
-    app: Bytes,
-    dedup: Vec<(RingId, Vec<ValueId>)>,
-    merge_turn: u64,
-    merge_credits: Vec<(RingId, u64)>,
+common::wire_frame! {
+    /// A checkpoint's meta, taken at its cut: each ring's delivered ids
+    /// and the merge scheduler state (turn + per-ring skip credit, so a
+    /// replica restored from a mid-round cut resumes the round-robin
+    /// exactly where its peers are).
+    struct Meta {
+        dedup: Vec<(RingId, DeliveredIds)>,
+        merge_turn: u64,
+        merge_credits: Vec<(RingId, u64)>,
+    }
 }
 
-/// Encodes everything *except* the trailing service state: a
-/// checkpoint's meta, taken at its cut.
-fn encode_snapshot_meta(
-    buf: &mut BytesMut,
-    dedup: &[(RingId, Vec<ValueId>)],
-    merge_turn: u64,
-    merge_credits: &[(RingId, u64)],
-) {
-    put_varint(buf, dedup.len() as u64);
-    for (ring, ids) in dedup {
-        ring.encode(buf);
-        put_vec(buf, ids);
-    }
-    put_varint(buf, merge_turn);
-    put_varint(buf, merge_credits.len() as u64);
-    for (ring, credit) in merge_credits {
-        ring.encode(buf);
-        put_varint(buf, *credit);
-    }
+/// Checkpoint blob layout: the [`Meta`], then the service snapshot as the
+/// **trailing rest** of the blob. The service state goes last and
+/// unprefixed so a [`Retained`] checkpoint is its meta bytes followed by
+/// its service cut's encoding.
+struct Snapshot {
+    meta: Meta,
+    app: Bytes,
 }
 
 impl Snapshot {
     fn decode(buf: &mut Bytes) -> Result<Self, common::error::WireError> {
-        let n = get_varint(buf)?;
-        let mut dedup = Vec::new();
-        for _ in 0..n {
-            let ring = RingId::decode(buf)?;
-            dedup.push((ring, get_vec(buf)?));
-        }
-        let merge_turn = get_varint(buf)?;
-        let m = get_varint(buf)?;
-        let mut merge_credits = Vec::new();
-        for _ in 0..m {
-            let ring = RingId::decode(buf)?;
-            merge_credits.push((ring, get_varint(buf)?));
-        }
+        let meta = Meta::decode(buf)?;
         // The rest of the blob is the service state.
         let app = buf.split_to(buf.len());
-        Ok(Snapshot {
-            app,
-            dedup,
-            merge_turn,
-            merge_credits,
-        })
+        Ok(Snapshot { meta, app })
     }
 }
 
@@ -237,8 +208,8 @@ struct RetainedGauges {
     log: Option<[Gauge; 3]>,
     /// `ring{r}_cache_values` and `ring{r}_cache_bytes`.
     cache: [Gauge; 2],
-    /// `ring{r}_dedup_ids`.
-    dedup_ids: Gauge,
+    /// `ring{r}_dedup_ranges`.
+    dedup_ranges: Gauge,
 }
 
 impl HostObs {
@@ -253,7 +224,7 @@ impl HostObs {
                         .contains(ring)
                         .then(|| ["trim_floor", "log_slots", "log_bytes"].map(gauge)),
                     cache: ["cache_values", "cache_bytes"].map(gauge),
-                    dedup_ids: gauge("dedup_ids"),
+                    dedup_ranges: gauge("dedup_ranges"),
                 }
             })
             .collect();
@@ -983,27 +954,26 @@ impl MultiRingHost {
             return; // nothing new to checkpoint
         }
         let (merge_turn, merge_credits) = learner.scheduler_state();
-        // Snapshot each ring's dedup window at the *merge's* cut for
+        // Snapshot each ring's delivered ids at the *merge's* cut for
         // that ring: the ring learner may have emitted deliveries the
-        // merge has not consumed yet, and those must not poison a
-        // restored replica's duplicate suppression (they will be
-        // re-delivered during catch-up).
-        let dedup: Vec<(RingId, Vec<ValueId>)> = self
-            .rings
-            .iter()
-            .map(|(r, n)| {
-                let cut = tuple.get(*r).unwrap_or_else(|| n.next_delivery());
-                (*r, n.dedup_snapshot(cut))
-            })
+        // merge has not consumed yet — exactly what the merge still
+        // queues — and those must not poison a restored replica's
+        // duplicate suppression (they will be re-delivered during
+        // catch-up).
+        let dedup = (self.rings.iter())
+            .map(|(r, n)| (*r, n.dedup_snapshot(learner.queued_ids(*r))))
             .collect();
         // A checkpoint is a cut, not a copy: the meta is encoded now and
         // the service keeps a structural cut at the merge's delivery
         // cursor. The disk is charged, and `ckpt_bytes` set, with the
         // length the checkpoint would have in bytes.
-        let mut meta = BytesMut::new();
-        encode_snapshot_meta(&mut meta, &dedup, merge_turn, &merge_credits);
+        let meta = Meta {
+            dedup,
+            merge_turn,
+            merge_credits,
+        };
         let retained = Retained {
-            meta: meta.freeze(),
+            meta: meta.to_bytes(),
             cut: self.app.snapshot_cut(),
         };
         let len = retained.encoded_len();
@@ -1042,12 +1012,12 @@ impl MultiRingHost {
     }
 
     fn install_snapshot(&mut self, tuple: &CheckpointTuple, state: &Bytes) {
-        let snap = Snapshot::decode(&mut state.clone()).ok();
-        if let Some(snap) = &snap {
+        let mut snap = Snapshot::decode(&mut state.clone()).ok();
+        if let Some(snap) = &mut snap {
             self.app.restore(&snap.app);
-            for (ring, ids) in &snap.dedup {
-                if let Some(node) = self.rings.get_mut(ring) {
-                    node.restore_dedup(ids.clone());
+            for (ring, ids) in std::mem::take(&mut snap.meta.dedup) {
+                if let Some(node) = self.rings.get_mut(&ring) {
+                    node.restore_dedup(ids);
                 }
             }
         }
@@ -1059,7 +1029,7 @@ impl MultiRingHost {
         if let Some(learner) = &mut self.learner {
             learner.restore(tuple);
             if let Some(snap) = &snap {
-                learner.restore_scheduler_state(snap.merge_turn, &snap.merge_credits);
+                learner.restore_scheduler_state(snap.meta.merge_turn, &snap.meta.merge_credits);
             }
         }
         self.advertised = Some(tuple.clone());
@@ -1179,11 +1149,12 @@ impl MultiRingHost {
 
     /// Refreshes the gauges of what this node retains. Per ring: its
     /// acceptor log (`trim_floor`, `log_slots`, `log_bytes`), its
-    /// learned-value cache (`cache_values`, `cache_bytes`) and its dedup
-    /// ids (`dedup_ids`). Per node, `mem_accounted_bytes`: the payload
-    /// bytes of the logs, caches and merge queue, the dedup ids at their
-    /// in-memory size, and the meta bytes of the retained checkpoints
-    /// (their dedup windows and merge state). A retained checkpoint's
+    /// learned-value cache (`cache_values`, `cache_bytes`) and the runs
+    /// of its delivered ids (`dedup_ranges`). Per node,
+    /// `mem_accounted_bytes`: the payload bytes of the logs, caches and
+    /// merge queue, the delivered-id runs at their in-memory size, and the
+    /// meta bytes of the retained checkpoints (their delivered-id runs and
+    /// merge state). A retained checkpoint's
     /// service cut shares its values with the store, so the values it
     /// alone pins (those overwritten or deleted since the cut) are not
     /// counted. It walks every retained value, so the stats plane calls
@@ -1197,11 +1168,11 @@ impl MultiRingHost {
                 continue;
             };
             let ([cache_values, cache_bytes], (values, bytes)) = (&g.cache, node.value_cache());
-            let ids = node.dedup_ids();
+            let ids = node.delivered_ids();
             cache_values.set(values as i64);
             cache_bytes.set(bytes as i64);
-            g.dedup_ids.set(ids as i64);
-            accounted += bytes + ids * std::mem::size_of::<ValueId>();
+            g.dedup_ranges.set(ids.ranges() as i64);
+            accounted += bytes + ids.ranges() * DeliveredIds::RUN_BYTES;
             if let Some([floor, slots, log_bytes]) = &g.log {
                 let log = node.log();
                 let payload = log.payload_bytes();
@@ -2060,6 +2031,79 @@ mod tests {
         assert_eq!(encodes.load(Ordering::Relaxed), 1, "one fetch, one encode");
         assert_eq!(Snapshot::decode(&mut state.clone()).unwrap().app, CUT_STATE);
         assert_eq!(host.hobs.ckpt_bytes.get(), state.len() as i64);
+    }
+
+    /// A session-less command and a `SessionCtl::Open`, each decided at
+    /// two instances of a one-replica partition's ring (what a retry that
+    /// raced its decision across a coordinator change leaves): each
+    /// executes once, and one session is opened.
+    #[test]
+    fn a_command_decided_twice_executes_once() {
+        use crate::session::SessionCtl;
+        use crate::SessionApp;
+        use common::msg::AcceptedEntry;
+        use common::value::{ValueId, NO_SESSION};
+
+        let (ring, me) = (RingId::new(0), NodeId::new(0));
+        let registry = Registry::new();
+        let cfg = RingConfig::new(ring, vec![me], vec![me]).unwrap();
+        registry.register_ring(cfg).unwrap();
+        let info = PartitionInfo {
+            rings: vec![ring],
+            replicas: vec![me],
+        };
+        (registry.register_partition(PartitionId::new(0), info)).unwrap();
+        let app = Box::new(SessionApp::new(Box::new(EchoApp::new())));
+        let (partition, opts) = (Some(PartitionId::new(0)), HostOptions::default());
+        let mut host = MultiRingHost::new(me, registry, &[ring], &[ring], partition, app, opts);
+        let mut fx = Effects::new(1);
+        host.on_start(&mut fx.ctx(SimTime::ZERO, me));
+
+        let command = |seq: u64, session: u64, cmd: Bytes| {
+            let env = Envelope {
+                client: ClientId::new(7),
+                req: RequestId::new(seq),
+                reply_to: NodeId::new(9),
+                session,
+                ack: 0,
+                trace: 0,
+                cmd,
+            };
+            Value {
+                id: ValueId::new(NodeId::new(1), seq),
+                kind: common::value::ValueKind::App(Payload::One(env).to_bytes()),
+            }
+        };
+        let plain = command(1, NO_SESSION, Bytes::from_static(b"once"));
+        let open = SessionCtl::Open {
+            token: 5,
+            ttl_ms: 30_000,
+        };
+        let open = command(2, SESSION_CTL, open.to_bytes());
+        let decisions = [&plain, &open, &plain, &open].into_iter().enumerate();
+        let decisions = (decisions)
+            .map(|(inst, value)| AcceptedEntry {
+                inst: InstanceId::new(inst as u64),
+                vballot: common::ids::Ballot::new(1, me),
+                value: value.clone(),
+            })
+            .collect();
+        let reply = RecoveryMsg::RetransmitReply {
+            ring,
+            decisions,
+            log_start: InstanceId::ZERO,
+        };
+        host.on_message(
+            NodeId::new(1),
+            Msg::Recovery(reply),
+            &mut fx.ctx(SimTime::ZERO, me),
+        );
+        assert_eq!(
+            host.checkpoint_tuple().unwrap().get(ring),
+            Some(InstanceId::new(4))
+        );
+        assert_eq!(host.executed(), 2, "each command executes once");
+        assert_eq!(host.app.session_ids().len(), 1, "one session is opened");
     }
 
     /// The `TrimQuery` sequence numbers the last callbacks sent to `to`.

@@ -12,7 +12,7 @@
 use common::ids::{InstanceId, RingId};
 use common::msg::CheckpointTuple;
 use common::time::SimTime;
-use common::value::Value;
+use common::value::{Value, ValueId};
 use std::collections::{BTreeMap, VecDeque};
 
 /// One atomically multicast-delivered message.
@@ -266,6 +266,15 @@ impl MergeLearner {
             .filter_map(|(_, v, _)| v.payload())
             .map(|b| b.len())
             .sum()
+    }
+
+    /// The ids of the deliverable values `ring`'s stream still queues:
+    /// what its ring learner delivered at or past the checkpoint cut.
+    pub fn queued_ids(&self, ring: RingId) -> impl Iterator<Item = ValueId> + '_ {
+        let queued = self.streams.get(&ring).into_iter().flat_map(|s| &s.queue);
+        queued
+            .filter(|(_, v, _)| v.is_deliverable())
+            .map(|(_, v, _)| v.id)
     }
 
     /// Per-ring buffered-decision depth (the per-ring `merge_lag`

@@ -29,8 +29,10 @@
 
 pub mod node;
 pub mod options;
+pub mod runs;
 pub mod timer;
 
 pub use node::{Output, RingNode};
 pub use options::{BatchPolicy, RateLeveling, RingOptions};
+pub use runs::DeliveredIds;
 pub use timer::RingTimer;

@@ -53,7 +53,7 @@
 //! ring's commands reach the merge. A ring node arms no Δ timer of its
 //! own.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Duration;
 
 use common::error::{Error, Result};
@@ -69,6 +69,7 @@ use coord::RingConfig;
 use storage::AcceptorLog;
 
 use crate::options::RingOptions;
+use crate::runs::DeliveredIds;
 use crate::timer::RingTimer;
 
 /// Ceiling on the idle-skip stride: a fully idle coordinator settles at
@@ -187,20 +188,25 @@ pub struct RingNode {
     idle_stride: u64,
     /// `ring{r}_clock_skips`: skip tokens the Δ clock proposed.
     clock_skips: Counter,
-    seen_ids: HashSet<ValueId>,
-    seen_order: VecDeque<ValueId>,
+    /// Ids this coordinator queued, assigned or saw decided and its
+    /// learner has not delivered yet, with the instance each went to
+    /// (`None` while queued). A proposal whose id is here or in
+    /// `delivered` is a duplicate. Delivery removes an id; an id whose
+    /// instance went to another value (a no-op filler after a leadership
+    /// change) leaves once the cursor passes that instance, so its
+    /// proposer's retry gets through. Bounded by the open instances.
+    in_flight: HashMap<ValueId, Option<InstanceId>>,
+    /// `ring{r}_dup_proposals`: proposals dropped as duplicates.
+    dup_proposals: Counter,
 
     // ---- learner state ----
     next_delivery: InstanceId,
     decision_buffer: BTreeMap<InstanceId, Value>,
-    delivered_ids: HashSet<ValueId>,
-    /// Delivered value ids with the instance each was first delivered at,
-    /// in delivery order. The instance tag lets a checkpoint snapshot the
-    /// dedup state *at a cut*: the ring learner runs ahead of the
-    /// deterministic merge, and including ids delivered beyond the merge's
-    /// cut would make a restored replica demote those values to no-ops
-    /// when catch-up re-delivers them (a lost write).
-    delivered_order: VecDeque<(InstanceId, ValueId)>,
+    /// Every value id this learner delivered, skips and no-ops included,
+    /// as runs per proposer: exact, and O(proposers + holes) in size.
+    delivered: DeliveredIds,
+    /// `ring{r}_dedup_demoted`: deliveries demoted as duplicates.
+    dedup_demoted: Counter,
     /// Values this node did not log (it does not vote) learned from a
     /// passing Phase 2 or a push and not yet decided here, keyed by id,
     /// with the instance each was last seen at and when it was learned:
@@ -258,7 +264,10 @@ impl RingNode {
         let value_pushes = opts.obs.counter("value_pushes_sent");
         let suspicions = opts.obs.counter("suspicions_raised");
         let evicted_epoch = opts.obs.gauge("evicted_epoch");
-        let clock_skips = opts.obs.counter(&format!("ring{}_clock_skips", ring.raw()));
+        let ring_counter = |name: &str| opts.obs.counter(&format!("ring{}_{name}", ring.raw()));
+        let clock_skips = ring_counter("clock_skips");
+        let dup_proposals = ring_counter("dup_proposals");
+        let dedup_demoted = ring_counter("dedup_demoted");
         Ok(RingNode {
             me,
             ring,
@@ -279,12 +288,12 @@ impl RingNode {
             idle_deltas: 0,
             idle_stride: 1,
             clock_skips,
-            seen_ids: HashSet::new(),
-            seen_order: VecDeque::new(),
+            in_flight: HashMap::new(),
+            dup_proposals,
             next_delivery: InstanceId::ZERO,
             decision_buffer: BTreeMap::new(),
-            delivered_ids: HashSet::new(),
-            delivered_order: VecDeque::new(),
+            delivered: DeliveredIds::default(),
+            dedup_demoted,
             learned: HashMap::new(),
             pending_values: BTreeMap::new(),
             value_req_rr: 0,
@@ -374,27 +383,27 @@ impl RingNode {
         }
     }
 
-    /// Snapshot of the learner's duplicate-suppression window *at a cut*,
-    /// in delivery order — included in checkpoints so a recovered replica
-    /// makes the same dedup decisions as its peers. Only ids first
-    /// delivered strictly below `upto` are included: the checkpoint's
-    /// delivery positions come from the merge, which may lag this ring
-    /// learner, and a restored replica will legitimately re-deliver
-    /// everything at or beyond the cut.
-    pub fn dedup_snapshot(&self, upto: InstanceId) -> Vec<ValueId> {
-        self.delivered_order
-            .iter()
-            .filter(|(inst, _)| *inst < upto)
-            .map(|(_, id)| *id)
-            .collect()
+    /// The learner's delivered ids *at a cut*, for a checkpoint, so a
+    /// recovered replica makes the same dedup decisions as its peers:
+    /// every delivered id except `beyond`, the deliverable values this
+    /// learner delivered at or past the cut. A checkpoint's delivery
+    /// positions come from the merge, which may lag this learner, and a
+    /// restored replica re-delivers everything at or past the cut; an id
+    /// of those left in would demote its value to a no-op there (a lost
+    /// write). Skip and no-op ids past the cut may stay: they are never
+    /// demoted.
+    pub fn dedup_snapshot(&self, beyond: impl IntoIterator<Item = ValueId>) -> DeliveredIds {
+        let mut ids = self.delivered.clone();
+        for id in beyond {
+            ids.remove(&id);
+        }
+        ids
     }
 
-    /// Restores the duplicate-suppression window from a checkpoint. The
-    /// restored ids predate the checkpoint cut, so they are tagged with
-    /// instance zero — below any future cut.
-    pub fn restore_dedup(&mut self, ids: Vec<ValueId>) {
-        self.delivered_order = ids.iter().map(|id| (InstanceId::ZERO, *id)).collect();
-        self.delivered_ids = ids.into_iter().collect();
+    /// Installs the delivered ids of a checkpoint's cut
+    /// ([`RingNode::dedup_snapshot`]).
+    pub fn restore_dedup(&mut self, ids: DeliveredIds) {
+        self.delivered = ids;
     }
 
     /// Trims the acceptor log up to `upto` (the coordinator's `Trim`
@@ -422,10 +431,10 @@ impl RingNode {
         (self.learned.len(), bytes.map(|b| b.len()).sum())
     }
 
-    /// Value ids held for duplicate suppression: the coordinator's
-    /// proposal dedup set plus the learner's delivered-id window.
-    pub fn dedup_ids(&self) -> usize {
-        self.seen_ids.len() + self.delivered_ids.len()
+    /// The value ids this learner delivered, held for duplicate
+    /// suppression.
+    pub fn delivered_ids(&self) -> &DeliveredIds {
+        &self.delivered
     }
 
     fn is_acceptor(&self) -> bool {
@@ -462,11 +471,9 @@ impl RingNode {
         self.pending.clear();
         self.pending_phase1 = None;
         self.prop_queue.clear();
-        self.seen_ids.clear();
-        self.seen_order.clear();
+        self.in_flight.clear();
         self.decision_buffer.clear();
-        self.delivered_ids.clear();
-        self.delivered_order.clear();
+        self.delivered = DeliveredIds::default();
         self.learned.clear();
         self.pending_values.clear();
         self.unacked.clear();
@@ -487,8 +494,8 @@ impl RingNode {
         self.cfg = cfg;
         self.coordinating = self.cfg.coordinator() == self.me;
         // A restarted process counts value ids from scratch, yet its
-        // previous incarnation's ids still sit in every member's dedup
-        // window and learned cache: a reused id is dropped as a
+        // previous incarnation's ids still sit in every member's
+        // delivered ids and learned cache: a reused id is dropped as a
         // duplicate elsewhere and, id-only decisions being resolved by
         // id, can bind an old decided instance to the new value here.
         // The rejoin bumped the epoch past every epoch an earlier
@@ -572,7 +579,7 @@ impl RingNode {
     }
 
     fn enqueue_proposal(&mut self, value: Value, now: SimTime, out: &mut Output) {
-        if !self.remember_seen(value.id) {
+        if !self.admit(value.id) {
             return; // duplicate (proposer retry raced a decision)
         }
         self.proposals_since_delta += 1;
@@ -580,16 +587,14 @@ impl RingNode {
         self.pump_proposals(now, out);
     }
 
-    fn remember_seen(&mut self, id: ValueId) -> bool {
-        if !self.seen_ids.insert(id) {
+    /// Takes `id` into the coordinator's in-flight set, unless it is
+    /// there already or was delivered: then it is a duplicate.
+    fn admit(&mut self, id: ValueId) -> bool {
+        if self.delivered.contains(&id) || self.in_flight.contains_key(&id) {
+            self.dup_proposals.inc();
             return false;
         }
-        self.seen_order.push_back(id);
-        while self.seen_order.len() > self.opts.dedup_window {
-            if let Some(old) = self.seen_order.pop_front() {
-                self.seen_ids.remove(&old);
-            }
-        }
+        self.in_flight.insert(id, None);
         true
     }
 
@@ -675,6 +680,9 @@ impl RingNode {
         while let Some(value) = self.prop_queue.pop_front() {
             let inst = self.next_instance;
             self.next_instance = inst.plus(value.instance_span());
+            if let Some(at) = self.in_flight.get_mut(&value.id) {
+                *at = Some(inst);
+            }
             if value.is_deliverable() && common::debug_enabled() {
                 eprintln!(
                     "[{now} {} r{}] coord assigns {inst} to {}",
@@ -953,7 +961,7 @@ impl RingNode {
                         )
                     }
                 };
-                self.remember_seen(value.id);
+                self.in_flight.insert(value.id, Some(inst));
                 self.phase2_self_vote(inst, value, now, out);
                 inst = inst.plus(span);
             }
@@ -1204,8 +1212,8 @@ impl RingNode {
             self.log.mark_decided(inst, value.clone(), now);
         }
         if self.coordinating {
-            if value.is_deliverable() {
-                self.remember_seen(value.id); // skips are never retried
+            if value.is_deliverable() && inst >= self.next_delivery {
+                self.in_flight.insert(value.id, Some(inst)); // skips are never retried
             }
             if inst >= self.next_instance {
                 self.next_instance = inst.plus(value.instance_span());
@@ -1222,7 +1230,7 @@ impl RingNode {
         while let Some(value) = self.decision_buffer.remove(&self.next_delivery) {
             let inst = self.next_delivery;
             self.next_delivery = inst.plus(value.instance_span());
-            let value = self.dedup_delivery(inst, value);
+            let value = self.dedup_delivery(value);
             if value.is_deliverable() && common::debug_enabled() {
                 eprintln!(
                     "[{} r{}] learner delivers {inst} {}",
@@ -1235,30 +1243,26 @@ impl RingNode {
         }
     }
 
-    /// Demotes a duplicate application value (same `ValueId` decided in
-    /// two instances, possible across coordinator changes) to a no-op.
-    /// Deterministic across learners because it depends only on the
-    /// delivered prefix.
-    fn dedup_delivery(&mut self, inst: InstanceId, value: Value) -> Value {
-        if !value.is_deliverable() {
+    /// Records `value`'s id as delivered — skips and no-ops too, so each
+    /// proposer's stream stays one run — and demotes a duplicate
+    /// application value (one `ValueId` decided in two instances: a
+    /// proposer's retry that raced its decision across a coordinator
+    /// change) to a no-op. The check is exact, however far apart the two
+    /// instances are, and deterministic across learners because it
+    /// depends only on the delivered prefix.
+    fn dedup_delivery(&mut self, value: Value) -> Value {
+        self.in_flight.remove(&value.id);
+        if self.delivered.insert(value.id) || !value.is_deliverable() {
             return value;
         }
-        if !self.delivered_ids.insert(value.id) {
-            if common::debug_enabled() {
-                eprintln!("[{} {}] dedup DEMOTES {}", self.me, self.ring, value.id);
-            }
-            return Value {
-                id: value.id,
-                kind: ValueKind::Noop,
-            };
+        self.dedup_demoted.inc();
+        if common::debug_enabled() {
+            eprintln!("[{} {}] dedup DEMOTES {}", self.me, self.ring, value.id);
         }
-        self.delivered_order.push_back((inst, value.id));
-        while self.delivered_order.len() > self.opts.dedup_window {
-            if let Some((_, old)) = self.delivered_order.pop_front() {
-                self.delivered_ids.remove(&old);
-            }
+        Value {
+            id: value.id,
+            kind: ValueKind::Noop,
         }
-        value
     }
 
     // ------------------------------------------------------------------
@@ -1492,6 +1496,10 @@ impl RingNode {
             Some(inst) => *inst >= cursor,
             None => now.since(*at) < Self::retry_deadline(retry, value),
         });
+        // Ids whose instance the cursor passed went to another value
+        // there (the delivered ones have left already): admit retries.
+        self.in_flight
+            .retain(|_, at| at.is_none_or(|inst| inst >= cursor));
         let stale: Vec<Value> = self
             .unacked
             .iter()
@@ -1503,9 +1511,9 @@ impl RingNode {
                 entry.1 = now;
             }
             if self.coordinating {
-                // Re-propose directly; the seen-set dedups if it was
+                // Re-propose directly; admission drops it if it was
                 // already handled.
-                if self.remember_seen(value.id) {
+                if self.admit(value.id) {
                     self.prop_queue.push_back(value);
                 }
             } else {
@@ -1628,6 +1636,7 @@ impl RingNode {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use std::collections::HashSet;
 
     use storage::StorageMode;
 
@@ -2109,8 +2118,8 @@ mod tests {
     }
 
     /// A restarted process builds its ring member from scratch while its
-    /// previous incarnation's value ids still sit in the survivors' dedup
-    /// windows: the new incarnation must hand out none of them again.
+    /// previous incarnation's value ids still sit in the survivors'
+    /// delivered ids: the new incarnation must hand out none of them again.
     #[test]
     fn a_restarted_member_never_reuses_a_value_id() {
         let (mut h, registry) = Harness::new(3, opts());
@@ -2494,8 +2503,9 @@ mod tests {
         assert_eq!(h.delivered[1].len(), 2);
 
         // A checkpoint cut between the two deliveries (the merge had only
-        // consumed instance 0) must include va's id but NOT vb's.
-        let snap = h.nodes[1].dedup_snapshot(InstanceId::new(1));
+        // consumed instance 0, and still queues vb) must include va's id
+        // but NOT vb's.
+        let snap = h.nodes[1].dedup_snapshot([vb.id]);
         assert!(snap.contains(&va.id));
         assert!(!snap.contains(&vb.id), "future delivery leaked into cut");
 
@@ -2511,6 +2521,47 @@ mod tests {
             out.decided,
             vec![(InstanceId::new(1), vb)],
             "replayed value beyond the cut delivers intact"
+        );
+    }
+
+    /// One application value decided at two instances (a retry that
+    /// raced its decision across a coordinator change) is delivered once:
+    /// the second copy is demoted to a no-op, however far apart the two
+    /// instances are.
+    #[test]
+    fn a_value_decided_twice_is_delivered_once() {
+        let (mut h, _) = Harness::new(3, opts());
+        h.start();
+        let v = h.app_value(1, b"twice");
+        let skip = Value {
+            id: h.nodes[1].next_value_id(),
+            kind: ValueKind::Skip(100_000),
+        };
+        let (node, now, mut out) = (&mut h.nodes[2], h.now, Output::new());
+        node.learn_decided(InstanceId::new(0), v.clone(), now, &mut out);
+        node.learn_decided(InstanceId::new(1), skip, now, &mut out);
+        node.learn_decided(InstanceId::new(100_001), v.clone(), now, &mut out);
+        let delivered: Vec<_> = (out.decided.iter())
+            .filter(|(_, d)| d.is_deliverable())
+            .collect();
+        assert_eq!(delivered, [&(InstanceId::new(0), v.clone())]);
+        assert_eq!(
+            out.decided.last(),
+            Some(&(
+                InstanceId::new(100_001),
+                Value {
+                    id: v.id,
+                    kind: ValueKind::Noop
+                }
+            )),
+            "the second copy is demoted"
+        );
+        let demoted = node.opts.obs.counter("ring0_dedup_demoted").get();
+        assert_eq!(demoted, 1);
+        assert_eq!(
+            node.delivered_ids().ranges(),
+            1,
+            "v and the skip are one run"
         );
     }
 

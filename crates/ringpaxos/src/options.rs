@@ -80,9 +80,6 @@ pub struct RingOptions {
     pub failure_timeout: Duration,
     /// How long a proposer waits for a decision before re-sending a value.
     pub proposal_retry: Duration,
-    /// Approximate number of recently decided value ids remembered for
-    /// duplicate suppression.
-    pub dedup_window: usize,
     /// Maximum `ValueRequest` pulls (re-)issued per liveness tick. Large
     /// frames decide slowly; without a cap, every tick re-pulled *every*
     /// outstanding miss from a rotating acceptor while the previous
@@ -115,7 +112,6 @@ impl Default for RingOptions {
             heartbeat_interval: Duration::from_millis(50),
             failure_timeout: Duration::from_millis(500),
             proposal_retry: Duration::from_millis(1000),
-            dedup_window: 64 * 1024,
             value_pull_budget: 8,
             value_push_bytes: 16 * 1024,
             obs: Obs::default(),
