@@ -1515,6 +1515,7 @@ pub mod client {
         /// | 3 | `HelloV2` | `client ++ features(varint)` | v2 |
         /// | 4 | `RequestV2` | `session(varint) ++ seq ++ ack(varint) ++ group ++ cmd(bytes)` | v2, [`FEAT_EXACTLY_ONCE`] |
         /// | 5 | `StatsRequest` | `token(varint)` | v2, [`FEAT_STATS`] |
+        /// | 6 | `RequestHere` | as `RequestV2` | v2, [`FEAT_EXACTLY_ONCE`] |
         ///
         /// Tags 0–1 are retired v1 frames. The corpus
         /// `ci/wire_vectors_client.txt` pins every row.
@@ -1558,6 +1559,23 @@ pub mod client {
             5 => StatsRequest {
                 /// Echoed token correlating the snapshot (watch loops).
                 token: u64,
+            },
+            /// A [`ClientMsg::RequestV2`] whose first execution the node
+            /// that takes it answers too. A command's first execution is
+            /// answered by one replica per partition; a client that needs
+            /// one named replica's answer sends the request to that
+            /// replica in this frame.
+            6 => RequestHere {
+                /// As [`ClientMsg::RequestV2`].
+                session: u64,
+                /// As [`ClientMsg::RequestV2`].
+                seq: RequestId,
+                /// As [`ClientMsg::RequestV2`].
+                ack: u64,
+                /// As [`ClientMsg::RequestV2`].
+                group: RingId,
+                /// As [`ClientMsg::RequestV2`].
+                cmd: Bytes,
             },
         }
     }
@@ -1715,6 +1733,13 @@ pub mod client {
             });
             rt(ClientReply::CreditGrant { window: 128 });
             rt(ClientMsg::StatsRequest { token: 42 });
+            rt(ClientMsg::RequestHere {
+                session: 5,
+                seq: RequestId::new(9),
+                ack: 7,
+                group: RingId::new(1),
+                cmd: Bytes::from_static(b"scan a z"),
+            });
             rt(ClientReply::Stats {
                 token: 42,
                 snapshot: crate::obs::ObsSnapshot {

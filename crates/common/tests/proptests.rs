@@ -264,6 +264,22 @@ fn arb_client_wire_msg() -> impl Strategy<Value = wire::client::ClientMsg> {
                     cmd: cmd.into(),
                 }
             ),
+        (
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u16>(),
+            proptest::collection::vec(any::<u8>(), 0..256)
+        )
+            .prop_map(
+                |(session, seq, ack, g, cmd)| wire::client::ClientMsg::RequestHere {
+                    session,
+                    seq: RequestId::new(seq),
+                    ack,
+                    group: RingId::new(g),
+                    cmd: cmd.into(),
+                }
+            ),
     ]
 }
 

@@ -167,6 +167,16 @@ fn vectors() -> Vec<(&'static str, Frame)> {
                 },
             }),
         ),
+        (
+            "v2_request_here",
+            Msg(ClientMsg::RequestHere {
+                session: 9,
+                seq: RequestId::new(133),
+                ack: 127,
+                group: RingId::new(2),
+                cmd: Bytes::from_static(b"scan a z"),
+            }),
+        ),
     ]
 }
 

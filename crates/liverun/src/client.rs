@@ -6,6 +6,13 @@
 //! commands), performs the v2 handshake on each, and runs every command
 //! under one replicated **session**:
 //!
+//! * one replica per partition — the one that decides first — answers a
+//!   command's first execution, so a request normally gets one reply, or
+//!   one per addressed partition; a request that replica leaves
+//!   unanswered (it crashed, or this client is not connected to it) is
+//!   re-sent after [`ClientOptions::retry_every`], and every replica
+//!   answers the re-send;
+//!
 //! * the session is opened through the ordered command stream itself
 //!   (on the deployment's global ring), so its id is unique by
 //!   construction — no wall-clock sequence base, no client-side entropy;
@@ -272,16 +279,27 @@ impl LiveClient {
     }
 
     /// Routes what the core queued: each frame to a proposer of its
-    /// group, rotated by how often it went before. The last routing
-    /// failure is returned; the frames behind it still go.
+    /// group, rotated by how often it went before — a
+    /// [`ClientMsg::RequestHere`] to the replica whose answer it wants,
+    /// while that replica takes it. The last routing failure is
+    /// returned; the frames behind it still go.
     fn flush(&mut self) -> Result<()> {
         let mut frames = std::mem::take(&mut self.core.outbox);
         let mut sent = Ok(());
         for (tries, frame) in frames.drain(..) {
-            if let ClientMsg::RequestV2 { group, .. } = &frame {
-                if let Err(e) = self.send_routed(*group, tries, &frame) {
-                    sent = Err(e);
+            let group = match &frame {
+                ClientMsg::RequestHere { seq, group, .. } => {
+                    let want = (self.core.inflight.get(&seq.raw())).and_then(|r| r.want_replica);
+                    if want.is_some_and(|node| self.send_to(node, &frame).is_ok()) {
+                        continue;
+                    }
+                    *group
                 }
+                ClientMsg::RequestV2 { group, .. } => *group,
+                _ => continue,
+            };
+            if let Err(e) = self.send_routed(group, tries, &frame) {
+                sent = Err(e);
             }
         }
         self.core.outbox = frames;
@@ -308,10 +326,10 @@ impl LiveClient {
     }
 
     /// One pump step: unless replies are already waiting, a turn of up
-    /// to `wait`; then greedily drains every reply read (replies arrive
-    /// in redundant bursts — one per replica per retry — and consumption
-    /// must always outpace production or the pipeline wedges behind a
-    /// growing backlog), feeds the core, performs the resulting actions,
+    /// to `wait`; then greedily drains every reply read (one per
+    /// answering partition, and after a retry one per replica —
+    /// consumption must always outpace production or the pipeline wedges
+    /// behind a growing backlog), feeds the core, performs the resulting actions,
     /// fires due retries and keep-alives, and routes what the core
     /// queued — a request that waited for its session's open goes as
     /// soon as the open's answer is read.
@@ -368,7 +386,8 @@ impl LiveClient {
     }
 
     /// The next completed request, if one finishes within `timeout`.
-    /// Returns the completing reply `(seq, replica, payload)`. Unlike
+    /// Returns the completing reply `(seq, replica, payload)`: for a
+    /// single-partition request the one reply its partition sends. Unlike
     /// protocol v1 there are no duplicate completions to filter: each
     /// submitted request completes exactly once.
     pub fn poll_reply(&mut self, timeout: Duration) -> Option<(RequestId, NodeId, Bytes)> {
@@ -410,9 +429,11 @@ impl LiveClient {
         }
     }
 
-    /// Submits `cmd` to `group` and waits for the first reply. Safe for
+    /// Submits `cmd` to `group` and waits for its reply — normally the
+    /// only one, from the replica that decides first. Safe for
     /// non-idempotent commands: retries and failover re-sends are
-    /// deduplicated by the replicated session table.
+    /// deduplicated by the replicated session table, and every replica
+    /// answers them.
     ///
     /// # Errors
     ///
@@ -425,7 +446,10 @@ impl LiveClient {
 
     /// Submits `cmd` to `group` and waits for a reply from one *specific*
     /// replica — used to observe that a given replica (say, one that just
-    /// recovered) executes and answers with up-to-date state.
+    /// recovered) executes and answers with up-to-date state. The request
+    /// goes to `replica` as a [`ClientMsg::RequestHere`], so it answers
+    /// the first execution whichever replica of its partition answers
+    /// for the others.
     ///
     /// # Errors
     ///
@@ -446,7 +470,8 @@ impl LiveClient {
     /// Submits `cmd` to `group` and waits until every partition in
     /// `partitions` answered (pass an empty slice for "any one reply") —
     /// the completion rule of the paper's multi-partition scans (§7.2).
-    /// Returns `(replica, payload)` per answering replica.
+    /// Returns `(replica, payload)` per answering replica: normally one
+    /// per partition, more when a retry let every replica answer.
     ///
     /// # Errors
     ///

@@ -26,10 +26,12 @@
 //!
 //! **The watch is a reply stream.** A `CoordFront` on the loop thread
 //! answers what is not a replicated op. A [`CoordOp::WatchAll`] is
-//! answered at once, and from then on every applied command's events go
-//! to the watcher as further replies to that request; a watcher whose
-//! buffer is full is cut off, since a dropped event would leave its cache
-//! silently stale while a reconnect re-arms the watch.
+//! answered at once, and from then on every command this replica applies
+//! hands its events to the front, which sends them to the watcher as
+//! further replies to that request — whichever replica answers the
+//! command itself; a watcher whose buffer is full is cut off, since a
+//! dropped event would leave its cache silently stale while a reconnect
+//! re-arms the watch.
 //!
 //! **The bootstrap ring.** The one ring amcoord cannot coordinate through
 //! itself is its own. Each replica keeps it in a local registry seeded
@@ -49,19 +51,17 @@
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use bytes::Bytes;
 use common::error::{Error, Result};
 use common::ids::{ClientId, Epoch, NodeId, PartitionId, RequestId, RingId, SessionId};
-use common::msg::Msg;
 use common::obs::{Counter, Obs};
 use common::transport::WallClock;
 use common::value::{Envelope, NO_SESSION, SESSION_CTL};
-use common::wire::client::{parse_reply, ClientMsg, ClientReply, FEAT_ALL, ST_OK};
-use common::wire::coord::{
-    decode_reply, encode_reply, CoordOk, CoordOp, RingConfigWire, COORD_RING,
-};
+use common::wire::client::{ClientMsg, ClientReply, FEAT_ALL};
+use common::wire::coord::{encode_reply, CoordOk, CoordOp, RingConfigWire, COORD_RING};
 use common::wire::Wire;
 use coord::{CoordState, PartitionInfo, Registry, RingConfig};
 use multiring::session::frame_ok;
@@ -153,6 +153,10 @@ impl CoordServerConfig {
 #[derive(Default)]
 pub(crate) struct CoordApp {
     state: CoordState,
+    /// The replies of applied commands that produced events, in apply
+    /// order, until the replica's [`CoordFront`] sends them to its
+    /// watchers.
+    events: Arc<Mutex<Vec<Bytes>>>,
 }
 
 impl ServiceApp for CoordApp {
@@ -169,7 +173,11 @@ impl ServiceApp for CoordApp {
             Ok(op) => self.state.apply(&op),
             Err(_) => (Err("malformed coordination command".into()), Vec::new()),
         };
-        encode_reply(&result, &events)
+        let reply = encode_reply(&result, &events);
+        if !events.is_empty() {
+            (self.events.lock().expect("events lock")).push(reply.clone());
+        }
+        reply
     }
 
     fn snapshot(&self) -> Bytes {
@@ -207,6 +215,9 @@ pub(crate) struct CoordFront {
     /// Connections that sent a [`CoordOp::WatchAll`], with that request's
     /// `(session, seq)`.
     watchers: HashMap<ConnId, (u64, RequestId)>,
+    /// What the replica's [`CoordApp`] applied with events since the
+    /// last fan-out.
+    events: Arc<Mutex<Vec<Bytes>>>,
 }
 
 impl CoordFront {
@@ -255,32 +266,12 @@ impl CoordFront {
         let _ = self.registry.install_config(cfg);
     }
 
-    /// Sends the events of every command applied in `outbox` to the
-    /// watchers, in apply order. The replies themselves stay in `outbox`
-    /// and reach their clients like any data reply.
-    pub(crate) fn fan_out<In, M: Send + 'static>(
-        &mut self,
-        outbox: &[(NodeId, Msg)],
-        net: &mut Net<In, M>,
-    ) {
-        for (_, msg) in outbox {
-            let Msg::Reply(ClientReply::ResponseV2 {
-                session, payload, ..
-            }) = msg
-            else {
-                continue;
-            };
-            let body = match *session {
-                SESSION_CTL => continue,
-                NO_SESSION => payload.clone(),
-                _ => match parse_reply(payload) {
-                    Some((ST_OK, body)) => body,
-                    _ => continue,
-                },
-            };
-            if !decode_reply(&body).is_ok_and(|(_, events)| !events.is_empty()) {
-                continue;
-            }
+    /// Sends the events of every command applied since the last call to
+    /// the watchers, in apply order. The replies themselves reach their
+    /// clients like any data reply.
+    pub(crate) fn fan_out<In, M: Send + 'static>(&mut self, net: &mut Net<In, M>) {
+        let applied = std::mem::take(&mut *self.events.lock().expect("events lock"));
+        for body in applied {
             let payload = frame_ok(&body);
             let stalled: Vec<ConnId> = (self.watchers.iter())
                 .filter(|(conn, (session, seq))| {
@@ -404,7 +395,9 @@ pub fn start_coord_server(config: CoordServerConfig) -> Result<CoordServerHandle
     let roll_every = Some(config.checkpoint_every)
         .filter(|n| *n > 0)
         .unwrap_or(4096);
-    let app = Box::new(SessionApp::new(Box::<CoordApp>::default()));
+    let coord_app = CoordApp::default();
+    let events = Arc::clone(&coord_app.events);
+    let app = Box::new(SessionApp::new(Box::new(coord_app)));
     let app = durable(config.wal_dir.as_deref(), roll_every, me, app, &obs)?;
     let host_opts = HostOptions {
         ring: RingOptions {
@@ -433,6 +426,7 @@ pub fn start_coord_server(config: CoordServerConfig) -> Result<CoordServerHandle
         gossiped: None,
         recovering: true,
         watchers: HashMap::new(),
+        events,
     };
     let setup = NodeSetup {
         me,
@@ -588,8 +582,10 @@ impl CoordEnsemble {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use common::wire::client::{parse_open_reply, SessionCtl, ST_UNKNOWN_SESSION};
-    use common::wire::coord::{CoordEvent, CoordResult};
+    use common::wire::client::{
+        parse_open_reply, parse_reply, SessionCtl, ST_OK, ST_UNKNOWN_SESSION,
+    };
+    use common::wire::coord::{decode_reply, CoordEvent, CoordResult};
 
     fn env(session: u64, seq: u64, cmd: Bytes) -> Envelope {
         Envelope {

@@ -27,12 +27,17 @@
 //! go through the host's admission ([`MultiRingHost::admit`]) into the
 //! batcher. The host answers `Envelope::reply_to` — for live clients a
 //! synthetic node id above [`CLIENT_NODE_BASE`] — with [`ClientReply`]
-//! frames, which the loop queues on the client's connection.
+//! frames, which the loop queues on the client's connection (counted by
+//! `client_replies`). A command's first execution is answered by one
+//! replica per partition; a client that is not connected to it hears
+//! from every replica when it re-sends.
 //!
 //! An `amcoordd` replica is the same loop over a one-ring host, serving
 //! the same client protocol: coordination operations are ordinary v2
 //! requests, and a `CoordFront` (see [`crate::coord_node`]) answers the
-//! few that are not ordered — the watch and its own ring's gossip.
+//! few that are not ordered — the watch and its own ring's gossip. A
+//! coordination client talks to one replica, so that replica answers
+//! every request it admits ([`MultiRingHost::answer_here`]).
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -43,7 +48,7 @@ use std::time::{Duration, Instant};
 use common::error::Result;
 use common::ids::{ClientId, NodeId, RingId};
 use common::msg::Msg;
-use common::obs::{Hist, Obs, WireCounters};
+use common::obs::{Counter, Hist, Obs, WireCounters};
 use common::process::{Effects, Process, Timer, TimerHeap};
 use common::transport::{PeerFrame, WallClock};
 use common::value::Envelope;
@@ -128,6 +133,9 @@ impl PeerTransport {
 struct Clients {
     conn_of: HashMap<ClientId, ConnId>,
     client_on: HashMap<ConnId, ClientId>,
+    /// `client_replies`: the host's reply frames queued on a client
+    /// connection.
+    replies: Counter,
 }
 
 impl Clients {
@@ -152,6 +160,7 @@ impl Clients {
     /// retries are deduplicated).
     fn reply(&self, net: &mut NodeNet, client: ClientId, reply: &ClientReply) {
         if let Some(conn) = self.conn_of.get(&client) {
+            self.replies.inc();
             net.send(*conn, reply);
         }
     }
@@ -432,7 +441,10 @@ fn node_loop(
         wire_by_ring: HashMap::new(),
         obs: obs.clone(),
     };
-    let mut clients = Clients::default();
+    let mut clients = Clients {
+        replies: obs.counter("client_replies"),
+        ..Clients::default()
+    };
     // Messages this node sends itself, handled at the next turn.
     let mut local: Vec<Msg> = Vec::new();
     let mut events = Vec::new();
@@ -462,7 +474,7 @@ fn node_loop(
     macro_rules! route {
         () => {{
             if let Some(front) = &mut coord_front {
-                front.fan_out(fx.sends(), &mut net);
+                front.fan_out(&mut net);
             }
             route_effects(
                 &mut fx,
@@ -569,7 +581,9 @@ fn node_loop(
                     // day one so clients must handle it.
                     net.send(conn, &ClientReply::CreditGrant { window });
                 }
-                ClientMsg::RequestV2 { seq, .. } if !clients.client_on.contains_key(&conn) => {
+                ClientMsg::RequestV2 { seq, .. } | ClientMsg::RequestHere { seq, .. }
+                    if !clients.client_on.contains_key(&conn) =>
+                {
                     net.send(
                         conn,
                         &ClientReply::ErrorV2 {
@@ -579,16 +593,20 @@ fn node_loop(
                         },
                     );
                 }
-                request @ ClientMsg::RequestV2 { .. } => {
+                request @ (ClientMsg::RequestV2 { .. } | ClientMsg::RequestHere { .. }) => {
                     let client = clients.client_on[&conn];
                     let node = client_node_id(client);
                     let ctx = &mut fx.ctx(clock.now(), me);
                     let Some((group, env)) = host.admit(client, node, request, ctx) else {
                         continue;
                     };
-                    let front = coord_front.as_mut();
-                    if front.is_some_and(|f| f.answer_local(&mut net, conn, &env)) {
-                        continue;
+                    if let Some(front) = coord_front.as_mut() {
+                        if front.answer_local(&mut net, conn, &env) {
+                            continue;
+                        }
+                        // A coordination client talks to this replica
+                        // alone, so this replica answers what it admits.
+                        host.answer_here(&env);
                     }
                     if let Some(batch) = batcher.push(group, env, Instant::now()) {
                         note_seal(&stage_seal, &batch);

@@ -1011,6 +1011,91 @@ fn fanout_completes_despite_replica_kill_mid_fanout() {
     deployment.shutdown();
 }
 
+/// One replica per partition answers a command's first execution: in a
+/// 2 × 3 deployment partition 0's is node 1, the acceptor after ring 0's
+/// coordinator, and a put is answered by it. With node 1 killed, adds on
+/// partition 0 still complete within the client's timeout — through the
+/// ring's reconfiguration, or a re-send that every replica answers — and
+/// the exactly-once counter counts each once.
+#[test]
+fn a_killed_designated_replier_costs_a_resend_not_a_hang() {
+    use common::ids::{NodeId, RingId};
+    use mrpstore::{KvCommand, Partitioning};
+
+    let text = generate_localhost_mrpstore(2, 3, base_port(), None);
+    let config = DeploymentConfig::parse(&text).unwrap();
+    let mut deployment = Deployment::launch(config.clone()).unwrap();
+    let mut client = StoreClient::connect(&config, ClientId::new(6), client_opts()).unwrap();
+    let scheme = Partitioning::Hash { partitions: 2 };
+    let key: String = (0..)
+        .map(|i| format!("ctr{i}"))
+        .find(|k| scheme.partition_of(k).raw() == 0)
+        .unwrap();
+    // A session's first command is answered by every replica.
+    assert_eq!(client.add(&key, 1).unwrap(), 1);
+    let add = KvCommand::Add {
+        key: key.clone(),
+        delta: 1,
+    };
+    client.raw().submit(RingId::new(0), add.to_bytes()).unwrap();
+    let (_, replica, _) = (client.raw().poll_reply(Duration::from_secs(20))).expect("a reply");
+    assert_eq!(replica, NodeId::new(1), "the designated replier answers");
+
+    deployment.kill(NodeId::new(1)).unwrap();
+    for expected in 3..7 {
+        assert_eq!(client.add(&key, 1).unwrap(), expected, "add after the kill");
+    }
+    deployment.shutdown();
+}
+
+/// `client_replies` counts one reply frame per command a partition
+/// executes, not one per replica: on a 2 × 3 deployment a pipelined burst
+/// of single-partition updates hands the client about one frame each.
+/// Every replica answers a session's first command and session control,
+/// so those go before the count starts, and a retry (every replica
+/// answers a re-send) stays far inside the bound.
+#[test]
+fn a_partition_hands_the_client_one_reply_per_command() {
+    use liverun::service::KvRouter;
+    use mrpstore::KvCommand;
+    use multiring::route::Route;
+
+    let text = generate_localhost_mrpstore(2, 3, base_port(), None);
+    let config = DeploymentConfig::parse(&text).unwrap();
+    let deployment = Deployment::launch(config.clone()).unwrap();
+    let mut client = StoreClient::connect(&config, ClientId::new(13), client_opts()).unwrap();
+    let router = KvRouter {
+        scheme: client.scheme().clone(),
+        global: config.global_ring(),
+    };
+    for p in 0..2 {
+        let key = (0..)
+            .map(|i| format!("warm{i}"))
+            .find(|k| router.scheme.partition_of(k).raw() == p)
+            .unwrap();
+        assert_eq!(client.insert(&key, Bytes::new()).unwrap(), KvResponse::Ok);
+    }
+    let before = total(&scrape(&config), "client_replies");
+
+    const N: u64 = 400;
+    let burst = (0..N).map(|i| {
+        let cmd = KvCommand::Insert {
+            key: format!("one{i}"),
+            value: Bytes::from_static(b"v"),
+        }
+        .to_bytes();
+        (router.route(&cmd).ring(), cmd)
+    });
+    assert_eq!(pipeline(&mut client, burst), N, "every update completes");
+    let replies = total(&scrape(&config), "client_replies") - before;
+    eprintln!("{replies} reply frames for {N} commands");
+    assert!(
+        (N..2 * N).contains(&replies),
+        "{replies} reply frames for {N} commands on 3-replica partitions"
+    );
+    deployment.shutdown();
+}
+
 /// Seal on idle: the batcher holds a command back only while this node
 /// has a proposal of its own in flight on the ring, so `batch_delay_ms`
 /// is a ceiling, not a toll. With the ceiling at 200 ms a lone `put`

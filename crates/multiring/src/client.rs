@@ -5,9 +5,16 @@
 //! paper's client setup: a configurable number of outstanding requests
 //! ("proposers have 10 threads, each one submitting requests", §8.3.1),
 //! each answered by the first reply, or for multi-partition operations
-//! like scans by one reply from every involved partition (§7.2). A
-//! re-send goes to the next member of the group, and the replicas'
-//! session tables answer it from their reply caches.
+//! like scans by one reply from every involved partition (§7.2).
+//!
+//! One replica per partition answers a command's first execution, so a
+//! request normally gets exactly the replies it waits for: one, or one
+//! per addressed partition. A request left unanswered — its answering
+//! replica crashed, or the client cannot hear it — is re-sent unchanged
+//! to the next member of the group, and every replica that executed it
+//! answers the re-send from its session table's reply cache. A request
+//! that must be answered by one named replica goes to that replica as a
+//! [`ClientMsg::RequestHere`], and the replica answers it too.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
@@ -73,7 +80,8 @@ pub struct Inflight {
     /// means the first reply completes it (single-partition rule).
     pub need: Vec<PartitionId>,
     /// Complete only on a reply from this specific replica (used to
-    /// observe a recovered replica's state).
+    /// observe a recovered replica's state). The request's frame is a
+    /// [`ClientMsg::RequestHere`], which the driver sends to it.
     pub want_replica: Option<NodeId>,
     /// Replicas that already answered (dedup for fan-out counting).
     pub answered: HashSet<NodeId>,
@@ -103,7 +111,8 @@ struct Control {
 /// client and the live coordination link each drive one, and it never
 /// asks which.
 /// It owns seq allocation, window accounting, reply matching (with
-/// session echo filtering), out-of-order completion, cumulative-ack
+/// session echo filtering: one reply per partition is the normal case,
+/// one per replica after a re-send), out-of-order completion, cumulative-ack
 /// tracking and each ring's session lifecycle: open by token, a
 /// keep-alive every TTL/3, and on [`ST_UNKNOWN_SESSION`] — answering a
 /// request or a keep-alive — a re-open followed by a re-send of that
@@ -246,15 +255,28 @@ impl SessionCore {
     }
 
     /// The request frame for in-flight `seq`, under its ring's session;
-    /// none while that ring has no session.
+    /// none while that ring has no session. A request that wants one
+    /// replica's answer is a [`ClientMsg::RequestHere`], for the driver
+    /// to send to that replica.
     pub fn request_frame(&self, seq: u64) -> Option<ClientMsg> {
         let req = self.inflight.get(&seq)?;
-        Some(ClientMsg::RequestV2 {
-            session: *self.sessions.get(&req.group)?,
-            seq: RequestId::new(seq),
-            ack: self.acked,
-            group: req.group,
-            cmd: req.cmd.clone(),
+        let (session, seq) = (*self.sessions.get(&req.group)?, RequestId::new(seq));
+        let (ack, group, cmd) = (self.acked, req.group, req.cmd.clone());
+        Some(match req.want_replica {
+            Some(_) => ClientMsg::RequestHere {
+                session,
+                seq,
+                ack,
+                group,
+                cmd,
+            },
+            None => ClientMsg::RequestV2 {
+                session,
+                seq,
+                ack,
+                group,
+                cmd,
+            },
         })
     }
 

@@ -4,8 +4,10 @@
 //! participation in any number of rings, merges their decision streams
 //! deterministically, executes a replicated [`ServiceApp`] — inline, in
 //! merge order, on the thread that drives the host (the simulator, or
-//! the live node loop) — admits clients' protocol-v2 requests and answers
-//! them ([`MultiRingHost::admit`]), expires idle client sessions, takes
+//! the live node loop) — admits clients' protocol-v2 requests
+//! ([`MultiRingHost::admit`]) and answers them, one replica per partition
+//! for a command's first execution (the reply rule, `reply.rs`),
+//! expires idle client sessions, takes
 //! periodic checkpoints, runs the
 //! coordinator side of the log-trimming protocol for rings it
 //! coordinates, and recovers after crashes via partition-peer checkpoints
@@ -41,6 +43,7 @@ use storage::{CheckpointStore, StorageMode};
 use crate::app::{EagerCut, ServiceApp, SnapshotCut};
 use crate::merge::MergeLearner;
 use crate::recovery::{RecoveryPhase, TrimRound};
+use crate::reply::{designated_replier, ReplyRule};
 use crate::session::{session_home_ring, SessionCtl};
 
 /// Timer kinds used by the host.
@@ -338,6 +341,8 @@ pub struct MultiRingHost {
     expire_seq: u64,
     /// Whether a [`TIMER_CLOCK`] is pending.
     clock_armed: bool,
+    /// Which executed commands this replica answers.
+    replies: ReplyRule,
 }
 
 /// Per-ring counters/gauges behind the `merge_skips`/`merge_lag`
@@ -455,6 +460,7 @@ impl MultiRingHost {
             session_seen: HashMap::new(),
             expire_seq: 0,
             clock_armed: false,
+            replies: ReplyRule::default(),
         }
     }
 
@@ -499,8 +505,10 @@ impl MultiRingHost {
     /// becomes the [`Envelope`] to propose there; one for another group
     /// is answered with a [`ClientReply::Redirect`] to a member, or an
     /// [`ClientReply::ErrorV2`] while none is known — and refreshes what
-    /// this node knows of that group. Other frames admit nothing (the
-    /// handshake and the stats plane are the transport's).
+    /// this node knows of that group. A [`ClientMsg::RequestHere`] is
+    /// admitted the same way, and this node answers its first execution
+    /// too. Other frames admit nothing (the handshake and the stats plane
+    /// are the transport's).
     pub fn admit(
         &mut self,
         client: ClientId,
@@ -508,17 +516,28 @@ impl MultiRingHost {
         frame: ClientMsg,
         ctx: &mut Ctx<'_>,
     ) -> Option<(RingId, Envelope)> {
-        let ClientMsg::RequestV2 {
+        let here = matches!(frame, ClientMsg::RequestHere { .. });
+        let (ClientMsg::RequestV2 {
             session,
             seq,
             ack,
             group,
             cmd,
-        } = frame
+        }
+        | ClientMsg::RequestHere {
+            session,
+            seq,
+            ack,
+            group,
+            cmd,
+        }) = frame
         else {
             return None;
         };
         if self.rings.contains_key(&group) {
+            if here {
+                self.replies.answer_here(session, seq);
+            }
             let trace = self.hobs.obs.trace_stamp();
             return Some((
                 group,
@@ -546,6 +565,14 @@ impl MultiRingHost {
         };
         ctx.send(reply_to, Msg::Reply(reply));
         None
+    }
+
+    /// Makes this node answer the first execution of admitted `env`
+    /// whichever replica answers it for the partition: what admitting it
+    /// as a [`ClientMsg::RequestHere`] does, for a driver whose clients
+    /// talk to this node alone.
+    pub fn answer_here(&mut self, env: &Envelope) {
+        self.replies.answer_here(env.session, env.req);
     }
 
     // ------------------------------------------------------------------
@@ -739,8 +766,20 @@ impl MultiRingHost {
         }
     }
 
+    /// Whether this replica is its partition's designated replier
+    /// ([`designated_replier`] on the narrowest ring the partition reads,
+    /// as this node's ring node knows it now); `None` if it cannot tell.
+    fn designated(&self) -> Option<bool> {
+        let info = self.view.partitions.get(&self.partition?)?;
+        let narrowest = (info.rings.iter())
+            .filter_map(|r| self.rings.get(r))
+            .min_by_key(|node| node.config().members().len())?;
+        designated_replier(narrowest.config(), &info.replicas).map(|n| n == self.me)
+    }
+
     fn pump_merge_once(&mut self, ctx: &mut Ctx<'_>) {
         let mut executed_any = false;
+        let mut designated = None;
         while let Some(delivery) = self.learner.as_mut().and_then(|l| l.pop()) {
             let obs = &self.hobs.obs;
             let stats = (self.ring_stats)
@@ -771,6 +810,10 @@ impl MultiRingHost {
                 let reply = self.app.execute(delivery.ring, &env);
                 if env.trace != 0 {
                     self.hobs.stage_execute.record_since(env.trace);
+                }
+                let designated = *designated.get_or_insert_with(|| self.designated());
+                if !self.replies.answers(&env, designated) {
+                    continue;
                 }
                 let reply = ClientReply::ResponseV2 {
                     session: env.session,
@@ -1015,6 +1058,7 @@ impl MultiRingHost {
         let mut snap = Snapshot::decode(&mut state.clone()).ok();
         if let Some(snap) = &mut snap {
             self.app.restore(&snap.app);
+            self.replies.forget_executed();
             for (ring, ids) in std::mem::take(&mut snap.meta.dedup) {
                 if let Some(node) = self.rings.get_mut(&ring) {
                     node.restore_dedup(ids);
@@ -1205,6 +1249,7 @@ impl MultiRingHost {
         let now = ctx.now();
         self.session_seen
             .retain(|id, _| ids.binary_search(id).is_ok());
+        self.replies.retain(&ids);
         for id in ids {
             let Some(ring) = session_home_ring(id).filter(|r| self.rings.contains_key(r)) else {
                 continue;
@@ -1727,6 +1772,7 @@ impl Process for MultiRingHost {
         self.executed = 0;
         self.session_seen.clear();
         self.clock_armed = false;
+        self.replies = ReplyRule::default();
     }
 
     fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
@@ -2104,6 +2150,193 @@ mod tests {
         );
         assert_eq!(host.executed(), 2, "each command executes once");
         assert_eq!(host.app.session_ids().len(), 1, "one session is opened");
+    }
+
+    /// A client's node in the reply-rule tests.
+    const CLIENT: NodeId = NodeId::new(99);
+
+    /// Every host of a [`layout`], over a session-keeping echo service.
+    fn replicas(partitions: u16, replicas: u16, fx: &mut Effects) -> Vec<MultiRingHost> {
+        let registry = layout(partitions, replicas);
+        (0..u32::from(partitions * replicas))
+            .map(|me| {
+                let app = Box::new(crate::SessionApp::new(Box::new(EchoApp::new())));
+                started_with(&registry, me, replicas, app, fx)
+            })
+            .collect()
+    }
+
+    /// `env` as the one command of a value.
+    fn command(env: Envelope, id: u64) -> Value {
+        Value::app(NodeId::new(50), id, Payload::One(env).to_bytes())
+    }
+
+    /// A client command under `session`.
+    fn request(session: u64, seq: u64, ack: u64, cmd: Bytes) -> Envelope {
+        Envelope {
+            client: ClientId::new(7),
+            req: RequestId::new(seq),
+            reply_to: CLIENT,
+            session,
+            ack,
+            trace: 0,
+            cmd,
+        }
+    }
+
+    /// Instance `inst` of every ring decides `values[ring]` — a one-
+    /// instance skip where it has none — at every host; returns the
+    /// replies to the client, by answering node, in node order.
+    fn decide_round(
+        hosts: &mut [MultiRingHost],
+        inst: u64,
+        values: &BTreeMap<RingId, Value>,
+        fx: &mut Effects,
+    ) -> Vec<(NodeId, ClientReply)> {
+        let mut replies = Vec::new();
+        for host in hosts.iter_mut() {
+            let me = host.me;
+            for ring in host.rings.keys().copied().collect::<Vec<_>>() {
+                let skip_id = 1_000_000 + inst * 100 + u64::from(ring.raw());
+                let value = (values.get(&ring).cloned())
+                    .unwrap_or_else(|| Value::skip(NodeId::new(50), skip_id, 1));
+                let decisions = vec![common::msg::AcceptedEntry {
+                    inst: InstanceId::new(inst),
+                    vballot: common::ids::Ballot::new(1, NodeId::new(0)),
+                    value,
+                }];
+                let reply = RecoveryMsg::RetransmitReply {
+                    ring,
+                    decisions,
+                    log_start: InstanceId::ZERO,
+                };
+                let ctx = &mut fx.ctx(SimTime::ZERO, me);
+                host.on_message(NodeId::new(0), Msg::Recovery(reply), ctx);
+            }
+            fx.drain_timers().for_each(drop);
+            for (to, msg) in fx.drain_sends() {
+                if let (CLIENT, Msg::Reply(reply)) = (to, msg) {
+                    replies.push((me, reply));
+                }
+            }
+        }
+        replies
+    }
+
+    /// The nodes among `replies`.
+    fn answered(replies: &[(NodeId, ClientReply)]) -> Vec<u32> {
+        replies.iter().map(|(n, _)| n.raw()).collect()
+    }
+
+    /// A 2 × `r` layout with a session opened on the global ring (ring 2)
+    /// whose first command each partition has executed; returns its id.
+    fn with_session(r: u16, fx: &mut Effects) -> (Vec<MultiRingHost>, u64) {
+        let mut hosts = replicas(2, r, fx);
+        let (p0, p1, global) = (RingId::new(0), RingId::new(1), RingId::new(2));
+        let open = SessionCtl::Open {
+            token: 1,
+            ttl_ms: 30_000,
+        };
+        let open = request(SESSION_CTL, 1, 0, open.to_bytes());
+        let values = BTreeMap::from([(global, command(open, 1))]);
+        let replies = decide_round(&mut hosts, 0, &values, fx);
+        let all: Vec<u32> = (0..u32::from(2 * r)).collect();
+        assert_eq!(answered(&replies), all, "session control: every replica");
+        let ClientReply::ResponseV2 { payload, .. } = &replies[0].1 else {
+            panic!("a response: {:?}", replies[0].1);
+        };
+        let session = crate::session::parse_open_reply(payload).expect("opened");
+        let first = |seq| command(request(session, seq, 0, Bytes::from_static(b"w")), 10 + seq);
+        let values = BTreeMap::from([(p0, first(1)), (p1, first(2))]);
+        let replies = decide_round(&mut hosts, 1, &values, fx);
+        assert_eq!(answered(&replies), all, "a session's first command here");
+        (hosts, session)
+    }
+
+    /// On 2 × 2 and 2 × 3 layouts a first execution — of a partition-ring
+    /// command and of a global-ring command — is answered once per
+    /// partition, by the partition ring's first decider: the acceptor
+    /// after its coordinator. The same command decided again, as a
+    /// client's re-send is, is answered by every replica that executes it.
+    #[test]
+    fn a_first_execution_is_answered_once_per_partition_and_a_resend_by_all() {
+        for r in [2u16, 3] {
+            let mut fx = Effects::new(1);
+            let (mut hosts, session) = with_session(r, &mut fx);
+            let (p0, p1, global) = (RingId::new(0), RingId::new(1), RingId::new(2));
+            let deciders = vec![1, u32::from(r) + 1];
+            let cmd = |seq, id| command(request(session, seq, 2, Bytes::from_static(b"w")), id);
+
+            let values = BTreeMap::from([(p0, cmd(3, 20))]);
+            let replies = decide_round(&mut hosts, 2, &values, &mut fx);
+            assert_eq!(answered(&replies), [1], "2 × {r}: partition ring 0");
+            let values = BTreeMap::from([(p1, cmd(4, 21))]);
+            let replies = decide_round(&mut hosts, 3, &values, &mut fx);
+            assert_eq!(answered(&replies), [deciders[1]], "2 × {r}: ring 1");
+            let values = BTreeMap::from([(global, cmd(5, 22))]);
+            let replies = decide_round(&mut hosts, 4, &values, &mut fx);
+            assert_eq!(answered(&replies), deciders, "2 × {r}: the global ring");
+
+            let values = BTreeMap::from([(p0, cmd(3, 30)), (global, cmd(5, 31))]);
+            let replies = decide_round(&mut hosts, 5, &values, &mut fx);
+            let mut expected: Vec<u32> = (0..u32::from(r)).flat_map(|n| [n, n]).collect();
+            expected.extend(u32::from(r)..u32::from(2 * r));
+            assert_eq!(answered(&replies), expected, "2 × {r}: re-sends");
+        }
+    }
+
+    /// A request admitted as `RequestHere` by a replica that is not its
+    /// partition's designated replier is answered by it on the command's
+    /// first execution, besides the designated replier; the same request
+    /// admitted as `RequestV2` is answered by the designated replier
+    /// alone.
+    #[test]
+    fn a_request_admitted_here_is_answered_here_on_its_first_execution() {
+        for r in [2u16, 3] {
+            let mut fx = Effects::new(1);
+            let (mut hosts, session) = with_session(r, &mut fx);
+            let ring = RingId::new(0);
+            let frame = |seq| ClientMsg::RequestHere {
+                session,
+                seq: RequestId::new(seq),
+                ack: 2,
+                group: ring,
+                cmd: Bytes::from_static(b"scan"),
+            };
+            let ctx = &mut fx.ctx(SimTime::ZERO, NodeId::new(0));
+            let (group, env) = hosts[0]
+                .admit(ClientId::new(7), CLIENT, frame(3), ctx)
+                .unwrap();
+            assert_eq!(group, ring);
+            let values = BTreeMap::from([(ring, command(env, 20))]);
+            let replies = decide_round(&mut hosts, 2, &values, &mut fx);
+            assert_eq!(answered(&replies), [0, 1], "2 × {r}: here and designated");
+
+            let ClientMsg::RequestHere {
+                session,
+                seq,
+                ack,
+                group,
+                cmd,
+            } = frame(4)
+            else {
+                unreachable!()
+            };
+            let plain = ClientMsg::RequestV2 {
+                session,
+                seq,
+                ack,
+                group,
+                cmd,
+            };
+            let ctx = &mut fx.ctx(SimTime::ZERO, NodeId::new(0));
+            let (_, env) = hosts[0]
+                .admit(ClientId::new(7), CLIENT, plain, ctx)
+                .unwrap();
+            let values = BTreeMap::from([(ring, command(env, 21))]);
+            let replies = decide_round(&mut hosts, 3, &values, &mut fx);
+            assert_eq!(answered(&replies), [1], "2 × {r}: designated only");
+        }
     }
 
     /// The `TrimQuery` sequence numbers the last callbacks sent to `to`.

@@ -10,7 +10,8 @@
 //!
 //! [`MultiRingHost`] is the deployable process: it multiplexes this node's
 //! participation in any number of rings, runs the merge, executes a
-//! replicated [`ServiceApp`], answers clients, takes checkpoints,
+//! replicated [`ServiceApp`], answers clients (one replica per partition
+//! answers a command's first execution), takes checkpoints,
 //! coordinates log trimming (§5.2's `K_T` protocol) and recovers replicas
 //! from checkpoints plus acceptor retransmission (§5.2's `Q_R` protocol).
 //!
@@ -27,6 +28,7 @@ pub mod exec;
 pub mod host;
 pub mod merge;
 pub mod recovery;
+mod reply;
 pub mod route;
 pub mod session;
 
