@@ -93,8 +93,9 @@ pub struct CoordServerConfig {
     /// Period of the session-expiry sweep.
     pub session_check: Duration,
     /// Roll the WAL to a new segment every this many records (0 means
-    /// 4096); checkpoints delete whole segments below their cut. Only
-    /// meaningful with `wal_dir`.
+    /// 4096); each checkpoint deletes the whole segments below the
+    /// position marked at the previous one. Only meaningful with
+    /// `wal_dir`.
     pub checkpoint_every: u64,
 }
 

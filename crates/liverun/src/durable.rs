@@ -22,17 +22,18 @@
 //!
 //! The decorator writes through the [`DecidedLog`] trait, which
 //! [`storage::wal::SegmentedWal`] implements: records carry a monotone delivery
-//! position, segments roll at a configured cadence, and once the host
-//! reports a checkpoint durable ([`ServiceApp::checkpoint_durable`]) the
-//! log prunes every segment wholly below the position marked at snapshot
-//! time — closing the "single ever-growing file" caveat without ever
-//! touching a segment a restart might still replay.
+//! position, segments roll at a configured cadence, and each time the
+//! host reports a checkpoint durable ([`ServiceApp::checkpoint_durable`])
+//! the log prunes every segment wholly below the position it marked at
+//! the *previous* report, then marks the current one. The host takes a
+//! checkpoint only after the previous one was reported, so the one just
+//! reported covers every record below the mark — closing the "single
+//! ever-growing file" caveat without ever touching a segment a restart
+//! might still replay.
 //!
 //! A live node wraps its whole service stack in one `DurableApp` over
 //! one segment directory (`node-<id>/shard-0/`), so its log is the full
 //! delivered stream of the node.
-
-use std::cell::Cell;
 
 use bytes::Bytes;
 use common::ids::RingId;
@@ -60,10 +61,9 @@ pub struct DurableApp {
     /// Position of the next staged record (counts this decorator's own
     /// delivered stream).
     pos: u64,
-    /// The position the state covered when the last snapshot was cut;
-    /// once that checkpoint is durable, records below it are prunable.
-    /// `Cell` because the mark is taken inside `&self` snapshot calls.
-    ckpt_mark: Cell<u64>,
+    /// The position when the last checkpoint was reported durable; the
+    /// next report's checkpoint covers every record below it.
+    ckpt_mark: u64,
 }
 
 impl DurableApp {
@@ -75,7 +75,7 @@ impl DurableApp {
             inner,
             log,
             pos: start_pos,
-            ckpt_mark: Cell::new(start_pos),
+            ckpt_mark: start_pos,
         }
     }
 }
@@ -107,10 +107,6 @@ impl ServiceApp for DurableApp {
     }
 
     fn snapshot_cut(&self) -> Box<dyn SnapshotCut> {
-        // Everything staged so far is covered by the cut being taken
-        // now; remember the position so a later durable checkpoint can
-        // prune up to (but never past) it.
-        self.ckpt_mark.set(self.pos);
         self.inner.snapshot_cut()
     }
 
@@ -124,7 +120,8 @@ impl ServiceApp for DurableApp {
 
     fn checkpoint_durable(&mut self) {
         // Best effort, like commit: pruning is an optimization.
-        let _ = self.log.prune_below(self.ckpt_mark.get());
+        let _ = self.log.prune_below(self.ckpt_mark);
+        self.ckpt_mark = self.pos;
         self.inner.checkpoint_durable();
     }
 
@@ -198,9 +195,9 @@ mod tests {
                 app.execute(RingId::new(0), &env(seq));
             }
             app.flush();
-            // The snapshot marks pos 5; once durable, segments wholly
-            // below it are pruned (the active segment survives).
-            let _ = app.snapshot();
+            // The first durable checkpoint marks pos 5; the next prunes
+            // the segments wholly below it (the active segment survives).
+            app.checkpoint_durable();
             app.checkpoint_durable();
             let remaining = SegmentedWal::replay::<WalRecord>(&dir).unwrap();
             assert!(

@@ -530,6 +530,59 @@ fn restart_in_place_over_rotated_wal_dir() {
     let _ = std::fs::remove_dir_all(&wal_dir);
 }
 
+/// A durable deployment checkpoints in memory, so a checkpoint is its
+/// tuple and no node cuts its service state, and yet every node's
+/// delivered-command WAL still prunes: a few checkpoints after the
+/// writes, the first surviving segment of each log starts past position
+/// 0 (segment names carry their first position).
+#[test]
+fn in_memory_checkpoints_still_prune_the_wal() {
+    use storage::wal::SegmentedWal;
+
+    let wal_dir = std::env::temp_dir().join(format!("liverun-prunewal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    let text = generate_localhost_mrpstore(1, 3, base_port(), wal_dir.to_str()).replacen(
+        "[deployment]\n",
+        "[deployment]\nwal_roll_every = 8\n",
+        1,
+    );
+    let config = DeploymentConfig::parse(&text).unwrap();
+    assert!(config.checkpoint_interval.is_some());
+    let deployment = Deployment::launch(config.clone()).unwrap();
+    let mut client = StoreClient::connect(&config, ClientId::new(12), client_opts()).unwrap();
+    for i in 0..40 {
+        let key = format!("prune{i:02}");
+        let reply = client.insert(&key, Bytes::from(vec![i as u8])).unwrap();
+        assert_eq!(reply, KvResponse::Ok);
+    }
+
+    let first_pos = |node: &liverun::config::NodeSpec| -> u64 {
+        let dir = liverun::shard_wal_dir(&wal_dir, node.id, 0);
+        let segments = SegmentedWal::segments(&dir);
+        let name = segments
+            .first()
+            .and_then(|p| p.file_name()?.to_str().map(String::from));
+        (name.as_deref())
+            .and_then(|n| n.strip_prefix("seg-")?.strip_suffix(".wal")?.parse().ok())
+            .unwrap_or(0)
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    let mut firsts: Vec<u64> = config.nodes.iter().map(first_pos).collect();
+    while firsts.contains(&0) && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(100));
+        firsts = config.nodes.iter().map(first_pos).collect();
+    }
+    assert!(
+        !firsts.contains(&0),
+        "a WAL kept its first segment: first positions {firsts:?}"
+    );
+    for snap in scrape(&config) {
+        assert_eq!(snap.counter("ckpt_cuts"), Some(0), "node {}", snap.node);
+    }
+    deployment.shutdown();
+    let _ = std::fs::remove_dir_all(&wal_dir);
+}
+
 /// A replica is killed mid-run, the service stays available, and after a
 /// restart the replica recovers (checkpoint fetch + acceptor catch-up)
 /// and serves up-to-date, linearizable reads.

@@ -41,8 +41,9 @@ pub trait ServiceApp: Send + 'static {
     /// Takes a checkpoint at the current state: an owned, immutable cut
     /// that encodes to exactly the bytes [`ServiceApp::snapshot`] returns
     /// at this instant, however the state changes afterwards. The host
-    /// keeps the cut and encodes it only when the bytes are needed (a
-    /// peer fetches the checkpoint, or a restart installs it).
+    /// cuts when a recovering peer fetches a checkpoint, and encodes that
+    /// cut at once; with durable checkpoint storage it also cuts at each
+    /// checkpoint and keeps the cut until a restart installs it.
     ///
     /// The default encodes eagerly (fine for small states). Services
     /// with large state override it with a structural clone: refcounted
@@ -61,8 +62,9 @@ pub trait ServiceApp: Send + 'static {
     fn reset(&mut self);
 
     /// A checkpoint covering this app's state is now durable (saved and
-    /// advertised). Durability decorators use it to prune their logs up
-    /// to the checkpoint cut; plain services ignore it. Default: no-op.
+    /// advertised). It covers at least everything executed before the
+    /// previous call. Durability decorators use it to prune their logs;
+    /// plain services ignore it. Default: no-op.
     fn checkpoint_durable(&mut self) {}
 
     /// The `(refresh, ttl_ms)` liveness reading of an exactly-once client

@@ -84,7 +84,8 @@ pub struct HostOptions {
     /// Retry cadence for recovery steps.
     pub recovery_retry: Duration,
     /// Checkpoint storage mode (the paper writes checkpoints
-    /// synchronously to disk, §7.2).
+    /// synchronously to disk, §7.2). With `InMemory` nothing survives a
+    /// crash, so a checkpoint keeps no state: it is its tuple.
     pub checkpoint_storage: StorageMode,
     /// How often a replica sweeps its session table for sessions idle
     /// past their TTL ([`MultiRingHost`]'s session expiry).
@@ -135,10 +136,11 @@ impl Snapshot {
     }
 }
 
-/// A checkpoint as the host retains it: the meta ([`Snapshot`] up to the
-/// service state), encoded at the cut, and the service's cut. Its bytes
-/// are written only when they are needed — a peer fetches the
-/// checkpoint, or a restart installs it — and not kept afterwards.
+/// A checkpoint cut: the meta ([`Snapshot`] up to the service state),
+/// encoded at the cut, and the service's cut. With durable storage the
+/// host retains one per checkpoint for a restart to install; otherwise a
+/// cut is taken only for the peer that fetches it. Its bytes are written
+/// only when they are needed and not kept afterwards.
 struct Retained {
     meta: Bytes,
     cut: Box<dyn SnapshotCut>,
@@ -186,6 +188,9 @@ struct HostObs {
     merge_skips: Counter,
     merge_lag: Gauge,
     ckpt_bytes: Gauge,
+    /// Checkpoint cuts taken: for a peer's fetch, or for a durable
+    /// checkpoint.
+    ckpt_cuts: Counter,
     session_count: Gauge,
     session_cached_replies: Gauge,
     /// Trim rounds this node completed as a ring coordinator.
@@ -241,6 +246,7 @@ impl HostObs {
             merge_skips: obs.counter("merge_skips"),
             merge_lag: obs.gauge("merge_lag"),
             ckpt_bytes: obs.gauge("ckpt_bytes"),
+            ckpt_cuts: obs.counter("ckpt_cuts"),
             session_count: obs.gauge("session_count"),
             session_cached_replies: obs.gauge("session_cached_replies"),
             trim_rounds: obs.counter("trim_rounds"),
@@ -311,6 +317,7 @@ pub struct MultiRingHost {
     /// The replica's partition (for recovery quorums).
     partition: Option<PartitionId>,
     app: Box<dyn ServiceApp>,
+    /// Durable checkpoints; empty with in-memory storage.
     ckpt_store: CheckpointStore<Retained>,
     /// The checkpoint advertised to the trim protocol (durably written).
     advertised: Option<CheckpointTuple>,
@@ -987,6 +994,12 @@ impl MultiRingHost {
     // checkpointing (replica side of §5.2)
     // ------------------------------------------------------------------
 
+    /// Whether checkpoints outlive a crash; if not, a checkpoint is its
+    /// tuple, cut only for the peer that fetches it.
+    fn durable(&self) -> bool {
+        !matches!(self.opts.checkpoint_storage, StorageMode::InMemory)
+    }
+
     fn take_checkpoint(&mut self, ctx: &mut Ctx<'_>) {
         let Some(learner) = &self.learner else { return };
         if self.pending_ckpt.is_some() || self.recovery.is_recovering() {
@@ -996,6 +1009,27 @@ impl MultiRingHost {
         if self.advertised.as_ref() == Some(&tuple) {
             return; // nothing new to checkpoint
         }
+        // A durable checkpoint is cut now, for a restart to install: the
+        // disk is charged, and `ckpt_bytes` set, with its length in bytes.
+        let mut ack_at = ctx.now();
+        if let Some((_, retained)) = self.durable().then(|| self.cut()).flatten() {
+            let len = retained.encoded_len();
+            self.hobs.ckpt_bytes.set(len as i64);
+            ack_at = (self.ckpt_store)
+                .save(tuple.clone(), retained, len, ack_at)
+                .ack_at;
+        }
+        self.ckpt_seq += 1;
+        self.pending_ckpt = Some((self.ckpt_seq, tuple));
+        // Synchronous write: the checkpoint is advertised (and counted by
+        // the trim protocol) only once the write completes.
+        ctx.schedule_at(ack_at, Timer::with(TIMER_CHECKPOINT_DONE, self.ckpt_seq));
+    }
+
+    /// A cut of the current state at the merge's delivery cursor: its
+    /// tuple, and the meta encoded beside the service's structural cut.
+    fn cut(&self) -> Option<(CheckpointTuple, Retained)> {
+        let learner = self.learner.as_ref()?;
         let (merge_turn, merge_credits) = learner.scheduler_state();
         // Snapshot each ring's delivered ids at the *merge's* cut for
         // that ring: the ring learner may have emitted deliveries the
@@ -1006,29 +1040,35 @@ impl MultiRingHost {
         let dedup = (self.rings.iter())
             .map(|(r, n)| (*r, n.dedup_snapshot(learner.queued_ids(*r))))
             .collect();
-        // A checkpoint is a cut, not a copy: the meta is encoded now and
-        // the service keeps a structural cut at the merge's delivery
-        // cursor. The disk is charged, and `ckpt_bytes` set, with the
-        // length the checkpoint would have in bytes.
         let meta = Meta {
             dedup,
             merge_turn,
             merge_credits,
         };
+        self.hobs.ckpt_cuts.inc();
         let retained = Retained {
             meta: meta.to_bytes(),
             cut: self.app.snapshot_cut(),
         };
-        let len = retained.encoded_len();
-        self.hobs.ckpt_bytes.set(len as i64);
-        let receipt = (self.ckpt_store).save(tuple.clone(), retained, len, ctx.now());
-        self.ckpt_seq += 1;
-        self.pending_ckpt = Some((self.ckpt_seq, tuple));
-        // Synchronous write: the checkpoint is advertised (and counted by
-        // the trim protocol) only once the write completes.
-        ctx.schedule_at(
-            receipt.ack_at,
-            Timer::with(TIMER_CHECKPOINT_DONE, self.ckpt_seq),
+        Some((learner.checkpoint_tuple(), retained))
+    }
+
+    /// Answers a peer's `CheckpointFetch`: with the asked checkpoint if
+    /// it is still retained, or else with a cut of the current state,
+    /// whose tuple dominates every checkpoint this host advertised. A
+    /// recovering host answers nothing.
+    fn on_checkpoint_fetch(&mut self, from: NodeId, tuple: CheckpointTuple, ctx: &mut Ctx<'_>) {
+        if self.recovery.is_recovering() {
+            return;
+        }
+        let kept = (self.ckpt_store.get(&tuple)).map(|r| (tuple, r.encode()));
+        let Some((tuple, state)) = kept.or_else(|| self.cut().map(|(t, r)| (t, r.encode()))) else {
+            return;
+        };
+        self.hobs.ckpt_bytes.set(state.len() as i64);
+        ctx.send(
+            from,
+            Msg::Recovery(RecoveryMsg::CheckpointData { tuple, state }),
         );
     }
 
@@ -1197,12 +1237,12 @@ impl MultiRingHost {
     /// of its delivered ids (`dedup_ranges`). Per node,
     /// `mem_accounted_bytes`: the payload bytes of the logs, caches and
     /// merge queue, the delivered-id runs at their in-memory size, and the
-    /// meta bytes of the retained checkpoints (their delivered-id runs and
-    /// merge state). A retained checkpoint's
-    /// service cut shares its values with the store, so the values it
-    /// alone pins (those overwritten or deleted since the cut) are not
-    /// counted. It walks every retained value, so the stats plane calls
-    /// it when it is read; nothing on the ordering path does.
+    /// meta bytes of the durable checkpoints retained (none with
+    /// in-memory storage). A retained checkpoint's service cut shares its
+    /// values with the store, so the values it alone pins (those
+    /// overwritten or deleted since the cut) are not counted. It walks
+    /// every retained value, so the stats plane calls it when it is read;
+    /// nothing on the ordering path does.
     pub fn refresh_gauges(&self) {
         let meta: usize = (self.ckpt_store.iter()).map(|(_, r)| r.meta.len()).sum();
         let merge = self.learner.as_ref().map_or(0, MergeLearner::queued_bytes);
@@ -1371,8 +1411,8 @@ impl MultiRingHost {
                 {
                     // A peer has a strictly newer checkpoint: fetch it.
                     self.recovery = RecoveryPhase::Fetching {
-                        from: peer,
                         tuple: tuple.clone(),
+                        asked: ctx.now(),
                     };
                     ctx.send(peer, Msg::Recovery(RecoveryMsg::CheckpointFetch { tuple }));
                 }
@@ -1389,12 +1429,16 @@ impl MultiRingHost {
     fn on_checkpoint_data(&mut self, tuple: CheckpointTuple, state: Bytes, ctx: &mut Ctx<'_>) {
         self.dbg(ctx, &format!("checkpoint_data {tuple}"));
         if let RecoveryPhase::Fetching { tuple: want, .. } = &self.recovery {
-            if *want != tuple {
+            // The peer sends a newer checkpoint than the one asked for
+            // once it no longer retains that one.
+            if !tuple.dominates(want) {
                 return;
             }
             self.install_snapshot(&tuple, &state);
-            let (len, now) = (state.len(), ctx.now());
-            (self.ckpt_store).save(tuple, Retained::fetched(state), len, now);
+            if self.durable() {
+                let (len, now) = (state.len(), ctx.now());
+                (self.ckpt_store).save(tuple, Retained::fetched(state), len, now);
+            }
             self.recovery = RecoveryPhase::CatchUp;
             self.step_catch_up(ctx);
         }
@@ -1590,17 +1634,7 @@ impl MultiRingHost {
                     tuple,
                 } => self.on_checkpoint_info(seq, replica, tuple, ctx),
                 RecoveryMsg::CheckpointFetch { tuple } => {
-                    // The asked checkpoint, or the newest if it is gone,
-                    // encoded for this one reply.
-                    let found = (self.ckpt_store.get(&tuple).map(|r| (tuple.clone(), r)))
-                        .or_else(|| self.ckpt_store.latest().map(|(t, r)| (t.clone(), r)));
-                    if let Some((tuple, retained)) = found {
-                        let state = retained.encode();
-                        ctx.send(
-                            from,
-                            Msg::Recovery(RecoveryMsg::CheckpointData { tuple, state }),
-                        );
-                    }
+                    self.on_checkpoint_fetch(from, tuple, ctx)
                 }
                 RecoveryMsg::CheckpointData { tuple, state } => {
                     self.on_checkpoint_data(tuple, state, ctx)
@@ -1653,8 +1687,8 @@ impl MultiRingHost {
                     if seq == timer.a {
                         self.advertised = Some(tuple);
                         // The checkpoint is durable: durability
-                        // decorators may prune their logs to the cut
-                        // they marked when the snapshot was taken.
+                        // decorators may prune their logs below what it
+                        // covers.
                         self.app.checkpoint_durable();
                     } else {
                         self.pending_ckpt = Some((seq, tuple));
@@ -1710,10 +1744,16 @@ impl MultiRingHost {
                         // Quorum still outstanding: restart the query.
                         self.begin_recovery(ctx);
                     }
-                    RecoveryPhase::Fetching { from, tuple } => {
-                        let (from, tuple) = (*from, tuple.clone());
-                        ctx.send(from, Msg::Recovery(RecoveryMsg::CheckpointFetch { tuple }));
-                        ctx.schedule(self.opts.recovery_retry, Timer::of_kind(TIMER_RECOVERY));
+                    RecoveryPhase::Fetching { asked, .. } => {
+                        // A peer silent for a whole retry may have failed:
+                        // ask the partition again, not that peer.
+                        let left =
+                            (self.opts.recovery_retry).saturating_sub(ctx.now().since(*asked));
+                        if left.is_zero() {
+                            self.begin_recovery(ctx);
+                        } else {
+                            ctx.schedule(left, Timer::of_kind(TIMER_RECOVERY));
+                        }
                     }
                     RecoveryPhase::CatchUp => self.step_catch_up(ctx),
                 }
@@ -1856,10 +1896,25 @@ mod tests {
         app: Box<dyn ServiceApp>,
         fx: &mut Effects,
     ) -> MultiRingHost {
+        started_in(registry, me, replicas, app, StorageMode::InMemory, fx)
+    }
+
+    /// [`started_with`], checkpointing to `storage`.
+    fn started_in(
+        registry: &Registry,
+        me: u32,
+        replicas: u16,
+        app: Box<dyn ServiceApp>,
+        storage: StorageMode,
+        fx: &mut Effects,
+    ) -> MultiRingHost {
         let partition = (me / u32::from(replicas)) as u16;
         let global = RingId::new(registry.partitions().len() as u16);
         let rings = [RingId::new(partition), global];
-        let mut opts = HostOptions::default();
+        let mut opts = HostOptions {
+            checkpoint_storage: storage,
+            ..HostOptions::default()
+        };
         opts.ring.rate_leveling = Some(RateLeveling {
             delta: Duration::from_millis(1),
             lambda: 9000,
@@ -2042,9 +2097,23 @@ mod tests {
         fn reset(&mut self) {}
     }
 
-    /// Taking a checkpoint encodes nothing; a peer's `CheckpointFetch`
-    /// encodes the cut once, and the bytes it gets back are `ckpt_bytes`
-    /// long: the meta, then the cut's bytes.
+    /// Fires a checkpoint on `host` at `at`, then the acknowledgement of
+    /// its write, after which the host advertises it.
+    fn checkpoint(host: &mut MultiRingHost, at: SimTime, fx: &mut Effects) {
+        host.on_timer(Timer::of_kind(TIMER_CHECKPOINT), &mut fx.ctx(at, host.me));
+        let timers: Vec<(SimTime, Timer)> = fx.drain_timers().collect();
+        for (due, timer) in timers {
+            if timer.kind == TIMER_CHECKPOINT_DONE {
+                host.on_timer(timer, &mut fx.ctx(due, host.me));
+            }
+        }
+        fx.drain_timers().for_each(drop);
+    }
+
+    /// Taking an in-memory checkpoint cuts and encodes nothing: the host
+    /// advertises its tuple. A peer's `CheckpointFetch` cuts the state
+    /// once and encodes it once, and the bytes it gets back are
+    /// `ckpt_bytes` long: the meta, then the cut's bytes.
     #[test]
     fn a_checkpoint_is_encoded_only_for_the_peer_that_fetches_it() {
         let registry = layout(1, 2);
@@ -2054,15 +2123,21 @@ mod tests {
         let mut host = started_with(&registry, 0, 2, app, &mut fx);
         fx.drain_sends().for_each(drop);
         let at = SimTime::from_millis(1);
-        host.on_timer(Timer::of_kind(TIMER_CHECKPOINT), &mut fx.ctx(at, host.me));
-        assert_eq!(host.ckpt_store.len(), 1, "a checkpoint was taken");
+        checkpoint(&mut host, at, &mut fx);
+        let tuple = host.checkpoint_tuple().unwrap();
+        assert_eq!(
+            host.advertised,
+            Some(tuple.clone()),
+            "a checkpoint was taken"
+        );
+        assert!(host.ckpt_store.is_empty(), "and nothing kept");
+        assert_eq!(host.hobs.ckpt_cuts.get(), 0, "taking it cuts nothing");
         assert_eq!(
             encodes.load(Ordering::Relaxed),
             0,
             "taking it encodes nothing"
         );
 
-        let tuple = host.checkpoint_tuple().unwrap();
         let peer = NodeId::new(1);
         let fetch = Msg::Recovery(RecoveryMsg::CheckpointFetch { tuple });
         host.on_message(peer, fetch, &mut fx.ctx(at, host.me));
@@ -2074,9 +2149,103 @@ mod tests {
                 _ => None,
             })
             .expect("the checkpoint is sent to the peer");
+        assert_eq!(host.hobs.ckpt_cuts.get(), 1, "one fetch, one cut");
         assert_eq!(encodes.load(Ordering::Relaxed), 1, "one fetch, one encode");
         assert_eq!(Snapshot::decode(&mut state.clone()).unwrap().app, CUT_STATE);
         assert_eq!(host.hobs.ckpt_bytes.get(), state.len() as i64);
+    }
+
+    /// Delivers every recovery message `a` and `b` send each other at
+    /// `at`, and what those answers send, until none is left; drops
+    /// every other send and every timer.
+    fn exchange(a: &mut MultiRingHost, b: &mut MultiRingHost, at: SimTime, fx: &mut Effects) {
+        loop {
+            fx.drain_timers().for_each(drop);
+            let sends: Vec<(NodeId, Msg)> = (fx.drain_sends())
+                .filter(|(to, msg)| matches!(msg, Msg::Recovery(_)) && [a.me, b.me].contains(to))
+                .collect();
+            if sends.is_empty() {
+                return;
+            }
+            for (to, msg) in sends {
+                let (host, from) = if to == a.me {
+                    (&mut *a, b.me)
+                } else {
+                    (&mut *b, a.me)
+                };
+                host.on_message(from, msg, &mut fx.ctx(at, to));
+            }
+        }
+    }
+
+    /// A replica of a 1 × 2 layout restarts and asks its peer which
+    /// checkpoint it holds. The peer answers, then executes more and
+    /// takes two more checkpoints before the replica's fetch arrives, so
+    /// it no longer holds the checkpoint asked for. It answers with a
+    /// newer one, which the replica installs, and the replica's recovery
+    /// completes at the peer's state — with in-memory checkpoints and
+    /// with durable ones, whose store keeps the last two.
+    #[test]
+    fn a_fetch_for_a_checkpoint_the_peer_moved_past_completes_recovery() {
+        use common::value::NO_SESSION;
+        use storage::DiskProfile;
+
+        for storage in [StorageMode::InMemory, StorageMode::Sync(DiskProfile::ssd())] {
+            let registry = layout(1, 2);
+            let mut fx = Effects::new(1);
+            let mut server =
+                started_in(&registry, 0, 2, Box::new(EchoApp::new()), storage, &mut fx);
+            let mut replica =
+                started_in(&registry, 1, 2, Box::new(EchoApp::new()), storage, &mut fx);
+            fx.drain_sends().for_each(drop);
+            let write = |inst: u64| {
+                let env = request(NO_SESSION, inst + 1, 0, Bytes::from_static(b"w"));
+                BTreeMap::from([(RingId::new(0), command(env, 10 + inst))])
+            };
+            let at = SimTime::from_secs;
+            decide_round(std::slice::from_mut(&mut server), 0, &write(0), &mut fx);
+            checkpoint(&mut server, at(1), &mut fx);
+
+            replica.on_crash(at(2));
+            replica.on_restart(&mut fx.ctx(at(2), replica.me));
+            assert!(replica.is_recovering());
+            let query: Vec<Msg> = (fx.drain_sends())
+                .filter(|(to, msg)| *to == server.me && matches!(msg, Msg::Recovery(_)))
+                .map(|(_, msg)| msg)
+                .collect();
+            assert_eq!(query.len(), 1, "{storage:?}: one checkpoint query");
+            for msg in query {
+                server.on_message(replica.me, msg, &mut fx.ctx(at(2), server.me));
+            }
+            let info: Vec<Msg> = (fx.drain_sends()).map(|(_, msg)| msg).collect();
+            for inst in 1..3 {
+                decide_round(
+                    std::slice::from_mut(&mut server),
+                    inst,
+                    &write(inst),
+                    &mut fx,
+                );
+                checkpoint(&mut server, at(2 + inst), &mut fx);
+            }
+            for msg in info {
+                replica.on_message(server.me, msg, &mut fx.ctx(at(5), replica.me));
+            }
+            for retry in 0..5 {
+                exchange(&mut server, &mut replica, at(5 + retry), &mut fx);
+                if !replica.is_recovering() {
+                    break;
+                }
+                let recovery = Timer::of_kind(TIMER_RECOVERY);
+                replica.on_timer(recovery, &mut fx.ctx(at(6 + retry), replica.me));
+            }
+            assert!(
+                !replica.is_recovering(),
+                "{storage:?}: still recovering, {:?}",
+                replica.recovery
+            );
+            assert_eq!(replica.checkpoint_tuple(), server.checkpoint_tuple());
+            assert_eq!(replica.app.snapshot(), server.app.snapshot(), "{storage:?}");
+        }
     }
 
     /// A session-less command and a `SessionCtl::Open`, each decided at

@@ -16,6 +16,7 @@
 
 use common::ids::{InstanceId, NodeId, RingId};
 use common::msg::CheckpointTuple;
+use common::time::SimTime;
 use std::collections::HashMap;
 
 /// One ring-coordinator's trim round state.
@@ -113,10 +114,10 @@ pub enum RecoveryPhase {
     },
     /// Fetching the chosen remote checkpoint.
     Fetching {
-        /// The peer shipping the checkpoint.
-        from: NodeId,
-        /// Which checkpoint.
+        /// Which checkpoint; any that dominates it will do.
         tuple: CheckpointTuple,
+        /// When it was asked for.
+        asked: SimTime,
     },
     /// Replaying trailing instances from the acceptors until all gaps
     /// close.

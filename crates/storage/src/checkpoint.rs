@@ -9,7 +9,9 @@
 //! [`CheckpointStore`] is the simulator's model (virtual disk timing,
 //! crash semantics). It is generic over what it retains, so a host can
 //! keep a checkpoint in whatever form is cheapest to hold and charge the
-//! disk with the length it would have in bytes.
+//! disk with the length it would have in bytes. A host saves here only
+//! checkpoints that can outlive a crash: with in-memory storage a
+//! checkpoint is its tuple, and nothing is saved.
 
 use common::msg::CheckpointTuple;
 use common::time::SimTime;
@@ -25,8 +27,10 @@ struct Entry<S> {
 
 /// Durable checkpoint store for one replica.
 ///
-/// Keeps the most recent `retain` checkpoints (older ones are garbage
-/// collected like the paper's log files).
+/// Keeps the two most recent checkpoints saved (older ones are garbage
+/// collected like the paper's log files): the newest may still be in
+/// flight to the disk when a crash comes, and the one before it is then
+/// what survives.
 #[derive(Debug)]
 pub struct CheckpointStore<S> {
     disk: DiskTimeline,
@@ -36,7 +40,7 @@ pub struct CheckpointStore<S> {
 
 impl<S> CheckpointStore<S> {
     /// An empty store writing with `mode`, retaining the last two
-    /// checkpoints.
+    /// checkpoints saved.
     pub fn new(mode: StorageMode) -> Self {
         CheckpointStore {
             disk: DiskTimeline::new(mode),
@@ -71,12 +75,6 @@ impl<S> CheckpointStore<S> {
         receipt
     }
 
-    /// The most recent checkpoint (regardless of durability) — what a
-    /// *running* replica advertises to peers.
-    pub fn latest(&self) -> Option<(&CheckpointTuple, &S)> {
-        self.entries.last().map(|e| (&e.tuple, &e.state))
-    }
-
     /// The most recent checkpoint durable at `now` — what survives a crash.
     pub fn latest_durable(&self, now: SimTime) -> Option<(&CheckpointTuple, &S)> {
         self.entries
@@ -98,10 +96,6 @@ impl<S> CheckpointStore<S> {
     /// Simulates a crash at `now`: non-durable checkpoints disappear.
     /// In-memory stores lose everything.
     pub fn crash(&mut self, now: SimTime) {
-        if matches!(self.disk.mode(), StorageMode::InMemory) {
-            self.entries.clear();
-            return;
-        }
         self.entries.retain(|e| e.durable_at <= now);
     }
 
@@ -137,7 +131,7 @@ mod tests {
         let mut s = CheckpointStore::new(StorageMode::InMemory);
         s.save(tuple(5), Bytes::from_static(b"five"), 4, SimTime::ZERO);
         s.save(tuple(9), Bytes::from_static(b"nine"), 4, SimTime::ZERO);
-        let (t, state) = s.latest().unwrap();
+        let (t, state) = s.iter().last().unwrap();
         assert_eq!(t, &tuple(9));
         assert_eq!(state, &Bytes::from_static(b"nine"));
         assert_eq!(s.get(&tuple(5)).unwrap(), &Bytes::from_static(b"five"));
